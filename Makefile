@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race bench bench-baseline batch chaos occ adaptive failover scan mvcc
+.PHONY: check build fmt vet test race alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover scan mvcc
 
-check: build fmt vet race batch occ adaptive chaos failover scan mvcc
+check: build fmt vet race alloc batch occ adaptive chaos failover scan mvcc bench-smoke
 
 build:
 	go build ./...
@@ -19,6 +19,17 @@ test:
 
 race:
 	go test -race ./...
+
+# Allocation gate: a warm HTM region allocates nothing, and a committed
+# transaction stays inside its object budget (both excluded under -race).
+alloc:
+	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
+	go test -count=1 -run TestExecAllocSteadyState ./internal/tx/
+
+# Whole-system smoke run: every benchmark workload and the ladder at 1/100
+# scale; exits non-zero when a correctness check fails (benchmark/README.md).
+bench-smoke:
+	go run ./benchmark -scale 0.01
 
 # Crash-consistency gate: SmallBank under repeated crashes with lease-based
 # detection and online recovery; conservation must hold.
@@ -63,12 +74,10 @@ scan:
 # Snapshot-read gate: the MVCC arm must keep its >=1.5x win over the
 # confirm-wave scan at fanout >= 32 under writes, the adaptive footprint
 # router must stay within 5% of the best static arm in every sweep cell
-# (mvccexp_test.go), and the RO hot path must stay inside its allocation
-# budget (alloc_guard_test.go).
+# (mvccexp_test.go).
 mvcc:
 	go run ./cmd/drtm-bench -exp mvcc -quick
 	go test -run TestMVCCAcceptance ./internal/bench/
-	go test -run TestExecAllocSteadyState ./internal/tx/
 
 # Full-scale experiment sweep (slow); see cmd/drtm-bench -h for single runs.
 bench:

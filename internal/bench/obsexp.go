@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"drtm"
 )
@@ -52,6 +54,7 @@ func runObsExp(o Options) *Result {
 
 	base := db.Stats() // population noise stays out of the delta
 
+	var batches [nodes]atomic.Int64 // same-node batches finished, per node
 	var wg sync.WaitGroup
 	for n := 0; n < db.Nodes(); n++ {
 		for w := 0; w < db.WorkersPerNode(); w++ {
@@ -87,9 +90,11 @@ func runObsExp(o Options) *Result {
 							return lc.Write(tbl, 2, []uint64{g[0] + 1})
 						})
 					})
-					// Same-node batch over every local record; the Gosched
-					// hands the CPU to the sibling worker mid-region so the
-					// HTM working sets genuinely collide (stands in for
+					// Same-node batch over every local record. The region
+					// stays open until the sibling worker has committed a
+					// batch of its own (or, the sibling being done or backing
+					// off, for 200 us), so the HTM working sets genuinely
+					// collide however fast a region runs (stands in for
 					// coherence-interleaved regions on real hardware).
 					_ = e.Exec(func(t *drtm.Tx) error {
 						for _, k := range mine {
@@ -106,7 +111,10 @@ func runObsExp(o Options) *Result {
 								}
 								vals[j] = v
 							}
-							runtime.Gosched()
+							seen := batches[n].Load()
+							for open := time.Now(); batches[n].Load() == seen && time.Since(open) < 200*time.Microsecond; {
+								runtime.Gosched()
+							}
 							for j, k := range mine {
 								if err := lc.Write(tbl, k, vals[j]); err != nil {
 									return err
@@ -115,6 +123,7 @@ func runObsExp(o Options) *Result {
 							return nil
 						})
 					})
+					batches[n].Add(1)
 					// Read-only audit over the other node's records.
 					_ = e.ExecRO(func(ro *drtm.RO) error {
 						for k := uint64(1); k <= keys; k++ {

@@ -10,6 +10,10 @@
 //     versions, so any in-flight transaction that read those lines fails
 //     validation and aborts — exactly as a remote coherence invalidation
 //     aborts a real RTM transaction.
+//   - Opacity: a region never acts on inconsistent data. Every line that
+//     joins the read set re-validates the versions recorded so far, so the
+//     values a region has seen are at all times a snapshot of one instant;
+//     a region that can no longer commit aborts at that access, not later.
 //   - Capacity aborts: the write set is bounded (L1-sized by default, 512
 //     cache lines = 32 KB) and the read set by a larger bound; exceeding
 //     either aborts with AbortCapacity. This is what makes transaction
@@ -22,15 +26,24 @@
 //
 // The one intentional deviation is abort *timing*: real RTM aborts a doomed
 // transaction the instant a conflicting coherence message arrives, while
-// this engine detects the conflict at the transaction's next access to the
-// line or at commit (opacity is still guaranteed — a transaction never acts
-// on inconsistent data). Published state is identical in both designs.
+// this engine detects the conflict at the transaction's next access to a new
+// line or to the changed line, or at commit. Published state is identical in
+// both designs.
+//
+// Like the hardware, a region costs no memory management: its working set is
+// three flat, append-only entry lists bounded by Config — read lines with the
+// version observed, buffered words, write lines — each with a small
+// open-addressed position index, held in a context that Run takes from a
+// pool and returns on every exit. A warm region allocates nothing.
 package htm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"drtm/internal/memory"
 	"drtm/internal/obs"
@@ -80,6 +93,10 @@ func (e *AbortError) Error() string {
 
 // IsAbort reports whether err is an HTM abort and returns it if so.
 func IsAbort(err error) (*AbortError, bool) {
+	// Run returns its aborts bare; only a caller's wrapping needs the walk.
+	if ae, ok := err.(*AbortError); ok {
+		return ae, true
+	}
 	var ae *AbortError
 	if errors.As(err, &ae) {
 		return ae, true
@@ -137,78 +154,168 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// lineKey identifies a cache line across arenas.
-type lineKey struct {
-	a *memory.Arena
-	l memory.Line
+// entry is one element of a working set. The three sets share the shape:
+// the read set holds (arena, line, version observed), the write buffer
+// (arena, word offset, buffered value) and the write-line set (arena, line,
+// version displaced when commit locked it).
+type entry struct {
+	a   *memory.Arena
+	key uint64
+	val uint64
 }
 
-// wordKey identifies a single word across arenas.
-type wordKey struct {
-	a   *memory.Arena
-	off memory.Offset
+// set is an append-only entry list with an open-addressed index from
+// (arena, key) to the entry's position. Both slices keep their capacity
+// across uses of the context. An index slot holds epoch<<32 | position and
+// is live only while its epoch is the set's, so emptying the set is one
+// increment however large the index has grown.
+type set struct {
+	ents  []entry
+	index []uint64 // len is a power of two, at least twice len(ents)
+	epoch uint64   // in [1, 1<<32)
+	shift uint     // 64 - log2(len(index))
+}
+
+const initialIndexBits = 4
+
+func newSet() set {
+	return set{index: make([]uint64, 1<<initialIndexBits), epoch: 1, shift: 64 - initialIndexBits}
+}
+
+// find returns the position of (a, key) in s.ents, or -1 together with the
+// free index slot that an add of it fills.
+func (s *set) find(a *memory.Arena, key uint64) (pos, slot int) {
+	// Arena identity is the pointer; Seq stands in for it in the hash.
+	h := (key ^ bits.RotateLeft64(uint64(a.Seq()), 40)) * 0x9E3779B97F4A7C15
+	mask := len(s.index) - 1
+	for i := int(h >> s.shift); ; i = (i + 1) & mask {
+		w := s.index[i]
+		if w>>32 != s.epoch {
+			return -1, i
+		}
+		if e := &s.ents[uint32(w)]; e.a == a && e.key == key {
+			return int(uint32(w)), i
+		}
+	}
+}
+
+// add appends an entry that find reported absent, with the slot it returned.
+func (s *set) add(slot int, a *memory.Arena, key, val uint64) {
+	if 2*(len(s.ents)+1) > len(s.index) {
+		s.index = make([]uint64, 2*len(s.index))
+		s.shift--
+		s.epoch = 1
+		for pos := range s.ents {
+			_, free := s.find(s.ents[pos].a, s.ents[pos].key)
+			s.index[free] = 1<<32 | uint64(pos)
+		}
+		_, slot = s.find(a, key)
+	}
+	s.index[slot] = s.epoch<<32 | uint64(len(s.ents))
+	s.ents = append(s.ents, entry{a, key, val})
+}
+
+// reset empties the set. The entries are zeroed so that a pooled context
+// does not keep the arenas of a discarded cluster reachable.
+func (s *set) reset() {
+	clear(s.ents)
+	s.ents = s.ents[:0]
+	if s.epoch++; s.epoch == 1<<32 {
+		clear(s.index)
+		s.epoch = 1
+	}
 }
 
 // Txn is an in-flight hardware transaction. It must only be used by the
 // goroutine that began it, and only between XBEGIN and the return of the
-// region function — exactly like a real RTM context.
+// region function — exactly like a real RTM context: Run recycles it.
 type Txn struct {
 	eng    *Engine
-	reads  map[lineKey]uint64 // line -> observed version
-	writes map[wordKey]uint64 // word -> buffered value
-	wlines map[lineKey]struct{}
+	reads  set
+	writes set
+	wlines set
+	held   int // commit holds the line locks of wlines.ents[:held]
 }
+
+// txnPool recycles contexts across regions and engines. A nested Run (a
+// store operation inside a region body) takes a context of its own.
+var txnPool = sync.Pool{New: func() any {
+	return &Txn{reads: newSet(), writes: newSet(), wlines: newSet()}
+}}
+
+// Conflict and capacity aborts carry no data, so every one is the same value.
+var (
+	errConflict = &AbortError{Code: AbortConflict}
+	errCapacity = &AbortError{Code: AbortCapacity}
+)
 
 // abortPanic carries an abort out of user code; Engine.Run recovers it.
 type abortPanic struct{ err *AbortError }
 
-func (t *Txn) abort(code AbortCode, user uint8) {
-	panic(abortPanic{&AbortError{Code: code, User: user}})
-}
-
 // Abort explicitly aborts the transaction with a user code (XABORT imm8).
 // It does not return.
-func (t *Txn) Abort(user uint8) { t.abort(AbortExplicit, user) }
+func (t *Txn) Abort(user uint8) {
+	panic(abortPanic{&AbortError{Code: AbortExplicit, User: user}})
+}
 
 // Read transactionally loads one word, adding its line to the read set.
 func (t *Txn) Read(a *memory.Arena, off memory.Offset) uint64 {
-	if v, ok := t.writes[wordKey{a, off}]; ok {
-		return v
+	if len(t.writes.ents) != 0 {
+		if pos, _ := t.writes.find(a, uint64(off)); pos >= 0 {
+			return t.writes.ents[pos].val
+		}
 	}
-	lk := lineKey{a, memory.LineOf(off)}
+	l := memory.LineOf(off)
 	const retries = 64
 	for i := 0; ; i++ {
-		v1 := a.LineVersion(lk.l)
+		v1 := a.LineVersion(l)
 		if v1&1 != 0 {
 			if i >= retries {
-				t.abort(AbortConflict, 0)
+				panic(abortPanic{errConflict})
 			}
 			yield()
 			continue
 		}
 		val := a.LoadWord(off)
-		if a.LineVersion(lk.l) != v1 {
+		if a.LineVersion(l) != v1 {
 			if i >= retries {
-				t.abort(AbortConflict, 0)
+				panic(abortPanic{errConflict})
 			}
 			yield()
 			continue
 		}
-		if prev, ok := t.reads[lk]; ok {
-			if prev != v1 {
+		pos, slot := t.reads.find(a, uint64(l))
+		if pos >= 0 {
+			if t.reads.ents[pos].val != v1 {
 				// The line changed after we first read it: the transaction
 				// is doomed (this is where real RTM would already have
 				// aborted us asynchronously).
-				t.abort(AbortConflict, 0)
+				panic(abortPanic{errConflict})
 			}
 			return val
 		}
-		if len(t.reads) >= t.eng.cfg.ReadLines {
-			t.abort(AbortCapacity, 0)
+		if len(t.reads.ents) >= t.eng.cfg.ReadLines {
+			panic(abortPanic{errCapacity})
 		}
-		t.reads[lk] = v1
+		// Opacity: val is current as of now, so it may only join values read
+		// earlier if none of their lines changed in between.
+		if !t.readsValid() {
+			panic(abortPanic{errConflict})
+		}
+		t.reads.add(slot, a, uint64(l), v1)
 		return val
 	}
+}
+
+// readsValid reports whether every line of the read set still carries the
+// version recorded for it.
+func (t *Txn) readsValid() bool {
+	for i := range t.reads.ents {
+		if r := &t.reads.ents[i]; r.a.LineVersion(memory.Line(r.key)) != r.val {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadN transactionally loads n=len(dst) consecutive words.
@@ -220,14 +327,18 @@ func (t *Txn) ReadN(a *memory.Arena, off memory.Offset, dst []uint64) {
 
 // Write buffers a transactional store of one word.
 func (t *Txn) Write(a *memory.Arena, off memory.Offset, v uint64) {
-	lk := lineKey{a, memory.LineOf(off)}
-	if _, ok := t.wlines[lk]; !ok {
-		if len(t.wlines) >= t.eng.cfg.WriteLines {
-			t.abort(AbortCapacity, 0)
+	l := uint64(memory.LineOf(off))
+	if pos, slot := t.wlines.find(a, l); pos < 0 {
+		if len(t.wlines.ents) >= t.eng.cfg.WriteLines {
+			panic(abortPanic{errCapacity})
 		}
-		t.wlines[lk] = struct{}{}
+		t.wlines.add(slot, a, l, 0)
 	}
-	t.writes[wordKey{a, off}] = v
+	if pos, slot := t.writes.find(a, uint64(off)); pos >= 0 {
+		t.writes.ents[pos].val = v
+	} else {
+		t.writes.add(slot, a, uint64(off), v)
+	}
 }
 
 // WriteN buffers transactional stores of consecutive words.
@@ -239,8 +350,8 @@ func (t *Txn) WriteN(a *memory.Arena, off memory.Offset, src []uint64) {
 
 // ReadSetLines and WriteSetLines report current working-set sizes in cache
 // lines; useful for chopping heuristics and tests.
-func (t *Txn) ReadSetLines() int  { return len(t.reads) }
-func (t *Txn) WriteSetLines() int { return len(t.wlines) }
+func (t *Txn) ReadSetLines() int  { return len(t.reads.ents) }
+func (t *Txn) WriteSetLines() int { return len(t.wlines.ents) }
 
 // Run executes fn as a single hardware transaction attempt (XBEGIN ... XEND).
 // It returns nil on commit, an *AbortError on abort, or fn's error verbatim
@@ -248,43 +359,40 @@ func (t *Txn) WriteSetLines() int { return len(t.wlines) }
 // region is rolled back). Retry policy is the caller's responsibility, as
 // with real RTM.
 func (e *Engine) Run(fn func(*Txn) error) (err error) {
-	t := &Txn{
-		eng:    e,
-		reads:  make(map[lineKey]uint64, 16),
-		writes: make(map[wordKey]uint64, 16),
-		wlines: make(map[lineKey]struct{}, 8),
-	}
+	t := txnPool.Get().(*Txn)
+	t.eng = e
 	defer func() {
-		if r := recover(); r != nil {
-			ap, ok := r.(abortPanic)
-			if !ok {
-				panic(r)
-			}
-			err = ap.err
-			e.recordAbort(ap.err)
+		// On every exit — commit, user error, abort, a foreign panic passing
+		// through — the context goes back to the pool empty and lock-free.
+		r := recover()
+		t.release()
+		if r == nil {
+			return
 		}
+		ap, ok := r.(abortPanic)
+		if !ok {
+			panic(r)
+		}
+		err = ap.err
+		e.recordAbort(ap.err.Code)
 	}()
 	if err := fn(t); err != nil {
 		// A user error rolls the region back without committing; this is
 		// the moral equivalent of XABORT followed by not retrying.
-		e.recordAbort(&AbortError{Code: AbortExplicit})
+		e.recordAbort(AbortExplicit)
 		return err
 	}
-	if err := t.commit(); err != nil {
-		ae, _ := IsAbort(err)
-		e.recordAbort(ae)
-		return err
+	if ae := t.commit(); ae != nil {
+		e.recordAbort(ae.Code)
+		return ae
 	}
 	e.Stats.Commits.Add(1)
 	return nil
 }
 
-func (e *Engine) recordAbort(ae *AbortError) {
+func (e *Engine) recordAbort(code AbortCode) {
 	e.Stats.Aborts.Add(1)
-	if ae == nil {
-		return
-	}
-	switch ae.Code {
+	switch code {
 	case AbortConflict:
 		e.Stats.ConflictAborts.Add(1)
 	case AbortCapacity:
@@ -294,14 +402,35 @@ func (e *Engine) recordAbort(ae *AbortError) {
 	}
 }
 
+// release empties the context and returns it to the pool.
+func (t *Txn) release() {
+	if t.held > 0 {
+		// A panic escaped commit (a buffered store outside its arena) with
+		// words possibly published: advance the versions.
+		t.unlock(true)
+	}
+	t.reads.reset()
+	t.writes.reset()
+	t.wlines.reset()
+	t.eng = nil
+	txnPool.Put(t)
+}
+
+// unlock releases the line locks commit holds, newest first.
+func (t *Txn) unlock(dirty bool) {
+	for i := t.held - 1; i >= 0; i-- {
+		w := &t.wlines.ents[i]
+		w.a.UnlockLineForHTM(memory.Line(w.key), w.val, dirty)
+	}
+	t.held = 0
+}
+
 // commit validates the read set and publishes buffered writes atomically.
-func (t *Txn) commit() error {
-	if len(t.writes) == 0 {
+func (t *Txn) commit() *AbortError {
+	if len(t.writes.ents) == 0 {
 		// Read-only transactions just validate.
-		for lk, ver := range t.reads {
-			if lk.a.LineVersion(lk.l) != ver {
-				return &AbortError{Code: AbortConflict}
-			}
+		if !t.readsValid() {
+			return errConflict
 		}
 		return nil
 	}
@@ -309,59 +438,48 @@ func (t *Txn) commit() error {
 	// Acquire write-line locks in a deterministic global order. Real RTM
 	// resolves write-write races through the coherence protocol; sorting
 	// here avoids emulation-level deadlock while try-lock keeps the
-	// "no progress guarantee" property (we abort rather than wait).
-	locks := make([]lineKey, 0, len(t.wlines))
-	for lk := range t.wlines {
-		locks = append(locks, lk)
-	}
-	sort.Slice(locks, func(i, j int) bool {
-		if locks[i].a != locks[j].a {
-			return locks[i].a.ID < locks[j].a.ID
+	// "no progress guarantee" property (we abort rather than wait). The
+	// sort moves entries under the write-line index, which no step from
+	// here on consults.
+	wl := t.wlines.ents
+	slices.SortFunc(wl, func(x, y entry) int {
+		if x.a != y.a {
+			return cmp.Compare(x.a.Seq(), y.a.Seq())
 		}
-		return locks[i].l < locks[j].l
+		return cmp.Compare(x.key, y.key)
 	})
-
-	type held struct {
-		lk   lineKey
-		prev uint64
-	}
-	acquired := make([]held, 0, len(locks))
-	release := func(dirty bool) {
-		for i := len(acquired) - 1; i >= 0; i-- {
-			h := acquired[i]
-			h.lk.a.UnlockLineForHTM(h.lk.l, h.prev, dirty)
-		}
-	}
-
-	for _, lk := range locks {
-		prev, ok := lk.a.TryLockLineForHTM(lk.l)
+	for i := range wl {
+		w := &wl[i]
+		prev, ok := w.a.TryLockLineForHTM(memory.Line(w.key))
 		if !ok {
-			release(false)
-			return &AbortError{Code: AbortConflict}
+			t.unlock(false)
+			return errConflict
 		}
-		if rv, inReadSet := t.reads[lk]; inReadSet && rv != prev {
-			lk.a.UnlockLineForHTM(lk.l, prev, false)
-			release(false)
-			return &AbortError{Code: AbortConflict}
+		w.val = prev
+		t.held = i + 1
+		if pos, _ := t.reads.find(w.a, w.key); pos >= 0 {
+			r := &t.reads.ents[pos]
+			if r.val != prev {
+				t.unlock(false)
+				return errConflict
+			}
+			// Expect the locked version from here on, so that the validation
+			// below needs no test for "one of my own write lines".
+			r.val = prev + 1
 		}
-		acquired = append(acquired, held{lk, prev})
 	}
 
-	// Validate read-only lines while holding all write locks.
-	for lk, ver := range t.reads {
-		if _, isWrite := t.wlines[lk]; isWrite {
-			continue // validated at lock time
-		}
-		if lk.a.LineVersion(lk.l) != ver {
-			release(false)
-			return &AbortError{Code: AbortConflict}
-		}
+	// Validate the read set while holding all write locks.
+	if !t.readsValid() {
+		t.unlock(false)
+		return errConflict
 	}
 
 	// Publish.
-	for wk, v := range t.writes {
-		wk.a.PublishWord(wk.off, v)
+	for i := range t.writes.ents {
+		w := &t.writes.ents[i]
+		w.a.PublishWord(memory.Offset(w.key), w.val)
 	}
-	release(true)
+	t.unlock(true)
 	return nil
 }

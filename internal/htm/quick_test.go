@@ -10,36 +10,67 @@ import (
 
 // TestQuickSequentialEquivalence: running a random batch of transactions
 // one at a time through the engine must produce exactly the state of
-// applying them directly — the engine adds isolation, not semantics.
+// applying them directly — the engine adds isolation, not semantics. The ops
+// spread over two arenas that share offsets (and IDs), hit the same word and
+// different words of one line repeatedly, and touch enough distinct lines per
+// transaction for the position indexes to grow several times.
 func TestQuickSequentialEquivalence(t *testing.T) {
 	type op struct {
-		Read bool
-		Cell uint8
-		Val  uint16
+		Read  bool
+		Arena bool
+		Cell  uint8
+		Word  uint8
+		Val   uint16
+	}
+	const cells = 48
+	count := func(lines [2][cells]bool) (n int) {
+		for _, arena := range lines {
+			for _, touched := range arena {
+				if touched {
+					n++
+				}
+			}
+		}
+		return n
 	}
 	f := func(txns [][]op) bool {
-		const cells = 8
 		e := NewEngine(Config{})
-		a := memory.NewArena(0, cells*memory.WordsPerLine)
-		model := make([]uint64, cells)
+		arenas := [2]*memory.Arena{
+			memory.NewArena(0, cells*memory.WordsPerLine),
+			memory.NewArena(0, cells*memory.WordsPerLine),
+		}
+		var model [2][cells * memory.WordsPerLine]uint64
 
 		for _, ops := range txns {
-			if len(ops) > 12 {
-				ops = ops[:12]
-			}
-			shadow := append([]uint64(nil), model...)
+			shadow := model
+			// What the working set must hold: a line per distinct line written,
+			// and per distinct line read other than through the write buffer.
+			var rlines, wlines [2][cells]bool
+			var wrote [2][cells * memory.WordsPerLine]bool
 			err := e.Run(func(tx *Txn) error {
 				for _, o := range ops {
+					ai := 0
+					if o.Arena {
+						ai = 1
+					}
 					c := int(o.Cell) % cells
-					off := memory.Offset(c * memory.WordsPerLine)
+					w := c*memory.WordsPerLine + int(o.Word)%memory.WordsPerLine
 					if o.Read {
-						if got := tx.Read(a, off); got != shadow[c] {
-							t.Errorf("read cell %d = %d, shadow %d", c, got, shadow[c])
+						if !wrote[ai][w] {
+							rlines[ai][c] = true
+						}
+						if got := tx.Read(arenas[ai], memory.Offset(w)); got != shadow[ai][w] {
+							t.Errorf("read arena %d word %d = %d, shadow %d", ai, w, got, shadow[ai][w])
 						}
 					} else {
-						tx.Write(a, off, uint64(o.Val))
-						shadow[c] = uint64(o.Val)
+						wlines[ai][c], wrote[ai][w] = true, true
+						tx.Write(arenas[ai], memory.Offset(w), uint64(o.Val))
+						shadow[ai][w] = uint64(o.Val)
 					}
+				}
+				if nr, nw := count(rlines), count(wlines); tx.ReadSetLines() != nr || tx.WriteSetLines() != nw {
+					t.Errorf("working set %d read / %d write lines, want %d / %d",
+						tx.ReadSetLines(), tx.WriteSetLines(), nr, nw)
 				}
 				return nil
 			})
@@ -48,9 +79,11 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			}
 			model = shadow
 		}
-		for c := 0; c < cells; c++ {
-			if a.LoadWord(memory.Offset(c*memory.WordsPerLine)) != model[c] {
-				return false
+		for ai, a := range arenas {
+			for w := range model[ai] {
+				if a.LoadWord(memory.Offset(w)) != model[ai][w] {
+					return false
+				}
 			}
 		}
 		return true

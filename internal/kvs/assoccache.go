@@ -12,7 +12,8 @@ import (
 // (e.g., associativity) and replacement mechanisms (e.g., LRU) will be our
 // future work", Section 5.4).
 type Cache interface {
-	get(tag uint64) ([]uint64, bool)
+	// get copies the bucket cached under tag into dst, if there is one.
+	get(tag uint64, dst *[BucketWords]uint64) bool
 	put(tag uint64, words []uint64)
 	invalidate(tag uint64)
 	// Stats returns hit/miss/invalidation counts.
@@ -80,9 +81,9 @@ func (c *AssocCache) setOf(tag uint64) []assocFrame {
 	return c.sets[mix64(tag)%uint64(len(c.sets))]
 }
 
-func (c *AssocCache) get(tag uint64) ([]uint64, bool) {
+func (c *AssocCache) get(tag uint64, dst *[BucketWords]uint64) bool {
 	if c == nil {
-		return nil, false
+		return false
 	}
 	c.mu.Lock()
 	set := c.setOf(tag)
@@ -90,16 +91,15 @@ func (c *AssocCache) get(tag uint64) ([]uint64, bool) {
 		if set[i].valid && set[i].tag == tag {
 			c.tick++
 			set[i].lastUse = c.tick
-			out := make([]uint64, BucketWords)
-			copy(out, set[i].words[:])
+			*dst = set[i].words
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return out, true
+			return true
 		}
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
-	return nil, false
+	return false
 }
 
 func (c *AssocCache) put(tag uint64, words []uint64) {
@@ -152,8 +152,9 @@ func (c *AssocCache) invalidate(tag uint64) {
 func cacheInvalidateChain(c Cache, t *Table, key uint64) {
 	idx := t.bucketOf(key)
 	tag := mainTag(idx)
+	var words [BucketWords]uint64
 	for depth := 0; depth < maxChain; depth++ {
-		words, ok := c.get(tag)
+		ok := c.get(tag, &words)
 		c.invalidate(tag)
 		if !ok {
 			return

@@ -16,15 +16,16 @@ func TestAssocCacheBasics(t *testing.T) {
 	w := make([]uint64, BucketWords)
 	w[0] = 42
 	c.put(mainTag(1), w)
-	got, ok := c.get(mainTag(1))
+	var got [BucketWords]uint64
+	ok := c.get(mainTag(1), &got)
 	if !ok || got[0] != 42 {
 		t.Fatalf("get = %v,%v", got, ok)
 	}
-	if _, ok := c.get(mainTag(2)); ok {
+	if ok := c.get(mainTag(2), new([BucketWords]uint64)); ok {
 		t.Fatal("phantom hit")
 	}
 	c.invalidate(mainTag(1))
-	if _, ok := c.get(mainTag(1)); ok {
+	if ok := c.get(mainTag(1), new([BucketWords]uint64)); ok {
 		t.Fatal("invalidate failed")
 	}
 	hits, misses, invals := c.Stats()
@@ -40,7 +41,8 @@ func TestAssocCachePutUpdatesExisting(t *testing.T) {
 	c.put(mainTag(5), w)
 	w[0] = 2
 	c.put(mainTag(5), w)
-	got, _ := c.get(mainTag(5))
+	var got [BucketWords]uint64
+	c.get(mainTag(5), &got)
 	if got[0] != 2 {
 		t.Fatalf("update lost: %d", got[0])
 	}
@@ -57,18 +59,18 @@ func TestAssocLRUEviction(t *testing.T) {
 		c.put(mainTag(i), w)
 	}
 	// Touch 0 so it becomes MRU; insert a 5th tag; LRU (tag 1) must go.
-	if _, ok := c.get(mainTag(0)); !ok {
+	if ok := c.get(mainTag(0), new([BucketWords]uint64)); !ok {
 		t.Fatal("tag 0 missing")
 	}
 	w[0] = 99
 	c.put(mainTag(4), w)
-	if _, ok := c.get(mainTag(0)); !ok {
+	if ok := c.get(mainTag(0), new([BucketWords]uint64)); !ok {
 		t.Fatal("MRU tag 0 was evicted")
 	}
-	if _, ok := c.get(mainTag(1)); ok {
+	if ok := c.get(mainTag(1), new([BucketWords]uint64)); ok {
 		t.Fatal("LRU tag 1 survived")
 	}
-	if _, ok := c.get(mainTag(4)); !ok {
+	if ok := c.get(mainTag(4), new([BucketWords]uint64)); !ok {
 		t.Fatal("new tag missing")
 	}
 }
@@ -83,7 +85,7 @@ func TestAssocVsDirectConflictMisses(t *testing.T) {
 		// absorbs (a hot set may still exceed its ways occasionally).
 		for pass := 0; pass < 10; pass++ {
 			for i := uint64(0); i < 32; i++ {
-				if _, ok := c.get(mainTag(i)); !ok {
+				if ok := c.get(mainTag(i), new([BucketWords]uint64)); !ok {
 					c.put(mainTag(i), w)
 				}
 			}

@@ -23,11 +23,11 @@ type LookupReq struct {
 	Loc   Loc
 	Found bool
 	Err   error
-}
 
-// lookupWalk is the in-flight state of one LookupReq's chain walk.
-type lookupWalk struct {
-	req   *LookupReq
+	// The chain walk's in-flight state lives in the request, so a caller
+	// that recycles its requests makes the walk allocation-free: the next
+	// bucket's location and cache tag, the buckets consumed so far, the
+	// bucket image (cache copy or READ destination) and the posted READ.
 	off   memory.Offset
 	tag   uint64
 	depth int
@@ -35,66 +35,59 @@ type lookupWalk struct {
 	wr    *rdma.WR
 }
 
-// step consumes one bucket image: it either resolves the request (entry
-// found, or chain exhausted → not found) and returns true, or advances the
-// walk to the next chain bucket and returns false.
-func (w *lookupWalk) step(words []uint64) bool {
-	loc, found, next := decodeBucket(words, w.req.Key)
+// step consumes the bucket image in buf: it either resolves the request
+// (entry found, or chain exhausted → not found) and returns true, or advances
+// the walk to the next chain bucket and returns false.
+func (r *LookupReq) step() bool {
+	r.depth++
+	loc, found, next := decodeBucket(r.buf[:], r.Key)
 	if found {
-		w.req.Loc, w.req.Found = loc, true
+		r.Loc, r.Found = loc, true
 		return true
 	}
 	if next == 0 {
 		return true
 	}
-	w.off = next
-	w.tag = indirTag(uint64(next))
+	r.off = next
+	r.tag = indirTag(uint64(next))
 	return false
+}
+
+// walkCached advances the walk through cached buckets without touching the
+// fabric; a fully cached chain resolves here with zero work requests. It
+// returns true once the request is resolved and false when the next bucket
+// has to be READ.
+func (r *LookupReq) walkCached() bool {
+	for r.depth < maxChain {
+		if r.Cache == nil || !r.Cache.get(r.tag, &r.buf) {
+			return false
+		}
+		if r.step() {
+			return true
+		}
+	}
+	return true
 }
 
 // LookupBatch resolves every request's bucket chain concurrently: each round
 // advances all unresolved walks one level — through the location cache when
 // the bucket is cached, otherwise by posting a bucket READ — and polls the
 // outstanding READs as one doorbell batch. The requests may target different
-// tables and nodes; sq's window bounds how many READs overlap.
+// tables and nodes; sq's window bounds how many READs overlap. reqs is the
+// walk's work list: LookupBatch reorders it.
 func LookupBatch(sq *rdma.SendQueue, reqs []*LookupReq) {
-	active := make([]*lookupWalk, 0, len(reqs))
 	for _, r := range reqs {
 		idx := r.Table.bucketOf(r.Key)
-		active = append(active, &lookupWalk{
-			req: r,
-			off: r.Table.MainBucketOffset(idx),
-			tag: mainTag(idx),
-		})
+		r.off, r.tag, r.depth = r.Table.MainBucketOffset(idx), mainTag(idx), 0
 	}
-	for len(active) > 0 {
-		var pending []*lookupWalk
-		for _, w := range active {
-			// Drain cache hits without touching the fabric; a fully cached
-			// chain resolves here with zero work requests.
-			for w != nil {
-				if w.depth >= maxChain {
-					w = nil
-					break
-				}
-				var words []uint64
-				if w.req.Cache != nil {
-					if cached, ok := w.req.Cache.get(w.tag); ok {
-						words = cached
-					}
-				}
-				if words == nil {
-					break
-				}
-				w.depth++
-				if w.step(words) {
-					w = nil
-				}
-			}
-			if w != nil {
-				t := w.req.Table
-				w.wr = sq.PostRead(t.cfg.Node, t.cfg.RegionID, w.off, w.buf[:])
-				pending = append(pending, w)
+	// Each pass compacts the walks that go on to the front of the list.
+	for active := reqs; len(active) > 0; {
+		pending := active[:0]
+		for _, r := range active {
+			if !r.walkCached() {
+				t := r.Table
+				r.wr = sq.PostRead(t.cfg.Node, t.cfg.RegionID, r.off, r.buf[:])
+				pending = append(pending, r)
 			}
 		}
 		if len(pending) == 0 {
@@ -102,17 +95,16 @@ func LookupBatch(sq *rdma.SendQueue, reqs []*LookupReq) {
 		}
 		sq.Poll()
 		active = pending[:0]
-		for _, w := range pending {
-			if err := w.wr.Err; err != nil {
-				w.req.Err = err
+		for _, r := range pending {
+			if err := r.wr.Err; err != nil {
+				r.Err = err
 				continue
 			}
-			if w.req.Cache != nil {
-				w.req.Cache.put(w.tag, w.buf[:])
+			if r.Cache != nil {
+				r.Cache.put(r.tag, r.buf[:])
 			}
-			w.depth++
-			if !w.step(w.buf[:]) {
-				active = append(active, w)
+			if !r.step() {
+				active = append(active, r)
 			}
 		}
 	}

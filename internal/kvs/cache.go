@@ -64,24 +64,24 @@ func (c *LocationCache) frameOf(tag uint64) int {
 	return int(mix64(tag) % uint64(len(c.frames)))
 }
 
-// get returns a copy of the cached bucket for tag. A nil receiver (a typed
-// nil passed through the Cache interface) behaves as an always-miss cache.
-func (c *LocationCache) get(tag uint64) ([]uint64, bool) {
+// get copies the cached bucket for tag into dst and reports whether it was
+// cached. A nil receiver (a typed nil passed through the Cache interface)
+// behaves as an always-miss cache.
+func (c *LocationCache) get(tag uint64, dst *[BucketWords]uint64) bool {
 	if c == nil {
-		return nil, false
+		return false
 	}
 	c.mu.Lock()
 	f := &c.frames[c.frameOf(tag)]
 	if !f.valid || f.tag != tag {
 		c.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
+		return false
 	}
-	out := make([]uint64, BucketWords)
-	copy(out, f.words[:])
+	*dst = f.words
 	c.mu.Unlock()
 	c.hits.Add(1)
-	return out, true
+	return true
 }
 
 // put installs a bucket snapshot, evicting whatever shared its frame.

@@ -386,7 +386,7 @@ func TestCacheDirectMappedEviction(t *testing.T) {
 	}
 	present := 0
 	for i := uint64(0); i < 64; i++ {
-		if _, ok := c.get(mainTag(i)); ok {
+		if ok := c.get(mainTag(i), new([BucketWords]uint64)); ok {
 			present++
 		}
 	}

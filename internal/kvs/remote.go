@@ -44,23 +44,16 @@ func (t *Table) LookupRemoteE(qp *rdma.QP, cache Cache, key uint64) (Loc, bool, 
 	var buf [BucketWords]uint64
 
 	for depth := 0; depth < maxChain; depth++ {
-		var words []uint64
-		if cache != nil {
-			if cached, ok := cache.get(tag); ok {
-				words = cached
-			}
-		}
-		if words == nil {
+		if cache == nil || !cache.get(tag, &buf) {
 			if err := qp.TryRead(t.cfg.Node, t.cfg.RegionID, off, buf[:]); err != nil {
 				return Loc{}, false, err
 			}
-			words = buf[:]
 			if cache != nil {
-				cache.put(tag, words)
+				cache.put(tag, buf[:])
 			}
 		}
 
-		loc, found, next := decodeBucket(words, key)
+		loc, found, next := decodeBucket(buf[:], key)
 		if found {
 			return loc, true, nil
 		}

@@ -45,9 +45,16 @@ type Arena struct {
 	// It is set by the owner and never interpreted by this package.
 	ID int
 
+	// seq is process-unique (IDs repeat across nodes): the HTM engine hashes
+	// and orders cache lines of different arenas by it.
+	seq uint32
+
 	words []atomic.Uint64
 	vers  []atomic.Uint64 // one per line; seqlock version
 }
+
+// arenaSeq numbers arenas in creation order.
+var arenaSeq atomic.Uint32
 
 // NewArena allocates an arena of n words (rounded up to a whole line).
 func NewArena(id int, n int) *Arena {
@@ -57,10 +64,14 @@ func NewArena(id int, n int) *Arena {
 	lines := (n + WordsPerLine - 1) / WordsPerLine
 	return &Arena{
 		ID:    id,
+		seq:   arenaSeq.Add(1),
 		words: make([]atomic.Uint64, lines*WordsPerLine),
 		vers:  make([]atomic.Uint64, lines),
 	}
 }
+
+// Seq returns the arena's process-unique creation sequence number.
+func (a *Arena) Seq() uint32 { return a.seq }
 
 // Len returns the arena size in words.
 func (a *Arena) Len() int { return len(a.words) }

@@ -337,13 +337,11 @@ func (c *Client) DepositChecking(acct, amt uint64) error {
 // WithdrawChecking removes amt from checking (overdraft allowed with a
 // penalty in the spec; here clamped for invariant simplicity).
 func (c *Client) WithdrawChecking(acct, amt uint64) error {
-	taken := amt
+	var taken uint64
 	err := c.rmwChecking(acct, func(bal uint64) (uint64, bool) {
-		if bal < amt {
-			taken = bal
-			return 0, true
-		}
-		return bal - amt, true
+		// Set on every attempt: a retried region sees another balance.
+		taken = min(bal, amt)
+		return bal - taken, true
 	})
 	if err == nil {
 		c.NetDeposits -= int64(taken)

@@ -1,10 +1,13 @@
 package smallbank
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"drtm/internal/cluster"
+	"drtm/internal/kvs"
+	"drtm/internal/memory"
 	"drtm/internal/tx"
 )
 
@@ -114,6 +117,60 @@ func TestWithdrawClampsAtZero(t *testing.T) {
 	}
 	if cl.NetDeposits != -10_000 {
 		t.Fatalf("NetDeposits = %d, want -10000 (clamped)", cl.NetDeposits)
+	}
+}
+
+// TestWithdrawBooksCommittedAttempt: the amount a withdrawal books is what
+// the attempt that committed took. The first region attempt sees a balance
+// below the amount and clamps; it then aborts on a conflict, the balance is
+// raised meanwhile, and the attempt that commits takes the full amount.
+//
+// The conflict is forced, not awaited: the test holds the seqlock of the line
+// with the record's version-chain tail, which the region reads after it has
+// computed the new balance, so every attempt aborts there until the test —
+// having seen the first abort counted — raises the balance and lets go.
+func TestWithdrawBooksCommittedAttempt(t *testing.T) {
+	w, rt, stop := newWorkload(t, 1, 1)
+	defer stop()
+	rt.FallbackThreshold = 1 << 30 // keep retrying the region; no lock-based fallback
+	const acct, amt = 1, 50_000    // the initial balance is 10 000
+
+	node := rt.C.Node(0)
+	tbl := node.Unordered(TableChecking)
+	off, ok := tbl.LookupLocal(acct)
+	if !ok {
+		t.Fatal("account not found")
+	}
+	arena := tbl.Arena()
+	valueOff := kvs.ValueOffset(off)
+	tail := memory.LineOf(kvs.TailOffset(off, 1, tbl.ChainDepth()))
+	if tbl.ChainDepth() == 0 || tail == memory.LineOf(valueOff) {
+		t.Fatal("the test needs the chain tail on another line than the value")
+	}
+	prev, ok := arena.TryLockLineForHTM(tail)
+	if !ok {
+		t.Fatal("tail line busy")
+	}
+	raised := make(chan struct{})
+	go func() {
+		defer close(raised)
+		for node.Engine.Stats.ConflictAborts.Load() == 0 {
+			runtime.Gosched()
+		}
+		arena.Write(valueOff, []uint64{60_000})
+		arena.UnlockLineForHTM(tail, prev, false)
+	}()
+
+	cl := w.NewClient(rt.Executor(0, 0), 1)
+	if err := cl.WithdrawChecking(acct, amt); err != nil {
+		t.Fatal(err)
+	}
+	<-raised
+	if v, _ := tbl.Get(acct); v[0] != 60_000-amt {
+		t.Fatalf("balance = %d, want %d", v[0], 60_000-amt)
+	}
+	if cl.NetDeposits != -amt {
+		t.Fatalf("NetDeposits = %d, want %d: booked an aborted attempt's amount", cl.NetDeposits, -amt)
 	}
 }
 

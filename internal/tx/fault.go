@@ -72,6 +72,8 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 			if e.zombie() {
 				return
 			}
+			// The caller reuses words (commit scratch, pooled record buffers).
+			words = append([]uint64(nil), words...)
 			e.rt.defer_(node, func(rt *Runtime) {
 				rt.arenaOf(node, table).Write(off, words)
 			})

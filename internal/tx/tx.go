@@ -170,6 +170,11 @@ type Tx struct {
 	commitStamp uint64
 	chainFix    []chainFixRec
 
+	// Commit-phase scratch (commitRemotes), reused across transactions on this
+	// shell: the value and release waves and the words of their payloads.
+	cvalue, crelease []commitOp
+	cwords           []uint64
+
 	// lcScratch is the Local handed to the transaction body, reused across
 	// attempts (the body must not retain it past Execute).
 	lcScratch Local
@@ -469,6 +474,7 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 			}
 			return nil
 		})
+		lc.htx = nil // the engine recycles the context once Run returns
 		if err == nil {
 			t.e.charge(model.HTMCommitNS)
 			sh.Inc(obs.EvHTMCommit)
@@ -627,39 +633,7 @@ func (t *Tx) confirmViews(htx *htm.Txn) {
 // must* helper, which retries timeouts without bound and parks writes to an
 // unreachable node for recovery, exactly as before.
 func (t *Tx) commitRemotes() {
-	type commitOp struct {
-		r    *remoteRec
-		off  memory.Offset
-		data []uint64 // WRITE payload; nil for a plain unlock CAS
-		wr   *rdma.WR
-	}
-	sq := t.e.sendq()
-	var value, release []commitOp
-	// chainOps appends the version-chain write-back of one chained write
-	// record to the value phase: the tail pair FIRST (the dirty marker), then
-	// the retired slot with the superseded triple. The simulated fabric
-	// applies a wave's side effects in post order, and the head word flips
-	// only in the release phase after the value-phase poll, so a concurrent
-	// one-READ snapshot sees either the old quiescent image or a head/tail
-	// mismatch (layout.go ordering protocol). A prevTail of zero means the
-	// entry was never stamped: the tail starts the chain, no slot to retire.
-	chainOps := func(r *remoteRec, newIncVer, prevHead uint64, oldVal []uint64) {
-		vw := len(r.buf)
-		depth := t.e.chainDepthAt(r.node, r.region)
-		if depth <= 0 {
-			return
-		}
-		value = append(value, commitOp{r: r, off: kvs.TailOffset(r.off, vw, depth),
-			data: []uint64{t.commitStamp, newIncVer}})
-		if r.prevTail == 0 {
-			return
-		}
-		slotOff := kvs.ChainSlotOffset(r.off, vw,
-			kvs.ChainSlotIndex(kvs.Version(prevHead), depth))
-		slot := append([]uint64{r.prevTail, prevHead}, oldVal...)
-		value = append(value, commitOp{r: r, off: slotOff, data: slot})
-		t.e.w.Obs.Inc(obs.EvChainRetire)
-	}
+	t.cvalue, t.crelease, t.cwords = t.cvalue[:0], t.crelease[:0], t.cwords[:0]
 	wi := 0
 	for _, r := range t.remotes {
 		if !r.write {
@@ -675,14 +649,14 @@ func (t *Tx) commitRemotes() {
 			// and unlock in one release-phase write. Physical removal of the
 			// dead entry is deferred until no snapshot can still need it.
 			deadIncVer := kvs.PackIncVer(r.inc+1, r.version+1)
-			chainOps(r, deadIncVer, kvs.PackIncVer(r.inc, r.version), oldVal)
-			release = append(release, commitOp{r: r, off: incverOff,
-				data: []uint64{deadIncVer, clock.Init}})
+			t.chainOps(r, deadIncVer, kvs.PackIncVer(r.inc, r.version), oldVal)
+			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
+				data: t.payload(deadIncVer, clock.Init, nil)})
 			continue
 		}
 		if !r.dirty {
 			// Clean write lock: just unlock (owner-guarded CAS).
-			release = append(release, commitOp{r: r, off: kvs.StateOffset(r.off)})
+			t.crelease = append(t.crelease, commitOp{r: r, off: kvs.StateOffset(r.off)})
 			continue
 		}
 		var newInc uint32
@@ -698,48 +672,94 @@ func (t *Tx) commitRemotes() {
 			// The superseded version is the staged DEAD entry: retire it as a
 			// 2-word slot (stamp, dead incver) with no value, so a snapshot
 			// older than the insert resolves the key to not-found.
-			chainOps(r, newIncVer, kvs.PackIncVer(r.inc, r.version), nil)
+			t.chainOps(r, newIncVer, kvs.PackIncVer(r.inc, r.version), nil)
 		} else {
-			chainOps(r, newIncVer, kvs.PackIncVer(newInc, r.version), oldVal)
+			t.chainOps(r, newIncVer, kvs.PackIncVer(newInc, r.version), oldVal)
 		}
 		span := 2 + len(r.buf) // incver, state, value...
 		if memory.LineOf(incverOff) == memory.LineOf(incverOff+memory.Offset(span-1)) {
-			words := make([]uint64, span)
-			words[0] = newIncVer
-			words[1] = clock.Init
-			copy(words[2:], r.buf)
-			release = append(release, commitOp{r: r, off: incverOff, data: words})
+			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
+				data: t.payload(newIncVer, clock.Init, r.buf)})
 		} else {
-			value = append(value, commitOp{r: r, off: kvs.ValueOffset(r.off), data: r.buf})
-			release = append(release, commitOp{r: r, off: incverOff,
-				data: []uint64{newIncVer, clock.Init}})
+			t.cvalue = append(t.cvalue, commitOp{r: r, off: kvs.ValueOffset(r.off), data: r.buf})
+			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
+				data: t.payload(newIncVer, clock.Init, nil)})
 		}
 	}
-	for _, phase := range [][]commitOp{value, release} {
-		for i := range phase {
-			op := &phase[i]
-			if op.data != nil {
-				op.wr = sq.PostWrite(op.r.node, op.r.region, op.off, op.data)
-			} else {
-				op.wr = sq.PostCAS(op.r.node, op.r.region, op.off,
-					clock.WLocked(uint8(t.e.w.Node.ID)), clock.Init)
-			}
-		}
-		sq.Poll()
-		for i := range phase {
-			op := &phase[i]
-			if op.wr.Err == nil {
-				continue
-			}
-			if op.data != nil {
-				t.e.mustWrite(op.r.node, op.r.region, op.off, op.data)
-			} else {
-				t.e.mustUnlock(op.r.node, op.r.region, op.off)
-			}
-		}
-	}
+	t.postWave(t.cvalue)
+	t.postWave(t.crelease)
 	// t.remotes stays populated: Execute marks the transaction finished
 	// right after, and Exec's recycle harvests the records into the pool.
+}
+
+// commitOp is one work request of the commit phase.
+type commitOp struct {
+	r    *remoteRec
+	off  memory.Offset
+	data []uint64 // WRITE payload; nil for a plain unlock CAS
+	wr   *rdma.WR
+}
+
+// payload builds the WRITE payload w0, w1, rest... in the transaction's
+// commit scratch. Growing the scratch leaves earlier payloads in the array
+// they were built in.
+func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
+	lo := len(t.cwords)
+	t.cwords = append(append(t.cwords, w0, w1), rest...)
+	return t.cwords[lo:len(t.cwords):len(t.cwords)]
+}
+
+// chainOps appends the version-chain write-back of one chained write record
+// to the value phase: the tail pair FIRST (the dirty marker), then the
+// retired slot with the superseded triple. The simulated fabric applies a
+// wave's side effects in post order, and the head word flips only in the
+// release phase after the value-phase poll, so a concurrent one-READ snapshot
+// sees either the old quiescent image or a head/tail mismatch (layout.go
+// ordering protocol). A prevTail of zero means the entry was never stamped:
+// the tail starts the chain, no slot to retire.
+func (t *Tx) chainOps(r *remoteRec, newIncVer, prevHead uint64, oldVal []uint64) {
+	vw := len(r.buf)
+	depth := t.e.chainDepthAt(r.node, r.region)
+	if depth <= 0 {
+		return
+	}
+	t.cvalue = append(t.cvalue, commitOp{r: r, off: kvs.TailOffset(r.off, vw, depth),
+		data: t.payload(t.commitStamp, newIncVer, nil)})
+	if r.prevTail == 0 {
+		return
+	}
+	slotOff := kvs.ChainSlotOffset(r.off, vw,
+		kvs.ChainSlotIndex(kvs.Version(prevHead), depth))
+	t.cvalue = append(t.cvalue, commitOp{r: r, off: slotOff,
+		data: t.payload(r.prevTail, prevHead, oldVal)})
+	t.e.w.Obs.Inc(obs.EvChainRetire)
+}
+
+// postWave posts one phase's work requests, polls them as a doorbell batch
+// and re-drives any that failed at completion through the must* helpers.
+func (t *Tx) postWave(ops []commitOp) {
+	sq := t.e.sendq()
+	for i := range ops {
+		op := &ops[i]
+		if op.data != nil {
+			op.wr = sq.PostWrite(op.r.node, op.r.region, op.off, op.data)
+		} else {
+			op.wr = sq.PostCAS(op.r.node, op.r.region, op.off,
+				clock.WLocked(uint8(t.e.w.Node.ID)), clock.Init)
+		}
+	}
+	sq.Poll()
+	for i := range ops {
+		op := &ops[i]
+		if op.wr.Err == nil {
+			continue
+		}
+		if op.data != nil {
+			t.e.mustWrite(op.r.node, op.r.region, op.off, op.data)
+		} else {
+			t.e.mustUnlock(op.r.node, op.r.region, op.off)
+		}
+	}
 }
 
 // arenaAt returns the arena backing a storage region on a node, whichever
@@ -771,7 +791,7 @@ func (t *Tx) applyDeferred() {
 	for _, op := range t.deferred {
 		t.e.applyStoreOp(op)
 	}
-	t.deferred = nil
+	t.deferred = t.deferred[:0]
 }
 
 // snapshotWriteBufs saves the pristine prefetched value of every
