@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover scan mvcc
+.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover scan mvcc
 
-check: build fmt vet race alloc batch occ adaptive chaos failover scan mvcc bench-smoke
+check: build fmt vet race stress alloc batch occ adaptive chaos failover scan mvcc bench-smoke
 
 build:
 	go build ./...
@@ -19,6 +19,16 @@ test:
 
 race:
 	go test -race ./...
+
+# Stress lane: the suites that are free of real-time lease windows — the HTM
+# engine's invariants, the record-access state machine and image check, the
+# hash-path golden table and the staging regression tests — repeated across
+# core counts. A red run here is a bug, never a rerun.
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps
+stress:
+	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
+	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
+	go test -race -count=5 -cpu 1,2,4 -run TestConcurrentSubscriberLifecycle ./internal/tatp/
 
 # Allocation gate: a warm HTM region allocates nothing, and a committed
 # transaction stays inside its object budget (both excluded under -race).

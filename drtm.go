@@ -223,21 +223,6 @@ type Options struct {
 	// scheme). Deeper chains tolerate staler snapshots at the cost of
 	// value-words × depth extra memory per entry.
 	MVCCDepth int
-
-	// SpeculativeReads selects the speculative (OCC) read arm for every
-	// remote read.
-	//
-	// Deprecated: set ReadPolicy: PolicySpeculative. Setting this together
-	// with a conflicting ReadPolicy (or with NoReadLease) is an Open error.
-	SpeculativeReads bool
-
-	// NoReadLease makes remote reads take exclusive locks (the Figure 17
-	// ablation).
-	//
-	// Deprecated: set ReadPolicy: PolicyExclusive. Setting this together
-	// with a conflicting ReadPolicy (or with SpeculativeReads) is an Open
-	// error.
-	NoReadLease bool
 }
 
 // maxLeaseMicros bounds lease durations: the state word encodes lease end
@@ -309,36 +294,8 @@ func (o Options) normalize() (Options, error) {
 	if o.BatchWindow < 0 {
 		return o, fmt.Errorf("drtm: Options.BatchWindow must be >= 0, got %d", o.BatchWindow)
 	}
-	// Resolve the read policy: the typed knob wins; the deprecated alias
-	// bools map onto it through one uniform rule — an alias forces its
-	// policy, any two set aliases conflict, and an alias set alongside a
-	// different explicit ReadPolicy conflicts — rather than each alias
-	// hand-rolling its own precedence.
 	if !o.ReadPolicy.Valid() {
 		return o, fmt.Errorf("drtm: unknown Options.ReadPolicy %d", int(o.ReadPolicy))
-	}
-	aliases := []struct {
-		set    bool
-		name   string
-		policy ReadPolicy
-	}{
-		{o.SpeculativeReads, "SpeculativeReads", PolicySpeculative},
-		{o.NoReadLease, "NoReadLease", PolicyExclusive},
-	}
-	forced := ""
-	for _, a := range aliases {
-		if !a.set {
-			continue
-		}
-		if forced != "" {
-			return o, fmt.Errorf("drtm: deprecated Options.%s and Options.%s conflict; set Options.ReadPolicy instead",
-				forced, a.name)
-		}
-		if o.ReadPolicy != tx.PolicyDefault && o.ReadPolicy != a.policy {
-			return o, fmt.Errorf("drtm: deprecated Options.%s conflicts with Options.ReadPolicy %v",
-				a.name, o.ReadPolicy)
-		}
-		o.ReadPolicy, forced = a.policy, a.name
 	}
 	if o.ReadPolicy == tx.PolicyDefault {
 		o.ReadPolicy = PolicyAdaptive

@@ -186,7 +186,9 @@ func runFig17(o Options) *Result {
 		rt, stop := buildMicro(nodes, workers, perNode, func(c *cluster.Config) {
 			c.LeaseMicros = 3_000
 		}, func(rt *tx.Runtime) {
-			rt.NoReadLease = !lease
+			if !lease {
+				rt.ReadPolicy = tx.PolicyExclusive
+			}
 		})
 		defer stop()
 		resetClocks(rt)
@@ -274,7 +276,9 @@ func runFig17(o Options) *Result {
 		rt, stop := buildMicro(nodes, workers, perNode, func(c *cluster.Config) {
 			c.LeaseMicros = 10_000
 		}, func(rt *tx.Runtime) {
-			rt.NoReadLease = !lease
+			if !lease {
+				rt.ReadPolicy = tx.PolicyExclusive
+			}
 		})
 		defer stop()
 		resetClocks(rt)

@@ -17,7 +17,7 @@ import (
 //
 //	lease — every remote read takes a shared lock with an RDMA CAS
 //	        (~14.5µs modeled) before fetching the value.
-//	spec  — Runtime.SpeculativeReads: one versioned READ per record
+//	spec  — PolicySpeculative: one versioned READ per record
 //	        (~1.5µs), re-validated at commit time by a doorbell-batched
 //	        header re-READ wave; any version bump retries the transaction.
 //

@@ -51,7 +51,7 @@ func runScan(o Options) *Result {
 		}
 	}
 	res.Note("Both arms read one remote entity's whole row range inside an RO txn.")
-	res.Note("lease: per row, a shipped B+-tree lookup + lease CAS + value READ;")
+	res.Note("lease: per row, a shipped B+-tree lookup + lease CAS + entry READ;")
 	res.Note("ro-scan: one shipped range collection, confirmed by segment-stamp re-reads.")
 	res.Note("The gap is the per-row host round-trip + CAS the scan amortizes away.")
 	return res

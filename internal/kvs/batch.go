@@ -110,32 +110,9 @@ func LookupBatch(sq *rdma.SendQueue, reqs []*LookupReq) {
 	}
 }
 
-// PostEntryRead posts the one-sided READ that fetches the entry at loc,
-// allocating the destination words in the returned WR's Dst. After the poll,
-// decode with DecodeEntry. The batched prefetch stage of the transaction
-// layer posts one of these per staged record.
-func (t *Table) PostEntryRead(sq *rdma.SendQueue, loc Loc) *rdma.WR {
-	return t.PostEntryReadBuf(sq, loc, make([]uint64, EntryValueWord+t.cfg.ValueWords))
-}
-
-// PostEntryReadBuf is PostEntryRead with a caller-supplied destination
-// buffer (len EntryValueWord+ValueWords), so per-record staging state can be
-// reused across transaction attempts instead of reallocated.
-func (t *Table) PostEntryReadBuf(sq *rdma.SendQueue, loc Loc, dst []uint64) *rdma.WR {
-	return sq.PostRead(t.cfg.Node, t.cfg.RegionID, loc.Off, dst)
-}
-
-// PostHeaderRead posts the one-sided READ that fetches the entry's
-// incarnation|version and state words (EntryHeaderWords) in one verb — the
-// speculative read arm's commit-time validation READ. dst supplies the
-// destination words so validation waves can reuse storage across attempts.
-func (t *Table) PostHeaderRead(sq *rdma.SendQueue, loc Loc, dst []uint64) *rdma.WR {
-	return sq.PostRead(t.cfg.Node, t.cfg.RegionID, IncVerOffset(loc.Off), dst[:EntryHeaderWords])
-}
-
-// DecodeEntry decodes a fetched entry image (the Dst of a PostEntryRead WR,
-// or any window at loc.Off spanning at least EntryValueWord+ValueWords —
-// e.g. a full EntryImageWords read that also carries the version chain).
+// DecodeEntry decodes a fetched entry image (any window at loc.Off spanning
+// at least EntryValueWord+ValueWords — e.g. a full EntryImageWords read that
+// also carries the version chain).
 // Value is bounded to the table's ValueWords regardless of the window size.
 // ok is false when incarnation checking fails — the entry died or was reused
 // since the location was observed — in which case the caller should

@@ -52,7 +52,7 @@ const (
 // bumps the 32-bit version while holding the entry's write protection, so a
 // reader that observes an unchanged version word with an unlocked state word
 // has observed a stable `version ‖ state ‖ value` image. Keeping it adjacent
-// to the state word lets one 2-word READ (see PostHeaderRead) fetch both.
+// to the state word lets one 2-word READ fetch both.
 const (
 	EntryKeyWord    = 0
 	EntryIncVerWord = 1

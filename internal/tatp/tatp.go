@@ -419,6 +419,11 @@ func (c *Client) InsertSubscriber(sid, mask uint64) error {
 				continue
 			}
 			if err := t.WInsert(TableSpecialFacility, SFKey(sid, ty), []uint64{1, sid}); err != nil {
+				if err == kvs.ErrExists {
+					// A racing insert of the same subscriber got here first:
+					// as benign as losing the base row to it.
+					return tx.ErrUserAbort
+				}
 				return err
 			}
 		}

@@ -278,3 +278,45 @@ func TestTATPMVCCCheckerAcrossFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentSubscriberLifecycle: two executors delete, then re-create,
+// the same subscriber at the same moment, over and over. Exactly one of each
+// pair commits; the loser sees the row gone (or already there) as a benign
+// race — in particular an Erase that staged the base row before the winner
+// committed must not take the missing index row for index divergence — and
+// the tables stay consistent.
+func TestConcurrentSubscriberLifecycle(t *testing.T) {
+	db, w := openTATP(t, 2, 1, drtm.Options{})
+	defer db.Close()
+	clients := []*tatp.Client{w.NewClient(db.Executor(0, 0), 1), w.NewClient(db.Executor(1, 0), 2)}
+	both := func(op func(cl *tatp.Client) error) {
+		t.Helper()
+		before := db.RT.Stats.Commits.Load()
+		var wg sync.WaitGroup
+		errs := make([]error, len(clients))
+		for i, cl := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = op(cl)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+		}
+		if got := db.RT.Stats.Commits.Load() - before; got != 1 {
+			t.Fatalf("%d of the two racing transactions committed, want exactly 1", got)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		sid := uint64(1 + round%8) // homes alternate between the two nodes
+		both(func(cl *tatp.Client) error { return cl.DeleteSubscriber(sid) })
+		both(func(cl *tatp.Client) error { return cl.InsertSubscriber(sid, 0x1E) })
+	}
+	if err := w.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

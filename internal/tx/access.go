@@ -1,0 +1,376 @@
+package tx
+
+// The record access path (DESIGN.md, "Record access path"): the paper has one
+// way to take a record — resolve its entry, CAS the state word through the
+// Figure 5 lock/lease state machine, READ the entry and incarnation-check it
+// (Sections 4.3, 5.2) — and this file holds the one copy of each step that
+// Tx staging, read-only transactions and the software fallback all run, for
+// hash and ordered tables alike:
+//
+//	recHandle        where the record's entry is, resolved once by either index
+//	acquirer         the I/O-free Figure 5 state machine over the state word
+//	Executor.acquire its synchronous driver (stageBatch drives it in waves)
+//	recHandle.check  the entry-image check every fetch runs
+//
+// Nothing past the handle knows whether the row came from the hash table or
+// the B+ tree, except through handle.ordered.
+
+import (
+	"errors"
+
+	"drtm/internal/clock"
+	"drtm/internal/kvs"
+	"drtm/internal/memory"
+	"drtm/internal/obs"
+	"drtm/internal/rdma"
+)
+
+// recHandle addresses one record's entry. The logical coordinates come from
+// the router; resolve (or the batched bucket walk) fills in the location.
+type recHandle struct {
+	table, node int
+	region      int // storage region on node (replica region after failover)
+	part        int // home partition (for replication; -1 if replicated table)
+	key         uint64
+	off         memory.Offset // entry offset in the owner's arena
+	// lossy is the low incarnation bits (kvs.LossyBits) the locator carried
+	// (hash tables): an entry whose incarnation no longer matches was deleted
+	// or reused since the location was observed. Ordered locations come from
+	// the host's tree and carry none.
+	lossy   uint16
+	ordered bool
+}
+
+// recImage is what a checked entry image leaves in a record.
+type recImage struct {
+	buf     []uint64 // value (transaction-private)
+	version uint32   // version observed at fetch
+	inc     uint32   // incarnation observed at fetch
+	// prevTail is the entry's tail stamp, captured by full-image reads (write
+	// records of chained tables): the commit retires the superseded version at
+	// this stamp and raises its own stamp above it.
+	prevTail uint64
+}
+
+func lossyOf(inc uint32) uint16 { return uint16(inc) & (1<<kvs.LossyBits - 1) }
+
+// handle routes a record and classifies its store.
+func (e *Executor) handle(table int, key uint64) recHandle {
+	node, region, part := e.route(table, key)
+	return recHandle{table: table, node: node, region: region, part: part, key: key,
+		ordered: e.rt.Meta(table).Kind == Ordered}
+}
+
+func (e *Executor) hashTable(h *recHandle) *kvs.Table {
+	return e.rt.C.Node(h.node).Unordered(h.region)
+}
+
+// chainDepth returns the version-chain depth of the store backing the
+// record (0 when chains are disabled).
+func (e *Executor) chainDepth(h *recHandle) int {
+	if h.ordered {
+		o, _ := e.rt.C.Node(h.node).OrderedRegion(h.region)
+		return o.ChainDepth()
+	}
+	return e.hashTable(h).ChainDepth()
+}
+
+// resolve fills in the handle's location through the index that owns the
+// record: the local shard directly, a remote hash table by the one-sided
+// bucket walk (through the location cache), a remote ordered table by the
+// shipped tree lookup (Section 6.5). found is false when the key is not in
+// the index; the error is ErrNodeDown.
+func (e *Executor) resolve(h *recHandle) (found bool, err error) {
+	local := h.node == e.w.Node.ID
+	switch {
+	case h.ordered && local:
+		e.charge(e.model().BTreeOpNS)
+		h.off, found = e.w.Node.Ordered(h.region).Lookup(h.key)
+	case h.ordered:
+		h.off, found, err = e.orderedLookupRemote(h.node, h.region, h.key)
+	case local:
+		e.charge(e.model().HashProbeNS)
+		tbl := e.w.Node.Unordered(h.region)
+		if h.off, found = tbl.LookupLocal(h.key); found {
+			h.lossy = lossyOf(kvs.Incarnation(tbl.Arena().LoadWord(kvs.IncVerOffset(h.off))))
+		}
+	default:
+		var loc kvs.Loc
+		loc, found, err = e.hashTable(h).LookupRemoteE(e.w.QP, e.cacheFor(h.node, h.region), h.key)
+		h.off, h.lossy = loc.Off, uint16(loc.Lossy)
+	}
+	if err != nil {
+		return false, ErrNodeDown
+	}
+	return found, nil
+}
+
+// ensureEntry makes the key structurally present as a DEAD entry on its host
+// (the declare half of a transactional insert) and resolves the handle to
+// it. The error is ErrNodeDown, or the host's answer: kvs.ErrExists when the
+// key is live, kvs.ErrFull.
+func (e *Executor) ensureEntry(h *recHandle) error {
+	m := ensureEntryMsg{Region: h.region, Table: h.table, Part: h.part, Key: h.key}
+	if h.node == e.w.Node.ID {
+		off, err := e.rt.execEnsureEntry(e.w.Node, m)
+		h.off = off
+		return err
+	}
+	var resp any
+	if err := e.verbRetry(func() error {
+		var cerr error
+		resp, cerr = e.w.QP.Call(h.node, clusterMsg(msgEnsureEntry, m), 40, 16)
+		return cerr
+	}); err != nil {
+		return ErrNodeDown
+	}
+	if herr, ok := resp.(error); ok {
+		if errors.Is(herr, kvs.ErrExists) || errors.Is(herr, kvs.ErrFull) {
+			return herr
+		}
+		return ErrNodeDown
+	}
+	h.off = resp.(memory.Offset)
+	return nil
+}
+
+// invalidate drops the cached bucket chain that produced a stale location, so
+// the retry re-resolves it instead of replaying it.
+func (e *Executor) invalidate(h *recHandle) {
+	if !h.ordered && h.node != e.w.Node.ID {
+		e.hashTable(h).Invalidate(e.cacheFor(h.node, h.region), h.key)
+	}
+}
+
+// casRetries bounds the expired-lease takeovers one acquisition may lose to
+// racers before it is declared lost to a conflicting owner.
+const casRetries = 8
+
+// acqMode is what an acquisition wants from the state word.
+type acqMode uint8
+
+const (
+	acqLease        acqMode = iota // shared lease until leaseEnd
+	acqLock                        // exclusive lock
+	acqUpgradeLease                // exclusive lock over the caller's own shared lease
+	acqUpgradeSpec                 // exclusive lock after a speculative read (nothing held)
+)
+
+// acqVerdict is the outcome of one CAS round.
+type acqVerdict uint8
+
+const (
+	acqWon      acqVerdict = iota // the CAS installed the wanted word
+	acqShared                     // an unexpired foreign lease covers the read
+	acqAgain                      // CAS (old → want) again
+	acqConflict                   // held by a live conflicting owner, or out of rounds
+)
+
+// acquirer is the Figure 5 lock/lease state machine for one state word. It
+// does no I/O: the driver CASes (old → want), feeds the completion to step
+// and repeats while the verdict is acqAgain.
+type acquirer struct {
+	mode      acqMode
+	old, want uint64
+	takeover  bool // the armed round takes over an expired lease in place
+	lost      int  // takeover rounds lost to racers
+}
+
+// arm prepares the first round. leaseEnd is the wanted lease end (acqLease)
+// or the end of the lease the caller already holds (acqUpgradeLease).
+func (a *acquirer) arm(mode acqMode, owner uint8, leaseEnd uint64) {
+	*a = acquirer{mode: mode, old: clock.Init, want: clock.WLocked(owner)}
+	switch mode {
+	case acqLease:
+		a.want = clock.Shared(leaseEnd)
+	case acqUpgradeLease:
+		a.old = clock.Shared(leaseEnd)
+	}
+}
+
+// step consumes one CAS completion — the word the CAS found and whether it
+// swapped — at soft-time now (read only when the CAS did not swap). It returns the verdict and, for reads, the end
+// of the lease that now covers the record (the caller's own, or the shared
+// one), and counts the lease events.
+func (a *acquirer) step(sh *obs.Shard, cur uint64, swapped bool, now, delta uint64) (acqVerdict, uint64) {
+	write := a.mode != acqLease
+	if swapped {
+		if a.takeover {
+			sh.Inc(obs.EvLeaseExpire)
+		}
+		switch {
+		case a.mode >= acqUpgradeLease:
+			sh.Inc(obs.EvLockUpgrade)
+		case !write:
+			sh.Inc(obs.EvLeaseGrant)
+			return acqWon, clock.LeaseEnd(a.want)
+		}
+		return acqWon, 0
+	}
+	if clock.IsWriteLocked(cur) {
+		return acqConflict, 0
+	}
+	end := clock.LeaseEnd(cur)
+	if !clock.Expired(end, now, delta) {
+		if write {
+			// Writers (and upgrades) wait out an unexpired lease through a
+			// whole-transaction retry.
+			return acqConflict, 0
+		}
+		sh.Inc(obs.EvLeaseShare)
+		return acqShared, end
+	}
+	if a.takeover {
+		// Lost the takeover race; restart from the free-word CAS.
+		if a.lost++; a.lost >= casRetries {
+			return acqConflict, 0
+		}
+		a.takeover, a.old = false, clock.Init
+		return acqAgain, 0
+	}
+	// Expired lease observed: take it over in place.
+	a.takeover, a.old = true, cur
+	return acqAgain, 0
+}
+
+// casRemote is the acquisition-side CAS: transient faults retry with
+// backoff; a persistent failure surfaces as an error (see fault.go).
+func (e *Executor) casRemote(node, region int, off memory.Offset, old, new uint64) (uint64, bool, error) {
+	var cur uint64
+	var ok bool
+	err := e.verbRetry(func() error {
+		var cerr error
+		cur, ok, cerr = e.w.QP.TryCAS(node, region, off, old, new)
+		return cerr
+	})
+	return cur, ok, err
+}
+
+// acquire drives the machine with synchronous CASes: one-sided RDMA CAS, or,
+// when cpuCAS allows it for a record of this node, the cheap CPU CAS.
+// Read-only transactions always may (with read sets of hundreds of records
+// anything else would dwarf the transaction); the fallback only under
+// IBV_ATOMIC_GLOB (Section 6.3).
+func (e *Executor) acquire(a *acquirer, h *recHandle, cpuCAS bool) (acqVerdict, uint64, error) {
+	delta := e.rt.C.Delta()
+	stateOff := kvs.StateOffset(h.off)
+	cpuCAS = cpuCAS && h.node == e.w.Node.ID
+	for {
+		var (
+			cur     uint64
+			swapped bool
+			err     error
+		)
+		if cpuCAS {
+			cur, swapped = e.w.QP.LocalCAS(h.region, stateOff, a.old, a.want)
+		} else {
+			cur, swapped, err = e.casRemote(h.node, h.region, stateOff, a.old, a.want)
+		}
+		if err != nil {
+			return acqConflict, 0, ErrNodeDown
+		}
+		var now uint64
+		if !swapped {
+			now = e.w.Node.Clock.Read()
+		}
+		if v, end := a.step(e.w.Obs, cur, swapped, now, delta); v != acqAgain {
+			return v, end, nil
+		}
+	}
+}
+
+// readEntry fetches the record's entry image — header, value and, with
+// depth > 0, the version chain — into the executor's scratch: one READ for a
+// remote record, a plain copy for a local one.
+func (e *Executor) readEntry(h *recHandle, vw, depth int) ([]uint64, error) {
+	n := kvs.EntryImageWords(vw, depth)
+	if cap(e.imgBuf) < n {
+		e.imgBuf = make([]uint64, n)
+	}
+	words := e.imgBuf[:n]
+	if h.node == e.w.Node.ID {
+		e.arenaAt(h.node, h.region).Read(words, h.off)
+		e.charge(int64(vw+1) * e.model().HTMPerReadNS)
+		return words, nil
+	}
+	if err := e.verbRetry(func() error {
+		return e.w.QP.TryRead(h.node, h.region, h.off, words)
+	}); err != nil {
+		return nil, ErrNodeDown
+	}
+	return words, nil
+}
+
+// imgVerdict is the outcome of checking a fetched entry image, ordered by how
+// much of the transaction it costs: the first three are answers about the
+// one record, the last two retry the whole transaction.
+type imgVerdict uint8
+
+const (
+	imgOK       imgVerdict = iota
+	imgExists              // an insert found the key live
+	imgNotFound            // the entry is (stably) dead
+	imgBusy                // write-locked under an unprotected read: mid-commit
+	imgStale               // not this record's entry any more: re-resolve
+)
+
+// check validates an entry image fetched at the handle's location and, when
+// it is the wanted record, moves it into m. wantDead is the insert case: the
+// entry must be the key's staged DEAD slot, and m keeps the value the insert
+// will publish. spec marks a read that holds no lock or lease.
+//
+// A different key, or for hash locations a dead entry or one whose
+// incarnation moved on from the locator's, means the location is stale
+// (deleted or reused slot). On the speculative arm the lock is checked
+// before liveness: a write-locked row is mid-flip, so neither "found" nor
+// "not found" is a stable answer yet — with a lock or lease held, writers
+// are excluded and dead means stably dead.
+func (h *recHandle) check(words []uint64, m *recImage, vw int, wantDead, spec bool) imgVerdict {
+	incver := words[kvs.EntryIncVerWord]
+	inc := kvs.Incarnation(incver)
+	live := kvs.Live(inc)
+	switch {
+	case words[kvs.EntryKeyWord] != h.key:
+		return imgStale
+	case spec && clock.IsWriteLocked(words[kvs.EntryStateWord]):
+		return imgBusy
+	case !h.ordered && (!live || lossyOf(inc) != h.lossy):
+		return imgStale
+	case live && wantDead:
+		return imgExists
+	case !live && !wantDead:
+		return imgNotFound
+	}
+	m.inc, m.version = inc, kvs.Version(incver)
+	if !wantDead {
+		m.buf = append(m.buf[:0], words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
+	}
+	if len(words) > kvs.EntryValueWord+vw {
+		// A full image ends in the tail pair.
+		m.prevTail = words[len(words)-kvs.TailWords+kvs.TailStampWord]
+	}
+	return imgOK
+}
+
+// orderedLookupRemote ships a point lookup to the host's tree.
+func (e *Executor) orderedLookupRemote(node, region int, key uint64) (memory.Offset, bool, error) {
+	e.charge(e.model().BTreeOpNS)
+	var resp any
+	err := e.verbRetry(func() error {
+		var cerr error
+		resp, cerr = e.w.QP.Call(node, clusterMsg(msgOrderedLookup,
+			orderedLookupMsg{Region: region, Key: key}), 24, 24)
+		return cerr
+	})
+	if err != nil {
+		return 0, false, err
+	}
+	lr, ok := resp.(orderedLookupResp)
+	if !ok {
+		if herr, isErr := resp.(error); isErr {
+			return 0, false, herr
+		}
+		return 0, false, rdma.ErrNodeUnreachable
+	}
+	return lr.Off, lr.Found, nil
+}

@@ -9,6 +9,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
+	"drtm/internal/kvs"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
 )
@@ -294,11 +295,11 @@ func TestUpgradeCommitsFreshValue(t *testing.T) {
 	}
 }
 
-// TestNoReadLeaseTakesExclusive: the Figure 17 ablation switch.
-func TestNoReadLeaseTakesExclusive(t *testing.T) {
+// TestPolicyExclusiveReadTakesLock: the Figure 17 "no read lease" ablation.
+func TestPolicyExclusiveReadTakesLock(t *testing.T) {
 	rt, stop := newRig(t, 2, 1, 4, nil)
 	defer stop()
-	rt.NoReadLease = true
+	rt.ReadPolicy = PolicyExclusive
 	tx := rt.Executor(0, 0).newTx()
 	if err := tx.R(tblAccounts, 1); err != nil { // remote read
 		t.Fatal(err)
@@ -306,7 +307,7 @@ func TestNoReadLeaseTakesExclusive(t *testing.T) {
 	host := rt.C.Node(1).Unordered(tblAccounts)
 	off, _ := host.LookupLocal(1)
 	if s := host.Arena().LoadWord(off + 2); !clock.IsWriteLocked(s) {
-		t.Fatalf("NoReadLease read did not take the exclusive lock: %x", s)
+		t.Fatalf("PolicyExclusive read did not take the exclusive lock: %x", s)
 	}
 	tx.releaseLocks()
 }
@@ -500,5 +501,132 @@ func TestBatchedStageFaultsReleaseLocks(t *testing.T) {
 	}
 	if sum != uint64(commits)*4 {
 		t.Fatalf("sum of increments = %d, want commits*4 = %d", sum, commits*4)
+	}
+}
+
+// reuseSlot deletes key on its host and inserts other, asserting the freed
+// entry slot was recycled for it — the state a warm location cache on
+// another node still maps key to.
+func reuseSlot(t *testing.T, host *kvs.Table, key, other uint64, val []uint64) {
+	t.Helper()
+	off, ok := host.LookupLocal(key)
+	if !ok || !host.Delete(key) {
+		t.Fatalf("key %d not deletable", key)
+	}
+	if err := host.Insert(other, val); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := host.LookupLocal(other); got != off {
+		t.Fatalf("key %d landed at %d, not in key %d's freed slot %d", other, got, key, off)
+	}
+}
+
+// TestROLeaseReadStaleLocation: a read-only lease read through a warm
+// location cache, after the key was deleted and its slot reused by another
+// key, must report the key missing — never lease and return the other key's
+// value (the lease arm used to skip the incarnation check the batched
+// pipeline performs).
+func TestROLeaseReadStaleLocation(t *testing.T) {
+	rt, stop := newRig(t, 2, 1, 8, nil)
+	defer stop()
+	rt.ReadPolicy = PolicyLease
+	e := rt.Executor(0, 0)
+	read := func() ([]uint64, error) {
+		var v []uint64
+		err := e.ExecRO(func(ro *RO) error {
+			r, err := ro.Read(tblAccounts, 1)
+			v = append([]uint64(nil), r...)
+			return err
+		})
+		return v, err
+	}
+	if v, err := read(); err != nil || v[0] != 1000 {
+		t.Fatalf("warm-up read = %v, %v", v, err)
+	}
+	reuseSlot(t, rt.C.Node(1).Unordered(tblAccounts), 1, 33, []uint64{555, 5})
+	if v, err := read(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of deleted key through a stale cached location = %v, %v; want ErrNotFound", v, err)
+	}
+}
+
+// TestFallbackWriteStaleLocation: the software fallback re-resolves its
+// records through the same warm cache. A key deleted (and its slot reused)
+// between the Start phase and the fallback must fail the transaction, never
+// lock, overwrite and publish into the other key's entry.
+func TestFallbackWriteStaleLocation(t *testing.T) {
+	rt, stop := newRig(t, 2, 1, 32, func(c *cluster.Config) {
+		c.HTM = htm.Config{WriteLines: 4, ReadLines: 4096}
+	})
+	defer stop()
+	e := rt.Executor(0, 0)
+	host := rt.C.Node(1).Unordered(tblAccounts)
+	keys := []uint64{1, 2, 4, 6, 8, 10} // key 1 remote, the local writes overflow HTM capacity
+	attempts := 0
+	err := e.Exec(func(tx *Tx) error {
+		attempts++
+		for _, k := range keys {
+			if err := tx.W(tblAccounts, k); err != nil {
+				return err
+			}
+		}
+		if attempts == 1 {
+			// After staging (the bucket is cached, the entry locked), before the
+			// region's capacity abort sends the transaction to the fallback.
+			reuseSlot(t, host, 1, 33, []uint64{555, 5})
+		}
+		return tx.Execute(func(lc *Local) error {
+			for _, k := range keys {
+				if err := lc.Write(tblAccounts, k, []uint64{7, 7}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if !errors.Is(err, ErrNotFound) {
+		t.Errorf("write of a deleted key = %v, want ErrNotFound", err)
+	}
+	if rt.Stats.Fallbacks.Load() == 0 {
+		t.Fatal("expected the fallback path")
+	}
+	if v, _ := host.Get(33); len(v) != 2 || v[0] != 555 || v[1] != 5 {
+		t.Fatalf("fallback published into the slot's new owner: key 33 = %v, want [555 5]", v)
+	}
+}
+
+// TestFallbackDropsAbortedAttemptsDeferredOps: inserts the body scheduled in
+// an HTM attempt that then aborted into the fallback must not be applied on
+// top of the fallback run's own — the duplicate used to panic the deferred
+// store op with "key already exists" (TPC-C new-order under contention).
+func TestFallbackDropsAbortedAttemptsDeferredOps(t *testing.T) {
+	rt, stop := newRig(t, 1, 1, 32, func(c *cluster.Config) {
+		c.HTM = htm.Config{WriteLines: 4, ReadLines: 4096}
+	})
+	defer stop()
+	keys := []uint64{2, 4, 6, 8, 10, 12} // more lines than the region can write
+	err := rt.Executor(0, 0).Exec(func(tx *Tx) error {
+		for _, k := range keys {
+			if err := tx.W(tblAccounts, k); err != nil {
+				return err
+			}
+		}
+		return tx.Execute(func(lc *Local) error {
+			lc.Insert(tblAccounts, 100, []uint64{1, 1}) // before the capacity abort
+			for _, k := range keys {
+				if err := lc.Write(tblAccounts, k, []uint64{7, 7}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats.Fallbacks.Load() == 0 {
+		t.Fatal("expected the fallback path")
+	}
+	if v, ok := rt.C.Node(0).Unordered(tblAccounts).Get(100); !ok || v[0] != 1 {
+		t.Fatalf("deferred insert = %v, %v", v, ok)
 	}
 }

@@ -11,34 +11,15 @@ import (
 	"drtm/internal/rdma"
 )
 
-// fbRec is a record under fallback protection.
+// fbRec is a record under fallback protection: a staged record (for an
+// insert, the buffer carries the value to publish from the start) plus the
+// version-chain state captured at fetch under our lock (write records of
+// chained tables): the store's chain depth and a pristine copy of the
+// pre-commit value (the body mutates buf in place).
 type fbRec struct {
-	table, node int
-	region      int // storage region on node (replica region after failover)
-	part        int // home partition (-1 if replicated table)
-	key         uint64
-	off         memory.Offset
-	write       bool
-	leaseEnd    uint64
-	buf         []uint64
-	dirty       bool
-	version     uint32
-
-	// Ordered-table structural state: insert recs lock a dead entry and
-	// publish val with the live flip; erase recs lock a live entry and
-	// publish the dead flip. inc is the incarnation observed under our lock.
-	ordered bool
-	insert  bool
-	erase   bool
-	val     []uint64
-	inc     uint32
-
-	// Version-chain state, captured at fetch under our lock (write records of
-	// chained tables): the store's chain depth, the entry's tail stamp, and a
-	// pristine copy of the pre-commit value (the body mutates buf in place).
-	depth    int
-	prevTail uint64
-	prevVal  []uint64
+	remoteRec
+	depth   int
+	prevVal []uint64
 }
 
 // fallbackCtx carries the state of a fallback execution.
@@ -79,32 +60,36 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// stale read could not be retried away.
 	fb := &fallbackCtx{t: t, index: make(map[refKey]*fbRec)}
 	for _, r := range prevRemotes {
-		nr := &fbRec{table: r.table, node: r.node, region: r.region, part: r.part,
-			key: r.key, write: r.write, ordered: r.ordered, insert: r.insert, erase: r.erase}
+		nr := &fbRec{remoteRec: remoteRec{recHandle: r.recHandle, write: r.write,
+			insert: r.insert, erase: r.erase}}
 		if r.insert {
-			nr.val = append([]uint64(nil), r.buf...)
+			nr.buf = append([]uint64(nil), r.buf...)
 		}
 		fb.add(nr)
 	}
 	t.e.putRecs(prevRemotes)
+	me := t.e.w.Node.ID
 	for _, l := range t.locals {
-		fb.add(&fbRec{table: l.table, node: t.e.w.Node.ID, region: l.region,
-			part: l.part, key: l.key, write: l.write,
-			ordered: rt.Meta(l.table).Kind == Ordered})
+		fb.add(&fbRec{remoteRec: remoteRec{recHandle: recHandle{table: l.table, node: me,
+			region: l.region, part: l.part, key: l.key,
+			ordered: rt.Meta(l.table).Kind == Ordered}, write: l.write}})
 	}
 	// Structural halves staged for the HTM path convert to fallback insert /
 	// erase records: the dead entries already exist (EnsureDead at declare),
 	// so the fallback locks and flips them like any other write.
+	structural := func(op *structOp) *fbRec {
+		return &fbRec{remoteRec: remoteRec{recHandle: recHandle{table: op.table, node: me,
+			region: op.region, part: op.part, key: op.key, ordered: true}, write: true}}
+	}
 	for i := range t.localIns {
-		op := &t.localIns[i]
-		fb.add(&fbRec{table: op.table, node: t.e.w.Node.ID, region: op.region,
-			part: op.part, key: op.key, write: true, ordered: true, insert: true,
-			val: append([]uint64(nil), op.val...)})
+		r := structural(&t.localIns[i])
+		r.insert, r.buf = true, append([]uint64(nil), t.localIns[i].val...)
+		fb.add(r)
 	}
 	for i := range t.localErase {
-		op := &t.localErase[i]
-		fb.add(&fbRec{table: op.table, node: t.e.w.Node.ID, region: op.region,
-			part: op.part, key: op.key, write: true, ordered: true, erase: true})
+		r := structural(&t.localErase[i])
+		r.erase = true
+		fb.add(r)
 	}
 	sort.Slice(fb.recs, func(i, j int) bool {
 		if fb.recs[i].table != fb.recs[j].table {
@@ -119,7 +104,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	astart := int64(t.e.w.VClock.Now())
 	for i, r := range fb.recs {
 		if err := fb.acquire(r); err != nil {
-			fb.release(i, false)
+			fb.release(i)
 			t.finished = true
 			t.vLock += int64(t.e.w.VClock.Now()) - astart
 			if err == ErrNotFound || err == ErrNodeDown {
@@ -130,7 +115,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	}
 	for _, r := range fb.recs {
 		if err := fb.fetch(r); err != nil {
-			fb.release(len(fb.recs), false)
+			fb.release(len(fb.recs))
 			t.finished = true
 			t.vLock += int64(t.e.w.VClock.Now()) - astart
 			return err
@@ -138,12 +123,15 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	}
 	t.vLock += int64(t.e.w.VClock.Now()) - astart
 
+	// The aborted HTM attempt's deferred inserts/deletes were discarded with
+	// its region; the body re-declares them below.
+	t.deferred = t.deferred[:0]
 	lc := &Local{t: t, fallback: fb}
 	bstart := int64(t.e.w.VClock.Now())
 	err := fn(lc)
 	t.vHTM += int64(t.e.w.VClock.Now()) - bstart
 	if err != nil {
-		fb.release(len(fb.recs), false)
+		fb.release(len(fb.recs))
 		t.finished = true
 		t.lastAbort = obs.CauseUser
 		return err
@@ -158,7 +146,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 			continue
 		}
 		if !clock.Valid(r.leaseEnd, now, delta) {
-			fb.release(len(fb.recs), false)
+			fb.release(len(fb.recs))
 			t.finished = true
 			sh.Inc(obs.EvLeaseConfirmFail)
 			t.lastAbort = obs.CauseLease
@@ -172,7 +160,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// not publish under a stale ownership view.
 	for part, w := range t.views {
 		if rt.C.View(part) != w {
-			fb.release(len(fb.recs), false)
+			fb.release(len(fb.recs))
 			t.finished = true
 			sh.Inc(obs.EvViewAbort)
 			t.lastAbort = obs.CauseRemote
@@ -183,7 +171,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// Re-validate collected range scans (stamps + row headers) while every
 	// declared record is locked — the fallback's phantom check.
 	if !t.fbValidateScans(fb) {
-		fb.release(len(fb.recs), false)
+		fb.release(len(fb.recs))
 		t.finished = true
 		t.lastAbort = obs.CauseScan
 		return ErrRetry
@@ -202,7 +190,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// Commit-backup: append the write-set to every backup while the locks
 	// are still held, before any in-place update becomes visible.
 	if err := t.replicateFallback(fb); err != nil {
-		fb.release(len(fb.recs), false)
+		fb.release(len(fb.recs))
 		t.finished = true
 		return err
 	}
@@ -224,7 +212,7 @@ func (fb *fallbackCtx) add(r *fbRec) {
 			prev.write = true
 		}
 		if r.insert {
-			prev.insert, prev.val = true, r.val
+			prev.insert, prev.buf = true, r.buf
 		}
 		if r.erase {
 			prev.erase = true
@@ -236,249 +224,80 @@ func (fb *fallbackCtx) add(r *fbRec) {
 	fb.recs = append(fb.recs, r)
 }
 
-// stateCAS issues the appropriate compare-and-swap for a record's state
-// word: one-sided RDMA CAS for remote records always; for local records a
-// cheap CPU CAS is only legal under IBV_ATOMIC_GLOB (Section 6.3) — under
-// HCA-level atomicity the local record must also be locked with RDMA CAS,
-// which is what costs the paper ~15% fallback throughput.
-func (fb *fallbackCtx) stateCAS(r *fbRec, old, new uint64) (uint64, bool, error) {
-	qp := fb.t.e.w.QP
-	local := r.node == fb.t.e.w.Node.ID
-	if local && fb.t.e.rt.C.Fabric.Atomicity() == rdma.AtomicGLOB {
-		cur, ok := qp.LocalCAS(r.region, kvs.StateOffset(r.off), old, new)
-		return cur, ok, nil
-	}
-	return fb.t.casRemote(r.node, r.region, kvs.StateOffset(r.off), old, new)
-}
-
+// acquire resolves the record and takes its lock or lease through the
+// Figure 5 state machine. Remote records are always CASed one-sided; for
+// local records a cheap CPU CAS is only legal under IBV_ATOMIC_GLOB
+// (Section 6.3) — under HCA-level atomicity the local record must also be
+// locked with RDMA CAS, which is what costs the paper ~15% fallback
+// throughput. An insert record whose dead entry vanished between declare and
+// fallback (a scavenged abort leftover) re-runs EnsureDead.
 func (fb *fallbackCtx) acquire(r *fbRec) error {
 	t := fb.t
-	// Resolve the entry offset.
-	meta := t.e.rt.Meta(r.table)
-	if meta.Kind == Ordered {
-		if err := fb.resolveOrdered(r); err != nil {
-			return err
-		}
-	} else if r.node == t.e.w.Node.ID {
-		var ok bool
-		r.off, ok = t.e.w.Node.Unordered(r.region).LookupLocal(r.key)
-		if !ok {
-			return ErrNotFound
-		}
-	} else {
-		host := t.e.rt.C.Node(r.node).Unordered(r.region)
-		loc, ok, err := host.LookupRemoteE(t.e.w.QP, t.e.cacheFor(r.node, r.region), r.key)
-		if err != nil {
-			return ErrNodeDown
-		}
-		if !ok {
-			return ErrNotFound
-		}
-		r.off = loc.Off
-	}
-
-	t.e.charge(t.e.model().FallbackLockNS)
-	sh := t.e.w.Obs
-	delta := t.e.rt.C.Delta()
-	want := clock.WLocked(uint8(t.e.w.Node.ID))
-	if !r.write {
-		want = clock.Shared(t.leaseEnd)
-	}
-	const casRetries = 8
-	for i := 0; i < casRetries; i++ {
-		cur, ok, err := fb.stateCAS(r, clock.Init, want)
-		if err != nil {
-			return ErrNodeDown
-		}
-		if ok {
-			if !r.write {
-				sh.Inc(obs.EvLeaseGrant)
-			}
-			r.leaseEnd = t.leaseEnd
-			return fb.verifyOrdered(r)
-		}
-		if clock.IsWriteLocked(cur) {
-			sh.Inc(obs.EvRemoteLockConflict)
-			t.lastAbort = obs.CauseRemote
-			return ErrRetry
-		}
-		end := clock.LeaseEnd(cur)
-		now := t.e.w.Node.Clock.Read()
-		if !r.write && !clock.Expired(end, now, delta) {
-			sh.Inc(obs.EvLeaseShare)
-			r.leaseEnd = end // share the existing lease
-			return fb.verifyOrdered(r)
-		}
-		if !clock.Expired(end, now, delta) {
-			sh.Inc(obs.EvRemoteLockConflict) // writer must wait out the lease
-			t.lastAbort = obs.CauseRemote
-			return ErrRetry
-		}
-		if _, ok, err := fb.stateCAS(r, cur, want); err != nil {
-			return ErrNodeDown
-		} else if ok {
-			sh.Inc(obs.EvLeaseExpire) // took over an expired lease
-			if !r.write {
-				sh.Inc(obs.EvLeaseGrant)
-			}
-			r.leaseEnd = t.leaseEnd
-			return fb.verifyOrdered(r)
-		}
-	}
-	sh.Inc(obs.EvRemoteLockConflict)
-	t.lastAbort = obs.CauseRemote
-	return ErrRetry
-}
-
-// resolveOrdered maps an ordered record's key to its entry offset via the
-// shard's tree — locally or shipped (Section 6.5). An insert record whose
-// dead entry vanished between declare and fallback (a scavenged abort
-// leftover) re-runs EnsureDead.
-func (fb *fallbackCtx) resolveOrdered(r *fbRec) error {
-	t := fb.t
-	t.e.charge(t.e.model().BTreeOpNS)
-	if r.node == t.e.w.Node.ID {
-		var ok bool
-		r.off, ok = t.e.w.Node.Ordered(r.region).Lookup(r.key)
-		if ok {
-			return nil
-		}
+	e := t.e
+	found, err := e.resolve(&r.recHandle)
+	if err == nil && !found {
 		if !r.insert {
 			return ErrNotFound
 		}
-		off, err := t.e.rt.execEnsureEntry(t.e.w.Node, ensureEntryMsg{
-			Region: r.region, Table: r.table, Part: r.part, Key: r.key})
-		if err != nil {
+		if err = e.ensureEntry(&r.recHandle); err != nil && err != ErrNodeDown {
+			// Live again (ErrExists) or full: whole-txn retry resolves.
 			t.lastAbort = obs.CauseRemote
-			return ErrRetry // live again (ErrExists) or full: whole-txn retry resolves
+			return ErrRetry
 		}
-		r.off = off
-		return nil
 	}
-	off, found, err := t.e.orderedLookupRemote(r.node, r.region, r.key)
 	if err != nil {
-		return ErrNodeDown
+		return err
 	}
-	if !found {
-		if !r.insert {
-			return ErrNotFound
-		}
-		var resp any
-		if cerr := t.e.verbRetry(func() error {
-			var e2 error
-			resp, e2 = t.e.w.QP.Call(r.node, clusterMsg(msgEnsureEntry, ensureEntryMsg{
-				Region: r.region, Table: r.table, Part: r.part, Key: r.key}), 40, 16)
-			return e2
-		}); cerr != nil {
-			return ErrNodeDown
-		}
-		o, ok := resp.(memory.Offset)
-		if !ok {
-			t.lastAbort = obs.CauseRemote
-			return ErrRetry
-		}
-		off = o
+	e.charge(e.model().FallbackLockNS)
+	var a acquirer
+	if r.write {
+		a.arm(acqLock, uint8(e.w.Node.ID), 0)
+	} else {
+		a.arm(acqLease, 0, t.leaseEnd)
 	}
-	r.off = off
-	return nil
-}
-
-// verifyOrdered re-checks an ordered entry under the freshly acquired
-// protection: the slot still holds this key, with the liveness the record
-// expects (insert records hold a dead entry, everything else a live one).
-// The incarnation observed here is what publish flips.
-func (fb *fallbackCtx) verifyOrdered(r *fbRec) error {
-	if !r.ordered {
-		return nil
+	v, end, err := e.acquire(&a, &r.recHandle, e.rt.C.Fabric.Atomicity() == rdma.AtomicGLOB)
+	if err != nil {
+		return err
 	}
-	t := fb.t
-	hdr := make([]uint64, 2) // key, incver
-	if r.node == t.e.w.Node.ID {
-		arena := t.e.arenaAt(r.node, r.region)
-		hdr[0] = arena.LoadWord(r.off + kvs.EntryKeyWord)
-		hdr[1] = arena.LoadWord(kvs.IncVerOffset(r.off))
-	} else if err := t.e.verbRetry(func() error {
-		return t.e.w.QP.TryRead(r.node, r.region, r.off+kvs.EntryKeyWord, hdr)
-	}); err != nil {
-		fb.unlockSelf(r)
-		return ErrNodeDown
-	}
-	live := kvs.Live(kvs.Incarnation(hdr[1]))
-	if hdr[0] != r.key || r.insert == live {
-		fb.unlockSelf(r)
-		if hdr[0] == r.key && !live && !r.insert {
-			return ErrNotFound // the row was erased under a committed delete
-		}
+	if v == acqConflict {
+		e.w.Obs.Inc(obs.EvRemoteLockConflict)
 		t.lastAbort = obs.CauseRemote
 		return ErrRetry
 	}
-	r.inc = kvs.Incarnation(hdr[1])
-	r.version = kvs.Version(hdr[1])
+	r.leaseEnd = end
 	return nil
 }
 
-// unlockSelf releases the record's own exclusive lock after a post-lock
-// verification failure — release(i) only covers the records before it.
-func (fb *fallbackCtx) unlockSelf(r *fbRec) {
-	if r.write {
-		fb.t.e.mustUnlock(r.node, r.region, kvs.StateOffset(r.off))
-	}
-}
-
-// fetch loads the record's value and version into the private buffer, plus —
-// for write records of chained tables — the tail stamp and a pristine value
-// copy the publish-time chain retire needs (all stable under our lock).
+// fetch reads the record's entry under the protection just acquired — the
+// full image for write records of chained tables, whose tail stamp the
+// publish-time chain retire needs — and checks it is still this record, with
+// the liveness the record expects (insert records hold a dead entry,
+// everything else a live one). The incarnation observed here is what publish
+// flips.
 func (fb *fallbackCtx) fetch(r *fbRec) error {
 	t := fb.t
 	vw := t.e.rt.Meta(r.table).ValueWords
 	if r.write {
-		r.depth = t.e.chainDepthAt(r.node, r.region)
+		r.depth = t.e.chainDepth(&r.recHandle)
+	}
+	words, err := t.e.readEntry(&r.recHandle, vw, r.depth)
+	if err != nil {
+		return err
+	}
+	switch r.check(words, &r.recImage, vw, r.insert, false) {
+	case imgNotFound:
+		return ErrNotFound // the row was erased under a committed delete
+	case imgStale:
+		t.e.invalidate(&r.recHandle)
+		fallthrough
+	case imgExists:
+		t.lastAbort = obs.CauseRemote
+		return ErrRetry
 	}
 	if r.insert {
-		// The locked dead slot has no meaningful value; the body reads the
-		// declared insert value. version/inc were set by verifyOrdered.
-		r.buf = append([]uint64(nil), r.val...)
 		r.dirty = true
-		if r.depth > 0 {
-			tailOff := kvs.TailOffset(r.off, vw, r.depth) + kvs.TailStampWord
-			if r.node == t.e.w.Node.ID {
-				r.prevTail = fb.arenaOf(r).LoadWord(tailOff)
-			} else {
-				tw := make([]uint64, 1)
-				if err := t.e.verbRetry(func() error {
-					return t.e.w.QP.TryRead(r.node, r.region, tailOff, tw)
-				}); err != nil {
-					return ErrNodeDown
-				}
-				r.prevTail = tw[0]
-			}
-		}
-		return nil
-	}
-	r.buf = make([]uint64, vw)
-	if r.node == t.e.w.Node.ID {
-		arena := fb.arenaOf(r)
-		arena.Read(r.buf, kvs.ValueOffset(r.off))
-		r.version = kvs.Version(arena.LoadWord(kvs.IncVerOffset(r.off)))
-		if r.depth > 0 {
-			r.prevTail = arena.LoadWord(kvs.TailOffset(r.off, vw, r.depth) + kvs.TailStampWord)
-			r.prevVal = append([]uint64(nil), r.buf...)
-		}
-		t.e.charge(int64(vw+1) * t.e.model().HTMPerReadNS)
-		return nil
-	}
-	words := make([]uint64, kvs.EntryImageWords(vw, r.depth))
-	err := t.e.verbRetry(func() error {
-		return t.e.w.QP.TryRead(r.node, r.region, r.off, words)
-	})
-	if err != nil {
-		return ErrNodeDown
-	}
-	copy(r.buf, words[kvs.EntryValueWord:kvs.EntryValueWord+vw])
-	r.version = kvs.Version(words[kvs.EntryIncVerWord])
-	if r.depth > 0 {
-		r.prevTail = words[int(kvs.TailOffset(0, vw, r.depth))+kvs.TailStampWord]
-		r.prevVal = append([]uint64(nil), r.buf...)
+	} else if r.depth > 0 {
+		r.prevVal = append(r.prevVal[:0], r.buf...)
 	}
 	return nil
 }
@@ -594,7 +413,7 @@ func (fb *fallbackCtx) publish() {
 }
 
 // release unlocks the first n acquired records without publishing (abort).
-func (fb *fallbackCtx) release(n int, _ bool) {
+func (fb *fallbackCtx) release(n int) {
 	for i := 0; i < n; i++ {
 		r := fb.recs[i]
 		if r.write {

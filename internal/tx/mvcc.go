@@ -138,53 +138,26 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 	e := ro.e
 	sh := e.w.Obs
 	mstart := int64(e.w.VClock.Now())
-	node, region, part := e.route(table, key)
-	ro.stampView(part)
-	meta := e.rt.Meta(table)
-	vw := meta.ValueWords
-	depth := e.chainDepthAt(node, region)
+	h := e.handle(table, key)
+	ro.stampView(h.part)
+	vw := e.rt.Meta(table).ValueWords
+	depth := e.chainDepth(&h)
 	if depth <= 0 {
 		return nil, errMVCCFallback
 	}
-
-	var off memory.Offset
-	var found bool
-	var loc kvs.Loc
-	unordered := meta.Kind != Ordered
-	if node == e.w.Node.ID {
-		if unordered {
-			off, found = e.w.Node.Unordered(region).LookupLocal(key)
-			e.charge(e.model().HashProbeNS)
-		} else {
-			off, found = e.w.Node.Ordered(region).Lookup(key)
-			e.charge(e.model().BTreeOpNS)
-		}
-	} else if unordered {
-		host := e.rt.C.Node(node).Unordered(region)
-		var err error
-		loc, found, err = host.LookupRemoteE(e.w.QP, e.cacheFor(node, region), key)
-		if err != nil {
-			return nil, ErrNodeDown
-		}
-		off = loc.Off
-	} else {
-		var err error
-		off, found, err = e.orderedLookupRemote(node, region, key)
-		if err != nil {
-			return nil, ErrNodeDown
-		}
-	}
-	if !found {
+	if found, err := e.resolve(&h); err != nil {
+		return nil, err
+	} else if !found {
 		sh.Observe(obs.PhaseMVCC, int64(e.w.VClock.Now())-mstart)
 		return nil, ErrNotFound
 	}
 
 	img := make([]uint64, kvs.EntryImageWords(vw, depth))
-	if node == e.w.Node.ID {
-		e.arenaAt(node, region).Read(img, off)
+	if h.node == e.w.Node.ID {
+		e.arenaAt(h.node, h.region).Read(img, h.off)
 		e.charge(int64(len(img)) * e.model().HTMPerReadNS)
 	} else if err := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, off, img)
+		return e.w.QP.TryRead(h.node, h.region, h.off, img)
 	}); err != nil {
 		return nil, ErrNodeDown
 	}
@@ -194,8 +167,7 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 	case kvs.ResolveCurrent, kvs.ResolveRetired:
 		sh.Inc(obs.EvMVCCRead)
 		buf := append([]uint64(nil), res.Value...)
-		ro.index[refKey{table, key}] = &roRec{table: table, node: node,
-			region: region, key: key, off: off, buf: buf}
+		ro.index[refKey{table, key}] = &remoteRec{recHandle: h, recImage: recImage{buf: buf}}
 		return buf, nil
 	case kvs.ResolveDead:
 		sh.Inc(obs.EvMVCCRead)
@@ -205,9 +177,7 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 		return nil, errMVCCFallback
 	default: // ResolveInconsistent: torn image or a recycled/stale location
 		sh.Inc(obs.EvMVCCInconsist)
-		if unordered && node != e.w.Node.ID {
-			e.rt.C.Node(node).Unordered(region).Invalidate(e.cacheFor(node, region), key)
-		}
+		e.invalidate(&h)
 		return nil, errMVCCFallback
 	}
 }

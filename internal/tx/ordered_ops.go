@@ -360,9 +360,12 @@ func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 	for _, spec := range t.e.rt.indexesOf(table) {
 		if _, ierr := t.eraseOne(spec.Table, spec.Key(key, old)); ierr != nil {
 			if errors.Is(ierr, ErrNotFound) {
-				// The base row was live but its index row is gone: the
-				// index diverged from the base table. Surface loudly — the
-				// divergence audit pins this.
+				if t.baseEraseMoved(table, key) {
+					return nil, t.fail()
+				}
+				// The base row is live, unchanged since we staged it, and its
+				// index row is gone: the index diverged from the base table.
+				// Surface loudly — the divergence audit pins this.
 				panic(fmt.Sprintf("tx: index table %d missing row for base table %d key %d",
 					spec.Table, table, key))
 			}
@@ -371,6 +374,17 @@ func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 		t.e.w.Obs.Inc(obs.EvIndexMaint)
 	}
 	return old, nil
+}
+
+// baseEraseMoved reports whether the base row of a local Erase changed after
+// it was staged. A local row is staged unlocked, so a racing erase of the same
+// row may have committed its base and index flips in between: the missing
+// index row is then that lost race, not a divergence. (A remote base row is
+// staged under our lock and cannot move.)
+func (t *Tx) baseEraseMoved(table int, key uint64) bool {
+	op := findStructOp(t.localErase, table, key)
+	return op != nil && t.e.w.Node.Ordered(op.region).Arena().
+		LoadWord(kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver)
 }
 
 func (t *Tx) insertOne(table int, key uint64, val []uint64) error {
@@ -386,7 +400,11 @@ func (t *Tx) insertOne(table int, key uint64, val []uint64) error {
 	if node == t.e.w.Node.ID {
 		return t.declareLocalInsert(table, region, part, key, val)
 	}
-	return t.stageOrderedInsert(table, node, region, part, key, val)
+	s, err := t.gatherInsert(table, key, node, region, part, val)
+	if err != nil {
+		return err
+	}
+	return t.stageOne(s)
 }
 
 func (t *Tx) eraseOne(table int, key uint64) ([]uint64, error) {
@@ -399,7 +417,22 @@ func (t *Tx) eraseOne(table int, key uint64) ([]uint64, error) {
 	if node == t.e.w.Node.ID {
 		return t.declareLocalErase(table, region, part, key)
 	}
-	return t.stageOrderedErase(table, node, region, part, key)
+	// A remote erase is a write stage with the erase flag: Figure 5
+	// acquisition (rows previously read under the RO scheme keep their expired
+	// lease stamp in the state word, which an erase takes over like any other
+	// writer), then the fused image check requires the row live.
+	s, err := t.gatherRemote(table, key, node, region, part, true)
+	if err != nil {
+		return nil, err
+	}
+	if s == nil {
+		panic(fmt.Sprintf("tx: Erase of table %d key %d, already write-staged by this transaction", table, key))
+	}
+	s.erase = true
+	if err := t.stageOne(s); err != nil {
+		return nil, err
+	}
+	return t.rIndex[refKey{table, key}].buf, nil
 }
 
 // declareLocalInsert runs the structural half on this node's shard and
@@ -450,337 +483,6 @@ func (t *Tx) declareLocalErase(table, region, part int, key uint64) ([]uint64, e
 		table: table, part: part, key: key,
 		deadIncVer: kvs.PackIncVer(kvs.Incarnation(incver)+1, kvs.Version(incver)+1)})
 	return vals, nil
-}
-
-// stageOrderedInsert is the remote structural half: ship EnsureDead, then
-// CAS-lock the dead slot and verify it one-sided. The locked slot cannot be
-// recycled or resurrected under us, so commitRemotes can flip it live with
-// a plain release-phase write.
-func (t *Tx) stageOrderedInsert(table, node, region, part int, key uint64, val []uint64) error {
-	e := t.e
-	var resp any
-	err := e.verbRetry(func() error {
-		var cerr error
-		resp, cerr = e.w.QP.Call(node, clusterMsg(msgEnsureEntry,
-			ensureEntryMsg{Region: region, Table: table, Part: part, Key: key}), 40, 16)
-		return cerr
-	})
-	if err != nil {
-		return t.nodeDown()
-	}
-	if herr, ok := resp.(error); ok {
-		if errors.Is(herr, kvs.ErrExists) || errors.Is(herr, kvs.ErrFull) {
-			return herr
-		}
-		return t.nodeDown()
-	}
-	off := resp.(memory.Offset)
-	// Full Figure 5 acquisition, not a bare Init CAS: the slot may carry an
-	// expired lease from a previous live incarnation, which must be taken
-	// over rather than treated as a permanent conflict.
-	if _, won, aerr := t.acquireOrderedState(node, region, off, true); aerr != nil {
-		return t.nodeDown()
-	} else if !won {
-		return t.remoteConflict()
-	}
-	// Verify under the lock: same key, still dead. A recycled slot means
-	// our resolution is stale — retry from Start.
-	hdr := make([]uint64, 2) // key, incver
-	if err := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, off+kvs.EntryKeyWord, hdr)
-	}); err != nil {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return t.nodeDown()
-	}
-	if hdr[0] != key {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return t.fail()
-	}
-	if kvs.Live(kvs.Incarnation(hdr[1])) {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return kvs.ErrExists
-	}
-	// Chained tables: capture the locked slot's tail stamp so the commit can
-	// retire the dead pre-insert version and raise its stamp above it.
-	var prevTail uint64
-	if depth := e.chainDepthAt(node, region); depth > 0 {
-		vw := e.rt.Meta(table).ValueWords
-		tw := make([]uint64, 1)
-		if err := e.verbRetry(func() error {
-			return e.w.QP.TryRead(node, region,
-				kvs.TailOffset(off, vw, depth)+kvs.TailStampWord, tw)
-		}); err != nil {
-			e.mustUnlock(node, region, kvs.StateOffset(off))
-			return t.nodeDown()
-		}
-		prevTail = tw[0]
-	}
-	r := e.getRec()
-	r.table, r.node, r.key = table, node, key
-	r.region, r.part = region, part
-	r.off, r.write, r.dirty = off, true, true
-	r.ordered, r.insert = true, true
-	r.prevTail = prevTail
-	r.inc, r.version = kvs.Incarnation(hdr[1]), kvs.Version(hdr[1])
-	r.buf = append(r.buf[:0], val...)
-	t.rIndex[refKey{table, key}] = r
-	t.remotes = append(t.remotes, r)
-	return nil
-}
-
-// stageOrderedErase locks a live remote row, fetches its value, and stages
-// the flip-to-dead (committed by commitRemotes) plus the deferred removal.
-func (t *Tx) stageOrderedErase(table, node, region, part int, key uint64) ([]uint64, error) {
-	e := t.e
-	off, found, err := t.e.orderedLookupRemote(node, region, key)
-	if err != nil {
-		return nil, t.nodeDown()
-	}
-	if !found {
-		return nil, ErrNotFound
-	}
-	// Figure 5 acquisition (not a bare Init CAS): rows previously read under
-	// the RO scheme keep their expired lease stamp in the state word, and an
-	// erase must take that over like any other writer.
-	if _, won, cerr := t.acquireOrderedState(node, region, off, true); cerr != nil {
-		return nil, t.nodeDown()
-	} else if !won {
-		return nil, t.remoteConflict()
-	}
-	vw := e.rt.Meta(table).ValueWords
-	// Chained tables fetch the full entry image: the extra words carry the
-	// tail stamp the commit's retire needs, in the same post-lock READ.
-	depth := e.chainDepthAt(node, region)
-	words := make([]uint64, kvs.EntryImageWords(vw, depth))
-	if err := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, off, words)
-	}); err != nil {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return nil, t.nodeDown()
-	}
-	if words[kvs.EntryKeyWord] != key {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return nil, t.fail() // slot recycled under a stale lookup
-	}
-	incver := words[kvs.EntryIncVerWord]
-	if !kvs.Live(kvs.Incarnation(incver)) {
-		e.mustUnlock(node, region, kvs.StateOffset(off))
-		return nil, ErrNotFound
-	}
-	val := append([]uint64(nil), words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
-	r := e.getRec()
-	r.table, r.node, r.key = table, node, key
-	r.region, r.part = region, part
-	r.off, r.write = off, true
-	r.ordered, r.erase = true, true
-	if depth > 0 {
-		r.prevTail = words[int(kvs.TailOffset(0, vw, depth))+kvs.TailStampWord]
-	}
-	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
-	r.buf = append(r.buf[:0], val...)
-	t.rIndex[refKey{table, key}] = r
-	t.remotes = append(t.remotes, r)
-	t.removals = append(t.removals, removalOp{node: node, region: region,
-		table: table, part: part, key: key,
-		deadIncVer: kvs.PackIncVer(r.inc+1, r.version+1)})
-	return val, nil
-}
-
-// orderedLookupRemote ships a point lookup to the host's tree.
-func (e *Executor) orderedLookupRemote(node, region int, key uint64) (memory.Offset, bool, error) {
-	e.charge(e.model().BTreeOpNS)
-	var resp any
-	err := e.verbRetry(func() error {
-		var cerr error
-		resp, cerr = e.w.QP.Call(node, clusterMsg(msgOrderedLookup,
-			orderedLookupMsg{Region: region, Key: key}), 24, 24)
-		return cerr
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	lr, ok := resp.(orderedLookupResp)
-	if !ok {
-		if herr, isErr := resp.(error); isErr {
-			return 0, false, herr
-		}
-		return 0, false, rdma.ErrNodeUnreachable
-	}
-	return lr.Off, lr.Found, nil
-}
-
-// stageOrderedPoint stages a remote ordered point access (Tx.R/W): shipped
-// lookup, then the same lock/lease/speculative arms as unordered records —
-// the entry layout is shared, so the one-sided verbs work unchanged.
-// PolicyAdaptive routes ordered reads to the lease arm (its heat table is
-// keyed by hash buckets, which ordered shards do not have).
-func (t *Tx) stageOrderedPoint(table int, key uint64, node, region, part int, write bool) error {
-	e := t.e
-	off, found, err := t.e.orderedLookupRemote(node, region, key)
-	if err != nil {
-		return t.nodeDown()
-	}
-	if !found {
-		t.releaseLocks()
-		return ErrNotFound
-	}
-	spec := !write && t.policy == PolicySpeculative
-	vw := e.rt.Meta(table).ValueWords
-	// Write stages on chained tables read the full image (the tail stamp
-	// feeds the commit-time retire); read stages keep the narrow READ.
-	depth := 0
-	if write {
-		depth = e.chainDepthAt(node, region)
-	}
-	words := make([]uint64, kvs.EntryImageWords(vw, depth))
-	var leaseEnd uint64
-	if !spec {
-		end, won, aerr := t.acquireOrderedState(node, region, off, write)
-		if aerr != nil {
-			return t.nodeDown()
-		}
-		if !won {
-			return t.remoteConflict()
-		}
-		leaseEnd = end
-	}
-	if rerr := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, off, words)
-	}); rerr != nil {
-		if write {
-			e.mustUnlock(node, region, kvs.StateOffset(off))
-		}
-		return t.nodeDown()
-	}
-	incver := words[kvs.EntryIncVerWord]
-	if words[kvs.EntryKeyWord] != key {
-		if write {
-			e.mustUnlock(node, region, kvs.StateOffset(off))
-		}
-		return t.fail() // recycled under a stale lookup
-	}
-	// On the spec arm, check the lock before liveness: a write-locked row
-	// is mid-flip and "dead" is not yet a stable answer (with a lock or
-	// lease held, writers are excluded and dead means stably dead).
-	if spec && clock.IsWriteLocked(words[kvs.EntryStateWord]) {
-		return t.remoteConflict() // mid-commit: the value may be torn
-	}
-	if !kvs.Live(kvs.Incarnation(incver)) {
-		if write {
-			e.mustUnlock(node, region, kvs.StateOffset(off))
-		}
-		t.releaseLocks()
-		return ErrNotFound
-	}
-	if spec {
-		e.w.Obs.Inc(obs.EvSpecRead)
-	}
-	r := e.getRec()
-	r.table, r.node, r.key = table, node, key
-	r.region, r.part = region, part
-	r.off, r.write, r.spec = off, write, spec
-	r.ordered = true
-	r.leaseEnd = leaseEnd
-	if depth > 0 {
-		r.prevTail = words[int(kvs.TailOffset(0, vw, depth))+kvs.TailStampWord]
-	}
-	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
-	r.buf = append(r.buf[:0], words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
-	t.rIndex[refKey{table, key}] = r
-	t.remotes = append(t.remotes, r)
-	return nil
-}
-
-// acquireOrderedState runs the Figure 5 lock/lease state machine on one
-// entry's state word (the serial analogue of stage.go's onCAS).
-func (t *Tx) acquireOrderedState(node, region int, off memory.Offset, write bool) (leaseEnd uint64, won bool, err error) {
-	e := t.e
-	sh := e.w.Obs
-	delta := e.rt.C.Delta()
-	want := clock.WLocked(uint8(e.w.Node.ID))
-	if !write {
-		want = clock.Shared(t.leaseEnd)
-	}
-	old := clock.Init
-	takeover := false
-	for i := 0; i < casRetries; i++ {
-		cur, ok, cerr := t.casRemote(node, region, kvs.StateOffset(off), old, want)
-		if cerr != nil {
-			return 0, false, cerr
-		}
-		if ok {
-			if takeover {
-				sh.Inc(obs.EvLeaseExpire)
-			}
-			if !write {
-				sh.Inc(obs.EvLeaseGrant)
-			}
-			return t.leaseEnd, true, nil
-		}
-		if clock.IsWriteLocked(cur) {
-			return 0, false, nil
-		}
-		end := clock.LeaseEnd(cur)
-		if !clock.Expired(end, e.w.Node.Clock.Read(), delta) {
-			if write {
-				return 0, false, nil // wait out the lease via whole-txn retry
-			}
-			sh.Inc(obs.EvLeaseShare)
-			return end, true, nil
-		}
-		old, takeover = cur, true
-	}
-	return 0, false, nil
-}
-
-// upgradeOrdered promotes an already-staged ordered read (lease or
-// speculative) to an exclusive lock in place, then re-fetches the value.
-func (t *Tx) upgradeOrdered(r *remoteRec) error {
-	e := t.e
-	old := clock.Init // a speculative read holds nothing
-	if !r.spec {
-		old = clock.Shared(r.leaseEnd)
-	}
-	cur, won, err := t.casRemote(r.node, r.region, kvs.StateOffset(r.off),
-		old, clock.WLocked(uint8(e.w.Node.ID)))
-	if err != nil {
-		return t.nodeDown()
-	}
-	if !won && !r.spec && clock.Expired(clock.LeaseEnd(cur), e.w.Node.Clock.Read(), e.rt.C.Delta()) {
-		// Our shared lease expired under us; a fresh exclusive acquisition
-		// may still win.
-		_, won, err = t.casRemote(r.node, r.region, kvs.StateOffset(r.off),
-			clock.Init, clock.WLocked(uint8(e.w.Node.ID)))
-		if err != nil {
-			return t.nodeDown()
-		}
-	}
-	if !won {
-		return t.remoteConflict()
-	}
-	e.w.Obs.Inc(obs.EvLockUpgrade)
-	vw := e.rt.Meta(r.table).ValueWords
-	// The post-upgrade re-fetch is a write stage: on chained tables it reads
-	// the full image so the commit-time retire knows the tail stamp.
-	depth := e.chainDepthAt(r.node, r.region)
-	words := make([]uint64, kvs.EntryImageWords(vw, depth))
-	if rerr := e.verbRetry(func() error {
-		return e.w.QP.TryRead(r.node, r.region, r.off, words)
-	}); rerr != nil {
-		e.mustUnlock(r.node, r.region, kvs.StateOffset(r.off))
-		return t.nodeDown()
-	}
-	r.write, r.spec, r.leaseEnd = true, false, 0
-	if words[kvs.EntryKeyWord] != r.key || !kvs.Live(kvs.Incarnation(words[kvs.EntryIncVerWord])) {
-		return t.fail() // releaseLocks covers the fresh lock
-	}
-	if depth > 0 {
-		r.prevTail = words[int(kvs.TailOffset(0, vw, depth))+kvs.TailStampWord]
-	}
-	r.inc = kvs.Incarnation(words[kvs.EntryIncVerWord])
-	r.version = kvs.Version(words[kvs.EntryIncVerWord])
-	r.buf = append(r.buf[:0], words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
-	return nil
 }
 
 // applyLocalStructural commits the local structural halves inside the HTM

@@ -3,13 +3,11 @@ package tx
 import (
 	"fmt"
 
-	"drtm/internal/kvs"
 	"drtm/internal/obs"
 )
 
 // ReadPolicy selects the concurrency-control arm used for remote READ-set
-// records (writes always take exclusive locks). It replaces the accreted
-// boolean knobs (`SpeculativeReads`, `NoReadLease`) with one typed choice:
+// records (writes always take exclusive locks):
 //
 //	PolicyLease       — shared lease via RDMA CAS (~14.5µs modeled), the
 //	                    paper's Section 4.2 protocol. Safe under any
@@ -28,10 +26,8 @@ import (
 //	                    "no read lease" ablation): no read-read sharing.
 //
 // The zero value PolicyDefault resolves to PolicyLease at the tx layer
-// (keeping Runtime's zero value semantics), or to PolicyExclusive when the
-// legacy Runtime.NoReadLease ablation flag is set. The drtm package maps an
-// unset Options.ReadPolicy to PolicyAdaptive — adaptive is the user-facing
-// default.
+// (keeping Runtime's zero value semantics). The drtm package maps an unset
+// Options.ReadPolicy to PolicyAdaptive — adaptive is the user-facing default.
 //
 // The software fallback path always uses locks regardless of policy: its
 // in-place updates cannot be rolled back, so optimistic reads are unsound
@@ -190,13 +186,10 @@ func heatKey(node, table int, bucket uint64) uint64 {
 
 // resolvePolicy computes the effective read policy for a new transaction:
 // the per-transaction override if set (ExecWith), else the runtime-wide
-// policy, with the legacy NoReadLease ablation mapping to PolicyExclusive.
+// policy.
 func (e *Executor) resolvePolicy() ReadPolicy {
 	if p := e.override; p != PolicyDefault {
 		return p
-	}
-	if e.rt.NoReadLease {
-		return PolicyExclusive
 	}
 	if p := e.rt.ReadPolicy; p != PolicyDefault {
 		return p
@@ -226,19 +219,21 @@ func (e *Executor) ExecROWith(p ReadPolicy, build func(ro *RO) error) error {
 // routeRead decides the arm for one remote read under the transaction's
 // policy. For PolicyAdaptive this is the routing hot path: one decayed
 // heat-table access classifies the record's bucket, counting the route and
-// any hot/cold transition (and tracing the transition when enabled).
-func (e *Executor) routeRead(p ReadPolicy, host *kvs.Table, node, table int, key uint64) (spec bool) {
-	switch p {
-	case PolicySpeculative:
+// any hot/cold transition (and tracing the transition when enabled). Ordered
+// records have no heat bucket — the table is keyed by hash buckets, which
+// ordered shards lack — so PolicyAdaptive leases them.
+func (e *Executor) routeRead(p ReadPolicy, h *recHandle) (spec bool) {
+	switch {
+	case p == PolicySpeculative:
 		return true
-	case PolicyAdaptive:
-	default:
+	case p != PolicyAdaptive || h.ordered:
 		return false
 	}
-	hot, sw := e.rt.heat.Touch(heatKey(node, table, host.BucketOf(key)))
+	bucket := e.hashTable(h).BucketOf(h.key)
+	hot, sw := e.rt.heat.Touch(heatKey(h.node, h.table, bucket))
 	sh := e.w.Obs
 	if sw != 0 {
-		e.noteSwitch(node, table, host.BucketOf(key), hot)
+		e.noteSwitch(h.node, h.table, bucket, hot)
 	}
 	if hot {
 		sh.Inc(obs.EvAdaptLease)
@@ -253,14 +248,15 @@ func (e *Executor) routeRead(p ReadPolicy, host *kvs.Table, node, table int, key
 // conflicts and lock upgrades. Cheap (one CAS on a 32 KiB table) and only
 // taken on conflict events, but skipped entirely unless the runtime-wide
 // policy is adaptive: static arms should not accrete classification state.
-func (e *Executor) feedConflict(host *kvs.Table, node, table int, key uint64, weight float64) {
-	if e.rt.ReadPolicy != PolicyAdaptive {
+// Records routeRead never classifies (ordered ones) feed nothing.
+func (e *Executor) feedConflict(h *recHandle, weight float64) {
+	if e.rt.ReadPolicy != PolicyAdaptive || h.ordered {
 		return
 	}
-	bucket := host.BucketOf(key)
-	_, sw := e.rt.heat.Conflict(heatKey(node, table, bucket), weight)
+	bucket := e.hashTable(h).BucketOf(h.key)
+	_, sw := e.rt.heat.Conflict(heatKey(h.node, h.table, bucket), weight)
 	if sw != 0 {
-		e.noteSwitch(node, table, bucket, true)
+		e.noteSwitch(h.node, h.table, bucket, true)
 	}
 }
 

@@ -12,21 +12,17 @@ func TestResolvePolicy(t *testing.T) {
 	defer stop()
 	e := rt.Executor(0, 0)
 	cases := []struct {
-		name        string
-		runtime     ReadPolicy
-		noReadLease bool
-		override    ReadPolicy
-		want        ReadPolicy
+		name     string
+		runtime  ReadPolicy
+		override ReadPolicy
+		want     ReadPolicy
 	}{
-		{"zero-value runtime is lease", PolicyDefault, false, PolicyDefault, PolicyLease},
-		{"runtime-wide policy", PolicyAdaptive, false, PolicyDefault, PolicyAdaptive},
-		{"NoReadLease maps to exclusive", PolicyDefault, true, PolicyDefault, PolicyExclusive},
-		{"NoReadLease beats runtime policy", PolicySpeculative, true, PolicyDefault, PolicyExclusive},
-		{"override beats runtime policy", PolicyAdaptive, false, PolicySpeculative, PolicySpeculative},
-		{"override beats NoReadLease", PolicyDefault, true, PolicySpeculative, PolicySpeculative},
+		{"zero-value runtime is lease", PolicyDefault, PolicyDefault, PolicyLease},
+		{"runtime-wide policy", PolicyAdaptive, PolicyDefault, PolicyAdaptive},
+		{"override beats runtime policy", PolicyAdaptive, PolicySpeculative, PolicySpeculative},
 	}
 	for _, c := range cases {
-		rt.ReadPolicy, rt.NoReadLease, e.override = c.runtime, c.noReadLease, c.override
+		rt.ReadPolicy, e.override = c.runtime, c.override
 		if got := e.resolvePolicy(); got != c.want {
 			t.Errorf("%s: resolved %v, want %v", c.name, got, c.want)
 		}
@@ -71,8 +67,7 @@ func TestAdaptiveRouting(t *testing.T) {
 	}
 
 	// Conflict heat crosses the hot threshold: the bucket switches once.
-	host := rt.C.Node(1).Unordered(tblAccounts)
-	e.feedConflict(host, 1, tblAccounts, key, 3)
+	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: key}, 3)
 	if n := reg.Total(obs.EvArmSwitchToLease); n != 1 {
 		t.Fatalf("after conflicts: EvArmSwitchToLease = %d, want 1", n)
 	}
@@ -119,8 +114,7 @@ func TestFeedConflictGatedOnAdaptive(t *testing.T) {
 	defer stop()
 	rt.ReadPolicy = PolicySpeculative
 	e := rt.Executor(0, 0)
-	host := rt.C.Node(1).Unordered(tblAccounts)
-	e.feedConflict(host, 1, tblAccounts, 1, 10)
+	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: 1}, 10)
 	if n := rt.HotBuckets(); n != 0 {
 		t.Fatalf("static policy accreted %d hot buckets", n)
 	}

@@ -20,8 +20,8 @@ import (
 type RO struct {
 	e     *Executor
 	end   uint64 // the transaction's common lease end time
-	recs  []*roRec
-	index map[refKey]*roRec
+	recs  []*remoteRec
+	index map[refKey]*remoteRec
 
 	// views records the packed view word per touched partition (replication
 	// only); confirm re-checks them so a failover mid-transaction fails the
@@ -52,31 +52,6 @@ type RO struct {
 	noMVCC bool // a prior attempt's chain fallback poisons adaptive MVCC entry
 }
 
-type roRec struct {
-	table, node int
-	region      int // storage region on node (replica region after failover)
-	key         uint64
-	off         memory.Offset
-	buf         []uint64
-	leaseEnd    uint64
-
-	// Speculative (OCC) read state: on the speculative arm a remote
-	// record holds no lease — the entry is fetched with one READ and confirm
-	// re-READs its header, requiring the same incarnation|version and no live
-	// exclusive lock. Sound without HTM because a read-only transaction
-	// writes nothing: if every record's version is unchanged at confirm, all
-	// reads are valid at that instant, which is the serialization point.
-	spec    bool
-	lossy   uint64
-	version uint32
-	inc     uint32
-
-	// ordered marks records resolved through an ordered shard's tree: their
-	// confirm re-READ covers key+incver+state (a freed tree slot can be
-	// recycled for a different key, which the incver alone may not betray).
-	ordered bool
-}
-
 // ExecRO runs a read-only transaction to completion with retries.
 func (e *Executor) ExecRO(build func(ro *RO) error) error {
 	// chainFellBack poisons the MVCC arm for the rest of this Exec once a
@@ -88,7 +63,7 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 		ro := &RO{
 			e:      e,
 			end:    e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros,
-			index:  make(map[refKey]*roRec),
+			index:  make(map[refKey]*remoteRec),
 			policy: e.resolvePolicy(),
 		}
 		if ro.policy == PolicyMVCC {
@@ -163,7 +138,7 @@ func (ro *RO) confirm() bool {
 	}
 	sq := e.sendq()
 	wrs := e.activeWR[:0]
-	specs := make([]*roRec, 0, nspec)
+	specs := make([]*remoteRec, 0, nspec)
 	for _, r := range ro.recs {
 		if !r.spec {
 			continue
@@ -173,8 +148,7 @@ func (ro *RO) confirm() bool {
 			wrs = append(wrs, sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord,
 				e.hdrBuf[i*3:i*3+3]))
 		} else {
-			host := e.rt.C.Node(r.node).Unordered(r.region)
-			wrs = append(wrs, host.PostHeaderRead(sq, kvs.Loc{Off: r.off, Lossy: r.lossy},
+			wrs = append(wrs, sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off),
 				e.hdrBuf[i*3:i*3+kvs.EntryHeaderWords]))
 		}
 		specs = append(specs, r)
@@ -201,9 +175,7 @@ func (ro *RO) confirm() bool {
 		if stale || kvs.Version(incver) != r.version || kvs.Incarnation(incver) != r.inc ||
 			clock.IsWriteLocked(state) {
 			sh.Inc(obs.EvSpecValidateFail)
-			if !r.ordered {
-				e.feedConflict(e.rt.C.Node(r.node).Unordered(r.region), r.node, r.table, r.key, 1)
-			}
+			e.feedConflict(&r.recHandle, 1)
 			ok = false
 			break
 		}
@@ -214,100 +186,22 @@ func (ro *RO) confirm() bool {
 }
 
 // confirmScans re-validates every collected range scan at the confirmation
-// point: segment stamps unchanged (no membership change in the scanned
-// ranges) and every collected row's incarnation|version word unchanged with
-// no live exclusive lock. Remote words are re-read in one doorbell-batched
-// wave; local ones directly.
+// point: remote words are re-READ in one doorbell-batched wave, then stamps
+// and row headers are compared (a read-only transaction holds no locks of its
+// own). A failure heats the failed scan's range.
 func (ro *RO) confirmScans() bool {
-	if len(ro.scans) == 0 || ro.e.rt.NoScanValidation {
+	if len(ro.scans) == 0 || skipScanValidation {
 		return true
 	}
-	e := ro.e
-	sh := e.w.Obs
-	nwords := 0
-	for i := range ro.scans {
-		if ro.scans[i].node == e.w.Node.ID {
-			continue
-		}
-		nwords += len(ro.scans[i].segs) + len(ro.scans[i].rows)
+	if !ro.e.rereadScans(ro.scans) {
+		return false
 	}
-	remote := make(map[*scanRec][]uint64, len(ro.scans))
-	if nwords > 0 {
-		buf := make([]uint64, nwords)
-		sq := e.sendq()
-		wrs := e.activeWR[:0]
-		j := 0
-		for i := range ro.scans {
-			sc := &ro.scans[i]
-			if sc.node == e.w.Node.ID {
-				continue
-			}
-			start := j
-			for _, s := range sc.segs {
-				wrs = append(wrs, sq.PostRead(sc.node, sc.region,
-					kvs.SegStampOffset(s), buf[j:j+1]))
-				j++
-			}
-			for _, r := range sc.rows {
-				wrs = append(wrs, sq.PostRead(sc.node, sc.region,
-					kvs.IncVerOffset(r.off), buf[j:j+1]))
-				j++
-			}
-			remote[sc] = buf[start:j]
-		}
-		sq.Poll()
-		for _, wr := range wrs {
-			if wr.Err == nil {
-				continue
-			}
-			dst := wr.Dst
-			if err := e.verbRetry(func() error {
-				return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, dst)
-			}); err != nil {
-				e.activeWR = wrs[:0]
-				return false
-			}
-		}
-		e.activeWR = wrs[:0]
+	fails, first := ro.e.compareScans(ro.scans, (*memory.Arena).LoadWord, nil)
+	if fails > 0 {
+		ro.e.w.Obs.Inc(obs.EvScanValidateFail)
+		ro.feedScanHeat(first)
 	}
-	for i := range ro.scans {
-		sc := &ro.scans[i]
-		if words, ok := remote[sc]; ok {
-			for k := range sc.segs {
-				if words[k] != sc.stamps[k] {
-					sh.Inc(obs.EvScanValidateFail)
-					ro.feedScanHeat(sc)
-					return false
-				}
-			}
-			rowWords := words[len(sc.segs):]
-			for k, r := range sc.rows {
-				if rowWords[k] != r.incver {
-					sh.Inc(obs.EvScanValidateFail)
-					ro.feedScanHeat(sc)
-					return false
-				}
-			}
-			continue
-		}
-		arena := e.arenaAt(sc.node, sc.region)
-		for k, s := range sc.segs {
-			if arena.LoadWord(kvs.SegStampOffset(s)) != sc.stamps[k] {
-				sh.Inc(obs.EvScanValidateFail)
-				ro.feedScanHeat(sc)
-				return false
-			}
-		}
-		for _, r := range sc.rows {
-			if arena.LoadWord(kvs.IncVerOffset(r.off)) != r.incver ||
-				clock.IsWriteLocked(arena.LoadWord(kvs.StateOffset(r.off))) {
-				sh.Inc(obs.EvScanValidateFail)
-				ro.feedScanHeat(sc)
-				return false
-			}
-		}
-	}
-	return true
+	return fails == 0
 }
 
 // Scan performs a range read of ordered table rows with keys in [lo, hi]
@@ -367,66 +261,6 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	return out, nil
 }
 
-// stateCAS locks a state word: RDMA CAS for remote records, CPU CAS for
-// local ones. Read-only transactions lease local records with the cheap
-// local CAS — with large read sets (stock-level touches hundreds of
-// records) anything else would dwarf the transaction itself; the atomicity
-// caveat of Section 6.3 concerns the fallback handler, which does pay the
-// RDMA CAS price under HCA-level atomics (see fallback.go and the
-// ablate-atomics experiment).
-func (ro *RO) stateCAS(node, region int, off memory.Offset, old, new uint64) (uint64, bool, error) {
-	qp := ro.e.w.QP
-	if node == ro.e.w.Node.ID {
-		cur, ok := qp.LocalCAS(region, kvs.StateOffset(off), old, new)
-		return cur, ok, nil
-	}
-	var cur uint64
-	var ok bool
-	err := ro.e.verbRetry(func() error {
-		var e error
-		cur, ok, e = qp.TryCAS(node, region, kvs.StateOffset(off), old, new)
-		return e
-	})
-	return cur, ok, err
-}
-
-// lease acquires a shared lease on the record at off, sharing an existing
-// unexpired lease when present. The error is ErrNodeDown when the host is
-// crashed or persistently unreachable.
-func (ro *RO) lease(node, region int, off memory.Offset) (uint64, bool, error) {
-	delta := ro.e.rt.C.Delta()
-	sh := ro.e.w.Obs
-	const casRetries = 8
-	for i := 0; i < casRetries; i++ {
-		cur, ok, err := ro.stateCAS(node, region, off, clock.Init, clock.Shared(ro.end))
-		if err != nil {
-			return 0, false, ErrNodeDown
-		}
-		if ok {
-			sh.Inc(obs.EvLeaseGrant)
-			return ro.end, true, nil
-		}
-		if clock.IsWriteLocked(cur) {
-			sh.Inc(obs.EvRemoteLockConflict)
-			return 0, false, nil
-		}
-		end := clock.LeaseEnd(cur)
-		if !clock.Expired(end, ro.e.w.Node.Clock.Read(), delta) {
-			sh.Inc(obs.EvLeaseShare)
-			return end, true, nil
-		}
-		if _, ok, err := ro.stateCAS(node, region, off, cur, clock.Shared(ro.end)); err != nil {
-			return 0, false, ErrNodeDown
-		} else if ok {
-			sh.Inc(obs.EvLeaseExpire)
-			sh.Inc(obs.EvLeaseGrant)
-			return ro.end, true, nil
-		}
-	}
-	sh.Inc(obs.EvRemoteLockConflict)
-	return 0, false, nil
-}
-
 // stampView records a touched partition's view word for confirm.
 func (ro *RO) stampView(part int) {
 	if part < 0 || ro.e.rt.C.ReplicationFactor() == 0 {
@@ -443,200 +277,84 @@ func (ro *RO) stampView(part int) {
 // Read leases and fetches a record by key (or, on the MVCC arm, resolves it
 // against its version chain at the snapshot stamp with one READ).
 func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
-	k := refKey{table, key}
-	if r, ok := ro.index[k]; ok {
+	if r, ok := ro.index[refKey{table, key}]; ok {
 		return r.buf, nil
 	}
 	if ro.mvcc {
 		return ro.mvccRead(table, key)
 	}
-	node, region, part := ro.e.route(table, key)
-	ro.stampView(part)
-	meta := ro.e.rt.Meta(table)
-
-	if meta.Kind == Ordered {
-		var off memory.Offset
-		var found bool
-		if node == ro.e.w.Node.ID {
-			ro.e.charge(ro.e.model().BTreeOpNS)
-			off, found = ro.e.w.Node.Ordered(region).Lookup(key)
-		} else {
-			var err error
-			off, found, err = ro.e.orderedLookupRemote(node, region, key)
-			if err != nil {
-				return nil, ErrNodeDown
-			}
-		}
-		if !found {
-			return nil, ErrNotFound
-		}
-		// PolicyAdaptive routes ordered reads to the lease arm (the heat
-		// table is keyed by hash buckets, which ordered shards lack).
-		if node != ro.e.w.Node.ID && ro.policy == PolicySpeculative {
-			return ro.specReadOrdered(node, table, region, key, off)
-		}
-		return ro.readAtOrdered(node, table, region, key, off)
-	}
-	var off memory.Offset
-	var ok bool
-	if node == ro.e.w.Node.ID {
-		off, ok = ro.e.w.Node.Unordered(region).LookupLocal(key)
-		ro.e.charge(ro.e.model().HashProbeNS)
-	} else {
-		host := ro.e.rt.C.Node(node).Unordered(region)
-		loc, lok, err := host.LookupRemoteE(ro.e.w.QP, ro.e.cacheFor(node, region), key)
-		if err != nil {
-			return nil, ErrNodeDown
-		}
-		ok = lok
-		off = loc.Off
-		if ok && ro.e.routeRead(ro.policy, host, node, table, key) {
-			return ro.specReadAt(node, table, region, key, loc)
-		}
-	}
-	if !ok {
+	h := ro.e.handle(table, key)
+	ro.stampView(h.part)
+	if found, err := ro.e.resolve(&h); err != nil {
+		return nil, err
+	} else if !found {
 		return nil, ErrNotFound
 	}
-	return ro.readAt(node, table, region, key, off)
-}
-
-// specReadAt fetches a remote record speculatively: one entry READ, no
-// lease CAS. The version and incarnation observed here are re-validated by
-// confirm; a record observed write-locked is mid-update and retries.
-func (ro *RO) specReadAt(node, table, region int, key uint64, loc kvs.Loc) ([]uint64, error) {
-	e := ro.e
-	sh := e.w.Obs
-	host := e.rt.C.Node(node).Unordered(region)
-	vw := e.rt.Meta(table).ValueWords
-	words := make([]uint64, kvs.EntryValueWord+vw)
-	err := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, loc.Off, words)
-	})
-	if err != nil {
-		return nil, ErrNodeDown
-	}
-	ent, ok := host.DecodeEntry(words, key, loc)
-	if !ok {
-		host.Invalidate(e.cacheFor(node, region), key)
-		return nil, ErrRetry
-	}
-	sh.Inc(obs.EvSpecRead)
-	if clock.IsWriteLocked(ent.State) {
-		sh.Inc(obs.EvRemoteLockConflict)
-		return nil, ErrRetry
-	}
-	buf := make([]uint64, vw)
-	copy(buf, ent.Value)
-	r := &roRec{table: table, node: node, region: region, key: key, off: loc.Off, buf: buf,
-		spec: true, lossy: loc.Lossy, version: ent.Version, inc: ent.Incarnation}
-	ro.index[refKey{table, key}] = r
-	ro.recs = append(ro.recs, r)
-	return buf, nil
-}
-
-// specReadOrdered fetches a remote ordered record speculatively: one entry
-// READ at the resolved offset, verified in place (key, liveness, no live
-// exclusive lock) and re-validated by confirm.
-func (ro *RO) specReadOrdered(node, table, region int, key uint64, off memory.Offset) ([]uint64, error) {
-	e := ro.e
-	sh := e.w.Obs
-	vw := e.rt.Meta(table).ValueWords
-	words := make([]uint64, kvs.EntryValueWord+vw)
-	if err := e.verbRetry(func() error {
-		return e.w.QP.TryRead(node, region, off, words)
-	}); err != nil {
-		return nil, ErrNodeDown
-	}
-	if words[kvs.EntryKeyWord] != key {
-		return nil, ErrRetry // slot recycled under a stale lookup
-	}
-	// Lock before liveness: a write-locked row is mid-flip (a transactional
-	// insert or erase committing), so neither "found" nor "not found" is a
-	// stable answer yet — treating locked-dead as NotFound would let a
-	// reader observe half of an atomic multi-row commit.
-	if clock.IsWriteLocked(words[kvs.EntryStateWord]) {
-		sh.Inc(obs.EvRemoteLockConflict)
-		return nil, ErrRetry
-	}
-	incver := words[kvs.EntryIncVerWord]
-	if !kvs.Live(kvs.Incarnation(incver)) {
-		return nil, ErrNotFound
-	}
-	sh.Inc(obs.EvSpecRead)
-	buf := append([]uint64(nil), words[kvs.EntryValueWord:]...)
-	r := &roRec{table: table, node: node, region: region, key: key, off: off, buf: buf,
-		spec: true, ordered: true,
-		version: kvs.Version(incver), inc: kvs.Incarnation(incver)}
-	ro.index[refKey{table, key}] = r
-	ro.recs = append(ro.recs, r)
-	return buf, nil
-}
-
-// readAtOrdered leases and fetches an ordered record, then verifies the
-// slot still holds this key alive — the tree resolution happened before the
-// lease, so the slot could have been recycled or the row erased in between.
-func (ro *RO) readAtOrdered(node, table, region int, key uint64, off memory.Offset) ([]uint64, error) {
-	buf, err := ro.readAt(node, table, region, key, off)
+	r, err := ro.readHandle(h)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]uint64, 2)
-	if node == ro.e.w.Node.ID {
-		arena := ro.e.arenaAt(node, region)
-		hdr[0] = arena.LoadWord(off + kvs.EntryKeyWord)
-		hdr[1] = arena.LoadWord(kvs.IncVerOffset(off))
-	} else if rerr := ro.e.verbRetry(func() error {
-		return ro.e.w.QP.TryRead(node, region, off+kvs.EntryKeyWord, hdr)
-	}); rerr != nil {
-		return nil, ErrNodeDown
-	}
-	if hdr[0] != key {
-		delete(ro.index, refKey{table, key})
-		return nil, ErrRetry
-	}
-	if !kvs.Live(kvs.Incarnation(hdr[1])) {
-		delete(ro.index, refKey{table, key})
-		return nil, ErrNotFound
-	}
-	return buf, nil
+	ro.index[refKey{table, key}] = r
+	return r.buf, nil
 }
 
-// ReadAtLocal leases and fetches a local record found via a scan.
+// ReadAtLocal leases and fetches a local ordered record found via a scan
+// (whatever key the slot holds now: the caller named an offset, not a key).
 func (ro *RO) ReadAtLocal(table int, off memory.Offset) ([]uint64, error) {
-	return ro.readAt(ro.e.w.Node.ID, table, table, ^uint64(0), off)
-}
-
-func (ro *RO) readAt(node, table, region int, key uint64, off memory.Offset) ([]uint64, error) {
-	end, ok, err := ro.lease(node, region, off)
+	n := ro.e.w.Node
+	r, err := ro.readHandle(recHandle{table: table, node: n.ID, region: table, off: off, ordered: true,
+		key: n.Ordered(table).Arena().LoadWord(off + kvs.EntryKeyWord)})
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrRetry
-	}
-	vw := ro.e.rt.Meta(table).ValueWords
-	buf := make([]uint64, vw)
-	if node == ro.e.w.Node.ID {
-		ro.arenaOf(node, region).Read(buf, kvs.ValueOffset(off))
-		ro.e.charge(int64(vw+1) * ro.e.model().HTMPerReadNS)
-	} else {
-		rerr := ro.e.verbRetry(func() error {
-			return ro.e.w.QP.TryRead(node, region, kvs.ValueOffset(off), buf)
-		})
-		if rerr != nil {
-			return nil, ErrNodeDown
-		}
-	}
-	r := &roRec{table: table, node: node, region: region, key: key, off: off, buf: buf, leaseEnd: end}
-	if key != ^uint64(0) {
-		ro.index[refKey{table, key}] = r
-	}
-	ro.recs = append(ro.recs, r)
-	return buf, nil
+	return r.buf, nil
 }
 
-func (ro *RO) arenaOf(node, region int) *memory.Arena {
-	return ro.e.arenaAt(node, region)
+// readHandle takes one resolved record: a shared lease through the Figure 5
+// state machine — or nothing, on the speculative arm of a remote record —
+// then one entry READ and the image check (the resolution happened before
+// the lease, so the slot could have been recycled or the row erased in
+// between). Local records are leased with the cheap CPU CAS and copied. A
+// speculative record's version and incarnation are re-validated by confirm.
+func (ro *RO) readHandle(h recHandle) (*remoteRec, error) {
+	e := ro.e
+	sh := e.w.Obs
+	r := &remoteRec{recHandle: h}
+	r.spec = h.node != e.w.Node.ID && e.routeRead(ro.policy, &r.recHandle)
+	if !r.spec {
+		var a acquirer
+		a.arm(acqLease, 0, ro.end)
+		v, end, err := e.acquire(&a, &r.recHandle, true)
+		if err != nil {
+			return nil, err
+		}
+		if v == acqConflict {
+			sh.Inc(obs.EvRemoteLockConflict)
+			return nil, ErrRetry
+		}
+		r.leaseEnd = end
+	}
+	vw := e.rt.Meta(h.table).ValueWords
+	words, err := e.readEntry(&r.recHandle, vw, 0)
+	if err != nil {
+		return nil, err
+	}
+	v := r.check(words, &r.recImage, vw, false, r.spec)
+	if r.spec && (v == imgOK || v == imgBusy) {
+		sh.Inc(obs.EvSpecRead)
+	}
+	switch v {
+	case imgStale:
+		e.invalidate(&r.recHandle)
+		return nil, ErrRetry
+	case imgBusy:
+		sh.Inc(obs.EvRemoteLockConflict)
+		return nil, ErrRetry
+	case imgNotFound:
+		return nil, ErrNotFound
+	}
+	ro.recs = append(ro.recs, r)
+	return r, nil
 }
 
 // ScanLocal returns index entries of a local ordered table in [lo, hi].

@@ -103,3 +103,67 @@ func TestRegionRetryRestoresWriteBuffers(t *testing.T) {
 	// kLocal: interferer's +100 then our +1 on the retried attempt.
 	check(kLocal, 1101)
 }
+
+// TestRegionRetryKeepsRemoteInsert pins the other half of the rollback: a
+// staged remote WInsert carries its value in the record's buffer and is
+// dirty from declare, not from a body write, so a region retry must leave it
+// dirty. Before the fix the restore cleared the flag, and the retried commit
+// unlocked the staged dead entry without flipping it live while the
+// transaction's local write committed — half a transaction.
+func TestRegionRetryKeepsRemoteInsert(t *testing.T) {
+	rt, stop := newOrderedRig(t, 2, 2, nil)
+	defer stop()
+	e0 := rt.Executor(0, 0)
+	e1 := rt.Executor(1, 0)
+	kLocal := orderedKey(0, 1)  // homed on node 0
+	kRemote := orderedKey(1, 1) // homed on node 1
+	insertOrders(t, e0, 0, []uint64{1})
+
+	attempts := 0
+	err := e0.Exec(func(tx *Tx) error {
+		if err := tx.WInsert(tblOrders, kRemote, []uint64{77, 7}); err != nil {
+			return err
+		}
+		if err := tx.W(tblOrders, kLocal); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error {
+			attempts++
+			w, err := lc.Read(tblOrders, kLocal)
+			if err != nil {
+				return err
+			}
+			if attempts == 1 {
+				// Node 1 write-locks and updates kLocal on this node: the line
+				// this region already read moves, so the region retries.
+				if err := e1.Exec(func(tx2 *Tx) error {
+					if err := tx2.W(tblOrders, kLocal); err != nil {
+						return err
+					}
+					return tx2.Execute(func(lc2 *Local) error {
+						w2, err := lc2.Read(tblOrders, kLocal)
+						if err != nil {
+							return err
+						}
+						return lc2.Write(tblOrders, kLocal, []uint64{w2[0] + 1000, w2[1]})
+					})
+				}); err != nil {
+					return err
+				}
+			}
+			return lc.Write(tblOrders, kLocal, []uint64{w[0] + 1, w[1]})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts < 2 {
+		t.Fatalf("interference did not retry the region (attempts = %d)", attempts)
+	}
+	if v, live := liveOrderedVal(rt, 0, tblOrders, kLocal); !live || v[0] != 1101 {
+		t.Errorf("local row = %v (live %v), want [1101 1]", v, live)
+	}
+	if v, live := liveOrderedVal(rt, 1, tblOrders, kRemote); !live || v[0] != 77 || v[1] != 7 {
+		t.Errorf("remote insert lost across the region retry: row = %v, live = %v", v, live)
+	}
+}

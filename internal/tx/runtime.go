@@ -150,18 +150,13 @@ type Runtime struct {
 	// for the set-associative LRU variant the paper names as future work.
 	NewCache func(budgetBytes int) kvs.Cache
 
-	// NoReadLease disables the lease-based shared lock (the Figure 17
-	// ablation): remote reads then acquire exclusive locks like writes,
-	// killing read-read sharing across machines.
-	NoReadLease bool
-
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records: lease-based shared locks (the zero-value default),
 	// speculative one-RTT OCC reads, per-bucket adaptive routing between
-	// the two, or exclusive locks (see policy.go). NoReadLease takes
-	// precedence: when set, the effective policy is PolicyExclusive. The
-	// software fallback path always uses locks — its in-place updates
-	// cannot be rolled back, so optimistic reads are unsound there.
+	// the two, or exclusive locks — the Figure 17 "no read lease" ablation
+	// (see policy.go). The software fallback path always uses locks — its
+	// in-place updates cannot be rolled back, so optimistic reads are unsound
+	// there.
 	ReadPolicy ReadPolicy
 
 	// BatchWindow bounds outstanding work requests per worker send queue in
@@ -169,12 +164,6 @@ type Runtime struct {
 	// serializes every verb (the pre-batching behavior, used as the control
 	// arm of the `batch` experiment).
 	BatchWindow int
-
-	// NoScanValidation disables commit-time range validation of Tx.Scan /
-	// RO.Scan results — the deliberately broken control arm of the phantom
-	// regression test. Never set outside tests: scans lose phantom
-	// protection entirely.
-	NoScanValidation bool
 
 	// indexes maps an ordered base table to its declared secondary indexes.
 	// Written only during setup (DefineIndex); read lock-free afterwards.
@@ -438,6 +427,7 @@ type Executor struct {
 	activeSR []*stageReq // acquire-wave scratch
 	lreqScr  []*kvs.LookupReq
 	hdrBuf   []uint64 // validation-wave READ destinations
+	imgBuf   []uint64 // readEntry's image (serial fetches: RO, fallback)
 	seen     map[refKey]*stageReq
 }
 
@@ -446,7 +436,7 @@ func (e *Executor) getRec() *remoteRec {
 	if n := len(e.recFree); n > 0 {
 		r := e.recFree[n-1]
 		e.recFree = e.recFree[:n-1]
-		*r = remoteRec{buf: r.buf[:0]}
+		*r = remoteRec{recImage: recImage{buf: r.buf[:0]}}
 		return r
 	}
 	return &remoteRec{}

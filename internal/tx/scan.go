@@ -231,101 +231,122 @@ func (e *Executor) callRangeScan(node int, m rangeScanMsg, vw int) (rangeScanRes
 	return rs, nil
 }
 
+// skipScanValidation stubs commit-time range validation — the deliberately
+// broken control arm of the phantom regression test (scan_test.go), which is
+// the only thing that sets it: scans lose phantom protection entirely.
+var skipScanValidation bool
+
+// rereadScans posts one doorbell wave re-READing every remote scan's segment
+// stamps and row headers — validation's wire cost, exposed to fault
+// injection; the authoritative comparison is compareScans. It reports false
+// when a host stays unreachable through the bounded retries.
+func (e *Executor) rereadScans(scans []scanRec) bool {
+	nwords := 0
+	for i := range scans {
+		if scans[i].node != e.w.Node.ID {
+			nwords += len(scans[i].segs) + len(scans[i].rows)
+		}
+	}
+	if nwords == 0 {
+		return true
+	}
+	if cap(e.hdrBuf) < nwords {
+		e.hdrBuf = make([]uint64, nwords)
+	}
+	hdr := e.hdrBuf[:nwords]
+	sq := e.sendq()
+	wrs := e.activeWR[:0]
+	for i := range scans {
+		sc := &scans[i]
+		if sc.node == e.w.Node.ID {
+			continue
+		}
+		for _, s := range sc.segs {
+			wrs = append(wrs, sq.PostRead(sc.node, sc.region, kvs.SegStampOffset(s), hdr[len(wrs):len(wrs)+1]))
+		}
+		for _, r := range sc.rows {
+			wrs = append(wrs, sq.PostRead(sc.node, sc.region, kvs.IncVerOffset(r.off), hdr[len(wrs):len(wrs)+1]))
+		}
+	}
+	sq.Poll()
+	ok := true
+	for _, wr := range wrs {
+		if wr.Err == nil {
+			continue
+		}
+		dst := wr.Dst
+		if err := e.verbRetry(func() error {
+			return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, dst)
+		}); err != nil {
+			ok = false
+			break
+		}
+	}
+	e.activeWR = wrs[:0]
+	return ok
+}
+
+// compareScans is the authoritative scan validation: every segment stamp
+// unchanged (no membership change in the scanned ranges) and every collected
+// row's incarnation|version word unchanged with no live exclusive lock. load
+// reads one word — htx.Read inside the HTM region, which also enrolls every
+// stamp and row header in the region's read set, or a plain arena load under
+// the fallback's locks and at a read-only confirm. own (nil for read-only
+// transactions, which lock nothing) reports rows write-locked by the
+// validating transaction itself (a scanned row also staged for write/erase),
+// which skip the lock check: their version cannot move while we hold the
+// lock. Returns the failed comparisons and the first
+// scan that had one.
+func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory.Offset) uint64,
+	own func(table int, r *scanRowRec) bool) (fails int64, first *scanRec) {
+	for i := range scans {
+		sc := &scans[i]
+		before := fails
+		arena := e.arenaAt(sc.node, sc.region)
+		for k, s := range sc.segs {
+			if load(arena, kvs.SegStampOffset(s)) != sc.stamps[k] {
+				fails++
+			}
+		}
+		for k := range sc.rows {
+			r := &sc.rows[k]
+			if load(arena, kvs.IncVerOffset(r.off)) != r.incver ||
+				((own == nil || !own(sc.table, r)) && clock.IsWriteLocked(load(arena, kvs.StateOffset(r.off)))) {
+				fails++
+			}
+		}
+		if first == nil && fails > before {
+			first = sc
+		}
+	}
+	return fails, first
+}
+
 // validateScans re-validates every collected scan inside the HTM region,
 // after the body and before the structural flips (which change incver words
-// the scans recorded). Remote scans first re-READ their stamps and row
-// headers in one doorbell wave (wire cost + fault injection); the
-// authoritative comparison then uses htx reads, enrolling every word in the
-// region's read set. Rows write-locked by this very transaction (a scanned
-// row also staged for write/erase) skip the lock check — their version
-// cannot have moved while we hold the lock.
+// the scans recorded): the re-READ wave, then the comparison through htx
+// reads. Any mismatch aborts with abortCodeScan, a whole-transaction retry.
 func (t *Tx) validateScans(htx *htm.Txn) {
-	if len(t.scans) == 0 || t.e.rt.NoScanValidation {
+	if len(t.scans) == 0 || skipScanValidation {
 		return
 	}
 	e := t.e
-	sh := e.w.Obs
 	vstart := int64(e.w.VClock.Now())
-
-	nwords := 0
-	for i := range t.scans {
-		if t.scans[i].node == e.w.Node.ID {
-			continue
-		}
-		nwords += len(t.scans[i].segs) + len(t.scans[i].rows)
-	}
-	down := false
-	if nwords > 0 {
-		if cap(e.hdrBuf) < nwords {
-			e.hdrBuf = make([]uint64, nwords)
-		}
-		hdr := e.hdrBuf[:nwords]
-		sq := e.sendq()
-		wrs := e.activeWR[:0]
-		j := 0
-		for i := range t.scans {
-			sc := &t.scans[i]
-			if sc.node == e.w.Node.ID {
-				continue
-			}
-			for _, s := range sc.segs {
-				wrs = append(wrs, sq.PostRead(sc.node, sc.region,
-					kvs.SegStampOffset(s), hdr[j:j+1]))
-				j++
-			}
-			for _, r := range sc.rows {
-				wrs = append(wrs, sq.PostRead(sc.node, sc.region,
-					kvs.IncVerOffset(r.off), hdr[j:j+1]))
-				j++
-			}
-		}
-		sq.Poll()
-		for _, wr := range wrs {
-			if wr.Err == nil {
-				continue
-			}
-			dst := wr.Dst
-			if err := e.verbRetry(func() error {
-				return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, dst)
-			}); err != nil {
-				down = true
-				break
-			}
-		}
-		e.activeWR = wrs[:0]
-	}
-
 	var fails int64
-	if !down {
-		for i := range t.scans {
-			sc := &t.scans[i]
-			arena := t.arenaAt(sc.node, sc.region)
-			for k, s := range sc.segs {
-				if htx.Read(arena, kvs.SegStampOffset(s)) != sc.stamps[k] {
-					fails++
-				}
-			}
-			for _, r := range sc.rows {
-				if htx.Read(arena, kvs.IncVerOffset(r.off)) != r.incver {
-					fails++
-					continue
-				}
-				if rr, ok := t.rIndex[refKey{sc.table, r.key}]; ok && rr.write && rr.off == r.off {
-					continue // our own write lock; version pinned by it
-				}
-				if clock.IsWriteLocked(htx.Read(arena, kvs.StateOffset(r.off))) {
-					fails++
-				}
-			}
-		}
+	reachable := e.rereadScans(t.scans)
+	if reachable {
+		fails, _ = e.compareScans(t.scans, htx.Read, func(table int, r *scanRowRec) bool {
+			rr, ok := t.rIndex[refKey{table, r.key}]
+			return ok && rr.write && rr.off == r.off
+		})
 	}
-	sh.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
-	if down {
+	e.w.Obs.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
+	if !reachable {
 		t.specDown = true
 		htx.Abort(abortCodeScan)
 	}
 	if fails > 0 {
-		sh.Add(obs.EvScanValidateFail, fails)
+		e.w.Obs.Add(obs.EvScanValidateFail, fails)
 		htx.Abort(abortCodeScan)
 	}
 }
@@ -337,34 +358,13 @@ func (t *Tx) validateScans(htx *htm.Txn) {
 // row's version before the fallback's own in-place updates become visible,
 // and the fallback holds every declared record locked while checking.
 func (t *Tx) fbValidateScans(fb *fallbackCtx) bool {
-	if len(t.scans) == 0 || t.e.rt.NoScanValidation {
+	if len(t.scans) == 0 || skipScanValidation {
 		return true
 	}
-	fails := int64(0)
-	for i := range t.scans {
-		sc := &t.scans[i]
-		arena := t.arenaAt(sc.node, sc.region)
-		for k, s := range sc.segs {
-			if arena.LoadWord(kvs.SegStampOffset(s)) != sc.stamps[k] {
-				fails++
-			}
-		}
-		for _, r := range sc.rows {
-			if arena.LoadWord(kvs.IncVerOffset(r.off)) != r.incver {
-				fails++
-				continue
-			}
-			if fr, ok := fb.index[refKey{sc.table, r.key}]; ok && fr.write && fr.off == r.off {
-				continue // locked by this fallback execution itself
-			}
-			if clock.IsWriteLocked(arena.LoadWord(kvs.StateOffset(r.off))) {
-				fails++
-			}
-		}
-	}
-	if fails > 0 {
-		t.e.w.Obs.Add(obs.EvScanValidateFail, fails)
-		return false
-	}
-	return true
+	fails, _ := t.e.compareScans(t.scans, (*memory.Arena).LoadWord, func(table int, r *scanRowRec) bool {
+		fr, ok := fb.index[refKey{table, r.key}]
+		return ok && fr.write && fr.off == r.off
+	})
+	t.e.w.Obs.Add(obs.EvScanValidateFail, fails)
+	return fails == 0
 }

@@ -171,7 +171,7 @@ func TestWInsertEraseRoundTrip(t *testing.T) {
 
 // Phantom regression (tentpole correctness pin): a writer inserting into a
 // scanned range between the speculative scan and commit must force a retry;
-// with Runtime.NoScanValidation (the deliberately broken validation stub)
+// with skipScanValidation (the deliberately broken validation stub)
 // the same schedule commits blind — proof this test can fail.
 func TestScanPhantomForcesRetry(t *testing.T) {
 	for _, entity := range []uint64{0, 1} { // local and remote scan arms
@@ -225,7 +225,8 @@ func TestScanPhantomForcesRetry(t *testing.T) {
 func TestScanPhantomAdmittedByStubbedValidation(t *testing.T) {
 	rt, stop := newOrderedRig(t, 1, 2, nil)
 	defer stop()
-	rt.NoScanValidation = true // the broken stub the regression test pins against
+	skipScanValidation = true // the broken stub the regression test pins against
+	defer func() { skipScanValidation = false }()
 	e := rt.Executor(0, 0)
 	writer := rt.Executor(0, 1)
 	insertOrders(t, e, 0, []uint64{1, 2})
@@ -391,5 +392,59 @@ func TestROScanConfirm(t *testing.T) {
 	}
 	if rt.C.Obs.Snapshot().Counter(obs.EvScan) == 0 {
 		t.Fatal("no scans counted")
+	}
+}
+
+// TestEraseLosesRaceOnIndexedRow: two transactions erase the same indexed
+// local row. The loser stages the base row unlocked (declareLocalErase), the
+// winner commits its base + index flips, and only then does the loser look
+// for the index row. A missing index row under a base row that moved since
+// staging is a lost race — retry, then ErrNotFound — not the
+// index-divergence panic. The index's key function runs between the loser's
+// two stagings, which is where the test commits the winner.
+func TestEraseLosesRaceOnIndexedRow(t *testing.T) {
+	rt, stop := newOrderedRig(t, 1, 2, nil)
+	defer stop()
+	rt.DefineOrderedSeg(tblOrderIdx, 4096, 1, 8)
+	loser, winner := rt.Executor(0, 0), rt.Executor(0, 1)
+	base := orderedKey(0, 4)
+	erase := func(e *Executor) error {
+		return e.Exec(func(tx *Tx) error {
+			if _, err := tx.Erase(tblOrders, base); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return nil })
+		})
+	}
+	armed := false
+	rt.DefineIndex(tblOrders, IndexSpec{
+		Table: tblOrderIdx,
+		Key: func(baseKey uint64, val []uint64) uint64 {
+			if armed {
+				armed = false
+				if err := erase(winner); err != nil {
+					t.Errorf("winner: %v", err)
+				}
+			}
+			return baseKey&^0xFF | val[1]&0xFF
+		},
+	})
+	if err := loser.Exec(func(tx *Tx) error {
+		if err := tx.WInsert(tblOrders, base, []uint64{400, 9}); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error { return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if err := erase(loser); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("losing erase = %v, want ErrNotFound", err)
+	}
+	if _, live := liveOrderedVal(rt, 0, tblOrders, base); live {
+		t.Fatal("base row still live after the winning erase")
+	}
+	if _, live := liveOrderedVal(rt, 0, tblOrderIdx, orderedKey(0, 9)); live {
+		t.Fatal("index row still live after the winning erase")
 	}
 }

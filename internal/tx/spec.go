@@ -21,7 +21,7 @@ import (
 //
 // Two layers cooperate, and both matter:
 //
-//   - A doorbell-batched wave of 2-word header READs (kvs.PostHeaderRead)
+//   - A doorbell-batched wave of 2-word header READs
 //     models the wire cost of re-reading every version word in one round
 //     trip and exposes the verbs to fault injection — a persistently
 //     unreachable host turns the abort into ErrNodeDown via Tx.specDown.
@@ -71,15 +71,13 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 			continue
 		}
 		dst := hdr[i*kvs.EntryHeaderWords : (i+1)*kvs.EntryHeaderWords]
+		// The incver‖state header; for ordered entries (whose slot can be
+		// recycled for another key) the key+incver words instead.
+		start := kvs.IncVerOffset(r.off)
 		if r.ordered {
-			// Ordered entries have no lossy hash locator; re-read the
-			// key+incver words at the resolved offset directly.
-			wrs = append(wrs, sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord, dst))
-		} else {
-			host := e.rt.C.Node(r.node).Unordered(r.region)
-			loc := kvs.Loc{Off: r.off, Lossy: r.lossy}
-			wrs = append(wrs, host.PostHeaderRead(sq, loc, dst))
+			start = r.off + kvs.EntryKeyWord
 		}
+		wrs = append(wrs, sq.PostRead(r.node, r.region, start, dst))
 		i++
 	}
 	sq.Poll()
@@ -122,14 +120,9 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 			}
 			if stale {
 				fails++
-				if !r.ordered {
-					// Adaptive feedback: a validation failure is the spec
-					// arm's defining loss — heat the bucket so future reads
-					// lease it. (The heat map is keyed by hash bucket, so
-					// ordered records don't feed it.)
-					host := e.rt.C.Node(r.node).Unordered(r.region)
-					e.feedConflict(host, r.node, r.table, r.key, 1)
-				}
+				// Adaptive feedback: a validation failure is the spec arm's
+				// defining loss — heat the bucket so future reads lease it.
+				e.feedConflict(&r.recHandle, 1)
 			}
 		}
 	}

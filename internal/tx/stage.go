@@ -1,16 +1,10 @@
 package tx
 
 import (
-	"drtm/internal/clock"
 	"drtm/internal/kvs"
-	"drtm/internal/memory"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
 )
-
-// casRetries bounds lock/lease CAS rounds per record before the acquisition
-// is declared lost to a conflicting racer.
-const casRetries = 8
 
 // Batched Start phase (REMOTE_READ / REMOTE_WRITE of Figure 5, pipelined).
 //
@@ -41,10 +35,15 @@ const casRetries = 8
 //     observed write-locked at fetch is a conflict — its value may be
 //     mid-update.
 //
-// The per-record lock/lease decision logic is the same state machine as the
-// serial loop it replaces; conflicts and node failures are detected per
-// completion and resolve after the wave is fully processed, so every lock
-// that was actually acquired is registered and released on abort.
+// The per-record lock/lease decisions are the acquirer state machine and the
+// image checks recHandle.check (access.go) — the same ones read-only
+// transactions and the fallback drive serially. Ordered records join the same
+// waves after their shipped lookup (Section 6.5: the tree walk has no
+// one-sided path, but the entry layout is shared, so locking, prefetching,
+// validation and write-back use the same verbs). Conflicts and node failures
+// are detected per completion and resolve after the wave is fully processed,
+// so every lock that was actually acquired is registered and released on
+// abort.
 
 // Access declares one record access for batched staging.
 type Access struct {
@@ -81,8 +80,7 @@ func (t *Tx) Stage(accs ...Access) error {
 			continue
 		}
 		var s *stageReq
-		s, err = t.gatherRemote(a.Table, a.Key, node, region, part, write)
-		if err != nil {
+		if s, err = t.gatherRemote(a.Table, a.Key, node, region, part, write); err != nil {
 			break
 		}
 		if s != nil {
@@ -106,50 +104,51 @@ func (t *Tx) stageRemote(table int, key uint64, node, region, part int, write bo
 	if err != nil || s == nil {
 		return err
 	}
-	err = t.stageBatch([]*stageReq{s})
-	t.e.putReqs([]*stageReq{s})
+	return t.stageOne(s)
+}
+
+func (t *Tx) stageOne(s *stageReq) error {
+	one := [1]*stageReq{s}
+	err := t.stageBatch(one[:])
+	t.e.putReqs(one[:])
 	return err
 }
 
 // stageReq is one remote record's slot in the staging pipeline.
 type stageReq struct {
-	k      refKey
-	node   int
-	table  int
-	region int // storage region on node (replica region after failover)
-	part   int // home partition (-1 if replicated table)
-	key    uint64
-	write  bool
+	h recHandle
+
+	// r is the staged record: taken from the pool once the record is acquired
+	// (register), or for an upgrade the record already staged with a shared
+	// lease or a speculative read that now needs an exclusive lock — the
+	// pipeline CASes the lease word to the lock word in place (release is
+	// implicit: an unupgraded lease just expires; a speculative read held
+	// nothing).
+	r       *remoteRec
+	upgrade bool
+	write   bool
 
 	// spec marks a speculative (OCC) read: no lock/lease CAS — the entry is
 	// fetched with one READ and validated at commit (see policy.go).
 	spec bool
 
-	host  *kvs.Table
-	cache kvs.Cache
-	r     *remoteRec
-	vw    int // value words, for the entry-read buffer
-	depth int // host's version-chain depth (0 = chains off)
+	// insert (with the value to publish) and erase mark the structural halves
+	// of Tx.WInsert / Tx.Erase: the locked entry must be the key's staged dead
+	// slot (flipped live at commit) resp. a live row (flipped dead at commit).
+	insert, erase bool
+	val           []uint64
 
-	// upgrade marks a record already staged with a shared lease (or a
-	// speculative read) that now needs an exclusive lock: the pipeline CASes
-	// the lease word to the lock word in place (release is implicit — an
-	// unupgraded lease just expires; a speculative read held nothing).
-	upgrade  bool
-	fromSpec bool
-
+	// resolved: the handle's location is already known (upgrades, and ordered
+	// records, whose lookup shipped to the host at gather time).
+	resolved bool
 	lr       kvs.LookupReq
-	loc      kvs.Loc
-	stateOff memory.Offset
 
-	// Lock/lease acquisition state machine: the (old, new) pair armed for
-	// the next CAS round, whether that CAS is an expired-lease takeover, and
-	// how many takeover rounds were lost to racers.
-	old, new  uint64
-	takeover  bool
-	iters     int
-	acquired  bool
+	vw    int // value words, for the entry-read buffer
+	depth int // the store's version-chain depth (0 = chains off)
+
+	acq       acquirer
 	needFetch bool
+	verdict   imgVerdict
 	entryWR   *rdma.WR
 	fuseWR    *rdma.WR // prefetch READ posted in the same wave as the CAS
 
@@ -173,71 +172,73 @@ func (e *Executor) putReqs(reqs []*stageReq) {
 	e.reqFree = append(e.reqFree, reqs...)
 }
 
-// entryBuf returns the request's entry-read destination, grown to n words.
-func (s *stageReq) entryBuf(n int) []uint64 {
+// entryBuf returns the request's entry-read destination: write stages on
+// chained tables fetch the full image — the extra words carry the tail stamp
+// the commit-time retire needs — in the same post-lock READ; everything else
+// keeps the narrow header+value read. Sized at post time, after Stage's dedup
+// pass may have strengthened s.write.
+func (s *stageReq) entryBuf() []uint64 {
+	n := kvs.EntryValueWord + s.vw
+	if s.write {
+		n = kvs.EntryImageWords(s.vw, s.depth)
+	}
 	if cap(s.ebuf) < n {
 		s.ebuf = make([]uint64, n)
 	}
 	return s.ebuf[:n]
 }
 
-// rdWords is the span of the record's entry READ: write stages on chained
-// tables fetch the full image — the extra words carry the tail stamp the
-// commit-time retire needs — in the same post-lock READ; everything else
-// keeps the narrow header+value read. Computed at post time, after Stage's
-// dedup pass may have strengthened s.write.
-func (s *stageReq) rdWords() int {
-	if s.write && s.depth > 0 {
-		return kvs.EntryImageWords(s.vw, s.depth)
-	}
-	return kvs.EntryValueWord + s.vw
-}
-
-// captureTail records the previous tail stamp out of a full-image READ
-// (no-op for narrow reads).
-func (s *stageReq) captureTail(words []uint64) {
-	if s.write && s.depth > 0 {
-		s.r.prevTail = words[int(kvs.TailOffset(0, s.vw, s.depth))+kvs.TailStampWord]
-	}
+// newReq builds the pipeline request for a handle.
+func (t *Tx) newReq(h recHandle, write bool) *stageReq {
+	s := t.e.getReq()
+	s.h, s.write = h, write
+	s.vw, s.depth = t.e.rt.Meta(h.table).ValueWords, t.e.chainDepth(&h)
+	return s
 }
 
 // gatherRemote dedupes one remote access against the staged set and builds
 // its pipeline request; a nil request means the access is already satisfied.
+// Ordered records resolve here, by one synchronous shipped lookup each.
 func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write bool) (*stageReq, error) {
-	k := refKey{table, key}
-	meta := t.e.rt.Meta(table)
-	if r, ok := t.rIndex[k]; ok {
+	e := t.e
+	if r, ok := t.rIndex[refKey{table, key}]; ok {
 		if !write || r.write {
 			return nil, nil
 		}
-		if r.ordered {
-			// Ordered upgrades run serially: there is no one-sided lookup
-			// to overlap, and the record is already resolved.
-			return nil, t.upgradeOrdered(r)
-		}
-		s := t.e.getReq()
-		s.k, s.node, s.table, s.key, s.write = k, r.node, table, key, true
-		s.region, s.part = r.region, r.part
-		s.host = t.e.rt.C.Node(r.node).Unordered(r.region)
-		s.cache = t.e.cacheFor(r.node, r.region)
-		s.r, s.upgrade, s.fromSpec, s.vw = r, true, r.spec, meta.ValueWords
-		s.depth = s.host.ChainDepth()
+		s := t.newReq(r.recHandle, true)
+		s.r, s.upgrade, s.resolved = r, true, true
 		return s, nil
 	}
-	if meta.Kind == Ordered {
-		// Ordered accesses ship the tree walk to the host (Section 6.5)
-		// and then run the usual one-sided arms serially on the resolved
-		// entry; they do not join the batched pipeline.
-		return nil, t.stageOrderedPoint(table, key, node, region, part, write)
+	h := recHandle{table: table, node: node, region: region, part: part, key: key,
+		ordered: e.rt.Meta(table).Kind == Ordered}
+	if h.ordered {
+		if found, err := e.resolve(&h); err != nil {
+			return nil, t.nodeDown()
+		} else if !found {
+			return nil, ErrNotFound
+		}
 	}
-	s := t.e.getReq()
-	s.k, s.node, s.table, s.key, s.write = k, node, table, key, write
-	s.region, s.part = region, part
-	s.host = t.e.rt.C.Node(node).Unordered(region)
-	s.spec = !write && t.e.routeRead(t.policy, s.host, node, table, key)
-	s.cache = t.e.cacheFor(node, region)
-	s.vw = meta.ValueWords
-	s.depth = s.host.ChainDepth()
+	s := t.newReq(h, write)
+	s.resolved = h.ordered
+	s.spec = !write && e.routeRead(t.policy, &s.h)
+	return s, nil
+}
+
+// gatherInsert builds the request of a remote transactional insert: the
+// structural half ships to the host (EnsureDead), and the dead slot it
+// returns is then locked and verified like any write. The locked slot cannot
+// be recycled or resurrected under us, so commitRemotes flips it live with a
+// plain release-phase write.
+func (t *Tx) gatherInsert(table int, key uint64, node, region, part int, val []uint64) (*stageReq, error) {
+	h := recHandle{table: table, node: node, region: region, part: part, key: key, ordered: true}
+	if err := t.e.ensureEntry(&h); err != nil {
+		if err == ErrNodeDown {
+			return nil, t.nodeDown()
+		}
+		return nil, err // kvs.ErrExists (key live) or kvs.ErrFull
+	}
+	s := t.newReq(h, true)
+	s.insert, s.val, s.resolved = true, val, true
 	return s, nil
 }
 
@@ -246,148 +247,128 @@ func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write b
 // for all requests, polling each stage's outstanding verbs as doorbell
 // batches.
 func (t *Tx) stageBatch(reqs []*stageReq) error {
-	startv := int64(t.e.w.VClock.Now())
-	defer func() { t.vLock += int64(t.e.w.VClock.Now()) - startv }()
-	sh := t.e.w.Obs
-	sq := t.e.sendq()
+	e := t.e
+	startv := int64(e.w.VClock.Now())
+	defer func() { t.vLock += int64(e.w.VClock.Now()) - startv }()
+	sh := e.w.Obs
+	sq := e.sendq()
 
 	// ---- lookup: batched bucket-chain walks --------------------------------
-	lstart := int64(t.e.w.VClock.Now())
-	lookups := 0
+	lstart := int64(e.w.VClock.Now())
+	lreqs := e.lreqScr[:0]
 	for _, s := range reqs {
-		if s.upgrade {
-			// Location known from the staged record.
-			s.loc = kvs.Loc{Off: s.r.off, Lossy: s.r.lossy}
-			s.stateOff = kvs.StateOffset(s.r.off)
-			continue
+		if !s.resolved {
+			h := &s.h
+			s.lr = kvs.LookupReq{Table: e.hashTable(h), Cache: e.cacheFor(h.node, h.region), Key: h.key}
+			lreqs = append(lreqs, &s.lr)
 		}
-		s.lr = kvs.LookupReq{Table: s.host, Cache: s.cache, Key: s.key}
-		lookups++
 	}
-	if lookups > 0 {
-		lreqs := t.e.lreqScr[:0]
-		for _, s := range reqs {
-			if !s.upgrade {
-				lreqs = append(lreqs, &s.lr)
-			}
-		}
+	if len(lreqs) > 0 {
 		kvs.LookupBatch(sq, lreqs)
-		t.e.lreqScr = lreqs[:0]
 	}
-	notFound := false
+	e.lreqScr = lreqs[:0]
+	down, notFound := false, false
 	for _, s := range reqs {
-		if s.upgrade {
-			continue
-		}
-		if s.lr.Err != nil {
-			sh.Observe(obs.PhaseLookupRemote, int64(t.e.w.VClock.Now())-lstart)
-			return t.nodeDown()
-		}
-		if !s.lr.Found {
+		switch {
+		case s.resolved:
+		case s.lr.Err != nil:
+			down = true
+		case !s.lr.Found:
 			notFound = true
-			continue
+		default:
+			s.h.off, s.h.lossy = s.lr.Loc.Off, uint16(s.lr.Loc.Lossy)
 		}
-		s.loc = s.lr.Loc
-		s.stateOff = kvs.StateOffset(s.loc.Off)
-		r := t.e.getRec()
-		r.table, r.node, r.key = s.table, s.node, s.key
-		r.region, r.part = s.region, s.part
-		r.off, r.lossy, r.write = s.loc.Off, s.loc.Lossy, s.write
-		s.r = r
 	}
-	sh.Observe(obs.PhaseLookupRemote, int64(t.e.w.VClock.Now())-lstart)
+	sh.Observe(obs.PhaseLookupRemote, int64(e.w.VClock.Now())-lstart)
+	if down {
+		return t.nodeDown()
+	}
 	if notFound {
-		t.releaseLocks()
 		return ErrNotFound
 	}
 
 	// ---- acquire: fused lock/lease CAS + prefetch READ waves ---------------
 	// Speculative reads acquire nothing: they are registered directly and
 	// fetched in the final stage with a single entry READ.
-	astart := int64(t.e.w.VClock.Now())
-	me := uint8(t.e.w.Node.ID)
-	delta := t.e.rt.C.Delta()
-	active := t.e.activeSR[:0]
+	astart := int64(e.w.VClock.Now())
+	me := uint8(e.w.Node.ID)
+	delta := e.rt.C.Delta()
+	active := e.activeSR[:0]
 	for _, s := range reqs {
-		if s.spec {
-			s.r.spec = true
-			s.register(t)
-			continue
-		}
 		switch {
-		case s.upgrade && s.fromSpec:
-			// A speculative read holds nothing: upgrading is a fresh
-			// exclusive acquisition on the free state word.
-			s.old, s.new = clock.Init, clock.WLocked(me)
+		case s.spec:
+			s.register(t)
+			s.r.spec = true
+			continue
+		case s.upgrade && s.r.spec:
+			s.acq.arm(acqUpgradeSpec, me, 0)
 		case s.upgrade:
-			s.old, s.new = clock.Shared(s.r.leaseEnd), clock.WLocked(me)
+			s.acq.arm(acqUpgradeLease, me, s.r.leaseEnd)
 		case s.write:
-			s.old, s.new = clock.Init, clock.WLocked(me)
+			s.acq.arm(acqLock, me, 0)
 		default:
-			s.old, s.new = clock.Init, clock.Shared(t.leaseEnd)
+			s.acq.arm(acqLease, me, t.leaseEnd)
 		}
 		active = append(active, s)
 	}
-	conflict, down := false, false
-	wrs := t.e.activeWR[:0]
+	conflict := false
+	wrs := e.activeWR[:0]
 	for len(active) > 0 && !conflict && !down {
 		wrs = wrs[:0]
 		for _, s := range active {
-			wrs = append(wrs, sq.PostCAS(s.node, s.region, s.stateOff, s.old, s.new))
+			h := &s.h
+			wrs = append(wrs, sq.PostCAS(h.node, h.region, kvs.StateOffset(h.off), s.acq.old, s.acq.want))
 			// Speculatively prefetch the entry in the same wave: the READ
 			// executes after the CAS in post order, so a won CAS's image is
 			// already covered by the lock/lease it installed.
-			s.fuseWR = s.host.PostEntryReadBuf(sq, s.loc, s.entryBuf(s.rdWords()))
+			s.fuseWR = sq.PostRead(h.node, h.region, h.off, s.entryBuf())
 		}
 		sq.Poll()
 		next := active[:0]
 		for i, s := range active {
+			h := &s.h
 			wr := wrs[i]
 			fuse := s.fuseWR
 			s.fuseWR = nil
 			cur, swapped, err := wr.Prev, wr.Swapped, wr.Err
 			if err != nil {
-				// Re-attempt with the bounded sync retry policy, matching
-				// the serial path's casRemote. The fused image predates the
-				// retried CAS and must be discarded.
+				// Re-attempt with the bounded sync retry policy. The fused
+				// image predates the retried CAS and must be discarded.
 				fuse = nil
-				cur, swapped, err = t.casRemote(s.node, s.region, s.stateOff, s.old, s.new)
+				cur, swapped, err = e.casRemote(h.node, h.region, kvs.StateOffset(h.off), s.acq.old, s.acq.want)
 				if err != nil {
 					down = true
 					continue
 				}
 			}
-			again, conf := s.onCAS(t, cur, swapped, delta)
-			switch {
-			case conf:
+			var now uint64
+			if !swapped {
+				now = e.w.Node.Clock.Read()
+			}
+			switch v, end := s.acq.step(sh, cur, swapped, now, delta); v {
+			case acqConflict:
 				conflict = true
 				if !s.write {
 					// A lease read blocked by a conflicting writer: heat the
 					// bucket (adaptive feedback — writer activity here).
-					t.e.feedConflict(s.host, s.node, s.table, s.key, 1)
+					e.feedConflict(h, 1)
 				}
-			case again:
+			case acqAgain:
 				next = append(next, s)
-			case s.needFetch && fuse != nil && fuse.Err == nil:
-				// Consume the fused prefetch: acquired (or shared/upgraded)
-				// in this wave, so the image is protected by the lock or the
-				// lease observed by this wave's CAS.
-				if e, ok := s.host.DecodeEntry(fuse.Dst, s.key, s.loc); ok {
-					s.r.buf = append(s.r.buf[:0], e.Value...)
-					s.r.version = e.Version
-					s.r.inc = e.Incarnation
-					s.captureTail(fuse.Dst)
-					s.needFetch = false
+			default:
+				s.acquired(t, end)
+				if fuse != nil && fuse.Err == nil {
+					// Consume the fused prefetch: the image is protected by the
+					// lock or lease this wave's CAS installed or observed.
+					s.consume(t, fuse.Dst)
 				}
-				// Decode failure means a stale location: leave needFetch set
-				// and let the fetch stage re-read and resolve it.
 			}
 		}
 		active = next
 	}
-	t.e.activeWR = wrs[:0]
-	t.e.activeSR = active[:0]
-	sh.Observe(obs.PhaseAcquireRemote, int64(t.e.w.VClock.Now())-astart)
+	e.activeWR = wrs[:0]
+	e.activeSR = active[:0]
+	sh.Observe(obs.PhaseAcquireRemote, int64(e.w.VClock.Now())-astart)
 	if down {
 		return t.nodeDown()
 	}
@@ -396,152 +377,123 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	}
 
 	// ---- fetch: speculative reads and stragglers ---------------------------
-	pstart := int64(t.e.w.VClock.Now())
+	pstart := int64(e.w.VClock.Now())
 	fetches := 0
 	for _, s := range reqs {
 		if s.needFetch {
-			s.entryWR = s.host.PostEntryReadBuf(sq, s.loc, s.entryBuf(s.rdWords()))
+			h := &s.h
+			s.entryWR = sq.PostRead(h.node, h.region, h.off, s.entryBuf())
 			fetches++
 		}
 	}
 	if fetches > 0 {
 		sq.Poll()
 	}
-	stale, specBusy := false, false
+	worst := imgOK
 	for _, s := range reqs {
-		if s.entryWR == nil {
-			continue
-		}
-		wr := s.entryWR
-		s.entryWR = nil
-		if wr.Err != nil {
-			down = true
-			continue
-		}
-		e, ok := s.host.DecodeEntry(wr.Dst, s.key, s.loc)
-		if !ok {
-			// Stale location (deleted/reused entry): explicitly drop the
-			// cached chain so the retry re-resolves it, then retry the txn.
-			s.host.Invalidate(s.cache, s.key)
-			stale = true
-			continue
-		}
-		if s.spec {
-			sh.Inc(obs.EvSpecRead)
-			if clock.IsWriteLocked(e.State) {
-				// A writer is mid-commit: the value may be half-written.
-				// Unlike a lease, a speculative read cannot wait it out here
-				// without a lock — surface it as a remote conflict.
-				t.e.feedConflict(s.host, s.node, s.table, s.key, 1)
-				specBusy = true
+		if wr := s.entryWR; wr != nil {
+			s.entryWR = nil
+			if wr.Err != nil {
+				down = true
 				continue
 			}
+			s.consume(t, wr.Dst)
 		}
-		s.r.buf = append(s.r.buf[:0], e.Value...)
-		s.r.version = e.Version
-		s.r.inc = e.Incarnation
-		s.captureTail(wr.Dst)
+		worst = max(worst, s.verdict)
 	}
-	sh.Observe(obs.PhasePrefetchRemote, int64(t.e.w.VClock.Now())-pstart)
-	if down {
+	sh.Observe(obs.PhasePrefetchRemote, int64(e.w.VClock.Now())-pstart)
+	switch {
+	case down:
 		return t.nodeDown()
-	}
-	if stale {
+	case worst == imgStale:
 		return t.fail()
-	}
-	if specBusy {
+	case worst == imgBusy:
 		return t.remoteConflict()
+	case worst == imgNotFound:
+		return ErrNotFound
+	case worst == imgExists:
+		return kvs.ErrExists
 	}
 	return nil
 }
 
-// onCAS consumes one lock/lease CAS completion: it either resolves the
-// request (acquired, or lost to a conflicting holder) or arms the next CAS
-// round. Returns again=true when another round is needed and conflict=true
-// when the record is held by a live conflicting owner (or the CAS budget
-// ran out racing one). The decision logic matches the serial loop this
-// replaces, including the obs lease events.
-func (s *stageReq) onCAS(t *Tx, cur uint64, swapped bool, delta uint64) (again, conflict bool) {
-	sh := t.e.w.Obs
-	if swapped {
-		s.finishAcquire(t)
-		return false, false
-	}
-	if clock.IsWriteLocked(cur) {
-		return false, true
-	}
-	end := clock.LeaseEnd(cur)
-	now := t.e.w.Node.Clock.Read()
-	expired := clock.Expired(end, now, delta)
-	if !expired {
-		if s.write {
-			// Writers (and upgrades) must wait out an unexpired lease.
-			return false, true
-		}
-		// Share the existing unexpired lease (Figure 5).
-		sh.Inc(obs.EvLeaseShare)
-		s.r.leaseEnd = end
-		s.register(t)
-		return false, false
-	}
-	if s.takeover {
-		// Lost the takeover race; restart from the free-word CAS.
-		s.iters++
-		if s.iters >= casRetries {
-			return false, true
-		}
-		s.takeover = false
-		if s.write {
-			s.old, s.new = clock.Init, clock.WLocked(uint8(t.e.w.Node.ID))
-		} else {
-			s.old, s.new = clock.Init, clock.Shared(t.leaseEnd)
-		}
-		return true, false
-	}
-	// Expired lease observed: take it over in place.
-	s.takeover = true
-	s.old = cur
-	if s.write {
-		s.new = clock.WLocked(uint8(t.e.w.Node.ID))
-	} else {
-		s.new = clock.Shared(t.leaseEnd)
-	}
-	return true, false
-}
-
-// finishAcquire registers a CAS-won acquisition (exclusive lock, fresh
-// lease, or in-place upgrade) and queues the record for fetch (the fused
-// prefetch posted alongside the winning CAS usually satisfies it in-wave).
-func (s *stageReq) finishAcquire(t *Tx) {
-	sh := t.e.w.Obs
-	if s.takeover {
-		sh.Inc(obs.EvLeaseExpire)
-	}
+// acquired registers a won or shared acquisition — exclusive lock, fresh or
+// shared lease ending at leaseEnd, or in-place upgrade — and queues the
+// record for fetch (the fused prefetch posted alongside the CAS usually
+// satisfies it in-wave).
+func (s *stageReq) acquired(t *Tx, leaseEnd uint64) {
 	if s.upgrade {
 		// The shared lease (or unprotected speculative read) is now an
 		// exclusive lock; re-fetch — the buffered value may predate a writer
 		// that committed since it was read.
-		s.r.write = true
-		s.r.leaseEnd = 0
-		s.r.spec = false
-		sh.Inc(obs.EvLockUpgrade)
+		s.r.write, s.r.spec, s.r.leaseEnd = true, false, 0
 		// Half-weight adaptive feedback: an upgrade signals write intent on
 		// the bucket, a weaker hotness cue than an actual conflict.
-		t.e.feedConflict(s.host, s.node, s.table, s.key, 0.5)
+		t.e.feedConflict(&s.h, 0.5)
 		s.needFetch = true
 		return
 	}
-	if !s.write {
-		sh.Inc(obs.EvLeaseGrant)
-		s.r.leaseEnd = t.leaseEnd
-	}
 	s.register(t)
+	s.r.write, s.r.leaseEnd = s.write, leaseEnd
 }
 
-// register adds the record to the transaction's staged set so commit and
-// abort both cover it, and queues the fetch READ.
+// register stages the record with the transaction, so commit and abort both
+// cover it, and queues the fetch READ.
 func (s *stageReq) register(t *Tx) {
-	t.rIndex[s.k] = s.r
+	s.r = t.e.getRec()
+	s.r.recHandle = s.h
+	t.rIndex[refKey{s.h.table, s.h.key}] = s.r
 	t.remotes = append(t.remotes, s.r)
 	s.needFetch = true
+}
+
+// consume checks a fetched entry image and moves it into the record. A
+// verdict about the one record (dead row, live insert target) withdraws it
+// from the staged set and leaves the transaction usable; the others fail the
+// batch (stageBatch folds the verdicts).
+func (s *stageReq) consume(t *Tx, words []uint64) {
+	r := s.r
+	s.needFetch = false
+	s.verdict = s.h.check(words, &r.recImage, s.vw, s.insert, s.spec)
+	if s.spec && (s.verdict == imgOK || s.verdict == imgBusy) {
+		t.e.w.Obs.Inc(obs.EvSpecRead)
+	}
+	switch s.verdict {
+	case imgOK:
+		if s.insert {
+			r.buf = append(r.buf[:0], s.val...)
+			r.insert, r.dirty = true, true
+		}
+		if s.erase {
+			r.erase = true
+			t.removals = append(t.removals, removalOp{node: r.node, region: r.region,
+				table: r.table, part: r.part, key: r.key,
+				deadIncVer: kvs.PackIncVer(r.inc+1, r.version+1)})
+		}
+	case imgStale:
+		// Deleted or reused entry: drop the cached chain so the retry
+		// re-resolves the location.
+		t.e.invalidate(&s.h)
+	case imgBusy:
+		// A writer is mid-commit: the value may be half-written. Unlike a
+		// lease, a speculative read cannot wait it out here without a lock.
+		t.e.feedConflict(&s.h, 1)
+	default:
+		t.unstage(r)
+	}
+}
+
+// unstage withdraws one record from the staged set, dropping its own lock.
+func (t *Tx) unstage(r *remoteRec) {
+	if r.write {
+		t.unlockRemote(r)
+	}
+	delete(t.rIndex, refKey{r.table, r.key})
+	for i, x := range t.remotes {
+		if x == r {
+			t.remotes = append(t.remotes[:i], t.remotes[i+1:]...)
+			t.e.recFree = append(t.e.recFree, r)
+			return
+		}
+	}
 }

@@ -22,34 +22,22 @@ const (
 	abortCodeStale  uint8 = 6 // a staged insert/erase entry was recycled under us
 )
 
-// remoteRec is a staged remote record.
+// remoteRec is a staged record: a remote record of a Tx (Start phase), or any
+// record — local ones too — of a read-only transaction.
 type remoteRec struct {
-	table, node int
-	region      int // storage region on node (replica region after failover)
-	part        int // home partition (for replication; -1 if replicated table)
-	key         uint64
-	off         memory.Offset // entry offset in the owner's arena
-	lossy       uint64        // lossy incarnation from the locator (staleness check)
-	buf         []uint64      // prefetched value (transaction-private)
-	version     uint32        // version observed at fetch
-	inc         uint32        // incarnation observed at fetch
-	leaseEnd    uint64        // granted lease end (reads)
-	write       bool          // exclusive lock held (writes)
-	spec        bool          // speculative read: no lock held, validated at commit
-	dirty       bool          // buffer modified; needs write-back
+	recHandle
+	recImage
+	leaseEnd uint64 // granted lease end (reads)
+	write    bool   // exclusive lock held (writes)
+	spec     bool   // speculative read: no lock held, validated at commit
+	dirty    bool   // buffer modified; needs write-back
 
-	// Ordered-store records (shipped lookups; Section 6.5). insert marks a
-	// transactional insert staged against a dead entry (flipped live at
-	// commit); erase marks a transactional delete (flipped dead at commit,
-	// physical removal deferred to applyRemovals).
-	ordered bool
-	insert  bool
-	erase   bool
-
-	// prevTail is the entry's tail stamp observed post-lock (write records
-	// of chained tables only): commitRemotes retires the superseded version
-	// at this stamp, and the commit stamp is raised above it (sealChains).
-	prevTail uint64
+	// insert marks a transactional insert staged against a dead ordered entry
+	// (flipped live at commit; the buffer holds the value to publish, dirty
+	// from declare); erase marks a transactional delete (flipped dead at
+	// commit, physical removal deferred to applyRemovals).
+	insert bool
+	erase  bool
 }
 
 // localRec is a declared local record (needed for the fallback handler,
@@ -249,16 +237,6 @@ func (t *Tx) sealChains(htx *htm.Txn) {
 	}
 }
 
-// chainDepthAt returns the version-chain depth of the store backing a
-// storage region on a node (0 when chains are disabled).
-func (e *Executor) chainDepthAt(node, region int) int {
-	n := e.rt.C.Node(node)
-	if o, ok := n.OrderedRegion(region); ok {
-		return o.ChainDepth()
-	}
-	return n.Unordered(region).ChainDepth()
-}
-
 func (e *Executor) newTx() *Tx {
 	e.txSeq++
 	soft := e.w.Node.Clock.Read()
@@ -346,19 +324,6 @@ func (t *Tx) declareLocal(table, region, part int, key uint64, write bool) {
 	t.lIndex[k] = len(t.locals)
 	t.locals = append(t.locals, localRec{table: table, region: region, part: part,
 		key: key, write: write})
-}
-
-// casRemote is the acquisition-side CAS: transient faults retry with
-// backoff; a persistent failure surfaces as an error (see fault.go).
-func (t *Tx) casRemote(node, table int, off memory.Offset, old, new uint64) (uint64, bool, error) {
-	var cur uint64
-	var ok bool
-	err := t.e.verbRetry(func() error {
-		var e error
-		cur, ok, e = t.e.w.QP.TryCAS(node, table, off, old, new)
-		return e
-	})
-	return cur, ok, err
 }
 
 // nodeDown aborts the transaction because a node it touched is crashed or
@@ -719,7 +684,7 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 // the tail starts the chain, no slot to retire.
 func (t *Tx) chainOps(r *remoteRec, newIncVer, prevHead uint64, oldVal []uint64) {
 	vw := len(r.buf)
-	depth := t.e.chainDepthAt(r.node, r.region)
+	depth := t.e.chainDepth(&r.recHandle)
 	if depth <= 0 {
 		return
 	}
@@ -807,7 +772,9 @@ func (t *Tx) snapshotWriteBufs() {
 	}
 }
 
-// restoreWriteBufs undoes the aborted attempt's buffered remote writes.
+// restoreWriteBufs undoes the aborted attempt's buffered remote writes. A
+// staged insert stays dirty: its write-back is the insert itself, not a body
+// write the retry will redo.
 func (t *Tx) restoreWriteBufs() {
 	i := 0
 	for _, r := range t.remotes {
@@ -815,7 +782,7 @@ func (t *Tx) restoreWriteBufs() {
 			continue
 		}
 		copy(r.buf, t.wsnap[i:i+len(r.buf)])
-		r.dirty = false
+		r.dirty = r.insert
 		i += len(r.buf)
 	}
 }

@@ -299,7 +299,10 @@ func TestConflictMatrix(t *testing.T) {
 
 // TestLeaseSharingAcrossNodes: two remote readers share one lease.
 func TestLeaseSharingAcrossNodes(t *testing.T) {
-	rt, stop := newRig(t, 3, 1, 6, nil)
+	// A lease that cannot expire under the test: sharing, not expiry, is the
+	// subject, and a multi-millisecond pause between the two stagings used to
+	// turn the share into a takeover about one run in seventy.
+	rt, stop := newRig(t, 3, 1, 6, func(c *cluster.Config) { c.LeaseMicros = 1 << 30 })
 	defer stop()
 	// Key 3 lives on node 0; readers on nodes 1 and 2.
 	t1 := rt.Executor(1, 0).newTx()
@@ -410,7 +413,7 @@ func TestReadOnlyLeaseVisibleToWriters(t *testing.T) {
 	defer stop()
 	e := rt.Executor(0, 0)
 	// Acquire a RO lease on remote key 1 and local key 2 by hand.
-	ro := &RO{e: e, end: e.w.Node.Clock.Read() + 30_000, index: map[refKey]*roRec{}}
+	ro := &RO{e: e, end: e.w.Node.Clock.Read() + 30_000, index: map[refKey]*remoteRec{}}
 	if _, err := ro.Read(tblAccounts, 1); err != nil {
 		t.Fatal(err)
 	}

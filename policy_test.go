@@ -6,9 +6,8 @@ import (
 	"time"
 )
 
-// TestOptionsPolicyValidation pins the deprecated-knob migration: the old
-// bools map onto ReadPolicy, conflicting combinations are Open errors, and
-// an unset policy defaults to PolicyAdaptive.
+// TestOptionsPolicyValidation: an unset policy defaults to PolicyAdaptive, an
+// explicit one is kept, and nonsense is an Open error.
 func TestOptionsPolicyValidation(t *testing.T) {
 	norm := func(o Options) (Options, error) {
 		o.Nodes, o.WorkersPerNode = 1, 1
@@ -22,43 +21,10 @@ func TestOptionsPolicyValidation(t *testing.T) {
 	}{
 		{"default is adaptive", Options{}, PolicyAdaptive, ""},
 		{"explicit lease", Options{ReadPolicy: PolicyLease}, PolicyLease, ""},
+		{"explicit exclusive", Options{ReadPolicy: PolicyExclusive}, PolicyExclusive, ""},
 		{"explicit mvcc", Options{ReadPolicy: PolicyMVCC}, PolicyMVCC, ""},
-		{"deprecated SpeculativeReads", Options{SpeculativeReads: true}, PolicySpeculative, ""},
-		{"deprecated NoReadLease", Options{NoReadLease: true}, PolicyExclusive, ""},
-		{"redundant alias ok", Options{SpeculativeReads: true, ReadPolicy: PolicySpeculative}, PolicySpeculative, ""},
-		{"both bools conflict", Options{SpeculativeReads: true, NoReadLease: true}, 0, "conflict"},
-		{"bool vs policy conflict", Options{SpeculativeReads: true, ReadPolicy: PolicyLease}, 0, "conflicts with"},
-		{"NoReadLease vs policy conflict", Options{NoReadLease: true, ReadPolicy: PolicyAdaptive}, 0, "conflicts with"},
 		{"unknown policy", Options{ReadPolicy: ReadPolicy(99)}, 0, "unknown"},
 		{"mvcc needs chains", Options{ReadPolicy: PolicyMVCC, MVCCDepth: -1}, 0, "version chains"},
-	}
-	// Every alias × explicit-policy combination goes through the same rule:
-	// the matching policy is redundant-but-legal, any other explicit policy
-	// conflicts, and the unset policy resolves to the alias's policy.
-	aliases := []struct {
-		name   string
-		set    func(*Options)
-		policy ReadPolicy
-	}{
-		{"SpeculativeReads", func(o *Options) { o.SpeculativeReads = true }, PolicySpeculative},
-		{"NoReadLease", func(o *Options) { o.NoReadLease = true }, PolicyExclusive},
-	}
-	for _, a := range aliases {
-		for _, p := range []ReadPolicy{PolicyAdaptive, PolicyLease,
-			PolicySpeculative, PolicyExclusive, PolicyMVCC} {
-			in := Options{ReadPolicy: p}
-			a.set(&in)
-			c := struct {
-				name    string
-				in      Options
-				want    ReadPolicy
-				wantErr string
-			}{name: a.name + " x " + p.String(), in: in, want: p}
-			if p != a.policy {
-				c.wantErr = "conflicts with"
-			}
-			cases = append(cases, c)
-		}
 	}
 	for _, c := range cases {
 		got, err := norm(c.in)
