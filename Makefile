@@ -22,9 +22,12 @@ race:
 
 # Stress lane: the suites that are free of real-time lease windows — the HTM
 # engine's invariants, the record-access state machine and image check, the
-# hash-path golden table and the staging regression tests — repeated across
-# core counts. A red run here is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps
+# hash-path golden table, the staging regression tests and the speculative
+# read routes of read-only transactions and ordered tables (leaseless state
+# words, header re-validation, the transfer invariant under local and remote
+# writers, range heat) — repeated across core counts. A red run here is a
+# bug, never a rerun.
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"drtm/internal/memory"
+	"drtm/internal/nvram"
+	"drtm/internal/rdma"
 )
 
 func TestNewClusterShape(t *testing.T) {
@@ -218,5 +221,46 @@ func TestCrossNodeCoherence(t *testing.T) {
 	}
 	if host.Arena().LoadWord(off+2) != 0xABC {
 		t.Fatal("remote CAS not coherent with local view")
+	}
+}
+
+// TestPromotionFencesBeforeItRoutes pins the two steps of a view handover:
+// TryPromote moves the membership's word — the log sinks fence the old epoch
+// from then on — while transactions keep routing by the old view until
+// PublishView, which the caller issues once the redo tails are replayed.
+func TestPromotionFencesBeforeItRoutes(t *testing.T) {
+	cfg := DefaultConfig(3, 1)
+	cfg.Durability = true
+	cfg.ReplicationFactor = 1
+	c := New(cfg)
+	defer c.Stop()
+	const part, backup = 1, 2
+	old := c.View(part)
+	rec := nvram.EncodeRedo(nil, 7, []nvram.RedoUpdate{{Part: part, Epoch: ViewEpoch(old), Table: 1, Key: 1}})
+	sink := c.RedoSinkAt(backup, 0, 0)
+	if err := sink.RemoteAppend(0, rec); err != nil {
+		t.Fatalf("append under the current epoch: %v", err)
+	}
+
+	nv, ok := c.TryPromote(part, backup)
+	if !ok || ViewOwner(nv) != backup || ViewEpoch(nv) != ViewEpoch(old)+1 {
+		t.Fatalf("TryPromote = %#x, %v", nv, ok)
+	}
+	if c.MembershipView(part) != nv {
+		t.Fatalf("membership view = %#x, want %#x", c.MembershipView(part), nv)
+	}
+	if c.View(part) != old || c.OwnerOf(part) != part {
+		t.Fatalf("routing moved to %#x before the tails were replayed", c.View(part))
+	}
+	if err := sink.RemoteAppend(0, rec); !errors.Is(err, rdma.ErrFenced) {
+		t.Fatalf("stale-epoch append after TryPromote: %v, want ErrFenced", err)
+	}
+	if _, again := c.TryPromote(part, backup); again {
+		t.Fatal("second TryPromote of the same crash succeeded")
+	}
+
+	c.PublishView(part, nv)
+	if c.View(part) != nv || c.OwnerOf(part) != backup {
+		t.Fatalf("view after publish = %#x, want %#x", c.View(part), nv)
 	}
 }

@@ -117,7 +117,7 @@ func (s *RedoSink) RemoteAppend(from int, rec []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range ups {
-		if ups[i].Epoch < s.c.ViewEpochOf(ups[i].Part) {
+		if ups[i].Epoch < ViewEpoch(s.c.MembershipView(ups[i].Part)) {
 			s.sh.Inc(obs.EvFenceReject)
 			return rdma.ErrFenced
 		}
@@ -220,6 +220,17 @@ func (c *Cluster) View(p int) uint64 {
 // OwnerOf returns the node currently owning partition p.
 func (c *Cluster) OwnerOf(p int) int { return ViewOwner(c.View(p)) }
 
+// MembershipView returns partition p's view word as the membership service
+// holds it. It runs ahead of View between TryPromote and PublishView: the log
+// sinks fence by it, and redo application targets its owner, while
+// transactions still route by the mirror.
+func (c *Cluster) MembershipView(p int) uint64 {
+	if c.views == nil {
+		return PackView(0, p)
+	}
+	return c.membership.LoadWord(c.viewOff(p))
+}
+
 // ViewEpochOf returns partition p's current view epoch.
 func (c *Cluster) ViewEpochOf(p int) uint64 { return ViewEpoch(c.View(p)) }
 
@@ -230,6 +241,15 @@ func (c *Cluster) ViewEpochOf(p int) uint64 { return ViewEpoch(c.View(p)) }
 // same crash a no-op. The CAS runs on the membership arena directly: the
 // membership service is external to every node and does not fail in this
 // model, and CPU CAS gives racing coordinators mutual atomicity.
+//
+// The handover has two steps. The CAS fences: from it on the log sinks
+// reject appends stamped with the old epoch, so the redo tails the caller
+// drains next are complete. Transactions keep routing to the dead home — the
+// partition is unavailable — until the caller, with the tails replayed into
+// the replica, makes the new view visible to them with PublishView. Routing
+// to the replica any earlier lets a transaction commit on a row whose newer
+// version is still in a tail, and the version-guarded replay then skips that
+// row but applies the rest of its commit.
 func (c *Cluster) TryPromote(p, newOwner int) (newView uint64, ok bool) {
 	old := c.membership.LoadWord(c.viewOff(p))
 	if ViewOwner(old) != p {
@@ -239,11 +259,13 @@ func (c *Cluster) TryPromote(p, newOwner int) (newView uint64, ok bool) {
 	if _, won := c.membership.CAS(c.viewOff(p), old, nv); !won {
 		return c.membership.LoadWord(c.viewOff(p)), false
 	}
-	// Publish to the hot-path mirror. Transactions that staged against the
-	// old view abort on the in-region view confirmation and restage.
-	c.views[p].Store(nv)
 	return nv, true
 }
+
+// PublishView makes the view a successful TryPromote returned visible on the
+// hot path: the partition serves from its new owner. Transactions that staged
+// against the old view abort on the in-region view confirmation and restage.
+func (c *Cluster) PublishView(p int, view uint64) { c.views[p].Store(view) }
 
 // RedoSinkAt returns the redo log on host that sender worker (sender, w)
 // appends to. Panics when replication is off.

@@ -38,13 +38,20 @@ func (t *Table) LookupRemote(qp *rdma.QP, cache Cache, key uint64) (Loc, bool) {
 // LookupRemoteE is LookupRemote for fault-aware callers: an injected verb
 // fault or a crashed host surfaces as the error instead of a panic.
 func (t *Table) LookupRemoteE(qp *rdma.QP, cache Cache, key uint64) (Loc, bool, error) {
+	var buf [BucketWords]uint64
+	return t.LookupRemoteInto(qp, cache, key, &buf)
+}
+
+// LookupRemoteInto is LookupRemoteE reading the chain's buckets into the
+// caller's buffer: the buffer escapes to the verb and the cache, so a caller
+// on a hot path keeps one instead of allocating it per lookup.
+func (t *Table) LookupRemoteInto(qp *rdma.QP, cache Cache, key uint64, buf *[BucketWords]uint64) (Loc, bool, error) {
 	idx := t.bucketOf(key)
 	off := t.MainBucketOffset(idx)
 	tag := mainTag(idx)
-	var buf [BucketWords]uint64
 
 	for depth := 0; depth < maxChain; depth++ {
-		if cache == nil || !cache.get(tag, &buf) {
+		if cache == nil || !cache.get(tag, buf) {
 			if err := qp.TryRead(t.cfg.Node, t.cfg.RegionID, off, buf[:]); err != nil {
 				return Loc{}, false, err
 			}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"drtm/internal/kvs"
 	"drtm/internal/tx"
 )
 
@@ -135,8 +136,10 @@ type Config struct {
 	// InitialOrders per district pre-populates order history so that
 	// order-status, delivery and stock-level have work immediately.
 	InitialOrders int
-	// ExtraOrdersPerDistrict sizes ordered-table capacity headroom for the
-	// orders a run will insert.
+	// ExtraOrdersPerDistrict sizes table capacity headroom for the orders (and
+	// the payments, about as many) a run will insert. Set-up reserves a
+	// quarter more than this: a driver that budgets its measured run against
+	// the headroom also spends orders warming up.
 	ExtraOrdersPerDistrict int
 	// CrossNewOrderPct is the per-item probability (percent) that a
 	// new-order line names a remote warehouse (spec/default: 1).
@@ -197,6 +200,19 @@ func lastNameOf(c int) uint64 { return uint64(c % lastNameBuckets) }
 
 func lnIdx(w, d int, ln uint64) uint64 { return DKey(w, d)*lastNameBuckets + ln }
 
+// orderRows is the per-node row capacity of ORDER, NEW-ORDER and the
+// customer index: the configured orders and a quarter more.
+func (cfg Config) orderRows() int {
+	n := cfg.WarehousesPerNode * cfg.Districts * (cfg.InitialOrders + cfg.ExtraOrdersPerDistrict)
+	return n + n/4
+}
+
+// historyRows is HISTORY's per-node row capacity: a payment per order, and
+// slack of one per customer.
+func (cfg Config) historyRows() int {
+	return cfg.orderRows() + cfg.WarehousesPerNode*cfg.Districts*cfg.CustomersPerDist
+}
+
 // Setup defines and populates all tables. The runtime must use
 // cfg.Partitioner().
 func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
@@ -207,13 +223,21 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 	dPer := wPer * cfg.Districts
 	cPer := dPer * cfg.CustomersPerDist
 	sPer := wPer * cfg.Items
-	ordersPer := dPer * (cfg.InitialOrders + cfg.ExtraOrdersPerDistrict)
-	olPer := ordersPer * 15
+	ordersPer := cfg.orderRows()
+	// An order has 5 to 15 lines, 10 on average with a variance of 10 a line,
+	// so 11 per order is the mean plus tens of standard deviations once there
+	// are a few hundred orders; the constant covers 15 a line below that.
+	olPer := ordersPer*11 + 1024
 
 	rt.DefineUnordered(TableWarehouse, 16, 16, wPer+4, WValueWords)
 	rt.DefineUnordered(TableDistrict, 64, 64, dPer+4, DValueWords)
 	rt.DefineUnordered(TableCustomer, cPer/4+16, cPer/4+16, cPer+4, CValueWords)
-	rt.DefineUnordered(TableHistory, cPer/2+16, cPer/2+16, ordersPer+cPer, HValueWords)
+	// HISTORY grows by one row per payment. Both bucket pools are sized from
+	// the row capacity: the main buckets alone have a slot per row, and the
+	// indirect pool absorbs the chains an uneven hash makes longer.
+	hCap := cfg.historyRows()
+	hBuckets := hCap/kvs.SlotsPerBucket + 16
+	rt.DefineUnordered(TableHistory, hBuckets, hBuckets, hCap, HValueWords)
 	rt.DefineUnordered(TableItem, cfg.Items/4+16, cfg.Items/4+16, cfg.Items+4, IValueWords)
 	rt.DefineUnordered(TableStock, sPer/4+16, sPer/4+16, sPer+4, SValueWords)
 	rt.DefineOrdered(TableOrder, ordersPer+4, OValueWords)

@@ -287,3 +287,18 @@ func TestLookupByLastName(t *testing.T) {
 		t.Fatal("remote last-name lookup cost nothing")
 	}
 }
+
+// TestHistoryHoldsItsCapacity: HISTORY's bucket pools must take as many rows
+// as its entry pool does — a payment's deferred insert has no way to fail.
+func TestHistoryHoldsItsCapacity(t *testing.T) {
+	_, rt, stop := newTPCC(t, 1, 1, 1)
+	defer stop()
+	h := rt.C.Node(0).Unordered(TableHistory)
+	val := make([]uint64, HValueWords)
+	n := testCfg(1, 1).historyRows()
+	for seq := 0; seq < n; seq++ {
+		if err := h.Insert(HKey(1, 0, 0, uint64(seq)), val); err != nil {
+			t.Fatalf("row %d of %d: %v", seq+1, n, err)
+		}
+	}
+}

@@ -96,7 +96,7 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 		}
 	default:
 		var loc kvs.Loc
-		loc, found, err = e.hashTable(h).LookupRemoteE(e.w.QP, e.cacheFor(h.node, h.region), h.key)
+		loc, found, err = e.hashTable(h).LookupRemoteInto(e.w.QP, e.cacheFor(h.node, h.region), h.key, &e.bktBuf)
 		h.off, h.lossy = loc.Off, uint16(loc.Lossy)
 	}
 	if err != nil {

@@ -61,6 +61,19 @@ func benchMVCCROTxn(e *Executor) error {
 	})
 }
 
+func benchRO20Txn(e *Executor) error {
+	// Keys 1..20 alternate between node 1 (remote) and node 0 (local): the
+	// benchmark ladder's tx.exec_ro20 rung.
+	return e.ExecRO(func(ro *RO) error {
+		for k := uint64(1); k <= 20; k++ {
+			if _, err := ro.Read(tblAccounts, k); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func BenchmarkExecLocal(b *testing.B) {
 	rt, stop := newRig(b, 1, 1, 4, nil)
 	defer stop()
@@ -110,6 +123,20 @@ func BenchmarkExecROMVCC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := benchMVCCROTxn(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExecRO20(b *testing.B) {
+	rt, stop := newRig(b, 2, 1, 20, nil)
+	defer stop()
+	rt.ReadPolicy = PolicyAdaptive
+	e := rt.Executor(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := benchRO20Txn(e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import "testing"
 // The budget is what is measured plus one. Excluded under -race: the detector
 // adds shadow allocations.
 func TestExecAllocSteadyState(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 8, nil)
+	rt, stop := newRig(t, 2, 1, 20, nil)
 	defer stop()
 	rt.ReadPolicy = PolicySpeculative
 	e := rt.Executor(0, 0)
@@ -58,5 +58,23 @@ func TestExecAllocSteadyState(t *testing.T) {
 	})
 	if mvcc > 15 {
 		t.Errorf("mvcc RO allocates %.0f objects, budget 15", mvcc)
+	}
+
+	// The confirm-wave RO path over ten local and ten remote records allocates
+	// the twenty value copies it hands to the body and nothing else: the
+	// shell, its index and its staged records are recycled on the executor.
+	rt.ReadPolicy = PolicyAdaptive
+	for i := 0; i < 16; i++ {
+		if err := benchRO20Txn(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro20 := testing.AllocsPerRun(50, func() {
+		if err := benchRO20Txn(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ro20 > 21 {
+		t.Errorf("20-record RO allocates %.0f objects, budget 21", ro20)
 	}
 }

@@ -27,15 +27,19 @@ type FailoverReport struct {
 // Failover promotes a live backup to own a crashed primary's partition —
 // the hot path that replaces full NVRAM replay when replication is on.
 //
-// Ordering is the crux. TryPromote CASes the view word FIRST: from that
-// instant the backup's log sinks fence any append stamped with the old
-// epoch, so the redo tails drained below are complete — no zombie append
+// Ordering is the crux. TryPromote CASes the membership's view word FIRST:
+// from that instant the backup's log sinks fence any append stamped with the
+// old epoch, so the redo tails drained below are complete — no zombie append
 // can slip in behind the drain. Then:
 //
 //  1. every redo log hosted on the new owner is drained, replaying the
 //     tail for the adopted partition and — because records carry the FULL
 //     write-set — re-applying surviving transactions' updates to foreign
-//     partitions' live owners, keeping cross-partition commits atomic;
+//     partitions' live owners, keeping cross-partition commits atomic. Only
+//     now does PublishView route transactions to the replica: one that ran
+//     there while a tail still held a newer version of a row it wrote would
+//     leave the replay skipping that row (the version guard) and applying
+//     the rest of the logged commit;
 //  2. the crashed node's own redo logs on every other host — the crashed
 //     host's durable rings included — are drained too: a transaction the
 //     crashed machine committed (XEND ran, append landed) but never wrote
@@ -92,6 +96,7 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 			rep.RedoRecords += c.RedoSinkAt(newOwner, s, w).Drain(replay)
 		}
 	}
+	c.PublishView(crashed, nv)
 
 	// The adopted partition is servable from here: its replica shard is
 	// current (every committed update for it lived in a log hosted on its

@@ -94,9 +94,9 @@ func (ro *RO) routeScanMVCC(node, table int, lo, hi uint64, limit int) bool {
 	}
 	cfg := ro.e.rt.policyCfg
 	threshold := cfg.MVCCScanFanout
-	hot, sw := ro.e.rt.heat.Touch(heatKey(node, table, lo>>6))
+	hot, sw := ro.e.rt.heat.Touch(heatKey(node, table, lo>>orderedHeatShift))
 	if sw != 0 {
-		ro.e.noteSwitch(node, table, lo>>6, hot)
+		ro.e.noteSwitch(node, table, lo>>orderedHeatShift, hot)
 	}
 	if hot {
 		threshold = cfg.MVCCHotFanout
@@ -111,7 +111,7 @@ func (ro *RO) routeScanMVCC(node, table int, lo, hi uint64, limit int) bool {
 // makes routeScanMVCC drop its threshold to MVCCHotFanout: a range whose
 // confirm-wave scans keep failing validation under writes is exactly the one
 // the snapshot arm serves without retries. Keyed identically to the router
-// (lo>>6) and skipped for static policies, like feedConflict.
+// (lo>>orderedHeatShift) and skipped for static policies, like feedConflict.
 func (ro *RO) feedScanHeat(sc *scanRec) {
 	if ro.e.rt.ReadPolicy != PolicyAdaptive {
 		return
@@ -123,9 +123,9 @@ func (ro *RO) feedScanHeat(sc *scanRec) {
 	if w < 1 {
 		w = 1
 	}
-	_, sw := ro.e.rt.heat.Conflict(heatKey(sc.node, sc.table, sc.lo>>6), w)
+	_, sw := ro.e.rt.heat.Conflict(heatKey(sc.node, sc.table, sc.lo>>orderedHeatShift), w)
 	if sw != 0 {
-		ro.e.noteSwitch(sc.node, sc.table, sc.lo>>6, true)
+		ro.e.noteSwitch(sc.node, sc.table, sc.lo>>orderedHeatShift, true)
 	}
 }
 
@@ -166,9 +166,11 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 	switch res.Status {
 	case kvs.ResolveCurrent, kvs.ResolveRetired:
 		sh.Inc(obs.EvMVCCRead)
-		buf := append([]uint64(nil), res.Value...)
-		ro.index[refKey{table, key}] = &remoteRec{recHandle: h, recImage: recImage{buf: buf}}
-		return buf, nil
+		r := e.getRec()
+		r.recHandle, r.buf = h, append([]uint64(nil), res.Value...)
+		ro.recs = append(ro.recs, r)
+		ro.index[refKey{table, key}] = r
+		return r.buf, nil
 	case kvs.ResolveDead:
 		sh.Inc(obs.EvMVCCRead)
 		return nil, ErrNotFound

@@ -6,8 +6,10 @@ import (
 	"drtm/internal/obs"
 )
 
-// ReadPolicy selects the concurrency-control arm used for remote READ-set
-// records (writes always take exclusive locks):
+// ReadPolicy selects the concurrency-control arm used for read records that
+// do not run inside an HTM region — the remote READ-set records of a
+// transaction and every record, local ones included, of a read-only
+// transaction (writes always take exclusive locks):
 //
 //	PolicyLease       — shared lease via RDMA CAS (~14.5µs modeled), the
 //	                    paper's Section 4.2 protocol. Safe under any
@@ -18,8 +20,9 @@ import (
 //	                    validation failures when writers hit it.
 //	PolicyAdaptive    — per-bucket online choice between the two arms: a
 //	                    conflict-EWMA heat table (obs.HeatMap) classifies
-//	                    each kvs bucket hot or cold with hysteresis, and
-//	                    every remote read routes lease-when-hot,
+//	                    each kvs bucket — or, for ordered tables, each
+//	                    64-key range — hot or cold with hysteresis, and
+//	                    every such read routes lease-when-hot,
 //	                    spec-when-cold, re-classifying continuously as the
 //	                    workload shifts.
 //	PolicyExclusive   — reads take exclusive write locks (the Figure 17
@@ -184,6 +187,21 @@ func heatKey(node, table int, bucket uint64) uint64 {
 	return bucket ^ uint64(table+1)<<40 ^ uint64(node+1)<<52
 }
 
+// orderedHeatShift sizes an ordered table's heat granule: 64 consecutive
+// keys share a slot (ordered shards have no hash buckets). Range scans key
+// their heat by the same shift (routeScanMVCC, feedScanHeat), so point reads
+// and scans of one range share one classification.
+const orderedHeatShift = 6
+
+// heatBucket is the record's classification granule: its main hash bucket,
+// or its key range in an ordered table.
+func (e *Executor) heatBucket(h *recHandle) uint64 {
+	if h.ordered {
+		return h.key >> orderedHeatShift
+	}
+	return e.hashTable(h).BucketOf(h.key)
+}
+
 // resolvePolicy computes the effective read policy for a new transaction:
 // the per-transaction override if set (ExecWith), else the runtime-wide
 // policy.
@@ -216,20 +234,18 @@ func (e *Executor) ExecROWith(p ReadPolicy, build func(ro *RO) error) error {
 	return e.ExecRO(build)
 }
 
-// routeRead decides the arm for one remote read under the transaction's
-// policy. For PolicyAdaptive this is the routing hot path: one decayed
-// heat-table access classifies the record's bucket, counting the route and
-// any hot/cold transition (and tracing the transition when enabled). Ordered
-// records have no heat bucket — the table is keyed by hash buckets, which
-// ordered shards lack — so PolicyAdaptive leases them.
+// routeRead decides the arm for one read under the transaction's policy. For
+// PolicyAdaptive this is the routing hot path: one decayed heat-table access
+// classifies the record's bucket, counting the route and any hot/cold
+// transition (and tracing the transition when enabled).
 func (e *Executor) routeRead(p ReadPolicy, h *recHandle) (spec bool) {
 	switch {
 	case p == PolicySpeculative:
 		return true
-	case p != PolicyAdaptive || h.ordered:
+	case p != PolicyAdaptive:
 		return false
 	}
-	bucket := e.hashTable(h).BucketOf(h.key)
+	bucket := e.heatBucket(h)
 	hot, sw := e.rt.heat.Touch(heatKey(h.node, h.table, bucket))
 	sh := e.w.Obs
 	if sw != 0 {
@@ -248,12 +264,11 @@ func (e *Executor) routeRead(p ReadPolicy, h *recHandle) (spec bool) {
 // conflicts and lock upgrades. Cheap (one CAS on a 32 KiB table) and only
 // taken on conflict events, but skipped entirely unless the runtime-wide
 // policy is adaptive: static arms should not accrete classification state.
-// Records routeRead never classifies (ordered ones) feed nothing.
 func (e *Executor) feedConflict(h *recHandle, weight float64) {
-	if e.rt.ReadPolicy != PolicyAdaptive || h.ordered {
+	if e.rt.ReadPolicy != PolicyAdaptive {
 		return
 	}
-	bucket := e.hashTable(h).BucketOf(h.key)
+	bucket := e.heatBucket(h)
 	_, sw := e.rt.heat.Conflict(heatKey(h.node, h.table, bucket), weight)
 	if sw != 0 {
 		e.noteSwitch(h.node, h.table, bucket, true)

@@ -16,12 +16,24 @@ import (
 // with one common lease end time and prefetched; a final confirmation that
 // the common end time is still valid guarantees that no conflicting writer
 // was in flight anywhere — one lightweight check instead of two-round
-// execution.
+// execution. That is PolicyLease, and what a hot bucket gets under
+// PolicyAdaptive; a record routed to the speculative arm — local or remote,
+// hash or ordered — is fetched unprotected instead and its header
+// re-validated by the same confirmation, leaving no lease behind for the
+// next writer to wait out.
+//
+// The executor recycles the shell, its index and its staged records across
+// attempts and transactions; every value slice handed to the body is freshly
+// allocated and the caller's to keep.
 type RO struct {
 	e     *Executor
 	end   uint64 // the transaction's common lease end time
 	recs  []*remoteRec
 	index map[refKey]*remoteRec
+
+	// cause is why the attempt must retry, when a lock or a lease is the
+	// reason: it tells the backoff that waiting can help.
+	cause obs.AbortCause
 
 	// views records the packed view word per touched partition (replication
 	// only); confirm re-checks them so a failover mid-transaction fails the
@@ -54,18 +66,24 @@ type RO struct {
 
 // ExecRO runs a read-only transaction to completion with retries.
 func (e *Executor) ExecRO(build func(ro *RO) error) error {
+	ro := e.freeRO
+	e.freeRO = nil // a nested ExecRO builds a shell of its own
+	if ro == nil {
+		ro = &RO{e: e, index: make(map[refKey]*remoteRec)}
+	}
+	defer func() {
+		ro.release()
+		e.freeRO = ro
+	}()
 	// chainFellBack poisons the MVCC arm for the rest of this Exec once a
 	// chain proved unresolvable (truncated below the snapshot, or a torn
 	// image): re-reading the same chain would mostly re-truncate, so later
 	// attempts run the confirm-wave scheme instead.
 	chainFellBack := false
 	for attempt := 0; attempt < e.rt.MaxAttempts; attempt++ {
-		ro := &RO{
-			e:      e,
-			end:    e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros,
-			index:  make(map[refKey]*remoteRec),
-			policy: e.resolvePolicy(),
-		}
+		ro.release()
+		ro.end = e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros
+		ro.policy = e.resolvePolicy()
 		if ro.policy == PolicyMVCC {
 			if chainFellBack || !ro.enterMVCC() {
 				// Chains unavailable or already proven unresolvable: the
@@ -95,55 +113,139 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 			return err
 		}
 		e.w.Obs.Inc(obs.EvRORetry)
-		e.backoff(attempt)
+		e.backoff(attempt, ro.cause)
 	}
 	return ErrRetry
 }
 
+// release empties the shell after an attempt: the staged records go back to
+// the executor's pool without their value buffers, which the body owns.
+func (ro *RO) release() {
+	for _, r := range ro.recs {
+		r.buf = nil
+	}
+	ro.e.putRecs(ro.recs)
+	ro.recs = ro.recs[:0]
+	clear(ro.index)
+	clear(ro.views)
+	ro.scans, ro.scanVals = ro.scans[:0], nil
+	ro.cause = obs.CauseNone
+	ro.mvcc, ro.snap, ro.noMVCC = false, 0, false
+}
+
+// lockConflict fails the attempt on a record held by a conflicting writer.
+func (ro *RO) lockConflict() error {
+	ro.e.w.Obs.Inc(obs.EvRemoteLockConflict)
+	ro.cause = obs.CauseRemote
+	return ErrRetry
+}
+
+// moved reports whether a speculative record's entry header — the key word
+// its slot holds now, its incarnation|version word and its state word — no
+// longer vouches for the image fetched: another key took the slot, a write
+// committed, or one is mid-commit.
+func (r *remoteRec) moved(key, incver, state uint64) bool {
+	return key != r.key || kvs.Version(incver) != r.version ||
+		kvs.Incarnation(incver) != r.inc || clock.IsWriteLocked(state)
+}
+
 // confirm validates every lease against a fresh softtime read (the COMMIT
-// step of Figure 8) and re-validates every speculative record's header in
-// one doorbell-batched READ wave. Both checks pass ⇒ all reads were valid
-// at this instant, the transaction's serialization point.
+// step of Figure 8) and re-validates every speculative record's header: a
+// local record's by loading it, the remote ones' in one doorbell-batched READ
+// wave. All checks pass ⇒ all reads were valid at this instant, the
+// transaction's serialization point.
 func (ro *RO) confirm() bool {
-	now := ro.e.w.Node.Clock.Read()
-	delta := ro.e.rt.C.Delta()
-	sh := ro.e.w.Obs
+	e := ro.e
+	now := e.w.Node.Clock.Read()
+	delta := e.rt.C.Delta()
+	sh := e.w.Obs
 	for part, w := range ro.views {
-		if ro.e.rt.C.View(part) != w {
+		if e.rt.C.View(part) != w {
 			sh.Inc(obs.EvViewAbort)
 			return false
 		}
 	}
-	nspec := 0
+	if ro.mvcc {
+		return true // every read resolved at the snapshot stamp
+	}
+	nlocal, nremote := 0, 0
 	for _, r := range ro.recs {
-		if r.spec {
-			nspec++
+		switch {
+		case !r.spec:
+			if !clock.Valid(r.leaseEnd, now, delta) {
+				// A shared lease about to run out: the retry shares it again
+				// until it has expired, so it waits.
+				sh.Inc(obs.EvLeaseConfirmFail)
+				ro.cause = obs.CauseLease
+				return false
+			}
+			sh.Inc(obs.EvLeaseConfirm)
+		case r.node == e.w.Node.ID:
+			nlocal++
+		default:
+			nremote++
+		}
+	}
+	ok := true
+	if nlocal+nremote > 0 {
+		vstart := int64(e.w.VClock.Now())
+		ok = (nlocal == 0 || ro.confirmLocal()) && (nremote == 0 || ro.confirmRemote(nremote))
+		sh.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
+	}
+	return ok && ro.confirmScans()
+}
+
+// specFailed counts one failed header re-validation and heats the record's
+// bucket, so PolicyAdaptive leases it once failures compound.
+func (ro *RO) specFailed(r *remoteRec) {
+	ro.e.w.Obs.Inc(obs.EvSpecValidateFail)
+	ro.e.feedConflict(&r.recHandle, 1)
+}
+
+// confirmLocal re-validates the speculative records of this node with plain
+// loads of their header words: no verb and no CAS, and nothing is left in the
+// state word for the next local HTM writer to abort on.
+func (ro *RO) confirmLocal() bool {
+	e := ro.e
+	var hdr [3]uint64
+	var arena *memory.Arena
+	region := -1
+	for _, r := range ro.recs {
+		if !r.spec || r.node != e.w.Node.ID {
 			continue
 		}
-		if !clock.Valid(r.leaseEnd, now, delta) {
-			sh.Inc(obs.EvLeaseConfirmFail)
+		if r.region != region { // runs of one table's rows resolve it once
+			arena, region = e.arenaAt(r.node, r.region), r.region
+		}
+		// Key, incver and state share the entry's first line, so the seqlocked
+		// read sees them as of one instant.
+		arena.Read(hdr[:], r.off+kvs.EntryKeyWord)
+		e.charge(int64(len(hdr)) * e.model().HTMPerReadNS)
+		if r.moved(hdr[0], hdr[1], hdr[2]) {
+			ro.specFailed(r)
 			return false
 		}
-		sh.Inc(obs.EvLeaseConfirm)
 	}
-	if nspec == 0 {
-		return ro.confirmScans()
-	}
+	return true
+}
+
+// confirmRemote re-READs the headers of the speculative records homed on
+// other nodes in one doorbell-batched wave.
+func (ro *RO) confirmRemote(n int) bool {
 	e := ro.e
-	vstart := int64(e.w.VClock.Now())
 	// Three words per record: ordered entries re-read key+incver+state
 	// (slot-recycle check), unordered ones their 2-word header.
-	if cap(e.hdrBuf) < nspec*3 {
-		e.hdrBuf = make([]uint64, nspec*3)
+	if cap(e.hdrBuf) < n*3 {
+		e.hdrBuf = make([]uint64, n*3)
 	}
+	remote := func(r *remoteRec) bool { return r.spec && r.node != e.w.Node.ID }
 	sq := e.sendq()
 	wrs := e.activeWR[:0]
-	specs := make([]*remoteRec, 0, nspec)
 	for _, r := range ro.recs {
-		if !r.spec {
+		if !remote(r) {
 			continue
 		}
-		i := len(specs)
+		i := len(wrs)
 		if r.ordered {
 			wrs = append(wrs, sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord,
 				e.hdrBuf[i*3:i*3+3]))
@@ -151,12 +253,16 @@ func (ro *RO) confirm() bool {
 			wrs = append(wrs, sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off),
 				e.hdrBuf[i*3:i*3+kvs.EntryHeaderWords]))
 		}
-		specs = append(specs, r)
 	}
 	sq.Poll()
 	ok := true
-	for i, wr := range wrs {
-		r := specs[i]
+	i := 0
+	for _, r := range ro.recs {
+		if !remote(r) {
+			continue
+		}
+		wr := wrs[i]
+		i++
 		if wr.Err != nil {
 			// Treat a verb fault as a failed confirmation: the retry's fetch
 			// pass surfaces ErrNodeDown if the host is genuinely gone.
@@ -164,25 +270,18 @@ func (ro *RO) confirm() bool {
 			break
 		}
 		hdr := wr.Dst
-		var incver, state uint64
-		stale := false
+		key, incver, state := r.key, hdr[0], hdr[1]
 		if r.ordered {
-			incver, state = hdr[1], hdr[2]
-			stale = hdr[0] != r.key
-		} else {
-			incver, state = hdr[0], hdr[1]
+			key, incver, state = hdr[0], hdr[1], hdr[2]
 		}
-		if stale || kvs.Version(incver) != r.version || kvs.Incarnation(incver) != r.inc ||
-			clock.IsWriteLocked(state) {
-			sh.Inc(obs.EvSpecValidateFail)
-			e.feedConflict(&r.recHandle, 1)
+		if r.moved(key, incver, state) {
+			ro.specFailed(r)
 			ok = false
 			break
 		}
 	}
 	e.activeWR = wrs[:0]
-	sh.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
-	return ok && ro.confirmScans()
+	return ok
 }
 
 // confirmScans re-validates every collected range scan at the confirmation
@@ -232,8 +331,7 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 		o := ro.e.w.Node.Ordered(region)
 		rows, busy := collectOrderedRange(ro.e, o, &rec, lo, hi, limit, &ro.scanVals)
 		if busy {
-			sh.Inc(obs.EvRemoteLockConflict)
-			return nil, ErrRetry
+			return nil, ro.lockConflict()
 		}
 		out = rows
 	} else {
@@ -243,8 +341,7 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 			return nil, err
 		}
 		if rs.Busy {
-			sh.Inc(obs.EvRemoteLockConflict)
-			return nil, ErrRetry
+			return nil, ro.lockConflict()
 		}
 		rec.segs, rec.stamps = rs.Segs, rs.Stamps
 		for _, r := range rs.Rows {
@@ -310,51 +407,61 @@ func (ro *RO) ReadAtLocal(table int, off memory.Offset) ([]uint64, error) {
 	return r.buf, nil
 }
 
-// readHandle takes one resolved record: a shared lease through the Figure 5
-// state machine — or nothing, on the speculative arm of a remote record —
-// then one entry READ and the image check (the resolution happened before
-// the lease, so the slot could have been recycled or the row erased in
-// between). Local records are leased with the cheap CPU CAS and copied. A
-// speculative record's version and incarnation are re-validated by confirm.
+// readHandle stages one resolved record. The struct comes from the
+// executor's pool without the pooled value buffer: the value is handed to the
+// body, so it is allocated per read.
 func (ro *RO) readHandle(h recHandle) (*remoteRec, error) {
+	r := ro.e.getRec()
+	r.recHandle, r.buf = h, nil
+	if err := ro.fetch(r); err != nil {
+		ro.e.recFree = append(ro.e.recFree, r)
+		return nil, err
+	}
+	ro.recs = append(ro.recs, r)
+	return r, nil
+}
+
+// fetch takes the record: a shared lease through the Figure 5 state machine —
+// by the cheap CPU CAS when the record is local — or nothing, on the
+// speculative arm; then one entry READ (a plain copy of a local entry) and
+// the image check (the resolution happened before the lease, so the slot
+// could have been recycled or the row erased in between). A speculative
+// record's header is re-validated by confirm.
+func (ro *RO) fetch(r *remoteRec) error {
 	e := ro.e
-	sh := e.w.Obs
-	r := &remoteRec{recHandle: h}
-	r.spec = h.node != e.w.Node.ID && e.routeRead(ro.policy, &r.recHandle)
+	r.spec = e.routeRead(ro.policy, &r.recHandle)
 	if !r.spec {
 		var a acquirer
 		a.arm(acqLease, 0, ro.end)
 		v, end, err := e.acquire(&a, &r.recHandle, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if v == acqConflict {
-			sh.Inc(obs.EvRemoteLockConflict)
-			return nil, ErrRetry
+			return ro.lockConflict()
 		}
 		r.leaseEnd = end
 	}
-	vw := e.rt.Meta(h.table).ValueWords
+	vw := e.rt.Meta(r.table).ValueWords
 	words, err := e.readEntry(&r.recHandle, vw, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	v := r.check(words, &r.recImage, vw, false, r.spec)
 	if r.spec && (v == imgOK || v == imgBusy) {
-		sh.Inc(obs.EvSpecRead)
+		e.w.Obs.Inc(obs.EvSpecRead)
 	}
 	switch v {
 	case imgStale:
 		e.invalidate(&r.recHandle)
-		return nil, ErrRetry
+		return ErrRetry
 	case imgBusy:
-		sh.Inc(obs.EvRemoteLockConflict)
-		return nil, ErrRetry
+		e.feedConflict(&r.recHandle, 1)
+		return ro.lockConflict()
 	case imgNotFound:
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	ro.recs = append(ro.recs, r)
-	return r, nil
+	return nil
 }
 
 // ScanLocal returns index entries of a local ordered table in [lo, hi].

@@ -292,7 +292,9 @@ func (rt *Runtime) drainCheckpoint(n *cluster.Node, sender, worker int) {
 // failover). Version-guarded and therefore idempotent; returns whether the
 // value was written. Skipped when the current owner is itself down.
 func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
-	owner := rt.C.OwnerOf(u.Part)
+	// The membership's owner, not the routing mirror's: during a promotion
+	// the replica being brought up to date is not yet routed to.
+	owner := cluster.ViewOwner(rt.C.MembershipView(u.Part))
 	if rt.C.Fabric.NodeDown(owner) {
 		return false
 	}

@@ -1,0 +1,440 @@
+package tx
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"drtm/internal/clock"
+	"drtm/internal/kvs"
+	"drtm/internal/obs"
+)
+
+// Tests of the read routes this file's subjects share: the local records of a
+// read-only transaction and ordered-table records, which PolicyAdaptive
+// classifies like remote hash records — speculate when cold, lease when hot.
+
+// stateWord loads a record's lock/lease word straight from its home arena.
+func stateWord(t *testing.T, rt *Runtime, node, table int, key uint64) uint64 {
+	t.Helper()
+	n := rt.C.Node(node)
+	if rt.Meta(table).Kind == Ordered {
+		off, ok := n.Ordered(table).Lookup(key)
+		if !ok {
+			t.Fatalf("ordered key %#x missing", key)
+		}
+		return n.Ordered(table).Arena().LoadWord(kvs.StateOffset(off))
+	}
+	off, ok := n.Unordered(table).LookupLocal(key)
+	if !ok {
+		t.Fatalf("hash key %d missing", key)
+	}
+	return n.Unordered(table).Arena().LoadWord(kvs.StateOffset(off))
+}
+
+// TestReadOnlyAdaptiveLeavesNoLease is the mirror of
+// TestReadOnlyLeaseVisibleToWriters: under PolicyAdaptive a read-only
+// transaction over cold local rows — hash, ordered by key and ordered by
+// offset — speculates on all of them, so every state word is still clock.Init
+// afterwards and a local writer commits on its first attempt.
+func TestReadOnlyAdaptiveLeavesNoLease(t *testing.T) {
+	rt, stop := newOrderedRig(t, 1, 1, nil)
+	defer stop()
+	rt.ReadPolicy = PolicyAdaptive
+	rt.DefineUnordered(tblAccounts, 64, 64, 64, 2)
+	hashKeys := []uint64{1, 2, 3}
+	for _, k := range hashKeys {
+		if err := rt.C.Node(0).Unordered(tblAccounts).Insert(k, []uint64{1000, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := rt.Executor(0, 0)
+	subs := []uint64{1, 2, 3, 4}
+	insertOrders(t, e, 0, subs)
+	reg := rt.C.Obs
+	retries0 := reg.Total(obs.EvTxRetry)
+
+	var sum uint64
+	if err := e.ExecRO(func(ro *RO) error {
+		sum = 0
+		for _, k := range hashKeys {
+			v, err := ro.Read(tblAccounts, k)
+			if err != nil {
+				return err
+			}
+			sum += v[0]
+		}
+		for _, s := range subs[:2] {
+			v, err := ro.Read(tblOrders, orderedKey(0, s))
+			if err != nil {
+				return err
+			}
+			sum += v[0]
+		}
+		for _, ko := range ro.ScanLocal(tblOrders, orderedKey(0, subs[2]), orderedKey(0, 0xFF), 0) {
+			v, err := ro.ReadAtLocal(tblOrders, ko.Off)
+			if err != nil {
+				return err
+			}
+			sum += v[0]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(3*1000 + 100 + 200 + 300 + 400); sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+	nrecs := int64(len(hashKeys) + len(subs))
+	if n := reg.Total(obs.EvAdaptSpec); n != nrecs {
+		t.Fatalf("EvAdaptSpec = %d, want %d", n, nrecs)
+	}
+	if n := reg.Total(obs.EvSpecRead); n != nrecs {
+		t.Fatalf("EvSpecRead = %d, want %d", n, nrecs)
+	}
+	if n := reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare); n != 0 {
+		t.Fatalf("read-only transaction took %d leases, want 0", n)
+	}
+	for _, k := range hashKeys {
+		if w := stateWord(t, rt, 0, tblAccounts, k); w != clock.Init {
+			t.Fatalf("hash key %d state = %#x, want Init", k, w)
+		}
+	}
+	for _, s := range subs {
+		if w := stateWord(t, rt, 0, tblOrders, orderedKey(0, s)); w != clock.Init {
+			t.Fatalf("ordered row %d state = %#x, want Init", s, w)
+		}
+	}
+
+	// A writer of the rows just read meets no lease to wait out.
+	if err := e.Exec(func(tx *Tx) error {
+		if err := tx.W(tblAccounts, 1); err != nil {
+			return err
+		}
+		if err := tx.W(tblOrders, orderedKey(0, 1)); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error {
+			if err := lc.Write(tblAccounts, 1, []uint64{999, 0}); err != nil {
+				return err
+			}
+			return lc.Write(tblOrders, orderedKey(0, 1), []uint64{101, 1})
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Total(obs.EvTxRetry) - retries0; n != 0 {
+		t.Fatalf("writer retried %d times after the read-only transaction", n)
+	}
+	if n := rt.Stats.HTMAborts.Load(); n != 0 {
+		t.Fatalf("writer's region aborted %d times", n)
+	}
+}
+
+// TestROSpecLocalValidation: a local record that a writer commits to between
+// a speculative read-only fetch and the confirmation fails the confirmation —
+// the unchanged-header check is all that protects a local speculative read.
+func TestROSpecLocalValidation(t *testing.T) {
+	rt, stop := newOrderedRig(t, 1, 2, nil)
+	defer stop()
+	rt.ReadPolicy = PolicySpeculative
+	e := rt.Executor(0, 0)
+	insertOrders(t, e, 0, []uint64{1, 2})
+	write := func(sub, v uint64) {
+		t.Helper()
+		if err := rt.Executor(0, 1).Exec(func(tx *Tx) error {
+			if err := tx.W(tblOrders, orderedKey(0, sub)); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				return lc.Write(tblOrders, orderedKey(0, sub), []uint64{v, sub})
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	begin := func() *RO {
+		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicySpeculative}
+		for _, s := range []uint64{1, 2} {
+			if _, err := ro.Read(tblOrders, orderedKey(0, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ro
+	}
+
+	ro := begin()
+	if !ro.confirm() {
+		t.Fatal("confirmation failed with no writer")
+	}
+	ro = begin()
+	write(2, 777)
+	if ro.confirm() {
+		t.Fatal("confirmation passed over a row rewritten since its fetch")
+	}
+	if n := rt.C.Obs.Total(obs.EvSpecValidateFail); n != 1 {
+		t.Fatalf("EvSpecValidateFail = %d, want 1", n)
+	}
+	// The retry sees the new value and confirms.
+	ro = begin()
+	if v := ro.recs[1].buf[0]; v != 777 {
+		t.Fatalf("re-read value = %d, want 777", v)
+	}
+	if !ro.confirm() {
+		t.Fatal("confirmation failed after the writer finished")
+	}
+}
+
+// TestAdaptiveOrderedRangeHeatsAndCools drives an ordered table's 64-key
+// range through the adaptive cycle: point reads of a cold range speculate;
+// validation failures against a writer heat the range's slot until it turns
+// hot; point reads of any key in the range — by read-only and read-write
+// transactions alike — then take leases; conflict-free reads cool it back.
+func TestAdaptiveOrderedRangeHeatsAndCools(t *testing.T) {
+	rt, stop := newOrderedRig(t, 2, 1, nil)
+	defer stop()
+	rt.ReadPolicy = PolicyAdaptive
+	rt.SetPolicyConfig(PolicyConfig{EWMAHalfLife: 2, HotThreshold: 2.0, Hysteresis: 0.5})
+	reg := rt.C.Obs
+	home := rt.Executor(1, 0) // entity 1 lives on node 1
+	insertOrders(t, home, 1, []uint64{1, 2, 3})
+	e := rt.Executor(0, 0) // the reader: every access is remote
+	hot, cold := orderedKey(1, 1), orderedKey(1, 2)
+	if hot>>orderedHeatShift != cold>>orderedHeatShift {
+		t.Fatal("test keys do not share a heat slot")
+	}
+
+	// Cold range: a read-write transaction's ordered read speculates.
+	rw := func(key uint64) {
+		t.Helper()
+		if err := e.Exec(func(tx *Tx) error {
+			if err := tx.R(tblOrders, key); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				_, err := lc.Read(tblOrders, key)
+				return err
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rw(cold)
+	if n := reg.Total(obs.EvAdaptSpec); n != 1 {
+		t.Fatalf("cold ordered read: EvAdaptSpec = %d, want 1", n)
+	}
+	if n := reg.Total(obs.EvLeaseGrant); n != 0 {
+		t.Fatalf("cold ordered read took %d leases", n)
+	}
+
+	// A writer rewrites the hot key between each speculative fetch and its
+	// confirmation: every failure adds a conflict to the range's slot.
+	for i := uint64(0); reg.Total(obs.EvArmSwitchToLease) == 0; i++ {
+		if i == 8 {
+			t.Fatal("range did not turn hot after 8 failed validations")
+		}
+		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
+		if _, err := ro.Read(tblOrders, hot); err != nil {
+			t.Fatal(err)
+		}
+		if err := home.Exec(func(tx *Tx) error {
+			if err := tx.W(tblOrders, hot); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				return lc.Write(tblOrders, hot, []uint64{i, 1})
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ro.confirm() {
+			t.Fatal("confirmation passed over a rewritten row")
+		}
+		ro.release()
+	}
+	if rt.HotBuckets() != 1 {
+		t.Fatalf("HotBuckets = %d, want 1", rt.HotBuckets())
+	}
+
+	// Hot range: the neighbour key leases too, in both transaction kinds.
+	leases := reg.Total(obs.EvAdaptLease)
+	if err := e.ExecRO(func(ro *RO) error {
+		_, err := ro.Read(tblOrders, cold)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rw(cold)
+	if n := reg.Total(obs.EvAdaptLease) - leases; n != 2 {
+		t.Fatalf("hot range: %d reads routed to the lease arm, want 2", n)
+	}
+	if n := reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare); n != 2 {
+		t.Fatalf("hot range: %d leases taken, want 2", n)
+	}
+
+	// Conflict-free reads decay the slot below its exit threshold.
+	for i := 0; i < 20 && reg.Total(obs.EvArmSwitchToSpec) == 0; i++ {
+		rw(cold)
+	}
+	if n := reg.Total(obs.EvArmSwitchToSpec); n != 1 {
+		t.Fatalf("decay: EvArmSwitchToSpec = %d, want 1", n)
+	}
+	if rt.HotBuckets() != 0 {
+		t.Fatalf("HotBuckets after decay = %d, want 0", rt.HotBuckets())
+	}
+}
+
+// Wide tables for the stress test: an eight-word value puts the entry's
+// header and the value's head on one cache line and its tail on the next, so
+// a reader that mixed two commits would see a row that disagrees with itself.
+const (
+	tblWideHash    = 11
+	tblWideOrdered = 12
+	wideWords      = 8
+	wideRows       = 6
+	wideBalance    = 1000
+)
+
+func wideVal(bal uint64) []uint64 {
+	v := make([]uint64, wideWords)
+	for i := range v {
+		v[i] = bal
+	}
+	return v
+}
+
+// TestROSpecLocalStress is the transfer invariant under fire for the local
+// speculative route: a read-only transaction on the rows' home node sums
+// multi-line rows with plain image reads while a local HTM writer and a
+// remote locking writer (lock CAS, value WRITEs, then the release WRITE) move
+// balance between them. A committed audit must see every row agree with
+// itself and the total conserved; a torn or half-committed image fails one
+// or the other. Hash and ordered tables.
+func TestROSpecLocalStress(t *testing.T) {
+	for _, table := range []int{tblWideHash, tblWideOrdered} {
+		t.Run(fmt.Sprintf("table%d", table), func(t *testing.T) {
+			rt, stop := newOrderedRig(t, 2, 2, nil)
+			defer stop()
+			rt.ReadPolicy = PolicySpeculative
+			rt.DefineUnordered(tblWideHash, 16, 16, 32, wideWords)
+			rt.DefineOrderedSeg(tblWideOrdered, 32, wideWords, 8)
+			// Keys 1..wideRows are entity 0: homed on node 0.
+			for k := uint64(1); k <= wideRows; k++ {
+				var err error
+				if table == tblWideHash {
+					err = rt.C.Node(0).Unordered(table).Insert(k, wideVal(wideBalance))
+				} else {
+					err = rt.C.Node(0).Ordered(table).Insert(k, wideVal(wideBalance))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			deadline := time.Now().Add(150 * time.Millisecond)
+			var wg sync.WaitGroup
+			writer := func(e *Executor, step uint64) {
+				defer wg.Done()
+				for i := uint64(0); time.Now().Before(deadline); i++ {
+					from, to := 1+i%wideRows, 1+(i*step+1)%wideRows
+					if from == to {
+						continue
+					}
+					err := e.Exec(func(tx *Tx) error {
+						if err := tx.W(table, from); err != nil {
+							return err
+						}
+						if err := tx.W(table, to); err != nil {
+							return err
+						}
+						return tx.Execute(func(lc *Local) error {
+							f, err := lc.Read(table, from)
+							if err != nil {
+								return err
+							}
+							g, err := lc.Read(table, to)
+							if err != nil {
+								return err
+							}
+							if f[0] == 0 {
+								return nil
+							}
+							if err := lc.Write(table, from, wideVal(f[0]-1)); err != nil {
+								return err
+							}
+							return lc.Write(table, to, wideVal(g[0]+1))
+						})
+					})
+					if err != nil {
+						t.Errorf("writer: %v", err)
+						return
+					}
+				}
+			}
+			audits := 0
+			auditor := func(e *Executor) {
+				defer wg.Done()
+				for time.Now().Before(deadline) {
+					var total uint64
+					torn := false
+					err := e.ExecRO(func(ro *RO) error {
+						total, torn = 0, false
+						for k := uint64(1); k <= wideRows; k++ {
+							v, err := ro.Read(table, k)
+							if err != nil {
+								return err
+							}
+							for _, w := range v[1:] {
+								torn = torn || w != v[0]
+							}
+							total += v[0]
+						}
+						return nil
+					})
+					switch {
+					case err != nil:
+						t.Errorf("auditor: %v", err)
+						return
+					case torn:
+						t.Error("committed audit read a torn row")
+						return
+					case total != wideRows*wideBalance:
+						t.Errorf("committed audit summed %d, want %d", total, wideRows*wideBalance)
+						return
+					}
+					audits++
+				}
+			}
+			wg.Add(3)
+			go auditor(rt.Executor(0, 0)) // local speculative reader
+			go writer(rt.Executor(0, 1), 2)
+			go writer(rt.Executor(1, 0), 3) // remote write-backs
+			wg.Wait()
+
+			if audits == 0 {
+				t.Fatal("no audit committed")
+			}
+			if n := rt.C.Obs.Total(obs.EvLeaseGrant) + rt.C.Obs.Total(obs.EvLeaseShare); n != 0 {
+				t.Fatalf("speculative run took %d leases", n)
+			}
+			var total uint64
+			for k := uint64(1); k <= wideRows; k++ {
+				var v []uint64
+				var ok bool
+				if table == tblWideHash {
+					v, ok = rt.C.Node(0).Unordered(table).Get(k)
+				} else {
+					v, ok = liveOrderedVal(rt, 0, table, k)
+				}
+				if !ok {
+					t.Fatalf("row %d lost", k)
+				}
+				total += v[0]
+			}
+			if total != wideRows*wideBalance {
+				t.Fatalf("final total = %d, want %d", total, wideRows*wideBalance)
+			}
+		})
+	}
+}

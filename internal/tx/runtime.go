@@ -415,19 +415,22 @@ type Executor struct {
 
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases
 
-	// Hot-path pools: Exec's per-attempt Tx shell, staged-record structs and
-	// the Start phase's staging scratch are reused across attempts and
-	// transactions instead of reallocated (see recycle / getRec / getReq).
-	// Executors are single-goroutine objects, so none of this needs locking.
+	// Hot-path pools: Exec's per-attempt Tx shell, ExecRO's shell,
+	// staged-record structs and the Start phase's staging scratch are reused
+	// across attempts and transactions instead of reallocated (see recycle /
+	// RO.release / getRec / getReq). Executors are single-goroutine objects,
+	// so none of this needs locking.
 	freeTx   *Tx
+	freeRO   *RO
 	recFree  []*remoteRec
 	reqFree  []*stageReq
 	reqScr   []*stageReq // Stage's per-call batch ordering
 	activeWR []*rdma.WR  // posted-wave scratch
 	activeSR []*stageReq // acquire-wave scratch
 	lreqScr  []*kvs.LookupReq
-	hdrBuf   []uint64 // validation-wave READ destinations
-	imgBuf   []uint64 // readEntry's image (serial fetches: RO, fallback)
+	hdrBuf   []uint64                // validation-wave READ destinations
+	imgBuf   []uint64                // readEntry's image (serial fetches: RO, fallback)
+	bktBuf   [kvs.BucketWords]uint64 // resolve's bucket image (serial lookups)
 	seen     map[refKey]*stageReq
 }
 
@@ -589,8 +592,9 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 			return nil
 		case errors.Is(err, ErrRetry):
 			sh.Inc(obs.EvTxRetry)
+			cause := t.lastAbort
 			e.recycle(t)
-			e.backoff(attempt)
+			e.backoff(attempt, cause)
 		default:
 			if errors.Is(err, ErrNodeDown) {
 				sh.Inc(obs.EvNodeDownAbort)
@@ -614,11 +618,15 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 	return fmt.Errorf("tx: retry budget exhausted: %w", ErrRetry)
 }
 
-// backoff performs a randomized exponential backoff. The wait is charged to
-// virtual time for throughput accounting AND spent in real time: lease
-// expiry is a real-time phenomenon, so a writer blocked on a lease must
-// genuinely wait it out rather than spin through its retry budget.
-func (e *Executor) backoff(attempt int) {
+// backoff performs a randomized exponential backoff before the retry of an
+// attempt that failed for cause. The wait is always charged to virtual time
+// for throughput accounting. It is also spent in real time when the attempt
+// lost to a lease or a lock: lease expiry is a real-time phenomenon, so a
+// writer blocked on a lease must genuinely wait it out rather than spin
+// through its retry budget. Any other failure — a speculative read or a scan
+// that did not validate, a stale location — left nothing to wait out: the
+// retry only yields.
+func (e *Executor) backoff(attempt int, cause obs.AbortCause) {
 	vexp := attempt
 	if vexp > 7 {
 		vexp = 7 // cap the charged wait at ~16us: retry CAS costs dominate
@@ -628,7 +636,8 @@ func (e *Executor) backoff(attempt int) {
 	if attempt > 10 {
 		attempt = 10
 	}
-	if attempt < 4 {
+	waits := cause == obs.CauseLease || cause == obs.CauseLocked || cause == obs.CauseRemote
+	if attempt < 4 || !waits {
 		runtime.Gosched()
 		return
 	}

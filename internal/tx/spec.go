@@ -1,7 +1,6 @@
 package tx
 
 import (
-	"drtm/internal/clock"
 	"drtm/internal/htm"
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
@@ -111,14 +110,12 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 			arena := t.arenaAt(r.node, r.region)
 			incver := htx.Read(arena, kvs.IncVerOffset(r.off))
 			state := htx.Read(arena, kvs.StateOffset(r.off))
-			stale := kvs.Version(incver) != r.version ||
-				kvs.Incarnation(incver) != r.inc ||
-				clock.IsWriteLocked(state)
+			key := r.key
 			if r.ordered {
 				// The slot could also have been recycled for another key.
-				stale = stale || htx.Read(arena, r.off+kvs.EntryKeyWord) != r.key
+				key = htx.Read(arena, r.off+kvs.EntryKeyWord)
 			}
-			if stale {
+			if r.moved(key, incver, state) {
 				fails++
 				// Adaptive feedback: a validation failure is the spec arm's
 				// defining loss — heat the bucket so future reads lease it.

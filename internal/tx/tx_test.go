@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
 )
@@ -304,6 +305,7 @@ func TestLeaseSharingAcrossNodes(t *testing.T) {
 	// turn the share into a takeover about one run in seventy.
 	rt, stop := newRig(t, 3, 1, 6, func(c *cluster.Config) { c.LeaseMicros = 1 << 30 })
 	defer stop()
+	rt.ReadPolicy = PolicyLease // the paper's arm is the subject
 	// Key 3 lives on node 0; readers on nodes 1 and 2.
 	t1 := rt.Executor(1, 0).newTx()
 	t2 := rt.Executor(2, 0).newTx()
@@ -405,20 +407,30 @@ func TestReadOnlySnapshot(t *testing.T) {
 	}
 }
 
-// TestReadOnlyBlocksWriters: while a RO lease is held, writers retry.
+// TestReadOnlyLeaseVisibleToWriters: under PolicyLease (Section 4.5) a
+// read-only transaction leases every record, local ones too, and writers
+// retry while the lease is held. TestReadOnlyAdaptiveLeavesNoLease is the
+// mirror for the default policy.
 func TestReadOnlyLeaseVisibleToWriters(t *testing.T) {
 	rt, stop := newRig(t, 2, 1, 4, func(c *cluster.Config) {
 		c.ROLeaseMicros = 30_000
 	})
 	defer stop()
+	rt.ReadPolicy = PolicyLease
 	e := rt.Executor(0, 0)
 	// Acquire a RO lease on remote key 1 and local key 2 by hand.
-	ro := &RO{e: e, end: e.w.Node.Clock.Read() + 30_000, index: map[refKey]*remoteRec{}}
+	ro := &RO{e: e, end: e.w.Node.Clock.Read() + 30_000, index: map[refKey]*remoteRec{},
+		policy: PolicyLease}
 	if _, err := ro.Read(tblAccounts, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ro.Read(tblAccounts, 2); err != nil {
 		t.Fatal(err)
+	}
+	for key, node := range map[uint64]int{1: 1, 2: 0} {
+		if w := stateWord(t, rt, node, tblAccounts, key); w == clock.Init {
+			t.Fatalf("key %d carries no lease", key)
+		}
 	}
 	// A remote writer must now fail fast on key 1.
 	tw := rt.Executor(0, 0).newTx()
