@@ -22,22 +22,26 @@ race:
 
 # Stress lane: the suites that are free of real-time lease windows — the HTM
 # engine's invariants, the record-access state machine and image check, the
-# hash-path golden table, the staging regression tests and the speculative
-# read routes of read-only transactions and ordered tables (leaseless state
-# words, header re-validation, the transfer invariant under local and remote
-# writers, range heat) — repeated across core counts. A red run here is a
-# bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools
+# hash-path and ordered-path golden tables, the staging regression tests, the
+# Stage-vs-per-row equivalence property and partial-failure tests, the
+# speculative read routes of read-only transactions and ordered tables
+# (leaseless state words, header re-validation, the transfer invariant under
+# local and remote writers, range heat) and two clients churning the same
+# subscribers — repeated across core counts. A red run here is a bug, never a
+# rerun.
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools
+STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
-	go test -race -count=5 -cpu 1,2,4 -run TestConcurrentSubscriberLifecycle ./internal/tatp/
+	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 
 # Allocation gate: a warm HTM region allocates nothing, and a committed
-# transaction stays inside its object budget (both excluded under -race).
+# transaction — hash or ordered, structural rows and shipped messages included
+# — stays inside its object budget (all excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
-	go test -count=1 -run TestExecAllocSteadyState ./internal/tx/
+	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState' ./internal/tx/
 
 # Whole-system smoke run: every benchmark workload and the ladder at 1/100
 # scale; exits non-zero when a correctness check fails (benchmark/README.md).
@@ -45,15 +49,19 @@ bench-smoke:
 	go run ./benchmark -scale 0.01
 
 # Crash-consistency gate: SmallBank under repeated crashes with lease-based
-# detection and online recovery; conservation must hold.
+# detection and online recovery; conservation must hold. The coalesced
+# messages keep the per-op fault semantics (stage_fault_test.go).
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
+	go test -race -count=1 -run TestCoalescedFault ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
-# serial window=1 control arm (see internal/bench/batchexp.go).
+# serial window=1 control arm, for one-sided records and for shipped ordered /
+# structural declares alike (internal/bench/batchexp.go, batchexp_test.go).
 batch:
 	go run ./cmd/drtm-bench -exp batch -quick
+	go test -count=1 -run TestBatchAcceptance ./internal/bench/
 
 # Speculative-read gate: the one-RTT OCC arm must keep its low-contention
 # win over lease CAS and show the write-ratio crossover (occexp_test.go).

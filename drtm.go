@@ -632,6 +632,7 @@ type Stats struct {
 	RDMACASes   int64
 	RDMAFAAs    int64
 	VerbsMsgs   int64
+	ShippedOps  int64 // keys / operations the two-sided messages carried (coalescing: ShippedOps / VerbsMsgs)
 	RDMABatches int64 // doorbell batches polled by the async verb engine
 
 	// Durability and recovery (Section 4.6 / Figure 7).
@@ -717,6 +718,7 @@ func newStats(sn obs.Snapshot) Stats {
 		RDMACASes:   c(obs.EvRDMACAS),
 		RDMAFAAs:    c(obs.EvRDMAFAA),
 		VerbsMsgs:   c(obs.EvVerbsMsg),
+		ShippedOps:  c(obs.EvShippedOp),
 		RDMABatches: c(obs.EvRDMABatch),
 
 		LogRecords:      c(obs.EvLogRecord),
@@ -791,8 +793,12 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "adapt:   spec-routes=%d lease-routes=%d spec-share=%.1f%% hot-keys=%d switches=%d (to-lease=%d to-spec=%d)\n",
 		s.AdaptiveSpecReads, s.AdaptiveLeaseReads, s.SpecShare, s.HotKeys,
 		s.ArmSwitches, s.ArmSwitchesToLease, s.ArmSwitchesToSpec)
-	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d batches=%d\n",
-		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, s.RDMABatches)
+	opsPerMsg := 0.0
+	if s.VerbsMsgs > 0 {
+		opsPerMsg = float64(s.ShippedOps) / float64(s.VerbsMsgs)
+	}
+	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d (%.2f ops/msg) batches=%d\n",
+		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, opsPerMsg, s.RDMABatches)
 	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-redos=%d recovery-unlocks=%d\n",
 		s.LogRecords, s.RecoveryRedos, s.RecoveryUnlocks)
 	fmt.Fprintf(&b, "repl:    log-appends=%d backup-bytes=%d fence-rejects=%d view-aborts=%d failovers=%d promote-time=%v redo-tail=%d\n",

@@ -47,6 +47,34 @@ func runBatch(o Options) *Result {
 		model.RDMAReadBaseNS, model.RDMACASNS, model.RDMAReadBaseNS)
 	res.Note("batched waves charge max(completions) + %dns doorbell per WR, so the phase cost", model.DoorbellNS)
 	res.Note("approaches one round trip per pipeline stage instead of one per record")
+
+	// Ordered / structural rows: N remote ordered inserts (and N remote ordered
+	// writes) declared row by row versus with one Stage. One Stage resolves
+	// all N keys with one shipped message and locks them in one CAS wave;
+	// window=1 is again the serial control: one key per message, one verb per
+	// poll — the per-row cost. (batches/txn counts the commit waves too.)
+	for _, op := range []orderedOp{orderedInsert, orderedWrite} {
+		for _, n := range []int{1, 4, 8} {
+			if op == orderedWrite && n != 4 {
+				continue
+			}
+			for _, window := range []int{16, 1} {
+				perRow := measureOrderedBatch(o, txns, n, window, op, false)
+				staged := measureOrderedBatch(o, txns, n, window, op, true)
+				for _, arm := range []struct {
+					declare string
+					m       orderedBatchCost
+				}{{"per row", perRow}, {"one Stage", staged}} {
+					res.AddRow(fmt.Sprintf("%d ordered %s, %s", n, op, arm.declare),
+						fmt.Sprintf("%d", window), fmt.Sprintf("%.1fus", arm.m.lockNS/1e3),
+						fmt.Sprintf("%.1f", arm.m.batches),
+						fmt.Sprintf("%.2fx per row, %.1f msgs", arm.m.lockNS/perRow.lockNS, arm.m.msgs))
+				}
+			}
+		}
+	}
+	res.Note("a shipped message: %dns each way + %dns per key for the host's tree operation",
+		model.VerbsMsgBaseNS, model.BTreeOpNS)
 	return res
 }
 
@@ -106,4 +134,84 @@ func measureBatch(o Options, txns, n, window int) (meanNS, batchesPerTx float64)
 
 func init() {
 	Register(Experiment{ID: "batch", Title: "Doorbell batching win", Run: runBatch})
+}
+
+// orderedOp is what an ordered-table batch row declares.
+type orderedOp string
+
+const (
+	orderedInsert orderedOp = "insert"
+	orderedWrite  orderedOp = "write"
+)
+
+// benchOrdered is the batch experiment's ordered table.
+const benchOrdered = benchTable + 1
+
+// orderedBatchCost is one arm of the ordered batch rows, per transaction.
+type orderedBatchCost struct {
+	lockNS  float64 // mean PhaseLockRemote: shipped resolution + CAS waves
+	msgs    float64 // two-sided messages
+	batches float64 // polled doorbell batches
+}
+
+// measureOrderedBatch runs txns transactions that each declare n remote
+// ordered rows — fresh keys to insert, or existing rows to write — either row
+// by row (WInsert / W) or with one Stage, under the given send-queue window.
+func measureOrderedBatch(o Options, txns, n, window int, op orderedOp, staged bool) orderedBatchCost {
+	const perNode = 8192
+	rt, stop := buildMicro(2, 1, perNode, nil, func(rt *tx.Runtime) {
+		rt.BatchWindow = window
+		rt.DefineOrdered(benchOrdered, 2*perNode, 2)
+	})
+	defer stop()
+	val := []uint64{7, 7}
+	if op == orderedWrite {
+		host := rt.C.Node(1).Ordered(benchOrdered)
+		for k := perNode + 1; k <= 2*perNode; k++ {
+			if err := host.Insert(uint64(k), val); err != nil {
+				panic(err)
+			}
+		}
+	}
+	resetClocks(rt)
+	e := rt.Executor(0, 0)
+	before := rt.C.Obs.Snapshot()
+
+	next := uint64(perNode) // keys perNode+1..2*perNode are homed on node 1
+	accs := make([]tx.Access, n)
+	for t := 0; t < txns; t++ {
+		for j := range accs {
+			next++
+			accs[j] = tx.Access{Table: benchOrdered, Key: next, Write: true}
+			if op == orderedInsert {
+				accs[j] = tx.Access{Table: benchOrdered, Key: next, Insert: val}
+			}
+		}
+		err := e.Exec(func(t1 *tx.Tx) error {
+			if staged {
+				if err := t1.Stage(accs...); err != nil {
+					return err
+				}
+			} else {
+				for _, a := range accs {
+					if err := t1.Stage(a); err != nil {
+						return err
+					}
+				}
+			}
+			return t1.Execute(func(lc *tx.Local) error { return nil })
+		})
+		if err != nil {
+			panic(err)
+		}
+	}
+
+	sn := rt.C.Obs.Snapshot().Delta(before)
+	lock := sn.Phases[obs.PhaseLockRemote]
+	if lock.Count == 0 {
+		return orderedBatchCost{}
+	}
+	per := func(v int64) float64 { return float64(v) / float64(lock.Count) }
+	return orderedBatchCost{lockNS: per(lock.Sum),
+		msgs: per(sn.Counters[obs.EvVerbsMsg]), batches: per(sn.Counters[obs.EvRDMABatch])}
 }

@@ -427,8 +427,13 @@ type Msg struct {
 }
 
 func (n *Node) dispatch(from int, req any) any {
-	m, ok := req.(Msg)
-	if !ok {
+	var m Msg
+	switch r := req.(type) {
+	case Msg:
+		m = r
+	case *Msg: // a sender's reused envelope: nothing boxed per call
+		m = *r
+	default:
 		return fmt.Errorf("cluster: node %d got non-Msg request %T", n.ID, req)
 	}
 	h, ok := n.handlers[m.Type]

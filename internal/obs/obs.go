@@ -79,6 +79,7 @@ const (
 	EvRDMAFAA
 	EvVerbsMsg
 	EvRDMABatch // one polled doorbell batch (wave) of the async verb engine
+	EvShippedOp // one key / operation carried by a two-sided message (EvVerbsMsg counts the messages)
 
 	// Durability (Section 4.6): one NVRAM log record appended.
 	EvLogRecord
@@ -153,6 +154,7 @@ var eventNames = [NumEvents]string{
 	EvRDMAFAA:            "rdma.faa",
 	EvVerbsMsg:           "rdma.msg",
 	EvRDMABatch:          "rdma.batch",
+	EvShippedOp:          "rdma.shipped_op",
 	EvLogRecord:          "nvram.log_record",
 	EvRecoveryRedo:       "recovery.redo",
 	EvRecoveryUnlock:     "recovery.unlock",

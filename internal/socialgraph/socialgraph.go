@@ -146,8 +146,9 @@ func (c *Client) RunOne() error {
 }
 
 // ordered returns the friendship's two directed edges in global key order —
-// both Befriend and Unfriend stage in this order, so two writers racing on
-// the same pair collide on the first edge instead of deadlocking.
+// both Befriend and Unfriend declare them in this order (one Stage call, so
+// both lock in one wave), so two writers racing on the same pair collide on
+// the first edge.
 func ordered(a, b uint64) [2][2]uint64 {
 	if EdgeKey(a, b) < EdgeKey(b, a) {
 		return [2][2]uint64{{a, b}, {b, a}}
@@ -162,13 +163,15 @@ func (c *Client) Befriend(a, b uint64) error {
 	c.stamp++
 	stamp := c.stamp
 	err := c.e.Exec(func(t *tx.Tx) error {
-		for _, e := range ordered(a, b) {
-			if err := t.WInsert(TableEdges, EdgeKey(e[0], e[1]), []uint64{stamp, e[1]}); err != nil {
-				if err == kvs.ErrExists {
-					return tx.ErrUserAbort
-				}
-				return err
+		es := ordered(a, b)
+		if err := t.Stage(
+			tx.Access{Table: TableEdges, Key: EdgeKey(es[0][0], es[0][1]), Insert: []uint64{stamp, es[0][1]}},
+			tx.Access{Table: TableEdges, Key: EdgeKey(es[1][0], es[1][1]), Insert: []uint64{stamp, es[1][1]}},
+		); err != nil {
+			if err == kvs.ErrExists {
+				return tx.ErrUserAbort
 			}
+			return err
 		}
 		return t.Execute(func(lc *tx.Local) error { return nil })
 	})
@@ -182,13 +185,15 @@ func (c *Client) Befriend(a, b uint64) error {
 // means the friendship doesn't exist (or a racing Unfriend won): no-op.
 func (c *Client) Unfriend(a, b uint64) error {
 	err := c.e.Exec(func(t *tx.Tx) error {
-		for _, e := range ordered(a, b) {
-			if _, err := t.Erase(TableEdges, EdgeKey(e[0], e[1])); err != nil {
-				if err == tx.ErrNotFound {
-					return tx.ErrUserAbort
-				}
-				return err
+		es := ordered(a, b)
+		if err := t.Stage(
+			tx.Access{Table: TableEdges, Key: EdgeKey(es[0][0], es[0][1]), Erase: true},
+			tx.Access{Table: TableEdges, Key: EdgeKey(es[1][0], es[1][1]), Erase: true},
+		); err != nil {
+			if err == tx.ErrNotFound {
+				return tx.ErrUserAbort
 			}
+			return err
 		}
 		return t.Execute(func(lc *tx.Local) error { return nil })
 	})

@@ -1,0 +1,129 @@
+package tatp_test
+
+import (
+	"fmt"
+	"testing"
+
+	"drtm/internal/cluster"
+	"drtm/internal/tatp"
+	"drtm/internal/tx"
+)
+
+// orderedGoldenRow is what one TATP transaction type cost on the client's
+// queue pair, summed over orderedGoldenTxns transactions: two-sided messages,
+// one-sided CAS / READ / WRITE verbs and modeled nanoseconds. (Divide by
+// orderedGoldenTxns for the per-transaction figures EXPERIMENTS.md quotes.)
+type orderedGoldenRow struct {
+	name                           string
+	msgs, cases, reads, writes, ns int64
+}
+
+func (r orderedGoldenRow) String() string {
+	return fmt.Sprintf("{%q, %d, %d, %d, %d, %d},", r.name, r.msgs, r.cases, r.reads, r.writes, r.ns)
+}
+
+const orderedGoldenTxns = 100
+
+// TestOrderedPathGolden is the ordered-table companion of internal/tx's
+// TestHashPathGolden: it pins, per TATP transaction type and for a local and a
+// remote subscriber, the verbs the whole transaction sent and its modeled
+// time, on a fixed script with one client. Every TATP table is ordered, so
+// this is the shipped-message + fused-wave path of Tx.Stage end to end
+// (lookups and EnsureDeads coalesced per host, structural rows locked in the
+// base row's wave, removals coalesced per host). The cluster's soft-clock
+// timers never start, so nothing depends on a real-time window.
+//
+// If a change moves the table on purpose, paste the observed rows the failure
+// prints.
+func TestOrderedPathGolden(t *testing.T) {
+	got := runOrderedGolden(t)
+	bad := len(got) != len(orderedGolden)
+	for i := 0; !bad && i < len(got); i++ {
+		bad = got[i] != orderedGolden[i]
+	}
+	if !bad {
+		return
+	}
+	for i, g := range got {
+		mark := ""
+		if i >= len(orderedGolden) || orderedGolden[i] != g {
+			mark = " // MOVED"
+		}
+		t.Logf("\t%v%s", g, mark)
+	}
+	t.Fatal("ordered path moved (rows above are the observed table)")
+}
+
+func runOrderedGolden(t *testing.T) []orderedGoldenRow {
+	t.Helper()
+	ccfg := cluster.DefaultConfig(2, 1)
+	ccfg.LeaseMicros = 1 << 40
+	ccfg.ROLeaseMicros = 1 << 40
+	c := cluster.New(ccfg)
+	cfg := tatp.Config{Nodes: 2, Subscribers: 4 * orderedGoldenTxns}
+	rt := tx.NewRuntime(c, cfg.Partitioner())
+	rt.ReadPolicy = tx.PolicyAdaptive // the repo benchmark's policy
+	w, err := tatp.Setup(rt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1)
+
+	var rows []orderedGoldenRow
+	// measure runs op once per subscriber of one home: even subscriber ids
+	// are local to the client's node 0, odd ones remote.
+	measure := func(name string, op func(sid uint64, i int) error) {
+		for home, where := range []string{"local", "remote"} {
+			qs := &e.Worker().QP.Stats
+			ns0 := int64(e.Worker().VClock.Now())
+			m0, c0, r0, w0 := qs.Msgs.Load(), qs.CASes.Load(), qs.Reads.Load(), qs.Writes.Load()
+			for i := 0; i < orderedGoldenTxns; i++ {
+				sid := uint64(2*(i+1) + home)
+				if err := op(sid, i); err != nil {
+					t.Fatalf("%s %s subscriber %d: %v", name, where, sid, err)
+				}
+			}
+			rows = append(rows, orderedGoldenRow{
+				name: name + " " + where,
+				msgs: qs.Msgs.Load() - m0, cases: qs.CASes.Load() - c0,
+				reads: qs.Reads.Load() - r0, writes: qs.Writes.Load() - w0,
+				ns: int64(e.Worker().VClock.Now()) - ns0,
+			})
+		}
+	}
+	measure("get_subscriber", func(sid uint64, i int) error { return cl.GetSubscriberData(sid) })
+	measure("get_new_destination", func(sid uint64, i int) error { return cl.GetNewDestination(sid, 1+i%tatp.NumSFTypes) })
+	measure("update_location", func(sid uint64, i int) error { return cl.UpdateLocation(tatp.SubNbr(sid), uint64(i)) })
+	// Half the toggles add the facility row, half drop it.
+	measure("toggle_facility", func(sid uint64, i int) error { return cl.ToggleSpecialFacility(sid, 1+i%tatp.NumSFTypes) })
+	measure("insert_call_fwd", func(sid uint64, i int) error { return cl.InsertCallForwarding(sid, 1+i%tatp.NumSFTypes, i%24) })
+	measure("delete_call_fwd", func(sid uint64, i int) error { return cl.DeleteCallForwarding(sid, 1+i%tatp.NumSFTypes, i%24) })
+	measure("delete_subscriber", func(sid uint64, i int) error { return cl.DeleteSubscriber(sid) })
+	measure("insert_subscriber", func(sid uint64, i int) error { return cl.InsertSubscriber(sid, uint64(i%15+1)<<1) })
+	if err := w.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// The golden table: {type and home, messages, CASes, READs, WRITEs, modeled
+// ns}, each summed over orderedGoldenTxns transactions.
+var orderedGolden = []orderedGoldenRow{
+	{"get_subscriber local", 0, 0, 0, 0, 42800},
+	{"get_subscriber remote", 100, 0, 200, 0, 961900},
+	{"get_new_destination local", 0, 0, 0, 0, 40000},
+	{"get_new_destination remote", 100, 0, 0, 0, 662000},
+	{"update_location local", 0, 0, 0, 0, 140900},
+	{"update_location remote", 100, 100, 300, 300, 2828900},
+	{"toggle_facility local", 0, 0, 0, 0, 184452},
+	{"toggle_facility remote", 203, 200, 200, 600, 3269540},
+	{"insert_call_fwd local", 1, 0, 0, 0, 73502},
+	{"insert_call_fwd remote", 148, 48, 144, 144, 1870808},
+	{"delete_call_fwd local", 0, 0, 0, 0, 65406},
+	{"delete_call_fwd remote", 147, 48, 48, 144, 1809404},
+	{"delete_subscriber local", 1, 0, 0, 0, 349562},
+	{"delete_subscriber remote", 299, 410, 410, 1230, 5694612},
+	{"insert_subscriber local", 1, 0, 0, 0, 194088},
+	{"insert_subscriber remote", 100, 409, 409, 1227, 2881994},
+}

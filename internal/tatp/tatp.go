@@ -267,10 +267,10 @@ func (c *Client) GetNewDestination(sid uint64, sfType int) error {
 func (c *Client) UpdateLocation(subNbr, loc uint64) error {
 	sid := SidOfSubNbr(subNbr)
 	err := c.e.Exec(func(t *tx.Tx) error {
-		if err := t.R(TableSubNbrIndex, subNbr); err != nil {
-			return err
-		}
-		if err := t.W(TableSubscriber, sid); err != nil {
+		if err := t.Stage(
+			tx.Access{Table: TableSubNbrIndex, Key: subNbr},
+			tx.Access{Table: TableSubscriber, Key: sid, Write: true},
+		); err != nil {
 			return err
 		}
 		return t.Execute(func(lc *tx.Local) error {
@@ -301,18 +301,19 @@ func (c *Client) ToggleSpecialFacility(sid uint64, sfType int) error {
 	bit := uint64(1) << uint(sfType)
 	key := SFKey(sid, sfType)
 	err := c.e.Exec(func(t *tx.Tx) error {
-		if err := t.W(TableSubscriber, sid); err != nil {
-			return err
-		}
 		// Try to add the facility row; ErrExists means it is live, so this
-		// transaction drops it instead.
+		// transaction drops it instead (declaring the subscriber row again is
+		// free if the first batch got as far as staging it).
+		sub := tx.Access{Table: TableSubscriber, Key: sid, Write: true}
 		drop := false
-		if err := t.WInsert(TableSpecialFacility, key, []uint64{1, sid}); err != nil {
+		if err := t.Stage(sub, tx.Access{Table: TableSpecialFacility, Key: key,
+			Insert: []uint64{1, sid}}); err != nil {
 			if err != kvs.ErrExists {
 				return err
 			}
 			drop = true
-			if _, err := t.Erase(TableSpecialFacility, key); err != nil {
+			if err := t.Stage(sub, tx.Access{Table: TableSpecialFacility, Key: key,
+				Erase: true}); err != nil {
 				return err
 			}
 		}
@@ -386,13 +387,18 @@ func (c *Client) DeleteSubscriber(sid uint64) error {
 		if err != nil {
 			return err
 		}
+		// One batch for the masked facility rows (the subscriber's index row,
+		// named by the value just fetched, rides it).
+		var rows [NumSFTypes]tx.Access
+		n := 0
 		for ty := 1; ty <= NumSFTypes; ty++ {
-			if old[1]&(1<<uint(ty)) == 0 {
-				continue
+			if old[1]&(1<<uint(ty)) != 0 {
+				rows[n] = tx.Access{Table: TableSpecialFacility, Key: SFKey(sid, ty), Erase: true}
+				n++
 			}
-			if _, err := t.Erase(TableSpecialFacility, SFKey(sid, ty)); err != nil {
-				return err
-			}
+		}
+		if err := t.Stage(rows[:n]...); err != nil {
+			return err
 		}
 		return t.Execute(func(lc *tx.Local) error { return nil })
 	})
@@ -408,24 +414,25 @@ func (c *Client) DeleteSubscriber(sid uint64) error {
 func (c *Client) InsertSubscriber(sid, mask uint64) error {
 	mask &= 0x1E
 	err := c.e.Exec(func(t *tx.Tx) error {
-		if err := t.WInsert(TableSubscriber, sid, []uint64{SubNbr(sid), mask, 0}); err != nil {
+		// One batch: the base row, its index row (declared index) and the
+		// masked facility rows.
+		sub := [3]uint64{SubNbr(sid), mask, 0}
+		sf := [2]uint64{1, sid}
+		rows := [1 + NumSFTypes]tx.Access{{Table: TableSubscriber, Key: sid, Insert: sub[:]}}
+		n := 1
+		for ty := 1; ty <= NumSFTypes; ty++ {
+			if mask&(1<<uint(ty)) != 0 {
+				rows[n] = tx.Access{Table: TableSpecialFacility, Key: SFKey(sid, ty), Insert: sf[:]}
+				n++
+			}
+		}
+		if err := t.Stage(rows[:n]...); err != nil {
 			if err == kvs.ErrExists {
+				// The subscriber exists, or a racing insert of the same
+				// subscriber got to a facility row first: equally benign.
 				return tx.ErrUserAbort
 			}
 			return err
-		}
-		for ty := 1; ty <= NumSFTypes; ty++ {
-			if mask&(1<<uint(ty)) == 0 {
-				continue
-			}
-			if err := t.WInsert(TableSpecialFacility, SFKey(sid, ty), []uint64{1, sid}); err != nil {
-				if err == kvs.ErrExists {
-					// A racing insert of the same subscriber got here first:
-					// as benign as losing the base row to it.
-					return tx.ErrUserAbort
-				}
-				return err
-			}
 		}
 		return t.Execute(func(lc *tx.Local) error { return nil })
 	})

@@ -19,10 +19,10 @@ import (
 	"errors"
 
 	"drtm/internal/clock"
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
-	"drtm/internal/rdma"
 )
 
 // recHandle addresses one record's entry. The logical coordinates come from
@@ -87,7 +87,7 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 		e.charge(e.model().BTreeOpNS)
 		h.off, found = e.w.Node.Ordered(h.region).Lookup(h.key)
 	case h.ordered:
-		h.off, found, err = e.orderedLookupRemote(h.node, h.region, h.key)
+		found, err = e.shipOne(h, false)
 	case local:
 		e.charge(e.model().HashProbeNS)
 		tbl := e.w.Node.Unordered(h.region)
@@ -110,28 +110,63 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 // it. The error is ErrNodeDown, or the host's answer: kvs.ErrExists when the
 // key is live, kvs.ErrFull.
 func (e *Executor) ensureEntry(h *recHandle) error {
-	m := ensureEntryMsg{Region: h.region, Table: h.table, Part: h.part, Key: h.key}
 	if h.node == e.w.Node.ID {
-		off, err := e.rt.execEnsureEntry(e.w.Node, m)
+		off, err := e.rt.execEnsureEntry(e.w.Node, h.region, h.table, h.part, h.key)
 		h.off = off
 		return err
 	}
+	_, err := e.shipOne(h, true)
+	if err != nil && !errors.Is(err, kvs.ErrExists) && !errors.Is(err, kvs.ErrFull) {
+		return ErrNodeDown
+	}
+	return err
+}
+
+// call sends one two-sided message of the given type, carrying ops keys or
+// operations, to node. The envelope is the executor's own — a call is
+// synchronous, so one does for every message and none is boxed per call.
+func (e *Executor) call(node, typ int, body any, ops, reqBytes, respBytes int) (any, error) {
+	e.callMsg = cluster.Msg{Type: typ, Body: body}
+	resp, err := e.w.QP.Call(node, &e.callMsg, reqBytes, respBytes)
+	if err == nil {
+		e.w.Obs.Add(obs.EvShippedOp, int64(ops))
+	}
+	return resp, err
+}
+
+// ship sends ops — tree lookups and EnsureDeads for one host, built in the
+// executor's message scratch (e.shipMsg.Ops[:0]) — as one msgOrderedOps message
+// and leaves the host's answers in them. The message is charged for its
+// payload each way (a header word, 32 and 16 bytes per op) plus one tree
+// operation per key, so that coalescing hides none of the host's work.
+// Acquisition-side: transient faults retry the whole message; the error is a
+// verbs failure or the host's refusal (no such region).
+func (e *Executor) ship(node int, ops []shipOp) error {
+	e.charge(e.model().BTreeOpNS * int64(len(ops)))
+	e.shipMsg.Ops = ops
 	var resp any
-	if err := e.verbRetry(func() error {
+	err := e.verbRetry(func() error {
 		var cerr error
-		resp, cerr = e.w.QP.Call(h.node, clusterMsg(msgEnsureEntry, m), 40, 16)
+		resp, cerr = e.call(node, msgOrderedOps, &e.shipMsg, len(ops), 8+32*len(ops), 8+16*len(ops))
 		return cerr
-	}); err != nil {
-		return ErrNodeDown
+	})
+	if herr, refused := resp.(error); err == nil && refused {
+		err = herr
 	}
-	if herr, ok := resp.(error); ok {
-		if errors.Is(herr, kvs.ErrExists) || errors.Is(herr, kvs.ErrFull) {
-			return herr
-		}
-		return ErrNodeDown
+	return err
+}
+
+// shipOne is ship for one record (read-only transactions and the fallback
+// resolve serially): it fills in the handle's location and returns the
+// lookup's found, or the EnsureDead's error.
+func (e *Executor) shipOne(h *recHandle, ensure bool) (bool, error) {
+	ops := append(e.shipMsg.Ops[:0], shipOp{Region: h.region, Table: h.table, Part: h.part,
+		Key: h.key, Ensure: ensure})
+	err := e.ship(h.node, ops)
+	if err == nil {
+		h.off, err = ops[0].Off, ops[0].Err
 	}
-	h.off = resp.(memory.Offset)
-	return nil
+	return ops[0].Found, err
 }
 
 // invalidate drops the cached bucket chain that produced a stale location, so
@@ -350,27 +385,4 @@ func (h *recHandle) check(words []uint64, m *recImage, vw int, wantDead, spec bo
 		m.prevTail = words[len(words)-kvs.TailWords+kvs.TailStampWord]
 	}
 	return imgOK
-}
-
-// orderedLookupRemote ships a point lookup to the host's tree.
-func (e *Executor) orderedLookupRemote(node, region int, key uint64) (memory.Offset, bool, error) {
-	e.charge(e.model().BTreeOpNS)
-	var resp any
-	err := e.verbRetry(func() error {
-		var cerr error
-		resp, cerr = e.w.QP.Call(node, clusterMsg(msgOrderedLookup,
-			orderedLookupMsg{Region: region, Key: key}), 24, 24)
-		return cerr
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	lr, ok := resp.(orderedLookupResp)
-	if !ok {
-		if herr, isErr := resp.(error); isErr {
-			return 0, false, herr
-		}
-		return 0, false, rdma.ErrNodeUnreachable
-	}
-	return lr.Off, lr.Found, nil
 }

@@ -34,8 +34,8 @@ func benchRemoteTxn(e *Executor, spec bool) error {
 	// records take the full remote Start-phase path.
 	return e.Exec(func(tx *Tx) error {
 		if err := tx.Stage(
-			Access{tblAccounts, 1, false},
-			Access{tblAccounts, 3, true},
+			Access{Table: tblAccounts, Key: 1, Write: false},
+			Access{Table: tblAccounts, Key: 3, Write: true},
 		); err != nil {
 			return err
 		}

@@ -78,3 +78,79 @@ func TestExecAllocSteadyState(t *testing.T) {
 		t.Errorf("20-record RO allocates %.0f objects, budget 21", ro20)
 	}
 }
+
+// TestOrderedAllocSteadyState pins the structural and shipped paths of
+// Tx.Stage the same way: a remote insert of two indexed rows (four rows — the
+// bases and their index rows — one shipped message, one CAS wave), the erase
+// that undoes it (bases, then the owed index rows, then one removal message)
+// and a remote two-record ordered read-write transaction run from the
+// transaction's and the executor's scratch: the index rows' values, the
+// shipped and removal messages and their envelope, the batch bookkeeping.
+func TestOrderedAllocSteadyState(t *testing.T) {
+	rt, stop := newOrderedRig(t, 2, 1, nil)
+	defer stop()
+	rt.ReadPolicy = PolicyAdaptive
+	rt.DefineOrderedSeg(tblOrderIdx, 4096, 1, 8)
+	rt.DefineIndex(tblOrders, IndexSpec{Table: tblOrderIdx,
+		Key: func(baseKey uint64, val []uint64) uint64 { return baseKey&^0xFF | val[1]&0xFF }})
+	e := rt.Executor(0, 0)
+	a, b := orderedKey(1, 1), orderedKey(1, 2) // entity 1 is homed on node 1: remote
+	va, vb := []uint64{100, 11}, []uint64{200, 12}
+	insert := func() error {
+		return e.Exec(func(tx *Tx) error {
+			if err := tx.Stage(Access{Table: tblOrders, Key: a, Insert: va},
+				Access{Table: tblOrders, Key: b, Insert: vb}); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return nil })
+		})
+	}
+	erase := func() error {
+		return e.Exec(func(tx *Tx) error {
+			if err := tx.Stage(Access{Table: tblOrders, Key: a, Erase: true},
+				Access{Table: tblOrders, Key: b, Erase: true}); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return nil })
+		})
+	}
+	readWrite := func() error {
+		return e.Exec(func(tx *Tx) error {
+			if err := tx.Stage(Access{Table: tblOrderIdx, Key: orderedKey(1, 11)},
+				Access{Table: tblOrders, Key: a, Write: true}); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				v, err := lc.Read(tblOrders, a)
+				if err != nil {
+					return err
+				}
+				return lc.Write(tblOrders, a, []uint64{v[0] + 1, v[1]})
+			})
+		})
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the pools
+		must(insert())
+		must(readWrite())
+		must(erase())
+	}
+	must(insert())
+	// Measured: 1 (the value the body builds) and 0. The budgets are that plus one.
+	rw := testing.AllocsPerRun(50, func() { must(readWrite()) })
+	must(erase())
+	churn := testing.AllocsPerRun(50, func() {
+		must(insert())
+		must(erase())
+	})
+	if rw > 2 {
+		t.Errorf("remote ordered read-write txn allocates %.0f objects, budget 2", rw)
+	}
+	if churn > 1 {
+		t.Errorf("remote 4-row insert + erase allocates %.0f objects, budget 1", churn)
+	}
+}

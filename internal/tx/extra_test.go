@@ -630,3 +630,76 @@ func TestFallbackDropsAbortedAttemptsDeferredOps(t *testing.T) {
 		t.Fatalf("deferred insert = %v, %v", v, ok)
 	}
 }
+
+// TestFallbackErasesTheVersionItDeclared: an erase is declared against one
+// version of its row — the value Erase returned named its index rows and
+// whatever else the caller went on to declare. The fallback drops every lock
+// and takes them again, so the row can be deleted and re-created in between;
+// it must then restage rather than flip a row it never looked at.
+func TestFallbackErasesTheVersionItDeclared(t *testing.T) {
+	rt, stop := newOrderedRig(t, 1, 2, func(c *cluster.Config) {
+		c.HTM = htm.Config{WriteLines: 4, ReadLines: 4096}
+	})
+	defer stop()
+	me, other := rt.Executor(0, 0), rt.Executor(0, 1)
+	key := orderedKey(0, 1)
+	fillers := []uint64{10, 20, 30, 40, 50, 60} // more lines than the region can write
+	insertOrders(t, me, 0, append([]uint64{1}, fillers...))
+
+	attempts := 0
+	var erased []uint64
+	err := me.Exec(func(tx *Tx) error {
+		attempts++
+		old, err := tx.Erase(tblOrders, key)
+		if err != nil {
+			return err
+		}
+		erased = append(erased[:0], old...)
+		for _, f := range fillers {
+			if err := tx.W(tblOrders, orderedKey(0, f)); err != nil {
+				return err
+			}
+		}
+		first := attempts == 1
+		return tx.Execute(func(lc *Local) error {
+			if first {
+				first = false
+				// Swap the row under the declared erase.
+				if err := other.Exec(func(tx *Tx) error {
+					if _, err := tx.Erase(tblOrders, key); err != nil {
+						return err
+					}
+					return tx.Execute(func(lc *Local) error { return nil })
+				}); err != nil {
+					return err
+				}
+				if err := other.Exec(func(tx *Tx) error {
+					if err := tx.WInsert(tblOrders, key, []uint64{999, 1}); err != nil {
+						return err
+					}
+					return tx.Execute(func(lc *Local) error { return nil })
+				}); err != nil {
+					return err
+				}
+			}
+			for _, f := range fillers { // the capacity abort: on to the fallback
+				if err := lc.Write(tblOrders, orderedKey(0, f), []uint64{7, f}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats.Fallbacks.Load() == 0 {
+		t.Fatal("expected the fallback path")
+	}
+	if attempts != 2 || len(erased) != 2 || erased[0] != 999 {
+		t.Fatalf("committed on attempt %d having looked at %v, want attempt 2 and the re-created row [999 1]", attempts, erased)
+	}
+	if _, live := liveOrderedVal(rt, 0, tblOrders, key); live {
+		t.Fatal("row still live after the erase committed")
+	}
+}

@@ -20,6 +20,11 @@ type fbRec struct {
 	remoteRec
 	depth   int
 	prevVal []uint64
+	// declared is the incarnation|version an erase observed when it was
+	// declared. What the erase took with it — its index rows, whatever the
+	// caller declared from the value Erase returned — was named by that
+	// version of the row, so the fallback may only flip that same version.
+	declared uint64
 }
 
 // fallbackCtx carries the state of a fallback execution.
@@ -61,7 +66,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	fb := &fallbackCtx{t: t, index: make(map[refKey]*fbRec)}
 	for _, r := range prevRemotes {
 		nr := &fbRec{remoteRec: remoteRec{recHandle: r.recHandle, write: r.write,
-			insert: r.insert, erase: r.erase}}
+			insert: r.insert, erase: r.erase}, declared: kvs.PackIncVer(r.inc, r.version)}
 		if r.insert {
 			nr.buf = append([]uint64(nil), r.buf...)
 		}
@@ -88,7 +93,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	}
 	for i := range t.localErase {
 		r := structural(&t.localErase[i])
-		r.erase = true
+		r.erase, r.declared = true, kvs.PackIncVer(t.localErase[i].inc, t.localErase[i].ver)
 		fb.add(r)
 	}
 	sort.Slice(fb.recs, func(i, j int) bool {
@@ -215,7 +220,7 @@ func (fb *fallbackCtx) add(r *fbRec) {
 			prev.insert, prev.buf = true, r.buf
 		}
 		if r.erase {
-			prev.erase = true
+			prev.erase, prev.declared = true, r.declared
 		}
 		prev.ordered = prev.ordered || r.ordered
 		return
@@ -272,8 +277,8 @@ func (fb *fallbackCtx) acquire(r *fbRec) error {
 // full image for write records of chained tables, whose tail stamp the
 // publish-time chain retire needs — and checks it is still this record, with
 // the liveness the record expects (insert records hold a dead entry,
-// everything else a live one). The incarnation observed here is what publish
-// flips.
+// everything else a live one; an erase record, the very version its erase
+// was declared against). The incarnation observed here is what publish flips.
 func (fb *fallbackCtx) fetch(r *fbRec) error {
 	t := fb.t
 	vw := t.e.rt.Meta(r.table).ValueWords
@@ -291,6 +296,12 @@ func (fb *fallbackCtx) fetch(r *fbRec) error {
 		t.e.invalidate(&r.recHandle)
 		fallthrough
 	case imgExists:
+		t.lastAbort = obs.CauseRemote
+		return ErrRetry
+	}
+	if r.erase && kvs.PackIncVer(r.inc, r.version) != r.declared {
+		// Deleted and re-created since the erase was declared (the locks were
+		// dropped in between): restage against the row as it is now.
 		t.lastAbort = obs.CauseRemote
 		return ErrRetry
 	}

@@ -165,11 +165,11 @@ func runGoldenScript(t *testing.T, p ReadPolicy) []goldenRow {
 	measure(func() error {
 		return e.Exec(func(tx *Tx) error {
 			if err := tx.Stage(
-				Access{tblAccounts, 5, false}, Access{tblAccounts, 7, true},
-				Access{tblAccounts, 9, false}, Access{tblAccounts, 11, true},
-				Access{tblAccounts, 13, false}, Access{tblAccounts, 15, true},
-				Access{tblAccounts, 2, false}, Access{tblAccounts, 4, true},
-				Access{tblAccounts, 13, true},
+				Access{Table: tblAccounts, Key: 5, Write: false}, Access{Table: tblAccounts, Key: 7, Write: true},
+				Access{Table: tblAccounts, Key: 9, Write: false}, Access{Table: tblAccounts, Key: 11, Write: true},
+				Access{Table: tblAccounts, Key: 13, Write: false}, Access{Table: tblAccounts, Key: 15, Write: true},
+				Access{Table: tblAccounts, Key: 2, Write: false}, Access{Table: tblAccounts, Key: 4, Write: true},
+				Access{Table: tblAccounts, Key: 13, Write: true},
 			); err != nil {
 				return err
 			}
@@ -218,15 +218,9 @@ func runGoldenScript(t *testing.T, p ReadPolicy) []goldenRow {
 			tx := e.newTx()
 			tx.policy = PolicyLease
 			tx.leaseEnd = 2
-			s1, err := tx.gatherRemote(tblAccounts, key, 1, tblAccounts, 1, write)
-			if err != nil {
-				return err
-			}
-			s2, err := tx.gatherRemote(tblAccounts, key, 1, tblAccounts, 1, write)
-			if err != nil {
-				return err
-			}
-			err = tx.stageBatch([]*stageReq{s1, s2})
+			s1 := tx.gatherRemote(tblAccounts, key, 1, tblAccounts, 1, write)
+			s2 := tx.gatherRemote(tblAccounts, key, 1, tblAccounts, 1, write)
+			err := tx.stageBatch([]*stageReq{s1, s2})
 			tx.releaseLocks()
 			return err
 		}

@@ -162,7 +162,7 @@ func (e *Executor) applyStoreOp(op deferredOp) {
 	}
 	sz := (3 + len(op.val)) * 8
 	for attempt := 0; ; attempt++ {
-		resp, err := e.w.QP.Call(node, cluster.Msg{Type: msgStoreOp, Body: m}, sz, 8)
+		resp, err := e.call(node, msgStoreOp, m, 1, sz, 8)
 		if err == nil {
 			if herr, _ := resp.(error); herr != nil {
 				// Duplicate keys indicate a workload bug; surface loudly.

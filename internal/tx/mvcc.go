@@ -278,7 +278,7 @@ func (e *Executor) callMVCCScan(node int, m mvccScanMsg, vw int) (mvccScanResp, 
 	var resp any
 	err := e.verbRetry(func() error {
 		var cerr error
-		resp, cerr = e.w.QP.Call(node, clusterMsg(msgMVCCScan, m), 40, respSz)
+		resp, cerr = e.call(node, msgMVCCScan, m, 1, 40, respSz)
 		return cerr
 	})
 	if err != nil {

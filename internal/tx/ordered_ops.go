@@ -38,40 +38,37 @@ import (
 	"drtm/internal/rdma"
 )
 
-// Verbs message types for ordered-store operations (3..6; 1..2 are in
+// Verbs message types for ordered-store operations (3..7; 1..2 are in
 // handlers.go).
 const (
-	// msgOrderedLookup resolves a key to its entry offset via the host's
-	// B+ tree (the shipped half of a remote ordered point access).
-	msgOrderedLookup = 3
-	// msgEnsureEntry makes a key structurally present as a DEAD entry on
-	// the host (the declare half of a remote transactional insert).
-	msgEnsureEntry = 4
+	// msgOrderedOps resolves a batch of keys on the host's B+ trees: point
+	// lookups (the shipped half of a remote ordered access) and EnsureDeads
+	// (the declare half of a remote transactional insert), answered in place.
+	msgOrderedOps = 3
 	// msgRangeScan runs a stamped range collection on the host.
 	msgRangeScan = 5
-	// msgRemoveDead physically unlinks a committed erase's dead entry.
+	// msgRemoveDead physically unlinks committed erases' dead entries.
 	msgRemoveDead = 6
 	// msgMVCCScan runs a snapshot-stamped range resolution on the host
 	// (the MVCC read arm's remote scan; see mvcc.go).
 	msgMVCCScan = 7
 )
 
-type orderedLookupMsg struct {
-	Region int
-	Key    uint64
-}
+// shipOp is one key of a msgOrderedOps message — 32 bytes of request, a lookup
+// or an EnsureDead of Key in (Region, Table, Part) — and the 16 bytes of the
+// host's answer: (Off, Found), or for an EnsureDead that could not be, Err
+// (kvs.ErrExists when the key is live, kvs.ErrFull).
+type shipOp struct {
+	Region, Table, Part int
+	Key                 uint64
+	Ensure              bool
 
-type orderedLookupResp struct {
 	Off   memory.Offset
 	Found bool
+	Err   error
 }
 
-type ensureEntryMsg struct {
-	Region int
-	Table  int
-	Part   int
-	Key    uint64
-}
+type orderedOpsMsg struct{ Ops []shipOp }
 
 type rangeScanMsg struct {
 	Region int
@@ -95,17 +92,9 @@ type rangeScanResp struct {
 	Busy   bool // a row stayed write-locked through the stability retries
 }
 
-type removeDeadMsg struct {
-	Region int
-	Table  int
-	Part   int
-	Key    uint64
-	// DeadIncVer is the erased entry's expected incarnation|version (see
-	// removalOp); 0 accepts any dead entry (legacy callers).
-	DeadIncVer uint64
-}
-
-func clusterMsg(typ int, body any) cluster.Msg { return cluster.Msg{Type: typ, Body: body} }
+// removeDeadMsg carries every dead entry one transaction (or one drain of the
+// MVCC removal queue) unlinks on one host.
+type removeDeadMsg struct{ Ops []removalOp }
 
 // structOp is a local structural half staged by WInsert/Erase: the entry at
 // off was observed with exactly (inc, version); the commit flips it live
@@ -145,30 +134,17 @@ type removalOp struct {
 func (rt *Runtime) installOrderedHandlers() {
 	for i := 0; i < rt.C.Nodes(); i++ {
 		n := rt.C.Node(i)
-		n.Handle(msgOrderedLookup, func(from int, body any) any {
-			m := body.(orderedLookupMsg)
-			o, ok := n.OrderedRegion(m.Region)
-			if !ok {
-				return fmt.Errorf("tx: node %d has no ordered region %d", n.ID, m.Region)
-			}
-			off, found := o.Lookup(m.Key)
-			return orderedLookupResp{Off: off, Found: found}
-		})
-		n.Handle(msgEnsureEntry, func(from int, body any) any {
-			m := body.(ensureEntryMsg)
-			off, err := rt.execEnsureEntry(n, m)
-			if err != nil {
-				return err
-			}
-			return off
+		n.Handle(msgOrderedOps, func(from int, body any) any {
+			return rt.execOrderedOps(n, body.(*orderedOpsMsg).Ops)
 		})
 		n.Handle(msgRangeScan, func(from int, body any) any {
 			m := body.(rangeScanMsg)
 			return rt.execRangeScan(n, m)
 		})
 		n.Handle(msgRemoveDead, func(from int, body any) any {
-			m := body.(removeDeadMsg)
-			rt.execRemoveDead(n, m)
+			for _, op := range body.(*removeDeadMsg).Ops {
+				rt.execRemoveDead(n, op)
+			}
 			return nil
 		})
 		n.Handle(msgMVCCScan, func(from int, body any) any {
@@ -178,6 +154,25 @@ func (rt *Runtime) installOrderedHandlers() {
 	}
 }
 
+// execOrderedOps is the host side of a msgOrderedOps message: each op's tree
+// lookup or EnsureDead, answered in place.
+func (rt *Runtime) execOrderedOps(n *cluster.Node, ops []shipOp) any {
+	for i := range ops {
+		op := &ops[i]
+		if op.Ensure {
+			op.Off, op.Err = rt.execEnsureEntry(n, op.Region, op.Table, op.Part, op.Key)
+			op.Found = op.Err == nil
+			continue
+		}
+		o, ok := n.OrderedRegion(op.Region)
+		if !ok {
+			return fmt.Errorf("tx: node %d has no ordered region %d", n.ID, op.Region)
+		}
+		op.Off, op.Found = o.Lookup(op.Key)
+	}
+	return nil
+}
+
 // execEnsureEntry performs the structural half of an insert on the host's
 // shard and, when the host is the partition's home primary, mirrors the
 // structural presence to every backup's replica shard (so a promotion sees
@@ -185,29 +180,29 @@ func (rt *Runtime) installOrderedHandlers() {
 // stream). A backup already holding the key is fine — ErrExists there means
 // present, which is all the mirror needs — and a full backup degrades to an
 // unmirrored entry rather than failing the insert.
-func (rt *Runtime) execEnsureEntry(n *cluster.Node, m ensureEntryMsg) (memory.Offset, error) {
-	o, ok := n.OrderedRegion(m.Region)
+func (rt *Runtime) execEnsureEntry(n *cluster.Node, region, table, part int, key uint64) (memory.Offset, error) {
+	o, ok := n.OrderedRegion(region)
 	if !ok {
-		return 0, fmt.Errorf("tx: node %d has no ordered region %d", n.ID, m.Region)
+		return 0, fmt.Errorf("tx: node %d has no ordered region %d", n.ID, region)
 	}
-	repl := m.Part >= 0 && rt.C.ReplicationFactor() > 0 && m.Region == m.Table &&
-		rt.C.OwnerOf(m.Part) == m.Part
+	repl := part >= 0 && rt.C.ReplicationFactor() > 0 && region == table &&
+		rt.C.OwnerOf(part) == part
 	if repl {
 		rt.redoMu.Lock()
 		defer rt.redoMu.Unlock()
 	}
-	off, err := o.EnsureDead(m.Key)
+	off, err := o.EnsureDead(key)
 	if err != nil {
 		return 0, err
 	}
 	if repl {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], m.Part)
+		rt.bkScr = rt.C.Backups(rt.bkScr[:0], part)
 		for _, b := range rt.bkScr {
-			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(m.Part, m.Table))
+			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(part, table))
 			if !ok {
 				continue
 			}
-			if _, rerr := rep.EnsureDead(m.Key); rerr != nil &&
+			if _, rerr := rep.EnsureDead(key); rerr != nil &&
 				!errors.Is(rerr, kvs.ErrExists) && !errors.Is(rerr, kvs.ErrFull) {
 				return 0, rerr
 			}
@@ -259,37 +254,37 @@ func (rt *Runtime) execRangeScan(n *cluster.Node, m rangeScanMsg) any {
 // delete-generation bump happens here, atomically with the removal under
 // redoMu, so a lagging redo update can never land on a recycled slot (whose
 // version restarts at 0).
-func (rt *Runtime) execRemoveDead(n *cluster.Node, m removeDeadMsg) {
-	o, ok := n.OrderedRegion(m.Region)
+func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
+	o, ok := n.OrderedRegion(op.region)
 	if !ok {
 		return
 	}
-	repl := m.Part >= 0 && rt.C.ReplicationFactor() > 0
+	repl := op.part >= 0 && rt.C.ReplicationFactor() > 0
 	if repl {
 		rt.redoMu.Lock()
 		defer rt.redoMu.Unlock()
 	}
-	if !removeDeadEntry(o, m.Key, uint8(n.ID), m.DeadIncVer) {
+	if !removeDeadEntry(o, op.key, uint8(n.ID), op.deadIncVer) {
 		return
 	}
 	if repl {
-		rt.delGen[delKey{m.Part, m.Table, m.Key}]++
+		rt.delGen[delKey{op.part, op.table, op.key}]++
 	}
-	if repl && m.Region == m.Table && rt.C.OwnerOf(m.Part) == m.Part {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], m.Part)
+	if repl && op.region == op.table && rt.C.OwnerOf(op.part) == op.part {
+		rt.bkScr = rt.C.Backups(rt.bkScr[:0], op.part)
 		for _, b := range rt.bkScr {
-			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(m.Part, m.Table))
+			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(op.part, op.table))
 			if !ok {
 				continue
 			}
 			// The replica's own parity may lag the primary's (it converges
 			// via redo): a still-live replica row is deleted outright, a
 			// dead one unlinked like the primary's.
-			if roff, found := rep.Lookup(m.Key); found {
+			if roff, found := rep.Lookup(op.key); found {
 				if kvs.Live(kvs.Incarnation(rep.Arena().LoadWord(kvs.IncVerOffset(roff)))) {
-					rep.Delete(m.Key)
+					rep.Delete(op.key)
 				} else {
-					removeDeadEntry(rep, m.Key, uint8(b), m.DeadIncVer)
+					removeDeadEntry(rep, op.key, uint8(b), op.deadIncVer)
 				}
 			}
 		}
@@ -330,109 +325,39 @@ func removeDeadEntry(o *kvs.Ordered, key uint64, owner uint8, want uint64) bool 
 // it. All rows become live atomically at commit; on abort the staged dead
 // entries simply linger until reused or removed. Returns kvs.ErrExists when
 // the base key (or an index key — a workload uniqueness bug) is already
-// live.
+// live. A one-access Stage: the base row and its index rows resolve with one
+// shipped message and lock in one wave.
 func (t *Tx) WInsert(table int, key uint64, val []uint64) error {
-	if err := t.insertOne(table, key, val); err != nil {
-		return err
+	if val == nil {
+		val = []uint64{} // a nil Insert is no insert
 	}
-	for _, spec := range t.e.rt.indexesOf(table) {
-		ival := make([]uint64, t.e.rt.Meta(spec.Table).ValueWords)
-		ival[0] = key
-		if err := t.insertOne(spec.Table, spec.Key(key, val), ival); err != nil {
-			return err
-		}
-		t.e.w.Obs.Inc(obs.EvIndexMaint)
-	}
-	return nil
+	return t.Stage(Access{Table: table, Key: key, Insert: val})
 }
 
 // Erase stages a transactional delete of an ordered base row and of its row
 // in every declared secondary index (computed from the value observed at
 // declare — re-verified at commit, so a racing update retries the whole
 // transaction rather than unhooking the wrong index key). Returns the base
-// row's value as observed. The physical tree removals run after commit
+// row's value as observed. A remote row's index rows ride the transaction's
+// next wave (oweIndexRows). The physical tree removals run after commit
 // (applyRemovals).
 func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
-	old, err := t.eraseOne(table, key)
-	if err != nil {
+	if err := t.Stage(Access{Table: table, Key: key, Erase: true}); err != nil {
 		return nil, err
 	}
-	for _, spec := range t.e.rt.indexesOf(table) {
-		if _, ierr := t.eraseOne(spec.Table, spec.Key(key, old)); ierr != nil {
-			if errors.Is(ierr, ErrNotFound) {
-				if t.baseEraseMoved(table, key) {
-					return nil, t.fail()
-				}
-				// The base row is live, unchanged since we staged it, and its
-				// index row is gone: the index diverged from the base table.
-				// Surface loudly — the divergence audit pins this.
-				panic(fmt.Sprintf("tx: index table %d missing row for base table %d key %d",
-					spec.Table, table, key))
-			}
-			return nil, ierr
-		}
-		t.e.w.Obs.Inc(obs.EvIndexMaint)
+	if r, ok := t.rIndex[refKey{table, key}]; ok {
+		return r.buf, nil
 	}
-	return old, nil
+	return findStructOp(t.localErase, table, key).val, nil
 }
 
-// baseEraseMoved reports whether the base row of a local Erase changed after
-// it was staged. A local row is staged unlocked, so a racing erase of the same
-// row may have committed its base and index flips in between: the missing
-// index row is then that lost race, not a divergence. (A remote base row is
-// staged under our lock and cannot move.)
-func (t *Tx) baseEraseMoved(table int, key uint64) bool {
-	op := findStructOp(t.localErase, table, key)
-	return op != nil && t.e.w.Node.Ordered(op.region).Arena().
-		LoadWord(kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver)
-}
-
-func (t *Tx) insertOne(table int, key uint64, val []uint64) error {
-	meta := t.e.rt.Meta(table)
-	if meta.Kind != Ordered {
-		panic(fmt.Sprintf("tx: WInsert into unordered table %d (use Local.Insert)", table))
-	}
-	if len(val) != meta.ValueWords {
-		panic(fmt.Sprintf("tx: WInsert value length %d, want %d", len(val), meta.ValueWords))
-	}
-	node, region, part := t.e.route(table, key)
-	t.stampView(part)
-	if node == t.e.w.Node.ID {
-		return t.declareLocalInsert(table, region, part, key, val)
-	}
-	s, err := t.gatherInsert(table, key, node, region, part, val)
-	if err != nil {
-		return err
-	}
-	return t.stageOne(s)
-}
-
-func (t *Tx) eraseOne(table int, key uint64) ([]uint64, error) {
-	meta := t.e.rt.Meta(table)
-	if meta.Kind != Ordered {
-		panic(fmt.Sprintf("tx: Erase from unordered table %d (use Local.Delete)", table))
-	}
-	node, region, part := t.e.route(table, key)
-	t.stampView(part)
-	if node == t.e.w.Node.ID {
-		return t.declareLocalErase(table, region, part, key)
-	}
-	// A remote erase is a write stage with the erase flag: Figure 5
-	// acquisition (rows previously read under the RO scheme keep their expired
-	// lease stamp in the state word, which an erase takes over like any other
-	// writer), then the fused image check requires the row live.
-	s, err := t.gatherRemote(table, key, node, region, part, true)
-	if err != nil {
-		return nil, err
-	}
-	if s == nil {
-		panic(fmt.Sprintf("tx: Erase of table %d key %d, already write-staged by this transaction", table, key))
-	}
-	s.erase = true
-	if err := t.stageOne(s); err != nil {
-		return nil, err
-	}
-	return t.rIndex[refKey{table, key}].buf, nil
+// carve returns n zeroed words of the transaction's structural scratch (index
+// rows' values, local structural ops' values). Growing the scratch leaves
+// earlier carvings in the array they were made in.
+func (t *Tx) carve(n int) []uint64 {
+	lo := len(t.swords)
+	t.swords = append(t.swords, make([]uint64, n)...)
+	return t.swords[lo:len(t.swords):len(t.swords)]
 }
 
 // declareLocalInsert runs the structural half on this node's shard and
@@ -444,37 +369,48 @@ func (t *Tx) eraseOne(table int, key uint64) ([]uint64, error) {
 func (t *Tx) declareLocalInsert(table, region, part int, key uint64, val []uint64) error {
 	e := t.e
 	e.charge(e.model().BTreeOpNS)
-	off, err := e.rt.execEnsureEntry(e.w.Node, ensureEntryMsg{
-		Region: region, Table: table, Part: part, Key: key})
+	off, err := e.rt.execEnsureEntry(e.w.Node, region, table, part, key)
 	if err != nil {
 		return err // kvs.ErrExists (key live) or kvs.ErrFull
 	}
 	o := e.w.Node.Ordered(region)
 	incver := o.Arena().LoadWord(kvs.IncVerOffset(off))
+	if kvs.Live(kvs.Incarnation(incver)) {
+		// A remote insert holding the slot's lock flipped it live between
+		// EnsureDead's look and this one. What is recorded here is what the
+		// commit flips, and it must be the dead slot.
+		return kvs.ErrExists
+	}
+	own := t.carve(len(val))
+	copy(own, val)
 	t.localIns = append(t.localIns, structOp{table: table, region: region, part: part,
-		key: key, off: off, inc: kvs.Incarnation(incver), ver: kvs.Version(incver),
-		val: append([]uint64(nil), val...)})
+		key: key, off: off, inc: kvs.Incarnation(incver), ver: kvs.Version(incver), val: own})
 	return nil
 }
 
 // declareLocalErase resolves a live local row, snapshots its value, and
-// records the flip-to-dead plus the deferred physical removal.
-func (t *Tx) declareLocalErase(table, region, part int, key uint64) ([]uint64, error) {
+// records the flip-to-dead plus the deferred physical removal, then declares
+// the row's index rows, which the value names.
+func (t *Tx) declareLocalErase(a Access, region, part int) error {
+	table, key := a.Table, a.Key
 	e := t.e
 	e.charge(e.model().BTreeOpNS)
 	o := e.w.Node.Ordered(region)
-	off, ok := o.Lookup(key)
-	if !ok {
-		return nil, ErrNotFound
+	off, live := o.Lookup(key)
+	vals := t.carve(o.ValueWords())[:0]
+	var incver uint64
+	if live {
+		stable := false
+		if incver, live, stable = stableScanEntry(o.Arena(), off, o.ValueWords(), &vals); !stable {
+			return t.remoteConflict()
+		}
 	}
-	arena := o.Arena()
-	vals := make([]uint64, 0, o.ValueWords())
-	incver, live, stable := stableScanEntry(arena, off, o.ValueWords(), &vals)
-	if !stable {
-		return nil, t.remoteConflict()
-	}
-	if !live {
-		return nil, ErrNotFound
+	switch {
+	case live:
+	case a.ixOf:
+		return t.indexRowMissing(table, a.base)
+	default:
+		return ErrNotFound
 	}
 	t.localErase = append(t.localErase, structOp{table: table, region: region, part: part,
 		key: key, off: off, inc: kvs.Incarnation(incver), ver: kvs.Version(incver),
@@ -482,7 +418,14 @@ func (t *Tx) declareLocalErase(table, region, part int, key uint64) ([]uint64, e
 	t.removals = append(t.removals, removalOp{node: e.w.Node.ID, region: region,
 		table: table, part: part, key: key,
 		deadIncVer: kvs.PackIncVer(kvs.Incarnation(incver)+1, kvs.Version(incver)+1)})
-	return vals, nil
+	for _, spec := range e.rt.indexesOf(table) {
+		if err := t.declare(Access{Table: spec.Table, Key: spec.Key(key, vals), Erase: true,
+			ixOf: true, base: refKey{table, key}}); err != nil {
+			return err
+		}
+		e.w.Obs.Inc(obs.EvIndexMaint)
+	}
+	return nil
 }
 
 // applyLocalStructural commits the local structural halves inside the HTM
@@ -542,51 +485,75 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 		t.walLocal = append(t.walLocal, walRec{
 			node: t.e.w.Node.ID, table: op.region, off: op.off,
 			version: op.ver + 1, inc: op.inc + 1,
-			val:    append([]uint64(nil), op.val...),
+			val:    op.val, // the transaction's own copy, untouched through Execute
 			ltable: op.table, part: op.part, key: op.key,
 		})
 	}
 }
 
 // applyRemovals physically unlinks every committed erase's dead entry after
-// all locks have dropped: directly for local shards, via verbs otherwise; a
-// crashed host's removal parks for recovery like any post-commit effect.
-// Under MVCC (ChainDepth > 0) the unlink is instead queued behind the
-// snapshot floor — a snapshot read below the erase's commit stamp must still
-// resolve the dead version from the chain — and drained opportunistically on
-// every commit.
+// all locks have dropped. Under MVCC (ChainDepth > 0) the unlink is instead
+// queued behind the snapshot floor — a snapshot read below the erase's commit
+// stamp must still resolve the dead version from the chain — and drained
+// opportunistically on every commit.
 func (t *Tx) applyRemovals() {
-	mvcc := t.e.rt.C.Config().MVCCDepth > 0
-	for _, op := range t.removals {
-		if mvcc {
-			t.e.rt.queueRemoval(op, t.commitStamp)
-		} else {
-			t.e.applyRemoveDead(op)
-		}
+	e := t.e
+	if e.rt.C.Config().MVCCDepth == 0 {
+		e.removeDead(t.removals)
+		return
 	}
-	if mvcc {
-		t.e.rt.drainRemovals(t.e)
+	for _, op := range t.removals {
+		e.rt.queueRemoval(op, t.commitStamp)
+	}
+	e.rt.drainRemovals(e)
+}
+
+// removeDead unlinks dead entries: directly on this node's shards, with one
+// msgRemoveDead message per host — at most BatchWindow entries per message —
+// otherwise. It consumes ops (a sent entry's node is overwritten).
+func (e *Executor) removeDead(ops []removalOp) {
+	e.w.Obs.Add(obs.EvRemoveDead, int64(len(ops)))
+	window := e.sendq().Window()
+	for i := range ops {
+		node := ops[i].node
+		switch {
+		case node < 0: // went out with an earlier entry's message
+		case node == e.w.Node.ID:
+			e.rt.execRemoveDead(e.w.Node, ops[i])
+			e.charge(e.model().BTreeOpNS)
+		default:
+			batch := e.remMsg.Ops[:0]
+			for j := i; j < len(ops) && len(batch) < window; j++ {
+				if ops[j].node == node {
+					batch = append(batch, ops[j])
+					ops[j].node = -1
+				}
+			}
+			e.remMsg.Ops = batch
+			e.shipRemoveDead(node)
+		}
 	}
 }
 
-func (e *Executor) applyRemoveDead(op removalOp) {
-	m := removeDeadMsg{Region: op.region, Table: op.table, Part: op.part, Key: op.key,
-		DeadIncVer: op.deadIncVer}
-	e.w.Obs.Inc(obs.EvRemoveDead)
-	if op.node == e.w.Node.ID {
-		e.rt.execRemoveDead(e.w.Node, m)
-		e.charge(e.model().BTreeOpNS)
-		return
-	}
+// shipRemoveDead sends the executor's removal message (e.remMsg) to node,
+// charged for its payload and one tree operation per entry. Release-side:
+// transient faults retry the whole message without bound, and a crashed
+// host's removals park for recovery, each on its own, like any post-commit
+// effect.
+func (e *Executor) shipRemoveDead(node int) {
+	ops := e.remMsg.Ops
+	e.charge(e.model().BTreeOpNS * int64(len(ops)))
 	for attempt := 0; ; attempt++ {
-		_, err := e.w.QP.Call(op.node, clusterMsg(msgRemoveDead, m), 40, 8)
+		_, err := e.call(node, msgRemoveDead, &e.remMsg, len(ops), 8+40*len(ops), 8)
 		if err == nil {
 			return
 		}
 		if errors.Is(err, rdma.ErrNodeUnreachable) {
-			e.rt.defer_(op.node, func(rt *Runtime) {
-				rt.execRemoveDead(rt.C.Node(op.node), m)
-			})
+			for _, op := range ops {
+				e.rt.defer_(node, func(rt *Runtime) {
+					rt.execRemoveDead(rt.C.Node(node), op)
+				})
+			}
 			return
 		}
 		e.faultBackoff(attempt)

@@ -252,7 +252,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 func (t *Tx) triggerCheckpoint(b int) {
 	e := t.e
 	m := redoCkptMsg{Sender: e.w.Node.ID, Worker: e.w.ID}
-	_, _ = e.w.QP.Call(b, cluster.Msg{Type: msgRedoCheckpoint, Body: m}, 16, 8)
+	_, _ = e.call(b, msgRedoCheckpoint, m, 1, 16, 8)
 }
 
 // drainCheckpoint runs on backup n: apply the (sender, worker) redo log to

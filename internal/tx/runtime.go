@@ -242,7 +242,7 @@ func (rt *Runtime) drainRemovals(e *Executor) {
 	if m := rt.C.MinActiveSnapshot(); m < floor {
 		floor = m
 	}
-	var ready []removalOp
+	ready := e.remReady[:0]
 	rt.remMu.Lock()
 	keep := rt.remQ[:0]
 	for _, g := range rt.remQ {
@@ -254,9 +254,8 @@ func (rt *Runtime) drainRemovals(e *Executor) {
 	}
 	rt.remQ = keep
 	rt.remMu.Unlock()
-	for _, op := range ready {
-		e.applyRemoveDead(op)
-	}
+	e.removeDead(ready)
+	e.remReady = ready[:0]
 }
 
 // delKey identifies a logical record for delete-generation tracking.
@@ -431,7 +430,15 @@ type Executor struct {
 	hdrBuf   []uint64                // validation-wave READ destinations
 	imgBuf   []uint64                // readEntry's image (serial fetches: RO, fallback)
 	bktBuf   [kvs.BucketWords]uint64 // resolve's bucket image (serial lookups)
-	seen     map[refKey]*stageReq
+
+	// Shipped-message scratch: the envelope every two-sided call reuses, the
+	// multi-op tree message and the requests its ops answer, the removal
+	// message, and drainRemovals' ready list.
+	callMsg  cluster.Msg
+	shipMsg  orderedOpsMsg
+	shipReqs []*stageReq
+	remMsg   removeDeadMsg
+	remReady []removalOp
 }
 
 // getRec pops a pooled staged-record struct (value buffer capacity kept).
@@ -471,6 +478,8 @@ func (e *Executor) recycle(t *Tx) {
 	t.localIns = t.localIns[:0]
 	t.localErase = t.localErase[:0]
 	t.removals = t.removals[:0]
+	t.owed = t.owed[:0]
+	t.swords = t.swords[:0]
 	t.choppingInfo = nil
 	clear(t.views)
 	t.finished = false

@@ -161,10 +161,15 @@ func collectOrderedRange(e *Executor, o *kvs.Ordered, rec *scanRec, lo, hi uint6
 // bracketing incver word, liveness, and whether a stable image was read.
 func stableScanEntry(arena *memory.Arena, off memory.Offset, vw int, vals *[]uint64) (incver uint64, live, ok bool) {
 	for i := 0; i < scanStableRetries; i++ {
-		incver = arena.LoadWord(kvs.IncVerOffset(off))
+		// The lock word first: a remote commit flips incver and releases the
+		// lock with one write, so an incver loaded before that write next to a
+		// state loaded after it would pass a half-published row off as stable
+		// (a multi-row remote insert publishes its rows one by one, each under
+		// its own lock until its flip).
 		if clock.IsWriteLocked(arena.LoadWord(kvs.StateOffset(off))) {
 			continue
 		}
+		incver = arena.LoadWord(kvs.IncVerOffset(off))
 		if !kvs.Live(kvs.Incarnation(incver)) {
 			return incver, false, true
 		}
@@ -218,7 +223,7 @@ func (e *Executor) callRangeScan(node int, m rangeScanMsg, vw int) (rangeScanRes
 	var resp any
 	err := e.verbRetry(func() error {
 		var cerr error
-		resp, cerr = e.w.QP.Call(node, clusterMsg(msgRangeScan, m), 40, respSz)
+		resp, cerr = e.call(node, msgRangeScan, m, 1, 40, respSz)
 		return cerr
 	})
 	if err != nil {

@@ -245,8 +245,8 @@ func TestSpecStress(t *testing.T) {
 			} else {
 				err = e.Exec(func(tx *Tx) error {
 					if err := tx.Stage(
-						Access{tblAccounts, keyA, false},
-						Access{tblAccounts, keyB, false},
+						Access{Table: tblAccounts, Key: keyA, Write: false},
+						Access{Table: tblAccounts, Key: keyB, Write: false},
 					); err != nil {
 						return err
 					}
@@ -286,8 +286,8 @@ func TestSpecStress(t *testing.T) {
 		for time.Now().Before(deadline) {
 			err := e.Exec(func(tx *Tx) error {
 				if err := tx.Stage(
-					Access{tblAccounts, keyA, true},
-					Access{tblAccounts, keyB, true},
+					Access{Table: tblAccounts, Key: keyA, Write: true},
+					Access{Table: tblAccounts, Key: keyB, Write: true},
 				); err != nil {
 					return err
 				}

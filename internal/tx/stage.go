@@ -1,6 +1,9 @@
 package tx
 
 import (
+	"errors"
+	"fmt"
+
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
@@ -18,7 +21,16 @@ import (
 // lease) still order across polls, exactly as completions gate reposting on
 // a real QP.
 //
-// Two refinements ride the same pipeline:
+// Tx.Stage is the one declaration pipeline: reads, writes, transactional
+// inserts and erases, of hash and ordered tables, declared one at a time
+// (R / W / WInsert / Erase are one-access calls) or as a batch. Three
+// refinements ride it:
+//
+//   - Ordered records have no one-sided lookup path (Section 6.5): the tree
+//     walk ships to the host. A batch ships ONE multi-op message per host —
+//     lookups and the EnsureDeads of its inserts together, at most
+//     BatchWindow keys per message (shipResolve) — charged for its payload
+//     each way plus one tree operation per key it carries.
 //
 //   - The lock/lease CAS and the value prefetch READ are fused into ONE
 //     posted wave: each CAS is immediately followed by its record's entry
@@ -26,7 +38,11 @@ import (
 //     the fresh lock/lease when the READ executes. A failed CAS discards
 //     the image and re-arms both verbs; a CAS that fell back to the sync
 //     retry path discards it too (the sync CAS postdates the READ). This
-//     saves the separate prefetch round trip per record.
+//     saves the separate prefetch round trip per record. Structural records
+//     — an insert's staged dead slot, an erase's live row, base rows and
+//     declared index rows alike — lock in the same waves as plain writes. A
+//     wave of lock CASes cannot deadlock: a CAS that loses to a live owner
+//     aborts the transaction, it never waits.
 //
 //   - Read-set records routed to the speculative arm (PolicySpeculative,
 //     or a cold bucket under PolicyAdaptive) skip the CAS stage entirely:
@@ -37,77 +53,183 @@ import (
 //
 // The per-record lock/lease decisions are the acquirer state machine and the
 // image checks recHandle.check (access.go) — the same ones read-only
-// transactions and the fallback drive serially. Ordered records join the same
-// waves after their shipped lookup (Section 6.5: the tree walk has no
-// one-sided path, but the entry layout is shared, so locking, prefetching,
-// validation and write-back use the same verbs). Conflicts and node failures
+// transactions and the fallback drive serially. Conflicts and node failures
 // are detected per completion and resolve after the wave is fully processed,
 // so every lock that was actually acquired is registered and released on
 // abort.
 
-// Access declares one record access for batched staging.
+// Access declares one record access for batched staging: a read, a write
+// (Write), a transactional insert into an ordered table (Insert, the value to
+// publish) or a transactional erase of an ordered row (Erase). Inserts and
+// erases carry the row's declared secondary-index rows with them.
 type Access struct {
 	Table int
 	Key   uint64
 	Write bool
+
+	Insert []uint64
+	Erase  bool
+
+	// ixOf marks the erase of the secondary-index row of base — an access the
+	// pipeline declares itself, on behalf of the base row's erase.
+	ixOf bool
+	base refKey
 }
 
 // Stage declares a set of accesses at once. Local records are declared for
 // the HTM region; remote records run the batched gather/issue/complete
-// pipeline, overlapping their lookup READs, lock/lease CASes and prefetch
-// READs across records. Semantically equivalent to calling R/W per access.
+// pipeline: one shipped message per host resolves the ordered ones, then
+// every record's lock/lease CAS and prefetch READ overlap across records.
+// The outcome is that of calling R / W / WInsert / Erase per access.
+//
+// kvs.ErrExists, kvs.ErrFull and ErrNotFound are answers about one record: it
+// is left unstaged and the transaction stays usable. The other records of the
+// call may or may not have been staged by then; a caller that goes on
+// re-declares what it needs (re-declaring a staged record is free).
 func (t *Tx) Stage(accs ...Access) error {
 	e := t.e
-	if e.seen == nil {
-		e.seen = make(map[refKey]*stageReq)
-	}
-	reqs := e.reqScr[:0]
+	owed := len(t.owed)
 	var err error
-	for _, a := range accs {
-		node, region, part := e.route(a.Table, a.Key)
-		t.stampView(part)
-		if node == t.e.w.Node.ID {
-			t.declareLocal(a.Table, region, part, a.Key, a.Write)
-			continue
-		}
-		write := a.Write || t.policy == PolicyExclusive
-		k := refKey{a.Table, a.Key}
-		if s, ok := e.seen[k]; ok {
-			if write && !s.write {
-				s.write = true // strengthen before issue: free upgrade
-				s.spec = false
-			}
-			continue
-		}
-		var s *stageReq
-		if s, err = t.gatherRemote(a.Table, a.Key, node, region, part, write); err != nil {
-			break
-		}
-		if s != nil {
-			e.seen[k] = s
-			reqs = append(reqs, s)
-		}
+	for i := 0; i < owed && err == nil; i++ {
+		err = t.declare(t.owed[i])
 	}
-	if err == nil && len(reqs) > 0 {
-		err = t.stageBatch(reqs)
+	for i := 0; i < len(accs) && err == nil; i++ {
+		err = t.declare(accs[i])
 	}
-	clear(e.seen)
-	e.putReqs(reqs)
-	e.reqScr = reqs[:0]
+	if reqs := e.reqScr; len(reqs) > 0 {
+		if err == nil {
+			err = t.stageBatch(reqs)
+		}
+		if !t.finished {
+			t.oweIndexRows(reqs)
+		}
+		e.putReqs(reqs)
+		e.reqScr = reqs[:0]
+	}
+	if err == nil {
+		// Owed rows leave the list only once staged: a batch that failed on some
+		// other record declares them again.
+		t.owed = t.owed[:copy(t.owed, t.owed[owed:])]
+	}
 	return err
 }
 
-// stageRemote stages one remote record — the serial entry point kept for
-// R/W and Probe.Stage; a batch of one runs the same pipeline.
-func (t *Tx) stageRemote(table int, key uint64, node, region, part int, write bool) error {
-	s, err := t.gatherRemote(table, key, node, region, part, write)
-	if err != nil || s == nil {
+// declare routes one access: a local record is declared for the HTM region on
+// the spot, a remote one joins the batch under construction. An insert brings
+// the matching row of every secondary index declared over its table; an
+// erase's index rows are named by the base value (declareLocalErase,
+// oweIndexRows).
+func (t *Tx) declare(a Access) error {
+	e := t.e
+	if a.Insert != nil || a.Erase {
+		meta := e.rt.Meta(a.Table)
+		if meta.Kind != Ordered {
+			panic(fmt.Sprintf("tx: WInsert / Erase on unordered table %d (use Local.Insert / Local.Delete)", a.Table))
+		}
+		if a.Insert != nil && len(a.Insert) != meta.ValueWords {
+			panic(fmt.Sprintf("tx: WInsert value length %d, want %d", len(a.Insert), meta.ValueWords))
+		}
+	}
+	node, region, part := e.route(a.Table, a.Key)
+	t.stampView(part)
+	var err error
+	switch {
+	case node != e.w.Node.ID:
+		t.gather(a, node, region, part)
+	case a.Insert != nil:
+		err = t.declareLocalInsert(a.Table, region, part, a.Key, a.Insert)
+	case a.Erase:
+		err = t.declareLocalErase(a, region, part)
+	default:
+		t.declareLocal(a.Table, region, part, a.Key, a.Write)
+	}
+	if err != nil || a.Insert == nil {
 		return err
 	}
-	return t.stageOne(s)
+	for _, spec := range e.rt.indexesOf(a.Table) {
+		ival := t.carve(e.rt.Meta(spec.Table).ValueWords)
+		ival[0] = a.Key
+		if err := t.declare(Access{Table: spec.Table, Key: spec.Key(a.Key, a.Insert), Insert: ival}); err != nil {
+			return err
+		}
+		e.w.Obs.Inc(obs.EvIndexMaint)
+	}
+	return nil
 }
 
-func (t *Tx) stageOne(s *stageReq) error {
+// gather adds one remote access to the batch, deduplicated against the batch
+// (a repeated key strengthens its request before issue: a free upgrade; the
+// batches are a transaction's declared rows, so the scan is short) and against
+// the staged set.
+func (t *Tx) gather(a Access, node, region, part int) {
+	e := t.e
+	structural := a.Insert != nil || a.Erase
+	write := a.Write || structural || t.policy == PolicyExclusive
+	var s *stageReq
+	for _, b := range e.reqScr {
+		if b.h.table == a.Table && b.h.key == a.Key {
+			s = b
+			break
+		}
+	}
+	if s == nil {
+		if s = t.gatherRemote(a.Table, a.Key, node, region, part, write); s == nil {
+			if r := t.rIndex[refKey{a.Table, a.Key}]; structural && !(a.Erase && r.erase) && !(a.Insert != nil && r.insert) {
+				panic(fmt.Sprintf("tx: WInsert / Erase of table %d key %d, already write-staged by this transaction", a.Table, a.Key))
+			}
+			return
+		}
+		e.reqScr = append(e.reqScr, s)
+	} else if write && !s.write {
+		s.write, s.spec = true, false
+	}
+	if a.Insert != nil {
+		s.insert, s.val = true, a.Insert
+	}
+	if a.Erase {
+		s.erase, s.ixOf, s.base = true, a.ixOf, a.base
+	}
+}
+
+// oweIndexRows queues the index rows of the erases the batch staged. The
+// index keys come out of the base values it just fetched, so the rows could
+// not join their bases' wave: they ride the next one — the transaction's next
+// Stage call, or the one Execute issues before the region.
+func (t *Tx) oweIndexRows(reqs []*stageReq) {
+	for _, s := range reqs {
+		if !s.erase || s.r == nil || !s.r.erase {
+			continue
+		}
+		for _, spec := range t.e.rt.indexesOf(s.h.table) {
+			t.owed = append(t.owed, Access{Table: spec.Table, Key: spec.Key(s.h.key, s.r.buf),
+				Erase: true, ixOf: true, base: refKey{s.h.table, s.h.key}})
+			t.e.w.Obs.Inc(obs.EvIndexMaint)
+		}
+	}
+}
+
+// indexRowMissing is an erase's index row that is not there. When the base row
+// is local it was staged unlocked, so a racing erase of the same row may have
+// committed its base and index flips since: that lost race retries. A remote
+// base row is staged under our lock and cannot move — the index diverged from
+// the base table. Surface loudly; the divergence audit pins this.
+func (t *Tx) indexRowMissing(table int, base refKey) error {
+	if op := findStructOp(t.localErase, base.table, base.key); op != nil &&
+		t.e.w.Node.Ordered(op.region).Arena().LoadWord(kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver) {
+		return t.fail()
+	}
+	panic(fmt.Sprintf("tx: index table %d missing row for base table %d key %d",
+		table, base.table, base.key))
+}
+
+// stageRemote stages one record at an explicit host: the entry point of
+// Probe.Stage, which names the node itself. A batch of one runs the same
+// pipeline.
+func (t *Tx) stageRemote(table int, key uint64, node, region, part int, write bool) error {
+	s := t.gatherRemote(table, key, node, region, part, write)
+	if s == nil {
+		return nil
+	}
 	one := [1]*stageReq{s}
 	err := t.stageBatch(one[:])
 	t.e.putReqs(one[:])
@@ -133,15 +255,18 @@ type stageReq struct {
 	spec bool
 
 	// insert (with the value to publish) and erase mark the structural halves
-	// of Tx.WInsert / Tx.Erase: the locked entry must be the key's staged dead
-	// slot (flipped live at commit) resp. a live row (flipped dead at commit).
-	insert, erase bool
-	val           []uint64
+	// of a transactional insert / erase: the locked entry must be the key's
+	// staged dead slot (flipped live at commit) resp. a live row (flipped dead
+	// at commit). ixOf marks the erase of a secondary-index row of base.
+	insert, erase, ixOf bool
+	val                 []uint64
+	base                refKey
 
-	// resolved: the handle's location is already known (upgrades, and ordered
-	// records, whose lookup shipped to the host at gather time).
-	resolved bool
-	lr       kvs.LookupReq
+	// ship: the record's location is its host's to give — an ordered record
+	// whose tree operation has yet to go out with a shipped message. The answer
+	// lands in lr, like a hash record's bucket walk.
+	ship bool
+	lr   kvs.LookupReq
 
 	vw    int // value words, for the entry-read buffer
 	depth int // the store's version-chain depth (0 = chains off)
@@ -198,54 +323,60 @@ func (t *Tx) newReq(h recHandle, write bool) *stageReq {
 
 // gatherRemote dedupes one remote access against the staged set and builds
 // its pipeline request; a nil request means the access is already satisfied.
-// Ordered records resolve here, by one synchronous shipped lookup each.
-func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write bool) (*stageReq, error) {
+func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write bool) *stageReq {
 	e := t.e
 	if r, ok := t.rIndex[refKey{table, key}]; ok {
 		if !write || r.write {
-			return nil, nil
+			return nil
 		}
 		s := t.newReq(r.recHandle, true)
-		s.r, s.upgrade, s.resolved = r, true, true
-		return s, nil
+		s.r, s.upgrade = r, true
+		return s
 	}
-	h := recHandle{table: table, node: node, region: region, part: part, key: key,
-		ordered: e.rt.Meta(table).Kind == Ordered}
-	if h.ordered {
-		if found, err := e.resolve(&h); err != nil {
-			return nil, t.nodeDown()
-		} else if !found {
-			return nil, ErrNotFound
-		}
-	}
-	s := t.newReq(h, write)
-	s.resolved = h.ordered
+	s := t.newReq(recHandle{table: table, node: node, region: region, part: part, key: key,
+		ordered: e.rt.Meta(table).Kind == Ordered}, write)
+	s.ship = s.h.ordered
 	s.spec = !write && e.routeRead(t.policy, &s.h)
-	return s, nil
+	return s
 }
 
-// gatherInsert builds the request of a remote transactional insert: the
-// structural half ships to the host (EnsureDead), and the dead slot it
-// returns is then locked and verified like any write. The locked slot cannot
-// be recycled or resurrected under us, so commitRemotes flips it live with a
-// plain release-phase write.
-func (t *Tx) gatherInsert(table int, key uint64, node, region, part int, val []uint64) (*stageReq, error) {
-	h := recHandle{table: table, node: node, region: region, part: part, key: key, ordered: true}
-	if err := t.e.ensureEntry(&h); err != nil {
-		if err == ErrNodeDown {
-			return nil, t.nodeDown()
+// shipResolve resolves the batch's ordered records on their hosts' trees:
+// the lookups, and the EnsureDeads that make its inserts' keys structurally
+// present, go out together as one message per host — at most BatchWindow keys
+// per message, so a window of 1 is one message per record. It reports false
+// when a host stayed unreachable.
+func (t *Tx) shipResolve(reqs []*stageReq, window int) bool {
+	e := t.e
+	for i, first := range reqs {
+		if !first.ship {
+			continue
 		}
-		return nil, err // kvs.ErrExists (key live) or kvs.ErrFull
+		ops, members := e.shipMsg.Ops[:0], e.shipReqs[:0]
+		for _, s := range reqs[i:] {
+			if !s.ship || s.h.node != first.h.node || len(ops) == window {
+				continue
+			}
+			s.ship = false
+			ops = append(ops, shipOp{Region: s.h.region, Table: s.h.table, Part: s.h.part,
+				Key: s.h.key, Ensure: s.insert})
+			members = append(members, s)
+		}
+		err := e.ship(first.h.node, ops)
+		for j, s := range members {
+			s.lr.Loc.Off, s.lr.Found, s.lr.Err = ops[j].Off, ops[j].Found, ops[j].Err
+		}
+		e.shipReqs = members[:0]
+		if err != nil {
+			return false
+		}
 	}
-	s := t.newReq(h, true)
-	s.insert, s.val, s.resolved = true, val, true
-	return s, nil
+	return true
 }
 
-// stageBatch runs the pipelined stages — location lookup, fused lock/lease
-// CAS + prefetch, then a fetch pass for speculative reads and stragglers —
-// for all requests, polling each stage's outstanding verbs as doorbell
-// batches.
+// stageBatch runs the pipelined stages — location lookup (one-sided bucket
+// walks, shipped tree operations), fused lock/lease CAS + prefetch, then a
+// fetch pass for speculative reads and stragglers — for all requests, polling
+// each stage's outstanding verbs as doorbell batches.
 func (t *Tx) stageBatch(reqs []*stageReq) error {
 	e := t.e
 	startv := int64(e.w.VClock.Now())
@@ -253,12 +384,11 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	sh := e.w.Obs
 	sq := e.sendq()
 
-	// ---- lookup: batched bucket-chain walks --------------------------------
+	// ---- resolve: batched bucket-chain walks, shipped tree operations ------
 	lstart := int64(e.w.VClock.Now())
 	lreqs := e.lreqScr[:0]
 	for _, s := range reqs {
-		if !s.resolved {
-			h := &s.h
+		if h := &s.h; !h.ordered && !s.upgrade {
 			s.lr = kvs.LookupReq{Table: e.hashTable(h), Cache: e.cacheFor(h.node, h.region), Key: h.key}
 			lreqs = append(lreqs, &s.lr)
 		}
@@ -267,14 +397,24 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 		kvs.LookupBatch(sq, lreqs)
 	}
 	e.lreqScr = lreqs[:0]
-	down, notFound := false, false
+	down := !t.shipResolve(reqs, sq.Window())
+	var answer error // the first record that is not there to take (or, for an insert, is)
 	for _, s := range reqs {
 		switch {
-		case s.resolved:
+		case down || s.upgrade: // an upgrade was located when it was first staged
 		case s.lr.Err != nil:
-			down = true
+			if !errors.Is(s.lr.Err, kvs.ErrExists) && !errors.Is(s.lr.Err, kvs.ErrFull) {
+				down = true
+			} else if answer == nil {
+				answer = s.lr.Err
+			}
 		case !s.lr.Found:
-			notFound = true
+			if s.ixOf {
+				return t.indexRowMissing(s.h.table, s.base)
+			}
+			if answer == nil {
+				answer = ErrNotFound
+			}
 		default:
 			s.h.off, s.h.lossy = s.lr.Loc.Off, uint16(s.lr.Loc.Lossy)
 		}
@@ -283,8 +423,8 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	if down {
 		return t.nodeDown()
 	}
-	if notFound {
-		return ErrNotFound
+	if answer != nil {
+		return answer
 	}
 
 	// ---- acquire: fused lock/lease CAS + prefetch READ waves ---------------
@@ -390,6 +530,7 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 		sq.Poll()
 	}
 	worst := imgOK
+	var lostIx *stageReq // an erase's index row that turned out dead
 	for _, s := range reqs {
 		if wr := s.entryWR; wr != nil {
 			s.entryWR = nil
@@ -400,6 +541,9 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 			s.consume(t, wr.Dst)
 		}
 		worst = max(worst, s.verdict)
+		if s.ixOf && s.verdict == imgNotFound {
+			lostIx = s
+		}
 	}
 	sh.Observe(obs.PhasePrefetchRemote, int64(e.w.VClock.Now())-pstart)
 	switch {
@@ -409,6 +553,8 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 		return t.fail()
 	case worst == imgBusy:
 		return t.remoteConflict()
+	case lostIx != nil:
+		return t.indexRowMissing(lostIx.h.table, lostIx.base)
 	case worst == imgNotFound:
 		return ErrNotFound
 	case worst == imgExists:

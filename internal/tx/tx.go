@@ -109,6 +109,8 @@ type Tx struct {
 	localIns   []structOp
 	localErase []structOp
 	removals   []removalOp
+	owed       []Access // index rows staged erases still owe (oweIndexRows)
+	swords     []uint64 // structural value scratch (carve)
 
 	// Scan scratch, reused across attempts: row values and segment indices.
 	scanVals []uint64
@@ -290,27 +292,16 @@ func (t *Tx) stampView(part int) {
 // R declares a read of a record: remote records are leased, read
 // speculatively, or exclusively locked per the transaction's ReadPolicy and
 // prefetched immediately (Start phase); local records are read inside the
-// HTM region.
+// HTM region. A one-access Stage.
 func (t *Tx) R(table int, key uint64) error {
-	node, region, part := t.e.route(table, key)
-	t.stampView(part)
-	if node == t.e.w.Node.ID {
-		t.declareLocal(table, region, part, key, false)
-		return nil
-	}
-	return t.stageRemote(table, key, node, region, part, t.policy == PolicyExclusive)
+	return t.Stage(Access{Table: table, Key: key})
 }
 
 // W declares a write of a record: remote records are exclusively locked and
-// prefetched immediately; local records are written inside the HTM region.
+// prefetched immediately; local records are written inside the HTM region. A
+// one-access Stage.
 func (t *Tx) W(table int, key uint64) error {
-	node, region, part := t.e.route(table, key)
-	t.stampView(part)
-	if node == t.e.w.Node.ID {
-		t.declareLocal(table, region, part, key, true)
-		return nil
-	}
-	return t.stageRemote(table, key, node, region, part, true)
+	return t.Stage(Access{Table: table, Key: key, Write: true})
 }
 
 func (t *Tx) declareLocal(table, region, part int, key uint64, write bool) {
@@ -390,6 +381,13 @@ func (t *Tx) UserAbort() error {
 func (t *Tx) Execute(fn func(lc *Local) error) error {
 	if t.finished {
 		return ErrRetry
+	}
+	if len(t.owed) > 0 {
+		// The last erases' index rows: their wave runs here.
+		if err := t.Stage(); err != nil {
+			t.releaseLocks()
+			return err
+		}
 	}
 	rt := t.e.rt
 	cfg := rt.C.Config()
