@@ -324,7 +324,7 @@ func (e *Executor) readEntry(h *recHandle, vw, depth int) ([]uint64, error) {
 	}
 	words := e.imgBuf[:n]
 	if h.node == e.w.Node.ID {
-		e.arenaAt(h.node, h.region).Read(words, h.off)
+		e.rt.arenaOf(h.node, h.region).Read(words, h.off)
 		e.charge(int64(vw+1) * e.model().HTMPerReadNS)
 		return words, nil
 	}

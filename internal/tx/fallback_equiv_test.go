@@ -1,0 +1,332 @@
+package tx
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"drtm/internal/clock"
+	"drtm/internal/cluster"
+	"drtm/internal/kvs"
+	"drtm/internal/memory"
+	"drtm/internal/nvram"
+	"drtm/internal/obs"
+)
+
+// fbEquivRig is equivRig with a hash table beside the indexed ordered one,
+// write-ahead logging on and one backup per partition, so a commit leaves its
+// whole trail: table words, version chains, a WAL record and a redo record.
+// With chains on, an in-flight snapshot read at stamp 1 pins the removal gate
+// shut, so erased entries stay where they are (and are reused by a later
+// insert of the same key) instead of leaving whenever real time has moved on.
+func fbEquivRig(t *testing.T, depth int) (*Runtime, *Executor) {
+	t.Helper()
+	cfg := cluster.DefaultConfig(2, 1)
+	cfg.LeaseMicros = 1 << 40
+	cfg.ROLeaseMicros = 1 << 40
+	cfg.Durability = true
+	cfg.ReplicationFactor = 1
+	cfg.MVCCDepth = depth
+	c := cluster.New(cfg)
+	rt := NewRuntime(c, func(table int, key uint64) int {
+		if table == tblAccounts {
+			return int(key) % 2
+		}
+		return int(key>>8) % 2
+	})
+	rt.DefineUnordered(tblAccounts, 256, 256, 256, 2)
+	rt.DefineOrderedSeg(tblOrders, 4096, 2, 8)
+	rt.DefineOrderedSeg(tblOrderIdx, 4096, 1, 8)
+	rt.DefineIndex(tblOrders, IndexSpec{Table: tblOrderIdx,
+		Key: func(baseKey uint64, val []uint64) uint64 { return baseKey&^0xFF | val[1]&0xFF }})
+	if depth > 0 {
+		c.Worker(1, 0).BeginSnapshotRead(1)
+	}
+	return rt, rt.Executor(0, 0)
+}
+
+// storeImage dumps every entry of the rig's primary copies — dead ordered
+// entries included — as comparable words: the incarnation|version head, the
+// value of a live entry, and with chains on every ring slot and the tail pair
+// as (stamped or not, incarnation|version, value of a live version). Stamps are
+// soft-time, which two rigs never share; state words are left out because the
+// fallback leases the local rows it reads and a region does not.
+func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
+	t.Helper()
+	out := map[string][]uint64{}
+	stamped := func(s uint64) uint64 {
+		if s != 0 {
+			return 1
+		}
+		return 0
+	}
+	dump := func(name string, arena *memory.Arena, off memory.Offset, vw, depth int) {
+		img := make([]uint64, kvs.EntryImageWords(vw, depth))
+		arena.Read(img, off)
+		if clock.IsWriteLocked(img[kvs.EntryStateWord]) {
+			t.Errorf("%s left write-locked", name)
+		}
+		words := []uint64{img[kvs.EntryIncVerWord]}
+		if kvs.Live(kvs.Incarnation(img[kvs.EntryIncVerWord])) {
+			words = append(words, img[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
+		}
+		for i := 0; i < depth; i++ {
+			slot := img[kvs.EntryValueWord+vw+i*kvs.ChainSlotWords(vw):][:kvs.ChainSlotWords(vw)]
+			words = append(words, stamped(slot[kvs.ChainStampWord]), slot[kvs.ChainIncVerWord])
+			if slot[kvs.ChainStampWord] != 0 && kvs.Live(kvs.Incarnation(slot[kvs.ChainIncVerWord])) {
+				words = append(words, slot[kvs.ChainValueWord:]...)
+			}
+		}
+		if depth > 0 {
+			tail := img[len(img)-kvs.TailWords:]
+			words = append(words, stamped(tail[kvs.TailStampWord]), tail[kvs.TailIncVerWord])
+		}
+		out[name] = words
+	}
+	for n := 0; n < rt.C.Nodes(); n++ {
+		h := rt.C.Node(n).Unordered(tblAccounts)
+		for k := uint64(1); k <= 64; k++ {
+			if off, ok := h.LookupLocal(k); ok {
+				dump(fmt.Sprintf("hash/%d", k), h.Arena(), off, h.ValueWords(), h.ChainDepth())
+			}
+		}
+		for _, table := range []int{tblOrders, tblOrderIdx} {
+			o := rt.C.Node(n).Ordered(table)
+			o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
+				dump(fmt.Sprintf("ordered%d/%#x", table, k), o.Arena(), off, o.ValueWords(), o.ChainDepth())
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// commitTrail returns what the executor's commits since the last call logged:
+// the write-ahead records and the redo records on the backups, decoded and put
+// in one order (a region logs its local writes first, the fallback everything
+// in lock order). Transaction ids and chain stamps are dropped, and so is the
+// value of an erase: a region logs the erased value of a local row, every
+// other path logs none, and no reader of either log uses it.
+func commitTrail(t *testing.T, rt *Runtime, e *Executor, walSeen *int) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
+	t.Helper()
+	entries := e.w.WriteAheadLog.Entries()
+	for _, rec := range entries[*walSeen:] {
+		_, recs, ok := parseWAL(rec)
+		if !ok {
+			t.Fatalf("malformed WAL record %v", rec)
+		}
+		for i := range recs {
+			if recs[i].inc != 0 && !kvs.Live(recs[i].inc) {
+				recs[i].val = nil
+			}
+			if len(recs[i].val) == 0 {
+				recs[i].val = nil
+			}
+		}
+		sort.Slice(recs, func(i, j int) bool {
+			a, b := recs[i], recs[j]
+			if a.node != b.node {
+				return a.node < b.node
+			}
+			if a.table != b.table {
+				return a.table < b.table
+			}
+			return a.off < b.off
+		})
+		wal = append(wal, recs)
+	}
+	*walSeen = len(entries)
+	for b := 0; b < rt.C.Nodes(); b++ {
+		rt.C.RedoSinkAt(b, e.w.Node.ID, e.w.ID).Drain(func(rec []uint64) {
+			_, ups, ok := nvram.DecodeRedo(rec)
+			if !ok {
+				t.Fatalf("malformed redo record %v", rec)
+			}
+			for i := range ups {
+				ups[i].Stamp = 0
+				ups[i].Val = append([]uint64(nil), ups[i].Val...)
+				if ups[i].Inc != 0 && !kvs.Live(ups[i].Inc) {
+					ups[i].Val = nil
+				}
+			}
+			sort.Slice(ups, func(i, j int) bool {
+				if ups[i].Table != ups[j].Table {
+					return ups[i].Table < ups[j].Table
+				}
+				return ups[i].Key < ups[j].Key
+			})
+			redo = append(redo, ups)
+		})
+	}
+	return wal, redo
+}
+
+// TestFallbackCommitEquivalence is the property behind the one commit path:
+// the same random transactions — reads, writes, inserts and erases of indexed
+// rows and hash rows, local, remote and mixed — committed through the HTM
+// region on one rig and forced through the software fallback on a twin rig
+// (the body aborts its region, explicitly, after its last write, with a
+// fallback threshold of one) leave identical tables and indexes, identical
+// incarnation|version words, identical version chains up to the stamp values,
+// and log identical write-ahead and redo records.
+func TestFallbackCommitEquivalence(t *testing.T) {
+	for _, depth := range []int{0, 4} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("depth%d/seed%d", depth, seed), func(t *testing.T) {
+				fallbackCommitEquivalence(t, depth, seed)
+			})
+		}
+	}
+}
+
+const fbEquivTxns = 200
+
+func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
+	type rig struct {
+		rt      *Runtime
+		e       *Executor
+		walSeen int
+	}
+	var rigs [2]rig // 0 commits through the region, 1 through the fallback
+	for i := range rigs {
+		rigs[i].rt, rigs[i].e = fbEquivRig(t, depth)
+	}
+	// Hash keys 1..16 are read-only, 17..64 read-write. Of each entity's ordered
+	// rows, sub-keys 1..8 are read-only, 9..16 read-write, 17..40 come and go
+	// (half of them live at the start). A lease never expires here, so what is
+	// read is never written.
+	live := map[uint64]bool{}
+	for i := range rigs {
+		r := &rigs[i]
+		for k := uint64(1); k <= 64; k++ {
+			if err := r.e.Exec(func(tx *Tx) error {
+				return tx.Execute(func(lc *Local) error {
+					lc.Insert(tblAccounts, k, []uint64{1000, k})
+					return nil
+				})
+			}); err != nil {
+				t.Fatalf("populate %d: %v", k, err)
+			}
+		}
+		for ent := uint64(0); ent < 4; ent++ {
+			for sub := uint64(1); sub <= 40; sub++ {
+				if sub > 16 && sub%2 == 0 {
+					continue
+				}
+				insertOrders(t, r.e, ent, []uint64{sub})
+				live[orderedKey(ent, sub)] = true
+			}
+		}
+		commitTrail(t, r.rt, r.e, &r.walSeen)
+		r.rt.C.Obs.Reset()
+	}
+	rigs[1].rt.FallbackThreshold = 1
+
+	rng := rand.New(rand.NewSource(seed))
+	nwal, nredo := 0, 0
+	for n := 0; n < fbEquivTxns; n++ {
+		var accs []Access
+		used := map[refKey]bool{}
+		for len(accs) < 1+rng.Intn(6) {
+			ent := uint64(rng.Intn(4))
+			var a Access
+			switch c := rng.Intn(14); {
+			case c < 2:
+				a = Access{Table: tblAccounts, Key: uint64(1 + rng.Intn(16))}
+			case c < 4:
+				a = Access{Table: tblAccounts, Key: uint64(17 + rng.Intn(48)), Write: true}
+			case c < 7:
+				a = Access{Table: tblOrders, Key: orderedKey(ent, uint64(1+rng.Intn(8)))}
+			case c < 9:
+				a = Access{Table: tblOrders, Key: orderedKey(ent, uint64(9+rng.Intn(8))), Write: true}
+			default:
+				key := orderedKey(ent, uint64(17+rng.Intn(24)))
+				switch {
+				case !live[key]:
+					a = Access{Table: tblOrders, Key: key, Insert: []uint64{uint64(n), key & 0xFF}}
+				case c < 12:
+					a = Access{Table: tblOrders, Key: key, Erase: true}
+				default:
+					a = Access{Table: tblOrders, Key: key, Write: true}
+				}
+			}
+			if k := (refKey{a.Table, a.Key}); !used[k] {
+				used[k] = true
+				accs = append(accs, a)
+			}
+		}
+		for i := range rigs {
+			r := &rigs[i]
+			err := r.e.Exec(func(tx *Tx) error {
+				if err := tx.Stage(accs...); err != nil {
+					return err
+				}
+				return tx.Execute(func(lc *Local) error {
+					for _, a := range accs {
+						if a.Insert != nil || a.Erase {
+							continue
+						}
+						v, err := lc.Read(a.Table, a.Key)
+						if err != nil {
+							return err
+						}
+						if a.Write {
+							if err := lc.Write(a.Table, a.Key, []uint64{v[0] + uint64(n), v[1]}); err != nil {
+								return err
+							}
+						}
+					}
+					if i == 1 && lc.htx != nil {
+						lc.htx.Abort(99) // every write made: on to the fallback
+					}
+					return nil
+				})
+			})
+			if err != nil {
+				t.Fatalf("txn %d, rig %d (%+v): %v", n, i, accs, err)
+			}
+		}
+		for _, a := range accs {
+			if a.Insert != nil {
+				live[a.Key] = true
+			} else if a.Erase {
+				delete(live, a.Key)
+			}
+		}
+		rwal, rredo := commitTrail(t, rigs[0].rt, rigs[0].e, &rigs[0].walSeen)
+		fwal, fredo := commitTrail(t, rigs[1].rt, rigs[1].e, &rigs[1].walSeen)
+		if !reflect.DeepEqual(rwal, fwal) {
+			t.Fatalf("txn %d (%+v): WAL differs\nregion   %+v\nfallback %+v", n, accs, rwal, fwal)
+		}
+		if !reflect.DeepEqual(rredo, fredo) {
+			t.Fatalf("txn %d (%+v): redo records differ\nregion   %+v\nfallback %+v", n, accs, rredo, fredo)
+		}
+		nwal, nredo = nwal+len(rwal), nredo+len(rredo)
+	}
+
+	region, fallback := storeImage(t, rigs[0].rt), storeImage(t, rigs[1].rt)
+	for name, want := range region {
+		if got, ok := fallback[name]; !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: region %#x, fallback %#x", name, want, got)
+		}
+	}
+	if len(fallback) != len(region) {
+		t.Errorf("%d entries after the region commits, %d after the fallback's", len(region), len(fallback))
+	}
+	if got := len(liveRows(rigs[1].rt, tblOrders)); got != len(live) {
+		t.Errorf("%d live base rows, the model has %d", got, len(live))
+	}
+	a, b := rigs[0].rt.C.Obs.Snapshot(), rigs[1].rt.C.Obs.Snapshot()
+	if a.Counter(obs.EvFallback) != 0 || b.Counter(obs.EvFallback) != fbEquivTxns {
+		t.Errorf("fallbacks: region rig %d, fallback rig %d, want 0 and %d", a.Counter(obs.EvFallback), b.Counter(obs.EvFallback), fbEquivTxns)
+	}
+	for _, ev := range []obs.Event{obs.EvTxCommit, obs.EvTxRetry, obs.EvIndexMaint, obs.EvRemoveDead, obs.EvLogAppend} {
+		if a.Counter(ev) != b.Counter(ev) {
+			t.Errorf("%v: region %d, fallback %d", ev, a.Counter(ev), b.Counter(ev))
+		}
+	}
+	t.Logf("%d entries, %d WAL records and %d redo records compared; %d index rows, %d removals, %d chain retires",
+		len(region), nwal, nredo, a.Counter(obs.EvIndexMaint), a.Counter(obs.EvRemoveDead), b.Counter(obs.EvChainRetire))
+}

@@ -1,0 +1,289 @@
+package tx
+
+import (
+	"testing"
+
+	"drtm/internal/cluster"
+	"drtm/internal/htm"
+)
+
+// fbGoldenRig is goldenRig with an indexed ordered table beside the hash
+// table and an HTM region that holds two written lines (what a kvs insert
+// needs): any transaction writing three local lines takes a capacity abort
+// into the software fallback. Timers never start and leases outlast the test,
+// so nothing waits on real time.
+// Hash key k is homed on node k%2, ordered entity e on node e%2; the executor
+// runs on node 0.
+func fbGoldenRig(t *testing.T, mut func(*cluster.Config), window int) (*Runtime, *Executor) {
+	t.Helper()
+	cfg := cluster.DefaultConfig(2, 1)
+	cfg.LeaseMicros = 1 << 40
+	cfg.ROLeaseMicros = 1 << 40
+	cfg.HTM = htm.Config{WriteLines: 2, ReadLines: 4096}
+	cfg.MVCCDepth = 0
+	if mut != nil {
+		mut(&cfg)
+	}
+	c := cluster.New(cfg)
+	rt := NewRuntime(c, func(table int, key uint64) int {
+		if table == tblAccounts {
+			return int(key) % 2
+		}
+		return int(key>>8) % 2
+	})
+	rt.BatchWindow = window
+	rt.DefineUnordered(tblAccounts, 256, 256, 256, 2)
+	rt.DefineOrderedSeg(tblOrders, 1024, 2, 8)
+	rt.DefineOrderedSeg(tblOrderIdx, 1024, 1, 8)
+	rt.DefineIndex(tblOrders, IndexSpec{Table: tblOrderIdx,
+		Key: func(baseKey uint64, val []uint64) uint64 { return baseKey&^0xFF | val[1]&0xFF }})
+	e := rt.Executor(0, 0)
+	for k := uint64(1); k <= 64; k++ {
+		if err := e.Exec(func(tx *Tx) error {
+			return tx.Execute(func(lc *Local) error {
+				lc.Insert(tblAccounts, k, []uint64{1000, k})
+				return nil
+			})
+		}); err != nil {
+			t.Fatalf("populate %d: %v", k, err)
+		}
+	}
+	insertOrders(t, e, 0, []uint64{1, 2})
+	insertOrders(t, e, 1, []uint64{1, 2})
+	if cfg.MVCCDepth > 0 {
+		// Pin the snapshot floor below every commit stamp: the gated removal
+		// queue then never drains, instead of draining whenever real time has
+		// moved on far enough.
+		c.Worker(1, 0).BeginSnapshotRead(1)
+	}
+	return rt, e
+}
+
+var fbGoldenNames = []string{
+	"hash rw: 4 local + 2 remote writes, 1 local + 1 remote read",
+	"clean write locks: 1 local + 1 remote, beside 3 local writes",
+	"insert of an indexed row, local, beside 3 local writes",
+	"insert of an indexed row, remote, beside 3 local writes",
+	"erase of an indexed row, local, beside 3 local writes",
+	"erase of an indexed row, remote, beside 3 local writes",
+}
+
+// runFallbackGoldenScript commits the scripted transactions, each through one
+// capacity abort into the fallback, and reports what each cost on the
+// worker's queue pair.
+func runFallbackGoldenScript(t *testing.T, mut func(*cluster.Config), window int) []goldenRow {
+	rt, e := fbGoldenRig(t, mut, window)
+	bump := func(lc *Local, keys ...uint64) error {
+		for _, k := range keys {
+			v, err := lc.Read(tblAccounts, k)
+			if err != nil {
+				return err
+			}
+			if err := lc.Write(tblAccounts, k, []uint64{v[0] + 1, v[1]}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	declare := func(tx *Tx, write bool, keys ...uint64) error {
+		for _, k := range keys {
+			if err := tx.Stage(Access{Table: tblAccounts, Key: k, Write: write}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	scripts := []func(tx *Tx) error{
+		func(tx *Tx) error {
+			if err := declare(tx, true, 2, 4, 6, 8, 1, 3); err != nil {
+				return err
+			}
+			if err := declare(tx, false, 10, 5); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				for _, k := range []uint64{10, 5} {
+					if _, err := lc.Read(tblAccounts, k); err != nil {
+						return err
+					}
+				}
+				return bump(lc, 2, 4, 6, 8, 1, 3)
+			})
+		},
+		func(tx *Tx) error {
+			if err := declare(tx, true, 12, 14, 16, 18, 7); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return bump(lc, 12, 14, 16) })
+		},
+		func(tx *Tx) error {
+			if err := tx.WInsert(tblOrders, orderedKey(0, 50), []uint64{5, 50}); err != nil {
+				return err
+			}
+			if err := declare(tx, true, 20, 22, 24); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return bump(lc, 20, 22, 24) })
+		},
+		func(tx *Tx) error {
+			if err := tx.WInsert(tblOrders, orderedKey(1, 50), []uint64{5, 50}); err != nil {
+				return err
+			}
+			if err := declare(tx, true, 26, 28, 30); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return bump(lc, 26, 28, 30) })
+		},
+		func(tx *Tx) error {
+			if _, err := tx.Erase(tblOrders, orderedKey(0, 1)); err != nil {
+				return err
+			}
+			if err := declare(tx, true, 32, 34, 36); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return bump(lc, 32, 34, 36) })
+		},
+		func(tx *Tx) error {
+			if _, err := tx.Erase(tblOrders, orderedKey(1, 1)); err != nil {
+				return err
+			}
+			if err := declare(tx, true, 38, 40, 42); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error { return bump(lc, 38, 40, 42) })
+		},
+	}
+	var rows []goldenRow
+	for i, script := range scripts {
+		qs := &e.w.QP.Stats
+		ns0 := int64(e.w.VClock.Now())
+		r0, c0, w0, b0, m0 := qs.Reads.Load(), qs.CASes.Load(), qs.Writes.Load(), qs.Batches.Load(), qs.Msgs.Load()
+		f0, k0 := rt.Stats.Fallbacks.Load(), rt.Stats.Commits.Load()
+		if err := e.Exec(script); err != nil {
+			t.Fatalf("%s: %v", fbGoldenNames[i], err)
+		}
+		if f, k := rt.Stats.Fallbacks.Load()-f0, rt.Stats.Commits.Load()-k0; f != 1 || k != 1 {
+			t.Fatalf("%s: %d fallbacks for %d commits, want one of each", fbGoldenNames[i], f, k)
+		}
+		rows = append(rows, goldenRow{
+			ns:    int64(e.w.VClock.Now()) - ns0,
+			reads: qs.Reads.Load() - r0, cases: qs.CASes.Load() - c0, writes: qs.Writes.Load() - w0,
+			batches: qs.Batches.Load() - b0, msgs: qs.Msgs.Load() - m0,
+		})
+	}
+	// What the script left behind: the rows it wrote, and no lock.
+	for _, k := range []uint64{2, 4, 6, 8, 1, 3, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40, 42} {
+		if v, _ := rt.C.Node(int(k) % 2).Unordered(tblAccounts).Get(k); len(v) != 2 || v[0] != 1001 {
+			t.Errorf("hash key %d = %v, want [1001 %d]", k, v, k)
+		}
+	}
+	for ent := uint64(0); ent < 2; ent++ {
+		if v, live := liveOrderedVal(rt, int(ent), tblOrders, orderedKey(ent, 50)); !live || v[0] != 5 {
+			t.Errorf("entity %d: inserted row = %v, live %v", ent, v, live)
+		}
+		if v, live := liveOrderedVal(rt, int(ent), tblOrderIdx, orderedKey(ent, 50)); !live || v[0] != orderedKey(ent, 50) {
+			t.Errorf("entity %d: inserted index row = %v, live %v", ent, v, live)
+		}
+		for _, table := range []int{tblOrders, tblOrderIdx} {
+			if _, live := liveOrderedVal(rt, int(ent), table, orderedKey(ent, 1)); live {
+				t.Errorf("entity %d: table %d row still live after its erase", ent, table)
+			}
+		}
+	}
+	for _, table := range []int{tblOrders, tblOrderIdx} {
+		if k := lockedKeys(rt, table); len(k) > 0 {
+			t.Errorf("table %d keys %#x left locked", table, k)
+		}
+	}
+	return rows
+}
+
+// TestFallbackGolden pins the software fallback's cost — modeled nanoseconds
+// and READ / CAS / WRITE / batch / message counts of scripted transactions —
+// with logging off and on, version chains on, one backup per partition, and
+// under BatchWindow = 1, which posts every verb of a wave on its own.
+// It is the refactor oracle of the commit path: the verb and message counts
+// were captured on the commit before the fallback started committing through
+// the region path's routines and did not move; the modeled nanoseconds fell
+// (the same WRITEs, posted as two doorbell waves) and the batch counts moved
+// with them (EXPERIMENTS.md has both tables).
+func TestFallbackGolden(t *testing.T) {
+	for _, cfg := range []struct {
+		name   string
+		mut    func(*cluster.Config)
+		window int // Runtime.BatchWindow
+		want   []goldenRow
+	}{
+		{"plain", nil, 0, fbGoldenPlain},
+		{"durable", func(c *cluster.Config) { c.Durability = true }, 0, fbGoldenDurable},
+		{"chains", func(c *cluster.Config) { c.MVCCDepth = 4 }, 0, fbGoldenChains},
+		{"replicated", func(c *cluster.Config) { c.ReplicationFactor = 1 }, 0, fbGoldenReplicated},
+		{"serial", nil, 1, fbGoldenSerial},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			got := runFallbackGoldenScript(t, cfg.mut, cfg.window)
+			bad := len(got) != len(cfg.want)
+			for i := 0; !bad && i < len(got); i++ {
+				bad = got[i] != cfg.want[i]
+			}
+			if !bad {
+				return
+			}
+			for i, g := range got {
+				mark := ""
+				if i >= len(cfg.want) || cfg.want[i] != g {
+					mark = " // MOVED"
+				}
+				t.Logf("\t%v, // %s%s", g, fbGoldenNames[i], mark)
+			}
+			t.Fatalf("fallback path moved under %s (rows above are the observed table)", cfg.name)
+		})
+	}
+}
+
+// The fallback golden tables, one row per fbGoldenNames entry:
+// {modeled ns, READs, CASes, WRITEs, batches, messages, ""}.
+var (
+	fbGoldenPlain = []goldenRow{
+		{204130, 9, 13, 6, 7, 0, ""}, // hash rw
+		{122352, 3, 9, 3, 3, 0, ""},  // clean write locks
+		{77979, 0, 5, 5, 1, 0, ""},   // insert, local
+		{143303, 4, 9, 5, 2, 3, ""},  // insert, remote
+		{78779, 0, 5, 5, 1, 0, ""},   // erase, local
+		{170619, 4, 9, 5, 3, 5, ""},  // erase, remote
+	}
+	fbGoldenDurable = []goldenRow{
+		{204738, 9, 13, 6, 7, 0, ""}, // hash rw
+		{122934, 3, 9, 3, 3, 0, ""},  // clean write locks
+		{78389, 0, 5, 5, 1, 0, ""},   // insert, local
+		{143900, 4, 9, 5, 2, 3, ""},  // insert, remote
+		{79186, 0, 5, 5, 1, 0, ""},   // erase, local
+		{171213, 4, 9, 5, 3, 5, ""},  // erase, remote
+	}
+	fbGoldenChains = []goldenRow{
+		{207620, 9, 13, 18, 8, 0, ""}, // hash rw
+		{124621, 3, 9, 9, 4, 0, ""},   // clean write locks
+		{81027, 0, 5, 15, 2, 0, ""},   // insert, local
+		{146389, 4, 9, 15, 3, 3, ""},  // insert, remote
+		{81027, 0, 5, 15, 2, 0, ""},   // erase, local
+		{166891, 4, 9, 15, 4, 4, ""},  // erase, remote
+	}
+	fbGoldenReplicated = []goldenRow{
+		{206004, 9, 13, 6, 8, 0, ""}, // hash rw
+		{123990, 3, 9, 3, 4, 0, ""},  // clean write locks
+		{79640, 0, 5, 5, 2, 0, ""},   // insert, local
+		{145164, 4, 9, 5, 3, 3, ""},  // insert, remote
+		{80436, 0, 5, 5, 2, 0, ""},   // erase, local
+		{172476, 4, 9, 5, 4, 5, ""},  // erase, remote
+	}
+	// BatchWindow = 1: every posted verb is a wave of its own, so the commit
+	// costs what the serial publish did plus one doorbell per WRITE / unlock.
+	fbGoldenSerial = []goldenRow{
+		{214668, 9, 13, 6, 15, 0, ""}, // hash rw
+		{141970, 3, 9, 3, 8, 0, ""},   // clean write locks
+		{82794, 0, 5, 5, 5, 0, ""},    // insert, local
+		{171630, 4, 9, 5, 9, 4, ""},   // insert, remote
+		{83591, 0, 5, 5, 5, 0, ""},    // erase, local
+		{184443, 4, 9, 5, 9, 6, ""},   // erase, remote
+	}
+)

@@ -68,7 +68,7 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg) error {
 		// Serialized with redo application (repl.go): a drain must never
 		// observe the copies mid-op or interleave with a delete, and a
 		// delete's generation bump must be atomic with removing the entry so
-		// stale redo records are recognized (applyRedoTo's guards).
+		// stale redo records are recognized (applyRedo's guards).
 		rt.redoMu.Lock()
 		defer rt.redoMu.Unlock()
 	}

@@ -12,23 +12,21 @@ import (
 
 // Local is the transaction body's view during the LocalTX phase. It serves
 // reads and writes of local records through the HTM transaction (with the
-// Figure 6 state-word checks) and of staged remote records through the
-// transaction-private buffers filled during the Start phase.
+// Figure 6 state-word checks) and of staged records through the
+// transaction-private buffers filled during the Start phase. On the software
+// fallback path (Section 6.2) there is no region — htx is nil — and every
+// declared record, local ones included, is a staged record held under its
+// protocol lock or lease.
 type Local struct {
 	t   *Tx
 	htx *htm.Txn
-
-	// fallback is set when running on the software fallback path
-	// (Section 6.2): accesses go straight to memory under protocol locks
-	// instead of through an HTM region.
-	fallback *fallbackCtx
 }
 
 // now returns the timestamp local operations use for lease checks,
 // honoring the configured softtime strategy (Figure 11).
 func (lc *Local) now() uint64 {
 	cfg := lc.t.e.rt.C.Config()
-	if cfg.Strategy != clock.StrategyReuseConfirm && lc.htx != nil {
+	if cfg.Strategy != clock.StrategyReuseConfirm {
 		// Figure 11(a)/(b): a transactional softtime read per operation —
 		// exposed to timer-thread false aborts (frequency depends on the
 		// deployment's update interval).
@@ -54,13 +52,7 @@ func (lc *Local) resolve(table, region int, key uint64) (*memory.Arena, memory.O
 	}
 	lc.t.e.charge(model.HashProbeNS)
 	tbl := n.Unordered(region)
-	var off memory.Offset
-	var ok bool
-	if lc.htx != nil {
-		off, ok = tbl.LookupTx(lc.htx, key)
-	} else {
-		off, ok = tbl.LookupLocal(key)
-	}
+	off, ok := tbl.LookupTx(lc.htx, key)
 	return tbl.Arena(), off, ok
 }
 
@@ -68,11 +60,6 @@ func (lc *Local) resolve(table, region int, key uint64) (*memory.Arena, memory.O
 // with Tx.R or Tx.W; local records must have been declared.
 func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	k := refKey{table, key}
-	if lc.fallback != nil {
-		// Fallback mode: every declared record (local or remote) lives in
-		// the fallback record set.
-		return lc.fallback.read(table, key)
-	}
 	if r, ok := lc.t.rIndex[k]; ok {
 		if r.erase {
 			return nil, ErrNotFound
@@ -132,9 +119,6 @@ func (lc *Local) ReadWord(table int, key uint64, idx int) (uint64, error) {
 // HTM region with the Figure 6 checks.
 func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	k := refKey{table, key}
-	if lc.fallback != nil {
-		return lc.fallback.write(table, key, val)
-	}
 	if r, ok := lc.t.rIndex[k]; ok {
 		if !r.write {
 			panic(fmt.Sprintf("tx: write to read-staged record table %d key %d", table, key))
@@ -279,25 +263,29 @@ type KeyOff struct {
 // use Tx.Scan (declared before Execute) for validated transactional range
 // reads; ScanLocal remains for non-transactional walks over entry offsets.
 func (lc *Local) ScanLocal(table int, lo, hi uint64, limit int) []KeyOff {
-	o := lc.t.e.w.Node.Ordered(table)
-	lc.t.e.charge(lc.t.e.model().BTreeOpNS)
-	var out []KeyOff
-	o.Scan(lo, hi, func(k uint64, off memory.Offset) bool {
-		out = append(out, KeyOff{k, off})
-		return limit <= 0 || len(out) < limit
-	})
-	return out
+	return lc.t.e.scanLocal(table, lo, hi, limit, false)
 }
 
 // ScanLocalDesc is ScanLocal in descending order.
 func (lc *Local) ScanLocalDesc(table int, lo, hi uint64, limit int) []KeyOff {
-	o := lc.t.e.w.Node.Ordered(table)
-	lc.t.e.charge(lc.t.e.model().BTreeOpNS)
+	return lc.t.e.scanLocal(table, lo, hi, limit, true)
+}
+
+// scanLocal walks this node's shard of an ordered table over [lo, hi], in
+// either direction, for up to limit entries (limit <= 0 means unbounded).
+func (e *Executor) scanLocal(table int, lo, hi uint64, limit int, desc bool) []KeyOff {
+	o := e.w.Node.Ordered(table)
+	e.charge(e.model().BTreeOpNS)
 	var out []KeyOff
-	o.ScanDesc(lo, hi, func(k uint64, off memory.Offset) bool {
+	collect := func(k uint64, off memory.Offset) bool {
 		out = append(out, KeyOff{k, off})
 		return limit <= 0 || len(out) < limit
-	})
+	}
+	if desc {
+		o.ScanDesc(lo, hi, collect)
+	} else {
+		o.Scan(lo, hi, collect)
+	}
 	return out
 }
 
@@ -308,7 +296,7 @@ func (lc *Local) ReadAt(table int, off memory.Offset) ([]uint64, error) {
 	arena := o.Arena()
 	vw := o.ValueWords()
 	val := make([]uint64, vw)
-	if lc.fallback != nil {
+	if lc.htx == nil {
 		// Fallback reads are direct; the record set was locked up front.
 		arena.Read(val, kvs.ValueOffset(off))
 		return val, nil

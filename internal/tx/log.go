@@ -28,131 +28,88 @@ import (
 // transaction's XEND executed — the property recovery relies on to decide
 // redo vs. unlock.
 
-// logAheadOfRegion writes the chopping log (when the transaction is a piece
-// of a chopped parent) and the lock-ahead log naming every remote record
-// this transaction exclusively locked, so recovery can unlock them if we
-// crash before commit.
+// logAheadOfRegion writes, before the HTM region (Figure 7, left), the
+// chopping log — when the transaction is a piece of a chopped parent — and
+// the lock-ahead log.
 func (t *Tx) logAheadOfRegion() {
-	w := t.e.w
-	if w.WriteAheadLog == nil {
-		return
-	}
-	model := t.e.model()
 	if len(t.choppingInfo) > 0 {
-		rec := append([]uint64{t.txid}, t.choppingInfo...)
-		w.ChoppingLog.Append(rec)
-		w.Obs.Inc(obs.EvLogRecord)
-		t.e.charge(int64(model.NVRAMAppend(len(rec) * 8)))
+		t.logBuf = append(append(t.logBuf[:0], t.txid), t.choppingInfo...)
+		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), len(t.logBuf))
 	}
-	var locks []uint64
+	t.logLockAhead()
+}
+
+// logLockAhead names every record this transaction holds exclusively locked,
+// so recovery can unlock them if we crash before commit: the remote write set
+// of the region path; every write record, this node's included, of the
+// fallback, which logs a record of its own once it has taken its locks again
+// (at offsets a re-resolve may have moved).
+func (t *Tx) logLockAhead() {
+	b := append(t.logBuf[:0], t.txid, 0)
 	for _, r := range t.remotes {
 		if r.write {
-			locks = append(locks, uint64(r.node), uint64(r.region), uint64(r.off))
+			b = append(b, uint64(r.node), uint64(r.region), uint64(r.off))
+			b[1]++
 		}
 	}
-	if len(locks) == 0 {
-		return
+	t.logBuf = b
+	if b[1] > 0 {
+		t.logged(t.e.w.LockAheadLog.Append(b), len(b))
 	}
-	rec := make([]uint64, 0, 2+len(locks))
-	rec = append(rec, t.txid, uint64(len(locks)/3))
-	rec = append(rec, locks...)
-	w.LockAheadLog.Append(rec)
-	w.Obs.Inc(obs.EvLogRecord)
-	t.e.charge(int64(model.NVRAMAppend(len(rec) * 8)))
 }
 
-// walBody serializes the transaction's full update set (local writes plus
-// dirty remote writes).
-func (t *Tx) walBody() []uint64 {
-	var recs []walRec
-	recs = append(recs, t.walLocal...)
-	for _, r := range t.remotes {
-		if !r.write || (!r.dirty && !r.erase) {
-			continue
-		}
-		rec := walRec{
-			node: r.node, table: r.region, off: r.off,
-			version: r.version + 1, val: r.buf,
-		}
-		switch {
-		case r.insert, r.erase:
-			rec.inc = r.inc + 1
-		case r.ordered:
-			rec.inc = r.inc
-		}
-		if r.erase {
-			rec.val = nil
-		}
-		recs = append(recs, rec)
+// logged accounts for one appended log record. A full log is a sizing error.
+func (t *Tx) logged(ok bool, words int) {
+	if !ok {
+		panic("tx: write-ahead log full; size LogWords for the run")
 	}
-	if len(recs) == 0 {
+	t.e.w.Obs.Inc(obs.EvLogRecord)
+	t.e.charge(int64(t.e.model().NVRAMAppend(words * 8)))
+}
+
+// walBody serializes the transaction's full update set — the region's
+// captured local writes, then every staged record the commit writes, inserts
+// or erases — into the log scratch; nil when there is none.
+func (t *Tx) walBody() []uint64 {
+	b := append(t.logBuf[:0], t.txid, 0)
+	for i := range t.walLocal {
+		u := &t.walLocal[i]
+		b = putWAL(b, u.node, u.table, u.off, u.inc, u.version, u.val)
+	}
+	for _, r := range t.remotes {
+		if inc, val, ok := r.update(); ok {
+			b = putWAL(b, r.node, r.region, r.off, inc, r.version+1, val)
+		}
+	}
+	t.logBuf = b
+	if b[1] == 0 {
 		return nil
 	}
-	out := []uint64{t.txid, uint64(len(recs))}
-	for _, rec := range recs {
-		out = append(out, uint64(rec.node), uint64(rec.table), uint64(rec.off),
-			uint64(rec.inc)<<32|uint64(rec.version), uint64(len(rec.val)))
-		out = append(out, rec.val...)
-	}
-	return out
+	return b
 }
 
-// logWALTx appends the write-ahead log inside the HTM region: durable iff
-// the region commits.
-func (t *Tx) logWALTx(htx *htm.Txn) {
-	w := t.e.w
-	if w.WriteAheadLog == nil {
-		return
-	}
+// putWAL appends one update to a write-ahead record and counts it.
+func putWAL(b []uint64, node, region int, off memory.Offset, inc, version uint32, val []uint64) []uint64 {
+	b[1]++
+	b = append(b, uint64(node), uint64(region), uint64(off), uint64(inc)<<32|uint64(version), uint64(len(val)))
+	return append(b, val...)
+}
+
+// logWAL appends the write-ahead record at the commit point. Inside the HTM
+// region the append is transactional: durable iff the region commits. Under
+// the fallback's locks (htx == nil) it is immediate, ahead of the in-place
+// updates ("DrTM will perform logs ahead of updates for them as in normal
+// systems", Section 6.2).
+func (t *Tx) logWAL(htx *htm.Txn) {
 	body := t.walBody()
 	if body == nil {
 		return
 	}
-	if !w.WriteAheadLog.AppendTx(htx, body) {
-		panic("tx: write-ahead log full; size LogWords for the run")
+	if log := t.e.w.WriteAheadLog; htx != nil {
+		t.logged(log.AppendTx(htx, body), len(body))
+	} else {
+		t.logged(log.Append(body), len(body))
 	}
-	w.Obs.Inc(obs.EvLogRecord)
-	t.e.charge(int64(t.e.model().NVRAMAppend(len(body) * 8)))
-}
-
-// logFallbackWAL logs updates ahead of the fallback path's in-place
-// publication ("DrTM will perform logs ahead of updates for them as in
-// normal systems", Section 6.2).
-func (t *Tx) logFallbackWAL(fb *fallbackCtx) {
-	w := t.e.w
-	if w.WriteAheadLog == nil {
-		return
-	}
-	var body []uint64
-	var count uint64
-	var recs []uint64
-	for _, r := range fb.recs {
-		if !r.write || (!r.dirty && !r.erase) {
-			continue
-		}
-		var inc uint32
-		switch {
-		case r.insert, r.erase:
-			inc = r.inc + 1
-		case r.ordered:
-			inc = r.inc
-		}
-		val := r.buf
-		if r.erase {
-			val = nil
-		}
-		count++
-		recs = append(recs, uint64(r.node), uint64(r.region), uint64(r.off),
-			uint64(inc)<<32|uint64(r.version+1), uint64(len(val)))
-		recs = append(recs, val...)
-	}
-	if count == 0 {
-		return
-	}
-	body = append([]uint64{t.txid, count}, recs...)
-	w.WriteAheadLog.Append(body)
-	w.Obs.Inc(obs.EvLogRecord)
-	t.e.charge(int64(t.e.model().NVRAMAppend(len(body) * 8)))
 }
 
 // parseWAL decodes one write-ahead record.

@@ -154,7 +154,7 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 
 	img := make([]uint64, kvs.EntryImageWords(vw, depth))
 	if h.node == e.w.Node.ID {
-		e.arenaAt(h.node, h.region).Read(img, h.off)
+		e.rt.arenaOf(h.node, h.region).Read(img, h.off)
 		e.charge(int64(len(img)) * e.model().HTMPerReadNS)
 	} else if err := e.verbRetry(func() error {
 		return e.w.QP.TryRead(h.node, h.region, h.off, img)

@@ -431,7 +431,7 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 // applyLocalStructural commits the local structural halves inside the HTM
 // region: each staged insert/erase re-verifies its exact declare-time
 // observation (key, incarnation|version, unlocked state — all enrolled in
-// the read set) and flips the incarnation. Runs after validateScans (the
+// the read set) and flips the incarnation. Runs after scansValid (the
 // flips change incver words scans recorded) and before the WAL write.
 func (t *Tx) applyLocalStructural(htx *htm.Txn) {
 	if len(t.localIns) == 0 && len(t.localErase) == 0 {
@@ -485,7 +485,7 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 		t.walLocal = append(t.walLocal, walRec{
 			node: t.e.w.Node.ID, table: op.region, off: op.off,
 			version: op.ver + 1, inc: op.inc + 1,
-			val:    op.val, // the transaction's own copy, untouched through Execute
+			val:    op.val, // the transaction's own copy; the body, which may write it, has run
 			ltable: op.table, part: op.part, key: op.key,
 		})
 	}

@@ -159,11 +159,8 @@ func (ro *RO) confirm() bool {
 	now := e.w.Node.Clock.Read()
 	delta := e.rt.C.Delta()
 	sh := e.w.Obs
-	for part, w := range ro.views {
-		if e.rt.C.View(part) != w {
-			sh.Inc(obs.EvViewAbort)
-			return false
-		}
+	if e.viewsMoved(ro.views) {
+		return false
 	}
 	if ro.mvcc {
 		return true // every read resolved at the snapshot stamp
@@ -215,7 +212,7 @@ func (ro *RO) confirmLocal() bool {
 			continue
 		}
 		if r.region != region { // runs of one table's rows resolve it once
-			arena, region = e.arenaAt(r.node, r.region), r.region
+			arena, region = e.rt.arenaOf(r.node, r.region), r.region
 		}
 		// Key, incver and state share the entry's first line, so the seqlocked
 		// read sees them as of one instant.
@@ -358,18 +355,7 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	return out, nil
 }
 
-// stampView records a touched partition's view word for confirm.
-func (ro *RO) stampView(part int) {
-	if part < 0 || ro.e.rt.C.ReplicationFactor() == 0 {
-		return
-	}
-	if ro.views == nil {
-		ro.views = make(map[int]uint64)
-	}
-	if _, ok := ro.views[part]; !ok {
-		ro.views[part] = ro.e.rt.C.View(part)
-	}
-}
+func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
 
 // Read leases and fetches a record by key (or, on the MVCC arm, resolves it
 // against its version chain at the snapshot stamp with one READ).
@@ -466,24 +452,10 @@ func (ro *RO) fetch(r *remoteRec) error {
 
 // ScanLocal returns index entries of a local ordered table in [lo, hi].
 func (ro *RO) ScanLocal(table int, lo, hi uint64, limit int) []KeyOff {
-	o := ro.e.w.Node.Ordered(table)
-	ro.e.charge(ro.e.model().BTreeOpNS)
-	var out []KeyOff
-	o.Scan(lo, hi, func(k uint64, off memory.Offset) bool {
-		out = append(out, KeyOff{k, off})
-		return limit <= 0 || len(out) < limit
-	})
-	return out
+	return ro.e.scanLocal(table, lo, hi, limit, false)
 }
 
 // ScanLocalDesc is ScanLocal in descending order.
 func (ro *RO) ScanLocalDesc(table int, lo, hi uint64, limit int) []KeyOff {
-	o := ro.e.w.Node.Ordered(table)
-	ro.e.charge(ro.e.model().BTreeOpNS)
-	var out []KeyOff
-	o.ScanDesc(lo, hi, func(k uint64, off memory.Offset) bool {
-		out = append(out, KeyOff{k, off})
-		return limit <= 0 || len(out) < limit
-	})
-	return out
+	return ro.e.scanLocal(table, lo, hi, limit, true)
 }

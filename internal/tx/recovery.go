@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"drtm/internal/clock"
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
@@ -43,26 +44,37 @@ type RecoveryReport struct {
 // idempotent — logs are truncated after replay, so a second invocation
 // (e.g. two coordinators racing across incarnations) finds nothing to do —
 // and safe under live traffic: redo is version-guarded and unlock is
-// owner-guarded, so survivors' in-flight transactions are never clobbered.
+// owner-guarded, so survivors' in-flight transactions are never clobbered,
+// and no lock is released before every log has been replayed, so no survivor
+// gets at a record ahead of an update recovery still owes it.
 func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	rt.recMu.Lock()
 	defer rt.recMu.Unlock()
 	start := time.Now()
 	var rep RecoveryReport
 	sawEntries := false
-	n := rt.C.Node(crashed)
+	var wks []*cluster.Worker // the crashed node's workers that keep logs
 	for w := 0; w < rt.C.Config().WorkersPerNode; w++ {
-		wk := rt.C.Worker(crashed, w)
-		if wk.WriteAheadLog == nil {
-			continue
+		if wk := rt.C.Worker(crashed, w); wk.WriteAheadLog != nil {
+			wks = append(wks, wk)
 		}
+	}
 
+	// Redo first, every worker's whole log, and unlock nothing meanwhile. The
+	// write-ahead log holds the node's history since its last recovery, so a
+	// record's location appears in it many times, the in-doubt update last.
+	// While that update is pending the crashed machine's lock is what keeps
+	// survivors off the record: releasing it at an older entry for the same
+	// location — this worker's or another's — lets a survivor lock and
+	// rewrite the record before the replay reaches the entry that matters,
+	// which the version guard then skips, and an acked commit is lost.
+	committed := make(map[uint64]bool)
+	held := make(map[lockRef]struct{}) // the redone records' locations
+	for _, wk := range wks {
 		if wk.WriteAheadLog.Len() > 0 || wk.LockAheadLog.Len() > 0 ||
 			wk.ChoppingLog.Len() > 0 {
 			sawEntries = true
 		}
-
-		committed := make(map[uint64]bool)
 		for _, rec := range wk.WriteAheadLog.Entries() {
 			txid, recs, ok := parseWAL(rec)
 			if !ok {
@@ -71,19 +83,26 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 			committed[txid] = true
 			applied := false
 			for _, u := range recs {
-				if rt.redo(crashed, u) {
+				if rt.redo(u) {
 					rep.RedoneRecords++
 					wk.Obs.Inc(obs.EvRecoveryRedo)
 					applied = true
 				} else {
 					rep.SkippedRecords++
 				}
+				held[lockRef{node: u.node, table: u.table, off: u.off}] = struct{}{}
 			}
 			if applied {
 				rep.RedoneTxns++
 			}
 		}
+	}
 
+	// Now the locks: the redone records', then the uncommitted transactions'.
+	for l := range held {
+		rt.unlockIfOwned(crashed, l)
+	}
+	for _, wk := range wks {
 		for _, rec := range wk.LockAheadLog.Entries() {
 			txid, locks, ok := parseLockAhead(rec)
 			if !ok || committed[txid] {
@@ -107,7 +126,6 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		wk.LockAheadLog.Truncate()
 		wk.ChoppingLog.Truncate()
 	}
-	_ = n
 
 	// Complete what survivors could not: release-side writes and store ops
 	// that were parked while the node was unreachable (fault.go).
@@ -124,15 +142,16 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 }
 
 // redo applies one logged update if it is newer than the record's current
-// version, and clears any exclusive lock the crashed machine still holds on
-// it. Returns whether the value was written.
+// version. Returns whether the value was written. The lock the crashed machine
+// may still hold on the record is Recover's to release, once every log is
+// replayed.
 //
 // Ordered rows (inc != 0 in the log) carry the committed incarnation: the
 // update applies iff the packed inc<<32|version word exceeds the entry's
 // current incver word, and the whole word — liveness included — is restored.
 // An erase logs no value words, so redoing it flips the row dead without
 // touching the payload.
-func (rt *Runtime) redo(crashed int, u walRec) bool {
+func (rt *Runtime) redo(u walRec) bool {
 	arena := rt.arenaOf(u.node, u.table)
 	cur := arena.LoadWord(kvs.IncVerOffset(u.off))
 	applied := false
@@ -149,7 +168,6 @@ func (rt *Runtime) redo(crashed int, u walRec) bool {
 			[]uint64{kvs.PackIncVer(kvs.Incarnation(cur), u.version)})
 		applied = true
 	}
-	rt.unlockIfOwned(crashed, lockRef{node: u.node, table: u.table, off: u.off})
 	return applied
 }
 

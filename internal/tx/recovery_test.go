@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -113,6 +114,58 @@ func TestRecoveryUnlocksCrashedLocks(t *testing.T) {
 	}
 }
 
+// TestRecoveryUnlocksFallbackLocks: the software fallback drops the Start
+// phase's locks and takes new ones — on its local records too, through the
+// same persistent state words — so it writes a lock-ahead record of its own.
+// Node 1 runs a transaction over local keys 1 and 3 and remote key 2 into the
+// fallback and dies inside the body; recovery must free all three.
+func TestRecoveryUnlocksFallbackLocks(t *testing.T) {
+	rt, stop := durableRig(t, 2, 1, 4)
+	defer stop()
+	rt.FallbackThreshold = 1
+	keys := []uint64{1, 2, 3}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = rt.Executor(1, 0).Exec(func(tx *Tx) error {
+			for _, k := range keys {
+				if err := tx.W(tblAccounts, k); err != nil {
+					return err
+				}
+			}
+			return tx.Execute(func(lc *Local) error {
+				if lc.htx != nil {
+					lc.htx.Abort(99) // on to the fallback
+				}
+				runtime.Goexit() // the machine dies holding the fallback's locks
+				return nil
+			})
+		})
+	}()
+	<-done
+	state := func(k uint64) uint64 {
+		host := rt.C.Node(int(k) % 2).Unordered(tblAccounts)
+		off, _ := host.LookupLocal(k)
+		return host.Arena().LoadWord(kvs.StateOffset(off))
+	}
+	for _, k := range keys {
+		if s := state(k); !clock.IsWriteLocked(s) || clock.Owner(s) != 1 {
+			t.Fatalf("key %d state = %x, want locked by node 1", k, s)
+		}
+	}
+
+	rt.C.Crash(1)
+	rep := rt.Recover(1)
+	if rep.Unlocked != len(keys) || rep.RedoneTxns != 0 {
+		t.Errorf("Unlocked = %d, RedoneTxns = %d, want %d and 0", rep.Unlocked, rep.RedoneTxns, len(keys))
+	}
+	for _, k := range keys {
+		if s := state(k); s != clock.Init {
+			t.Errorf("key %d still locked after recovery: %x", k, s)
+		}
+	}
+}
+
 // TestRecoveryRedoesCommitted is Figure 7(b): crash after XEND but before
 // remote write-back — the WAL redoes the update and unlocks.
 func TestRecoveryRedoesCommitted(t *testing.T) {
@@ -149,6 +202,65 @@ func TestRecoveryRedoesCommitted(t *testing.T) {
 	}
 	if kvs.Version(host.Arena().LoadWord(off+1)) != 1 {
 		t.Fatal("version not advanced by redo")
+	}
+}
+
+// TestRecoveryRedoesBeforeItUnlocks: the write-ahead log is the node's history
+// since its last recovery, so the location of an in-doubt update appears in it
+// many times, the update itself last. The crashed machine's lock must hold
+// until that last entry is replayed: released at an older entry, it lets a
+// survivor lock and rewrite the record first, the version guard then skips the
+// update, and an acked commit is gone (the money the f=0 chaos runs lost). A
+// survivor spins on the record's lock while Recover replays a long history; it
+// must find the in-doubt value there when it gets in.
+func TestRecoveryRedoesBeforeItUnlocks(t *testing.T) {
+	rt, stop := durableRig(t, 2, 1, 4)
+	defer stop()
+	tx := rt.Executor(1, 0).newTx()
+	if err := tx.stageRemote(tblAccounts, 2, 0, tblAccounts, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	tx.logAheadOfRegion()
+	host := rt.C.Node(0).Unordered(tblAccounts)
+	arena := host.Arena()
+	off, _ := host.LookupLocal(2)
+
+	// History: updates of key 2 long since written back (version 0 is not
+	// newer than anything), then the one the crash left in doubt.
+	w := rt.C.Worker(1, 0)
+	for i := 0; i < 4000; i++ {
+		w.WriteAheadLog.Append([]uint64{uint64(i + 1), 1, 0, tblAccounts, uint64(off), 0, 2, 1, 1})
+	}
+	w.WriteAheadLog.Append([]uint64{tx.txid, 1, 0, tblAccounts, uint64(off), 1, 2, 777, 9})
+
+	// The survivor: lock the record the moment it is free, look, update, unlock.
+	var saw []uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, ok := arena.CAS(kvs.StateOffset(off), clock.Init, clock.WLocked(0)); ok {
+				break
+			}
+			runtime.Gosched()
+		}
+		saw, _ = host.Get(2)
+		ver := kvs.Version(arena.LoadWord(kvs.IncVerOffset(off)))
+		arena.Write(kvs.ValueOffset(off), []uint64{saw[0] + 1, saw[1]})
+		arena.Write(kvs.IncVerOffset(off), []uint64{kvs.PackIncVer(1, ver+1), clock.Init})
+	}()
+
+	rt.C.Crash(1)
+	rep := rt.Recover(1)
+	<-done
+	if rep.RedoneRecords != 1 {
+		t.Errorf("RedoneRecords = %d, want the one in-doubt update", rep.RedoneRecords)
+	}
+	if len(saw) != 2 || saw[0] != 777 {
+		t.Fatalf("the survivor got the lock and found %v: recovery let go of the record before redoing [777 9]", saw)
+	}
+	if v, _ := host.Get(2); v[0] != 778 {
+		t.Fatalf("key 2 = %v after recovery and the survivor's update, want [778 9]", v)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/memory"
 	"drtm/internal/nvram"
 	"drtm/internal/rdma"
 )
@@ -25,10 +26,11 @@ import (
 // home) are not re-replicated — a promoted partition is single-copy until
 // the crashed home returns (documented limitation, DESIGN.md).
 
-// replicate ships the HTM path's write-set (local WAL captures + dirty
-// remote records) to the backups. Called between XEND and commitRemotes; an
-// error means the transaction must not publish (only possible when this
-// machine itself died mid-commit).
+// replicate ships the write-set (the region's local WAL captures + every
+// staged record the commit writes) to the backups. Called between the
+// serialization point and commitRemotes; an error means the transaction must
+// not publish (only possible when this machine itself died mid-commit) and
+// has released its locks.
 func (t *Tx) replicate() error {
 	rt := t.e.rt
 	if rt.C.ReplicationFactor() == 0 {
@@ -46,25 +48,16 @@ func (t *Tx) replicate() error {
 		}
 	}
 	for _, r := range t.remotes {
-		if !r.write || (!r.dirty && !r.erase) {
+		inc, val, ok := r.update()
+		if !ok {
 			continue
 		}
 		if w, ok := t.replView(r.part); ok {
-			u := nvram.RedoUpdate{
+			ups = append(ups, nvram.RedoUpdate{
 				Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
-				Key: r.key, Version: r.version + 1, Val: r.buf,
+				Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
 				Stamp: t.commitStamp,
-			}
-			switch {
-			case r.insert, r.erase:
-				u.Inc = r.inc + 1 // the committed flip
-			case r.ordered:
-				u.Inc = r.inc
-			}
-			if r.erase {
-				u.Val = nil // the flip to dead carries no value
-			}
-			ups = append(ups, u)
+			})
 		}
 	}
 	t.redoUps = ups
@@ -78,51 +71,12 @@ func (t *Tx) replicate() error {
 	return nil
 }
 
-// replicateFallback is replicate for the software fallback path: the
-// write-set lives in the fallback record set. The caller releases the
-// fallback locks on error.
-func (t *Tx) replicateFallback(fb *fallbackCtx) error {
-	rt := t.e.rt
-	if rt.C.ReplicationFactor() == 0 {
-		return nil
-	}
-	ups := t.redoUps[:0]
-	for _, r := range fb.recs {
-		if !r.write || (!r.dirty && !r.erase) {
-			continue
-		}
-		if w, ok := t.replView(r.part); ok {
-			u := nvram.RedoUpdate{
-				Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
-				Key: r.key, Version: r.version + 1, Val: r.buf,
-				Stamp: t.commitStamp,
-			}
-			switch {
-			case r.insert, r.erase:
-				u.Inc = r.inc + 1
-			case r.ordered:
-				u.Inc = r.inc
-			}
-			if r.erase {
-				u.Val = nil
-			}
-			ups = append(ups, u)
-		}
-	}
-	t.redoUps = ups
-	if len(ups) == 0 {
-		return nil
-	}
-	rt.stampRedoGens(ups)
-	return t.appendRedo(ups)
-}
-
 // stampRedoGens stamps every update with its key's current delete
 // generation, under the same lock the generation bumps take. Runs after the
 // serialization point; remote records' exclusive locks are still held, so no
 // delete of them can race in. (A deferred delete of a LOCAL record can slip
 // into the tiny XEND→stamp window — the residual of modeling deletes as
-// shipped ops rather than transactional writes; see applyRedoTo.)
+// shipped ops rather than transactional writes; see applyRedo.)
 func (rt *Runtime) stampRedoGens(ups []nvram.RedoUpdate) {
 	rt.redoMu.Lock()
 	for i := range ups {
@@ -275,14 +229,7 @@ func (rt *Runtime) drainCheckpoint(n *cluster.Node, sender, worker int) {
 			if !rt.C.IsBackup(n.ID, u.Part) || rt.C.OwnerOf(u.Part) != u.Part {
 				continue
 			}
-			region := cluster.ReplicaRegion(u.Part, u.Table)
-			if rt.Meta(u.Table).Kind == Ordered {
-				if o, ok := n.OrderedRegion(region); ok {
-					rt.applyRedoOrdered(o, u)
-				}
-				continue
-			}
-			rt.applyRedoTo(n.Unordered(region), u)
+			rt.applyRedo(n, cluster.ReplicaRegion(u.Part, u.Table), u)
 		}
 	})
 }
@@ -302,24 +249,18 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 	if owner != u.Part {
 		region = cluster.ReplicaRegion(u.Part, u.Table)
 	}
-	if rt.Meta(u.Table).Kind == Ordered {
-		o, ok := rt.C.Node(owner).OrderedRegion(region)
-		if !ok {
-			return false
-		}
-		return rt.applyRedoOrdered(o, u)
-	}
-	return rt.applyRedoTo(rt.C.Node(owner).Unordered(region), u)
+	return rt.applyRedo(rt.C.Node(owner), region, u)
 }
 
-// applyRedoTo applies one redo update to a specific table copy: value and
-// version are written iff the logged version is newer. The whole
-// check-then-write runs under redoMu: rings drain concurrently (two rings on
-// one backup can hold successive versions of the same key when different
-// sender workers committed them, and Failover's crashed-sender replay can
-// race a checkpoint drain), so without the lock an interleaved pair of
-// drains could publish the older value under the newer version word — a lost
-// update that the version guard would then freeze in place forever.
+// applyRedo applies one redo update to the copy of its table in a storage
+// region of node n: value and version are written iff the logged version is
+// newer. The whole check-then-write runs under redoMu: rings drain
+// concurrently (two rings on one backup can hold successive versions of the
+// same key when different sender workers committed them, and Failover's
+// crashed-sender replay can race a checkpoint drain), so without the lock an
+// interleaved pair of drains could publish the older value under the newer
+// version word — a lost update that the version guard would then freeze in
+// place forever.
 //
 // A missing key is never re-inserted. Replica shards mirror the primary's
 // membership — seeded at load, inserts and deletes shipped synchronously to
@@ -329,64 +270,55 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 // same staleness, where the key exists again but this record's value
 // predates the delete (the reinserted entry restarts at version 0, so the
 // version guard alone cannot tell).
-// applyRedoOrdered is applyRedoTo for ordered-table copies. Same guards
-// (generation, never-resurrect, version), plus incarnation handling: the
-// drain adopts the logged incarnation's PARITY, not its counter — each
-// copy's incarnation counter advances independently (a replica's dead slot
-// may have cycled a different number of times), so only liveness is
-// meaningful across copies. Erase flips (even Inc) carry no value.
-func (rt *Runtime) applyRedoOrdered(o *kvs.Ordered, u nvram.RedoUpdate) bool {
-	rt.redoMu.Lock()
-	defer rt.redoMu.Unlock()
-	if u.Gen < rt.delGen[delKey{u.Part, u.Table, u.Key}] {
-		return false // logged before a removal of the key: stale
-	}
-	off, ok := o.Lookup(u.Key)
-	if !ok {
-		return false // removed since the append; never resurrect
-	}
-	arena := o.Arena()
-	cur := arena.LoadWord(kvs.IncVerOffset(off))
-	if kvs.Version(cur) >= u.Version {
-		return false
-	}
-	newInc := kvs.Incarnation(cur)
-	if kvs.Live(u.Inc) != kvs.Live(newInc) {
-		newInc++
-	}
-	// Retire the superseded replica version into the copy's own chain (under
-	// redoMu; tail-first, value and head after) so a promoted backup keeps
-	// serving snapshot reads across failover.
-	kvs.RetireLocal(arena, off, o.ValueWords(), o.ChainDepth(),
-		u.Stamp, kvs.PackIncVer(newInc, u.Version))
-	if len(u.Val) > 0 {
-		arena.Write(kvs.ValueOffset(off), u.Val)
-	}
-	arena.Write(kvs.IncVerOffset(off), []uint64{kvs.PackIncVer(newInc, u.Version)})
-	return true
-}
-
-func (rt *Runtime) applyRedoTo(host *kvs.Table, u nvram.RedoUpdate) bool {
+//
+// An ordered copy adopts the logged incarnation's PARITY, not its counter —
+// each copy's incarnation counter advances independently (a replica's dead
+// slot may have cycled a different number of times), so only liveness is
+// meaningful across copies — and an erase flip (even Inc) carries no value.
+func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bool {
 	rt.redoMu.Lock()
 	defer rt.redoMu.Unlock()
 	if u.Gen < rt.delGen[delKey{u.Part, u.Table, u.Key}] {
 		return false // logged before a delete of the key: stale
 	}
-	off, ok := host.LookupLocal(u.Key)
-	if !ok {
+	var (
+		arena     *memory.Arena
+		off       memory.Offset
+		found     bool
+		vw, depth int
+	)
+	ordered := rt.Meta(u.Table).Kind == Ordered
+	if ordered {
+		o, ok := n.OrderedRegion(region)
+		if !ok {
+			return false
+		}
+		off, found = o.Lookup(u.Key)
+		arena, vw, depth = o.Arena(), o.ValueWords(), o.ChainDepth()
+	} else {
+		host := n.Unordered(region)
+		off, found = host.LookupLocal(u.Key)
+		arena, vw, depth = host.Arena(), host.ValueWords(), host.ChainDepth()
+	}
+	if !found {
 		return false // deleted since the append; never resurrect
 	}
-	arena := host.Arena()
 	cur := arena.LoadWord(kvs.IncVerOffset(off))
 	if kvs.Version(cur) >= u.Version {
 		return false
 	}
+	inc := kvs.Incarnation(cur)
+	if ordered && kvs.Live(u.Inc) != kvs.Live(inc) {
+		inc++
+	}
 	// Retire the superseded replica version into the copy's own chain (under
-	// redoMu; tail-first, value and head after).
-	kvs.RetireLocal(arena, off, host.ValueWords(), host.ChainDepth(),
-		u.Stamp, kvs.PackIncVer(kvs.Incarnation(cur), u.Version))
-	arena.Write(kvs.ValueOffset(off), u.Val)
-	arena.Write(kvs.IncVerOffset(off),
-		[]uint64{kvs.PackIncVer(kvs.Incarnation(cur), u.Version)})
+	// redoMu; tail-first, value and head after) so a promoted backup keeps
+	// serving snapshot reads across failover.
+	head := kvs.PackIncVer(inc, u.Version)
+	kvs.RetireLocal(arena, off, vw, depth, u.Stamp, head)
+	if len(u.Val) > 0 {
+		arena.Write(kvs.ValueOffset(off), u.Val)
+	}
+	arena.Write(kvs.IncVerOffset(off), []uint64{head})
 	return true
 }

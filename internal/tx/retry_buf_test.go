@@ -167,3 +167,56 @@ func TestRegionRetryKeepsRemoteInsert(t *testing.T) {
 		t.Errorf("remote insert lost across the region retry: row = %v, live = %v", v, live)
 	}
 }
+
+// TestAbortedAttemptRestoresOwnInserts: a body may write to a row its own
+// transaction inserts, and the write lands in the insert's value buffer. An
+// aborted region attempt must give that buffer back as declared — to the
+// region retry and to the software fallback alike, for a local insert (a
+// structural op's value) and a remote one (a staged record's buffer). The body
+// inserts [1 0], reads it back and writes v[0]+1; its first attempt aborts
+// after the write. Anything but [2 0] means the second run read the first
+// one's write.
+func TestAbortedAttemptRestoresOwnInserts(t *testing.T) {
+	for _, home := range []struct {
+		name string
+		ent  uint64
+	}{{"local", 0}, {"remote", 1}} {
+		for _, into := range []struct {
+			name      string
+			threshold int
+		}{{"region retry", 8}, {"fallback", 1}} {
+			t.Run(home.name+"/"+into.name, func(t *testing.T) {
+				rt, e := equivRig(t)
+				rt.FallbackThreshold = into.threshold
+				key := orderedKey(home.ent, 1)
+				runs := 0
+				if err := e.Exec(func(tx *Tx) error {
+					if err := tx.WInsert(tblOrders, key, []uint64{1, 0}); err != nil {
+						return err
+					}
+					return tx.Execute(func(lc *Local) error {
+						v, err := lc.Read(tblOrders, key)
+						if err != nil {
+							return err
+						}
+						if err := lc.Write(tblOrders, key, []uint64{v[0] + 1, v[1]}); err != nil {
+							return err
+						}
+						if runs++; runs == 1 {
+							lc.htx.Abort(99)
+						}
+						return nil
+					})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if fb := rt.Stats.Fallbacks.Load(); runs != 2 || (fb == 1) != (into.threshold == 1) {
+					t.Fatalf("body ran %d times with %d fallbacks", runs, fb)
+				}
+				if v, live := liveOrderedVal(rt, int(home.ent), tblOrders, key); !live || v[0] != 2 || v[1] != 0 {
+					t.Fatalf("committed row = %v (live %v), want [2 0]", v, live)
+				}
+			})
+		}
+	}
+}

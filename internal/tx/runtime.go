@@ -186,7 +186,7 @@ type Runtime struct {
 	recMu   sync.Mutex
 
 	// Replication's redo-apply serialization and delete fencing (repl.go).
-	// redoMu makes applyRedoTo's version-guarded check-then-write atomic
+	// redoMu makes applyRedo's version-guarded check-then-write atomic
 	// across concurrently drained rings and orders redo application against
 	// the shipped insert/delete store ops. delGen counts, per logical record,
 	// the deletes applied so far: redo updates are stamped with the

@@ -19,7 +19,7 @@ package tx
 //     insert flips an existing dead entry live WITHOUT a structural change,
 //     which no stamp records.
 //
-// Commit-time validation (validateScans) mirrors the speculative read arm:
+// Commit-time validation (scansValid) mirrors the speculative read arm:
 // a doorbell-batched wave of one-sided re-READs models the wire cost and
 // exposes the verbs to fault injection, then authoritative htx reads of the
 // same words enroll every stamp and row header in the HTM read set, closing
@@ -307,7 +307,7 @@ func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory
 	for i := range scans {
 		sc := &scans[i]
 		before := fails
-		arena := e.arenaAt(sc.node, sc.region)
+		arena := e.rt.arenaOf(sc.node, sc.region)
 		for k, s := range sc.segs {
 			if load(arena, kvs.SegStampOffset(s)) != sc.stamps[k] {
 				fails++
@@ -327,49 +327,38 @@ func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory
 	return fails, first
 }
 
-// validateScans re-validates every collected scan inside the HTM region,
-// after the body and before the structural flips (which change incver words
-// the scans recorded): the re-READ wave, then the comparison through htx
-// reads. Any mismatch aborts with abortCodeScan, a whole-transaction retry.
-func (t *Tx) validateScans(htx *htm.Txn) {
-	if len(t.scans) == 0 || skipScanValidation {
-		return
-	}
-	e := t.e
-	vstart := int64(e.w.VClock.Now())
-	var fails int64
-	reachable := e.rereadScans(t.scans)
-	if reachable {
-		fails, _ = e.compareScans(t.scans, htx.Read, func(table int, r *scanRowRec) bool {
-			rr, ok := t.rIndex[refKey{table, r.key}]
-			return ok && rr.write && rr.off == r.off
-		})
-	}
-	e.w.Obs.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
-	if !reachable {
-		t.specDown = true
-		htx.Abort(abortCodeScan)
-	}
-	if fails > 0 {
-		e.w.Obs.Add(obs.EvScanValidateFail, fails)
-		htx.Abort(abortCodeScan)
-	}
-}
-
-// fbValidateScans is the software fallback's scan validation: the same
-// stamp + row checks with plain reads, run after the fallback confirmed its
-// leases and views and before it publishes. Sound without HTM enrollment
-// because every scanned shard's mutation paths bump either the stamp or the
-// row's version before the fallback's own in-place updates become visible,
-// and the fallback holds every declared record locked while checking.
-func (t *Tx) fbValidateScans(fb *fallbackCtx) bool {
+// scansValid re-validates every collected scan at the commit point, after the
+// body and before the structural flips (which change incver words the scans
+// recorded). Inside the HTM region: the re-READ wave, then the comparison
+// through htx reads; a host that stays unreachable fails it with specDown set.
+// Under the fallback's locks (htx == nil): the same stamp + row checks with
+// plain loads and no wave, after the leases and views were confirmed and
+// before anything is published — sound without HTM enrollment because every
+// scanned shard's mutation paths bump either the stamp or the row's version
+// before the fallback's own in-place updates become visible, and the fallback
+// holds every declared record locked while checking. A row this transaction
+// itself holds write-locked (a scanned row also staged for write / erase)
+// skips the lock check.
+func (t *Tx) scansValid(htx *htm.Txn) bool {
 	if len(t.scans) == 0 || skipScanValidation {
 		return true
 	}
-	fails, _ := t.e.compareScans(t.scans, (*memory.Arena).LoadWord, func(table int, r *scanRowRec) bool {
-		fr, ok := fb.index[refKey{table, r.key}]
-		return ok && fr.write && fr.off == r.off
+	e := t.e
+	load := (*memory.Arena).LoadWord
+	if htx != nil {
+		vstart := int64(e.w.VClock.Now())
+		reachable := e.rereadScans(t.scans)
+		e.w.Obs.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
+		if !reachable {
+			t.specDown = true
+			return false
+		}
+		load = htx.Read
+	}
+	fails, _ := e.compareScans(t.scans, load, func(table int, r *scanRowRec) bool {
+		rr, ok := t.rIndex[refKey{table, r.key}]
+		return ok && rr.write && rr.off == r.off
 	})
-	t.e.w.Obs.Add(obs.EvScanValidateFail, fails)
+	e.w.Obs.Add(obs.EvScanValidateFail, fails)
 	return fails == 0
 }

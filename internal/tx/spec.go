@@ -107,7 +107,7 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 			if !r.spec {
 				continue
 			}
-			arena := t.arenaAt(r.node, r.region)
+			arena := e.rt.arenaOf(r.node, r.region)
 			incver := htx.Read(arena, kvs.IncVerOffset(r.off))
 			state := htx.Read(arena, kvs.StateOffset(r.off))
 			key := r.key

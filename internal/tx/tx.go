@@ -40,6 +40,26 @@ type remoteRec struct {
 	erase  bool
 }
 
+// update returns what the commit installs in a staged record it wrote,
+// inserted or erased: the post-commit incarnation — the flip's for an insert
+// or an erase, the standing one for an ordered row, 0 for a hash row, which
+// has no liveness — and the value, none for an erase (the flip to dead
+// carries no value). ok is false for a lease, a speculative read and a clean
+// write lock, which install nothing.
+func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
+	switch {
+	case !r.write || (!r.dirty && !r.erase):
+		return 0, nil, false
+	case r.erase:
+		return r.inc + 1, nil, true
+	case r.insert:
+		return r.inc + 1, r.buf, true
+	case r.ordered:
+		return r.inc, r.buf, true
+	}
+	return 0, r.buf, true
+}
+
 // localRec is a declared local record (needed for the fallback handler,
 // which must lock local records too).
 type localRec struct {
@@ -119,13 +139,19 @@ type Tx struct {
 	// walLocal accumulates local updates for the write-ahead log.
 	walLocal []walRec
 
-	// wsnap holds the pristine values of write-staged remote buffers,
-	// captured before the first HTM attempt. A conflict abort retries the
-	// region with locks held, but the body mutates r.buf in place — without
-	// restoring, the retry would read (and re-apply on top of) the aborted
-	// attempt's writes while the HTM side rolled back, splitting the
-	// transaction's effects. Scratch, reused across transactions.
+	// wsnap holds the pristine values of the buffers the body writes in place
+	// — write-staged records' values, then local inserts' values — captured
+	// before the first HTM attempt. A conflict abort retries the region with
+	// locks held, but the body mutates the buffers in place — without
+	// restoring, the retry (or the fallback) would read, and re-apply on top
+	// of, the aborted attempt's writes while the HTM side rolled back,
+	// splitting the transaction's effects. The commit retires the staged
+	// records' part as their superseded values. Scratch, reused across
+	// transactions.
 	wsnap []uint64
+
+	// logBuf is the scratch every NVRAM log record is encoded in (log.go).
+	logBuf []uint64
 
 	finished     bool
 	choppingInfo []uint64 // optional piece info logged before locking
@@ -136,9 +162,9 @@ type Tx struct {
 
 	// views records, per touched partition, the packed view word observed
 	// when the partition was first declared (nil until replication stamps
-	// one). confirmViews re-reads each inside the HTM region: a mismatch
-	// means a failover moved ownership mid-transaction, and the attempt
-	// aborts and restages under the new view.
+	// one). viewsMoved re-reads each at the commit point: a mismatch means a
+	// failover moved ownership mid-transaction, and the attempt aborts and
+	// restages under the new view.
 	views map[int]uint64
 
 	// Replication scratch, reused across transactions on this shell: the
@@ -213,7 +239,8 @@ func (t *Tx) retireLocalChain(htx *htm.Txn, arena *memory.Arena, off memory.Offs
 // remote — and publishes each locally written chained entry's tail pair
 // inside the HTM region. Per-entry clamping instead would let two entries of
 // one commit carry different stamps, and a snapshot between them would
-// observe half the commit.
+// observe half the commit. Under the fallback's locks (htx == nil) every
+// written entry is a staged record and the fix-up list is empty.
 func (t *Tx) sealChains(htx *htm.Txn) {
 	s := t.stampBase
 	for _, r := range t.remotes {
@@ -274,20 +301,23 @@ func (t *Tx) IsLocal(table int, key uint64) bool {
 	return node == t.e.w.Node.ID
 }
 
-// stampView records the packed view word of a touched partition the first
-// time the transaction declares a record of it; confirmViews re-checks every
-// stamp inside the HTM region. No-op when replication is off.
-func (t *Tx) stampView(part int) {
-	if part < 0 || t.e.rt.C.ReplicationFactor() == 0 {
-		return
+// stampView records, in a transaction's views, the packed view word of a
+// touched partition the first time a record of it is declared; viewsMoved
+// re-checks every stamp at the commit point. No-op when replication is off.
+func (e *Executor) stampView(views map[int]uint64, part int) map[int]uint64 {
+	if part < 0 || e.rt.C.ReplicationFactor() == 0 {
+		return views
 	}
-	if t.views == nil {
-		t.views = make(map[int]uint64)
+	if views == nil {
+		views = make(map[int]uint64)
 	}
-	if _, ok := t.views[part]; !ok {
-		t.views[part] = t.e.rt.C.View(part)
+	if _, ok := views[part]; !ok {
+		views[part] = e.rt.C.View(part)
 	}
+	return views
 }
+
+func (t *Tx) stampView(part int) { t.views = t.e.stampView(t.views, part) }
 
 // R declares a read of a record: remote records are leased, read
 // speculatively, or exclusively locked per the transaction's ReadPolicy and
@@ -424,16 +454,22 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 			if err := fn(lc); err != nil {
 				return err
 			}
-			t.confirmLeases(htx)
-			t.confirmViews(htx)
+			if !t.leasesValid(htx) {
+				htx.Abort(abortCodeLease)
+			}
+			if t.e.viewsMoved(t.views) {
+				htx.Abort(abortCodeView)
+			}
 			t.validateSpeculative(htx)
 			// Scan validation precedes the structural flips: the flips change
 			// incver words of entries the scans recorded.
-			t.validateScans(htx)
+			if !t.scansValid(htx) {
+				htx.Abort(abortCodeScan)
+			}
 			t.applyLocalStructural(htx)
 			t.sealChains(htx)
 			if cfg.Durability {
-				t.logWALTx(htx)
+				t.logWAL(htx)
 			}
 			return nil
 		})
@@ -442,18 +478,7 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 			t.e.charge(model.HTMCommitNS)
 			sh.Inc(obs.EvHTMCommit)
 			t.vHTM += int64(t.e.w.VClock.Now()) - hstart
-			cstart := int64(t.e.w.VClock.Now())
-			// Commit-backup (FaRM): the write-set must be on every backup
-			// before locks release and effects become observable remotely.
-			if err := t.replicate(); err != nil {
-				return err
-			}
-			t.commitRemotes()
-			t.vCommit += int64(t.e.w.VClock.Now()) - cstart
-			t.applyDeferred()
-			t.applyRemovals()
-			t.finished = true
-			return nil
+			return t.publish()
 		}
 
 		ae, isAbort := htm.IsAbort(err)
@@ -534,62 +559,81 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 	}
 }
 
-// confirmLeases re-validates every shared lease inside the HTM region, just
-// before XEND (the COMMIT step of Figure 3). Softtime is read
-// transactionally here — under the reuse+confirm strategy this is the only
-// transactional softtime read, which narrows the window for false aborts
-// from the timer thread (Figure 11(c)).
-func (t *Tx) confirmLeases(htx *htm.Txn) {
-	hasLease := false
-	for _, r := range t.remotes {
-		if !r.write && !r.spec {
-			hasLease = true
-			break
-		}
+// publish is the commit past its serialization point — XEND on the region
+// path, the last check under every lock on the fallback's: the write-set goes
+// to the backups (FaRM's commit-backup: it must be on every one of them before
+// a lock releases or an effect becomes observable remotely), then the staged
+// records are written back and unlocked, then the deferred store ops and the
+// physical removals run.
+func (t *Tx) publish() error {
+	cstart := int64(t.e.w.VClock.Now())
+	if err := t.replicate(); err != nil {
+		return err
 	}
-	if !hasLease {
-		return
-	}
-	now := t.e.w.Node.Clock.ReadTx(htx)
-	delta := t.e.rt.C.Delta()
+	t.commitRemotes()
+	t.vCommit += int64(t.e.w.VClock.Now()) - cstart
+	t.applyDeferred()
+	t.applyRemovals()
+	t.finished = true
+	return nil
+}
+
+// leasesValid re-validates every shared lease just before the commit point
+// (the COMMIT step of Figure 3), counting the ones that hold. Inside the HTM
+// region softtime is read transactionally, and only if there is a lease to
+// check — under the reuse+confirm strategy this is the only transactional
+// softtime read, which narrows the window for false aborts from the timer
+// thread (Figure 11(c)); under the fallback's locks (htx == nil) a plain read
+// does.
+func (t *Tx) leasesValid(htx *htm.Txn) bool {
+	var now uint64
+	read := false
 	for _, r := range t.remotes {
 		if r.write || r.spec {
 			continue
 		}
-		if !clock.Valid(r.leaseEnd, now, delta) {
-			htx.Abort(abortCodeLease)
+		if !read {
+			read = true
+			if htx != nil {
+				now = t.e.w.Node.Clock.ReadTx(htx)
+			} else {
+				now = t.e.w.Node.Clock.Read()
+			}
+		}
+		if !clock.Valid(r.leaseEnd, now, t.e.rt.C.Delta()) {
+			return false
 		}
 		t.e.w.Obs.Inc(obs.EvLeaseConfirm)
 	}
+	return true
 }
 
-// confirmViews re-validates, inside the HTM region, that no touched
-// partition's view changed since it was stamped at declare time. The check
-// closes the stage→commit window against hot failover: a transaction that
-// staged against the old primary must not publish effects under the new
-// view — it aborts and restages. (The complementary append-time check is the
-// backup's epoch fence, which rejects a zombie's late redo appends.)
-func (t *Tx) confirmViews(htx *htm.Txn) {
-	if len(t.views) == 0 {
-		return
-	}
-	c := t.e.rt.C
-	for part, w := range t.views {
-		if c.View(part) != w {
-			t.e.w.Obs.Inc(obs.EvViewAbort)
-			htx.Abort(abortCodeView)
+// viewsMoved reports, and counts, a touched partition whose view changed since
+// it was stamped at declare time. Checked at the commit point — inside the
+// HTM region, under the fallback's locks, at a read-only confirm — it closes
+// the stage→commit window against hot failover: a transaction that staged
+// against the old primary must not publish effects under the new view — it
+// aborts and restages. (The complementary append-time check is the backup's
+// epoch fence, which rejects a zombie's late redo appends.)
+func (e *Executor) viewsMoved(views map[int]uint64) bool {
+	for part, w := range views {
+		if e.rt.C.View(part) != w {
+			e.w.Obs.Inc(obs.EvViewAbort)
+			return true
 		}
 	}
+	return false
 }
 
-// commitRemotes writes back dirty remote records and releases exclusive
-// locks (REMOTE_WRITE_BACK in Figure 5), batching the verbs per poll. The
-// version word, the state word (reset to INIT = unlock) and the value are
-// contiguous in the entry, so a record whose entry fits one cache line
-// commits with a single RDMA WRITE; larger records write the value in a
-// first polled batch and unlock in a second, so no reader can lease a
-// half-written record — the poll between the batches is the ordering point
-// the serial path got from blocking on each WRITE.
+// commitRemotes writes back dirty staged records and releases exclusive
+// locks (REMOTE_WRITE_BACK in Figure 5), batching the verbs per poll: the
+// remote write set of the region path; every locked record, this node's
+// included, of the fallback. The version word, the state word (reset to INIT
+// = unlock) and the value are contiguous in the entry, so a record whose
+// entry fits one cache line commits with a single RDMA WRITE; larger records
+// write the value in a first polled batch and unlock in a second, so no
+// reader can lease a half-written record — the poll between the batches is
+// the ordering point the serial path got from blocking on each WRITE.
 //
 // These are release-side verbs (they run after the serialization point):
 // a work request that fails at completion falls back to the corresponding
@@ -725,28 +769,10 @@ func (t *Tx) postWave(ops []commitOp) {
 	}
 }
 
-// arenaAt returns the arena backing a storage region on a node, whichever
-// store kind (ordered or hash) hosts it. Replica regions of ordered tables
-// are registered under Node.OrderedRegion, so that lookup goes first.
-func (t *Tx) arenaAt(node, region int) *memory.Arena {
-	return t.e.arenaAt(node, region)
-}
-
-// arenaAt resolves a storage region's arena on any node, ordered or
-// unordered (replica ordered regions are registered in the ordered map, so
-// the ordered probe must come first).
-func (e *Executor) arenaAt(node, region int) *memory.Arena {
-	n := e.rt.C.Node(node)
-	if o, ok := n.OrderedRegion(region); ok {
-		return o.Arena()
-	}
-	return n.Unordered(region).Arena()
-}
-
 // readIncarnation returns the record's current incarnation; we hold its
 // exclusive lock, so a plain load is stable.
 func (t *Tx) readIncarnation(r *remoteRec) uint32 {
-	return kvs.Incarnation(t.arenaAt(r.node, r.region).LoadWord(kvs.IncVerOffset(r.off)))
+	return kvs.Incarnation(t.e.rt.arenaOf(r.node, r.region).LoadWord(kvs.IncVerOffset(r.off)))
 }
 
 // applyDeferred applies inserts/deletes collected during the region.
@@ -757,10 +783,10 @@ func (t *Tx) applyDeferred() {
 	t.deferred = t.deferred[:0]
 }
 
-// snapshotWriteBufs saves the pristine prefetched value of every
-// write-staged remote record before the first HTM attempt, so a region
-// retry can roll the transaction-private buffers back alongside the HTM
-// write set (see Tx.wsnap).
+// snapshotWriteBufs saves the pristine value of every buffer the body writes
+// in place — write-staged records', then local inserts' — before the first
+// HTM attempt, so a region retry can roll the transaction-private buffers back
+// alongside the HTM write set (see Tx.wsnap).
 func (t *Tx) snapshotWriteBufs() {
 	t.wsnap = t.wsnap[:0]
 	for _, r := range t.remotes {
@@ -768,19 +794,23 @@ func (t *Tx) snapshotWriteBufs() {
 			t.wsnap = append(t.wsnap, r.buf...)
 		}
 	}
+	for i := range t.localIns {
+		t.wsnap = append(t.wsnap, t.localIns[i].val...)
+	}
 }
 
-// restoreWriteBufs undoes the aborted attempt's buffered remote writes. A
-// staged insert stays dirty: its write-back is the insert itself, not a body
-// write the retry will redo.
+// restoreWriteBufs undoes the aborted attempt's buffered writes. A staged
+// insert stays dirty: its write-back is the insert itself, not a body write
+// the retry will redo.
 func (t *Tx) restoreWriteBufs() {
 	i := 0
 	for _, r := range t.remotes {
-		if !r.write {
-			continue
+		if r.write {
+			i += copy(r.buf, t.wsnap[i:])
+			r.dirty = r.insert
 		}
-		copy(r.buf, t.wsnap[i:i+len(r.buf)])
-		r.dirty = r.insert
-		i += len(r.buf)
+	}
+	for k := range t.localIns {
+		i += copy(t.localIns[k].val, t.wsnap[i:])
 	}
 }
