@@ -29,21 +29,28 @@ race:
 # local and remote writers, range heat), the software fallback (its golden
 # table, the region-vs-fallback commit equivalence property, the insert
 # rollback and lock-ahead recovery regressions and the fallback tests that wait
-# on no lease) and two clients churning the same subscribers — repeated across
-# core counts. A red run here is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS
+# on no lease), the per-attempt location memo of declared local records (one
+# index lookup per record per attempt; an erase, a recycled slot or a bucket
+# move dooms the attempt or is re-resolved by the next), the B+ tree leaf
+# fingers (equivalence with and without one, four goroutines' fingers under
+# each other's splits, kvs churn ending in the same index and free list) and
+# two clients churning the same subscribers — repeated across core counts. A
+# red run here is a bug, never a rerun.
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
+	go test -race -count=5 -cpu 1,2,4 -run 'Finger' ./internal/btree/ ./internal/kvs/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 
-# Allocation gate: a warm HTM region allocates nothing, and a committed
+# Allocation gate: a warm HTM region allocates nothing, a committed
 # transaction — hash or ordered, structural rows and shipped messages included
-# — stays inside its object budget (all excluded under -race).
+# — stays inside its object budget, and a local read-modify-write of ten
+# adjacent ordered rows allocates nothing (all excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
-	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState' ./internal/tx/
+	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState' ./internal/tx/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.

@@ -635,6 +635,12 @@ type Stats struct {
 	ShippedOps  int64 // keys / operations the two-sided messages carried (coalescing: ShippedOps / VerbsMsgs)
 	RDMABatches int64 // doorbell batches polled by the async verb engine
 
+	// Local B+ tree point operations (lookups, inserts, deletes), by what the
+	// index did: the cost model charges a descent BTreeOpNS and a finger hit
+	// one node search.
+	TreeDescents int64 // root-to-leaf walks
+	FingerHits   int64 // served by the executor's leaf finger, no walk
+
 	// Durability and recovery (Section 4.6 / Figure 7).
 	LogRecords      int64
 	RecoveryRedos   int64
@@ -721,6 +727,9 @@ func newStats(sn obs.Snapshot) Stats {
 		ShippedOps:  c(obs.EvShippedOp),
 		RDMABatches: c(obs.EvRDMABatch),
 
+		TreeDescents: c(obs.EvTreeDescent),
+		FingerHits:   c(obs.EvFingerHit),
+
 		LogRecords:      c(obs.EvLogRecord),
 		RecoveryRedos:   c(obs.EvRecoveryRedo),
 		RecoveryUnlocks: c(obs.EvRecoveryUnlock),
@@ -799,6 +808,7 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d (%.2f ops/msg) batches=%d\n",
 		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, opsPerMsg, s.RDMABatches)
+	fmt.Fprintf(&b, "index:   descents=%d finger-hits=%d\n", s.TreeDescents, s.FingerHits)
 	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-redos=%d recovery-unlocks=%d\n",
 		s.LogRecords, s.RecoveryRedos, s.RecoveryUnlocks)
 	fmt.Fprintf(&b, "repl:    log-appends=%d backup-bytes=%d fence-rejects=%d view-aborts=%d failovers=%d promote-time=%v redo-tail=%d\n",

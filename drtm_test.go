@@ -2,7 +2,9 @@ package drtm
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -306,6 +308,59 @@ func TestStatsSnapshotAndDelta(t *testing.T) {
 	db.ResetStats()
 	if c := db.Stats().Commits; c != 0 {
 		t.Fatalf("commits after ResetStats = %d", c)
+	}
+}
+
+// TestStatsIndexCounters: local ordered point operations show up in Stats as
+// tree descents and finger hits — a run of adjacent keys is one descent and
+// then hits — and in the dump's index: line.
+func TestStatsIndexCounters(t *testing.T) {
+	const tblLines = 2
+	db := MustOpen(Options{}, func(int, uint64) int { return 0 })
+	defer db.Close()
+	db.CreateOrderedTable(tblLines, 256, 1)
+	e := db.Executor(0, 0)
+	before := db.Stats()
+	err := e.Exec(func(tx *Tx) error {
+		return tx.Execute(func(lc *Local) error {
+			for k := uint64(1); k <= 10; k++ {
+				lc.Insert(tblLines, k, []uint64{k})
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.Exec(func(tx *Tx) error {
+		for k := uint64(1); k <= 10; k++ {
+			if err := tx.W(tblLines, k); err != nil {
+				return err
+			}
+		}
+		return tx.Execute(func(lc *Local) error {
+			for k := uint64(1); k <= 10; k++ {
+				v, err := lc.Read(tblLines, k)
+				if err != nil {
+					return err
+				}
+				if err := lc.Write(tblLines, k, []uint64{v[0] + 1}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := db.Stats().Delta(before)
+	if d.TreeDescents+d.FingerHits != 20 || d.TreeDescents > 2 {
+		t.Errorf("10 adjacent inserts + 10 read-writes: %d descents, %d finger hits; want 20 in all, at most 2 descents",
+			d.TreeDescents, d.FingerHits)
+	}
+	if want := fmt.Sprintf("index:   descents=%d finger-hits=%d\n", d.TreeDescents, d.FingerHits); !strings.Contains(d.String(), want) {
+		t.Errorf("Stats.String() lacks %q:\n%s", want, d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -119,6 +120,34 @@ func TestSmokeTable6(t *testing.T) {
 	runSmoke(t, "table6")
 }
 
+// TestSmokeTPCCTypes: the per-type ledger has a row per transaction type, and
+// delivery — ten orders' adjacent order lines, each read and then written — is
+// served mostly by the leaf finger.
+func TestSmokeTPCCTypes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	res := runSmoke(t, "tpcc-types")
+	if len(res.Rows) != 5 {
+		t.Fatalf("%d rows, want one per TPC-C transaction type", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if row[0] != "delivery" {
+			continue
+		}
+		var descents, hits float64
+		if _, err := fmt.Sscan(row[3], &descents); err != nil {
+			t.Fatalf("descents cell %q: %v", row[3], err)
+		}
+		if _, err := fmt.Sscan(row[4], &hits); err != nil {
+			t.Fatalf("finger-hits cell %q: %v", row[4], err)
+		}
+		if descents == 0 || hits < 2*descents {
+			t.Fatalf("delivery made %.1f descents and %.1f finger hits per transaction; want hits to dominate", descents, hits)
+		}
+	}
+}
+
 func TestSmokeAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -197,7 +226,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"ablate-cache", "ablate-fallback", "ablate-atomics", "ablate-assoc",
 		"obs", "chaos", "batch", "occ", "adaptive", "failover", "scan",
-		"mvcc",
+		"mvcc", "tpcc-types",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

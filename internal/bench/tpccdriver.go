@@ -9,6 +9,7 @@ import (
 
 	"drtm/internal/calvin"
 	"drtm/internal/cluster"
+	"drtm/internal/obs"
 	"drtm/internal/tpcc"
 	"drtm/internal/tx"
 )
@@ -34,6 +35,25 @@ type tpccDeployment struct {
 	rt   *tx.Runtime
 	stop func()
 	cfg  tpcc.Config
+
+	// ledger is what each transaction type cost over the last runMix, summed
+	// over the workers.
+	ledger [tpcc.TxnStockLevel + 1]typeLedger
+}
+
+// typeLedger is one TPC-C transaction type's share of a run: transactions
+// run, their modeled time, and their local B+ tree point operations by what
+// the index did (a root-to-leaf descent, or a hit on the executor's leaf
+// finger).
+type typeLedger struct {
+	txns, modelNS, descents, hits int64
+}
+
+func (l *typeLedger) add(o typeLedger) {
+	l.txns += o.txns
+	l.modelNS += o.modelNS
+	l.descents += o.descents
+	l.hits += o.hits
 }
 
 // buildTPCC assembles a cluster + runtime + populated TPC-C database.
@@ -64,9 +84,11 @@ func buildTPCC(o Options, nodes, wPerNode, workers int,
 }
 
 // runMix drives the standard mix on every worker, recording per-transaction
-// virtual latency; returns committed new-order and total counts.
+// virtual latency and the per-type ledger; returns committed new-order and
+// total counts.
 func (d *tpccDeployment) runMix(o Options, txnsPerWorker int) (newOrder, total int64) {
 	resetClocks(d.rt)
+	d.ledger = [len(d.ledger)]typeLedger{}
 	workers := d.rt.C.Workers()
 	var mu sync.Mutex
 	runWorkers(len(workers), func(i int) {
@@ -74,19 +96,29 @@ func (d *tpccDeployment) runMix(o Options, txnsPerWorker int) (newOrder, total i
 		e := d.rt.Executor(wk.Node.ID, wk.ID)
 		home := wk.Node.ID*d.cfg.WarehousesPerNode + (wk.ID % d.cfg.WarehousesPerNode) + 1
 		cl := d.w.NewClient(e, home, o.Seed+int64(i*131+7))
+		var ledger [len(d.ledger)]typeLedger
 		for n := 0; n < txnsPerWorker; n++ {
 			before := wk.VClock.Now()
-			if _, err := cl.RunOne(); err != nil {
+			descents, hits := wk.Obs.Count(obs.EvTreeDescent), wk.Obs.Count(obs.EvFingerHit)
+			typ, err := cl.RunOne()
+			if err != nil {
 				if errors.Is(err, tx.ErrRetry) {
 					continue // retry budget exhausted under extreme contention
 				}
 				panic(fmt.Sprintf("bench: tpcc txn: %v", err))
 			}
-			wk.Hist.Record(wk.VClock.Now() - before)
+			took := wk.VClock.Now() - before
+			wk.Hist.Record(took)
+			ledger[typ].add(typeLedger{txns: 1, modelNS: took.Nanoseconds(),
+				descents: wk.Obs.Count(obs.EvTreeDescent) - descents,
+				hits:     wk.Obs.Count(obs.EvFingerHit) - hits})
 		}
 		mu.Lock()
 		newOrder += cl.NewOrderCount()
 		total += cl.TotalCount()
+		for t := range ledger {
+			d.ledger[t].add(ledger[t])
+		}
 		mu.Unlock()
 	})
 	return

@@ -132,6 +132,45 @@ func runFig14(o Options) *Result {
 	return res
 }
 
+// ---- TPC-C per-type ledger -------------------------------------------------
+
+// runTPCCTypes prints where the standard mix spends its modeled time, type by
+// type, beside the local B+ tree work each transaction does: root-to-leaf
+// descents and hits on the executor's leaf finger.
+func runTPCCTypes(o Options) *Result {
+	s := tpccScaleFor(o)
+	res := &Result{
+		ID:      "tpcc-types",
+		Title:   "TPC-C per transaction type: modeled time, B+ tree descents and finger hits",
+		Headers: []string{"type", "txns", "mean", "descents/txn", "finger-hits/txn", "share of modeled time"},
+	}
+	// The repository benchmark's tpcc_mix shape: one warehouse and one worker
+	// on each of two machines.
+	txns := 4 * s.txnsPerWorker
+	dep := buildTPCC(o, 2, 1, 1, func(c *tpcc.Config) {
+		c.ExtraOrdersPerDistrict = txns/c.Districts + 64
+	}, nil)
+	dep.runMix(o, txns)
+	dep.stop()
+	var all int64
+	for _, l := range dep.ledger {
+		all += l.modelNS
+	}
+	for typ, l := range dep.ledger {
+		if l.txns == 0 {
+			continue
+		}
+		n := float64(l.txns)
+		res.AddRow(tpcc.TxnType(typ).String(), fmt.Sprintf("%d", l.txns),
+			fmt.Sprintf("%.2fus", float64(l.modelNS)/n/1e3),
+			fmt.Sprintf("%.1f", float64(l.descents)/n), fmt.Sprintf("%.1f", float64(l.hits)/n),
+			fmt.Sprintf("%.0f%%", 100*float64(l.modelNS)/float64(all)))
+	}
+	res.Note("2 machines x 1 worker x 1 warehouse, standard mix; a descent is charged BTreeOpNS, a finger hit HashProbeNS")
+	res.Note("user-aborted new-orders and the retries of contended transactions are in their type's row")
+	return res
+}
+
 // ---- Figure 15: SmallBank -------------------------------------------------
 
 func runFig15(o Options) *Result {
@@ -309,4 +348,5 @@ func init() {
 	Register(Experiment{ID: "fig15", Title: "SmallBank sweep", Run: runFig15})
 	Register(Experiment{ID: "fig16", Title: "Cross-warehouse sweep", Run: runFig16})
 	Register(Experiment{ID: "table6", Title: "Durability impact", Run: runTable6})
+	Register(Experiment{ID: "tpcc-types", Title: "TPC-C per-type modeled time and B+ tree work", Run: runTPCCTypes})
 }

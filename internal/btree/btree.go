@@ -63,10 +63,48 @@ func search(keys []uint64, k uint64) int {
 	return lo
 }
 
-// Get returns the payload for key.
-func (t *Tree) Get(key uint64) (uint64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// Finger is a caller-owned hint that lets a run of operations on adjacent
+// keys skip the root-to-leaf descent: it remembers the last leaf an operation
+// through it reached. The zero value is an empty finger. A finger belongs to
+// one goroutine; any number of them may work on one tree at once.
+//
+// A finger needs no tree version to stay safe. Leaves are never merged or
+// unlinked, so the node it names is a leaf of the tree for good, and a leaf's
+// key range only ever shrinks from the right (a split moves its upper half to
+// a new right sibling). Every key in a leaf lies inside that range, so under
+// the tree latch "first <= key <= last of the leaf, or key > last on the
+// rightmost leaf" proves the key routes to this leaf and nowhere else. The test
+// is made against what the leaf holds now, so a leaf that split or lost keys
+// since the finger was left on it passes only for the keys it still covers; an
+// emptied leaf, or one that is simply elsewhere, fails it, and the operation
+// descends as if it had no finger.
+type Finger struct {
+	tree *Tree
+	leaf *node
+}
+
+// covering returns the finger's leaf when key provably routes to it (see
+// Finger), else nil. The caller holds t's latch; f may be nil.
+func (f *Finger) covering(t *Tree, key uint64) *node {
+	if f == nil || f.tree != t {
+		return nil
+	}
+	n := f.leaf
+	if last := len(n.keys) - 1; last >= 0 && key >= n.keys[0] && (key <= n.keys[last] || n.next == nil) {
+		return n
+	}
+	return nil
+}
+
+// rest leaves the finger on the leaf a descent of t ended in; f may be nil.
+func (f *Finger) rest(t *Tree, n *node) {
+	if f != nil {
+		f.tree, f.leaf = t, n
+	}
+}
+
+// descend walks from the root to the leaf key routes to.
+func (t *Tree) descend(key uint64) *node {
 	n := t.root
 	for !n.leaf {
 		i := search(n.keys, key)
@@ -75,39 +113,90 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 		}
 		n = n.children[i]
 	}
+	return n
+}
+
+// leafFor returns the leaf key routes to and whether the finger supplied it
+// (hit) or a descent did, which leaves the finger on the leaf it found.
+func (t *Tree) leafFor(f *Finger, key uint64) (n *node, hit bool) {
+	if n = f.covering(t, key); n != nil {
+		return n, true
+	}
+	n = t.descend(key)
+	f.rest(t, n)
+	return n, false
+}
+
+// Get returns the payload for key.
+func (t *Tree) Get(key uint64) (uint64, bool) {
+	v, ok, _ := t.GetAt(nil, key)
+	return v, ok
+}
+
+// GetAt is Get starting from a finger (nil for none); hit reports that the
+// finger's leaf answered and no descent was made.
+func (t *Tree) GetAt(f *Finger, key uint64) (val uint64, ok, hit bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n, hit := t.leafFor(f, key)
 	i := search(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true
+		return n.vals[i], true, hit
 	}
-	return 0, false
+	return 0, false, hit
 }
 
 // Insert adds or overwrites key's payload, reporting whether the key was new.
 func (t *Tree) Insert(key, val uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insertLocked(key, val, true)
+	added, _ := t.insertLocked(nil, key, val, true)
+	return added
 }
 
 // InsertIfAbsent adds key only if it is not present, reporting success.
 // Existing payloads are never overwritten.
 func (t *Tree) InsertIfAbsent(key, val uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.insertLocked(key, val, false)
+	added, _ := t.InsertIfAbsentAt(nil, key, val)
+	return added
 }
 
-func (t *Tree) insertLocked(key, val uint64, overwrite bool) bool {
-	if len(t.root.keys) == maxKeys() {
-		old := t.root
-		t.root = &node{children: []*node{old}}
-		t.splitChild(t.root, 0)
+// InsertIfAbsentAt is InsertIfAbsent starting from a finger (nil for none);
+// hit reports that the key went into (or was found in) the finger's leaf
+// without a descent. A full leaf descends like a miss: the ordinary insert
+// splits on its way down.
+func (t *Tree) InsertIfAbsentAt(f *Finger, key, val uint64) (added, hit bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.insertLocked(f, key, val, false)
+}
+
+func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added, hit bool) {
+	n := f.covering(t, key)
+	if hit = n != nil && len(n.keys) < maxKeys(); !hit {
+		if len(t.root.keys) == maxKeys() {
+			old := t.root
+			t.root = &node{children: []*node{old}}
+			t.splitChild(t.root, 0)
+		}
+		n = t.descendSplitting(key)
+		f.rest(t, n)
 	}
-	added := t.insertNonFull(t.root, key, val, overwrite)
-	if added {
-		t.size++
+	i := search(n.keys, key)
+	if i < len(n.keys) && n.keys[i] == key {
+		if overwrite {
+			n.vals[i] = val
+		}
+		return false, hit
 	}
-	return added
+	n.keys = append(n.keys, 0)
+	copy(n.keys[i+1:], n.keys[i:])
+	n.keys[i] = key
+	n.vals = append(n.vals, 0)
+	copy(n.vals[i+1:], n.vals[i:])
+	n.vals[i] = val
+	t.size++
+	return true, hit
 }
 
 func maxKeys() int { return degree }
@@ -145,24 +234,11 @@ func (t *Tree) splitChild(parent *node, i int) {
 	parent.children[i+1] = right
 }
 
-func (t *Tree) insertNonFull(n *node, key, val uint64, overwrite bool) bool {
-	for {
-		if n.leaf {
-			i := search(n.keys, key)
-			if i < len(n.keys) && n.keys[i] == key {
-				if overwrite {
-					n.vals[i] = val
-				}
-				return false
-			}
-			n.keys = append(n.keys, 0)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = key
-			n.vals = append(n.vals, 0)
-			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = val
-			return true
-		}
+// descendSplitting walks from a non-full root to the leaf key routes to,
+// splitting every full node on the way, so the leaf it returns has room.
+func (t *Tree) descendSplitting(key uint64) *node {
+	n := t.root
+	for !n.leaf {
 		i := search(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
 			i++
@@ -175,6 +251,7 @@ func (t *Tree) insertNonFull(n *node, key, val uint64, overwrite bool) bool {
 		}
 		n = n.children[i]
 	}
+	return n
 }
 
 // Delete removes key, reporting whether it was present. Deletion is lazy:
@@ -182,24 +259,24 @@ func (t *Tree) insertNonFull(n *node, key, val uint64, overwrite bool) bool {
 // the right trade-off for the workloads' bounded-queue deletes (NEW-ORDER)
 // and keeps the concurrent structure simple.
 func (t *Tree) Delete(key uint64) bool {
+	deleted, _ := t.DeleteAt(nil, key)
+	return deleted
+}
+
+// DeleteAt is Delete starting from a finger (nil for none); hit reports that
+// the finger's leaf answered and no descent was made.
+func (t *Tree) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.root
-	for !n.leaf {
-		i := search(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			i++
-		}
-		n = n.children[i]
-	}
+	n, hit := t.leafFor(f, key)
 	i := search(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
-		return false
+		return false, hit
 	}
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.vals = append(n.vals[:i], n.vals[i+1:]...)
 	t.size--
-	return true
+	return true, hit
 }
 
 // Ascend visits keys in [lo, hi] in ascending order; fn returning false
@@ -207,15 +284,7 @@ func (t *Tree) Delete(key uint64) bool {
 func (t *Tree) Ascend(lo, hi uint64, fn func(key, val uint64) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		i := search(n.keys, lo)
-		if i < len(n.keys) && n.keys[i] == lo {
-			i++
-		}
-		n = n.children[i]
-	}
-	for n != nil {
+	for n := t.descend(lo); n != nil; n = n.next {
 		for i := search(n.keys, lo); i < len(n.keys); i++ {
 			if n.keys[i] > hi {
 				return
@@ -224,7 +293,6 @@ func (t *Tree) Ascend(lo, hi uint64, fn func(key, val uint64) bool) {
 				return
 			}
 		}
-		n = n.next
 	}
 }
 

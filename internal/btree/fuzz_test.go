@@ -10,7 +10,8 @@ import (
 // against a model map on ranges that hug the mutation point — exact-key
 // bounds, empty ranges, single-key ranges and full sweeps. This pins the
 // iterator behaviors scans lean on: inclusive [lo, hi], sorted order, no
-// ghost keys after delete-then-reinsert at a range edge.
+// ghost keys after delete-then-reinsert at a range edge. The same input then
+// drives the finger equivalence property (finger_test.go).
 func FuzzIteratorBoundaries(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x81, 0x02, 0x82, 0x03, 0x03, 0x83})
@@ -47,6 +48,7 @@ func FuzzIteratorBoundaries(f *testing.F) {
 				checkRange(t, tr, model, r[0], r[1])
 			}
 		}
+		checkFingerEquivalence(t, ops, 1)
 	})
 }
 

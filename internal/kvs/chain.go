@@ -102,5 +102,15 @@ func ResetChain(a *memory.Arena, off memory.Offset, vw, depth int) {
 	if depth <= 0 {
 		return
 	}
-	a.Write(off+memory.Offset(EntryValueWord+vw), make([]uint64, ChainWords(vw, depth)))
+	ring := off + memory.Offset(EntryValueWord+vw)
+	for n := ChainWords(vw, depth); n > 0; {
+		z := zeroWords[:min(n, len(zeroWords))]
+		a.Write(ring, z)
+		ring += memory.Offset(len(z))
+		n -= len(z)
+	}
 }
+
+// zeroWords is the read-only source ResetChain zeroes rings from, a few cache
+// lines at a time.
+var zeroWords [8 * memory.WordsPerLine]uint64

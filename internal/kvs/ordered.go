@@ -190,22 +190,41 @@ func (o *Ordered) StampNow() uint64 {
 // Len returns the number of live records.
 func (o *Ordered) Len() int { return o.tree.Len() }
 
+// Finger is the caller-owned leaf hint of the shard's index (btree.Finger): a
+// run of point operations on adjacent keys through one finger descends the
+// tree once per leaf instead of once per key. The *At methods take one (nil
+// for none) and report as hit whether the finger's leaf served the operation
+// or the index was descended.
+type Finger = btree.Finger
+
 // Lookup resolves key to its entry offset via the index.
 func (o *Ordered) Lookup(key uint64) (memory.Offset, bool) {
-	v, ok := o.tree.Get(key)
-	return memory.Offset(v), ok
+	off, ok, _ := o.LookupAt(nil, key)
+	return off, ok
+}
+
+// LookupAt is Lookup starting from a finger.
+func (o *Ordered) LookupAt(f *Finger, key uint64) (off memory.Offset, ok, hit bool) {
+	v, ok, hit := o.tree.GetAt(f, key)
+	return memory.Offset(v), ok, hit
 }
 
 // Insert creates a record. The body is initialized while the entry is still
 // private (unreachable from the index), then the index insert publishes it.
 func (o *Ordered) Insert(key uint64, val []uint64) error {
+	_, err := o.InsertAt(nil, key, val)
+	return err
+}
+
+// InsertAt is Insert starting from a finger.
+func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (hit bool, err error) {
 	if len(val) != o.cfg.ValueWords {
-		return fmt.Errorf("kvs: value length %d, want %d", len(val), o.cfg.ValueWords)
+		return false, fmt.Errorf("kvs: value length %d, want %d", len(val), o.cfg.ValueWords)
 	}
 	o.mu.Lock()
 	if len(o.freeList) == 0 {
 		o.mu.Unlock()
-		return ErrFull
+		return false, ErrFull
 	}
 	off := o.freeList[len(o.freeList)-1]
 	o.freeList = o.freeList[:len(o.freeList)-1]
@@ -223,7 +242,7 @@ func (o *Ordered) Insert(key uint64, val []uint64) error {
 
 	o.smu.Lock()
 	o.bumpSeg(key)
-	ok := o.tree.InsertIfAbsent(key, uint64(off))
+	ok, hit := o.tree.InsertIfAbsentAt(f, key, uint64(off))
 	o.smu.Unlock()
 	if !ok {
 		// Key already existed: kill and recycle the prepared entry.
@@ -231,25 +250,37 @@ func (o *Ordered) Insert(key uint64, val []uint64) error {
 		o.mu.Lock()
 		o.freeList = append(o.freeList, off)
 		o.mu.Unlock()
-		return ErrExists
+		return hit, ErrExists
 	}
-	return nil
+	return hit, nil
 }
 
 // Delete removes key. The record dies (even incarnation) before the entry
 // is recycled.
 func (o *Ordered) Delete(key uint64) bool {
+	deleted, _ := o.DeleteAt(nil, key)
+	return deleted
+}
+
+// DeleteAt is Delete starting from a finger. hit is the lookup's: it leaves
+// the finger on the key's leaf, so the removal that follows under the same
+// structural latch never descends.
+func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
+	var own Finger
+	if f == nil {
+		f = &own
+	}
 	o.smu.Lock()
-	off, ok := o.Lookup(key)
+	off, ok, hit := o.LookupAt(f, key)
 	if !ok {
 		o.smu.Unlock()
-		return false
+		return false, hit
 	}
 	o.bumpSeg(key)
-	ok = o.tree.Delete(key)
+	ok, _ = o.tree.DeleteAt(f, key)
 	o.smu.Unlock()
 	if !ok {
-		return false
+		return false, hit
 	}
 	incver := o.arena.LoadWord(off + EntryIncVerWord)
 	dead := PackIncVer(Incarnation(incver)+1, Version(incver))
@@ -258,7 +289,7 @@ func (o *Ordered) Delete(key uint64) bool {
 	o.mu.Lock()
 	o.freeList = append(o.freeList, off)
 	o.mu.Unlock()
-	return true
+	return true, hit
 }
 
 // EnsureDead makes key structurally present as a DEAD entry and returns its
@@ -274,8 +305,9 @@ func (o *Ordered) Delete(key uint64) bool {
 // Aborted inserts simply leave the dead entry in place: scans skip dead
 // entries, and a later insert of the same key reuses it.
 func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
+	var f Finger // the miss leaves it on the leaf the insert goes to
 	for {
-		if v, ok := o.tree.Get(key); ok {
+		if v, ok, _ := o.tree.GetAt(&f, key); ok {
 			off := memory.Offset(v)
 			if Live(Incarnation(o.arena.LoadWord(off + EntryIncVerWord))) {
 				return 0, ErrExists
@@ -301,7 +333,7 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 
 		o.smu.Lock()
 		o.bumpSeg(key)
-		inserted := o.tree.InsertIfAbsent(key, uint64(off))
+		inserted, _ := o.tree.InsertIfAbsentAt(&f, key, uint64(off))
 		o.smu.Unlock()
 		if inserted {
 			return off, nil
@@ -320,13 +352,14 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 // the caller resolved it. The freed slot's state word is left as the caller
 // set it — Insert/EnsureDead re-initialize it on reuse.
 func (o *Ordered) RemoveEntry(key uint64, off memory.Offset) bool {
+	var f Finger // the lookup leaves it on the leaf the delete empties
 	o.smu.Lock()
-	if v, ok := o.tree.Get(key); !ok || memory.Offset(v) != off {
+	if v, ok, _ := o.tree.GetAt(&f, key); !ok || memory.Offset(v) != off {
 		o.smu.Unlock()
 		return false
 	}
 	o.bumpSeg(key)
-	ok := o.tree.Delete(key)
+	ok, _ := o.tree.DeleteAt(&f, key)
 	o.smu.Unlock()
 	if !ok {
 		return false

@@ -1,6 +1,8 @@
 package kvs
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,5 +129,90 @@ func TestOrderedConcurrentInserts(t *testing.T) {
 	wg.Wait()
 	if o.Len() != 400 {
 		t.Fatalf("Len = %d", o.Len())
+	}
+}
+
+// TestOrderedFingerChurn replays one random churn of inserts, erases, dead
+// entries (EnsureDead), their unlinking (RemoveEntry) and lookups on runs of
+// adjacent keys against two shards — one through a finger, one without — and
+// requires the same answer from every call, then the same index (keys, in
+// order, at the same entry offsets) and the same free list: a finger changes
+// how a leaf is reached, never what is found there or which slot is used.
+func TestOrderedFingerChurn(t *testing.T) {
+	const keys = 600
+	for seed := int64(1); seed <= 4; seed++ {
+		plain, fingered := newOrdered(t, keys), newOrdered(t, keys)
+		var f Finger
+		rng := rand.New(rand.NewSource(seed))
+		hits := 0
+		for step := 0; step < 400; step++ {
+			base := uint64(rng.Intn(keys - 16))
+			op := rng.Intn(5)
+			for k := base; k < base+uint64(1+rng.Intn(16)); k++ {
+				switch op {
+				case 0, 1:
+					perr := plain.Insert(k, val(k, uint64(step)))
+					hit, ferr := fingered.InsertAt(&f, k, val(k, uint64(step)))
+					if perr != ferr {
+						t.Fatalf("seed %d step %d: Insert(%d) = %v, through the finger %v", seed, step, k, perr, ferr)
+					}
+					if hit {
+						hits++
+					}
+				case 2:
+					pd := plain.Delete(k)
+					fd, hit := fingered.DeleteAt(&f, k)
+					if pd != fd {
+						t.Fatalf("seed %d step %d: Delete(%d) = %v, through the finger %v", seed, step, k, pd, fd)
+					}
+					if hit {
+						hits++
+					}
+				case 3:
+					// A dead entry, then (every other key) its unlinking.
+					poff, perr := plain.EnsureDead(k)
+					foff, ferr := fingered.EnsureDead(k)
+					if poff != foff || perr != ferr {
+						t.Fatalf("seed %d step %d: EnsureDead(%d) = %d, %v, beside the finger %d, %v",
+							seed, step, k, poff, perr, foff, ferr)
+					}
+					if perr == nil && k%2 == 0 {
+						if pr, fr := plain.RemoveEntry(k, poff), fingered.RemoveEntry(k, foff); pr != fr {
+							t.Fatalf("seed %d step %d: RemoveEntry(%d) = %v, beside the finger %v", seed, step, k, pr, fr)
+						}
+					}
+				case 4:
+					poff, pok := plain.Lookup(k)
+					foff, fok, hit := fingered.LookupAt(&f, k)
+					if poff != foff || pok != fok {
+						t.Fatalf("seed %d step %d: Lookup(%d) = %d, %v, through the finger %d, %v",
+							seed, step, k, poff, pok, foff, fok)
+					}
+					if hit {
+						hits++
+					}
+				}
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("seed %d: runs of adjacent keys never hit the finger", seed)
+		}
+		type row struct {
+			key uint64
+			off memory.Offset
+		}
+		index := func(o *Ordered) (rows []row) {
+			o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
+				rows = append(rows, row{k, off})
+				return true
+			})
+			return rows
+		}
+		if p, g := index(plain), index(fingered); !slices.Equal(p, g) {
+			t.Fatalf("seed %d: index through the finger %v, without %v", seed, g, p)
+		}
+		if !slices.Equal(plain.freeList, fingered.freeList) {
+			t.Fatalf("seed %d: free list through the finger %v, without %v", seed, fingered.freeList, plain.freeList)
+		}
 	}
 }

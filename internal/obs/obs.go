@@ -112,6 +112,8 @@ const (
 	EvScanValidateFail // commit-time range validation found a stamp/header change
 	EvIndexMaint       // one secondary-index entry maintained by a base write
 	EvRemoveDead       // one dead entry physically unlinked post-commit
+	EvTreeDescent      // one local ordered point op (lookup/insert/delete) walked the B+ tree root to leaf
+	EvFingerHit        // one local ordered point op was served by the executor's leaf finger, no descent
 
 	// MVCC snapshot reads over version chains (PolicyMVCC).
 	EvChainRetire   // one superseded version retired into an entry's ring chain
@@ -177,6 +179,8 @@ var eventNames = [NumEvents]string{
 	EvScanValidateFail:   "scan.validate_fail",
 	EvIndexMaint:         "index.maint",
 	EvRemoveDead:         "index.remove_dead",
+	EvTreeDescent:        "index.descent",
+	EvFingerHit:          "index.finger_hit",
 	EvChainRetire:        "mvcc.retire",
 	EvMVCCRead:           "mvcc.read",
 	EvMVCCTrunc:          "mvcc.truncated",

@@ -8,6 +8,8 @@ package tx
 // hash and ordered tables alike:
 //
 //	recHandle        where the record's entry is, resolved once by either index
+//	lookupOrdered    the one local B+ tree lookup, through the executor's leaf
+//	                 finger, priced by what the index did (chargeIndexOp)
 //	acquirer         the I/O-free Figure 5 state machine over the state word
 //	Executor.acquire its synchronous driver (stageBatch drives it in waves)
 //	recHandle.check  the entry-image check every fetch runs
@@ -84,8 +86,7 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 	local := h.node == e.w.Node.ID
 	switch {
 	case h.ordered && local:
-		e.charge(e.model().BTreeOpNS)
-		h.off, found = e.w.Node.Ordered(h.region).Lookup(h.key)
+		_, h.off, found = e.lookupOrdered(h.region, h.key)
 	case h.ordered:
 		found, err = e.shipOne(h, false)
 	case local:
@@ -103,6 +104,47 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 		return false, ErrNodeDown
 	}
 	return found, nil
+}
+
+// finger returns the executor's leaf finger for one of this node's ordered
+// regions: where its last point operation on that shard ended, so that a run
+// of adjacent keys — an order's lines, one after the other — walks the tree
+// once per leaf.
+func (e *Executor) finger(region int) *kvs.Finger {
+	f := e.fingers[region]
+	if f == nil {
+		if e.fingers == nil {
+			e.fingers = make(map[int]*kvs.Finger)
+		}
+		f = new(kvs.Finger)
+		e.fingers[region] = f
+	}
+	return f
+}
+
+// chargeIndexOp prices one point operation — lookup, insert or delete — on a
+// local ordered shard by what the index did, and counts it: a root-to-leaf
+// descent costs BTreeOpNS, a finger hit the one node search it is
+// (HashProbeNS). A shipped operation is priced per key by its sender, before
+// the host walks (ship, shipRemoveDead).
+func (e *Executor) chargeIndexOp(hit bool) {
+	if hit {
+		e.w.Obs.Inc(obs.EvFingerHit)
+		e.charge(e.model().HashProbeNS)
+		return
+	}
+	e.w.Obs.Inc(obs.EvTreeDescent)
+	e.charge(e.model().BTreeOpNS)
+}
+
+// lookupOrdered resolves key in this node's shard of an ordered region: the
+// one local tree lookup, used by the region's reads and writes
+// (Local.resolve), by read-only transactions and the fallback (resolve).
+func (e *Executor) lookupOrdered(region int, key uint64) (*kvs.Ordered, memory.Offset, bool) {
+	o := e.w.Node.Ordered(region)
+	off, found, hit := o.LookupAt(e.finger(region), key)
+	e.chargeIndexOp(hit)
+	return o, off, found
 }
 
 // ensureEntry makes the key structurally present as a DEAD entry on its host

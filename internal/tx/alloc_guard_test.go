@@ -2,13 +2,17 @@
 
 package tx
 
-import "testing"
+import (
+	"testing"
+
+	"drtm/internal/cluster"
+)
 
 // TestExecAllocSteadyState pins the pooled hot path: once the executor's
-// pools are warm, what a committed transaction allocates is the value slices
-// that cross the body's boundary (Local.Read's copy of a local record, the
-// new value the body builds) — one object measured, local or remote. The HTM
-// region, the commit waves and the remote lookup run from recycled scratch.
+// pools are warm, what a committed transaction allocates is the new value the
+// body builds (it escapes through Local.Write's index-key check) — one object
+// measured, local or remote. The values Local.Read hands out, the HTM region,
+// the commit waves and the remote lookup run from recycled scratch.
 // The budget is what is measured plus one. Excluded under -race: the detector
 // adds shadow allocations.
 func TestExecAllocSteadyState(t *testing.T) {
@@ -152,5 +156,33 @@ func TestOrderedAllocSteadyState(t *testing.T) {
 	}
 	if churn > 1 {
 		t.Errorf("remote 4-row insert + erase allocates %.0f objects, budget 1", churn)
+	}
+}
+
+// TestLocalOrderedAllocSteadyState pins the local ordered hot path — TPC-C
+// delivery's shape: ten adjacent rows of one shard, each read and then written
+// in the region — at zero objects per committed transaction once the pools
+// are warm. The values Local.Read hands out and the write-ahead captures are
+// carved from the transaction's per-attempt scratch, the record locations are
+// memoized in the declared records, and the leaf finger is the executor's.
+func TestLocalOrderedAllocSteadyState(t *testing.T) {
+	rt, stop := newOrderedRig(t, 1, 1, func(c *cluster.Config) { c.Durability = true })
+	defer stop()
+	e := rt.Executor(0, 0)
+	var keys []uint64
+	for s := uint64(1); s <= 10; s++ {
+		keys = append(keys, orderedKey(0, s))
+	}
+	insertOrders(t, e, 0, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	rmw := func() {
+		if err := bumpLocal(e, tblOrders, keys, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the pools
+		rmw()
+	}
+	if n := testing.AllocsPerRun(50, rmw); n > 0 {
+		t.Errorf("local read-modify-write of 10 adjacent ordered rows allocates %.0f objects, want 0", n)
 	}
 }

@@ -31,7 +31,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// and chain fix-ups, and its deferred inserts / deletes, which were
 	// discarded with its region (the body re-declares them below).
 	t.restoreWriteBufs()
-	t.walLocal, t.chainFix, t.deferred = t.walLocal[:0], t.chainFix[:0], t.deferred[:0]
+	t.beginAttempt()
 
 	// Lock in the global order and prefetch. This pass is the fallback's Start
 	// phase, so it accrues to the lock-remote histogram.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"drtm/internal/cluster"
+	"drtm/internal/kvs"
 	"drtm/internal/rdma"
 )
 
@@ -41,7 +42,8 @@ func (rt *Runtime) installStoreHandlers() {
 		n := rt.C.Node(i)
 		n.Handle(msgStoreOp, func(from int, body any) any {
 			m := body.(storeOpMsg)
-			return rt.execStoreOp(n, m)
+			_, err := rt.execStoreOp(n, m, nil)
+			return err
 		})
 		n.Handle(msgRedoCheckpoint, func(from int, body any) any {
 			m := body.(redoCkptMsg)
@@ -55,8 +57,10 @@ func (rt *Runtime) installStoreHandlers() {
 // the storage region under the current view (a promoted owner serves its
 // adopted partition from the replica region). When the host is the
 // partition's home primary, the op is mirrored to every backup's replica
-// shard so a later promotion sees the record.
-func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg) error {
+// shard so a later promotion sees the record. f is the caller's leaf finger
+// for an ordered region (nil on the host side of a shipped op, whose sender
+// priced it already); hit reports that it served the index operation.
+func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (hit bool, err error) {
 	meta := rt.Meta(m.Table)
 	region := m.Table
 	part := rt.Part(m.Table, m.Key)
@@ -73,10 +77,9 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg) error {
 		defer rt.redoMu.Unlock()
 	}
 	if meta.Kind == Ordered {
-		return rt.execOrderedStoreOp(n, m, region, part, repl)
+		return rt.execOrderedStoreOp(n, m, region, part, repl, f)
 	}
 	t := n.Unordered(region)
-	var err error
 	if m.Insert {
 		err = t.Insert(m.Key, m.Val)
 	} else {
@@ -95,11 +98,11 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg) error {
 				rep.Delete(m.Key)
 			}
 			if err != nil {
-				return err
+				return false, err
 			}
 		}
 	}
-	return err
+	return false, err
 }
 
 // execOrderedStoreOp is execStoreOp for ordered tables: the host resolves
@@ -108,17 +111,17 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg) error {
 // is the home primary — mirrors it to every backup's ordered replica shard.
 // The caller holds redoMu when repl is set.
 func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
-	region, part int, repl bool) error {
+	region, part int, repl bool, f *kvs.Finger) (hit bool, err error) {
 	o, ok := n.OrderedRegion(region)
 	if !ok {
-		return fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
+		return false, fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
 	}
 	if m.Insert {
-		if err := o.Insert(m.Key, m.Val); err != nil {
-			return err
+		if hit, err = o.InsertAt(f, m.Key, m.Val); err != nil {
+			return hit, err
 		}
 	} else {
-		o.Delete(m.Key)
+		_, hit = o.DeleteAt(f, m.Key)
 		if repl {
 			rt.delGen[delKey{part, m.Table, m.Key}]++
 		}
@@ -132,31 +135,37 @@ func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
 			}
 			if m.Insert {
 				if err := rep.Insert(m.Key, m.Val); err != nil {
-					return err
+					return hit, err
 				}
 			} else {
 				rep.Delete(m.Key)
 			}
 		}
 	}
-	return nil
+	return hit, nil
 }
 
 // applyStoreOp applies a deferred insert/delete: directly when the record
-// is homed here, via verbs otherwise.
+// is homed here — an ordered table's through the executor's leaf finger, at
+// what the index did; a hash table's at a probe — via verbs otherwise.
 func (e *Executor) applyStoreOp(op deferredOp) {
-	node, _, _ := e.route(op.table, op.key)
+	node, region, _ := e.route(op.table, op.key)
 	m := storeOpMsg{Insert: op.insert, Table: op.table, Key: op.key, Val: op.val}
 	if node == e.w.Node.ID {
-		if err := e.rt.execStoreOp(e.w.Node, m); err != nil {
+		ordered := e.rt.Meta(op.table).Kind == Ordered
+		var f *kvs.Finger
+		if ordered {
+			f = e.finger(region)
+		}
+		hit, err := e.rt.execStoreOp(e.w.Node, m, f)
+		if err != nil {
 			// Duplicate keys indicate a workload bug; surface loudly.
 			panic(fmt.Sprintf("tx: deferred store op failed: %v", err))
 		}
-		model := e.model()
-		if op.insert && e.rt.Meta(op.table).Kind == Ordered {
-			e.charge(model.BTreeOpNS)
+		if ordered {
+			e.chargeIndexOp(hit)
 		} else {
-			e.charge(model.HashProbeNS)
+			e.charge(e.model().HashProbeNS)
 		}
 		return
 	}
@@ -172,9 +181,11 @@ func (e *Executor) applyStoreOp(op deferredOp) {
 		}
 		if errors.Is(err, rdma.ErrNodeUnreachable) {
 			// Post-commit effect on a crashed host: park it for recovery,
-			// like a deferred write-back (fault.go).
+			// like a deferred write-back (fault.go) — with a value of its own:
+			// op.val is attempt scratch.
+			m.Val = append([]uint64(nil), m.Val...)
 			e.rt.defer_(node, func(rt *Runtime) {
-				if aerr := rt.execStoreOp(rt.C.Node(node), m); aerr != nil {
+				if _, aerr := rt.execStoreOp(rt.C.Node(node), m, nil); aerr != nil {
 					panic(fmt.Sprintf("tx: recovered store op failed: %v", aerr))
 				}
 			})

@@ -36,28 +36,42 @@ func (lc *Local) now() uint64 {
 	return lc.t.startSoft
 }
 
-// resolve maps (table, key) to the record's entry location in this node's
-// shard, charging the store's lookup cost. region is the storage region the
-// record was declared under — the table itself, or a replica region when
-// this node was promoted to own the partition (hot failover).
-func (lc *Local) resolve(table, region int, key uint64) (*memory.Arena, memory.Offset, bool) {
-	n := lc.t.e.w.Node
-	m := lc.t.e.rt.Meta(table)
-	model := lc.t.e.model()
-	if m.Kind == Ordered {
-		lc.t.e.charge(model.BTreeOpNS)
-		o := n.Ordered(region)
-		off, ok := o.Lookup(key)
-		return o.Arena(), off, ok
+// resolve returns the declared local record's entry location in this node's
+// shard — from the record's memo when this attempt has found it before (no
+// lookup, no charge), else through the store's index at the store's lookup
+// cost. l.region is the storage region the record was declared under: the
+// table itself, or a replica region when this node was promoted to own the
+// partition (hot failover).
+func (lc *Local) resolve(l *localRec) (*memory.Arena, memory.Offset, bool) {
+	if l.arena != nil {
+		return l.arena, l.off, true
 	}
-	lc.t.e.charge(model.HashProbeNS)
-	tbl := n.Unordered(region)
-	off, ok := tbl.LookupTx(lc.htx, key)
-	return tbl.Arena(), off, ok
+	e := lc.t.e
+	var (
+		arena *memory.Arena
+		off   memory.Offset
+		ok    bool
+	)
+	if e.rt.Meta(l.table).Kind == Ordered {
+		var o *kvs.Ordered
+		o, off, ok = e.lookupOrdered(l.region, l.key)
+		arena = o.Arena()
+	} else {
+		e.charge(e.model().HashProbeNS)
+		tbl := e.w.Node.Unordered(l.region)
+		off, ok = tbl.LookupTx(lc.htx, l.key)
+		arena = tbl.Arena()
+	}
+	if ok {
+		l.arena, l.off = arena, off
+	}
+	return arena, off, ok
 }
 
 // Read returns the record's value. Remote records must have been staged
-// with Tx.R or Tx.W; local records must have been declared.
+// with Tx.R or Tx.W; local records must have been declared. The slice belongs
+// to the transaction — a staged record's buffer, or scratch of this run of
+// the body — and is invalid once the body returns: copy what must outlive it.
 func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	k := refKey{table, key}
 	if r, ok := lc.t.rIndex[k]; ok {
@@ -77,7 +91,7 @@ func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	if !ok {
 		panic(fmt.Sprintf("tx: undeclared access to table %d key %d", table, key))
 	}
-	arena, off, ok := lc.resolve(table, lc.t.locals[li].region, key)
+	arena, off, ok := lc.resolve(&lc.t.locals[li])
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -99,7 +113,7 @@ func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	}
 	// Leases are ignored by local reads: HTM protects read-read sharing.
 	vw := lc.t.e.rt.Meta(table).ValueWords
-	val := make([]uint64, vw)
+	val := lc.t.attemptWords(vw)
 	lc.htx.ReadN(arena, kvs.ValueOffset(off), val)
 	lc.t.e.charge(lc.t.e.model().HTMPerReadNS * int64(vw+1))
 	return val, nil
@@ -143,8 +157,8 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	if !ok || !lc.t.locals[li].write {
 		panic(fmt.Sprintf("tx: undeclared write to table %d key %d", table, key))
 	}
-	l := lc.t.locals[li]
-	arena, off, ok := lc.resolve(table, l.region, key)
+	l := &lc.t.locals[li]
+	arena, off, ok := lc.resolve(l)
 	if !ok {
 		return ErrNotFound
 	}
@@ -173,7 +187,7 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 			return ErrNotFound
 		}
 		if len(lc.t.e.rt.indexesOf(table)) > 0 {
-			old := make([]uint64, len(val))
+			old := lc.t.attemptWords(len(val))
 			lc.htx.ReadN(arena, kvs.ValueOffset(off), old)
 			lc.t.checkIndexKeys(table, key, old, val)
 		}
@@ -197,9 +211,11 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 		if ordered {
 			inc = kvs.Incarnation(incver)
 		}
+		own := lc.t.attemptWords(len(val))
+		copy(own, val)
 		lc.t.walLocal = append(lc.t.walLocal, walRec{
 			node: lc.t.e.w.Node.ID, table: l.region, off: off,
-			version: newVer, inc: inc, val: append([]uint64(nil), val...),
+			version: newVer, inc: inc, val: own,
 			ltable: table, part: l.part, key: key,
 		})
 	}
@@ -242,8 +258,10 @@ func (t *Tx) checkIndexKeys(table int, key uint64, old, val []uint64) {
 // commits (local stores directly, remote stores shipped over verbs as in
 // footnote 5 / Section 6.5).
 func (lc *Local) Insert(table int, key uint64, val []uint64) {
+	own := lc.t.attemptWords(len(val))
+	copy(own, val)
 	lc.t.deferred = append(lc.t.deferred, deferredOp{insert: true, table: table,
-		key: key, val: append([]uint64(nil), val...)})
+		key: key, val: own})
 }
 
 // Delete schedules a record deletion, applied right after commit.
@@ -290,12 +308,12 @@ func (e *Executor) scanLocal(table int, lo, hi uint64, limit int, desc bool) []K
 }
 
 // ReadAt reads a local ordered record body found by a scan, with the same
-// state-word discipline as Read.
+// state-word discipline, and the same lifetime of the value, as Read.
 func (lc *Local) ReadAt(table int, off memory.Offset) ([]uint64, error) {
 	o := lc.t.e.w.Node.Ordered(table)
 	arena := o.Arena()
 	vw := o.ValueWords()
-	val := make([]uint64, vw)
+	val := lc.t.attemptWords(vw)
 	if lc.htx == nil {
 		// Fallback reads are direct; the record set was locked up front.
 		arena.Read(val, kvs.ValueOffset(off))

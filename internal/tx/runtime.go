@@ -414,6 +414,10 @@ type Executor struct {
 
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases
 
+	// fingers holds one B+ tree leaf finger per ordered region of this node
+	// (see finger).
+	fingers map[int]*kvs.Finger
+
 	// Hot-path pools: Exec's per-attempt Tx shell, ExecRO's shell,
 	// staged-record structs and the Start phase's staging scratch are reused
 	// across attempts and transactions instead of reallocated (see recycle /

@@ -68,6 +68,18 @@ type localRec struct {
 	part   int // home partition (-1 for replicated tables)
 	key    uint64
 	write  bool
+
+	// arena and off memoize where the current HTM attempt's first access found
+	// the record (arena is nil until then), so a Read followed by a Write costs
+	// one index lookup. The memo lives exactly as long as the attempt
+	// (beginAttempt forgets it): that first access put the entry's state and
+	// incver words — and, for a hash table, the bucket words LookupTx walked —
+	// into this attempt's read set, so an erase, a recycled slot or a
+	// bucket-chain move between the two accesses dooms the region instead of
+	// leaving the memo pointing at somebody else's entry. A new attempt has an
+	// empty read set and resolves again.
+	arena *memory.Arena
+	off   memory.Offset
 }
 
 // walRec captures one update for the write-ahead log and recovery. node and
@@ -131,6 +143,11 @@ type Tx struct {
 	removals   []removalOp
 	owed       []Access // index rows staged erases still owe (oweIndexRows)
 	swords     []uint64 // structural value scratch (carve)
+
+	// awords is the value scratch of one run of the body (attemptWords): the
+	// values Local.Read hands out, Local.Insert's copies, the write-ahead
+	// captures. beginAttempt empties it.
+	awords []uint64
 
 	// Scan scratch, reused across attempts: row values and segment indices.
 	scanVals []uint64
@@ -442,9 +459,7 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 		if attempt > 0 {
 			t.restoreWriteBufs()
 		}
-		t.walLocal = t.walLocal[:0]
-		t.deferred = t.deferred[:0]
-		t.chainFix = t.chainFix[:0]
+		t.beginAttempt()
 		lc := &t.lcScratch
 		*lc = Local{t: t}
 		hstart := int64(t.e.w.VClock.Now())
@@ -557,6 +572,29 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 		}
 		// Conflict abort: retry the HTM region; locks and leases persist.
 	}
+}
+
+// beginAttempt drops what the previous run of the body — an aborted HTM
+// attempt — left behind: its captured local updates and chain fix-ups, its
+// deferred inserts / deletes (the body declares them again), the value scratch
+// they and its reads were carved from, and every declared local record's
+// location memo, which was only as good as that attempt's read set.
+func (t *Tx) beginAttempt() {
+	t.walLocal, t.deferred, t.chainFix = t.walLocal[:0], t.deferred[:0], t.chainFix[:0]
+	t.awords = t.awords[:0]
+	for i := range t.locals {
+		t.locals[i].arena = nil
+	}
+}
+
+// attemptWords returns n words of the current attempt's value scratch, valid
+// until the attempt ends (the next beginAttempt, or the next transaction on
+// this executor). Growing the scratch leaves earlier carvings in the array
+// they were made in.
+func (t *Tx) attemptWords(n int) []uint64 {
+	lo := len(t.awords)
+	t.awords = append(t.awords, make([]uint64, n)...)
+	return t.awords[lo:len(t.awords):len(t.awords)]
 }
 
 // publish is the commit past its serialization point — XEND on the region
