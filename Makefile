@@ -33,13 +33,17 @@ race:
 # index lookup per record per attempt; an erase, a recycled slot or a bucket
 # move dooms the attempt or is re-resolved by the next), the B+ tree leaf
 # fingers (equivalence with and without one, four goroutines' fingers under
-# each other's splits, kvs churn ending in the same index and free list) and
-# two clients churning the same subscribers — repeated across core counts. A
-# red run here is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt
+# each other's splits, kvs churn ending in the same index and free list), the
+# release side's one doorbell chain (a fault at every position of a commit's
+# chain and of an abort's release wave under lease, speculative and snapshot
+# readers; a zombie's clean releases against a lock that changed hands; the
+# wave counts) and two clients churning the same subscribers — repeated across
+# core counts. A red run here is a bug, never a rerun.
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
+	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch' ./internal/rdma/
 	go test -race -count=5 -cpu 1,2,4 -run 'Finger' ./internal/btree/ ./internal/kvs/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
@@ -47,10 +51,12 @@ stress:
 # Allocation gate: a warm HTM region allocates nothing, a committed
 # transaction — hash or ordered, structural rows and shipped messages included
 # — stays inside its object budget, and a local read-modify-write of ten
-# adjacent ordered rows allocates nothing (all excluded under -race).
+# adjacent ordered rows allocates nothing, and neither does a SmallBank
+# deposit or cross-node payment (all excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
 	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState' ./internal/tx/
+	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.
@@ -65,18 +71,23 @@ bench-smoke:
 
 # Crash-consistency gate: SmallBank under repeated crashes with lease-based
 # detection and online recovery; conservation must hold. The coalesced
-# messages keep the per-op fault semantics (stage_fault_test.go).
+# messages keep the per-op fault semantics, and a fault at any verb of the Start
+# phase is retried, not taken for a dead host (stage_fault_test.go).
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run TestCoalescedFault ./internal/tx/
+	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
-# serial window=1 control arm, for one-sided records and for shipped ordered /
-# structural declares alike (internal/bench/batchexp.go, batchexp_test.go).
+# serial window=1 control arm, for one-sided records, for shipped ordered /
+# structural declares and for the commit's chain alike (internal/bench/
+# batchexp.go, batchexp_test.go), and a distributed SmallBank transaction must
+# pay one lock wave, one publish wave and no CAS past its serialization point
+# (distexp.go, TestSmokeDistWaves).
 batch:
 	go run ./cmd/drtm-bench -exp batch -quick
-	go test -count=1 -run TestBatchAcceptance ./internal/bench/
+	go run ./cmd/drtm-bench -exp dist-waves -quick
+	go test -count=1 -run 'TestBatchAcceptance|TestSmokeDistWaves' ./internal/bench/
 
 # Speculative-read gate: the one-RTT OCC arm must keep its low-contention
 # win over lease CAS and show the write-ratio crossover (occexp_test.go).
@@ -121,4 +132,4 @@ bench:
 
 # Regenerate the committed baseline tables at full scale, fixed seed.
 bench-baseline:
-	go run ./cmd/drtm-bench -exp batch,occ,adaptive,failover,scan,mvcc -seed 42 -json BENCH_baseline.json
+	go run ./cmd/drtm-bench -exp batch,occ,adaptive,failover,scan,mvcc,ablate-atomics,dist-waves -seed 42 -json BENCH_baseline.json

@@ -75,6 +75,25 @@ func runBatch(o Options) *Result {
 	}
 	res.Note("a shipped message: %dns each way + %dns per key for the host's tree operation",
 		model.VerbsMsgBaseNS, model.BTreeOpNS)
+
+	// Commit row: two remote records whose entries span two cache lines, with
+	// version chains — per record a tail pair, a retired slot, the value and the
+	// release, all WRITEs. One doorbell chain polled once; window=1 posts and
+	// polls each on its own. (The cost is the commit phase, the batches its
+	// polled waves.)
+	var serialCommit float64
+	for _, window := range []int{1, 16} {
+		commitNS, waves := measureCommitBatch(o, txns, window)
+		ratio := "1.00x"
+		if window == 1 {
+			serialCommit = commitNS
+		} else {
+			ratio = fmt.Sprintf("%.2fx", commitNS/serialCommit)
+		}
+		res.AddRow("commit of 2 multi-line chained records", fmt.Sprintf("%d", window),
+			fmt.Sprintf("%.1fus", commitNS/1e3), fmt.Sprintf("%.1f", waves), ratio)
+	}
+	res.Note("the commit's chain is WRITEs only (%dns + payload): the slowest one plus a doorbell each", model.RDMAWriteBaseNS)
 	return res
 }
 
@@ -130,6 +149,58 @@ func measureBatch(o Options, txns, n, window int) (meanNS, batchesPerTx float64)
 	}
 	return float64(lock.Sum) / float64(lock.Count),
 		float64(sn.Counters[obs.EvRDMABatch]) / float64(lock.Count)
+}
+
+// benchWide is the batch experiment's table of two-line rows.
+const (
+	benchWide      = benchTable + 2
+	benchWideWords = 8
+)
+
+// measureCommitBatch runs txns transactions that each rewrite two remote
+// two-line rows of a chained table under the given send-queue window and
+// returns the mean PhaseCommit ns and the polled publish waves per transaction.
+func measureCommitBatch(o Options, txns, window int) (commitNS, waves float64) {
+	const perNode = 64
+	rt, stop := buildMicro(2, 1, perNode, nil, func(rt *tx.Runtime) { rt.BatchWindow = window })
+	defer stop()
+	rt.DefineUnordered(benchWide, perNode, perNode, 2*perNode, benchWideWords)
+	host := rt.C.Node(1).Unordered(benchWide)
+	for k := uint64(perNode + 1); k <= 2*perNode; k++ { // homed on node 1
+		if err := host.Insert(k, make([]uint64, benchWideWords)); err != nil {
+			panic(err)
+		}
+	}
+	resetClocks(rt)
+	e := rt.Executor(0, 0)
+	before := rt.C.Obs.Snapshot()
+	val := make([]uint64, benchWideWords)
+	for t := 0; t < txns; t++ {
+		a := uint64(perNode + 1 + 2*(t%(perNode/2)))
+		val[0] = uint64(t)
+		err := e.Exec(func(t1 *tx.Tx) error {
+			if err := t1.Stage(tx.Access{Table: benchWide, Key: a, Write: true},
+				tx.Access{Table: benchWide, Key: a + 1, Write: true}); err != nil {
+				return err
+			}
+			return t1.Execute(func(lc *tx.Local) error {
+				if err := lc.Write(benchWide, a, val); err != nil {
+					return err
+				}
+				return lc.Write(benchWide, a+1, val)
+			})
+		})
+		if err != nil {
+			panic(err)
+		}
+	}
+	sn := rt.C.Obs.Snapshot().Delta(before)
+	commit := sn.Phases[obs.PhaseCommit]
+	if commit.Count == 0 {
+		return 0, 0
+	}
+	return float64(commit.Sum) / float64(commit.Count),
+		float64(sn.Stages[obs.StagePublish].Waves) / float64(commit.Count)
 }
 
 func init() {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"drtm/internal/obs"
 )
 
 // Every registered experiment must run end-to-end at quick scale and
@@ -148,6 +150,50 @@ func TestSmokeTPCCTypes(t *testing.T) {
 	}
 }
 
+// TestSmokeDistWaves: the wave ledger of a distributed SmallBank transaction.
+// One lock wave with one CAS, one publish wave with none — no CAS runs after
+// the serialization point — under half a lookup wave with the location cache
+// on, nothing to validate, and a redo append only under replication.
+func TestSmokeDistWaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	res := runSmoke(t, "dist-waves")
+	if want := 2 * (obs.NumStages + 1); len(res.Rows) != want {
+		t.Fatalf("%d rows, want %d: a row per stage and a total, for two workloads", len(res.Rows), want)
+	}
+	for _, row := range res.Rows {
+		var waves, cas float64
+		if _, err := fmt.Sscan(row[2], &waves); err != nil {
+			t.Fatalf("waves cell %q: %v", row[2], err)
+		}
+		if _, err := fmt.Sscan(row[4], &cas); err != nil {
+			t.Fatalf("CAS cell %q: %v", row[4], err)
+		}
+		lo, hi, casHi := 0.0, 0.0, 0.0
+		switch row[1] {
+		case "lookup":
+			hi = 0.75
+		case "lock":
+			lo, hi, casHi = 1, 1.1, 1.1
+		case "replicate":
+			if row[0] == "smallbank_repl" {
+				lo, hi = 0.5, 1
+			}
+		case "publish":
+			lo, hi = 1, 1
+		case "abort-release":
+			hi = 0.1
+		case "all stages":
+			lo, hi, casHi = 2, 4, 1.1
+		}
+		if waves < lo || waves > hi || cas > casHi {
+			t.Errorf("%s %s: %.3f waves and %.3f CASes per transaction, want [%.2f, %.2f] waves and at most %.2f CASes",
+				row[0], row[1], waves, cas, lo, hi, casHi)
+		}
+	}
+}
+
 func TestSmokeAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -226,7 +272,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"ablate-cache", "ablate-fallback", "ablate-atomics", "ablate-assoc",
 		"obs", "chaos", "batch", "occ", "adaptive", "failover", "scan",
-		"mvcc", "tpcc-types",
+		"mvcc", "tpcc-types", "dist-waves",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

@@ -13,8 +13,10 @@ import (
 
 // LookupReq is one key's slot in a batched lookup. The caller fills Table,
 // Cache (may be nil) and Key; LookupBatch fills Loc/Found or Err. A verb
-// fault fails only this request — the rest of the batch completes — and is
-// not retried internally; the transaction layer owns retry policy.
+// fault fails this request and those whose READs the connection flushed
+// behind it (rdma.ErrFlushed: same host, never attempted) — the walks on
+// other hosts complete — and is not retried internally; the transaction layer
+// owns retry policy. Neither error says anything about the key.
 type LookupReq struct {
 	Table *Table
 	Cache Cache

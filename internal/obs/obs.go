@@ -263,6 +263,49 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
+// Stage enumerates the stages of a distributed transaction that post work
+// requests. The wave ledger attributes every polled doorbell wave — its work
+// requests, its atomics and the modeled time its poll charged — to the stage
+// its poster was in (rdma.SendQueue.Stage), so "how many round trips does a
+// distributed transaction pay, and where" is a printed number (`drtm-bench
+// -exp dist-waves`).
+type Stage int
+
+const (
+	StageLookup    Stage = iota // one-sided bucket-chain walks of remote hash lookups
+	StageLock                   // lock / lease CASes fused with the prefetch READs, and the fetch READs
+	StageValidate               // header re-READs of speculative reads and collected scans
+	StageReplicate              // the redo append to the backups
+	StagePublish                // the commit's doorbell chain: chain, value and release WRITEs
+	StageRelease                // lock releases of an attempt that did not commit
+
+	NumStages int = iota
+)
+
+var stageNames = [NumStages]string{
+	StageLookup:    "lookup",
+	StageLock:      "lock",
+	StageValidate:  "validate",
+	StageReplicate: "replicate",
+	StagePublish:   "publish",
+	StageRelease:   "abort-release",
+}
+
+func (s Stage) String() string {
+	if s >= 0 && int(s) < NumStages {
+		return stageNames[s]
+	}
+	return fmt.Sprintf("Stage(%d)", int(s))
+}
+
+// WaveStats is one stage's share of the wave ledger.
+type WaveStats struct {
+	Waves int64 // polled doorbell waves
+	WRs   int64 // work requests in them
+	CASes int64 // of which atomics (CAS, FAA)
+	Nanos int64 // modeled nanoseconds their polls charged
+}
+
 // Counter is a single atomic counter — the one counter idiom in the tree
 // (htm.Stats, rdma.Counters and the obs shards are all built from it).
 type Counter struct{ v atomic.Int64 }
@@ -350,6 +393,9 @@ type Shard struct {
 	counters [NumEvents]Counter
 	hists    [NumPhases]hist
 
+	// The wave ledger: what the waves polled in each stage added up to.
+	waves [NumStages]struct{ waves, wrs, cases, nanos Counter }
+
 	// Pad past the end of the hot arrays so adjacent heap objects never
 	// share the last cache line of a shard.
 	_ [64]byte
@@ -391,6 +437,19 @@ func (s *Shard) Observe(ph Phase, ns int64) {
 	s.hists[ph].observe(ns)
 }
 
+// Wave books one polled doorbell wave of a stage: its work requests, how many
+// of them were atomics, and the modeled nanoseconds the poll charged.
+func (s *Shard) Wave(st Stage, wrs, cases int, ns int64) {
+	if s == nil {
+		return
+	}
+	w := &s.waves[st]
+	w.waves.Inc()
+	w.wrs.Add(int64(wrs))
+	w.cases.Add(int64(cases))
+	w.nanos.Add(ns)
+}
+
 // TraceEnabled reports whether transaction tracing is currently on. The
 // check is one atomic load; callers use it to skip assembling TraceEvents.
 func (s *Shard) TraceEnabled() bool {
@@ -420,6 +479,13 @@ func (s *Shard) reset() {
 		for b := range h.buckets {
 			h.buckets[b].Store(0)
 		}
+	}
+	for st := range s.waves {
+		w := &s.waves[st]
+		w.waves.Store(0)
+		w.wrs.Store(0)
+		w.cases.Store(0)
+		w.nanos.Store(0)
 	}
 }
 
@@ -484,6 +550,13 @@ func (r *Registry) Snapshot() Snapshot {
 				d.Buckets[b] += h.buckets[b].Load()
 			}
 		}
+		for st := range s.waves {
+			w, d := &s.waves[st], &sn.Stages[st]
+			d.Waves += w.waves.Load()
+			d.WRs += w.wrs.Load()
+			d.CASes += w.cases.Load()
+			d.Nanos += w.nanos.Load()
+		}
 	}
 	return sn
 }
@@ -492,6 +565,7 @@ func (r *Registry) Snapshot() Snapshot {
 type Snapshot struct {
 	Counters [NumEvents]int64
 	Phases   [NumPhases]HistSnapshot
+	Stages   [NumStages]WaveStats
 }
 
 // Counter returns the snapshot's count of ev.
@@ -513,6 +587,13 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		for b := range d.Buckets {
 			d.Buckets[b] -= pv.Buckets[b]
 		}
+	}
+	for st := range out.Stages {
+		d, pv := &out.Stages[st], &prev.Stages[st]
+		d.Waves -= pv.Waves
+		d.WRs -= pv.WRs
+		d.CASes -= pv.CASes
+		d.Nanos -= pv.Nanos
 	}
 	return out
 }

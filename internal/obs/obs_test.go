@@ -61,8 +61,40 @@ func TestCounterAndEventNames(t *testing.T) {
 	}
 }
 
+// The wave ledger books a wave to the stage it was polled in, sums across
+// shards, subtracts with Delta and clears with Reset.
+func TestWaveLedger(t *testing.T) {
+	r := NewRegistry(2)
+	r.Shard(0).Wave(StageLock, 2, 1, 14_900)
+	before := r.Snapshot()
+	r.Shard(0).Wave(StagePublish, 3, 0, 1_800)
+	r.Shard(1).Wave(StagePublish, 1, 0, 1_400)
+	r.Shard(1).Wave(StageRelease, 3, 0, 1_800)
+	d := r.Snapshot().Delta(before)
+	want := [NumStages]WaveStats{
+		StagePublish: {Waves: 2, WRs: 4, Nanos: 3_200},
+		StageRelease: {Waves: 1, WRs: 3, Nanos: 1_800},
+	}
+	if d.Stages != want {
+		t.Fatalf("delta = %+v, want %+v", d.Stages, want)
+	}
+	if lock := r.Snapshot().Stages[StageLock]; lock != (WaveStats{Waves: 1, WRs: 2, CASes: 1, Nanos: 14_900}) {
+		t.Fatalf("lock stage = %+v", lock)
+	}
+	r.Reset()
+	if got := r.Snapshot().Stages; got != [NumStages]WaveStats{} {
+		t.Fatalf("after Reset: %+v", got)
+	}
+	for st := 0; st < NumStages; st++ {
+		if Stage(st).String() == "" {
+			t.Fatalf("stage %d has no name", st)
+		}
+	}
+}
+
 func TestNilShardIsNoop(t *testing.T) {
 	var s *Shard
+	s.Wave(StageLock, 1, 1, 1)
 	s.Inc(EvTxCommit)
 	s.Add(EvRDMARead, 3)
 	s.Observe(PhaseTotal, 100)

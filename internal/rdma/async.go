@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"slices"
+
 	"drtm/internal/memory"
 	"drtm/internal/obs"
 )
@@ -19,8 +21,13 @@ import (
 // Fault injection is per-WR at completion time: each WR draws its own fault
 // when its wave completes, a failing WR contributes the completion timeout
 // to the wave's overlap charge and has NO side effect (fail-before-apply,
-// exactly like the sync verbs), and the other WRs of the wave complete
-// normally — partial completion, as on real hardware.
+// exactly like the sync verbs), and the WRs to other destinations complete
+// normally — partial completion, as on real hardware. The WRs posted BEHIND
+// the failed one to the same destination do not: a reliable connection that
+// completes a work request in error enters the error state and flushes the
+// rest of its send queue, so they complete with ErrFlushed and no effect
+// (see Poll). That is what lets a caller chain dependent WRITEs — value, then
+// unlock — in one doorbell: none can land past a predecessor that did not.
 //
 // The synchronous Try* verbs are thin wrappers: one WR, completed inline,
 // charged its own latency with the doorbell cost folded into the base verb
@@ -73,7 +80,7 @@ type WR struct {
 	Token        uint64   // caller cookie, untouched by the engine
 
 	// Completion fields, valid once Poll has returned the WR.
-	Err     error  // nil, ErrNodeUnreachable, ErrTimeout or ErrNoRegion
+	Err     error  // nil, ErrNodeUnreachable, ErrTimeout, ErrNoRegion, ErrFenced or ErrFlushed
 	Prev    uint64 // prior word value (CAS, FAA)
 	Swapped bool   // CAS succeeded
 	CostNS  int64  // this WR's own modeled completion latency
@@ -176,6 +183,10 @@ type SendQueue struct {
 	window  int
 	pending []*WR
 
+	// Stage is the transaction stage the poster is in: Poll books every wave
+	// to it in the worker's wave ledger (obs.Shard.Wave).
+	Stage obs.Stage
+
 	// WR pool: done holds the last batch's queue-allocated WRs until the
 	// next batch starts posting, then they move to free for reuse. spare
 	// double-buffers the pending slice so Poll's returned slice survives
@@ -184,6 +195,10 @@ type SendQueue struct {
 	free  []*WR
 	spare []*WR
 	costs []int64
+
+	// errNodes lists the destinations whose connection is in the error state
+	// for the rest of the Poll in progress (scratch, emptied by every Poll).
+	errNodes []int
 }
 
 // NewSendQueue creates a send queue with the given outstanding-WR window;
@@ -273,15 +288,24 @@ func (sq *SendQueue) PostLogAppend(node, region int, rec []uint64) *WR {
 // in waves of at most Window outstanding requests; each wave charges
 // max-of-completions plus the per-WR doorbell cost (Model.BatchOverlapNS)
 // and yields once, so overlapped verbs cost one scheduling point instead of
-// one per round trip. Within a wave side effects apply in post order, which
-// preserves the QP's in-order execution guarantee for same-destination
-// chains (e.g. value WRITE before unlock WRITE).
+// one per round trip.
+//
+// Ordering is the reliable connection's. Side effects apply in post order,
+// and once a WR to node N completes in error — any error — the connection to
+// N is in the error state until the Poll returns: every WR posted after it to
+// N, in this wave or a later one, completes with ErrFlushed — no side effect,
+// no fault draw, no verb counted, no latency beyond its doorbell — while WRs
+// to other nodes go on completing. So of a same-destination chain exactly a
+// prefix lands (value WRITE before unlock WRITE: never the unlock without the
+// value), under any window, and the caller re-drives the rest in post order.
+// The next Poll starts from a working connection.
 func (sq *SendQueue) Poll() []*WR {
 	wrs := sq.pending
 	sq.pending = sq.spare[:0]
 	sq.spare = wrs
 	costs := sq.costs[:0]
-	defer func() { sq.costs = costs[:0] }()
+	errNodes := sq.errNodes[:0]
+	defer func() { sq.costs, sq.errNodes = costs[:0], errNodes[:0] }()
 	for start := 0; start < len(wrs); start += sq.window {
 		end := start + sq.window
 		if end > len(wrs) {
@@ -289,15 +313,27 @@ func (sq *SendQueue) Poll() []*WR {
 		}
 		wave := wrs[start:end]
 		costs = costs[:0]
+		atomics := 0
 		for _, wr := range wave {
-			sq.qp.complete(wr)
+			if slices.Contains(errNodes, wr.Node) {
+				wr.Err, wr.Prev, wr.Swapped, wr.CostNS = ErrFlushed, 0, false, 0
+			} else {
+				if sq.qp.complete(wr); wr.Err != nil {
+					errNodes = append(errNodes, wr.Node)
+				}
+				if wr.Op == OpCAS || wr.Op == OpFAA {
+					atomics++
+				}
+			}
 			costs = append(costs, wr.CostNS)
 		}
+		ns := sq.qp.fabric.model.BatchOverlapNS(costs)
 		sq.qp.Stats.Batches.Add(1)
 		sq.qp.fabric.Totals.Batches.Add(1)
 		sq.qp.Obs.Inc(obs.EvRDMABatch)
 		sq.qp.Obs.Observe(obs.PhaseBatchOps, int64(len(wave)))
-		sq.qp.charge(sq.qp.fabric.model.BatchOverlapNS(costs))
+		sq.qp.Obs.Wave(sq.Stage, len(wave), atomics, ns)
+		sq.qp.charge(ns)
 		netYield()
 	}
 	for _, wr := range wrs {

@@ -1,7 +1,9 @@
 package rdma
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,11 +72,12 @@ func TestBatchWavesRespectWindow(t *testing.T) {
 	}
 }
 
-// Faults act per WR at completion time: inside one polled wave, failed WRs
-// report ErrTimeout with no memory side effect while their batch-mates
-// land, and the wave's charge absorbs the timeout.
+// Faults act per WR at completion time: inside one polled wave a failed WR
+// reports ErrTimeout with no memory side effect, everything posted behind it to
+// the same node is flushed, the WRs to the other node land, and the wave's
+// charge absorbs the timeout.
 func TestBatchPartialCompletionFault(t *testing.T) {
-	f := newTestFabric(2)
+	f := newTestFabric(3)
 	plan := NewFaultPlan(7)
 	plan.NodeRule(1, FaultRule{FailProb: 0.5})
 	f.SetFaultPlan(plan)
@@ -83,7 +86,7 @@ func TestBatchPartialCompletionFault(t *testing.T) {
 	sq := qp.NewSendQueue(16)
 
 	for i := 0; i < 16; i++ {
-		sq.PostWrite(1, 0, memory.Offset(i), []uint64{uint64(100 + i)})
+		sq.PostWrite(1+i%2, 0, memory.Offset(i), []uint64{uint64(100 + i)})
 	}
 	wrs := sq.Poll()
 
@@ -92,25 +95,160 @@ func TestBatchPartialCompletionFault(t *testing.T) {
 	plan.Clear()
 	for i, wr := range wrs {
 		var got [1]uint64
-		probe.Read(1, 0, memory.Offset(i), got[:])
-		if wr.Err != nil {
+		probe.Read(wr.Node, 0, memory.Offset(i), got[:])
+		switch {
+		case wr.Err != nil && wr.Node == 2:
+			t.Fatalf("WR %d to the fault-free node failed with %v", i, wr.Err)
+		case wr.Err != nil:
+			want := error(ErrFlushed)
+			if failed == 0 {
+				want = ErrTimeout
+			}
+			if wr.Err != want {
+				t.Fatalf("failure %d of the chain to node 1 (WR %d) is %v, want %v", failed+1, i, wr.Err, want)
+			}
 			failed++
 			if got[0] != 0 {
 				t.Fatalf("WR %d failed with %v but wrote %d", i, wr.Err, got[0])
 			}
-		} else {
+		default:
 			landed++
+			if failed > 0 && wr.Node == 1 {
+				t.Fatalf("WR %d landed on node 1 behind a failed one", i)
+			}
 			if got[0] != uint64(100+i) {
 				t.Fatalf("WR %d completed but memory = %d, want %d", i, got[0], 100+i)
 			}
 		}
 	}
-	if failed == 0 || landed == 0 {
-		t.Fatalf("want a partially completed wave, got failed=%d landed=%d", failed, landed)
+	if failed == 0 || landed <= 8 {
+		t.Fatalf("want a partially completed chain to node 1, got failed=%d landed=%d", failed, landed)
 	}
 	// A failed WR charges the full modeled timeout, which dominates the wave.
 	if got, min := clk.Now(), time.Duration(f.Model().TimeoutNS); got < min {
 		t.Fatalf("wave with faults charged %v, want >= timeout %v", got, min)
+	}
+}
+
+// scriptedProb is the fault probability of a scripted plan (scriptedSeed).
+const scriptedProb = 0.1
+
+// scriptedSeed searches for a plan seed that scripts faults: under a rule of
+// probability scriptedProb on the link 0 -> 1, of the first n matching verbs
+// exactly those at the given positions (counting from 1) fail. It asks a
+// throwaway fabric, so it leans on nothing but the plan's contract — a seed and
+// a verb sequence replay the same faults.
+func scriptedSeed(n int, fails ...int) int64 {
+	for seed := int64(1); ; seed++ {
+		f := newTestFabric(2)
+		plan := NewFaultPlan(seed)
+		plan.LinkRule(0, 1, FaultRule{FailProb: scriptedProb})
+		f.SetFaultPlan(plan)
+		qp := f.NewQP(0, nil)
+		var w [1]uint64
+		match := true
+		for i := 1; i <= n && match; i++ {
+			match = (qp.TryRead(1, 0, 0, w[:]) != nil) == slices.Contains(fails, i)
+		}
+		if match {
+			return seed
+		}
+	}
+}
+
+// The connection's error state, position by position: with the k-th of eight
+// chained WRITEs to node 1 scripted to fail, exactly the first k-1 land, the
+// k-th times out, the rest are flushed — memory untouched, no verb and no
+// fault counted for them, no fault drawn: the plan's next fault, scripted for
+// the link's very next verb, is still there for the Poll after — and the
+// WRITEs to node 2 posted between them all land. A window of 1 and a window of
+// 16 leave the same memory, and the error state ends with the Poll.
+func TestFlushBehindFailedWR(t *testing.T) {
+	const chain = 8
+	run := func(window, k int, seed int64) (mem [2][chain]uint64) {
+		f := newTestFabric(3)
+		plan := NewFaultPlan(seed)
+		plan.LinkRule(0, 1, FaultRule{FailProb: scriptedProb})
+		f.SetFaultPlan(plan)
+		qp := f.NewQP(0, nil)
+		sq := qp.NewSendQueue(window)
+		for i := 0; i < chain; i++ {
+			sq.PostWrite(1, 0, memory.Offset(i), []uint64{uint64(100 + i)})
+			sq.PostWrite(2, 0, memory.Offset(i), []uint64{uint64(200 + i)})
+		}
+		for i, wr := range sq.Poll() {
+			pos, want := i/2+1, error(nil)
+			switch {
+			case wr.Node == 1 && pos == k:
+				want = ErrTimeout
+			case wr.Node == 1 && pos > k:
+				want = ErrFlushed
+			}
+			if wr.Err != want {
+				t.Fatalf("window %d, fault at %d: WR %d to node %d completed with %v, want %v",
+					window, k, pos, wr.Node, wr.Err, want)
+			}
+		}
+		if w, n := qp.Stats.Writes.Load(), int64(chain+k-1); w != n {
+			t.Fatalf("window %d, fault at %d: %d WRITEs counted, want %d (flushed ones are not verbs)", window, k, w, n)
+		}
+		// The flushed WRs drew nothing: the link's verb k+1, scripted to fail,
+		// is the next one posted. And the error state does not outlive a Poll.
+		for i, want := range []error{ErrTimeout, nil} {
+			wr := sq.PostWrite(1, 0, chain, []uint64{7})
+			if sq.Poll(); wr.Err != want {
+				t.Fatalf("window %d, fault at %d: WRITE %d after the chain's Poll completed with %v, want %v", window, k, i+1, wr.Err, want)
+			}
+		}
+		if n := qp.Stats.Faults.Load(); n != 2 {
+			t.Fatalf("window %d, fault at %d: %d faults counted, want the two that were drawn", window, k, n)
+		}
+		for n := range mem {
+			qp.Read(1+n, 0, 0, mem[n][:])
+		}
+		return mem
+	}
+	for k := 1; k <= chain; k++ {
+		seed := scriptedSeed(2*chain, k, k+1)
+		wide, serial := run(16, k, seed), run(1, k, seed)
+		if wide != serial {
+			t.Fatalf("fault at %d: window 16 left %v, window 1 left %v", k, wide, serial)
+		}
+		for i := 0; i < chain; i++ {
+			want := uint64(100 + i)
+			if i+1 >= k {
+				want = 0
+			}
+			if wide[0][i] != want || wide[1][i] != uint64(200+i) {
+				t.Fatalf("fault at %d: word %d = %d on node 1 (want %d), %d on node 2 (want %d)",
+					k, i, wide[0][i], want, wide[1][i], 200+i)
+			}
+		}
+	}
+}
+
+// A CAS and an FAA flushed behind a failed WR report no prior value and no
+// swap, whatever an earlier use left in the work request.
+func TestFlushedAtomicsReportNothing(t *testing.T) {
+	f := newTestFabric(2)
+	plan := NewFaultPlan(1)
+	plan.LinkRule(0, 1, FaultRule{FailProb: 1})
+	f.SetFaultPlan(plan)
+	sq := f.NewQP(0, nil).NewSendQueue(0)
+	sq.PostWrite(1, 0, 0, []uint64{5})
+	cas := sq.Post(&WR{Op: OpCAS, Node: 1, Off: 1, Old: 0, New: 9, Prev: 3, Swapped: true})
+	faa := sq.PostFAA(1, 0, 2, 1)
+	sq.Poll()
+	for _, wr := range []*WR{cas, faa} {
+		if wr.Err != ErrFlushed || wr.Prev != 0 || wr.Swapped || wr.CostNS != 0 {
+			t.Fatalf("%v behind a failed WRITE: err %v prev %d swapped %v cost %d", wr.Op, wr.Err, wr.Prev, wr.Swapped, wr.CostNS)
+		}
+	}
+	plan.Clear()
+	var got [3]uint64
+	f.NewQP(0, nil).Read(1, 0, 0, got[:])
+	if got != [3]uint64{} {
+		t.Fatalf("memory = %v after a failed head and two flushed atomics, want untouched", got)
 	}
 }
 
@@ -123,6 +261,7 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 	f.SetFaultPlan(plan)
 
 	var wg sync.WaitGroup
+	var timeouts, flushed atomic.Int64
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -134,7 +273,13 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 					sq.PostFAA(2, 0, 0, 1)
 				}
 				for _, wr := range sq.Poll() {
-					if wr.Err != nil && wr.Err != ErrTimeout {
+					switch wr.Err {
+					case nil:
+					case ErrTimeout:
+						timeouts.Add(1)
+					case ErrFlushed:
+						flushed.Add(1)
+					default:
 						t.Errorf("goroutine %d: unexpected error %v", g, wr.Err)
 					}
 				}
@@ -146,8 +291,11 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 	plan.Clear()
 	var got [1]uint64
 	f.NewQP(0, nil).Read(2, 0, 0, got[:])
-	faults := f.Totals.Faults.Load()
-	if want := uint64(4*50*8) - uint64(faults); got[0] != want {
-		t.Fatalf("FAA sum = %d, want %d (1600 posts - %d faults)", got[0], want, faults)
+	if faults := f.Totals.Faults.Load(); faults != timeouts.Load() || faults == 0 || flushed.Load() == 0 {
+		t.Fatalf("%d faults counted for %d timeouts and %d flushed WRs: want one per timeout, and some of each",
+			faults, timeouts.Load(), flushed.Load())
+	}
+	if want := uint64(4*50*8 - timeouts.Load() - flushed.Load()); got[0] != want {
+		t.Fatalf("FAA sum = %d, want %d (1600 posts - %d timeouts - %d flushed)", got[0], want, timeouts.Load(), flushed.Load())
 	}
 }

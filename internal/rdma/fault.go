@@ -26,6 +26,12 @@ var (
 	// promotion). The append had no effect; the appender must refresh its
 	// view before retrying.
 	ErrFenced = errors.New("rdma: log append fenced by view epoch")
+	// ErrFlushed reports a work request that was never attempted: an earlier
+	// work request of the same Poll to the same node completed in error, which
+	// put the connection in the error state and flushed everything queued
+	// behind it (SendQueue.Poll). It says nothing about the target word or the
+	// node — the request had no effect and can be issued again.
+	ErrFlushed = errors.New("rdma: work request flushed behind a failed one")
 )
 
 // FaultRule describes the behavior of one node or link under a FaultPlan.

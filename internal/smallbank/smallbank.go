@@ -188,6 +188,16 @@ type Client struct {
 	// NetDeposits tracks money created/destroyed by DC/WC/TS for the
 	// conservation check.
 	NetDeposits int64
+	// bal is the one-word row the bodies hand to Local.Write, which copies
+	// it: one word per client instead of one slice per write.
+	bal [1]uint64
+}
+
+// row returns v as a one-word row in the client's scratch, valid until the
+// next call.
+func (c *Client) row(v uint64) []uint64 {
+	c.bal[0] = v
+	return c.bal[:]
 }
 
 // NewClient binds a client to an executor.
@@ -291,10 +301,10 @@ func (c *Client) SendPayment(from, to, amt uint64) error {
 			if f[0] < amt {
 				return nil // insufficient funds: no-op commit
 			}
-			if err := lc.Write(TableChecking, from, []uint64{f[0] - amt}); err != nil {
+			if err := lc.Write(TableChecking, from, c.row(f[0]-amt)); err != nil {
 				return err
 			}
-			return lc.Write(TableChecking, to, []uint64{g[0] + amt})
+			return lc.Write(TableChecking, to, c.row(g[0]+amt))
 		})
 	})
 }
@@ -360,7 +370,7 @@ func (c *Client) TransactSavings(acct, amt uint64) error {
 			if err != nil {
 				return err
 			}
-			return lc.Write(TableSavings, acct, []uint64{s[0] + amt})
+			return lc.Write(TableSavings, acct, c.row(s[0]+amt))
 		})
 	})
 	if err == nil {
@@ -399,13 +409,13 @@ func (c *Client) Amalgamate(a, b uint64) error {
 				return err
 			}
 			sum := s[0] + k[0]
-			if err := lc.Write(TableSavings, a, []uint64{0}); err != nil {
+			if err := lc.Write(TableSavings, a, c.row(0)); err != nil {
 				return err
 			}
-			if err := lc.Write(TableChecking, a, []uint64{0}); err != nil {
+			if err := lc.Write(TableChecking, a, c.row(0)); err != nil {
 				return err
 			}
-			return lc.Write(TableChecking, b, []uint64{g[0] + sum})
+			return lc.Write(TableChecking, b, c.row(g[0]+sum))
 		})
 	})
 }
@@ -424,7 +434,7 @@ func (c *Client) rmwChecking(acct uint64, f func(uint64) (uint64, bool)) error {
 			if !ok {
 				return nil
 			}
-			return lc.Write(TableChecking, acct, []uint64{nv})
+			return lc.Write(TableChecking, acct, c.row(nv))
 		})
 	})
 }

@@ -197,6 +197,9 @@ type Client struct {
 	rng *rand.Rand
 	// Counts of committed ops by name.
 	Counts map[string]int64
+	// row is the SUBSCRIBER row the update bodies hand to Local.Write, which
+	// copies it: one array per client instead of one slice per write.
+	row [3]uint64
 }
 
 // NewClient binds a client to an executor.
@@ -285,7 +288,8 @@ func (c *Client) UpdateLocation(subNbr, loc uint64) error {
 			if err != nil {
 				return err
 			}
-			return lc.Write(TableSubscriber, sid, []uint64{v[0], v[1], loc})
+			c.row = [3]uint64{v[0], v[1], loc}
+			return lc.Write(TableSubscriber, sid, c.row[:])
 		})
 	})
 	if err == tx.ErrNotFound {
@@ -328,7 +332,8 @@ func (c *Client) ToggleSpecialFacility(sid uint64, sfType int) error {
 			} else {
 				mask |= bit
 			}
-			return lc.Write(TableSubscriber, sid, []uint64{v[0], mask, v[2]})
+			c.row = [3]uint64{v[0], mask, v[2]}
+			return lc.Write(TableSubscriber, sid, c.row[:])
 		})
 	})
 	if err == tx.ErrNotFound {

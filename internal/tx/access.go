@@ -25,6 +25,7 @@ import (
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
+	"drtm/internal/rdma"
 )
 
 // recHandle addresses one record's entry. The logical coordinates come from
@@ -80,8 +81,8 @@ func (e *Executor) chainDepth(h *recHandle) int {
 // resolve fills in the handle's location through the index that owns the
 // record: the local shard directly, a remote hash table by the one-sided
 // bucket walk (through the location cache), a remote ordered table by the
-// shipped tree lookup (Section 6.5). found is false when the key is not in
-// the index; the error is ErrNodeDown.
+// shipped tree lookup (Section 6.5), retried under the acquisition-side policy.
+// found is false when the key is not in the index; the error is ErrNodeDown.
 func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 	local := h.node == e.w.Node.ID
 	switch {
@@ -97,7 +98,11 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 		}
 	default:
 		var loc kvs.Loc
-		loc, found, err = e.hashTable(h).LookupRemoteInto(e.w.QP, e.cacheFor(h.node, h.region), h.key, &e.bktBuf)
+		err = e.verbRetry(func() error {
+			var lerr error
+			loc, found, lerr = e.hashTable(h).LookupRemoteInto(e.w.QP, e.cacheFor(h.node, h.region), h.key, &e.bktBuf)
+			return lerr
+		})
 		h.off, h.lossy = loc.Off, uint16(loc.Lossy)
 	}
 	if err != nil {
@@ -376,6 +381,26 @@ func (e *Executor) readEntry(h *recHandle, vw, depth int) ([]uint64, error) {
 		return nil, ErrNodeDown
 	}
 	return words, nil
+}
+
+// pollReads polls the wave of READs posted on sq and re-drives, under the
+// bounded retry policy, those that failed or were flushed behind one that did
+// (never attempted: no verdict about the record). It returns the work requests
+// in post order, and false when a host stayed unreachable.
+func (e *Executor) pollReads(sq *rdma.SendQueue) ([]*rdma.WR, bool) {
+	wrs := sq.Poll()
+	for _, wr := range wrs {
+		if wr.Err == nil {
+			continue
+		}
+		if err := e.verbRetry(func() error {
+			return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, wr.Dst)
+		}); err != nil {
+			return wrs, false
+		}
+		wr.Err = nil
+	}
+	return wrs, true
 }
 
 // imgVerdict is the outcome of checking a fetched entry image, ordered by how

@@ -1,0 +1,423 @@
+package tx
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"drtm/internal/clock"
+	"drtm/internal/cluster"
+	"drtm/internal/kvs"
+	"drtm/internal/memory"
+	"drtm/internal/obs"
+	"drtm/internal/rdma"
+	"drtm/internal/vtime"
+)
+
+// The release side is one doorbell chain of WRITEs (Tx.commitRemotes,
+// Tx.postWave): these tests walk a fault through every position of it under
+// concurrent readers, pin the wave count, and pin who may still free a lock
+// that changed hands.
+
+// chainRig is three nodes of three workers holding two-line rows (wideWords value words behind
+// a three-word header) with version chains on: key k is homed on node k%3.
+// Leases are short, so writers wait readers out in fractions of a millisecond.
+func chainRig(t *testing.T, keys int, mut func(*cluster.Config)) (*Runtime, func()) {
+	t.Helper()
+	rt, stop := newRig(t, 3, 3, 0, func(c *cluster.Config) {
+		c.LeaseMicros, c.ROLeaseMicros, c.MVCCDepth = 400, 400, 4
+		if mut != nil {
+			mut(c)
+		}
+	})
+	rt.DefineUnordered(tblWideHash, 64, 64, keys+16, wideWords)
+	for k := 1; k <= keys; k++ {
+		if err := rt.C.Node(k%3).Unordered(tblWideHash).Insert(uint64(k), wideVal(wideBalance)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rt, stop
+}
+
+// scriptFault installs a fault plan that fails exactly the k-th of the next
+// verbs node 0 issues against node 1 (of the next k+24, the rest complete). The
+// plan is probabilistic and seeded; the seed is found, once per k, by asking a
+// throwaway fabric which of its verbs fail, so the script leans on nothing but
+// the plan's contract: a seed and a verb sequence replay the same faults. A
+// work request flushed behind the failed one draws nothing and does not count.
+func scriptFault(rt *Runtime, k int) {
+	rule := rdma.FaultRule{FailProb: 0.1}
+	scriptedMu.Lock()
+	seed, ok := scriptedSeeds[k]
+	for !ok {
+		seed++
+		f := rdma.NewFabric(2, vtime.DefaultModel(), rdma.AtomicHCA)
+		f.Register(1, 0, memory.NewArena(1, 8))
+		plan := rdma.NewFaultPlan(seed)
+		plan.LinkRule(0, 1, rule)
+		f.SetFaultPlan(plan)
+		qp := f.NewQP(0, nil)
+		var w [1]uint64
+		ok = true
+		for i := 1; i <= k+24 && ok; i++ {
+			ok = (qp.TryRead(1, 0, 0, w[:]) != nil) == (i == k)
+		}
+	}
+	scriptedSeeds[k] = seed
+	scriptedMu.Unlock()
+	plan := rdma.NewFaultPlan(seed)
+	plan.LinkRule(0, 1, rule)
+	rt.C.Fabric.SetFaultPlan(plan)
+}
+
+var (
+	scriptedMu    sync.Mutex
+	scriptedSeeds = map[int]int64{}
+)
+
+// wideImage reads key's whole entry + chain image the way a one-sided READ
+// does: line by line, each line consistent, ascending.
+func wideImage(t *testing.T, rt *Runtime, key uint64, img []uint64) (*memory.Arena, memory.Offset) {
+	host := rt.C.Node(int(key) % 3).Unordered(tblWideHash)
+	off, ok := host.LookupLocal(key)
+	if !ok {
+		t.Errorf("key %d missing", key) // Errorf: the prober is not the test's goroutine
+	}
+	host.Arena().Read(img, off)
+	return host.Arena(), off
+}
+
+// transfer moves one unit from row `from` to row `to`; arm, if not nil, runs as
+// the body's last step — after it, the transaction's next verbs are its commit
+// wave's.
+func transfer(e *Executor, from, to uint64, arm func()) error {
+	return e.Exec(func(tx *Tx) error {
+		if err := tx.Stage(Access{Table: tblWideHash, Key: from, Write: true},
+			Access{Table: tblWideHash, Key: to, Write: true}); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error {
+			f, err := lc.Read(tblWideHash, from)
+			if err != nil {
+				return err
+			}
+			g, err := lc.Read(tblWideHash, to)
+			if err != nil {
+				return err
+			}
+			if err := lc.Write(tblWideHash, from, wideVal(f[0]-1)); err != nil {
+				return err
+			}
+			if err := lc.Write(tblWideHash, to, wideVal(g[0]+1)); err != nil {
+				return err
+			}
+			if arm != nil {
+				arm()
+			}
+			return nil
+		})
+	})
+}
+
+// TestCommitChainUnderFaults fails the k-th work request of the commit chain
+// for every k — two chained two-line rows on one host: per row the tail pair,
+// the retired slot, the value, then `incver ‖ INIT` — while a lease reader, a
+// speculative reader and a snapshot reader audit the transfer invariant from a
+// third node and a prober reads raw images. The one writer moves one unit per
+// commit, so a row's value is a function of its version, and the prober can
+// tell a pre-commit value wherever it may not be: in an image whose header is
+// not write-locked, and in an image whose head and tail agree. Every
+// transaction that returned nil is fully installed: value, version, chain
+// sealed, lock gone. Then the abort path: a fault at each position of a
+// three-lock release wave loses no unlock.
+func TestCommitChainUnderFaults(t *testing.T) {
+	const a, b = 1, 4 // both homed on node 1
+	rt, stop := chainRig(t, 15, nil)
+	defer stop()
+	writer := rt.Executor(0, 0)
+	const chainWRs = 8 // the insert stamped the rows: every commit retires a slot
+	imgWords := kvs.EntryImageWords(wideWords, 4)
+	tailAt := imgWords - kvs.TailWords
+	img := make([]uint64, imgWords)
+	var base [2]uint64 // each row's version at balance wideBalance
+	for i, k := range []uint64{a, b} {
+		wideImage(t, rt, k, img)
+		base[i] = uint64(kvs.Version(img[kvs.EntryIncVerWord]))
+	}
+	// valueAt is the balance row i (0 = a, 1 = b) holds at a version.
+	valueAt := func(i int, incver uint64) uint64 {
+		moved := uint64(kvs.Version(incver)) - base[i]
+		if i == 0 {
+			return wideBalance - moved
+		}
+		return wideBalance + moved
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	var audits [3]atomic.Int64
+	for i, p := range []ReadPolicy{PolicyLease, PolicySpeculative, PolicyMVCC} {
+		wg.Add(1)
+		go func(i int, p ReadPolicy) {
+			defer wg.Done()
+			ex := rt.Executor(2, i)
+			for !done.Load() {
+				var va, vb []uint64
+				err := ex.ExecROWith(p, func(ro *RO) error {
+					var err error
+					if va, err = ro.Read(tblWideHash, a); err != nil {
+						return err
+					}
+					vb, err = ro.Read(tblWideHash, b)
+					return err
+				})
+				if err != nil {
+					t.Errorf("%v reader: %v", p, err)
+					return
+				}
+				for _, v := range [][]uint64{va, vb} {
+					for _, w := range v[1:] {
+						if w != v[0] {
+							t.Errorf("%v reader: torn row %v", p, v)
+							return
+						}
+					}
+				}
+				if va[0]+vb[0] != 2*wideBalance {
+					t.Errorf("%v reader: %d + %d, want %d: half a commit", p, va[0], vb[0], 2*wideBalance)
+					return
+				}
+				audits[i].Add(1)
+				runtime.Gosched()
+			}
+		}(i, p)
+	}
+	wg.Add(1)
+	go func() { // the prober
+		defer wg.Done()
+		img := make([]uint64, imgWords)
+		for !done.Load() {
+			for i, k := range []uint64{a, b} {
+				_, off := wideImage(t, rt, k, img)
+				head, val := img[kvs.EntryIncVerWord], img[kvs.EntryValueWord:kvs.EntryValueWord+wideWords]
+				want := valueAt(i, head)
+				if !clock.IsWriteLocked(img[kvs.EntryStateWord]) {
+					// The header's line, read as of one instant.
+					for j, w := range val {
+						if memory.LineOf(off+memory.Offset(kvs.EntryValueWord+j)) == memory.LineOf(off) && w != want {
+							t.Errorf("row %d unlocked at version %d with value word %d = %d, want %d", k, kvs.Version(head), j, w, want)
+							return
+						}
+					}
+				}
+				if head == img[tailAt+kvs.TailIncVerWord] {
+					for j, w := range val {
+						if w != want {
+							t.Errorf("row %d: head and tail agree on version %d around value word %d = %d, want %d", k, kvs.Version(head), j, w, want)
+							return
+						}
+					}
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	// At least six rounds of every position, and on until each reader has
+	// committed audits beside them.
+	audited := func() bool {
+		for i := range audits {
+			if audits[i].Load() < 8 {
+				return false
+			}
+		}
+		return true
+	}
+	moved := uint64(0)
+	deadline := time.Now().Add(20 * time.Second)
+	for round := 0; (round < 6 || !audited()) && time.Now().Before(deadline) && !t.Failed(); round++ {
+		for k := 1; k <= chainWRs; k++ {
+			faults := rt.C.Fabric.Totals.Faults.Load()
+			err := transfer(writer, a, b, func() { scriptFault(rt, k) })
+			rt.C.Fabric.SetFaultPlan(nil)
+			if err != nil {
+				t.Fatalf("fault at %d: %v", k, err)
+			}
+			if n := rt.C.Fabric.Totals.Faults.Load() - faults; n != 1 {
+				t.Fatalf("fault at %d: %d faults drawn, want the scripted one", k, n)
+			}
+			moved++
+			if audits[0].Load() < 8 {
+				time.Sleep(200 * time.Microsecond) // let a lease in between two locks
+			}
+			for i, key := range []uint64{a, b} {
+				wideImage(t, rt, key, img)
+				head := img[kvs.EntryIncVerWord]
+				if uint64(kvs.Version(head)) != base[i]+moved || clock.IsWriteLocked(img[kvs.EntryStateWord]) ||
+					img[tailAt+kvs.TailIncVerWord] != head {
+					t.Fatalf("fault at %d: row %d committed as head %#x state %#x tail %#x, want version %d, unlocked, sealed",
+						k, key, head, img[kvs.EntryStateWord], img[tailAt+kvs.TailIncVerWord], base[i]+moved)
+				}
+				for j, w := range img[kvs.EntryValueWord : kvs.EntryValueWord+wideWords] {
+					if w != valueAt(i, head) {
+						t.Fatalf("fault at %d: row %d value word %d = %d after the commit returned, want %d", k, key, j, w, valueAt(i, head))
+					}
+				}
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if !audited() && !t.Failed() {
+		t.Errorf("readers committed %d, %d and %d audits beside %d faulted commits, want 8 each",
+			audits[0].Load(), audits[1].Load(), audits[2].Load(), moved)
+	}
+
+	// The abort path: three locks on node 1, released in one wave with a fault
+	// at each position. What fails or is flushed is re-driven; no lock stays.
+	for k := 1; k <= 3; k++ {
+		tx := writer.newTx()
+		if err := tx.Stage(Access{Table: tblWideHash, Key: 7, Write: true}, Access{Table: tblWideHash, Key: 10, Write: true},
+			Access{Table: tblWideHash, Key: 13, Write: true}); err != nil {
+			t.Fatalf("abort, fault at %d: %v", k, err)
+		}
+		scriptFault(rt, k)
+		tx.releaseLocks()
+		rt.C.Fabric.SetFaultPlan(nil)
+		for _, key := range []uint64{7, 10, 13} {
+			wideImage(t, rt, key, img)
+			if s := img[kvs.EntryStateWord]; clock.IsWriteLocked(s) {
+				t.Fatalf("abort, fault at %d: row %d still locked (%#x)", k, key, s)
+			}
+		}
+	}
+}
+
+// TestCleanReleaseNeverClobbers: a clean release is a blind WRITE of the free
+// word, so it must never be issued for a lock that can have changed hands. Node
+// 1 takes two clean write locks on node 0 and crashes before its commit;
+// recovery frees them from the lock-ahead log and a survivor on node 2 locks
+// the rows again. The zombie's commit and its abort path then release "their"
+// locks: the WRITEs fail at the dead source, the re-drive is mustUnlock's
+// owner-guarded CAS — applied at once when the host is up, parked and drained
+// at its revival when it is down too — and the survivor's lock words stand.
+func TestCleanReleaseNeverClobbers(t *testing.T) {
+	for _, hostDown := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hostDown=%v", hostDown), func(t *testing.T) {
+			rt, stop := chainRig(t, 9, func(c *cluster.Config) {
+				c.Durability = true
+				c.LogWords = 1 << 16
+			})
+			defer stop()
+			const viaCommit, viaAbort = 3, 6 // homed on node 0
+			zombie := rt.Executor(1, 0)
+			var txs []*Tx
+			for _, key := range []uint64{viaCommit, viaAbort} {
+				tx := zombie.newTx()
+				if err := tx.W(tblWideHash, key); err != nil {
+					t.Fatal(err)
+				}
+				tx.logAheadOfRegion()
+				tx.snapshotWriteBufs()
+				txs = append(txs, tx)
+			}
+			rt.C.Crash(1)
+			if rep := rt.Recover(1); rep.Unlocked != 2 {
+				t.Fatalf("recovery freed %d locks, want 2", rep.Unlocked)
+			}
+			survivor := rt.Executor(2, 0).newTx()
+			if err := survivor.Stage(Access{Table: tblWideHash, Key: viaCommit, Write: true},
+				Access{Table: tblWideHash, Key: viaAbort, Write: true}); err != nil {
+				t.Fatal(err)
+			}
+			img := make([]uint64, kvs.EntryValueWord)
+			check := func(when string) {
+				t.Helper()
+				for _, key := range []uint64{viaCommit, viaAbort} {
+					wideImage(t, rt, key, img)
+					if s := img[kvs.EntryStateWord]; s != clock.WLocked(2) {
+						t.Fatalf("%s: row %d state %#x, want the survivor's lock %#x", when, key, s, clock.WLocked(2))
+					}
+				}
+			}
+			check("after the survivor locked")
+			if hostDown {
+				rt.C.Crash(0)
+			}
+			txs[0].commitRemotes() // clean write lock: the commit's release
+			txs[1].releaseLocks()  // the abort path's
+			check("after the zombie's releases")
+			if hostDown {
+				if n := rt.PendingOps(0); n != 2 {
+					t.Fatalf("%d release steps parked for the dead host, want 2", n)
+				}
+				rt.C.Revive(0)
+				if n := rt.FlushPending(0); n != 2 {
+					t.Fatalf("revival drained %d parked steps, want 2", n)
+				}
+				check("after the parked releases drained")
+			}
+			survivor.releaseLocks()
+			for _, key := range []uint64{viaCommit, viaAbort} {
+				wideImage(t, rt, key, img)
+				if s := img[kvs.EntryStateWord]; s != clock.Init {
+					t.Fatalf("row %d state %#x after the survivor released, want free", key, s)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitIsOneDoorbell: everything a distributed read-write transaction
+// posts after its serialization point is one polled wave — two with
+// replication, whose redo append keeps its own wave ahead of every release —
+// and so is an abort's release of three remote locks.
+func TestCommitIsOneDoorbell(t *testing.T) {
+	for _, repl := range []int{0, 1} {
+		t.Run(fmt.Sprintf("f=%d", repl), func(t *testing.T) {
+			rt, stop := chainRig(t, 9, func(c *cluster.Config) { c.ReplicationFactor = repl })
+			defer stop()
+			e := rt.Executor(0, 0)
+			batches := func() int64 { return rt.C.Obs.Total(obs.EvRDMABatch) }
+			// Rows 1 and 4 live on node 1: per row the tail pair, the retired
+			// slot, the value and the release.
+			for i := 0; i < 2; i++ {
+				var before int64
+				if err := transfer(e, 1, 4, func() { before = batches() }); err != nil {
+					t.Fatal(err)
+				}
+				if n := batches() - before; n != int64(1+repl) {
+					t.Fatalf("commit %d: %d polled waves past the serialization point, want %d", i, n, 1+repl)
+				}
+			}
+			stages := rt.C.Obs.Snapshot().Stages
+			if w := stages[obs.StagePublish]; w.Waves != 2 || w.WRs != 2*8 || w.CASes != 0 {
+				t.Fatalf("publish stage = %+v, want 2 waves of 8 WRITEs", w)
+			}
+			if w := stages[obs.StageReplicate]; w.Waves != int64(2*repl) {
+				t.Fatalf("replicate stage = %+v, want %d waves", w, 2*repl)
+			}
+
+			tx := e.newTx()
+			if err := tx.Stage(Access{Table: tblWideHash, Key: 1, Write: true}, Access{Table: tblWideHash, Key: 4, Write: true},
+				Access{Table: tblWideHash, Key: 2, Write: true}); err != nil { // nodes 1, 1 and 2
+				t.Fatal(err)
+			}
+			before, cas := batches(), rt.C.Obs.Total(obs.EvRDMACAS)
+			tx.releaseLocks()
+			if n, c := batches()-before, rt.C.Obs.Total(obs.EvRDMACAS)-cas; n != 1 || c != 0 {
+				t.Fatalf("abort holding three remote locks: %d polled waves and %d CASes, want 1 and 0", n, c)
+			}
+			img := make([]uint64, kvs.EntryValueWord)
+			for _, key := range []uint64{1, 4, 2} {
+				wideImage(t, rt, key, img)
+				if s := img[kvs.EntryStateWord]; s != clock.Init {
+					t.Fatalf("row %d state %#x after the abort, want free", key, s)
+				}
+			}
+		})
+	}
+}

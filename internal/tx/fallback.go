@@ -102,12 +102,14 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 func (t *Tx) restage() []*remoteRec {
 	e := t.e
 	recs := t.remotes
+	t.cops = t.cops[:0]
 	for _, r := range recs {
 		if r.write {
-			t.unlockRemote(r)
+			t.unlock(r)
 		}
 		r.spec = false // take sets the rest of what the Start phase left in it
 	}
+	t.postWave(obs.StageRelease)
 	clear(t.rIndex)
 	local := func(table, region, part int, key uint64, ordered, write bool) *remoteRec {
 		r := e.getRec()

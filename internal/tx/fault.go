@@ -17,7 +17,9 @@ import (
 //     retry timeouts a bounded number of times with jittered exponential
 //     backoff charged to virtual time; an unreachable node — or an
 //     exhausted retry budget — aborts the transaction with ErrNodeDown
-//     after releasing every lock it holds.
+//     after releasing every lock it holds. A polled work request that
+//     failed, or was flushed behind one that did (rdma.ErrFlushed: never
+//     attempted), is re-driven under the same policy.
 //
 //   - Release-side verbs (unlock, commit write-back, deferred store ops)
 //     run AFTER the transaction's serialization point, so they must never
@@ -25,6 +27,8 @@ import (
 //     node are parked in the runtime's pending queue. Recovery (or the
 //     node's revival) drains the queue, so a committed transaction's
 //     effects are never lost — the invariant the chaos experiment checks.
+//     They go out as one doorbell chain of WRITEs (Tx.postWave); the must*
+//     helpers are its re-drive.
 
 // verbRetries bounds acquisition-side retries of transient verb faults.
 const verbRetries = 6
@@ -83,11 +87,13 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 	}
 }
 
-// mustUnlock releases one exclusive lock with an owner-guarded CAS
-// (WLocked(self) -> Init) rather than a blind WRITE: if recovery already
-// freed the lock and a survivor re-locked the record, a late unlock from
-// this (possibly zombie) transaction must not clobber the new owner. A
-// failed compare means the lock is already gone — done either way.
+// mustUnlock is the re-drive of a clean release whose WRITE did not complete:
+// an owner-guarded CAS (WLocked(self) -> Init) rather than the blind WRITE.
+// The WRITE fails when a machine on the path is down — this one included —
+// and from then on recovery may free the lock and a survivor re-lock the
+// record: a late unlock from this (possibly zombie) transaction must not
+// clobber the new owner, now or when the parked step drains. A failed compare
+// means the lock is already gone — done either way.
 func (e *Executor) mustUnlock(node, table int, off memory.Offset) {
 	locked := clock.WLocked(uint8(e.w.Node.ID))
 	for attempt := 0; ; attempt++ {

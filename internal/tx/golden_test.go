@@ -53,10 +53,14 @@ func goldenRig(t *testing.T, p ReadPolicy) (*Runtime, *Executor) {
 // single-worker script under each read policy. It is the refactor oracle of
 // the record-access path: the rows were captured on the commit before the
 // acquisition state machine and the entry-image check were factored out, and
-// must not move. (Moved once on purpose, in the ns column only: Stage8's local
-// read-then-write stopped paying a second hash probe when declared local
-// records began to memoize their location per attempt; EXPERIMENTS.md has
-// both tables.)
+// must not move. (Moved twice on purpose; EXPERIMENTS.md has the tables. Once in
+// the ns column only: Stage8's local read-then-write stopped paying a second
+// hash probe when declared local records began to memoize their location per
+// attempt. Once when the release side became one doorbell chain of WRITEs: a
+// commit polls one wave instead of two, and every scripted release of a held
+// lock is a WRITE in a polled wave where it was a serial unlock CAS — READs,
+// messages and lock-stage CASes identical, modeled ns lower in every moved
+// cell.)
 func TestHashPathGolden(t *testing.T) {
 	want := map[ReadPolicy][]goldenRow{
 		PolicyLease:       goldenLease,
@@ -262,65 +266,65 @@ func runGoldenScript(t *testing.T, p ReadPolicy) []goldenRow {
 var (
 	goldenLease = []goldenRow{
 		{16774, 2, 1, 0, 2, 0, ""},                                // R
-		{19782, 2, 1, 3, 4, 0, ""},                                // W
-		{24750, 12, 6, 12, 4, 0, ""},                              // Stage8
+		{18578, 2, 1, 3, 3, 0, ""},                                // W
+		{23546, 12, 6, 12, 3, 0, ""},                              // Stage8
 		{1719, 1, 0, 0, 1, 0, "tx: record not found"},             // not found
 		{16619, 2, 1, 0, 2, 0, ""},                                // lease share (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // leased (write)
 		{31519, 3, 2, 0, 3, 0, ""},                                // expired takeover (read)
-		{46019, 3, 3, 0, 3, 0, ""},                                // expired takeover (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (write)
 		{62319, 8, 6, 0, 5, 0, ""},                                // takeover lost (read)
-		{47019, 6, 5, 0, 3, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
-		{46019, 3, 3, 0, 3, 0, ""},                                // lease->lock upgrade
-		{32825, 3, 2, 0, 3, 0, ""},                                // spec->lock upgrade
+		{33920, 6, 4, 1, 4, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
+		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
 	}
 	goldenSpec = []goldenRow{
 		{5282, 3, 0, 0, 3, 0, ""},                                 // R
-		{19782, 2, 1, 3, 4, 0, ""},                                // W
-		{27758, 14, 4, 12, 6, 0, ""},                              // Stage8
+		{18578, 2, 1, 3, 3, 0, ""},                                // W
+		{26554, 14, 4, 12, 5, 0, ""},                              // Stage8
 		{1719, 1, 0, 0, 1, 0, "tx: record not found"},             // not found
 		{3425, 2, 0, 0, 2, 0, ""},                                 // lease share (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // leased (write)
 		{3425, 2, 0, 0, 2, 0, ""},                                 // expired takeover (read)
-		{46019, 3, 3, 0, 3, 0, ""},                                // expired takeover (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (write)
 		{62319, 8, 6, 0, 5, 0, ""},                                // takeover lost (read)
-		{47019, 6, 5, 0, 3, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
-		{46019, 3, 3, 0, 3, 0, ""},                                // lease->lock upgrade
-		{32825, 3, 2, 0, 3, 0, ""},                                // spec->lock upgrade
+		{33920, 6, 4, 1, 4, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
+		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
 		{3425, 2, 0, 0, 2, 0, "tx: conflict, retry transaction"},  // write-locked (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
 	}
 	goldenExclusive = []goldenRow{
-		{31474, 2, 2, 0, 3, 0, ""},                                // R
-		{19782, 2, 1, 3, 4, 0, ""},                                // W
-		{38446, 12, 8, 12, 4, 0, ""},                              // Stage8
+		{18175, 2, 1, 1, 3, 0, ""},                                // R
+		{18578, 2, 1, 3, 3, 0, ""},                                // W
+		{23946, 12, 6, 14, 3, 0, ""},                              // Stage8
 		{1719, 1, 0, 0, 1, 0, "tx: record not found"},             // not found
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // lease share (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // leased (write)
-		{46019, 3, 3, 0, 3, 0, ""},                                // expired takeover (read)
-		{46019, 3, 3, 0, 3, 0, ""},                                // expired takeover (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (read)
+		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (write)
 		{62319, 8, 6, 0, 5, 0, ""},                                // takeover lost (read)
-		{47019, 6, 5, 0, 3, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
-		{46019, 3, 3, 0, 3, 0, ""},                                // lease->lock upgrade
-		{32825, 3, 2, 0, 3, 0, ""},                                // spec->lock upgrade
+		{33920, 6, 4, 1, 4, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
+		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
 	}
 	goldenAdaptive = []goldenRow{
 		{5282, 3, 0, 0, 3, 0, ""},                                 // R
-		{19782, 2, 1, 3, 4, 0, ""},                                // W
-		{27758, 14, 4, 12, 6, 0, ""},                              // Stage8
+		{18578, 2, 1, 3, 3, 0, ""},                                // W
+		{26554, 14, 4, 12, 5, 0, ""},                              // Stage8
 		{1719, 1, 0, 0, 1, 0, "tx: record not found"},             // not found
 		{3425, 2, 0, 0, 2, 0, ""},                                 // lease share (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // leased (write)
 		{3425, 2, 0, 0, 2, 0, ""},                                 // expired takeover (read)
-		{46019, 3, 3, 0, 3, 0, ""},                                // expired takeover (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (write)
 		{62319, 8, 6, 0, 5, 0, ""},                                // takeover lost (read)
-		{47019, 6, 5, 0, 3, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
-		{46019, 3, 3, 0, 3, 0, ""},                                // lease->lock upgrade
-		{32825, 3, 2, 0, 3, 0, ""},                                // spec->lock upgrade
+		{33920, 6, 4, 1, 4, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
+		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
+		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
 		{3425, 2, 0, 0, 2, 0, "tx: conflict, retry transaction"},  // write-locked (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
 	}

@@ -130,7 +130,9 @@ func (lc *Local) ReadWord(table int, key uint64, idx int) (uint64, error) {
 
 // Write replaces the record's value. Staged remote writes update the
 // private buffer (written back after commit); local writes go through the
-// HTM region with the Figure 6 checks.
+// HTM region with the Figure 6 checks. val is copied on every path and not
+// retained: the caller may reuse it — a scratch array it owns — for its next
+// write.
 func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	k := refKey{table, key}
 	if r, ok := lc.t.rIndex[k]; ok {

@@ -513,7 +513,7 @@ func (t *Tx) applyRemovals() {
 // otherwise. It consumes ops (a sent entry's node is overwritten).
 func (e *Executor) removeDead(ops []removalOp) {
 	e.w.Obs.Add(obs.EvRemoveDead, int64(len(ops)))
-	window := e.sendq().Window()
+	window := e.window()
 	for i := range ops {
 		node := ops[i].node
 		switch {

@@ -236,49 +236,41 @@ func (ro *RO) confirmRemote(n int) bool {
 		e.hdrBuf = make([]uint64, n*3)
 	}
 	remote := func(r *remoteRec) bool { return r.spec && r.node != e.w.Node.ID }
-	sq := e.sendq()
-	wrs := e.activeWR[:0]
+	sq := e.sendq(obs.StageValidate)
 	for _, r := range ro.recs {
 		if !remote(r) {
 			continue
 		}
-		i := len(wrs)
+		i := sq.Pending()
 		if r.ordered {
-			wrs = append(wrs, sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord,
-				e.hdrBuf[i*3:i*3+3]))
+			sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord, e.hdrBuf[i*3:i*3+3])
 		} else {
-			wrs = append(wrs, sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off),
-				e.hdrBuf[i*3:i*3+kvs.EntryHeaderWords]))
+			sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off), e.hdrBuf[i*3:i*3+kvs.EntryHeaderWords])
 		}
 	}
-	sq.Poll()
-	ok := true
+	wrs, ok := e.pollReads(sq)
+	if !ok {
+		// Confirms nothing and blames no record: the attempt retries, and its
+		// fetch pass surfaces ErrNodeDown if the host is genuinely gone.
+		return false
+	}
 	i := 0
 	for _, r := range ro.recs {
 		if !remote(r) {
 			continue
 		}
-		wr := wrs[i]
+		hdr := wrs[i].Dst
 		i++
-		if wr.Err != nil {
-			// Treat a verb fault as a failed confirmation: the retry's fetch
-			// pass surfaces ErrNodeDown if the host is genuinely gone.
-			ok = false
-			break
-		}
-		hdr := wr.Dst
 		key, incver, state := r.key, hdr[0], hdr[1]
 		if r.ordered {
 			key, incver, state = hdr[0], hdr[1], hdr[2]
 		}
 		if r.moved(key, incver, state) {
 			ro.specFailed(r)
-			ok = false
-			break
+			return false
 		}
 	}
-	e.activeWR = wrs[:0]
-	return ok
+	return true
 }
 
 // confirmScans re-validates every collected range scan at the confirmation

@@ -7,6 +7,7 @@ import (
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/nvram"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 )
 
@@ -139,21 +140,19 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	rec := nvram.EncodeRedo(t.redoBuf, t.txid, ups)
 	t.redoBuf = rec
 	region := cluster.RedoLogRegion(self, e.w.ID)
-	sq := e.sendq()
-	wrs := e.activeWR[:0]
+	sq := e.sendq(obs.StageReplicate)
 	for _, b := range dsts {
-		wrs = append(wrs, sq.PostLogAppend(b, region, rec))
+		sq.PostLogAppend(b, region, rec)
 	}
-	e.activeWR = wrs
-	sq.Poll()
 
 	landed := 0
 	dying := false
 	retargeted := false
-	for i, wr := range wrs {
+	for i, wr := range sq.Poll() {
 		b := dsts[i]
 		err := wr.Err
-		if err != nil && errors.Is(err, rdma.ErrTimeout) {
+		if errors.Is(err, rdma.ErrTimeout) || errors.Is(err, rdma.ErrFlushed) {
+			// Lost, or never attempted behind one that was: append again.
 			err = e.verbRetry(func() error {
 				return e.w.QP.TryLogAppend(b, region, rec)
 			})

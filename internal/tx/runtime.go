@@ -494,17 +494,24 @@ func (e *Executor) recycle(t *Tx) {
 	e.freeTx = t
 }
 
-// sendq returns the worker's send queue, (re)created to match the runtime's
-// current BatchWindow. The queue is always drained between uses (every
-// pipeline stage polls what it posts), so swapping it is safe.
-func (e *Executor) sendq() *rdma.SendQueue {
-	w := e.rt.BatchWindow
-	if w <= 0 {
-		w = rdma.DefaultWindow
+// window is the runtime's BatchWindow in force: the outstanding-WR bound of
+// the send queue and the key bound of a shipped message.
+func (e *Executor) window() int {
+	if w := e.rt.BatchWindow; w > 0 {
+		return w
 	}
-	if e.sq == nil || e.sq.Window() != w {
+	return rdma.DefaultWindow
+}
+
+// sendq returns the worker's send queue for the waves of one transaction
+// stage, (re)created to match the runtime's current BatchWindow. The queue is
+// always drained between uses (every pipeline stage polls what it posts), so
+// swapping it is safe.
+func (e *Executor) sendq(stage obs.Stage) *rdma.SendQueue {
+	if w := e.window(); e.sq == nil || e.sq.Window() != w {
 		e.sq = e.w.QP.NewSendQueue(w)
 	}
+	e.sq.Stage = stage
 	return e.sq
 }
 
@@ -567,7 +574,7 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 		attempts++
 		t := e.newTx()
 		err := build(t)
-		t.cleanup()
+		t.releaseLocks() // no lock leaks if build returned early
 		vLock += t.vLock
 		vHTM += t.vHTM
 		vCommit += t.vCommit

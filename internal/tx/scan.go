@@ -259,35 +259,23 @@ func (e *Executor) rereadScans(scans []scanRec) bool {
 		e.hdrBuf = make([]uint64, nwords)
 	}
 	hdr := e.hdrBuf[:nwords]
-	sq := e.sendq()
-	wrs := e.activeWR[:0]
+	sq := e.sendq(obs.StageValidate)
+	n := 0
 	for i := range scans {
 		sc := &scans[i]
 		if sc.node == e.w.Node.ID {
 			continue
 		}
 		for _, s := range sc.segs {
-			wrs = append(wrs, sq.PostRead(sc.node, sc.region, kvs.SegStampOffset(s), hdr[len(wrs):len(wrs)+1]))
+			sq.PostRead(sc.node, sc.region, kvs.SegStampOffset(s), hdr[n:n+1])
+			n++
 		}
 		for _, r := range sc.rows {
-			wrs = append(wrs, sq.PostRead(sc.node, sc.region, kvs.IncVerOffset(r.off), hdr[len(wrs):len(wrs)+1]))
+			sq.PostRead(sc.node, sc.region, kvs.IncVerOffset(r.off), hdr[n:n+1])
+			n++
 		}
 	}
-	sq.Poll()
-	ok := true
-	for _, wr := range wrs {
-		if wr.Err == nil {
-			continue
-		}
-		dst := wr.Dst
-		if err := e.verbRetry(func() error {
-			return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, dst)
-		}); err != nil {
-			ok = false
-			break
-		}
-	}
-	e.activeWR = wrs[:0]
+	_, ok := e.pollReads(sq)
 	return ok
 }
 

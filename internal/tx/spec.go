@@ -38,11 +38,11 @@ import (
 // committed write path — HTM-local Write, commitRemotes' write-back, the
 // fallback's publish — bumps the 32-bit version while holding write
 // protection (HTM write set or the state-word lock), and multi-line value
-// updates publish value lines before releasing the state word, ordered by a
-// poll barrier. So a reader that observed `version v, state unlocked` at
-// fetch and observes `version v, state not write-locked` here saw a stable
-// image; aborting lock holders never write values, so a lock that came and
-// went without a version bump is harmless.
+// updates publish value lines before releasing the state word, ordered by the
+// connection (post order, and a flush behind any failure). So a reader that
+// observed `version v, state unlocked` at fetch and observes `version v, state
+// not write-locked` here saw a stable image; aborting lock holders never write
+// values, so a lock that came and went without a version bump is harmless.
 func (t *Tx) validateSpeculative(htx *htm.Txn) {
 	nspec := 0
 	for _, r := range t.remotes {
@@ -61,9 +61,10 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 	}
 	hdr := e.hdrBuf[:nspec*kvs.EntryHeaderWords]
 
-	// One doorbell-batched wave of header re-READs (cost + fault model).
-	sq := e.sendq()
-	wrs := e.activeWR[:0]
+	// One doorbell-batched wave of header re-READs (cost + fault model); a
+	// host that stays unreachable through the bounded retries means the
+	// transaction must surface ErrNodeDown, not retry forever.
+	sq := e.sendq(obs.StageValidate)
 	i := 0
 	for _, r := range t.remotes {
 		if !r.spec {
@@ -76,27 +77,11 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 		if r.ordered {
 			start = r.off + kvs.EntryKeyWord
 		}
-		wrs = append(wrs, sq.PostRead(r.node, r.region, start, dst))
+		sq.PostRead(r.node, r.region, start, dst)
 		i++
 	}
-	sq.Poll()
-	down := false
-	for _, wr := range wrs {
-		if wr.Err == nil {
-			continue
-		}
-		// Transient verb fault: re-attempt with the bounded sync retry
-		// policy; a persistent failure means the record's home is gone and
-		// the transaction must surface ErrNodeDown, not retry forever.
-		dst := wr.Dst
-		if err := e.verbRetry(func() error {
-			return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, dst)
-		}); err != nil {
-			down = true
-			break
-		}
-	}
-	e.activeWR = wrs[:0]
+	_, reachable := e.pollReads(sq)
+	down := !reachable
 
 	// Authoritative check: HTM reads of the same words, enrolling each
 	// header line in this region's read set (strong atomicity closes the

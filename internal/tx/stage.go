@@ -3,6 +3,7 @@ package tx
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
@@ -382,7 +383,7 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	startv := int64(e.w.VClock.Now())
 	defer func() { t.vLock += int64(e.w.VClock.Now()) - startv }()
 	sh := e.w.Obs
-	sq := e.sendq()
+	sq := e.sendq(obs.StageLookup)
 
 	// ---- resolve: batched bucket-chain walks, shipped tree operations ------
 	lstart := int64(e.w.VClock.Now())
@@ -400,6 +401,12 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	down := !t.shipResolve(reqs, sq.Window())
 	var answer error // the first record that is not there to take (or, for an insert, is)
 	for _, s := range reqs {
+		if !s.h.ordered && s.lr.Err != nil && !down {
+			// A bucket READ of the walk failed, or was flushed behind one that
+			// did: walk again under the bounded retry policy.
+			s.lr.Found, s.lr.Err = e.resolve(&s.h)
+			s.lr.Loc = kvs.Loc{Off: s.h.off, Lossy: uint64(s.h.lossy)}
+		}
 		switch {
 		case down || s.upgrade: // an upgrade was located when it was first staged
 		case s.lr.Err != nil:
@@ -431,6 +438,7 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	// Speculative reads acquire nothing: they are registered directly and
 	// fetched in the final stage with a single entry READ.
 	astart := int64(e.w.VClock.Now())
+	sq.Stage = obs.StageLock
 	me := uint8(e.w.Node.ID)
 	delta := e.rt.C.Delta()
 	active := e.activeSR[:0]
@@ -518,34 +526,30 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 
 	// ---- fetch: speculative reads and stragglers ---------------------------
 	pstart := int64(e.w.VClock.Now())
-	fetches := 0
 	for _, s := range reqs {
 		if s.needFetch {
 			h := &s.h
 			s.entryWR = sq.PostRead(h.node, h.region, h.off, s.entryBuf())
-			fetches++
 		}
 	}
-	if fetches > 0 {
-		sq.Poll()
-	}
+	_, reachable := e.pollReads(sq)
+	down = !reachable
 	worst := imgOK
 	var lostIx *stageReq // an erase's index row that turned out dead
 	for _, s := range reqs {
-		if wr := s.entryWR; wr != nil {
-			s.entryWR = nil
-			if wr.Err != nil {
-				down = true
-				continue
-			}
+		if wr := s.entryWR; wr != nil && !down {
 			s.consume(t, wr.Dst)
 		}
+		s.entryWR = nil
 		worst = max(worst, s.verdict)
 		if s.ixOf && s.verdict == imgNotFound {
 			lostIx = s
 		}
 	}
 	sh.Observe(obs.PhasePrefetchRemote, int64(e.w.VClock.Now())-pstart)
+	if !down {
+		t.unstage(reqs)
+	}
 	switch {
 	case down:
 		return t.nodeDown()
@@ -624,22 +628,27 @@ func (s *stageReq) consume(t *Tx, words []uint64) {
 		// A writer is mid-commit: the value may be half-written. Unlike a
 		// lease, a speculative read cannot wait it out here without a lock.
 		t.e.feedConflict(&s.h, 1)
-	default:
-		t.unstage(r)
 	}
 }
 
-// unstage withdraws one record from the staged set, dropping its own lock.
-func (t *Tx) unstage(r *remoteRec) {
-	if r.write {
-		t.unlockRemote(r)
-	}
-	delete(t.rIndex, refKey{r.table, r.key})
-	for i, x := range t.remotes {
-		if x == r {
-			t.remotes = append(t.remotes[:i], t.remotes[i+1:]...)
-			t.e.recFree = append(t.e.recFree, r)
-			return
+// unstage withdraws from the staged set the records of the batch whose image
+// gave an answer about the one record — a dead row, a live insert target —
+// releasing their locks in one wave. It runs once every completion of the
+// batch has been consumed: its wave recycles the queue's work requests.
+func (t *Tx) unstage(reqs []*stageReq) {
+	t.cops = t.cops[:0]
+	for _, s := range reqs {
+		r := s.r
+		if r == nil || (s.verdict != imgExists && s.verdict != imgNotFound) {
+			continue
 		}
+		if r.write {
+			t.unlock(r)
+		}
+		s.r = nil
+		delete(t.rIndex, refKey{r.table, r.key})
+		t.remotes = slices.DeleteFunc(t.remotes, func(x *remoteRec) bool { return x == r })
+		t.e.recFree = append(t.e.recFree, r)
 	}
+	t.postWave(obs.StageRelease)
 }

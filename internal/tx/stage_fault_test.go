@@ -192,3 +192,46 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 		}
 	}
 }
+
+// TestStartPhaseFaultAtEveryVerb: one transient fault at each position of the
+// Start phase's waves in turn — a bucket READ of the lookup wave (the second
+// is then flushed behind the first), a lock or lease CAS (its fused READ and
+// everything behind it flushed), a fused prefetch READ, a speculative read's
+// fetch READ — is re-driven under the bounded retry policy: the transaction
+// commits instead of aborting with ErrNodeDown, and a flushed work request is
+// never taken for a verdict about its record. Keys 1 and 3 live on node 1.
+func TestStartPhaseFaultAtEveryVerb(t *testing.T) {
+	for _, p := range []ReadPolicy{PolicyLease, PolicySpeculative} {
+		// Lookup READs 1-2; then CAS, READ, CAS, READ under leases, or the
+		// write's CAS, READ and the read's fetch READ under speculation.
+		for k := 1; k <= 6; k++ {
+			rt, stop := newRig(t, 2, 1, 4, nil)
+			rt.ReadPolicy = p
+			scriptFault(rt, k)
+			err := rt.Executor(0, 0).Exec(func(tx *Tx) error {
+				if err := tx.Stage(Access{Table: tblAccounts, Key: 1}, Access{Table: tblAccounts, Key: 3, Write: true}); err != nil {
+					return err
+				}
+				return tx.Execute(func(lc *Local) error {
+					a, err := lc.Read(tblAccounts, 1)
+					if err != nil {
+						return err
+					}
+					return lc.Write(tblAccounts, 3, []uint64{a[0] + 1, 0})
+				})
+			})
+			host := rt.C.Node(1).Unordered(tblAccounts)
+			off, _ := host.LookupLocal(3)
+			v, _ := host.Get(3)
+			switch {
+			case err != nil:
+				t.Errorf("%v, fault at verb %d: %v", p, k, err)
+			case rt.C.Fabric.Totals.Faults.Load() != 1:
+				t.Errorf("%v, fault at verb %d: %d faults drawn, want the scripted one", p, k, rt.C.Fabric.Totals.Faults.Load())
+			case v[0] != 1001 || host.Arena().LoadWord(kvs.StateOffset(off)) != clock.Init:
+				t.Errorf("%v, fault at verb %d: key 3 = %v, state %#x", p, k, v, host.Arena().LoadWord(kvs.StateOffset(off)))
+			}
+			stop()
+		}
+	}
+}

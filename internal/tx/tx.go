@@ -9,7 +9,6 @@ import (
 	"drtm/internal/memory"
 	"drtm/internal/nvram"
 	"drtm/internal/obs"
-	"drtm/internal/rdma"
 )
 
 // Explicit HTM abort codes used by the protocol (XABORT imm8 values).
@@ -203,10 +202,10 @@ type Tx struct {
 	commitStamp uint64
 	chainFix    []chainFixRec
 
-	// Commit-phase scratch (commitRemotes), reused across transactions on this
-	// shell: the value and release waves and the words of their payloads.
-	cvalue, crelease []commitOp
-	cwords           []uint64
+	// Release-side scratch (postWave), reused across transactions on this shell:
+	// the work requests of the doorbell chain and the words of their payloads.
+	cops   []commitOp
+	cwords []uint64
 
 	// lcScratch is the Local handed to the transaction body, reused across
 	// attempts (the body must not retain it past Execute).
@@ -386,34 +385,32 @@ func (t *Tx) remoteConflict() error {
 	return t.fail()
 }
 
-// unlockRemote releases one exclusive lock with a one-sided owner-guarded
-// CAS. Release-side: never fails — parked for recovery if the host is down.
-func (t *Tx) unlockRemote(r *remoteRec) {
-	t.e.mustUnlock(r.node, r.region, kvs.StateOffset(r.off))
+// queue appends one WRITE of data at off in r's entry to the release side's
+// chain (postWave); unlock, the clean release of r's exclusive lock.
+func (t *Tx) queue(r *remoteRec, off memory.Offset, data []uint64) {
+	t.cops = append(t.cops, commitOp{node: r.node, region: r.region, off: off, data: data})
 }
 
-// releaseLocks releases every exclusive lock held by this transaction
-// (leases need no release; they expire). Part of ABORT in Figure 5.
+func (t *Tx) unlock(r *remoteRec) { t.queue(r, kvs.StateOffset(r.off), nil) }
+
+// releaseLocks releases every exclusive lock held by this transaction in one
+// doorbell wave (leases need no release; they expire). Part of ABORT in
+// Figure 5.
 func (t *Tx) releaseLocks() {
 	if t.finished {
 		return
 	}
+	t.cops = t.cops[:0]
 	for _, r := range t.remotes {
 		if r.write {
-			t.unlockRemote(r)
+			t.unlock(r)
 		}
 	}
+	t.postWave(obs.StageRelease)
 	t.e.putRecs(t.remotes)
 	t.remotes = t.remotes[:0]
 	clear(t.rIndex)
 	t.finished = true
-}
-
-// cleanup ensures locks are not leaked if build returned early.
-func (t *Tx) cleanup() {
-	if !t.finished {
-		t.releaseLocks()
-	}
 }
 
 // UserAbort rolls the transaction back without retry.
@@ -664,21 +661,16 @@ func (e *Executor) viewsMoved(views map[int]uint64) bool {
 }
 
 // commitRemotes writes back dirty staged records and releases exclusive
-// locks (REMOTE_WRITE_BACK in Figure 5), batching the verbs per poll: the
-// remote write set of the region path; every locked record, this node's
-// included, of the fallback. The version word, the state word (reset to INIT
-// = unlock) and the value are contiguous in the entry, so a record whose
-// entry fits one cache line commits with a single RDMA WRITE; larger records
-// write the value in a first polled batch and unlock in a second, so no
-// reader can lease a half-written record — the poll between the batches is
-// the ordering point the serial path got from blocking on each WRITE.
-//
-// These are release-side verbs (they run after the serialization point):
-// a work request that fails at completion falls back to the corresponding
-// must* helper, which retries timeouts without bound and parks writes to an
-// unreachable node for recovery, exactly as before.
+// locks (REMOTE_WRITE_BACK in Figure 5) as ONE doorbell chain of WRITEs, polled
+// once: the remote write set of the region path; every locked record, this
+// node's included, of the fallback. Per record, in post order: the version
+// chain's tail pair and retired slot, the value, then the release. No poll
+// separates them: the connection executes same-destination work requests in
+// post order and flushes everything behind one that fails
+// (rdma.SendQueue.Poll), so no reader can lease a half-written record — a
+// release never lands past a value that did not.
 func (t *Tx) commitRemotes() {
-	t.cvalue, t.crelease, t.cwords = t.cvalue[:0], t.crelease[:0], t.cwords[:0]
+	t.cops, t.cwords = t.cops[:0], t.cwords[:0]
 	wi := 0
 	for _, r := range t.remotes {
 		if !r.write {
@@ -688,62 +680,51 @@ func (t *Tx) commitRemotes() {
 		// rolls back to (the body mutates r.buf in place for dirty records).
 		oldVal := t.wsnap[wi : wi+len(r.buf)]
 		wi += len(r.buf)
-		incverOff := kvs.IncVerOffset(r.off)
-		if r.erase {
-			// Transactional erase: flip the entry dead (incarnation+1 → even)
-			// and unlock in one release-phase write. Physical removal of the
-			// dead entry is deferred until no snapshot can still need it.
-			deadIncVer := kvs.PackIncVer(r.inc+1, r.version+1)
-			t.chainOps(r, deadIncVer, kvs.PackIncVer(r.inc, r.version), oldVal)
-			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
-				data: t.payload(deadIncVer, clock.Init, nil)})
+		if !r.dirty && !r.erase {
+			t.unlock(r) // clean write lock
 			continue
 		}
-		if !r.dirty {
-			// Clean write lock: just unlock (owner-guarded CAS).
-			t.crelease = append(t.crelease, commitOp{r: r, off: kvs.StateOffset(r.off)})
-			continue
+		// A transactional insert flips the staged dead entry live, an erase the
+		// live row dead (incarnation+1; its physical removal waits until no
+		// snapshot can still need it); a plain write keeps the incarnation.
+		prev, inc, val := r.inc, r.inc+1, r.buf
+		switch {
+		case r.erase:
+			val = nil // the flip carries no value
+		case r.insert:
+			// The superseded version is the DEAD entry: retired as a 2-word slot
+			// with no value, so an older snapshot resolves the key to not-found.
+			oldVal = nil
+		default:
+			prev = t.readIncarnation(r)
+			inc = prev
 		}
-		var newInc uint32
-		if r.insert {
-			// Transactional insert: flip the staged dead entry live
-			// (incarnation+1 → odd). The value rides the same commit.
-			newInc = r.inc + 1
-		} else {
-			newInc = t.readIncarnation(r)
+		incver := kvs.PackIncVer(inc, r.version+1)
+		t.chainOps(r, incver, kvs.PackIncVer(prev, r.version), oldVal)
+		// The version word, the state word (reset to INIT = unlock) and the value
+		// are contiguous in the entry: one WRITE commits a record that fits a
+		// cache line; else the value goes first and `incver ‖ INIT` behind it.
+		off := kvs.IncVerOffset(r.off)
+		if memory.LineOf(off) != memory.LineOf(off+memory.Offset(1+len(val))) {
+			t.queue(r, kvs.ValueOffset(r.off), val)
+			val = nil
 		}
-		newIncVer := kvs.PackIncVer(newInc, r.version+1)
-		if r.insert {
-			// The superseded version is the staged DEAD entry: retire it as a
-			// 2-word slot (stamp, dead incver) with no value, so a snapshot
-			// older than the insert resolves the key to not-found.
-			t.chainOps(r, newIncVer, kvs.PackIncVer(r.inc, r.version), nil)
-		} else {
-			t.chainOps(r, newIncVer, kvs.PackIncVer(newInc, r.version), oldVal)
-		}
-		span := 2 + len(r.buf) // incver, state, value...
-		if memory.LineOf(incverOff) == memory.LineOf(incverOff+memory.Offset(span-1)) {
-			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
-				data: t.payload(newIncVer, clock.Init, r.buf)})
-		} else {
-			t.cvalue = append(t.cvalue, commitOp{r: r, off: kvs.ValueOffset(r.off), data: r.buf})
-			t.crelease = append(t.crelease, commitOp{r: r, off: incverOff,
-				data: t.payload(newIncVer, clock.Init, nil)})
-		}
+		t.queue(r, off, t.payload(incver, clock.Init, val))
 	}
-	t.postWave(t.cvalue)
-	t.postWave(t.crelease)
+	t.postWave(obs.StagePublish)
 	// t.remotes stays populated: Execute marks the transaction finished
 	// right after, and Exec's recycle harvests the records into the pool.
 }
 
-// commitOp is one work request of the commit phase.
+// commitOp is one WRITE of the release side.
 type commitOp struct {
-	r    *remoteRec
-	off  memory.Offset
-	data []uint64 // WRITE payload; nil for a plain unlock CAS
-	wr   *rdma.WR
+	node, region int
+	off          memory.Offset
+	data         []uint64 // payload; nil for the clean release of a write lock
 }
+
+// unlocked is the payload of a clean release: the free state word.
+var unlocked = []uint64{clock.Init}
 
 // payload builds the WRITE payload w0, w1, rest... in the transaction's
 // commit scratch. Growing the scratch leaves earlier payloads in the array
@@ -754,11 +735,10 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 	return t.cwords[lo:len(t.cwords):len(t.cwords)]
 }
 
-// chainOps appends the version-chain write-back of one chained write record
-// to the value phase: the tail pair FIRST (the dirty marker), then the
-// retired slot with the superseded triple. The simulated fabric applies a
-// wave's side effects in post order, and the head word flips only in the
-// release phase after the value-phase poll, so a concurrent one-READ snapshot
+// chainOps queues the version-chain write-back of one chained write record
+// ahead of its value and release: the tail pair FIRST (the dirty marker), then
+// the retired slot with the superseded triple. The head word flips only with
+// the release, behind both in post order, so a concurrent one-READ snapshot
 // sees either the old quiescent image or a head/tail mismatch (layout.go
 // ordering protocol). A prevTail of zero means the entry was never stamped:
 // the tail starts the chain, no slot to retire.
@@ -768,41 +748,43 @@ func (t *Tx) chainOps(r *remoteRec, newIncVer, prevHead uint64, oldVal []uint64)
 	if depth <= 0 {
 		return
 	}
-	t.cvalue = append(t.cvalue, commitOp{r: r, off: kvs.TailOffset(r.off, vw, depth),
-		data: t.payload(t.commitStamp, newIncVer, nil)})
+	t.queue(r, kvs.TailOffset(r.off, vw, depth), t.payload(t.commitStamp, newIncVer, nil))
 	if r.prevTail == 0 {
 		return
 	}
-	slotOff := kvs.ChainSlotOffset(r.off, vw,
-		kvs.ChainSlotIndex(kvs.Version(prevHead), depth))
-	t.cvalue = append(t.cvalue, commitOp{r: r, off: slotOff,
-		data: t.payload(r.prevTail, prevHead, oldVal)})
+	slot := kvs.ChainSlotIndex(kvs.Version(prevHead), depth)
+	t.queue(r, kvs.ChainSlotOffset(r.off, vw, slot), t.payload(r.prevTail, prevHead, oldVal))
 	t.e.w.Obs.Inc(obs.EvChainRetire)
 }
 
-// postWave posts one phase's work requests, polls them as a doorbell batch
-// and re-drives any that failed at completion through the must* helpers.
-func (t *Tx) postWave(ops []commitOp) {
-	sq := t.e.sendq()
-	for i := range ops {
-		op := &ops[i]
-		if op.data != nil {
-			op.wr = sq.PostWrite(op.r.node, op.r.region, op.off, op.data)
-		} else {
-			op.wr = sq.PostCAS(op.r.node, op.r.region, op.off,
-				clock.WLocked(uint8(t.e.w.Node.ID)), clock.Init)
-		}
+// postWave is the release side's one post: it rings t.cops — a commit's chain,
+// or the clean releases of an abort, a restage or a withdrawn record — as one
+// doorbell wave of WRITEs and polls it once. A clean release stores the free
+// word where the commit's stores `incver ‖ INIT`: a WRITE that completes was
+// issued by a machine the fabric counts alive, whose locks nobody has freed
+// behind its back; a zombie's fails at the source. None of these verbs may be
+// lost, so what failed, and what the connection flushed behind it, is re-driven
+// in post order through the must* helpers — where the owner guard is
+// (mustUnlock), exactly where a lock can have changed hands.
+func (t *Tx) postWave(stage obs.Stage) {
+	if len(t.cops) == 0 {
+		return
 	}
-	sq.Poll()
-	for i := range ops {
-		op := &ops[i]
-		if op.wr.Err == nil {
-			continue
+	sq := t.e.sendq(stage)
+	for _, op := range t.cops {
+		data := op.data
+		if data == nil {
+			data = unlocked
 		}
-		if op.data != nil {
-			t.e.mustWrite(op.r.node, op.r.region, op.off, op.data)
-		} else {
-			t.e.mustUnlock(op.r.node, op.r.region, op.off)
+		sq.PostWrite(op.node, op.region, op.off, data)
+	}
+	for i, wr := range sq.Poll() {
+		switch op := &t.cops[i]; {
+		case wr.Err == nil:
+		case op.data != nil:
+			t.e.mustWrite(op.node, op.region, op.off, op.data)
+		default:
+			t.e.mustUnlock(op.node, op.region, op.off)
 		}
 	}
 }
