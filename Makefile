@@ -32,8 +32,10 @@ race:
 # on no lease), the per-attempt location memo of declared local records (one
 # index lookup per record per attempt; an erase, a recycled slot or a bucket
 # move dooms the attempt or is re-resolved by the next), the B+ tree leaf
-# fingers (equivalence with and without one, four goroutines' fingers under
-# each other's splits, kvs churn ending in the same index and free list), the
+# fingers (equivalence with and without one and intact leaf fences after every
+# step, four goroutines' fingers under each other's splits, eviction in recency
+# order, kvs churn ending in the same index and free list, the seed corpora of
+# both fuzz targets), the
 # release side's one doorbell chain (a fault at every position of a commit's
 # chain and of an abort's release wave under lease, speculative and snapshot
 # readers; a zombie's clean releases against a lock that changed hands; the
@@ -44,19 +46,21 @@ STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrde
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch' ./internal/rdma/
-	go test -race -count=5 -cpu 1,2,4 -run 'Finger' ./internal/btree/ ./internal/kvs/
+	go test -race -count=5 -cpu 1,2,4 -run 'Finger|FuzzIteratorBoundaries' ./internal/btree/ ./internal/kvs/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 
 # Allocation gate: a warm HTM region allocates nothing, a committed
 # transaction — hash or ordered, structural rows and shipped messages included
-# — stays inside its object budget, and a local read-modify-write of ten
-# adjacent ordered rows allocates nothing, and neither does a SmallBank
-# deposit or cross-node payment (all excluded under -race).
+# — stays inside its object budget, a 20-record read-only transaction and a
+# local read-modify-write of ten adjacent ordered rows allocate nothing, and
+# neither does a SmallBank deposit or cross-node payment; a TPC-C new-order
+# allocates only what its B+ trees grow by, a delivery and a stock-level
+# nothing per row (all excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
 	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState' ./internal/tx/
-	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/
+	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.

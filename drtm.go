@@ -635,11 +635,11 @@ type Stats struct {
 	ShippedOps  int64 // keys / operations the two-sided messages carried (coalescing: ShippedOps / VerbsMsgs)
 	RDMABatches int64 // doorbell batches polled by the async verb engine
 
-	// Local B+ tree point operations (lookups, inserts, deletes), by what the
-	// index did: the cost model charges a descent BTreeOpNS and a finger hit
-	// one node search.
-	TreeDescents int64 // root-to-leaf walks
-	FingerHits   int64 // served by the executor's leaf finger, no walk
+	// Local B+ tree operations (lookups, inserts, deletes, scan starts), by
+	// what the index did: the cost model charges a descent BTreeOpNS and a
+	// finger hit one node search.
+	TreeDescents int64 // root-to-leaf walks: no leaf the executor's finger remembers covers the key, or the one that does is full
+	FingerHits   int64 // served by a leaf the executor's finger remembers, no walk
 
 	// Durability and recovery (Section 4.6 / Figure 7).
 	LogRecords      int64
@@ -727,7 +727,7 @@ func newStats(sn obs.Snapshot) Stats {
 		ShippedOps:  c(obs.EvShippedOp),
 		RDMABatches: c(obs.EvRDMABatch),
 
-		TreeDescents: c(obs.EvTreeDescent),
+		TreeDescents: c(obs.EvTreeDescent) + c(obs.EvLeafFullDescent),
 		FingerHits:   c(obs.EvFingerHit),
 
 		LogRecords:      c(obs.EvLogRecord),

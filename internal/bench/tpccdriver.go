@@ -42,18 +42,26 @@ type tpccDeployment struct {
 }
 
 // typeLedger is one TPC-C transaction type's share of a run: transactions
-// run, their modeled time, and their local B+ tree point operations by what
-// the index did (a root-to-leaf descent, or a hit on the executor's leaf
-// finger).
+// run, their modeled time, and their local B+ tree operations by what the
+// index did: a root-to-leaf descent because no leaf the executor's finger
+// remembers covers the key (uncovered) or because the covering leaf is full
+// (full), or a hit on a remembered leaf.
 type typeLedger struct {
-	txns, modelNS, descents, hits int64
+	txns, modelNS, uncovered, full, hits int64
 }
 
 func (l *typeLedger) add(o typeLedger) {
 	l.txns += o.txns
 	l.modelNS += o.modelNS
-	l.descents += o.descents
+	l.uncovered += o.uncovered
+	l.full += o.full
 	l.hits += o.hits
+}
+
+// indexOps reads a worker's index counters into a ledger entry.
+func indexOps(sh *obs.Shard) typeLedger {
+	return typeLedger{uncovered: sh.Count(obs.EvTreeDescent), full: sh.Count(obs.EvLeafFullDescent),
+		hits: sh.Count(obs.EvFingerHit)}
 }
 
 // buildTPCC assembles a cluster + runtime + populated TPC-C database.
@@ -99,7 +107,7 @@ func (d *tpccDeployment) runMix(o Options, txnsPerWorker int) (newOrder, total i
 		var ledger [len(d.ledger)]typeLedger
 		for n := 0; n < txnsPerWorker; n++ {
 			before := wk.VClock.Now()
-			descents, hits := wk.Obs.Count(obs.EvTreeDescent), wk.Obs.Count(obs.EvFingerHit)
+			ops := indexOps(wk.Obs)
 			typ, err := cl.RunOne()
 			if err != nil {
 				if errors.Is(err, tx.ErrRetry) {
@@ -109,9 +117,10 @@ func (d *tpccDeployment) runMix(o Options, txnsPerWorker int) (newOrder, total i
 			}
 			took := wk.VClock.Now() - before
 			wk.Hist.Record(took)
+			after := indexOps(wk.Obs)
 			ledger[typ].add(typeLedger{txns: 1, modelNS: took.Nanoseconds(),
-				descents: wk.Obs.Count(obs.EvTreeDescent) - descents,
-				hits:     wk.Obs.Count(obs.EvFingerHit) - hits})
+				uncovered: after.uncovered - ops.uncovered, full: after.full - ops.full,
+				hits: after.hits - ops.hits})
 		}
 		mu.Lock()
 		newOrder += cl.NewOrderCount()

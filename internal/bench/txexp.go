@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"drtm/internal/btree"
 	"drtm/internal/cluster"
 	"drtm/internal/smallbank"
 	"drtm/internal/tpcc"
@@ -136,13 +137,13 @@ func runFig14(o Options) *Result {
 
 // runTPCCTypes prints where the standard mix spends its modeled time, type by
 // type, beside the local B+ tree work each transaction does: root-to-leaf
-// descents and hits on the executor's leaf finger.
+// descents, by why they were made, and hits on the executor's leaf cache.
 func runTPCCTypes(o Options) *Result {
 	s := tpccScaleFor(o)
 	res := &Result{
 		ID:      "tpcc-types",
 		Title:   "TPC-C per transaction type: modeled time, B+ tree descents and finger hits",
-		Headers: []string{"type", "txns", "mean", "descents/txn", "finger-hits/txn", "share of modeled time"},
+		Headers: []string{"type", "txns", "mean", "descents/txn", "no leaf covers", "leaf full", "finger-hits/txn", "share of modeled time"},
 	}
 	// The repository benchmark's tpcc_mix shape: one warehouse and one worker
 	// on each of two machines.
@@ -163,10 +164,12 @@ func runTPCCTypes(o Options) *Result {
 		n := float64(l.txns)
 		res.AddRow(tpcc.TxnType(typ).String(), fmt.Sprintf("%d", l.txns),
 			fmt.Sprintf("%.2fus", float64(l.modelNS)/n/1e3),
-			fmt.Sprintf("%.1f", float64(l.descents)/n), fmt.Sprintf("%.1f", float64(l.hits)/n),
+			fmt.Sprintf("%.1f", float64(l.uncovered+l.full)/n), fmt.Sprintf("%.2f", float64(l.uncovered)/n),
+			fmt.Sprintf("%.2f", float64(l.full)/n), fmt.Sprintf("%.1f", float64(l.hits)/n),
 			fmt.Sprintf("%.0f%%", 100*float64(l.modelNS)/float64(all)))
 	}
 	res.Note("2 machines x 1 worker x 1 warehouse, standard mix; a descent is charged BTreeOpNS, a finger hit HashProbeNS")
+	res.Note(fmt.Sprintf("the finger remembers %d leaves per ordered table: a descent is made when none of them covers the key, or when the one that does is full and the insert must split it", btree.FingerLeaves))
 	res.Note("user-aborted new-orders and the retries of contended transactions are in their type's row")
 	return res
 }

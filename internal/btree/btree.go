@@ -16,7 +16,10 @@
 // there is no one-sided RDMA path for B+ trees.
 package btree
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // degree is the maximum number of keys per node; chosen so nodes are a few
 // cache lines, as in cache-conscious trees.
@@ -27,7 +30,12 @@ type node struct {
 	vals     []uint64 // leaves only
 	children []*node  // internal only
 	next     *node    // leaf chain for range scans
-	leaf     bool
+	// low is a leaf's inclusive low fence key: the separator of the split that
+	// created it, 0 for the first leaf. It never changes. Every key that routes
+	// to the leaf is >= low, and — leaves are never merged or unlinked — the
+	// leaf's key range is exactly [low, next.low), unbounded on the last leaf.
+	low  uint64
+	leaf bool
 }
 
 // Tree is a concurrent B+ tree. The zero value is not usable; call New.
@@ -63,44 +71,121 @@ func search(keys []uint64, k uint64) int {
 	return lo
 }
 
-// Finger is a caller-owned hint that lets a run of operations on adjacent
-// keys skip the root-to-leaf descent: it remembers the last leaf an operation
-// through it reached. The zero value is an empty finger. A finger belongs to
-// one goroutine; any number of them may work on one tree at once.
+// Finger is a caller-owned hint that lets operations on keys near earlier
+// ones skip the root-to-leaf descent: it remembers the last FingerLeaves
+// leaves that operations through it reached, most recently used first. The
+// zero value is an empty finger. A finger belongs to one goroutine; any number
+// of them may work on one tree at once.
 //
 // A finger needs no tree version to stay safe. Leaves are never merged or
-// unlinked, so the node it names is a leaf of the tree for good, and a leaf's
-// key range only ever shrinks from the right (a split moves its upper half to
-// a new right sibling). Every key in a leaf lies inside that range, so under
-// the tree latch "first <= key <= last of the leaf, or key > last on the
-// rightmost leaf" proves the key routes to this leaf and nowhere else. The test
-// is made against what the leaf holds now, so a leaf that split or lost keys
-// since the finger was left on it passes only for the keys it still covers; an
-// emptied leaf, or one that is simply elsewhere, fails it, and the operation
-// descends as if it had no finger.
+// unlinked, so a node it names is a leaf of the tree for good; the leaf's low
+// fence never changes, and its range [low, next.low) only ever shrinks from
+// the right, when a split gives its upper half to a new next leaf. Under the
+// tree latch "low <= key, and key < next.low or there is no next" therefore
+// proves that key routes to this leaf and nowhere else, whatever happened to
+// the leaf since the finger last saw it: a leaf that split passes only for the
+// range it kept, and an emptied leaf still covers its whole range.
 type Finger struct {
-	tree *Tree
-	leaf *node
+	tree   *Tree
+	leaves [FingerLeaves]*node
+	n      int
 }
 
-// covering returns the finger's leaf when key provably routes to it (see
-// Finger), else nil. The caller holds t's latch; f may be nil.
+// FingerLeaves is how many leaves a finger remembers: room for the append
+// points and queue heads a worker interleaves on one table (TPC-C: ten
+// districts' newest orders and ten oldest undelivered ones), so that runs
+// taking turns do not evict each other. EXPERIMENTS.md has the sweep.
+const FingerLeaves = 32
+
+// Path says how a point operation or a scan start reached its leaf.
+type Path uint8
+
+const (
+	// Descent is a root-to-leaf walk made because no remembered leaf covers
+	// the key (or there is no finger).
+	Descent Path = iota
+	// FullLeaf is a root-to-leaf walk made by an insert whose covering leaf is
+	// remembered but full: the ordinary insert splits on its way down.
+	FullLeaf
+	// Hit is no walk: a remembered leaf covers the key.
+	Hit
+)
+
+func (p Path) String() string { return [...]string{"descent", "full leaf", "hit"}[p] }
+
+// covering returns the remembered leaf that key provably routes to (see
+// Finger) and makes it the most recent, else nil. The caller holds t's latch;
+// f may be nil.
 func (f *Finger) covering(t *Tree, key uint64) *node {
 	if f == nil || f.tree != t {
 		return nil
 	}
-	n := f.leaf
-	if last := len(n.keys) - 1; last >= 0 && key >= n.keys[0] && (key <= n.keys[last] || n.next == nil) {
-		return n
+	for i, n := range f.leaves[:f.n] {
+		if key >= n.low && (n.next == nil || key < n.next.low) {
+			f.toFront(i, n)
+			return n
+		}
 	}
 	return nil
 }
 
-// rest leaves the finger on the leaf a descent of t ended in; f may be nil.
+// toFront makes n the most recent leaf, closing the gap at position i.
+func (f *Finger) toFront(i int, n *node) {
+	copy(f.leaves[1:i+1], f.leaves[:i])
+	f.leaves[0] = n
+}
+
+// rest remembers the leaf a descent of t ended in as the most recent one,
+// forgetting the least recent when the finger is full; f may be nil.
 func (f *Finger) rest(t *Tree, n *node) {
-	if f != nil {
-		f.tree, f.leaf = t, n
+	if f == nil {
+		return
 	}
+	if f.tree != t {
+		*f = Finger{tree: t}
+	}
+	if f.n > 0 && f.leaves[0] == n {
+		// The one remembered leaf a descent can end in: a full leaf that
+		// covering just made the most recent, after it split and kept the key.
+		return
+	}
+	if f.n < FingerLeaves {
+		f.n++
+	}
+	f.toFront(f.n-1, n)
+}
+
+// CheckFences verifies, for tests, what a Finger's proof rests on: the first
+// leaf's low fence is 0, fences strictly increase along the leaf chain, every
+// leaf's keys — its first and last: they are sorted — lie in its range
+// [low, next.low), and a descent for a leaf's fence ends in that leaf.
+func (t *Tree) CheckFences() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	if n.low != 0 {
+		return fmt.Errorf("btree: first leaf's low fence is %d, want 0", n.low)
+	}
+	for ; n != nil; n = n.next {
+		if n.next != nil && n.next.low <= n.low {
+			return fmt.Errorf("btree: low fence %d is followed by %d", n.low, n.next.low)
+		}
+		if last := len(n.keys) - 1; last >= 0 {
+			if n.keys[0] < n.low {
+				return fmt.Errorf("btree: key %d below its leaf's low fence %d", n.keys[0], n.low)
+			}
+			if n.next != nil && n.keys[last] >= n.next.low {
+				return fmt.Errorf("btree: key %d at or above the next leaf's low fence %d", n.keys[last], n.next.low)
+			}
+		}
+		if t.descend(n.low) != n {
+			return fmt.Errorf("btree: fence %d does not route to its leaf", n.low)
+		}
+	}
+	return nil
 }
 
 // descend walks from the root to the leaf key routes to.
@@ -117,14 +202,14 @@ func (t *Tree) descend(key uint64) *node {
 }
 
 // leafFor returns the leaf key routes to and whether the finger supplied it
-// (hit) or a descent did, which leaves the finger on the leaf it found.
-func (t *Tree) leafFor(f *Finger, key uint64) (n *node, hit bool) {
-	if n = f.covering(t, key); n != nil {
-		return n, true
+// or a descent did, which the finger then remembers.
+func (t *Tree) leafFor(f *Finger, key uint64) (*node, Path) {
+	if n := f.covering(t, key); n != nil {
+		return n, Hit
 	}
-	n = t.descend(key)
+	n := t.descend(key)
 	f.rest(t, n)
-	return n, false
+	return n, Descent
 }
 
 // Get returns the payload for key.
@@ -133,17 +218,17 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// GetAt is Get starting from a finger (nil for none); hit reports that the
-// finger's leaf answered and no descent was made.
-func (t *Tree) GetAt(f *Finger, key uint64) (val uint64, ok, hit bool) {
+// GetAt is Get starting from a finger (nil for none); via reports whether a
+// remembered leaf answered or a descent was made.
+func (t *Tree) GetAt(f *Finger, key uint64) (val uint64, ok bool, via Path) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, hit := t.leafFor(f, key)
+	n, via := t.leafFor(f, key)
 	i := search(n.keys, key)
 	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true, hit
+		return n.vals[i], true, via
 	}
-	return 0, false, hit
+	return 0, false, via
 }
 
 // Insert adds or overwrites key's payload, reporting whether the key was new.
@@ -162,18 +247,26 @@ func (t *Tree) InsertIfAbsent(key, val uint64) bool {
 }
 
 // InsertIfAbsentAt is InsertIfAbsent starting from a finger (nil for none);
-// hit reports that the key went into (or was found in) the finger's leaf
-// without a descent. A full leaf descends like a miss: the ordinary insert
-// splits on its way down.
-func (t *Tree) InsertIfAbsentAt(f *Finger, key, val uint64) (added, hit bool) {
+// via reports whether the key went into (or was found in) a remembered leaf
+// without a descent, and why not otherwise. A full leaf descends like a miss:
+// the ordinary insert splits on its way down.
+func (t *Tree) InsertIfAbsentAt(f *Finger, key, val uint64) (added bool, via Path) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.insertLocked(f, key, val, false)
 }
 
-func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added, hit bool) {
+func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added bool, via Path) {
 	n := f.covering(t, key)
-	if hit = n != nil && len(n.keys) < maxKeys(); !hit {
+	switch {
+	case n == nil:
+		via = Descent
+	case len(n.keys) == maxKeys():
+		via = FullLeaf
+	default:
+		via = Hit
+	}
+	if via != Hit {
 		if len(t.root.keys) == maxKeys() {
 			old := t.root
 			t.root = &node{children: []*node{old}}
@@ -187,7 +280,7 @@ func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added, 
 		if overwrite {
 			n.vals[i] = val
 		}
-		return false, hit
+		return false, via
 	}
 	n.keys = append(n.keys, 0)
 	copy(n.keys[i+1:], n.keys[i:])
@@ -196,7 +289,7 @@ func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added, 
 	copy(n.vals[i+1:], n.vals[i:])
 	n.vals[i] = val
 	t.size++
-	return true, hit
+	return true, via
 }
 
 func maxKeys() int { return degree }
@@ -207,16 +300,17 @@ func (t *Tree) splitChild(parent *node, i int) {
 	var right *node
 	var sep uint64
 	if child.leaf {
+		sep = child.keys[mid]
 		right = &node{
 			leaf: true,
 			keys: append([]uint64(nil), child.keys[mid:]...),
 			vals: append([]uint64(nil), child.vals[mid:]...),
 			next: child.next,
+			low:  sep,
 		}
 		child.keys = child.keys[:mid:mid]
 		child.vals = child.vals[:mid:mid]
 		child.next = right
-		sep = right.keys[0]
 	} else {
 		right = &node{
 			keys:     append([]uint64(nil), child.keys[mid+1:]...),
@@ -263,55 +357,67 @@ func (t *Tree) Delete(key uint64) bool {
 	return deleted
 }
 
-// DeleteAt is Delete starting from a finger (nil for none); hit reports that
-// the finger's leaf answered and no descent was made.
-func (t *Tree) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
+// DeleteAt is Delete starting from a finger (nil for none); via reports
+// whether a remembered leaf answered or a descent was made.
+func (t *Tree) DeleteAt(f *Finger, key uint64) (deleted bool, via Path) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, hit := t.leafFor(f, key)
+	n, via := t.leafFor(f, key)
 	i := search(n.keys, key)
 	if i >= len(n.keys) || n.keys[i] != key {
-		return false, hit
+		return false, via
 	}
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.vals = append(n.vals[:i], n.vals[i+1:]...)
 	t.size--
-	return true, hit
+	return true, via
 }
 
 // Ascend visits keys in [lo, hi] in ascending order; fn returning false
 // stops the scan.
 func (t *Tree) Ascend(lo, hi uint64, fn func(key, val uint64) bool) {
+	t.AscendAt(nil, lo, hi, fn)
+}
+
+// AscendAt is Ascend starting from a finger (nil for none); via reports
+// whether a remembered leaf covers lo or the scan descended to its first leaf.
+func (t *Tree) AscendAt(f *Finger, lo, hi uint64, fn func(key, val uint64) bool) Path {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for n := t.descend(lo); n != nil; n = n.next {
+	n, via := t.leafFor(f, lo)
+	for ; n != nil; n = n.next {
 		for i := search(n.keys, lo); i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
+			if n.keys[i] > hi || !fn(n.keys[i], n.vals[i]) {
+				return via
 			}
 		}
 	}
+	return via
 }
 
 // Descend visits keys in [lo, hi] in descending order; fn returning false
-// stops the scan. Descending order is served by collecting the range first
-// (leaves link forward only), which is fine for the short "latest N"
-// scans OLTP uses it for.
+// stops the scan.
 func (t *Tree) Descend(lo, hi uint64, fn func(key, val uint64) bool) {
+	t.DescendAt(nil, lo, hi, fn)
+}
+
+// DescendAt is Descend starting from a finger, as AscendAt is Ascend.
+// Descending order is served by collecting the range first (leaves link
+// forward only), which is fine for the short "latest N" scans OLTP uses it
+// for.
+func (t *Tree) DescendAt(f *Finger, lo, hi uint64, fn func(key, val uint64) bool) Path {
 	type kv struct{ k, v uint64 }
 	var acc []kv
-	t.Ascend(lo, hi, func(k, v uint64) bool {
+	via := t.AscendAt(f, lo, hi, func(k, v uint64) bool {
 		acc = append(acc, kv{k, v})
 		return true
 	})
 	for i := len(acc) - 1; i >= 0; i-- {
 		if !fn(acc[i].k, acc[i].v) {
-			return
+			break
 		}
 	}
+	return via
 }
 
 // Min returns the smallest key, if any.

@@ -17,6 +17,23 @@ func FuzzIteratorBoundaries(f *testing.F) {
 	f.Add([]byte{0x01, 0x81, 0x02, 0x82, 0x03, 0x03, 0x83})
 	f.Add([]byte{0x10, 0x90, 0x10, 0x90, 0x10})             // same-key churn
 	f.Add([]byte{0x00, 0x3F, 0x80, 0xBF, 0x00, 0x3F, 0x80}) // domain edges
+	// For the finger property, whose top two bits pick insert, insert-if-absent,
+	// delete, get: fill the leaf the finger remembers to the brim and read it;
+	// one key more splits it (full leaf), then both halves are read and the
+	// right one appended to; last, the left half is emptied and used again.
+	fill := make([]byte, 0, 3*degree)
+	for k := byte(0); k < degree; k++ {
+		fill = append(fill, 0x40|k)
+	}
+	fill = append(fill, 0xC0|3, 0x40|3)
+	f.Add(fill)
+	split := append(fill, 0x40|degree, 0xC0|1, 0xC0|degree, 0x40|(degree+1))
+	f.Add(split)
+	empty := split
+	for k := byte(0); k < degree/2; k++ {
+		empty = append(empty, 0x80|k)
+	}
+	f.Add(append(empty, 0xC0|5, 0x40|5, 0xC0|5, 0xC0|(degree/2)))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tr := New()

@@ -190,12 +190,22 @@ func (o *Ordered) StampNow() uint64 {
 // Len returns the number of live records.
 func (o *Ordered) Len() int { return o.tree.Len() }
 
-// Finger is the caller-owned leaf hint of the shard's index (btree.Finger): a
-// run of point operations on adjacent keys through one finger descends the
-// tree once per leaf instead of once per key. The *At methods take one (nil
-// for none) and report as hit whether the finger's leaf served the operation
-// or the index was descended.
+// Finger is the caller-owned leaf cache of the shard's index (btree.Finger):
+// operations through one finger descend the tree only for a key none of the
+// leaves it remembers covers, so runs of adjacent keys — several of them taking
+// turns — cost one descent per leaf instead of one per key. The *At methods
+// take one (nil for none) and report as via whether a remembered leaf served
+// the operation or the index was descended, and why (btree.Path).
 type Finger = btree.Finger
+
+// IndexPath is the index's account of how an operation reached its leaf.
+type IndexPath = btree.Path
+
+const (
+	IndexDescent  = btree.Descent  // no remembered leaf covers the key
+	IndexFullLeaf = btree.FullLeaf // the covering leaf is remembered but full (inserts)
+	IndexHit      = btree.Hit      // a remembered leaf covers the key: no descent
+)
 
 // Lookup resolves key to its entry offset via the index.
 func (o *Ordered) Lookup(key uint64) (memory.Offset, bool) {
@@ -204,9 +214,9 @@ func (o *Ordered) Lookup(key uint64) (memory.Offset, bool) {
 }
 
 // LookupAt is Lookup starting from a finger.
-func (o *Ordered) LookupAt(f *Finger, key uint64) (off memory.Offset, ok, hit bool) {
-	v, ok, hit := o.tree.GetAt(f, key)
-	return memory.Offset(v), ok, hit
+func (o *Ordered) LookupAt(f *Finger, key uint64) (off memory.Offset, ok bool, via IndexPath) {
+	v, ok, via := o.tree.GetAt(f, key)
+	return memory.Offset(v), ok, via
 }
 
 // Insert creates a record. The body is initialized while the entry is still
@@ -217,14 +227,14 @@ func (o *Ordered) Insert(key uint64, val []uint64) error {
 }
 
 // InsertAt is Insert starting from a finger.
-func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (hit bool, err error) {
+func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (via IndexPath, err error) {
 	if len(val) != o.cfg.ValueWords {
-		return false, fmt.Errorf("kvs: value length %d, want %d", len(val), o.cfg.ValueWords)
+		return via, fmt.Errorf("kvs: value length %d, want %d", len(val), o.cfg.ValueWords)
 	}
 	o.mu.Lock()
 	if len(o.freeList) == 0 {
 		o.mu.Unlock()
-		return false, ErrFull
+		return via, ErrFull
 	}
 	off := o.freeList[len(o.freeList)-1]
 	o.freeList = o.freeList[:len(o.freeList)-1]
@@ -242,7 +252,7 @@ func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (hit bool, err e
 
 	o.smu.Lock()
 	o.bumpSeg(key)
-	ok, hit := o.tree.InsertIfAbsentAt(f, key, uint64(off))
+	ok, via := o.tree.InsertIfAbsentAt(f, key, uint64(off))
 	o.smu.Unlock()
 	if !ok {
 		// Key already existed: kill and recycle the prepared entry.
@@ -250,9 +260,9 @@ func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (hit bool, err e
 		o.mu.Lock()
 		o.freeList = append(o.freeList, off)
 		o.mu.Unlock()
-		return hit, ErrExists
+		return via, ErrExists
 	}
-	return hit, nil
+	return via, nil
 }
 
 // Delete removes key. The record dies (even incarnation) before the entry
@@ -262,25 +272,25 @@ func (o *Ordered) Delete(key uint64) bool {
 	return deleted
 }
 
-// DeleteAt is Delete starting from a finger. hit is the lookup's: it leaves
-// the finger on the key's leaf, so the removal that follows under the same
+// DeleteAt is Delete starting from a finger. via is the lookup's: it leaves
+// the key's leaf in the finger, so the removal that follows under the same
 // structural latch never descends.
-func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
+func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted bool, via IndexPath) {
 	var own Finger
 	if f == nil {
 		f = &own
 	}
 	o.smu.Lock()
-	off, ok, hit := o.LookupAt(f, key)
+	off, ok, via := o.LookupAt(f, key)
 	if !ok {
 		o.smu.Unlock()
-		return false, hit
+		return false, via
 	}
 	o.bumpSeg(key)
 	ok, _ = o.tree.DeleteAt(f, key)
 	o.smu.Unlock()
 	if !ok {
-		return false, hit
+		return false, via
 	}
 	incver := o.arena.LoadWord(off + EntryIncVerWord)
 	dead := PackIncVer(Incarnation(incver)+1, Version(incver))
@@ -289,7 +299,7 @@ func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
 	o.mu.Lock()
 	o.freeList = append(o.freeList, off)
 	o.mu.Unlock()
-	return true, hit
+	return true, via
 }
 
 // EnsureDead makes key structurally present as a DEAD entry and returns its
@@ -305,7 +315,7 @@ func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted, hit bool) {
 // Aborted inserts simply leave the dead entry in place: scans skip dead
 // entries, and a later insert of the same key reuses it.
 func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
-	var f Finger // the miss leaves it on the leaf the insert goes to
+	var f Finger // the miss remembers the leaf the insert goes to
 	for {
 		if v, ok, _ := o.tree.GetAt(&f, key); ok {
 			off := memory.Offset(v)
@@ -352,7 +362,7 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 // the caller resolved it. The freed slot's state word is left as the caller
 // set it — Insert/EnsureDead re-initialize it on reuse.
 func (o *Ordered) RemoveEntry(key uint64, off memory.Offset) bool {
-	var f Finger // the lookup leaves it on the leaf the delete empties
+	var f Finger // the lookup remembers the leaf the delete empties
 	o.smu.Lock()
 	if v, ok, _ := o.tree.GetAt(&f, key); !ok || memory.Offset(v) != off {
 		o.smu.Unlock()
@@ -404,16 +414,27 @@ func (o *Ordered) WriteTx(tx *htm.Txn, key uint64, val []uint64) bool {
 // Scan visits entry offsets for keys in [lo, hi] ascending, holding the
 // structural latch shared for the whole walk (see smu).
 func (o *Ordered) Scan(lo, hi uint64, fn func(key uint64, off memory.Offset) bool) {
+	o.ScanAt(nil, lo, hi, fn)
+}
+
+// ScanAt is Scan starting from a finger: via is how the walk reached lo's
+// leaf.
+func (o *Ordered) ScanAt(f *Finger, lo, hi uint64, fn func(key uint64, off memory.Offset) bool) IndexPath {
 	o.smu.RLock()
 	defer o.smu.RUnlock()
-	o.tree.Ascend(lo, hi, func(k, v uint64) bool { return fn(k, memory.Offset(v)) })
+	return o.tree.AscendAt(f, lo, hi, func(k, v uint64) bool { return fn(k, memory.Offset(v)) })
 }
 
 // ScanDesc visits entry offsets for keys in [lo, hi] descending.
 func (o *Ordered) ScanDesc(lo, hi uint64, fn func(key uint64, off memory.Offset) bool) {
+	o.ScanDescAt(nil, lo, hi, fn)
+}
+
+// ScanDescAt is ScanDesc starting from a finger, as ScanAt is Scan.
+func (o *Ordered) ScanDescAt(f *Finger, lo, hi uint64, fn func(key uint64, off memory.Offset) bool) IndexPath {
 	o.smu.RLock()
 	defer o.smu.RUnlock()
-	o.tree.Descend(lo, hi, func(k, v uint64) bool { return fn(k, memory.Offset(v)) })
+	return o.tree.DescendAt(f, lo, hi, func(k, v uint64) bool { return fn(k, memory.Offset(v)) })
 }
 
 // Min returns the smallest key and its offset.

@@ -132,87 +132,126 @@ func TestOrderedConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestOrderedFingerChurn replays one random churn of inserts, erases, dead
-// entries (EnsureDead), their unlinking (RemoveEntry) and lookups on runs of
+// checkOrderedFingerChurn replays one churn of inserts, erases, dead entries
+// (EnsureDead), their unlinking (RemoveEntry), lookups and scans on runs of
 // adjacent keys against two shards — one through a finger, one without — and
-// requires the same answer from every call, then the same index (keys, in
-// order, at the same entry offsets) and the same free list: a finger changes
-// how a leaf is reached, never what is found there or which slot is used.
-func TestOrderedFingerChurn(t *testing.T) {
+// requires the same answer from every call and intact leaf fences after it,
+// then the same index (keys, in order, at the same entry offsets) and the same
+// free list: a finger changes how a leaf is reached, never what is found there
+// or which slot is used. Each step is two bytes: the operation and the length
+// of the run, then where the run starts. It returns how often a remembered
+// leaf served.
+func checkOrderedFingerChurn(t *testing.T, steps []byte) (hits int) {
+	t.Helper()
 	const keys = 600
-	for seed := int64(1); seed <= 4; seed++ {
-		plain, fingered := newOrdered(t, keys), newOrdered(t, keys)
-		var f Finger
-		rng := rand.New(rand.NewSource(seed))
-		hits := 0
-		for step := 0; step < 400; step++ {
-			base := uint64(rng.Intn(keys - 16))
-			op := rng.Intn(5)
-			for k := base; k < base+uint64(1+rng.Intn(16)); k++ {
-				switch op {
-				case 0, 1:
-					perr := plain.Insert(k, val(k, uint64(step)))
-					hit, ferr := fingered.InsertAt(&f, k, val(k, uint64(step)))
-					if perr != ferr {
-						t.Fatalf("seed %d step %d: Insert(%d) = %v, through the finger %v", seed, step, k, perr, ferr)
-					}
-					if hit {
-						hits++
-					}
-				case 2:
-					pd := plain.Delete(k)
-					fd, hit := fingered.DeleteAt(&f, k)
-					if pd != fd {
-						t.Fatalf("seed %d step %d: Delete(%d) = %v, through the finger %v", seed, step, k, pd, fd)
-					}
-					if hit {
-						hits++
-					}
-				case 3:
-					// A dead entry, then (every other key) its unlinking.
-					poff, perr := plain.EnsureDead(k)
-					foff, ferr := fingered.EnsureDead(k)
-					if poff != foff || perr != ferr {
-						t.Fatalf("seed %d step %d: EnsureDead(%d) = %d, %v, beside the finger %d, %v",
-							seed, step, k, poff, perr, foff, ferr)
-					}
-					if perr == nil && k%2 == 0 {
-						if pr, fr := plain.RemoveEntry(k, poff), fingered.RemoveEntry(k, foff); pr != fr {
-							t.Fatalf("seed %d step %d: RemoveEntry(%d) = %v, beside the finger %v", seed, step, k, pr, fr)
-						}
-					}
-				case 4:
-					poff, pok := plain.Lookup(k)
-					foff, fok, hit := fingered.LookupAt(&f, k)
-					if poff != foff || pok != fok {
-						t.Fatalf("seed %d step %d: Lookup(%d) = %d, %v, through the finger %d, %v",
-							seed, step, k, poff, pok, foff, fok)
-					}
-					if hit {
-						hits++
-					}
-				}
-			}
-		}
-		if hits == 0 {
-			t.Fatalf("seed %d: runs of adjacent keys never hit the finger", seed)
-		}
-		type row struct {
-			key uint64
-			off memory.Offset
-		}
-		index := func(o *Ordered) (rows []row) {
-			o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
-				rows = append(rows, row{k, off})
-				return true
-			})
-			return rows
-		}
-		if p, g := index(plain), index(fingered); !slices.Equal(p, g) {
-			t.Fatalf("seed %d: index through the finger %v, without %v", seed, g, p)
-		}
-		if !slices.Equal(plain.freeList, fingered.freeList) {
-			t.Fatalf("seed %d: free list through the finger %v, without %v", seed, fingered.freeList, plain.freeList)
+	plain, fingered := newOrdered(t, keys), newOrdered(t, keys)
+	var f Finger
+	count := func(via IndexPath) {
+		if via == IndexHit {
+			hits++
 		}
 	}
+	for step := 0; step+1 < len(steps); step += 2 {
+		op, run := steps[step]%6, 1+uint64(steps[step]/6)%16
+		base := uint64(steps[step+1]) * (keys - 16) / 255
+		for k := base; k < base+run; k++ {
+			switch op {
+			case 0, 1:
+				perr := plain.Insert(k, val(k, uint64(step)))
+				via, ferr := fingered.InsertAt(&f, k, val(k, uint64(step)))
+				if perr != ferr {
+					t.Fatalf("step %d: Insert(%d) = %v, through the finger %v", step, k, perr, ferr)
+				}
+				count(via)
+			case 2:
+				pd := plain.Delete(k)
+				fd, via := fingered.DeleteAt(&f, k)
+				if pd != fd {
+					t.Fatalf("step %d: Delete(%d) = %v, through the finger %v", step, k, pd, fd)
+				}
+				count(via)
+			case 3:
+				// A dead entry, then (every other key) its unlinking.
+				poff, perr := plain.EnsureDead(k)
+				foff, ferr := fingered.EnsureDead(k)
+				if poff != foff || perr != ferr {
+					t.Fatalf("step %d: EnsureDead(%d) = %d, %v, beside the finger %d, %v",
+						step, k, poff, perr, foff, ferr)
+				}
+				if perr == nil && k%2 == 0 {
+					if pr, fr := plain.RemoveEntry(k, poff), fingered.RemoveEntry(k, foff); pr != fr {
+						t.Fatalf("step %d: RemoveEntry(%d) = %v, beside the finger %v", step, k, pr, fr)
+					}
+				}
+			case 4:
+				poff, pok := plain.Lookup(k)
+				foff, fok, via := fingered.LookupAt(&f, k)
+				if poff != foff || pok != fok {
+					t.Fatalf("step %d: Lookup(%d) = %d, %v, through the finger %d, %v",
+						step, k, poff, pok, foff, fok)
+				}
+				count(via)
+			case 5:
+				var prow, frow []memory.Offset
+				plain.Scan(k, base+run, func(_ uint64, off memory.Offset) bool {
+					prow = append(prow, off)
+					return true
+				})
+				count(fingered.ScanAt(&f, k, base+run, func(_ uint64, off memory.Offset) bool {
+					frow = append(frow, off)
+					return true
+				}))
+				if !slices.Equal(prow, frow) {
+					t.Fatalf("step %d: Scan(%d, %d) = %v, through the finger %v", step, k, base+run, prow, frow)
+				}
+			}
+			if err := fingered.tree.CheckFences(); err != nil {
+				t.Fatalf("step %d, key %d: %v", step, k, err)
+			}
+		}
+	}
+	type row struct {
+		key uint64
+		off memory.Offset
+	}
+	index := func(o *Ordered) (rows []row) {
+		o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
+			rows = append(rows, row{k, off})
+			return true
+		})
+		return rows
+	}
+	if p, g := index(plain), index(fingered); !slices.Equal(p, g) {
+		t.Fatalf("index through the finger %v, without %v", g, p)
+	}
+	if !slices.Equal(plain.freeList, fingered.freeList) {
+		t.Fatalf("free list through the finger %v, without %v", fingered.freeList, plain.freeList)
+	}
+	return hits
+}
+
+// TestOrderedFingerChurn runs the churn property on random steps, long enough
+// to fill the shard and split its leaves many times over.
+func TestOrderedFingerChurn(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		steps := make([]byte, 800)
+		rand.New(rand.NewSource(seed)).Read(steps)
+		if checkOrderedFingerChurn(t, steps) == 0 {
+			t.Fatalf("seed %d: runs of adjacent keys never hit the finger", seed)
+		}
+	}
+}
+
+// FuzzOrderedFingerChurn runs the churn property on the corpus: the shard's
+// first leaf filled through the finger and split by one key more, a leaf
+// emptied behind the finger and refilled, dead entries made and unlinked in a
+// remembered leaf.
+func FuzzOrderedFingerChurn(f *testing.F) {
+	const ins16, del16, dead16, get16, scan16 = 0 + 6*15, 2 + 6*15, 3 + 6*15, 4 + 6*15, 5 + 6*15
+	f.Add([]byte{ins16, 0, ins16, 7, get16, 0, ins16, 14, get16, 0, scan16, 7, ins16, 3})
+	f.Add([]byte{ins16, 0, ins16, 7, ins16, 14, del16, 0, get16, 0, scan16, 0, ins16, 0, del16, 14, ins16, 14})
+	f.Add([]byte{ins16, 100, dead16, 107, get16, 107, dead16, 100, scan16, 100, ins16, 107, dead16, 107})
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		checkOrderedFingerChurn(t, steps[:min(len(steps), 400)])
+	})
 }

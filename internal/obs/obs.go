@@ -112,8 +112,9 @@ const (
 	EvScanValidateFail // commit-time range validation found a stamp/header change
 	EvIndexMaint       // one secondary-index entry maintained by a base write
 	EvRemoveDead       // one dead entry physically unlinked post-commit
-	EvTreeDescent      // one local ordered point op (lookup/insert/delete) walked the B+ tree root to leaf
-	EvFingerHit        // one local ordered point op was served by the executor's leaf finger, no descent
+	EvTreeDescent      // one local ordered op (lookup/insert/delete/scan start) walked the B+ tree root to leaf: no leaf the executor's finger remembers covers the key
+	EvLeafFullDescent  // one local ordered insert walked the tree although a remembered leaf covers the key: the leaf was full
+	EvFingerHit        // one local ordered op was served by a leaf the executor's finger remembers, no descent
 
 	// MVCC snapshot reads over version chains (PolicyMVCC).
 	EvChainRetire   // one superseded version retired into an entry's ring chain
@@ -180,6 +181,7 @@ var eventNames = [NumEvents]string{
 	EvIndexMaint:         "index.maint",
 	EvRemoveDead:         "index.remove_dead",
 	EvTreeDescent:        "index.descent",
+	EvLeafFullDescent:    "index.descent_leaf_full",
 	EvFingerHit:          "index.finger_hit",
 	EvChainRetire:        "mvcc.retire",
 	EvMVCCRead:           "mvcc.read",

@@ -52,6 +52,11 @@ type Client struct {
 	Counts [numTxnTypes]int64
 	// UserAborts counts TPC-C's intentional 1% new-order rollbacks.
 	UserAborts int64
+
+	// row is the scratch the bodies build every row they write or insert in
+	// (edit, blank): Local.Write and Local.Insert copy, so one row as wide as
+	// the widest table's does for a whole transaction.
+	row [maxValueWords]uint64
 }
 
 // NewClient binds a client to an executor and a home warehouse.
@@ -111,12 +116,12 @@ func (c *Client) RunOne() (TxnType, error) {
 	case TxnPayment:
 		err = c.RunPayment()
 	case TxnOrderStatus:
-		_, err = c.w.OrderStatus(c.e, c.home, c.pickDistrict(), c.pickCustomer())
+		_, err = c.OrderStatus(c.home, c.pickDistrict(), c.pickCustomer())
 	case TxnDelivery:
 		c.oSeq++
-		_, err = c.w.Delivery(c.e, c.home, c.rng.Intn(10)+1, uint64(c.home)<<32|c.oSeq)
+		_, err = c.Delivery(c.home, c.rng.Intn(10)+1, uint64(c.home)<<32|c.oSeq)
 	case TxnStockLevel:
-		_, err = c.w.StockLevel(c.e, c.home, c.pickDistrict(), uint64(c.rng.Intn(11)+10))
+		_, err = c.StockLevel(c.home, c.pickDistrict(), uint64(c.rng.Intn(11)+10))
 	}
 	if err == tx.ErrUserAbort {
 		c.UserAborts++
@@ -152,7 +157,7 @@ func (c *Client) RunNewOrder(forceInvalid bool) error {
 		lines[olCnt-1].ItemID = cfg.Items + 1 // unused item: must roll back
 		lines[olCnt-1].SupplyW = c.home
 	}
-	_, err := c.w.NewOrder(c.e, c.home, c.pickDistrict(), c.pickCustomer(), lines)
+	_, err := c.NewOrder(c.home, c.pickDistrict(), c.pickCustomer(), lines)
 	return err
 }
 
@@ -179,7 +184,7 @@ func (c *Client) RunPayment() error {
 		cust = c.pickCustomer()
 	}
 	c.hSeq++
-	return c.w.Payment(c.e, c.home, d, cW, cD, cust, uint64(c.rng.Intn(500000)+100), c.hSeq)
+	return c.Payment(c.home, d, cW, cD, cust, uint64(c.rng.Intn(500000)+100), c.hSeq)
 }
 
 // NewOrderCount returns committed new-order transactions (the TPC-C

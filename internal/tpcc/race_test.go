@@ -25,7 +25,8 @@ func TestConcurrentDeliveryNoDoubleDelivery(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			e := rt.Executor(0, i)
-			n, err := w.Delivery(e, 1, i+1, uint64(i+1))
+			cl := w.NewClient(e, 1, 1)
+			n, err := cl.Delivery(1, i+1, uint64(i+1))
 			if err != nil {
 				t.Errorf("delivery %d: %v", i, err)
 				return
@@ -51,11 +52,12 @@ func TestOrderStatusSeesNewOrder(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
-	oID, err := w.NewOrder(e, 1, 2, 7, []OrderLineInput{{ItemID: 4, SupplyW: 1, Quantity: 2}})
+	cl := w.NewClient(e, 1, 1)
+	oID, err := cl.NewOrder(1, 2, 7, []OrderLineInput{{ItemID: 4, SupplyW: 1, Quantity: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.OrderStatus(e, 1, 2, 7)
+	got, err := cl.OrderStatus(1, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +66,13 @@ func TestOrderStatusSeesNewOrder(t *testing.T) {
 	}
 	// Deliver everything in district 2, then order-status must still work.
 	for i := 0; i < 20; i++ {
-		if n, err := w.Delivery(e, 1, 3, uint64(100+i)); err != nil {
+		if n, err := cl.Delivery(1, 3, uint64(100+i)); err != nil {
 			t.Fatal(err)
 		} else if n == 0 {
 			break
 		}
 	}
-	if got, err := w.OrderStatus(e, 1, 2, 7); err != nil || got != oID {
+	if got, err := cl.OrderStatus(1, 2, 7); err != nil || got != oID {
 		t.Fatalf("order-status after delivery = %d,%v", got, err)
 	}
 }
@@ -81,6 +83,7 @@ func TestStockLevelReflectsNewOrders(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	node := rt.C.Node(0)
 
 	// Drive item 1's stock just below 12 with repeated orders.
@@ -89,12 +92,12 @@ func TestStockLevelReflectsNewOrders(t *testing.T) {
 		if sv[SQuantity] < 12 {
 			break
 		}
-		if _, err := w.NewOrder(e, 1, 1, 1,
+		if _, err := cl.NewOrder(1, 1, 1,
 			[]OrderLineInput{{ItemID: 1, SupplyW: 1, Quantity: 9}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	low, err := w.StockLevel(e, 1, 1, 12)
+	low, err := cl.StockLevel(1, 1, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

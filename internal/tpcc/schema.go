@@ -84,6 +84,9 @@ const (
 	OCValueWords = 1 // [o_id]
 )
 
+// maxValueWords is the widest row of the schema, CUSTOMER's.
+const maxValueWords = CValueWords
+
 // Key encodings. Warehouses are numbered 1..W globally, districts 1..10,
 // customers 1..CustomersPerDistrict, items 1..Items.
 func WKey(w int) uint64       { return uint64(w) }

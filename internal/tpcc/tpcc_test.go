@@ -75,8 +75,9 @@ func TestNewOrderBasic(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	lines := []OrderLineInput{{ItemID: 1, SupplyW: 1, Quantity: 3}, {ItemID: 2, SupplyW: 1, Quantity: 1}}
-	oID, err := w.NewOrder(e, 1, 1, 1, lines)
+	oID, err := cl.NewOrder(1, 1, 1, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +107,10 @@ func TestNewOrderCrossWarehouse(t *testing.T) {
 	w, rt, stop := newTPCC(t, 2, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	// Supply from warehouse 2 (node 1): a distributed transaction.
 	lines := []OrderLineInput{{ItemID: 1, SupplyW: 2, Quantity: 5}}
-	if _, err := w.NewOrder(e, 1, 1, 1, lines); err != nil {
+	if _, err := cl.NewOrder(1, 1, 1, lines); err != nil {
 		t.Fatal(err)
 	}
 	sv, _ := rt.C.Node(1).Unordered(TableStock).Get(SKey(2, 1))
@@ -121,13 +123,14 @@ func TestNewOrderInvalidItemRollsBack(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	node := rt.C.Node(0)
 	dBefore, _ := node.Unordered(TableDistrict).Get(DKey(1, 1))
 	lines := []OrderLineInput{
 		{ItemID: 1, SupplyW: 1, Quantity: 1},
 		{ItemID: w.cfg.Items + 1, SupplyW: 1, Quantity: 1}, // unused item
 	}
-	_, err := w.NewOrder(e, 1, 1, 1, lines)
+	_, err := cl.NewOrder(1, 1, 1, lines)
 	if err != tx.ErrUserAbort {
 		t.Fatalf("err = %v, want ErrUserAbort", err)
 	}
@@ -148,12 +151,13 @@ func TestPaymentLocalAndRemote(t *testing.T) {
 	w, rt, stop := newTPCC(t, 2, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	// Local customer.
-	if err := w.Payment(e, 1, 1, 1, 1, 1, 1000, 1); err != nil {
+	if err := cl.Payment(1, 1, 1, 1, 1, 1000, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Remote customer (warehouse 2 lives on node 1).
-	if err := w.Payment(e, 1, 1, 2, 1, 1, 500, 2); err != nil {
+	if err := cl.Payment(1, 1, 2, 1, 1, 500, 2); err != nil {
 		t.Fatal(err)
 	}
 	wv, _ := rt.C.Node(0).Unordered(TableWarehouse).Get(WKey(1))
@@ -176,12 +180,13 @@ func TestOrderStatus(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	// Create an order for customer 5 so the latest is well-defined.
-	oID, err := w.NewOrder(e, 1, 1, 5, []OrderLineInput{{ItemID: 3, SupplyW: 1, Quantity: 2}})
+	oID, err := cl.NewOrder(1, 1, 5, []OrderLineInput{{ItemID: 3, SupplyW: 1, Quantity: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.OrderStatus(e, 1, 1, 5)
+	got, err := cl.OrderStatus(1, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +199,13 @@ func TestDeliveryDrainsNewOrders(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
+	cl := w.NewClient(e, 1, 1)
 	node := rt.C.Node(0)
 	undelivered := node.Ordered(TableNewOrder).Len()
 	if undelivered == 0 {
 		t.Fatal("setup produced no undelivered orders")
 	}
-	n, err := w.Delivery(e, 1, 5, 1)
+	n, err := cl.Delivery(1, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +225,15 @@ func TestStockLevel(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
-	low, err := w.StockLevel(e, 1, 1, 200) // threshold above max: all low
+	cl := w.NewClient(e, 1, 1)
+	low, err := cl.StockLevel(1, 1, 200) // threshold above max: all low
 	if err != nil {
 		t.Fatal(err)
 	}
 	if low == 0 {
 		t.Fatal("no items counted; order lines not scanned?")
 	}
-	none, err := w.StockLevel(e, 1, 1, 0)
+	none, err := cl.StockLevel(1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

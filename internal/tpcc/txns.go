@@ -14,22 +14,34 @@ type OrderLineInput struct {
 	Quantity int
 }
 
+// edit returns a copy of v in the client's scratch row, for a body to change
+// and hand to Local.Write, which copies it: valid until the next edit or blank.
+func (c *Client) edit(v []uint64) []uint64 { return c.row[:copy(c.row[:], v)] }
+
+// blank returns n zeroed words of the scratch row, for a body to fill in and
+// hand to Local.Insert, which copies them.
+func (c *Client) blank(n int) []uint64 {
+	r := c.row[:n]
+	clear(r)
+	return r
+}
+
 // NewOrder executes the NEW transaction at warehouse w (the client's home
-// warehouse), district d, for customer c, ordering the given lines.
+// warehouse), district d, for customer cu, ordering the given lines.
 // Cross-warehouse supply lines make it a distributed transaction: their
 // STOCK records are locked and fetched with one-sided RDMA in the Start
 // phase; everything else (district sequence allocation, order/order-line
 // inserts) is local. Returns the allocated order ID.
-func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInput) (int, error) {
+func (c *Client) NewOrder(wID, d, cu int, lines []OrderLineInput) (int, error) {
 	var oID int
-	err := e.Exec(func(t *tx.Tx) error {
+	err := c.e.Exec(func(t *tx.Tx) error {
 		if err := t.R(TableWarehouse, WKey(wID)); err != nil {
 			return err
 		}
 		if err := t.W(TableDistrict, DKey(wID, d)); err != nil {
 			return err
 		}
-		if err := t.R(TableCustomer, CKey(wID, d, c)); err != nil {
+		if err := t.R(TableCustomer, CKey(wID, d, cu)); err != nil {
 			return err
 		}
 		for _, l := range lines {
@@ -46,7 +58,7 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 				return err
 			}
 			oID = int(dv[DNextOID])
-			nd := append([]uint64(nil), dv...)
+			nd := c.edit(dv)
 			nd[DNextOID]++
 			if err := lc.Write(TableDistrict, DKey(wID, d), nd); err != nil {
 				return err
@@ -54,7 +66,7 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 			if _, err := lc.Read(TableWarehouse, WKey(wID)); err != nil {
 				return err
 			}
-			if _, err := lc.Read(TableCustomer, CKey(wID, d, c)); err != nil {
+			if _, err := lc.Read(TableCustomer, CKey(wID, d, cu)); err != nil {
 				return err
 			}
 
@@ -73,7 +85,7 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 				if err != nil {
 					return err
 				}
-				ns := append([]uint64(nil), sv...)
+				ns := c.edit(sv)
 				if ns[SQuantity] >= uint64(l.Quantity)+10 {
 					ns[SQuantity] -= uint64(l.Quantity)
 				} else {
@@ -89,7 +101,7 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 					return err
 				}
 
-				olVal := make([]uint64, OLValueWords)
+				olVal := c.blank(OLValueWords)
 				olVal[OLIID] = uint64(l.ItemID)
 				olVal[OLSupplyW] = uint64(l.SupplyW)
 				olVal[OLQuantity] = uint64(l.Quantity)
@@ -97,13 +109,16 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 				lc.Insert(TableOrderLine, OLKey(wID, d, oID, ol+1), olVal)
 			}
 
-			oVal := make([]uint64, OValueWords)
-			oVal[OCID] = uint64(c)
+			oVal := c.blank(OValueWords)
+			oVal[OCID] = uint64(cu)
 			oVal[OOlCnt] = uint64(len(lines))
 			oVal[OAllLocal] = allLocal
 			lc.Insert(TableOrder, OKey(wID, d, oID), oVal)
-			lc.Insert(TableNewOrder, OKey(wID, d, oID), []uint64{1})
-			lc.Insert(TableOrderCust, OCKey(wID, d, c, oID), []uint64{uint64(oID)})
+			one := c.blank(1)
+			one[0] = 1
+			lc.Insert(TableNewOrder, OKey(wID, d, oID), one)
+			one[0] = uint64(oID)
+			lc.Insert(TableOrderCust, OCKey(wID, d, cu, oID), one)
 			return nil
 		})
 	})
@@ -114,7 +129,8 @@ func (w *Workload) NewOrder(e *tx.Executor, wID, d, c int, lines []OrderLineInpu
 // d; the customer may belong to a remote warehouse (cW, cD) — the
 // cross-warehouse case of Table 5 — whose CUSTOMER record is then written
 // through one-sided RDMA.
-func (w *Workload) Payment(e *tx.Executor, wID, d, cW, cD, c int, amount uint64, hSeq uint64) error {
+func (c *Client) Payment(wID, d, cW, cD, cu int, amount uint64, hSeq uint64) error {
+	e := c.e
 	return e.Exec(func(t *tx.Tx) error {
 		if err := t.W(TableWarehouse, WKey(wID)); err != nil {
 			return err
@@ -122,7 +138,7 @@ func (w *Workload) Payment(e *tx.Executor, wID, d, cW, cD, c int, amount uint64,
 		if err := t.W(TableDistrict, DKey(wID, d)); err != nil {
 			return err
 		}
-		if err := t.W(TableCustomer, CKey(cW, cD, c)); err != nil {
+		if err := t.W(TableCustomer, CKey(cW, cD, cu)); err != nil {
 			return err
 		}
 		return t.Execute(func(lc *tx.Local) error {
@@ -130,7 +146,7 @@ func (w *Workload) Payment(e *tx.Executor, wID, d, cW, cD, c int, amount uint64,
 			if err != nil {
 				return err
 			}
-			nw := append([]uint64(nil), wv...)
+			nw := c.edit(wv)
 			nw[WYtd] += amount
 			if err := lc.Write(TableWarehouse, WKey(wID), nw); err != nil {
 				return err
@@ -140,29 +156,29 @@ func (w *Workload) Payment(e *tx.Executor, wID, d, cW, cD, c int, amount uint64,
 			if err != nil {
 				return err
 			}
-			ndv := append([]uint64(nil), dv...)
+			ndv := c.edit(dv)
 			ndv[DYtd] += amount
 			if err := lc.Write(TableDistrict, DKey(wID, d), ndv); err != nil {
 				return err
 			}
 
-			cv, err := lc.Read(TableCustomer, CKey(cW, cD, c))
+			cv, err := lc.Read(TableCustomer, CKey(cW, cD, cu))
 			if err != nil {
 				return err
 			}
-			nc := append([]uint64(nil), cv...)
+			nc := c.edit(cv)
 			nc[CBalance] = i2u(u2i(nc[CBalance]) - int64(amount))
 			nc[CYtdPayment] += amount
 			nc[CPaymentCnt]++
-			if err := lc.Write(TableCustomer, CKey(cW, cD, c), nc); err != nil {
+			if err := lc.Write(TableCustomer, CKey(cW, cD, cu), nc); err != nil {
 				return err
 			}
 
-			hVal := make([]uint64, HValueWords)
+			hVal := c.blank(HValueWords)
 			hVal[0] = amount
 			hVal[1] = uint64(wID)
 			hVal[2] = uint64(d)
-			hVal[3] = uint64(CKey(cW, cD, c))
+			hVal[3] = uint64(CKey(cW, cD, cu))
 			lc.Insert(TableHistory, HKey(wID, e.Worker().Node.ID, e.Worker().ID, hSeq), hVal)
 			return nil
 		})
@@ -171,14 +187,14 @@ func (w *Workload) Payment(e *tx.Executor, wID, d, cW, cD, c int, amount uint64,
 
 // OrderStatus executes OS (read-only, local): the customer's latest order
 // and its order lines, via the separate lease-based read-only scheme.
-func (w *Workload) OrderStatus(e *tx.Executor, wID, d, c int) (int, error) {
+func (c *Client) OrderStatus(wID, d, cu int) (int, error) {
 	var oID int
-	err := e.ExecRO(func(ro *tx.RO) error {
+	err := c.e.ExecRO(func(ro *tx.RO) error {
 		oID = 0
-		if _, err := ro.Read(TableCustomer, CKey(wID, d, c)); err != nil {
+		if _, err := ro.Read(TableCustomer, CKey(wID, d, cu)); err != nil {
 			return err
 		}
-		ck := CKey(wID, d, c)
+		ck := CKey(wID, d, cu)
 		idx := ro.ScanLocalDesc(TableOrderCust, ck<<24, ck<<24|0xFFFFFF, 1)
 		if len(idx) == 0 {
 			return nil // customer has no orders yet
@@ -204,7 +220,8 @@ func (w *Workload) OrderStatus(e *tx.Executor, wID, d, c int) (int, error) {
 // next-delivery-order sequence field, marks it delivered, sums its order
 // lines into the customer balance, and removes the NEW-ORDER entry.
 // Returns the number of orders delivered.
-func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (int, error) {
+func (c *Client) Delivery(wID, carrier int, parent uint64) (int, error) {
+	w := c.w
 	delivered := 0
 	var pieces []chopping.PieceFunc
 	for d := 1; d <= w.cfg.Districts; d++ {
@@ -253,7 +270,7 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 				if int(cur[DNextDeliv]) != oID {
 					return tx.ErrRetry // another delivery won the race; re-recon
 				}
-				nd := append([]uint64(nil), cur...)
+				nd := c.edit(cur)
 				nd[DNextDeliv]++
 				if err := lc.Write(TableDistrict, DKey(wID, d), nd); err != nil {
 					return err
@@ -263,7 +280,7 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 				if err != nil {
 					return err
 				}
-				no := append([]uint64(nil), ovv...)
+				no := c.edit(ovv)
 				no[OCarrier] = uint64(carrier)
 				if err := lc.Write(TableOrder, OKey(wID, d, oID), no); err != nil {
 					return err
@@ -276,7 +293,7 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 						return err
 					}
 					total += olv[OLAmount]
-					nol := append([]uint64(nil), olv...)
+					nol := c.edit(olv)
 					nol[OLDeliveryD] = 1
 					if err := lc.Write(TableOrderLine, OLKey(wID, d, oID, ol), nol); err != nil {
 						return err
@@ -287,7 +304,7 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 				if err != nil {
 					return err
 				}
-				nc := append([]uint64(nil), cv...)
+				nc := c.edit(cv)
 				nc[CBalance] = i2u(u2i(nc[CBalance]) + int64(total))
 				nc[CDeliveryCnt]++
 				if err := lc.Write(TableCustomer, CKey(wID, d, cID), nc); err != nil {
@@ -304,7 +321,7 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 			return err
 		})
 	}
-	err := chopping.Run(e, parent, pieces)
+	err := chopping.Run(c.e, parent, pieces)
 	return delivered, err
 }
 
@@ -312,9 +329,9 @@ func (w *Workload) Delivery(e *tx.Executor, wID, carrier int, parent uint64) (in
 // district's last 20 orders whose stock is below the threshold. Its read
 // set (hundreds of records) is exactly why the paper gives read-only
 // transactions their own non-HTM scheme (Section 4.5).
-func (w *Workload) StockLevel(e *tx.Executor, wID, d int, threshold uint64) (int, error) {
+func (c *Client) StockLevel(wID, d int, threshold uint64) (int, error) {
 	low := 0
-	err := e.ExecRO(func(ro *tx.RO) error {
+	err := c.e.ExecRO(func(ro *tx.RO) error {
 		low = 0
 		dv, err := ro.Read(TableDistrict, DKey(wID, d))
 		if err != nil {

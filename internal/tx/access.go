@@ -9,7 +9,7 @@ package tx
 //
 //	recHandle        where the record's entry is, resolved once by either index
 //	lookupOrdered    the one local B+ tree lookup, through the executor's leaf
-//	                 finger, priced by what the index did (chargeIndexOp)
+//	                 cache, priced by what the index did (chargeIndexOp)
 //	acquirer         the I/O-free Figure 5 state machine over the state word
 //	Executor.acquire its synchronous driver (stageBatch drives it in waves)
 //	recHandle.check  the entry-image check every fetch runs
@@ -111,10 +111,10 @@ func (e *Executor) resolve(h *recHandle) (found bool, err error) {
 	return found, nil
 }
 
-// finger returns the executor's leaf finger for one of this node's ordered
-// regions: where its last point operation on that shard ended, so that a run
-// of adjacent keys — an order's lines, one after the other — walks the tree
-// once per leaf.
+// finger returns the executor's leaf cache for one of this node's ordered
+// regions: the leaves its last operations on that shard ended in, so that runs
+// of adjacent keys — an order's lines, one after the other; ten districts'
+// append points and delivery heads taking turns — walk the tree once per leaf.
 func (e *Executor) finger(region int) *kvs.Finger {
 	f := e.fingers[region]
 	if f == nil {
@@ -127,18 +127,23 @@ func (e *Executor) finger(region int) *kvs.Finger {
 	return f
 }
 
-// chargeIndexOp prices one point operation — lookup, insert or delete — on a
-// local ordered shard by what the index did, and counts it: a root-to-leaf
-// descent costs BTreeOpNS, a finger hit the one node search it is
-// (HashProbeNS). A shipped operation is priced per key by its sender, before
-// the host walks (ship, shipRemoveDead).
-func (e *Executor) chargeIndexOp(hit bool) {
-	if hit {
+// chargeIndexOp prices one operation — lookup, insert, delete or the start of
+// a scan — on a local ordered shard by what the index did, and counts it: a
+// root-to-leaf descent costs BTreeOpNS, whichever reason it was made for, a
+// hit on a remembered leaf the one node search it is (HashProbeNS). A shipped
+// operation is priced per key by its sender, before the host walks (ship,
+// shipRemoveDead).
+func (e *Executor) chargeIndexOp(via kvs.IndexPath) {
+	switch via {
+	case kvs.IndexHit:
 		e.w.Obs.Inc(obs.EvFingerHit)
 		e.charge(e.model().HashProbeNS)
 		return
+	case kvs.IndexFullLeaf:
+		e.w.Obs.Inc(obs.EvLeafFullDescent)
+	default:
+		e.w.Obs.Inc(obs.EvTreeDescent)
 	}
-	e.w.Obs.Inc(obs.EvTreeDescent)
 	e.charge(e.model().BTreeOpNS)
 }
 
@@ -147,8 +152,8 @@ func (e *Executor) chargeIndexOp(hit bool) {
 // (Local.resolve), by read-only transactions and the fallback (resolve).
 func (e *Executor) lookupOrdered(region int, key uint64) (*kvs.Ordered, memory.Offset, bool) {
 	o := e.w.Node.Ordered(region)
-	off, found, hit := o.LookupAt(e.finger(region), key)
-	e.chargeIndexOp(hit)
+	off, found, via := o.LookupAt(e.finger(region), key)
+	e.chargeIndexOp(via)
 	return o, off, found
 }
 

@@ -65,8 +65,8 @@ func TestExecAllocSteadyState(t *testing.T) {
 	}
 
 	// The confirm-wave RO path over ten local and ten remote records allocates
-	// the twenty value copies it hands to the body and nothing else: the
-	// shell, its index and its staged records are recycled on the executor.
+	// nothing: the shell, its index, its staged records and the value buffers
+	// the body reads from are recycled on the executor.
 	rt.ReadPolicy = PolicyAdaptive
 	for i := 0; i < 16; i++ {
 		if err := benchRO20Txn(e); err != nil {
@@ -78,8 +78,8 @@ func TestExecAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if ro20 > 21 {
-		t.Errorf("20-record RO allocates %.0f objects, budget 21", ro20)
+	if ro20 > 0 {
+		t.Errorf("20-record RO allocates %.0f objects, want 0", ro20)
 	}
 }
 

@@ -57,10 +57,10 @@ func (rt *Runtime) installStoreHandlers() {
 // the storage region under the current view (a promoted owner serves its
 // adopted partition from the replica region). When the host is the
 // partition's home primary, the op is mirrored to every backup's replica
-// shard so a later promotion sees the record. f is the caller's leaf finger
+// shard so a later promotion sees the record. f is the caller's leaf cache
 // for an ordered region (nil on the host side of a shipped op, whose sender
-// priced it already); hit reports that it served the index operation.
-func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (hit bool, err error) {
+// priced it already); via reports what the index operation did with it.
+func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (via kvs.IndexPath, err error) {
 	meta := rt.Meta(m.Table)
 	region := m.Table
 	part := rt.Part(m.Table, m.Key)
@@ -98,11 +98,11 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (hi
 				rep.Delete(m.Key)
 			}
 			if err != nil {
-				return false, err
+				return via, err
 			}
 		}
 	}
-	return false, err
+	return via, err
 }
 
 // execOrderedStoreOp is execStoreOp for ordered tables: the host resolves
@@ -111,17 +111,17 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (hi
 // is the home primary — mirrors it to every backup's ordered replica shard.
 // The caller holds redoMu when repl is set.
 func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
-	region, part int, repl bool, f *kvs.Finger) (hit bool, err error) {
+	region, part int, repl bool, f *kvs.Finger) (via kvs.IndexPath, err error) {
 	o, ok := n.OrderedRegion(region)
 	if !ok {
-		return false, fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
+		return via, fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
 	}
 	if m.Insert {
-		if hit, err = o.InsertAt(f, m.Key, m.Val); err != nil {
-			return hit, err
+		if via, err = o.InsertAt(f, m.Key, m.Val); err != nil {
+			return via, err
 		}
 	} else {
-		_, hit = o.DeleteAt(f, m.Key)
+		_, via = o.DeleteAt(f, m.Key)
 		if repl {
 			rt.delGen[delKey{part, m.Table, m.Key}]++
 		}
@@ -135,41 +135,48 @@ func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
 			}
 			if m.Insert {
 				if err := rep.Insert(m.Key, m.Val); err != nil {
-					return hit, err
+					return via, err
 				}
 			} else {
 				rep.Delete(m.Key)
 			}
 		}
 	}
-	return hit, nil
+	return via, nil
 }
 
 // applyStoreOp applies a deferred insert/delete: directly when the record
-// is homed here — an ordered table's through the executor's leaf finger, at
+// is homed here — an ordered table's through the executor's leaf cache, at
 // what the index did; a hash table's at a probe — via verbs otherwise.
 func (e *Executor) applyStoreOp(op deferredOp) {
 	node, region, _ := e.route(op.table, op.key)
 	m := storeOpMsg{Insert: op.insert, Table: op.table, Key: op.key, Val: op.val}
-	if node == e.w.Node.ID {
-		ordered := e.rt.Meta(op.table).Kind == Ordered
-		var f *kvs.Finger
-		if ordered {
-			f = e.finger(region)
-		}
-		hit, err := e.rt.execStoreOp(e.w.Node, m, f)
-		if err != nil {
-			// Duplicate keys indicate a workload bug; surface loudly.
-			panic(fmt.Sprintf("tx: deferred store op failed: %v", err))
-		}
-		if ordered {
-			e.chargeIndexOp(hit)
-		} else {
-			e.charge(e.model().HashProbeNS)
-		}
+	if node != e.w.Node.ID {
+		e.shipStoreOp(node, m)
 		return
 	}
-	sz := (3 + len(op.val)) * 8
+	ordered := e.rt.Meta(op.table).Kind == Ordered
+	var f *kvs.Finger
+	if ordered {
+		f = e.finger(region)
+	}
+	via, err := e.rt.execStoreOp(e.w.Node, m, f)
+	if err != nil {
+		// Duplicate keys indicate a workload bug; surface loudly.
+		panic(fmt.Sprintf("tx: deferred store op failed: %v", err))
+	}
+	if ordered {
+		e.chargeIndexOp(via)
+	} else {
+		e.charge(e.model().HashProbeNS)
+	}
+}
+
+// shipStoreOp sends a deferred insert/delete to the record's host. It takes
+// the message by value: here it is boxed for the envelope and captured by the
+// parked closure, while a local op's (applyStoreOp) stays on the stack.
+func (e *Executor) shipStoreOp(node int, m storeOpMsg) {
+	sz := (3 + len(m.Val)) * 8
 	for attempt := 0; ; attempt++ {
 		resp, err := e.call(node, msgStoreOp, m, 1, sz, 8)
 		if err == nil {
@@ -182,7 +189,7 @@ func (e *Executor) applyStoreOp(op deferredOp) {
 		if errors.Is(err, rdma.ErrNodeUnreachable) {
 			// Post-commit effect on a crashed host: park it for recovery,
 			// like a deferred write-back (fault.go) — with a value of its own:
-			// op.val is attempt scratch.
+			// the deferred op's is attempt scratch.
 			m.Val = append([]uint64(nil), m.Val...)
 			e.rt.defer_(node, func(rt *Runtime) {
 				if _, aerr := rt.execStoreOp(rt.C.Node(node), m, nil); aerr != nil {

@@ -295,17 +295,18 @@ func (lc *Local) ScanLocalDesc(table int, lo, hi uint64, limit int) []KeyOff {
 // either direction, for up to limit entries (limit <= 0 means unbounded).
 func (e *Executor) scanLocal(table int, lo, hi uint64, limit int, desc bool) []KeyOff {
 	o := e.w.Node.Ordered(table)
-	e.charge(e.model().BTreeOpNS)
 	var out []KeyOff
 	collect := func(k uint64, off memory.Offset) bool {
 		out = append(out, KeyOff{k, off})
 		return limit <= 0 || len(out) < limit
 	}
+	var via kvs.IndexPath
 	if desc {
-		o.ScanDesc(lo, hi, collect)
+		via = o.ScanDescAt(e.finger(table), lo, hi, collect)
 	} else {
-		o.Scan(lo, hi, collect)
+		via = o.ScanAt(e.finger(table), lo, hi, collect)
 	}
+	e.chargeIndexOp(via)
 	return out
 }
 

@@ -40,11 +40,12 @@ func lookupRig(t *testing.T) (*Runtime, *Executor) {
 func lookups(t *testing.T, e *Executor, fn func() error) (descents, hits, probes int64) {
 	t.Helper()
 	sh := e.w.Obs
-	d0, h0, ns0 := sh.Count(obs.EvTreeDescent), sh.Count(obs.EvFingerHit), int64(e.w.VClock.Now())
+	walks := func() int64 { return sh.Count(obs.EvTreeDescent) + sh.Count(obs.EvLeafFullDescent) }
+	d0, h0, ns0 := walks(), sh.Count(obs.EvFingerHit), int64(e.w.VClock.Now())
 	if err := fn(); err != nil {
 		t.Fatal(err)
 	}
-	descents, hits = sh.Count(obs.EvTreeDescent)-d0, sh.Count(obs.EvFingerHit)-h0
+	descents, hits = walks()-d0, sh.Count(obs.EvFingerHit)-h0
 	probes = int64(e.w.VClock.Now()) - ns0 - 1000*descents - hits
 	return descents, hits, probes
 }

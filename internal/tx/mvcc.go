@@ -167,7 +167,7 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 	case kvs.ResolveCurrent, kvs.ResolveRetired:
 		sh.Inc(obs.EvMVCCRead)
 		r := e.getRec()
-		r.recHandle, r.buf = h, append([]uint64(nil), res.Value...)
+		r.recHandle, r.buf = h, append(r.buf, res.Value...)
 		ro.recs = append(ro.recs, r)
 		ro.index[refKey{table, key}] = r
 		return r.buf, nil
@@ -197,15 +197,15 @@ func (ro *RO) mvccScan(table, node, region int, lo, hi uint64, limit int) ([]Sca
 	var out []ScanRow
 	if node == e.w.Node.ID {
 		o := e.w.Node.Ordered(region)
-		e.charge(e.model().BTreeOpNS)
 		var offs []KeyOff
-		o.Scan(lo, hi, func(k uint64, off memory.Offset) bool {
+		via := o.ScanAt(e.finger(region), lo, hi, func(k uint64, off memory.Offset) bool {
 			offs = append(offs, KeyOff{k, off})
 			// Dead rows resolve away below, so the walk over-collects: any
 			// row may be dead at the stamp. Cap generously rather than
 			// exactly; resolution trims to limit.
 			return limit <= 0 || len(offs) < 4*limit
 		})
+		e.chargeIndexOp(via)
 		vw := o.ValueWords()
 		depth := o.ChainDepth()
 		if depth <= 0 {

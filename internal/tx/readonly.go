@@ -22,9 +22,11 @@ import (
 // re-validated by the same confirmation, leaving no lease behind for the
 // next writer to wait out.
 //
-// The executor recycles the shell, its index and its staged records across
-// attempts and transactions; every value slice handed to the body is freshly
-// allocated and the caller's to keep.
+// The executor recycles the shell, its index, its staged records and their
+// value buffers across attempts and transactions: a value handed to the body —
+// by Read, ReadAtLocal or in a Scan's rows — is scratch of the attempt, as
+// Local.Read's is, and the executor's next transaction reuses it. A body that
+// keeps a value copies it.
 type RO struct {
 	e     *Executor
 	end   uint64 // the transaction's common lease end time
@@ -119,16 +121,13 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 }
 
 // release empties the shell after an attempt: the staged records go back to
-// the executor's pool without their value buffers, which the body owns.
+// the executor's pool with the value buffers the body was reading.
 func (ro *RO) release() {
-	for _, r := range ro.recs {
-		r.buf = nil
-	}
 	ro.e.putRecs(ro.recs)
 	ro.recs = ro.recs[:0]
 	clear(ro.index)
 	clear(ro.views)
-	ro.scans, ro.scanVals = ro.scans[:0], nil
+	ro.scans, ro.scanVals = ro.scans[:0], ro.scanVals[:0]
 	ro.cause = obs.CauseNone
 	ro.mvcc, ro.snap, ro.noMVCC = false, 0, false
 }
@@ -350,7 +349,8 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
 
 // Read leases and fetches a record by key (or, on the MVCC arm, resolves it
-// against its version chain at the snapshot stamp with one READ).
+// against its version chain at the snapshot stamp with one READ). The value is
+// the attempt's scratch (see RO).
 func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
 	if r, ok := ro.index[refKey{table, key}]; ok {
 		return r.buf, nil
@@ -385,12 +385,11 @@ func (ro *RO) ReadAtLocal(table int, off memory.Offset) ([]uint64, error) {
 	return r.buf, nil
 }
 
-// readHandle stages one resolved record. The struct comes from the
-// executor's pool without the pooled value buffer: the value is handed to the
-// body, so it is allocated per read.
+// readHandle stages one resolved record in a struct from the executor's pool;
+// its pooled buffer takes the value the body reads.
 func (ro *RO) readHandle(h recHandle) (*remoteRec, error) {
 	r := ro.e.getRec()
-	r.recHandle, r.buf = h, nil
+	r.recHandle = h
 	if err := ro.fetch(r); err != nil {
 		ro.e.recFree = append(ro.e.recFree, r)
 		return nil, err

@@ -133,14 +133,13 @@ func (t *Tx) collectScanLocal(table, region int, lo, hi uint64, limit int) ([]Sc
 // per-row stability bracket; rows (dead included) land in rec, live values
 // in *vals (returned rows alias its tail).
 func collectOrderedRange(e *Executor, o *kvs.Ordered, rec *scanRec, lo, hi uint64, limit int, vals *[]uint64) (out []ScanRow, busy bool) {
-	e.charge(e.model().BTreeOpNS)
 	rec.segs = o.SegSpan(rec.segs, lo, hi)
 	arena := o.Arena()
 	for _, s := range rec.segs {
 		rec.stamps = append(rec.stamps, arena.LoadWord(kvs.SegStampOffset(s)))
 	}
 	vw := o.ValueWords()
-	o.Scan(lo, hi, func(k uint64, off memory.Offset) bool {
+	via := o.ScanAt(e.finger(rec.region), lo, hi, func(k uint64, off memory.Offset) bool {
 		incver, live, ok := stableScanEntry(arena, off, vw, vals)
 		if !ok {
 			busy = true
@@ -152,6 +151,7 @@ func collectOrderedRange(e *Executor, o *kvs.Ordered, rec *scanRec, lo, hi uint6
 		}
 		return limit <= 0 || len(out) < limit
 	})
+	e.chargeIndexOp(via)
 	e.charge(e.model().HTMPerReadNS * int64(len(rec.rows)*(vw+2)))
 	return out, busy
 }
