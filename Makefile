@@ -39,14 +39,18 @@ race:
 # release side's one doorbell chain (a fault at every position of a commit's
 # chain and of an abort's release wave under lease, speculative and snapshot
 # readers; a zombie's clean releases against a lock that changed hands; the
-# wave counts) and two clients churning the same subscribers — repeated across
-# core counts. A red run here is a bug, never a rerun.
+# wave counts), the in-place log readers (Log.Scan's buffer contract, the redo
+# iterator's framing checks and fuzz seed corpus, a sink's drain against what
+# was appended, a fenced append leaving the ring untouched) and two clients
+# churning the same subscribers — repeated across core counts. A red run here
+# is a bug, never a rerun.
 STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch' ./internal/rdma/
 	go test -race -count=5 -cpu 1,2,4 -run 'Finger|FuzzIteratorBoundaries' ./internal/btree/ ./internal/kvs/
+	go test -race -count=5 -cpu 1,2,4 -run 'Redo|LogScan|Drain' ./internal/nvram/ ./internal/cluster/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 
@@ -54,12 +58,16 @@ stress:
 # transaction — hash or ordered, structural rows and shipped messages included
 # — stays inside its object budget, a 20-record read-only transaction and a
 # local read-modify-write of ten adjacent ordered rows allocate nothing, and
-# neither does a SmallBank deposit or cross-node payment; a TPC-C new-order
+# neither does a SmallBank deposit or cross-node payment, nor a replicated
+# two-row commit through its backups' sinks, nor a drain of a 64-record redo
+# ring, nor the retiring of a chain slot of any width; a TPC-C new-order
 # allocates only what its B+ trees grow by, a delivery and a stock-level
 # nothing per row (all excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
-	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState' ./internal/tx/
+	go test -count=1 -run 'TestLogScanBufferGrowthAndReuse' ./internal/nvram/
+	go test -count=1 -run 'TestRetireLocalRowWidths' ./internal/kvs/
+	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/
 	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines

@@ -584,6 +584,9 @@ type Stats struct {
 	Fallbacks int64 // executions completed on the software fallback path
 	ROCommits int64 // read-only transactions committed
 	RORetries int64 // read-only transaction retries
+	// ROEscalations counts read-only attempts run under leases because the
+	// transaction's earlier attempts kept failing (ExecRO's progress guarantee).
+	ROEscalations int64
 
 	// HTM region outcomes by abort cause (Section 7.4 / Table 6).
 	HTMCommits     int64
@@ -643,6 +646,7 @@ type Stats struct {
 
 	// Durability and recovery (Section 4.6 / Figure 7).
 	LogRecords      int64
+	RecoveryScans   int64 // write-ahead records Recover read
 	RecoveryRedos   int64
 	RecoveryUnlocks int64
 
@@ -690,6 +694,8 @@ func newStats(sn obs.Snapshot) Stats {
 		ROCommits: c(obs.EvROCommit),
 		RORetries: c(obs.EvRORetry),
 
+		ROEscalations: c(obs.EvROEscalate),
+
 		HTMCommits:     c(obs.EvHTMCommit),
 		ConflictAborts: c(obs.EvHTMConflictAbort),
 		CapacityAborts: c(obs.EvHTMCapacityAbort),
@@ -731,6 +737,7 @@ func newStats(sn obs.Snapshot) Stats {
 		FingerHits:   c(obs.EvFingerHit),
 
 		LogRecords:      c(obs.EvLogRecord),
+		RecoveryScans:   c(obs.EvRecoveryScan),
 		RecoveryRedos:   c(obs.EvRecoveryRedo),
 		RecoveryUnlocks: c(obs.EvRecoveryUnlock),
 
@@ -788,8 +795,8 @@ func (s Stats) Delta(prev Stats) Stats { return newStats(s.snap.Delta(prev.snap)
 // README's Observability section.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tx:      commits=%d retries=%d fallbacks=%d ro-commits=%d ro-retries=%d\n",
-		s.Commits, s.Retries, s.Fallbacks, s.ROCommits, s.RORetries)
+	fmt.Fprintf(&b, "tx:      commits=%d retries=%d fallbacks=%d ro-commits=%d ro-retries=%d ro-escalations=%d\n",
+		s.Commits, s.Retries, s.Fallbacks, s.ROCommits, s.RORetries, s.ROEscalations)
 	fmt.Fprintf(&b, "htm:     commits=%d aborts=%d (conflict=%d capacity=%d locked=%d lease=%d explicit=%d)\n",
 		s.HTMCommits, s.HTMAborts, s.ConflictAborts, s.CapacityAborts,
 		s.LockedAborts, s.LeaseAborts, s.ExplicitAborts)
@@ -809,8 +816,8 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d (%.2f ops/msg) batches=%d\n",
 		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, opsPerMsg, s.RDMABatches)
 	fmt.Fprintf(&b, "index:   descents=%d finger-hits=%d\n", s.TreeDescents, s.FingerHits)
-	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-redos=%d recovery-unlocks=%d\n",
-		s.LogRecords, s.RecoveryRedos, s.RecoveryUnlocks)
+	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-scans=%d recovery-redos=%d recovery-unlocks=%d\n",
+		s.LogRecords, s.RecoveryScans, s.RecoveryRedos, s.RecoveryUnlocks)
 	fmt.Fprintf(&b, "repl:    log-appends=%d backup-bytes=%d fence-rejects=%d view-aborts=%d failovers=%d promote-time=%v redo-tail=%d\n",
 		s.LogAppends, s.BackupBytes, s.FenceRejects, s.ViewAborts,
 		s.Failovers, time.Duration(s.PromoteNanos), s.RedoTailLen)

@@ -46,6 +46,7 @@ type failoverArm struct {
 	logAppends    int64
 	backupBytes   int64
 	redoTail      int64
+	walScanned    int64 // write-ahead records the f=0 arm's Recover read
 	repaired      bool  // victim revived (f=0) / partition promoted (f>0)
 	initial, net  int64 // conservation audit inputs
 	final, want   int64
@@ -195,6 +196,7 @@ func measureFailoverArm(o Options, f int) failoverArm {
 		logAppends:    st.LogAppends,
 		backupBytes:   st.BackupBytes,
 		redoTail:      st.RedoTailLen,
+		walScanned:    st.RecoveryScans,
 		repaired:      repaired,
 		initial:       initial,
 		net:           net,
@@ -236,6 +238,7 @@ func runFailoverExp(o Options) *Result {
 	res.AddRow("failovers", fmt.Sprintf("%d", rec.failovers), fmt.Sprintf("%d", hot.failovers))
 	res.AddRow("log-appends", fmt.Sprintf("%d", rec.logAppends), fmt.Sprintf("%d", hot.logAppends))
 	res.AddRow("backup-bytes", fmt.Sprintf("%d", rec.backupBytes), fmt.Sprintf("%d", hot.backupBytes))
+	res.AddRow("wal-records-scanned", fmt.Sprintf("%d", rec.walScanned), fmt.Sprintf("%d", hot.walScanned))
 	res.AddRow("redo-tail-replayed", fmt.Sprintf("%d", rec.redoTail), fmt.Sprintf("%d", hot.redoTail))
 
 	if rec.unavailNS > 0 {
@@ -245,6 +248,7 @@ func runFailoverExp(o Options) *Result {
 	}
 	res.Note("same warm window both arms: f=0 replays the whole NVRAM WAL, f=1 replays only the checkpoint-bounded redo tail")
 	res.Note("detector: 1ms heartbeats, 12ms failure timeout, 2ms election stagger; node 1 crashed once under live traffic; seed %d", seed(o))
+	res.Note("wal-records-scanned and redo-tail-replayed are each repair's work in log records, the quantity the wall-clock ratio follows: what Recover read from the victim's write-ahead logs (f=0) against what the promotion replayed from redo tails (f=1)")
 	res.Note("unavailability is wall-clock until the partition serves again: the whole Recover call (f=0) vs view handover + adopted-partition redo replay (f=1); detection latency is identical across arms")
 	return res
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,11 +170,11 @@ func TestDurabilityLogsAllocated(t *testing.T) {
 		t.Fatal("durability logs missing")
 	}
 	w.LockAheadLog.Append([]uint64{1})
-	if w.LockAheadLog.Len() != 1 {
+	if w.LockAheadLog.BytesUsed() != 2*8 {
 		t.Fatal("log append failed")
 	}
 	// Logs are per-worker: the other worker's logs are untouched.
-	if c.Worker(0, 0).LockAheadLog.Len() != 0 {
+	if c.Worker(0, 0).LockAheadLog.BytesUsed() != 0 {
 		t.Fatal("logs shared between workers")
 	}
 }
@@ -263,4 +264,88 @@ func TestPromotionFencesBeforeItRoutes(t *testing.T) {
 	if c.View(part) != nv || c.OwnerOf(part) != backup {
 		t.Fatalf("view after publish = %#x, want %#x", c.View(part), nv)
 	}
+}
+
+// TestRedoSinkDrainEquivalence holds the in-place sink to what the copying one
+// delivered: a drain hands back every appended record word for word, in append
+// order, counts them and leaves the ring empty and appendable; a record the
+// fence rejects — on any of its updates — or a malformed one leaves the ring
+// as it was.
+func TestRedoSinkDrainEquivalence(t *testing.T) {
+	cfg := DefaultConfig(3, 1)
+	cfg.Durability = true
+	cfg.ReplicationFactor = 1
+	c := New(cfg)
+	defer c.Stop()
+	const backup = 2
+	sink := c.RedoSinkAt(backup, 0, 0)
+	epoch := func(p int) uint64 { return ViewEpoch(c.View(p)) }
+
+	var want [][]uint64
+	for i := 0; i < 20; i++ {
+		ups := []nvram.RedoUpdate{{Part: 1, Epoch: epoch(1), Table: 1, Key: uint64(i),
+			Version: uint32(i + 1), Val: make([]uint64, i%11)}}
+		if i%3 == 0 { // a cross-partition write-set
+			ups = append(ups, nvram.RedoUpdate{Part: 0, Epoch: epoch(0), Table: 2, Key: 99, Val: []uint64{uint64(i)}})
+		}
+		rec := nvram.EncodeRedo(nil, uint64(100+i), ups)
+		if err := sink.RemoteAppend(0, rec); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		want = append(want, rec)
+	}
+	used := sink.BytesUsed()
+	words := 0
+	for _, rec := range want {
+		words += 1 + len(rec)
+	}
+	if used != words*8 {
+		t.Fatalf("BytesUsed = %d, want %d", used, words*8)
+	}
+
+	// Rejected appends: a stale epoch on the second update only, and a frame
+	// whose count overruns it. Neither may touch the ring.
+	if _, ok := c.TryPromote(1, backup); !ok {
+		t.Fatal("TryPromote failed")
+	}
+	stale := nvram.EncodeRedo(nil, 1, []nvram.RedoUpdate{
+		{Part: 0, Epoch: epoch(0), Table: 2, Key: 1},
+		{Part: 1, Epoch: epoch(1), Table: 1, Key: 1}, // the routing mirror's epoch: one behind
+	})
+	if err := sink.RemoteAppend(0, stale); !errors.Is(err, rdma.ErrFenced) {
+		t.Fatalf("stale second update: %v, want ErrFenced", err)
+	}
+	if err := sink.RemoteAppend(0, []uint64{1, 5, 0}); err == nil || errors.Is(err, rdma.ErrFenced) {
+		t.Fatalf("malformed frame: %v, want a framing error", err)
+	}
+	if sink.BytesUsed() != used {
+		t.Fatalf("rejected appends moved the ring: %d -> %d bytes", used, sink.BytesUsed())
+	}
+
+	i := 0
+	n := sink.Drain(func(rec []uint64) {
+		if i < len(want) && !slices.Equal(rec, want[i]) {
+			t.Errorf("record %d = %v, want %v", i, rec, want[i])
+		}
+		i++
+	})
+	if n != len(want) || i != n {
+		t.Fatalf("Drain returned %d (fn called %d times), appended %d", n, i, len(want))
+	}
+	if sink.BytesUsed() != 0 {
+		t.Fatalf("ring holds %d bytes after the drain", sink.BytesUsed())
+	}
+	if n := sink.Drain(func([]uint64) { t.Error("fn called on a drained ring") }); n != 0 {
+		t.Fatalf("second drain returned %d", n)
+	}
+
+	fresh := nvram.EncodeRedo(nil, 2, []nvram.RedoUpdate{{Part: 0, Epoch: epoch(0), Table: 2, Key: 3, Val: []uint64{4}}})
+	if err := sink.RemoteAppend(0, fresh); err != nil {
+		t.Fatalf("append after the drain: %v", err)
+	}
+	sink.Drain(func(rec []uint64) {
+		if !slices.Equal(rec, fresh) {
+			t.Errorf("after drain + append: %v, want %v", rec, fresh)
+		}
+	})
 }

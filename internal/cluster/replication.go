@@ -104,20 +104,22 @@ type RedoSink struct {
 	host int
 	sh   *obs.Shard
 
-	mu  sync.Mutex
-	log *nvram.Log
+	mu   sync.Mutex
+	log  *nvram.Log
+	scan []uint64 // Drain's record buffer, reused from drain to drain
 }
 
-// RemoteAppend implements rdma.LogSink: fence, then ring append.
+// RemoteAppend implements rdma.LogSink: fence, then ring append. The record
+// is read in place; nothing of it outlives the call but the ring's copy.
 func (s *RedoSink) RemoteAppend(from int, rec []uint64) error {
-	_, ups, ok := nvram.DecodeRedo(rec)
+	it, ok := nvram.IterRedo(rec)
 	if !ok {
 		return fmt.Errorf("cluster: malformed redo record from node %d", from)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range ups {
-		if ups[i].Epoch < ViewEpoch(s.c.MembershipView(ups[i].Part)) {
+	for u, more := it.Next(); more; u, more = it.Next() {
+		if u.Epoch < ViewEpoch(s.c.MembershipView(u.Part)) {
 			s.sh.Inc(obs.EvFenceReject)
 			return rdma.ErrFenced
 		}
@@ -133,16 +135,15 @@ func (s *RedoSink) RemoteAppend(from int, rec []uint64) error {
 // Drain applies every record currently in the log through fn (in append
 // order) and truncates, all under the sink's append lock. Returns the
 // number of records drained. Used by the sender-triggered checkpoint and by
-// promotion's redo-tail replay.
+// promotion's redo-tail replay. rec lives in the sink's scan buffer and is
+// valid only until fn returns.
 func (s *RedoSink) Drain(fn func(rec []uint64)) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := s.log.Entries()
-	for _, rec := range entries {
-		fn(rec)
-	}
+	var n int
+	n, s.scan = s.log.Scan(s.scan, fn)
 	s.log.Truncate()
-	return len(entries)
+	return n
 }
 
 // BytesUsed returns the ring's current payload footprint.

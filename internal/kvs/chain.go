@@ -70,10 +70,15 @@ func RetireSlotTx(hx *htm.Txn, a *memory.Arena, off memory.Offset, vw, depth int
 
 // RetireLocal is RetireTx for plain seqlocked writes (redo drains, shipped
 // store ops): the caller must hold whatever serialization protects the entry
-// (redoMu, the entry's state lock). Writes follow the tail-first protocol:
-// tail dirties, then the slot, so a concurrent MVCC READ observes either the
-// old quiescent image or a head/tail mismatch. The caller writes value and
-// head afterwards. Returns the clamped stamp actually published.
+// (the partition's redo lock, the entry's state lock). Writes follow the
+// tail-first protocol: tail dirties, then the slot, so a concurrent MVCC READ
+// observes either the old quiescent image or a head/tail mismatch. The caller
+// writes value and head afterwards. Returns the clamped stamp actually
+// published.
+//
+// The retired slot is assembled in a stack buffer: a row that fits goes out in
+// one Write, a wider one a bufferful at a time in ascending order (a Write is
+// atomic per cache line only, either way).
 func RetireLocal(a *memory.Arena, off memory.Offset, vw, depth int, now, newIncVer uint64) uint64 {
 	if depth <= 0 {
 		return now
@@ -82,14 +87,24 @@ func RetireLocal(a *memory.Arena, off memory.Offset, vw, depth int, now, newIncV
 	oldStamp := a.LoadWord(tailOff + TailStampWord)
 	oldHead := a.LoadWord(off + EntryIncVerWord)
 	stamp := ClampStamp(now, oldStamp)
-	a.Write(tailOff, []uint64{stamp, newIncVer})
+	tail := [TailWords]uint64{stamp, newIncVer}
+	a.Write(tailOff, tail[:])
 	if oldStamp != 0 {
-		so := ChainSlotOffset(off, vw, ChainSlotIndex(Version(oldHead), depth))
-		slot := make([]uint64, ChainSlotWords(vw))
-		slot[ChainStampWord] = oldStamp
-		slot[ChainIncVerWord] = oldHead
-		a.Read(slot[ChainValueWord:], off+EntryValueWord)
-		a.Write(so, slot)
+		var buf [8 * memory.WordsPerLine]uint64
+		buf[ChainStampWord] = oldStamp
+		buf[ChainIncVerWord] = oldHead
+		dst := ChainSlotOffset(off, vw, ChainSlotIndex(Version(oldHead), depth))
+		src := off + EntryValueWord
+		for n, left := ChainValueWord, vw; ; n = 0 {
+			c := min(left, len(buf)-n)
+			a.Read(buf[n:n+c], src)
+			a.Write(dst, buf[:n+c])
+			if left -= c; left == 0 {
+				break
+			}
+			dst += memory.Offset(n + c)
+			src += memory.Offset(c)
+		}
 	}
 	return stamp
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// wordsOf reinterprets fuzz bytes as the word stream DecodeRedo consumes.
+// wordsOf reinterprets fuzz bytes as the word stream IterRedo consumes.
 func wordsOf(data []byte) []uint64 {
 	ws := make([]uint64, len(data)/8)
 	for i := range ws {
@@ -32,6 +32,7 @@ func updatesFrom(ws []uint64) []RedoUpdate {
 			Version: uint32(ws[4]),
 			Inc:     uint32(ws[4] >> 32),
 			Gen:     ws[5],
+			Stamp:   ws[1] ^ ws[5],
 			Val:     append([]uint64(nil), ws[7:7+vw]...),
 		})
 		ws = ws[7+vw:]
@@ -39,13 +40,28 @@ func updatesFrom(ws []uint64) []RedoUpdate {
 	return ups
 }
 
+// iterate collects what a RedoIter hands out over rec (values alias rec).
+func iterate(rec []uint64) (txid uint64, ups []RedoUpdate, ok bool) {
+	it, ok := IterRedo(rec)
+	if !ok {
+		return 0, nil, false
+	}
+	for u, more := it.Next(); more; u, more = it.Next() {
+		ups = append(ups, u)
+	}
+	if _, more := it.Next(); more {
+		return 0, nil, false // Next after exhaustion must stay exhausted
+	}
+	return it.TxID, ups, true
+}
+
 // FuzzRedoRoundTrip checks the two halves of the redo wire format:
 //
-//  1. EncodeRedo∘DecodeRedo is the identity on any structured update list
-//     (every header field survives, including Gen and Inc);
-//  2. DecodeRedo never panics on an arbitrary word stream, and whatever it
-//     does accept re-encodes to a frame it decodes identically (no
-//     accept-then-corrupt frames).
+//  1. EncodeRedo followed by iteration is the identity on any structured
+//     update list (every header field survives, including Gen and Inc);
+//  2. IterRedo and Next never panic on an arbitrary word stream, and whatever
+//     IterRedo does accept re-encodes to a frame that iterates identically
+//     (no accept-then-corrupt frames).
 func FuzzRedoRoundTrip(f *testing.F) {
 	f.Add(uint64(1), []byte{})
 	// One well-formed single-update frame: txid=7, count=1, then a header
@@ -69,9 +85,9 @@ func FuzzRedoRoundTrip(f *testing.F) {
 
 		// Half 2: arbitrary stream must decode safely, and accepted frames
 		// must round-trip exactly.
-		if dtx, dups, ok := DecodeRedo(ws); ok {
+		if dtx, dups, ok := iterate(ws); ok {
 			re := EncodeRedo(nil, dtx, dups)
-			rtx, rups, rok := DecodeRedo(re)
+			rtx, rups, rok := iterate(re)
 			if !rok || rtx != dtx {
 				t.Fatalf("re-decode of accepted frame failed: ok=%v txid %d vs %d", rok, rtx, dtx)
 			}
@@ -84,7 +100,7 @@ func FuzzRedoRoundTrip(f *testing.F) {
 		if len(enc) != RedoWords(ups) {
 			t.Fatalf("encoded length %d, RedoWords says %d", len(enc), RedoWords(ups))
 		}
-		gtx, gups, ok := DecodeRedo(enc)
+		gtx, gups, ok := iterate(enc)
 		if !ok || gtx != txid {
 			t.Fatalf("decode failed: ok=%v txid %d vs %d", ok, gtx, txid)
 		}
@@ -100,7 +116,8 @@ func compare(t *testing.T, want, got []RedoUpdate) {
 	for i := range want {
 		w, g := &want[i], &got[i]
 		if w.Part != g.Part || w.Epoch != g.Epoch || w.Table != g.Table ||
-			w.Key != g.Key || w.Version != g.Version || w.Inc != g.Inc || w.Gen != g.Gen {
+			w.Key != g.Key || w.Version != g.Version || w.Inc != g.Inc || w.Gen != g.Gen ||
+			w.Stamp != g.Stamp {
 			t.Fatalf("update %d header: %+v vs %+v", i, g, w)
 		}
 		if len(w.Val) != len(g.Val) {
@@ -110,6 +127,38 @@ func compare(t *testing.T, want, got []RedoUpdate) {
 			if w.Val[j] != g.Val[j] {
 				t.Fatalf("update %d value word %d: %#x vs %#x", i, j, g.Val[j], w.Val[j])
 			}
+		}
+	}
+}
+
+// TestIterRedoRejectsMalformedFrames pins the three framing checks, all made
+// before the first update is handed out: a count the frame cannot hold, a
+// tail shorter than its header promises, and a value length that would wrap
+// negative through int().
+func TestIterRedoRejectsMalformedFrames(t *testing.T) {
+	good := EncodeRedo(nil, 9, []RedoUpdate{
+		{Part: 1, Epoch: 2, Table: 3, Key: 4, Version: 5, Val: []uint64{6, 7}},
+		{Part: 1, Epoch: 2, Table: 3, Key: 8, Version: 1},
+	})
+	if _, ups, ok := iterate(good); !ok || len(ups) != 2 || ups[0].Val[1] != 7 || len(ups[1].Val) != 0 {
+		t.Fatalf("well-formed frame: ok=%v ups=%+v", ok, ups)
+	}
+	mutate := func(i int, w uint64) []uint64 {
+		rec := append([]uint64(nil), good...)
+		rec[i] = w
+		return rec
+	}
+	for name, rec := range map[string][]uint64{
+		"empty":                           {},
+		"header only, count 1":            {1, 1},
+		"corrupt count":                   mutate(1, 1<<60),
+		"count one too many":              mutate(1, 3),
+		"short tail":                      good[:len(good)-1],
+		"wrapped value length":            mutate(2+7, 1<<63|1),
+		"second update's length overruns": mutate(2+redoUpdateHeaderWords+2+7, 1),
+	} {
+		if _, ok := IterRedo(rec); ok {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

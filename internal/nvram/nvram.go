@@ -63,37 +63,39 @@ func (l *Log) AppendTx(tx *htm.Txn, rec []uint64) bool {
 }
 
 // Append appends rec immediately (durable as soon as it returns). Used for
-// the lock-ahead and chopping logs written before the HTM region.
+// the lock-ahead and chopping logs written before the HTM region, and by the
+// backups' redo rings. The length word and the payload go straight into the
+// arena; the record exists once head, written last, covers it.
 func (l *Log) Append(rec []uint64) bool {
 	head := l.arena.LoadWord(headOff)
 	if int(head)+1+len(rec) > int(dataOff)+l.cap {
 		return false
 	}
-	buf := make([]uint64, 1+len(rec))
-	buf[0] = uint64(len(rec))
-	copy(buf[1:], rec)
-	l.arena.Write(memory.Offset(head), buf)
-	l.arena.StoreWord(headOff, head+uint64(len(buf)))
+	l.arena.StoreWord(memory.Offset(head), uint64(len(rec)))
+	l.arena.Write(memory.Offset(head)+1, rec)
+	l.arena.StoreWord(headOff, head+uint64(1+len(rec)))
 	return true
 }
 
-// Entries returns all records currently in the log (recovery scan).
-func (l *Log) Entries() [][]uint64 {
+// Scan calls fn with every record currently in the log, in append order, and
+// returns the number of records. It is the log's one reader. Each record is
+// copied out of the arena into buf, which is grown when a record outruns it
+// and handed back for the next scan: rec aliases it and is valid only until
+// fn returns, so a caller that keeps a record copies it.
+func (l *Log) Scan(buf []uint64, fn func(rec []uint64)) (n int, _ []uint64) {
 	head := l.arena.LoadWord(headOff)
-	var out [][]uint64
-	off := dataOff
-	for uint64(off) < head {
-		n := l.arena.LoadWord(off)
-		rec := make([]uint64, n)
+	for off := dataOff; uint64(off) < head; n++ {
+		w := int(l.arena.LoadWord(off))
+		if cap(buf) < w {
+			buf = make([]uint64, w)
+		}
+		rec := buf[:w]
 		l.arena.Read(rec, off+1)
-		out = append(out, rec)
-		off += memory.Offset(1 + n)
+		fn(rec)
+		off += memory.Offset(1 + w)
 	}
-	return out
+	return n, buf
 }
-
-// Len returns the number of records.
-func (l *Log) Len() int { return len(l.Entries()) }
 
 // BytesUsed returns the durable payload footprint in bytes.
 func (l *Log) BytesUsed() int {

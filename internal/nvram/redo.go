@@ -87,43 +87,67 @@ func EncodeRedo(buf []uint64, txid uint64, ups []RedoUpdate) []uint64 {
 	return buf
 }
 
-// DecodeRedo parses a redo record. Returns ok=false on a malformed frame
-// (truncated tail); value slices alias rec.
-func DecodeRedo(rec []uint64) (txid uint64, ups []RedoUpdate, ok bool) {
+// RedoIter reads a redo record where it lies: one update header is decoded
+// per Next, and the update's Val aliases the frame, so neither the updates
+// nor their values are materialised. IterRedo validates the whole frame before
+// the first update is handed out — a reader acts on update i only when every
+// update of the record is well formed, as it did when the record was decoded
+// into a slice first.
+type RedoIter struct {
+	TxID uint64
+
+	rec  []uint64
+	off  int // next update's header
+	left int // updates not yet returned
+}
+
+// IterRedo checks rec's framing and returns an iterator over its updates;
+// ok is false on a malformed frame (corrupt count, truncated tail, a value
+// length the frame cannot hold).
+func IterRedo(rec []uint64) (it RedoIter, ok bool) {
 	if len(rec) < 2 {
-		return 0, nil, false
+		return it, false
 	}
-	txid = rec[0]
-	k := int(rec[1])
 	// An update needs at least its header: a count the frame cannot hold is
-	// a corrupt length word, not a short tail — reject before allocating.
-	if k < 0 || k > (len(rec)-2)/redoUpdateHeaderWords {
-		return 0, nil, false
+	// a corrupt length word, not a short tail. Compared in uint64 space, as
+	// the value lengths below are: a corrupt word cast through int() can wrap
+	// negative and sneak past an int-typed bounds check.
+	if rec[1] > uint64((len(rec)-2)/redoUpdateHeaderWords) {
+		return it, false
 	}
-	ups = make([]RedoUpdate, 0, k)
+	k := int(rec[1])
 	off := 2
 	for i := 0; i < k; i++ {
 		if off+redoUpdateHeaderWords > len(rec) {
-			return 0, nil, false
+			return it, false
 		}
-		// Compare in uint64 space: a corrupt length word cast through int()
-		// can wrap negative and sneak past an int-typed bounds check.
 		if rec[off+7] > uint64(len(rec)-off-redoUpdateHeaderWords) {
-			return 0, nil, false
+			return it, false
 		}
-		vw := int(rec[off+7])
-		ups = append(ups, RedoUpdate{
-			Part:    int(rec[off]),
-			Epoch:   rec[off+1],
-			Table:   int(rec[off+2]),
-			Key:     rec[off+3],
-			Version: uint32(rec[off+4]),
-			Inc:     uint32(rec[off+4] >> 32),
-			Gen:     rec[off+5],
-			Stamp:   rec[off+6],
-			Val:     rec[off+redoUpdateHeaderWords : off+redoUpdateHeaderWords+vw],
-		})
-		off += redoUpdateHeaderWords + vw
+		off += redoUpdateHeaderWords + int(rec[off+7])
 	}
-	return txid, ups, true
+	return RedoIter{TxID: rec[0], rec: rec, off: 2, left: k}, true
+}
+
+// Next decodes the next update; ok is false when the record is exhausted.
+// u.Val is valid for as long as the frame passed to IterRedo is.
+func (it *RedoIter) Next() (u RedoUpdate, ok bool) {
+	if it.left == 0 {
+		return u, false
+	}
+	h := it.rec[it.off : it.off+redoUpdateHeaderWords]
+	val := it.off + redoUpdateHeaderWords
+	it.off = val + int(h[7])
+	it.left--
+	return RedoUpdate{
+		Part:    int(h[0]),
+		Epoch:   h[1],
+		Table:   int(h[2]),
+		Key:     h[3],
+		Version: uint32(h[4]),
+		Inc:     uint32(h[4] >> 32),
+		Gen:     h[5],
+		Stamp:   h[6],
+		Val:     it.rec[val:it.off],
+	}, true
 }

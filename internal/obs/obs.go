@@ -123,6 +123,15 @@ const (
 	EvMVCCInconsist // torn image (head/tail mismatch) observed by a snapshot read
 	EvMVCCFallback  // one RO execution that fell back to the confirm-wave arm
 
+	// EvROEscalate counts attempts of read-only transactions run under leases
+	// because the transaction's earlier attempts kept failing (ExecRO's
+	// progress guarantee).
+	EvROEscalate
+
+	// EvRecoveryScan counts write-ahead records Recover read: the replay's
+	// work, whatever share of it the version guards then skipped.
+	EvRecoveryScan
+
 	NumEvents int = iota
 )
 
@@ -188,6 +197,8 @@ var eventNames = [NumEvents]string{
 	EvMVCCTrunc:          "mvcc.truncated",
 	EvMVCCInconsist:      "mvcc.inconsistent",
 	EvMVCCFallback:       "mvcc.fallback",
+	EvROEscalate:         "ro.escalate",
+	EvRecoveryScan:       "recovery.wal_scanned",
 }
 
 func (e Event) String() string {

@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,32 +129,6 @@ func TestBatchPartialCompletionFault(t *testing.T) {
 	}
 }
 
-// scriptedProb is the fault probability of a scripted plan (scriptedSeed).
-const scriptedProb = 0.1
-
-// scriptedSeed searches for a plan seed that scripts faults: under a rule of
-// probability scriptedProb on the link 0 -> 1, of the first n matching verbs
-// exactly those at the given positions (counting from 1) fail. It asks a
-// throwaway fabric, so it leans on nothing but the plan's contract — a seed and
-// a verb sequence replay the same faults.
-func scriptedSeed(n int, fails ...int) int64 {
-	for seed := int64(1); ; seed++ {
-		f := newTestFabric(2)
-		plan := NewFaultPlan(seed)
-		plan.LinkRule(0, 1, FaultRule{FailProb: scriptedProb})
-		f.SetFaultPlan(plan)
-		qp := f.NewQP(0, nil)
-		var w [1]uint64
-		match := true
-		for i := 1; i <= n && match; i++ {
-			match = (qp.TryRead(1, 0, 0, w[:]) != nil) == slices.Contains(fails, i)
-		}
-		if match {
-			return seed
-		}
-	}
-}
-
 // The connection's error state, position by position: with the k-th of eight
 // chained WRITEs to node 1 scripted to fail, exactly the first k-1 land, the
 // k-th times out, the rest are flushed — memory untouched, no verb and no
@@ -165,10 +138,10 @@ func scriptedSeed(n int, fails ...int) int64 {
 // 16 leave the same memory, and the error state ends with the Poll.
 func TestFlushBehindFailedWR(t *testing.T) {
 	const chain = 8
-	run := func(window, k int, seed int64) (mem [2][chain]uint64) {
+	run := func(window, k int) (mem [2][chain]uint64) {
 		f := newTestFabric(3)
-		plan := NewFaultPlan(seed)
-		plan.LinkRule(0, 1, FaultRule{FailProb: scriptedProb})
+		plan := NewFaultPlan(1)
+		plan.ScriptFaults(0, 1, k, k+1)
 		f.SetFaultPlan(plan)
 		qp := f.NewQP(0, nil)
 		sq := qp.NewSendQueue(window)
@@ -209,8 +182,7 @@ func TestFlushBehindFailedWR(t *testing.T) {
 		return mem
 	}
 	for k := 1; k <= chain; k++ {
-		seed := scriptedSeed(2*chain, k, k+1)
-		wide, serial := run(16, k, seed), run(1, k, seed)
+		wide, serial := run(16, k), run(1, k)
 		if wide != serial {
 			t.Fatalf("fault at %d: window 16 left %v, window 1 left %v", k, wide, serial)
 		}

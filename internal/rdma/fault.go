@@ -3,6 +3,7 @@ package rdma
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -55,6 +56,16 @@ type FaultPlan struct {
 	rng  *rand.Rand
 	node map[int]FaultRule
 	link map[[2]int]FaultRule
+
+	// script fails verbs of a directed link by position (ScriptFaults).
+	script map[[2]int]*faultScript
+}
+
+// faultScript is one link's scripted faults: seen counts the link's verbs
+// drawn since the script was installed, fails holds the positions that fail.
+type faultScript struct {
+	seen  int
+	fails []int
 }
 
 // NewFaultPlan creates an empty plan drawing from a RNG seeded with seed.
@@ -82,11 +93,28 @@ func (p *FaultPlan) LinkRule(from, to int, r FaultRule) {
 	p.mu.Unlock()
 }
 
-// Clear removes all rules (the RNG keeps its state).
+// ScriptFaults is the tests' hook for a fault at an exact place: of the verbs
+// from issues against to from now on, those at the given positions (counting
+// from 1) fail with ErrTimeout and no other does on the script's account —
+// whatever the schedule, which a probabilistic rule under a searched seed
+// cannot promise once two goroutines draw from the plan. A work request
+// flushed behind a failed one draws nothing and takes no position. It replaces
+// the link's earlier script and stacks on its rules.
+func (p *FaultPlan) ScriptFaults(from, to int, positions ...int) {
+	p.mu.Lock()
+	if p.script == nil {
+		p.script = make(map[[2]int]*faultScript)
+	}
+	p.script[[2]int{from, to}] = &faultScript{fails: positions}
+	p.mu.Unlock()
+}
+
+// Clear removes all rules and scripts (the RNG keeps its state).
 func (p *FaultPlan) Clear() {
 	p.mu.Lock()
 	p.node = make(map[int]FaultRule)
 	p.link = make(map[[2]int]FaultRule)
+	p.script = nil
 	p.mu.Unlock()
 }
 
@@ -95,12 +123,16 @@ func (p *FaultPlan) Clear() {
 func (p *FaultPlan) draw(from, to int) (extraNS int64, fail bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.node) == 0 && len(p.link) == 0 {
+	if len(p.node) == 0 && len(p.link) == 0 && len(p.script) == 0 {
 		return 0, false
+	}
+	if sc := p.script[[2]int{from, to}]; sc != nil {
+		sc.seen++
+		fail = slices.Contains(sc.fails, sc.seen)
 	}
 	if r, ok := p.node[to]; ok {
 		extraNS += r.ExtraNS
-		if r.FailProb > 0 && p.rng.Float64() < r.FailProb {
+		if !fail && r.FailProb > 0 && p.rng.Float64() < r.FailProb {
 			fail = true
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"drtm/internal/cluster"
+	"drtm/internal/kvs"
+	"drtm/internal/nvram"
+	"drtm/internal/obs"
 )
 
 // TestExecAllocSteadyState pins the pooled hot path: once the executor's
@@ -184,5 +187,104 @@ func TestLocalOrderedAllocSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, rmw); n > 0 {
 		t.Errorf("local read-modify-write of 10 adjacent ordered rows allocates %.0f objects, want 0", n)
+	}
+}
+
+// TestReplicatedCommitAllocSteadyState pins the backup half of a replicated
+// commit at zero objects: a two-row transaction — one local, one remote write
+// — on a durable f = 1 rig with version chains, through the write-ahead
+// append, the redo encode, the log-append wave into both backups' sinks
+// (RemoteAppend's fence reads the record in place) and the checkpoints its
+// ring triggers on the way; then a Drain of a 64-record ring through
+// applyRedo, which retires the superseded replica version from a stack buffer.
+func TestReplicatedCommitAllocSteadyState(t *testing.T) {
+	cfg := cluster.DefaultConfig(2, 1)
+	cfg.LeaseMicros = 5_000
+	cfg.ROLeaseMicros = 10_000
+	cfg.Durability = true
+	cfg.ReplicationFactor = 1
+	cfg.MVCCDepth = 4
+	c := cluster.New(cfg)
+	c.Start()
+	defer c.Stop()
+	rt := NewRuntime(c, func(_ int, key uint64) int { return int(key) % 2 })
+	rt.DefineUnordered(tblAccounts, 256, 256, 256, 2)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 2; n++ { // transactional inserts: mirrored to the replica shards
+		must(rt.Executor(n, 0).Exec(func(tx *Tx) error {
+			return tx.Execute(func(lc *Local) error {
+				lc.Insert(tblAccounts, uint64(2+n), []uint64{1000, 0})
+				lc.Insert(tblAccounts, uint64(4+n), []uint64{1000, 0})
+				return nil
+			})
+		}))
+	}
+
+	e := rt.Executor(0, 0)
+	val := make([]uint64, 2) // the body's scratch row: Local.Write copies
+	commit := func() {
+		must(e.Exec(func(tx *Tx) error {
+			if err := tx.Stage(Access{Table: tblAccounts, Key: 2, Write: true},
+				Access{Table: tblAccounts, Key: 3, Write: true}); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				for _, k := range [...]uint64{2, 3} {
+					v, err := lc.Read(tblAccounts, k)
+					if err != nil {
+						return err
+					}
+					val[0], val[1] = v[0]+1, v[1]
+					if err := lc.Write(tblAccounts, k, val); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}))
+	}
+	ckpts := rt.C.Obs.Snapshot().Counter(obs.EvShippedOp)
+	for i := 0; i < 64; i++ { // warm the pools, the sinks' scan buffers included
+		commit()
+	}
+	if n := testing.AllocsPerRun(200, commit); n != 0 {
+		t.Errorf("replicated two-row commit allocates %.0f objects, want 0", n)
+	}
+	if rt.C.Obs.Snapshot().Counter(obs.EvShippedOp) == ckpts {
+		t.Error("no checkpoint ran: the guard did not cover the drain a full ring triggers")
+	}
+
+	// A 64-record ring of successive versions of key 4 (partition 0, backed up
+	// on node 1), drained into node 1's replica shard.
+	sink := c.RedoSinkAt(1, 0, 0)
+	replica := c.Node(1).Unordered(cluster.ReplicaRegion(0, tblAccounts))
+	ups := []nvram.RedoUpdate{{Part: 0, Epoch: c.ViewEpochOf(0), Table: tblAccounts, Key: 4, Val: val}}
+	version := uint32(100)
+	var rec []uint64
+	drain := func() {
+		for i := 0; i < 64; i++ {
+			version++
+			ups[0].Version, ups[0].Stamp, val[0] = version, uint64(version), uint64(version)
+			rec = nvram.EncodeRedo(rec, uint64(version), ups)
+			must(sink.RemoteAppend(0, rec))
+		}
+		rt.drainCheckpoint(c.Node(1), 0, 0)
+	}
+	drain()
+	if n := testing.AllocsPerRun(20, drain); n != 0 {
+		t.Errorf("drain of a 64-record ring allocates %.0f objects, want 0", n)
+	}
+	off, _ := replica.LookupLocal(4)
+	if v, ok := replica.Get(4); !ok || v[0] != uint64(version) ||
+		kvs.Version(replica.Arena().LoadWord(kvs.IncVerOffset(off))) != version {
+		t.Errorf("replica row = %v, %v after the drains; want value and version %d", v, ok, version)
+	}
+	if sink.BytesUsed() != 0 {
+		t.Errorf("ring holds %d bytes after the drain", sink.BytesUsed())
 	}
 }

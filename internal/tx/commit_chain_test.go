@@ -14,7 +14,6 @@ import (
 	"drtm/internal/memory"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
-	"drtm/internal/vtime"
 )
 
 // The release side is one doorbell chain of WRITEs (Tx.commitRemotes,
@@ -43,40 +42,15 @@ func chainRig(t *testing.T, keys int, mut func(*cluster.Config)) (*Runtime, func
 }
 
 // scriptFault installs a fault plan that fails exactly the k-th of the next
-// verbs node 0 issues against node 1 (of the next k+24, the rest complete). The
-// plan is probabilistic and seeded; the seed is found, once per k, by asking a
-// throwaway fabric which of its verbs fail, so the script leans on nothing but
-// the plan's contract: a seed and a verb sequence replay the same faults. A
-// work request flushed behind the failed one draws nothing and does not count.
+// verbs node 0 issues against node 1 and no other, by position
+// (rdma.FaultPlan.ScriptFaults): which verb that is does not depend on what
+// else draws from the plan meanwhile. A work request flushed behind the failed
+// one draws nothing and does not count.
 func scriptFault(rt *Runtime, k int) {
-	rule := rdma.FaultRule{FailProb: 0.1}
-	scriptedMu.Lock()
-	seed, ok := scriptedSeeds[k]
-	for !ok {
-		seed++
-		f := rdma.NewFabric(2, vtime.DefaultModel(), rdma.AtomicHCA)
-		f.Register(1, 0, memory.NewArena(1, 8))
-		plan := rdma.NewFaultPlan(seed)
-		plan.LinkRule(0, 1, rule)
-		f.SetFaultPlan(plan)
-		qp := f.NewQP(0, nil)
-		var w [1]uint64
-		ok = true
-		for i := 1; i <= k+24 && ok; i++ {
-			ok = (qp.TryRead(1, 0, 0, w[:]) != nil) == (i == k)
-		}
-	}
-	scriptedSeeds[k] = seed
-	scriptedMu.Unlock()
-	plan := rdma.NewFaultPlan(seed)
-	plan.LinkRule(0, 1, rule)
+	plan := rdma.NewFaultPlan(1)
+	plan.ScriptFaults(0, 1, k)
 	rt.C.Fabric.SetFaultPlan(plan)
 }
-
-var (
-	scriptedMu    sync.Mutex
-	scriptedSeeds = map[int]int64{}
-)
 
 // wideImage reads key's whole entry + chain image the way a one-sided READ
 // does: line by line, each line consistent, ascending.

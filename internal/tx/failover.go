@@ -83,12 +83,12 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 	rep.Promoted = true
 
 	replay := func(rec []uint64) {
-		_, ups, ok := nvram.DecodeRedo(rec)
+		it, ok := nvram.IterRedo(rec)
 		if !ok {
 			return
 		}
-		for i := range ups {
-			rt.applyRedoUpdate(ups[i])
+		for u, more := it.Next(); more; u, more = it.Next() {
+			rt.applyRedoUpdate(u)
 		}
 	}
 	for s := 0; s < c.Nodes(); s++ {
@@ -120,6 +120,7 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 		}
 	}
 
+	var buf []uint64 // the lock-ahead scans' record buffer
 	for w := 0; w < cfg.WorkersPerNode; w++ {
 		wk := c.Worker(crashed, w)
 		if wk.LockAheadLog == nil {
@@ -128,10 +129,10 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 		// Unlike Recover, committed transactions' locks are released here
 		// too: the redo replay above does not touch state words, so every
 		// lock the crashed machine still holds — committed or not — must go.
-		for _, rec := range wk.LockAheadLog.Entries() {
+		_, buf = wk.LockAheadLog.Scan(buf, func(rec []uint64) {
 			_, locks, ok := parseLockAhead(rec)
 			if !ok {
-				continue
+				return
 			}
 			for _, l := range locks {
 				if rt.unlockIfOwned(crashed, l) {
@@ -139,7 +140,7 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 					wk.Obs.Inc(obs.EvRecoveryUnlock)
 				}
 			}
-		}
+		})
 		wk.WriteAheadLog.Truncate()
 		wk.LockAheadLog.Truncate()
 		wk.ChoppingLog.Truncate()

@@ -111,7 +111,7 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 // other path logs none, and no reader of either log uses it.
 func commitTrail(t *testing.T, rt *Runtime, e *Executor, walSeen *int) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
 	t.Helper()
-	entries := e.w.WriteAheadLog.Entries()
+	entries := logRecords(e.w.WriteAheadLog)
 	for _, rec := range entries[*walSeen:] {
 		_, recs, ok := parseWAL(rec)
 		if !ok {
@@ -140,16 +140,18 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor, walSeen *int) (wal [][]
 	*walSeen = len(entries)
 	for b := 0; b < rt.C.Nodes(); b++ {
 		rt.C.RedoSinkAt(b, e.w.Node.ID, e.w.ID).Drain(func(rec []uint64) {
-			_, ups, ok := nvram.DecodeRedo(rec)
+			it, ok := nvram.IterRedo(rec)
 			if !ok {
 				t.Fatalf("malformed redo record %v", rec)
 			}
-			for i := range ups {
-				ups[i].Stamp = 0
-				ups[i].Val = append([]uint64(nil), ups[i].Val...)
-				if ups[i].Inc != 0 && !kvs.Live(ups[i].Inc) {
-					ups[i].Val = nil
+			var ups []nvram.RedoUpdate
+			for u, more := it.Next(); more; u, more = it.Next() {
+				u.Stamp = 0
+				u.Val = append([]uint64(nil), u.Val...) // rec is the sink's scan buffer
+				if u.Inc != 0 && !kvs.Live(u.Inc) {
+					u.Val = nil
 				}
+				ups = append(ups, u)
 			}
 			sort.Slice(ups, func(i, j int) bool {
 				if ups[i].Table != ups[j].Table {

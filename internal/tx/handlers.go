@@ -46,7 +46,7 @@ func (rt *Runtime) installStoreHandlers() {
 			return err
 		})
 		n.Handle(msgRedoCheckpoint, func(from int, body any) any {
-			m := body.(redoCkptMsg)
+			m := body.(*redoCkptMsg)
 			rt.drainCheckpoint(n, m.Sender, m.Worker)
 			return nil
 		})
@@ -64,33 +64,34 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (vi
 	meta := rt.Meta(m.Table)
 	region := m.Table
 	part := rt.Part(m.Table, m.Key)
-	repl := part >= 0 && rt.C.ReplicationFactor() > 0
 	if part >= 0 && rt.C.OwnerOf(part) != part {
 		region = cluster.ReplicaRegion(part, m.Table)
 	}
-	if repl {
-		// Serialized with redo application (repl.go): a drain must never
-		// observe the copies mid-op or interleave with a delete, and a
-		// delete's generation bump must be atomic with removing the entry so
-		// stale redo records are recognized (applyRedo's guards).
-		rt.redoMu.Lock()
-		defer rt.redoMu.Unlock()
+	var sh *redoShard // the partition's, held, when the record is replicated
+	if part >= 0 && rt.C.ReplicationFactor() > 0 {
+		// Serialized with redo application to the partition (repl.go): a
+		// drain must never observe the copies mid-op or interleave with a
+		// delete, and a delete's generation bump must be atomic with removing
+		// the entry so stale redo records are recognized (applyRedo's guards).
+		sh = &rt.redoShards[part]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
 	if meta.Kind == Ordered {
-		return rt.execOrderedStoreOp(n, m, region, part, repl, f)
+		return rt.execOrderedStoreOp(n, m, region, part, sh, f)
 	}
 	t := n.Unordered(region)
 	if m.Insert {
 		err = t.Insert(m.Key, m.Val)
 	} else {
 		t.Delete(m.Key)
-		if repl {
-			rt.delGen[delKey{part, m.Table, m.Key}]++
+		if sh != nil {
+			sh.delGen[delKey{m.Table, m.Key}]++
 		}
 	}
-	if err == nil && repl && rt.C.OwnerOf(part) == part {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], part)
-		for _, b := range rt.bkScr {
+	if err == nil && sh != nil && rt.C.OwnerOf(part) == part {
+		sh.bk = rt.C.Backups(sh.bk[:0], part)
+		for _, b := range sh.bk {
 			rep := rt.C.Node(b).Unordered(cluster.ReplicaRegion(part, m.Table))
 			if m.Insert {
 				err = rep.Insert(m.Key, m.Val)
@@ -109,9 +110,9 @@ func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (vi
 // its ordered shard under the current view (a promoted owner serves the
 // adopted partition from its replica shard), applies the op, and — when it
 // is the home primary — mirrors it to every backup's ordered replica shard.
-// The caller holds redoMu when repl is set.
+// sh is the partition's redo shard, held, or nil (execStoreOp).
 func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
-	region, part int, repl bool, f *kvs.Finger) (via kvs.IndexPath, err error) {
+	region, part int, sh *redoShard, f *kvs.Finger) (via kvs.IndexPath, err error) {
 	o, ok := n.OrderedRegion(region)
 	if !ok {
 		return via, fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
@@ -122,13 +123,13 @@ func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
 		}
 	} else {
 		_, via = o.DeleteAt(f, m.Key)
-		if repl {
-			rt.delGen[delKey{part, m.Table, m.Key}]++
+		if sh != nil {
+			sh.delGen[delKey{m.Table, m.Key}]++
 		}
 	}
-	if repl && rt.C.OwnerOf(part) == part {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], part)
-		for _, b := range rt.bkScr {
+	if sh != nil && rt.C.OwnerOf(part) == part {
+		sh.bk = rt.C.Backups(sh.bk[:0], part)
+		for _, b := range sh.bk {
 			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(part, m.Table))
 			if !ok {
 				continue

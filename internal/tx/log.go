@@ -112,7 +112,7 @@ func (t *Tx) logWAL(htx *htm.Txn) {
 	}
 }
 
-// parseWAL decodes one write-ahead record.
+// parseWAL decodes one write-ahead record; the updates' values alias rec.
 func parseWAL(rec []uint64) (txid uint64, recs []walRec, ok bool) {
 	if len(rec) < 2 {
 		return 0, nil, false
@@ -134,7 +134,7 @@ func parseWAL(rec []uint64) (txid uint64, recs []walRec, ok bool) {
 			off:     memory.Offset(rec[i+2]),
 			version: uint32(rec[i+3]),
 			inc:     uint32(rec[i+3] >> 32),
-			val:     append([]uint64(nil), rec[i+5:i+5+vw]...),
+			val:     rec[i+5 : i+5+vw],
 		})
 		i += 5 + vw
 	}

@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,17 +156,22 @@ func TestMVCCScanSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Atomically swap row 4 for row 5 and back: the live count is 4 in
-		// every committed state. Throttled so the chain ring (depth 4) never
-		// wraps within the snapshot's staleness window — an unthrottled
-		// swap loop would truncate every snapshot and starve the reader's
-		// confirm-wave fallback too.
+		// every committed state. The loop runs as fast as it can: where it
+		// laps the chain ring (depth 4) inside a snapshot's staleness window
+		// the reader falls back to the confirm wave and, failing that too,
+		// escalates (ExecRO). The yield is not a throttle: this writer is
+		// local to its rows, so it posts no verb — the engine's yield points —
+		// and on one core the Go scheduler would otherwise run it for a whole
+		// time slice, thousands of commits, between any two steps of the
+		// reader; no protocol makes progress against a scheduler that does
+		// not run it.
 		for i := uint64(0); ; i++ {
 			select {
 			case <-stopCh:
 				return
 			default:
 			}
-			time.Sleep(50 * time.Microsecond)
+			runtime.Gosched()
 			out, in := uint64(4), uint64(5)
 			if i%2 == 1 {
 				out, in = in, out

@@ -185,19 +185,20 @@ func (rt *Runtime) execEnsureEntry(n *cluster.Node, region, table, part int, key
 	if !ok {
 		return 0, fmt.Errorf("tx: node %d has no ordered region %d", n.ID, region)
 	}
-	repl := part >= 0 && rt.C.ReplicationFactor() > 0 && region == table &&
-		rt.C.OwnerOf(part) == part
-	if repl {
-		rt.redoMu.Lock()
-		defer rt.redoMu.Unlock()
+	var sh *redoShard
+	if part >= 0 && rt.C.ReplicationFactor() > 0 && region == table &&
+		rt.C.OwnerOf(part) == part {
+		sh = &rt.redoShards[part]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
 	off, err := o.EnsureDead(key)
 	if err != nil {
 		return 0, err
 	}
-	if repl {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], part)
-		for _, b := range rt.bkScr {
+	if sh != nil {
+		sh.bk = rt.C.Backups(sh.bk[:0], part)
+		for _, b := range sh.bk {
 			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(part, table))
 			if !ok {
 				continue
@@ -251,28 +252,30 @@ func (rt *Runtime) execRangeScan(n *cluster.Node, m rangeScanMsg) any {
 // backups' replica shards. Best-effort by design: a busy state word (the
 // slot is being resurrected or leased) or a re-inserted key simply leaves
 // the dead entry for a later pass; scans skip dead entries either way. The
-// delete-generation bump happens here, atomically with the removal under
-// redoMu, so a lagging redo update can never land on a recycled slot (whose
-// version restarts at 0).
+// delete-generation bump happens here, atomically with the removal under the
+// partition's redo lock, so a lagging redo update can never land on a recycled
+// slot (whose version restarts at 0).
 func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
 	o, ok := n.OrderedRegion(op.region)
 	if !ok {
 		return
 	}
-	repl := op.part >= 0 && rt.C.ReplicationFactor() > 0
-	if repl {
-		rt.redoMu.Lock()
-		defer rt.redoMu.Unlock()
+	var sh *redoShard
+	if op.part >= 0 && rt.C.ReplicationFactor() > 0 {
+		sh = &rt.redoShards[op.part]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
 	if !removeDeadEntry(o, op.key, uint8(n.ID), op.deadIncVer) {
 		return
 	}
-	if repl {
-		rt.delGen[delKey{op.part, op.table, op.key}]++
+	if sh == nil {
+		return
 	}
-	if repl && op.region == op.table && rt.C.OwnerOf(op.part) == op.part {
-		rt.bkScr = rt.C.Backups(rt.bkScr[:0], op.part)
-		for _, b := range rt.bkScr {
+	sh.delGen[delKey{op.table, op.key}]++
+	if op.region == op.table && rt.C.OwnerOf(op.part) == op.part {
+		sh.bk = rt.C.Backups(sh.bk[:0], op.part)
+		for _, b := range sh.bk {
 			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(op.part, op.table))
 			if !ok {
 				continue

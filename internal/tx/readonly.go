@@ -61,10 +61,19 @@ type RO struct {
 	// confirm-wave read has been collected, so one attempt always has a
 	// single serialization point (snap for MVCC attempts, the confirm
 	// instant otherwise).
-	mvcc   bool
-	snap   uint64
-	noMVCC bool // a prior attempt's chain fallback poisons adaptive MVCC entry
+	mvcc      bool
+	snap      uint64
+	noMVCC    bool // a prior attempt's chain fallback poisons adaptive MVCC entry
+	escalated bool // attempt roEscalateAfter or later (ExecRO)
 }
+
+// roEscalateAfter is how many attempts of one read-only transaction may fail —
+// on a lock, a truncated chain or a confirmation alike — before the rest run
+// escalated: reads leased, scanned entries pinned (pinScan). The snapshot and
+// speculative arms take no lock, so nothing stops a writer from lapping a
+// version ring or moving a header under every attempt; a lease (Section 4.5)
+// makes it wait and outlives the attempt that took it, which bounds the retries.
+const roEscalateAfter = 8
 
 // ExecRO runs a read-only transaction to completion with retries.
 func (e *Executor) ExecRO(build func(ro *RO) error) error {
@@ -86,7 +95,10 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 		ro.release()
 		ro.end = e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros
 		ro.policy = e.resolvePolicy()
-		if ro.policy == PolicyMVCC {
+		if attempt >= roEscalateAfter {
+			ro.policy, ro.noMVCC, ro.escalated = PolicyLease, true, true
+			e.w.Obs.Inc(obs.EvROEscalate)
+		} else if ro.policy == PolicyMVCC {
 			if chainFellBack || !ro.enterMVCC() {
 				// Chains unavailable or already proven unresolvable: the
 				// confirm-wave speculative arm is the MVCC arm's fallback.
@@ -129,7 +141,7 @@ func (ro *RO) release() {
 	clear(ro.views)
 	ro.scans, ro.scanVals = ro.scans[:0], ro.scanVals[:0]
 	ro.cause = obs.CauseNone
-	ro.mvcc, ro.snap, ro.noMVCC = false, 0, false
+	ro.mvcc, ro.snap, ro.noMVCC, ro.escalated = false, 0, false, false
 }
 
 // lockConflict fails the attempt on a record held by a conflicting writer.
@@ -343,7 +355,37 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	sh.Observe(obs.PhaseScan, int64(ro.e.w.VClock.Now())-sstart)
 	sh.Inc(obs.EvScan)
 	sh.Add(obs.EvScanRow, int64(len(out)))
+	if ro.escalated {
+		return out, ro.pinScan(&rec)
+	}
 	return out, nil
+}
+
+// pinScan leases every entry an escalated attempt's scan collected, dead ones
+// included. The scan stays optimistic — confirmScans decides — and the leases
+// only make the range's writers wait (an update, an erase, an insert reviving
+// a dead entry each need the entry's lock) until this attempt or the next,
+// which shares them, confirms. An insert of a key the range never held gets by.
+func (ro *RO) pinScan(sc *scanRec) error {
+	for _, r := range sc.rows {
+		h := recHandle{table: sc.table, node: sc.node, region: sc.region, off: r.off, key: r.key, ordered: true}
+		if _, err := ro.lease(&h); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lease takes a shared lease on the record up to the transaction's common end
+// time and returns the lease's end; a conflicting writer fails the attempt.
+func (ro *RO) lease(h *recHandle) (end uint64, err error) {
+	var a acquirer
+	a.arm(acqLease, 0, ro.end)
+	v, end, err := ro.e.acquire(&a, h, true)
+	if err == nil && v == acqConflict {
+		err = ro.lockConflict()
+	}
+	return end, err
 }
 
 func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
@@ -408,16 +450,10 @@ func (ro *RO) fetch(r *remoteRec) error {
 	e := ro.e
 	r.spec = e.routeRead(ro.policy, &r.recHandle)
 	if !r.spec {
-		var a acquirer
-		a.arm(acqLease, 0, ro.end)
-		v, end, err := e.acquire(&a, &r.recHandle, true)
-		if err != nil {
+		var err error
+		if r.leaseEnd, err = ro.lease(&r.recHandle); err != nil {
 			return err
 		}
-		if v == acqConflict {
-			return ro.lockConflict()
-		}
-		r.leaseEnd = end
 	}
 	vw := e.rt.Meta(r.table).ValueWords
 	words, err := e.readEntry(&r.recHandle, vw, 0)

@@ -70,32 +70,31 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	// which the version guard then skips, and an acked commit is lost.
 	committed := make(map[uint64]bool)
 	held := make(map[lockRef]struct{}) // the redone records' locations
+	var buf []uint64                   // every scan's record buffer
 	for _, wk := range wks {
-		if wk.WriteAheadLog.Len() > 0 || wk.LockAheadLog.Len() > 0 ||
-			wk.ChoppingLog.Len() > 0 {
-			sawEntries = true
-		}
-		for _, rec := range wk.WriteAheadLog.Entries() {
+		sawEntries = sawEntries || wk.WriteAheadLog.BytesUsed() > 0 ||
+			wk.LockAheadLog.BytesUsed() > 0 || wk.ChoppingLog.BytesUsed() > 0
+		_, buf = wk.WriteAheadLog.Scan(buf, func(rec []uint64) {
+			wk.Obs.Inc(obs.EvRecoveryScan)
 			txid, recs, ok := parseWAL(rec)
 			if !ok {
-				continue
+				return
 			}
 			committed[txid] = true
-			applied := false
+			redone := rep.RedoneRecords
 			for _, u := range recs {
 				if rt.redo(u) {
 					rep.RedoneRecords++
 					wk.Obs.Inc(obs.EvRecoveryRedo)
-					applied = true
 				} else {
 					rep.SkippedRecords++
 				}
 				held[lockRef{node: u.node, table: u.table, off: u.off}] = struct{}{}
 			}
-			if applied {
+			if rep.RedoneRecords > redone {
 				rep.RedoneTxns++
 			}
-		}
+		})
 	}
 
 	// Now the locks: the redone records', then the uncommitted transactions'.
@@ -103,10 +102,10 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		rt.unlockIfOwned(crashed, l)
 	}
 	for _, wk := range wks {
-		for _, rec := range wk.LockAheadLog.Entries() {
+		_, buf = wk.LockAheadLog.Scan(buf, func(rec []uint64) {
 			txid, locks, ok := parseLockAhead(rec)
 			if !ok || committed[txid] {
-				continue
+				return
 			}
 			for _, l := range locks {
 				if rt.unlockIfOwned(crashed, l) {
@@ -114,13 +113,13 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 					wk.Obs.Inc(obs.EvRecoveryUnlock)
 				}
 			}
-		}
+		})
 
-		for _, rec := range wk.ChoppingLog.Entries() {
+		_, buf = wk.ChoppingLog.Scan(buf, func(rec []uint64) {
 			if len(rec) >= 1 && !committed[rec[0]] {
-				rep.PendingPieces = append(rep.PendingPieces, rec[1:])
+				rep.PendingPieces = append(rep.PendingPieces, append([]uint64(nil), rec[1:]...)) // rec is the scan buffer
 			}
-		}
+		})
 
 		wk.WriteAheadLog.Truncate()
 		wk.LockAheadLog.Truncate()
@@ -154,21 +153,16 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 func (rt *Runtime) redo(u walRec) bool {
 	arena := rt.arenaOf(u.node, u.table)
 	cur := arena.LoadWord(kvs.IncVerOffset(u.off))
-	applied := false
-	if u.inc != 0 {
-		packed := uint64(u.inc)<<32 | uint64(u.version)
-		if cur < packed {
-			arena.Write(kvs.ValueOffset(u.off), u.val)
-			arena.Write(kvs.IncVerOffset(u.off), []uint64{packed})
-			applied = true
-		}
-	} else if kvs.Version(cur) < u.version {
-		arena.Write(kvs.ValueOffset(u.off), u.val)
-		arena.Write(kvs.IncVerOffset(u.off),
-			[]uint64{kvs.PackIncVer(kvs.Incarnation(cur), u.version)})
-		applied = true
+	head := kvs.PackIncVer(u.inc, u.version)
+	if u.inc == 0 {
+		head = kvs.PackIncVer(kvs.Incarnation(cur), u.version)
 	}
-	return applied
+	if cur >= head {
+		return false
+	}
+	arena.Write(kvs.ValueOffset(u.off), u.val)
+	arena.StoreWord(kvs.IncVerOffset(u.off), head)
+	return true
 }
 
 // unlockIfOwned clears the record's exclusive lock when held by the crashed

@@ -8,7 +8,15 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/nvram"
 )
+
+// logRecords copies every record out of an NVRAM log through its scan.
+func logRecords(l *nvram.Log) [][]uint64 {
+	var out [][]uint64
+	l.Scan(nil, func(rec []uint64) { out = append(out, append([]uint64(nil), rec...)) })
+	return out
+}
 
 func durableRig(t testing.TB, nodes, workers, keys int) (*Runtime, func()) {
 	t.Helper()
@@ -42,15 +50,16 @@ func TestDurableCommitWritesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := rt.C.Worker(0, 0)
-	if w.WriteAheadLog.Len() != 1 {
-		t.Fatalf("WAL records = %d, want 1", w.WriteAheadLog.Len())
+	wal := logRecords(w.WriteAheadLog)
+	if len(wal) != 1 {
+		t.Fatalf("WAL records = %d, want 1", len(wal))
 	}
-	txid, recs, ok := parseWAL(w.WriteAheadLog.Entries()[0])
+	txid, recs, ok := parseWAL(wal[0])
 	if !ok || txid == 0 || len(recs) != 2 {
 		t.Fatalf("WAL parse = %d recs, ok=%v", len(recs), ok)
 	}
-	if w.LockAheadLog.Len() != 1 {
-		t.Fatalf("lock-ahead records = %d, want 1", w.LockAheadLog.Len())
+	if n := len(logRecords(w.LockAheadLog)); n != 1 {
+		t.Fatalf("lock-ahead records = %d, want 1", n)
 	}
 }
 
@@ -70,7 +79,7 @@ func TestAbortedTxnLeavesNoWAL(t *testing.T) {
 			return ErrUserAbort
 		})
 	})
-	if rt.C.Worker(0, 0).WriteAheadLog.Len() != 0 {
+	if rt.C.Worker(0, 0).WriteAheadLog.BytesUsed() != 0 {
 		t.Fatal("aborted transaction left a WAL record")
 	}
 }

@@ -72,18 +72,21 @@ func (t *Tx) replicate() error {
 	return nil
 }
 
-// stampRedoGens stamps every update with its key's current delete
-// generation, under the same lock the generation bumps take. Runs after the
-// serialization point; remote records' exclusive locks are still held, so no
-// delete of them can race in. (A deferred delete of a LOCAL record can slip
-// into the tiny XEND→stamp window — the residual of modeling deletes as
-// shipped ops rather than transactional writes; see applyRedo.)
+// stampRedoGens stamps every update with its key's current delete generation,
+// under the lock its partition's generation bumps take — one shard at a time,
+// never two held together. Runs after the serialization point; remote records'
+// exclusive locks are still held, so no delete of them can race in. (A deferred
+// delete of a LOCAL record can slip into the tiny XEND→stamp window — the residual
+// of modeling deletes as shipped ops, not transactional writes; see applyRedo.)
 func (rt *Runtime) stampRedoGens(ups []nvram.RedoUpdate) {
-	rt.redoMu.Lock()
-	for i := range ups {
-		ups[i].Gen = rt.delGen[delKey{ups[i].Part, ups[i].Table, ups[i].Key}]
+	for i := 0; i < len(ups); {
+		sh := &rt.redoShards[ups[i].Part]
+		sh.mu.Lock()
+		for p := ups[i].Part; i < len(ups) && ups[i].Part == p; i++ {
+			ups[i].Gen = sh.delGen[delKey{ups[i].Table, ups[i].Key}]
+		}
+		sh.mu.Unlock()
 	}
-	rt.redoMu.Unlock()
 }
 
 // replView returns the view word an update of part should be stamped with
@@ -160,9 +163,12 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 		switch {
 		case err == nil:
 			landed++
-			sink := c.RedoSinkAt(b, self, e.w.ID)
-			if sink.BytesUsed() >= cluster.CheckpointWords*8 {
-				t.triggerCheckpoint(b)
+			if c.RedoSinkAt(b, self, e.w.ID).BytesUsed() >= cluster.CheckpointWords*8 {
+				// The ring crossed the checkpoint threshold: ask the backup to
+				// apply and truncate it. Best-effort: a dead backup's ring is
+				// either drained by failover or lost with the backup.
+				e.ckptMsg = redoCkptMsg{Sender: self, Worker: e.w.ID}
+				_, _ = e.call(b, msgRedoCheckpoint, &e.ckptMsg, 1, 16, 8)
 			}
 		case errors.Is(err, rdma.ErrFenced):
 			// A promotion raced into the XEND→append window: the record
@@ -199,15 +205,6 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	return nil
 }
 
-// triggerCheckpoint asks backup b to apply and truncate this worker's redo
-// log there (its ring crossed the checkpoint threshold). Best-effort: a dead
-// backup's ring is either drained by failover or lost with the backup.
-func (t *Tx) triggerCheckpoint(b int) {
-	e := t.e
-	m := redoCkptMsg{Sender: e.w.Node.ID, Worker: e.w.ID}
-	_, _ = e.call(b, msgRedoCheckpoint, m, 1, 16, 8)
-}
-
 // drainCheckpoint runs on backup n: apply the (sender, worker) redo log to
 // n's replica shards and truncate it — FaRM's "backups consume their logs
 // with their own CPUs", keeping promotion's replay tail short. Updates for
@@ -217,14 +214,12 @@ func (rt *Runtime) drainCheckpoint(n *cluster.Node, sender, worker int) {
 	if rt.C.ReplicationFactor() == 0 {
 		return
 	}
-	sink := rt.C.RedoSinkAt(n.ID, sender, worker)
-	sink.Drain(func(rec []uint64) {
-		_, ups, ok := nvram.DecodeRedo(rec)
+	rt.C.RedoSinkAt(n.ID, sender, worker).Drain(func(rec []uint64) {
+		it, ok := nvram.IterRedo(rec)
 		if !ok {
 			return
 		}
-		for i := range ups {
-			u := ups[i]
+		for u, more := it.Next(); more; u, more = it.Next() {
 			if !rt.C.IsBackup(n.ID, u.Part) || rt.C.OwnerOf(u.Part) != u.Part {
 				continue
 			}
@@ -253,8 +248,8 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 
 // applyRedo applies one redo update to the copy of its table in a storage
 // region of node n: value and version are written iff the logged version is
-// newer. The whole check-then-write runs under redoMu: rings drain
-// concurrently (two rings on one backup can hold successive versions of the
+// newer. The whole check-then-write runs under the partition's redo lock: rings
+// drain concurrently (two rings on one backup can hold successive versions of the
 // same key when different sender workers committed them, and Failover's
 // crashed-sender replay can race a checkpoint drain), so without the lock an
 // interleaved pair of drains could publish the older value under the newer
@@ -275,9 +270,10 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 // slot may have cycled a different number of times), so only liveness is
 // meaningful across copies — and an erase flip (even Inc) carries no value.
 func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bool {
-	rt.redoMu.Lock()
-	defer rt.redoMu.Unlock()
-	if u.Gen < rt.delGen[delKey{u.Part, u.Table, u.Key}] {
+	sh := &rt.redoShards[u.Part]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if u.Gen < sh.delGen[delKey{u.Table, u.Key}] {
 		return false // logged before a delete of the key: stale
 	}
 	var (
@@ -311,13 +307,13 @@ func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bo
 		inc++
 	}
 	// Retire the superseded replica version into the copy's own chain (under
-	// redoMu; tail-first, value and head after) so a promoted backup keeps
+	// the redo lock; tail-first, value and head after) so a promoted backup keeps
 	// serving snapshot reads across failover.
 	head := kvs.PackIncVer(inc, u.Version)
 	kvs.RetireLocal(arena, off, vw, depth, u.Stamp, head)
 	if len(u.Val) > 0 {
 		arena.Write(kvs.ValueOffset(off), u.Val)
 	}
-	arena.Write(kvs.IncVerOffset(off), []uint64{head})
+	arena.StoreWord(kvs.IncVerOffset(off), head)
 	return true
 }

@@ -3,6 +3,7 @@ package tx
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -415,8 +416,11 @@ func TestROSpecLocalStress(t *testing.T) {
 			if audits == 0 {
 				t.Fatal("no audit committed")
 			}
-			if n := rt.C.Obs.Total(obs.EvLeaseGrant) + rt.C.Obs.Total(obs.EvLeaseShare); n != 0 {
-				t.Fatalf("speculative run took %d leases", n)
+			// A speculative run leases nothing — except in an audit's escalated
+			// attempts (ExecRO's progress guarantee), which lease every row.
+			leases := rt.C.Obs.Total(obs.EvLeaseGrant) + rt.C.Obs.Total(obs.EvLeaseShare)
+			if esc := rt.C.Obs.Total(obs.EvROEscalate); leases > esc*wideRows {
+				t.Fatalf("speculative run took %d leases in %d escalated attempts of %d rows", leases, esc, wideRows)
 			}
 			var total uint64
 			for k := uint64(1); k <= wideRows; k++ {
@@ -435,6 +439,74 @@ func TestROSpecLocalStress(t *testing.T) {
 			if total != wideRows*wideBalance {
 				t.Fatalf("final total = %d, want %d", total, wideRows*wideBalance)
 			}
+		})
+	}
+}
+
+// TestROEscalationPinsScannedRows is the progress guarantee for a scan: a
+// remote writer moves balance between the rows of one entity as fast as it
+// can, so on one core a commit lands between every collection and its
+// confirmation and an optimistic scan never confirms. Past roEscalateAfter
+// failed attempts the scanned entries are leased, the writer's lock CASes
+// wait, and the read-only transaction commits — within a budget of attempts a
+// starved one exhausts.
+func TestROEscalationPinsScannedRows(t *testing.T) {
+	for _, p := range []ReadPolicy{PolicySpeculative, PolicyMVCC} {
+		t.Run(p.String(), func(t *testing.T) {
+			rt, stop := newOrderedRig(t, 2, 2, nil)
+			defer stop()
+			rt.MaxAttempts = 200
+			const entity = 3 // homed on node 1
+			insertOrders(t, rt.Executor(1, 1), entity, []uint64{1, 2, 3, 4})
+			time.Sleep(time.Millisecond) // let the snapshot stamp pass the inserts
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := rt.Executor(0, 1) // remote from the rows: every commit locks by CAS
+				for i := uint64(0); !done.Load(); i++ {
+					from, to := orderedKey(entity, 1+i%4), orderedKey(entity, 1+(i+1)%4)
+					_ = w.Exec(func(tx *Tx) error {
+						if err := tx.Stage(Access{Table: tblOrders, Key: from, Write: true},
+							Access{Table: tblOrders, Key: to, Write: true}); err != nil {
+							return err
+						}
+						return tx.Execute(func(lc *Local) error {
+							f, _ := lc.Read(tblOrders, from)
+							g, _ := lc.Read(tblOrders, to)
+							if err := lc.Write(tblOrders, from, []uint64{f[0] - 1, f[1]}); err != nil {
+								return err
+							}
+							return lc.Write(tblOrders, to, []uint64{g[0] + 1, g[1]})
+						})
+					})
+				}
+			}()
+			e := rt.Executor(0, 0)
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for scans := 0; scans < 20 || time.Now().Before(deadline); scans++ {
+				var sum uint64
+				err := e.ExecROWith(p, func(ro *RO) error {
+					rows, err := ro.Scan(tblOrders, orderedKey(entity, 0), orderedKey(entity, 0xFF), 0)
+					sum = 0
+					for _, r := range rows {
+						sum += r.Val[0]
+					}
+					return err
+				})
+				if err != nil {
+					t.Errorf("scan %d: %v after %d escalated attempts", scans, err, rt.C.Obs.Total(obs.EvROEscalate))
+					break
+				}
+				if sum != 1000 {
+					t.Errorf("scan %d summed %d, want 1000", scans, sum)
+					break
+				}
+			}
+			done.Store(true)
+			wg.Wait()
+			t.Logf("%d escalated attempts", rt.C.Obs.Total(obs.EvROEscalate))
 		})
 	}
 }

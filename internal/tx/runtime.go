@@ -185,17 +185,9 @@ type Runtime struct {
 	pending map[int][]func(*Runtime)
 	recMu   sync.Mutex
 
-	// Replication's redo-apply serialization and delete fencing (repl.go).
-	// redoMu makes applyRedo's version-guarded check-then-write atomic
-	// across concurrently drained rings and orders redo application against
-	// the shipped insert/delete store ops. delGen counts, per logical record,
-	// the deletes applied so far: redo updates are stamped with the
-	// generation observed at commit and a drain skips records from an older
-	// generation, so a record logged before a delete can never resurrect the
-	// key. bkScr is execStoreOp's Backups scratch, valid only under redoMu.
-	redoMu sync.Mutex
-	delGen map[delKey]uint64
-	bkScr  []int
+	// Replication's redo-apply serialization and delete fencing (repl.go),
+	// one shard per partition: every critical section names one partition.
+	redoShards []redoShard
 
 	// Stamp-gated removal queue (MVCC only). Physical unlink of a dead entry
 	// is deferred until the cluster's snapshot floor passes the commit stamp
@@ -258,10 +250,21 @@ func (rt *Runtime) drainRemovals(e *Executor) {
 	e.remReady = ready[:0]
 }
 
-// delKey identifies a logical record for delete-generation tracking.
+// redoShard is one partition's redo-apply lock and delete fencing: mu is what
+// applyRedo's check-then-write and the shipped store ops on the partition's
+// copies run under. delGen counts, per record, the deletes applied so far (a
+// drain skips an update stamped with an older count); bk is the store ops'
+// Backups scratch. Both are valid only under mu.
+type redoShard struct {
+	mu     sync.Mutex
+	delGen map[delKey]uint64
+	bk     []int
+}
+
+// delKey identifies a logical record within its partition's redoShard.
 type delKey struct {
-	part, table int
-	key         uint64
+	table int
+	key   uint64
 }
 
 // Errors.
@@ -291,7 +294,10 @@ func NewRuntime(c *cluster.Cluster, part Partitioner) *Runtime {
 		CacheBudgetBytes:  1 << 22,
 		Stats:             newStats(c.Obs),
 		policyCfg:         DefaultPolicyConfig(),
-		delGen:            make(map[delKey]uint64),
+		redoShards:        make([]redoShard, c.Nodes()),
+	}
+	for p := range rt.redoShards {
+		rt.redoShards[p].delGen = make(map[delKey]uint64)
 	}
 	rt.heat = rt.policyCfg.newHeatMap()
 	for i := 0; i < c.Nodes(); i++ {
@@ -437,11 +443,12 @@ type Executor struct {
 
 	// Shipped-message scratch: the envelope every two-sided call reuses, the
 	// multi-op tree message and the requests its ops answer, the removal
-	// message, and drainRemovals' ready list.
+	// message, the redo checkpoint request, and drainRemovals' ready list.
 	callMsg  cluster.Msg
 	shipMsg  orderedOpsMsg
 	shipReqs []*stageReq
 	remMsg   removeDeadMsg
+	ckptMsg  redoCkptMsg
 	remReady []removalOp
 }
 
