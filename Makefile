@@ -1,5 +1,5 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover scan mvcc tx-lines
+.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover failover-lane scan mvcc tx-lines
 
 check: build fmt vet race stress alloc batch occ adaptive chaos failover scan mvcc bench-smoke
 
@@ -41,10 +41,15 @@ race:
 # readers; a zombie's clean releases against a lock that changed hands; the
 # wave counts), the in-place log readers (Log.Scan's buffer contract, the redo
 # iterator's framing checks and fuzz seed corpus, a sink's drain against what
-# was appended, a fenced append leaving the ring untouched) and two clients
+# was appended, a fenced append leaving the ring untouched), the shipped
+# lookup's replied image (the same words, verdict and record as a READ of the
+# replied offset; consumed by the speculative arm alone; a fault at every verb of
+# the shorter Start phase), the one-record read-only rule (its conditions one by
+# one, and one-line rows read whole under unthrottled local and remote writers),
+# the mirrored removal of a lagging replica's entry, and two clients
 # churning the same subscribers — repeated across core counts. A red run here
 # is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestMirroredRemovalLeavesNoReplicaEntry
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -88,7 +93,7 @@ bench-smoke:
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb' ./internal/tx/
+	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
 # serial window=1 control arm, for one-sided records, for shipped ordered /
@@ -107,9 +112,11 @@ occ:
 	go run ./cmd/drtm-bench -exp occ -quick
 	go test -run TestOCCAcceptance ./internal/bench/
 
-# Adaptive-selector gate: the per-key arm selector must track the best
-# static policy across the sweep and beat both statics under skewed
-# write-hot load (adaptexp_test.go).
+# Adaptive-selector gate, deterministic: on the conflict-free points and on
+# the one-goroutine scripts the per-key arm selector must cost what the best
+# static arm costs where no retry cascade forms and beat both statics where one
+# does (adaptexp_test.go); the free-running sweep the experiment prints is
+# evidence.
 adaptive:
 	go run ./cmd/drtm-bench -exp adaptive -quick
 	go test -run TestAdaptiveAcceptance ./internal/bench/
@@ -121,6 +128,23 @@ failover:
 	go run ./cmd/drtm-bench -exp failover -quick
 	go test -run TestFailoverAcceptance ./internal/bench/
 	go test -race -run TestFailoverSmallBankConservation .
+	@$(MAKE) --no-print-directory failover-lane
+
+# The TATP invariant across a crash + promotion, 30 runs at each of -cpu 1 and
+# 2, one process per run (a failure of this test is often a panic, which would
+# end a -count loop at its first), with the failure modes counted: what a red
+# run said first, numbers blanked. Red on any run.
+FAILOVER_RUNS = 30
+failover-lane:
+	@dir=$$(mktemp -d) && go test -c -o $$dir/tatp.test ./internal/tatp/ && red=0 && \
+	for cpu in 1 2; do for i in $$(seq $(FAILOVER_RUNS)); do \
+		$$dir/tatp.test -test.run 'TestTATPConsistencyAcrossFailover$$' -test.cpu $$cpu >$$dir/out 2>&1 || { \
+			red=$$((red+1)); \
+			grep -m1 -E 'panic:|_test.go:[0-9]+:' $$dir/out | sed -E 's/^[[:space:]]+//; s/0x[0-9a-f]+|[0-9]+/N/g' >>$$dir/modes; }; \
+	done; done; \
+	echo "TestTATPConsistencyAcrossFailover: $$red of $$((2*$(FAILOVER_RUNS))) runs red (-cpu 1,2)"; \
+	if [ -f $$dir/modes ]; then sort $$dir/modes | uniq -c | sort -rn; fi; \
+	rm -rf $$dir; [ $$red -eq 0 ]
 
 # Range-scan gate: the RO-scheme scan must keep its >=2x amortization win
 # over per-key lease reads (scanexp_test.go), and the workload invariant

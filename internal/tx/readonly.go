@@ -8,6 +8,7 @@ import (
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
+	"drtm/internal/rdma"
 )
 
 // RO is a read-only transaction (Section 4.5 / Figure 8). Read-only
@@ -15,12 +16,10 @@ import (
 // an HTM region: every record (local or remote) is locked in shared mode
 // with one common lease end time and prefetched; a final confirmation that
 // the common end time is still valid guarantees that no conflicting writer
-// was in flight anywhere — one lightweight check instead of two-round
-// execution. That is PolicyLease, and what a hot bucket gets under
+// was in flight anywhere. That is PolicyLease, and what a hot bucket gets under
 // PolicyAdaptive; a record routed to the speculative arm — local or remote,
-// hash or ordered — is fetched unprotected instead and its header
-// re-validated by the same confirmation, leaving no lease behind for the
-// next writer to wait out.
+// hash or ordered — is fetched unprotected instead and its header re-validated
+// by the same confirmation, leaving no lease for the next writer to wait out.
 //
 // The executor recycles the shell, its index, its staged records and their
 // value buffers across attempts and transactions: a value handed to the body —
@@ -91,6 +90,7 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 	// image): re-reading the same chain would mostly re-truncate, so later
 	// attempts run the confirm-wave scheme instead.
 	chainFellBack := false
+	e.wasted = 0
 	for attempt := 0; attempt < e.rt.MaxAttempts; attempt++ {
 		ro.release()
 		ro.end = e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros
@@ -127,6 +127,9 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 			return err
 		}
 		e.w.Obs.Inc(obs.EvRORetry)
+		if ro.cause == obs.CauseSpec {
+			e.wasted++
+		}
 		e.backoff(attempt, ro.cause)
 	}
 	return ErrRetry
@@ -194,20 +197,38 @@ func (ro *RO) confirm() bool {
 			nremote++
 		}
 	}
+	if ro.single() {
+		sh.Inc(obs.EvROSingle)
+		return true
+	}
 	ok := true
 	if nlocal+nremote > 0 {
 		vstart := int64(e.w.VClock.Now())
-		ok = (nlocal == 0 || ro.confirmLocal()) && (nremote == 0 || ro.confirmRemote(nremote))
+		ok = (nlocal == 0 || ro.confirmLocal()) && (nremote == 0 || ro.confirmRemote())
 		sh.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
 	}
 	return ok && ro.confirmScans()
+}
+
+// single reports an attempt with nothing to confirm: exactly one record, read
+// speculatively, no scan, its entry image in one cache line. The fetch's check
+// rejected a write-locked or recycled image and a READ is atomic per line, so
+// the image is a version some commit installed, whole, and that read's instant
+// serializes the transaction (DESIGN.md, "Speculative read arm").
+func (ro *RO) single() bool {
+	if len(ro.recs) != 1 || len(ro.scans) != 0 || !ro.recs[0].spec {
+		return false
+	}
+	r := ro.recs[0]
+	return memory.LineOf(r.off) == memory.LineOf(r.off+memory.Offset(kvs.EntryValueWord+len(r.buf)-1))
 }
 
 // specFailed counts one failed header re-validation and heats the record's
 // bucket, so PolicyAdaptive leases it once failures compound.
 func (ro *RO) specFailed(r *remoteRec) {
 	ro.e.w.Obs.Inc(obs.EvSpecValidateFail)
-	ro.e.feedConflict(&r.recHandle, 1)
+	ro.cause = obs.CauseSpec
+	ro.e.feedConflict(&r.recHandle)
 }
 
 // confirmLocal re-validates the speculative records of this node with plain
@@ -237,29 +258,45 @@ func (ro *RO) confirmLocal() bool {
 	return true
 }
 
-// confirmRemote re-READs the headers of the speculative records homed on
-// other nodes in one doorbell-batched wave.
-func (ro *RO) confirmRemote(n int) bool {
-	e := ro.e
-	// Three words per record: ordered entries re-read key+incver+state
-	// (slot-recycle check), unordered ones their 2-word header.
-	if cap(e.hdrBuf) < n*3 {
-		e.hdrBuf = make([]uint64, n*3)
+// rereadHeaders re-READs, in one doorbell wave, the entry header of every
+// speculative record of recs homed on another node — a read-only confirmation
+// and a commit-time validation alike: `key ‖ incver ‖ state` for an ordered row
+// (its slot can be recycled), `incver ‖ state` for a hash row. It returns the
+// completions in record order (headerMoved reads Dst) and false when a host
+// stayed unreachable.
+func (e *Executor) rereadHeaders(recs []*remoteRec) ([]*rdma.WR, bool) {
+	const hw = kvs.EntryStateWord + 1
+	if cap(e.hdrBuf) < len(recs)*hw {
+		e.hdrBuf = make([]uint64, len(recs)*hw)
 	}
-	remote := func(r *remoteRec) bool { return r.spec && r.node != e.w.Node.ID }
 	sq := e.sendq(obs.StageValidate)
-	for _, r := range ro.recs {
-		if !remote(r) {
+	for _, r := range recs {
+		if !r.spec || r.node == e.w.Node.ID {
 			continue
 		}
-		i := sq.Pending()
+		dst := e.hdrBuf[sq.Pending()*hw:][:hw]
 		if r.ordered {
-			sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord, e.hdrBuf[i*3:i*3+3])
+			sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord, dst)
 		} else {
-			sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off), e.hdrBuf[i*3:i*3+kvs.EntryHeaderWords])
+			sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off), dst[:kvs.EntryHeaderWords])
 		}
 	}
-	wrs, ok := e.pollReads(sq)
+	return e.pollReads(sq)
+}
+
+// headerMoved is moved over a header rereadHeaders fetched.
+func (r *remoteRec) headerMoved(hdr []uint64) bool {
+	if r.ordered {
+		return r.moved(hdr[0], hdr[1], hdr[2])
+	}
+	return r.moved(r.key, hdr[0], hdr[1])
+}
+
+// confirmRemote re-READs the headers of the speculative records homed on
+// other nodes in one doorbell-batched wave.
+func (ro *RO) confirmRemote() bool {
+	e := ro.e
+	wrs, ok := e.rereadHeaders(ro.recs)
 	if !ok {
 		// Confirms nothing and blames no record: the attempt retries, and its
 		// fetch pass surfaces ErrNodeDown if the host is genuinely gone.
@@ -267,19 +304,14 @@ func (ro *RO) confirmRemote(n int) bool {
 	}
 	i := 0
 	for _, r := range ro.recs {
-		if !remote(r) {
+		if !r.spec || r.node == e.w.Node.ID {
 			continue
 		}
-		hdr := wrs[i].Dst
-		i++
-		key, incver, state := r.key, hdr[0], hdr[1]
-		if r.ordered {
-			key, incver, state = hdr[0], hdr[1], hdr[2]
-		}
-		if r.moved(key, incver, state) {
+		if r.headerMoved(wrs[i].Dst) {
 			ro.specFailed(r)
 			return false
 		}
+		i++
 	}
 	return true
 }
@@ -390,9 +422,9 @@ func (ro *RO) lease(h *recHandle) (end uint64, err error) {
 
 func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
 
-// Read leases and fetches a record by key (or, on the MVCC arm, resolves it
-// against its version chain at the snapshot stamp with one READ). The value is
-// the attempt's scratch (see RO).
+// Read fetches a record by key under the arm its route picks — a shared lease,
+// or nothing — or, on the MVCC arm, resolves it against its version chain at
+// the snapshot stamp with one READ. The value is the attempt's scratch (see RO).
 func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
 	if r, ok := ro.index[refKey{table, key}]; ok {
 		return r.buf, nil
@@ -402,12 +434,7 @@ func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
 	}
 	h := ro.e.handle(table, key)
 	ro.stampView(h.part)
-	if found, err := ro.e.resolve(&h); err != nil {
-		return nil, err
-	} else if !found {
-		return nil, ErrNotFound
-	}
-	r, err := ro.readHandle(h)
+	r, err := ro.readHandle(h, true)
 	if err != nil {
 		return nil, err
 	}
@@ -420,19 +447,19 @@ func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
 func (ro *RO) ReadAtLocal(table int, off memory.Offset) ([]uint64, error) {
 	n := ro.e.w.Node
 	r, err := ro.readHandle(recHandle{table: table, node: n.ID, region: table, off: off, ordered: true,
-		key: n.Ordered(table).Arena().LoadWord(off + kvs.EntryKeyWord)})
+		key: n.Ordered(table).Arena().LoadWord(off + kvs.EntryKeyWord)}, false)
 	if err != nil {
 		return nil, err
 	}
 	return r.buf, nil
 }
 
-// readHandle stages one resolved record in a struct from the executor's pool;
-// its pooled buffer takes the value the body reads.
-func (ro *RO) readHandle(h recHandle) (*remoteRec, error) {
+// readHandle stages one record, located or to be resolved by key, in a pooled
+// struct whose buffer takes the value the body reads.
+func (ro *RO) readHandle(h recHandle, byKey bool) (*remoteRec, error) {
 	r := ro.e.getRec()
 	r.recHandle = h
-	if err := ro.fetch(r); err != nil {
+	if err := ro.fetch(r, byKey); err != nil {
 		ro.e.recFree = append(ro.e.recFree, r)
 		return nil, err
 	}
@@ -440,25 +467,39 @@ func (ro *RO) readHandle(h recHandle) (*remoteRec, error) {
 	return r, nil
 }
 
-// fetch takes the record: a shared lease through the Figure 5 state machine —
-// by the cheap CPU CAS when the record is local — or nothing, on the
-// speculative arm; then one entry READ (a plain copy of a local entry) and
-// the image check (the resolution happened before the lease, so the slot
-// could have been recycled or the row erased in between). A speculative
-// record's header is re-validated by confirm.
-func (ro *RO) fetch(r *remoteRec) error {
+// fetch takes the record: route (by key, before the location is known), resolve
+// (byKey), then the arm — a shared lease through the Figure 5 state machine, by
+// the cheap CPU CAS when the record is local, and one entry READ behind it (a
+// plain copy of a local entry); or, speculatively, that READ alone, and for a
+// remote ordered record not even that: its shipped lookup's reply is the entry
+// as the host just read it. A lease's READ must postdate the lease and ignores
+// the reply. Every image takes the same check (the slot could have been recycled
+// since the resolution); confirm re-validates a speculative record's header.
+func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 	e := ro.e
-	r.spec = e.routeRead(ro.policy, &r.recHandle)
-	if !r.spec {
-		var err error
-		if r.leaseEnd, err = ro.lease(&r.recHandle); err != nil {
+	h := &r.recHandle
+	r.spec = e.routeRead(ro.policy, h)
+	if byKey {
+		if found, err := e.resolve(h); err != nil {
 			return err
+		} else if !found {
+			return ErrNotFound
 		}
 	}
 	vw := e.rt.Meta(r.table).ValueWords
-	words, err := e.readEntry(&r.recHandle, vw, 0)
-	if err != nil {
-		return err
+	var words []uint64
+	if byKey && r.spec && h.ordered && h.node != e.w.Node.ID {
+		words = e.image(kvs.EntryValueWord + vw) // resolve's shipOne left the reply here
+		e.w.Obs.Inc(obs.EvShipImage)
+	} else {
+		if !r.spec {
+			if r.leaseEnd, err = ro.lease(h); err != nil {
+				return err
+			}
+		}
+		if words, err = e.readEntry(h, vw, 0); err != nil {
+			return err
+		}
 	}
 	v := r.check(words, &r.recImage, vw, false, r.spec)
 	if r.spec && (v == imgOK || v == imgBusy) {
@@ -466,10 +507,9 @@ func (ro *RO) fetch(r *remoteRec) error {
 	}
 	switch v {
 	case imgStale:
-		e.invalidate(&r.recHandle)
+		e.invalidate(h)
 		return ErrRetry
 	case imgBusy:
-		e.feedConflict(&r.recHandle, 1)
 		return ro.lockConflict()
 	case imgNotFound:
 		return ErrNotFound

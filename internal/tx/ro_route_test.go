@@ -199,11 +199,11 @@ func TestAdaptiveOrderedRangeHeatsAndCools(t *testing.T) {
 	rt.SetPolicyConfig(PolicyConfig{EWMAHalfLife: 2, HotThreshold: 2.0, Hysteresis: 0.5})
 	reg := rt.C.Obs
 	home := rt.Executor(1, 0) // entity 1 lives on node 1
-	insertOrders(t, home, 1, []uint64{1, 2, 3})
+	insertOrders(t, home, 1, []uint64{1, 2, 3, 0x80})
 	e := rt.Executor(0, 0) // the reader: every access is remote
-	hot, cold := orderedKey(1, 1), orderedKey(1, 2)
-	if hot>>orderedHeatShift != cold>>orderedHeatShift {
-		t.Fatal("test keys do not share a heat slot")
+	hot, cold, far := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x80)
+	if hot>>orderedHeatShift != cold>>orderedHeatShift || hot>>orderedHeatShift == far>>orderedHeatShift {
+		t.Fatal("test keys: hot and cold must share a heat slot, far must not")
 	}
 
 	// Cold range: a read-write transaction's ordered read speculates.
@@ -230,14 +230,22 @@ func TestAdaptiveOrderedRangeHeatsAndCools(t *testing.T) {
 	}
 
 	// A writer rewrites the hot key between each speculative fetch and its
-	// confirmation: every failure adds a conflict to the range's slot.
+	// confirmation: every failure adds a conflict to the range's slot. The
+	// attempt reads a second record, of another range, so that it has something
+	// to confirm — the hot row alone would be a one-record transaction, which
+	// serializes at its fetch and confirms nothing (TestROSingleRecord*). Each
+	// attempt stands for a transaction's first retry: a first attempt's loss
+	// weighs nothing (feedConflict).
+	e.wasted = 1
 	for i := uint64(0); reg.Total(obs.EvArmSwitchToLease) == 0; i++ {
 		if i == 8 {
 			t.Fatal("range did not turn hot after 8 failed validations")
 		}
 		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
-		if _, err := ro.Read(tblOrders, hot); err != nil {
-			t.Fatal(err)
+		for _, k := range []uint64{hot, far} {
+			if _, err := ro.Read(tblOrders, k); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := home.Exec(func(tx *Tx) error {
 			if err := tx.W(tblOrders, hot); err != nil {

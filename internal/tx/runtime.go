@@ -292,6 +292,7 @@ func NewRuntime(c *cluster.Cluster, part Partitioner) *Runtime {
 		FallbackThreshold: 8,
 		MaxAttempts:       10_000,
 		CacheBudgetBytes:  1 << 22,
+		NewCache:          func(b int) kvs.Cache { return kvs.NewLocationCache(b) },
 		Stats:             newStats(c.Obs),
 		policyCfg:         DefaultPolicyConfig(),
 		redoShards:        make([]redoShard, c.Nodes()),
@@ -403,6 +404,8 @@ func (rt *Runtime) Executor(node, worker int) *Executor {
 		rt:  rt,
 		w:   w,
 		rng: rand.New(rand.NewSource(int64(node*1000 + worker + 1))),
+
+		locCaches: make(map[cacheKey]kvs.Cache),
 	}
 }
 
@@ -418,11 +421,16 @@ type Executor struct {
 	// set (ExecWith / ExecROWith); PolicyDefault defers to the runtime.
 	override ReadPolicy
 
+	// wasted counts the attempts of the transaction now running that a failed
+	// speculative validation cost it (feedConflict).
+	wasted int
+
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases
 
 	// fingers holds one B+ tree leaf finger per ordered region of this node
-	// (see finger).
-	fingers map[int]*kvs.Finger
+	// (finger); locCaches, the node's location caches it has used (cacheFor).
+	fingers   map[int]*kvs.Finger
+	locCaches map[cacheKey]kvs.Cache
 
 	// Hot-path pools: Exec's per-attempt Tx shell, ExecRO's shell,
 	// staged-record structs and the Start phase's staging scratch are reused
@@ -553,16 +561,20 @@ func (e *Executor) route(table int, key uint64) (node, region, part int) {
 
 // cacheFor returns this node's location cache for (remote node, region), or
 // nil when caching is disabled. Caches key on the storage region — not the
-// logical table — so primary and replica locations never mix.
+// logical table — so primary and replica locations never mix. A cache is never
+// replaced: the executor remembers those it has used and takes the node-wide
+// set's lock for the first access of each only.
 func (e *Executor) cacheFor(node, region int) kvs.Cache {
 	if e.rt.CacheBudgetBytes <= 0 {
 		return nil
 	}
-	build := e.rt.NewCache
-	if build == nil {
-		build = func(b int) kvs.Cache { return kvs.NewLocationCache(b) }
+	k := cacheKey{node, region}
+	if c, ok := e.locCaches[k]; ok {
+		return c
 	}
-	return e.rt.caches[e.w.Node.ID].get(node, region, e.rt.CacheBudgetBytes, build)
+	c := e.rt.caches[e.w.Node.ID].get(node, region, e.rt.CacheBudgetBytes, e.rt.NewCache)
+	e.locCaches[k] = c
+	return c
 }
 
 // Exec runs a transaction to completion: build stages the read/write sets
@@ -577,6 +589,7 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 	var attempts int32
 	lastAbort := obs.CauseNone
 	usedFallback := false
+	e.wasted = 0
 	for attempt := 0; attempt < e.rt.MaxAttempts; attempt++ {
 		attempts++
 		t := e.newTx()
@@ -620,6 +633,9 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 		case errors.Is(err, ErrRetry):
 			sh.Inc(obs.EvTxRetry)
 			cause := t.lastAbort
+			if cause == obs.CauseSpec {
+				e.wasted++
+			}
 			e.recycle(t)
 			e.backoff(attempt, cause)
 		default:

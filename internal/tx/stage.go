@@ -13,14 +13,12 @@ import (
 // Batched Start phase (REMOTE_READ / REMOTE_WRITE of Figure 5, pipelined).
 //
 // The serial path paid ~3 round trips per remote record: lookup READ(s),
-// lock/lease CAS, prefetch READ — each blocking on the fabric. This file
-// splits staging into gather/issue/complete over the rdma async verb
-// engine: independent records' verbs of the same stage are posted together
-// and polled as doorbell batches, so an N-record Start phase costs roughly
-// max-of-round-trips per stage instead of the sum. Dependent verbs (a
-// record's CAS after its lookup, a takeover CAS after seeing an expired
-// lease) still order across polls, exactly as completions gate reposting on
-// a real QP.
+// lock/lease CAS, prefetch READ. This file splits staging into
+// gather/issue/complete over the rdma async verb engine: independent records'
+// verbs of one stage are posted together and polled as doorbell batches, so an
+// N-record Start phase costs roughly max-of-round-trips per stage, not the sum.
+// Dependent verbs (a record's CAS after its lookup, a takeover CAS after an
+// expired lease) still order across polls, as on a real QP.
 //
 // Tx.Stage is the one declaration pipeline: reads, writes, transactional
 // inserts and erases, of hash and ordered tables, declared one at a time
@@ -35,22 +33,19 @@ import (
 //
 //   - The lock/lease CAS and the value prefetch READ are fused into ONE
 //     posted wave: each CAS is immediately followed by its record's entry
-//     READ in post order, so a successful CAS's image is already covered by
-//     the fresh lock/lease when the READ executes. A failed CAS discards
-//     the image and re-arms both verbs; a CAS that fell back to the sync
-//     retry path discards it too (the sync CAS postdates the READ). This
-//     saves the separate prefetch round trip per record. Structural records
-//     — an insert's staged dead slot, an erase's live row, base rows and
-//     declared index rows alike — lock in the same waves as plain writes. A
-//     wave of lock CASes cannot deadlock: a CAS that loses to a live owner
-//     aborts the transaction, it never waits.
+//     READ in post order, so a successful CAS's image is covered by the fresh
+//     lock/lease. A failed CAS discards the image and re-arms both verbs; so
+//     does a CAS that fell back to the sync retry path (it postdates the
+//     READ). Structural records — an insert's staged dead slot, an erase's
+//     live row, base and index rows alike — lock in the same waves as plain
+//     writes. A wave of lock CASes cannot deadlock: a CAS that loses to a
+//     live owner aborts the transaction, it never waits.
 //
 //   - Read-set records routed to the speculative arm (PolicySpeculative,
 //     or a cold bucket under PolicyAdaptive) skip the CAS stage entirely:
-//     one entry READ fetches `version ‖ state ‖ value`, and the observed
-//     version is re-validated at commit time (see spec.go). A record
-//     observed write-locked at fetch is a conflict — its value may be
-//     mid-update.
+//     one entry READ fetches `version ‖ state ‖ value` — an ordered record's
+//     shipped lookup already did — and the version is re-validated at commit
+//     (spec.go). A record observed write-locked at fetch is a conflict.
 //
 // The per-record lock/lease decisions are the acquirer state machine and the
 // image checks recHandle.check (access.go) — the same ones read-only
@@ -344,8 +339,9 @@ func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write b
 // shipResolve resolves the batch's ordered records on their hosts' trees:
 // the lookups, and the EnsureDeads that make its inserts' keys structurally
 // present, go out together as one message per host — at most BatchWindow keys
-// per message, so a window of 1 is one message per record. It reports false
-// when a host stayed unreachable.
+// per message, so a window of 1 is one message per record. A lookup's reply
+// brings the entry it found into the request's own entry buffer, until a READ
+// is posted into it. It reports false when a host stayed unreachable.
 func (t *Tx) shipResolve(reqs []*stageReq, window int) bool {
 	e := t.e
 	for i, first := range reqs {
@@ -358,8 +354,12 @@ func (t *Tx) shipResolve(reqs []*stageReq, window int) bool {
 				continue
 			}
 			s.ship = false
-			ops = append(ops, shipOp{Region: s.h.region, Table: s.h.table, Part: s.h.part,
-				Key: s.h.key, Ensure: s.insert})
+			op := shipOp{Region: s.h.region, Table: s.h.table, Part: s.h.part,
+				Key: s.h.key, Ensure: s.insert}
+			if !s.insert {
+				op.Img = s.entryBuf()[:kvs.EntryValueWord+s.vw]
+			}
+			ops = append(ops, op)
 			members = append(members, s)
 		}
 		err := e.ship(first.h.node, ops)
@@ -436,7 +436,10 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 
 	// ---- acquire: fused lock/lease CAS + prefetch READ waves ---------------
 	// Speculative reads acquire nothing: they are registered directly and
-	// fetched in the final stage with a single entry READ.
+	// fetched in the final stage with a single entry READ — an ordered record
+	// not even that: it consumes the entry its shipped lookup's reply carried,
+	// all an unprotected READ of that offset would bring. Every other arm's
+	// image must postdate its lock or lease: the READ fused behind its CAS.
 	astart := int64(e.w.VClock.Now())
 	sq.Stage = obs.StageLock
 	me := uint8(e.w.Node.ID)
@@ -447,6 +450,10 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 		case s.spec:
 			s.register(t)
 			s.r.spec = true
+			if s.h.ordered {
+				sh.Inc(obs.EvShipImage)
+				s.consume(t, s.entryBuf()) // a read's entry buffer is the narrow window the reply filled
+			}
 			continue
 		case s.upgrade && s.r.spec:
 			s.acq.arm(acqUpgradeSpec, me, 0)
@@ -496,11 +503,6 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 			switch v, end := s.acq.step(sh, cur, swapped, now, delta); v {
 			case acqConflict:
 				conflict = true
-				if !s.write {
-					// A lease read blocked by a conflicting writer: heat the
-					// bucket (adaptive feedback — writer activity here).
-					e.feedConflict(h, 1)
-				}
 			case acqAgain:
 				next = append(next, s)
 			default:
@@ -577,9 +579,6 @@ func (s *stageReq) acquired(t *Tx, leaseEnd uint64) {
 		// exclusive lock; re-fetch — the buffered value may predate a writer
 		// that committed since it was read.
 		s.r.write, s.r.spec, s.r.leaseEnd = true, false, 0
-		// Half-weight adaptive feedback: an upgrade signals write intent on
-		// the bucket, a weaker hotness cue than an actual conflict.
-		t.e.feedConflict(&s.h, 0.5)
 		s.needFetch = true
 		return
 	}
@@ -624,11 +623,9 @@ func (s *stageReq) consume(t *Tx, words []uint64) {
 		// Deleted or reused entry: drop the cached chain so the retry
 		// re-resolves the location.
 		t.e.invalidate(&s.h)
-	case imgBusy:
-		// A writer is mid-commit: the value may be half-written. Unlike a
-		// lease, a speculative read cannot wait it out here without a lock.
-		t.e.feedConflict(&s.h, 1)
 	}
+	// imgBusy: a writer is mid-commit; a lease CAS would have lost to its lock
+	// too, so no heat.
 }
 
 // unstage withdraws from the staged set the records of the batch whose image

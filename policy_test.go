@@ -165,17 +165,19 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 			})
 		})
 	}
-	// Deterministic conflict: stage the read speculatively (bucket cold),
+	// Deterministic cascade: stage the read speculatively (bucket cold),
 	// let the writer commit a version bump underneath it — a spec read
-	// holds no lock, so the write sails through — then validation fails,
-	// heats the bucket past the threshold, and the retry routes via lease.
-	bumped := false
+	// holds no lock, so the write sails through — then validation fails.
+	// The first loss weighs nothing; the retries' losses do (a conflict
+	// weighs the attempts its transaction has wasted), heat the bucket past
+	// the threshold, and the next retry routes via lease.
+	bumps := 0
 	if err := reader.Exec(func(tx *Tx) error {
 		if err := tx.R(tblAcct, 1); err != nil {
 			return err
 		}
-		if !bumped {
-			bumped = true
+		if bumps < 3 {
+			bumps++
 			if err := write(); err != nil {
 				return err
 			}
