@@ -46,10 +46,13 @@ race:
 # replied offset; consumed by the speculative arm alone; a fault at every verb of
 # the shorter Start phase), the one-record read-only rule (its conditions one by
 # one, and one-line rows read whole under unthrottled local and remote writers),
-# the mirrored removal of a lagging replica's entry, and two clients
+# the ordered regions' location-cache frames (the image at a cached offset judged
+# per slot history and held to the uncached answer, a lost cached READ, a frame
+# never used across a promotion; nobody but the speculative read-only fetch
+# asking the cache), the mirrored removal of a lagging replica's entry, and two clients
 # churning the same subscribers — repeated across core counts. A red run here
 # is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestMirroredRemovalLeavesNoReplicaEntry
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -93,7 +96,7 @@ bench-smoke:
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb' ./internal/tx/
+	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
 # serial window=1 control arm, for one-sided records, for shipped ordered /

@@ -48,7 +48,6 @@ func BenchmarkTable6Durability(b *testing.B)     { benchExperiment(b, "table6") 
 func BenchmarkAblateCache(b *testing.B)          { benchExperiment(b, "ablate-cache") }
 func BenchmarkAblateFallbackThresh(b *testing.B) { benchExperiment(b, "ablate-fallback") }
 func BenchmarkAblateAtomicityLevel(b *testing.B) { benchExperiment(b, "ablate-atomics") }
-func BenchmarkAblateCacheAssoc(b *testing.B)     { benchExperiment(b, "ablate-assoc") }
 
 // ---- public-API micro-benchmarks (wall clock) ----------------------------
 

@@ -646,6 +646,15 @@ type Stats struct {
 	ShippedOps  int64 // keys / operations the two-sided messages carried (coalescing: ShippedOps / VerbsMsgs)
 	RDMABatches int64 // doorbell batches polled by the async verb engine
 
+	// Location-cache traffic (Section 5.3), and the share of it that ordered
+	// regions' frames account for: speculative read-only reads of remote
+	// ordered rows, a hit one READ at the cached offset in place of a message,
+	// an invalidation a frame the image there proved stale (one wasted READ).
+	// The caches count these, not the event shards: ResetStats leaves them
+	// running; Delta subtracts them.
+	CacheHits, CacheMisses, CacheInvals                      int64
+	OrderedCacheHits, OrderedCacheMisses, OrderedCacheInvals int64
+
 	// Local B+ tree operations (lookups, inserts, deletes, scan starts), by
 	// what the index did: the cost model charges a descent BTreeOpNS and a
 	// finger hit one node search.
@@ -791,7 +800,12 @@ func newStats(sn obs.Snapshot) Stats {
 }
 
 // Stats returns an immutable snapshot of all counters.
-func (db *DB) Stats() Stats { return newStats(db.C.Obs.Snapshot()) }
+func (db *DB) Stats() Stats {
+	s := newStats(db.C.Obs.Snapshot())
+	s.CacheHits, s.CacheMisses, s.CacheInvals = db.RT.CacheStats()
+	s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals = db.RT.OrderedCacheStats()
+	return s
+}
 
 // ResetStats zeroes every counter and histogram.
 func (db *DB) ResetStats() { db.C.Obs.Reset() }
@@ -799,7 +813,15 @@ func (db *DB) ResetStats() { db.C.Obs.Reset() }
 // Delta returns the counter-by-counter difference s - prev. Latency
 // histograms subtract bucket-wise; Max is a high-water mark and keeps s's
 // value.
-func (s Stats) Delta(prev Stats) Stats { return newStats(s.snap.Delta(prev.snap)) }
+func (s Stats) Delta(prev Stats) Stats {
+	d := newStats(s.snap.Delta(prev.snap))
+	d.CacheHits, d.CacheMisses, d.CacheInvals =
+		s.CacheHits-prev.CacheHits, s.CacheMisses-prev.CacheMisses, s.CacheInvals-prev.CacheInvals
+	d.OrderedCacheHits, d.OrderedCacheMisses, d.OrderedCacheInvals =
+		s.OrderedCacheHits-prev.OrderedCacheHits, s.OrderedCacheMisses-prev.OrderedCacheMisses,
+		s.OrderedCacheInvals-prev.OrderedCacheInvals
+	return d
+}
 
 // String renders a compact multi-line dump, the sample format shown in the
 // README's Observability section.
@@ -825,6 +847,8 @@ func (s Stats) String() string {
 	}
 	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d (%.2f ops/msg) batches=%d\n",
 		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, opsPerMsg, s.RDMABatches)
+	fmt.Fprintf(&b, "cache:   hits=%d misses=%d invalidations=%d (ordered frames: hits=%d misses=%d invalidations=%d)\n",
+		s.CacheHits, s.CacheMisses, s.CacheInvals, s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals)
 	fmt.Fprintf(&b, "index:   descents=%d finger-hits=%d\n", s.TreeDescents, s.FingerHits)
 	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-scans=%d recovery-redos=%d recovery-unlocks=%d\n",
 		s.LogRecords, s.RecoveryScans, s.RecoveryRedos, s.RecoveryUnlocks)

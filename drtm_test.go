@@ -364,6 +364,51 @@ func TestStatsIndexCounters(t *testing.T) {
 	}
 }
 
+// TestStatsOrderedCacheShare: a speculative read-only read of a remote ordered
+// row misses the location cache once and hits it from then on; Stats, Delta and
+// the dump's cache: line say so, beside the hash regions' traffic, so that
+// "fewer messages, more READs" is two counters.
+func TestStatsOrderedCacheShare(t *testing.T) {
+	const tblRows, tblHash = 2, 3
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicySpeculative},
+		func(_ int, key uint64) int { return int(key) % 2 })
+	defer db.Close()
+	db.CreateOrderedTable(tblRows, 64, 1)
+	db.CreateHashTable(tblHash, 64, 1)
+	for _, tbl := range []int{tblRows, tblHash} {
+		if err := db.Load(tbl, 1, []uint64{7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(tbl int) {
+		t.Helper()
+		if err := db.Executor(0, 0).ExecRO(func(ro *RO) error {
+			_, err := ro.Read(tbl, 1)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(tblRows)
+	read(tblHash)
+	before := db.Stats()
+	if before.OrderedCacheHits != 0 || before.OrderedCacheMisses != 1 || before.CacheMisses <= before.OrderedCacheMisses {
+		t.Fatalf("after one cold read of each table: %+v ordered misses of %+v", before.OrderedCacheMisses, before.CacheMisses)
+	}
+	read(tblRows)
+	read(tblRows)
+	read(tblHash)
+	d := db.Stats().Delta(before)
+	if d.OrderedCacheHits != 2 || d.OrderedCacheMisses != 0 || d.CacheHits <= d.OrderedCacheHits || d.VerbsMsgs != 0 {
+		t.Errorf("two warm ordered reads and a warm hash one: ordered hits %d misses %d, all hits %d, messages %d",
+			d.OrderedCacheHits, d.OrderedCacheMisses, d.CacheHits, d.VerbsMsgs)
+	}
+	want := fmt.Sprintf("cache:   hits=%d misses=0 invalidations=0 (ordered frames: hits=2 misses=0 invalidations=0)\n", d.CacheHits)
+	if !strings.Contains(d.String(), want) {
+		t.Errorf("Stats.String() lacks %q:\n%s", want, d)
+	}
+}
+
 // conflictStorm hammers hot records from every worker so that both HTM
 // conflicts (same-node workers overlapping in the HTM region) and remote
 // lock conflicts (cross-node lease/lock CAS races) occur. Balances are

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	lookup := func(cache kvs.Cache, n int) (reads float64, cost float64) {
+	lookup := func(cache *kvs.LocationCache, n int) (reads float64, cost float64) {
 		var clk vtime.Clock
 		qp := fabric.NewQP(1, &clk)
 		for i := 0; i < n; i++ {

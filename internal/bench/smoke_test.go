@@ -214,7 +214,6 @@ func TestSmokeAblations(t *testing.T) {
 	runSmoke(t, "ablate-cache")
 	runSmoke(t, "ablate-fallback")
 	runSmoke(t, "ablate-atomics")
-	runSmoke(t, "ablate-assoc")
 }
 
 func TestSmokeObs(t *testing.T) {
@@ -283,7 +282,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table4", "table6",
 		"fig10a", "fig10b", "fig10c", "fig10d",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"ablate-cache", "ablate-fallback", "ablate-atomics", "ablate-assoc",
+		"ablate-cache", "ablate-fallback", "ablate-atomics",
 		"obs", "chaos", "batch", "occ", "adaptive", "failover", "scan",
 		"mvcc", "tpcc-types", "dist-waves",
 	}

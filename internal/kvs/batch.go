@@ -19,7 +19,7 @@ import (
 // owns retry policy. Neither error says anything about the key.
 type LookupReq struct {
 	Table *Table
-	Cache Cache
+	Cache *LocationCache
 	Key   uint64
 
 	Loc   Loc
@@ -61,7 +61,7 @@ func (r *LookupReq) step() bool {
 // has to be READ.
 func (r *LookupReq) walkCached() bool {
 	for r.depth < maxChain {
-		if r.Cache == nil || !r.Cache.get(r.tag, &r.buf) {
+		if !r.Cache.get(r.tag, &r.buf) {
 			return false
 		}
 		if r.step() {
@@ -102,9 +102,7 @@ func LookupBatch(sq *rdma.SendQueue, reqs []*LookupReq) {
 				r.Err = err
 				continue
 			}
-			if r.Cache != nil {
-				r.Cache.put(r.tag, r.buf[:])
-			}
+			r.Cache.put(r.tag, r.buf[:])
 			if !r.step() {
 				active = append(active, r)
 			}
@@ -141,9 +139,6 @@ func (t *Table) DecodeEntry(words []uint64, key uint64, loc Loc) (Entry, bool) {
 // cache instead of re-fetching the whole chain remotely. The key→bucket
 // mapping needs the table's geometry, which is why the API lives on Table
 // rather than on the cache.
-func (t *Table) Invalidate(c Cache, key uint64) {
-	if c == nil {
-		return
-	}
-	cacheInvalidateChain(c, t, key)
+func (t *Table) Invalidate(c *LocationCache, key uint64) {
+	c.invalidateChain(t, key)
 }

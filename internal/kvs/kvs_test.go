@@ -395,6 +395,55 @@ func TestCacheDirectMappedEviction(t *testing.T) {
 	}
 }
 
+// TestOrderedCacheFrames: an ordered region's cache maps keys to entry offsets,
+// direct-mapped, counts what it is asked, and a nil one (caching disabled)
+// misses without counting.
+func TestOrderedCacheFrames(t *testing.T) {
+	c := NewOrderedCache(1<<20, 8)
+	if !c.Ordered() || c.Frames() != 8 {
+		t.Fatalf("ordered %v, %d frames; want 8, the region's capacity", c.Ordered(), c.Frames())
+	}
+	if NewLocationCache(1 << 20).Ordered() {
+		t.Fatal("a bucket cache calls itself ordered")
+	}
+	if _, ok := c.Loc(7); ok {
+		t.Fatal("hit in an empty cache")
+	}
+	c.SetLoc(7, 4096)
+	if off, ok := c.Loc(7); !ok || off != 4096 {
+		t.Fatalf("Loc(7) = %d, %v", off, ok)
+	}
+	c.DropLoc(8) // not framed: nothing to drop, nothing counted
+	c.DropLoc(7)
+	if _, ok := c.Loc(7); ok {
+		t.Fatal("hit after DropLoc")
+	}
+	if h, m, i := c.Stats(); h != 1 || m != 2 || i != 1 {
+		t.Fatalf("hits %d misses %d invalidations %d, want 1 2 1", h, m, i)
+	}
+	for k := uint64(1); k <= 64; k++ {
+		c.SetLoc(k, 1024+memory.Offset(k))
+	}
+	present := 0
+	for k := uint64(1); k <= 64; k++ {
+		if off, ok := c.Loc(k); ok {
+			if off != 1024+memory.Offset(k) {
+				t.Fatalf("key %d framed at another key's offset %d", k, off)
+			}
+			present++
+		}
+	}
+	if present == 0 || present > 8 {
+		t.Fatalf("%d of 64 keys framed in 8 frames", present)
+	}
+	var off *LocationCache
+	off.SetLoc(1, 1)
+	off.DropLoc(1)
+	if _, ok := off.Loc(1); ok || off.Ordered() {
+		t.Fatal("a nil cache answered")
+	}
+}
+
 func BenchmarkLocalGet(b *testing.B) {
 	tb := newTable(b, 4096)
 	for k := uint64(1); k <= 1000; k++ {

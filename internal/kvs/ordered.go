@@ -170,6 +170,9 @@ func (o *Ordered) Node() int { return o.cfg.Node }
 // RegionID returns the RDMA region ID.
 func (o *Ordered) RegionID() int { return o.cfg.RegionID }
 
+// Capacity returns the entries the shard has room for.
+func (o *Ordered) Capacity() int { return o.cfg.Capacity }
+
 // ValueWords returns the fixed value length.
 func (o *Ordered) ValueWords() int { return o.cfg.ValueWords }
 
@@ -240,11 +243,14 @@ func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (via IndexPath, 
 	o.freeList = o.freeList[:len(o.freeList)-1]
 	o.mu.Unlock()
 
+	// The slot's last occupant left it dead, and the live incarnation goes in
+	// last: a reader still holding the slot's old location (a cached one) sees
+	// a dead entry, or another key, until the row is whole.
 	inc := Incarnation(o.arena.LoadWord(off + EntryIncVerWord))
 	o.arena.Write(off+EntryKeyWord, []uint64{key})
-	o.arena.Write(off+EntryIncVerWord, []uint64{PackIncVer(inc+1, 0)})
 	o.arena.Write(off+EntryStateWord, []uint64{0})
 	o.arena.Write(off+EntryValueWord, val)
+	o.arena.Write(off+EntryIncVerWord, []uint64{PackIncVer(inc+1, 0)})
 	// The ring is zeroed (a recycled slot's chain belongs to the previous
 	// key) and the tail stamped while the entry is still private.
 	ResetChain(o.arena, off, o.cfg.ValueWords, o.cfg.ChainDepth)

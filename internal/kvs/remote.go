@@ -27,7 +27,7 @@ type Loc struct {
 // location. It never touches the host CPU. If cache is non-nil the walk
 // consults and fills the location cache, which turns repeat lookups into
 // zero-RDMA operations (Section 5.3).
-func (t *Table) LookupRemote(qp *rdma.QP, cache Cache, key uint64) (Loc, bool) {
+func (t *Table) LookupRemote(qp *rdma.QP, cache *LocationCache, key uint64) (Loc, bool) {
 	loc, ok, err := t.LookupRemoteE(qp, cache, key)
 	if err != nil {
 		panic(err) // fault-free harness; fault-aware callers use LookupRemoteE
@@ -37,7 +37,7 @@ func (t *Table) LookupRemote(qp *rdma.QP, cache Cache, key uint64) (Loc, bool) {
 
 // LookupRemoteE is LookupRemote for fault-aware callers: an injected verb
 // fault or a crashed host surfaces as the error instead of a panic.
-func (t *Table) LookupRemoteE(qp *rdma.QP, cache Cache, key uint64) (Loc, bool, error) {
+func (t *Table) LookupRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Loc, bool, error) {
 	var buf [BucketWords]uint64
 	return t.LookupRemoteInto(qp, cache, key, &buf)
 }
@@ -45,19 +45,17 @@ func (t *Table) LookupRemoteE(qp *rdma.QP, cache Cache, key uint64) (Loc, bool, 
 // LookupRemoteInto is LookupRemoteE reading the chain's buckets into the
 // caller's buffer: the buffer escapes to the verb and the cache, so a caller
 // on a hot path keeps one instead of allocating it per lookup.
-func (t *Table) LookupRemoteInto(qp *rdma.QP, cache Cache, key uint64, buf *[BucketWords]uint64) (Loc, bool, error) {
+func (t *Table) LookupRemoteInto(qp *rdma.QP, cache *LocationCache, key uint64, buf *[BucketWords]uint64) (Loc, bool, error) {
 	idx := t.bucketOf(key)
 	off := t.MainBucketOffset(idx)
 	tag := mainTag(idx)
 
 	for depth := 0; depth < maxChain; depth++ {
-		if cache == nil || !cache.get(tag, buf) {
+		if !cache.get(tag, buf) {
 			if err := qp.TryRead(t.cfg.Node, t.cfg.RegionID, off, buf[:]); err != nil {
 				return Loc{}, false, err
 			}
-			if cache != nil {
-				cache.put(tag, buf[:])
-			}
+			cache.put(tag, buf[:])
 		}
 
 		loc, found, next := decodeBucket(buf[:], key)
@@ -119,7 +117,7 @@ func (t *Table) ReadEntryRemoteE(qp *rdma.QP, key uint64, loc Loc) (Entry, bool,
 // GetRemote is the full remote GET: locate (through the cache when given)
 // then read, with incarnation-check retry. It is the operation measured in
 // Figure 10(b)/(c).
-func (t *Table) GetRemote(qp *rdma.QP, cache Cache, key uint64) (Entry, bool) {
+func (t *Table) GetRemote(qp *rdma.QP, cache *LocationCache, key uint64) (Entry, bool) {
 	e, ok, err := t.GetRemoteE(qp, cache, key)
 	if err != nil {
 		panic(err)
@@ -128,7 +126,7 @@ func (t *Table) GetRemote(qp *rdma.QP, cache Cache, key uint64) (Entry, bool) {
 }
 
 // GetRemoteE is GetRemote with verb faults surfaced as errors.
-func (t *Table) GetRemoteE(qp *rdma.QP, cache Cache, key uint64) (Entry, bool, error) {
+func (t *Table) GetRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Entry, bool, error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		loc, ok, err := t.LookupRemoteE(qp, cache, key)
 		if err != nil {
@@ -138,7 +136,7 @@ func (t *Table) GetRemoteE(qp *rdma.QP, cache Cache, key uint64) (Entry, bool, e
 			// A cached chain may be stale (e.g. the key moved into a new
 			// indirect bucket): drop it and retry uncached once.
 			if cache != nil {
-				cacheInvalidateChain(cache, t, key)
+				cache.invalidateChain(t, key)
 				cache = nil
 				continue
 			}
@@ -151,9 +149,7 @@ func (t *Table) GetRemoteE(qp *rdma.QP, cache Cache, key uint64) (Entry, bool, e
 		if ok {
 			return e, true, nil
 		}
-		if cache != nil {
-			cacheInvalidateChain(cache, t, key)
-		}
+		cache.invalidateChain(t, key)
 	}
 	return Entry{}, false, nil
 }

@@ -197,9 +197,13 @@ type Client struct {
 	rng *rand.Rand
 	// Counts of committed ops by name.
 	Counts map[string]int64
-	// row is the SUBSCRIBER row the update bodies hand to Local.Write, which
-	// copies it: one array per client instead of one slice per write.
+	// row is the SUBSCRIBER row the update bodies hand to Local.Write and
+	// InsertSubscriber to Stage, sf the SPECIAL_FACILITY row the two inserting
+	// types stage: one array each per client instead of one slice per
+	// transaction. Both callees copy, and a transaction's rows outlive it in no
+	// other way.
 	row [3]uint64
+	sf  [2]uint64
 }
 
 // NewClient binds a client to an executor.
@@ -310,8 +314,9 @@ func (c *Client) ToggleSpecialFacility(sid uint64, sfType int) error {
 		// free if the first batch got as far as staging it).
 		sub := tx.Access{Table: TableSubscriber, Key: sid, Write: true}
 		drop := false
+		c.sf = [2]uint64{1, sid}
 		if err := t.Stage(sub, tx.Access{Table: TableSpecialFacility, Key: key,
-			Insert: []uint64{1, sid}}); err != nil {
+			Insert: c.sf[:]}); err != nil {
 			if err != kvs.ErrExists {
 				return err
 			}
@@ -421,13 +426,12 @@ func (c *Client) InsertSubscriber(sid, mask uint64) error {
 	err := c.e.Exec(func(t *tx.Tx) error {
 		// One batch: the base row, its index row (declared index) and the
 		// masked facility rows.
-		sub := [3]uint64{SubNbr(sid), mask, 0}
-		sf := [2]uint64{1, sid}
-		rows := [1 + NumSFTypes]tx.Access{{Table: TableSubscriber, Key: sid, Insert: sub[:]}}
+		c.row, c.sf = [3]uint64{SubNbr(sid), mask, 0}, [2]uint64{1, sid}
+		rows := [1 + NumSFTypes]tx.Access{{Table: TableSubscriber, Key: sid, Insert: c.row[:]}}
 		n := 1
 		for ty := 1; ty <= NumSFTypes; ty++ {
 			if mask&(1<<uint(ty)) != 0 {
-				rows[n] = tx.Access{Table: TableSpecialFacility, Key: SFKey(sid, ty), Insert: sf[:]}
+				rows[n] = tx.Access{Table: TableSpecialFacility, Key: SFKey(sid, ty), Insert: c.sf[:]}
 				n++
 			}
 		}

@@ -197,6 +197,11 @@ func TestTATPConsistencyAcrossFailover(t *testing.T) {
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	// The lane covers the ordered location cache: subscriber reads were served
+	// at cached offsets, of the primary's region and then of the replica's.
+	if hits, _, _ := db.RT.OrderedCacheStats(); hits == 0 {
+		t.Error("no subscriber read was served at a cached offset")
+	}
 }
 
 // The MVCC checker lane (satellite): CheckSubscriberRO runs through

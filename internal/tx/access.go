@@ -42,6 +42,9 @@ type recHandle struct {
 	// the host's tree and carry none.
 	lossy   uint16
 	ordered bool
+	// cached marks an ordered location taken from the location cache (RO.fetch
+	// alone does that): only a live entry of the key vouches for it.
+	cached bool
 }
 
 // recImage is what a checked entry image leaves in a record.
@@ -238,11 +241,17 @@ func (e *Executor) image(n int) []uint64 {
 	return e.imgBuf[:n]
 }
 
-// invalidate drops the cached bucket chain that produced a stale location, so
-// the retry re-resolves it instead of replaying it.
+// invalidate drops what the location cache held of a location that proved
+// stale — a hash record's bucket chain, an ordered record's frame if the
+// location came from one — so the retry re-resolves it instead of replaying it.
 func (e *Executor) invalidate(h *recHandle) {
-	if !h.ordered && h.node != e.w.Node.ID {
+	switch {
+	case h.node == e.w.Node.ID:
+	case !h.ordered:
 		e.hashTable(h).Invalidate(e.cacheFor(h.node, h.region), h.key)
+	case h.cached:
+		e.cacheFor(h.node, h.region).DropLoc(h.key)
+		h.cached = false
 	}
 }
 
@@ -439,18 +448,22 @@ const (
 // entry must be the key's staged DEAD slot, and m keeps the value the insert
 // will publish. spec marks a read that holds no lock or lease.
 //
-// A different key, or for hash locations a dead entry or one whose
-// incarnation moved on from the locator's, means the location is stale
-// (deleted or reused slot). On the speculative arm the lock is checked
-// before liveness: a write-locked row is mid-flip, so neither "found" nor
-// "not found" is a stable answer yet — with a lock or lease held, writers
-// are excluded and dead means stably dead.
+// A different key, or for hash and cached ordered locations a dead entry, or
+// for hash locations one whose incarnation moved on from the locator's, means
+// the location is stale (deleted or reused slot): a tree's answer says where
+// the key's entry is now, dead or not, a remembered one only where it was. On
+// the speculative arm the lock is checked before liveness: a write-locked row
+// is mid-flip, so neither "found" nor "not found" is a stable answer yet —
+// with a lock or lease held, writers are excluded and dead means stably dead.
 func (h *recHandle) check(words []uint64, m *recImage, vw int, wantDead, spec bool) imgVerdict {
 	incver := words[kvs.EntryIncVerWord]
 	inc := kvs.Incarnation(incver)
 	live := kvs.Live(inc)
 	switch {
 	case words[kvs.EntryKeyWord] != h.key:
+		return imgStale
+	case h.cached && !live:
+		// Before the lock: a freed slot keeps its remover's lock word for good.
 		return imgStale
 	case spec && clock.IsWriteLocked(words[kvs.EntryStateWord]):
 		return imgBusy

@@ -176,6 +176,7 @@ func TestImageCheckVerdicts(t *testing.T) {
 	}
 	hash := recHandle{key: key, lossy: lossyOf(live)}
 	ordered := recHandle{key: key, ordered: true}
+	cached := recHandle{key: key, ordered: true, cached: true}
 	cases := []struct {
 		name     string
 		h        recHandle
@@ -197,6 +198,11 @@ func TestImageCheckVerdicts(t *testing.T) {
 		{"ordered spec: locked dead row is mid-flip, not missing", ordered, img(key, dead, clock.WLocked(1)), false, true, imgBusy},
 		{"ordered insert into the dead slot", ordered, img(key, dead, clock.WLocked(1)), true, false, imgOK},
 		{"ordered insert finds the key live", ordered, img(key, live, clock.WLocked(1)), true, false, imgExists},
+		{"cached ok", cached, img(key, live, clock.Init), false, true, imgOK},
+		{"cached recycled slot", cached, img(key+1, live, clock.Init), false, true, imgStale},
+		{"cached dead row: where the key was, not where it is", cached, img(key, dead, clock.Init), false, true, imgStale},
+		{"cached freed slot keeps its remover's lock: stale, not mid-flip", cached, img(key, dead, clock.WLocked(1)), false, true, imgStale},
+		{"cached write-locked live row", cached, img(key, live, clock.WLocked(1)), false, true, imgBusy},
 	}
 	for _, c := range cases {
 		m := recImage{buf: []uint64{7, 7}}

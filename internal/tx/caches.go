@@ -6,26 +6,31 @@ import (
 	"drtm/internal/kvs"
 )
 
-// cacheSet holds a node's location caches, one per (remote node, table),
-// shared by all worker threads of the node (Section 5.3). A cache is built on
-// first use and never replaced, and every executor remembers the ones it has
-// used (Executor.cacheFor): the lock is off the transaction path.
+// cacheSet holds a node's location caches, one per (remote node, storage
+// region) — hash and ordered regions alike — shared by all worker threads of the
+// node (Section 5.3). A cache is built on first use and never replaced, and
+// every executor remembers the ones it has used (Executor.cacheFor): the lock
+// is off the transaction path.
 type cacheSet struct {
 	mux sync.Mutex
-	m   map[cacheKey]kvs.Cache
+	m   map[cacheKey]*kvs.LocationCache
 }
 
-type cacheKey struct{ node, table int }
+type cacheKey struct{ node, region int }
 
 func newCacheSet() *cacheSet {
-	return &cacheSet{m: make(map[cacheKey]kvs.Cache)}
+	return &cacheSet{m: make(map[cacheKey]*kvs.LocationCache)}
 }
 
-// stats sums hit/miss/invalidation counters over all caches in the set.
-func (s *cacheSet) stats() (hits, misses, invals int64) {
+// stats sums hit/miss/invalidation counters over the caches in the set: all of
+// them, or those of ordered regions alone.
+func (s *cacheSet) stats(orderedOnly bool) (hits, misses, invals int64) {
 	s.mux.Lock()
 	defer s.mux.Unlock()
 	for _, c := range s.m {
+		if orderedOnly && !c.Ordered() {
+			continue
+		}
 		h, m, i := c.Stats()
 		hits += h
 		misses += m
@@ -34,13 +39,13 @@ func (s *cacheSet) stats() (hits, misses, invals int64) {
 	return
 }
 
-func (s *cacheSet) get(node, table, budgetBytes int, build func(int) kvs.Cache) kvs.Cache {
+// get returns the cache of k, built by build on its first use.
+func (s *cacheSet) get(k cacheKey, build func() *kvs.LocationCache) *kvs.LocationCache {
 	s.mux.Lock()
 	defer s.mux.Unlock()
-	k := cacheKey{node, table}
 	c, ok := s.m[k]
 	if !ok {
-		c = build(budgetBytes)
+		c = build()
 		s.m[k] = c
 	}
 	return c

@@ -152,7 +152,7 @@ func (ro *RO) mvccRead(table int, key uint64) ([]uint64, error) {
 		return nil, ErrNotFound
 	}
 
-	img := make([]uint64, kvs.EntryImageWords(vw, depth))
+	img := e.image(kvs.EntryImageWords(vw, depth))
 	if h.node == e.w.Node.ID {
 		e.rt.arenaOf(h.node, h.region).Read(img, h.off)
 		e.charge(int64(len(img)) * e.model().HTMPerReadNS)
@@ -212,7 +212,7 @@ func (ro *RO) mvccScan(table, node, region int, lo, hi uint64, limit int) ([]Sca
 			return nil, errMVCCFallback
 		}
 		arena := o.Arena()
-		img := make([]uint64, kvs.EntryImageWords(vw, depth))
+		img := e.image(kvs.EntryImageWords(vw, depth))
 		for _, ko := range offs {
 			arena.Read(img, ko.Off)
 			res := kvs.ResolveAtStamp(img, vw, depth, ko.Key, ro.snap)
@@ -308,7 +308,14 @@ func (rt *Runtime) execMVCCScan(n *cluster.Node, m mvccScanMsg) any {
 		return resp
 	}
 	arena := o.Arena()
-	img := make([]uint64, kvs.EntryImageWords(vw, depth))
+	// No executor's scratch on the host: a narrow row's image lives on the stack.
+	var stack [128]uint64
+	img := stack[:]
+	if n := kvs.EntryImageWords(vw, depth); n <= len(stack) {
+		img = img[:n]
+	} else {
+		img = make([]uint64, n)
+	}
 	o.Scan(m.Lo, m.Hi, func(k uint64, off memory.Offset) bool {
 		arena.Read(img, off)
 		res := kvs.ResolveAtStamp(img, vw, depth, k, m.Stamp)

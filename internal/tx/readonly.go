@@ -475,10 +475,31 @@ func (ro *RO) readHandle(h recHandle, byKey bool) (*remoteRec, error) {
 // as the host just read it. A lease's READ must postdate the lease and ignores
 // the reply. Every image takes the same check (the slot could have been recycled
 // since the resolution); confirm re-validates a speculative record's header.
+//
+// A speculative read of a remote ordered record asks the location cache first,
+// the one consumer of an ordered region's frames: a stale hit costs it one READ,
+// where every other path CASes or pins at the offset it is given. The shipped
+// lookup alone says "not found", and its checked image fills the frame.
 func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 	e := ro.e
 	h := &r.recHandle
 	r.spec = e.routeRead(ro.policy, h)
+	vw := e.rt.Meta(r.table).ValueWords
+	shipped := byKey && r.spec && h.ordered && h.node != e.w.Node.ID
+	var cache *kvs.LocationCache
+	if shipped {
+		cache = e.cacheFor(h.node, h.region)
+		if h.off, h.cached = cache.Loc(h.key); h.cached {
+			words, err := e.readEntry(h, vw, 0)
+			if err != nil {
+				return err
+			}
+			if v := r.check(words, &r.recImage, vw, false, true); v != imgStale {
+				return ro.judged(r, v)
+			}
+			e.invalidate(h) // the frame; the host's tree says where the key is now
+		}
+	}
 	if byKey {
 		if found, err := e.resolve(h); err != nil {
 			return err
@@ -486,9 +507,8 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 			return ErrNotFound
 		}
 	}
-	vw := e.rt.Meta(r.table).ValueWords
 	var words []uint64
-	if byKey && r.spec && h.ordered && h.node != e.w.Node.ID {
+	if shipped {
 		words = e.image(kvs.EntryValueWord + vw) // resolve's shipOne left the reply here
 		e.w.Obs.Inc(obs.EvShipImage)
 	} else {
@@ -502,12 +522,20 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 		}
 	}
 	v := r.check(words, &r.recImage, vw, false, r.spec)
+	if shipped && v == imgOK {
+		cache.SetLoc(h.key, h.off)
+	}
+	return ro.judged(r, v)
+}
+
+// judged turns the verdict on a fetched image into the fetch's result.
+func (ro *RO) judged(r *remoteRec, v imgVerdict) error {
 	if r.spec && (v == imgOK || v == imgBusy) {
-		e.w.Obs.Inc(obs.EvSpecRead)
+		ro.e.w.Obs.Inc(obs.EvSpecRead)
 	}
 	switch v {
 	case imgStale:
-		e.invalidate(h)
+		ro.e.invalidate(&r.recHandle)
 		return ErrRetry
 	case imgBusy:
 		return ro.lockConflict()

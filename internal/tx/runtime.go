@@ -130,8 +130,8 @@ type Runtime struct {
 	tables map[int]TableMeta
 
 	// caches[node] holds node-level location caches keyed by
-	// (remote node, table): shared by all of the node's workers, as in
-	// Section 5.3.
+	// (remote node, storage region): shared by all of the node's workers, as
+	// in Section 5.3.
 	caches []*cacheSet
 
 	// FallbackThreshold is the number of HTM aborts before the software
@@ -141,14 +141,10 @@ type Runtime struct {
 	// MaxAttempts bounds whole-transaction retries before giving up.
 	MaxAttempts int
 
-	// CacheBudgetBytes sizes each (node, table) location cache; 0 disables
-	// caching (the DrTM-KV vs DrTM-KV/$ distinction of Section 5.4).
+	// CacheBudgetBytes sizes each (node, region) location cache — an ordered
+	// region's at most one frame per entry it can hold; 0 disables caching
+	// (the DrTM-KV vs DrTM-KV/$ distinction of Section 5.4).
 	CacheBudgetBytes int
-
-	// NewCache builds a location cache from a byte budget; defaults to the
-	// paper's direct-mapped kvs.NewLocationCache. Swap in kvs.NewAssocCache
-	// for the set-associative LRU variant the paper names as future work.
-	NewCache func(budgetBytes int) kvs.Cache
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records: lease-based shared locks (the zero-value default),
@@ -292,7 +288,6 @@ func NewRuntime(c *cluster.Cluster, part Partitioner) *Runtime {
 		FallbackThreshold: 8,
 		MaxAttempts:       10_000,
 		CacheBudgetBytes:  1 << 22,
-		NewCache:          func(b int) kvs.Cache { return kvs.NewLocationCache(b) },
 		Stats:             newStats(c.Obs),
 		policyCfg:         DefaultPolicyConfig(),
 		redoShards:        make([]redoShard, c.Nodes()),
@@ -376,10 +371,15 @@ func (rt *Runtime) Meta(table int) TableMeta {
 }
 
 // CacheStats aggregates location-cache hits/misses/invalidations across
-// every node's caches.
-func (rt *Runtime) CacheStats() (hits, misses, invals int64) {
+// every node's caches, hash and ordered regions alike.
+func (rt *Runtime) CacheStats() (hits, misses, invals int64) { return rt.cacheStats(false) }
+
+// OrderedCacheStats is CacheStats over the ordered regions' frames alone.
+func (rt *Runtime) OrderedCacheStats() (hits, misses, invals int64) { return rt.cacheStats(true) }
+
+func (rt *Runtime) cacheStats(orderedOnly bool) (hits, misses, invals int64) {
 	for _, cs := range rt.caches {
-		h, m, i := cs.stats()
+		h, m, i := cs.stats(orderedOnly)
 		hits += h
 		misses += m
 		invals += i
@@ -405,7 +405,7 @@ func (rt *Runtime) Executor(node, worker int) *Executor {
 		w:   w,
 		rng: rand.New(rand.NewSource(int64(node*1000 + worker + 1))),
 
-		locCaches: make(map[cacheKey]kvs.Cache),
+		locCaches: make(map[cacheKey]*kvs.LocationCache),
 	}
 }
 
@@ -430,7 +430,7 @@ type Executor struct {
 	// fingers holds one B+ tree leaf finger per ordered region of this node
 	// (finger); locCaches, the node's location caches it has used (cacheFor).
 	fingers   map[int]*kvs.Finger
-	locCaches map[cacheKey]kvs.Cache
+	locCaches map[cacheKey]*kvs.LocationCache
 
 	// Hot-path pools: Exec's per-attempt Tx shell, ExecRO's shell,
 	// staged-record structs and the Start phase's staging scratch are reused
@@ -559,20 +559,27 @@ func (e *Executor) route(table int, key uint64) (node, region, part int) {
 	return owner, cluster.ReplicaRegion(part, table), part
 }
 
-// cacheFor returns this node's location cache for (remote node, region), or
-// nil when caching is disabled. Caches key on the storage region — not the
+// cacheFor returns this node's location cache for (remote node, region) — bucket
+// frames for a hash region, (key, offset) frames for an ordered one — or nil
+// when caching is disabled. Caches key on the storage region — not the
 // logical table — so primary and replica locations never mix. A cache is never
 // replaced: the executor remembers those it has used and takes the node-wide
 // set's lock for the first access of each only.
-func (e *Executor) cacheFor(node, region int) kvs.Cache {
-	if e.rt.CacheBudgetBytes <= 0 {
+func (e *Executor) cacheFor(node, region int) *kvs.LocationCache {
+	budget := e.rt.CacheBudgetBytes
+	if budget <= 0 {
 		return nil
 	}
 	k := cacheKey{node, region}
 	if c, ok := e.locCaches[k]; ok {
 		return c
 	}
-	c := e.rt.caches[e.w.Node.ID].get(node, region, e.rt.CacheBudgetBytes, e.rt.NewCache)
+	c := e.rt.caches[e.w.Node.ID].get(k, func() *kvs.LocationCache {
+		if o, ok := e.rt.C.Node(node).OrderedRegion(region); ok {
+			return kvs.NewOrderedCache(budget, o.Capacity())
+		}
+		return kvs.NewLocationCache(budget)
+	})
 	e.locCaches[k] = c
 	return c
 }

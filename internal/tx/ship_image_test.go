@@ -124,16 +124,25 @@ func TestShippedImageEquivalence(t *testing.T) {
 }
 
 // TestShippedImageServesOnlySpeculation counts the reader's verbs per arm on a
-// remote ordered row: a speculative read is the message and nothing else; a
-// leased read — static, or adaptive on a hot range — still posts its READ, after
-// its lease CAS; a write-staged row still reads under its lock.
+// remote ordered row, cold (no frame of the row in the location cache) and warm
+// (one from an earlier speculative read-only read). Cold, a speculative read is
+// the message and nothing else; warm, a read-only one is one READ at the cached
+// offset and no message. Every other path sends its message as before, warm
+// frame or not, and never asks the cache: a leased read — static, adaptive on a
+// hot range, or escalated — posts its lease CAS and its READ behind the lookup;
+// a read-write transaction's speculative and write-staged rows resolve in
+// stageBatch; the fallback's take, an escalated scan's pins and the snapshot arm
+// CAS, pin or resolve a chain at the offset they are given.
 func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	rt, stop := newOrderedRig(t, 2, 1, nil)
 	defer stop()
 	rt.ReadPolicy = PolicyAdaptive
+	rt.FallbackThreshold = 1
 	home, e := rt.Executor(1, 0), rt.Executor(0, 0)
 	insertOrders(t, home, 1, []uint64{1, 2, 0x81})
+	inserted := home.w.Node.Clock.Read() + 1 // an insert stamps its row one above its slot's tail at most
 	key, other, hotKey := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x81)
+	keys := []uint64{key, other, hotKey}
 	reg := rt.C.Obs
 	ro := func(p ReadPolicy, keys ...uint64) {
 		t.Helper()
@@ -150,13 +159,29 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rw := func(write bool) {
+	// escalated runs one attempt as ExecRO's ninth would: leased, scans pinned.
+	escalated := func(build func(ro *RO) error) {
+		t.Helper()
+		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyLease, escalated: true,
+			end: e.w.Node.Clock.Read() + rt.C.Config().ROLeaseMicros}
+		defer ro.release()
+		if err := build(ro); err != nil {
+			t.Fatal(err)
+		}
+		if !ro.confirm() {
+			t.Fatal("the escalated attempt did not confirm")
+		}
+	}
+	rw := func(write, fallback bool) {
 		t.Helper()
 		if err := e.Exec(func(tx *Tx) error {
 			if err := tx.Stage(Access{Table: tblOrders, Key: key, Write: write}); err != nil {
 				return err
 			}
 			return tx.Execute(func(lc *Local) error {
+				if fallback && lc.htx != nil {
+					lc.htx.Abort(99) // on to the fallback, which takes the row again
+				}
 				v, err := lc.Read(tblOrders, key)
 				if err != nil || !write {
 					return err
@@ -173,40 +198,82 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	if rt.HotBuckets() != 1 {
 		t.Fatal("the range did not turn hot")
 	}
+	cache := e.cacheFor(1, tblOrders)
+	asked := func() int64 {
+		h, m, _ := cache.Stats()
+		return h + m
+	}
 
 	for _, tc := range []struct {
 		name                   string
 		run                    func()
-		want                   readerVerbs
-		images, singles, grant int64
+		cold, warm             readerVerbs
+		images, singles, grant int64 // cold; warm differs by the images alone
+		asks                   int64 // cache lookups, cold and warm alike
 	}{
-		{"one-record read-only, speculative", func() { ro(PolicyAdaptive, key) }, readerVerbs{1, 0, 0}, 1, 1, 0},
-		{"two-record read-only, speculative", func() { ro(PolicyAdaptive, key, other) }, readerVerbs{2, 0, 2}, 2, 0, 0},
-		{"read-only under leases", func() { ro(PolicyLease, key) }, readerVerbs{1, 1, 1}, 0, 0, 1},
-		{"read-only, hot range", func() { ro(PolicyAdaptive, hotKey) }, readerVerbs{1, 1, 1}, 0, 0, 1},
-		{"read-write, speculative read", func() { rw(false) }, readerVerbs{1, 0, 1}, 1, 0, 0}, // the READ is the commit's validation
-		{"read-write, write-staged", func() { rw(true) }, readerVerbs{1, 1, 1}, 0, 0, 0},
+		{"one-record read-only, speculative", func() { ro(PolicyAdaptive, key) },
+			readerVerbs{1, 0, 0}, readerVerbs{0, 0, 1}, 1, 1, 0, 1},
+		{"two-record read-only, speculative", func() { ro(PolicyAdaptive, key, other) },
+			readerVerbs{2, 0, 2}, readerVerbs{0, 0, 4}, 2, 0, 0, 2},
+		{"read-only under leases", func() { ro(PolicyLease, key) },
+			readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 1, 0},
+		{"read-only, hot range", func() { ro(PolicyAdaptive, hotKey) },
+			readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 1, 0},
+		{"read-only, escalated", func() {
+			escalated(func(ro *RO) error { _, err := ro.Read(tblOrders, key); return err })
+		}, readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 1, 0},
+		{"read-only, escalated scan pins its rows", func() {
+			escalated(func(ro *RO) error { _, err := ro.Scan(tblOrders, key, other, 0); return err })
+		}, readerVerbs{1, 2, 3}, readerVerbs{1, 2, 3}, 0, 0, 2, 0}, // the scan, a lease per row; confirming re-READs the stamp and both headers
+		{"read-only, snapshot arm", func() {
+			// The snapshot must have passed the rows' inserts, or their chains
+			// cannot serve it and the attempt falls back to the speculative arm.
+			for rt.C.SnapshotStamp() < inserted {
+				runtime.Gosched()
+			}
+			ro(PolicyMVCC, key)
+		},
+			readerVerbs{1, 0, 1}, readerVerbs{1, 0, 1}, 0, 0, 0, 0}, // the lookup, then the entry and its chain
+		{"read-write, speculative read", func() { rw(false, false) },
+			readerVerbs{1, 0, 1}, readerVerbs{1, 0, 1}, 1, 0, 0, 0}, // the READ is the commit's validation
+		{"read-write, write-staged", func() { rw(true, false) },
+			readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 0, 0},
+		{"read-write, the fallback takes the row", func() { rw(true, true) },
+			readerVerbs{2, 2, 2}, readerVerbs{2, 2, 2}, 0, 0, 0, 0}, // staged, released, resolved and locked again
 	} {
-		// Earlier cases' leases must not be shared by this one.
-		for _, k := range []uint64{key, other, hotKey} {
-			o := rt.C.Node(1).Ordered(tblOrders)
-			off, _ := o.Lookup(k)
-			o.Arena().StoreWord(kvs.StateOffset(off), clock.Init)
-		}
-		v0 := verbsOf(e)
-		img0, single0, grant0 := reg.Total(obs.EvShipImage), reg.Total(obs.EvROSingle), reg.Total(obs.EvLeaseGrant)
-		tc.run()
-		if got := verbsOf(e).since(v0); got != tc.want {
-			t.Errorf("%s: verbs %+v, want %+v", tc.name, got, tc.want)
-		}
-		if got := reg.Total(obs.EvShipImage) - img0; got != tc.images {
-			t.Errorf("%s: %d replied images consumed, want %d", tc.name, got, tc.images)
-		}
-		if got := reg.Total(obs.EvROSingle) - single0; got != tc.singles {
-			t.Errorf("%s: %d confirmations skipped, want %d", tc.name, got, tc.singles)
-		}
-		if got := reg.Total(obs.EvLeaseGrant) - grant0; got != tc.grant {
-			t.Errorf("%s: %d leases granted, want %d", tc.name, got, tc.grant)
+		for _, warm := range []bool{false, true} {
+			want, images, temp := tc.cold, tc.images, "cold"
+			if warm {
+				want, images, temp = tc.warm, tc.images-tc.asks, "warm"
+			}
+			for _, k := range keys {
+				cache.DropLoc(k)
+				if warm {
+					ro(PolicySpeculative, k)
+				}
+				// Earlier leases must not be shared by this run.
+				o := rt.C.Node(1).Ordered(tblOrders)
+				off, _ := o.Lookup(k)
+				o.Arena().StoreWord(kvs.StateOffset(off), clock.Init)
+			}
+			v0, asked0 := verbsOf(e), asked()
+			img0, single0, grant0 := reg.Total(obs.EvShipImage), reg.Total(obs.EvROSingle), reg.Total(obs.EvLeaseGrant)
+			tc.run()
+			if got := verbsOf(e).since(v0); got != want {
+				t.Errorf("%s, %s: verbs %+v, want %+v", tc.name, temp, got, want)
+			}
+			if got := asked() - asked0; got != tc.asks {
+				t.Errorf("%s, %s: the location cache was asked %d times, want %d", tc.name, temp, got, tc.asks)
+			}
+			if got := reg.Total(obs.EvShipImage) - img0; got != images {
+				t.Errorf("%s, %s: %d replied images consumed, want %d", tc.name, temp, got, images)
+			}
+			if got := reg.Total(obs.EvROSingle) - single0; got != tc.singles {
+				t.Errorf("%s, %s: %d confirmations skipped, want %d", tc.name, temp, got, tc.singles)
+			}
+			if got := reg.Total(obs.EvLeaseGrant) - grant0; got != tc.grant {
+				t.Errorf("%s, %s: %d leases granted, want %d", tc.name, temp, got, tc.grant)
+			}
 		}
 	}
 }
@@ -215,7 +282,9 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 // between the fetch and the confirmation: one speculative one-line record
 // serializes at its fetch and confirms; a second record, a collected scan or a
 // row wider than a cache line re-validates and fails; a leased record is
-// confirmed by its lease, as ever.
+// confirmed by its lease, as ever. The tblOrders rows are warm — fetched by one
+// READ at a cached offset, which is as atomic as a replied image and no more: a
+// warm two-record transaction still fails its confirmation.
 func TestROSingleRecordRule(t *testing.T) {
 	rt, stop := newOrderedRig(t, 2, 1, nil)
 	defer stop()
@@ -228,6 +297,15 @@ func TestROSingleRecordRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := rt.C.Obs
+	if err := e.ExecROWith(PolicySpeculative, func(ro *RO) error { // fills both rows' frames
+		_, err := ro.Read(tblOrders, key)
+		if err == nil {
+			_, err = ro.Read(tblOrders, other)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, tc := range []struct {
 		name    string
 		policy  ReadPolicy
@@ -235,29 +313,30 @@ func TestROSingleRecordRule(t *testing.T) {
 		rewrite func(v uint64)
 		confirm bool // what confirm says with the rewrite in between
 		single  int64
+		hits    int64 // reads served at a cached offset
 	}{
 		{"one record", PolicySpeculative, func(ro *RO) error {
 			_, err := ro.Read(tblOrders, key)
 			return err
-		}, nil, true, 1},
+		}, nil, true, 1, 1},
 		{"two records", PolicySpeculative, func(ro *RO) error {
 			if _, err := ro.Read(tblOrders, key); err != nil {
 				return err
 			}
 			_, err := ro.Read(tblOrders, other)
 			return err
-		}, nil, false, 0},
+		}, nil, false, 0, 2},
 		{"one record and a scan", PolicySpeculative, func(ro *RO) error {
 			if _, err := ro.Read(tblOrders, key); err != nil {
 				return err
 			}
 			_, err := ro.Scan(tblOrders, other, other, 0)
 			return err
-		}, nil, false, 0},
+		}, nil, false, 0, 1},
 		{"one leased record", PolicyLease, func(ro *RO) error {
 			_, err := ro.Read(tblOrders, key)
 			return err
-		}, func(uint64) {}, true, 0}, // no writer gets past a lease
+		}, func(uint64) {}, true, 0, 0}, // no writer gets past a lease
 		{"one two-line record", PolicySpeculative, func(ro *RO) error {
 			_, err := ro.Read(tblWideOrdered, wide)
 			return err
@@ -270,12 +349,16 @@ func TestROSingleRecordRule(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-		}, false, 0},
+		}, false, 0, 0},
 	} {
 		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: tc.policy,
 			end: e.w.Node.Clock.Read() + rt.C.Config().ROLeaseMicros}
+		hits0, _, _ := rt.OrderedCacheStats()
 		if err := tc.build(ro); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if hits, _, _ := rt.OrderedCacheStats(); hits-hits0 != tc.hits {
+			t.Errorf("%s: %d reads at a cached offset, want %d", tc.name, hits-hits0, tc.hits)
 		}
 		if tc.rewrite == nil {
 			rewrite(t, home, key, uint64(1000+i))
@@ -303,8 +386,9 @@ func TestROSingleRecordRule(t *testing.T) {
 // remote one that locks it, writes it back and releases with one WRITE — only
 // ever returns a value some commit installed, whole, although it confirms
 // nothing: five equal words of a row that fills its cache line. The reader is
-// remote (the shipped image), local, and a hash table's (one READ); the wide
-// control row spans two lines and keeps its confirmation.
+// remote (the shipped image once, then one READ at the cached offset), local,
+// and a hash table's (one READ); the wide control row spans two lines and keeps
+// its confirmation.
 func TestROSingleRecordSerializes(t *testing.T) {
 	const (
 		tblLine = 13 // ordered, 3 + 5 words: one cache line
@@ -408,6 +492,11 @@ func TestROSingleRecordSerializes(t *testing.T) {
 			}
 			if !tc.single && singles != 0 {
 				t.Errorf("%d commits of a two-line row skipped their confirmation", singles)
+			}
+			// Past its first, a remote reader's ordered reads are warm: one READ at
+			// the cached offset, racing the writers as the replied image did.
+			if hits, _, _ := rt.OrderedCacheStats(); tc.table == tblLine && tc.reader == 0 && hits < rounds/2 {
+				t.Errorf("%d of %d reads were served at a cached offset", hits, rounds)
 			}
 		})
 	}
