@@ -49,16 +49,20 @@ race:
 # the ordered regions' location-cache frames (the image at a cached offset judged
 # per slot history and held to the uncached answer, a lost cached READ, a frame
 # never used across a promotion; nobody but the speculative read-only fetch
-# asking the cache), the mirrored removal of a lagging replica's entry, and two clients
+# asking the cache), the mirrored removal of a lagging replica's entry, the NVRAM
+# logs' lifetime rule (a coordinator killed at every step of a transfer behind a
+# committed one, region and fallback, f = 0 and 1; a parked release keeping the
+# logs; records surviving an arena's grows, a restart never tearing a concurrent
+# scan, the append / reserve / restart model fuzz's seeds), and two clients
 # churning the same subscribers — repeated across core counts. A red run here
 # is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch' ./internal/rdma/
 	go test -race -count=5 -cpu 1,2,4 -run 'Finger|FuzzIteratorBoundaries' ./internal/btree/ ./internal/kvs/
-	go test -race -count=5 -cpu 1,2,4 -run 'Redo|LogScan|Drain' ./internal/nvram/ ./internal/cluster/
+	go test -race -count=5 -cpu 1,2,4 -run 'Redo|LogScan|Drain|LogGrow|Restart|AppendTxFull|FuzzLogModel' ./internal/nvram/ ./internal/cluster/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 
@@ -91,12 +95,14 @@ bench-smoke:
 
 # Crash-consistency gate: SmallBank under repeated crashes with lease-based
 # detection and online recovery; conservation must hold. The coalesced
-# messages keep the per-op fault semantics, and a fault at any verb of the Start
-# phase is retried, not taken for a dead host (stage_fault_test.go).
+# messages keep the per-op fault semantics, a fault at any verb of the Start
+# phase is retried, not taken for a dead host (stage_fault_test.go), and a
+# coordinator killed at any step of a commit leaves it whole or absent with its
+# logs holding that transaction alone (recovery_test.go).
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault' ./internal/tx/
+	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
 # serial window=1 control arm, for one-sided records, for shipped ordered /
@@ -124,9 +130,10 @@ adaptive:
 	go run ./cmd/drtm-bench -exp adaptive -quick
 	go test -run TestAdaptiveAcceptance ./internal/bench/
 
-# Replication gate: hot-standby promotion must lose zero committed
-# transactions and repair the partition in < 0.2x of the full NVRAM-replay
-# baseline (failoverexp_test.go), with conservation re-checked under -race.
+# Replication gate: neither repair — Recover of the victim's NVRAM logs, or
+# hot-standby promotion — may lose a committed transaction, and the work of
+# each in log records must stay under a constant whatever history precedes the
+# crash (failoverexp_test.go), with conservation re-checked under -race.
 failover:
 	go run ./cmd/drtm-bench -exp failover -quick
 	go test -run TestFailoverAcceptance ./internal/bench/

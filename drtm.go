@@ -663,6 +663,10 @@ type Stats struct {
 
 	// Durability and recovery (Section 4.6 / Figure 7).
 	LogRecords      int64
+	LogRestarts     int64 // times a worker restarted its logs at a transaction boundary
+	LogGrows        int64 // times a log's arena doubled
+	LogHighWater    int64 // most live words one log of one worker held at a boundary (not a Delta)
+	LogCapWords     int64 // what LogHighWater is held against: cluster.Config.LogWords, fatal to overrun
 	RecoveryScans   int64 // write-ahead records Recover read
 	RecoveryRedos   int64
 	RecoveryUnlocks int64
@@ -756,6 +760,9 @@ func newStats(sn obs.Snapshot) Stats {
 		FingerHits:   c(obs.EvFingerHit),
 
 		LogRecords:      c(obs.EvLogRecord),
+		LogRestarts:     c(obs.EvLogRestart),
+		LogGrows:        c(obs.EvLogGrow),
+		LogHighWater:    sn.Gauges[obs.GaugeLogWords],
 		RecoveryScans:   c(obs.EvRecoveryScan),
 		RecoveryRedos:   c(obs.EvRecoveryRedo),
 		RecoveryUnlocks: c(obs.EvRecoveryUnlock),
@@ -804,6 +811,7 @@ func (db *DB) Stats() Stats {
 	s := newStats(db.C.Obs.Snapshot())
 	s.CacheHits, s.CacheMisses, s.CacheInvals = db.RT.CacheStats()
 	s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals = db.RT.OrderedCacheStats()
+	s.LogCapWords = int64(db.C.Config().LogWords)
 	return s
 }
 
@@ -811,8 +819,8 @@ func (db *DB) Stats() Stats {
 func (db *DB) ResetStats() { db.C.Obs.Reset() }
 
 // Delta returns the counter-by-counter difference s - prev. Latency
-// histograms subtract bucket-wise; Max is a high-water mark and keeps s's
-// value.
+// histograms subtract bucket-wise; their Max and LogHighWater are high-water
+// marks and keep s's values.
 func (s Stats) Delta(prev Stats) Stats {
 	d := newStats(s.snap.Delta(prev.snap))
 	d.CacheHits, d.CacheMisses, d.CacheInvals =
@@ -820,6 +828,7 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.OrderedCacheHits, d.OrderedCacheMisses, d.OrderedCacheInvals =
 		s.OrderedCacheHits-prev.OrderedCacheHits, s.OrderedCacheMisses-prev.OrderedCacheMisses,
 		s.OrderedCacheInvals-prev.OrderedCacheInvals
+	d.LogCapWords = s.LogCapWords
 	return d
 }
 
@@ -850,8 +859,9 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "cache:   hits=%d misses=%d invalidations=%d (ordered frames: hits=%d misses=%d invalidations=%d)\n",
 		s.CacheHits, s.CacheMisses, s.CacheInvals, s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals)
 	fmt.Fprintf(&b, "index:   descents=%d finger-hits=%d\n", s.TreeDescents, s.FingerHits)
-	fmt.Fprintf(&b, "nvram:   log-records=%d recovery-scans=%d recovery-redos=%d recovery-unlocks=%d\n",
-		s.LogRecords, s.RecoveryScans, s.RecoveryRedos, s.RecoveryUnlocks)
+	fmt.Fprintf(&b, "nvram:   log-records=%d log-restarts=%d log-grows=%d log-high-water=%d/%d words recovery-scans=%d recovery-redos=%d recovery-unlocks=%d\n",
+		s.LogRecords, s.LogRestarts, s.LogGrows, s.LogHighWater, s.LogCapWords,
+		s.RecoveryScans, s.RecoveryRedos, s.RecoveryUnlocks)
 	fmt.Fprintf(&b, "repl:    log-appends=%d backup-bytes=%d fence-rejects=%d view-aborts=%d failovers=%d promote-time=%v redo-tail=%d\n",
 		s.LogAppends, s.BackupBytes, s.FenceRejects, s.ViewAborts,
 		s.Failovers, time.Duration(s.PromoteNanos), s.RedoTailLen)

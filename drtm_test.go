@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"drtm/internal/memory"
+	"drtm/internal/nvram"
 )
 
 const tblAcct = 1
@@ -572,5 +575,132 @@ func TestTracingE2E(t *testing.T) {
 	}
 	if evs := db.DrainTrace(); len(evs) != 0 {
 		t.Fatalf("trace recorded while disabled: %d events", len(evs))
+	}
+}
+
+// TestDurableLongRunLogsStayShort: a durable worker's NVRAM logs hold its
+// transaction in flight, not its history — at the default LogWords one worker
+// commits 300 000 transactions, local writes and cross-node transfers mixed,
+// and between any two of them every log holds a handful of words in the arena
+// it was created with. (Before logs were restarted at transaction boundaries
+// the write-ahead log filled, and the worker panicked, near the 116 000th.)
+func TestDurableLongRunLogsStayShort(t *testing.T) {
+	db := openTestDB(t, 2, 1, true)
+	defer db.Close()
+	e, w := db.Executor(0, 0), db.C.Worker(0, 0)
+	logs := map[string]*nvram.Log{"chopping": w.ChoppingLog, "lock-ahead": w.LockAheadLog, "write-ahead": w.WriteAheadLog}
+	const commits, maxLiveWords = 300_000, 32
+	for i := 0; i < commits; i++ {
+		keys := []uint64{2} // local
+		if i%3 == 0 {
+			keys = []uint64{1, 4} // remote and local
+		}
+		err := e.Exec(func(tx *Tx) error {
+			for _, k := range keys {
+				if err := tx.W(tblAcct, k); err != nil {
+					return err
+				}
+			}
+			return tx.Execute(func(lc *Local) error {
+				for _, k := range keys {
+					if err := lc.Write(tblAcct, k, []uint64{uint64(i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if i%1000 == 0 || i == commits-1 {
+			for name, l := range logs {
+				if used := l.BytesUsed() / 8; used > maxLiveWords {
+					t.Fatalf("after commit %d the %s log holds %d words, want <= %d", i, name, used, maxLiveWords)
+				}
+			}
+		}
+	}
+	for name, l := range logs {
+		if got := l.Arena().Len(); got != memory.WordsPerLine+nvram.InitialWords {
+			t.Errorf("the %s log's arena is %d words, created with %d: it grew", name, got, memory.WordsPerLine+nvram.InitialWords)
+		}
+	}
+	s := db.Stats()
+	if s.LogGrows != 0 || s.LogRestarts < commits-1 || s.LogHighWater > maxLiveWords {
+		t.Errorf("log-grows=%d log-restarts=%d log-high-water=%d over %d commits, want 0, one per commit and <= %d",
+			s.LogGrows, s.LogRestarts, s.LogHighWater, commits, maxLiveWords)
+	}
+}
+
+// TestStatsLogGauge: the logs' fill is visible before it is a panic. Restarts
+// are counted, the high-water mark is the fullest log any worker had at a
+// transaction boundary — against LogCapWords, the cap whose overrun is fatal —
+// and it climbs, with arena grows behind it, exactly while a release parked for
+// a dead node keeps the workers from reclaiming. A Delta keeps the mark.
+func TestStatsLogGauge(t *testing.T) {
+	db := openTestDB(t, 2, 1, true)
+	defer db.Close()
+	e := db.Executor(0, 0)
+	write := func(arm func(), keys ...uint64) {
+		t.Helper()
+		if err := e.Exec(func(tx *Tx) error {
+			for _, k := range keys {
+				if err := tx.W(tblAcct, k); err != nil {
+					return err
+				}
+			}
+			return tx.Execute(func(lc *Local) error {
+				for _, k := range keys {
+					if err := lc.Write(tblAcct, k, []uint64{7}); err != nil {
+						return err
+					}
+				}
+				if arm != nil {
+					arm()
+				}
+				return nil
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		write(nil, 1, 2)
+	}
+	calm := db.Stats()
+	if calm.LogRestarts != 9 || calm.LogGrows != 0 || calm.LogHighWater == 0 || calm.LogHighWater > 32 {
+		t.Fatalf("ten quiet commits: log-restarts=%d log-grows=%d log-high-water=%d, want 9, 0 and one transaction's few words",
+			calm.LogRestarts, calm.LogGrows, calm.LogHighWater)
+	}
+	if calm.LogCapWords != int64(db.C.Config().LogWords) {
+		t.Fatalf("LogCapWords = %d, the cluster's LogWords is %d", calm.LogCapWords, db.C.Config().LogWords)
+	}
+
+	// Node 1 dies as a commit's write-back to it is posted: the release is
+	// parked, and node 0's worker keeps every record from then on.
+	write(func() { db.Crash(1) }, 1, 2)
+	const parked = 1500 // x 9 words of write-ahead record: past the first arena
+	for i := 0; i < parked; i++ {
+		write(nil, 2)
+	}
+	d := db.Stats().Delta(calm)
+	if d.LogRestarts != 1 { // the crashing commit's own
+		t.Errorf("%d log restarts behind a parked release, want none", d.LogRestarts-1)
+	}
+	if d.LogHighWater < 9*(parked-1) || d.LogHighWater > d.LogCapWords || d.LogGrows == 0 {
+		t.Errorf("after %d commits behind a parked release: log-high-water=%d of %d, log-grows=%d", parked, d.LogHighWater, d.LogCapWords, d.LogGrows)
+	}
+	if want := fmt.Sprintf("log-restarts=%d log-grows=%d log-high-water=%d/%d words", d.LogRestarts, d.LogGrows, d.LogHighWater, d.LogCapWords); !strings.Contains(d.String(), want) {
+		t.Errorf("Stats.String lacks %q:\n%s", want, d.String())
+	}
+
+	// Recovery drains the parked release; the next boundary reclaims.
+	db.Recover(1)
+	db.Revive(1)
+	write(nil, 2)
+	write(nil, 2)
+	if got := db.C.Worker(0, 0).WriteAheadLog.BytesUsed() / 8; got > 32 {
+		t.Errorf("write-ahead log holds %d words after the parked release drained", got)
 	}
 }

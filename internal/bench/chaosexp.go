@@ -176,6 +176,10 @@ func runChaosExp(o Options) *Result {
 	res.AddRow("recovery-time", fmt.Sprintf("%v", time.Duration(st.RecoveryNanos)))
 	res.AddRow("recovery-redos", fmt.Sprintf("%d", st.RecoveryRedos))
 	res.AddRow("recovery-unlocks", fmt.Sprintf("%d", st.RecoveryUnlocks))
+	res.AddRow("recovery-wal-scanned", fmt.Sprintf("%d", st.RecoveryScans))
+	res.AddRow("log-restarts", fmt.Sprintf("%d", st.LogRestarts))
+	res.AddRow("log-grows", fmt.Sprintf("%d", st.LogGrows))
+	res.AddRow("log-high-water", fmt.Sprintf("%d of %d words", st.LogHighWater, st.LogCapWords))
 	res.AddRow("verb-faults", fmt.Sprintf("%d", st.VerbFaults))
 	res.AddRow("lock-retries", fmt.Sprintf("%d", st.LockRetries))
 	res.AddRow("retry-backoff", fmt.Sprintf("%v", time.Duration(st.BackoffNanos)))
@@ -183,5 +187,6 @@ func runChaosExp(o Options) *Result {
 	res.Note("detector: 1ms heartbeats, 12ms failure timeout, 2ms election stagger; fault seed %d", seed)
 	res.Note("1%% injected verb timeouts on links 1->0 and 2->0; nodes 1,2 crashed alternately under live traffic")
 	res.Note("conservation audit runs after the last revival; recovery-time is wall-clock, other times modeled")
+	res.Note("log-high-water: the most live words one NVRAM log held at a transaction boundary, of the LogWords cap; workers restart their logs at every boundary except while a release is parked for a crashed node")
 	return res
 }

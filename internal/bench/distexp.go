@@ -32,7 +32,7 @@ func runDistWaves(o Options) *Result {
 	}{
 		{"smallbank_dist", nil},
 		{"smallbank_repl", func(c *cluster.Config) {
-			c.Durability, c.ReplicationFactor, c.LogWords = true, 1, 32*txns
+			c.Durability, c.ReplicationFactor = true, 1
 		}},
 	} {
 		stages, commits := measureDistWaves(o, txns, accounts, arm.mut)

@@ -12,85 +12,89 @@ func TestSmokeFailover(t *testing.T) {
 	runSmoke(t, "failover")
 }
 
-// TestFailoverAcceptance pins the replication PR's two acceptance claims on
-// the same crash scenario the experiment reports: with one backup per
-// partition, killing a primary under live traffic loses zero committed
-// transactions, and hot-standby promotion repairs the partition in under
-// 0.2x the wall-clock of the full NVRAM-replay Recover baseline.
+// TestFailoverAcceptance pins the replication PR's correctness claims and the
+// log lifetime rule's on the crash scenario the experiment reports: killing a
+// primary under live traffic loses zero committed transactions with or without
+// a backup, f=1 repairs by promotion alone, and neither repair's work follows
+// the history behind it. The gate is each repair's work in log records — what
+// Recover read from the victim's write-ahead logs, what the promotion replayed
+// from redo tails — held under a constant at a 1x and at a 4x warm window. (It
+// used to be a wall-clock ratio, promotion < 0.2x of Recover, measured against
+// a write-ahead log nothing truncated; with logs reclaimed at transaction
+// boundaries both repairs take tens of microseconds.)
 func TestFailoverAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover acceptance is slow")
 	}
-	// Each arm runs three independent crash scenarios; the correctness
-	// checks must hold on every run, while the timing gate compares the
-	// per-arm minima — the repair calls are tens-to-hundreds of
-	// microseconds of wall-clock, and min-of-N strips scheduler noise the
-	// way best-of-N strips it from any microbenchmark.
-	const attempts = 3
-	var rec, hot failoverArm
-	for i := 0; i < attempts; i++ {
-		// Full-scale warm window: the contrast under test is a WAL that
-		// grows with history vs a checkpoint-bounded redo tail.
-		o := Options{Seed: int64(1 + i)}
+	const (
+		// A victim's worker has the transaction it was in — or had just finished
+		// — in its log, and one more if, a zombie, it ran another before it saw
+		// that its machine was dead; nothing is parked before the crash.
+		maxWALScanned = 2 * 2 // per worker x the victim's workers
+		// Ten rings are drained (six hosted on the new owner, the victim's four
+		// elsewhere), each checkpointed at cluster.CheckpointWords = 1024 words
+		// of records no shorter than 11.
+		maxRedoTail = 10 * (1024/11 + 1)
+	)
+	// Three crash scenarios at the 1x window and one at 4x: the correctness
+	// checks hold on every run, and so does the bound — the same at both
+	// windows, which is the claim.
+	for _, c := range []struct {
+		warmX int
+		seed  int64
+	}{{1, 1}, {1, 2}, {1, 3}, {4, 1}} {
+		warmX, seed := c.warmX, c.seed
+		o := Options{Seed: seed}
 
-		r := measureFailoverArm(o, 0)
+		r := measureFailoverArm(o, 0, warmX)
 		if !r.repaired {
 			t.Fatal("f=0 arm: victim was never revived")
 		}
-		if r.recoveries == 0 {
+		// Stats.Recoveries counts the Recovers that found something to replay;
+		// a victim caught between two transactions leaves none, so the call
+		// itself is what must show.
+		if r.unavailNS() <= 0 {
 			t.Error("f=0 arm recorded no Recover invocation")
 		}
 		if !r.conserved() {
 			t.Errorf("f=0 arm lost money: %s", r.conservation())
 		}
-		if r.unavailNS <= 0 {
-			t.Fatal("f=0 arm recorded no recovery time")
+		if r.st.RecoveryScans > maxWALScanned {
+			t.Errorf("f=0 arm, %dx warm window: Recover read %d write-ahead records, want <= %d: the victim's logs kept history",
+				warmX, r.st.RecoveryScans, maxWALScanned)
 		}
-		if i == 0 || r.unavailNS < rec.unavailNS {
-			rec = r
+		if r.st.LogRestarts == 0 {
+			t.Error("f=0 arm: no worker ever restarted its logs")
 		}
 
-		h := measureFailoverArm(o, 1)
+		h := measureFailoverArm(o, 1, warmX)
 		if !h.repaired {
 			t.Fatal("f=1 arm: partition was never promoted")
 		}
-		if h.failovers == 0 {
+		if h.st.Failovers == 0 {
 			t.Error("f=1 arm recorded no promotion")
 		}
-		if h.recoveries != 0 {
-			t.Errorf("f=1 arm fell back to full recovery %d times", h.recoveries)
+		if h.st.Recoveries != 0 {
+			t.Errorf("f=1 arm fell back to full recovery %d times", h.st.Recoveries)
 		}
-		if h.logAppends == 0 || h.backupBytes == 0 {
+		if h.st.LogAppends == 0 || h.st.BackupBytes == 0 {
 			t.Errorf("f=1 arm shipped no redo records (appends=%d bytes=%d)",
-				h.logAppends, h.backupBytes)
+				h.st.LogAppends, h.st.BackupBytes)
 		}
 		// Zero lost committed transactions across the crash, audited
 		// through the promoted replica.
+		if h.unavailNS() <= 0 {
+			t.Error("f=1 arm recorded no promotion time")
+		}
 		if !h.conserved() {
 			t.Errorf("f=1 arm lost money across failover: %s", h.conservation())
 		}
-		if h.unavailNS <= 0 {
-			t.Fatal("f=1 arm recorded no promotion time")
+		if h.st.RedoTailLen > maxRedoTail {
+			t.Errorf("f=1 arm, %dx warm window: promotion replayed %d redo records, want <= %d: a ring outran its checkpoints",
+				warmX, h.st.RedoTailLen, maxRedoTail)
 		}
-		if i == 0 || h.unavailNS < hot.unavailNS {
-			hot = h
-		}
-	}
-
-	// The headline gate: promotion replays only the checkpoint-bounded redo
-	// tail, so its unavailability window must be well under the full
-	// WAL-replay baseline built from the same warm window. The gate only
-	// runs in plain builds — the race detector slows the promotion path's
-	// mutex-heavy log drains disproportionately and invalidates the
-	// microsecond-scale comparison (the correctness checks above still ran).
-	if raceEnabled {
-		t.Log("race detector active: skipping the wall-clock unavailability-ratio gate")
-		return
-	}
-	ratio := float64(hot.unavailNS) / float64(rec.unavailNS)
-	t.Logf("unavailability: recover=%v promote=%v ratio=%.3fx",
-		time.Duration(rec.unavailNS), time.Duration(hot.unavailNS), ratio)
-	if ratio >= 0.2 {
-		t.Errorf("promotion unavailability %.3fx of full-replay baseline, want < 0.2x", ratio)
+		t.Logf("%dx warm, seed %d: f=0 %d commits, %d WAL records scanned, Recover %v; f=1 %d commits, %d redo records replayed, promotion %v",
+			warmX, seed, r.commits, r.st.RecoveryScans, time.Duration(r.unavailNS()),
+			h.commits, h.st.RedoTailLen, time.Duration(h.unavailNS()))
 	}
 }

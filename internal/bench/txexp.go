@@ -318,7 +318,6 @@ func runTable6(o Options) *Result {
 	for _, durable := range []bool{false, true} {
 		dep := buildTPCC(o, machines, 8, 8, nil, func(c *cluster.Config) {
 			c.Durability = durable
-			c.LogWords = 1 << 22
 		})
 		no, total := dep.runMix(o, s.txnsPerWorker)
 		ws := dep.rt.C.Workers()

@@ -44,7 +44,11 @@ type Config struct {
 	// lock-ahead and write-ahead logs to emulated NVRAM.
 	Durability bool
 
-	// LogWords sizes each worker's NVRAM logs.
+	// LogWords caps each of a worker's NVRAM logs: the words of records one
+	// log may hold before its owner reclaims them, not an allocation. A log
+	// starts at nvram.InitialWords and is restarted at transaction boundaries
+	// (package tx), so only a worker kept from reclaiming — release-side work
+	// parked for a dead node — comes near the cap; overrunning it is fatal.
 	LogWords int
 
 	// FailureDetection enables lease-based membership: heartbeat renewal,
@@ -242,11 +246,9 @@ func New(cfg Config) *Cluster {
 				wk.ChoppingLog = nvram.NewLog(i*1000+w*3+0, cfg.LogWords)
 				wk.LockAheadLog = nvram.NewLog(i*1000+w*3+1, cfg.LogWords)
 				wk.WriteAheadLog = nvram.NewLog(i*1000+w*3+2, cfg.LogWords)
-				// NVRAM logs stay readable after a crash (flush-on-failure):
-				// survivors drain them through durable fabric regions.
-				c.Fabric.RegisterDurable(i, LogRegion(w, 0), wk.ChoppingLog.Arena())
-				c.Fabric.RegisterDurable(i, LogRegion(w, 1), wk.LockAheadLog.Arena())
-				c.Fabric.RegisterDurable(i, LogRegion(w, 2), wk.WriteAheadLog.Arena())
+				for _, l := range []*nvram.Log{wk.ChoppingLog, wk.LockAheadLog, wk.WriteAheadLog} {
+					l.Obs = wk.Obs
+				}
 			}
 			n.workers = append(n.workers, wk)
 		}
@@ -452,7 +454,7 @@ func (n *Node) Cluster() *Cluster { return n.cluster }
 // Crash fail-stops a node: its endpoint becomes unreachable on the fabric
 // (verbs fail with ErrNodeUnreachable), its heartbeats stop, its softtime
 // timer dies, and its workers must observe Alive() == false and stop
-// issuing work. Its NVRAM log regions remain readable (flush-on-failure).
+// issuing work. Its NVRAM logs remain readable (flush-on-failure).
 // Nobody is notified: survivors learn of the crash through lease expiry.
 func (c *Cluster) Crash(node int) {
 	n := c.nodes[node]

@@ -26,14 +26,6 @@ import (
 // single machine and reachable as long as the caller itself is up.
 const RegionMembership = 1 << 30
 
-// logRegionBase is the first fabric region ID used for per-worker NVRAM
-// logs, registered durable so survivors can drain them after a crash.
-const logRegionBase = RegionMembership + 8
-
-// LogRegion returns the fabric region ID of a worker's NVRAM log
-// (which: 0 = chopping, 1 = lock-ahead, 2 = write-ahead).
-func LogRegion(worker, which int) int { return logRegionBase + worker*3 + which }
-
 // membershipArenaID is the memory arena ID of the membership region.
 const membershipArenaID = 1 << 21
 

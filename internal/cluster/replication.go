@@ -49,8 +49,8 @@ func ViewEpoch(w uint64) uint64 { return w >> viewOwnerBits }
 
 // Replica table regions: ReplicaRegion(p, t) addresses the replica shard of
 // partition p's table t on whichever backup hosts it. The base keeps these
-// IDs disjoint from plain table IDs (small ints), the membership region
-// (1<<30) and the NVRAM log regions (1<<30 + 8...).
+// IDs disjoint from plain table IDs (small ints) and the membership region
+// (1<<30).
 const (
 	replicaRegionBase   = 1 << 24
 	replicaRegionStride = 1 << 16 // max tables per partition
@@ -171,8 +171,12 @@ func (c *Cluster) initReplication() {
 				c.redoSinks[b][s][w] = sink
 				region := RedoLogRegion(s, w)
 				c.Fabric.RegisterLogSink(b, region, sink)
-				// Durable like the WAL regions: a backup's redo tail stays
-				// readable if the backup itself later crashes.
+				// Durable NVRAM: a backup's redo tail stays readable if the
+				// backup itself later crashes. The region names the ring's
+				// first arena, which a ring drained at CheckpointWords — an
+				// eighth of nvram.InitialWords — does not outgrow unless its
+				// checkpoints stall; nothing READs the region today, and a
+				// reader would have to follow log.Arena() across a grow.
 				c.Fabric.RegisterDurable(b, region, log.Arena())
 			}
 		}

@@ -154,6 +154,9 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
+// Config returns the working-set bounds in force (defaults filled in).
+func (e *Engine) Config() Config { return e.cfg }
+
 // entry is one element of a working set. The three sets share the shape:
 // the read set holds (arena, line, version observed), the write buffer
 // (arena, word offset, buffered value) and the write-line set (arena, line,

@@ -2,7 +2,11 @@ package nvram
 
 import (
 	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
+
+	"drtm/internal/htm"
 )
 
 // wordsOf reinterprets fuzz bytes as the word stream IterRedo consumes.
@@ -161,4 +165,60 @@ func TestIterRedoRejectsMalformedFrames(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzLogModel drives one Log — capped at four times its first arena, so the
+// bigger records force it to grow — and a slice-of-records model through the
+// owner's operations, one per input byte: append (immediate, or transactional
+// and then committed or aborted), reserve and restart. After every step the
+// log scans to exactly the model and accounts for exactly its words; an append
+// fails exactly when the record would pass the cap, a transactional one also
+// when nothing reserved its room.
+func FuzzLogModel(f *testing.F) {
+	f.Add([]byte{0x00, 0x41, 0xF2, 0x03, 0xF0, 0xF1, 0x83, 0xF2, 0xF2, 0xF2, 0xF0, 0x05})
+	f.Add([]byte{0xF3, 0xF7, 0xF3, 0x03, 0xFB, 0xF3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const cap = 4 * InitialWords
+		l, eng := NewLog(0, cap), htm.NewEngine(htm.Config{WriteLines: 2 * InitialWords})
+		var model [][]uint64
+		used := 0
+		for step, op := range ops {
+			rec := make([]uint64, int(op>>2)*150) // 0 .. 9450 words
+			for i := range rec {
+				rec[i] = uint64(step)<<32 | uint64(i)
+			}
+			fits := used+1+len(rec) <= cap
+			switch op & 3 {
+			case 0: // immediate append
+				if l.Append(rec) != fits {
+					t.Fatalf("step %d: Append of %d words onto %d = %v", step, len(rec), used, !fits)
+				}
+			case 1, 2: // transactional append, committed (1) or aborted (2)
+				fits = fits && int(dataOff)+used+1+len(rec) <= l.Arena().Len()
+				_ = eng.Run(func(tx *htm.Txn) error {
+					if l.AppendTx(tx, rec) != fits {
+						t.Fatalf("step %d: AppendTx of %d words onto %d = %v", step, len(rec), used, !fits)
+					}
+					if op&3 == 2 {
+						fits = false
+						return errors.New("abort")
+					}
+					return nil
+				})
+			case 3: // reserve the record's room, or (every other length) restart
+				if fits = false; op&4 == 0 {
+					l.Reserve(len(rec))
+				} else {
+					l.Truncate()
+					model, used = nil, 0
+				}
+			}
+			if fits {
+				model, used = append(model, rec), used+1+len(rec)
+			}
+			if got := records(l); !slices.EqualFunc(got, model, func(a, b []uint64) bool { return slices.Equal(a, b) }) || l.BytesUsed() != used*8 {
+				t.Fatalf("step %d (op %#x): %d records / %d bytes, model has %d / %d", step, op, len(got), l.BytesUsed(), len(model), used*8)
+			}
+		}
+	})
 }

@@ -141,6 +141,12 @@ const (
 	EvShipImage
 	EvROSingle
 
+	// EvLogRestart counts the times a worker restarted its NVRAM logs at a
+	// transaction boundary (every record in them dead); EvLogGrow, the times a
+	// log's arena doubled. GaugeLogWords is the fill they keep down.
+	EvLogRestart
+	EvLogGrow
+
 	NumEvents int = iota
 )
 
@@ -210,6 +216,8 @@ var eventNames = [NumEvents]string{
 	EvRecoveryScan:       "recovery.wal_scanned",
 	EvShipImage:          "spec.ship_image",
 	EvROSingle:           "ro.single_record",
+	EvLogRestart:         "nvram.log_restart",
+	EvLogGrow:            "nvram.log_grow",
 }
 
 func (e Event) String() string {
@@ -330,6 +338,19 @@ type WaveStats struct {
 	Nanos int64 // modeled nanoseconds their polls charged
 }
 
+// Gauge enumerates the high-water marks a shard keeps. Unlike an Event a
+// gauge aggregates across shards by maximum, and a Delta keeps the later
+// snapshot's value (as it does a histogram's Max).
+type Gauge int
+
+const (
+	// GaugeLogWords is the most live words any one of the worker's NVRAM logs
+	// held when a transaction began — the quantity cluster.Config.LogWords caps.
+	GaugeLogWords Gauge = iota
+
+	NumGauges int = iota
+)
+
 // Counter is a single atomic counter — the one counter idiom in the tree
 // (htm.Stats, rdma.Counters and the obs shards are all built from it).
 type Counter struct{ v atomic.Int64 }
@@ -415,6 +436,7 @@ type Shard struct {
 	ring atomic.Pointer[traceRing]
 
 	counters [NumEvents]Counter
+	gauges   [NumGauges]Counter
 	hists    [NumPhases]hist
 
 	// The wave ledger: what the waves polled in each stage added up to.
@@ -443,6 +465,14 @@ func (s *Shard) Add(ev Event, d int64) {
 		return
 	}
 	s.counters[ev].Add(d)
+}
+
+// Max raises gauge g to v if v is above it. The shard's owner is the gauge's
+// one writer; Reset may race it and lose, which a high-water mark survives.
+func (s *Shard) Max(g Gauge, v int64) {
+	if s != nil && v > s.gauges[g].Load() {
+		s.gauges[g].Store(v)
+	}
 }
 
 // Count returns the shard-local count of ev.
@@ -494,6 +524,9 @@ func (s *Shard) Trace(ev TraceEvent) {
 func (s *Shard) reset() {
 	for i := range s.counters {
 		s.counters[i].Store(0)
+	}
+	for g := range s.gauges {
+		s.gauges[g].Store(0)
 	}
 	for p := range s.hists {
 		h := &s.hists[p]
@@ -562,6 +595,9 @@ func (r *Registry) Snapshot() Snapshot {
 		for ev := 0; ev < NumEvents; ev++ {
 			sn.Counters[ev] += s.counters[ev].Load()
 		}
+		for g := range s.gauges {
+			sn.Gauges[g] = max(sn.Gauges[g], s.gauges[g].Load())
+		}
 		for p := 0; p < NumPhases; p++ {
 			h := &s.hists[p]
 			d := &sn.Phases[p]
@@ -588,6 +624,7 @@ func (r *Registry) Snapshot() Snapshot {
 // Snapshot is an immutable cross-shard aggregate.
 type Snapshot struct {
 	Counters [NumEvents]int64
+	Gauges   [NumGauges]int64 // high-water marks: the maximum over the shards
 	Phases   [NumPhases]HistSnapshot
 	Stages   [NumStages]WaveStats
 }
@@ -596,8 +633,9 @@ type Snapshot struct {
 func (s Snapshot) Counter(ev Event) int64 { return s.Counters[ev] }
 
 // Delta returns the event-by-event, bucket-by-bucket difference s - prev,
-// scoping counters to the interval between the two snapshots. Max is a
-// high-water mark and cannot be subtracted; the delta keeps s's value.
+// scoping counters to the interval between the two snapshots. A histogram's
+// Max and the gauges are high-water marks and cannot be subtracted; the delta
+// keeps s's values.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := s
 	for ev := range out.Counters {

@@ -62,10 +62,13 @@ type FaultPlan struct {
 }
 
 // faultScript is one link's scripted faults: seen counts the link's verbs
-// drawn since the script was installed, fails holds the positions that fail.
+// drawn since the script was installed, fails holds the positions that fail,
+// and hook, if set, runs as the verb at position at is drawn (ScriptHook).
 type faultScript struct {
 	seen  int
 	fails []int
+	at    int
+	hook  func()
 }
 
 // NewFaultPlan creates an empty plan drawing from a RNG seeded with seed.
@@ -109,6 +112,21 @@ func (p *FaultPlan) ScriptFaults(from, to int, positions ...int) {
 	p.mu.Unlock()
 }
 
+// ScriptHook is the tests' hook for a crash at an exact place: fn runs — on the
+// issuing goroutine, outside the plan's lock — as the pos-th of the verbs from
+// issues against to from now on is drawn, counting from 1 as ScriptFaults does.
+// The verb's own reachability checks are behind it by then, so a fn that
+// crashes from's machine lets exactly this verb land and none after it. It
+// replaces the link's earlier script.
+func (p *FaultPlan) ScriptHook(from, to, pos int, fn func()) {
+	p.mu.Lock()
+	if p.script == nil {
+		p.script = make(map[[2]int]*faultScript)
+	}
+	p.script[[2]int{from, to}] = &faultScript{at: pos, hook: fn}
+	p.mu.Unlock()
+}
+
 // Clear removes all rules and scripts (the RNG keeps its state).
 func (p *FaultPlan) Clear() {
 	p.mu.Lock()
@@ -122,13 +140,24 @@ func (p *FaultPlan) Clear() {
 // to charge and whether the verb must fail with ErrTimeout.
 func (p *FaultPlan) draw(from, to int) (extraNS int64, fail bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	extraNS, fail, hook := p.drawLocked(from, to)
+	p.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return extraNS, fail
+}
+
+func (p *FaultPlan) drawLocked(from, to int) (extraNS int64, fail bool, hook func()) {
 	if len(p.node) == 0 && len(p.link) == 0 && len(p.script) == 0 {
-		return 0, false
+		return 0, false, nil
 	}
 	if sc := p.script[[2]int{from, to}]; sc != nil {
 		sc.seen++
 		fail = slices.Contains(sc.fails, sc.seen)
+		if sc.seen == sc.at {
+			hook = sc.hook
+		}
 	}
 	if r, ok := p.node[to]; ok {
 		extraNS += r.ExtraNS
@@ -142,5 +171,5 @@ func (p *FaultPlan) draw(from, to int) (extraNS int64, fail bool) {
 			fail = true
 		}
 	}
-	return extraNS, fail
+	return extraNS, fail, hook
 }

@@ -278,6 +278,10 @@ func TestCommitChainUnderFaults(t *testing.T) {
 // locks: the WRITEs fail at the dead source, the re-drive is mustUnlock's
 // owner-guarded CAS — applied at once when the host is up, parked and drained
 // at its revival when it is down too — and the survivor's lock words stand.
+//
+// The zombie holds two transactions open at once on one executor, and recovery
+// must find both lock-ahead records: that works because the logs are restarted
+// by Exec, where a worker provably holds nothing, not by newTx.
 func TestCleanReleaseNeverClobbers(t *testing.T) {
 	for _, hostDown := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hostDown=%v", hostDown), func(t *testing.T) {

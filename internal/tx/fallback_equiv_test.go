@@ -103,16 +103,16 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 	return out
 }
 
-// commitTrail returns what the executor's commits since the last call logged:
-// the write-ahead records and the redo records on the backups, decoded and put
-// in one order (a region logs its local writes first, the fallback everything
-// in lock order). Transaction ids and chain stamps are dropped, and so is the
-// value of an erase: a region logs the erased value of a local row, every
-// other path logs none, and no reader of either log uses it.
-func commitTrail(t *testing.T, rt *Runtime, e *Executor, walSeen *int) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
+// commitTrail returns what the executor's last commit logged — call it right
+// after the commit: the next transaction restarts the write-ahead log, and this
+// drains the rings — the write-ahead records and the redo records on the
+// backups, decoded and put in one order (a region logs its local writes first,
+// the fallback everything in lock order). Transaction ids and chain stamps are
+// dropped, and so is the value of an erase: a region logs the erased value of a
+// local row, every other path logs none, and no reader of either log uses it.
+func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
 	t.Helper()
-	entries := logRecords(e.w.WriteAheadLog)
-	for _, rec := range entries[*walSeen:] {
+	for _, rec := range logRecords(e.w.WriteAheadLog) {
 		_, recs, ok := parseWAL(rec)
 		if !ok {
 			t.Fatalf("malformed WAL record %v", rec)
@@ -137,7 +137,6 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor, walSeen *int) (wal [][]
 		})
 		wal = append(wal, recs)
 	}
-	*walSeen = len(entries)
 	for b := 0; b < rt.C.Nodes(); b++ {
 		rt.C.RedoSinkAt(b, e.w.Node.ID, e.w.ID).Drain(func(rec []uint64) {
 			it, ok := nvram.IterRedo(rec)
@@ -187,9 +186,8 @@ const fbEquivTxns = 200
 
 func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
 	type rig struct {
-		rt      *Runtime
-		e       *Executor
-		walSeen int
+		rt *Runtime
+		e  *Executor
 	}
 	var rigs [2]rig // 0 commits through the region, 1 through the fallback
 	for i := range rigs {
@@ -221,7 +219,7 @@ func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
 				live[orderedKey(ent, sub)] = true
 			}
 		}
-		commitTrail(t, r.rt, r.e, &r.walSeen)
+		commitTrail(t, r.rt, r.e) // the populate's redo records, drained
 		r.rt.C.Obs.Reset()
 	}
 	rigs[1].rt.FallbackThreshold = 1
@@ -297,8 +295,8 @@ func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
 				delete(live, a.Key)
 			}
 		}
-		rwal, rredo := commitTrail(t, rigs[0].rt, rigs[0].e, &rigs[0].walSeen)
-		fwal, fredo := commitTrail(t, rigs[1].rt, rigs[1].e, &rigs[1].walSeen)
+		rwal, rredo := commitTrail(t, rigs[0].rt, rigs[0].e)
+		fwal, fredo := commitTrail(t, rigs[1].rt, rigs[1].e)
 		if !reflect.DeepEqual(rwal, fwal) {
 			t.Fatalf("txn %d (%+v): WAL differs\nregion   %+v\nfallback %+v", n, accs, rwal, fwal)
 		}

@@ -147,6 +147,13 @@ func (rt *Runtime) FlushPending(node int) int {
 	return len(ops)
 }
 
+// parked reports whether any release-side step is parked, for any node.
+func (rt *Runtime) parked() bool {
+	rt.pendMu.Lock()
+	defer rt.pendMu.Unlock()
+	return len(rt.pending) > 0
+}
+
 // PendingOps reports how many release-side steps are parked for node.
 func (rt *Runtime) PendingOps(node int) int {
 	rt.pendMu.Lock()

@@ -27,16 +27,58 @@ import (
 // (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
 // transaction's XEND executed — the property recovery relies on to decide
 // redo vs. unlock.
+//
+// Lifetime. Recovery consults a crashed machine's logs for the transactions
+// that were in flight (Figure 7): a lock-ahead record matters while its locks
+// are held, a write-ahead record until every write it names is home. A worker
+// therefore restarts its three logs (reclaimLogs) where it starts a
+// transaction attempt — holding no lock, owing no write — unless some commit's
+// release side is parked for an unreachable node (fault.go), whose write-ahead
+// record is exactly what a crash of this coordinator would still need.
+
+// reclaimLogs applies the lifetime rule at the start of a transaction attempt:
+// the worker's logs, if they hold anything, are restarted — all three, the
+// write-ahead log last, so no chopping or lock-ahead record ever outlives the
+// write-ahead record that proved its transaction committed (Recover would hand
+// the piece back as pending, or take the transaction for uncommitted). They are
+// kept while release-side work is parked anywhere in the runtime — the parked
+// write's record must survive this coordinator — and by a zombie, whose dropped
+// write-backs recovery redoes from these records (mustWrite). A zombie that
+// passes the check as its machine is declared dead restarts logs recovery may be
+// scanning: the window the fault model already assumes away for a zombie's
+// commit, and Log.Scan hands out no torn record in it. A restart appends
+// nothing and is charged nothing: the next append rewrites the head word anyway.
+func (e *Executor) reclaimLogs() {
+	w := e.w
+	if w.WriteAheadLog == nil {
+		return
+	}
+	live := max(w.ChoppingLog.BytesUsed(), w.LockAheadLog.BytesUsed(), w.WriteAheadLog.BytesUsed())
+	if live == 0 {
+		return
+	}
+	w.Obs.Max(obs.GaugeLogWords, int64(live/8))
+	if e.zombie() || e.rt.parked() {
+		return
+	}
+	w.ChoppingLog.Truncate()
+	w.LockAheadLog.Truncate()
+	w.WriteAheadLog.Truncate()
+	w.Obs.Inc(obs.EvLogRestart)
+}
 
 // logAheadOfRegion writes, before the HTM region (Figure 7, left), the
 // chopping log — when the transaction is a piece of a chopped parent — and
-// the lock-ahead log.
+// the lock-ahead log, and reserves the write-ahead log's room for the largest
+// record the region can append (the region's write-set bound: AppendTx cannot
+// grow an arena). A restarted log has that room from the start.
 func (t *Tx) logAheadOfRegion() {
 	if len(t.choppingInfo) > 0 {
 		t.logBuf = append(append(t.logBuf[:0], t.txid), t.choppingInfo...)
 		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), len(t.logBuf))
 	}
 	t.logLockAhead()
+	t.e.w.WriteAheadLog.Reserve(t.e.w.Node.Engine.Config().WriteLines * memory.WordsPerLine)
 }
 
 // logLockAhead names every record this transaction holds exclusively locked,
@@ -58,10 +100,12 @@ func (t *Tx) logLockAhead() {
 	}
 }
 
-// logged accounts for one appended log record. A full log is a sizing error.
+// logged accounts for one appended log record. A log full at its cap means
+// LogWords of records could not be reclaimed: release-side work parked for a
+// node nobody recovers.
 func (t *Tx) logged(ok bool, words int) {
 	if !ok {
-		panic("tx: write-ahead log full; size LogWords for the run")
+		panic("tx: write-ahead log full: LogWords of records await a parked release")
 	}
 	t.e.w.Obs.Inc(obs.EvLogRecord)
 	t.e.charge(int64(t.e.model().NVRAMAppend(words * 8)))

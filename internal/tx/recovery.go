@@ -60,14 +60,16 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		}
 	}
 
-	// Redo first, every worker's whole log, and unlock nothing meanwhile. The
-	// write-ahead log holds the node's history since its last recovery, so a
-	// record's location appears in it many times, the in-doubt update last.
-	// While that update is pending the crashed machine's lock is what keeps
-	// survivors off the record: releasing it at an older entry for the same
-	// location — this worker's or another's — lets a survivor lock and
-	// rewrite the record before the replay reaches the entry that matters,
-	// which the version guard then skips, and an acked commit is lost.
+	// Redo first, every worker's whole log, and unlock nothing meanwhile. A
+	// worker restarts its logs at transaction boundaries (reclaimLogs), so a
+	// log usually holds the one transaction in flight — but while release-side
+	// work is parked it keeps every commit since, and a record's location can
+	// appear in it many times, the in-doubt update last. While that update is
+	// pending the crashed machine's lock is what keeps survivors off the
+	// record: releasing it at an older entry for the same location — this
+	// worker's or another's — lets a survivor lock and rewrite the record
+	// before the replay reaches the entry that matters, which the version
+	// guard then skips, and an acked commit is lost.
 	committed := make(map[uint64]bool)
 	held := make(map[lockRef]struct{}) // the redone records' locations
 	var buf []uint64                   // every scan's record buffer

@@ -37,6 +37,7 @@ func (t *Tx) replicate() error {
 	if rt.C.ReplicationFactor() == 0 {
 		return nil
 	}
+	t.redoDst = t.redoDst[:0]
 	ups := t.redoUps[:0]
 	for i := range t.walLocal {
 		u := &t.walLocal[i]
@@ -151,6 +152,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	landed := 0
 	dying := false
 	retargeted := false
+	full := dsts[:0] // the backups whose ring this append filled past the threshold
 	for i, wr := range sq.Poll() {
 		b := dsts[i]
 		err := wr.Err
@@ -164,11 +166,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 		case err == nil:
 			landed++
 			if c.RedoSinkAt(b, self, e.w.ID).BytesUsed() >= cluster.CheckpointWords*8 {
-				// The ring crossed the checkpoint threshold: ask the backup to
-				// apply and truncate it. Best-effort: a dead backup's ring is
-				// either drained by failover or lost with the backup.
-				e.ckptMsg = redoCkptMsg{Sender: self, Worker: e.w.ID}
-				_, _ = e.call(b, msgRedoCheckpoint, &e.ckptMsg, 1, 16, 8)
+				full = append(full, b) // checkpointRedo's, once the write-backs are home
 			}
 		case errors.Is(err, rdma.ErrFenced):
 			// A promotion raced into the XEND→append window: the record
@@ -191,6 +189,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 			// copies; re-replication on membership change is future work.
 		}
 	}
+	t.redoDst = full
 	if dying && landed == 0 {
 		// This machine crashed mid-commit and no append made it out: drop
 		// the transaction whole. Its write-backs are dropped by the zombie
@@ -203,6 +202,26 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	// write-set from any surviving log, so acking it here is safe — the
 	// FaRM rule that one reachable log tail is enough to finish a commit.
 	return nil
+}
+
+// checkpointRedo asks every backup whose ring this commit's append filled past
+// the checkpoint threshold to apply and truncate it. Best-effort: a dead
+// backup's ring is either drained by failover or lost with the backup. It runs
+// behind commitRemotes, never from appendRedo: a backup's drain applies only
+// the partitions it backs up and drops the rest of each full write-set record,
+// so a ring may be truncated only when every transaction in it — this one
+// included — has written its other partitions' updates home (or parked them
+// for a dead node, whose backup's ring this rule keeps whole). Checkpointed
+// between the append and the write-back, a coordinator that died there left
+// one half of its commit on a replica and the other half nowhere a promotion
+// reads (TestLogLifetimeCrashPoints' ring-at-threshold arms).
+func (t *Tx) checkpointRedo() {
+	e := t.e
+	for _, b := range t.redoDst {
+		e.ckptMsg = redoCkptMsg{Sender: e.w.Node.ID, Worker: e.w.ID}
+		_, _ = e.call(b, msgRedoCheckpoint, &e.ckptMsg, 1, 16, 8)
+	}
+	t.redoDst = t.redoDst[:0]
 }
 
 // drainCheckpoint runs on backup n: apply the (sender, worker) redo log to

@@ -599,6 +599,7 @@ func (e *Executor) Exec(build func(t *Tx) error) error {
 	e.wasted = 0
 	for attempt := 0; attempt < e.rt.MaxAttempts; attempt++ {
 		attempts++
+		e.reclaimLogs() // no lock held, no write owed: the logs' records are dead
 		t := e.newTx()
 		err := build(t)
 		t.releaseLocks() // no lock leaks if build returned early

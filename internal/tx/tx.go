@@ -184,8 +184,9 @@ type Tx struct {
 	views map[int]uint64
 
 	// Replication scratch, reused across transactions on this shell: the
-	// redo update set, the encoded record, the destination backup list and
-	// the per-partition Backups scratch it is deduplicated from.
+	// redo update set, the encoded record, the destination backup list (from
+	// the append to the write-back, those of them owed a checkpoint) and the
+	// per-partition Backups scratch it is deduplicated from.
 	redoUps []nvram.RedoUpdate
 	redoBuf []uint64
 	redoDst []int
@@ -598,14 +599,16 @@ func (t *Tx) attemptWords(n int) []uint64 {
 // path, the last check under every lock on the fallback's: the write-set goes
 // to the backups (FaRM's commit-backup: it must be on every one of them before
 // a lock releases or an effect becomes observable remotely), then the staged
-// records are written back and unlocked, then the deferred store ops and the
-// physical removals run.
+// records are written back and unlocked — only then may a backup be asked to
+// truncate the ring the append filled (checkpointRedo) — then the deferred
+// store ops and the physical removals run.
 func (t *Tx) publish() error {
 	cstart := int64(t.e.w.VClock.Now())
 	if err := t.replicate(); err != nil {
 		return err
 	}
 	t.commitRemotes()
+	t.checkpointRedo()
 	t.vCommit += int64(t.e.w.VClock.Now()) - cstart
 	t.applyDeferred()
 	t.applyRemovals()
