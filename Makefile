@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ adaptive failover failover-lane scan mvcc tx-lines
+.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan mvcc tx-lines
 
-check: build fmt vet race stress alloc batch occ adaptive chaos failover scan mvcc bench-smoke
+check: build fmt vet race stress alloc batch occ chaos failover scan mvcc bench-smoke
 
 build:
 	go build ./...
@@ -26,7 +26,8 @@ race:
 # Stage-vs-per-row equivalence property and partial-failure tests, the
 # speculative read routes of read-only transactions and ordered tables
 # (leaseless state words, header re-validation, the transfer invariant under
-# local and remote writers, range heat), the software fallback (its golden
+# local and remote writers), PolicyAdaptive's escalation of a transaction that
+# keeps losing its validations to leases, the software fallback (its golden
 # table, the region-vs-fallback commit equivalence property, the insert
 # rollback and lock-ahead recovery regressions and the fallback tests that wait
 # on no lease), the per-attempt location memo of declared local records (one
@@ -56,7 +57,7 @@ race:
 # scan, the append / reserve / restart model fuzz's seeds), and two clients
 # churning the same subscribers — repeated across core counts. A red run here
 # is a bug, never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveOrderedRangeHeatsAndCools|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -121,15 +122,6 @@ occ:
 	go run ./cmd/drtm-bench -exp occ -quick
 	go test -run TestOCCAcceptance ./internal/bench/
 
-# Adaptive-selector gate, deterministic: on the conflict-free points and on
-# the one-goroutine scripts the per-key arm selector must cost what the best
-# static arm costs where no retry cascade forms and beat both statics where one
-# does (adaptexp_test.go); the free-running sweep the experiment prints is
-# evidence.
-adaptive:
-	go run ./cmd/drtm-bench -exp adaptive -quick
-	go test -run TestAdaptiveAcceptance ./internal/bench/
-
 # Replication gate: neither repair — Recover of the victim's NVRAM logs, or
 # hot-standby promotion — may lose a committed transaction, and the work of
 # each in log records must stay under a constant whatever history precedes the
@@ -165,8 +157,8 @@ scan:
 	go test -race ./internal/tatp/ ./internal/socialgraph/
 
 # Snapshot-read gate: the MVCC arm must keep its >=1.5x win over the
-# confirm-wave scan at fanout >= 32 under writes, the adaptive footprint
-# router must stay within 5% of the best static arm in every sweep cell
+# confirm-wave scan at fanout >= 32 under writes, and PolicyAdaptive must cost
+# exactly what the arm its footprint rule picks costs in every sweep cell
 # (mvccexp_test.go).
 mvcc:
 	go run ./cmd/drtm-bench -exp mvcc -quick
@@ -178,4 +170,4 @@ bench:
 
 # Regenerate the committed baseline tables at full scale, fixed seed.
 bench-baseline:
-	go run ./cmd/drtm-bench -exp batch,occ,adaptive,failover,scan,mvcc,ablate-atomics,dist-waves -seed 42 -json BENCH_baseline.json
+	go run ./cmd/drtm-bench -exp batch,occ,failover,scan,mvcc,ablate-atomics,dist-waves -seed 42 -json BENCH_baseline.json

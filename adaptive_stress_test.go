@@ -9,14 +9,12 @@ import (
 	"drtm"
 )
 
-// TestAdaptiveShiftingHotset is the adaptive selector's race/consistency
-// stress: concurrent transfer and audit traffic over a Zipf hotset that
-// jumps to a different key range mid-run. The selector must chase it —
-// heating the new hot buckets (switches to the lease arm) while the
-// abandoned ones decay back (switches to the spec arm) — and the total
-// money must be conserved throughout, whatever mix of spec validation
-// failures, lease conflicts, and whole-transaction retries the shift
-// provokes. Run under -race via `make race`.
+// TestAdaptiveShiftingHotset is PolicyAdaptive's race/consistency stress:
+// concurrent transfer and audit traffic over a Zipf hotset that jumps to a
+// different key range mid-run. The total money must be conserved throughout,
+// whatever mix of spec validation failures, lease conflicts, escalated
+// (leased) attempts and whole-transaction retries the traffic provokes. Run
+// under -race via `make race`.
 func TestAdaptiveShiftingHotset(t *testing.T) {
 	const (
 		nodes    = 2
@@ -29,8 +27,6 @@ func TestAdaptiveShiftingHotset(t *testing.T) {
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
 		ReadPolicy: drtm.PolicyAdaptive,
-		// Tight tuning so both the heat-up and the decay fit in one phase.
-		Policies: drtm.PolicyOptions{EWMAHalfLife: 16, HotThreshold: 2.0, Hysteresis: 0.5},
 	}, func(table int, key uint64) int { return int(key) % nodes })
 	defer db.Close()
 	db.CreateHashTable(tblBank, 2048, 1)
@@ -58,9 +54,7 @@ func TestAdaptiveShiftingHotset(t *testing.T) {
 						for src, dst = hotKey(), anyKey(); dst == src; dst = anyKey() {
 						}
 						// Audit keys: one from the hot window (spec reads
-						// here conflict with the transfers and heat the
-						// bucket), one uniform (touches cooled buckets so
-						// their heat decays and they revert to spec).
+						// here conflict with the transfers), one uniform.
 						audit := [2]uint64{hotKey(), anyKey()}
 						err := e.Exec(func(tx *drtm.Tx) error {
 							if err := tx.W(tblBank, src); err != nil {
@@ -129,18 +123,7 @@ func TestAdaptiveShiftingHotset(t *testing.T) {
 		t.Fatalf("conservation broken: total = %d, want %d", total, accounts*balance)
 	}
 
-	s := db.Stats()
-	if s.AdaptiveSpecReads == 0 || s.AdaptiveLeaseReads == 0 {
-		t.Fatalf("adaptive routing never exercised both arms: %+v", s)
-	}
-	if s.ArmSwitchesToLease == 0 {
-		t.Fatalf("hotset never heated any bucket to the lease arm: %+v", s)
-	}
-	if s.ArmSwitchesToSpec == 0 {
-		t.Fatalf("abandoned hotset never cooled back to the spec arm: %+v", s)
-	}
-	if s.HotKeys != s.ArmSwitchesToLease-s.ArmSwitchesToSpec {
-		t.Fatalf("HotKeys %d inconsistent with switches %d/%d",
-			s.HotKeys, s.ArmSwitchesToLease, s.ArmSwitchesToSpec)
+	if s := db.Stats(); s.AdaptiveSpecReads == 0 {
+		t.Fatalf("no read was routed adaptively: %+v", s)
 	}
 }

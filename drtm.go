@@ -86,9 +86,6 @@ type (
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records; see Options.ReadPolicy and the Policy* constants.
 	ReadPolicy = tx.ReadPolicy
-	// PolicyOptions tunes PolicyAdaptive's conflict-heat table; see
-	// Options.Policies. Zero fields select defaults.
-	PolicyOptions = tx.PolicyConfig
 	// ScanRow is one live row returned by a transactional range scan
 	// (Tx.Scan / RO.Scan). Val aliases transaction-private scratch and is
 	// only valid inside the transaction body.
@@ -107,10 +104,10 @@ const (
 	// PolicySpeculative: every remote read is a one-RTT OCC read (~1.5µs),
 	// version-validated at commit time; a conflict retries the transaction.
 	PolicySpeculative = tx.PolicySpeculative
-	// PolicyAdaptive (the default): per-bucket online choice — a conflict
-	// EWMA classifies each hash bucket hot or cold with hysteresis, and
-	// reads route lease-when-hot, spec-when-cold, re-classifying
-	// continuously as the workload shifts.
+	// PolicyAdaptive (the default): speculate, and lease only a transaction
+	// that keeps losing — a read-write transaction's reads speculate until it
+	// has lost 8 validations, and every later read of it takes a lease. A
+	// read-only Scan of 32 rows or more runs on the PolicyMVCC snapshot arm.
 	PolicyAdaptive = tx.PolicyAdaptive
 	// PolicyExclusive: remote reads take exclusive write locks (the
 	// paper's Figure 17 "no read lease" ablation; no read-read sharing).
@@ -198,21 +195,10 @@ type Options struct {
 	// records: PolicyLease, PolicySpeculative, PolicyAdaptive,
 	// PolicyExclusive or PolicyMVCC (see the constants' docs; PolicyMVCC
 	// affects read-only transactions). The zero value selects
-	// PolicyAdaptive — per-bucket online routing between the lease and
-	// speculative arms, which the `adaptive` experiment shows tracks the
-	// better static arm across skew and write ratios. The software
+	// PolicyAdaptive: speculation, which the `occ` experiment prices against
+	// leases, with a lease for a transaction that keeps losing. The software
 	// fallback path always uses locks regardless of policy.
 	ReadPolicy ReadPolicy
-
-	// Policies tunes PolicyAdaptive's heat table — conflict-EWMA half-life
-	// (in bucket accesses), the hot-entry threshold, the exit hysteresis
-	// fraction, and the table size; zero fields select defaults
-	// (64 accesses / 8.0 / 0.5 / 4096 slots) — plus the adaptive RO-scan
-	// routing thresholds MVCCScanFanout/MVCCHotFanout (defaults 32 / 8):
-	// an RO scan whose fanout reaches the threshold takes the snapshot
-	// (MVCC) arm, with the lower threshold applying to ranges the heat
-	// table classifies hot. Ignored by static policies.
-	Policies PolicyOptions
 
 	// MVCCDepth is the per-entry version-chain ring depth backing
 	// PolicyMVCC snapshot reads: each writer retires the previous
@@ -368,7 +354,6 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	db := &DB{C: c, RT: tx.NewRuntime(c, part), faults: rdma.NewFaultPlan(o.FaultSeed)}
 	db.RT.BatchWindow = o.BatchWindow
 	db.RT.ReadPolicy = o.ReadPolicy
-	db.RT.SetPolicyConfig(o.Policies)
 	c.Fabric.SetFaultPlan(db.faults)
 	if o.FailureDetection {
 		db.RT.EnableAutoRecovery()
@@ -447,17 +432,16 @@ func (db *DB) Executor(node, worker int) *Executor { return db.RT.Executor(node,
 
 // ExecWith runs one read-write transaction on the given worker with the
 // read policy forced to p for every attempt, overriding Options.ReadPolicy
-// — e.g. forcing PolicySpeculative for a read-mostly transaction the heat
-// table would route conservatively. Per-worker convenience over
-// Executor.ExecWith; long-lived workers should hold an Executor and call
-// its ExecWith instead.
+// — e.g. forcing PolicySpeculative on a PolicyLease deployment. Per-worker
+// convenience over Executor.ExecWith; long-lived workers should hold an
+// Executor and call its ExecWith instead.
 func (db *DB) ExecWith(node, worker int, p ReadPolicy, build func(t *Tx) error) error {
 	return db.RT.Executor(node, worker).ExecWith(p, build)
 }
 
 // ExecROWith runs one read-only transaction with the read policy forced to
-// p (see ExecWith); read-only scans typically force PolicySpeculative to
-// skip every lease CAS regardless of heat.
+// p (see ExecWith) — e.g. PolicyMVCC for a narrow scan of write-hot rows,
+// which PolicyAdaptive leaves on the confirm wave.
 func (db *DB) ExecROWith(node, worker int, p ReadPolicy, build func(ro *RO) error) error {
 	return db.RT.Executor(node, worker).ExecROWith(p, build)
 }
@@ -612,7 +596,7 @@ type Stats struct {
 	LockUpgrades        int64 // shared leases upgraded in place to exclusive locks
 
 	// Speculative (OCC) read-arm events (PolicySpeculative, or adaptive
-	// cold-bucket routes).
+	// routes).
 	SpecReads         int64 // records fetched with a versioned READ, no lock
 	SpecValidateFails int64 // commit-time validations that found a version bump or live lock
 	// ShipImages counts the speculative reads of remote ordered records served
@@ -628,13 +612,9 @@ type Stats struct {
 	MVCCInconsistent int64 // torn chain images observed (head/tail mismatch)
 	MVCCFallbacks    int64 // RO executions that fell back to the confirm-wave arm
 
-	// Adaptive read-arm selection (PolicyAdaptive).
-	AdaptiveSpecReads  int64   // reads routed to the speculative arm (bucket cold; a read-only read is routed before it is resolved, so absent keys count too)
-	AdaptiveLeaseReads int64   // reads routed to the lease arm (bucket hot)
-	ArmSwitchesToLease int64   // buckets reclassified cold→hot
-	ArmSwitchesToSpec  int64   // buckets reclassified hot→cold
-	ArmSwitches        int64   // total reclassifications, both directions
-	HotKeys            int64   // buckets currently hot (switch-count difference)
+	// Adaptive read-arm routing (PolicyAdaptive).
+	AdaptiveSpecReads  int64   // reads routed to the speculative arm (a read-only read is routed before it is resolved, so absent keys count too)
+	AdaptiveLeaseReads int64   // reads routed to the lease arm: their transaction had lost 8 validations
 	SpecShare          float64 // % of adaptive-routed reads that took the spec arm
 
 	// One-sided RDMA and messaging verbs (Section 7.1).
@@ -745,8 +725,6 @@ func newStats(sn obs.Snapshot) Stats {
 
 		AdaptiveSpecReads:  c(obs.EvAdaptSpec),
 		AdaptiveLeaseReads: c(obs.EvAdaptLease),
-		ArmSwitchesToLease: c(obs.EvArmSwitchToLease),
-		ArmSwitchesToSpec:  c(obs.EvArmSwitchToSpec),
 
 		RDMAReads:   c(obs.EvRDMARead),
 		RDMAWrites:  c(obs.EvRDMAWrite),
@@ -795,11 +773,6 @@ func newStats(sn obs.Snapshot) Stats {
 	s.HTMAborts = s.ConflictAborts + s.CapacityAborts + s.LockedAborts +
 		s.LeaseAborts + s.ExplicitAborts
 	s.LeaseFails = s.LeaseAborts + s.LeaseConfirmFails
-	s.ArmSwitches = s.ArmSwitchesToLease + s.ArmSwitchesToSpec
-	// Transitions are CAS-serialized per heat slot, so the running
-	// difference is exactly the number of currently-hot buckets. (Delta
-	// snapshots can legitimately go negative: a cooling interval.)
-	s.HotKeys = s.ArmSwitchesToLease - s.ArmSwitchesToSpec
 	if n := s.AdaptiveSpecReads + s.AdaptiveLeaseReads; n > 0 {
 		s.SpecShare = 100 * float64(s.AdaptiveSpecReads) / float64(n)
 	}
@@ -847,9 +820,8 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "spec:    reads=%d validate-fails=%d shipped-images=%d\n", s.SpecReads, s.SpecValidateFails, s.ShipImages)
 	fmt.Fprintf(&b, "mvcc:    retires=%d reads=%d truncations=%d inconsistent=%d fallbacks=%d\n",
 		s.ChainRetires, s.MVCCReads, s.MVCCTruncations, s.MVCCInconsistent, s.MVCCFallbacks)
-	fmt.Fprintf(&b, "adapt:   spec-routes=%d lease-routes=%d spec-share=%.1f%% hot-keys=%d switches=%d (to-lease=%d to-spec=%d)\n",
-		s.AdaptiveSpecReads, s.AdaptiveLeaseReads, s.SpecShare, s.HotKeys,
-		s.ArmSwitches, s.ArmSwitchesToLease, s.ArmSwitchesToSpec)
+	fmt.Fprintf(&b, "adapt:   spec-routes=%d lease-routes=%d spec-share=%.1f%%\n",
+		s.AdaptiveSpecReads, s.AdaptiveLeaseReads, s.SpecShare)
 	opsPerMsg := 0.0
 	if s.VerbsMsgs > 0 {
 		opsPerMsg = float64(s.ShippedOps) / float64(s.VerbsMsgs)
@@ -886,9 +858,7 @@ func (s Stats) String() string {
 }
 
 // TraceEvent is one traced event; see DB.EnableTracing. Kind discriminates
-// transaction records (TraceTx) from adaptive arm-switch records
-// (TraceArmSwitch, whose TxID carries the packed heat-bucket key and Hot
-// the new classification).
+// transaction records (TraceTx) from failover records (TraceFailover).
 type TraceEvent = obs.TraceEvent
 
 // TraceKind discriminates trace-ring entries.
@@ -896,9 +866,8 @@ type TraceKind = obs.TraceKind
 
 // Trace-ring entry kinds, re-exported.
 const (
-	TraceTx        = obs.TraceTx
-	TraceArmSwitch = obs.TraceArmSwitch
-	TraceFailover  = obs.TraceFailover
+	TraceTx       = obs.TraceTx
+	TraceFailover = obs.TraceFailover
 )
 
 // EnableTracing turns on the per-worker transaction trace with a ring of

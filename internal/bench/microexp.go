@@ -22,14 +22,6 @@ const benchTable = 60
 // buildMicro builds a cluster with one unordered table of perNode keys per
 // node (keys are 1-based, node = (key-1)/perNode).
 func buildMicro(nodes, workers, perNode int, mutC func(*cluster.Config), mutRT func(*tx.Runtime)) (*tx.Runtime, func()) {
-	rt := newMicro(nodes, workers, perNode, mutC, mutRT)
-	rt.C.Start()
-	return rt, rt.C.Stop
-}
-
-// newMicro is buildMicro with the cluster's timers not started: soft time stands
-// still, so nothing a single-goroutine script measures depends on real time.
-func newMicro(nodes, workers, perNode int, mutC func(*cluster.Config), mutRT func(*tx.Runtime)) *tx.Runtime {
 	ccfg := simClusterConfig(nodes, workers)
 	if mutC != nil {
 		mutC(&ccfg)
@@ -51,7 +43,8 @@ func newMicro(nodes, workers, perNode int, mutC func(*cluster.Config), mutRT fun
 			}
 		}
 	}
-	return rt
+	c.Start()
+	return rt, c.Stop
 }
 
 // ---- Figure 11: softtime strategies --------------------------------------

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"drtm/internal/obs"
 	"drtm/internal/tx"
@@ -151,7 +152,8 @@ func measureOCCCost(o Options, txns, n int, spec bool) occMetrics {
 
 // measureOCC is the contended sweep: two workers per node, every access
 // targeting the peer node, keys zipfian with the given theta, each access a
-// write with probability writePct/100. Hot keys collide across workers, so
+// write with probability writePct/100, with a 20 µs real-time pause between
+// the Start phase and the HTM region. Hot keys collide across workers, so
 // the spec arm's validation failures (and both arms' lock conflicts) grow
 // with contention.
 func measureOCC(o Options, txns int, theta float64, writePct int, spec bool) occMetrics {
@@ -195,6 +197,12 @@ func measureOCC(o Options, txns int, theta float64, writePct int, spec bool) occ
 						if err := t1.Stage(accs...); err != nil {
 							return err
 						}
+						// A pause between the Start phase and the region: a
+						// worker's transactions fit in one scheduler slice, so
+						// without it the two workers that share a key range
+						// may never overlap on a machine with few CPUs, and a
+						// write-hot cell would read as conflict-free.
+						time.Sleep(20 * time.Microsecond)
 						return t1.Execute(func(lc *tx.Local) error {
 							for _, a := range accs {
 								v, err := lc.Read(benchTable, a.Key)

@@ -283,7 +283,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig10a", "fig10b", "fig10c", "fig10d",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"ablate-cache", "ablate-fallback", "ablate-atomics",
-		"obs", "chaos", "batch", "occ", "adaptive", "failover", "scan",
+		"obs", "chaos", "batch", "occ", "failover", "scan",
 		"mvcc", "tpcc-types", "dist-waves",
 	}
 	for _, id := range want {

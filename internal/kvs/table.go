@@ -134,11 +134,6 @@ func (t *Table) MainBuckets() int { return t.cfg.MainBuckets }
 // bucketOf returns the main bucket index for a key.
 func (t *Table) bucketOf(key uint64) uint64 { return mix64(key) & t.mask }
 
-// BucketOf exposes the main bucket index for a key — the granularity at
-// which the adaptive read-arm selector tracks conflict heat (keys sharing a
-// bucket chain share lookup READs, so they share a classification too).
-func (t *Table) BucketOf(key uint64) uint64 { return t.bucketOf(key) }
-
 // MainBucketOffset returns the arena offset of main bucket i.
 func (t *Table) MainBucketOffset(i uint64) memory.Offset {
 	return memory.Offset(i * BucketWords)

@@ -65,12 +65,9 @@ const (
 	EvSpecRead         // record fetched with a single versioned READ, no lock
 	EvSpecValidateFail // commit-time validation found a version bump or live lock
 
-	// Adaptive read-arm selection (PolicyAdaptive): per-bucket routing
-	// decisions and heat-table reclassifications.
-	EvAdaptSpec        // adaptive-routed read took the speculative arm (bucket cold); a read-only read is routed before it is resolved, so this also counts reads whose key turns out absent
-	EvAdaptLease       // adaptive-routed read took the lease arm (bucket hot)
-	EvArmSwitchToLease // bucket reclassified cold→hot (reads now take leases)
-	EvArmSwitchToSpec  // bucket reclassified hot→cold (reads now speculate)
+	// Adaptive read-arm routing (PolicyAdaptive), one per routed read.
+	EvAdaptSpec  // adaptive-routed read took the speculative arm; a read-only read is routed before it is resolved, so this also counts reads whose key turns out absent
+	EvAdaptLease // adaptive-routed read took the lease arm: its transaction had lost escalateAfter validations
 
 	// One-sided RDMA and messaging verbs (Section 7.1).
 	EvRDMARead
@@ -173,8 +170,6 @@ var eventNames = [NumEvents]string{
 	EvSpecValidateFail:   "spec.validate_fail",
 	EvAdaptSpec:          "adapt.route_spec",
 	EvAdaptLease:         "adapt.route_lease",
-	EvArmSwitchToLease:   "adapt.to_lease",
-	EvArmSwitchToSpec:    "adapt.to_spec",
 	EvRDMARead:           "rdma.read",
 	EvRDMAWrite:          "rdma.write",
 	EvRDMACAS:            "rdma.cas",
@@ -777,12 +772,6 @@ type TraceKind uint8
 const (
 	// TraceTx is a whole-transaction event (the default, zero value).
 	TraceTx TraceKind = iota
-	// TraceArmSwitch is an adaptive read-arm reclassification: a heat-table
-	// bucket crossed a threshold and changed arms. TxID holds the packed
-	// heat key (node‖table‖bucket), Hot the new classification (true =
-	// reads now take the lease arm), and StartNS the worker's virtual
-	// clock at the switch; the phase/outcome fields are unused.
-	TraceArmSwitch
 	// TraceFailover is a hot-failover promotion: Node holds the crashed
 	// primary, Worker the promoted backup, TxID the partition's new packed
 	// view word (epoch<<8|owner), Attempts the redo records replayed, and
@@ -794,8 +783,6 @@ func (k TraceKind) String() string {
 	switch k {
 	case TraceTx:
 		return "tx"
-	case TraceArmSwitch:
-		return "arm-switch"
 	case TraceFailover:
 		return "failover"
 	default:
@@ -807,12 +794,11 @@ func (k TraceKind) String() string {
 // phase timeline in modeled (virtual-clock) nanoseconds. StartNS is the
 // worker's virtual clock at Exec entry; phase durations are deltas of the
 // same clock, so `StartNS + LockNS + ...` reconstructs phase timestamps.
-// Kind != TraceTx marks protocol events that share the ring (arm switches);
+// Kind != TraceTx marks protocol events that share the ring (failovers);
 // see the TraceKind constants for their field conventions.
 type TraceEvent struct {
 	Seq      uint64    // per-worker monotonic sequence
 	Kind     TraceKind // what this event records (TraceTx for transactions)
-	Hot      bool      // TraceArmSwitch: new classification (true = lease arm)
 	TxID     uint64
 	Node     int32
 	Worker   int32

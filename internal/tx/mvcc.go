@@ -71,15 +71,12 @@ func (ro *RO) enterMVCC() bool {
 	return true
 }
 
-// routeScanMVCC is PolicyAdaptive's footprint router: a read-only Scan whose
-// requested fanout reaches the configured threshold switches the whole
-// transaction onto the MVCC arm — wide scans amortize the per-row chain READ
-// against the confirm wave, narrow ones don't. The threshold drops to
-// MVCCHotFanout when the range's heat slot is hot (confirm-wave scans on a
-// write-hot range burn retries on validation failures). Only a transaction
-// with no confirm-wave state yet may switch: one attempt must keep a single
-// serialization point.
-func (ro *RO) routeScanMVCC(node, table int, lo, hi uint64, limit int) bool {
+// routeScanMVCC is PolicyAdaptive's footprint rule: a read-only Scan whose
+// requested fanout reaches mvccScanFanout switches the whole transaction onto
+// the MVCC arm — wide scans amortize the per-row chain READ against the confirm
+// wave, narrow ones don't. Only a transaction with no confirm-wave state yet may
+// switch: one attempt must keep a single serialization point.
+func (ro *RO) routeScanMVCC(lo, hi uint64, limit int) bool {
 	if ro.policy != PolicyAdaptive || ro.noMVCC ||
 		len(ro.recs) > 0 || len(ro.scans) > 0 {
 		return false
@@ -92,41 +89,7 @@ func (ro *RO) routeScanMVCC(node, table int, lo, hi uint64, limit int) bool {
 	if limit > 0 && limit < fanout {
 		fanout = limit
 	}
-	cfg := ro.e.rt.policyCfg
-	threshold := cfg.MVCCScanFanout
-	hot, sw := ro.e.rt.heat.Touch(heatKey(node, table, lo>>orderedHeatShift))
-	if sw != 0 {
-		ro.e.noteSwitch(node, table, lo>>orderedHeatShift, hot)
-	}
-	if hot {
-		threshold = cfg.MVCCHotFanout
-	}
-	if fanout < threshold {
-		return false
-	}
-	return ro.enterMVCC()
-}
-
-// feedScanHeat heats a failed scan's range slot — the adaptive feedback that
-// makes routeScanMVCC drop its threshold to MVCCHotFanout: a range whose
-// confirm-wave scans keep failing validation under writes is exactly the one
-// the snapshot arm serves without retries. Keyed identically to the router
-// (lo>>orderedHeatShift) and skipped for static policies, like feedConflict.
-func (ro *RO) feedScanHeat(sc *scanRec) {
-	if ro.e.rt.ReadPolicy != PolicyAdaptive {
-		return
-	}
-	// Weight by the scan's footprint: one failed validation throws away the
-	// whole collected range, so a fanout-32 scan failure is 32 records of
-	// wasted work, not one conflict event.
-	w := float64(len(sc.rows))
-	if w < 1 {
-		w = 1
-	}
-	_, sw := ro.e.rt.heat.Conflict(heatKey(sc.node, sc.table, sc.lo>>orderedHeatShift), w)
-	if sw != 0 {
-		ro.e.noteSwitch(sc.node, sc.table, sc.lo>>orderedHeatShift, true)
-	}
+	return fanout >= mvccScanFanout && ro.enterMVCC()
 }
 
 // mvccRead resolves one key at the snapshot stamp: locate the entry (tree or

@@ -1,9 +1,11 @@
 package tx
 
 import (
+	"errors"
 	"testing"
 
 	"drtm/internal/clock"
+	"drtm/internal/cluster"
 	"drtm/internal/obs"
 )
 
@@ -29,101 +31,120 @@ func TestResolvePolicy(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRouting drives one remote bucket through the full adaptive
-// cycle: cold routes speculate, conflict heat flips the bucket to the lease
-// arm (counting the cold→hot switch), and conflict-free decay flips it back.
-func TestAdaptiveRouting(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 64, nil)
-	defer stop()
-	rt.ReadPolicy = PolicyAdaptive
-	// Short half-life so the hot→cold decay happens within a few reads.
-	rt.SetPolicyConfig(PolicyConfig{EWMAHalfLife: 2, HotThreshold: 2.0, Hysteresis: 0.5})
-	e := rt.Executor(0, 0)
-	reg := rt.C.Obs
-	const key = 1 // homed on node 1: every access is remote
-
-	read := func() {
-		t.Helper()
-		if err := e.Exec(func(tx *Tx) error {
-			if err := tx.R(tblAccounts, key); err != nil {
-				return err
+// TestAdaptiveEscalation is PolicyAdaptive's one rule, scripted on one
+// goroutine: a writer on the hot record's home node tries once, between the
+// reader's Stage and its Execute, to rewrite the record under each of the
+// reader's first `losses` attempts. Against a speculative read the write lands
+// and the reader's validation fails; against a lease it is refused. A
+// transaction that has lost escalateAfter validations leases every read of its
+// next attempt, one that has lost fewer leases nothing, and PolicySpeculative
+// never leases. ExecWith(PolicyAdaptive) on a lease runtime follows the same
+// rule. Leases never expire here, so nothing depends on real time.
+func TestAdaptiveEscalation(t *testing.T) {
+	const hot, cold = 1, 3 // both homed on node 1: every read is remote
+	errGaveUp := errors.New("the writer lost its one try")
+	for _, tc := range []struct {
+		name          string
+		runtime, with ReadPolicy // the runtime's policy, and ExecWith's (PolicyDefault: Exec)
+		losses        int        // attempts the writer tries to rewrite the hot record under
+		leaseFrom     int        // the first attempt that leases, 0 for none
+		commitAt      int
+	}{
+		{"adaptive, one loss short", PolicyAdaptive, PolicyDefault, escalateAfter - 1, 0, escalateAfter},
+		{"adaptive, escalated", PolicyAdaptive, PolicyDefault, escalateAfter + 1, escalateAfter + 1, escalateAfter + 1},
+		{"ExecWith adaptive, one loss short", PolicyLease, PolicyAdaptive, escalateAfter - 1, 0, escalateAfter},
+		{"ExecWith adaptive, escalated", PolicyLease, PolicyAdaptive, escalateAfter + 1, escalateAfter + 1, escalateAfter + 1},
+		{"speculative", PolicySpeculative, PolicyDefault, escalateAfter + 1, 0, escalateAfter + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, stop := newRig(t, 2, 1, 4, func(c *cluster.Config) { c.LeaseMicros = 1 << 40 })
+			defer stop()
+			rt.ReadPolicy = tc.runtime
+			reader, writer := rt.Executor(0, 0), rt.Executor(1, 0)
+			reg := rt.C.Obs
+			leases := func() int64 { return reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare) }
+			bump := func() bool {
+				tries := 0
+				err := writer.Exec(func(tx *Tx) error {
+					if tries++; tries > 1 {
+						return errGaveUp
+					}
+					if err := tx.W(tblAccounts, hot); err != nil {
+						return err
+					}
+					return tx.Execute(func(lc *Local) error {
+						v, err := lc.Read(tblAccounts, hot)
+						if err != nil {
+							return err
+						}
+						return lc.Write(tblAccounts, hot, []uint64{v[0] + 1, v[1]})
+					})
+				})
+				if err != nil && err != errGaveUp {
+					t.Fatal(err)
+				}
+				return err == nil
 			}
-			return tx.Execute(func(lc *Local) error {
-				_, err := lc.Read(tblAccounts, key)
-				return err
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+			exec := reader.Exec
+			if tc.with != PolicyDefault {
+				exec = func(build func(*Tx) error) error { return reader.ExecWith(tc.with, build) }
+			}
 
-	// Cold bucket: the read speculates.
-	read()
-	if n := reg.Total(obs.EvAdaptSpec); n != 1 {
-		t.Fatalf("cold route: EvAdaptSpec = %d, want 1", n)
-	}
-	if n := reg.Total(obs.EvSpecRead); n != 1 {
-		t.Fatalf("cold route: EvSpecRead = %d, want 1", n)
-	}
-
-	// Conflict heat crosses the hot threshold: the bucket switches once. (A
-	// lost speculative read weighs the attempts its transaction has already
-	// lost that way: this one is a fourth loss.)
-	e.wasted = 3
-	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: key})
-	if n := reg.Total(obs.EvArmSwitchToLease); n != 1 {
-		t.Fatalf("after conflicts: EvArmSwitchToLease = %d, want 1", n)
-	}
-	if rt.HotBuckets() != 1 {
-		t.Fatalf("HotBuckets = %d, want 1", rt.HotBuckets())
-	}
-
-	// Hot bucket: the next read takes a lease, not a spec READ.
-	read()
-	if n := reg.Total(obs.EvAdaptLease); n != 1 {
-		t.Fatalf("hot route: EvAdaptLease = %d, want 1", n)
-	}
-	if n := reg.Total(obs.EvSpecRead); n != 1 {
-		t.Fatalf("hot route still speculated: EvSpecRead = %d, want 1", n)
-	}
-	if n := reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare); n == 0 {
-		t.Fatal("hot route took no lease")
-	}
-
-	// Conflict-free reads decay the heat below the exit threshold
-	// (half-life 2 accesses, exit at 1.0): the bucket reverts to spec.
-	for i := 0; i < 20 && reg.Total(obs.EvArmSwitchToSpec) == 0; i++ {
-		read()
-	}
-	if n := reg.Total(obs.EvArmSwitchToSpec); n != 1 {
-		t.Fatalf("decay: EvArmSwitchToSpec = %d, want 1", n)
-	}
-	if rt.HotBuckets() != 0 {
-		t.Fatalf("HotBuckets after decay = %d, want 0", rt.HotBuckets())
-	}
-	if n := reg.Total(obs.EvSpecRead); n < 2 {
-		t.Fatalf("reverted bucket did not speculate: EvSpecRead = %d", n)
-	}
-	// The switch counters must agree with the table's classification.
-	net := reg.Total(obs.EvArmSwitchToLease) - reg.Total(obs.EvArmSwitchToSpec)
-	if int(net) != rt.HotBuckets() {
-		t.Fatalf("switch-count difference %d != HotBuckets %d", net, rt.HotBuckets())
-	}
-}
-
-// TestFeedConflictGatedOnAdaptive: static arms must not accrete heat.
-func TestFeedConflictGatedOnAdaptive(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 4, nil)
-	defer stop()
-	rt.ReadPolicy = PolicySpeculative
-	e := rt.Executor(0, 0)
-	e.wasted = 10
-	e.feedConflict(&recHandle{table: tblAccounts, node: 1, region: tblAccounts, key: 1})
-	if n := rt.HotBuckets(); n != 0 {
-		t.Fatalf("static policy accreted %d hot buckets", n)
-	}
-	if n := rt.C.Obs.Total(obs.EvArmSwitchToLease); n != 0 {
-		t.Fatalf("static policy counted %d arm switches", n)
+			attempts, landed := 0, 0
+			if err := exec(func(tx *Tx) error {
+				attempts++
+				l0 := leases()
+				if err := tx.Stage(Access{Table: tblAccounts, Key: hot}, Access{Table: tblAccounts, Key: cold}); err != nil {
+					return err
+				}
+				leased, want := tc.leaseFrom > 0 && attempts >= tc.leaseFrom, int64(0)
+				if leased {
+					want = 2
+				}
+				if got := leases() - l0; got != want {
+					t.Errorf("attempt %d leased %d reads, want %d", attempts, got, want)
+				}
+				if attempts <= tc.losses {
+					if bump() {
+						landed++
+						if leased {
+							t.Errorf("attempt %d: the writer rewrote a leased record", attempts)
+						}
+					} else if !leased {
+						t.Errorf("attempt %d: the writer was refused a record nobody leased", attempts)
+					}
+				}
+				return tx.Execute(func(lc *Local) error {
+					for _, k := range []uint64{hot, cold} {
+						if _, err := lc.Read(tblAccounts, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if attempts != tc.commitAt {
+				t.Errorf("committed on attempt %d, want %d", attempts, tc.commitAt)
+			}
+			if n := reg.Total(obs.EvSpecValidateFail); n != int64(landed) {
+				t.Errorf("%d validations failed, want one per landed write (%d)", n, landed)
+			}
+			specRoutes, leaseRoutes := int64(0), int64(0)
+			if tc.runtime == PolicyAdaptive || tc.with == PolicyAdaptive {
+				specRoutes = 2 * int64(attempts)
+				if tc.leaseFrom > 0 {
+					specRoutes, leaseRoutes = 2*int64(tc.leaseFrom-1), 2*int64(attempts-tc.leaseFrom+1)
+				}
+			}
+			if s, l := reg.Total(obs.EvAdaptSpec), reg.Total(obs.EvAdaptLease); s != specRoutes || l != leaseRoutes {
+				t.Errorf("routes: %d spec, %d lease; want %d, %d", s, l, specRoutes, leaseRoutes)
+			}
+			if v, _ := rt.C.Node(1).Unordered(tblAccounts).Get(hot); v[0] != 1000+uint64(landed) {
+				t.Errorf("hot record holds %d after %d landed writes", v[0], landed)
+			}
+		})
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 // an HTM region: every record (local or remote) is locked in shared mode
 // with one common lease end time and prefetched; a final confirmation that
 // the common end time is still valid guarantees that no conflicting writer
-// was in flight anywhere. That is PolicyLease, and what a hot bucket gets under
-// PolicyAdaptive; a record routed to the speculative arm — local or remote,
-// hash or ordered — is fetched unprotected instead and its header re-validated
-// by the same confirmation, leaving no lease for the next writer to wait out.
+// was in flight anywhere. That is PolicyLease, and what any attempt gets after
+// escalateAfter failed ones; a record routed to the speculative arm — local or
+// remote, hash or ordered — is fetched unprotected instead and its header
+// re-validated by the same confirmation, leaving no lease for the next writer
+// to wait out.
 //
 // The executor recycles the shell, its index, its staged records and their
 // value buffers across attempts and transactions: a value handed to the body —
@@ -63,16 +64,8 @@ type RO struct {
 	mvcc      bool
 	snap      uint64
 	noMVCC    bool // a prior attempt's chain fallback poisons adaptive MVCC entry
-	escalated bool // attempt roEscalateAfter or later (ExecRO)
+	escalated bool // attempt escalateAfter or later: reads leased, scanned entries pinned (pinScan)
 }
-
-// roEscalateAfter is how many attempts of one read-only transaction may fail —
-// on a lock, a truncated chain or a confirmation alike — before the rest run
-// escalated: reads leased, scanned entries pinned (pinScan). The snapshot and
-// speculative arms take no lock, so nothing stops a writer from lapping a
-// version ring or moving a header under every attempt; a lease (Section 4.5)
-// makes it wait and outlives the attempt that took it, which bounds the retries.
-const roEscalateAfter = 8
 
 // ExecRO runs a read-only transaction to completion with retries.
 func (e *Executor) ExecRO(build func(ro *RO) error) error {
@@ -90,12 +83,12 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 	// image): re-reading the same chain would mostly re-truncate, so later
 	// attempts run the confirm-wave scheme instead.
 	chainFellBack := false
-	e.wasted = 0
+	e.wasted = 0 // not an earlier Exec's losses: a read-only transaction escalates by attempts
 	for attempt := 0; attempt < e.rt.MaxAttempts; attempt++ {
 		ro.release()
 		ro.end = e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros
 		ro.policy = e.resolvePolicy()
-		if attempt >= roEscalateAfter {
+		if attempt >= escalateAfter {
 			ro.policy, ro.noMVCC, ro.escalated = PolicyLease, true, true
 			e.w.Obs.Inc(obs.EvROEscalate)
 		} else if ro.policy == PolicyMVCC {
@@ -127,9 +120,6 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 			return err
 		}
 		e.w.Obs.Inc(obs.EvRORetry)
-		if ro.cause == obs.CauseSpec {
-			e.wasted++
-		}
 		e.backoff(attempt, ro.cause)
 	}
 	return ErrRetry
@@ -223,12 +213,10 @@ func (ro *RO) single() bool {
 	return memory.LineOf(r.off) == memory.LineOf(r.off+memory.Offset(kvs.EntryValueWord+len(r.buf)-1))
 }
 
-// specFailed counts one failed header re-validation and heats the record's
-// bucket, so PolicyAdaptive leases it once failures compound.
-func (ro *RO) specFailed(r *remoteRec) {
+// specFailed counts one failed header re-validation.
+func (ro *RO) specFailed() {
 	ro.e.w.Obs.Inc(obs.EvSpecValidateFail)
 	ro.cause = obs.CauseSpec
-	ro.e.feedConflict(&r.recHandle)
 }
 
 // confirmLocal re-validates the speculative records of this node with plain
@@ -251,7 +239,7 @@ func (ro *RO) confirmLocal() bool {
 		arena.Read(hdr[:], r.off+kvs.EntryKeyWord)
 		e.charge(int64(len(hdr)) * e.model().HTMPerReadNS)
 		if r.moved(hdr[0], hdr[1], hdr[2]) {
-			ro.specFailed(r)
+			ro.specFailed()
 			return false
 		}
 	}
@@ -308,7 +296,7 @@ func (ro *RO) confirmRemote() bool {
 			continue
 		}
 		if r.headerMoved(wrs[i].Dst) {
-			ro.specFailed(r)
+			ro.specFailed()
 			return false
 		}
 		i++
@@ -319,7 +307,7 @@ func (ro *RO) confirmRemote() bool {
 // confirmScans re-validates every collected range scan at the confirmation
 // point: remote words are re-READ in one doorbell-batched wave, then stamps
 // and row headers are compared (a read-only transaction holds no locks of its
-// own). A failure heats the failed scan's range.
+// own).
 func (ro *RO) confirmScans() bool {
 	if len(ro.scans) == 0 || skipScanValidation {
 		return true
@@ -327,10 +315,9 @@ func (ro *RO) confirmScans() bool {
 	if !ro.e.rereadScans(ro.scans) {
 		return false
 	}
-	fails, first := ro.e.compareScans(ro.scans, (*memory.Arena).LoadWord, nil)
+	fails := ro.e.compareScans(ro.scans, (*memory.Arena).LoadWord, nil)
 	if fails > 0 {
 		ro.e.w.Obs.Inc(obs.EvScanValidateFail)
-		ro.feedScanHeat(first)
 	}
 	return fails == 0
 }
@@ -352,12 +339,12 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 			"partition scans by the routing attribute", lo, hi, table, node, nodeHi))
 	}
 	ro.stampView(part)
-	if ro.mvcc || ro.routeScanMVCC(node, table, lo, hi, limit) {
+	if ro.mvcc || ro.routeScanMVCC(lo, hi, limit) {
 		return ro.mvccScan(table, node, region, lo, hi, limit)
 	}
 	sh := ro.e.w.Obs
 	sstart := int64(ro.e.w.VClock.Now())
-	rec := scanRec{table: table, node: node, region: region, lo: lo}
+	rec := scanRec{table: table, node: node, region: region}
 	var out []ScanRow
 	if node == ro.e.w.Node.ID {
 		o := ro.e.w.Node.Ordered(region)
@@ -483,7 +470,7 @@ func (ro *RO) readHandle(h recHandle, byKey bool) (*remoteRec, error) {
 func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 	e := ro.e
 	h := &r.recHandle
-	r.spec = e.routeRead(ro.policy, h)
+	r.spec = e.routeRead(ro.policy)
 	vw := e.rt.Meta(r.table).ValueWords
 	shipped := byKey && r.spec && h.ordered && h.node != e.w.Node.ID
 	var cache *kvs.LocationCache

@@ -13,8 +13,8 @@ import (
 )
 
 // Tests of the read routes this file's subjects share: the local records of a
-// read-only transaction and ordered-table records, which PolicyAdaptive
-// classifies like remote hash records — speculate when cold, lease when hot.
+// read-only transaction and ordered-table records, which PolicyAdaptive routes
+// like remote hash records.
 
 // stateWord loads a record's lock/lease word straight from its home arena.
 func stateWord(t *testing.T, rt *Runtime, node, table int, key uint64) uint64 {
@@ -36,7 +36,7 @@ func stateWord(t *testing.T, rt *Runtime, node, table int, key uint64) uint64 {
 
 // TestReadOnlyAdaptiveLeavesNoLease is the mirror of
 // TestReadOnlyLeaseVisibleToWriters: under PolicyAdaptive a read-only
-// transaction over cold local rows — hash, ordered by key and ordered by
+// transaction over local rows — hash, ordered by key and ordered by
 // offset — speculates on all of them, so every state word is still clock.Init
 // afterwards and a local writer commits on its first attempt.
 func TestReadOnlyAdaptiveLeavesNoLease(t *testing.T) {
@@ -184,113 +184,6 @@ func TestROSpecLocalValidation(t *testing.T) {
 	}
 	if !ro.confirm() {
 		t.Fatal("confirmation failed after the writer finished")
-	}
-}
-
-// TestAdaptiveOrderedRangeHeatsAndCools drives an ordered table's 64-key
-// range through the adaptive cycle: point reads of a cold range speculate;
-// validation failures against a writer heat the range's slot until it turns
-// hot; point reads of any key in the range — by read-only and read-write
-// transactions alike — then take leases; conflict-free reads cool it back.
-func TestAdaptiveOrderedRangeHeatsAndCools(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 1, nil)
-	defer stop()
-	rt.ReadPolicy = PolicyAdaptive
-	rt.SetPolicyConfig(PolicyConfig{EWMAHalfLife: 2, HotThreshold: 2.0, Hysteresis: 0.5})
-	reg := rt.C.Obs
-	home := rt.Executor(1, 0) // entity 1 lives on node 1
-	insertOrders(t, home, 1, []uint64{1, 2, 3, 0x80})
-	e := rt.Executor(0, 0) // the reader: every access is remote
-	hot, cold, far := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x80)
-	if hot>>orderedHeatShift != cold>>orderedHeatShift || hot>>orderedHeatShift == far>>orderedHeatShift {
-		t.Fatal("test keys: hot and cold must share a heat slot, far must not")
-	}
-
-	// Cold range: a read-write transaction's ordered read speculates.
-	rw := func(key uint64) {
-		t.Helper()
-		if err := e.Exec(func(tx *Tx) error {
-			if err := tx.R(tblOrders, key); err != nil {
-				return err
-			}
-			return tx.Execute(func(lc *Local) error {
-				_, err := lc.Read(tblOrders, key)
-				return err
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rw(cold)
-	if n := reg.Total(obs.EvAdaptSpec); n != 1 {
-		t.Fatalf("cold ordered read: EvAdaptSpec = %d, want 1", n)
-	}
-	if n := reg.Total(obs.EvLeaseGrant); n != 0 {
-		t.Fatalf("cold ordered read took %d leases", n)
-	}
-
-	// A writer rewrites the hot key between each speculative fetch and its
-	// confirmation: every failure adds a conflict to the range's slot. The
-	// attempt reads a second record, of another range, so that it has something
-	// to confirm — the hot row alone would be a one-record transaction, which
-	// serializes at its fetch and confirms nothing (TestROSingleRecord*). Each
-	// attempt stands for a transaction's first retry: a first attempt's loss
-	// weighs nothing (feedConflict).
-	e.wasted = 1
-	for i := uint64(0); reg.Total(obs.EvArmSwitchToLease) == 0; i++ {
-		if i == 8 {
-			t.Fatal("range did not turn hot after 8 failed validations")
-		}
-		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
-		for _, k := range []uint64{hot, far} {
-			if _, err := ro.Read(tblOrders, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := home.Exec(func(tx *Tx) error {
-			if err := tx.W(tblOrders, hot); err != nil {
-				return err
-			}
-			return tx.Execute(func(lc *Local) error {
-				return lc.Write(tblOrders, hot, []uint64{i, 1})
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if ro.confirm() {
-			t.Fatal("confirmation passed over a rewritten row")
-		}
-		ro.release()
-	}
-	if rt.HotBuckets() != 1 {
-		t.Fatalf("HotBuckets = %d, want 1", rt.HotBuckets())
-	}
-
-	// Hot range: the neighbour key leases too, in both transaction kinds.
-	leases := reg.Total(obs.EvAdaptLease)
-	if err := e.ExecRO(func(ro *RO) error {
-		_, err := ro.Read(tblOrders, cold)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rw(cold)
-	if n := reg.Total(obs.EvAdaptLease) - leases; n != 2 {
-		t.Fatalf("hot range: %d reads routed to the lease arm, want 2", n)
-	}
-	if n := reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare); n != 2 {
-		t.Fatalf("hot range: %d leases taken, want 2", n)
-	}
-
-	// Conflict-free reads decay the slot below its exit threshold.
-	for i := 0; i < 20 && reg.Total(obs.EvArmSwitchToSpec) == 0; i++ {
-		rw(cold)
-	}
-	if n := reg.Total(obs.EvArmSwitchToSpec); n != 1 {
-		t.Fatalf("decay: EvArmSwitchToSpec = %d, want 1", n)
-	}
-	if rt.HotBuckets() != 0 {
-		t.Fatalf("HotBuckets after decay = %d, want 0", rt.HotBuckets())
 	}
 }
 
@@ -454,7 +347,7 @@ func TestROSpecLocalStress(t *testing.T) {
 // TestROEscalationPinsScannedRows is the progress guarantee for a scan: a
 // remote writer moves balance between the rows of one entity as fast as it
 // can, so on one core a commit lands between every collection and its
-// confirmation and an optimistic scan never confirms. Past roEscalateAfter
+// confirmation and an optimistic scan never confirms. Past escalateAfter
 // failed attempts the scanned entries are leased, the writer's lock CASes
 // wait, and the read-only transaction commits — within a budget of attempts a
 // starved one exhausts.

@@ -148,11 +148,11 @@ type Runtime struct {
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records: lease-based shared locks (the zero-value default),
-	// speculative one-RTT OCC reads, per-bucket adaptive routing between
-	// the two, or exclusive locks — the Figure 17 "no read lease" ablation
-	// (see policy.go). The software fallback path always uses locks — its
-	// in-place updates cannot be rolled back, so optimistic reads are unsound
-	// there.
+	// speculative one-RTT OCC reads, speculation that escalates a losing
+	// transaction to leases (adaptive), or exclusive locks — the Figure 17
+	// "no read lease" ablation (see policy.go). The software fallback path
+	// always uses locks — its in-place updates cannot be rolled back, so
+	// optimistic reads are unsound there.
 	ReadPolicy ReadPolicy
 
 	// BatchWindow bounds outstanding work requests per worker send queue in
@@ -166,13 +166,6 @@ type Runtime struct {
 	indexes map[int][]IndexSpec
 
 	Stats Stats
-
-	// Adaptive routing state: the normalized tuning and the conflict-EWMA
-	// heat table (built in NewRuntime, rebuilt by SetPolicyConfig). The
-	// table is race-safe; it exists even under static policies so that
-	// per-transaction ExecWith(PolicyAdaptive) overrides always work.
-	policyCfg PolicyConfig
-	heat      *obs.HeatMap
 
 	// pending parks release-side steps (unlocks, commit write-backs,
 	// deferred store ops) whose target node crashed mid-transaction; see
@@ -289,13 +282,11 @@ func NewRuntime(c *cluster.Cluster, part Partitioner) *Runtime {
 		MaxAttempts:       10_000,
 		CacheBudgetBytes:  1 << 22,
 		Stats:             newStats(c.Obs),
-		policyCfg:         DefaultPolicyConfig(),
 		redoShards:        make([]redoShard, c.Nodes()),
 	}
 	for p := range rt.redoShards {
 		rt.redoShards[p].delGen = make(map[delKey]uint64)
 	}
-	rt.heat = rt.policyCfg.newHeatMap()
 	for i := 0; i < c.Nodes(); i++ {
 		rt.caches = append(rt.caches, newCacheSet())
 	}
@@ -421,8 +412,9 @@ type Executor struct {
 	// set (ExecWith / ExecROWith); PolicyDefault defers to the runtime.
 	override ReadPolicy
 
-	// wasted counts the attempts of the transaction now running that a failed
-	// speculative validation cost it (feedConflict).
+	// wasted counts the attempts of the read-write transaction now running
+	// that a failed speculative validation cost it: at escalateAfter its
+	// adaptive reads take leases (routeRead).
 	wasted int
 
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases

@@ -55,14 +55,11 @@ type scanRowRec struct {
 	incver uint64
 }
 
-// scanRec records one collected range scan. lo keys the range's heat slot
-// (RO confirm failures heat it so the adaptive footprint router lowers its
-// MVCC threshold for this range).
+// scanRec records one collected range scan.
 type scanRec struct {
 	table  int
 	node   int
 	region int
-	lo     uint64
 	segs   []int
 	stamps []uint64
 	rows   []scanRowRec
@@ -288,13 +285,11 @@ func (e *Executor) rereadScans(scans []scanRec) bool {
 // transactions, which lock nothing) reports rows write-locked by the
 // validating transaction itself (a scanned row also staged for write/erase),
 // which skip the lock check: their version cannot move while we hold the
-// lock. Returns the failed comparisons and the first
-// scan that had one.
+// lock. Returns the failed comparisons.
 func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory.Offset) uint64,
-	own func(table int, r *scanRowRec) bool) (fails int64, first *scanRec) {
+	own func(table int, r *scanRowRec) bool) (fails int64) {
 	for i := range scans {
 		sc := &scans[i]
-		before := fails
 		arena := e.rt.arenaOf(sc.node, sc.region)
 		for k, s := range sc.segs {
 			if load(arena, kvs.SegStampOffset(s)) != sc.stamps[k] {
@@ -308,11 +303,8 @@ func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory
 				fails++
 			}
 		}
-		if first == nil && fails > before {
-			first = sc
-		}
 	}
-	return fails, first
+	return fails
 }
 
 // scansValid re-validates every collected scan at the commit point, after the
@@ -343,7 +335,7 @@ func (t *Tx) scansValid(htx *htm.Txn) bool {
 		}
 		load = htx.Read
 	}
-	fails, _ := e.compareScans(t.scans, load, func(table int, r *scanRowRec) bool {
+	fails := e.compareScans(t.scans, load, func(table int, r *scanRowRec) bool {
 		rr, ok := t.rIndex[refKey{table, r.key}]
 		return ok && rr.write && rr.off == r.off
 	})

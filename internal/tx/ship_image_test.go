@@ -128,11 +128,11 @@ func TestShippedImageEquivalence(t *testing.T) {
 // (one from an earlier speculative read-only read). Cold, a speculative read is
 // the message and nothing else; warm, a read-only one is one READ at the cached
 // offset and no message. Every other path sends its message as before, warm
-// frame or not, and never asks the cache: a leased read — static, adaptive on a
-// hot range, or escalated — posts its lease CAS and its READ behind the lookup;
-// a read-write transaction's speculative and write-staged rows resolve in
-// stageBatch; the fallback's take, an escalated scan's pins and the snapshot arm
-// CAS, pin or resolve a chain at the offset they are given.
+// frame or not, and never asks the cache: a leased read — static or escalated —
+// posts its lease CAS and its READ behind the lookup; a read-write transaction's
+// speculative and write-staged rows resolve in stageBatch; the fallback's take,
+// an escalated scan's pins and the snapshot arm CAS, pin or resolve a chain at
+// the offset they are given.
 func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	rt, stop := newOrderedRig(t, 2, 1, nil)
 	defer stop()
@@ -141,8 +141,8 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	home, e := rt.Executor(1, 0), rt.Executor(0, 0)
 	insertOrders(t, home, 1, []uint64{1, 2, 0x81})
 	inserted := home.w.Node.Clock.Read() + 1 // an insert stamps its row one above its slot's tail at most
-	key, other, hotKey := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x81)
-	keys := []uint64{key, other, hotKey}
+	key, other, far := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x81)
+	keys := []uint64{key, other, far}
 	reg := rt.C.Obs
 	ro := func(p ReadPolicy, keys ...uint64) {
 		t.Helper()
@@ -192,12 +192,6 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The hot range: one transaction's losses there, as a cascade would leave it.
-	e.wasted = 100
-	e.feedConflict(&recHandle{table: tblOrders, node: 1, region: tblOrders, key: hotKey, ordered: true})
-	if rt.HotBuckets() != 1 {
-		t.Fatal("the range did not turn hot")
-	}
 	cache := e.cacheFor(1, tblOrders)
 	asked := func() int64 {
 		h, m, _ := cache.Stats()
@@ -217,7 +211,7 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 			readerVerbs{2, 0, 2}, readerVerbs{0, 0, 4}, 2, 0, 0, 2},
 		{"read-only under leases", func() { ro(PolicyLease, key) },
 			readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 1, 0},
-		{"read-only, hot range", func() { ro(PolicyAdaptive, hotKey) },
+		{"read-only under leases, another row", func() { ro(PolicyLease, far) },
 			readerVerbs{1, 1, 1}, readerVerbs{1, 1, 1}, 0, 0, 1, 0},
 		{"read-only, escalated", func() {
 			escalated(func(ro *RO) error { _, err := ro.Read(tblOrders, key); return err })

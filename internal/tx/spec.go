@@ -9,7 +9,7 @@ import (
 )
 
 // Speculative (OCC) read validation — the commit half of the speculative
-// read arm (PolicySpeculative, or cold-bucket routes under PolicyAdaptive).
+// read arm (PolicySpeculative, and PolicyAdaptive until a transaction escalates).
 //
 // A speculative record was fetched with one unprotected READ; nothing stops
 // a writer from committing a new version between that fetch and our commit.
@@ -65,8 +65,6 @@ func (t *Tx) validateSpeculative(htx *htm.Txn) {
 			}
 			if r.moved(key, incver, state) {
 				fails++
-				// Adaptive feedback: the spec arm's defining loss.
-				e.feedConflict(&r.recHandle)
 			}
 		}
 	}

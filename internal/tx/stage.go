@@ -42,7 +42,7 @@ import (
 //     live owner aborts the transaction, it never waits.
 //
 //   - Read-set records routed to the speculative arm (PolicySpeculative,
-//     or a cold bucket under PolicyAdaptive) skip the CAS stage entirely:
+//     or PolicyAdaptive before the transaction escalates) skip the CAS stage entirely:
 //     one entry READ fetches `version ‖ state ‖ value` — an ordered record's
 //     shipped lookup already did — and the version is re-validated at commit
 //     (spec.go). A record observed write-locked at fetch is a conflict.
@@ -332,7 +332,7 @@ func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write b
 	s := t.newReq(recHandle{table: table, node: node, region: region, part: part, key: key,
 		ordered: e.rt.Meta(table).Kind == Ordered}, write)
 	s.ship = s.h.ordered
-	s.spec = !write && e.routeRead(t.policy, &s.h)
+	s.spec = !write && e.routeRead(t.policy)
 	return s
 }
 
@@ -624,8 +624,6 @@ func (s *stageReq) consume(t *Tx, words []uint64) {
 		// re-resolves the location.
 		t.e.invalidate(&s.h)
 	}
-	// imgBusy: a writer is mid-commit; a lease CAS would have lost to its lock
-	// too, so no heat.
 }
 
 // unstage withdraws from the staged set the records of the batch whose image

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"drtm/internal/obs"
 )
 
 // TestOptionsPolicyValidation: an unset policy defaults to PolicyAdaptive, an
@@ -117,15 +119,13 @@ func TestPolicyOverrideE2E(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStatsAndTrace: conflicts on a hot record flip its bucket to
-// the lease arm; Stats reports the adaptive line and the arm switch lands
-// in the trace ring with Kind = TraceArmSwitch.
+// TestAdaptiveStatsAndTrace: a reader whose transaction loses its validation
+// to a writer eight times in a row (tx's escalateAfter) leases on its ninth
+// attempt; Stats reports both routes on the adapt line, and the trace ring's
+// record of the transaction carries its attempts and its last abort cause.
 func TestAdaptiveStatsAndTrace(t *testing.T) {
-	db := MustOpen(Options{
-		Nodes: 2, WorkersPerNode: 2,
-		// Tight tuning so a handful of conflicts flips the bucket.
-		Policies: PolicyOptions{EWMAHalfLife: 8, HotThreshold: 1.0, Hysteresis: 0.5},
-	}, func(table int, key uint64) int { return int(key) % 2 })
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 2},
+		func(table int, key uint64) int { return int(key) % 2 })
 	defer db.Close()
 	db.CreateHashTable(tblAcct, 1024, 1)
 	for k := uint64(1); k <= 4; k++ {
@@ -136,21 +136,10 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	db.EnableTracing(256)
 	defer db.DisableTracing()
 
-	// Writer hammers key 1 (node 1) while a reader on node 0 reads it
-	// adaptively: validation failures heat the bucket until it flips.
+	// Writer on node 1 bumps key 1 while a reader on node 0 reads it
+	// adaptively.
 	reader := db.Executor(0, 0)
 	writer := db.Executor(1, 0)
-	read := func() error {
-		return reader.Exec(func(tx *Tx) error {
-			if err := tx.R(tblAcct, 1); err != nil {
-				return err
-			}
-			return tx.Execute(func(lc *Local) error {
-				_, err := lc.Read(tblAcct, 1)
-				return err
-			})
-		})
-	}
 	write := func() error {
 		return writer.Exec(func(tx *Tx) error {
 			if err := tx.W(tblAcct, 1); err != nil {
@@ -165,18 +154,16 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 			})
 		})
 	}
-	// Deterministic cascade: stage the read speculatively (bucket cold),
-	// let the writer commit a version bump underneath it — a spec read
-	// holds no lock, so the write sails through — then validation fails.
-	// The first loss weighs nothing; the retries' losses do (a conflict
-	// weighs the attempts its transaction has wasted), heat the bucket past
-	// the threshold, and the next retry routes via lease.
+	// Deterministic cascade: stage the read speculatively, let the writer
+	// commit a version bump underneath it — a spec read holds no lock, so the
+	// write sails through — then validation fails. The ninth attempt leases.
+	const losses = 8
 	bumps := 0
 	if err := reader.Exec(func(tx *Tx) error {
 		if err := tx.R(tblAcct, 1); err != nil {
 			return err
 		}
-		if bumps < 3 {
+		if bumps < losses {
 			bumps++
 			if err := write(); err != nil {
 				return err
@@ -189,57 +176,32 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Stats(); got.SpecValidateFails == 0 || got.ArmSwitchesToLease == 0 {
-		t.Fatalf("staged conflict produced no validation failure / switch: %+v", got)
-	}
-
-	// Conflict-free reads decay the bucket back below the exit threshold
-	// (half-life 8 accesses): the arm switches back to spec.
-	for i := 0; i < 40 && db.Stats().ArmSwitchesToSpec == 0; i++ {
-		if err := read(); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	s := db.Stats()
-	if s.ArmSwitchesToSpec == 0 {
-		t.Fatal("bucket never cooled back to the spec arm")
+	if s.SpecValidateFails != losses || s.AdaptiveSpecReads != losses || s.AdaptiveLeaseReads != 1 {
+		t.Fatalf("validate-fails %d, spec routes %d, lease routes %d; want %d, %d, 1",
+			s.SpecValidateFails, s.AdaptiveSpecReads, s.AdaptiveLeaseReads, losses, losses)
 	}
-	if s.AdaptiveSpecReads == 0 {
-		t.Fatal("no adaptive spec routes recorded")
-	}
-	if s.ArmSwitchesToLease == 0 {
-		t.Fatalf("bucket never flipped hot: %+v", s)
-	}
-	if s.ArmSwitches != s.ArmSwitchesToLease+s.ArmSwitchesToSpec {
-		t.Fatalf("ArmSwitches %d != to-lease %d + to-spec %d",
-			s.ArmSwitches, s.ArmSwitchesToLease, s.ArmSwitchesToSpec)
-	}
-	if s.HotKeys != s.ArmSwitchesToLease-s.ArmSwitchesToSpec {
-		t.Fatalf("HotKeys %d != switch difference", s.HotKeys)
-	}
-	if s.SpecShare <= 0 || s.SpecShare > 100 {
-		t.Fatalf("SpecShare = %.1f, want (0, 100]", s.SpecShare)
+	if want := 100 * float64(losses) / (losses + 1); s.SpecShare != want {
+		t.Fatalf("SpecShare = %.1f, want %.1f", s.SpecShare, want)
 	}
 	if !strings.Contains(s.String(), "adapt:") {
 		t.Fatal("Stats.String missing the adapt row")
 	}
 
-	// Both reclassifications must be visible in the trace ring.
-	var toHot, toCold int64
+	traced := false
 	for _, ev := range db.DrainTrace() {
-		if ev.Kind != TraceArmSwitch {
+		if ev.Kind != TraceTx || ev.Node != 0 || ev.Worker != 0 {
 			continue
 		}
-		if ev.Hot {
-			toHot++
-		} else {
-			toCold++
+		traced = true
+		if ev.Attempts != losses+1 || ev.Abort != obs.CauseSpec || ev.Outcome != obs.OutcomeCommit {
+			t.Fatalf("traced %d attempts, last abort %v, outcome %v; want %d, %v, commit",
+				ev.Attempts, ev.Abort, ev.Outcome, losses+1, obs.CauseSpec)
 		}
 	}
-	if toHot != s.ArmSwitchesToLease || toCold != s.ArmSwitchesToSpec {
-		t.Fatalf("traced %d/%d arm switches, counters say %d/%d",
-			toHot, toCold, s.ArmSwitchesToLease, s.ArmSwitchesToSpec)
+	if !traced {
+		t.Fatal("the reader's transaction is missing from the trace ring")
 	}
 }
 
