@@ -158,15 +158,6 @@ type Options struct {
 	LeaseMicros   uint64
 	ROLeaseMicros uint64
 
-	// GlobalAtomics selects IBV_ATOMIC_GLOB-style NICs, letting protocol
-	// paths lock local records with CPU CAS (Section 6.3).
-	GlobalAtomics bool
-
-	// HTMWriteLines/HTMReadLines bound the emulated HTM working set in
-	// 64-byte cache lines (defaults: 512 / 4096, Haswell-class).
-	HTMWriteLines int
-	HTMReadLines  int
-
 	// FailureDetection enables lease-based membership (Section 4.6): every
 	// node heartbeats a shared membership region; survivors detect an
 	// expired lease, confirm the death by probing, elect a recovery
@@ -184,12 +175,6 @@ type Options struct {
 	// FaultSeed seeds the fabric's fault-injection RNG, making a chaos
 	// run's verb-level fault sequence reproducible. Zero means seed 1.
 	FaultSeed int64
-
-	// BatchWindow bounds outstanding work requests per worker in the async
-	// verb engine's batched Start/Commit pipelines. 0 selects the default
-	// window (16); 1 serializes every verb, reproducing the pre-batching
-	// round-trip-per-op behavior.
-	BatchWindow int
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records: PolicyLease, PolicySpeculative, PolicyAdaptive,
@@ -251,12 +236,6 @@ func (o Options) normalize() (Options, error) {
 	if o.ReplicationFactor > 0 && !o.Durability {
 		return o, errors.New("drtm: Options.ReplicationFactor requires Options.Durability (failover releases a crashed primary's locks via its lock-ahead log)")
 	}
-	if o.HTMWriteLines < 0 {
-		return o, fmt.Errorf("drtm: Options.HTMWriteLines must be >= 0, got %d", o.HTMWriteLines)
-	}
-	if o.HTMReadLines < 0 {
-		return o, fmt.Errorf("drtm: Options.HTMReadLines must be >= 0, got %d", o.HTMReadLines)
-	}
 	if o.LeaseMicros == 0 {
 		o.LeaseMicros = 5_000
 	}
@@ -276,9 +255,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.FaultSeed == 0 {
 		o.FaultSeed = 1
-	}
-	if o.BatchWindow < 0 {
-		return o, fmt.Errorf("drtm: Options.BatchWindow must be >= 0, got %d", o.BatchWindow)
 	}
 	if !o.ReadPolicy.Valid() {
 		return o, fmt.Errorf("drtm: unknown Options.ReadPolicy %d", int(o.ReadPolicy))
@@ -327,15 +303,6 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	cfg.ReplicationFactor = o.ReplicationFactor
 	cfg.LeaseMicros = o.LeaseMicros
 	cfg.ROLeaseMicros = o.ROLeaseMicros
-	if o.GlobalAtomics {
-		cfg.Atomicity = rdma.AtomicGLOB
-	}
-	if o.HTMWriteLines > 0 {
-		cfg.HTM.WriteLines = o.HTMWriteLines
-	}
-	if o.HTMReadLines > 0 {
-		cfg.HTM.ReadLines = o.HTMReadLines
-	}
 	if o.MVCCDepth != 0 {
 		// Negative disables chains; cluster validation clamps it to 0.
 		cfg.MVCCDepth = o.MVCCDepth
@@ -352,7 +319,6 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	}
 	c := cluster.New(cfg)
 	db := &DB{C: c, RT: tx.NewRuntime(c, part), faults: rdma.NewFaultPlan(o.FaultSeed)}
-	db.RT.BatchWindow = o.BatchWindow
 	db.RT.ReadPolicy = o.ReadPolicy
 	c.Fabric.SetFaultPlan(db.faults)
 	if o.FailureDetection {
@@ -591,7 +557,6 @@ type Stats struct {
 	LeaseConfirms       int64 // per-lease confirmation checks that passed
 	LeaseConfirmFails   int64 // confirmation failures outside the HTM region
 	LeaseExpiries       int64 // expired leases observed and taken over/cleared
-	LeaseFails          int64 // legacy aggregate: LeaseAborts + LeaseConfirmFails
 	RemoteLockConflicts int64 // lock/lease acquisitions lost to a conflicting holder
 	LockUpgrades        int64 // shared leases upgraded in place to exclusive locks
 
@@ -630,8 +595,6 @@ type Stats struct {
 	// regions' frames account for: speculative read-only reads of remote
 	// ordered rows, a hit one READ at the cached offset in place of a message,
 	// an invalidation a frame the image there proved stale (one wasted READ).
-	// The caches count these, not the event shards: ResetStats leaves them
-	// running; Delta subtracts them.
 	CacheHits, CacheMisses, CacheInvals                      int64
 	OrderedCacheHits, OrderedCacheMisses, OrderedCacheInvals int64
 
@@ -734,6 +697,10 @@ func newStats(sn obs.Snapshot) Stats {
 		ShippedOps:  c(obs.EvShippedOp),
 		RDMABatches: c(obs.EvRDMABatch),
 
+		OrderedCacheHits:   c(obs.EvOrderedCacheHit),
+		OrderedCacheMisses: c(obs.EvOrderedCacheMiss),
+		OrderedCacheInvals: c(obs.EvOrderedCacheInval),
+
 		TreeDescents: c(obs.EvTreeDescent) + c(obs.EvLeafFullDescent),
 		FingerHits:   c(obs.EvFingerHit),
 
@@ -772,7 +739,9 @@ func newStats(sn obs.Snapshot) Stats {
 	}
 	s.HTMAborts = s.ConflictAborts + s.CapacityAborts + s.LockedAborts +
 		s.LeaseAborts + s.ExplicitAborts
-	s.LeaseFails = s.LeaseAborts + s.LeaseConfirmFails
+	s.CacheHits = c(obs.EvCacheHit) + s.OrderedCacheHits
+	s.CacheMisses = c(obs.EvCacheMiss) + s.OrderedCacheMisses
+	s.CacheInvals = c(obs.EvCacheInval) + s.OrderedCacheInvals
 	if n := s.AdaptiveSpecReads + s.AdaptiveLeaseReads; n > 0 {
 		s.SpecShare = 100 * float64(s.AdaptiveSpecReads) / float64(n)
 	}
@@ -782,8 +751,6 @@ func newStats(sn obs.Snapshot) Stats {
 // Stats returns an immutable snapshot of all counters.
 func (db *DB) Stats() Stats {
 	s := newStats(db.C.Obs.Snapshot())
-	s.CacheHits, s.CacheMisses, s.CacheInvals = db.RT.CacheStats()
-	s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals = db.RT.OrderedCacheStats()
 	s.LogCapWords = int64(db.C.Config().LogWords)
 	return s
 }
@@ -796,11 +763,6 @@ func (db *DB) ResetStats() { db.C.Obs.Reset() }
 // marks and keep s's values.
 func (s Stats) Delta(prev Stats) Stats {
 	d := newStats(s.snap.Delta(prev.snap))
-	d.CacheHits, d.CacheMisses, d.CacheInvals =
-		s.CacheHits-prev.CacheHits, s.CacheMisses-prev.CacheMisses, s.CacheInvals-prev.CacheInvals
-	d.OrderedCacheHits, d.OrderedCacheMisses, d.OrderedCacheInvals =
-		s.OrderedCacheHits-prev.OrderedCacheHits, s.OrderedCacheMisses-prev.OrderedCacheMisses,
-		s.OrderedCacheInvals-prev.OrderedCacheInvals
 	d.LogCapWords = s.LogCapWords
 	return d
 }
@@ -886,16 +848,4 @@ func (db *DB) DrainTrace() []TraceEvent { return db.C.Obs.DrainTrace() }
 // the basis for throughput reporting (see DESIGN.md).
 func (db *DB) WorkerVirtualTime(node, worker int) time.Duration {
 	return db.C.Worker(node, worker).VClock.Now()
-}
-
-// RemoteOpCounts reports cluster-wide one-sided RDMA operation totals.
-func (db *DB) RemoteOpCounts() (reads, writes, cas int64) {
-	t := &db.C.Fabric.Totals
-	return t.Reads.Load(), t.Writes.Load(), t.CASes.Load()
-}
-
-// LocationCacheStats aggregates location-cache hit/miss/invalidation
-// counts across the cluster (Section 5.3).
-func (db *DB) LocationCacheStats() (hits, misses, invals int64) {
-	return db.RT.CacheStats()
 }

@@ -51,8 +51,6 @@ func TestOpenValidation(t *testing.T) {
 		{"too many nodes", Options{Nodes: 1 << 16}, part},
 		{"negative workers", Options{WorkersPerNode: -2}, part},
 		{"too many workers", Options{WorkersPerNode: 1 << 16}, part},
-		{"negative write lines", Options{HTMWriteLines: -1}, part},
-		{"negative read lines", Options{HTMReadLines: -1}, part},
 		{"lease overflow", Options{LeaseMicros: 1 << 50}, part},
 		{"ro lease overflow", Options{ROLeaseMicros: 1 << 50}, part},
 	}
@@ -105,9 +103,8 @@ func TestQuickstartTransfer(t *testing.T) {
 	if db.WorkerVirtualTime(0, 0) == 0 {
 		t.Fatal("virtual time not charged")
 	}
-	r, w, c := db.RemoteOpCounts()
-	if r == 0 || w == 0 || c == 0 {
-		t.Fatalf("remote op counts = %d/%d/%d, want all nonzero", r, w, c)
+	if s := db.Stats(); s.RDMAReads == 0 || s.RDMAWrites == 0 || s.RDMACASes == 0 {
+		t.Fatalf("remote op counts = %d/%d/%d, want all nonzero", s.RDMAReads, s.RDMAWrites, s.RDMACASes)
 	}
 }
 
@@ -370,7 +367,8 @@ func TestStatsIndexCounters(t *testing.T) {
 // TestStatsOrderedCacheShare: a speculative read-only read of a remote ordered
 // row misses the location cache once and hits it from then on; Stats, Delta and
 // the dump's cache: line say so, beside the hash regions' traffic, so that
-// "fewer messages, more READs" is two counters.
+// "fewer messages, more READs" is two counters. The cache: line is counters
+// like any other: Delta subtracts it and ResetStats zeroes it.
 func TestStatsOrderedCacheShare(t *testing.T) {
 	const tblRows, tblHash = 2, 3
 	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicySpeculative},
@@ -409,6 +407,11 @@ func TestStatsOrderedCacheShare(t *testing.T) {
 	want := fmt.Sprintf("cache:   hits=%d misses=0 invalidations=0 (ordered frames: hits=2 misses=0 invalidations=0)\n", d.CacheHits)
 	if !strings.Contains(d.String(), want) {
 		t.Errorf("Stats.String() lacks %q:\n%s", want, d)
+	}
+	db.ResetStats()
+	want = "cache:   hits=0 misses=0 invalidations=0 (ordered frames: hits=0 misses=0 invalidations=0)\n"
+	if s := db.Stats().String(); !strings.Contains(s, want) {
+		t.Errorf("after ResetStats, Stats.String() lacks %q:\n%s", want, s)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"drtm/internal/htm"
 	"drtm/internal/kvs"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 	"drtm/internal/vtime"
 )
@@ -39,9 +40,12 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(1))
+	sh := obs.NewShard() // the client's tally: its verbs and its cache probes
 	lookup := func(cache *kvs.LocationCache, n int) (reads float64, cost float64) {
 		var clk vtime.Clock
 		qp := fabric.NewQP(1, &clk)
+		qp.Obs = sh
+		reads0 := sh.Count(obs.EvRDMARead)
 		for i := 0; i < n; i++ {
 			k := uint64(rng.Intn(keys)) + 1
 			e, ok := table.GetRemote(qp, cache, k)
@@ -49,7 +53,7 @@ func main() {
 				log.Fatalf("GET %d returned %v,%v", k, e, ok)
 			}
 		}
-		return float64(qp.Stats.Reads.Load()) / float64(n),
+		return float64(sh.Count(obs.EvRDMARead)-reads0) / float64(n),
 			float64(clk.Now().Microseconds()) / float64(n)
 	}
 
@@ -62,8 +66,7 @@ func main() {
 	fmt.Printf("cold cache:   %.3f RDMA READs/GET, %.2f us/GET modeled\n", r1, c1)
 	r2, c2 := lookup(cache, n) // warm
 	fmt.Printf("warm cache:   %.3f RDMA READs/GET, %.2f us/GET modeled\n", r2, c2)
-	hits, misses, _ := cache.Stats()
-	fmt.Printf("cache hits=%d misses=%d\n", hits, misses)
+	fmt.Printf("cache hits=%d misses=%d\n", sh.Count(obs.EvCacheHit), sh.Count(obs.EvCacheMiss))
 
 	// Incarnation checking: delete + reuse a key's entry, then read through
 	// the stale cached location.

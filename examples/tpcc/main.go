@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"drtm/internal/cluster"
+	"drtm/internal/obs"
 	"drtm/internal/tpcc"
 	"drtm/internal/tx"
 )
@@ -75,9 +76,11 @@ func main() {
 	fmt.Printf("modeled throughput: %.0f new-order/s, %.0f standard-mix/s\n",
 		float64(newOrder)/maxV.Seconds(), float64(total)/maxV.Seconds())
 
-	st := &rt.Stats
+	st := c.Obs.Snapshot()
+	htmAborts := st.Counter(obs.EvHTMConflictAbort) + st.Counter(obs.EvHTMCapacityAbort) +
+		st.Counter(obs.EvHTMLockedAbort) + st.Counter(obs.EvHTMLeaseAbort) + st.Counter(obs.EvHTMExplicitAbort)
 	fmt.Printf("htm aborts=%d, whole-txn retries=%d, fallbacks=%d, RO commits=%d\n",
-		st.HTMAborts.Load(), st.Retries.Load(), st.Fallbacks.Load(), st.ROCommits.Load())
+		htmAborts, st.Counter(obs.EvTxRetry), st.Counter(obs.EvFallback), st.Counter(obs.EvROCommit))
 
 	fmt.Print("checking TPC-C consistency conditions... ")
 	if err := w.CheckConsistency(); err != nil {

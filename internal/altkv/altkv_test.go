@@ -4,12 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 	"drtm/internal/vtime"
 )
 
 func newFabric() *rdma.Fabric {
 	return rdma.NewFabric(2, vtime.DefaultModel(), rdma.AtomicHCA)
+}
+
+// newCountedQP is a node-1 queue pair with a standalone shard to count its
+// verbs in.
+func newCountedQP(f *rdma.Fabric) *rdma.QP {
+	qp := f.NewQP(1, nil)
+	qp.Obs = obs.NewShard()
+	return qp
 }
 
 func TestCuckooInsertGet(t *testing.T) {
@@ -96,13 +105,13 @@ func TestCuckooProbeCountsRise(t *testing.T) {
 		}
 		f := newFabric()
 		f.Register(0, 0, c.Arena())
-		qp := f.NewQP(1, nil)
+		qp := newCountedQP(f)
 		for k := 1; k <= n; k++ {
 			if !c.LookupRemote(qp, uint64(k)) {
 				t.Fatalf("lookup %d missed", k)
 			}
 		}
-		return float64(qp.Stats.Reads.Load()) / float64(n)
+		return float64(qp.Obs.Count(obs.EvRDMARead)) / float64(n)
 	}
 	lo, hi := readsPerLookup(0.5), readsPerLookup(0.9)
 	if lo < 1.0 || lo > 1.9 {
@@ -144,7 +153,7 @@ func TestHopscotchOffsetVariantExtraRead(t *testing.T) {
 	f.Register(0, 0, hi.Arena())
 	f.Register(0, 1, ho.Arena()) // distinct region id
 	ho.region = 1
-	qpI, qpO := f.NewQP(1, nil), f.NewQP(1, nil)
+	qpI, qpO := newCountedQP(f), newCountedQP(f)
 
 	if v, ok := hi.GetRemote(qpI, 1); !ok || v[0] != 5 {
 		t.Fatal("inline get failed")
@@ -152,15 +161,15 @@ func TestHopscotchOffsetVariantExtraRead(t *testing.T) {
 	if v, ok := ho.GetRemote(qpO, 1); !ok || v[0] != 5 {
 		t.Fatal("offset get failed")
 	}
-	if qpI.Stats.Reads.Load() != 1 {
-		t.Fatalf("inline used %d READs, want 1", qpI.Stats.Reads.Load())
+	if qpI.Obs.Count(obs.EvRDMARead) != 1 {
+		t.Fatalf("inline used %d READs, want 1", qpI.Obs.Count(obs.EvRDMARead))
 	}
-	if qpO.Stats.Reads.Load() != 2 {
-		t.Fatalf("offset used %d READs, want 2", qpO.Stats.Reads.Load())
+	if qpO.Obs.Count(obs.EvRDMARead) != 2 {
+		t.Fatalf("offset used %d READs, want 2", qpO.Obs.Count(obs.EvRDMARead))
 	}
 	// Inline hauls 8 slots with values; offset's neighborhood is smaller.
-	if qpI.Stats.ReadBytes.Load() <= qpO.Stats.ReadBytes.Load()-int64(2*8) {
-		t.Log("inline bytes:", qpI.Stats.ReadBytes.Load(), "offset bytes:", qpO.Stats.ReadBytes.Load())
+	if qpI.Obs.Count(obs.EvRDMAReadBytes) <= qpO.Obs.Count(obs.EvRDMAReadBytes)-int64(2*8) {
+		t.Log("inline bytes:", qpI.Obs.Count(obs.EvRDMAReadBytes), "offset bytes:", qpO.Obs.Count(obs.EvRDMAReadBytes))
 	}
 }
 
@@ -175,13 +184,13 @@ func TestHopscotchNearOneReadPerLookup(t *testing.T) {
 	}
 	f := newFabric()
 	f.Register(0, 0, h.Arena())
-	qp := f.NewQP(1, nil)
+	qp := newCountedQP(f)
 	for k := 1; k <= n; k++ {
 		if !h.LookupRemote(qp, uint64(k)) {
 			t.Fatalf("lookup %d missed", k)
 		}
 	}
-	avg := float64(qp.Stats.Reads.Load()) / float64(n)
+	avg := float64(qp.Obs.Count(obs.EvRDMARead)) / float64(n)
 	if avg < 1.0 || avg > 1.1 {
 		t.Fatalf("avg reads/lookup = %.3f, want ~1.0 (Table 4)", avg)
 	}

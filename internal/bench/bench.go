@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"drtm/internal/cluster"
+	"drtm/internal/obs"
 	"drtm/internal/tx"
 )
 
@@ -184,8 +185,20 @@ func resetClocks(rt *tx.Runtime) {
 	for _, w := range rt.C.Workers() {
 		w.VClock.Reset()
 	}
-	rt.Stats.Reset()
+	rt.C.Obs.Reset()
 }
+
+// totals sums events over every worker shard of rt's cluster.
+func totals(rt *tx.Runtime, evs ...obs.Event) (n int64) {
+	for _, ev := range evs {
+		n += rt.C.Obs.Total(ev)
+	}
+	return n
+}
+
+// htmAborts are the HTM region aborts the transaction layer books, every cause.
+var htmAborts = []obs.Event{obs.EvHTMConflictAbort, obs.EvHTMCapacityAbort,
+	obs.EvHTMLockedAbort, obs.EvHTMLeaseAbort, obs.EvHTMExplicitAbort}
 
 // fmtMops renders ops/sec in millions.
 func fmtMops(v float64) string { return fmt.Sprintf("%.2fM", v/1e6) }

@@ -8,6 +8,7 @@ import (
 	"drtm/internal/altkv"
 	"drtm/internal/htm"
 	"drtm/internal/kvs"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 	"drtm/internal/vtime"
 )
@@ -112,34 +113,34 @@ func runTable4(o Options) *Result {
 		if err := fillStore(s.keys, 1, c.Insert); err != nil {
 			panic(err)
 		}
-		qp := fc.NewQP(1, nil)
+		qp := countedQP(fc, nil)
 		gen := keyGen(r, s.keys, skewed)
 		for i := 0; i < s.lookups; i++ {
 			c.LookupRemote(qp, gen())
 		}
-		cuckoo = float64(qp.Stats.Reads.Load()) / float64(s.lookups)
+		cuckoo = float64(qp.Obs.Count(obs.EvRDMARead)) / float64(s.lookups)
 
 		h, fh := buildHopscotch(s.keys, occ, 1, true)
 		if err := fillStore(s.keys, 1, h.Insert); err != nil {
 			panic(err)
 		}
-		qp = fh.NewQP(1, nil)
+		qp = countedQP(fh, nil)
 		gen = keyGen(r, s.keys, skewed)
 		for i := 0; i < s.lookups; i++ {
 			h.LookupRemote(qp, gen())
 		}
-		hop = float64(qp.Stats.Reads.Load()) / float64(s.lookups)
+		hop = float64(qp.Obs.Count(obs.EvRDMARead)) / float64(s.lookups)
 
 		t, ft := buildCluster(s.keys, occ, 1)
 		if err := fillStore(s.keys, 1, t.Insert); err != nil {
 			panic(err)
 		}
-		qp = ft.NewQP(1, nil)
+		qp = countedQP(ft, nil)
 		gen = keyGen(r, s.keys, skewed)
 		for i := 0; i < s.lookups; i++ {
 			t.LookupRemote(qp, nil, gen())
 		}
-		clus = float64(qp.Stats.Reads.Load()) / float64(s.lookups)
+		clus = float64(qp.Obs.Count(obs.EvRDMARead)) / float64(s.lookups)
 		return
 	}
 
@@ -159,6 +160,14 @@ func runTable4(o Options) *Result {
 
 // ---- Figure 10 ----------------------------------------------------------
 
+// countedQP is a client queue pair on node 1 with a standalone shard to count
+// its verbs in.
+func countedQP(f *rdma.Fabric, clk *vtime.Clock) *rdma.QP {
+	qp := f.NewQP(1, clk)
+	qp.Obs = obs.NewShard()
+	return qp
+}
+
 // gets per-GET measurement: average client-side virtual cost, RDMA ops and
 // bytes per GET.
 type getProfile struct {
@@ -169,7 +178,7 @@ type getProfile struct {
 
 func profileGets(f *rdma.Fabric, n int, gen func() uint64, get func(qp *rdma.QP, key uint64) bool) getProfile {
 	var clk vtime.Clock
-	qp := f.NewQP(1, &clk)
+	qp := countedQP(f, &clk)
 	misses := 0
 	for i := 0; i < n; i++ {
 		if !get(qp, gen()) {
@@ -181,8 +190,8 @@ func profileGets(f *rdma.Fabric, n int, gen func() uint64, get func(qp *rdma.QP,
 	}
 	return getProfile{
 		costNS:      float64(clk.Now().Nanoseconds()) / float64(n),
-		opsPerGet:   float64(qp.Stats.Reads.Load()) / float64(n),
-		bytesPerGet: float64(qp.Stats.ReadBytes.Load()) / float64(n),
+		opsPerGet:   float64(qp.Obs.Count(obs.EvRDMARead)) / float64(n),
+		bytesPerGet: float64(qp.Obs.Count(obs.EvRDMAReadBytes)) / float64(n),
 	}
 }
 

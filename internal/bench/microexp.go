@@ -11,6 +11,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 	"drtm/internal/tpcc"
 	"drtm/internal/tx"
@@ -149,9 +150,9 @@ func runFig11(o Options) *Result {
 			}
 		})
 		close(stormDone)
-		commits := rt.Stats.Commits.Load()
-		aborts := rt.Stats.HTMAborts.Load()
-		leaseFails := rt.Stats.LeaseFails.Load()
+		commits := totals(rt, obs.EvTxCommit)
+		aborts := totals(rt, htmAborts...)
+		leaseFails := totals(rt, obs.EvHTMLeaseAbort, obs.EvLeaseConfirmFail)
 		stop()
 		res.AddRow(v.name, v.interval.String(),
 			fmt.Sprintf("%.1f", float64(aborts)/float64(commits)*1000),
@@ -372,7 +373,7 @@ func runTable2(o Options) *Result {
 			panic(err)
 		}
 
-		before := rt.Stats.HTMAborts.Load() + rt.Stats.Retries.Load()
+		before := totals(rt, htmAborts...) + totals(rt, obs.EvTxRetry)
 		done := make(chan error, 1)
 		go func() {
 			done <- e0.Exec(func(t0 *tx.Tx) error {
@@ -397,7 +398,7 @@ func runTable2(o Options) *Result {
 		// Give the local transaction time to attempt (and conflict) while
 		// the remote lock/lease is held, then release so it can finish.
 		deadline := time.Now().Add(200 * time.Millisecond)
-		for rt.Stats.HTMAborts.Load()+rt.Stats.Retries.Load() == before &&
+		for totals(rt, htmAborts...)+totals(rt, obs.EvTxRetry) == before &&
 			time.Now().Before(deadline) {
 			select {
 			case err := <-done: // committed without conflict: sharing
@@ -414,7 +415,7 @@ func runTable2(o Options) *Result {
 		if err := <-done; err != nil {
 			panic(err)
 		}
-		if rt.Stats.HTMAborts.Load()+rt.Stats.Retries.Load() > before {
+		if totals(rt, htmAborts...)+totals(rt, obs.EvTxRetry) > before {
 			return "C"
 		}
 		return "S"
@@ -440,9 +441,9 @@ func runAblateCache(o Options) *Result {
 			c.CrossNewOrderPct = 10
 		}, nil)
 		dep.rt.CacheBudgetBytes = budget
-		before := dep.rt.C.Fabric.Totals.Reads.Load()
+		before := totals(dep.rt, obs.EvRDMARead)
 		_, total := dep.runMix(o, s.txnsPerWorker)
-		reads := dep.rt.C.Fabric.Totals.Reads.Load() - before
+		reads := totals(dep.rt, obs.EvRDMARead) - before
 		tput := throughput(total, dep.rt.C.Workers())
 		name := "off"
 		if budget > 0 {
@@ -514,9 +515,9 @@ func runAblateFallback(o Options) *Result {
 				}
 			}
 		})
-		commits := rt.Stats.Commits.Load()
-		fb := rt.Stats.Fallbacks.Load()
-		aborts := rt.Stats.HTMAborts.Load()
+		commits := totals(rt, obs.EvTxCommit)
+		fb := totals(rt, obs.EvFallback)
+		aborts := totals(rt, htmAborts...)
 		tput := throughput(commits, ws)
 		stop()
 		res.AddRow(fmt.Sprintf("%d", th),
@@ -581,7 +582,7 @@ func runAblateAtomics(o Options) *Result {
 				}
 			}
 		})
-		tput := throughput(rt.Stats.Commits.Load(), ws)
+		tput := throughput(totals(rt, obs.EvTxCommit), ws)
 		stop()
 		if level == rdma.AtomicGLOB {
 			glob = tput

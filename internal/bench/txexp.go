@@ -7,6 +7,7 @@ import (
 
 	"drtm/internal/btree"
 	"drtm/internal/cluster"
+	"drtm/internal/obs"
 	"drtm/internal/smallbank"
 	"drtm/internal/tpcc"
 	"drtm/internal/tx"
@@ -326,9 +327,8 @@ func runTable6(o Options) *Result {
 		for _, w := range ws {
 			hist.Merge(w.Hist)
 		}
-		stats := &dep.rt.Stats
-		capPct := float64(stats.CapacityAborts.Load()) / float64(total) * 100
-		fbPct := float64(stats.Fallbacks.Load()) / float64(total) * 100
+		capPct := float64(totals(dep.rt, obs.EvHTMCapacityAbort)) / float64(total) * 100
+		fbPct := float64(totals(dep.rt, obs.EvFallback)) / float64(total) * 100
 		name := "logging off"
 		if durable {
 			name = "logging on"

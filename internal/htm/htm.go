@@ -46,7 +46,6 @@ import (
 	"sync"
 
 	"drtm/internal/memory"
-	"drtm/internal/obs"
 )
 
 // AbortCode classifies transaction aborts, mirroring RTM's abort status.
@@ -117,28 +116,12 @@ type Config struct {
 // DefaultConfig matches the Haswell-class hardware in the paper.
 func DefaultConfig() Config { return Config{WriteLines: 512, ReadLines: 4096} }
 
-// Stats aggregates transaction outcomes for an Engine, built on the shared
-// obs.Counter primitive. All fields are updated atomically and may be read
-// concurrently.
-type Stats struct {
-	Commits        obs.Counter
-	Aborts         obs.Counter
-	ConflictAborts obs.Counter
-	CapacityAborts obs.Counter
-	ExplicitAborts obs.Counter
-}
-
-// Snapshot returns a plain copy of the counters.
-func (s *Stats) Snapshot() (commits, aborts, conflict, capacity, explicit int64) {
-	return s.Commits.Load(), s.Aborts.Load(), s.ConflictAborts.Load(),
-		s.CapacityAborts.Load(), s.ExplicitAborts.Load()
-}
-
 // Engine executes transactions against arenas. An Engine is typically
-// per-node; it is safe for concurrent use by multiple worker goroutines.
+// per-node; it is safe for concurrent use by multiple worker goroutines. It
+// counts nothing: a caller books each region's outcome, by cause, where its
+// worker's other events go.
 type Engine struct {
-	cfg   Config
-	Stats Stats
+	cfg Config
 }
 
 // NewEngine returns an engine with the given capacity configuration.
@@ -377,32 +360,16 @@ func (e *Engine) Run(fn func(*Txn) error) (err error) {
 			panic(r)
 		}
 		err = ap.err
-		e.recordAbort(ap.err.Code)
 	}()
 	if err := fn(t); err != nil {
 		// A user error rolls the region back without committing; this is
 		// the moral equivalent of XABORT followed by not retrying.
-		e.recordAbort(AbortExplicit)
 		return err
 	}
 	if ae := t.commit(); ae != nil {
-		e.recordAbort(ae.Code)
 		return ae
 	}
-	e.Stats.Commits.Add(1)
 	return nil
-}
-
-func (e *Engine) recordAbort(code AbortCode) {
-	e.Stats.Aborts.Add(1)
-	switch code {
-	case AbortConflict:
-		e.Stats.ConflictAborts.Add(1)
-	case AbortCapacity:
-		e.Stats.CapacityAborts.Add(1)
-	case AbortExplicit:
-		e.Stats.ExplicitAborts.Add(1)
-	}
 }
 
 // release empties the context and returns it to the pool.

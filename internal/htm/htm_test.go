@@ -102,9 +102,6 @@ func TestExplicitAbort(t *testing.T) {
 	if a.LoadWord(0) != 0 {
 		t.Fatal("aborted write became visible")
 	}
-	if e.Stats.ExplicitAborts.Load() != 1 {
-		t.Fatal("explicit abort not counted")
-	}
 }
 
 func TestCapacityAbortWrites(t *testing.T) {
@@ -578,17 +575,6 @@ func TestSetIndex(t *testing.T) {
 		t.Fatalf("after wrap epoch = %d, index %d slots; want 1, %d", s.epoch, len(s.index), grown)
 	}
 	fill(20)
-}
-
-func TestStatsCounting(t *testing.T) {
-	e := newEngine()
-	a := memory.NewArena(0, 8)
-	_ = e.Run(func(tx *Txn) error { tx.Write(a, 0, 1); return nil })
-	_ = e.Run(func(tx *Txn) error { tx.Abort(1); return nil })
-	commits, aborts, _, _, explicit := e.Stats.Snapshot()
-	if commits != 1 || aborts != 1 || explicit != 1 {
-		t.Fatalf("stats = (%d,%d,..,%d), want (1,1,..,1)", commits, aborts, explicit)
-	}
 }
 
 func TestWorkingSetReporting(t *testing.T) {

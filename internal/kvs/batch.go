@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 )
 
@@ -56,12 +57,12 @@ func (r *LookupReq) step() bool {
 }
 
 // walkCached advances the walk through cached buckets without touching the
-// fabric; a fully cached chain resolves here with zero work requests. It
-// returns true once the request is resolved and false when the next bucket
-// has to be READ.
-func (r *LookupReq) walkCached() bool {
+// fabric, counting its probes on sh; a fully cached chain resolves here with
+// zero work requests. It returns true once the request is resolved and false
+// when the next bucket has to be READ.
+func (r *LookupReq) walkCached(sh *obs.Shard) bool {
 	for r.depth < maxChain {
-		if !r.Cache.get(r.tag, &r.buf) {
+		if !r.Cache.get(sh, r.tag, &r.buf) {
 			return false
 		}
 		if r.step() {
@@ -86,7 +87,7 @@ func LookupBatch(sq *rdma.SendQueue, reqs []*LookupReq) {
 	for active := reqs; len(active) > 0; {
 		pending := active[:0]
 		for _, r := range active {
-			if !r.walkCached() {
+			if !r.walkCached(sq.QP().Obs) {
 				t := r.Table
 				r.wr = sq.PostRead(t.cfg.Node, t.cfg.RegionID, r.off, r.buf[:])
 				pending = append(pending, r)
@@ -138,7 +139,8 @@ func (t *Table) DecodeEntry(words []uint64, key uint64, loc Loc) (Entry, bool) {
 // *observed* staleness uses this to stop replaying the dead location from
 // cache instead of re-fetching the whole chain remotely. The key→bucket
 // mapping needs the table's geometry, which is why the API lives on Table
-// rather than on the cache.
-func (t *Table) Invalidate(c *LocationCache, key uint64) {
-	c.invalidateChain(t, key)
+// rather than on the cache. The probes and drops count on qp's shard, like
+// a lookup's.
+func (t *Table) Invalidate(qp *rdma.QP, c *LocationCache, key uint64) {
+	c.invalidateChain(qp.Obs, t, key)
 }

@@ -2,9 +2,9 @@ package kvs
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 )
 
 // LocationCache is the RDMA-friendly, location-based, host-transparent
@@ -22,14 +22,14 @@ import (
 // An ordered region has no buckets to snapshot: its cache (NewOrderedCache)
 // holds (key, entry offset) pairs, direct-mapped by key, under the same rule —
 // a location, never a value, judged by the image the READ at it returns.
+//
+// The cache keeps no tally: every probe and invalidation is counted in the
+// observability shard of the worker that made it (EvCacheHit and its five
+// siblings), passed in by the caller; a nil shard counts nothing.
 type LocationCache struct {
 	mu     sync.Mutex
 	frames []cacheFrame // hash regions
 	locs   []locFrame   // ordered regions
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	invals atomic.Int64
 }
 
 type cacheFrame struct {
@@ -77,27 +77,17 @@ func NewOrderedCache(budgetBytes, capacity int) *LocationCache {
 	return &LocationCache{locs: make([]locFrame, n)}
 }
 
-// Ordered reports a cache of an ordered region's locations.
-func (c *LocationCache) Ordered() bool { return c != nil && c.locs != nil }
-
 // Frames returns the capacity in buckets, or in ordered locations.
 func (c *LocationCache) Frames() int { return len(c.frames) + len(c.locs) }
-
-// Stats returns hit/miss/invalidation counts.
-func (c *LocationCache) Stats() (hits, misses, invals int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.hits.Load(), c.misses.Load(), c.invals.Load()
-}
 
 func (c *LocationCache) frameOf(tag uint64) int {
 	return int(mix64(tag) % uint64(len(c.frames)))
 }
 
 // get copies the cached bucket for tag into dst and reports whether it was
-// cached. A nil receiver (caching disabled) behaves as an always-miss cache.
-func (c *LocationCache) get(tag uint64, dst *[BucketWords]uint64) bool {
+// cached, counting the hit or miss on sh. A nil receiver (caching disabled)
+// behaves as an always-miss cache that counts nothing.
+func (c *LocationCache) get(sh *obs.Shard, tag uint64, dst *[BucketWords]uint64) bool {
 	if c == nil {
 		return false
 	}
@@ -105,12 +95,12 @@ func (c *LocationCache) get(tag uint64, dst *[BucketWords]uint64) bool {
 	f := &c.frames[c.frameOf(tag)]
 	if !f.valid || f.tag != tag {
 		c.mu.Unlock()
-		c.misses.Add(1)
+		sh.Inc(obs.EvCacheMiss)
 		return false
 	}
 	*dst = f.words
 	c.mu.Unlock()
-	c.hits.Add(1)
+	sh.Inc(obs.EvCacheHit)
 	return true
 }
 
@@ -127,8 +117,8 @@ func (c *LocationCache) put(tag uint64, words []uint64) {
 	c.mu.Unlock()
 }
 
-// invalidate drops the frame holding tag, if present.
-func (c *LocationCache) invalidate(tag uint64) {
+// invalidate drops the frame holding tag, if present, counting the drop on sh.
+func (c *LocationCache) invalidate(sh *obs.Shard, tag uint64) {
 	if c == nil {
 		return
 	}
@@ -136,7 +126,7 @@ func (c *LocationCache) invalidate(tag uint64) {
 	f := &c.frames[c.frameOf(tag)]
 	if f.valid && f.tag == tag {
 		f.valid = false
-		c.invals.Add(1)
+		sh.Inc(obs.EvCacheInval)
 	}
 	c.mu.Unlock()
 }
@@ -146,8 +136,8 @@ func (c *LocationCache) locOf(key uint64) *locFrame {
 }
 
 // Loc returns the cached entry offset of an ordered region's key, counting the
-// hit or miss. A nil receiver always misses.
-func (c *LocationCache) Loc(key uint64) (memory.Offset, bool) {
+// hit or miss on sh. A nil receiver always misses and counts nothing.
+func (c *LocationCache) Loc(sh *obs.Shard, key uint64) (memory.Offset, bool) {
 	if c == nil {
 		return 0, false
 	}
@@ -155,10 +145,10 @@ func (c *LocationCache) Loc(key uint64) (memory.Offset, bool) {
 	f := *c.locOf(key)
 	c.mu.Unlock()
 	if f.off == 0 || f.key != key {
-		c.misses.Add(1)
+		sh.Inc(obs.EvOrderedCacheMiss)
 		return 0, false
 	}
-	c.hits.Add(1)
+	sh.Inc(obs.EvOrderedCacheHit)
 	return f.off, true
 }
 
@@ -172,27 +162,29 @@ func (c *LocationCache) SetLoc(key uint64, off memory.Offset) {
 	c.mu.Unlock()
 }
 
-// DropLoc drops key's frame, if present: the location was observed stale.
-func (c *LocationCache) DropLoc(key uint64) {
+// DropLoc drops key's frame, if present: the location was observed stale. A
+// drop is counted on sh.
+func (c *LocationCache) DropLoc(sh *obs.Shard, key uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	if f := c.locOf(key); f.off != 0 && f.key == key {
 		f.off = 0
-		c.invals.Add(1)
+		sh.Inc(obs.EvOrderedCacheInval)
 	}
 	c.mu.Unlock()
 }
 
-// invalidateChain drops every cached bucket on key's chain in t.
-func (c *LocationCache) invalidateChain(t *Table, key uint64) {
+// invalidateChain drops every cached bucket on key's chain in t. Its probes
+// count like a lookup's, on sh.
+func (c *LocationCache) invalidateChain(sh *obs.Shard, t *Table, key uint64) {
 	idx := t.bucketOf(key)
 	tag := mainTag(idx)
 	var words [BucketWords]uint64
 	for depth := 0; depth < maxChain; depth++ {
-		ok := c.get(tag, &words)
-		c.invalidate(tag)
+		ok := c.get(sh, tag, &words)
+		c.invalidate(sh, tag)
 		if !ok {
 			return
 		}

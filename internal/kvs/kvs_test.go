@@ -8,6 +8,7 @@ import (
 
 	"drtm/internal/htm"
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/rdma"
 	"drtm/internal/vtime"
 )
@@ -261,6 +262,14 @@ func newFabricFor(tb *Table) *rdma.Fabric {
 	return f
 }
 
+// newCountedQP is a node-1 queue pair with a standalone shard attached: the
+// one tally of its verbs and of the cache probes made through it.
+func newCountedQP(f *rdma.Fabric) *rdma.QP {
+	qp := f.NewQP(1, nil)
+	qp.Obs = obs.NewShard()
+	return qp
+}
+
 func TestRemoteLookupAndRead(t *testing.T) {
 	tb := newTable(t, 128)
 	_ = tb.Insert(11, val(7, 8))
@@ -287,14 +296,14 @@ func TestRemoteLookupWalksChain(t *testing.T) {
 		_ = tb.Insert(k, val(k, k))
 	}
 	f := newFabricFor(tb)
-	qp := f.NewQP(1, nil)
+	qp := newCountedQP(f)
 	for k := uint64(1); k <= 30; k++ {
 		e, ok := tb.GetRemote(qp, nil, k)
 		if !ok || e.Value[0] != k {
 			t.Fatalf("remote get %d = %+v,%v", k, e, ok)
 		}
 	}
-	if qp.Stats.Reads.Load() <= 60 {
+	if qp.Obs.Count(obs.EvRDMARead) <= 60 {
 		t.Fatal("chain walk should need more than 2 READs/key on average here")
 	}
 }
@@ -305,7 +314,7 @@ func TestLocationCacheReducesReads(t *testing.T) {
 		_ = tb.Insert(k, val(k, k))
 	}
 	f := newFabricFor(tb)
-	qp := f.NewQP(1, nil)
+	qp := newCountedQP(f)
 	cache := NewLocationCache(4096 * BucketBytes)
 
 	// Warm pass.
@@ -314,7 +323,7 @@ func TestLocationCacheReducesReads(t *testing.T) {
 			t.Fatalf("warm get %d missed", k)
 		}
 	}
-	warm := qp.Stats.Reads.Load()
+	warm := qp.Obs.Count(obs.EvRDMARead)
 	// Hot pass: lookups should be nearly all cache hits, leaving the 50
 	// entry reads plus at most a handful of direct-mapped collision misses.
 	for k := uint64(1); k <= 50; k++ {
@@ -322,12 +331,11 @@ func TestLocationCacheReducesReads(t *testing.T) {
 			t.Fatalf("hot get %d missed", k)
 		}
 	}
-	hot := qp.Stats.Reads.Load() - warm
+	hot := qp.Obs.Count(obs.EvRDMARead) - warm
 	if hot < 50 || hot > 58 {
 		t.Fatalf("hot pass used %d READs, want ~50 (entry reads only)", hot)
 	}
-	hits, _, _ := cache.Stats()
-	if hits < 50 {
+	if hits := qp.Obs.Count(obs.EvCacheHit); hits < 50 {
 		t.Fatalf("cache hits = %d, want >= 50", hits)
 	}
 }
@@ -386,7 +394,7 @@ func TestCacheDirectMappedEviction(t *testing.T) {
 	}
 	present := 0
 	for i := uint64(0); i < 64; i++ {
-		if ok := c.get(mainTag(i), new([BucketWords]uint64)); ok {
+		if ok := c.get(nil, mainTag(i), new([BucketWords]uint64)); ok {
 			present++
 		}
 	}
@@ -396,37 +404,39 @@ func TestCacheDirectMappedEviction(t *testing.T) {
 }
 
 // TestOrderedCacheFrames: an ordered region's cache maps keys to entry offsets,
-// direct-mapped, counts what it is asked, and a nil one (caching disabled)
-// misses without counting.
+// direct-mapped, counts what it is asked on the caller's shard as ordered-frame
+// events, and a nil one (caching disabled) misses without counting.
 func TestOrderedCacheFrames(t *testing.T) {
+	sh := obs.NewShard()
 	c := NewOrderedCache(1<<20, 8)
-	if !c.Ordered() || c.Frames() != 8 {
-		t.Fatalf("ordered %v, %d frames; want 8, the region's capacity", c.Ordered(), c.Frames())
+	if len(c.locs) != 8 || c.Frames() != 8 {
+		t.Fatalf("%d ordered of %d frames; want 8, the region's capacity", len(c.locs), c.Frames())
 	}
-	if NewLocationCache(1 << 20).Ordered() {
-		t.Fatal("a bucket cache calls itself ordered")
+	if NewLocationCache(1<<20).locs != nil {
+		t.Fatal("a bucket cache holds ordered frames")
 	}
-	if _, ok := c.Loc(7); ok {
+	if _, ok := c.Loc(sh, 7); ok {
 		t.Fatal("hit in an empty cache")
 	}
 	c.SetLoc(7, 4096)
-	if off, ok := c.Loc(7); !ok || off != 4096 {
+	if off, ok := c.Loc(sh, 7); !ok || off != 4096 {
 		t.Fatalf("Loc(7) = %d, %v", off, ok)
 	}
-	c.DropLoc(8) // not framed: nothing to drop, nothing counted
-	c.DropLoc(7)
-	if _, ok := c.Loc(7); ok {
+	c.DropLoc(sh, 8) // not framed: nothing to drop, nothing counted
+	c.DropLoc(sh, 7)
+	if _, ok := c.Loc(sh, 7); ok {
 		t.Fatal("hit after DropLoc")
 	}
-	if h, m, i := c.Stats(); h != 1 || m != 2 || i != 1 {
-		t.Fatalf("hits %d misses %d invalidations %d, want 1 2 1", h, m, i)
+	got := cacheCounts(sh)
+	if want := [6]int64{0, 0, 0, 1, 2, 1}; got != want {
+		t.Fatalf("hash hit/miss/inval, ordered hit/miss/inval = %v, want %v", got, want)
 	}
 	for k := uint64(1); k <= 64; k++ {
 		c.SetLoc(k, 1024+memory.Offset(k))
 	}
 	present := 0
 	for k := uint64(1); k <= 64; k++ {
-		if off, ok := c.Loc(k); ok {
+		if off, ok := c.Loc(sh, k); ok {
 			if off != 1024+memory.Offset(k) {
 				t.Fatalf("key %d framed at another key's offset %d", k, off)
 			}
@@ -437,10 +447,93 @@ func TestOrderedCacheFrames(t *testing.T) {
 		t.Fatalf("%d of 64 keys framed in 8 frames", present)
 	}
 	var off *LocationCache
+	sh = obs.NewShard()
 	off.SetLoc(1, 1)
-	off.DropLoc(1)
-	if _, ok := off.Loc(1); ok || off.Ordered() {
+	off.DropLoc(sh, 1)
+	if _, ok := off.Loc(sh, 1); ok {
 		t.Fatal("a nil cache answered")
+	}
+	if got := cacheCounts(sh); got != [6]int64{} {
+		t.Fatalf("a nil cache counted %v", got)
+	}
+}
+
+// cacheCounts reads the six location-cache events off a shard: hash frames'
+// hits, misses and invalidations, then ordered frames'.
+func cacheCounts(sh *obs.Shard) (n [6]int64) {
+	for i, ev := range []obs.Event{obs.EvCacheHit, obs.EvCacheMiss, obs.EvCacheInval,
+		obs.EvOrderedCacheHit, obs.EvOrderedCacheMiss, obs.EvOrderedCacheInval} {
+		n[i] = sh.Count(ev)
+	}
+	return n
+}
+
+// TestCacheCountsOnQPShard: a hash region's cache probes count once each, on
+// the shard of the queue pair the walk runs on — a miss exactly where a bucket
+// READ follows, a hit exactly where one is saved — for the sync walk, the
+// lockstep batch walk and an explicit invalidation, whose drops count once.
+func TestCacheCountsOnQPShard(t *testing.T) {
+	tb := New(Config{MainBuckets: 1, IndirectBuckets: 16, Capacity: 64, ValueWords: 2},
+		htm.NewEngine(htm.Config{}))
+	for k := uint64(1); k <= 30; k++ {
+		_ = tb.Insert(k, val(k, k))
+	}
+	qp := newCountedQP(newFabricFor(tb))
+	cache := NewLocationCache(1 << 20)
+	// step runs op and returns what it moved: hash hits, misses, invalidations
+	// and bucket READs. Ordered frames are never asked.
+	step := func(op func()) (d [4]int64) {
+		before, reads := cacheCounts(qp.Obs), qp.Obs.Count(obs.EvRDMARead)
+		op()
+		after := cacheCounts(qp.Obs)
+		if after[3] != before[3] || after[4] != before[4] || after[5] != before[5] {
+			t.Fatalf("a hash walk counted ordered-frame events: %v -> %v", before, after)
+		}
+		return [4]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2],
+			qp.Obs.Count(obs.EvRDMARead) - reads}
+	}
+	lookup := func(key uint64) func() {
+		return func() {
+			if _, ok := tb.LookupRemote(qp, cache, key); !ok {
+				t.Fatalf("key %d not found", key)
+			}
+		}
+	}
+
+	// Key 30 sits several buckets down the table's one chain.
+	cold := step(lookup(30))
+	depth := cold[3]
+	if depth < 3 || cold != [4]int64{0, depth, 0, depth} {
+		t.Fatalf("cold lookup moved hit/miss/inval/READ %v, want a miss per READ down a chain of >= 3", cold)
+	}
+	if warm := step(lookup(30)); warm != [4]int64{depth, 0, 0, 0} {
+		t.Fatalf("warm lookup moved %v, want %d hits and nothing else", warm, depth)
+	}
+	// The invalidation walks the cached chain: one probe and one drop per
+	// bucket. Again, nothing is framed to drop: one missed probe, no drop.
+	inval := func() { tb.Invalidate(qp, cache, 30) }
+	if got := step(inval); got != [4]int64{depth, 0, depth, 0} {
+		t.Fatalf("invalidation moved %v, want %d hits and %d drops", got, depth, depth)
+	}
+	if got := step(inval); got != [4]int64{0, 1, 0, 0} {
+		t.Fatalf("second invalidation moved %v, want one miss", got)
+	}
+
+	// The batch walk of two keys on the chain, cold then warm.
+	sq := qp.NewSendQueue(0)
+	batch := func() {
+		a, b := &LookupReq{Table: tb, Cache: cache, Key: 30}, &LookupReq{Table: tb, Cache: cache, Key: 1}
+		LookupBatch(sq, []*LookupReq{a, b})
+		if !a.Found || !b.Found {
+			t.Fatal("batch lookup missed")
+		}
+	}
+	cold = step(batch)
+	if cold[0] != 0 || cold[2] != 0 || cold[1] != cold[3] || cold[1] <= depth {
+		t.Fatalf("cold batch moved hit/miss/inval/READ %v, want a miss per READ for both walks", cold)
+	}
+	if warm := step(batch); warm != [4]int64{cold[1], 0, 0, 0} {
+		t.Fatalf("warm batch moved %v, want %d hits and nothing else", warm, cold[1])
 	}
 }
 

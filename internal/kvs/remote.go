@@ -51,7 +51,7 @@ func (t *Table) LookupRemoteInto(qp *rdma.QP, cache *LocationCache, key uint64, 
 	tag := mainTag(idx)
 
 	for depth := 0; depth < maxChain; depth++ {
-		if !cache.get(tag, buf) {
+		if !cache.get(qp.Obs, tag, buf) {
 			if err := qp.TryRead(t.cfg.Node, t.cfg.RegionID, off, buf[:]); err != nil {
 				return Loc{}, false, err
 			}
@@ -136,7 +136,7 @@ func (t *Table) GetRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Entry
 			// A cached chain may be stale (e.g. the key moved into a new
 			// indirect bucket): drop it and retry uncached once.
 			if cache != nil {
-				cache.invalidateChain(t, key)
+				cache.invalidateChain(qp.Obs, t, key)
 				cache = nil
 				continue
 			}
@@ -149,7 +149,7 @@ func (t *Table) GetRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Entry
 		if ok {
 			return e, true, nil
 		}
-		cache.invalidateChain(t, key)
+		cache.invalidateChain(qp.Obs, t, key)
 	}
 	return Entry{}, false, nil
 }

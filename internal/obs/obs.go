@@ -1,7 +1,8 @@
-// Package obs is the unified observability layer: one counter idiom for
-// every protocol event in the tree, fixed-bucket latency histograms for the
+// Package obs is the unified observability layer: the one tally of every
+// protocol event in the tree, fixed-bucket latency histograms for the
 // transaction phases, and an optional per-worker ring-buffer transaction
-// trace.
+// trace. An event is counted once, in the shard of the worker that caused
+// it — no package below keeps a second count of its own.
 //
 // The design goals, in order:
 //
@@ -71,6 +72,7 @@ const (
 
 	// One-sided RDMA and messaging verbs (Section 7.1).
 	EvRDMARead
+	EvRDMAReadBytes // bytes the READs fetched
 	EvRDMAWrite
 	EvRDMACAS
 	EvRDMAFAA
@@ -144,6 +146,17 @@ const (
 	EvLogRestart
 	EvLogGrow
 
+	// Location cache (Section 5.3). A hash region's frames are probed per
+	// bucket of a chain walk and invalidated per bucket; an ordered region's
+	// frames, per key (the speculative read-only fetch of a remote row, and
+	// the drop of a frame its image proved stale).
+	EvCacheHit
+	EvCacheMiss
+	EvCacheInval
+	EvOrderedCacheHit
+	EvOrderedCacheMiss
+	EvOrderedCacheInval
+
 	NumEvents int = iota
 )
 
@@ -171,6 +184,7 @@ var eventNames = [NumEvents]string{
 	EvAdaptSpec:          "adapt.route_spec",
 	EvAdaptLease:         "adapt.route_lease",
 	EvRDMARead:           "rdma.read",
+	EvRDMAReadBytes:      "rdma.read_bytes",
 	EvRDMAWrite:          "rdma.write",
 	EvRDMACAS:            "rdma.cas",
 	EvRDMAFAA:            "rdma.faa",
@@ -213,6 +227,12 @@ var eventNames = [NumEvents]string{
 	EvROSingle:           "ro.single_record",
 	EvLogRestart:         "nvram.log_restart",
 	EvLogGrow:            "nvram.log_grow",
+	EvCacheHit:           "cache.hit",
+	EvCacheMiss:          "cache.miss",
+	EvCacheInval:         "cache.inval",
+	EvOrderedCacheHit:    "cache.ordered_hit",
+	EvOrderedCacheMiss:   "cache.ordered_miss",
+	EvOrderedCacheInval:  "cache.ordered_inval",
 }
 
 func (e Event) String() string {
@@ -346,25 +366,6 @@ const (
 	NumGauges int = iota
 )
 
-// Counter is a single atomic counter — the one counter idiom in the tree
-// (htm.Stats, rdma.Counters and the obs shards are all built from it).
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Store overwrites the current value.
-func (c *Counter) Store(n int64) { c.v.Store(n) }
-
-// CompareAndSwap executes the compare-and-swap for the counter value.
-func (c *Counter) CompareAndSwap(old, new int64) bool { return c.v.CompareAndSwap(old, new) }
-
 // Histogram bucketing: log-linear fixed buckets (HDR-style). Values 0..15
 // get exact buckets; above that each power of two is split into 4
 // sub-buckets, bounding relative error at 25% — plenty for p50/p95/p99 of
@@ -403,16 +404,16 @@ func bucketLower(b int) int64 {
 
 // hist is one phase's fixed-bucket latency histogram within a shard.
 type hist struct {
-	count   Counter
-	sum     Counter
-	max     Counter
-	buckets [histBuckets]Counter
+	count   atomic.Int64
+	sum     atomic.Int64
+	max     atomic.Int64
+	buckets [histBuckets]atomic.Int64
 }
 
 func (h *hist) observe(ns int64) {
-	h.count.Inc()
+	h.count.Add(1)
 	h.sum.Add(ns)
-	h.buckets[bucketOf(ns)].Inc()
+	h.buckets[bucketOf(ns)].Add(1)
 	for {
 		cur := h.max.Load()
 		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
@@ -430,20 +431,21 @@ type Shard struct {
 	reg  *Registry
 	ring atomic.Pointer[traceRing]
 
-	counters [NumEvents]Counter
-	gauges   [NumGauges]Counter
+	counters [NumEvents]atomic.Int64
+	gauges   [NumGauges]atomic.Int64
 	hists    [NumPhases]hist
 
 	// The wave ledger: what the waves polled in each stage added up to.
-	waves [NumStages]struct{ waves, wrs, cases, nanos Counter }
+	waves [NumStages]struct{ waves, wrs, cases, nanos atomic.Int64 }
 
 	// Pad past the end of the hot arrays so adjacent heap objects never
 	// share the last cache line of a shard.
 	_ [64]byte
 }
 
-// NewShard returns a standalone shard not attached to any registry, for
-// components that keep their own tallies (package htm, package rdma tests).
+// NewShard returns a standalone shard not attached to any registry: the
+// tally of a queue pair or cache used outside a cluster (unit tests,
+// closed-form experiments).
 func NewShard() *Shard { return &Shard{} }
 
 // Inc counts one occurrence of ev.
@@ -451,7 +453,7 @@ func (s *Shard) Inc(ev Event) {
 	if s == nil {
 		return
 	}
-	s.counters[ev].Inc()
+	s.counters[ev].Add(1)
 }
 
 // Add counts d occurrences of ev.
@@ -493,7 +495,7 @@ func (s *Shard) Wave(st Stage, wrs, cases int, ns int64) {
 		return
 	}
 	w := &s.waves[st]
-	w.waves.Inc()
+	w.waves.Add(1)
 	w.wrs.Add(int64(wrs))
 	w.cases.Add(int64(cases))
 	w.nanos.Add(ns)

@@ -39,15 +39,15 @@ func TestBucketMapping(t *testing.T) {
 }
 
 func TestCounterAndEventNames(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Load())
+	s := NewShard()
+	s.Inc(EvRDMARead)
+	s.Add(EvRDMARead, 4)
+	if s.Count(EvRDMARead) != 5 {
+		t.Fatalf("counter = %d, want 5", s.Count(EvRDMARead))
 	}
-	c.Store(0)
-	if c.Load() != 0 {
-		t.Fatalf("counter after Store(0) = %d", c.Load())
+	s.reset()
+	if s.Count(EvRDMARead) != 0 {
+		t.Fatalf("counter after reset = %d", s.Count(EvRDMARead))
 	}
 	for ev := 0; ev < NumEvents; ev++ {
 		if Event(ev).String() == "" {

@@ -93,14 +93,14 @@ type WR struct {
 }
 
 // complete executes one work request at completion time: per-WR fault
-// draw, side effect on success, per-verb stats, and the WR's individual
-// modeled latency in CostNS (the caller charges it, directly for sync verbs
-// or via the batch overlap rule for polled waves).
+// draw, side effect on success, the verb's events in q.Obs, and the WR's
+// individual modeled latency in CostNS (the caller charges it, directly for
+// sync verbs or via the batch overlap rule for polled waves).
 func (q *QP) complete(wr *WR) {
 	model := &q.fabric.model
 	extra, err := q.faultCheck(wr.Node, wr.Region, wr.Op == OpRead)
 	if err != nil {
-		q.countFault()
+		q.Obs.Inc(obs.EvVerbFault)
 		wr.Err = err
 		wr.CostNS = extra + model.TimeoutNS
 		return
@@ -116,12 +116,8 @@ func (q *QP) complete(wr *WR) {
 		}
 		n := int64(len(wr.Src) * 8)
 		// The WRITE crossed the wire whether or not the sink admits it, so
-		// the verb's cost and wire counters are charged unconditionally.
+		// the verb's cost and events are charged unconditionally.
 		wr.CostNS = extra + int64(model.LogAppend(int(n)))
-		q.Stats.LogAppnds.Add(1)
-		q.Stats.LogApndB.Add(n)
-		q.fabric.Totals.LogAppnds.Add(1)
-		q.fabric.Totals.LogApndB.Add(n)
 		q.Obs.Inc(obs.EvLogAppend)
 		q.Obs.Add(obs.EvBackupBytes, n)
 		wr.Err = s.RemoteAppend(q.local, wr.Src)
@@ -139,31 +135,19 @@ func (q *QP) complete(wr *WR) {
 	case OpRead:
 		a.Read(wr.Dst, wr.Off)
 		n := int64(len(wr.Dst) * 8)
-		q.Stats.Reads.Add(1)
-		q.Stats.ReadBytes.Add(n)
-		q.fabric.Totals.Reads.Add(1)
-		q.fabric.Totals.ReadBytes.Add(n)
 		q.Obs.Inc(obs.EvRDMARead)
+		q.Obs.Add(obs.EvRDMAReadBytes, n)
 		wr.CostNS += int64(model.RDMARead(int(n)))
 	case OpWrite:
 		a.Write(wr.Off, wr.Src)
-		n := int64(len(wr.Src) * 8)
-		q.Stats.Writes.Add(1)
-		q.Stats.WriteByts.Add(n)
-		q.fabric.Totals.Writes.Add(1)
-		q.fabric.Totals.WriteByts.Add(n)
 		q.Obs.Inc(obs.EvRDMAWrite)
-		wr.CostNS += int64(model.RDMAWrite(int(n)))
+		wr.CostNS += int64(model.RDMAWrite(len(wr.Src) * 8))
 	case OpCAS:
 		wr.Prev, wr.Swapped = a.CAS(wr.Off, wr.Old, wr.New)
-		q.Stats.CASes.Add(1)
-		q.fabric.Totals.CASes.Add(1)
 		q.Obs.Inc(obs.EvRDMACAS)
 		wr.CostNS += model.RDMACASNS
 	case OpFAA:
 		wr.Prev = a.FAA(wr.Off, wr.Delta)
-		q.Stats.FAAs.Add(1)
-		q.fabric.Totals.FAAs.Add(1)
 		q.Obs.Inc(obs.EvRDMAFAA)
 		wr.CostNS += model.RDMACASNS
 	}
@@ -328,8 +312,6 @@ func (sq *SendQueue) Poll() []*WR {
 			costs = append(costs, wr.CostNS)
 		}
 		ns := sq.qp.fabric.model.BatchOverlapNS(costs)
-		sq.qp.Stats.Batches.Add(1)
-		sq.qp.fabric.Totals.Batches.Add(1)
 		sq.qp.Obs.Inc(obs.EvRDMABatch)
 		sq.qp.Obs.Observe(obs.PhaseBatchOps, int64(len(wave)))
 		sq.qp.Obs.Wave(sq.Stage, len(wave), atomics, ns)

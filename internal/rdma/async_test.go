@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/vtime"
 )
 
@@ -50,14 +51,14 @@ func TestBatchOverlapGolden(t *testing.T) {
 func TestBatchWavesRespectWindow(t *testing.T) {
 	f := newTestFabric(2)
 	var clk vtime.Clock
-	qp := f.NewQP(0, &clk)
+	qp := newCountedQP(f, 0, &clk)
 	sq := qp.NewSendQueue(4)
 
 	for i := 0; i < 10; i++ {
 		sq.PostRead(1, 0, 0, make([]uint64, 1))
 	}
 	sq.Poll()
-	if got := qp.Stats.Batches.Load(); got != 3 {
+	if got := qp.Obs.Count(obs.EvRDMABatch); got != 3 {
 		t.Fatalf("Batches = %d, want 3 waves of (4,4,2)", got)
 	}
 	m := f.Model()
@@ -143,7 +144,7 @@ func TestFlushBehindFailedWR(t *testing.T) {
 		plan := NewFaultPlan(1)
 		plan.ScriptFaults(0, 1, k, k+1)
 		f.SetFaultPlan(plan)
-		qp := f.NewQP(0, nil)
+		qp := newCountedQP(f, 0, nil)
 		sq := qp.NewSendQueue(window)
 		for i := 0; i < chain; i++ {
 			sq.PostWrite(1, 0, memory.Offset(i), []uint64{uint64(100 + i)})
@@ -162,7 +163,7 @@ func TestFlushBehindFailedWR(t *testing.T) {
 					window, k, pos, wr.Node, wr.Err, want)
 			}
 		}
-		if w, n := qp.Stats.Writes.Load(), int64(chain+k-1); w != n {
+		if w, n := qp.Obs.Count(obs.EvRDMAWrite), int64(chain+k-1); w != n {
 			t.Fatalf("window %d, fault at %d: %d WRITEs counted, want %d (flushed ones are not verbs)", window, k, w, n)
 		}
 		// The flushed WRs drew nothing: the link's verb k+1, scripted to fail,
@@ -173,7 +174,7 @@ func TestFlushBehindFailedWR(t *testing.T) {
 				t.Fatalf("window %d, fault at %d: WRITE %d after the chain's Poll completed with %v, want %v", window, k, i+1, wr.Err, want)
 			}
 		}
-		if n := qp.Stats.Faults.Load(); n != 2 {
+		if n := qp.Obs.Count(obs.EvVerbFault); n != 2 {
 			t.Fatalf("window %d, fault at %d: %d faults counted, want the two that were drawn", window, k, n)
 		}
 		for n := range mem {
@@ -234,12 +235,15 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var timeouts, flushed atomic.Int64
+	sh := obs.NewShard() // the four posters' QPs count into one shard
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var clk vtime.Clock
-			sq := f.NewQP(g%2, &clk).NewSendQueue(8)
+			qp := f.NewQP(g%2, &clk)
+			qp.Obs = sh
+			sq := qp.NewSendQueue(8)
 			for round := 0; round < 50; round++ {
 				for i := 0; i < 8; i++ {
 					sq.PostFAA(2, 0, 0, 1)
@@ -263,7 +267,7 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 	plan.Clear()
 	var got [1]uint64
 	f.NewQP(0, nil).Read(2, 0, 0, got[:])
-	if faults := f.Totals.Faults.Load(); faults != timeouts.Load() || faults == 0 || flushed.Load() == 0 {
+	if faults := sh.Count(obs.EvVerbFault); faults != timeouts.Load() || faults == 0 || flushed.Load() == 0 {
 		t.Fatalf("%d faults counted for %d timeouts and %d flushed WRs: want one per timeout, and some of each",
 			faults, timeouts.Load(), flushed.Load())
 	}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/vtime"
 )
 
 func TestCrashedNodeUnreachable(t *testing.T) {
 	f := newTestFabric(2)
 	f.RegisterDurable(1, 7, memory.NewArena(100, 64))
-	qp := f.NewQP(0, nil)
+	qp := newCountedQP(f, 0, nil)
 
 	// Seed the durable (NVRAM) region before the crash.
 	qp.Write(1, 7, 0, []uint64{42})
@@ -48,7 +49,7 @@ func TestCrashedNodeUnreachable(t *testing.T) {
 	if err := qp.TryWrite(1, 7, 0, []uint64{9}); !errors.Is(err, ErrNodeUnreachable) {
 		t.Fatalf("WRITE of durable region = %v, want ErrNodeUnreachable", err)
 	}
-	if f.Totals.Faults.Load() == 0 {
+	if qp.Obs.Count(obs.EvVerbFault) == 0 {
 		t.Fatal("fault counter not incremented")
 	}
 

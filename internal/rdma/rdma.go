@@ -57,37 +57,6 @@ func (l AtomicityLevel) String() string {
 	return "IBV_ATOMIC_HCA"
 }
 
-// Counters tallies one-sided operations, built on the shared obs.Counter
-// primitive. All fields are atomic.
-type Counters struct {
-	Reads     obs.Counter
-	Writes    obs.Counter
-	CASes     obs.Counter
-	FAAs      obs.Counter
-	ReadBytes obs.Counter
-	WriteByts obs.Counter
-	Msgs      obs.Counter
-	Faults    obs.Counter
-	Batches   obs.Counter // polled SendQueue waves (doorbell batches)
-	LogAppnds obs.Counter // one-sided log-append WRs (replication)
-	LogApndB  obs.Counter // log-append payload bytes
-}
-
-// Add folds src into c (used to aggregate per-QP counters).
-func (c *Counters) Add(src *Counters) {
-	c.Reads.Add(src.Reads.Load())
-	c.Writes.Add(src.Writes.Load())
-	c.CASes.Add(src.CASes.Load())
-	c.FAAs.Add(src.FAAs.Load())
-	c.ReadBytes.Add(src.ReadBytes.Load())
-	c.WriteByts.Add(src.WriteByts.Load())
-	c.Msgs.Add(src.Msgs.Load())
-	c.Faults.Add(src.Faults.Load())
-	c.Batches.Add(src.Batches.Load())
-	c.LogAppnds.Add(src.LogAppnds.Load())
-	c.LogApndB.Add(src.LogApndB.Load())
-}
-
 // Handler serves two-sided verbs requests on an endpoint.
 type Handler func(from int, req any) any
 
@@ -167,7 +136,6 @@ type Fabric struct {
 	atomicity AtomicityLevel
 	eps       []*Endpoint
 	plan      atomic.Pointer[FaultPlan]
-	Totals    Counters
 }
 
 // NewFabric creates a fabric with n endpoints (node IDs 0..n-1).
@@ -268,14 +236,14 @@ func (f *Fabric) sinkErr(node, regionID int) (LogSink, error) {
 
 // QP is a queue pair: a worker-private handle for issuing verbs. Costs are
 // charged to the clock bound at creation (nil clock charges nothing, for
-// unit tests). When Obs is set (the cluster wires each worker's QP to the
-// worker's observability shard), every verb also emits the matching
-// obs event; a nil Obs shard is a no-op sink.
+// unit tests). Every verb is counted once, as its event in Obs: the cluster
+// wires each worker's QP to the worker's observability shard, a caller that
+// counts on a standalone QP attaches obs.NewShard(), and a nil Obs (the
+// failure detector's control-plane QP) counts nothing.
 type QP struct {
 	fabric *Fabric
 	local  int
 	clock  *vtime.Clock
-	Stats  Counters
 	Obs    *obs.Shard
 }
 
@@ -339,7 +307,7 @@ func (q *QP) faultCheck(node, region int, read bool) (extraNS int64, err error) 
 func (q *QP) fault(node, region int, read bool) error {
 	extra, err := q.faultCheck(node, region, read)
 	if err != nil {
-		q.countFault()
+		q.Obs.Inc(obs.EvVerbFault)
 		q.charge(extra + q.fabric.model.TimeoutNS)
 		netYield()
 		return err
@@ -348,12 +316,6 @@ func (q *QP) fault(node, region int, read bool) error {
 		q.charge(extra)
 	}
 	return nil
-}
-
-func (q *QP) countFault() {
-	q.Stats.Faults.Add(1)
-	q.fabric.Totals.Faults.Add(1)
-	q.Obs.Inc(obs.EvVerbFault)
 }
 
 // probeRegion is the pseudo-region Probe targets; it is never durable, so a
@@ -427,8 +389,6 @@ func (q *QP) Probe(node int) error {
 	if err := q.fault(node, probeRegion, false); err != nil {
 		return err
 	}
-	q.Stats.Reads.Add(1)
-	q.fabric.Totals.Reads.Add(1)
 	q.Obs.Inc(obs.EvRDMARead)
 	q.charge(int64(q.fabric.model.RDMARead(0)))
 	netYield()
@@ -491,8 +451,6 @@ func (q *QP) Call(node int, req any, reqBytes, respBytes int) (any, error) {
 	if h == nil {
 		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, node)
 	}
-	q.Stats.Msgs.Add(1)
-	q.fabric.Totals.Msgs.Add(1)
 	q.Obs.Inc(obs.EvVerbsMsg)
 	q.charge(int64(q.fabric.model.VerbsMsg(reqBytes)))
 	netYield()
@@ -512,8 +470,6 @@ func (q *QP) CallIPoIB(node int, req any, reqBytes, respBytes int) (any, error) 
 	if h == nil {
 		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, node)
 	}
-	q.Stats.Msgs.Add(1)
-	q.fabric.Totals.Msgs.Add(1)
 	q.Obs.Inc(obs.EvVerbsMsg)
 	q.charge(int64(q.fabric.model.IPoIBMsg(reqBytes)))
 	netYield()

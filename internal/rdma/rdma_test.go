@@ -1,12 +1,15 @@
 package rdma
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"drtm/internal/htm"
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/vtime"
 )
 
@@ -18,9 +21,16 @@ func newTestFabric(nodes int) *Fabric {
 	return f
 }
 
+// newCountedQP is NewQP with a standalone shard attached: the verbs' one tally.
+func newCountedQP(f *Fabric, local int, clk *vtime.Clock) *QP {
+	qp := f.NewQP(local, clk)
+	qp.Obs = obs.NewShard()
+	return qp
+}
+
 func TestOneSidedReadWrite(t *testing.T) {
 	f := newTestFabric(2)
-	qp := f.NewQP(0, nil)
+	qp := newCountedQP(f, 0, nil)
 
 	src := []uint64{1, 2, 3}
 	qp.Write(1, 0, 10, src)
@@ -31,11 +41,11 @@ func TestOneSidedReadWrite(t *testing.T) {
 			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], src[i])
 		}
 	}
-	if qp.Stats.Reads.Load() != 1 || qp.Stats.Writes.Load() != 1 {
+	if qp.Obs.Count(obs.EvRDMARead) != 1 || qp.Obs.Count(obs.EvRDMAWrite) != 1 {
 		t.Fatal("op counters wrong")
 	}
-	if qp.Stats.ReadBytes.Load() != 24 {
-		t.Fatalf("ReadBytes = %d, want 24", qp.Stats.ReadBytes.Load())
+	if n := qp.Obs.Count(obs.EvRDMAReadBytes); n != 24 {
+		t.Fatalf("read bytes = %d, want 24", n)
 	}
 }
 
@@ -138,7 +148,7 @@ func TestVerbsCall(t *testing.T) {
 		return req.(int) * 2
 	})
 	var clk vtime.Clock
-	qp := f.NewQP(0, &clk)
+	qp := newCountedQP(f, 0, &clk)
 	got, err := qp.Call(1, 21, 8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +160,7 @@ func TestVerbsCall(t *testing.T) {
 	if clk.Now() != want {
 		t.Fatalf("charged %v, want %v", clk.Now(), want)
 	}
-	if qp.Stats.Msgs.Load() != 1 {
+	if qp.Obs.Count(obs.EvVerbsMsg) != 1 {
 		t.Fatal("msg counter wrong")
 	}
 }
@@ -172,20 +182,82 @@ func TestIPoIBCostsDominateVerbs(t *testing.T) {
 	}
 }
 
-func TestTotalsAggregate(t *testing.T) {
-	f := newTestFabric(2)
-	qa, qb := f.NewQP(0, nil), f.NewQP(1, nil)
-	qa.Read(1, 0, 0, make([]uint64, 1))
-	qb.Read(0, 0, 0, make([]uint64, 1))
-	qa.CAS(1, 0, 0, 0, 1)
-	if f.Totals.Reads.Load() != 2 || f.Totals.CASes.Load() != 1 {
-		t.Fatalf("totals = reads %d cas %d", f.Totals.Reads.Load(), f.Totals.CASes.Load())
-	}
-	var sum Counters
-	sum.Add(&qa.Stats)
-	sum.Add(&qb.Stats)
-	if sum.Reads.Load() != 2 {
-		t.Fatal("Counters.Add lost ops")
+type nopSink struct{}
+
+func (nopSink) RemoteAppend(int, []uint64) error { return nil }
+
+// TestEachVerbCountedOnce: every verb kind moves exactly its own events, by
+// exactly its own amount, in the issuing QP's shard — through the sync Try*
+// form and through a posted WR, whose Poll adds one wave — and nothing else
+// in the shard moves.
+func TestEachVerbCountedOnce(t *testing.T) {
+	type counts map[obs.Event]int64
+	const down = 2 // a node marked unreachable
+	for _, tc := range []struct {
+		name   string
+		sync   func(*QP) error
+		post   func(*SendQueue) // nil: the verb has no posted form
+		events counts
+	}{
+		{"READ", func(q *QP) error { return q.TryRead(1, 0, 0, make([]uint64, 3)) },
+			func(sq *SendQueue) { sq.PostRead(1, 0, 0, make([]uint64, 3)) },
+			counts{obs.EvRDMARead: 1, obs.EvRDMAReadBytes: 24}},
+		{"WRITE", func(q *QP) error { return q.TryWrite(1, 0, 0, []uint64{1, 2}) },
+			func(sq *SendQueue) { sq.PostWrite(1, 0, 0, []uint64{1, 2}) },
+			counts{obs.EvRDMAWrite: 1}},
+		{"CAS", func(q *QP) error { _, _, err := q.TryCAS(1, 0, 0, 0, 1); return err },
+			func(sq *SendQueue) { sq.PostCAS(1, 0, 0, 0, 1) },
+			counts{obs.EvRDMACAS: 1}},
+		{"FAA", func(q *QP) error { _, err := q.TryFAA(1, 0, 0, 1); return err },
+			func(sq *SendQueue) { sq.PostFAA(1, 0, 0, 1) },
+			counts{obs.EvRDMAFAA: 1}},
+		{"log append", func(q *QP) error { return q.TryLogAppend(1, 9, []uint64{1, 2, 3}) },
+			func(sq *SendQueue) { sq.PostLogAppend(1, 9, []uint64{1, 2, 3}) },
+			counts{obs.EvLogAppend: 1, obs.EvBackupBytes: 24}},
+		{"faulted WRITE", func(q *QP) error {
+			if err := q.TryWrite(down, 0, 0, []uint64{1}); !errors.Is(err, ErrNodeUnreachable) {
+				return fmt.Errorf("WRITE to a down node: %v", err)
+			}
+			return nil
+		}, func(sq *SendQueue) { sq.PostWrite(down, 0, 0, []uint64{1}) },
+			counts{obs.EvVerbFault: 1}},
+		{"Call", func(q *QP) error { _, err := q.Call(1, 0, 8, 8); return err }, nil,
+			counts{obs.EvVerbsMsg: 1}},
+		{"CallIPoIB", func(q *QP) error { _, err := q.CallIPoIB(1, 0, 8, 8); return err }, nil,
+			counts{obs.EvVerbsMsg: 1}},
+		{"Probe", func(q *QP) error { return q.Probe(1) }, nil,
+			counts{obs.EvRDMARead: 1}},
+	} {
+		check := func(path string, run func(*QP), want counts) {
+			f := newTestFabric(3)
+			f.RegisterLogSink(1, 9, nopSink{})
+			f.Serve(1, func(int, any) any { return nil })
+			f.SetNodeDown(down, true)
+			qp := newCountedQP(f, 0, nil)
+			run(qp)
+			for ev := obs.Event(0); int(ev) < obs.NumEvents; ev++ {
+				if got := qp.Obs.Count(ev); got != want[ev] {
+					t.Errorf("%s, %s: %v = %d, want %d", tc.name, path, ev, got, want[ev])
+				}
+			}
+		}
+		check("sync", func(q *QP) {
+			if err := tc.sync(q); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}, tc.events)
+		if tc.post == nil {
+			continue
+		}
+		posted := counts{obs.EvRDMABatch: 1} // one polled wave
+		for ev, n := range tc.events {
+			posted[ev] = n
+		}
+		check("posted", func(q *QP) {
+			sq := q.NewSendQueue(0)
+			tc.post(sq)
+			sq.Poll()
+		}, posted)
 	}
 }
 

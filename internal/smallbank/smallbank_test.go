@@ -8,6 +8,7 @@ import (
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
+	"drtm/internal/obs"
 	"drtm/internal/tx"
 )
 
@@ -154,7 +155,7 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 	raised := make(chan struct{})
 	go func() {
 		defer close(raised)
-		for node.Engine.Stats.ConflictAborts.Load() == 0 {
+		for rt.C.Obs.Total(obs.EvHTMConflictAbort) == 0 {
 			runtime.Gosched()
 		}
 		arena.Write(valueOff, []uint64{60_000})

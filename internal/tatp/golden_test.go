@@ -2,15 +2,17 @@ package tatp_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"drtm/internal/cluster"
+	"drtm/internal/obs"
 	"drtm/internal/tatp"
 	"drtm/internal/tx"
 )
 
 // orderedGoldenRow is what one TATP transaction type cost on the client's
-// queue pair, summed over orderedGoldenTxns transactions: two-sided messages,
+// worker, summed over orderedGoldenTxns transactions: two-sided messages,
 // one-sided CAS / READ / WRITE verbs and modeled nanoseconds. (Divide by
 // orderedGoldenTxns for the per-transaction figures EXPERIMENTS.md quotes.)
 type orderedGoldenRow struct {
@@ -31,11 +33,12 @@ const orderedGoldenTxns = 100
 // this is the shipped-message + fused-wave path of Tx.Stage end to end
 // (lookups and EnsureDeads coalesced per host, structural rows locked in the
 // base row's wave, removals coalesced per host). The cluster's soft-clock
-// timers never start, so nothing depends on a real-time window. The local rows
-// also show the lookup side: a read followed by a write of one row is one tree
-// lookup, and the script's subscribers are adjacent keys, so most lookups and
-// scan starts are hits on the executor's leaf cache (random subscribers would
-// descend).
+// timers never start, and the script fixes the one point where soft time
+// still reaches the table: where an erased entry is unlinked (see
+// measureAt). The local rows also show the lookup side: a read followed by a
+// write of one row is one tree lookup, and the script's subscribers are
+// adjacent keys, so most lookups and scan starts are hits on the executor's
+// leaf cache (random subscribers would descend).
 //
 // If a change moves the table on purpose, paste the observed rows the failure
 // prints. (Moved three times since. In the ns column of the six remote read-write
@@ -97,23 +100,42 @@ func runOrderedGolden(t *testing.T) []orderedGoldenRow {
 	cl := w.NewClient(e, 1)
 
 	var rows []orderedGoldenRow
+	sh, clk := e.Worker().Obs, c.Node(0).Clock
+	count := func() orderedGoldenRow {
+		return orderedGoldenRow{
+			msgs: sh.Count(obs.EvVerbsMsg), cases: sh.Count(obs.EvRDMACAS),
+			reads: sh.Count(obs.EvRDMARead), writes: sh.Count(obs.EvRDMAWrite),
+			ns: int64(e.Worker().VClock.Now()),
+		}
+	}
 	// measureAt runs op once per subscriber of one home: even subscriber ids
 	// are local to the client's node 0, odd ones remote.
+	//
+	// An erase's unlink waits in the MVCC-gated removal queue until the
+	// snapshot floor passes the erase's commit stamp. Both are soft time, which
+	// reads the host's clock in microseconds, and a commit's own bracket holds
+	// the floor below its stamp, so a later commit drains it: the next one if
+	// the clock has moved a microsecond since, else one after. On a host fast
+	// enough to commit twice inside a microsecond, the unlink of one row's
+	// last erases was drained — and charged — in the next row. So the script
+	// waits, before every transaction, for the clock to move two microseconds
+	// past where it stood: every unlink is then drained by the script's next
+	// read-write commit, whatever the host.
 	measureAt := func(name string, home int, op func(sid uint64, i int) error) {
-		qs := &e.Worker().QP.Stats
-		ns0 := int64(e.Worker().VClock.Now())
-		m0, c0, r0, w0 := qs.Msgs.Load(), qs.CASes.Load(), qs.Reads.Load(), qs.Writes.Load()
+		r0 := count()
 		for i := 0; i < orderedGoldenTxns; i++ {
+			for until := clk.Read() + 2; clk.Read() < until; {
+				runtime.Gosched()
+			}
 			sid := uint64(2*(i+1) + home)
 			if err := op(sid, i); err != nil {
 				t.Fatalf("%s, subscriber %d: %v", name, sid, err)
 			}
 		}
-		rows = append(rows, orderedGoldenRow{
-			name: name,
-			msgs: qs.Msgs.Load() - m0, cases: qs.CASes.Load() - c0,
-			reads: qs.Reads.Load() - r0, writes: qs.Writes.Load() - w0,
-			ns: int64(e.Worker().VClock.Now()) - ns0,
+		r := count()
+		rows = append(rows, orderedGoldenRow{name: name,
+			msgs: r.msgs - r0.msgs, cases: r.cases - r0.cases,
+			reads: r.reads - r0.reads, writes: r.writes - r0.writes, ns: r.ns - r0.ns,
 		})
 	}
 	measure := func(name string, op func(sid uint64, i int) error) {

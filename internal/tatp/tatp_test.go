@@ -299,7 +299,7 @@ func TestConcurrentSubscriberLifecycle(t *testing.T) {
 	clients := []*tatp.Client{w.NewClient(db.Executor(0, 0), 1), w.NewClient(db.Executor(1, 0), 2)}
 	both := func(op func(cl *tatp.Client) error) {
 		t.Helper()
-		before := db.RT.Stats.Commits.Load()
+		before := db.Stats().Commits
 		var wg sync.WaitGroup
 		errs := make([]error, len(clients))
 		for i, cl := range clients {
@@ -315,7 +315,7 @@ func TestConcurrentSubscriberLifecycle(t *testing.T) {
 				t.Fatalf("client %d: %v", i, err)
 			}
 		}
-		if got := db.RT.Stats.Commits.Load() - before; got != 1 {
+		if got := db.Stats().Commits - before; got != 1 {
 			t.Fatalf("%d of the two racing transactions committed, want exactly 1", got)
 		}
 	}

@@ -248,9 +248,9 @@ func (e *Executor) invalidate(h *recHandle) {
 	switch {
 	case h.node == e.w.Node.ID:
 	case !h.ordered:
-		e.hashTable(h).Invalidate(e.cacheFor(h.node, h.region), h.key)
+		e.hashTable(h).Invalidate(e.w.QP, e.cacheFor(h.node, h.region), h.key)
 	case h.cached:
-		e.cacheFor(h.node, h.region).DropLoc(h.key)
+		e.cacheFor(h.node, h.region).DropLoc(e.w.Obs, h.key)
 		h.cached = false
 	}
 }

@@ -22,23 +22,6 @@ func newCacheSet() *cacheSet {
 	return &cacheSet{m: make(map[cacheKey]*kvs.LocationCache)}
 }
 
-// stats sums hit/miss/invalidation counters over the caches in the set: all of
-// them, or those of ordered regions alone.
-func (s *cacheSet) stats(orderedOnly bool) (hits, misses, invals int64) {
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	for _, c := range s.m {
-		if orderedOnly && !c.Ordered() {
-			continue
-		}
-		h, m, i := c.Stats()
-		hits += h
-		misses += m
-		invals += i
-	}
-	return
-}
-
 // get returns the cache of k, built by build on its first use.
 func (s *cacheSet) get(k cacheKey, build func() *kvs.LocationCache) *kvs.LocationCache {
 	s.mux.Lock()

@@ -214,13 +214,13 @@ func TestCommitChainUnderFaults(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for round := 0; (round < 6 || !audited()) && time.Now().Before(deadline) && !t.Failed(); round++ {
 		for k := 1; k <= chainWRs; k++ {
-			faults := rt.C.Fabric.Totals.Faults.Load()
+			faults := rt.C.Obs.Total(obs.EvVerbFault)
 			err := transfer(writer, a, b, func() { scriptFault(rt, k) })
 			rt.C.Fabric.SetFaultPlan(nil)
 			if err != nil {
 				t.Fatalf("fault at %d: %v", k, err)
 			}
-			if n := rt.C.Fabric.Totals.Faults.Load() - faults; n != 1 {
+			if n := rt.C.Obs.Total(obs.EvVerbFault) - faults; n != 1 {
 				t.Fatalf("fault at %d: %d faults drawn, want the scripted one", k, n)
 			}
 			moved++

@@ -116,7 +116,7 @@ func TestFallbackWithRemoteRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Fallbacks.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvFallback) == 0 {
 		t.Fatal("expected the fallback path")
 	}
 	for _, k := range keys {
@@ -208,10 +208,10 @@ func TestGlobalAtomicsUsesLocalCAS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats.Fallbacks.Load() == 0 {
+		if rt.C.Obs.Total(obs.EvFallback) == 0 {
 			t.Fatal("fallback did not trigger")
 		}
-		return rt.C.Fabric.Totals.CASes.Load()
+		return rt.C.Obs.Total(obs.EvRDMACAS)
 	}
 	hca := countCAS(rdma.AtomicHCA)
 	glob := countCAS(rdma.AtomicGLOB)
@@ -379,7 +379,7 @@ func TestDeferredOrderedInsertShipsRemote(t *testing.T) {
 	defer stop()
 	rt.DefineOrdered(tblOrders, 64, 1)
 	e := rt.Executor(0, 0)
-	msgsBefore := rt.C.Fabric.Totals.Msgs.Load()
+	msgsBefore := rt.C.Obs.Total(obs.EvVerbsMsg)
 	err := e.Exec(func(tx *Tx) error {
 		return tx.Execute(func(lc *Local) error {
 			lc.Insert(tblOrders, 101, []uint64{7}) // odd key: homed on node 1
@@ -392,7 +392,7 @@ func TestDeferredOrderedInsertShipsRemote(t *testing.T) {
 	if v, ok := rt.C.Node(1).Ordered(tblOrders).Get(101); !ok || v[0] != 7 {
 		t.Fatalf("shipped ordered insert = %v,%v", v, ok)
 	}
-	if rt.C.Fabric.Totals.Msgs.Load() == msgsBefore {
+	if rt.C.Obs.Total(obs.EvVerbsMsg) == msgsBefore {
 		t.Fatal("insert did not go over verbs")
 	}
 	// And the reverse: remote delete.
@@ -482,7 +482,7 @@ func TestBatchedStageFaultsReleaseLocks(t *testing.T) {
 	}
 	wg.Wait()
 
-	if rt.C.Fabric.Totals.Faults.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvVerbFault) == 0 {
 		t.Fatal("fault plan injected nothing; the test exercised no partial completions")
 	}
 	plan.Clear()
@@ -586,7 +586,7 @@ func TestFallbackWriteStaleLocation(t *testing.T) {
 	if !errors.Is(err, ErrNotFound) {
 		t.Errorf("write of a deleted key = %v, want ErrNotFound", err)
 	}
-	if rt.Stats.Fallbacks.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvFallback) == 0 {
 		t.Fatal("expected the fallback path")
 	}
 	if v, _ := host.Get(33); len(v) != 2 || v[0] != 555 || v[1] != 5 {
@@ -623,7 +623,7 @@ func TestFallbackDropsAbortedAttemptsDeferredOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Fallbacks.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvFallback) == 0 {
 		t.Fatal("expected the fallback path")
 	}
 	if v, ok := rt.C.Node(0).Unordered(tblAccounts).Get(100); !ok || v[0] != 1 {
@@ -693,7 +693,7 @@ func TestFallbackErasesTheVersionItDeclared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Fallbacks.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvFallback) == 0 {
 		t.Fatal("expected the fallback path")
 	}
 	if attempts != 2 || len(erased) != 2 || erased[0] != 999 {

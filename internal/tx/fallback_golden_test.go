@@ -5,6 +5,7 @@ import (
 
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
+	"drtm/internal/obs"
 )
 
 // fbGoldenRig is goldenRig with an indexed ordered table beside the hash
@@ -155,21 +156,15 @@ func runFallbackGoldenScript(t *testing.T, mut func(*cluster.Config), window int
 	}
 	var rows []goldenRow
 	for i, script := range scripts {
-		qs := &e.w.QP.Stats
-		ns0 := int64(e.w.VClock.Now())
-		r0, c0, w0, b0, m0 := qs.Reads.Load(), qs.CASes.Load(), qs.Writes.Load(), qs.Batches.Load(), qs.Msgs.Load()
-		f0, k0 := rt.Stats.Fallbacks.Load(), rt.Stats.Commits.Load()
-		if err := e.Exec(script); err != nil {
+		f0, k0 := rt.C.Obs.Total(obs.EvFallback), rt.C.Obs.Total(obs.EvTxCommit)
+		row, err := measureRow(e, func() error { return e.Exec(script) })
+		if err != nil {
 			t.Fatalf("%s: %v", fbGoldenNames[i], err)
 		}
-		if f, k := rt.Stats.Fallbacks.Load()-f0, rt.Stats.Commits.Load()-k0; f != 1 || k != 1 {
+		if f, k := rt.C.Obs.Total(obs.EvFallback)-f0, rt.C.Obs.Total(obs.EvTxCommit)-k0; f != 1 || k != 1 {
 			t.Fatalf("%s: %d fallbacks for %d commits, want one of each", fbGoldenNames[i], f, k)
 		}
-		rows = append(rows, goldenRow{
-			ns:    int64(e.w.VClock.Now()) - ns0,
-			reads: qs.Reads.Load() - r0, cases: qs.CASes.Load() - c0, writes: qs.Writes.Load() - w0,
-			batches: qs.Batches.Load() - b0, msgs: qs.Msgs.Load() - m0,
-		})
+		rows = append(rows, row)
 	}
 	// What the script left behind: the rows it wrote, and no lock.
 	for _, k := range []uint64{2, 4, 6, 8, 1, 3, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40, 42} {

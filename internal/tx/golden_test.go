@@ -8,6 +8,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/obs"
 )
 
 // goldenRow is what one scripted scenario cost on the worker's queue pair:
@@ -16,6 +17,22 @@ import (
 type goldenRow struct {
 	ns, reads, cases, writes, batches, msgs int64
 	err                                     string
+}
+
+// measureRow runs fn on e and returns what it cost: the modeled time on the
+// worker's clock and the verbs counted in the worker's shard.
+func measureRow(e *Executor, fn func() error) (goldenRow, error) {
+	sh := e.w.Obs
+	verbs := func() goldenRow {
+		return goldenRow{ns: int64(e.w.VClock.Now()),
+			reads: sh.Count(obs.EvRDMARead), cases: sh.Count(obs.EvRDMACAS), writes: sh.Count(obs.EvRDMAWrite),
+			batches: sh.Count(obs.EvRDMABatch), msgs: sh.Count(obs.EvVerbsMsg)}
+	}
+	v0 := verbs()
+	err := fn()
+	v := verbs()
+	return goldenRow{ns: v.ns - v0.ns, reads: v.reads - v0.reads, cases: v.cases - v0.cases,
+		writes: v.writes - v0.writes, batches: v.batches - v0.batches, msgs: v.msgs - v0.msgs}, err
 }
 
 func (r goldenRow) String() string {
@@ -112,15 +129,7 @@ func runGoldenScript(t *testing.T, p ReadPolicy) []goldenRow {
 	}
 	var rows []goldenRow
 	measure := func(fn func() error) {
-		qs := &e.w.QP.Stats
-		ns0 := int64(e.w.VClock.Now())
-		r0, c0, w0, b0, m0 := qs.Reads.Load(), qs.CASes.Load(), qs.Writes.Load(), qs.Batches.Load(), qs.Msgs.Load()
-		err := fn()
-		row := goldenRow{
-			ns:    int64(e.w.VClock.Now()) - ns0,
-			reads: qs.Reads.Load() - r0, cases: qs.CASes.Load() - c0, writes: qs.Writes.Load() - w0,
-			batches: qs.Batches.Load() - b0, msgs: qs.Msgs.Load() - m0,
-		}
+		row, err := measureRow(e, fn)
 		if err != nil {
 			row.err = err.Error()
 		}

@@ -157,7 +157,7 @@ func TestOrderedCacheSlotHistories(t *testing.T) {
 				if moves := (cacheMoves{h - h0, m - m0, inv - i0}); moves != tc.moves {
 					t.Errorf("cache moved by %+v, want %+v", moves, tc.moves)
 				}
-				off, framed := r.e.cacheFor(1, tblOrders).Loc(key)
+				off, framed := r.e.cacheFor(1, tblOrders).Loc(nil, key)
 				if framed != tc.framed || framed && uint64(off) != r.offOf(key) {
 					t.Errorf("frame afterwards: offset %d, %v; want %v at the row's slot %d", off, framed, tc.framed, r.offOf(key))
 				}
@@ -193,8 +193,8 @@ func TestOrderedCacheSizedByRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := r.e.cacheFor(1, tblOrders)
-	if !c.Ordered() || c.Frames() != 4096 { // newOrderedRig's capacity
-		t.Errorf("ordered %v, %d frames; want one per entry of the region", c.Ordered(), c.Frames())
+	if c.Frames() != 4096 { // newOrderedRig's capacity; a bucket cache of this budget has 8192
+		t.Errorf("%d frames; want one per entry of the region", c.Frames())
 	}
 	if c := kvs.NewOrderedCache(10*kvs.LocBytes, 4096); c.Frames() != 10 {
 		t.Errorf("%d frames from a budget of ten", c.Frames())
@@ -221,9 +221,9 @@ func TestOrderedCacheFault(t *testing.T) {
 	if got := verbsOf(r.e).since(v0); got.msgs != 0 {
 		t.Errorf("the lost READ was answered with a message: %+v", got)
 	}
-	if r.rt.C.Fabric.Totals.Faults.Load() != 1 || r.e.w.Obs.Count(obs.EvLockRetry)-retries != 1 {
+	if r.rt.C.Obs.Total(obs.EvVerbFault) != 1 || r.e.w.Obs.Count(obs.EvLockRetry)-retries != 1 {
 		t.Errorf("faults drawn %d, retries %d; want the scripted one, retried once",
-			r.rt.C.Fabric.Totals.Faults.Load(), r.e.w.Obs.Count(obs.EvLockRetry)-retries)
+			r.rt.C.Obs.Total(obs.EvVerbFault), r.e.w.Obs.Count(obs.EvLockRetry)-retries)
 	}
 
 	r.rt.C.Crash(1)
@@ -233,7 +233,7 @@ func TestOrderedCacheFault(t *testing.T) {
 	if _, _, invals := r.rt.OrderedCacheStats(); invals != 0 {
 		t.Errorf("%d frames dropped on verb failures", invals)
 	}
-	if _, framed := r.e.cacheFor(1, tblOrders).Loc(key); !framed {
+	if _, framed := r.e.cacheFor(1, tblOrders).Loc(nil, key); !framed {
 		t.Error("the frame did not survive the faults")
 	}
 }
@@ -310,7 +310,7 @@ func TestOrderedCacheAcrossFailover(t *testing.T) {
 	if h, m, _ := rt.OrderedCacheStats(); h != h1 || m != m1+1 {
 		t.Errorf("first read after the promotion: hits +%d, misses +%d; want a miss in the replica region's cache", h-h1, m-m1)
 	}
-	off, framed := e.cacheFor(backup, region).Loc(key)
+	off, framed := e.cacheFor(backup, region).Loc(nil, key)
 	if want, _ := replica.Lookup(key); !framed || off != want {
 		t.Errorf("the replica region's frame: %d, %v; want %d", off, framed, want)
 	}

@@ -476,7 +476,7 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 	var cache *kvs.LocationCache
 	if shipped {
 		cache = e.cacheFor(h.node, h.region)
-		if h.off, h.cached = cache.Loc(h.key); h.cached {
+		if h.off, h.cached = cache.Loc(e.w.Obs, h.key); h.cached {
 			words, err := e.readEntry(h, vw, 0)
 			if err != nil {
 				return err

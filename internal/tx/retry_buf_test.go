@@ -1,6 +1,10 @@
 package tx
 
-import "testing"
+import (
+	"testing"
+
+	"drtm/internal/obs"
+)
 
 // TestRegionRetryRestoresWriteBuffers pins the buffered-remote-write
 // rollback on HTM region retries. A conflict abort re-runs the region with
@@ -210,7 +214,7 @@ func TestAbortedAttemptRestoresOwnInserts(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if fb := rt.Stats.Fallbacks.Load(); runs != 2 || (fb == 1) != (into.threshold == 1) {
+				if fb := rt.C.Obs.Total(obs.EvFallback); runs != 2 || (fb == 1) != (into.threshold == 1) {
 					t.Fatalf("body ran %d times with %d fallbacks", runs, fb)
 				}
 				if v, live := liveOrderedVal(rt, int(home.ent), tblOrders, key); !live || v[0] != 2 || v[1] != 0 {

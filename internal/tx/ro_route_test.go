@@ -128,7 +128,7 @@ func TestReadOnlyAdaptiveLeavesNoLease(t *testing.T) {
 	if n := reg.Total(obs.EvTxRetry) - retries0; n != 0 {
 		t.Fatalf("writer retried %d times after the read-only transaction", n)
 	}
-	if n := rt.Stats.HTMAborts.Load(); n != 0 {
+	if n := htmAborts(rt); n != 0 {
 		t.Fatalf("writer's region aborted %d times", n)
 	}
 }

@@ -63,65 +63,6 @@ type TableMeta struct {
 // Partitioner maps a record to its home node.
 type Partitioner func(table int, key uint64) int
 
-// Gauge is a read-only view over one or more events of the cluster's
-// observability registry. It keeps the historical `rt.Stats.X.Load()` call
-// shape while the actual counting happens in per-worker obs shards.
-type Gauge struct {
-	reg *obs.Registry
-	evs []obs.Event
-}
-
-// Load sums the gauge's events across all worker shards.
-func (g Gauge) Load() int64 {
-	if g.reg == nil {
-		return 0
-	}
-	var t int64
-	for _, ev := range g.evs {
-		t += g.reg.Total(ev)
-	}
-	return t
-}
-
-// Stats is a runtime-wide, read-only aggregation of transaction outcomes.
-// It is a legacy-shaped facade over the cluster's obs.Registry; new code
-// should prefer the registry's Snapshot for a full event breakdown.
-type Stats struct {
-	reg *obs.Registry
-
-	Commits        Gauge
-	Retries        Gauge // whole-transaction retries (lock/lease conflicts)
-	HTMAborts      Gauge // HTM region aborts (all causes)
-	CapacityAborts Gauge
-	LeaseFails     Gauge // lease failures (in-region aborts + confirm failures)
-	Fallbacks      Gauge // executions completed on the fallback path
-	ROCommits      Gauge
-	RORetries      Gauge
-}
-
-func newStats(reg *obs.Registry) Stats {
-	g := func(evs ...obs.Event) Gauge { return Gauge{reg: reg, evs: evs} }
-	return Stats{
-		reg:     reg,
-		Commits: g(obs.EvTxCommit),
-		Retries: g(obs.EvTxRetry),
-		HTMAborts: g(obs.EvHTMConflictAbort, obs.EvHTMCapacityAbort,
-			obs.EvHTMLockedAbort, obs.EvHTMLeaseAbort, obs.EvHTMExplicitAbort),
-		CapacityAborts: g(obs.EvHTMCapacityAbort),
-		LeaseFails:     g(obs.EvHTMLeaseAbort, obs.EvLeaseConfirmFail),
-		Fallbacks:      g(obs.EvFallback),
-		ROCommits:      g(obs.EvROCommit),
-		RORetries:      g(obs.EvRORetry),
-	}
-}
-
-// Reset zeroes all counters (the whole underlying registry).
-func (s *Stats) Reset() {
-	if s.reg != nil {
-		s.reg.Reset()
-	}
-}
-
 // Runtime wires the transaction layer onto a cluster.
 type Runtime struct {
 	C    *cluster.Cluster
@@ -164,8 +105,6 @@ type Runtime struct {
 	// indexes maps an ordered base table to its declared secondary indexes.
 	// Written only during setup (DefineIndex); read lock-free afterwards.
 	indexes map[int][]IndexSpec
-
-	Stats Stats
 
 	// pending parks release-side steps (unlocks, commit write-backs,
 	// deferred store ops) whose target node crashed mid-transaction; see
@@ -281,7 +220,6 @@ func NewRuntime(c *cluster.Cluster, part Partitioner) *Runtime {
 		FallbackThreshold: 8,
 		MaxAttempts:       10_000,
 		CacheBudgetBytes:  1 << 22,
-		Stats:             newStats(c.Obs),
 		redoShards:        make([]redoShard, c.Nodes()),
 	}
 	for p := range rt.redoShards {
@@ -361,21 +299,18 @@ func (rt *Runtime) Meta(table int) TableMeta {
 	return m
 }
 
-// CacheStats aggregates location-cache hits/misses/invalidations across
-// every node's caches, hash and ordered regions alike.
-func (rt *Runtime) CacheStats() (hits, misses, invals int64) { return rt.cacheStats(false) }
+// CacheStats totals location-cache hits/misses/invalidations over every
+// worker, hash and ordered regions' frames alike.
+func (rt *Runtime) CacheStats() (hits, misses, invals int64) {
+	oh, om, oi := rt.OrderedCacheStats()
+	reg := rt.C.Obs
+	return reg.Total(obs.EvCacheHit) + oh, reg.Total(obs.EvCacheMiss) + om, reg.Total(obs.EvCacheInval) + oi
+}
 
 // OrderedCacheStats is CacheStats over the ordered regions' frames alone.
-func (rt *Runtime) OrderedCacheStats() (hits, misses, invals int64) { return rt.cacheStats(true) }
-
-func (rt *Runtime) cacheStats(orderedOnly bool) (hits, misses, invals int64) {
-	for _, cs := range rt.caches {
-		h, m, i := cs.stats(orderedOnly)
-		hits += h
-		misses += m
-		invals += i
-	}
-	return
+func (rt *Runtime) OrderedCacheStats() (hits, misses, invals int64) {
+	reg := rt.C.Obs
+	return reg.Total(obs.EvOrderedCacheHit), reg.Total(obs.EvOrderedCacheMiss), reg.Total(obs.EvOrderedCacheInval)
 }
 
 // Tables returns all registered table IDs.

@@ -22,8 +22,8 @@ import (
 type readerVerbs struct{ msgs, cas, reads int64 }
 
 func verbsOf(e *Executor) readerVerbs {
-	qs := &e.w.QP.Stats
-	return readerVerbs{qs.Msgs.Load(), qs.CASes.Load(), qs.Reads.Load()}
+	sh := e.w.Obs
+	return readerVerbs{sh.Count(obs.EvVerbsMsg), sh.Count(obs.EvRDMACAS), sh.Count(obs.EvRDMARead)}
 }
 
 func (a readerVerbs) since(b readerVerbs) readerVerbs {
@@ -194,7 +194,7 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	}
 	cache := e.cacheFor(1, tblOrders)
 	asked := func() int64 {
-		h, m, _ := cache.Stats()
+		h, m, _ := rt.OrderedCacheStats()
 		return h + m
 	}
 
@@ -241,7 +241,7 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 				want, images, temp = tc.warm, tc.images-tc.asks, "warm"
 			}
 			for _, k := range keys {
-				cache.DropLoc(k)
+				cache.DropLoc(nil, k)
 				if warm {
 					ro(PolicySpeculative, k)
 				}
@@ -546,8 +546,8 @@ func TestShippedLookupFaultAtEveryVerb(t *testing.T) {
 			switch {
 			case err != nil:
 				t.Errorf("%v, fault at verb %d: %v", p, k, err)
-			case rt.C.Fabric.Totals.Faults.Load() != 1:
-				t.Errorf("%v, fault at verb %d: %d faults drawn, want the scripted one", p, k, rt.C.Fabric.Totals.Faults.Load())
+			case rt.C.Obs.Total(obs.EvVerbFault) != 1:
+				t.Errorf("%v, fault at verb %d: %d faults drawn, want the scripted one", p, k, rt.C.Obs.Total(obs.EvVerbFault))
 			case k == 1 && e.w.Obs.Count(obs.EvLockRetry)-retries != 1:
 				t.Errorf("%v: the lost message was sent again %d times, want once", p, e.w.Obs.Count(obs.EvLockRetry)-retries)
 			case got != 100 || v[0] != 101:

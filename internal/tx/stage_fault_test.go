@@ -171,12 +171,12 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	}
 	o := rt.C.Node(1).Ordered(tblOrders)
 	rt.C.Fabric.SetNodeDown(1, true)
-	msgs := e.w.QP.Stats.Msgs.Load()
+	msgs := e.w.Obs.Count(obs.EvVerbsMsg)
 	e.removeDead(ops)
 	if got := rt.PendingOps(1); got != 3 {
 		t.Fatalf("%d removals parked for the dead host, want 3 (one per entry)", got)
 	}
-	if e.w.QP.Stats.Msgs.Load() != msgs {
+	if e.w.Obs.Count(obs.EvVerbsMsg) != msgs {
 		t.Fatal("a message reached the dead host")
 	}
 	for s := uint64(1); s <= 3; s++ {
@@ -226,8 +226,8 @@ func TestStartPhaseFaultAtEveryVerb(t *testing.T) {
 			switch {
 			case err != nil:
 				t.Errorf("%v, fault at verb %d: %v", p, k, err)
-			case rt.C.Fabric.Totals.Faults.Load() != 1:
-				t.Errorf("%v, fault at verb %d: %d faults drawn, want the scripted one", p, k, rt.C.Fabric.Totals.Faults.Load())
+			case rt.C.Obs.Total(obs.EvVerbFault) != 1:
+				t.Errorf("%v, fault at verb %d: %d faults drawn, want the scripted one", p, k, rt.C.Obs.Total(obs.EvVerbFault))
 			case v[0] != 1001 || host.Arena().LoadWord(kvs.StateOffset(off)) != clock.Init:
 				t.Errorf("%v, fault at verb %d: key 3 = %v, state %#x", p, k, v, host.Arena().LoadWord(kvs.StateOffset(off)))
 			}

@@ -9,6 +9,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
+	"drtm/internal/obs"
 )
 
 const tblAccounts = 1
@@ -38,6 +39,15 @@ func newRig(t testing.TB, nodes, workers, keys int, mut func(*cluster.Config)) (
 	return rt, c.Stop
 }
 
+// htmAborts totals the HTM region aborts rt's transactions booked, every cause.
+func htmAborts(rt *Runtime) (n int64) {
+	for _, ev := range []obs.Event{obs.EvHTMConflictAbort, obs.EvHTMCapacityAbort,
+		obs.EvHTMLockedAbort, obs.EvHTMLeaseAbort, obs.EvHTMExplicitAbort} {
+		n += rt.C.Obs.Total(ev)
+	}
+	return n
+}
+
 func TestLocalTransaction(t *testing.T) {
 	rt, stop := newRig(t, 1, 1, 4, nil)
 	defer stop()
@@ -64,7 +74,7 @@ func TestLocalTransaction(t *testing.T) {
 	if !ok || v[0] != 1001 || v[1] != 7 {
 		t.Fatalf("after txn = %v,%v", v, ok)
 	}
-	if rt.Stats.Commits.Load() != 1 {
+	if rt.C.Obs.Total(obs.EvTxCommit) != 1 {
 		t.Fatal("commit not counted")
 	}
 }
@@ -134,7 +144,7 @@ func TestRemoteWriteConflictRetries(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("local writer never recovered: %v", err)
 	}
-	if rt.Stats.Retries.Load() == 0 && rt.Stats.HTMAborts.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvTxRetry) == 0 && htmAborts(rt) == 0 {
 		t.Fatal("no conflict was ever observed")
 	}
 }
@@ -151,7 +161,7 @@ func TestConflictMatrix(t *testing.T) {
 	// Row "R RD after L RD": the remote read's lease CAS writes the state
 	// word, falsely conflicting with the local reader (Figure 2(b)).
 	t.Run("LRD_then_RRD_falseConflict", func(t *testing.T) {
-		before := e0.w.Node.Engine.Stats.Aborts.Load()
+		before := htmAborts(rt)
 		first := true
 		err := e0.Exec(func(tx *Tx) error {
 			if err := tx.R(tblAccounts, key); err != nil {
@@ -175,7 +185,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e0.w.Node.Engine.Stats.Aborts.Load() == before {
+		if htmAborts(rt) == before {
 			t.Fatal("remote read did not abort the local reader (Table 2 false conflict)")
 		}
 	})
@@ -186,7 +196,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err := t1.stageRemote(tblAccounts, key, 0, tblAccounts, 0, false); err != nil {
 			t.Fatal(err)
 		}
-		before := rt.Stats.HTMAborts.Load()
+		before := htmAborts(rt)
 		err := e0.Exec(func(tx *Tx) error {
 			if err := tx.R(tblAccounts, key); err != nil {
 				return err
@@ -200,7 +210,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats.HTMAborts.Load() != before {
+		if htmAborts(rt) != before {
 			t.Fatal("local read aborted despite read-read sharing")
 		}
 	})
@@ -211,7 +221,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err := t1.stageRemote(tblAccounts, key, 0, tblAccounts, 0, false); err != nil {
 			t.Fatal(err)
 		}
-		before := rt.Stats.HTMAborts.Load()
+		before := htmAborts(rt)
 		done := make(chan error, 1)
 		go func() {
 			done <- e0.Exec(func(tx *Tx) error {
@@ -233,7 +243,7 @@ func TestConflictMatrix(t *testing.T) {
 		case <-time.After(400 * time.Millisecond):
 			<-done // lease (5ms) expires well before this
 		}
-		if rt.Stats.HTMAborts.Load() == before {
+		if htmAborts(rt) == before {
 			t.Fatal("local write ignored an unexpired lease")
 		}
 	})
@@ -244,7 +254,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err := t1.stageRemote(tblAccounts, key, 0, tblAccounts, 0, true); err != nil {
 			t.Fatal(err)
 		}
-		before := rt.Stats.HTMAborts.Load()
+		before := htmAborts(rt)
 		done := make(chan error, 1)
 		go func() {
 			done <- e0.Exec(func(tx *Tx) error {
@@ -262,14 +272,14 @@ func TestConflictMatrix(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		if rt.Stats.HTMAborts.Load() == before {
+		if htmAborts(rt) == before {
 			t.Fatal("local read did not conflict with a remote write lock")
 		}
 	})
 
 	// Row "R WR after L WR": the local transaction loses (Figure 2(c)).
 	t.Run("LWR_then_RWR_localAborts", func(t *testing.T) {
-		before := e0.w.Node.Engine.Stats.Aborts.Load()
+		before := htmAborts(rt)
 		first := true
 		err := e0.Exec(func(tx *Tx) error {
 			if err := tx.W(tblAccounts, key); err != nil {
@@ -292,7 +302,7 @@ func TestConflictMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e0.w.Node.Engine.Stats.Aborts.Load() == before {
+		if htmAborts(rt) == before {
 			t.Fatal("remote write lock did not abort the conflicting local writer")
 		}
 	})
@@ -402,7 +412,7 @@ func TestReadOnlySnapshot(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("snapshot total = %d", total)
 	}
-	if rt.Stats.ROCommits.Load() != 1 {
+	if rt.C.Obs.Total(obs.EvROCommit) != 1 {
 		t.Fatal("RO commit not counted")
 	}
 }
@@ -473,7 +483,7 @@ func TestFallbackCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Fallbacks.Load() == 0 {
+	if rt.C.Obs.Total(obs.EvFallback) == 0 {
 		t.Fatal("capacity abort did not trigger the fallback path")
 	}
 	for k := uint64(2); k <= 20; k += 2 {
