@@ -73,11 +73,14 @@ stress:
 # local read-modify-write of ten adjacent ordered rows allocate nothing, and
 # neither does a SmallBank deposit or cross-node payment, nor a replicated
 # two-row commit through its backups' sinks, nor a drain of a 64-record redo
-# ring, nor the retiring of a chain slot of any width; a TPC-C new-order
-# allocates only what its B+ trees grow by, a delivery and a stock-level
-# nothing per row (all excluded under -race).
+# ring, nor the retiring of a chain slot of any width; a B+ tree node is one
+# object, so an insert into a leaf with room allocates nothing and a leaf split
+# exactly the new leaf; a TPC-C new-order allocates only the leaves its inserts
+# split, and a payment, order-status, stock-level and delivery nothing (all
+# excluded under -race).
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
+	go test -count=1 -run TestNodeAllocations ./internal/btree/
 	go test -count=1 -run 'TestLogScanBufferGrowthAndReuse' ./internal/nvram/
 	go test -count=1 -run 'TestRetireLocalRowWidths' ./internal/kvs/
 	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/

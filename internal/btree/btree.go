@@ -38,6 +38,38 @@ type node struct {
 	leaf bool
 }
 
+// leafNode and innerNode are a node and the arrays its slices use, in one
+// allocation: the arrays hold a full node, so a node never grows, an insert
+// into a node with room allocates nothing, and a split allocates only the new
+// right half.
+type leafNode struct {
+	node
+	keyBuf [degree]uint64
+	valBuf [degree]uint64
+}
+
+type innerNode struct {
+	node
+	keyBuf   [degree]uint64
+	childBuf [degree + 1]*node
+}
+
+// newLeaf returns a leaf with low fence low, linked before next, holding a
+// copy of keys and vals.
+func newLeaf(low uint64, next *node, keys, vals []uint64) *node {
+	b := new(leafNode)
+	b.node = node{keys: append(b.keyBuf[:0], keys...), vals: append(b.valBuf[:0], vals...),
+		next: next, low: low, leaf: true}
+	return &b.node
+}
+
+// newInner returns an internal node holding a copy of keys and children.
+func newInner(keys []uint64, children []*node) *node {
+	b := new(innerNode)
+	b.node = node{keys: append(b.keyBuf[:0], keys...), children: append(b.childBuf[:0], children...)}
+	return &b.node
+}
+
 // Tree is a concurrent B+ tree. The zero value is not usable; call New.
 type Tree struct {
 	mu   sync.RWMutex
@@ -47,7 +79,7 @@ type Tree struct {
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
+	return &Tree{root: newLeaf(0, nil, nil, nil)}
 }
 
 // Len returns the number of keys.
@@ -89,7 +121,10 @@ type Finger struct {
 	tree   *Tree
 	leaves [FingerLeaves]*node
 	n      int
+	desc   []kv // DescendAt's collection scratch
 }
+
+type kv struct{ k, v uint64 }
 
 // FingerLeaves is how many leaves a finger remembers: room for the append
 // points and queue heads a worker interleaves on one table (TPC-C: ten
@@ -268,8 +303,7 @@ func (t *Tree) insertLocked(f *Finger, key, val uint64, overwrite bool) (added b
 	}
 	if via != Hit {
 		if len(t.root.keys) == maxKeys() {
-			old := t.root
-			t.root = &node{children: []*node{old}}
+			t.root = newInner(nil, []*node{t.root})
 			t.splitChild(t.root, 0)
 		}
 		n = t.descendSplitting(key)
@@ -301,24 +335,15 @@ func (t *Tree) splitChild(parent *node, i int) {
 	var sep uint64
 	if child.leaf {
 		sep = child.keys[mid]
-		right = &node{
-			leaf: true,
-			keys: append([]uint64(nil), child.keys[mid:]...),
-			vals: append([]uint64(nil), child.vals[mid:]...),
-			next: child.next,
-			low:  sep,
-		}
-		child.keys = child.keys[:mid:mid]
-		child.vals = child.vals[:mid:mid]
+		right = newLeaf(sep, child.next, child.keys[mid:], child.vals[mid:])
+		child.keys = child.keys[:mid]
+		child.vals = child.vals[:mid]
 		child.next = right
 	} else {
-		right = &node{
-			keys:     append([]uint64(nil), child.keys[mid+1:]...),
-			children: append([]*node(nil), child.children[mid+1:]...),
-		}
+		right = newInner(child.keys[mid+1:], child.children[mid+1:])
 		sep = child.keys[mid]
-		child.keys = child.keys[:mid:mid]
-		child.children = child.children[: mid+1 : mid+1]
+		child.keys = child.keys[:mid]
+		child.children = child.children[:mid+1]
 	}
 	parent.keys = append(parent.keys, 0)
 	copy(parent.keys[i+1:], parent.keys[i:])
@@ -404,10 +429,13 @@ func (t *Tree) Descend(lo, hi uint64, fn func(key, val uint64) bool) {
 // DescendAt is Descend starting from a finger, as AscendAt is Ascend.
 // Descending order is served by collecting the range first (leaves link
 // forward only), which is fine for the short "latest N" scans OLTP uses it
-// for.
+// for. The collection reuses the finger's scratch; only a nil finger
+// allocates it.
 func (t *Tree) DescendAt(f *Finger, lo, hi uint64, fn func(key, val uint64) bool) Path {
-	type kv struct{ k, v uint64 }
 	var acc []kv
+	if f != nil {
+		acc, f.desc = f.desc[:0], nil // fn may scan through f again
+	}
 	via := t.AscendAt(f, lo, hi, func(k, v uint64) bool {
 		acc = append(acc, kv{k, v})
 		return true
@@ -416,6 +444,9 @@ func (t *Tree) DescendAt(f *Finger, lo, hi uint64, fn func(key, val uint64) bool
 		if !fn(acc[i].k, acc[i].v) {
 			break
 		}
+	}
+	if f != nil {
+		f.desc = acc
 	}
 	return via
 }

@@ -19,7 +19,7 @@ func Run(e *tx.Executor, parentID uint64, pieces []PieceFunc) error {
 	for i, piece := range pieces {
 		i, piece := i, piece
 		err := e.Exec(func(t *tx.Tx) error {
-			t.SetChoppingInfo([]uint64{parentID, uint64(i)})
+			t.SetChoppingInfo(parentID, uint64(i))
 			return piece(e, t)
 		})
 		if err == nil {

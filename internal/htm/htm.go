@@ -93,12 +93,16 @@ func (e *AbortError) Error() string {
 // IsAbort reports whether err is an HTM abort and returns it if so.
 func IsAbort(err error) (*AbortError, bool) {
 	// Run returns its aborts bare; only a caller's wrapping needs the walk.
-	if ae, ok := err.(*AbortError); ok {
-		return ae, true
-	}
-	var ae *AbortError
-	if errors.As(err, &ae) {
-		return ae, true
+	// errors.As's target escapes, so an error that wraps nothing — a body's
+	// own sentinel — skips it and allocates nothing.
+	switch err := err.(type) {
+	case *AbortError:
+		return err, true
+	case interface{ Unwrap() error }, interface{ Unwrap() []error }:
+		var ae *AbortError
+		if errors.As(err, &ae) {
+			return ae, true
+		}
 	}
 	return nil, false
 }

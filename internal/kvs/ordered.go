@@ -392,15 +392,13 @@ func (o *Ordered) EntryWords() int { return o.entryWords }
 // SegShift returns the configured segment shift.
 func (o *Ordered) SegShift() uint { return o.cfg.SegShift }
 
-// ReadTx copies key's value transactionally.
-func (o *Ordered) ReadTx(tx *htm.Txn, key uint64) ([]uint64, bool) {
+// ReadTx copies key's value transactionally into val, ValueWords long.
+func (o *Ordered) ReadTx(tx *htm.Txn, key uint64, val []uint64) bool {
 	off, ok := o.Lookup(key)
-	if !ok {
-		return nil, false
+	if ok {
+		tx.ReadN(o.arena, off+EntryValueWord, val)
 	}
-	val := make([]uint64, o.cfg.ValueWords)
-	tx.ReadN(o.arena, off+EntryValueWord, val)
-	return val, true
+	return ok
 }
 
 // WriteTx transactionally overwrites key's value, bumping its version.
@@ -449,21 +447,28 @@ func (o *Ordered) Min() (uint64, memory.Offset, bool) {
 	return k, memory.Offset(v), ok
 }
 
-// Get runs a read in its own HTM transaction (convenience API).
+// Get runs a read in its own HTM transaction (convenience API): GetInto a
+// fresh slice.
 func (o *Ordered) Get(key uint64) ([]uint64, bool) {
-	var val []uint64
+	return o.GetInto(key, make([]uint64, o.cfg.ValueWords))
+}
+
+// GetInto is Get copying into the caller's buffer: it returns
+// dst[:ValueWords] holding key's value, or nil when key is absent.
+func (o *Ordered) GetInto(key uint64, dst []uint64) ([]uint64, bool) {
+	val := dst[:o.cfg.ValueWords]
 	var ok bool
 	const attempts = 10_000
 	for i := 0; i < attempts; i++ {
 		err := o.eng.Run(func(tx *htm.Txn) error {
-			val, ok = o.ReadTx(tx, key)
+			ok = o.ReadTx(tx, key, val)
 			return nil
 		})
-		if err == nil {
-			return val, ok
+		if err == nil && ok {
+			return val, true
 		}
 		if _, isAbort := htm.IsAbort(err); !isAbort {
-			return nil, false
+			break // absent, or a failure no retry cures
 		}
 	}
 	return nil, false

@@ -93,8 +93,8 @@ func TestOrderedTransactionalReadWrite(t *testing.T) {
 		if !o.WriteTx(tx, 7, val(5, 5)) {
 			t.Error("WriteTx failed")
 		}
-		v, ok := o.ReadTx(tx, 7)
-		if !ok || v[0] != 5 {
+		v := make([]uint64, o.ValueWords())
+		if ok := o.ReadTx(tx, 7, v); !ok || v[0] != 5 {
 			t.Errorf("ReadTx inside txn = %v,%v", v, ok)
 		}
 		return nil

@@ -282,19 +282,20 @@ func (t *Table) Insert(key uint64, val []uint64) error {
 			[]uint64{t.StampNow(), newIncVer})
 	}
 
-	// Indirect buckets allocated during an attempt that aborts are returned
-	// to the pool before the retry (transactional writes to them were
-	// discarded, so they are still pristine).
-	var pending []memory.Offset
+	// An indirect bucket allocated during an attempt that aborts is returned
+	// to the pool before the retry (transactional writes to it were
+	// discarded, so it is still pristine).
+	var pending memory.Offset
 	err := t.runLocal(func(tx *htm.Txn) error {
-		for _, b := range pending {
-			t.freeBucket(b)
+		if pending != 0 {
+			t.freeBucket(pending)
+			pending = 0
 		}
-		pending = pending[:0]
 		if _, exists := t.LookupTx(tx, key); exists {
 			return ErrExists
 		}
-		slotOff, err := t.findInsertSlot(tx, key, &pending)
+		slotOff, nb, err := t.findInsertSlot(tx, key)
+		pending = nb
 		if err != nil {
 			return err
 		}
@@ -304,8 +305,8 @@ func (t *Table) Insert(key uint64, val []uint64) error {
 		return nil
 	})
 	if err != nil {
-		for _, b := range pending {
-			t.freeBucket(b)
+		if pending != 0 {
+			t.freeBucket(pending)
 		}
 		t.freeEntry(entry)
 		return err
@@ -318,9 +319,9 @@ func (t *Table) Insert(key uint64, val []uint64) error {
 
 // findInsertSlot locates a free slot in key's bucket chain, converting the
 // last slot of a full bucket into an indirect-header link when necessary
-// (Section 5.2). Must run inside the caller's HTM transaction; any indirect
-// buckets it allocates are appended to *pending for abort cleanup.
-func (t *Table) findInsertSlot(tx *htm.Txn, key uint64, pending *[]memory.Offset) (memory.Offset, error) {
+// (Section 5.2). Must run inside the caller's HTM transaction; the indirect
+// bucket it allocates, if it does, is returned as nb for abort cleanup.
+func (t *Table) findInsertSlot(tx *htm.Txn, key uint64) (slot, nb memory.Offset, err error) {
 	off := t.MainBucketOffset(t.bucketOf(key))
 	for {
 		var next memory.Offset
@@ -339,7 +340,7 @@ func (t *Table) findInsertSlot(tx *htm.Txn, key uint64, pending *[]memory.Offset
 			}
 		}
 		if haveFree {
-			return free, nil
+			return free, 0, nil
 		}
 		if next != 0 {
 			off = next
@@ -348,9 +349,8 @@ func (t *Table) findInsertSlot(tx *htm.Txn, key uint64, pending *[]memory.Offset
 		// Chain exhausted: convert the last slot into an indirect header.
 		nb, ok := t.allocBucket()
 		if !ok {
-			return 0, ErrNoSlot
+			return 0, 0, ErrNoSlot
 		}
-		*pending = append(*pending, nb)
 		last := off + memory.Offset((SlotsPerBucket-1)*SlotWords)
 		w0 := tx.Read(t.arena, last)
 		w1 := tx.Read(t.arena, last+1)
@@ -364,7 +364,7 @@ func (t *Table) findInsertSlot(tx *htm.Txn, key uint64, pending *[]memory.Offset
 		}
 		tx.Write(t.arena, last, PackSlot(TypeHeader, 0, nb))
 		tx.Write(t.arena, last+1, 0)
-		return nb + SlotWords, nil
+		return nb + SlotWords, nb, nil
 	}
 }
 
@@ -415,15 +415,13 @@ func (t *Table) Delete(key uint64) bool {
 	return true
 }
 
-// ReadTx copies key's value transactionally into a fresh slice.
-func (t *Table) ReadTx(tx *htm.Txn, key uint64) ([]uint64, bool) {
+// ReadTx copies key's value transactionally into val, ValueWords long.
+func (t *Table) ReadTx(tx *htm.Txn, key uint64, val []uint64) bool {
 	off, ok := t.LookupTx(tx, key)
-	if !ok {
-		return nil, false
+	if ok {
+		tx.ReadN(t.arena, off+EntryValueWord, val)
 	}
-	val := make([]uint64, t.cfg.ValueWords)
-	tx.ReadN(t.arena, off+EntryValueWord, val)
-	return val, true
+	return ok
 }
 
 // WriteTx transactionally overwrites key's value and bumps its version.
@@ -443,18 +441,25 @@ func (t *Table) WriteTx(tx *htm.Txn, key uint64, val []uint64) bool {
 	return true
 }
 
-// Get runs a read in its own HTM transaction (convenience API).
+// Get runs a read in its own HTM transaction (convenience API): GetInto a
+// fresh slice.
 func (t *Table) Get(key uint64) ([]uint64, bool) {
-	var val []uint64
+	return t.GetInto(key, make([]uint64, t.cfg.ValueWords))
+}
+
+// GetInto is Get copying into the caller's buffer: it returns
+// dst[:ValueWords] holding key's value, or nil when key is absent.
+func (t *Table) GetInto(key uint64, dst []uint64) ([]uint64, bool) {
+	val := dst[:t.cfg.ValueWords]
 	var ok bool
 	err := t.runLocal(func(tx *htm.Txn) error {
-		val, ok = t.ReadTx(tx, key)
+		ok = t.ReadTx(tx, key, val)
 		return nil
 	})
-	if err != nil {
+	if err != nil || !ok {
 		return nil, false
 	}
-	return val, ok
+	return val, true
 }
 
 // Put runs an update in its own HTM transaction (convenience API).

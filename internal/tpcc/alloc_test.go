@@ -2,20 +2,20 @@
 
 package tpcc
 
-import "testing"
+import (
+	"testing"
 
-// TestAllocSteadyState pins what the three index-heavy TPC-C transactions
-// allocate once the executor's pools are warm. A new-order — eight stock rows
-// read and written, eleven deferred inserts into four ordered tables — builds
-// every row in the client's scratch and applies its inserts without boxing
-// them: what is left is the B+ trees growing, a leaf split or a longer key
-// array every few keys (3 objects measured). A delivery allocates its piece
-// closures, their slice and the reconnaissance reads of each district, nothing
-// per row it rewrites (19 measured over three districts, one of them with an
-// order to deliver). A stock-level allocates the scan's result and its set of
-// items as they grow, nothing per record it reads (12 measured, for some
-// hundred and fifty records). The budgets leave a margin for slice and map
-// growth. Excluded under -race: the detector adds shadow allocations.
+	"drtm/internal/tx"
+)
+
+// TestAllocSteadyState pins what the five TPC-C transactions allocate once
+// the executor's pools and the client's scratch are warm: nothing but the B+
+// tree leaves a new-order's inserts split. A payment, an order-status, a
+// stock-level and a delivery — whose deferred ops only delete, so no index
+// splits — allocate nothing. A new-order's four ordered inserts go to the
+// ascending ends of their indexes, where a leaf splits once every
+// degree/2 keys: a fraction of an object per transaction. Excluded under
+// -race: the detector adds shadow allocations.
 func TestAllocSteadyState(t *testing.T) {
 	w, rt, stop := newTPCC(t, 1, 1, 1)
 	defer stop()
@@ -25,16 +25,30 @@ func TestAllocSteadyState(t *testing.T) {
 		lines[i] = OrderLineInput{ItemID: 1 + 7*i, SupplyW: 1, Quantity: 1}
 	}
 	d := 0
-	newOrder := func() {
+	newOrder := func() { // round robin over the districts
 		d = d%w.cfg.Districts + 1
 		if _, err := cl.NewOrder(1, d, 1+d, lines); err != nil {
 			t.Fatal(err)
 		}
 	}
+	delivered := 0
 	delivery := func() {
-		newOrder() // one order to deliver, whichever district's turn it is
-		if n, err := cl.Delivery(1, 1, 1); err != nil || n == 0 {
-			t.Fatalf("delivery: %d orders, %v", n, err)
+		n, err := cl.Delivery(1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered = n
+	}
+	var hSeq uint64
+	payment := func() {
+		hSeq++
+		if err := cl.Payment(1, 2, 1, 2, 3, 100, hSeq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orderStatus := func() {
+		if _, err := cl.OrderStatus(1, 1, 2); err != nil {
+			t.Fatal(err)
 		}
 	}
 	stockLevel := func() {
@@ -43,16 +57,36 @@ func TestAllocSteadyState(t *testing.T) {
 		}
 	}
 	for i := 0; i < 16; i++ { // warm the pools, and deliver the initial orders
+		newOrder()
 		delivery()
+		payment()
+		orderStatus()
 		stockLevel()
 	}
-	if n := testing.AllocsPerRun(30, newOrder); n > 5 {
-		t.Errorf("new-order allocates %.0f objects, budget 5", n)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{{"payment", payment}, {"order-status", orderStatus}, {"stock-level", stockLevel}} {
+		if n := testing.AllocsPerRun(30, c.fn); n != 0 {
+			t.Errorf("%s allocates %.0f objects, want 0", c.name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(10, delivery); n > 28 {
-		t.Errorf("new-order + delivery allocate %.0f objects, budget 28", n)
+	if n := testing.AllocsPerRun(30, func() {
+		if err := cl.RunNewOrder(false); err != nil && err != tx.ErrUserAbort {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("new-order allocates %.0f objects, budget 1 (leaf splits)", n)
 	}
-	if n := testing.AllocsPerRun(10, stockLevel); n > 20 {
-		t.Errorf("stock-level allocates %.0f objects, budget 20", n)
+	for i := 0; i < 3*w.cfg.Districts; i++ {
+		newOrder() // every district has three orders to deliver
+	}
+	if n := testing.AllocsPerRun(2, func() {
+		delivery()
+		if delivered != w.cfg.Districts {
+			t.Fatalf("delivery delivered %d orders, want one per district", delivered)
+		}
+	}); n != 0 {
+		t.Errorf("delivery allocates %.0f objects, want 0", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"drtm/internal/chopping"
 	"drtm/internal/tx"
 )
 
@@ -57,14 +58,37 @@ type Client struct {
 	// (edit, blank): Local.Write and Local.Insert copy, so one row as wide as
 	// the widest table's does for a whole transaction.
 	row [maxValueWords]uint64
+
+	// lines is the order RunNewOrder draws; items, the distinct item IDs a
+	// stock-level reads the stock of.
+	lines [maxOrderLines]OrderLineInput
+	items []uint64
+
+	// dlyPieces are Delivery's pieces, one per district, built once: they read
+	// the running call's warehouse and carrier from dlyW / dlyCarrier, count
+	// the orders they deliver in dlyDone, and read their reconnaissance rows
+	// into recon.
+	dlyPieces        []chopping.PieceFunc
+	dlyW, dlyCarrier int
+	dlyDone          int
+	recon            [maxValueWords]uint64
 }
+
+// maxOrderLines is the most lines a new-order carries.
+const maxOrderLines = 15
 
 // NewClient binds a client to an executor and a home warehouse.
 func (w *Workload) NewClient(e *tx.Executor, home int, seed int64) *Client {
 	if w.cfg.NodeOfWarehouse(home) != e.Worker().Node.ID {
 		panic(fmt.Sprintf("tpcc: warehouse %d is not on node %d", home, e.Worker().Node.ID))
 	}
-	return &Client{w: w, e: e, rng: rand.New(rand.NewSource(seed)), home: home}
+	c := &Client{w: w, e: e, rng: rand.New(rand.NewSource(seed)), home: home}
+	c.dlyPieces = make([]chopping.PieceFunc, w.cfg.Districts)
+	for i := range c.dlyPieces {
+		d := i + 1
+		c.dlyPieces[i] = func(e *tx.Executor, t *tx.Tx) error { return c.deliverDistrict(e, t, d) }
+	}
+	return c
 }
 
 // nuRand is the TPC-C non-uniform random distribution.
@@ -139,14 +163,12 @@ func (c *Client) RunOne() (TxnType, error) {
 func (c *Client) RunNewOrder(forceInvalid bool) error {
 	cfg := c.w.cfg
 	olCnt := c.rng.Intn(11) + 5
-	lines := make([]OrderLineInput, olCnt)
-	seen := map[int]bool{}
+	lines := c.lines[:olCnt]
 	for i := range lines {
 		item := c.pickItem()
-		for seen[item] {
+		for hasItem(lines[:i], item) {
 			item = c.pickItem()
 		}
-		seen[item] = true
 		supply := c.home
 		if cfg.Warehouses() > 1 && c.rng.Intn(100) < cfg.CrossNewOrderPct {
 			supply = c.otherWarehouse()
@@ -159,6 +181,16 @@ func (c *Client) RunNewOrder(forceInvalid bool) error {
 	}
 	_, err := c.NewOrder(c.home, c.pickDistrict(), c.pickCustomer(), lines)
 	return err
+}
+
+// hasItem reports whether one of lines orders item.
+func hasItem(lines []OrderLineInput, item int) bool {
+	for _, l := range lines {
+		if l.ItemID == item {
+			return true
+		}
+	}
+	return false
 }
 
 // RunPayment issues one PAY transaction with spec-shaped inputs: 15%

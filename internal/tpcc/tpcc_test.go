@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -239,6 +240,83 @@ func TestStockLevel(t *testing.T) {
 	}
 	if none != 0 {
 		t.Fatalf("threshold 0 counted %d items", none)
+	}
+}
+
+// lowStockRecount is StockLevel the slow way: every line of the district's
+// last 20 orders read by key, the distinct items collected in a map, and each
+// one's stock read outside any transaction.
+func lowStockRecount(t *testing.T, w *Workload, wID, d int, threshold uint64) int {
+	t.Helper()
+	node := w.rt.C.Node(w.cfg.NodeOfWarehouse(wID))
+	dv, _ := node.Unordered(TableDistrict).Get(DKey(wID, d))
+	next := int(dv[DNextOID])
+	items := map[int]bool{}
+	for o := max(next-20, 1); o < next; o++ {
+		ov, ok := node.Ordered(TableOrder).Get(OKey(wID, d, o))
+		if !ok {
+			t.Fatalf("order %d missing", o)
+		}
+		for ol := 1; ol <= int(ov[OOlCnt]); ol++ {
+			olv, ok := node.Ordered(TableOrderLine).Get(OLKey(wID, d, o, ol))
+			if !ok {
+				t.Fatalf("order line %d/%d missing", o, ol)
+			}
+			items[int(olv[OLIID])] = true
+		}
+	}
+	low := 0
+	for iID := range items {
+		if sv, _ := node.Unordered(TableStock).Get(SKey(wID, iID)); sv[SQuantity] < threshold {
+			low++
+		}
+	}
+	return low
+}
+
+// TestStockLevelDeterministic runs the same seeded mix on two clients of two
+// identical databases: after every transaction StockLevel's count equals the
+// brute-force recount, and the two clients have read the same stock rows in
+// the same, ascending item order.
+func TestStockLevelDeterministic(t *testing.T) {
+	wa, rta, stopA := newTPCC(t, 1, 1, 1)
+	defer stopA()
+	wb, rtb, stopB := newTPCC(t, 1, 1, 1)
+	defer stopB()
+	a := wa.NewClient(rta.Executor(0, 0), 1, 5)
+	b := wb.NewClient(rtb.Executor(0, 0), 1, 5)
+	levels := 0
+	for i := 0; i < 300; i++ {
+		ta, errA := a.RunOne()
+		tb, errB := b.RunOne()
+		if errA != nil || errB != nil || ta != tb {
+			t.Fatalf("txn %d: %v (%v) vs %v (%v)", i, ta, errA, tb, errB)
+		}
+		if ta != TxnStockLevel {
+			continue
+		}
+		levels++
+		if !slices.Equal(a.items, b.items) {
+			t.Fatalf("txn %d: same seed, different stock reads:\n%v\n%v", i, a.items, b.items)
+		}
+		for j := 1; j < len(a.items); j++ {
+			if a.items[j] <= a.items[j-1] {
+				t.Fatalf("txn %d: stock reads not strictly ascending: %v", i, a.items)
+			}
+		}
+		d := 1 + i%wa.cfg.Districts
+		for _, threshold := range []uint64{10, 15, 20, 200} {
+			low, err := a.StockLevel(1, d, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := lowStockRecount(t, wa, 1, d, threshold); low != want {
+				t.Fatalf("txn %d: district %d below %d: StockLevel %d, recount %d", i, d, threshold, low, want)
+			}
+		}
+	}
+	if levels == 0 {
+		t.Fatal("the mix ran no stock-level")
 	}
 }
 

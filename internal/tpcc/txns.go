@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"errors"
+	"slices"
 
 	"drtm/internal/chopping"
 	"drtm/internal/tx"
@@ -221,108 +222,106 @@ func (c *Client) OrderStatus(wID, d, cu int) (int, error) {
 // lines into the customer balance, and removes the NEW-ORDER entry.
 // Returns the number of orders delivered.
 func (c *Client) Delivery(wID, carrier int, parent uint64) (int, error) {
-	w := c.w
-	delivered := 0
-	var pieces []chopping.PieceFunc
-	for d := 1; d <= w.cfg.Districts; d++ {
-		d := d
-		pieces = append(pieces, func(e *tx.Executor, t *tx.Tx) error {
-			// Reconnaissance (Section 4.1): discover the dependent parts of
-			// the read/write set — the order to deliver and its line count —
-			// then verify them inside the transaction.
-			node := w.rt.C.Node(e.Worker().Node.ID)
-			dv, ok := node.Unordered(TableDistrict).Get(DKey(wID, d))
-			if !ok {
-				return tx.ErrNotFound
-			}
-			oID := int(dv[DNextDeliv])
-			if uint64(oID) >= dv[DNextOID] {
-				return t.Execute(func(lc *tx.Local) error { return nil }) // nothing to deliver
-			}
-			ov, ok := node.Ordered(TableOrder).Get(OKey(wID, d, oID))
-			if !ok {
-				return tx.ErrNotFound
-			}
-			olCnt := int(ov[OOlCnt])
-			cID := int(ov[OCID])
+	c.dlyW, c.dlyCarrier, c.dlyDone = wID, carrier, 0
+	err := chopping.Run(c.e, parent, c.dlyPieces)
+	return c.dlyDone, err
+}
 
-			if err := t.W(TableDistrict, DKey(wID, d)); err != nil {
-				return err
-			}
-			if err := t.W(TableOrder, OKey(wID, d, oID)); err != nil {
-				return err
-			}
-			if err := t.W(TableCustomer, CKey(wID, d, cID)); err != nil {
-				return err
-			}
-			for ol := 1; ol <= olCnt; ol++ {
-				if err := t.W(TableOrderLine, OLKey(wID, d, oID, ol)); err != nil {
-					return err
-				}
-			}
-			did := false
-			err := t.Execute(func(lc *tx.Local) error {
-				did = false
-				cur, err := lc.Read(TableDistrict, DKey(wID, d))
-				if err != nil {
-					return err
-				}
-				if int(cur[DNextDeliv]) != oID {
-					return tx.ErrRetry // another delivery won the race; re-recon
-				}
-				nd := c.edit(cur)
-				nd[DNextDeliv]++
-				if err := lc.Write(TableDistrict, DKey(wID, d), nd); err != nil {
-					return err
-				}
-
-				ovv, err := lc.Read(TableOrder, OKey(wID, d, oID))
-				if err != nil {
-					return err
-				}
-				no := c.edit(ovv)
-				no[OCarrier] = uint64(carrier)
-				if err := lc.Write(TableOrder, OKey(wID, d, oID), no); err != nil {
-					return err
-				}
-
-				var total uint64
-				for ol := 1; ol <= olCnt; ol++ {
-					olv, err := lc.Read(TableOrderLine, OLKey(wID, d, oID, ol))
-					if err != nil {
-						return err
-					}
-					total += olv[OLAmount]
-					nol := c.edit(olv)
-					nol[OLDeliveryD] = 1
-					if err := lc.Write(TableOrderLine, OLKey(wID, d, oID, ol), nol); err != nil {
-						return err
-					}
-				}
-
-				cv, err := lc.Read(TableCustomer, CKey(wID, d, cID))
-				if err != nil {
-					return err
-				}
-				nc := c.edit(cv)
-				nc[CBalance] = i2u(u2i(nc[CBalance]) + int64(total))
-				nc[CDeliveryCnt]++
-				if err := lc.Write(TableCustomer, CKey(wID, d, cID), nc); err != nil {
-					return err
-				}
-
-				lc.Delete(TableNewOrder, OKey(wID, d, oID))
-				did = true
-				return nil
-			})
-			if err == nil && did {
-				delivered++
-			}
-			return err
-		})
+// deliverDistrict is Delivery's piece for district d.
+func (c *Client) deliverDistrict(e *tx.Executor, t *tx.Tx, d int) error {
+	wID, carrier := c.dlyW, c.dlyCarrier
+	// Reconnaissance (Section 4.1): discover the dependent parts of the
+	// read/write set — the order to deliver and its line count — then verify
+	// them inside the transaction.
+	node := c.w.rt.C.Node(e.Worker().Node.ID)
+	dv, ok := node.Unordered(TableDistrict).GetInto(DKey(wID, d), c.recon[:])
+	if !ok {
+		return tx.ErrNotFound
 	}
-	err := chopping.Run(c.e, parent, pieces)
-	return delivered, err
+	oID := int(dv[DNextDeliv])
+	if uint64(oID) >= dv[DNextOID] {
+		return t.Execute(func(lc *tx.Local) error { return nil }) // nothing to deliver
+	}
+	ov, ok := node.Ordered(TableOrder).GetInto(OKey(wID, d, oID), c.recon[:])
+	if !ok {
+		return tx.ErrNotFound
+	}
+	olCnt := int(ov[OOlCnt])
+	cID := int(ov[OCID])
+
+	if err := t.W(TableDistrict, DKey(wID, d)); err != nil {
+		return err
+	}
+	if err := t.W(TableOrder, OKey(wID, d, oID)); err != nil {
+		return err
+	}
+	if err := t.W(TableCustomer, CKey(wID, d, cID)); err != nil {
+		return err
+	}
+	for ol := 1; ol <= olCnt; ol++ {
+		if err := t.W(TableOrderLine, OLKey(wID, d, oID, ol)); err != nil {
+			return err
+		}
+	}
+	did := false
+	err := t.Execute(func(lc *tx.Local) error {
+		did = false
+		cur, err := lc.Read(TableDistrict, DKey(wID, d))
+		if err != nil {
+			return err
+		}
+		if int(cur[DNextDeliv]) != oID {
+			return tx.ErrRetry // another delivery won the race; re-recon
+		}
+		nd := c.edit(cur)
+		nd[DNextDeliv]++
+		if err := lc.Write(TableDistrict, DKey(wID, d), nd); err != nil {
+			return err
+		}
+
+		ovv, err := lc.Read(TableOrder, OKey(wID, d, oID))
+		if err != nil {
+			return err
+		}
+		no := c.edit(ovv)
+		no[OCarrier] = uint64(carrier)
+		if err := lc.Write(TableOrder, OKey(wID, d, oID), no); err != nil {
+			return err
+		}
+
+		var total uint64
+		for ol := 1; ol <= olCnt; ol++ {
+			olv, err := lc.Read(TableOrderLine, OLKey(wID, d, oID, ol))
+			if err != nil {
+				return err
+			}
+			total += olv[OLAmount]
+			nol := c.edit(olv)
+			nol[OLDeliveryD] = 1
+			if err := lc.Write(TableOrderLine, OLKey(wID, d, oID, ol), nol); err != nil {
+				return err
+			}
+		}
+
+		cv, err := lc.Read(TableCustomer, CKey(wID, d, cID))
+		if err != nil {
+			return err
+		}
+		nc := c.edit(cv)
+		nc[CBalance] = i2u(u2i(nc[CBalance]) + int64(total))
+		nc[CDeliveryCnt]++
+		if err := lc.Write(TableCustomer, CKey(wID, d, cID), nc); err != nil {
+			return err
+		}
+
+		lc.Delete(TableNewOrder, OKey(wID, d, oID))
+		did = true
+		return nil
+	})
+	if err == nil && did {
+		c.dlyDone++
+	}
+	return err
 }
 
 // StockLevel executes SL (read-only, local): count distinct items of the
@@ -344,15 +343,20 @@ func (c *Client) StockLevel(wID, d int, threshold uint64) (int, error) {
 		}
 		loKey := (DKey(wID, d)<<32 | uint64(from)) << 4
 		hiKey := (DKey(wID, d)<<32 | uint64(nextO)) << 4
-		seen := make(map[uint64]bool)
+		items := c.items[:0]
 		for _, ko := range ro.ScanLocal(TableOrderLine, loKey, hiKey, 0) {
 			olv, err := ro.ReadAtLocal(TableOrderLine, ko.Off)
 			if err != nil {
 				return err
 			}
-			seen[olv[OLIID]] = true
+			items = append(items, olv[OLIID])
 		}
-		for iID := range seen {
+		// Each distinct item once, in ascending order: the same reads in the
+		// same order for the same orders.
+		slices.Sort(items)
+		items = slices.Compact(items)
+		c.items = items
+		for _, iID := range items {
 			sv, err := ro.Read(TableStock, SKey(wID, int(iID)))
 			if err != nil {
 				return err

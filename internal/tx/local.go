@@ -282,6 +282,8 @@ type KeyOff struct {
 // latched, not HTM-tracked, and the result carries no phantom protection —
 // use Tx.Scan (declared before Execute) for validated transactional range
 // reads; ScanLocal remains for non-transactional walks over entry offsets.
+// The result is the executor's scratch, valid until its next ScanLocal (of
+// any transaction).
 func (lc *Local) ScanLocal(table int, lo, hi uint64, limit int) []KeyOff {
 	return lc.t.e.scanLocal(table, lo, hi, limit, false)
 }
@@ -292,10 +294,11 @@ func (lc *Local) ScanLocalDesc(table int, lo, hi uint64, limit int) []KeyOff {
 }
 
 // scanLocal walks this node's shard of an ordered table over [lo, hi], in
-// either direction, for up to limit entries (limit <= 0 means unbounded).
+// either direction, for up to limit entries (limit <= 0 means unbounded). The
+// result is backed by e.scanOut: valid until the executor's next scanLocal.
 func (e *Executor) scanLocal(table int, lo, hi uint64, limit int, desc bool) []KeyOff {
 	o := e.w.Node.Ordered(table)
-	var out []KeyOff
+	out := e.scanOut[:0]
 	collect := func(k uint64, off memory.Offset) bool {
 		out = append(out, KeyOff{k, off})
 		return limit <= 0 || len(out) < limit
@@ -307,6 +310,7 @@ func (e *Executor) scanLocal(table int, lo, hi uint64, limit int, desc bool) []K
 		via = o.ScanAt(e.finger(table), lo, hi, collect)
 	}
 	e.chargeIndexOp(via)
+	e.scanOut = out
 	return out
 }
 

@@ -73,8 +73,8 @@ func (e *Executor) reclaimLogs() {
 // record the region can append (the region's write-set bound: AppendTx cannot
 // grow an arena). A restarted log has that room from the start.
 func (t *Tx) logAheadOfRegion() {
-	if len(t.choppingInfo) > 0 {
-		t.logBuf = append(append(t.logBuf[:0], t.txid), t.choppingInfo...)
+	if t.chopped {
+		t.logBuf = append(t.logBuf[:0], t.txid, t.chopInfo[0], t.chopInfo[1])
 		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), len(t.logBuf))
 	}
 	t.logLockAhead()

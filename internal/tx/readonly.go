@@ -532,7 +532,9 @@ func (ro *RO) judged(r *remoteRec, v imgVerdict) error {
 	return nil
 }
 
-// ScanLocal returns index entries of a local ordered table in [lo, hi].
+// ScanLocal returns index entries of a local ordered table in [lo, hi]. The
+// result is the executor's scratch, valid until its next ScanLocal (of any
+// transaction).
 func (ro *RO) ScanLocal(table int, lo, hi uint64, limit int) []KeyOff {
 	return ro.e.scanLocal(table, lo, hi, limit, false)
 }

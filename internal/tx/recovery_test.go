@@ -353,7 +353,7 @@ func TestRecoveryPendingChoppedPieces(t *testing.T) {
 	defer stop()
 	e1 := rt.Executor(1, 0)
 	tx := e1.newTx()
-	tx.SetChoppingInfo([]uint64{7, 3}) // parent 7, next piece 3
+	tx.SetChoppingInfo(7, 3) // parent 7, next piece 3
 	if err := tx.stageRemote(tblAccounts, 2, 0, tblAccounts, 0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 		if atBuild != nil {
 			atBuild()
 		}
-		tx.SetChoppingInfo([]uint64{7, piece})
+		tx.SetChoppingInfo(7, piece)
 		if err := tx.Stage(Access{Table: tblWideHash, Key: from, Write: true},
 			Access{Table: tblWideHash, Key: to, Write: true}); err != nil {
 			return err

@@ -385,6 +385,8 @@ type Executor struct {
 	remMsg   removeDeadMsg
 	ckptMsg  redoCkptMsg
 	remReady []removalOp
+
+	scanOut []KeyOff // scanLocal's result, valid until the next scan
 }
 
 // getRec pops a pooled staged-record struct (value buffer capacity kept).
@@ -426,7 +428,7 @@ func (e *Executor) recycle(t *Tx) {
 	t.removals = t.removals[:0]
 	t.owed = t.owed[:0]
 	t.swords = t.swords[:0]
-	t.choppingInfo = nil
+	t.chopped = false
 	clear(t.views)
 	t.finished = false
 	t.specDown = false

@@ -169,8 +169,11 @@ type Tx struct {
 	// logBuf is the scratch every NVRAM log record is encoded in (log.go).
 	logBuf []uint64
 
-	finished     bool
-	choppingInfo []uint64 // optional piece info logged before locking
+	finished bool
+	// chopped marks a piece of a chopped parent; chopInfo is the (parent,
+	// piece) pair its chopping record carries, logged before locking.
+	chopped  bool
+	chopInfo [2]uint64
 
 	// specDown records a persistent verb failure during speculative
 	// validation, turning the resulting region abort into ErrNodeDown.
@@ -306,9 +309,11 @@ func (e *Executor) newTx() *Tx {
 // ID returns the transaction's unique identifier.
 func (t *Tx) ID() uint64 { return t.txid }
 
-// SetChoppingInfo attaches piece metadata logged ahead of locking when the
-// transaction is a piece of a chopped parent (Section 4.6).
-func (t *Tx) SetChoppingInfo(info []uint64) { t.choppingInfo = info }
+// SetChoppingInfo marks the transaction as piece piece of the chopped parent
+// parent: the pair is logged ahead of locking (Section 4.6).
+func (t *Tx) SetChoppingInfo(parent, piece uint64) {
+	t.chopped, t.chopInfo = true, [2]uint64{parent, piece}
+}
 
 // IsLocal reports whether the record lives on this executor's node (under
 // the current view: a promoted partition's records are local to its new
