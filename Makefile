@@ -77,7 +77,9 @@ stress:
 # object, so an insert into a leaf with room allocates nothing and a leaf split
 # exactly the new leaf; a TPC-C new-order allocates only the leaves its inserts
 # split, and a payment, order-status, stock-level and delivery nothing (all
-# excluded under -race).
+# excluded under -race). Memory that stays: every TATP shard, primary and
+# replica, is exactly its partition's size and holds the lifecycle mix, and
+# SmallBank's indirect buckets hold the benchmark's 200 000 accounts per node.
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
 	go test -count=1 -run TestNodeAllocations ./internal/btree/
@@ -85,6 +87,8 @@ alloc:
 	go test -count=1 -run 'TestRetireLocalRowWidths' ./internal/kvs/
 	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/
 	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
+	go test -count=1 -run TestShardsSizedForTheirPartition ./internal/tatp/
+	go test -count=1 -run TestSetupAtBenchmarkScale ./internal/smallbank/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.

@@ -66,11 +66,10 @@ func NewLocationCache(budgetBytes int) *LocationCache {
 	return &LocationCache{frames: make([]cacheFrame, n)}
 }
 
-// NewOrderedCache builds the cache of an ordered region of the given entry
-// capacity: one frame per entry the region can hold, or as many as the budget
-// buys when that is fewer (minimum one).
-func NewOrderedCache(budgetBytes, capacity int) *LocationCache {
-	n := min(budgetBytes/LocBytes, capacity)
+// NewOrderedCache builds the cache of an ordered region: as many frames as
+// the budget buys, whatever the region holds (minimum one).
+func NewOrderedCache(budgetBytes int) *LocationCache {
+	n := budgetBytes / LocBytes
 	if n < 1 {
 		n = 1
 	}

@@ -403,14 +403,18 @@ func TestCacheDirectMappedEviction(t *testing.T) {
 	}
 }
 
-// TestOrderedCacheFrames: an ordered region's cache maps keys to entry offsets,
-// direct-mapped, counts what it is asked on the caller's shard as ordered-frame
-// events, and a nil one (caching disabled) misses without counting.
+// TestOrderedCacheFrames: an ordered region's cache has budget/LocBytes frames,
+// maps keys to entry offsets, direct-mapped, counts what it is asked on the
+// caller's shard as ordered-frame events, and a nil one (caching disabled)
+// misses without counting.
 func TestOrderedCacheFrames(t *testing.T) {
 	sh := obs.NewShard()
-	c := NewOrderedCache(1<<20, 8)
+	c := NewOrderedCache(8*LocBytes + LocBytes/2)
 	if len(c.locs) != 8 || c.Frames() != 8 {
-		t.Fatalf("%d ordered of %d frames; want 8, the region's capacity", len(c.locs), c.Frames())
+		t.Fatalf("%d ordered of %d frames; want 8, what the budget buys", len(c.locs), c.Frames())
+	}
+	if n := NewOrderedCache(LocBytes - 1).Frames(); n != 1 {
+		t.Fatalf("%d frames from a budget below one; want 1", n)
 	}
 	if NewLocationCache(1<<20).locs != nil {
 		t.Fatal("a bucket cache holds ordered frames")

@@ -24,7 +24,7 @@ import (
 type OrderedConfig struct {
 	Node       int
 	RegionID   int
-	Capacity   int
+	Capacity   int // entries the shard can hand out, lowest offset first
 	ValueWords int
 
 	// ChainDepth is the per-entry version-chain ring depth (0 disables
@@ -70,9 +70,9 @@ type Ordered struct {
 	tree       *btree.Tree
 	entryWords int
 
-	mu       sync.Mutex
-	freeList []memory.Offset
-	zeroVal  []uint64
+	mu      sync.Mutex
+	entries slots
+	zeroVal []uint64
 
 	stampSeq atomic.Uint64 // fallback stamp source when cfg.Stamp is nil
 
@@ -83,7 +83,8 @@ type Ordered struct {
 	smu sync.RWMutex
 }
 
-// NewOrdered builds an empty ordered table.
+// NewOrdered builds an empty ordered table; its arena is allocated whole, as
+// New's is.
 func NewOrdered(cfg OrderedConfig, eng *htm.Engine) *Ordered {
 	if cfg.Capacity <= 0 || cfg.ValueWords < 0 {
 		panic("kvs: invalid ordered config")
@@ -99,12 +100,23 @@ func NewOrdered(cfg OrderedConfig, eng *htm.Engine) *Ordered {
 		entryWords: ew,
 	}
 	o.arena = memory.NewArena(cfg.RegionID, int(segBase)+cfg.Capacity*ew)
-	o.freeList = make([]memory.Offset, 0, cfg.Capacity)
-	for i := cfg.Capacity - 1; i >= 0; i-- {
-		o.freeList = append(o.freeList, segBase+memory.Offset(i*ew))
-	}
+	o.entries = slots{base: segBase, width: ew, limit: cfg.Capacity}
 	o.zeroVal = make([]uint64, cfg.ValueWords)
 	return o
+}
+
+// allocSlot takes an entry slot for a record about to be prepared.
+func (o *Ordered) allocSlot() (memory.Offset, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.entries.alloc()
+}
+
+// freeSlot gives back a slot no index entry points at any more.
+func (o *Ordered) freeSlot(off memory.Offset) {
+	o.mu.Lock()
+	o.entries.free(off)
+	o.mu.Unlock()
 }
 
 // stampTail seqlock-writes the entry's chain tail (no-op when chains are
@@ -170,9 +182,6 @@ func (o *Ordered) Node() int { return o.cfg.Node }
 // RegionID returns the RDMA region ID.
 func (o *Ordered) RegionID() int { return o.cfg.RegionID }
 
-// Capacity returns the entries the shard has room for.
-func (o *Ordered) Capacity() int { return o.cfg.Capacity }
-
 // ValueWords returns the fixed value length.
 func (o *Ordered) ValueWords() int { return o.cfg.ValueWords }
 
@@ -234,14 +243,10 @@ func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (via IndexPath, 
 	if len(val) != o.cfg.ValueWords {
 		return via, fmt.Errorf("kvs: value length %d, want %d", len(val), o.cfg.ValueWords)
 	}
-	o.mu.Lock()
-	if len(o.freeList) == 0 {
-		o.mu.Unlock()
+	off, ok := o.allocSlot()
+	if !ok {
 		return via, ErrFull
 	}
-	off := o.freeList[len(o.freeList)-1]
-	o.freeList = o.freeList[:len(o.freeList)-1]
-	o.mu.Unlock()
 
 	// The slot's last occupant left it dead, and the live incarnation goes in
 	// last: a reader still holding the slot's old location (a cached one) sees
@@ -258,14 +263,12 @@ func (o *Ordered) InsertAt(f *Finger, key uint64, val []uint64) (via IndexPath, 
 
 	o.smu.Lock()
 	o.bumpSeg(key)
-	ok, via := o.tree.InsertIfAbsentAt(f, key, uint64(off))
+	ok, via = o.tree.InsertIfAbsentAt(f, key, uint64(off))
 	o.smu.Unlock()
 	if !ok {
 		// Key already existed: kill and recycle the prepared entry.
 		o.arena.Write(off+EntryIncVerWord, []uint64{PackIncVer(inc+2, 0)})
-		o.mu.Lock()
-		o.freeList = append(o.freeList, off)
-		o.mu.Unlock()
+		o.freeSlot(off)
 		return via, ErrExists
 	}
 	return via, nil
@@ -302,9 +305,7 @@ func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted bool, via IndexPath) 
 	dead := PackIncVer(Incarnation(incver)+1, Version(incver))
 	RetireLocal(o.arena, off, o.cfg.ValueWords, o.cfg.ChainDepth, o.StampNow(), dead)
 	o.arena.Write(off+EntryIncVerWord, []uint64{dead})
-	o.mu.Lock()
-	o.freeList = append(o.freeList, off)
-	o.mu.Unlock()
+	o.freeSlot(off)
 	return true, via
 }
 
@@ -330,14 +331,10 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 			}
 			return off, nil
 		}
-		o.mu.Lock()
-		if len(o.freeList) == 0 {
-			o.mu.Unlock()
+		off, ok := o.allocSlot()
+		if !ok {
 			return 0, ErrFull
 		}
-		off := o.freeList[len(o.freeList)-1]
-		o.freeList = o.freeList[:len(o.freeList)-1]
-		o.mu.Unlock()
 
 		inc := Incarnation(o.arena.LoadWord(off + EntryIncVerWord))
 		o.arena.Write(off+EntryKeyWord, []uint64{key})
@@ -355,9 +352,7 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 			return off, nil
 		}
 		// Lost an insert race: recycle the prepared slot and re-resolve.
-		o.mu.Lock()
-		o.freeList = append(o.freeList, off)
-		o.mu.Unlock()
+		o.freeSlot(off)
 	}
 }
 
@@ -380,9 +375,7 @@ func (o *Ordered) RemoveEntry(key uint64, off memory.Offset) bool {
 	if !ok {
 		return false
 	}
-	o.mu.Lock()
-	o.freeList = append(o.freeList, off)
-	o.mu.Unlock()
+	o.freeSlot(off)
 	return true
 }
 

@@ -137,7 +137,7 @@ func TestOrderedConcurrentInserts(t *testing.T) {
 // adjacent keys against two shards — one through a finger, one without — and
 // requires the same answer from every call and intact leaf fences after it,
 // then the same index (keys, in order, at the same entry offsets) and the same
-// free list: a finger changes how a leaf is reached, never what is found there
+// slots handed out and given back: a finger changes how a leaf is reached, never what is found there
 // or which slot is used. Each step is two bytes: the operation and the length
 // of the run, then where the run starts. It returns how often a remembered
 // leaf served.
@@ -224,8 +224,8 @@ func checkOrderedFingerChurn(t *testing.T, steps []byte) (hits int) {
 	if p, g := index(plain), index(fingered); !slices.Equal(p, g) {
 		t.Fatalf("index through the finger %v, without %v", g, p)
 	}
-	if !slices.Equal(plain.freeList, fingered.freeList) {
-		t.Fatalf("free list through the finger %v, without %v", fingered.freeList, plain.freeList)
+	if p, g := plain.entries, fingered.entries; p.used != g.used || !slices.Equal(p.recycled, g.recycled) {
+		t.Fatalf("slots through the finger %d used, %v recycled; without %d, %v", g.used, g.recycled, p.used, p.recycled)
 	}
 	return hits
 }

@@ -17,7 +17,7 @@ type Config struct {
 	RegionID        int // RDMA region the arena is registered under
 	MainBuckets     int // number of main header buckets; rounded to 2^k
 	IndirectBuckets int // pool of shared indirect header buckets
-	Capacity        int // maximum number of entries
+	Capacity        int // entries the shard can hand out, lowest offset first
 	ValueWords      int // value length in words
 
 	// ChainDepth is the per-entry version-chain ring depth (0 disables
@@ -40,10 +40,10 @@ type Table struct {
 	indirBase  memory.Offset
 	entryBase  memory.Offset
 
-	mu          sync.Mutex
-	freeEntries []memory.Offset
-	freeBuckets []memory.Offset
-	liveCount   int
+	mu        sync.Mutex
+	entries   slots
+	buckets   slots // indirect header buckets
+	liveCount int
 
 	stampSeq atomic.Uint64 // fallback stamp source when cfg.Stamp is nil
 }
@@ -55,7 +55,9 @@ var (
 	ErrNoSlot = errors.New("kvs: bucket chain full and no indirect buckets left")
 )
 
-// New builds an empty table and its backing arena.
+// New builds an empty table and its backing arena, allocated whole: a
+// fabric-registered region cannot move while verbs and HTM regions hold
+// offsets into it.
 func New(cfg Config, eng *htm.Engine) *Table {
 	if cfg.MainBuckets <= 0 || cfg.Capacity <= 0 || cfg.ValueWords < 0 {
 		panic("kvs: invalid config")
@@ -80,15 +82,8 @@ func New(cfg Config, eng *htm.Engine) *Table {
 	t.entryBase = t.indirBase + memory.Offset(cfg.IndirectBuckets*BucketWords)
 	total := int(t.entryBase) + cfg.Capacity*ew
 	t.arena = memory.NewArena(cfg.RegionID, total)
-
-	t.freeEntries = make([]memory.Offset, 0, cfg.Capacity)
-	for i := cfg.Capacity - 1; i >= 0; i-- {
-		t.freeEntries = append(t.freeEntries, t.entryBase+memory.Offset(i*ew))
-	}
-	t.freeBuckets = make([]memory.Offset, 0, cfg.IndirectBuckets)
-	for i := cfg.IndirectBuckets - 1; i >= 0; i-- {
-		t.freeBuckets = append(t.freeBuckets, t.indirBase+memory.Offset(i*BucketWords))
-	}
+	t.entries = slots{base: t.entryBase, width: ew, limit: cfg.Capacity}
+	t.buckets = slots{base: t.indirBase, width: BucketWords, limit: cfg.IndirectBuckets}
 	return t
 }
 
@@ -142,34 +137,24 @@ func (t *Table) MainBucketOffset(i uint64) memory.Offset {
 func (t *Table) allocEntry() (memory.Offset, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.freeEntries) == 0 {
-		return 0, false
-	}
-	off := t.freeEntries[len(t.freeEntries)-1]
-	t.freeEntries = t.freeEntries[:len(t.freeEntries)-1]
-	return off, true
+	return t.entries.alloc()
 }
 
 func (t *Table) freeEntry(off memory.Offset) {
 	t.mu.Lock()
-	t.freeEntries = append(t.freeEntries, off)
+	t.entries.free(off)
 	t.mu.Unlock()
 }
 
 func (t *Table) allocBucket() (memory.Offset, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.freeBuckets) == 0 {
-		return 0, false
-	}
-	off := t.freeBuckets[len(t.freeBuckets)-1]
-	t.freeBuckets = t.freeBuckets[:len(t.freeBuckets)-1]
-	return off, true
+	return t.buckets.alloc()
 }
 
 func (t *Table) freeBucket(off memory.Offset) {
 	t.mu.Lock()
-	t.freeBuckets = append(t.freeBuckets, off)
+	t.buckets.free(off)
 	t.mu.Unlock()
 }
 

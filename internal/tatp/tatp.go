@@ -127,12 +127,20 @@ type Workload struct {
 // Setup defines the tables and the sub_nbr index on an existing runtime
 // (whose partitioner must be cfg.Partitioner()) and inserts every
 // subscriber with a deterministic initial facility mask.
+//
+// Each shard is sized for its partition, p subscribers: a subscriber key has
+// at most one tree entry (EnsureDead reuses a dead one), and the 64 spare
+// slots cover entries racing inserters prepare and then give back.
+// SPECIAL_FACILITY holds the partition's whole key space. CALL_FORWARDING
+// holds 8 rows per subscriber: the mix settles near 23 (its rows outlive their
+// subscriber), so a long enough run of a large population outgrows it, and a
+// caller that runs one caps its transactions (as the repo benchmark does).
 func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
-	per := cfg.Subscribers + 64
-	rt.DefineOrderedSeg(TableSubscriber, 4*per, 3, 0)
-	rt.DefineOrderedSeg(TableSpecialFacility, 4*per*NumSFTypes, 2, 8)
-	rt.DefineOrderedSeg(TableCallForwarding, 8*per, 2, 16)
-	rt.DefineOrderedSeg(TableSubNbrIndex, 4*per, 1, 0)
+	p := (cfg.Subscribers+cfg.Nodes-1)/cfg.Nodes + 64
+	rt.DefineOrderedSeg(TableSubscriber, p, 3, 0)
+	rt.DefineOrderedSeg(TableSpecialFacility, NumSFTypes*p, 2, 8)
+	rt.DefineOrderedSeg(TableCallForwarding, 8*p, 2, 16)
+	rt.DefineOrderedSeg(TableSubNbrIndex, p, 1, 0)
 	rt.DefineIndex(TableSubscriber, tx.IndexSpec{
 		Table: TableSubNbrIndex,
 		Key:   func(baseKey uint64, val []uint64) uint64 { return val[0] },

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"drtm"
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/memory"
 	"drtm/internal/tatp"
 )
 
@@ -284,6 +286,117 @@ func TestTATPMVCCCheckerAcrossFailover(t *testing.T) {
 	db.ClearFaults()
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardsSizedForTheirPartition: every shard, primary and replica, is
+// sized for its partition — an arena of exactly the segment stamps plus
+// capacity entries, with capacity p = ceil(Subscribers/Nodes) + 64 for
+// SUBSCRIBER and SUB_NBR, NumSFTypes·p for SPECIAL_FACILITY and 8·p for
+// CALL_FORWARDING — and that is room enough: two clients, one per node, run
+// the lifecycle mix (delete / insert subscriber, toggle facility, insert /
+// delete call forwarding) with no transaction told kvs.ErrFull, and no shard's
+// tree holds more entries than its partition has keys.
+func TestShardsSizedForTheirPartition(t *testing.T) {
+	const nodes, perClient = 2, 2500
+	db, w := openTATP(t, nodes, 1, drtm.Options{Durability: true, ReplicationFactor: 1})
+	defer db.Close()
+	subs := w.Cfg.Subscribers
+	p := (subs+nodes-1)/nodes + 64
+	capacity := map[int]int{
+		tatp.TableSubscriber:      p,
+		tatp.TableSpecialFacility: tatp.NumSFTypes * p,
+		tatp.TableCallForwarding:  8 * p,
+		tatp.TableSubNbrIndex:     p,
+	}
+	keysPerSub := map[int]int{
+		tatp.TableSubscriber:      1,
+		tatp.TableSpecialFacility: tatp.NumSFTypes,
+		tatp.TableCallForwarding:  tatp.NumSFTypes * 24,
+		tatp.TableSubNbrIndex:     1,
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, nodes)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := w.NewClient(db.Executor(i, 0), int64(i+1))
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			for n := 0; n < perClient; n++ {
+				sid := uint64(1 + rng.Intn(subs))
+				sf := 1 + rng.Intn(tatp.NumSFTypes)
+				var err error
+				switch rng.Intn(5) {
+				case 0, 1:
+					// Each client creates and removes only the subscribers it
+					// owns, half of them remote, so no two transactions race
+					// one subscriber's life (as in the repo benchmark).
+					for int(sid/nodes)%nodes != i {
+						sid = uint64(1 + rng.Intn(subs))
+					}
+					if rng.Intn(2) == 0 {
+						err = cl.DeleteSubscriber(sid)
+					} else {
+						err = cl.InsertSubscriber(sid, uint64(rng.Intn(15)+1)<<1)
+					}
+				case 2:
+					err = cl.ToggleSpecialFacility(sid, sf)
+				case 3:
+					err = cl.InsertCallForwarding(sid, sf, rng.Intn(24))
+				default:
+					err = cl.DeleteCallForwarding(sid, sf, rng.Intn(24))
+				}
+				if err != nil && !errors.Is(err, drtm.ErrRetry) {
+					errs[i] = fmt.Errorf("txn %d, subscriber %d: %w", n, sid, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if errors.Is(err, kvs.ErrFull) {
+			t.Fatalf("client %d: a shard ran out of slots: %v", i, err)
+		}
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	if err := w.Audit(); err != nil {
+		t.Fatal(err)
+	}
+
+	stamps := kvs.SegCount * memory.WordsPerLine
+	for part := 0; part < nodes; part++ {
+		partSubs := 0
+		for sid := 1; sid <= subs; sid++ {
+			if w.Cfg.NodeOf(uint64(sid)) == part {
+				partSubs++
+			}
+		}
+		hosts := append([]int{part}, db.C.Backups(nil, part)...)
+		for table, cap := range capacity {
+			for _, host := range hosts {
+				region := table
+				if host != part {
+					region = cluster.ReplicaRegion(part, table)
+				}
+				o, ok := db.C.Node(host).OrderedRegion(region)
+				if !ok {
+					t.Fatalf("no shard of table %d partition %d on node %d", table, part, host)
+				}
+				if got, want := o.Arena().Len(), stamps+cap*o.EntryWords(); got != want {
+					t.Errorf("table %d partition %d on node %d: arena of %d words, want %d (%d entries)",
+						table, part, host, got, want, cap)
+				}
+				if n, bound := o.Len(), min(cap, partSubs*keysPerSub[table]); n > bound {
+					t.Errorf("table %d partition %d on node %d: %d tree entries, more than the partition's %d",
+						table, part, host, n, bound)
+				}
+			}
+		}
 	}
 }
 

@@ -179,25 +179,26 @@ func TestOrderedCacheSlotHistories(t *testing.T) {
 	}
 }
 
-// TestOrderedCacheSizedByRegion: an ordered region's cache never holds more
-// frames than the region has entries, nor than the budget buys, and none exists
-// before the region's first speculative read-only read.
-func TestOrderedCacheSizedByRegion(t *testing.T) {
-	r := newCacheRig(t, 1<<20)
-	insertOrders(t, r.home, 1, []uint64{1})
-	rewrite(t, r.e, orderedKey(1, 1), 5) // a remote write-staged row builds nothing
-	if n := len(r.rt.caches[0].m); n != 0 {
-		t.Fatalf("%d caches before any speculative read-only read", n)
-	}
-	if _, _, err := r.read(orderedKey(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	c := r.e.cacheFor(1, tblOrders)
-	if c.Frames() != 4096 { // newOrderedRig's capacity; a bucket cache of this budget has 8192
-		t.Errorf("%d frames; want one per entry of the region", c.Frames())
-	}
-	if c := kvs.NewOrderedCache(10*kvs.LocBytes, 4096); c.Frames() != 10 {
-		t.Errorf("%d frames from a budget of ten", c.Frames())
+// TestOrderedCacheSizedByBudget: an ordered region's cache has as many frames
+// as CacheBudgetBytes buys, whatever the region holds — the rule bucket caches
+// follow — and none exists before the region's first speculative read-only
+// read.
+func TestOrderedCacheSizedByBudget(t *testing.T) {
+	for _, budget := range []int{1 << 20, 10 * kvs.LocBytes} {
+		r := newCacheRig(t, budget)
+		insertOrders(t, r.home, 1, []uint64{1})
+		rewrite(t, r.e, orderedKey(1, 1), 5) // a remote write-staged row builds nothing
+		if n := len(r.rt.caches[0].m); n != 0 {
+			t.Fatalf("%d caches before any speculative read-only read", n)
+		}
+		if _, _, err := r.read(orderedKey(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		// newOrderedRig's regions hold 4096 entries: more than ten, fewer than
+		// the 65 536 frames of a megabyte.
+		if n, want := r.e.cacheFor(1, tblOrders).Frames(), budget/kvs.LocBytes; n != want {
+			t.Errorf("budget %d: %d frames, want %d", budget, n, want)
+		}
 	}
 }
 

@@ -82,9 +82,9 @@ type Runtime struct {
 	// MaxAttempts bounds whole-transaction retries before giving up.
 	MaxAttempts int
 
-	// CacheBudgetBytes sizes each (node, region) location cache — an ordered
-	// region's at most one frame per entry it can hold; 0 disables caching
-	// (the DrTM-KV vs DrTM-KV/$ distinction of Section 5.4).
+	// CacheBudgetBytes sizes each (node, region) location cache, bucket and
+	// ordered frames alike; 0 disables caching (the DrTM-KV vs DrTM-KV/$
+	// distinction of Section 5.4).
 	CacheBudgetBytes int
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
@@ -504,8 +504,8 @@ func (e *Executor) cacheFor(node, region int) *kvs.LocationCache {
 		return c
 	}
 	c := e.rt.caches[e.w.Node.ID].get(k, func() *kvs.LocationCache {
-		if o, ok := e.rt.C.Node(node).OrderedRegion(region); ok {
-			return kvs.NewOrderedCache(budget, o.Capacity())
+		if _, ok := e.rt.C.Node(node).OrderedRegion(region); ok {
+			return kvs.NewOrderedCache(budget)
 		}
 		return kvs.NewLocationCache(budget)
 	})
