@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan mvcc tx-lines lines
+.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan mvcc examples tx-lines lines
 
-check: build fmt vet race stress alloc batch occ chaos failover scan mvcc bench-smoke
+check: build fmt vet race stress alloc batch occ chaos failover scan mvcc bench-smoke examples
 
 build:
 	go build ./...
@@ -106,6 +106,13 @@ lines:
 # scale; exits non-zero when a correctness check fails (benchmark/README.md).
 bench-smoke:
 	go run ./benchmark -scale 0.01
+
+# The example programs: each exits non-zero when its invariant breaks (audit
+# totals, money conservation across a crash, TPC-C / TATP consistency, cache
+# reads of deleted keys).
+EXAMPLES = quickstart recovery smallbank tatp tpcc kvcache
+examples:
+	@for ex in $(EXAMPLES); do echo "== examples/$$ex"; go run ./examples/$$ex || exit 1; done
 
 # Crash-consistency gate: SmallBank under repeated crashes with lease-based
 # detection and online recovery; conservation must hold. The coalesced

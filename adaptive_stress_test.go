@@ -123,7 +123,7 @@ func TestAdaptiveShiftingHotset(t *testing.T) {
 		t.Fatalf("conservation broken: total = %d, want %d", total, accounts*balance)
 	}
 
-	if s := db.Stats(); s.AdaptiveSpecReads == 0 {
+	if s := db.Stats(); s.Count("adapt.route_spec") == 0 {
 		t.Fatalf("no read was routed adaptively: %+v", s)
 	}
 }

@@ -36,12 +36,9 @@ func TestChaosSmallBankConservation(t *testing.T) {
 	}
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
-		Durability:        true,
-		FailureDetection:  true,
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    12 * time.Millisecond,
-		ElectionStagger:   2 * time.Millisecond,
-		FaultSeed:         42,
+		Durability:       true,
+		FailureDetection: true,
+		FaultSeed:        42,
 	}, cfg.Partitioner())
 	defer db.Close()
 
@@ -128,19 +125,19 @@ func TestChaosSmallBankConservation(t *testing.T) {
 	}
 
 	st := db.Stats().Delta(base)
-	if st.Detections == 0 {
+	if st.Count("fault.detect") == 0 {
 		t.Error("no crash was detected via lease expiry")
 	}
-	if st.Recoveries == 0 {
+	if st.Count("recovery.run") == 0 {
 		t.Error("no recovery run replayed logs")
 	}
-	if st.RecoveryNanos == 0 {
+	if st.Count("recovery.ns") == 0 {
 		t.Error("recovery time not accounted")
 	}
-	if st.VerbFaults == 0 {
+	if st.Count("fault.verb") == 0 {
 		t.Error("no verb faults recorded despite crashes and injected faults")
 	}
-	if st.NodeDownAborts == 0 {
+	if st.Count("tx.node_down") == 0 {
 		t.Error("no transaction ever aborted with ErrNodeDown")
 	}
 	if !strings.Contains(st.String(), "fault:") {

@@ -38,10 +38,10 @@
 //		})
 //	})
 //
-// Afterwards, db.Stats() returns an immutable snapshot of every protocol
-// counter (HTM abort causes, lease events, RDMA op counts, phase latency
-// histograms); two snapshots subtract with Delta to scope an interval. See
-// the README's Observability section.
+// Afterwards, db.Stats() returns an immutable snapshot of the obs registry —
+// every protocol counter by name (db.Stats().Count("htm.abort.conflict")) and
+// the phase latency histograms; two snapshots subtract with Delta to scope an
+// interval. See the README's Observability section.
 //
 // See examples/ for runnable programs and cmd/drtm-bench for the harness
 // that regenerates the paper's evaluation.
@@ -50,7 +50,6 @@ package drtm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"drtm/internal/clock"
@@ -114,11 +113,10 @@ const (
 	PolicyExclusive = tx.PolicyExclusive
 	// PolicyMVCC: read-only transactions resolve every key against a
 	// cluster-wide snapshot stamp using the per-entry version chains
-	// (Options.MVCCDepth) — one batched READ wave, no lease CAS and no
-	// confirm wave. A chain too shallow for the snapshot falls back to the
-	// confirm-wave scheme for that RO execution. Read-write transactions
-	// under this policy use the lease arm; requires MVCCDepth ≥ 0 (chains
-	// enabled).
+	// (cluster.Config.MVCCDepth, 4 deep) — one batched READ wave, no lease
+	// CAS and no confirm wave. A chain too shallow for the snapshot falls back
+	// to the confirm-wave scheme for that RO execution. Read-write
+	// transactions under this policy use the lease arm.
 	PolicyMVCC = tx.PolicyMVCC
 )
 
@@ -151,26 +149,14 @@ type Options struct {
 	// replication.
 	ReplicationFactor int
 
-	// LeaseMicros / ROLeaseMicros are the shared-lock lease durations. The
-	// defaults (5 ms / 10 ms) are scaled up from the paper's 0.4/1.0 ms
-	// because lease expiry runs on real time while the simulation host may
-	// interleave dozens of workers on few cores; see DESIGN.md.
-	LeaseMicros   uint64
-	ROLeaseMicros uint64
-
 	// FailureDetection enables lease-based membership (Section 4.6): every
 	// node heartbeats a shared membership region; survivors detect an
 	// expired lease, confirm the death by probing, elect a recovery
 	// coordinator with RDMA CAS, and the coordinator replays the crashed
 	// node's NVRAM logs and revives it — no oracle notification anywhere.
+	// Heartbeats every 1 ms, a 12 ms failure timeout and a 2 ms election
+	// stagger per survivor rank (constants of internal/cluster).
 	FailureDetection bool
-
-	// HeartbeatInterval, FailureTimeout and ElectionStagger tune the
-	// detector (defaults: 1 ms / 30 ms / 5 ms). FailureTimeout should span
-	// many heartbeats so scheduling hiccups don't read as crashes.
-	HeartbeatInterval time.Duration
-	FailureTimeout    time.Duration
-	ElectionStagger   time.Duration
 
 	// FaultSeed seeds the fabric's fault-injection RNG, making a chaos
 	// run's verb-level fault sequence reproducible. Zero means seed 1.
@@ -184,23 +170,15 @@ type Options struct {
 	// leases, with a lease for a transaction that keeps losing. The software
 	// fallback path always uses locks regardless of policy.
 	ReadPolicy ReadPolicy
-
-	// MVCCDepth is the per-entry version-chain ring depth backing
-	// PolicyMVCC snapshot reads: each writer retires the previous
-	// (stamp, version, value) triple into a fixed ring of this many slots,
-	// and snapshot reads resolve the newest version at or below their
-	// stamp. 0 selects the default depth (4); a negative value disables
-	// version chains entirely (PolicyMVCC then degrades to the confirm-wave
-	// scheme). Deeper chains tolerate staler snapshots at the cost of
-	// value-words × depth extra memory per entry.
-	MVCCDepth int
 }
 
-// maxLeaseMicros bounds lease durations: the state word encodes lease end
-// times (softtime µs + duration) in a 55-bit field, so durations anywhere
-// near that range would overflow the encoding. 2^40 µs (~13 days) is far
-// beyond any sane lease and leaves 15 bits of headroom for the clock.
-const maxLeaseMicros = uint64(1) << 40
+// The shared-lock lease durations: scaled up from the paper's 0.4/1.0 ms
+// because lease expiry runs on real time while the simulation host may
+// interleave dozens of workers on few cores; see DESIGN.md.
+const (
+	leaseMicros   = 5_000
+	roLeaseMicros = 10_000
+)
 
 // normalize validates o and fills defaults, rejecting nonsense values
 // instead of silently "fixing" them.
@@ -236,23 +214,6 @@ func (o Options) normalize() (Options, error) {
 	if o.ReplicationFactor > 0 && !o.Durability {
 		return o, errors.New("drtm: Options.ReplicationFactor requires Options.Durability (failover releases a crashed primary's locks via its lock-ahead log)")
 	}
-	if o.LeaseMicros == 0 {
-		o.LeaseMicros = 5_000
-	}
-	if o.LeaseMicros > maxLeaseMicros {
-		return o, fmt.Errorf("drtm: Options.LeaseMicros %d overflows the state-word lease field (max %d)",
-			o.LeaseMicros, maxLeaseMicros)
-	}
-	if o.ROLeaseMicros == 0 {
-		o.ROLeaseMicros = 10_000
-	}
-	if o.ROLeaseMicros > maxLeaseMicros {
-		return o, fmt.Errorf("drtm: Options.ROLeaseMicros %d overflows the state-word lease field (max %d)",
-			o.ROLeaseMicros, maxLeaseMicros)
-	}
-	if o.HeartbeatInterval < 0 || o.FailureTimeout < 0 || o.ElectionStagger < 0 {
-		return o, errors.New("drtm: failure-detection durations must be >= 0")
-	}
 	if o.FaultSeed == 0 {
 		o.FaultSeed = 1
 	}
@@ -261,9 +222,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.ReadPolicy == tx.PolicyDefault {
 		o.ReadPolicy = PolicyAdaptive
-	}
-	if o.ReadPolicy == PolicyMVCC && o.MVCCDepth < 0 {
-		return o, errors.New("drtm: Options.ReadPolicy PolicyMVCC requires version chains; leave Options.MVCCDepth >= 0")
 	}
 	return o, nil
 }
@@ -301,22 +259,9 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	cfg := cluster.DefaultConfig(o.Nodes, o.WorkersPerNode)
 	cfg.Durability = o.Durability
 	cfg.ReplicationFactor = o.ReplicationFactor
-	cfg.LeaseMicros = o.LeaseMicros
-	cfg.ROLeaseMicros = o.ROLeaseMicros
-	if o.MVCCDepth != 0 {
-		// Negative disables chains; cluster validation clamps it to 0.
-		cfg.MVCCDepth = o.MVCCDepth
-	}
+	cfg.LeaseMicros = leaseMicros
+	cfg.ROLeaseMicros = roLeaseMicros
 	cfg.FailureDetection = o.FailureDetection
-	if o.HeartbeatInterval > 0 {
-		cfg.HeartbeatInterval = o.HeartbeatInterval
-	}
-	if o.FailureTimeout > 0 {
-		cfg.FailureTimeout = o.FailureTimeout
-	}
-	if o.ElectionStagger > 0 {
-		cfg.ElectionStagger = o.ElectionStagger
-	}
 	c := cluster.New(cfg)
 	db := &DB{C: c, RT: tx.NewRuntime(c, part), faults: rdma.NewFaultPlan(o.FaultSeed)}
 	db.RT.ReadPolicy = o.ReadPolicy
@@ -524,300 +469,40 @@ func latencyOf(h obs.HistSnapshot) Latency {
 	}
 }
 
-// Stats is an immutable snapshot of every protocol counter in the
-// deployment, taken with DB.Stats. Subtract two snapshots with Delta to
-// scope counters to an interval.
-type Stats struct {
-	// Transaction outcomes (Sections 7.2-7.4).
-	Commits   int64 // read-write transactions committed
-	Retries   int64 // whole-transaction retries (lock/lease conflicts)
-	Fallbacks int64 // executions completed on the software fallback path
-	ROCommits int64 // read-only transactions committed
-	RORetries int64 // read-only transaction retries
-	// ROEscalations counts read-only attempts run under leases because the
-	// transaction's earlier attempts kept failing (ExecRO's progress guarantee).
-	ROEscalations int64
-	// ROSingles counts read-only transactions that skipped their confirmation:
-	// one speculative record in one cache line and no scan, so that one atomic
-	// read was the serialization point.
-	ROSingles int64
+// Stats is an immutable snapshot of the deployment's obs registry, taken with
+// DB.Stats: every protocol event, the NVRAM log gauge and the phase
+// histograms, read by their registry names (DESIGN.md's Observability section
+// lists them). Subtract two snapshots with Delta to scope counters to an
+// interval.
+type Stats struct{ snap obs.Snapshot }
 
-	// HTM region outcomes by abort cause (Section 7.4 / Table 6).
-	HTMCommits     int64
-	HTMAborts      int64 // sum of the five cause counters below
-	ConflictAborts int64 // working-set conflicts
-	CapacityAborts int64 // working set exceeded hardware bounds
-	LockedAborts   int64 // local record found remotely locked
-	LeaseAborts    int64 // lease invalid at in-region confirmation
-	ExplicitAborts int64 // other explicit aborts
+// Count reads a counter by name: an event ("tx.commit", "rdma.cas"), or a
+// dotted prefix that sums the events under it ("htm.abort" is the five abort
+// causes, "cache.hit" the hash and ordered frames' hits). The gauge
+// "nvram.log_high_water" is the most live words one log of one worker held at
+// a transaction boundary, against cluster.Config.LogWords. An unknown name
+// panics.
+func (s Stats) Count(name string) int64 { return s.snap.Count(name) }
 
-	// Lease protocol events (Sections 4.2 and 4.5 / Figures 5 and 8).
-	LeaseGrants         int64 // fresh shared leases installed
-	LeaseShares         int64 // existing unexpired leases joined
-	LeaseConfirms       int64 // per-lease confirmation checks that passed
-	LeaseConfirmFails   int64 // confirmation failures outside the HTM region
-	LeaseExpiries       int64 // expired leases observed and taken over/cleared
-	RemoteLockConflicts int64 // lock/lease acquisitions lost to a conflicting holder
-	LockUpgrades        int64 // shared leases upgraded in place to exclusive locks
-
-	// Speculative (OCC) read-arm events (PolicySpeculative, or adaptive
-	// routes).
-	SpecReads         int64 // records fetched with a versioned READ, no lock
-	SpecValidateFails int64 // commit-time validations that found a version bump or live lock
-	// ShipImages counts the speculative reads of remote ordered records served
-	// by the entry image their shipped lookup's reply carried: SpecReads that
-	// posted no READ.
-	ShipImages int64
-
-	// Snapshot (MVCC) read-arm events (PolicyMVCC, or adaptive wide-scan
-	// routes over the version chains).
-	ChainRetires     int64 // superseded versions retired into entry ring chains
-	MVCCReads        int64 // keys resolved against a snapshot stamp (point or scan row)
-	MVCCTruncations  int64 // resolutions that fell off the chain (stamp older than ring depth)
-	MVCCInconsistent int64 // torn chain images observed (head/tail mismatch)
-	MVCCFallbacks    int64 // RO executions that fell back to the confirm-wave arm
-
-	// Adaptive read-arm routing (PolicyAdaptive).
-	AdaptiveSpecReads  int64   // reads routed to the speculative arm (a read-only read is routed before it is resolved, so absent keys count too)
-	AdaptiveLeaseReads int64   // reads routed to the lease arm: their transaction had lost 8 validations
-	SpecShare          float64 // % of adaptive-routed reads that took the spec arm
-
-	// One-sided RDMA and messaging verbs (Section 7.1).
-	RDMAReads   int64
-	RDMAWrites  int64
-	RDMACASes   int64
-	RDMAFAAs    int64
-	VerbsMsgs   int64
-	ShippedOps  int64 // keys / operations the two-sided messages carried (coalescing: ShippedOps / VerbsMsgs)
-	RDMABatches int64 // doorbell batches polled by the async verb engine
-
-	// Location-cache traffic (Section 5.3), and the share of it that ordered
-	// regions' frames account for: speculative read-only reads of remote
-	// ordered rows, a hit one READ at the cached offset in place of a message,
-	// an invalidation a frame the image there proved stale (one wasted READ).
-	CacheHits, CacheMisses, CacheInvals                      int64
-	OrderedCacheHits, OrderedCacheMisses, OrderedCacheInvals int64
-
-	// Local B+ tree operations (lookups, inserts, deletes, scan starts), by
-	// what the index did: the cost model charges a descent BTreeOpNS and a
-	// finger hit one node search.
-	TreeDescents int64 // root-to-leaf walks: no leaf the executor's finger remembers covers the key, or the one that does is full
-	FingerHits   int64 // served by a leaf the executor's finger remembers, no walk
-
-	// Durability and recovery (Section 4.6 / Figure 7).
-	LogRecords      int64
-	LogRestarts     int64 // times a worker restarted its logs at a transaction boundary
-	LogGrows        int64 // times a log's arena doubled
-	LogHighWater    int64 // most live words one log of one worker held at a boundary (not a Delta)
-	LogCapWords     int64 // what LogHighWater is held against: cluster.Config.LogWords, fatal to overrun
-	RecoveryScans   int64 // write-ahead records Recover read
-	RecoveryRedos   int64
-	RecoveryUnlocks int64
-
-	// Replication and hot failover (FaRM-style commit-backup).
-	LogAppends   int64 // one-sided log-append WRs acked by backup redo logs
-	BackupBytes  int64 // redo payload bytes shipped to backups
-	FenceRejects int64 // appends rejected by a backup's view-epoch fence
-	ViewAborts   int64 // transactions aborted by an in-flight view change
-	Failovers    int64 // completed hot-failover promotions
-	PromoteNanos int64 // unavailability: wall-clock ns until the promoted partition serves
-	RedoTailLen  int64 // redo records replayed during promotions
-
-	// Fault injection, failure detection and recovery under load.
-	VerbFaults     int64 // verbs that failed (injected fault or crashed node)
-	LockRetries    int64 // transient verb faults retried inside transactions
-	BackoffNanos   int64 // modeled ns spent in fault-retry backoff
-	NodeDownAborts int64 // transactions aborted with ErrNodeDown
-	Detections     int64 // crashes confirmed by survivors via lease expiry
-	Recoveries     int64 // Recover invocations that replayed at least one log set
-	RecoveryNanos  int64 // wall-clock ns spent inside Recover
-
-	// Phase latency summaries (modeled time): the Start phase (remote
-	// lock/lease + prefetch), the HTM region (attempts plus fallback body),
-	// the Commit phase (remote write-back + unlock), and the whole
-	// transaction. Only committed read-write transactions are recorded.
-	// ValidateLatency covers the speculative arm's commit-time validation
-	// wave (a sub-phase of the HTM region, or of RO confirm).
-	// MVCCROLatency times PolicyMVCC read-only executions end to end.
-	LockRemoteLatency Latency
-	HTMRegionLatency  Latency
-	CommitLatency     Latency
-	ValidateLatency   Latency
-	MVCCROLatency     Latency
-	TotalLatency      Latency
-
-	snap obs.Snapshot
-}
-
-func newStats(sn obs.Snapshot) Stats {
-	c := func(ev obs.Event) int64 { return sn.Counter(ev) }
-	s := Stats{
-		Commits:   c(obs.EvTxCommit),
-		Retries:   c(obs.EvTxRetry),
-		Fallbacks: c(obs.EvFallback),
-		ROCommits: c(obs.EvROCommit),
-		RORetries: c(obs.EvRORetry),
-
-		ROEscalations: c(obs.EvROEscalate),
-		ROSingles:     c(obs.EvROSingle),
-
-		HTMCommits:     c(obs.EvHTMCommit),
-		ConflictAborts: c(obs.EvHTMConflictAbort),
-		CapacityAborts: c(obs.EvHTMCapacityAbort),
-		LockedAborts:   c(obs.EvHTMLockedAbort),
-		LeaseAborts:    c(obs.EvHTMLeaseAbort),
-		ExplicitAborts: c(obs.EvHTMExplicitAbort),
-
-		LeaseGrants:         c(obs.EvLeaseGrant),
-		LeaseShares:         c(obs.EvLeaseShare),
-		LeaseConfirms:       c(obs.EvLeaseConfirm),
-		LeaseConfirmFails:   c(obs.EvLeaseConfirmFail),
-		LeaseExpiries:       c(obs.EvLeaseExpire),
-		RemoteLockConflicts: c(obs.EvRemoteLockConflict),
-		LockUpgrades:        c(obs.EvLockUpgrade),
-
-		SpecReads:         c(obs.EvSpecRead),
-		SpecValidateFails: c(obs.EvSpecValidateFail),
-		ShipImages:        c(obs.EvShipImage),
-
-		ChainRetires:     c(obs.EvChainRetire),
-		MVCCReads:        c(obs.EvMVCCRead),
-		MVCCTruncations:  c(obs.EvMVCCTrunc),
-		MVCCInconsistent: c(obs.EvMVCCInconsist),
-		MVCCFallbacks:    c(obs.EvMVCCFallback),
-
-		AdaptiveSpecReads:  c(obs.EvAdaptSpec),
-		AdaptiveLeaseReads: c(obs.EvAdaptLease),
-
-		RDMAReads:   c(obs.EvRDMARead),
-		RDMAWrites:  c(obs.EvRDMAWrite),
-		RDMACASes:   c(obs.EvRDMACAS),
-		RDMAFAAs:    c(obs.EvRDMAFAA),
-		VerbsMsgs:   c(obs.EvVerbsMsg),
-		ShippedOps:  c(obs.EvShippedOp),
-		RDMABatches: c(obs.EvRDMABatch),
-
-		OrderedCacheHits:   c(obs.EvOrderedCacheHit),
-		OrderedCacheMisses: c(obs.EvOrderedCacheMiss),
-		OrderedCacheInvals: c(obs.EvOrderedCacheInval),
-
-		TreeDescents: c(obs.EvTreeDescent) + c(obs.EvLeafFullDescent),
-		FingerHits:   c(obs.EvFingerHit),
-
-		LogRecords:      c(obs.EvLogRecord),
-		LogRestarts:     c(obs.EvLogRestart),
-		LogGrows:        c(obs.EvLogGrow),
-		LogHighWater:    sn.Gauges[obs.GaugeLogWords],
-		RecoveryScans:   c(obs.EvRecoveryScan),
-		RecoveryRedos:   c(obs.EvRecoveryRedo),
-		RecoveryUnlocks: c(obs.EvRecoveryUnlock),
-
-		LogAppends:   c(obs.EvLogAppend),
-		BackupBytes:  c(obs.EvBackupBytes),
-		FenceRejects: c(obs.EvFenceReject),
-		ViewAborts:   c(obs.EvViewAbort),
-		Failovers:    c(obs.EvFailover),
-		PromoteNanos: c(obs.EvPromoteNanos),
-		RedoTailLen:  c(obs.EvRedoTailLen),
-
-		VerbFaults:     c(obs.EvVerbFault),
-		LockRetries:    c(obs.EvLockRetry),
-		BackoffNanos:   c(obs.EvBackoffNanos),
-		NodeDownAborts: c(obs.EvNodeDownAbort),
-		Detections:     c(obs.EvDetect),
-		Recoveries:     c(obs.EvRecoveryRun),
-		RecoveryNanos:  c(obs.EvRecoveryNanos),
-
-		LockRemoteLatency: latencyOf(sn.Phases[obs.PhaseLockRemote]),
-		HTMRegionLatency:  latencyOf(sn.Phases[obs.PhaseHTM]),
-		CommitLatency:     latencyOf(sn.Phases[obs.PhaseCommit]),
-		ValidateLatency:   latencyOf(sn.Phases[obs.PhaseValidate]),
-		MVCCROLatency:     latencyOf(sn.Phases[obs.PhaseMVCC]),
-		TotalLatency:      latencyOf(sn.Phases[obs.PhaseTotal]),
-
-		snap: sn,
-	}
-	s.HTMAborts = s.ConflictAborts + s.CapacityAborts + s.LockedAborts +
-		s.LeaseAborts + s.ExplicitAborts
-	s.CacheHits = c(obs.EvCacheHit) + s.OrderedCacheHits
-	s.CacheMisses = c(obs.EvCacheMiss) + s.OrderedCacheMisses
-	s.CacheInvals = c(obs.EvCacheInval) + s.OrderedCacheInvals
-	if n := s.AdaptiveSpecReads + s.AdaptiveLeaseReads; n > 0 {
-		s.SpecShare = 100 * float64(s.AdaptiveSpecReads) / float64(n)
-	}
-	return s
-}
+// Latency summarizes the histogram of the phase called name ("lock-remote",
+// "htm-region", "commit-remotes", "total", …); an unknown name panics.
+func (s Stats) Latency(phase string) Latency { return latencyOf(s.snap.Hist(phase)) }
 
 // Stats returns an immutable snapshot of all counters.
-func (db *DB) Stats() Stats {
-	s := newStats(db.C.Obs.Snapshot())
-	s.LogCapWords = int64(db.C.Config().LogWords)
-	return s
-}
+func (db *DB) Stats() Stats { return Stats{db.C.Obs.Snapshot()} }
 
 // ResetStats zeroes every counter and histogram.
 func (db *DB) ResetStats() { db.C.Obs.Reset() }
 
 // Delta returns the counter-by-counter difference s - prev. Latency
-// histograms subtract bucket-wise; their Max and LogHighWater are high-water
+// histograms subtract bucket-wise; their Max and the gauge are high-water
 // marks and keep s's values.
-func (s Stats) Delta(prev Stats) Stats {
-	d := newStats(s.snap.Delta(prev.snap))
-	d.LogCapWords = s.LogCapWords
-	return d
-}
+func (s Stats) Delta(prev Stats) Stats { return Stats{s.snap.Delta(prev.snap)} }
 
-// String renders a compact multi-line dump, the sample format shown in the
-// README's Observability section.
-func (s Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tx:      commits=%d retries=%d fallbacks=%d ro-commits=%d ro-retries=%d ro-escalations=%d ro-single-record=%d\n",
-		s.Commits, s.Retries, s.Fallbacks, s.ROCommits, s.RORetries, s.ROEscalations, s.ROSingles)
-	fmt.Fprintf(&b, "htm:     commits=%d aborts=%d (conflict=%d capacity=%d locked=%d lease=%d explicit=%d)\n",
-		s.HTMCommits, s.HTMAborts, s.ConflictAborts, s.CapacityAborts,
-		s.LockedAborts, s.LeaseAborts, s.ExplicitAborts)
-	fmt.Fprintf(&b, "lease:   grants=%d shares=%d confirms=%d confirm-fails=%d expiries=%d lock-conflicts=%d upgrades=%d\n",
-		s.LeaseGrants, s.LeaseShares, s.LeaseConfirms, s.LeaseConfirmFails,
-		s.LeaseExpiries, s.RemoteLockConflicts, s.LockUpgrades)
-	fmt.Fprintf(&b, "spec:    reads=%d validate-fails=%d shipped-images=%d\n", s.SpecReads, s.SpecValidateFails, s.ShipImages)
-	fmt.Fprintf(&b, "mvcc:    retires=%d reads=%d truncations=%d inconsistent=%d fallbacks=%d\n",
-		s.ChainRetires, s.MVCCReads, s.MVCCTruncations, s.MVCCInconsistent, s.MVCCFallbacks)
-	fmt.Fprintf(&b, "adapt:   spec-routes=%d lease-routes=%d spec-share=%.1f%%\n",
-		s.AdaptiveSpecReads, s.AdaptiveLeaseReads, s.SpecShare)
-	opsPerMsg := 0.0
-	if s.VerbsMsgs > 0 {
-		opsPerMsg = float64(s.ShippedOps) / float64(s.VerbsMsgs)
-	}
-	fmt.Fprintf(&b, "rdma:    reads=%d writes=%d cas=%d faa=%d msgs=%d (%.2f ops/msg) batches=%d\n",
-		s.RDMAReads, s.RDMAWrites, s.RDMACASes, s.RDMAFAAs, s.VerbsMsgs, opsPerMsg, s.RDMABatches)
-	fmt.Fprintf(&b, "cache:   hits=%d misses=%d invalidations=%d (ordered frames: hits=%d misses=%d invalidations=%d)\n",
-		s.CacheHits, s.CacheMisses, s.CacheInvals, s.OrderedCacheHits, s.OrderedCacheMisses, s.OrderedCacheInvals)
-	fmt.Fprintf(&b, "index:   descents=%d finger-hits=%d\n", s.TreeDescents, s.FingerHits)
-	fmt.Fprintf(&b, "nvram:   log-records=%d log-restarts=%d log-grows=%d log-high-water=%d/%d words recovery-scans=%d recovery-redos=%d recovery-unlocks=%d\n",
-		s.LogRecords, s.LogRestarts, s.LogGrows, s.LogHighWater, s.LogCapWords,
-		s.RecoveryScans, s.RecoveryRedos, s.RecoveryUnlocks)
-	fmt.Fprintf(&b, "repl:    log-appends=%d backup-bytes=%d fence-rejects=%d view-aborts=%d failovers=%d promote-time=%v redo-tail=%d\n",
-		s.LogAppends, s.BackupBytes, s.FenceRejects, s.ViewAborts,
-		s.Failovers, time.Duration(s.PromoteNanos), s.RedoTailLen)
-	fmt.Fprintf(&b, "fault:   verb-faults=%d lock-retries=%d node-down-aborts=%d detections=%d recoveries=%d recovery-time=%v\n",
-		s.VerbFaults, s.LockRetries, s.NodeDownAborts, s.Detections,
-		s.Recoveries, time.Duration(s.RecoveryNanos))
-	for _, ph := range []struct {
-		name string
-		l    Latency
-	}{
-		{"lock-remote", s.LockRemoteLatency},
-		{"htm-region", s.HTMRegionLatency},
-		{"commit-remotes", s.CommitLatency},
-		{"validate", s.ValidateLatency},
-		{"mvcc-ro", s.MVCCROLatency},
-		{"total", s.TotalLatency},
-	} {
-		fmt.Fprintf(&b, "latency: %-14s n=%-8d p50=%-10v p95=%-10v p99=%-10v max=%v\n",
-			ph.name, ph.l.Count, ph.l.P50, ph.l.P95, ph.l.P99, ph.l.Max)
-	}
-	return b.String()
-}
+// String renders every counter, one line per group of names, and every phase
+// with observations: the sample format shown in the README's Observability
+// section.
+func (s Stats) String() string { return s.snap.String() }
 
 // TraceEvent is one traced event; see DB.EnableTracing. Kind discriminates
 // transaction records (TraceTx) from failover records (TraceFailover).

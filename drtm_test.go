@@ -7,9 +7,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"drtm/internal/memory"
 	"drtm/internal/nvram"
+	"drtm/internal/obs"
 )
 
 const tblAcct = 1
@@ -51,8 +53,6 @@ func TestOpenValidation(t *testing.T) {
 		{"too many nodes", Options{Nodes: 1 << 16}, part},
 		{"negative workers", Options{WorkersPerNode: -2}, part},
 		{"too many workers", Options{WorkersPerNode: 1 << 16}, part},
-		{"lease overflow", Options{LeaseMicros: 1 << 50}, part},
-		{"ro lease overflow", Options{ROLeaseMicros: 1 << 50}, part},
 	}
 	for _, tc := range cases {
 		if _, err := Open(tc.o, tc.part); err == nil {
@@ -97,14 +97,14 @@ func TestQuickstartTransfer(t *testing.T) {
 	if v1[0] != 90 || v2[0] != 110 {
 		t.Fatalf("balances = %d, %d", v1[0], v2[0])
 	}
-	if db.Stats().Commits != 1 {
+	if db.Stats().Count("tx.commit") != 1 {
 		t.Fatal("stats commit missing")
 	}
 	if db.WorkerVirtualTime(0, 0) == 0 {
 		t.Fatal("virtual time not charged")
 	}
-	if s := db.Stats(); s.RDMAReads == 0 || s.RDMAWrites == 0 || s.RDMACASes == 0 {
-		t.Fatalf("remote op counts = %d/%d/%d, want all nonzero", s.RDMAReads, s.RDMAWrites, s.RDMACASes)
+	if s := db.Stats(); s.Count("rdma.read") == 0 || s.Count("rdma.write") == 0 || s.Count("rdma.cas") == 0 {
+		t.Fatalf("remote op counts = %d/%d/%d, want all nonzero", s.Count("rdma.read"), s.Count("rdma.write"), s.Count("rdma.cas"))
 	}
 }
 
@@ -286,34 +286,35 @@ func TestStatsSnapshotAndDelta(t *testing.T) {
 	before := db.Stats()
 	run(5)
 	d := db.Stats().Delta(before)
-	if d.Commits != 5 {
-		t.Fatalf("delta commits = %d, want 5", d.Commits)
+	if d.Count("tx.commit") != 5 {
+		t.Fatalf("delta commits = %d, want 5", d.Count("tx.commit"))
 	}
-	if before.Commits != 3 {
-		t.Fatalf("snapshot not immutable: before.Commits = %d", before.Commits)
+	if before.Count("tx.commit") != 3 {
+		t.Fatalf("snapshot not immutable: before's tx.commit = %d", before.Count("tx.commit"))
 	}
-	if d.RDMACASes <= 0 || d.RDMAWrites <= 0 {
+	if d.Count("rdma.cas") <= 0 || d.Count("rdma.write") <= 0 {
 		t.Fatalf("delta RDMA counts = cas:%d write:%d, want positive",
-			d.RDMACASes, d.RDMAWrites)
+			d.Count("rdma.cas"), d.Count("rdma.write"))
 	}
-	if d.TotalLatency.Count != 5 {
-		t.Fatalf("delta total-latency count = %d, want 5", d.TotalLatency.Count)
+	if d.Latency("total").Count != 5 {
+		t.Fatalf("delta total-latency count = %d, want 5", d.Latency("total").Count)
 	}
-	if d.TotalLatency.P50 <= 0 || d.TotalLatency.Max < d.TotalLatency.P50 {
-		t.Fatalf("latency summary inconsistent: %+v", d.TotalLatency)
+	if d.Latency("total").P50 <= 0 || d.Latency("total").Max < d.Latency("total").P50 {
+		t.Fatalf("latency summary inconsistent: %+v", d.Latency("total"))
 	}
 	if s := d.String(); len(s) == 0 {
 		t.Fatal("Stats.String empty")
 	}
 	db.ResetStats()
-	if c := db.Stats().Commits; c != 0 {
+	if c := db.Stats().Count("tx.commit"); c != 0 {
 		t.Fatalf("commits after ResetStats = %d", c)
 	}
 }
 
 // TestStatsIndexCounters: local ordered point operations show up in Stats as
 // tree descents and finger hits — a run of adjacent keys is one descent and
-// then hits — and in the dump's index: line.
+// then hits — and in the dump's index: line, where "index.descent" is the
+// descents no remembered leaf covered plus those into a full one.
 func TestStatsIndexCounters(t *testing.T) {
 	const tblLines = 2
 	db := MustOpen(Options{}, func(int, uint64) int { return 0 })
@@ -355,11 +356,12 @@ func TestStatsIndexCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := db.Stats().Delta(before)
-	if d.TreeDescents+d.FingerHits != 20 || d.TreeDescents > 2 {
+	if d.Count("index.descent")+d.Count("index.finger_hit") != 20 || d.Count("index.descent") > 2 {
 		t.Errorf("10 adjacent inserts + 10 read-writes: %d descents, %d finger hits; want 20 in all, at most 2 descents",
-			d.TreeDescents, d.FingerHits)
+			d.Count("index.descent"), d.Count("index.finger_hit"))
 	}
-	if want := fmt.Sprintf("index:   descents=%d finger-hits=%d\n", d.TreeDescents, d.FingerHits); !strings.Contains(d.String(), want) {
+	full := d.Count("index.descent.leaf_full")
+	if want := fmt.Sprintf(" descent=%d descent.leaf_full=%d finger_hit=%d\n", d.Count("index.descent")-full, full, d.Count("index.finger_hit")); !strings.Contains(d.String(), want) {
 		t.Errorf("Stats.String() lacks %q:\n%s", want, d)
 	}
 }
@@ -393,23 +395,23 @@ func TestStatsOrderedCacheShare(t *testing.T) {
 	read(tblRows)
 	read(tblHash)
 	before := db.Stats()
-	if before.OrderedCacheHits != 0 || before.OrderedCacheMisses != 1 || before.CacheMisses <= before.OrderedCacheMisses {
-		t.Fatalf("after one cold read of each table: %+v ordered misses of %+v", before.OrderedCacheMisses, before.CacheMisses)
+	if before.Count("cache.hit.ordered") != 0 || before.Count("cache.miss.ordered") != 1 || before.Count("cache.miss") <= before.Count("cache.miss.ordered") {
+		t.Fatalf("after one cold read of each table: %+v ordered misses of %+v", before.Count("cache.miss.ordered"), before.Count("cache.miss"))
 	}
 	read(tblRows)
 	read(tblRows)
 	read(tblHash)
 	d := db.Stats().Delta(before)
-	if d.OrderedCacheHits != 2 || d.OrderedCacheMisses != 0 || d.CacheHits <= d.OrderedCacheHits || d.VerbsMsgs != 0 {
+	if d.Count("cache.hit.ordered") != 2 || d.Count("cache.miss.ordered") != 0 || d.Count("cache.hit") <= d.Count("cache.hit.ordered") || d.Count("rdma.msg") != 0 {
 		t.Errorf("two warm ordered reads and a warm hash one: ordered hits %d misses %d, all hits %d, messages %d",
-			d.OrderedCacheHits, d.OrderedCacheMisses, d.CacheHits, d.VerbsMsgs)
+			d.Count("cache.hit.ordered"), d.Count("cache.miss.ordered"), d.Count("cache.hit"), d.Count("rdma.msg"))
 	}
-	want := fmt.Sprintf("cache:   hits=%d misses=0 invalidations=0 (ordered frames: hits=2 misses=0 invalidations=0)\n", d.CacheHits)
+	want := fmt.Sprintf("cache:    hit=%d miss=0 inval=0 hit.ordered=2 miss.ordered=0 inval.ordered=0\n", d.Count("cache.hit")-2)
 	if !strings.Contains(d.String(), want) {
 		t.Errorf("Stats.String() lacks %q:\n%s", want, d)
 	}
 	db.ResetStats()
-	want = "cache:   hits=0 misses=0 invalidations=0 (ordered frames: hits=0 misses=0 invalidations=0)\n"
+	want = "cache:    hit=0 miss=0 inval=0 hit.ordered=0 miss.ordered=0 inval.ordered=0\n"
 	if s := db.Stats().String(); !strings.Contains(s, want) {
 		t.Errorf("after ResetStats, Stats.String() lacks %q:\n%s", want, s)
 	}
@@ -508,21 +510,21 @@ func TestStatsConflictBreakdownE2E(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		conflictStorm(t, db, 60)
 		st = db.Stats()
-		if st.ConflictAborts > 0 && st.RemoteLockConflicts > 0 {
+		if st.Count("htm.abort.conflict") > 0 && st.Count("lock.remote_conflict") > 0 {
 			break
 		}
 	}
-	if st.ConflictAborts == 0 {
+	if st.Count("htm.abort.conflict") == 0 {
 		t.Error("no HTM conflict aborts recorded under contention")
 	}
-	if st.RemoteLockConflicts == 0 {
+	if st.Count("lock.remote_conflict") == 0 {
 		t.Error("no remote lock conflicts recorded under contention")
 	}
-	if st.HTMAborts != st.ConflictAborts+st.CapacityAborts+st.LockedAborts+
-		st.LeaseAborts+st.ExplicitAborts {
-		t.Errorf("HTMAborts %d != sum of cause counters", st.HTMAborts)
+	if st.Count("htm.abort") != st.Count("htm.abort.conflict")+st.Count("htm.abort.capacity")+st.Count("htm.abort.locked")+
+		st.Count("htm.abort.lease")+st.Count("htm.abort.explicit") {
+		t.Errorf("htm.abort %d != sum of cause counters", st.Count("htm.abort"))
 	}
-	if st.Retries == 0 {
+	if st.Count("tx.retry") == 0 {
 		t.Error("no transaction retries recorded under contention")
 	}
 	// Conservation still holds.
@@ -630,15 +632,15 @@ func TestDurableLongRunLogsStayShort(t *testing.T) {
 		}
 	}
 	s := db.Stats()
-	if s.LogGrows != 0 || s.LogRestarts < commits-1 || s.LogHighWater > maxLiveWords {
+	if s.Count("nvram.log_grow") != 0 || s.Count("nvram.log_restart") < commits-1 || s.Count("nvram.log_high_water") > maxLiveWords {
 		t.Errorf("log-grows=%d log-restarts=%d log-high-water=%d over %d commits, want 0, one per commit and <= %d",
-			s.LogGrows, s.LogRestarts, s.LogHighWater, commits, maxLiveWords)
+			s.Count("nvram.log_grow"), s.Count("nvram.log_restart"), s.Count("nvram.log_high_water"), commits, maxLiveWords)
 	}
 }
 
 // TestStatsLogGauge: the logs' fill is visible before it is a panic. Restarts
 // are counted, the high-water mark is the fullest log any worker had at a
-// transaction boundary — against LogCapWords, the cap whose overrun is fatal —
+// transaction boundary — against cluster.Config.LogWords, the cap whose overrun is fatal —
 // and it climbs, with arena grows behind it, exactly while a release parked for
 // a dead node keeps the workers from reclaiming. A Delta keeps the mark.
 func TestStatsLogGauge(t *testing.T) {
@@ -672,12 +674,9 @@ func TestStatsLogGauge(t *testing.T) {
 		write(nil, 1, 2)
 	}
 	calm := db.Stats()
-	if calm.LogRestarts != 9 || calm.LogGrows != 0 || calm.LogHighWater == 0 || calm.LogHighWater > 32 {
+	if calm.Count("nvram.log_restart") != 9 || calm.Count("nvram.log_grow") != 0 || calm.Count("nvram.log_high_water") == 0 || calm.Count("nvram.log_high_water") > 32 {
 		t.Fatalf("ten quiet commits: log-restarts=%d log-grows=%d log-high-water=%d, want 9, 0 and one transaction's few words",
-			calm.LogRestarts, calm.LogGrows, calm.LogHighWater)
-	}
-	if calm.LogCapWords != int64(db.C.Config().LogWords) {
-		t.Fatalf("LogCapWords = %d, the cluster's LogWords is %d", calm.LogCapWords, db.C.Config().LogWords)
+			calm.Count("nvram.log_restart"), calm.Count("nvram.log_grow"), calm.Count("nvram.log_high_water"))
 	}
 
 	// Node 1 dies as a commit's write-back to it is posted: the release is
@@ -687,14 +686,14 @@ func TestStatsLogGauge(t *testing.T) {
 	for i := 0; i < parked; i++ {
 		write(nil, 2)
 	}
-	d := db.Stats().Delta(calm)
-	if d.LogRestarts != 1 { // the crashing commit's own
-		t.Errorf("%d log restarts behind a parked release, want none", d.LogRestarts-1)
+	d, logCap := db.Stats().Delta(calm), int64(db.C.Config().LogWords)
+	if d.Count("nvram.log_restart") != 1 { // the crashing commit's own
+		t.Errorf("%d log restarts behind a parked release, want none", d.Count("nvram.log_restart")-1)
 	}
-	if d.LogHighWater < 9*(parked-1) || d.LogHighWater > d.LogCapWords || d.LogGrows == 0 {
-		t.Errorf("after %d commits behind a parked release: log-high-water=%d of %d, log-grows=%d", parked, d.LogHighWater, d.LogCapWords, d.LogGrows)
+	if d.Count("nvram.log_high_water") < 9*(parked-1) || d.Count("nvram.log_high_water") > logCap || d.Count("nvram.log_grow") == 0 {
+		t.Errorf("after %d commits behind a parked release: log-high-water=%d of %d, log-grows=%d", parked, d.Count("nvram.log_high_water"), logCap, d.Count("nvram.log_grow"))
 	}
-	if want := fmt.Sprintf("log-restarts=%d log-grows=%d log-high-water=%d/%d words", d.LogRestarts, d.LogGrows, d.LogHighWater, d.LogCapWords); !strings.Contains(d.String(), want) {
+	if want := fmt.Sprintf(" log_restart=%d log_grow=%d log_high_water=%d\n", d.Count("nvram.log_restart"), d.Count("nvram.log_grow"), d.Count("nvram.log_high_water")); !strings.Contains(d.String(), want) {
 		t.Errorf("Stats.String lacks %q:\n%s", want, d.String())
 	}
 
@@ -705,5 +704,157 @@ func TestStatsLogGauge(t *testing.T) {
 	write(nil, 2)
 	if got := db.C.Worker(0, 0).WriteAheadLog.BytesUsed() / 8; got > 32 {
 		t.Errorf("write-ahead log holds %d words after the parked release drained", got)
+	}
+}
+
+// TestStatsCoversRegistry: Stats is the obs registry read by name. On a
+// workload that scans, erases and maintains an index, every event, the gauge
+// and every phase with observations appears exactly once in the dump, with
+// the snapshot's value; Count of an event is its count plus its children's,
+// so every prefix sums what is under it; an unknown name panics.
+func TestStatsCoversRegistry(t *testing.T) {
+	const base, index = 2, 3
+	key := func(entity, sub uint64) uint64 { return entity<<8 | sub }
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, Durability: true},
+		func(_ int, k uint64) int { return int(k>>8) % 2 })
+	defer db.Close()
+	db.CreateOrderedTableSeg(base, 256, 2, 8)
+	db.CreateOrderedTableSeg(index, 256, 1, 8)
+	db.CreateIndex(base, IndexSpec{Table: index,
+		Key: func(k uint64, val []uint64) uint64 { return k&^0xFF | val[1]&0xFF }})
+	e := db.Executor(0, 0)
+	exec := func(build func(tx *Tx) error) {
+		t.Helper()
+		if err := e.Exec(func(tx *Tx) error {
+			if err := build(tx); err != nil {
+				return err
+			}
+			return tx.Execute(func(*Local) error { return nil })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for entity := uint64(0); entity < 2; entity++ { // a local and a remote partition
+		for sub := uint64(1); sub <= 4; sub++ {
+			exec(func(tx *Tx) error { return tx.WInsert(base, key(entity, sub), []uint64{sub, 10 + sub}) })
+		}
+		exec(func(tx *Tx) error {
+			_, err := tx.Scan(base, key(entity, 0), key(entity, 0xFF), 0)
+			return err
+		})
+		if err := e.ExecRO(func(ro *RO) error {
+			_, err := ro.Scan(index, key(entity, 0), key(entity, 0xFF), 0)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		exec(func(tx *Tx) error {
+			_, err := tx.Erase(base, key(entity, 2))
+			return err
+		})
+	}
+	// The erased entries are unlinked by a later commit, once the soft clock
+	// has moved past the snapshot floor.
+	for i := 0; db.Stats().Count("index.remove_dead") == 0 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		exec(func(tx *Tx) error { return tx.W(base, key(0, 1)) })
+	}
+	s := db.Stats()
+	for _, name := range []string{"scan.collect", "scan.row", "index.maint", "index.remove_dead", "rdma.read_bytes", "nvram.log_high_water"} {
+		if s.Count(name) == 0 {
+			t.Errorf("%s = 0 after the workload", name)
+		}
+	}
+
+	// The dump: "group: k=v ..." lines, then "phase: name n=..." lines.
+	printed, phases := map[string][]int64{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(s.String()), "\n") {
+		f := strings.Fields(line)
+		group := strings.TrimSuffix(f[0], ":")
+		if group == "phase" {
+			phases[f[1]]++
+			if n := fmt.Sprintf("n=%d", s.Latency(f[1]).Count); f[2] != n {
+				t.Errorf("phase %s prints %s, want %s", f[1], f[2], n)
+			}
+			continue
+		}
+		for _, kv := range f[1:] {
+			k, v, _ := strings.Cut(kv, "=")
+			var n int64
+			fmt.Sscan(v, &n)
+			printed[group+"."+k] = append(printed[group+"."+k], n)
+		}
+	}
+	sn := s.snap
+	names := map[string]bool{}
+	for ev := 0; ev < obs.NumEvents; ev++ {
+		name := obs.Event(ev).String()
+		names[name] = true
+		if got := printed[name]; len(got) != 1 || got[0] != sn.Counters[ev] {
+			t.Errorf("%s printed %v, want once with %d", name, got, sn.Counters[ev])
+		}
+		for p := name; p != ""; {
+			i := strings.LastIndexByte(p, '.')
+			if i < 0 {
+				break
+			}
+			p = p[:i]
+			names[p] = true
+		}
+	}
+	gauge := obs.GaugeLogWords.String()
+	if got := printed[gauge]; len(got) != 1 || got[0] != sn.Gauges[obs.GaugeLogWords] || s.Count(gauge) != got[0] {
+		t.Errorf("%s printed %v, Count %d, want once with %d", gauge, got, s.Count(gauge), sn.Gauges[obs.GaugeLogWords])
+	}
+	if len(printed) != obs.NumEvents+obs.NumGauges {
+		t.Errorf("the dump prints %d counters, the registry has %d events and %d gauges", len(printed), obs.NumEvents, obs.NumGauges)
+	}
+	for p := 0; p < obs.NumPhases; p++ {
+		name := obs.Phase(p).String()
+		if want := min(sn.Phases[p].Count, 1); int64(phases[name]) != want {
+			t.Errorf("phase %s printed %d times with %d observations", name, phases[name], sn.Phases[p].Count)
+		}
+	}
+
+	// Count of a name is its own event's count plus its direct children's
+	// Counts: an event without children is the snapshot's value, and a prefix
+	// sums what is under it.
+	for name := range names {
+		var want int64
+		for ev := 0; ev < obs.NumEvents; ev++ {
+			if obs.Event(ev).String() == name {
+				want += sn.Counters[ev]
+			}
+		}
+		for child := range names {
+			if rest, ok := strings.CutPrefix(child, name+"."); ok && !strings.Contains(rest, ".") {
+				want += s.Count(child)
+			}
+		}
+		if got := s.Count(name); got != want {
+			t.Errorf("Count(%q) = %d, want %d", name, got, want)
+		}
+	}
+	aborts := sn.Counters[obs.EvHTMConflictAbort] + sn.Counters[obs.EvHTMCapacityAbort] + sn.Counters[obs.EvHTMLockedAbort] +
+		sn.Counters[obs.EvHTMLeaseAbort] + sn.Counters[obs.EvHTMExplicitAbort]
+	if s.Count("htm.abort") != aborts ||
+		s.Count("cache.hit") != sn.Counters[obs.EvCacheHit]+sn.Counters[obs.EvOrderedCacheHit] ||
+		s.Count("index.descent") != sn.Counters[obs.EvTreeDescent]+sn.Counters[obs.EvLeafFullDescent] {
+		t.Error("htm.abort, cache.hit or index.descent is not the sum of its parts")
+	}
+
+	for _, read := range []func(){
+		func() { s.Count("no.such") },
+		func() { s.Count("htm.abor") }, // not a whole segment
+		func() { s.Latency("no-such-phase") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("an unknown name did not panic")
+				}
+			}()
+			read()
+		}()
 	}
 }

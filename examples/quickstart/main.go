@@ -75,6 +75,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if total != 1000 {
+		log.Fatalf("audit total: %d, want 1000", total)
+	}
 	fmt.Printf("audit total: %d (expected 1000)\n", total)
 
 	// The full observability snapshot: protocol counters by cause plus

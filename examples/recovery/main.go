@@ -25,11 +25,8 @@ func main() {
 	const nodes, workers, keys = 3, 2, 60
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
-		Durability:        true,
-		FailureDetection:  true, // lease-based membership + auto recovery
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    12 * time.Millisecond,
-		ElectionStagger:   2 * time.Millisecond,
+		Durability:       true,
+		FailureDetection: true, // lease-based membership + auto recovery
 	}, func(table int, key uint64) int { return int(key) % nodes })
 	defer db.Close()
 
@@ -111,9 +108,9 @@ func main() {
 
 	st := db.Stats()
 	fmt.Printf("counters: detections=%d recoveries=%d recovery-time=%v\n",
-		st.Detections, st.Recoveries, time.Duration(st.RecoveryNanos))
+		st.Count("fault.detect"), st.Count("recovery.run"), time.Duration(st.Count("recovery.ns")))
 	fmt.Printf("          verb-faults=%d node-down-aborts=%d log-records=%d recovery-redos=%d recovery-unlocks=%d\n",
-		st.VerbFaults, st.NodeDownAborts, st.LogRecords, st.RecoveryRedos, st.RecoveryUnlocks)
+		st.Count("fault.verb"), st.Count("tx.node_down"), st.Count("nvram.log_record"), st.Count("recovery.redo"), st.Count("recovery.unlock"))
 
 	fmt.Print("verifying conservation after recovery... ")
 	var total uint64

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"drtm/internal/cluster"
-	"drtm/internal/obs"
 	"drtm/internal/tpcc"
 	"drtm/internal/tx"
 )
@@ -77,10 +76,8 @@ func main() {
 		float64(newOrder)/maxV.Seconds(), float64(total)/maxV.Seconds())
 
 	st := c.Obs.Snapshot()
-	htmAborts := st.Counter(obs.EvHTMConflictAbort) + st.Counter(obs.EvHTMCapacityAbort) +
-		st.Counter(obs.EvHTMLockedAbort) + st.Counter(obs.EvHTMLeaseAbort) + st.Counter(obs.EvHTMExplicitAbort)
 	fmt.Printf("htm aborts=%d, whole-txn retries=%d, fallbacks=%d, RO commits=%d\n",
-		htmAborts, st.Counter(obs.EvTxRetry), st.Counter(obs.EvFallback), st.Counter(obs.EvROCommit))
+		st.Count("htm.abort"), st.Count("tx.retry"), st.Count("tx.fallback"), st.Count("ro.commit"))
 
 	fmt.Print("checking TPC-C consistency conditions... ")
 	if err := w.CheckConsistency(); err != nil {

@@ -196,9 +196,9 @@ func totals(rt *tx.Runtime, evs ...obs.Event) (n int64) {
 	return n
 }
 
-// htmAborts are the HTM region aborts the transaction layer books, every cause.
-var htmAborts = []obs.Event{obs.EvHTMConflictAbort, obs.EvHTMCapacityAbort,
-	obs.EvHTMLockedAbort, obs.EvHTMLeaseAbort, obs.EvHTMExplicitAbort}
+// htmAborts is the HTM region aborts the transaction layer booked in rt's
+// cluster, every cause.
+func htmAborts(rt *tx.Runtime) int64 { return rt.C.Obs.Snapshot().Count("htm.abort") }
 
 // fmtMops renders ops/sec in millions.
 func fmtMops(v float64) string { return fmt.Sprintf("%.2fM", v/1e6) }

@@ -52,13 +52,9 @@ func runChaosExp(o Options) *Result {
 
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
-		LeaseMicros: simLeaseMicros, ROLeaseMicros: simROLeaseMicros,
-		Durability:        true,
-		FailureDetection:  true,
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    12 * time.Millisecond,
-		ElectionStagger:   2 * time.Millisecond,
-		FaultSeed:         seed,
+		Durability:       true,
+		FailureDetection: true,
+		FaultSeed:        seed,
 	}, cfg.Partitioner())
 	defer db.Close()
 
@@ -168,21 +164,22 @@ func runChaosExp(o Options) *Result {
 	res.AddRow("crash-cycles", fmt.Sprintf("%d (recovered: %d)", cycles, recovered))
 	res.AddRow("commits", fmt.Sprintf("%d", commits.Load()))
 	res.AddRow("commits-during-outage", fmt.Sprintf("%d", outageCommits.Load()))
-	res.AddRow("node-down-aborts", fmt.Sprintf("%d", st.NodeDownAborts))
+	count := func(label, name string) { res.AddRow(label, fmt.Sprintf("%d", st.Count(name))) }
+	count("node-down-aborts", "tx.node_down")
 	res.AddRow("balance-conservation", conservation)
 	res.AddRow("pending-after-drain", fmt.Sprintf("%d", pending))
-	res.AddRow("detections", fmt.Sprintf("%d", st.Detections))
-	res.AddRow("recoveries", fmt.Sprintf("%d", st.Recoveries))
-	res.AddRow("recovery-time", fmt.Sprintf("%v", time.Duration(st.RecoveryNanos)))
-	res.AddRow("recovery-redos", fmt.Sprintf("%d", st.RecoveryRedos))
-	res.AddRow("recovery-unlocks", fmt.Sprintf("%d", st.RecoveryUnlocks))
-	res.AddRow("recovery-wal-scanned", fmt.Sprintf("%d", st.RecoveryScans))
-	res.AddRow("log-restarts", fmt.Sprintf("%d", st.LogRestarts))
-	res.AddRow("log-grows", fmt.Sprintf("%d", st.LogGrows))
-	res.AddRow("log-high-water", fmt.Sprintf("%d of %d words", st.LogHighWater, st.LogCapWords))
-	res.AddRow("verb-faults", fmt.Sprintf("%d", st.VerbFaults))
-	res.AddRow("lock-retries", fmt.Sprintf("%d", st.LockRetries))
-	res.AddRow("retry-backoff", fmt.Sprintf("%v", time.Duration(st.BackoffNanos)))
+	count("detections", "fault.detect")
+	count("recoveries", "recovery.run")
+	res.AddRow("recovery-time", fmt.Sprintf("%v", time.Duration(st.Count("recovery.ns"))))
+	count("recovery-redos", "recovery.redo")
+	count("recovery-unlocks", "recovery.unlock")
+	count("recovery-wal-scanned", "recovery.wal_scanned")
+	count("log-restarts", "nvram.log_restart")
+	count("log-grows", "nvram.log_grow")
+	res.AddRow("log-high-water", fmt.Sprintf("%d of %d words", st.Count("nvram.log_high_water"), db.C.Config().LogWords))
+	count("verb-faults", "fault.verb")
+	count("lock-retries", "fault.retry")
+	res.AddRow("retry-backoff", fmt.Sprintf("%v", time.Duration(st.Count("fault.backoff_ns"))))
 
 	res.Note("detector: 1ms heartbeats, 12ms failure timeout, 2ms election stagger; fault seed %d", seed)
 	res.Note("1%% injected verb timeouts on links 1->0 and 2->0; nodes 1,2 crashed alternately under live traffic")

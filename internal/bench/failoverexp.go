@@ -42,6 +42,7 @@ func init() {
 type failoverArm struct {
 	f             int
 	st            drtm.Stats // the run's counters, from the loaded cluster to its close
+	logCap        int        // cluster.Config.LogWords, what log-high-water is held against
 	commits       int64
 	outageCommits int64
 	downAborts    int64
@@ -54,9 +55,9 @@ type failoverArm struct {
 // partition serves (f>0).
 func (a failoverArm) unavailNS() int64 {
 	if a.f == 0 {
-		return a.st.RecoveryNanos
+		return a.st.Count("recovery.ns")
 	}
-	return a.st.PromoteNanos
+	return a.st.Count("repl.promote_ns")
 }
 
 func (a failoverArm) conserved() bool { return a.final == a.want }
@@ -96,13 +97,9 @@ func measureFailoverArm(o Options, f, warmX int) failoverArm {
 
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
-		LeaseMicros: simLeaseMicros, ROLeaseMicros: simROLeaseMicros,
 		Durability:        true,
 		ReplicationFactor: f,
 		FailureDetection:  true,
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    12 * time.Millisecond,
-		ElectionStagger:   2 * time.Millisecond,
 		FaultSeed:         seed,
 	}, cfg.Partitioner())
 	defer db.Close()
@@ -190,6 +187,7 @@ func measureFailoverArm(o Options, f, warmX int) failoverArm {
 	return failoverArm{
 		f:             f,
 		st:            db.Stats().Delta(base),
+		logCap:        db.C.Config().LogWords,
 		commits:       commits.Load(),
 		outageCommits: outageCommits.Load(),
 		downAborts:    downAborts.Load(),
@@ -223,6 +221,9 @@ func runFailoverExp(o Options) *Result {
 	count := func(name string, v func(a failoverArm) int64) {
 		row(name, func(a failoverArm) string { return fmt.Sprintf("%d", v(a)) })
 	}
+	counter := func(label, name string) {
+		count(label, func(a failoverArm) int64 { return a.st.Count(name) })
+	}
 	row("repair", func(a failoverArm) string {
 		switch {
 		case !a.repaired:
@@ -237,17 +238,17 @@ func runFailoverExp(o Options) *Result {
 	count("commits-during-outage", func(a failoverArm) int64 { return a.outageCommits })
 	count("node-down-aborts", func(a failoverArm) int64 { return a.downAborts })
 	row("balance-conservation", failoverArm.conservation)
-	count("detections", func(a failoverArm) int64 { return a.st.Detections })
-	count("recoveries", func(a failoverArm) int64 { return a.st.Recoveries })
-	count("failovers", func(a failoverArm) int64 { return a.st.Failovers })
-	count("log-appends", func(a failoverArm) int64 { return a.st.LogAppends })
-	count("backup-bytes", func(a failoverArm) int64 { return a.st.BackupBytes })
-	count("wal-records-scanned", func(a failoverArm) int64 { return a.st.RecoveryScans })
-	count("redo-tail-replayed", func(a failoverArm) int64 { return a.st.RedoTailLen })
-	count("log-restarts", func(a failoverArm) int64 { return a.st.LogRestarts })
-	count("log-grows", func(a failoverArm) int64 { return a.st.LogGrows })
+	counter("detections", "fault.detect")
+	counter("recoveries", "recovery.run")
+	counter("failovers", "repl.failover")
+	counter("log-appends", "repl.log_append")
+	counter("backup-bytes", "repl.backup_bytes")
+	counter("wal-records-scanned", "recovery.wal_scanned")
+	counter("redo-tail-replayed", "repl.redo_tail")
+	counter("log-restarts", "nvram.log_restart")
+	counter("log-grows", "nvram.log_grow")
 	row("log-high-water", func(a failoverArm) string {
-		return fmt.Sprintf("%d of %d words", a.st.LogHighWater, a.st.LogCapWords)
+		return fmt.Sprintf("%d of %d words", a.st.Count("nvram.log_high_water"), a.logCap)
 	})
 
 	res.Note("gate (TestFailoverAcceptance): each repair's work in log records — wal-records-scanned for f=0, redo-tail-replayed for f=1 — stays under a constant at the 1x and at the 4x warm window; every arm repairs and conserves money")

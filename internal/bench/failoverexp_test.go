@@ -50,7 +50,7 @@ func TestFailoverAcceptance(t *testing.T) {
 		if !r.repaired {
 			t.Fatal("f=0 arm: victim was never revived")
 		}
-		// Stats.Recoveries counts the Recovers that found something to replay;
+		// recovery.run counts the Recovers that found something to replay;
 		// a victim caught between two transactions leaves none, so the call
 		// itself is what must show.
 		if r.unavailNS() <= 0 {
@@ -59,11 +59,11 @@ func TestFailoverAcceptance(t *testing.T) {
 		if !r.conserved() {
 			t.Errorf("f=0 arm lost money: %s", r.conservation())
 		}
-		if r.st.RecoveryScans > maxWALScanned {
+		if r.st.Count("recovery.wal_scanned") > maxWALScanned {
 			t.Errorf("f=0 arm, %dx warm window: Recover read %d write-ahead records, want <= %d: the victim's logs kept history",
-				warmX, r.st.RecoveryScans, maxWALScanned)
+				warmX, r.st.Count("recovery.wal_scanned"), maxWALScanned)
 		}
-		if r.st.LogRestarts == 0 {
+		if r.st.Count("nvram.log_restart") == 0 {
 			t.Error("f=0 arm: no worker ever restarted its logs")
 		}
 
@@ -71,15 +71,15 @@ func TestFailoverAcceptance(t *testing.T) {
 		if !h.repaired {
 			t.Fatal("f=1 arm: partition was never promoted")
 		}
-		if h.st.Failovers == 0 {
+		if h.st.Count("repl.failover") == 0 {
 			t.Error("f=1 arm recorded no promotion")
 		}
-		if h.st.Recoveries != 0 {
-			t.Errorf("f=1 arm fell back to full recovery %d times", h.st.Recoveries)
+		if h.st.Count("recovery.run") != 0 {
+			t.Errorf("f=1 arm fell back to full recovery %d times", h.st.Count("recovery.run"))
 		}
-		if h.st.LogAppends == 0 || h.st.BackupBytes == 0 {
+		if h.st.Count("repl.log_append") == 0 || h.st.Count("repl.backup_bytes") == 0 {
 			t.Errorf("f=1 arm shipped no redo records (appends=%d bytes=%d)",
-				h.st.LogAppends, h.st.BackupBytes)
+				h.st.Count("repl.log_append"), h.st.Count("repl.backup_bytes"))
 		}
 		// Zero lost committed transactions across the crash, audited
 		// through the promoted replica.
@@ -89,12 +89,12 @@ func TestFailoverAcceptance(t *testing.T) {
 		if !h.conserved() {
 			t.Errorf("f=1 arm lost money across failover: %s", h.conservation())
 		}
-		if h.st.RedoTailLen > maxRedoTail {
+		if h.st.Count("repl.redo_tail") > maxRedoTail {
 			t.Errorf("f=1 arm, %dx warm window: promotion replayed %d redo records, want <= %d: a ring outran its checkpoints",
-				warmX, h.st.RedoTailLen, maxRedoTail)
+				warmX, h.st.Count("repl.redo_tail"), maxRedoTail)
 		}
 		t.Logf("%dx warm, seed %d: f=0 %d commits, %d WAL records scanned, Recover %v; f=1 %d commits, %d redo records replayed, promotion %v",
-			warmX, seed, r.commits, r.st.RecoveryScans, time.Duration(r.unavailNS()),
-			h.commits, h.st.RedoTailLen, time.Duration(h.unavailNS()))
+			warmX, seed, r.commits, r.st.Count("recovery.wal_scanned"), time.Duration(r.unavailNS()),
+			h.commits, h.st.Count("repl.redo_tail"), time.Duration(h.unavailNS()))
 	}
 }

@@ -151,7 +151,7 @@ func runFig11(o Options) *Result {
 		})
 		close(stormDone)
 		commits := totals(rt, obs.EvTxCommit)
-		aborts := totals(rt, htmAborts...)
+		aborts := htmAborts(rt)
 		leaseFails := totals(rt, obs.EvHTMLeaseAbort, obs.EvLeaseConfirmFail)
 		stop()
 		res.AddRow(v.name, v.interval.String(),
@@ -373,7 +373,7 @@ func runTable2(o Options) *Result {
 			panic(err)
 		}
 
-		before := totals(rt, htmAborts...) + totals(rt, obs.EvTxRetry)
+		before := htmAborts(rt) + totals(rt, obs.EvTxRetry)
 		done := make(chan error, 1)
 		go func() {
 			done <- e0.Exec(func(t0 *tx.Tx) error {
@@ -398,7 +398,7 @@ func runTable2(o Options) *Result {
 		// Give the local transaction time to attempt (and conflict) while
 		// the remote lock/lease is held, then release so it can finish.
 		deadline := time.Now().Add(200 * time.Millisecond)
-		for totals(rt, htmAborts...)+totals(rt, obs.EvTxRetry) == before &&
+		for htmAborts(rt)+totals(rt, obs.EvTxRetry) == before &&
 			time.Now().Before(deadline) {
 			select {
 			case err := <-done: // committed without conflict: sharing
@@ -415,7 +415,7 @@ func runTable2(o Options) *Result {
 		if err := <-done; err != nil {
 			panic(err)
 		}
-		if totals(rt, htmAborts...)+totals(rt, obs.EvTxRetry) > before {
+		if htmAborts(rt)+totals(rt, obs.EvTxRetry) > before {
 			return "C"
 		}
 		return "S"
@@ -517,7 +517,7 @@ func runAblateFallback(o Options) *Result {
 		})
 		commits := totals(rt, obs.EvTxCommit)
 		fb := totals(rt, obs.EvFallback)
-		aborts := totals(rt, htmAborts...)
+		aborts := htmAborts(rt)
 		tput := throughput(commits, ws)
 		stop()
 		res.AddRow(fmt.Sprintf("%d", th),

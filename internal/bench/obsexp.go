@@ -3,11 +3,13 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"drtm"
+	"drtm/internal/obs"
 )
 
 // The obs experiment exercises the redesigned public observability API
@@ -41,7 +43,6 @@ func runObsExp(o Options) *Result {
 
 	db := drtm.MustOpen(drtm.Options{
 		Nodes: nodes, WorkersPerNode: workers,
-		LeaseMicros: simLeaseMicros, ROLeaseMicros: simROLeaseMicros,
 	}, func(table int, key uint64) int { return int(key) % nodes })
 	defer db.Close()
 
@@ -146,58 +147,35 @@ func runObsExp(o Options) *Result {
 	res := &Result{
 		ID:      "obs",
 		Title:   "Observability: abort causes, RDMA verbs, lease events, phase latency",
-		Headers: []string{"group", "metric", "value"},
+		Headers: []string{"group", "name", "value"},
 	}
-	pctOf := func(part, whole int64) string {
-		if whole == 0 {
-			return "0.0%"
+	// Every counter of the groups shown, by registry name; a share of a total
+	// ("htm.abort.conflict" of "htm.abort") says its part.
+	for _, group := range []string{"tx", "ro", "htm", "lease", "lock", "rdma"} {
+		for ev := obs.Event(0); int(ev) < obs.NumEvents; ev++ {
+			name := ev.String()
+			if !strings.HasPrefix(name, group+".") {
+				continue
+			}
+			v := fmt.Sprintf("%d", st.Count(name))
+			if i := strings.LastIndexByte(name, '.'); i > len(group) {
+				total := st.Count(name[:i])
+				share := 0.0
+				if total > 0 {
+					share = 100 * float64(st.Count(name)) / float64(total)
+				}
+				v += fmt.Sprintf(" (%.1f%% of %s)", share, name[:i])
+			}
+			res.AddRow(group, name, v)
 		}
-		return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
 	}
-	count := func(group, metric string, v int64) {
-		res.AddRow(group, metric, fmt.Sprintf("%d", v))
+	// Every phase that saw the run, but the batch-ops WR counts (rdma.batch).
+	for p := obs.Phase(0); int(p) < obs.NumPhases; p++ {
+		if l := st.Latency(p.String()); l.Count > 0 && p != obs.PhaseBatchOps {
+			res.AddRow("latency", p.String(),
+				fmt.Sprintf("n=%d p50=%v p95=%v p99=%v max=%v", l.Count, l.P50, l.P95, l.P99, l.Max))
+		}
 	}
-
-	count("tx", "commits", st.Commits)
-	count("tx", "retries", st.Retries)
-	count("tx", "fallbacks", st.Fallbacks)
-	count("tx", "ro-commits", st.ROCommits)
-	count("tx", "ro-retries", st.RORetries)
-
-	count("htm", "commits", st.HTMCommits)
-	count("htm", "aborts", st.HTMAborts)
-	abortCause := func(name string, v int64) {
-		res.AddRow("htm-abort", name,
-			fmt.Sprintf("%d (%s of aborts)", v, pctOf(v, st.HTMAborts)))
-	}
-	abortCause("conflict", st.ConflictAborts)
-	abortCause("capacity", st.CapacityAborts)
-	abortCause("locked", st.LockedAborts)
-	abortCause("lease", st.LeaseAborts)
-	abortCause("explicit", st.ExplicitAborts)
-
-	count("lease", "grants", st.LeaseGrants)
-	count("lease", "shares", st.LeaseShares)
-	count("lease", "confirms", st.LeaseConfirms)
-	count("lease", "confirm-fails", st.LeaseConfirmFails)
-	count("lease", "expiries", st.LeaseExpiries)
-	count("lease", "lock-conflicts", st.RemoteLockConflicts)
-
-	count("rdma", "reads", st.RDMAReads)
-	count("rdma", "writes", st.RDMAWrites)
-	count("rdma", "cas", st.RDMACASes)
-	count("rdma", "faa", st.RDMAFAAs)
-	count("rdma", "msgs", st.VerbsMsgs)
-
-	lat := func(name string, l drtm.Latency) {
-		res.AddRow("latency", name,
-			fmt.Sprintf("n=%d p50=%v p95=%v p99=%v max=%v",
-				l.Count, l.P50, l.P95, l.P99, l.Max))
-	}
-	lat("lock-remote", st.LockRemoteLatency)
-	lat("htm-region", st.HTMRegionLatency)
-	lat("commit-remotes", st.CommitLatency)
-	lat("total", st.TotalLatency)
 
 	res.Note("latency is modeled (virtual-clock) time; counters are real protocol events")
 	res.Note("workload: %d rounds/worker of hot-pair transfers + colliding local batches + RO audits on %dx%d",

@@ -219,26 +219,27 @@ func TestSmokeAblations(t *testing.T) {
 func TestSmokeObs(t *testing.T) {
 	res := runSmoke(t, "obs")
 	// The observability experiment must demonstrate nonzero conflict
-	// counters — the whole point of the abort-cause breakdown.
-	cell := func(group, metric string) string {
+	// counters — the whole point of the abort-cause breakdown. Rows are keyed
+	// by registry name: counters by event, latencies by phase.
+	cell := func(name string) string {
 		for _, row := range res.Rows {
-			if row[0] == group && row[1] == metric {
+			if row[1] == name {
 				return row[2]
 			}
 		}
-		t.Fatalf("row %s/%s missing", group, metric)
+		t.Fatalf("row %s missing", name)
 		return ""
 	}
-	if v := cell("htm-abort", "conflict"); strings.HasPrefix(v, "0 ") {
+	if v := cell("htm.abort.conflict"); strings.HasPrefix(v, "0 ") {
 		t.Errorf("htm conflict aborts = %q, want nonzero", v)
 	}
-	if v := cell("lease", "lock-conflicts"); v == "0" {
+	if v := cell("lock.remote_conflict"); v == "0" {
 		t.Errorf("remote lock conflicts = %q, want nonzero", v)
 	}
-	if v := cell("rdma", "cas"); v == "0" {
+	if v := cell("rdma.cas"); v == "0" {
 		t.Errorf("rdma cas = %q, want nonzero", v)
 	}
-	if v := cell("latency", "total"); strings.HasPrefix(v, "n=0 ") {
+	if v := cell("total"); strings.HasPrefix(v, "n=0 ") {
 		t.Errorf("total latency histogram empty: %q", v)
 	}
 }

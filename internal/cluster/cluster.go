@@ -55,16 +55,6 @@ type Config struct {
 	// expiry detection, probe confirmation and coordinator election (see
 	// membership.go). Off, crashes are only visible through verb errors.
 	FailureDetection bool
-	// HeartbeatInterval is the lease renewal period.
-	HeartbeatInterval time.Duration
-	// FailureTimeout is how long a heartbeat may stall before the lease is
-	// considered expired. Must span many heartbeat intervals; the probe
-	// confirmation makes an aggressive timeout safe (false suspicions are
-	// cancelled), just noisy.
-	FailureTimeout time.Duration
-	// ElectionStagger delays each survivor's coordinator CAS by its rank
-	// among the survivors, biasing the election to the lowest ID.
-	ElectionStagger time.Duration
 
 	// ReplicationFactor is the number of backups per partition (FaRM-style
 	// primary–backup replication, see replication.go). 0 disables
@@ -93,12 +83,7 @@ func DefaultConfig(n, w int) Config {
 		SkewBound:        50 * time.Microsecond,
 		Strategy:         clock.StrategyReuseConfirm,
 		LogWords:         1 << 20,
-
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    30 * time.Millisecond,
-		ElectionStagger:   5 * time.Millisecond,
-
-		MVCCDepth: 4,
+		MVCCDepth:        4,
 	}
 }
 

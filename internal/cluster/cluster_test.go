@@ -108,9 +108,6 @@ func TestCrashMarksNodeDown(t *testing.T) {
 func TestLeaseDetectionElectsCoordinator(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
 	cfg.FailureDetection = true
-	cfg.HeartbeatInterval = time.Millisecond
-	cfg.FailureTimeout = 10 * time.Millisecond
-	cfg.ElectionStagger = 2 * time.Millisecond
 	c := New(cfg)
 	defer c.Stop()
 
@@ -123,7 +120,7 @@ func TestLeaseDetectionElectsCoordinator(t *testing.T) {
 	c.Start()
 
 	// Let leases establish, then fail node 1 with no notification.
-	time.Sleep(5 * cfg.HeartbeatInterval)
+	time.Sleep(5 * heartbeatInterval)
 	c.Crash(1)
 
 	select {
@@ -147,7 +144,7 @@ func TestLeaseDetectionElectsCoordinator(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(5 * cfg.HeartbeatInterval)
+	time.Sleep(5 * heartbeatInterval)
 	c.Crash(2)
 	select {
 	case d := <-deaths:

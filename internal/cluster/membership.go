@@ -14,7 +14,7 @@ import (
 // the way FaRM does it): every node renews a liveness lease by FAA-ing a
 // per-node heartbeat counter in a shared membership region; each node also
 // monitors its peers' counters. A counter that stops advancing for
-// FailureTimeout means the owner's lease expired. The suspecting node
+// failureTimeout means the owner's lease expired. The suspecting node
 // confirms with probes (a transient fabric fault must not trigger a bogus
 // recovery), then races for the crashed node's coordinator word with RDMA
 // CAS — staggered by survivor rank, so the lowest-ID survivor usually wins.
@@ -34,6 +34,19 @@ func hbOff(i int) memory.Offset { return memory.Offset(i) }
 func (c *Cluster) coordOff(i int) memory.Offset {
 	return memory.Offset(c.cfg.Nodes + i)
 }
+
+// The detector's timing. A heartbeat renews a node's lease every
+// heartbeatInterval; a peer's lease expires when its heartbeat has stalled for
+// failureTimeout, which spans many intervals so that a scheduling hiccup is
+// not a crash (and a false suspicion is cancelled by the probe confirmation,
+// which makes an aggressive timeout safe, just noisy); each survivor delays
+// its coordinator CAS by electionStagger per rank, biasing the election to
+// the lowest ID.
+const (
+	heartbeatInterval = time.Millisecond
+	failureTimeout    = 12 * time.Millisecond
+	electionStagger   = 2 * time.Millisecond
+)
 
 // probeAttempts bounds death confirmation: a suspect is declared dead only
 // on a definitive ErrNodeUnreachable; this many inconclusive probes
@@ -85,7 +98,7 @@ func newDetector(c *Cluster, node int) *detector {
 
 func (d *detector) run(stop <-chan struct{}) {
 	defer d.c.detWG.Done()
-	t := time.NewTicker(d.c.cfg.HeartbeatInterval)
+	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -137,7 +150,7 @@ func (d *detector) tick() {
 			d.suspected[j] = false
 			continue
 		}
-		if d.suspected[j] || now.Sub(d.lastSeen[j]) <= c.cfg.FailureTimeout {
+		if d.suspected[j] || now.Sub(d.lastSeen[j]) <= failureTimeout {
 			continue
 		}
 		d.suspected[j] = true
@@ -173,7 +186,7 @@ func (d *detector) confirmAndElect(dead int) {
 			confirmed = true
 			break
 		}
-		time.Sleep(c.cfg.HeartbeatInterval) // inconclusive: probe again
+		time.Sleep(heartbeatInterval) // inconclusive: probe again
 	}
 	if !confirmed {
 		d.clearSuspicion(dead)
@@ -188,7 +201,7 @@ func (d *detector) confirmAndElect(dead int) {
 			rank++
 		}
 	}
-	time.Sleep(time.Duration(rank) * c.cfg.ElectionStagger)
+	time.Sleep(time.Duration(rank) * electionStagger)
 
 	for i := 0; i < probeAttempts; i++ {
 		_, won, err := d.qp.TryCAS(d.node, RegionMembership, c.coordOff(dead),

@@ -280,9 +280,9 @@ func TestRemoteLookupAndRead(t *testing.T) {
 	if !ok {
 		t.Fatal("remote lookup missed")
 	}
-	e, ok := tb.ReadEntryRemote(qp, 11, loc)
-	if !ok || e.Value[0] != 7 || e.Value[1] != 8 {
-		t.Fatalf("remote read = %+v, %v", e, ok)
+	e, ok, err := tb.ReadEntryRemoteE(qp, 11, loc)
+	if err != nil || !ok || e.Value[0] != 7 || e.Value[1] != 8 {
+		t.Fatalf("remote read = %+v, %v, %v", e, ok, err)
 	}
 	if _, ok := tb.LookupRemote(qp, nil, 999); ok {
 		t.Fatal("remote lookup found missing key")

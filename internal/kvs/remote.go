@@ -28,23 +28,19 @@ type Loc struct {
 // consults and fills the location cache, which turns repeat lookups into
 // zero-RDMA operations (Section 5.3).
 func (t *Table) LookupRemote(qp *rdma.QP, cache *LocationCache, key uint64) (Loc, bool) {
-	loc, ok, err := t.LookupRemoteE(qp, cache, key)
+	var buf [BucketWords]uint64
+	loc, ok, err := t.LookupRemoteInto(qp, cache, key, &buf)
 	if err != nil {
-		panic(err) // fault-free harness; fault-aware callers use LookupRemoteE
+		panic(err) // fault-free harness; fault-aware callers use LookupRemoteInto
 	}
 	return loc, ok
 }
 
-// LookupRemoteE is LookupRemote for fault-aware callers: an injected verb
-// fault or a crashed host surfaces as the error instead of a panic.
-func (t *Table) LookupRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Loc, bool, error) {
-	var buf [BucketWords]uint64
-	return t.LookupRemoteInto(qp, cache, key, &buf)
-}
-
-// LookupRemoteInto is LookupRemoteE reading the chain's buckets into the
-// caller's buffer: the buffer escapes to the verb and the cache, so a caller
-// on a hot path keeps one instead of allocating it per lookup.
+// LookupRemoteInto is LookupRemote for fault-aware callers, reading the
+// chain's buckets into the caller's buffer: an injected verb fault or a
+// crashed host surfaces as the error instead of a panic, and the buffer
+// escapes to the verb and the cache, so a caller on a hot path keeps one
+// instead of allocating it per lookup.
 func (t *Table) LookupRemoteInto(qp *rdma.QP, cache *LocationCache, key uint64, buf *[BucketWords]uint64) (Loc, bool, error) {
 	idx := t.bucketOf(key)
 	off := t.MainBucketOffset(idx)
@@ -92,19 +88,11 @@ func decodeBucket(words []uint64, key uint64) (loc Loc, found bool, next memory.
 // maxChain bounds bucket-chain walks against corrupted links.
 const maxChain = 64
 
-// ReadEntryRemote fetches and decodes the entry at loc with one one-sided
-// READ. ok is false when incarnation checking fails — the entry died or was
-// reused since the location was cached — in which case the caller should
-// invalidate and re-look-up through the host structures.
-func (t *Table) ReadEntryRemote(qp *rdma.QP, key uint64, loc Loc) (Entry, bool) {
-	e, ok, err := t.ReadEntryRemoteE(qp, key, loc)
-	if err != nil {
-		panic(err)
-	}
-	return e, ok
-}
-
-// ReadEntryRemoteE is ReadEntryRemote with verb faults surfaced as errors.
+// ReadEntryRemoteE fetches and decodes the entry at loc with one one-sided
+// READ, verb faults surfaced as errors. ok is false when incarnation checking
+// fails — the entry died or was reused since the location was cached — in
+// which case the caller should invalidate and re-look-up through the host
+// structures.
 func (t *Table) ReadEntryRemoteE(qp *rdma.QP, key uint64, loc Loc) (Entry, bool, error) {
 	words := make([]uint64, EntryValueWord+t.cfg.ValueWords)
 	if err := qp.TryRead(t.cfg.Node, t.cfg.RegionID, loc.Off, words); err != nil {
@@ -127,8 +115,9 @@ func (t *Table) GetRemote(qp *rdma.QP, cache *LocationCache, key uint64) (Entry,
 
 // GetRemoteE is GetRemote with verb faults surfaced as errors.
 func (t *Table) GetRemoteE(qp *rdma.QP, cache *LocationCache, key uint64) (Entry, bool, error) {
+	var buf [BucketWords]uint64
 	for attempt := 0; attempt < 3; attempt++ {
-		loc, ok, err := t.LookupRemoteE(qp, cache, key)
+		loc, ok, err := t.LookupRemoteInto(qp, cache, key, &buf)
 		if err != nil {
 			return Entry{}, false, err
 		}

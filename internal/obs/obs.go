@@ -29,8 +29,10 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Event enumerates every protocol event the layer counts.
@@ -160,6 +162,10 @@ const (
 	NumEvents int = iota
 )
 
+// eventNames is the registry's vocabulary: "group.event", where an event that
+// is one share of a total is named under it ("htm.abort.conflict" under
+// "htm.abort", "cache.hit.ordered" under "cache.hit"), so that Snapshot.Count
+// reads the total by its name.
 var eventNames = [NumEvents]string{
 	EvTxCommit:           "tx.commit",
 	EvTxRetry:            "tx.retry",
@@ -214,7 +220,7 @@ var eventNames = [NumEvents]string{
 	EvIndexMaint:         "index.maint",
 	EvRemoveDead:         "index.remove_dead",
 	EvTreeDescent:        "index.descent",
-	EvLeafFullDescent:    "index.descent_leaf_full",
+	EvLeafFullDescent:    "index.descent.leaf_full",
 	EvFingerHit:          "index.finger_hit",
 	EvChainRetire:        "mvcc.retire",
 	EvMVCCRead:           "mvcc.read",
@@ -230,17 +236,12 @@ var eventNames = [NumEvents]string{
 	EvCacheHit:           "cache.hit",
 	EvCacheMiss:          "cache.miss",
 	EvCacheInval:         "cache.inval",
-	EvOrderedCacheHit:    "cache.ordered_hit",
-	EvOrderedCacheMiss:   "cache.ordered_miss",
-	EvOrderedCacheInval:  "cache.ordered_inval",
+	EvOrderedCacheHit:    "cache.hit.ordered",
+	EvOrderedCacheMiss:   "cache.miss.ordered",
+	EvOrderedCacheInval:  "cache.inval.ordered",
 }
 
-func (e Event) String() string {
-	if e >= 0 && int(e) < NumEvents {
-		return eventNames[e]
-	}
-	return fmt.Sprintf("Event(%d)", int(e))
-}
+func (e Event) String() string { return nameOf(eventNames[:], int(e), "Event") }
 
 // Phase enumerates the transaction phases timed by the histograms, matching
 // the protocol structure of Figure 2(a): lock-and-prefetch remote records,
@@ -303,12 +304,7 @@ var phaseNames = [NumPhases]string{
 	PhaseMVCC:           "mvcc-ro",
 }
 
-func (p Phase) String() string {
-	if p >= 0 && int(p) < NumPhases {
-		return phaseNames[p]
-	}
-	return fmt.Sprintf("Phase(%d)", int(p))
-}
+func (p Phase) String() string { return nameOf(phaseNames[:], int(p), "Phase") }
 
 // Stage enumerates the stages of a distributed transaction that post work
 // requests. The wave ledger attributes every polled doorbell wave — its work
@@ -338,12 +334,7 @@ var stageNames = [NumStages]string{
 	StageRelease:   "abort-release",
 }
 
-func (s Stage) String() string {
-	if s >= 0 && int(s) < NumStages {
-		return stageNames[s]
-	}
-	return fmt.Sprintf("Stage(%d)", int(s))
-}
+func (s Stage) String() string { return nameOf(stageNames[:], int(s), "Stage") }
 
 // WaveStats is one stage's share of the wave ledger.
 type WaveStats struct {
@@ -365,6 +356,20 @@ const (
 
 	NumGauges int = iota
 )
+
+var gaugeNames = [NumGauges]string{
+	GaugeLogWords: "nvram.log_high_water",
+}
+
+func (g Gauge) String() string { return nameOf(gaugeNames[:], int(g), "Gauge") }
+
+// nameOf is the String of every enum with a name table.
+func nameOf(names []string, i int, kind string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s(%d)", kind, i)
+}
 
 // Histogram bucketing: log-linear fixed buckets (HDR-style). Values 0..15
 // get exact buckets; above that each power of two is split into 4
@@ -629,6 +634,83 @@ type Snapshot struct {
 // Counter returns the snapshot's count of ev.
 func (s Snapshot) Counter(ev Event) int64 { return s.Counters[ev] }
 
+// Count reads a counter by its registry name: an event's count, summed with
+// the events named under it ("htm.abort" is the five abort causes,
+// "cache.hit" the hash and the ordered frames' hits, "index.descent" both
+// kinds of descent). A gauge is read by its exact name and joins no sum: a
+// high-water mark does not add. An unknown name panics.
+func (s Snapshot) Count(name string) int64 {
+	for g, gn := range gaugeNames {
+		if gn == name {
+			return s.Gauges[g]
+		}
+	}
+	n, found := int64(0), false
+	for ev, en := range eventNames {
+		if en == name || strings.HasPrefix(en, name+".") {
+			n += s.Counters[ev]
+			found = true
+		}
+	}
+	if !found {
+		panic(fmt.Sprintf("obs: no counter named %q", name))
+	}
+	return n
+}
+
+// Hist returns the histogram of the phase called name; an unknown name panics.
+func (s Snapshot) Hist(name string) HistSnapshot {
+	for p, pn := range phaseNames {
+		if pn == name {
+			return s.Phases[p]
+		}
+	}
+	panic(fmt.Sprintf("obs: no phase named %q", name))
+}
+
+// String renders every counter and every phase with observations, generated
+// from the name tables: one line per top-level group of the events, in table
+// order (the gauge in its group's line), then one line per phase. A phase's
+// values are modeled durations, except PhaseBatchOps' work-request counts.
+func (s Snapshot) String() string {
+	var groups []string
+	lines := map[string]*strings.Builder{}
+	add := func(name string, v int64) {
+		group, rest, _ := strings.Cut(name, ".")
+		l := lines[group]
+		if l == nil {
+			l = &strings.Builder{}
+			lines[group] = l
+			groups = append(groups, group)
+		} else {
+			l.WriteByte(' ')
+		}
+		fmt.Fprintf(l, "%s=%d", rest, v)
+	}
+	for ev, name := range eventNames {
+		add(name, s.Counters[ev])
+	}
+	for g, name := range gaugeNames {
+		add(name, s.Gauges[g])
+	}
+	var b strings.Builder
+	for _, g := range groups {
+		fmt.Fprintf(&b, "%-10s%s\n", g+":", lines[g])
+	}
+	for p, h := range s.Phases {
+		if h.Count == 0 {
+			continue
+		}
+		v := func(ns int64) any { return time.Duration(ns) }
+		if Phase(p) == PhaseBatchOps {
+			v = func(wrs int64) any { return wrs }
+		}
+		fmt.Fprintf(&b, "phase:    %-15s n=%-8d p50=%-10v p95=%-10v p99=%-10v max=%v\n",
+			phaseNames[p], h.Count, v(h.Percentile(50)), v(h.Percentile(95)), v(h.Percentile(99)), v(h.Max))
+	}
+	return b.String()
+}
+
 // Delta returns the event-by-event, bucket-by-bucket difference s - prev,
 // scoping counters to the interval between the two snapshots. A histogram's
 // Max and the gauges are high-water marks and cannot be subtracted; the delta
@@ -710,20 +792,17 @@ const (
 	OutcomeCommit   Outcome = iota // committed via the HTM path
 	OutcomeFallback                // committed via the software fallback path
 	OutcomeAbort                   // returned an error to the caller
+
+	numOutcomes int = iota
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeCommit:
-		return "commit"
-	case OutcomeFallback:
-		return "fallback"
-	case OutcomeAbort:
-		return "abort"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
+var outcomeNames = [numOutcomes]string{
+	OutcomeCommit:   "commit",
+	OutcomeFallback: "fallback",
+	OutcomeAbort:    "abort",
 }
+
+func (o Outcome) String() string { return nameOf(outcomeNames[:], int(o), "Outcome") }
 
 // AbortCause records the last abort reason observed for a traced transaction.
 type AbortCause uint8
@@ -739,34 +818,24 @@ const (
 	CauseUser                // user abort / user error
 	CauseSpec                // speculative read validation failed at commit
 	CauseScan                // range-scan validation failed at commit (phantom)
+
+	numCauses int = iota
 )
 
-func (c AbortCause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseConflict:
-		return "conflict"
-	case CauseCapacity:
-		return "capacity"
-	case CauseLocked:
-		return "locked"
-	case CauseLease:
-		return "lease"
-	case CauseExplicit:
-		return "explicit"
-	case CauseRemote:
-		return "remote-lock"
-	case CauseUser:
-		return "user"
-	case CauseSpec:
-		return "spec-validate"
-	case CauseScan:
-		return "scan-validate"
-	default:
-		return fmt.Sprintf("AbortCause(%d)", int(c))
-	}
+var causeNames = [numCauses]string{
+	CauseNone:     "none",
+	CauseConflict: "conflict",
+	CauseCapacity: "capacity",
+	CauseLocked:   "locked",
+	CauseLease:    "lease",
+	CauseExplicit: "explicit",
+	CauseRemote:   "remote-lock",
+	CauseUser:     "user",
+	CauseSpec:     "spec-validate",
+	CauseScan:     "scan-validate",
 }
+
+func (c AbortCause) String() string { return nameOf(causeNames[:], int(c), "AbortCause") }
 
 // TraceKind distinguishes what a TraceEvent records.
 type TraceKind uint8
@@ -779,18 +848,16 @@ const (
 	// view word (epoch<<8|owner), Attempts the redo records replayed, and
 	// TotalNS the promotion's wall-clock duration; other fields are unused.
 	TraceFailover
+
+	numTraceKinds int = iota
 )
 
-func (k TraceKind) String() string {
-	switch k {
-	case TraceTx:
-		return "tx"
-	case TraceFailover:
-		return "failover"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
-	}
+var traceKindNames = [numTraceKinds]string{
+	TraceTx:       "tx",
+	TraceFailover: "failover",
 }
+
+func (k TraceKind) String() string { return nameOf(traceKindNames[:], int(k), "TraceKind") }
 
 // TraceEvent is one traced transaction: identity, disposition, and the
 // phase timeline in modeled (virtual-clock) nanoseconds. StartNS is the

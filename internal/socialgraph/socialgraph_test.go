@@ -266,7 +266,7 @@ func TestMVCCSnapshotAcrossFailover(t *testing.T) {
 	if checks.Load() == 0 {
 		t.Fatal("checker lanes never ran")
 	}
-	if db.Stats().MVCCReads == 0 {
+	if db.Stats().Count("mvcc.read") == 0 {
 		t.Fatal("checker lane never resolved a snapshot read over the chains")
 	}
 	db.ClearFaults()

@@ -280,7 +280,7 @@ func TestTATPMVCCCheckerAcrossFailover(t *testing.T) {
 	if v := violations.Load(); v != nil {
 		t.Fatal(v.(error))
 	}
-	if db.Stats().MVCCReads == 0 {
+	if db.Stats().Count("mvcc.read") == 0 {
 		t.Fatal("checker lane never resolved a snapshot read over the chains")
 	}
 	db.ClearFaults()
@@ -412,7 +412,7 @@ func TestConcurrentSubscriberLifecycle(t *testing.T) {
 	clients := []*tatp.Client{w.NewClient(db.Executor(0, 0), 1), w.NewClient(db.Executor(1, 0), 2)}
 	both := func(op func(cl *tatp.Client) error) {
 		t.Helper()
-		before := db.Stats().Commits
+		before := db.Stats().Count("tx.commit")
 		var wg sync.WaitGroup
 		errs := make([]error, len(clients))
 		for i, cl := range clients {
@@ -428,7 +428,7 @@ func TestConcurrentSubscriberLifecycle(t *testing.T) {
 				t.Fatalf("client %d: %v", i, err)
 			}
 		}
-		if got := db.Stats().Commits - before; got != 1 {
+		if got := db.Stats().Count("tx.commit") - before; got != 1 {
 			t.Fatalf("%d of the two racing transactions committed, want exactly 1", got)
 		}
 	}

@@ -1,6 +1,7 @@
 package drtm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,6 @@ func TestOptionsPolicyValidation(t *testing.T) {
 		{"explicit exclusive", Options{ReadPolicy: PolicyExclusive}, PolicyExclusive, ""},
 		{"explicit mvcc", Options{ReadPolicy: PolicyMVCC}, PolicyMVCC, ""},
 		{"unknown policy", Options{ReadPolicy: ReadPolicy(99)}, 0, "unknown"},
-		{"mvcc needs chains", Options{ReadPolicy: PolicyMVCC, MVCCDepth: -1}, 0, "version chains"},
 	}
 	for _, c := range cases {
 		got, err := norm(c.in)
@@ -72,11 +72,11 @@ func TestPolicyOverrideE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := db.Stats()
-	if s.SpecReads != 1 {
-		t.Fatalf("SpecReads = %d, want 1", s.SpecReads)
+	if s.Count("spec.read") != 1 {
+		t.Fatalf("spec.read = %d, want 1", s.Count("spec.read"))
 	}
-	if s.LeaseGrants+s.LeaseShares != 0 {
-		t.Fatalf("override transaction took %d leases, want 0", s.LeaseGrants+s.LeaseShares)
+	if s.Count("lease.grant")+s.Count("lease.share") != 0 {
+		t.Fatalf("override transaction took %d leases, want 0", s.Count("lease.grant")+s.Count("lease.share"))
 	}
 
 	// A read-only scan forcing spec: still no lease CAS.
@@ -91,11 +91,11 @@ func TestPolicyOverrideE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = db.Stats()
-	if s.SpecReads != 5 {
-		t.Fatalf("SpecReads after RO scan = %d, want 5", s.SpecReads)
+	if s.Count("spec.read") != 5 {
+		t.Fatalf("spec.read after RO scan = %d, want 5", s.Count("spec.read"))
 	}
-	if s.LeaseGrants+s.LeaseShares != 0 {
-		t.Fatalf("RO override took %d leases, want 0", s.LeaseGrants+s.LeaseShares)
+	if s.Count("lease.grant")+s.Count("lease.share") != 0 {
+		t.Fatalf("RO override took %d leases, want 0", s.Count("lease.grant")+s.Count("lease.share"))
 	}
 
 	// The deployment's lease policy is untouched: a plain Exec leases.
@@ -111,11 +111,11 @@ func TestPolicyOverrideE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = db.Stats()
-	if s.LeaseGrants+s.LeaseShares == 0 {
+	if s.Count("lease.grant")+s.Count("lease.share") == 0 {
 		t.Fatal("runtime-wide lease policy lost after overrides")
 	}
-	if s.SpecReads != 5 {
-		t.Fatalf("plain Exec speculated: SpecReads = %d, want 5", s.SpecReads)
+	if s.Count("spec.read") != 5 {
+		t.Fatalf("plain Exec speculated: spec.read = %d, want 5", s.Count("spec.read"))
 	}
 }
 
@@ -178,15 +178,12 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	}
 
 	s := db.Stats()
-	if s.SpecValidateFails != losses || s.AdaptiveSpecReads != losses || s.AdaptiveLeaseReads != 1 {
+	if s.Count("spec.validate_fail") != losses || s.Count("adapt.route_spec") != losses || s.Count("adapt.route_lease") != 1 {
 		t.Fatalf("validate-fails %d, spec routes %d, lease routes %d; want %d, %d, 1",
-			s.SpecValidateFails, s.AdaptiveSpecReads, s.AdaptiveLeaseReads, losses, losses)
+			s.Count("spec.validate_fail"), s.Count("adapt.route_spec"), s.Count("adapt.route_lease"), losses, losses)
 	}
-	if want := 100 * float64(losses) / (losses + 1); s.SpecShare != want {
-		t.Fatalf("SpecShare = %.1f, want %.1f", s.SpecShare, want)
-	}
-	if !strings.Contains(s.String(), "adapt:") {
-		t.Fatal("Stats.String missing the adapt row")
+	if want := fmt.Sprintf("adapt:    route_spec=%d route_lease=1\n", losses); !strings.Contains(s.String(), want) {
+		t.Fatalf("Stats.String lacks %q:\n%s", want, s)
 	}
 
 	traced := false
@@ -205,11 +202,11 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	}
 }
 
-// TestMVCCPolicyE2E: PolicyMVCC through the public API — Options.MVCCDepth
-// builds the version chains, ExecROWith(PolicyMVCC) resolves a consistent
+// TestMVCCPolicyE2E: PolicyMVCC through the public API — the default
+// cluster.Config.MVCCDepth builds the version chains, ExecROWith(PolicyMVCC) resolves a consistent
 // snapshot with no lease traffic, and the Stats MVCC counters move.
 func TestMVCCPolicyE2E(t *testing.T) {
-	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, MVCCDepth: 4},
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1},
 		func(table int, key uint64) int { return int(key) % 2 })
 	defer db.Close()
 	db.CreateHashTable(tblAcct, 1024, 1)
@@ -250,18 +247,18 @@ func TestMVCCPolicyE2E(t *testing.T) {
 		t.Fatalf("snapshot read = %v, want [250]", got)
 	}
 	d := db.Stats().Delta(before)
-	if d.MVCCReads < 2 {
-		t.Fatalf("MVCCReads = %d, want >= 2", d.MVCCReads)
+	if d.Count("mvcc.read") < 2 {
+		t.Fatalf("mvcc.read = %d, want >= 2", d.Count("mvcc.read"))
 	}
-	if d.LeaseGrants != 0 || d.SpecReads != 0 {
+	if d.Count("lease.grant") != 0 || d.Count("spec.read") != 0 {
 		t.Fatalf("MVCC RO took a confirm-wave arm: leases=%d specs=%d",
-			d.LeaseGrants, d.SpecReads)
+			d.Count("lease.grant"), d.Count("spec.read"))
 	}
 	s := db.Stats()
-	if s.ChainRetires == 0 {
+	if s.Count("mvcc.retire") == 0 {
 		t.Fatal("overwrite retired no version into the chain")
 	}
-	if s.MVCCROLatency.Count == 0 {
+	if s.Latency("mvcc-ro").Count == 0 {
 		t.Fatal("no mvcc-ro phase latency recorded")
 	}
 	if !strings.Contains(s.String(), "mvcc:") {

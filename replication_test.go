@@ -119,10 +119,10 @@ func TestFailoverPromoteServesCommittedWrites(t *testing.T) {
 	}
 
 	st := db.Stats().Delta(base)
-	if st.LogAppends == 0 {
+	if st.Count("repl.log_append") == 0 {
 		t.Fatal("no log-append WRs recorded for committed write-sets")
 	}
-	if st.BackupBytes == 0 {
+	if st.Count("repl.backup_bytes") == 0 {
 		t.Fatal("no backup bytes recorded")
 	}
 
@@ -184,10 +184,10 @@ func TestFailoverPromoteServesCommittedWrites(t *testing.T) {
 	}
 
 	st = db.Stats().Delta(base)
-	if st.Failovers != 1 {
-		t.Errorf("Failovers = %d, want 1", st.Failovers)
+	if st.Count("repl.failover") != 1 {
+		t.Errorf("repl.failover = %d, want 1", st.Count("repl.failover"))
 	}
-	if st.PromoteNanos <= 0 {
+	if st.Count("repl.promote_ns") <= 0 {
 		t.Error("PromoteNanos not accounted")
 	}
 	if !strings.Contains(st.String(), "repl:") {
@@ -226,8 +226,8 @@ func TestFailoverIdempotence(t *testing.T) {
 	if got := db.PartitionOwner(1); got != first.NewOwner {
 		t.Errorf("owner changed across repeated Failover: %d vs %d", got, first.NewOwner)
 	}
-	if st := db.Stats(); st.Failovers != 1 {
-		t.Errorf("Failovers = %d after repeated calls, want 1", st.Failovers)
+	if st := db.Stats(); st.Count("repl.failover") != 1 {
+		t.Errorf("repl.failover = %d after repeated calls, want 1", st.Count("repl.failover"))
 	}
 }
 
@@ -256,7 +256,7 @@ func TestZombieAppendFenced(t *testing.T) {
 	if !errors.Is(err, rdma.ErrFenced) {
 		t.Fatalf("stale-epoch append error = %v, want ErrFenced", err)
 	}
-	if st := db.Stats(); st.FenceRejects == 0 {
+	if st := db.Stats(); st.Count("repl.fence_reject") == 0 {
 		t.Error("fence rejection not counted")
 	}
 	if got, ok := db.Get(accounts, 4); !ok || got[0] != 400 {
@@ -379,9 +379,6 @@ func TestFailoverSmallBankConservation(t *testing.T) {
 		Durability:        true,
 		ReplicationFactor: 1,
 		FailureDetection:  true,
-		HeartbeatInterval: time.Millisecond,
-		FailureTimeout:    12 * time.Millisecond,
-		ElectionStagger:   2 * time.Millisecond,
 		FaultSeed:         42,
 	}, cfg.Partitioner())
 	defer db.Close()
@@ -469,19 +466,19 @@ func TestFailoverSmallBankConservation(t *testing.T) {
 	}
 
 	st := db.Stats().Delta(base)
-	if st.Detections == 0 {
+	if st.Count("fault.detect") == 0 {
 		t.Error("no crash was detected via lease expiry")
 	}
-	if st.Failovers == 0 {
+	if st.Count("repl.failover") == 0 {
 		t.Error("no hot-failover promotion ran")
 	}
-	if st.Recoveries != 0 {
+	if st.Count("recovery.run") != 0 {
 		t.Error("full NVRAM recovery ran despite replication (hot failover should replace it)")
 	}
-	if st.LogAppends == 0 {
+	if st.Count("repl.log_append") == 0 {
 		t.Error("no log-append WRs recorded")
 	}
-	if st.PromoteNanos == 0 {
+	if st.Count("repl.promote_ns") == 0 {
 		t.Error("promotion time not accounted")
 	}
 }
