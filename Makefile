@@ -77,9 +77,12 @@ stress:
 # object, so an insert into a leaf with room allocates nothing and a leaf split
 # exactly the new leaf; a TPC-C new-order allocates only the leaves its inserts
 # split, and a payment, order-status, stock-level and delivery nothing (all
-# excluded under -race). Memory that stays: every TATP shard, primary and
-# replica, is exactly its partition's size and holds the lifecycle mix, and
-# SmallBank's indirect buckets hold the benchmark's 200 000 accounts per node.
+# excluded under -race); so does a warm RO range scan, local or remote (the
+# host answers into the executor's buffers). Memory that stays: every TATP
+# shard, primary and replica, is exactly its partition's size and holds the
+# lifecycle mix; a SmallBank account is one cache line, with no version chain,
+# and the indirect buckets hold the benchmark's 200 000 accounts per node; and
+# TPC-C's order tables hold a warm-up as long as the measured run.
 alloc:
 	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
 	go test -count=1 -run TestNodeAllocations ./internal/btree/
@@ -89,6 +92,7 @@ alloc:
 	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
 	go test -count=1 -run TestShardsSizedForTheirPartition ./internal/tatp/
 	go test -count=1 -run TestSetupAtBenchmarkScale ./internal/smallbank/
+	go test -count=1 -run TestOrderReserveCoversWarmUp ./internal/tpcc/
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.
@@ -176,10 +180,10 @@ scan:
 	go test -run TestScanAcceptance ./internal/bench/
 	go test -race ./internal/tatp/ ./internal/socialgraph/
 
-# Snapshot-read gate: the MVCC arm must keep its >=1.5x win over the
-# confirm-wave scan at fanout >= 32 under writes, and PolicyAdaptive must cost
-# exactly what the arm its footprint rule picks costs in every sweep cell
-# (mvccexp_test.go).
+# Snapshot-read gate, over PolicyMVCC's 4-deep version chains (the default
+# builds none): the MVCC arm must keep its >=1.5x win over the confirm-wave
+# scan at fanout >= 32 under writes, and PolicyAdaptive must cost exactly what
+# the arm its footprint rule picks costs in every sweep cell (mvccexp_test.go).
 mvcc:
 	go run ./cmd/drtm-bench -exp mvcc -quick
 	go test -run TestMVCCAcceptance ./internal/bench/

@@ -106,17 +106,22 @@ const (
 	// PolicyAdaptive (the default): speculate, and lease only a transaction
 	// that keeps losing — a read-write transaction's reads speculate until it
 	// has lost 8 validations, and every later read of it takes a lease. A
-	// read-only Scan of 32 rows or more runs on the PolicyMVCC snapshot arm.
+	// deployment opened with it builds no version chains, so its read-only
+	// transactions, wide scans included, run on the confirm wave; only where
+	// chains exist (ExecROWith on a PolicyMVCC deployment) does a read-only
+	// Scan of 32 rows or more take the snapshot arm.
 	PolicyAdaptive = tx.PolicyAdaptive
 	// PolicyExclusive: remote reads take exclusive write locks (the
 	// paper's Figure 17 "no read lease" ablation; no read-read sharing).
 	PolicyExclusive = tx.PolicyExclusive
 	// PolicyMVCC: read-only transactions resolve every key against a
-	// cluster-wide snapshot stamp using the per-entry version chains
-	// (cluster.Config.MVCCDepth, 4 deep) — one batched READ wave, no lease
-	// CAS and no confirm wave. A chain too shallow for the snapshot falls back
-	// to the confirm-wave scheme for that RO execution. Read-write
-	// transactions under this policy use the lease arm.
+	// cluster-wide snapshot stamp using per-entry version chains — one batched
+	// READ wave, no lease CAS and no confirm wave. Only a deployment opened with
+	// this policy builds the chains (4 deep) and brackets every commit with a
+	// snapshot stamp; that costs every entry its ring and every commit its
+	// chain WRITEs. A chain too shallow for the snapshot falls back to the
+	// confirm-wave scheme for that RO execution. Read-write transactions under
+	// this policy use the lease arm.
 	PolicyMVCC = tx.PolicyMVCC
 )
 
@@ -165,10 +170,11 @@ type Options struct {
 	// ReadPolicy selects the concurrency-control arm for remote read-set
 	// records: PolicyLease, PolicySpeculative, PolicyAdaptive,
 	// PolicyExclusive or PolicyMVCC (see the constants' docs; PolicyMVCC
-	// affects read-only transactions). The zero value selects
-	// PolicyAdaptive: speculation, which the `occ` experiment prices against
-	// leases, with a lease for a transaction that keeps losing. The software
-	// fallback path always uses locks regardless of policy.
+	// affects read-only transactions, and only it builds version chains). The
+	// zero value selects PolicyAdaptive: speculation, which the `occ`
+	// experiment prices against leases, with a lease for a transaction that
+	// keeps losing. The software fallback path always uses locks regardless of
+	// policy.
 	ReadPolicy ReadPolicy
 }
 
@@ -179,6 +185,10 @@ const (
 	leaseMicros   = 5_000
 	roLeaseMicros = 10_000
 )
+
+// mvccDepth is the version-chain depth a PolicyMVCC deployment builds into
+// every entry; under any other policy entries carry no chain.
+const mvccDepth = 4
 
 // normalize validates o and fills defaults, rejecting nonsense values
 // instead of silently "fixing" them.
@@ -262,6 +272,9 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	cfg.LeaseMicros = leaseMicros
 	cfg.ROLeaseMicros = roLeaseMicros
 	cfg.FailureDetection = o.FailureDetection
+	if o.ReadPolicy == PolicyMVCC {
+		cfg.MVCCDepth = mvccDepth
+	}
 	c := cluster.New(cfg)
 	db := &DB{C: c, RT: tx.NewRuntime(c, part), faults: rdma.NewFaultPlan(o.FaultSeed)}
 	db.RT.ReadPolicy = o.ReadPolicy
@@ -351,8 +364,9 @@ func (db *DB) ExecWith(node, worker int, p ReadPolicy, build func(t *Tx) error) 
 }
 
 // ExecROWith runs one read-only transaction with the read policy forced to
-// p (see ExecWith) — e.g. PolicyMVCC for a narrow scan of write-hot rows,
-// which PolicyAdaptive leaves on the confirm wave.
+// p (see ExecWith) — e.g. PolicyLease for a read that must not be retried.
+// PolicyMVCC reads version chains only on a deployment opened with it; on any
+// other it runs the confirm wave.
 func (db *DB) ExecROWith(node, worker int, p ReadPolicy, build func(ro *RO) error) error {
 	return db.RT.Executor(node, worker).ExecROWith(p, build)
 }

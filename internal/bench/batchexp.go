@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"drtm/internal/cluster"
 	"drtm/internal/obs"
 	"drtm/internal/tx"
 	"drtm/internal/vtime"
@@ -160,9 +161,11 @@ const (
 // measureCommitBatch runs txns transactions that each rewrite two remote
 // two-line rows of a chained table under the given send-queue window and
 // returns the mean PhaseCommit ns and the polled publish waves per transaction.
+// The chains are 4 deep, PolicyMVCC's, whose commit chain is the longest.
 func measureCommitBatch(o Options, txns, window int) (commitNS, waves float64) {
 	const perNode = 64
-	rt, stop := buildMicro(2, 1, perNode, nil, func(rt *tx.Runtime) { rt.BatchWindow = window })
+	rt, stop := buildMicro(2, 1, perNode, func(c *cluster.Config) { c.MVCCDepth = 4 },
+		func(rt *tx.Runtime) { rt.BatchWindow = window })
 	defer stop()
 	rt.DefineUnordered(benchWide, perNode, perNode, 2*perNode, benchWideWords)
 	host := rt.C.Node(1).Unordered(benchWide)

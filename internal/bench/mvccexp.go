@@ -112,7 +112,7 @@ type mvccMetrics struct {
 // write pressure — the confirm-wave arm retries every transaction exactly
 // once, the snapshot arm never does.
 func measureMVCCScan(txns, fanout int, writes bool, p tx.ReadPolicy) mvccMetrics {
-	rt, stop := buildScanRig(2, 2, fanout)
+	rt, stop := buildScanRig(2, 2, fanout, 4) // PolicyMVCC's chains, for every arm
 	defer stop()
 	rt.ReadPolicy = p
 	resetClocks(rt)

@@ -64,9 +64,10 @@ const (
 )
 
 // buildScanRig populates an ordered table with `fanout` rows per entity,
-// entities striped across nodes.
-func buildScanRig(nodes, workers, fanout int) (*tx.Runtime, func()) {
+// entities striped across nodes, with version chains depth deep.
+func buildScanRig(nodes, workers, fanout, depth int) (*tx.Runtime, func()) {
 	ccfg := simClusterConfig(nodes, workers)
+	ccfg.MVCCDepth = depth
 	c := cluster.New(ccfg)
 	c.Start()
 	rt := tx.NewRuntime(c, func(table int, key uint64) int {
@@ -93,7 +94,7 @@ type scanMetrics struct {
 // measureScan runs txns RO transactions from node 0, each reading one
 // node-1 entity's full range — as a single scan or as per-key reads.
 func measureScan(txns, fanout int, scan bool) scanMetrics {
-	rt, stop := buildScanRig(2, 1, fanout)
+	rt, stop := buildScanRig(2, 1, fanout, 0)
 	defer stop()
 	resetClocks(rt)
 	e := rt.Executor(0, 0)

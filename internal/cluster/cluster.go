@@ -63,8 +63,10 @@ type Config struct {
 
 	// MVCCDepth is the per-entry version-chain depth (see kvs layout.go):
 	// every committed overwrite retires the previous version into a ring of
-	// this many slots, enabling the snapshot (MVCC) read-only arm. 0 keeps
-	// the PR-8 single-slot layout; negative is normalized to 0.
+	// this many slots, and every commit brackets a snapshot stamp, enabling
+	// the snapshot (MVCC) read-only arm. 0, the default, keeps an entry its
+	// row alone (key, incarnation|version, state, value) and commits without
+	// a stamp; negative is normalized to 0.
 	MVCCDepth int
 }
 
@@ -83,7 +85,6 @@ func DefaultConfig(n, w int) Config {
 		SkewBound:        50 * time.Microsecond,
 		Strategy:         clock.StrategyReuseConfirm,
 		LogWords:         1 << 20,
-		MVCCDepth:        4,
 	}
 }
 
@@ -169,6 +170,10 @@ func (c *Cluster) Delta() uint64 {
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
+
+// MVCCDepth returns the version-chain depth of every entry; 0 means no
+// chains, no commit-stamp brackets and no snapshot arm.
+func (c *Cluster) MVCCDepth() int { return c.cfg.MVCCDepth }
 
 // New builds a cluster. Per-node softtime skew is spread deterministically
 // across [-SkewBound, +SkewBound].

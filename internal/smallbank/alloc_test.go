@@ -11,7 +11,7 @@ import "testing"
 // for a local deposit and for a payment to an account on the other node alike.
 // Excluded under -race: the detector adds shadow allocations.
 func TestAllocSteadyState(t *testing.T) {
-	w, rt, stop := newWorkload(t, 2, 1)
+	w, rt, stop := newWorkload(t, 2, 1, nil)
 	defer stop()
 	cl := w.NewClient(rt.Executor(0, 0), 1)
 	deposit := func() {

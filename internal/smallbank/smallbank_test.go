@@ -20,11 +20,14 @@ func smallCfg(nodes int) Config {
 	return cfg
 }
 
-func newWorkload(t testing.TB, nodes, workers int) (*Workload, *tx.Runtime, func()) {
+func newWorkload(t testing.TB, nodes, workers int, mut func(*cluster.Config)) (*Workload, *tx.Runtime, func()) {
 	t.Helper()
 	ccfg := cluster.DefaultConfig(nodes, workers)
 	ccfg.LeaseMicros = 5_000
 	ccfg.ROLeaseMicros = 10_000
+	if mut != nil {
+		mut(&ccfg)
+	}
 	c := cluster.New(ccfg)
 	c.Start()
 	cfg := smallCfg(nodes)
@@ -37,7 +40,7 @@ func newWorkload(t testing.TB, nodes, workers int) (*Workload, *tx.Runtime, func
 }
 
 func TestSetupPopulates(t *testing.T) {
-	w, rt, stop := newWorkload(t, 2, 1)
+	w, rt, stop := newWorkload(t, 2, 1, nil)
 	defer stop()
 	if got := rt.C.Node(0).Unordered(TableSavings).Len(); got != 200 {
 		t.Fatalf("savings rows on node 0 = %d", got)
@@ -58,7 +61,7 @@ func TestNodeOfPartitioning(t *testing.T) {
 }
 
 func TestSendPaymentMovesMoney(t *testing.T) {
-	w, rt, stop := newWorkload(t, 2, 1)
+	w, rt, stop := newWorkload(t, 2, 1, nil)
 	defer stop()
 	cl := w.NewClient(rt.Executor(0, 0), 1)
 	// Local payment.
@@ -78,7 +81,7 @@ func TestSendPaymentMovesMoney(t *testing.T) {
 }
 
 func TestBalanceReadsBoth(t *testing.T) {
-	w, rt, stop := newWorkload(t, 1, 1)
+	w, rt, stop := newWorkload(t, 1, 1, nil)
 	defer stop()
 	cl := w.NewClient(rt.Executor(0, 0), 1)
 	got, err := cl.Balance(5)
@@ -91,7 +94,7 @@ func TestBalanceReadsBoth(t *testing.T) {
 }
 
 func TestAmalgamate(t *testing.T) {
-	w, rt, stop := newWorkload(t, 2, 1)
+	w, rt, stop := newWorkload(t, 2, 1, nil)
 	defer stop()
 	cl := w.NewClient(rt.Executor(0, 0), 1)
 	if err := cl.Amalgamate(1, 201); err != nil { // cross-node
@@ -106,7 +109,7 @@ func TestAmalgamate(t *testing.T) {
 }
 
 func TestWithdrawClampsAtZero(t *testing.T) {
-	w, rt, stop := newWorkload(t, 1, 1)
+	w, rt, stop := newWorkload(t, 1, 1, nil)
 	defer stop()
 	cl := w.NewClient(rt.Executor(0, 0), 1)
 	if err := cl.WithdrawChecking(1, 50_000); err != nil {
@@ -129,9 +132,10 @@ func TestWithdrawClampsAtZero(t *testing.T) {
 // The conflict is forced, not awaited: the test holds the seqlock of the line
 // with the record's version-chain tail, which the region reads after it has
 // computed the new balance, so every attempt aborts there until the test —
-// having seen the first abort counted — raises the balance and lets go.
+// having seen the first abort counted — raises the balance and lets go. The
+// accounts carry PolicyMVCC's 4-deep chains for that line.
 func TestWithdrawBooksCommittedAttempt(t *testing.T) {
-	w, rt, stop := newWorkload(t, 1, 1)
+	w, rt, stop := newWorkload(t, 1, 1, func(c *cluster.Config) { c.MVCCDepth = 4 })
 	defer stop()
 	rt.FallbackThreshold = 1 << 30 // keep retrying the region; no lock-based fallback
 	const acct, amt = 1, 50_000    // the initial balance is 10 000
@@ -179,7 +183,7 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 // total balance moved only by the tracked net deposits.
 func TestMixConservation(t *testing.T) {
 	const nodes, workers = 2, 2
-	w, rt, stop := newWorkload(t, nodes, workers)
+	w, rt, stop := newWorkload(t, nodes, workers, nil)
 	defer stop()
 	initial := w.TotalBalance()
 

@@ -2,7 +2,6 @@ package tatp_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"drtm/internal/cluster"
@@ -33,9 +32,8 @@ const orderedGoldenTxns = 100
 // this is the shipped-message + fused-wave path of Tx.Stage end to end
 // (lookups and EnsureDeads coalesced per host, structural rows locked in the
 // base row's wave, removals coalesced per host). The cluster's soft-clock
-// timers never start, and the script fixes the one point where soft time
-// still reaches the table: where an erased entry is unlinked (see
-// measureAt). The local rows also show the lookup side: a read followed by a
+// timers never start, and no soft time reaches the table: an erased entry is
+// unlinked by the commit that erased it. The local rows also show the lookup side: a read followed by a
 // write of one row is one tree lookup, and the script's subscribers are
 // adjacent keys, so most lookups and scan starts are hits on the executor's
 // leaf cache (random subscribers would descend).
@@ -65,7 +63,21 @@ const orderedGoldenTxns = 100
 // 1 507 ns, and four lost their direct-mapped frame to another subscriber and
 // shipped their lookup again. Then in that warm row alone: an ordered cache has
 // the frames its budget buys, not one per entry of its region (1 856 here), so
-// those four keep their frames and all 100 are one READ at a cached offset.)
+// those four keep their frames and all 100 are one READ at a cached offset.
+// Then by one rule, entries without version chains, in four ways. A committed
+// remote row's chain is its value and release: two WRITEs fewer per row (the
+// tail pair and the retired slot, 400 ns of doorbells) and, where the retired
+// slot carrying the superseded value was the wave's longest WRITE, a shorter
+// wave (update_location, toggle_facility, the call-forwarding and subscriber
+// rows). An erase's unlink runs at its own commit instead of from the
+// snapshot-gated queue a later commit drained, so removal messages (6 408 ns
+// for one op, 7 626 for four) and local unlinks (400 ns each) move back into
+// the row that erased: one message from insert_call_fwd local to
+// toggle_facility remote, from delete_subscriber local to delete_call_fwd
+// remote and from insert_subscriber local to delete_subscriber remote. The
+// 256-key get_new_destination scan has no snapshot arm to take and confirms:
+// one READ of its segment stamp, 1 701 ns per remote transaction. The lock,
+// lookup and region costs did not move: a local ring retire was never charged.)
 func TestOrderedPathGolden(t *testing.T) {
 	got := runOrderedGolden(t)
 	bad := len(got) != len(orderedGolden)
@@ -102,7 +114,7 @@ func runOrderedGolden(t *testing.T) []orderedGoldenRow {
 	cl := w.NewClient(e, 1)
 
 	var rows []orderedGoldenRow
-	sh, clk := e.Worker().Obs, c.Node(0).Clock
+	sh := e.Worker().Obs
 	count := func() orderedGoldenRow {
 		return orderedGoldenRow{
 			msgs: sh.Count(obs.EvVerbsMsg), cases: sh.Count(obs.EvRDMACAS),
@@ -112,23 +124,9 @@ func runOrderedGolden(t *testing.T) []orderedGoldenRow {
 	}
 	// measureAt runs op once per subscriber of one home: even subscriber ids
 	// are local to the client's node 0, odd ones remote.
-	//
-	// An erase's unlink waits in the MVCC-gated removal queue until the
-	// snapshot floor passes the erase's commit stamp. Both are soft time, which
-	// reads the host's clock in microseconds, and a commit's own bracket holds
-	// the floor below its stamp, so a later commit drains it: the next one if
-	// the clock has moved a microsecond since, else one after. On a host fast
-	// enough to commit twice inside a microsecond, the unlink of one row's
-	// last erases was drained — and charged — in the next row. So the script
-	// waits, before every transaction, for the clock to move two microseconds
-	// past where it stood: every unlink is then drained by the script's next
-	// read-write commit, whatever the host.
 	measureAt := func(name string, home int, op func(sid uint64, i int) error) {
 		r0 := count()
 		for i := 0; i < orderedGoldenTxns; i++ {
-			for until := clk.Read() + 2; clk.Read() < until; {
-				runtime.Gosched()
-			}
 			sid := uint64(2*(i+1) + home)
 			if err := op(sid, i); err != nil {
 				t.Fatalf("%s, subscriber %d: %v", name, sid, err)
@@ -173,18 +171,18 @@ var orderedGolden = []orderedGoldenRow{
 	{"get_subscriber remote", 100, 0, 0, 0, 641600},
 	{"get_subscriber remote, warm", 0, 0, 100, 0, 150700},
 	{"get_new_destination local", 0, 0, 0, 0, 6340},
-	{"get_new_destination remote", 100, 0, 0, 0, 662000},
-	{"get_new_destination remote, warm", 100, 0, 0, 0, 662000},
+	{"get_new_destination remote", 100, 0, 100, 0, 832100},
+	{"get_new_destination remote, warm", 100, 0, 100, 0, 832100},
 	{"update_location local", 0, 0, 0, 0, 35620},
-	{"update_location remote", 100, 100, 200, 300, 2539200},
+	{"update_location remote", 100, 100, 200, 100, 2499200},
 	{"toggle_facility local", 0, 0, 0, 0, 110452},
-	{"toggle_facility remote", 203, 200, 200, 600, 3150316},
-	{"insert_call_fwd local", 1, 0, 0, 0, 44262},
-	{"insert_call_fwd remote", 148, 48, 144, 144, 1813112},
-	{"delete_call_fwd local", 0, 0, 0, 0, 65406},
-	{"delete_call_fwd remote", 147, 48, 48, 144, 1752308},
-	{"delete_subscriber local", 1, 0, 0, 0, 349562},
-	{"delete_subscriber remote", 299, 410, 410, 1230, 5586485},
-	{"insert_subscriber local", 1, 0, 0, 0, 194088},
-	{"insert_subscriber remote", 100, 409, 409, 1227, 2769018},
+	{"toggle_facility remote", 204, 200, 200, 200, 3076724},
+	{"insert_call_fwd local", 0, 0, 0, 0, 37854},
+	{"insert_call_fwd remote", 148, 48, 144, 48, 1793912},
+	{"delete_call_fwd local", 0, 0, 0, 0, 65806},
+	{"delete_call_fwd remote", 148, 48, 48, 48, 1739020},
+	{"delete_subscriber local", 0, 0, 0, 0, 345154},
+	{"delete_subscriber remote", 300, 410, 410, 410, 5418079},
+	{"insert_subscriber local", 0, 0, 0, 0, 186462},
+	{"insert_subscriber remote", 100, 409, 409, 409, 2598194},
 }

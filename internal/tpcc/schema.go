@@ -140,9 +140,9 @@ type Config struct {
 	// order-status, delivery and stock-level have work immediately.
 	InitialOrders int
 	// ExtraOrdersPerDistrict sizes table capacity headroom for the orders (and
-	// the payments, about as many) a run will insert. Set-up reserves a
-	// quarter more than this: a driver that budgets its measured run against
-	// the headroom also spends orders warming up.
+	// the payments, about as many) a run will insert. Set-up reserves as many
+	// again: a driver that budgets its measured run against the headroom also
+	// spends orders warming up, up to the same budget.
 	ExtraOrdersPerDistrict int
 	// CrossNewOrderPct is the per-item probability (percent) that a
 	// new-order line names a remote warehouse (spec/default: 1).
@@ -204,10 +204,11 @@ func lastNameOf(c int) uint64 { return uint64(c % lastNameBuckets) }
 func lnIdx(w, d int, ln uint64) uint64 { return DKey(w, d)*lastNameBuckets + ln }
 
 // orderRows is the per-node row capacity of ORDER, NEW-ORDER and the
-// customer index: the configured orders and a quarter more.
+// customer index: the configured orders twice over, for a measured run and a
+// warm-up each capped at the headroom.
 func (cfg Config) orderRows() int {
 	n := cfg.WarehousesPerNode * cfg.Districts * (cfg.InitialOrders + cfg.ExtraOrdersPerDistrict)
-	return n + n/4
+	return n + n
 }
 
 // historyRows is HISTORY's per-node row capacity: a payment per order, and

@@ -115,7 +115,7 @@ func BenchmarkExecRemoteSpec(b *testing.B) {
 }
 
 func BenchmarkExecROMVCC(b *testing.B) {
-	rt, stop := newRig(b, 2, 1, 8, nil)
+	rt, stop := newRig(b, 2, 1, 8, withChains)
 	defer stop()
 	rt.ReadPolicy = PolicyMVCC
 	e := rt.Executor(0, 0)

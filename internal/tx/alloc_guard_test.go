@@ -48,25 +48,6 @@ func TestExecAllocSteadyState(t *testing.T) {
 		t.Errorf("remote spec txn allocates %.0f objects, budget 2", remote)
 	}
 
-	// The snapshot RO path (one remote + one local chain-resolved read)
-	// measured 11 objects/op when introduced — the entry image, the value
-	// copies, and the verb round-trip. Budget 15 so a regression that starts
-	// allocating per-slot or per-attempt scratch trips the guard.
-	rt.ReadPolicy = PolicyMVCC
-	for i := 0; i < 16; i++ {
-		if err := benchMVCCROTxn(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mvcc := testing.AllocsPerRun(50, func() {
-		if err := benchMVCCROTxn(e); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if mvcc > 15 {
-		t.Errorf("mvcc RO allocates %.0f objects, budget 15", mvcc)
-	}
-
 	// The confirm-wave RO path over ten local and ten remote records allocates
 	// nothing: the shell, its index, its staged records and the value buffers
 	// the body reads from are recycled on the executor.
@@ -83,6 +64,66 @@ func TestExecAllocSteadyState(t *testing.T) {
 	})
 	if ro20 > 0 {
 		t.Errorf("20-record RO allocates %.0f objects, want 0", ro20)
+	}
+
+	// So does a confirm-wave RO scan, local or remote — TATP's
+	// get_new_destination shape, a 256-key span with no limit: the host of a
+	// remote range answers into the executor's scan buffers, and the scan
+	// records are recycled with the shell.
+	ort, ostop := newOrderedRig(t, 2, 1, nil)
+	defer ostop()
+	ort.ReadPolicy = PolicyAdaptive
+	oe := ort.Executor(0, 0)
+	insertOrders(t, oe, 0, []uint64{1, 2, 3})                    // entity 0: local
+	insertOrders(t, ort.Executor(1, 0), 1, []uint64{1, 2, 3, 4}) // entity 1: remote
+	for _, tc := range []struct {
+		name   string
+		entity uint64
+		rows   int
+	}{{"local", 0, 3}, {"remote", 1, 4}} {
+		scan := func() {
+			if err := oe.ExecRO(func(ro *RO) error {
+				rows, err := ro.Scan(tblOrders, orderedKey(tc.entity, 0), orderedKey(tc.entity, 0xFF), 0)
+				if err == nil && len(rows) != tc.rows {
+					t.Fatalf("%s scan returned %d rows, want %d", tc.name, len(rows), tc.rows)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			scan()
+		}
+		if n := testing.AllocsPerRun(50, scan); n > 0 {
+			t.Errorf("%s RO scan allocates %.0f objects, want 0", tc.name, n)
+		}
+	}
+
+	// The snapshot RO path (one remote + one local chain-resolved read), on a
+	// rig with version chains: it measured 11 objects/op when introduced — the
+	// entry image, the value copies, and the verb round-trip. Budget 15 so a
+	// regression that starts allocating per-slot or per-attempt scratch trips
+	// the guard.
+	crt, cstop := newRig(t, 2, 1, 20, withChains)
+	defer cstop()
+	crt.ReadPolicy = PolicyMVCC
+	ce := crt.Executor(0, 0)
+	for i := 0; i < 16; i++ {
+		if err := benchMVCCROTxn(ce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mvcc := testing.AllocsPerRun(50, func() {
+		if err := benchMVCCROTxn(ce); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mvcc > 15 {
+		t.Errorf("mvcc RO allocates %.0f objects, budget 15", mvcc)
+	}
+	if crt.C.Obs.Total(obs.EvMVCCRead) == 0 {
+		t.Error("the snapshot RO path resolved no read over a chain")
 	}
 }
 

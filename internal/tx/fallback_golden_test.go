@@ -21,7 +21,6 @@ func fbGoldenRig(t *testing.T, mut func(*cluster.Config), window int) (*Runtime,
 	cfg.LeaseMicros = 1 << 40
 	cfg.ROLeaseMicros = 1 << 40
 	cfg.HTM = htm.Config{WriteLines: 2, ReadLines: 4096}
-	cfg.MVCCDepth = 0
 	if mut != nil {
 		mut(&cfg)
 	}

@@ -60,7 +60,7 @@ var errMVCCFallback = errors.New("tx: version chain unresolvable at snapshot, fa
 // let a drain running between the read and the registration unlink a row
 // erased just after it — a row the snapshot still owes.
 func (ro *RO) enterMVCC() bool {
-	if ro.e.rt.C.Config().MVCCDepth <= 0 {
+	if ro.e.rt.C.MVCCDepth() == 0 {
 		return false
 	}
 	c := ro.e.rt.C

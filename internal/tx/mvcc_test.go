@@ -11,10 +11,14 @@ import (
 	"drtm/internal/obs"
 )
 
+// withChains builds every entry with a 4-deep version chain, as a PolicyMVCC
+// deployment does (drtm.Open); the default cluster has none.
+func withChains(cfg *cluster.Config) { cfg.MVCCDepth = 4 }
+
 // TestMVCCPointRead: PolicyMVCC point reads resolve the current value with
 // no lease CAS and no confirm wave.
 func TestMVCCPointRead(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 8, nil)
+	rt, stop := newRig(t, 2, 1, 8, withChains)
 	defer stop()
 	e := rt.Executor(0, 0)
 	if err := e.Exec(func(tx *Tx) error {
@@ -63,7 +67,7 @@ func TestMVCCPointRead(t *testing.T) {
 
 // TestMVCCReadNotFound: a key absent at the snapshot reports ErrNotFound.
 func TestMVCCReadNotFound(t *testing.T) {
-	rt, stop := newRig(t, 1, 1, 4, nil)
+	rt, stop := newRig(t, 1, 1, 4, withChains)
 	defer stop()
 	e := rt.Executor(0, 0)
 	err := e.ExecROWith(PolicyMVCC, func(ro *RO) error {
@@ -79,7 +83,7 @@ func TestMVCCReadNotFound(t *testing.T) {
 // MVCC readers must never observe half a commit, under concurrency, with
 // both keys on different nodes.
 func TestMVCCSnapshotAtomicity(t *testing.T) {
-	rt, stop := newRig(t, 2, 2, 8, nil)
+	rt, stop := newRig(t, 2, 2, 8, withChains)
 	defer stop()
 	const k1, k2 = 1, 2 // nodes 1 and 0
 	stopCh := make(chan struct{})
@@ -144,7 +148,7 @@ func TestMVCCSnapshotAtomicity(t *testing.T) {
 // count constant; MVCC scans (local and remote) must always see exactly
 // that count — phantom safety without segment-stamp validation.
 func TestMVCCScanSnapshot(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 2, nil)
+	rt, stop := newOrderedRig(t, 2, 2, withChains)
 	defer stop()
 	const entity = 3 // home node 1: remote from the reader on node 0
 	w := rt.Executor(1, 1)
@@ -212,10 +216,10 @@ func TestMVCCScanSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMVCCFallbackWhenChainsDisabled: PolicyMVCC on a cluster built with
-// MVCCDepth = 0 degrades to the confirm-wave scheme and still commits.
+// TestMVCCFallbackWhenChainsDisabled: PolicyMVCC on a cluster built at the
+// default MVCCDepth = 0 degrades to the confirm-wave scheme and still commits.
 func TestMVCCFallbackWhenChainsDisabled(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 8, func(cfg *cluster.Config) { cfg.MVCCDepth = 0 })
+	rt, stop := newRig(t, 2, 1, 8, nil)
 	defer stop()
 	e := rt.Executor(0, 0)
 	err := e.ExecROWith(PolicyMVCC, func(ro *RO) error {
@@ -239,7 +243,7 @@ func TestMVCCFallbackWhenChainsDisabled(t *testing.T) {
 // TestAdaptiveScanRoutesMVCC: under PolicyAdaptive a wide RO scan enters the
 // snapshot arm, a narrow one keeps the confirm-wave scheme.
 func TestAdaptiveScanRoutesMVCC(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 1, nil)
+	rt, stop := newOrderedRig(t, 2, 1, withChains)
 	defer stop()
 	rt.ReadPolicy = PolicyAdaptive
 	const entity = 3

@@ -26,7 +26,7 @@ type cacheRig struct {
 
 func newCacheRig(t *testing.T, budget int) cacheRig {
 	t.Helper()
-	rt, stop := newOrderedRig(t, 2, 1, func(cfg *cluster.Config) { cfg.MVCCDepth = 0 })
+	rt, stop := newOrderedRig(t, 2, 1, nil)
 	t.Cleanup(stop)
 	rt.ReadPolicy = PolicySpeculative
 	rt.CacheBudgetBytes = budget

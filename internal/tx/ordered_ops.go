@@ -77,28 +77,6 @@ type shipOp struct {
 
 type orderedOpsMsg struct{ Ops []shipOp }
 
-type rangeScanMsg struct {
-	Region int
-	Lo, Hi uint64
-	Limit  int
-}
-
-// scanRowWire is one in-range entry in a range-scan reply. Val is nil for
-// dead entries (returned only as validation anchors).
-type scanRowWire struct {
-	Key    uint64
-	Off    memory.Offset
-	IncVer uint64
-	Val    []uint64
-}
-
-type rangeScanResp struct {
-	Segs   []int
-	Stamps []uint64
-	Rows   []scanRowWire
-	Busy   bool // a row stayed write-locked through the stability retries
-}
-
 // removeDeadMsg carries every dead entry one transaction (or one drain of the
 // MVCC removal queue) unlinks on one host.
 type removeDeadMsg struct{ Ops []removalOp }
@@ -145,8 +123,7 @@ func (rt *Runtime) installOrderedHandlers() {
 			return rt.execOrderedOps(n, body.(*orderedOpsMsg).Ops)
 		})
 		n.Handle(msgRangeScan, func(from int, body any) any {
-			m := body.(rangeScanMsg)
-			return rt.execRangeScan(n, m)
+			return rt.execRangeScan(n, body.(*rangeScanMsg))
 		})
 		n.Handle(msgRemoveDead, func(from int, body any) any {
 			for _, op := range body.(*removeDeadMsg).Ops {
@@ -221,39 +198,15 @@ func (rt *Runtime) execEnsureEntry(n *cluster.Node, region, table, part int, key
 	return off, nil
 }
 
-// execRangeScan is the host side of a remote scan: the same stamped
-// collection collectScanLocal runs locally.
-func (rt *Runtime) execRangeScan(n *cluster.Node, m rangeScanMsg) any {
-	o, ok := n.OrderedRegion(m.Region)
+// execRangeScan is the host side of a remote scan: the collection a local
+// scan runs, without a finger, answered into the sender's buffers.
+func (rt *Runtime) execRangeScan(n *cluster.Node, m *rangeScanMsg) any {
+	o, ok := n.OrderedRegion(m.Rec.region)
 	if !ok {
-		return fmt.Errorf("tx: node %d has no ordered region %d", n.ID, m.Region)
+		return fmt.Errorf("tx: node %d has no ordered region %d", n.ID, m.Rec.region)
 	}
-	arena := o.Arena()
-	var resp rangeScanResp
-	resp.Segs = o.SegSpan(nil, m.Lo, m.Hi)
-	resp.Stamps = make([]uint64, 0, len(resp.Segs))
-	for _, s := range resp.Segs {
-		resp.Stamps = append(resp.Stamps, arena.LoadWord(kvs.SegStampOffset(s)))
-	}
-	vw := o.ValueWords()
-	live := 0
-	var vals []uint64
-	o.Scan(m.Lo, m.Hi, func(k uint64, off memory.Offset) bool {
-		vals = vals[:0]
-		incver, isLive, ok := stableScanEntry(arena, off, vw, &vals)
-		if !ok {
-			resp.Busy = true
-			return false
-		}
-		row := scanRowWire{Key: k, Off: off, IncVer: incver}
-		if isLive {
-			row.Val = append([]uint64(nil), vals...)
-			live++
-		}
-		resp.Rows = append(resp.Rows, row)
-		return m.Limit <= 0 || live < m.Limit
-	})
-	return resp
+	_, m.Busy = collectRange(o, nil, m.Rec, m.Lo, m.Hi, m.Limit, m.Vals, m.Out)
+	return nil
 }
 
 // execRemoveDead physically unlinks a dead entry on the host — the deferred
@@ -513,7 +466,7 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 // opportunistically on every commit.
 func (t *Tx) applyRemovals() {
 	e := t.e
-	if e.rt.C.Config().MVCCDepth == 0 {
+	if e.rt.C.MVCCDepth() == 0 {
 		e.removeDead(t.removals)
 		return
 	}

@@ -22,9 +22,10 @@ import (
 //	                    losing: a read-write transaction's reads speculate
 //	                    until it has lost escalateAfter validations, and
 //	                    every later read of it takes a lease (ExecRO
-//	                    escalates by attempts, under every policy). A
-//	                    read-only Scan of mvccScanFanout rows or more runs
-//	                    its transaction on the PolicyMVCC snapshot arm.
+//	                    escalates by attempts, under every policy). Where
+//	                    entries carry version chains, a read-only Scan of
+//	                    mvccScanFanout rows or more runs its transaction on
+//	                    the PolicyMVCC snapshot arm.
 //	PolicyExclusive   — reads take exclusive write locks (the Figure 17
 //	                    "no read lease" ablation): no read-read sharing.
 //
@@ -52,8 +53,9 @@ const (
 	// cluster-wide snapshot stamp: one entry+chain READ per key, no lease
 	// CAS, no confirm wave (see mvcc.go). Read-write transactions under
 	// PolicyMVCC use the lease arm — chains only serve reads. Requires
-	// cluster.Config.MVCCDepth > 0; with chains disabled the RO layer runs
-	// the confirm-wave scheme instead.
+	// cluster.Config.MVCCDepth > 0 (0 by default; drtm.Open sets 4 under this
+	// policy alone); with chains disabled the RO layer runs the confirm-wave
+	// scheme instead.
 	PolicyMVCC
 )
 

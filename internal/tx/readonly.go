@@ -2,7 +2,6 @@ package tx
 
 import (
 	"errors"
-	"fmt"
 
 	"drtm/internal/clock"
 	"drtm/internal/kvs"
@@ -325,57 +324,34 @@ func (ro *RO) confirmScans() bool {
 // Scan performs a range read of ordered table rows with keys in [lo, hi]
 // ascending, up to limit rows, collected leaselessly and re-validated at
 // confirm (the scan-heavy RO arm the `scan` experiment measures against
-// per-key leases). Same co-location contract as Tx.Scan.
+// per-key leases). Same co-location contract, and the same lifetime of the
+// rows, as Tx.Scan.
 func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	if hi < lo {
 		return nil, nil
 	}
-	if ro.e.rt.Meta(table).Kind != Ordered {
-		panic(fmt.Sprintf("tx: Scan of unordered table %d", table))
-	}
-	node, region, part := ro.e.route(table, lo)
-	if nodeHi, _, _ := ro.e.route(table, hi); nodeHi != node {
-		panic(fmt.Sprintf("tx: Scan range [%d, %d] of table %d spans nodes %d and %d; "+
-			"partition scans by the routing attribute", lo, hi, table, node, nodeHi))
-	}
+	node, region, part := ro.e.scanRoute(table, lo, hi)
 	ro.stampView(part)
 	if ro.mvcc || ro.routeScanMVCC(lo, hi, limit) {
 		return ro.mvccScan(table, node, region, lo, hi, limit)
 	}
 	sh := ro.e.w.Obs
 	sstart := int64(ro.e.w.VClock.Now())
-	rec := scanRec{table: table, node: node, region: region}
-	var out []ScanRow
-	if node == ro.e.w.Node.ID {
-		o := ro.e.w.Node.Ordered(region)
-		rows, busy := collectOrderedRange(ro.e, o, &rec, lo, hi, limit, &ro.scanVals)
-		if busy {
-			return nil, ro.lockConflict()
-		}
-		out = rows
-	} else {
-		rs, err := ro.e.callRangeScan(node, rangeScanMsg{Region: region, Lo: lo, Hi: hi, Limit: limit},
-			ro.e.rt.Meta(table).ValueWords)
+	var rec *scanRec
+	ro.scans, rec = nextScan(ro.scans, table, node, region)
+	out, busy, err := ro.e.scanRange(rec, lo, hi, limit, &ro.scanVals)
+	if err != nil || busy {
+		ro.scans = ro.scans[:len(ro.scans)-1]
 		if err != nil {
 			return nil, err
 		}
-		if rs.Busy {
-			return nil, ro.lockConflict()
-		}
-		rec.segs, rec.stamps = rs.Segs, rs.Stamps
-		for _, r := range rs.Rows {
-			rec.rows = append(rec.rows, scanRowRec{key: r.Key, off: r.Off, incver: r.IncVer})
-			if r.Val != nil {
-				out = append(out, ScanRow{Key: r.Key, Val: r.Val})
-			}
-		}
+		return nil, ro.lockConflict()
 	}
-	ro.scans = append(ro.scans, rec)
 	sh.Observe(obs.PhaseScan, int64(ro.e.w.VClock.Now())-sstart)
 	sh.Inc(obs.EvScan)
 	sh.Add(obs.EvScanRow, int64(len(out)))
 	if ro.escalated {
-		return out, ro.pinScan(&rec)
+		return out, ro.pinScan(rec)
 	}
 	return out, nil
 }

@@ -445,13 +445,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 // ---- the logs' lifetime rule at every crash point ---------------------------
 
-// lifetimeRig is three one-worker nodes holding two-line chained rows (key k
-// homed on node k%3), durable, with f backups per partition; the rows go in
-// through transactions, so the replicas hold them too.
-func lifetimeRig(t *testing.T, f int) (*Runtime, func()) {
+// lifetimeRig is three one-worker nodes holding two-line rows (key k homed on
+// node k%3) with version chains depth deep, durable, with f backups per
+// partition; the rows go in through transactions, so the replicas hold them
+// too.
+func lifetimeRig(t *testing.T, f, depth int) (*Runtime, func()) {
 	t.Helper()
 	rt, stop := newRig(t, 3, 1, 0, func(c *cluster.Config) {
-		c.Durability, c.ReplicationFactor, c.LogWords = true, f, 1<<16
+		c.Durability, c.ReplicationFactor, c.LogWords, c.MVCCDepth = true, f, 1<<16, depth
 	})
 	rt.DefineUnordered(tblWideHash, 64, 64, 32, wideWords)
 	for k := uint64(1); k <= 9; k++ {
@@ -532,22 +533,33 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 // no piece that committed comes back as pending (a chopping record outliving
 // the write-ahead record that proved it committed); and a second repair finds
 // nothing to do.
+//
+// The sweep runs with 4-deep version chains, whose commit chain is the longest
+// (its last two WRITEs are the whole chain without them, and Recover and
+// Failover retire the versions they redo), and, under depth=0, at the default:
+// no chains, the value and the release.
 func TestLogLifetimeCrashPoints(t *testing.T) {
-	const from, to, chainWRs = 3, 1, 4
-	points := []string{"restart", "lock-ahead", "commit", "replicate"}
-	for k := 1; k <= chainWRs; k++ {
-		points = append(points, fmt.Sprintf("publish-%d", k))
-	}
-	for _, f := range []int{0, 1} {
-		for _, fallback := range []bool{false, true} {
-			for _, ringFull := range []bool{false, true}[:1+f] {
-				for _, point := range points {
-					if point == "replicate" && f == 0 {
-						continue
+	const from, to = 3, 1
+	for _, depth := range []int{4, 0} {
+		chainWRs, prefix := 4, ""
+		if depth == 0 {
+			chainWRs, prefix = 2, "depth=0/"
+		}
+		points := []string{"restart", "lock-ahead", "commit", "replicate"}
+		for k := 1; k <= chainWRs; k++ {
+			points = append(points, fmt.Sprintf("publish-%d", k))
+		}
+		for _, f := range []int{0, 1} {
+			for _, fallback := range []bool{false, true} {
+				for _, ringFull := range []bool{false, true}[:1+f] {
+					for _, point := range points {
+						if point == "replicate" && f == 0 {
+							continue
+						}
+						t.Run(fmt.Sprintf("%sf=%d/fallback=%v/ringFull=%v/%s", prefix, f, fallback, ringFull, point), func(t *testing.T) {
+							lifetimeCrashPoint(t, f, depth, fallback, ringFull, point, from, to, chainWRs)
+						})
 					}
-					t.Run(fmt.Sprintf("f=%d/fallback=%v/ringFull=%v/%s", f, fallback, ringFull, point), func(t *testing.T) {
-						lifetimeCrashPoint(t, f, fallback, ringFull, point, from, to, chainWRs)
-					})
 				}
 			}
 		}
@@ -559,8 +571,8 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 // words.
 const transferRedoBytes = (1 + 2 + 2*(8+wideWords)) * 8
 
-func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point string, from, to uint64, chainWRs int) {
-	rt, stop := lifetimeRig(t, f)
+func lifetimeCrashPoint(t *testing.T, f, depth int, fallback, ringFull bool, point string, from, to uint64, chainWRs int) {
+	rt, stop := lifetimeRig(t, f, depth)
 	defer stop()
 	if fallback {
 		rt.FallbackThreshold = 1
@@ -712,7 +724,7 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 // drains the parked step, which a real coordinator's volatile memory would
 // have lost. Once nothing is parked the logs restart again.
 func TestParkedWriteKeepsLogs(t *testing.T) {
-	rt, stop := lifetimeRig(t, 0)
+	rt, stop := lifetimeRig(t, 0, 0)
 	defer stop()
 	e, w := rt.Executor(0, 0), rt.C.Worker(0, 0)
 	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }

@@ -21,7 +21,6 @@ func TestMirroredRemovalLeavesNoReplicaEntry(t *testing.T) {
 	cfg.LeaseMicros = 5_000
 	cfg.ROLeaseMicros = 10_000
 	cfg.ReplicationFactor = 1
-	cfg.MVCCDepth = 0 // a committed erase's removal runs at once, not behind the snapshot floor
 	c := cluster.New(cfg)
 	c.Start()
 	defer c.Stop()

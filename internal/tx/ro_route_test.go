@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"drtm/internal/clock"
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
 )
@@ -354,7 +355,11 @@ func TestROSpecLocalStress(t *testing.T) {
 func TestROEscalationPinsScannedRows(t *testing.T) {
 	for _, p := range []ReadPolicy{PolicySpeculative, PolicyMVCC} {
 		t.Run(p.String(), func(t *testing.T) {
-			rt, stop := newOrderedRig(t, 2, 2, nil)
+			var mut func(*cluster.Config)
+			if p == PolicyMVCC {
+				mut = withChains
+			}
+			rt, stop := newOrderedRig(t, 2, 2, mut)
 			defer stop()
 			rt.MaxAttempts = 200
 			const entity = 3 // homed on node 1

@@ -378,15 +378,18 @@ type Executor struct {
 
 	// Shipped-message scratch: the envelope every two-sided call reuses, the
 	// multi-op tree message and the requests its ops answer, the removal
-	// message, the redo checkpoint request, and drainRemovals' ready list.
+	// message, the range-scan message, the redo checkpoint request, and
+	// drainRemovals' ready list.
 	callMsg  cluster.Msg
 	shipMsg  orderedOpsMsg
 	shipReqs []*stageReq
 	remMsg   removeDeadMsg
+	scanMsg  rangeScanMsg
 	ckptMsg  redoCkptMsg
 	remReady []removalOp
 
-	scanOut []KeyOff // scanLocal's result, valid until the next scan
+	scanOut  []KeyOff  // scanLocal's result, valid until the next scan
+	scanRows []ScanRow // Tx.Scan's and RO.Scan's result, valid until the next scan
 }
 
 // getRec pops a pooled staged-record struct (value buffer capacity kept).

@@ -42,7 +42,8 @@ import (
 )
 
 // ScanRow is one live row returned by a transactional range scan. Val
-// aliases transaction-private scratch and is invalid once Exec returns.
+// aliases transaction-private scratch and is invalid once Exec returns; the
+// rows themselves are the executor's scratch, valid until its next scan.
 type ScanRow struct {
 	Key uint64
 	Val []uint64
@@ -65,6 +66,22 @@ type scanRec struct {
 	rows   []scanRowRec
 }
 
+// nextScan appends a record for a scan of table's shard on node to scans,
+// reusing the slices an earlier transaction's record left in the backing
+// array. The pointer is valid until scans next grows.
+func nextScan(scans []scanRec, table, node, region int) ([]scanRec, *scanRec) {
+	n := len(scans)
+	if n < cap(scans) {
+		scans = scans[:n+1]
+	} else {
+		scans = append(scans, scanRec{})
+	}
+	rec := &scans[n]
+	*rec = scanRec{table: table, node: node, region: region,
+		segs: rec.segs[:0], stamps: rec.stamps[:0], rows: rec.rows[:0]}
+	return scans, rec
+}
+
 // scanStableRetries bounds per-row re-reads when collection races a writer.
 const scanStableRetries = 3
 
@@ -73,7 +90,8 @@ const scanStableRetries = 3
 // is a Start-phase operation like R/W: call it before Execute and hand the
 // rows to the body. The whole range must be co-located on one node (the
 // partitioner routes by key; workloads encode the partition attribute in
-// the high key bits so a logical entity's rows share a shard).
+// the high key bits so a logical entity's rows share a shard). The rows are
+// the executor's scratch, valid until its next scan.
 //
 // The rows are a consistent snapshot as of the transaction's commit point:
 // commit validates that neither the range's membership (segment stamps) nor
@@ -83,74 +101,95 @@ func (t *Tx) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	if hi < lo {
 		return nil, nil
 	}
-	meta := t.e.rt.Meta(table)
-	if meta.Kind != Ordered {
-		panic(fmt.Sprintf("tx: Scan of unordered table %d", table))
-	}
-	node, region, part := t.e.route(table, lo)
-	if nodeHi, _, _ := t.e.route(table, hi); nodeHi != node {
-		panic(fmt.Sprintf("tx: Scan range [%d, %d] of table %d spans nodes %d and %d; "+
-			"partition scans by the routing attribute", lo, hi, table, node, nodeHi))
-	}
+	node, region, part := t.e.scanRoute(table, lo, hi)
 	t.stampView(part)
 	sstart := int64(t.e.w.VClock.Now())
-	var rows []ScanRow
-	var err error
-	if node == t.e.w.Node.ID {
-		rows, err = t.collectScanLocal(table, region, lo, hi, limit)
-	} else {
-		rows, err = t.collectScanRemote(table, node, region, lo, hi, limit)
+	var rec *scanRec
+	t.scans, rec = nextScan(t.scans, table, node, region)
+	rows, busy, err := t.e.scanRange(rec, lo, hi, limit, &t.scanVals)
+	switch {
+	case err != nil:
+		t.scans = t.scans[:len(t.scans)-1]
+		err = t.nodeDown()
+	case busy:
+		t.scans = t.scans[:len(t.scans)-1]
+		err = t.remoteConflict()
 	}
 	sh := t.e.w.Obs
 	sh.Observe(obs.PhaseScan, int64(t.e.w.VClock.Now())-sstart)
-	if err == nil {
-		sh.Inc(obs.EvScan)
-		sh.Add(obs.EvScanRow, int64(len(rows)))
+	if err != nil {
+		return nil, err
 	}
-	return rows, err
+	sh.Inc(obs.EvScan)
+	sh.Add(obs.EvScanRow, int64(len(rows)))
+	return rows, nil
 }
 
-// collectScanLocal walks a local ordered shard: stamps first, then the
-// latched tree walk, reading each row with the per-entry stability protocol
-// (incver, state, value, incver again — an unchanged unlocked header
-// brackets a torn-free value).
-func (t *Tx) collectScanLocal(table, region int, lo, hi uint64, limit int) ([]ScanRow, error) {
-	o := t.e.w.Node.Ordered(region)
-	rec := scanRec{table: table, node: t.e.w.Node.ID, region: region}
-	out, busy := collectOrderedRange(t.e, o, &rec, lo, hi, limit, &t.scanVals)
-	if busy {
-		return nil, t.remoteConflict()
+// scanRoute returns the node, region and partition of a scan of [lo, hi] in
+// an ordered table, panicking on an unordered table or a range that spans
+// nodes.
+func (e *Executor) scanRoute(table int, lo, hi uint64) (node, region, part int) {
+	if e.rt.Meta(table).Kind != Ordered {
+		panic(fmt.Sprintf("tx: Scan of unordered table %d", table))
 	}
-	t.scans = append(t.scans, rec)
-	return out, nil
+	node, region, part = e.route(table, lo)
+	if nodeHi, _, _ := e.route(table, hi); nodeHi != node {
+		panic(fmt.Sprintf("tx: Scan range [%d, %d] of table %d spans nodes %d and %d; "+
+			"partition scans by the routing attribute", lo, hi, table, node, nodeHi))
+	}
+	return node, region, part
 }
 
-// collectOrderedRange is the shard-side collection shared by update and
-// read-only transactions: stamps first, then the latched tree walk with the
-// per-row stability bracket; rows (dead included) land in rec, live values
-// in *vals (returned rows alias its tail).
-func collectOrderedRange(e *Executor, o *kvs.Ordered, rec *scanRec, lo, hi uint64, limit int, vals *[]uint64) (out []ScanRow, busy bool) {
+// scanRange collects [lo, hi] of rec's shard into rec, for update and
+// read-only transactions alike: locally through the executor's finger, or
+// shipped to the host (Section 6.5), which runs the same walk into the same
+// buffers. Live values are appended to *vals, and the live rows returned alias
+// them; the rows are e.scanRows, valid until the executor's next scan. busy
+// reports a row that stayed write-locked through the stability retries, err a
+// host that stayed unreachable.
+func (e *Executor) scanRange(rec *scanRec, lo, hi uint64, limit int, vals *[]uint64) (rows []ScanRow, busy bool, err error) {
+	e.scanRows = e.scanRows[:0]
+	if rec.node == e.w.Node.ID {
+		o := e.w.Node.Ordered(rec.region)
+		var via kvs.IndexPath
+		via, busy = collectRange(o, e.finger(rec.region), rec, lo, hi, limit, vals, &e.scanRows)
+		e.chargeIndexOp(via)
+		e.charge(e.model().HTMPerReadNS * int64(len(rec.rows)*(o.ValueWords()+2)))
+	} else {
+		busy, err = e.callRangeScan(rec, lo, hi, limit, vals)
+	}
+	return e.scanRows, busy, err
+}
+
+// collectRange is the shard-side collection of a range scan, on the scanning
+// node or on the host of a remote one: stamps first, then the latched tree
+// walk from finger f (nil on a host), reading each row with the per-entry
+// stability protocol (incver, state, value, incver again — an unchanged
+// unlocked header brackets a torn-free value). Rows, dead included, land in
+// rec, live values in *vals and the live rows, aliasing them, in *out.
+func collectRange(o *kvs.Ordered, f *kvs.Finger, rec *scanRec, lo, hi uint64, limit int,
+	vals *[]uint64, out *[]ScanRow) (via kvs.IndexPath, busy bool) {
 	rec.segs = o.SegSpan(rec.segs, lo, hi)
 	arena := o.Arena()
 	for _, s := range rec.segs {
 		rec.stamps = append(rec.stamps, arena.LoadWord(kvs.SegStampOffset(s)))
 	}
 	vw := o.ValueWords()
-	via := o.ScanAt(e.finger(rec.region), lo, hi, func(k uint64, off memory.Offset) bool {
-		incver, live, ok := stableScanEntry(arena, off, vw, vals)
+	live := 0
+	via = o.ScanAt(f, lo, hi, func(k uint64, off memory.Offset) bool {
+		incver, isLive, ok := stableScanEntry(arena, off, vw, vals)
 		if !ok {
 			busy = true
 			return false
 		}
 		rec.rows = append(rec.rows, scanRowRec{key: k, off: off, incver: incver})
-		if live {
-			out = append(out, ScanRow{Key: k, Val: (*vals)[len(*vals)-vw:]})
+		if isLive {
+			*out = append(*out, ScanRow{Key: k, Val: (*vals)[len(*vals)-vw:]})
+			live++
 		}
-		return limit <= 0 || len(out) < limit
+		return limit <= 0 || live < limit
 	})
-	e.chargeIndexOp(via)
-	e.charge(e.model().HTMPerReadNS * int64(len(rec.rows)*(vw+2)))
-	return out, busy
+	return via, busy
 }
 
 // stableScanEntry reads one entry's header and (when live) its value into
@@ -184,53 +223,44 @@ func stableScanEntry(arena *memory.Arena, off memory.Offset, vw int, vals *[]uin
 	return 0, false, false
 }
 
-// collectScanRemote ships the collection to the host (Section 6.5): the
-// host runs the same stamped walk and returns stamps + rows; values arrive
-// in the reply, and validation later re-READs the headers one-sided.
-func (t *Tx) collectScanRemote(table, node, region int, lo, hi uint64, limit int) ([]ScanRow, error) {
-	rs, err := t.e.callRangeScan(node, rangeScanMsg{Region: region, Lo: lo, Hi: hi, Limit: limit},
-		t.e.rt.Meta(table).ValueWords)
-	if err != nil {
-		return nil, t.nodeDown()
-	}
-	if rs.Busy {
-		return nil, t.remoteConflict()
-	}
-	rec := scanRec{table: table, node: node, region: region,
-		segs: rs.Segs, stamps: rs.Stamps}
-	var out []ScanRow
-	for _, r := range rs.Rows {
-		rec.rows = append(rec.rows, scanRowRec{key: r.Key, off: r.Off, incver: r.IncVer})
-		if r.Val != nil {
-			out = append(out, ScanRow{Key: r.Key, Val: r.Val})
-		}
-	}
-	t.scans = append(t.scans, rec)
-	return out, nil
+// rangeScanMsg ships a range collection to the host, which answers into the
+// sender's buffers — the way a lookup's reply lands in its shipOp's Img: the
+// stamps and rows into Rec (whose region names the shard), the live values
+// onto *Vals and the live rows onto *Out, then Busy.
+type rangeScanMsg struct {
+	Lo, Hi uint64
+	Limit  int
+	Rec    *scanRec
+	Vals   *[]uint64
+	Out    *[]ScanRow
+	Busy   bool
 }
 
-// callRangeScan ships one range collection to the host over SEND/RECV.
-func (e *Executor) callRangeScan(node int, m rangeScanMsg, vw int) (rangeScanResp, error) {
+// callRangeScan ships one range collection to the host over SEND/RECV in the
+// executor's message scratch, the rows answered onto e.scanRows. A message
+// lost to a fault never reached the host, so a retry starts from untouched
+// buffers.
+func (e *Executor) callRangeScan(rec *scanRec, lo, hi uint64, limit int, vals *[]uint64) (busy bool, err error) {
 	// Reply size for the cost model: the row count is unknown before the
 	// call, so charge for the bounded case and a nominal page otherwise.
-	respSz := 256 + m.Limit*(3+vw)*8
-	if m.Limit <= 0 {
+	respSz := 256 + limit*(3+e.rt.Meta(rec.table).ValueWords)*8
+	if limit <= 0 {
 		respSz = 4096
 	}
+	m := &e.scanMsg
+	*m = rangeScanMsg{Lo: lo, Hi: hi, Limit: limit, Rec: rec, Vals: vals, Out: &e.scanRows}
 	var resp any
-	err := e.verbRetry(func() error {
+	err = e.verbRetry(func() error {
 		var cerr error
-		resp, cerr = e.call(node, msgRangeScan, m, 1, 40, respSz)
+		resp, cerr = e.call(rec.node, msgRangeScan, m, 1, 40, respSz)
 		return cerr
 	})
-	if err != nil {
-		return rangeScanResp{}, ErrNodeDown
+	busy = m.Busy
+	*m = rangeScanMsg{} // the buffers are the caller's again
+	if err != nil || resp != nil {
+		return false, ErrNodeDown
 	}
-	rs, ok := resp.(rangeScanResp)
-	if !ok {
-		return rangeScanResp{}, ErrNodeDown
-	}
-	return rs, nil
+	return busy, nil
 }
 
 // skipScanValidation stubs commit-time range validation — the deliberately

@@ -51,17 +51,14 @@ func rewrite(t testing.TB, home *Executor, key, v uint64) {
 // same words, get the same verdict from recHandle.check and leave the same
 // recImage.
 func TestShippedImageEquivalence(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 1, nil) // chains on: an erased row stays in the tree
+	rt, stop := newOrderedRig(t, 2, 1, nil)
 	defer stop()
 	home, e := rt.Executor(1, 0), rt.Executor(0, 0)
-	insertOrders(t, home, 1, []uint64{1, 2, 3})
+	insertOrders(t, home, 1, []uint64{1, 3})
 	live, dead, locked := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 3)
-	if err := home.Exec(func(tx *Tx) error {
-		if _, err := tx.Erase(tblOrders, dead); err != nil {
-			return err
-		}
-		return tx.Execute(func(lc *Local) error { return nil })
-	}); err != nil {
+	// A dead entry in the tree: an insert's structural half, whose flip to live
+	// never committed (a committed erase's entry is unlinked at its commit).
+	if _, err := rt.C.Node(1).Ordered(tblOrders).EnsureDead(dead); err != nil {
 		t.Fatal(err)
 	}
 	holder := home.newTx()
@@ -134,7 +131,7 @@ func TestShippedImageEquivalence(t *testing.T) {
 // an escalated scan's pins and the snapshot arm CAS, pin or resolve a chain at
 // the offset they are given.
 func TestShippedImageServesOnlySpeculation(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 1, nil)
+	rt, stop := newOrderedRig(t, 2, 1, withChains) // the snapshot arm is one of the paths
 	defer stop()
 	rt.ReadPolicy = PolicyAdaptive
 	rt.FallbackThreshold = 1

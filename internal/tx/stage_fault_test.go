@@ -144,9 +144,10 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 }
 
 func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
-	// Without version chains removals go out with the commit that erased the
-	// rows (under MVCC the same message leaves from the removal queue's drain).
-	rt, e, stop := faultRig(t, func(c *cluster.Config) { c.MVCCDepth = 0 })
+	// Without version chains (the default) removals go out with the commit that
+	// erased the rows (under MVCC the same message leaves from the removal
+	// queue's drain).
+	rt, e, stop := faultRig(t, nil)
 	defer stop()
 	insertOrders(t, e, 1, []uint64{1, 2, 3})
 	// The host dies after the commit's release wave and before the removal

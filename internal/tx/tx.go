@@ -148,9 +148,9 @@ type Tx struct {
 	// captures. beginAttempt empties it.
 	awords []uint64
 
-	// Scan scratch, reused across attempts: row values and segment indices.
+	// Scan scratch, reused across attempts: the values of the rows scans
+	// return.
 	scanVals []uint64
-	segScr   []int
 
 	// walLocal accumulates local updates for the write-ahead log.
 	walLocal []walRec
@@ -260,8 +260,12 @@ func (t *Tx) retireLocalChain(htx *htm.Txn, arena *memory.Arena, off memory.Offs
 // inside the HTM region. Per-entry clamping instead would let two entries of
 // one commit carry different stamps, and a snapshot between them would
 // observe half the commit. Under the fallback's locks (htx == nil) every
-// written entry is a staged record and the fix-up list is empty.
+// written entry is a staged record and the fix-up list is empty. Without
+// chains there is nothing to seal.
 func (t *Tx) sealChains(htx *htm.Txn) {
+	if t.e.rt.C.MVCCDepth() == 0 {
+		return
+	}
 	s := t.stampBase
 	for _, r := range t.remotes {
 		if r.write && r.prevTail >= s {
@@ -447,8 +451,11 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 	// commit's chain stamp, and the published active word pins the cluster
 	// snapshot stamp below any stamp the commit can still choose, so no
 	// snapshot reader's stamp can land between our entries (snapshot.go).
-	t.stampBase = t.e.w.BeginCommitStamp()
-	defer t.e.w.EndCommitStamp()
+	// Without chains there is no snapshot reader to pin.
+	if rt.C.MVCCDepth() > 0 {
+		t.stampBase = t.e.w.BeginCommitStamp()
+		defer t.e.w.EndCommitStamp()
+	}
 
 	// Durability: chopping info and the lock-ahead log are written before
 	// entering the HTM region (Figure 7, left).

@@ -202,12 +202,34 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	}
 }
 
-// TestMVCCPolicyE2E: PolicyMVCC through the public API — the default
-// cluster.Config.MVCCDepth builds the version chains, ExecROWith(PolicyMVCC) resolves a consistent
-// snapshot with no lease traffic, and the Stats MVCC counters move.
+// TestMVCCPolicyE2E: PolicyMVCC through the public API — a PolicyMVCC
+// deployment builds the version chains, ExecROWith(PolicyMVCC) resolves a
+// consistent snapshot with no lease traffic, and the Stats MVCC counters move.
+// Any other policy builds no chains, and the same read-only transaction runs
+// on the confirm wave.
 func TestMVCCPolicyE2E(t *testing.T) {
-	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1},
-		func(table int, key uint64) int { return int(key) % 2 })
+	part := func(table int, key uint64) int { return int(key) % 2 }
+	plain := MustOpen(Options{Nodes: 2, WorkersPerNode: 1}, part)
+	defer plain.Close()
+	plain.CreateHashTable(tblAcct, 1024, 1)
+	if err := plain.Load(tblAcct, 1, []uint64{100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.ExecROWith(0, 0, PolicyMVCC, func(ro *RO) error {
+		_, err := ro.Read(tblAcct, 1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := plain.C.MVCCDepth(); d != 0 {
+		t.Fatalf("PolicyAdaptive deployment has chain depth %d, want 0", d)
+	}
+	if s := plain.Stats(); s.Count("mvcc.read") != 0 || s.Count("spec.read") != 1 {
+		t.Fatalf("chainless PolicyMVCC read: mvcc.read %d, spec.read %d; want 0, 1",
+			s.Count("mvcc.read"), s.Count("spec.read"))
+	}
+
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicyMVCC}, part)
 	defer db.Close()
 	db.CreateHashTable(tblAcct, 1024, 1)
 	for k := uint64(1); k <= 4; k++ {
