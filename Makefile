@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan mvcc examples tx-lines lines
+.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan examples tx-lines lines
 
-check: build fmt vet race stress alloc batch occ chaos failover scan mvcc bench-smoke examples
+check: build fmt vet race stress alloc batch occ chaos failover scan bench-smoke examples
 
 build:
 	go build ./...
@@ -38,9 +38,9 @@ race:
 # order, kvs churn ending in the same index and free list, the seed corpora of
 # both fuzz targets), the
 # release side's one doorbell chain (a fault at every position of a commit's
-# chain and of an abort's release wave under lease, speculative and snapshot
-# readers; a zombie's clean releases against a lock that changed hands; the
-# wave counts), the in-place log readers (Log.Scan's buffer contract, the redo
+# chain and of an abort's release wave under lease and speculative readers; a
+# zombie's clean releases against a lock that changed hands; the wave counts),
+# the in-place log readers (Log.Scan's buffer contract, the redo
 # iterator's framing checks and fuzz seed corpus, a sink's drain against what
 # was appended, a fenced append leaving the ring untouched), the shipped
 # lookup's replied image (the same words, verdict and record as a READ of the
@@ -161,10 +161,11 @@ failover:
 	go test -race -run TestFailoverSmallBankConservation .
 	@$(MAKE) --no-print-directory failover-lane
 
-# The TATP invariant across a crash + promotion, 30 runs at each of -cpu 1 and
-# 2, one process per run (a failure of this test is often a panic, which would
-# end a -count loop at its first), with the failure modes counted: what a red
-# run said first, numbers blanked. Red on any run.
+# The TATP invariant across a crash + promotion, under each of the test's fault
+# seeds, 30 runs at each of -cpu 1 and 2, one process per run (a failure of
+# this test is often a panic, which would end a -count loop at its first), with
+# the failure modes counted: what a red run said first, numbers blanked. Red on
+# any run.
 FAILOVER_RUNS = 30
 failover-lane:
 	@dir=$$(mktemp -d) && go test -c -o $$dir/tatp.test ./internal/tatp/ && red=0 && \
@@ -185,18 +186,10 @@ scan:
 	go test -run TestScanAcceptance ./internal/bench/
 	go test -race ./internal/tatp/ ./internal/socialgraph/
 
-# Snapshot-read gate, over PolicyMVCC's 4-deep version chains (the default
-# builds none): the MVCC arm must keep its >=1.5x win over the confirm-wave
-# scan at fanout >= 32 under writes, and PolicyAdaptive must cost exactly what
-# the arm its footprint rule picks costs in every sweep cell (mvccexp_test.go).
-mvcc:
-	go run ./cmd/drtm-bench -exp mvcc -quick
-	go test -run TestMVCCAcceptance ./internal/bench/
-
 # Full-scale experiment sweep (slow); see cmd/drtm-bench -h for single runs.
 bench:
 	go run ./cmd/drtm-bench -exp all
 
 # Regenerate the committed baseline tables at full scale, fixed seed.
 bench-baseline:
-	go run ./cmd/drtm-bench -exp batch,occ,failover,scan,mvcc,ablate-atomics,dist-waves -seed 42 -json BENCH_baseline.json
+	go run ./cmd/drtm-bench -exp batch,occ,failover,scan,ablate-atomics,dist-waves -seed 42 -json BENCH_baseline.json

@@ -66,9 +66,8 @@ type (
 	Tx = tx.Tx
 	// Local is the transaction body's view inside the HTM region.
 	Local = tx.Local
-	// RO is a read-only transaction: confirm-wave (lease or speculative
-	// arm) by default, snapshot-stamped over the version chains under
-	// PolicyMVCC.
+	// RO is a read-only transaction: its reads are leased or speculative,
+	// and one confirmation wave validates them (Section 4.5).
 	RO = tx.RO
 	// Executor runs transactions on behalf of one worker thread.
 	Executor = tx.Executor
@@ -100,29 +99,14 @@ const (
 	// PolicyLease: every remote read takes a lease-based shared lock via
 	// RDMA CAS (~14.5µs modeled) — the paper's Section 4.2 protocol.
 	PolicyLease = tx.PolicyLease
-	// PolicySpeculative: every remote read is a one-RTT OCC read (~1.5µs),
-	// version-validated at commit time; a conflict retries the transaction.
-	PolicySpeculative = tx.PolicySpeculative
-	// PolicyAdaptive (the default): speculate, and lease only a transaction
-	// that keeps losing — a read-write transaction's reads speculate until it
-	// has lost 8 validations, and every later read of it takes a lease. A
-	// deployment opened with it builds no version chains, so its read-only
-	// transactions, wide scans included, run on the confirm wave; only where
-	// chains exist (ExecROWith on a PolicyMVCC deployment) does a read-only
-	// Scan of 32 rows or more take the snapshot arm.
+	// PolicyAdaptive (the default): every remote read is a one-RTT OCC read
+	// (~1.5µs), version-validated at commit time, and a conflict retries the
+	// transaction; once a transaction has lost 8 attempts, every later read
+	// of it takes a lease.
 	PolicyAdaptive = tx.PolicyAdaptive
 	// PolicyExclusive: remote reads take exclusive write locks (the
 	// paper's Figure 17 "no read lease" ablation; no read-read sharing).
 	PolicyExclusive = tx.PolicyExclusive
-	// PolicyMVCC: read-only transactions resolve every key against a
-	// cluster-wide snapshot stamp using per-entry version chains — one batched
-	// READ wave, no lease CAS and no confirm wave. Only a deployment opened with
-	// this policy builds the chains (4 deep) and brackets every commit with a
-	// snapshot stamp; that costs every entry its ring and every commit its
-	// chain WRITEs. A chain too shallow for the snapshot falls back to the
-	// confirm-wave scheme for that RO execution. Read-write transactions under
-	// this policy use the lease arm.
-	PolicyMVCC = tx.PolicyMVCC
 )
 
 // Common errors, re-exported: with the body's own, all a transaction returns.
@@ -167,13 +151,11 @@ type Options struct {
 	FaultSeed int64
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
-	// records: PolicyLease, PolicySpeculative, PolicyAdaptive,
-	// PolicyExclusive or PolicyMVCC (see the constants' docs; PolicyMVCC
-	// affects read-only transactions, and only it builds version chains). The
-	// zero value selects PolicyAdaptive: speculation, which the `occ`
-	// experiment prices against leases, with a lease for a transaction that
-	// keeps losing. The software fallback path always uses locks regardless of
-	// policy.
+	// records: PolicyLease, PolicyAdaptive or PolicyExclusive (see the
+	// constants' docs). The zero value selects PolicyAdaptive: speculation,
+	// which the `occ` experiment prices against leases, with a lease for a
+	// transaction that keeps losing. The software fallback path always uses
+	// locks regardless of policy.
 	ReadPolicy ReadPolicy
 }
 
@@ -184,10 +166,6 @@ const (
 	leaseMicros   = 5_000
 	roLeaseMicros = 10_000
 )
-
-// mvccDepth is the version-chain depth a PolicyMVCC deployment builds into
-// every entry; under any other policy entries carry no chain.
-const mvccDepth = 4
 
 // normalize validates o and fills defaults, rejecting nonsense values
 // instead of silently "fixing" them.
@@ -271,9 +249,6 @@ func Open(o Options, part PartitionFunc) (*DB, error) {
 	cfg.LeaseMicros = leaseMicros
 	cfg.ROLeaseMicros = roLeaseMicros
 	cfg.FailureDetection = o.FailureDetection
-	if o.ReadPolicy == PolicyMVCC {
-		cfg.MVCCDepth = mvccDepth
-	}
 	c := cluster.New(cfg)
 	db := &DB{C: c, RT: tx.NewRuntime(c, part), faults: rdma.NewFaultPlan(o.FaultSeed)}
 	db.RT.ReadPolicy = o.ReadPolicy
@@ -355,7 +330,7 @@ func (db *DB) Executor(node, worker int) *Executor { return db.RT.Executor(node,
 
 // ExecWith runs one read-write transaction on the given worker with the
 // read policy forced to p for every attempt, overriding Options.ReadPolicy
-// — e.g. forcing PolicySpeculative on a PolicyLease deployment. Per-worker
+// — e.g. forcing PolicyAdaptive on a PolicyLease deployment. Per-worker
 // convenience over Executor.ExecWith; long-lived workers should hold an
 // Executor and call its ExecWith instead.
 func (db *DB) ExecWith(node, worker int, p ReadPolicy, build func(t *Tx) error) error {
@@ -364,8 +339,6 @@ func (db *DB) ExecWith(node, worker int, p ReadPolicy, build func(t *Tx) error) 
 
 // ExecROWith runs one read-only transaction with the read policy forced to
 // p (see ExecWith) — e.g. PolicyLease for a read that must not be retried.
-// PolicyMVCC reads version chains only on a deployment opened with it; on any
-// other it runs the confirm wave.
 func (db *DB) ExecROWith(node, worker int, p ReadPolicy, build func(ro *RO) error) error {
 	return db.RT.Executor(node, worker).ExecROWith(p, build)
 }

@@ -372,7 +372,7 @@ func TestStatsIndexCounters(t *testing.T) {
 // like any other: Delta subtracts it and ResetStats zeroes it.
 func TestStatsOrderedCacheShare(t *testing.T) {
 	const tblRows, tblHash = 2, 3
-	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicySpeculative},
+	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicyAdaptive},
 		func(_ int, key uint64) int { return int(key) % 2 })
 	defer db.Close()
 	db.CreateOrderedTable(tblRows, 64, 1)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"drtm/internal/cluster"
 	"drtm/internal/obs"
 	"drtm/internal/tx"
 	"drtm/internal/vtime"
@@ -77,11 +76,10 @@ func runBatch(o Options) *Result {
 	res.Note("a shipped message: %dns each way + %dns per key for the host's tree operation",
 		model.VerbsMsgBaseNS, model.BTreeOpNS)
 
-	// Commit row: two remote records whose entries span two cache lines, with
-	// version chains — per record a tail pair, a retired slot, the value and the
-	// release, all WRITEs. One doorbell chain polled once; window=1 posts and
-	// polls each on its own. (The cost is the commit phase, the batches its
-	// polled waves.)
+	// Commit row: two remote records whose entries span two cache lines — per
+	// record the value and the release, both WRITEs. One doorbell chain polled
+	// once; window=1 posts and polls each on its own. (The cost is the commit
+	// phase, the batches its polled waves.)
 	var serialCommit float64
 	for _, window := range []int{1, 16} {
 		commitNS, waves := measureCommitBatch(o, txns, window)
@@ -91,7 +89,7 @@ func runBatch(o Options) *Result {
 		} else {
 			ratio = fmt.Sprintf("%.2fx", commitNS/serialCommit)
 		}
-		res.AddRow("commit of 2 multi-line chained records", fmt.Sprintf("%d", window),
+		res.AddRow("commit of 2 multi-line records", fmt.Sprintf("%d", window),
 			fmt.Sprintf("%.1fus", commitNS/1e3), fmt.Sprintf("%.1f", waves), ratio)
 	}
 	res.Note("the commit's chain is WRITEs only (%dns + payload): the slowest one plus a doorbell each", model.RDMAWriteBaseNS)
@@ -159,12 +157,11 @@ const (
 )
 
 // measureCommitBatch runs txns transactions that each rewrite two remote
-// two-line rows of a chained table under the given send-queue window and
-// returns the mean PhaseCommit ns and the polled publish waves per transaction.
-// The chains are 4 deep, PolicyMVCC's, whose commit chain is the longest.
+// two-line rows under the given send-queue window and returns the mean
+// PhaseCommit ns and the polled publish waves per transaction.
 func measureCommitBatch(o Options, txns, window int) (commitNS, waves float64) {
 	const perNode = 64
-	rt, stop := buildMicro(2, 1, perNode, func(c *cluster.Config) { c.MVCCDepth = 4 },
+	rt, stop := buildMicro(2, 1, perNode, nil,
 		func(rt *tx.Runtime) { rt.BatchWindow = window })
 	defer stop()
 	rt.DefineUnordered(benchWide, perNode, perNode, 2*perNode, benchWideWords)

@@ -14,8 +14,8 @@ func TestSmokeBatch(t *testing.T) { runSmoke(t, "batch") }
 // and a 4-row remote ordered insert declared with one Stage must cost under
 // 0.4x of the per-row declaration with one shipped message, while window=1
 // reproduces the per-row messages, waves and cost; and the commit of two
-// multi-line chained remote records — eight WRITEs — must be exactly one polled
-// wave costing at most 0.6x of posting and polling each on its own.
+// multi-line remote records — four WRITEs — must be exactly one polled wave
+// costing at most 0.6x of posting and polling each on its own.
 func TestBatchAcceptance(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
 	const n = 8
@@ -77,12 +77,12 @@ func TestBatchAcceptance(t *testing.T) {
 			r, staged1.lockNS, perRow1.lockNS)
 	}
 
-	// The release side is one doorbell chain: value, chain and unlock WRITEs of
+	// The release side is one doorbell chain: the value and unlock WRITEs of
 	// both records share a wave.
 	serialCommit, serialWaves := measureCommitBatch(o, txns, 1)
 	fusedCommit, fusedWaves := measureCommitBatch(o, txns, 16)
-	if fusedWaves != 1 || serialWaves != 8 {
-		t.Fatalf("commit of 2 multi-line chained records polled %.2f waves (want 1), window=1 %.2f (want one per WRITE: 8)",
+	if fusedWaves != 1 || serialWaves != 4 {
+		t.Fatalf("commit of 2 multi-line records polled %.2f waves (want 1), window=1 %.2f (want one per WRITE: 4)",
 			fusedWaves, serialWaves)
 	}
 	if serialCommit <= 0 || fusedCommit > 0.6*serialCommit {

@@ -17,7 +17,7 @@ import (
 //
 //	lease — every remote read takes a shared lock with an RDMA CAS
 //	        (~14.5µs modeled) before fetching the value.
-//	spec  — PolicySpeculative: one versioned READ per record
+//	spec  — PolicyAdaptive: one versioned READ per record
 //	        (~1.5µs), re-validated at commit time by a doorbell-batched
 //	        header re-READ wave; any version bump retries the transaction.
 //
@@ -110,7 +110,7 @@ func measureOCCCost(o Options, txns, n int, spec bool) occMetrics {
 	rt, stop := buildMicro(2, 1, perNode, nil, func(rt *tx.Runtime) {
 		rt.ReadPolicy = tx.PolicyLease
 		if spec {
-			rt.ReadPolicy = tx.PolicySpeculative
+			rt.ReadPolicy = tx.PolicyAdaptive
 		}
 		rt.CacheBudgetBytes = 0
 	})
@@ -165,7 +165,7 @@ func measureOCC(o Options, txns int, theta float64, writePct int, spec bool) occ
 	rt, stop := buildMicro(nodes, workers, perNode, nil, func(rt *tx.Runtime) {
 		rt.ReadPolicy = tx.PolicyLease
 		if spec {
-			rt.ReadPolicy = tx.PolicySpeculative
+			rt.ReadPolicy = tx.PolicyAdaptive
 		}
 		rt.CacheBudgetBytes = 0
 	})

@@ -64,11 +64,9 @@ const (
 )
 
 // buildScanRig populates an ordered table with `fanout` rows per entity,
-// entities striped across nodes, with version chains depth deep.
-func buildScanRig(nodes, workers, fanout, depth int) (*tx.Runtime, func()) {
-	ccfg := simClusterConfig(nodes, workers)
-	ccfg.MVCCDepth = depth
-	c := cluster.New(ccfg)
+// entities striped across nodes.
+func buildScanRig(nodes, workers, fanout int) (*tx.Runtime, func()) {
+	c := cluster.New(simClusterConfig(nodes, workers))
 	c.Start()
 	rt := tx.NewRuntime(c, func(table int, key uint64) int {
 		return int(key>>scanSegShift) % nodes
@@ -94,7 +92,7 @@ type scanMetrics struct {
 // measureScan runs txns RO transactions from node 0, each reading one
 // node-1 entity's full range — as a single scan or as per-key reads.
 func measureScan(txns, fanout int, scan bool) scanMetrics {
-	rt, stop := buildScanRig(2, 1, fanout, 0)
+	rt, stop := buildScanRig(2, 1, fanout)
 	defer stop()
 	resetClocks(rt)
 	e := rt.Executor(0, 0)

@@ -285,7 +285,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"ablate-cache", "ablate-fallback", "ablate-atomics",
 		"obs", "chaos", "batch", "occ", "failover", "scan",
-		"mvcc", "tpcc-types", "dist-waves",
+		"tpcc-types", "dist-waves",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

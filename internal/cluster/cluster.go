@@ -60,14 +60,6 @@ type Config struct {
 	// primary–backup replication, see replication.go). 0 disables
 	// replication; crashes are then handled by full NVRAM-replay recovery.
 	ReplicationFactor int
-
-	// MVCCDepth is the per-entry version-chain depth (see kvs layout.go):
-	// every committed overwrite retires the previous version into a ring of
-	// this many slots, and every commit brackets a snapshot stamp, enabling
-	// the snapshot (MVCC) read-only arm. 0, the default, keeps an entry its
-	// row alone (key, incarnation|version, state, value) and commits without
-	// a stamp; negative is normalized to 0.
-	MVCCDepth int
 }
 
 // DefaultConfig mirrors the paper's settings on a cluster of n nodes with
@@ -100,8 +92,7 @@ type Cluster struct {
 
 	// membership is the shared liveness-lease arena (see membership.go).
 	// Layout: [0, Nodes) heartbeat words, [Nodes, 2*Nodes) coordinator
-	// words, [2*Nodes, 3*Nodes) per-partition packed view words,
-	// [3*Nodes, 4*Nodes) per-node published snapshot stamps (snapshot.go).
+	// words, [2*Nodes, 3*Nodes) per-partition packed view words.
 	membership *memory.Arena
 	detectors  []*detector
 	detStop    chan struct{}
@@ -151,16 +142,6 @@ type Worker struct {
 	ChoppingLog   *nvram.Log
 	LockAheadLog  *nvram.Log
 	WriteAheadLog *nvram.Log
-
-	// active brackets a commit in flight for the snapshot-stamp publisher
-	// (see snapshot.go); 0 means no commit is between stamp selection and
-	// its final publish.
-	active atomic.Uint64
-
-	// roActive is the stamp of this worker's in-flight snapshot read (0 when
-	// none): the removal gate must not unlink a dead entry a reader at an
-	// older stamp could still resolve (see snapshot.go).
-	roActive atomic.Uint64
 }
 
 // Delta returns the cluster's lease clock-uncertainty bound in microseconds.
@@ -170,10 +151,6 @@ func (c *Cluster) Delta() uint64 {
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// MVCCDepth returns the version-chain depth of every entry; 0 means no
-// chains, no commit-stamp brackets and no snapshot arm.
-func (c *Cluster) MVCCDepth() int { return c.cfg.MVCCDepth }
 
 // New builds a cluster. Per-node softtime skew is spread deterministically
 // across [-SkewBound, +SkewBound].
@@ -187,14 +164,11 @@ func New(cfg Config) *Cluster {
 	if cfg.ReplicationFactor < 0 || cfg.ReplicationFactor >= cfg.Nodes {
 		panic("cluster: ReplicationFactor must be in [0, Nodes)")
 	}
-	if cfg.MVCCDepth < 0 {
-		cfg.MVCCDepth = 0
-	}
 	c := &Cluster{
 		cfg:        cfg,
 		Fabric:     rdma.NewFabric(cfg.Nodes, cfg.Model, cfg.Atomicity),
 		Obs:        obs.NewRegistry(cfg.Nodes * cfg.WorkersPerNode),
-		membership: memory.NewArena(membershipArenaID, 4*cfg.Nodes),
+		membership: memory.NewArena(membershipArenaID, 3*cfg.Nodes),
 	}
 	if cfg.ReplicationFactor > 0 {
 		c.views = make([]atomic.Uint64, cfg.Nodes)
@@ -312,7 +286,6 @@ func (c *Cluster) RegisterUnordered(tableID, mainBuckets, indirectBuckets, capac
 			Node: n.ID, RegionID: tableID,
 			MainBuckets: mainBuckets, IndirectBuckets: indirectBuckets,
 			Capacity: capacity, ValueWords: valueWords,
-			ChainDepth: c.cfg.MVCCDepth, Stamp: n.Clock.Read,
 		}, n.Engine)
 		n.unordered[tableID] = t
 		c.Fabric.Register(n.ID, tableID, t.Arena())
@@ -328,7 +301,6 @@ func (c *Cluster) RegisterUnordered(tableID, mainBuckets, indirectBuckets, capac
 					Node: n.ID, RegionID: region,
 					MainBuckets: mainBuckets, IndirectBuckets: indirectBuckets,
 					Capacity: capacity, ValueWords: valueWords,
-					ChainDepth: c.cfg.MVCCDepth, Stamp: n.Clock.Read,
 				}, n.Engine)
 				n.unordered[region] = t
 				c.Fabric.Register(n.ID, region, t.Arena())
@@ -352,7 +324,6 @@ func (c *Cluster) RegisterOrdered(tableID, capacity, valueWords int, segShift ui
 		o := kvs.NewOrdered(kvs.OrderedConfig{
 			Node: n.ID, RegionID: tableID,
 			Capacity: capacity, ValueWords: valueWords, SegShift: segShift,
-			ChainDepth: c.cfg.MVCCDepth, Stamp: n.Clock.Read,
 		}, n.Engine)
 		n.ordered[tableID] = o
 		c.Fabric.Register(n.ID, tableID, o.Arena())
@@ -367,7 +338,6 @@ func (c *Cluster) RegisterOrdered(tableID, capacity, valueWords int, segShift ui
 				o := kvs.NewOrdered(kvs.OrderedConfig{
 					Node: n.ID, RegionID: region,
 					Capacity: capacity, ValueWords: valueWords, SegShift: segShift,
-					ChainDepth: c.cfg.MVCCDepth, Stamp: n.Clock.Read,
 				}, n.Engine)
 				n.ordered[region] = o
 				c.Fabric.Register(n.ID, region, o.Arena())

@@ -129,10 +129,6 @@ func (d *detector) tick() {
 	// while the failure timeout spans many heartbeat intervals.
 	_, _ = d.qp.TryFAA(d.node, RegionMembership, hbOff(d.node), 1)
 
-	// Gossip this node's snapshot stamp alongside the heartbeat so even an
-	// idle node's published stamp keeps advancing (bounded MVCC staleness).
-	c.PublishSnapshotStamp(d.node)
-
 	hb := make([]uint64, c.cfg.Nodes)
 	if err := d.qp.TryRead(d.node, RegionMembership, 0, hb); err != nil {
 		return

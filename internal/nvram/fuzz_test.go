@@ -36,7 +36,6 @@ func updatesFrom(ws []uint64) []RedoUpdate {
 			Version: uint32(ws[4]),
 			Inc:     uint32(ws[4] >> 32),
 			Gen:     ws[5],
-			Stamp:   ws[1] ^ ws[5],
 			Val:     append([]uint64(nil), ws[7:7+vw]...),
 		})
 		ws = ws[7+vw:]
@@ -120,8 +119,7 @@ func compare(t *testing.T, want, got []RedoUpdate) {
 	for i := range want {
 		w, g := &want[i], &got[i]
 		if w.Part != g.Part || w.Epoch != g.Epoch || w.Table != g.Table ||
-			w.Key != g.Key || w.Version != g.Version || w.Inc != g.Inc || w.Gen != g.Gen ||
-			w.Stamp != g.Stamp {
+			w.Key != g.Key || w.Version != g.Version || w.Inc != g.Inc || w.Gen != g.Gen {
 			t.Fatalf("update %d header: %+v vs %+v", i, g, w)
 		}
 		if len(w.Val) != len(g.Val) {
@@ -158,8 +156,8 @@ func TestIterRedoRejectsMalformedFrames(t *testing.T) {
 		"corrupt count":                   mutate(1, 1<<60),
 		"count one too many":              mutate(1, 3),
 		"short tail":                      good[:len(good)-1],
-		"wrapped value length":            mutate(2+7, 1<<63|1),
-		"second update's length overruns": mutate(2+redoUpdateHeaderWords+2+7, 1),
+		"wrapped value length":            mutate(2+redoUpdateHeaderWords-1, 1<<63|1),
+		"second update's length overruns": mutate(2+redoUpdateHeaderWords+2+redoUpdateHeaderWords-1, 1),
 	} {
 		if _, ok := IterRedo(rec); ok {
 			t.Errorf("%s: accepted", name)

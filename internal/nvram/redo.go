@@ -14,17 +14,14 @@ package nvram
 // Wire format, in words:
 //
 //	[txid, k,
-//	  (part, epoch, table, key, inc<<32|version, gen, stamp, vw,
+//	  (part, epoch, table, key, inc<<32|version, gen, vw,
 //	   val[0..vw-1]) × k]
 //
 // per update: the home partition of the key, the partition's view epoch as
 // observed by the appender (the backup's fence compares it against the
 // current view and rejects stale appends — zombie containment), the logical
 // table, the key, the new post-commit version, the key's delete generation
-// as observed by the appender, the commit stamp (soft-time; lets backup
-// drains retire the superseded version into the replica's version chain, so
-// a promoted backup can keep serving MVCC snapshot reads), and the value
-// words.
+// as observed by the appender, and the value words.
 //
 // Deletes themselves never appear in the redo stream — they are shipped
 // store ops applied immediately to the primary and every replica shard. The
@@ -51,13 +48,11 @@ type RedoUpdate struct {
 	// the absolute number is meaningless across copies; odd means the row
 	// committed live, even means it committed erased.
 	Inc uint32
-
-	// Stamp is the commit's version-chain stamp (0 when chains are off): the
-	// backup drain retires the replica's superseded version at this stamp.
-	Stamp uint64
 }
 
-const redoUpdateHeaderWords = 8
+// redoUpdateHeaderWords is an update's header size; its last word is the
+// value length.
+const redoUpdateHeaderWords = 7
 
 // RedoWords returns the encoded size in words of a record with the given
 // updates (for pre-sizing buffers and cost accounting).
@@ -81,7 +76,7 @@ func EncodeRedo(buf []uint64, txid uint64, ups []RedoUpdate) []uint64 {
 	for i := range ups {
 		u := &ups[i]
 		buf = append(buf, uint64(u.Part), u.Epoch, uint64(u.Table), u.Key,
-			uint64(u.Inc)<<32|uint64(u.Version), u.Gen, u.Stamp, uint64(len(u.Val)))
+			uint64(u.Inc)<<32|uint64(u.Version), u.Gen, uint64(len(u.Val)))
 		buf = append(buf, u.Val...)
 	}
 	return buf
@@ -121,10 +116,11 @@ func IterRedo(rec []uint64) (it RedoIter, ok bool) {
 		if off+redoUpdateHeaderWords > len(rec) {
 			return it, false
 		}
-		if rec[off+7] > uint64(len(rec)-off-redoUpdateHeaderWords) {
+		vw := rec[off+redoUpdateHeaderWords-1]
+		if vw > uint64(len(rec)-off-redoUpdateHeaderWords) {
 			return it, false
 		}
-		off += redoUpdateHeaderWords + int(rec[off+7])
+		off += redoUpdateHeaderWords + int(vw)
 	}
 	return RedoIter{TxID: rec[0], rec: rec, off: 2, left: k}, true
 }
@@ -137,7 +133,7 @@ func (it *RedoIter) Next() (u RedoUpdate, ok bool) {
 	}
 	h := it.rec[it.off : it.off+redoUpdateHeaderWords]
 	val := it.off + redoUpdateHeaderWords
-	it.off = val + int(h[7])
+	it.off = val + int(h[redoUpdateHeaderWords-1])
 	it.left--
 	return RedoUpdate{
 		Part:    int(h[0]),
@@ -147,7 +143,6 @@ func (it *RedoIter) Next() (u RedoUpdate, ok bool) {
 		Version: uint32(h[4]),
 		Inc:     uint32(h[4] >> 32),
 		Gen:     h[5],
-		Stamp:   h[6],
 		Val:     it.rec[val:it.off],
 	}, true
 }

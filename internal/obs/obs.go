@@ -64,7 +64,7 @@ const (
 	EvLockUpgrade        // shared lease upgraded in place to an exclusive lock
 
 	// Speculative (OCC) read-arm events: version-validated reads that skip
-	// the lease CAS entirely (PolicySpeculative, or an adaptive cold route).
+	// the lease CAS entirely (PolicyAdaptive's route).
 	EvSpecRead         // record fetched with a single versioned READ, no lock
 	EvSpecValidateFail // commit-time validation found a version bump or live lock
 
@@ -118,12 +118,11 @@ const (
 	EvLeafFullDescent  // one local ordered insert walked the tree although a remembered leaf covers the key: the leaf was full
 	EvFingerHit        // one local ordered op was served by a leaf the executor's finger remembers, no descent
 
-	// MVCC snapshot reads over version chains (PolicyMVCC).
-	EvChainRetire   // one superseded version retired into an entry's ring chain
-	EvMVCCRead      // one key resolved against the snapshot stamp (point or scan row)
-	EvMVCCTrunc     // resolution fell off the chain (stamp older than ring depth)
-	EvMVCCInconsist // torn image (head/tail mismatch) observed by a snapshot read
-	EvMVCCFallback  // one RO execution that fell back to the confirm-wave arm
+	// Version-chain events. The engine builds no version chains and has no
+	// snapshot read arm, so both read 0; the benchmark's report still names
+	// them.
+	EvChainRetire  // one superseded version retired into an entry's ring chain
+	EvMVCCFallback // one RO execution that fell back to the confirm-wave arm
 
 	// EvTxEscalate counts escalated attempts, read-write and read-only alike:
 	// those a transaction runs after escalateAfter lost ones, which wait for
@@ -224,9 +223,6 @@ var eventNames = [NumEvents]string{
 	EvLeafFullDescent:    "index.descent.leaf_full",
 	EvFingerHit:          "index.finger_hit",
 	EvChainRetire:        "mvcc.retire",
-	EvMVCCRead:           "mvcc.read",
-	EvMVCCTrunc:          "mvcc.truncated",
-	EvMVCCInconsist:      "mvcc.inconsistent",
 	EvMVCCFallback:       "mvcc.fallback",
 	EvTxEscalate:         "tx.escalate",
 	EvRecoveryScan:       "recovery.wal_scanned",
@@ -283,10 +279,6 @@ const (
 	// build for RO scans.
 	PhaseScan
 
-	// PhaseMVCC times one PolicyMVCC read-only execution end to end: the
-	// single batched READ wave plus chain resolution (no confirm wave).
-	PhaseMVCC
-
 	NumPhases int = iota
 )
 
@@ -302,7 +294,6 @@ var phaseNames = [NumPhases]string{
 	PhaseBatchOps:       "batch-ops",
 	PhaseFailover:       "failover",
 	PhaseScan:           "scan",
-	PhaseMVCC:           "mvcc-ro",
 }
 
 func (p Phase) String() string { return nameOf(phaseNames[:], int(p), "Phase") }

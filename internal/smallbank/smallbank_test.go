@@ -130,31 +130,27 @@ func TestWithdrawClampsAtZero(t *testing.T) {
 // raised meanwhile, and the attempt that commits takes the full amount.
 //
 // The conflict is forced, not awaited: the test holds the seqlock of the line
-// with the record's version-chain tail, which the region reads after it has
-// computed the new balance, so every attempt aborts there until the test —
-// having seen the first abort counted — raises the balance and lets go. The
-// accounts carry PolicyMVCC's 4-deep chains for that line.
+// with the write-ahead log's head word, which the region reads when it appends
+// its log record, after it has computed the new balance; so every attempt
+// aborts there until the test — having seen the first abort counted — raises
+// the balance and lets go.
 func TestWithdrawBooksCommittedAttempt(t *testing.T) {
-	w, rt, stop := newWorkload(t, 1, 1, func(c *cluster.Config) { c.MVCCDepth = 4 })
+	w, rt, stop := newWorkload(t, 1, 1, func(c *cluster.Config) { c.Durability = true })
 	defer stop()
 	rt.FallbackThreshold = 1 << 30 // keep retrying the region; no lock-based fallback
 	const acct, amt = 1, 50_000    // the initial balance is 10 000
 
-	node := rt.C.Node(0)
-	tbl := node.Unordered(TableChecking)
+	tbl := rt.C.Node(0).Unordered(TableChecking)
 	off, ok := tbl.LookupLocal(acct)
 	if !ok {
 		t.Fatal("account not found")
 	}
-	arena := tbl.Arena()
 	valueOff := kvs.ValueOffset(off)
-	tail := memory.LineOf(kvs.TailOffset(off, 1, tbl.ChainDepth()))
-	if tbl.ChainDepth() == 0 || tail == memory.LineOf(valueOff) {
-		t.Fatal("the test needs the chain tail on another line than the value")
-	}
-	prev, ok := arena.TryLockLineForHTM(tail)
+	wal := rt.C.Worker(0, 0).WriteAheadLog.Arena()
+	const head = memory.Line(0) // the log's head word
+	prev, ok := wal.TryLockLineForHTM(head)
 	if !ok {
-		t.Fatal("tail line busy")
+		t.Fatal("log head line busy")
 	}
 	raised := make(chan struct{})
 	go func() {
@@ -162,8 +158,8 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 		for rt.C.Obs.Total(obs.EvHTMConflictAbort) == 0 {
 			runtime.Gosched()
 		}
-		arena.Write(valueOff, []uint64{60_000})
-		arena.UnlockLineForHTM(tail, prev, false)
+		tbl.Arena().Write(valueOff, []uint64{60_000})
+		wal.UnlockLineForHTM(head, prev, false)
 	}()
 
 	cl := w.NewClient(rt.Executor(0, 0), 1)

@@ -121,8 +121,17 @@ func TestTATPDivergenceAuditUnderFaults(t *testing.T) {
 // The TATP consistency checker (satellite): the facility invariant holds
 // live under concurrent traffic THROUGH a mid-run crash and hot failover
 // (ReplicationFactor=1), with verb faults injected, and the quiesced audit
-// passes against the promoted backup's shards afterwards. Run with -race.
+// passes against the promoted backup's shards afterwards. Each case is one
+// fault seed and one seed base for the clients. Run with -race.
 func TestTATPConsistencyAcrossFailover(t *testing.T) {
+	for _, c := range []struct{ faultSeed, clientSeed int64 }{{11, 200}, {17, 500}} {
+		t.Run(fmt.Sprintf("seed=%d", c.faultSeed), func(t *testing.T) {
+			tatpAcrossFailover(t, c.faultSeed, c.clientSeed)
+		})
+	}
+}
+
+func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 	const (
 		nodes   = 3
 		workers = 2
@@ -131,7 +140,7 @@ func TestTATPConsistencyAcrossFailover(t *testing.T) {
 	db, w := openTATP(t, nodes, workers, drtm.Options{
 		Durability:        true,
 		ReplicationFactor: 1,
-		FaultSeed:         11,
+		FaultSeed:         faultSeed,
 	})
 	defer db.Close()
 	db.InjectNodeFaults(2, drtm.FaultRule{FailProb: 0.005})
@@ -143,7 +152,7 @@ func TestTATPConsistencyAcrossFailover(t *testing.T) {
 	)
 	for n := 0; n < nodes; n++ {
 		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), int64(200+n*workers+wk))
+			cl := w.NewClient(db.Executor(n, wk), clientSeed+int64(n*workers+wk))
 			wg.Add(1)
 			go func(n, wk int, cl *tatp.Client) {
 				defer wg.Done()
@@ -202,88 +211,6 @@ func TestTATPConsistencyAcrossFailover(t *testing.T) {
 	// at cached offsets, of the primary's region and then of the replica's.
 	if hits, _, _ := db.RT.OrderedCacheStats(); hits == 0 {
 		t.Error("no subscriber read was served at a cached offset")
-	}
-}
-
-// The MVCC checker lane (satellite): CheckSubscriberRO runs through
-// PolicyMVCC — the facility-mask invariant spans a subscriber row plus a
-// facility range scan, so a snapshot read observing half of a
-// ToggleSpecialFacility commit fails it — under verb faults and a mid-run
-// crash + hot failover (ReplicationFactor=1), exercising the replica
-// version chains the redo drain maintains. Run with -race.
-func TestTATPMVCCCheckerAcrossFailover(t *testing.T) {
-	const (
-		nodes   = 3
-		workers = 2
-		victim  = 1
-	)
-	db, w := openTATP(t, nodes, workers, drtm.Options{
-		Durability:        true,
-		ReplicationFactor: 1,
-		FaultSeed:         17,
-		ReadPolicy:        drtm.PolicyMVCC,
-	})
-	defer db.Close()
-	db.InjectNodeFaults(2, drtm.FaultRule{FailProb: 0.005})
-
-	var (
-		wg         sync.WaitGroup
-		stop       = make(chan struct{})
-		violations atomic.Value
-	)
-	for n := 0; n < nodes; n++ {
-		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), int64(500+n*workers+wk))
-			wg.Add(1)
-			go func(n, wk int, cl *tatp.Client) {
-				defer wg.Done()
-				sid := uint64(n)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if !db.C.Node(n).Alive() {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					if wk == workers-1 && i%4 == 0 {
-						sid = sid%uint64(w.Cfg.Subscribers) + 1
-						if err := cl.CheckSubscriberRO(sid); err != nil && !errors.Is(err, drtm.ErrNodeDown) {
-							violations.Store(err)
-							return
-						}
-						continue
-					}
-					if err := cl.RunOne(); err != nil && !errors.Is(err, drtm.ErrNodeDown) {
-						violations.Store(err)
-						return
-					}
-				}
-			}(n, wk, cl)
-		}
-	}
-
-	time.Sleep(25 * time.Millisecond) // build replicated state
-	db.Crash(victim)
-	rep := db.Failover(victim)
-	if !rep.Promoted {
-		t.Fatalf("failover did not promote: %+v", rep)
-	}
-	time.Sleep(25 * time.Millisecond) // snapshot reads against the promoted partition
-
-	close(stop)
-	wg.Wait()
-	if v := violations.Load(); v != nil {
-		t.Fatal(v.(error))
-	}
-	if db.Stats().Count("mvcc.read") == 0 {
-		t.Fatal("checker lane never resolved a snapshot read over the chains")
-	}
-	db.ClearFaults()
-	if err := w.Audit(); err != nil {
-		t.Fatal(err)
 	}
 }
 

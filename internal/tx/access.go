@@ -56,10 +56,6 @@ type recImage struct {
 	buf     []uint64 // value (transaction-private)
 	version uint32   // version observed at fetch
 	inc     uint32   // incarnation observed at fetch
-	// prevTail is the entry's tail stamp, captured by full-image reads (write
-	// records of chained tables): the commit retires the superseded version at
-	// this stamp and raises its own stamp above it.
-	prevTail uint64
 }
 
 func lossyOf(inc uint32) uint16 { return uint16(inc) & (1<<kvs.LossyBits - 1) }
@@ -73,16 +69,6 @@ func (e *Executor) handle(table int, key uint64) recHandle {
 
 func (e *Executor) hashTable(h *recHandle) *kvs.Table {
 	return e.rt.C.Node(h.node).Unordered(h.region)
-}
-
-// chainDepth returns the version-chain depth of the store backing the
-// record (0 when chains are disabled).
-func (e *Executor) chainDepth(h *recHandle) int {
-	if h.ordered {
-		o, _ := e.rt.C.Node(h.node).OrderedRegion(h.region)
-		return o.ChainDepth()
-	}
-	return e.hashTable(h).ChainDepth()
 }
 
 // resolve fills in the handle's location through the index that owns the
@@ -434,11 +420,11 @@ func (e *Executor) waitOut(h *recHandle, state uint64) (moved bool, err error) {
 	return err != nil || !found || cur.off != h.off, nil
 }
 
-// readEntry fetches the record's entry image — header, value and, with
-// depth > 0, the version chain — into the executor's scratch: one READ for a
-// remote record, a plain copy for a local one.
-func (e *Executor) readEntry(h *recHandle, vw, depth int) ([]uint64, error) {
-	words := e.image(kvs.EntryImageWords(vw, depth))
+// readEntry fetches the record's entry image — header and value — into the
+// executor's scratch: one READ for a remote record, a plain copy for a local
+// one.
+func (e *Executor) readEntry(h *recHandle, vw int) ([]uint64, error) {
+	words := e.image(kvs.EntryValueWord + vw)
 	if h.node == e.w.Node.ID {
 		e.rt.arenaOf(h.node, h.region).Read(words, h.off)
 		e.charge(int64(vw+1) * e.model().HTMPerReadNS)
@@ -519,10 +505,6 @@ func (h *recHandle) check(words []uint64, m *recImage, vw int, wantDead, spec bo
 	m.inc, m.version = inc, kvs.Version(incver)
 	if !wantDead {
 		m.buf = append(m.buf[:0], words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
-	}
-	if len(words) > kvs.EntryValueWord+vw {
-		// A full image ends in the tail pair.
-		m.prevTail = words[len(words)-kvs.TailWords+kvs.TailStampWord]
 	}
 	return imgOK
 }

@@ -284,19 +284,9 @@ func TestImageCheckVerdicts(t *testing.T) {
 				t.Errorf("%s: insert must keep its value and take the slot's incver: %+v", c.name, m)
 			}
 		default:
-			if m.buf[0] != 111 || m.buf[1] != 222 || m.inc != live || m.version != 9 || m.prevTail != 0 {
+			if m.buf[0] != 111 || m.buf[1] != 222 || m.inc != live || m.version != 9 {
 				t.Errorf("%s: image not taken: %+v", c.name, m)
 			}
 		}
-	}
-
-	// A full image (chained table) ends in the tail pair: its stamp is captured.
-	const depth = 2
-	full := make([]uint64, kvs.EntryImageWords(vw, depth))
-	copy(full, img(key, live, clock.Init))
-	full[len(full)-kvs.TailWords+kvs.TailStampWord] = 999
-	var m recImage
-	if v := hash.check(full, &m, vw, false, false); v != imgOK || m.prevTail != 999 {
-		t.Errorf("full image: verdict %d, prevTail %d, want ok / 999", v, m.prevTail)
 	}
 }

@@ -49,18 +49,6 @@ func benchRemoteTxn(e *Executor, spec bool) error {
 	})
 }
 
-func benchMVCCROTxn(e *Executor) error {
-	// Key 1 lives on node 1 (remote), key 2 on node 0 (local): one snapshot
-	// RO resolving both against their version chains at the read stamp.
-	return e.ExecRO(func(ro *RO) error {
-		if _, err := ro.Read(tblAccounts, 1); err != nil {
-			return err
-		}
-		_, err := ro.Read(tblAccounts, 2)
-		return err
-	})
-}
-
 func benchRO20Txn(e *Executor) error {
 	// Keys 1..20 alternate between node 1 (remote) and node 0 (local): the
 	// benchmark ladder's tx.exec_ro20 rung.
@@ -103,26 +91,12 @@ func BenchmarkExecRemoteLease(b *testing.B) {
 func BenchmarkExecRemoteSpec(b *testing.B) {
 	rt, stop := newRig(b, 2, 1, 8, nil)
 	defer stop()
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	e := rt.Executor(0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := benchRemoteTxn(e, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExecROMVCC(b *testing.B) {
-	rt, stop := newRig(b, 2, 1, 8, withChains)
-	defer stop()
-	rt.ReadPolicy = PolicyMVCC
-	e := rt.Executor(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := benchMVCCROTxn(e); err != nil {
 			b.Fatal(err)
 		}
 	}

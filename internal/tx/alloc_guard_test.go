@@ -21,7 +21,7 @@ import (
 func TestExecAllocSteadyState(t *testing.T) {
 	rt, stop := newRig(t, 2, 1, 20, nil)
 	defer stop()
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	e := rt.Executor(0, 0)
 	for i := 0; i < 16; i++ { // warm the pools
 		if err := benchRemoteTxn(e, true); err != nil {
@@ -98,32 +98,6 @@ func TestExecAllocSteadyState(t *testing.T) {
 		if n := testing.AllocsPerRun(50, scan); n > 0 {
 			t.Errorf("%s RO scan allocates %.0f objects, want 0", tc.name, n)
 		}
-	}
-
-	// The snapshot RO path (one remote + one local chain-resolved read), on a
-	// rig with version chains: it measured 11 objects/op when introduced — the
-	// entry image, the value copies, and the verb round-trip. Budget 15 so a
-	// regression that starts allocating per-slot or per-attempt scratch trips
-	// the guard.
-	crt, cstop := newRig(t, 2, 1, 20, withChains)
-	defer cstop()
-	crt.ReadPolicy = PolicyMVCC
-	ce := crt.Executor(0, 0)
-	for i := 0; i < 16; i++ {
-		if err := benchMVCCROTxn(ce); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mvcc := testing.AllocsPerRun(50, func() {
-		if err := benchMVCCROTxn(ce); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if mvcc > 15 {
-		t.Errorf("mvcc RO allocates %.0f objects, budget 15", mvcc)
-	}
-	if crt.C.Obs.Total(obs.EvMVCCRead) == 0 {
-		t.Error("the snapshot RO path resolved no read over a chain")
 	}
 }
 
@@ -233,18 +207,16 @@ func TestLocalOrderedAllocSteadyState(t *testing.T) {
 
 // TestReplicatedCommitAllocSteadyState pins the backup half of a replicated
 // commit at zero objects: a two-row transaction — one local, one remote write
-// — on a durable f = 1 rig with version chains, through the write-ahead
-// append, the redo encode, the log-append wave into both backups' sinks
-// (RemoteAppend's fence reads the record in place) and the checkpoints its
-// ring triggers on the way; then a Drain of a 64-record ring through
-// applyRedo, which retires the superseded replica version from a stack buffer.
+// — on a durable f = 1 rig, through the write-ahead append, the redo encode,
+// the log-append wave into both backups' sinks (RemoteAppend's fence reads the
+// record in place) and the checkpoints its ring triggers on the way; then a
+// Drain of a 64-record ring through applyRedo.
 func TestReplicatedCommitAllocSteadyState(t *testing.T) {
 	cfg := cluster.DefaultConfig(2, 1)
 	cfg.LeaseMicros = 5_000
 	cfg.ROLeaseMicros = 10_000
 	cfg.Durability = true
 	cfg.ReplicationFactor = 1
-	cfg.MVCCDepth = 4
 	c := cluster.New(cfg)
 	c.Start()
 	defer c.Stop()
@@ -310,7 +282,7 @@ func TestReplicatedCommitAllocSteadyState(t *testing.T) {
 	drain := func() {
 		for i := 0; i < 64; i++ {
 			version++
-			ups[0].Version, ups[0].Stamp, val[0] = version, uint64(version), uint64(version)
+			ups[0].Version, val[0] = version, uint64(version)
 			rec = nvram.EncodeRedo(rec, uint64(version), ups)
 			must(sink.RemoteAppend(0, rec))
 		}

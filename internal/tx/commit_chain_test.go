@@ -22,12 +22,12 @@ import (
 // that changed hands.
 
 // chainRig is three nodes of three workers holding two-line rows (wideWords value words behind
-// a three-word header) with version chains on: key k is homed on node k%3.
+// a three-word header): key k is homed on node k%3.
 // Leases are short, so writers wait readers out in fractions of a millisecond.
 func chainRig(t *testing.T, keys int, mut func(*cluster.Config)) (*Runtime, func()) {
 	t.Helper()
 	rt, stop := newRig(t, 3, 3, 0, func(c *cluster.Config) {
-		c.LeaseMicros, c.ROLeaseMicros, c.MVCCDepth = 400, 400, 4
+		c.LeaseMicros, c.ROLeaseMicros = 400, 400
 		if mut != nil {
 			mut(c)
 		}
@@ -52,8 +52,8 @@ func scriptFault(rt *Runtime, k int) {
 	rt.C.Fabric.SetFaultPlan(plan)
 }
 
-// wideImage reads key's whole entry + chain image the way a one-sided READ
-// does: line by line, each line consistent, ascending.
+// wideImage reads key's entry image the way a one-sided READ does: line by
+// line, each line consistent, ascending.
 func wideImage(t *testing.T, rt *Runtime, key uint64, img []uint64) (*memory.Arena, memory.Offset) {
 	host := rt.C.Node(int(key) % 3).Unordered(tblWideHash)
 	off, ok := host.LookupLocal(key)
@@ -97,24 +97,21 @@ func transfer(e *Executor, from, to uint64, arm func()) error {
 }
 
 // TestCommitChainUnderFaults fails the k-th work request of the commit chain
-// for every k — two chained two-line rows on one host: per row the tail pair,
-// the retired slot, the value, then `incver ‖ INIT` — while a lease reader, a
-// speculative reader and a snapshot reader audit the transfer invariant from a
-// third node and a prober reads raw images. The one writer moves one unit per
-// commit, so a row's value is a function of its version, and the prober can
-// tell a pre-commit value wherever it may not be: in an image whose header is
-// not write-locked, and in an image whose head and tail agree. Every
-// transaction that returned nil is fully installed: value, version, chain
-// sealed, lock gone. Then the abort path: a fault at each position of a
-// three-lock release wave loses no unlock.
+// for every k — two two-line rows on one host: per row the value, then
+// `incver ‖ INIT` — while a lease reader and a speculative reader audit the
+// transfer invariant from a third node and a prober reads raw images. The one
+// writer moves one unit per commit, so a row's value is a function of its
+// version, and the prober can tell a pre-commit value wherever it may not be:
+// in an image whose header is not write-locked. Every transaction that
+// returned nil is fully installed: value, version, lock gone. Then the abort
+// path: a fault at each position of a three-lock release wave loses no unlock.
 func TestCommitChainUnderFaults(t *testing.T) {
 	const a, b = 1, 4 // both homed on node 1
 	rt, stop := chainRig(t, 15, nil)
 	defer stop()
 	writer := rt.Executor(0, 0)
-	const chainWRs = 8 // the insert stamped the rows: every commit retires a slot
-	imgWords := kvs.EntryImageWords(wideWords, 4)
-	tailAt := imgWords - kvs.TailWords
+	const chainWRs = 4
+	imgWords := kvs.EntryValueWord + wideWords
 	img := make([]uint64, imgWords)
 	var base [2]uint64 // each row's version at balance wideBalance
 	for i, k := range []uint64{a, b} {
@@ -132,8 +129,8 @@ func TestCommitChainUnderFaults(t *testing.T) {
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
-	var audits [3]atomic.Int64
-	for i, p := range []ReadPolicy{PolicyLease, PolicySpeculative, PolicyMVCC} {
+	var audits [2]atomic.Int64
+	for i, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
 		wg.Add(1)
 		go func(i int, p ReadPolicy) {
 			defer wg.Done()
@@ -187,14 +184,6 @@ func TestCommitChainUnderFaults(t *testing.T) {
 						}
 					}
 				}
-				if head == img[tailAt+kvs.TailIncVerWord] {
-					for j, w := range val {
-						if w != want {
-							t.Errorf("row %d: head and tail agree on version %d around value word %d = %d, want %d", k, kvs.Version(head), j, w, want)
-							return
-						}
-					}
-				}
 			}
 			runtime.Gosched()
 		}
@@ -230,10 +219,9 @@ func TestCommitChainUnderFaults(t *testing.T) {
 			for i, key := range []uint64{a, b} {
 				wideImage(t, rt, key, img)
 				head := img[kvs.EntryIncVerWord]
-				if uint64(kvs.Version(head)) != base[i]+moved || clock.IsWriteLocked(img[kvs.EntryStateWord]) ||
-					img[tailAt+kvs.TailIncVerWord] != head {
-					t.Fatalf("fault at %d: row %d committed as head %#x state %#x tail %#x, want version %d, unlocked, sealed",
-						k, key, head, img[kvs.EntryStateWord], img[tailAt+kvs.TailIncVerWord], base[i]+moved)
+				if uint64(kvs.Version(head)) != base[i]+moved || clock.IsWriteLocked(img[kvs.EntryStateWord]) {
+					t.Fatalf("fault at %d: row %d committed as head %#x state %#x, want version %d, unlocked",
+						k, key, head, img[kvs.EntryStateWord], base[i]+moved)
 				}
 				for j, w := range img[kvs.EntryValueWord : kvs.EntryValueWord+wideWords] {
 					if w != valueAt(i, head) {
@@ -246,8 +234,8 @@ func TestCommitChainUnderFaults(t *testing.T) {
 	done.Store(true)
 	wg.Wait()
 	if !audited() && !t.Failed() {
-		t.Errorf("readers committed %d, %d and %d audits beside %d faulted commits, want 8 each",
-			audits[0].Load(), audits[1].Load(), audits[2].Load(), moved)
+		t.Errorf("readers committed %d and %d audits beside %d faulted commits, want 8 each",
+			audits[0].Load(), audits[1].Load(), moved)
 	}
 
 	// The abort path: three locks on node 1, released in one wave with a fault
@@ -360,8 +348,7 @@ func TestCommitIsOneDoorbell(t *testing.T) {
 			defer stop()
 			e := rt.Executor(0, 0)
 			batches := func() int64 { return rt.C.Obs.Total(obs.EvRDMABatch) }
-			// Rows 1 and 4 live on node 1: per row the tail pair, the retired
-			// slot, the value and the release.
+			// Rows 1 and 4 live on node 1: per row the value and the release.
 			for i := 0; i < 2; i++ {
 				var before int64
 				if err := transfer(e, 1, 4, func() { before = batches() }); err != nil {
@@ -372,8 +359,8 @@ func TestCommitIsOneDoorbell(t *testing.T) {
 				}
 			}
 			stages := rt.C.Obs.Snapshot().Stages
-			if w := stages[obs.StagePublish]; w.Waves != 2 || w.WRs != 2*8 || w.CASes != 0 {
-				t.Fatalf("publish stage = %+v, want 2 waves of 8 WRITEs", w)
+			if w := stages[obs.StagePublish]; w.Waves != 2 || w.WRs != 2*4 || w.CASes != 0 {
+				t.Fatalf("publish stage = %+v, want 2 waves of 4 WRITEs", w)
 			}
 			if w := stages[obs.StageReplicate]; w.Waves != int64(2*repl) {
 				t.Fatalf("replicate stage = %+v, want %d waves", w, 2*repl)

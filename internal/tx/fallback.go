@@ -20,7 +20,7 @@ import (
 // (restage, take), the body runs against their buffers — a declared row found
 // missing reads as missing, as in the region — and the commit is the region
 // path's, called with the held lock set where the region was: the same lease,
-// view and scan checks, chain seal, write-ahead log, replication and publish.
+// view and scan checks, write-ahead log, replication and publish.
 // Because local records are locked through the same state words, in-flight
 // local HTM transactions abort on their state checks, preserving strict
 // serializability.
@@ -31,8 +31,8 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	t.usedFallback = true
 
 	// What the aborted attempt left behind goes first: its writes to the
-	// buffers of the transaction's own inserts, its captured local updates
-	// and chain fix-ups, and its deferred inserts / deletes, which were
+	// buffers of the transaction's own inserts, its captured local updates,
+	// and its deferred inserts / deletes, which were
 	// discarded with its region (the body re-declares them below).
 	t.restoreWriteBufs()
 	t.beginAttempt()
@@ -87,7 +87,6 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 		t.lastAbort = obs.CauseScan
 		return t.fail()
 	}
-	t.sealChains(nil)
 	if durable {
 		t.logWAL(nil)
 	}
@@ -171,9 +170,8 @@ func (t *Tx) restage() []*remoteRec {
 // CAS, which is what costs the paper ~15% fallback throughput. The record
 // joins the staged set the moment its lock or lease is held, so releaseLocks
 // frees exactly what was acquired; an escalated attempt waits for a held
-// record (Executor.acquire). Fetch: the full image for write records of
-// chained tables, whose tail stamp the commit-time chain retire needs, checked
-// to be still this record with the liveness it expects (an insert holds a dead
+// record (Executor.acquire). Fetch: the entry image, checked to be still this
+// record with the liveness it expects (an insert holds a dead
 // entry, everything else a live one) and, for an erase, at the very version
 // the erase was declared against — what the erase took with it, its index
 // rows, whatever the caller declared from the value Erase returned, was named
@@ -227,11 +225,8 @@ func (t *Tx) take(r *remoteRec) error {
 	t.remotes = append(t.remotes, r)
 	t.rIndex[refKey{r.table, r.key}] = r
 
-	vw, depth := e.rt.Meta(r.table).ValueWords, 0
-	if r.write {
-		depth = e.chainDepth(h)
-	}
-	words, err := e.readEntry(h, vw, depth)
+	vw := e.rt.Meta(r.table).ValueWords
+	words, err := e.readEntry(h, vw)
 	if err != nil {
 		return err
 	}
@@ -281,7 +276,7 @@ func (t *Tx) readsHold() bool {
 		case clock.Valid(r.leaseEnd, now, delta):
 			e.w.Obs.Inc(obs.EvLeaseConfirm)
 		default:
-			words, err := e.readEntry(&r.recHandle, len(r.buf), 0)
+			words, err := e.readEntry(&r.recHandle, len(r.buf))
 			if err != nil || r.moved(words[kvs.EntryKeyWord], words[kvs.EntryIncVerWord], words[kvs.EntryStateWord]) {
 				return false
 			}

@@ -17,18 +17,14 @@ import (
 
 // fbEquivRig is equivRig with a hash table beside the indexed ordered one,
 // write-ahead logging on and one backup per partition, so a commit leaves its
-// whole trail: table words, version chains, a WAL record and a redo record.
-// With chains on, an in-flight snapshot read at stamp 1 pins the removal gate
-// shut, so erased entries stay where they are (and are reused by a later
-// insert of the same key) instead of leaving whenever real time has moved on.
-func fbEquivRig(t *testing.T, depth int) (*Runtime, *Executor) {
+// whole trail: table words, a WAL record and a redo record.
+func fbEquivRig(t *testing.T) (*Runtime, *Executor) {
 	t.Helper()
 	cfg := cluster.DefaultConfig(2, 1)
 	cfg.LeaseMicros = 1 << 40
 	cfg.ROLeaseMicros = 1 << 40
 	cfg.Durability = true
 	cfg.ReplicationFactor = 1
-	cfg.MVCCDepth = depth
 	c := cluster.New(cfg)
 	rt := NewRuntime(c, func(table int, key uint64) int {
 		if table == tblAccounts {
@@ -41,29 +37,18 @@ func fbEquivRig(t *testing.T, depth int) (*Runtime, *Executor) {
 	rt.DefineOrderedSeg(tblOrderIdx, 4096, 1, 8)
 	rt.DefineIndex(tblOrders, IndexSpec{Table: tblOrderIdx,
 		Key: func(baseKey uint64, val []uint64) uint64 { return baseKey&^0xFF | val[1]&0xFF }})
-	if depth > 0 {
-		c.Worker(1, 0).BeginSnapshotRead(1)
-	}
 	return rt, rt.Executor(0, 0)
 }
 
 // storeImage dumps every entry of the rig's primary copies — dead ordered
-// entries included — as comparable words: the incarnation|version head, the
-// value of a live entry, and with chains on every ring slot and the tail pair
-// as (stamped or not, incarnation|version, value of a live version). Stamps are
-// soft-time, which two rigs never share; state words are left out because the
-// fallback leases the local rows it reads and a region does not.
+// entries included — as comparable words: the incarnation|version head and the
+// value of a live entry. State words are left out because the fallback leases
+// the local rows it reads and a region does not.
 func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 	t.Helper()
 	out := map[string][]uint64{}
-	stamped := func(s uint64) uint64 {
-		if s != 0 {
-			return 1
-		}
-		return 0
-	}
-	dump := func(name string, arena *memory.Arena, off memory.Offset, vw, depth int) {
-		img := make([]uint64, kvs.EntryImageWords(vw, depth))
+	dump := func(name string, arena *memory.Arena, off memory.Offset, vw int) {
+		img := make([]uint64, kvs.EntryValueWord+vw)
 		arena.Read(img, off)
 		if clock.IsWriteLocked(img[kvs.EntryStateWord]) {
 			t.Errorf("%s left write-locked", name)
@@ -72,30 +57,19 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 		if kvs.Live(kvs.Incarnation(img[kvs.EntryIncVerWord])) {
 			words = append(words, img[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
 		}
-		for i := 0; i < depth; i++ {
-			slot := img[kvs.EntryValueWord+vw+i*kvs.ChainSlotWords(vw):][:kvs.ChainSlotWords(vw)]
-			words = append(words, stamped(slot[kvs.ChainStampWord]), slot[kvs.ChainIncVerWord])
-			if slot[kvs.ChainStampWord] != 0 && kvs.Live(kvs.Incarnation(slot[kvs.ChainIncVerWord])) {
-				words = append(words, slot[kvs.ChainValueWord:]...)
-			}
-		}
-		if depth > 0 {
-			tail := img[len(img)-kvs.TailWords:]
-			words = append(words, stamped(tail[kvs.TailStampWord]), tail[kvs.TailIncVerWord])
-		}
 		out[name] = words
 	}
 	for n := 0; n < rt.C.Nodes(); n++ {
 		h := rt.C.Node(n).Unordered(tblAccounts)
 		for k := uint64(1); k <= 64; k++ {
 			if off, ok := h.LookupLocal(k); ok {
-				dump(fmt.Sprintf("hash/%d", k), h.Arena(), off, h.ValueWords(), h.ChainDepth())
+				dump(fmt.Sprintf("hash/%d", k), h.Arena(), off, h.ValueWords())
 			}
 		}
 		for _, table := range []int{tblOrders, tblOrderIdx} {
 			o := rt.C.Node(n).Ordered(table)
 			o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
-				dump(fmt.Sprintf("ordered%d/%#x", table, k), o.Arena(), off, o.ValueWords(), o.ChainDepth())
+				dump(fmt.Sprintf("ordered%d/%#x", table, k), o.Arena(), off, o.ValueWords())
 				return true
 			})
 		}
@@ -107,8 +81,8 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 // after the commit: the next transaction restarts the write-ahead log, and this
 // drains the rings — the write-ahead records and the redo records on the
 // backups, decoded and put in one order (a region logs its local writes first,
-// the fallback everything in lock order). Transaction ids and chain stamps are
-// dropped, and so is the value of an erase: a region logs the erased value of a
+// the fallback everything in lock order). Transaction ids are dropped, and so
+// is the value of an erase: a region logs the erased value of a
 // local row, every other path logs none, and no reader of either log uses it.
 func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
 	t.Helper()
@@ -145,7 +119,6 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [
 			}
 			var ups []nvram.RedoUpdate
 			for u, more := it.Next(); more; u, more = it.Next() {
-				u.Stamp = 0
 				u.Val = append([]uint64(nil), u.Val...) // rec is the sink's scan buffer
 				if u.Inc != 0 && !kvs.Live(u.Inc) {
 					u.Val = nil
@@ -170,28 +143,26 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [
 // region on one rig and forced through the software fallback on a twin rig
 // (the body aborts its region, explicitly, after its last write, with a
 // fallback threshold of one) leave identical tables and indexes, identical
-// incarnation|version words, identical version chains up to the stamp values,
-// and log identical write-ahead and redo records.
+// incarnation|version words, and log identical write-ahead and redo records.
+// Each case is named depth0/seed<n>: entries carry no version chain.
 func TestFallbackCommitEquivalence(t *testing.T) {
-	for _, depth := range []int{0, 4} {
-		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("depth%d/seed%d", depth, seed), func(t *testing.T) {
-				fallbackCommitEquivalence(t, depth, seed)
-			})
-		}
+	for seed := int64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("depth0/seed%d", seed), func(t *testing.T) {
+			fallbackCommitEquivalence(t, seed)
+		})
 	}
 }
 
 const fbEquivTxns = 200
 
-func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
+func fallbackCommitEquivalence(t *testing.T, seed int64) {
 	type rig struct {
 		rt *Runtime
 		e  *Executor
 	}
 	var rigs [2]rig // 0 commits through the region, 1 through the fallback
 	for i := range rigs {
-		rigs[i].rt, rigs[i].e = fbEquivRig(t, depth)
+		rigs[i].rt, rigs[i].e = fbEquivRig(t)
 	}
 	// Hash keys 1..16 are read-only, 17..64 read-write. Of each entity's ordered
 	// rows, sub-keys 1..8 are read-only, 9..16 read-write, 17..40 come and go
@@ -327,6 +298,6 @@ func fallbackCommitEquivalence(t *testing.T, depth int, seed int64) {
 			t.Errorf("%v: region %d, fallback %d", ev, a.Counter(ev), b.Counter(ev))
 		}
 	}
-	t.Logf("%d entries, %d WAL records and %d redo records compared; %d index rows, %d removals, %d chain retires",
-		len(region), nwal, nredo, a.Counter(obs.EvIndexMaint), a.Counter(obs.EvRemoveDead), b.Counter(obs.EvChainRetire))
+	t.Logf("%d entries, %d WAL records and %d redo records compared; %d index rows, %d removals",
+		len(region), nwal, nredo, a.Counter(obs.EvIndexMaint), a.Counter(obs.EvRemoveDead))
 }

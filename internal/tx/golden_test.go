@@ -83,12 +83,11 @@ func goldenRig(t *testing.T, p ReadPolicy) (*Runtime, *Executor) {
 // moved.)
 func TestHashPathGolden(t *testing.T) {
 	want := map[ReadPolicy][]goldenRow{
-		PolicyLease:       goldenLease,
-		PolicySpeculative: goldenSpec,
-		PolicyExclusive:   goldenExclusive,
-		PolicyAdaptive:    goldenAdaptive,
+		PolicyLease:     goldenLease,
+		PolicyExclusive: goldenExclusive,
+		PolicyAdaptive:  goldenAdaptive,
 	}
-	for _, p := range []ReadPolicy{PolicyLease, PolicySpeculative, PolicyExclusive, PolicyAdaptive} {
+	for _, p := range []ReadPolicy{PolicyLease, PolicyExclusive, PolicyAdaptive} {
 		t.Run(p.String(), func(t *testing.T) {
 			got := runGoldenScript(t, p)
 			exp := want[p]
@@ -263,7 +262,7 @@ func runGoldenScript(t *testing.T, p ReadPolicy) []goldenRow {
 		}
 	}
 	measure(upgrade(29, PolicyLease))
-	measure(upgrade(31, PolicySpeculative))
+	measure(upgrade(31, PolicyAdaptive))
 
 	// Write-locked by another machine.
 	setState(33, clock.WLocked(7))
@@ -290,22 +289,6 @@ var (
 		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
 		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (read)
-		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
-	}
-	goldenSpec = []goldenRow{
-		{5282, 3, 0, 0, 3, 0, ""},                                 // R
-		{18178, 2, 1, 1, 3, 0, ""},                                // W
-		{24954, 14, 4, 4, 5, 0, ""},                               // Stage8
-		{1719, 1, 0, 0, 1, 0, "tx: record not found"},             // not found
-		{3425, 2, 0, 0, 2, 0, ""},                                 // lease share (read)
-		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // leased (write)
-		{3425, 2, 0, 0, 2, 0, ""},                                 // expired takeover (read)
-		{32920, 3, 2, 1, 4, 0, ""},                                // expired takeover (write)
-		{62319, 8, 6, 0, 5, 0, ""},                                // takeover lost (read)
-		{33920, 6, 4, 1, 4, 0, "tx: conflict, retry transaction"}, // takeover lost (write)
-		{32920, 3, 2, 1, 4, 0, ""},                                // lease->lock upgrade
-		{19726, 3, 1, 1, 4, 0, ""},                                // spec->lock upgrade
-		{3425, 2, 0, 0, 2, 0, "tx: conflict, retry transaction"},  // write-locked (read)
 		{16619, 2, 1, 0, 2, 0, "tx: conflict, retry transaction"}, // write-locked (write)
 	}
 	goldenExclusive = []goldenRow{

@@ -188,12 +188,6 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 			lc.t.checkIndexKeys(table, key, old, val)
 		}
 	}
-	// Retire the current version into the entry's ring chain before the
-	// in-place overwrite (the tail pair lands in sealChains' pre-XEND fix-up
-	// with the commit's uniform stamp).
-	if depth := lc.chainDepth(table, l.region); depth > 0 {
-		lc.t.retireLocalChain(lc.htx, arena, off, len(val), depth)
-	}
 	newVer := kvs.Version(incver) + 1
 	lc.htx.Write(arena, kvs.IncVerOffset(off), kvs.PackIncVer(kvs.Incarnation(incver), newVer))
 	lc.htx.WriteN(arena, kvs.ValueOffset(off), val)
@@ -216,16 +210,6 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 		})
 	}
 	return nil
-}
-
-// chainDepth returns the version-chain depth of the store backing a local
-// table's storage region (0 when chains are disabled).
-func (lc *Local) chainDepth(table, region int) int {
-	n := lc.t.e.w.Node
-	if lc.t.e.rt.Meta(table).Kind == Ordered {
-		return n.Ordered(region).ChainDepth()
-	}
-	return n.Unordered(region).ChainDepth()
 }
 
 // findStructOp locates this transaction's staged structural op for a key.

@@ -16,8 +16,8 @@ import (
 // decides what the slot is now. TestShippedImageServesOnlySpeculation holds the
 // other half: nobody else asks the cache.
 
-// cacheRig is a two-node rig without version chains, so that a committed
-// erase's removal runs at once unless the test withholds it. Rows live on node
+// cacheRig is a two-node rig: a committed erase's removal runs at once unless
+// the test withholds it. Rows live on node
 // 1; e reads them from node 0.
 type cacheRig struct {
 	rt      *Runtime
@@ -28,7 +28,7 @@ func newCacheRig(t *testing.T, budget int) cacheRig {
 	t.Helper()
 	rt, stop := newOrderedRig(t, 2, 1, nil)
 	t.Cleanup(stop)
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	rt.CacheBudgetBytes = budget
 	return cacheRig{rt, rt.Executor(1, 0), rt.Executor(0, 0)}
 }
@@ -53,7 +53,7 @@ func (r cacheRig) erase(t *testing.T, key uint64, unlink bool) {
 // read runs one attempt of a one-record speculative read-only transaction and
 // returns what the body saw.
 func (r cacheRig) read(key uint64) (val []uint64, inc uint32, err error) {
-	ro := &RO{e: r.e, index: map[refKey]*remoteRec{}, policy: PolicySpeculative}
+	ro := &RO{e: r.e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
 	defer ro.release()
 	v, err := ro.Read(tblOrders, key)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestOrderedCacheAcrossFailover(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 	rt := NewRuntime(c, func(_ int, key uint64) int { return int(key>>8) % 3 })
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	rt.DefineOrderedSeg(tblOrders, 64, 2, 8)
 	const part = 1
 	backup := c.Backups(nil, part)[0]

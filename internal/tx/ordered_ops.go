@@ -12,7 +12,7 @@ package tx
 // (applyLocalStructural), or as the lock-protected write-back of a staged
 // remote record (commitRemotes). An erase mirrors this: the flip to dead
 // commits with the transaction and the physical tree removal is deferred to
-// applyRemovals, after every lock has dropped.
+// removeDead, after every lock has dropped.
 //
 // Secondary indexes are maintained inside the same commit: WInsert/Erase
 // stage the base row AND every declared index row, so the flips land in one
@@ -38,7 +38,7 @@ import (
 	"drtm/internal/rdma"
 )
 
-// Verbs message types for ordered-store operations (3..7; 1..2 are in
+// Verbs message types for ordered-store operations (3..6; 1..2 are in
 // handlers.go).
 const (
 	// msgOrderedOps resolves a batch of keys on the host's B+ trees: point
@@ -49,9 +49,6 @@ const (
 	msgRangeScan = 5
 	// msgRemoveDead physically unlinks committed erases' dead entries.
 	msgRemoveDead = 6
-	// msgMVCCScan runs a snapshot-stamped range resolution on the host
-	// (the MVCC read arm's remote scan; see mvcc.go).
-	msgMVCCScan = 7
 )
 
 // shipOp is one key of a msgOrderedOps message — 32 bytes of request, a lookup
@@ -77,8 +74,7 @@ type shipOp struct {
 
 type orderedOpsMsg struct{ Ops []shipOp }
 
-// removeDeadMsg carries every dead entry one transaction (or one drain of the
-// MVCC removal queue) unlinks on one host.
+// removeDeadMsg carries every dead entry one transaction unlinks on one host.
 type removeDeadMsg struct{ Ops []removalOp }
 
 // structOp is a local structural half staged by WInsert/Erase: the entry at
@@ -100,11 +96,9 @@ type structOp struct {
 
 // removalOp schedules the post-commit physical removal of an erased entry.
 // deadIncVer is the exact incarnation|version the erase's flip published:
-// the unlink verifies it so that a removal deferred behind the MVCC
-// snapshot floor can never unlink a LATER death of the same key — one whose
-// stamp exceeds the floor the op was admitted under, and whose chain an
-// in-flight snapshot read may still owe. (A re-insert between queue and
-// drain bumps the incarnation, so a stale op simply no-ops.)
+// the unlink verifies it so that a removal that arrives late — parked for a
+// dead host, say — can never unlink a LATER death of the same key. (A
+// re-insert in between bumps the incarnation, so a stale op simply no-ops.)
 type removalOp struct {
 	node       int
 	region     int
@@ -130,10 +124,6 @@ func (rt *Runtime) installOrderedHandlers() {
 				rt.execRemoveDead(n, op)
 			}
 			return nil
-		})
-		n.Handle(msgMVCCScan, func(from int, body any) any {
-			m := body.(mvccScanMsg)
-			return rt.execMVCCScan(n, m)
 		})
 	}
 }
@@ -308,7 +298,7 @@ func (t *Tx) WInsert(table int, key uint64, val []uint64) error {
 // transaction rather than unhooking the wrong index key). Returns the base
 // row's value as observed. A remote row's index rows ride the transaction's
 // next wave (oweIndexRows). The physical tree removals run after commit
-// (applyRemovals).
+// (removeDead).
 func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 	if err := t.Stage(Access{Table: table, Key: key, Erase: true}); err != nil {
 		return nil, err
@@ -450,12 +440,6 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 		}
 		htx.Write(arena, kvs.StateOffset(op.off), clock.Init)
 	}
-	// Retire the superseded version — the dead pre-insert slot or the live
-	// pre-erase row — into the ring before the flip; sealChains publishes the
-	// tail pair with the commit's uniform stamp.
-	if depth := o.ChainDepth(); depth > 0 {
-		t.retireLocalChain(htx, arena, op.off, o.ValueWords(), depth)
-	}
 	htx.Write(arena, kvs.IncVerOffset(op.off), kvs.PackIncVer(op.inc+1, op.ver+1))
 	if insert {
 		htx.WriteN(arena, kvs.ValueOffset(op.off), op.val)
@@ -470,24 +454,8 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 	}
 }
 
-// applyRemovals physically unlinks every committed erase's dead entry after
-// all locks have dropped. Under MVCC (ChainDepth > 0) the unlink is instead
-// queued behind the snapshot floor — a snapshot read below the erase's commit
-// stamp must still resolve the dead version from the chain — and drained
-// opportunistically on every commit.
-func (t *Tx) applyRemovals() {
-	e := t.e
-	if e.rt.C.MVCCDepth() == 0 {
-		e.removeDead(t.removals)
-		return
-	}
-	for _, op := range t.removals {
-		e.rt.queueRemoval(op, t.commitStamp)
-	}
-	e.rt.drainRemovals(e)
-}
-
-// removeDead unlinks dead entries: directly on this node's shards, with one
+// removeDead physically unlinks committed erases' dead entries, after every
+// lock has dropped: directly on this node's shards, with one
 // msgRemoveDead message per host — at most BatchWindow entries per message —
 // otherwise. It consumes ops (a sent entry's node is overwritten).
 func (e *Executor) removeDead(ops []removalOp) {

@@ -11,22 +11,18 @@ import (
 // transaction and every record, local ones included, of a read-only
 // transaction (writes always take exclusive locks):
 //
-//	PolicyLease       — shared lease via RDMA CAS (~14.5µs modeled), the
-//	                    paper's Section 4.2 protocol. Safe under any
-//	                    contention; pays the CAS on every read.
-//	PolicySpeculative — one-RTT OCC read (~1.5µs READ), validated at commit
-//	                    with a version re-READ wave. ~3.3x cheaper when the
-//	                    record is quiet; loses whole-transaction retries to
-//	                    validation failures when writers hit it.
-//	PolicyAdaptive    — speculate; a transaction that keeps losing leases
-//	                    every read once it escalates, as every transaction
-//	                    does after escalateAfter lost attempts (the software
-//	                    fallback of an escalated attempt leases every read).
-//	                    Where entries carry version chains, a read-only Scan
-//	                    of mvccScanFanout rows or more runs its transaction
-//	                    on the PolicyMVCC snapshot arm.
-//	PolicyExclusive   — reads take exclusive write locks (the Figure 17
-//	                    "no read lease" ablation): no read-read sharing.
+//	PolicyLease     — shared lease via RDMA CAS (~14.5µs modeled), the
+//	                  paper's Section 4.2 protocol. Safe under any
+//	                  contention; pays the CAS on every read.
+//	PolicyAdaptive  — one-RTT OCC read (~1.5µs READ), validated at commit
+//	                  with a version re-READ wave. ~3.3x cheaper when the
+//	                  record is quiet; loses whole-transaction retries to
+//	                  validation failures when writers hit it, and leases
+//	                  every read once it escalates, as every transaction
+//	                  does after escalateAfter lost attempts (the software
+//	                  fallback of an escalated attempt leases every read).
+//	PolicyExclusive — reads take exclusive write locks (the Figure 17
+//	                  "no read lease" ablation): no read-read sharing.
 //
 // The zero value PolicyDefault resolves to PolicyLease at the tx layer
 // (keeping Runtime's zero value semantics). The drtm package maps an unset
@@ -42,20 +38,11 @@ const (
 	PolicyDefault ReadPolicy = iota
 	// PolicyLease always takes lease-based shared locks for remote reads.
 	PolicyLease
-	// PolicySpeculative always takes one-RTT OCC reads for remote reads.
-	PolicySpeculative
-	// PolicyAdaptive speculates until a transaction escalates, then leases.
+	// PolicyAdaptive takes one-RTT OCC reads until a transaction escalates,
+	// then leases.
 	PolicyAdaptive
 	// PolicyExclusive locks remote reads exclusively (ablation arm).
 	PolicyExclusive
-	// PolicyMVCC serves read-only transactions from version chains at a
-	// cluster-wide snapshot stamp: one entry+chain READ per key, no lease
-	// CAS, no confirm wave (see mvcc.go). Read-write transactions under
-	// PolicyMVCC use the lease arm — chains only serve reads. Requires
-	// cluster.Config.MVCCDepth > 0 (0 by default; drtm.Open sets 4 under this
-	// policy alone); with chains disabled the RO layer runs the confirm-wave
-	// scheme instead.
-	PolicyMVCC
 )
 
 func (p ReadPolicy) String() string {
@@ -64,21 +51,17 @@ func (p ReadPolicy) String() string {
 		return "default"
 	case PolicyLease:
 		return "lease"
-	case PolicySpeculative:
-		return "spec"
 	case PolicyAdaptive:
 		return "adaptive"
 	case PolicyExclusive:
 		return "exclusive"
-	case PolicyMVCC:
-		return "mvcc"
 	}
 	return fmt.Sprintf("ReadPolicy(%d)", int(p))
 }
 
 // Valid reports whether p is one of the defined policies.
 func (p ReadPolicy) Valid() bool {
-	return p >= PolicyDefault && p <= PolicyMVCC
+	return p >= PolicyDefault && p <= PolicyExclusive
 }
 
 // resolvePolicy computes the effective read policy for a new transaction:
@@ -96,7 +79,7 @@ func (e *Executor) resolvePolicy() ReadPolicy {
 
 // ExecWith is Exec with the read policy forced to p for every attempt of
 // this one transaction, overriding the runtime-wide policy — e.g. a
-// read-mostly transaction forcing PolicySpeculative.
+// read-mostly transaction forcing PolicyAdaptive.
 func (e *Executor) ExecWith(p ReadPolicy, build func(t *Tx) error) error {
 	prev := e.override
 	e.override = p
@@ -114,7 +97,7 @@ func (e *Executor) ExecROWith(p ReadPolicy, build func(ro *RO) error) error {
 }
 
 // escalateAfter is how many attempts one transaction may lose, to any cause (a
-// lock, a lease, a validation, a truncated chain, the body's own ErrRetry),
+// lock, a lease, a validation, the body's own ErrRetry),
 // before every later attempt escalates (DESIGN.md, "Progress"): a read-write
 // attempt declares its records holding nothing and runs the software fallback,
 // whose acquisitions wait for a held record in the global order instead of
@@ -122,22 +105,12 @@ func (e *Executor) ExecROWith(p ReadPolicy, build func(ro *RO) error) error {
 // escalated attempt still loses to a record that moved while it waited.
 const escalateAfter = 8
 
-// mvccScanFanout is the read-only Scan fanout (requested row count) at which
-// PolicyAdaptive runs the whole transaction on the MVCC snapshot arm instead of
-// the confirm-wave scheme: a wide scan amortizes one entry+chain READ per row
-// against the confirm wave's per-row re-validation READ and its retry tail.
-const mvccScanFanout = 32
-
 // routeRead decides the arm for one read under the transaction's policy:
-// PolicySpeculative and PolicyAdaptive speculate (an adaptive route counts),
-// every other policy leases.
+// PolicyAdaptive speculates (and counts the route), every other policy leases.
 func (e *Executor) routeRead(p ReadPolicy) (spec bool) {
-	switch p {
-	case PolicySpeculative:
-		return true
-	case PolicyAdaptive:
-		e.w.Obs.Inc(obs.EvAdaptSpec)
-		return true
+	if p != PolicyAdaptive {
+		return false
 	}
-	return false
+	e.w.Obs.Inc(obs.EvAdaptSpec)
+	return true
 }

@@ -21,7 +21,7 @@ func TestResolvePolicy(t *testing.T) {
 	}{
 		{"zero-value runtime is lease", PolicyDefault, PolicyDefault, PolicyLease},
 		{"runtime-wide policy", PolicyAdaptive, PolicyDefault, PolicyAdaptive},
-		{"override beats runtime policy", PolicyAdaptive, PolicySpeculative, PolicySpeculative},
+		{"override beats runtime policy", PolicyAdaptive, PolicyLease, PolicyLease},
 	}
 	for _, c := range cases {
 		rt.ReadPolicy, e.override = c.runtime, c.override
@@ -39,8 +39,7 @@ func TestResolvePolicy(t *testing.T) {
 // the write lands again, and its fallback leases both reads after it — an
 // adaptive transaction counts them (EvAdaptLease) — and commits on the value
 // the writer left. ExecWith(PolicyAdaptive) on a lease runtime follows the
-// same rule, and so does PolicySpeculative. Leases never expire here, so
-// nothing depends on real time.
+// same rule. Leases never expire here, so nothing depends on real time.
 func TestAdaptiveEscalation(t *testing.T) {
 	const hot, cold = 1, 3 // both homed on node 1: every read is remote
 	errGaveUp := errors.New("the writer lost its one try")
@@ -54,7 +53,6 @@ func TestAdaptiveEscalation(t *testing.T) {
 		{"adaptive, escalated", PolicyAdaptive, PolicyDefault, escalateAfter + 1, escalateAfter + 1},
 		{"ExecWith adaptive, one loss short", PolicyLease, PolicyAdaptive, escalateAfter - 1, escalateAfter},
 		{"ExecWith adaptive, escalated", PolicyLease, PolicyAdaptive, escalateAfter + 1, escalateAfter + 1},
-		{"speculative", PolicySpeculative, PolicyDefault, escalateAfter + 1, escalateAfter + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, stop := newRig(t, 2, 1, 4, func(c *cluster.Config) { c.LeaseMicros = 1 << 40 })
@@ -132,10 +130,7 @@ func TestAdaptiveEscalation(t *testing.T) {
 			if got := leases(); got != 2*escalated {
 				t.Errorf("%d leases taken, want %d (the fallback's two reads)", got, 2*escalated)
 			}
-			specRoutes, leaseRoutes := int64(0), int64(0)
-			if tc.runtime == PolicyAdaptive || tc.with == PolicyAdaptive {
-				specRoutes, leaseRoutes = 2*int64(attempts)-2*escalated, 2*escalated
-			}
+			specRoutes, leaseRoutes := 2*int64(attempts)-2*escalated, 2*escalated
 			if s, l := reg.Total(obs.EvAdaptSpec), reg.Total(obs.EvAdaptLease); s != specRoutes || l != leaseRoutes {
 				t.Errorf("routes: %d spec, %d lease; want %d, %d", s, l, specRoutes, leaseRoutes)
 			}
@@ -164,7 +159,7 @@ func TestExecWithOverride(t *testing.T) {
 			return err
 		})
 	}
-	if err := e.ExecWith(PolicySpeculative, body); err != nil {
+	if err := e.ExecWith(PolicyAdaptive, body); err != nil {
 		t.Fatal(err)
 	}
 	if n := reg.Total(obs.EvSpecRead); n != 1 {
@@ -182,7 +177,7 @@ func TestExecWithOverride(t *testing.T) {
 	}
 
 	// Read-only override: spec arm, no lease CAS.
-	if err := e.ExecROWith(PolicySpeculative, func(ro *RO) error {
+	if err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error {
 		_, err := ro.Read(tblAccounts, 1)
 		return err
 	}); err != nil {

@@ -55,17 +55,7 @@ type RO struct {
 	scans    []scanRec
 	scanVals []uint64
 
-	// mvcc marks this attempt as running the snapshot arm: every read
-	// resolves against version chains at stamp snap and skips lease and
-	// confirm entirely (see mvcc.go). Entered up front under PolicyMVCC, or
-	// by the first wide Scan under PolicyAdaptive — never after a
-	// confirm-wave read has been collected, so one attempt always has a
-	// single serialization point (snap for MVCC attempts, the confirm
-	// instant otherwise).
-	mvcc   bool
-	snap   uint64
-	noMVCC bool // a prior attempt's chain fallback poisons adaptive MVCC entry
-	waits  bool // an escalated attempt (escalateAfter or later): reads leased, waiting out writers' locks; scanned entries pinned (pinScan)
+	waits bool // an escalated attempt (escalateAfter or later): reads leased, waiting out writers' locks; scanned entries pinned (pinScan)
 }
 
 // ExecRO runs a read-only transaction to completion, retrying lost attempts
@@ -81,39 +71,18 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 		ro.release()
 		e.freeRO = ro
 	}()
-	// chainFellBack poisons the MVCC arm for the rest of this Exec once a
-	// chain proved unresolvable (truncated below the snapshot, or a torn
-	// image): re-reading the same chain would mostly re-truncate, so later
-	// attempts run the confirm-wave scheme instead.
-	chainFellBack := false
 	for attempt := 0; ; attempt++ {
 		ro.release()
 		ro.end = e.w.Node.Clock.Read() + e.rt.C.Config().ROLeaseMicros
 		ro.policy = e.resolvePolicy()
 		if attempt >= escalateAfter {
-			ro.policy, ro.noMVCC, ro.waits = PolicyLease, true, true
+			ro.policy, ro.waits = PolicyLease, true
 			e.w.Obs.Inc(obs.EvTxEscalate)
-		} else if ro.policy == PolicyMVCC {
-			if chainFellBack || !ro.enterMVCC() {
-				// Chains unavailable or already proven unresolvable: the
-				// confirm-wave speculative arm is the MVCC arm's fallback.
-				ro.policy = PolicySpeculative
-			}
-		} else if chainFellBack {
-			ro.noMVCC = true // keep an adaptive Scan from re-entering MVCC
 		}
 		err := build(ro)
-		if ro.mvcc {
-			e.w.EndSnapshotRead()
-		}
 		if err == nil && ro.confirm() {
 			e.w.Obs.Inc(obs.EvROCommit)
 			return nil
-		}
-		if errors.Is(err, errMVCCFallback) {
-			e.w.Obs.Inc(obs.EvMVCCFallback)
-			chainFellBack = true
-			err = ErrRetry
 		}
 		if err != nil && err != ErrRetry {
 			if errors.Is(err, ErrNodeDown) {
@@ -135,7 +104,7 @@ func (ro *RO) release() {
 	clear(ro.views)
 	ro.scans, ro.scanVals = ro.scans[:0], ro.scanVals[:0]
 	ro.cause = obs.CauseNone
-	ro.mvcc, ro.snap, ro.noMVCC, ro.waits = false, 0, false, false
+	ro.waits = false
 }
 
 // lockConflict fails the attempt on a record held by a conflicting writer.
@@ -166,9 +135,6 @@ func (ro *RO) confirm() bool {
 	sh := e.w.Obs
 	if e.viewsMoved(ro.views) {
 		return false
-	}
-	if ro.mvcc {
-		return true // every read resolved at the snapshot stamp
 	}
 	nlocal, nremote := 0, 0
 	for _, r := range ro.recs {
@@ -341,9 +307,6 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 	}
 	node, region, part := ro.e.scanRoute(table, lo, hi)
 	ro.stampView(part)
-	if ro.mvcc || ro.routeScanMVCC(lo, hi, limit) {
-		return ro.mvccScan(table, node, region, lo, hi, limit)
-	}
 	sh := ro.e.w.Obs
 	sstart := int64(ro.e.w.VClock.Now())
 	var rec *scanRec
@@ -401,14 +364,10 @@ func (ro *RO) lease(h *recHandle) (end uint64, err error) {
 func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
 
 // Read fetches a record by key under the arm its route picks — a shared lease,
-// or nothing — or, on the MVCC arm, resolves it against its version chain at
-// the snapshot stamp with one READ. The value is the attempt's scratch (see RO).
+// or nothing. The value is the attempt's scratch (see RO).
 func (ro *RO) Read(table int, key uint64) ([]uint64, error) {
 	if r, ok := ro.index[refKey{table, key}]; ok {
 		return r.buf, nil
-	}
-	if ro.mvcc {
-		return ro.mvccRead(table, key)
 	}
 	h := ro.e.handle(table, key)
 	ro.stampView(h.part)
@@ -468,7 +427,7 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 	if shipped {
 		cache = e.cacheFor(h.node, h.region)
 		if h.off, h.cached = cache.Loc(e.w.Obs, h.key); h.cached {
-			words, err := e.readEntry(h, vw, 0)
+			words, err := e.readEntry(h, vw)
 			if err != nil {
 				return err
 			}
@@ -495,7 +454,7 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 				return err
 			}
 		}
-		if words, err = e.readEntry(h, vw, 0); err != nil {
+		if words, err = e.readEntry(h, vw); err != nil {
 			return err
 		}
 	}

@@ -446,13 +446,12 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 // ---- the logs' lifetime rule at every crash point ---------------------------
 
 // lifetimeRig is three one-worker nodes holding two-line rows (key k homed on
-// node k%3) with version chains depth deep, durable, with f backups per
-// partition; the rows go in through transactions, so the replicas hold them
-// too.
-func lifetimeRig(t *testing.T, f, depth int) (*Runtime, func()) {
+// node k%3), durable, with f backups per partition; the rows go in through
+// transactions, so the replicas hold them too.
+func lifetimeRig(t *testing.T, f int) (*Runtime, func()) {
 	t.Helper()
 	rt, stop := newRig(t, 3, 1, 0, func(c *cluster.Config) {
-		c.Durability, c.ReplicationFactor, c.LogWords, c.MVCCDepth = true, f, 1<<16, depth
+		c.Durability, c.ReplicationFactor, c.LogWords = true, f, 1<<16
 	})
 	rt.DefineUnordered(tblWideHash, 64, 64, 32, wideWords)
 	for k := uint64(1); k <= 9; k++ {
@@ -518,11 +517,11 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 
 // TestLogLifetimeCrashPoints: a worker restarts its logs where it starts a
 // transaction, so after any crash they hold the transaction in flight and
-// nothing else. Node 0 commits two transfers between its row 3 and node 1's row
-// 1, then dies in a third — after the log restart, after the lock-ahead append,
-// at the commit point (XEND, or the fallback's write-ahead append), as the redo
-// append lands (f = 1), and as each WRITE of the commit's chain to node 1 lands
-// (tail pair, retired slot, value, release: after the last nothing is owed) —
+// nothing else. Node 0 commits two transfers into node 1's row 1, then dies in
+// a third — after the log restart, after the lock-ahead append, at the commit
+// point (XEND, or the fallback's write-ahead append), as the redo append lands
+// (f = 1), and as each WRITE of the commit's chain to node 1 lands (after the
+// last nothing is owed) —
 // through the region and through the fallback, recovered by Recover (f = 0) or
 // Failover (f = 1), and with f = 1 also with its redo rings filled to where the
 // dying commit's own append trips their checkpoint (a backup's drain keeps the
@@ -534,19 +533,20 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 // the write-ahead record that proved it committed); and a second repair finds
 // nothing to do.
 //
-// The sweep runs with 4-deep version chains, whose commit chain is the longest
-// (its last two WRITEs are the whole chain without them, and Recover and
-// Failover retire the versions they redo), and, under depth=0, at the default:
-// no chains, the value and the release.
+// The sweep runs two transfers. Unprefixed, both rows are node 1's (4 and 1):
+// the chain to node 1 is each row's value and release, four WRITEs, so a crash
+// also lands between the rows. Under depth=0/ (entries carry no version chain)
+// the transfer moves node 0's row 3 into row 1: the chain is that row's value
+// and release.
 func TestLogLifetimeCrashPoints(t *testing.T) {
-	const from, to = 3, 1
-	for _, depth := range []int{4, 0} {
-		chainWRs, prefix := 4, ""
-		if depth == 0 {
-			chainWRs, prefix = 2, "depth=0/"
+	const to = 1
+	for _, from := range []uint64{4, 3} {
+		publishWRs, prefix := 4, ""
+		if from == 3 {
+			publishWRs, prefix = 2, "depth=0/"
 		}
 		points := []string{"restart", "lock-ahead", "commit", "replicate"}
-		for k := 1; k <= chainWRs; k++ {
+		for k := 1; k <= publishWRs; k++ {
 			points = append(points, fmt.Sprintf("publish-%d", k))
 		}
 		for _, f := range []int{0, 1} {
@@ -557,7 +557,7 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 							continue
 						}
 						t.Run(fmt.Sprintf("%sf=%d/fallback=%v/ringFull=%v/%s", prefix, f, fallback, ringFull, point), func(t *testing.T) {
-							lifetimeCrashPoint(t, f, depth, fallback, ringFull, point, from, to, chainWRs)
+							lifetimeCrashPoint(t, f, fallback, ringFull, point, from, to, publishWRs)
 						})
 					}
 				}
@@ -567,12 +567,12 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 }
 
 // transferRedoBytes is the ring footprint of one pieceTransfer's redo record:
-// a length word, txid and count, and two updates of 8 header + wideWords value
+// a length word, txid and count, and two updates of 7 header + wideWords value
 // words.
-const transferRedoBytes = (1 + 2 + 2*(8+wideWords)) * 8
+const transferRedoBytes = (1 + 2 + 2*(7+wideWords)) * 8
 
-func lifetimeCrashPoint(t *testing.T, f, depth int, fallback, ringFull bool, point string, from, to uint64, chainWRs int) {
-	rt, stop := lifetimeRig(t, f, depth)
+func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point string, from, to uint64, publishWRs int) {
+	rt, stop := lifetimeRig(t, f)
 	defer stop()
 	if fallback {
 		rt.FallbackThreshold = 1
@@ -584,11 +584,11 @@ func lifetimeCrashPoint(t *testing.T, f, depth int, fallback, ringFull bool, poi
 			t.Fatal(err)
 		}
 		perRow := rt.C.Obs.Snapshot().Stages[obs.StagePublish].WRs - before
-		if fallback {
+		if fallback && from%3 == 0 {
 			perRow /= 2 // the fallback publishes its local row through the chain too
 		}
-		if piece == 2 && perRow != int64(chainWRs) {
-			t.Fatalf("the commit's chain to node 1 is %d WRITEs, the sweep assumes %d", perRow, chainWRs)
+		if piece == 2 && perRow != int64(publishWRs) {
+			t.Fatalf("the commit's chain to node 1 is %d WRITEs, the sweep assumes %d", perRow, publishWRs)
 		}
 	}
 
@@ -623,9 +623,13 @@ func lifetimeCrashPoint(t *testing.T, f, depth int, fallback, ringFull bool, poi
 		// node 0 issues against node 2 after the body.
 		atEnd = func() { plan.ScriptHook(0, 2, 1, die) }
 	case err == nil:
-		// With f = 1 the redo append to node 1, which backs partition 0 up, is
-		// node 0's first verb against it after the body.
-		atEnd = func() { plan.ScriptHook(0, 1, f+k, die) }
+		// With f = 1 and a row of partition 0 written, the redo append to
+		// node 1, which backs partition 0 up, is node 0's first verb against
+		// it after the body.
+		if f == 1 && from%3 == 0 {
+			k++
+		}
+		atEnd = func() { plan.ScriptHook(0, 1, k, die) }
 	}
 	acked := false
 	done := make(chan struct{})
@@ -724,7 +728,7 @@ func lifetimeCrashPoint(t *testing.T, f, depth int, fallback, ringFull bool, poi
 // drains the parked step, which a real coordinator's volatile memory would
 // have lost. Once nothing is parked the logs restart again.
 func TestParkedWriteKeepsLogs(t *testing.T) {
-	rt, stop := lifetimeRig(t, 0, 0)
+	rt, stop := lifetimeRig(t, 0)
 	defer stop()
 	e, w := rt.Executor(0, 0), rt.C.Worker(0, 0)
 	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }

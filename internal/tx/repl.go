@@ -45,7 +45,6 @@ func (t *Tx) replicate() error {
 			ups = append(ups, nvram.RedoUpdate{
 				Part: u.part, Epoch: cluster.ViewEpoch(w), Table: u.ltable,
 				Key: u.key, Version: u.version, Inc: u.inc, Val: u.val,
-				Stamp: t.commitStamp,
 			})
 		}
 	}
@@ -58,7 +57,6 @@ func (t *Tx) replicate() error {
 			ups = append(ups, nvram.RedoUpdate{
 				Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
 				Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
-				Stamp: t.commitStamp,
 			})
 		}
 	}
@@ -296,10 +294,9 @@ func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bo
 		return false // logged before a delete of the key: stale
 	}
 	var (
-		arena     *memory.Arena
-		off       memory.Offset
-		found     bool
-		vw, depth int
+		arena *memory.Arena
+		off   memory.Offset
+		found bool
 	)
 	ordered := rt.Meta(u.Table).Kind == Ordered
 	if ordered {
@@ -308,11 +305,11 @@ func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bo
 			return false
 		}
 		off, found = o.Lookup(u.Key)
-		arena, vw, depth = o.Arena(), o.ValueWords(), o.ChainDepth()
+		arena = o.Arena()
 	} else {
 		host := n.Unordered(region)
 		off, found = host.LookupLocal(u.Key)
-		arena, vw, depth = host.Arena(), host.ValueWords(), host.ChainDepth()
+		arena = host.Arena()
 	}
 	if !found {
 		return false // deleted since the append; never resurrect
@@ -325,14 +322,9 @@ func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bo
 	if ordered && kvs.Live(u.Inc) != kvs.Live(inc) {
 		inc++
 	}
-	// Retire the superseded replica version into the copy's own chain (under
-	// the redo lock; tail-first, value and head after) so a promoted backup keeps
-	// serving snapshot reads across failover.
-	head := kvs.PackIncVer(inc, u.Version)
-	kvs.RetireLocal(arena, off, vw, depth, u.Stamp, head)
 	if len(u.Val) > 0 {
 		arena.Write(kvs.ValueOffset(off), u.Val)
 	}
-	arena.StoreWord(kvs.IncVerOffset(off), head)
+	arena.StoreWord(kvs.IncVerOffset(off), kvs.PackIncVer(inc, u.Version))
 	return true
 }

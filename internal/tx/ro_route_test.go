@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"drtm/internal/clock"
-	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
 )
@@ -140,7 +139,7 @@ func TestReadOnlyAdaptiveLeavesNoLease(t *testing.T) {
 func TestROSpecLocalValidation(t *testing.T) {
 	rt, stop := newOrderedRig(t, 1, 2, nil)
 	defer stop()
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	e := rt.Executor(0, 0)
 	insertOrders(t, e, 0, []uint64{1, 2})
 	write := func(sub, v uint64) {
@@ -157,7 +156,7 @@ func TestROSpecLocalValidation(t *testing.T) {
 		}
 	}
 	begin := func() *RO {
-		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicySpeculative}
+		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
 		for _, s := range []uint64{1, 2} {
 			if _, err := ro.Read(tblOrders, orderedKey(0, s)); err != nil {
 				t.Fatal(err)
@@ -219,7 +218,7 @@ func TestROSpecLocalStress(t *testing.T) {
 		t.Run(fmt.Sprintf("table%d", table), func(t *testing.T) {
 			rt, stop := newOrderedRig(t, 2, 2, nil)
 			defer stop()
-			rt.ReadPolicy = PolicySpeculative
+			rt.ReadPolicy = PolicyAdaptive
 			rt.DefineUnordered(tblWideHash, 16, 16, 32, wideWords)
 			rt.DefineOrderedSeg(tblWideOrdered, 32, wideWords, 8)
 			// Keys 1..wideRows are entity 0: homed on node 0.
@@ -351,67 +350,60 @@ func TestROSpecLocalStress(t *testing.T) {
 // confirmation and an optimistic scan never confirms. Past escalateAfter
 // failed attempts the scanned entries are leased, the writer's lock CASes
 // wait, and the read-only transaction commits: a starved one would never
-// return.
+// return. The case is named for the speculative arm its scans start on.
 func TestROEscalationPinsScannedRows(t *testing.T) {
-	for _, p := range []ReadPolicy{PolicySpeculative, PolicyMVCC} {
-		t.Run(p.String(), func(t *testing.T) {
-			var mut func(*cluster.Config)
-			if p == PolicyMVCC {
-				mut = withChains
-			}
-			rt, stop := newOrderedRig(t, 2, 2, mut)
-			defer stop()
-			const entity = 3 // homed on node 1
-			insertOrders(t, rt.Executor(1, 1), entity, []uint64{1, 2, 3, 4})
-			time.Sleep(time.Millisecond) // let the snapshot stamp pass the inserts
-			var done atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := rt.Executor(0, 1) // remote from the rows: every commit locks by CAS
-				for i := uint64(0); !done.Load(); i++ {
-					from, to := orderedKey(entity, 1+i%4), orderedKey(entity, 1+(i+1)%4)
-					_ = w.Exec(func(tx *Tx) error {
-						if err := tx.Stage(Access{Table: tblOrders, Key: from, Write: true},
-							Access{Table: tblOrders, Key: to, Write: true}); err != nil {
+	t.Run("spec", func(t *testing.T) {
+		rt, stop := newOrderedRig(t, 2, 2, nil)
+		defer stop()
+		const entity = 3 // homed on node 1
+		insertOrders(t, rt.Executor(1, 1), entity, []uint64{1, 2, 3, 4})
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := rt.Executor(0, 1) // remote from the rows: every commit locks by CAS
+			for i := uint64(0); !done.Load(); i++ {
+				from, to := orderedKey(entity, 1+i%4), orderedKey(entity, 1+(i+1)%4)
+				_ = w.Exec(func(tx *Tx) error {
+					if err := tx.Stage(Access{Table: tblOrders, Key: from, Write: true},
+						Access{Table: tblOrders, Key: to, Write: true}); err != nil {
+						return err
+					}
+					return tx.Execute(func(lc *Local) error {
+						f, _ := lc.Read(tblOrders, from)
+						g, _ := lc.Read(tblOrders, to)
+						if err := lc.Write(tblOrders, from, []uint64{f[0] - 1, f[1]}); err != nil {
 							return err
 						}
-						return tx.Execute(func(lc *Local) error {
-							f, _ := lc.Read(tblOrders, from)
-							g, _ := lc.Read(tblOrders, to)
-							if err := lc.Write(tblOrders, from, []uint64{f[0] - 1, f[1]}); err != nil {
-								return err
-							}
-							return lc.Write(tblOrders, to, []uint64{g[0] + 1, g[1]})
-						})
+						return lc.Write(tblOrders, to, []uint64{g[0] + 1, g[1]})
 					})
-				}
-			}()
-			e := rt.Executor(0, 0)
-			deadline := time.Now().Add(200 * time.Millisecond)
-			for scans := 0; scans < 20 || time.Now().Before(deadline); scans++ {
-				var sum uint64
-				err := e.ExecROWith(p, func(ro *RO) error {
-					rows, err := ro.Scan(tblOrders, orderedKey(entity, 0), orderedKey(entity, 0xFF), 0)
-					sum = 0
-					for _, r := range rows {
-						sum += r.Val[0]
-					}
-					return err
 				})
-				if err != nil {
-					t.Errorf("scan %d: %v after %d escalated attempts", scans, err, rt.C.Obs.Total(obs.EvTxEscalate))
-					break
-				}
-				if sum != 1000 {
-					t.Errorf("scan %d summed %d, want 1000", scans, sum)
-					break
-				}
 			}
-			done.Store(true)
-			wg.Wait()
-			t.Logf("%d escalated attempts", rt.C.Obs.Total(obs.EvTxEscalate))
-		})
-	}
+		}()
+		e := rt.Executor(0, 0)
+		deadline := time.Now().Add(200 * time.Millisecond)
+		for scans := 0; scans < 20 || time.Now().Before(deadline); scans++ {
+			var sum uint64
+			err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error {
+				rows, err := ro.Scan(tblOrders, orderedKey(entity, 0), orderedKey(entity, 0xFF), 0)
+				sum = 0
+				for _, r := range rows {
+					sum += r.Val[0]
+				}
+				return err
+			})
+			if err != nil {
+				t.Errorf("scan %d: %v after %d escalated attempts", scans, err, rt.C.Obs.Total(obs.EvTxEscalate))
+				break
+			}
+			if sum != 1000 {
+				t.Errorf("scan %d summed %d, want 1000", scans, sum)
+				break
+			}
+		}
+		done.Store(true)
+		wg.Wait()
+		t.Logf("%d escalated attempts", rt.C.Obs.Total(obs.EvTxEscalate))
+	})
 }

@@ -113,66 +113,6 @@ type Runtime struct {
 	// Replication's redo-apply serialization and delete fencing (repl.go),
 	// one shard per partition: every critical section names one partition.
 	redoShards []redoShard
-
-	// Stamp-gated removal queue (MVCC only). Physical unlink of a dead entry
-	// is deferred until the cluster's snapshot floor passes the commit stamp
-	// that killed it — an in-flight or future snapshot read below that stamp
-	// must still resolve the dead version from the chain (see
-	// cluster.MinActiveSnapshot). remQ is ordered by stamp (commit stamps on
-	// one runtime are taken in commit order per worker, and the drain
-	// re-checks every head, so strict global order is not required).
-	remMu sync.Mutex
-	remQ  []gatedRemoval
-}
-
-// gatedRemoval is a dead-entry unlink waiting for the snapshot floor to pass
-// the stamp of the commit that erased it.
-type gatedRemoval struct {
-	op    removalOp
-	stamp uint64
-}
-
-// queueRemoval defers a dead-entry unlink until drainRemovals observes a
-// snapshot floor ≥ stamp.
-func (rt *Runtime) queueRemoval(op removalOp, stamp uint64) {
-	rt.remMu.Lock()
-	rt.remQ = append(rt.remQ, gatedRemoval{op: op, stamp: stamp})
-	rt.remMu.Unlock()
-}
-
-// drainRemovals applies every queued removal whose death stamp has been
-// passed by the snapshot floor: no current or future snapshot read can still
-// need the dead version, so the entry may leave the chain.
-func (rt *Runtime) drainRemovals(e *Executor) {
-	rt.remMu.Lock()
-	empty := len(rt.remQ) == 0
-	rt.remMu.Unlock()
-	if empty {
-		return
-	}
-	// Order matters: the published-stamp read MUST precede the active-reader
-	// scan. enterMVCC registers before taking its snapshot from a second
-	// stamp read, so a reader this scan misses will take a snapshot at or
-	// above the stamp read below — and every removal gated by this floor
-	// died at or below it. See enterMVCC.
-	floor := rt.C.SnapshotStamp()
-	if m := rt.C.MinActiveSnapshot(); m < floor {
-		floor = m
-	}
-	ready := e.remReady[:0]
-	rt.remMu.Lock()
-	keep := rt.remQ[:0]
-	for _, g := range rt.remQ {
-		if g.stamp <= floor {
-			ready = append(ready, g.op)
-		} else {
-			keep = append(keep, g)
-		}
-	}
-	rt.remQ = keep
-	rt.remMu.Unlock()
-	e.removeDead(ready)
-	e.remReady = ready[:0]
 }
 
 // redoShard is one partition's redo-apply lock and delete fencing: mu is what
@@ -371,15 +311,13 @@ type Executor struct {
 
 	// Shipped-message scratch: the envelope every two-sided call reuses, the
 	// multi-op tree message and the requests its ops answer, the removal
-	// message, the range-scan message, the redo checkpoint request, and
-	// drainRemovals' ready list.
+	// message, the range-scan message and the redo checkpoint request.
 	callMsg  cluster.Msg
 	shipMsg  orderedOpsMsg
 	shipReqs []*stageReq
 	remMsg   removeDeadMsg
 	scanMsg  rangeScanMsg
 	ckptMsg  redoCkptMsg
-	remReady []removalOp
 
 	scanOut  []KeyOff  // scanLocal's result, valid until the next scan
 	scanRows []ScanRow // Tx.Scan's and RO.Scan's result, valid until the next scan

@@ -127,17 +127,15 @@ func TestShippedImageEquivalence(t *testing.T) {
 // offset and no message. Every other path sends its message as before, warm
 // frame or not, and never asks the cache: a leased read — static or escalated —
 // posts its lease CAS and its READ behind the lookup; a read-write transaction's
-// speculative and write-staged rows resolve in stageBatch; the fallback's take,
-// an escalated scan's pins and the snapshot arm CAS, pin or resolve a chain at
-// the offset they are given.
+// speculative and write-staged rows resolve in stageBatch; the fallback's take
+// and an escalated scan's pins CAS or pin at the offset they are given.
 func TestShippedImageServesOnlySpeculation(t *testing.T) {
-	rt, stop := newOrderedRig(t, 2, 1, withChains) // the snapshot arm is one of the paths
+	rt, stop := newOrderedRig(t, 2, 1, nil)
 	defer stop()
 	rt.ReadPolicy = PolicyAdaptive
 	rt.FallbackThreshold = 1
 	home, e := rt.Executor(1, 0), rt.Executor(0, 0)
 	insertOrders(t, home, 1, []uint64{1, 2, 0x81})
-	inserted := home.w.Node.Clock.Read() + 1 // an insert stamps its row one above its slot's tail at most
 	key, other, far := orderedKey(1, 1), orderedKey(1, 2), orderedKey(1, 0x81)
 	keys := []uint64{key, other, far}
 	reg := rt.C.Obs
@@ -216,15 +214,6 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 		{"read-only, escalated scan pins its rows", func() {
 			escalated(func(ro *RO) error { _, err := ro.Scan(tblOrders, key, other, 0); return err })
 		}, readerVerbs{1, 2, 3}, readerVerbs{1, 2, 3}, 0, 0, 2, 0}, // the scan, a lease per row; confirming re-READs the stamp and both headers
-		{"read-only, snapshot arm", func() {
-			// The snapshot must have passed the rows' inserts, or their chains
-			// cannot serve it and the attempt falls back to the speculative arm.
-			for rt.C.SnapshotStamp() < inserted {
-				runtime.Gosched()
-			}
-			ro(PolicyMVCC, key)
-		},
-			readerVerbs{1, 0, 1}, readerVerbs{1, 0, 1}, 0, 0, 0, 0}, // the lookup, then the entry and its chain
 		{"read-write, speculative read", func() { rw(false, false) },
 			readerVerbs{1, 0, 1}, readerVerbs{1, 0, 1}, 1, 0, 0, 0}, // the READ is the commit's validation
 		{"read-write, write-staged", func() { rw(true, false) },
@@ -240,7 +229,7 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 			for _, k := range keys {
 				cache.DropLoc(nil, k)
 				if warm {
-					ro(PolicySpeculative, k)
+					ro(PolicyAdaptive, k)
 				}
 				// Earlier leases must not be shared by this run.
 				o := rt.C.Node(1).Ordered(tblOrders)
@@ -288,7 +277,7 @@ func TestROSingleRecordRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := rt.C.Obs
-	if err := e.ExecROWith(PolicySpeculative, func(ro *RO) error { // fills both rows' frames
+	if err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error { // fills both rows' frames
 		_, err := ro.Read(tblOrders, key)
 		if err == nil {
 			_, err = ro.Read(tblOrders, other)
@@ -306,18 +295,18 @@ func TestROSingleRecordRule(t *testing.T) {
 		single  int64
 		hits    int64 // reads served at a cached offset
 	}{
-		{"one record", PolicySpeculative, func(ro *RO) error {
+		{"one record", PolicyAdaptive, func(ro *RO) error {
 			_, err := ro.Read(tblOrders, key)
 			return err
 		}, nil, true, 1, 1},
-		{"two records", PolicySpeculative, func(ro *RO) error {
+		{"two records", PolicyAdaptive, func(ro *RO) error {
 			if _, err := ro.Read(tblOrders, key); err != nil {
 				return err
 			}
 			_, err := ro.Read(tblOrders, other)
 			return err
 		}, nil, false, 0, 2},
-		{"one record and a scan", PolicySpeculative, func(ro *RO) error {
+		{"one record and a scan", PolicyAdaptive, func(ro *RO) error {
 			if _, err := ro.Read(tblOrders, key); err != nil {
 				return err
 			}
@@ -328,7 +317,7 @@ func TestROSingleRecordRule(t *testing.T) {
 			_, err := ro.Read(tblOrders, key)
 			return err
 		}, func(uint64) {}, true, 0, 0}, // no writer gets past a lease
-		{"one two-line record", PolicySpeculative, func(ro *RO) error {
+		{"one two-line record", PolicyAdaptive, func(ro *RO) error {
 			_, err := ro.Read(tblWideOrdered, wide)
 			return err
 		}, func(v uint64) {
@@ -408,7 +397,7 @@ func TestROSingleRecordSerializes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, stop := newOrderedRig(t, 2, 3, nil)
 			defer stop()
-			rt.ReadPolicy = PolicySpeculative
+			rt.ReadPolicy = PolicyAdaptive
 			rt.DefineOrderedSeg(tblLine, 32, words, 8)
 			rt.DefineOrderedSeg(tblWideOrdered, 32, wideWords, 8)
 			rt.DefineUnordered(tblHash, 16, 16, 32, words)
@@ -504,9 +493,9 @@ const memoryLineValueWords = 8 - kvs.EntryValueWord
 // brings — not what the pooled buffer held from the transaction before — is the
 // one consumed.
 func TestShippedLookupFaultAtEveryVerb(t *testing.T) {
-	for _, p := range []ReadPolicy{PolicyLease, PolicySpeculative} {
+	for _, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
 		verbs := 5
-		if p == PolicySpeculative {
+		if p == PolicyAdaptive {
 			verbs = 3
 		}
 		for k := 1; k <= verbs; k++ {

@@ -9,7 +9,7 @@ import (
 )
 
 // Speculative (OCC) read validation — the commit half of the speculative
-// read arm (PolicySpeculative, and PolicyAdaptive until a transaction escalates).
+// read arm (PolicyAdaptive until a transaction escalates).
 //
 // A speculative record was fetched with one unprotected READ; nothing stops
 // a writer from committing a new version between that fetch and our commit.

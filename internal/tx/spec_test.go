@@ -12,7 +12,7 @@ import (
 // specRig is newRig with the speculative read arm enabled.
 func specRig(t testing.TB, nodes, workers, keys int) (*Runtime, func()) {
 	rt, stop := newRig(t, nodes, workers, keys, nil)
-	rt.ReadPolicy = PolicySpeculative
+	rt.ReadPolicy = PolicyAdaptive
 	return rt, stop
 }
 

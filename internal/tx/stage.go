@@ -41,8 +41,8 @@ import (
 //     writes. A wave of lock CASes cannot deadlock: a CAS that loses to a
 //     live owner aborts the transaction, it never waits.
 //
-//   - Read-set records routed to the speculative arm (PolicySpeculative,
-//     PolicyAdaptive) skip the CAS stage entirely: one entry READ fetches
+//   - Read-set records routed to the speculative arm (PolicyAdaptive) skip
+//     the CAS stage entirely: one entry READ fetches
 //     `version ‖ state ‖ value` — an ordered record's shipped lookup already
 //     did — and the version is re-validated at commit (spec.go). A record
 //     observed write-locked at fetch is a conflict.
@@ -275,8 +275,7 @@ type stageReq struct {
 	ship bool
 	lr   kvs.LookupReq
 
-	vw    int // value words, for the entry-read buffer
-	depth int // the store's version-chain depth (0 = chains off)
+	vw int // value words, for the entry-read buffer
 
 	acq       acquirer
 	needFetch bool
@@ -304,16 +303,10 @@ func (e *Executor) putReqs(reqs []*stageReq) {
 	e.reqFree = append(e.reqFree, reqs...)
 }
 
-// entryBuf returns the request's entry-read destination: write stages on
-// chained tables fetch the full image — the extra words carry the tail stamp
-// the commit-time retire needs — in the same post-lock READ; everything else
-// keeps the narrow header+value read. Sized at post time, after Stage's dedup
-// pass may have strengthened s.write.
+// entryBuf returns the request's entry-read destination: the header and the
+// value.
 func (s *stageReq) entryBuf() []uint64 {
 	n := kvs.EntryValueWord + s.vw
-	if s.write {
-		n = kvs.EntryImageWords(s.vw, s.depth)
-	}
 	if cap(s.ebuf) < n {
 		s.ebuf = make([]uint64, n)
 	}
@@ -324,7 +317,7 @@ func (s *stageReq) entryBuf() []uint64 {
 func (t *Tx) newReq(h recHandle, write bool) *stageReq {
 	s := t.e.getReq()
 	s.h, s.write = h, write
-	s.vw, s.depth = t.e.rt.Meta(h.table).ValueWords, t.e.chainDepth(&h)
+	s.vw = t.e.rt.Meta(h.table).ValueWords
 	return s
 }
 

@@ -213,22 +213,10 @@ func stageEquivalence(t *testing.T, seed int64) {
 	a, b := rigs[0].rt.C.Obs.Snapshot(), rigs[1].rt.C.Obs.Snapshot()
 	for _, ev := range []obs.Event{obs.EvTxCommit, obs.EvTxRetry, obs.EvLeaseGrant, obs.EvLeaseShare,
 		obs.EvLeaseExpire, obs.EvLockUpgrade, obs.EvRemoteLockConflict, obs.EvRDMACAS,
-		obs.EvIndexMaint} {
+		obs.EvIndexMaint, obs.EvRemoveDead} {
 		if a.Counter(ev) != b.Counter(ev) {
 			t.Errorf("%v: staged %d, per-row %d", ev, a.Counter(ev), b.Counter(ev))
 		}
-	}
-	// Every committed erase owes one removal. The queue behind the snapshot
-	// floor drains on the soft clock — the one real-time window a rig has — so
-	// what each rig has unlinked by now differs; what it has unlinked plus what
-	// it still holds queued does not.
-	owed := func(r rig, sn obs.Snapshot) int64 {
-		r.rt.remMu.Lock()
-		defer r.rt.remMu.Unlock()
-		return sn.Counter(obs.EvRemoveDead) + int64(len(r.rt.remQ))
-	}
-	if sa, sb := owed(rigs[0], a), owed(rigs[1], b); sa != sb {
-		t.Errorf("removals unlinked or queued: staged %d, per-row %d", sa, sb)
 	}
 	t.Logf("commits %d, lease grants %d shares %d, upgrades %d, CAS %d, index rows %d, removals %d; messages staged %d, per-row %d",
 		a.Counter(obs.EvTxCommit), a.Counter(obs.EvLeaseGrant), a.Counter(obs.EvLeaseShare), a.Counter(obs.EvLockUpgrade),

@@ -144,9 +144,7 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 }
 
 func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
-	// Without version chains (the default) removals go out with the commit that
-	// erased the rows (under MVCC the same message leaves from the removal
-	// queue's drain).
+	// Removals go out with the commit that erased the rows.
 	rt, e, stop := faultRig(t, nil)
 	defer stop()
 	insertOrders(t, e, 1, []uint64{1, 2, 3})
@@ -202,7 +200,7 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 // commits instead of aborting with ErrNodeDown, and a flushed work request is
 // never taken for a verdict about its record. Keys 1 and 3 live on node 1.
 func TestStartPhaseFaultAtEveryVerb(t *testing.T) {
-	for _, p := range []ReadPolicy{PolicyLease, PolicySpeculative} {
+	for _, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
 		// Lookup READs 1-2; then CAS, READ, CAS, READ under leases, or the
 		// write's CAS, READ and the read's fetch READ under speculation.
 		for k := 1; k <= 6; k++ {

@@ -34,7 +34,7 @@ type remoteRec struct {
 	// insert marks a transactional insert staged against a dead ordered entry
 	// (flipped live at commit; the buffer holds the value to publish, dirty
 	// from declare); erase marks a transactional delete (flipped dead at
-	// commit, physical removal deferred to applyRemovals).
+	// commit, physical removal deferred to removeDead).
 	insert bool
 	erase  bool
 
@@ -176,8 +176,7 @@ type Tx struct {
 	// locks held, but the body mutates the buffers in place — without
 	// restoring, the retry (or the fallback) would read, and re-apply on top
 	// of, the aborted attempt's writes while the HTM side rolled back,
-	// splitting the transaction's effects. The commit retires the staged
-	// records' part as their superseded values. Scratch, reused across
+	// splitting the transaction's effects. Scratch, reused across
 	// transactions.
 	wsnap []uint64
 
@@ -210,17 +209,6 @@ type Tx struct {
 	redoDst []int
 	redoBk  []int
 
-	// Version-chain commit state (MVCC snapshot reads; see kvs layout.go).
-	// stampBase is the bracketed soft-time from Worker.BeginCommitStamp;
-	// commitStamp the commit's uniform chain stamp, computed inside the HTM
-	// region above every written entry's previous tail stamp — ONE stamp per
-	// commit is what makes multi-row commits atomic under snapshot reads.
-	// chainFix collects the locally written chained entries whose tail pairs
-	// sealChains publishes in a fix-up pass just before XEND.
-	stampBase   uint64
-	commitStamp uint64
-	chainFix    []chainFixRec
-
 	// Release-side scratch (postWave), reused across transactions on this shell:
 	// the work requests of the doorbell chain and the words of their payloads.
 	cops   []commitOp
@@ -240,69 +228,6 @@ type Tx struct {
 type refKey struct {
 	table int
 	key   uint64
-}
-
-// chainFixRec is one locally written chained entry awaiting its tail-pair
-// publish (sealChains): the ring slot was filled at write time, the tail
-// (uniform commit stamp, final head) lands in the pre-XEND fix-up pass.
-type chainFixRec struct {
-	arena    *memory.Arena
-	off      memory.Offset
-	vw       int
-	depth    int
-	prevTail uint64
-}
-
-// retireLocalChain retires a locally written entry's current version into
-// its ring slot — once per entry per transaction: a second write to the same
-// entry must not expose its own intermediate version as a resolvable slot —
-// and queues the tail fix-up for sealChains.
-func (t *Tx) retireLocalChain(htx *htm.Txn, arena *memory.Arena, off memory.Offset, vw, depth int) {
-	for i := range t.chainFix {
-		if t.chainFix[i].arena == arena && t.chainFix[i].off == off {
-			return
-		}
-	}
-	prev := kvs.RetireSlotTx(htx, arena, off, vw, depth)
-	t.chainFix = append(t.chainFix, chainFixRec{arena: arena, off: off, vw: vw,
-		depth: depth, prevTail: prev})
-	t.e.w.Obs.Inc(obs.EvChainRetire)
-}
-
-// sealChains computes the commit's uniform chain stamp — above the bracket
-// soft-time and above every written entry's previous tail stamp, local and
-// remote — and publishes each locally written chained entry's tail pair
-// inside the HTM region. Per-entry clamping instead would let two entries of
-// one commit carry different stamps, and a snapshot between them would
-// observe half the commit. Under the fallback's locks (htx == nil) every
-// written entry is a staged record and the fix-up list is empty. Without
-// chains there is nothing to seal.
-func (t *Tx) sealChains(htx *htm.Txn) {
-	if t.e.rt.C.MVCCDepth() == 0 {
-		return
-	}
-	s := t.stampBase
-	for _, r := range t.remotes {
-		if r.write && r.prevTail >= s {
-			s = r.prevTail + 1
-		}
-	}
-	for i := range t.chainFix {
-		if f := &t.chainFix[i]; f.prevTail >= s {
-			s = f.prevTail + 1
-		}
-	}
-	if s == 0 {
-		s = 1
-	}
-	t.commitStamp = s
-	for i := range t.chainFix {
-		f := &t.chainFix[i]
-		head := htx.Read(f.arena, kvs.IncVerOffset(f.off))
-		tailOff := kvs.TailOffset(f.off, f.vw, f.depth)
-		htx.Write(f.arena, tailOff+kvs.TailStampWord, s)
-		htx.Write(f.arena, tailOff+kvs.TailIncVerWord, head)
-	}
 }
 
 func (e *Executor) newTx() *Tx {
@@ -449,16 +374,6 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 	cfg := rt.C.Config()
 	model := t.e.model()
 
-	// MVCC commit-stamp bracket: the soft-time read lower-bounds this
-	// commit's chain stamp, and the published active word pins the cluster
-	// snapshot stamp below any stamp the commit can still choose, so no
-	// snapshot reader's stamp can land between our entries (snapshot.go).
-	// Without chains there is no snapshot reader to pin.
-	if rt.C.MVCCDepth() > 0 {
-		t.stampBase = t.e.w.BeginCommitStamp()
-		defer t.e.w.EndCommitStamp()
-	}
-
 	// Durability: chopping info and the lock-ahead log are written before
 	// entering the HTM region (Figure 7, left).
 	if cfg.Durability {
@@ -497,7 +412,6 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 				htx.Abort(abortCodeScan)
 			}
 			t.applyLocalStructural(htx)
-			t.sealChains(htx)
 			if cfg.Durability {
 				t.logWAL(htx)
 			}
@@ -590,12 +504,12 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 }
 
 // beginAttempt drops what the previous run of the body — an aborted HTM
-// attempt — left behind: its captured local updates and chain fix-ups, its
+// attempt — left behind: its captured local updates, its
 // deferred inserts / deletes (the body declares them again), the value scratch
 // they and its reads were carved from, and every declared local record's
 // location memo, which was only as good as that attempt's read set.
 func (t *Tx) beginAttempt() {
-	t.walLocal, t.deferred, t.chainFix = t.walLocal[:0], t.deferred[:0], t.chainFix[:0]
+	t.walLocal, t.deferred = t.walLocal[:0], t.deferred[:0]
 	t.awords = t.awords[:0]
 	for i := range t.locals {
 		t.locals[i].arena = nil
@@ -628,7 +542,7 @@ func (t *Tx) publish() error {
 	t.checkpointRedo()
 	t.vCommit += int64(t.e.w.VClock.Now()) - cstart
 	t.applyDeferred()
-	t.applyRemovals()
+	t.e.removeDead(t.removals)
 	t.finished = true
 	return nil
 }
@@ -678,44 +592,32 @@ func (e *Executor) viewsMoved(views map[int]uint64) bool {
 // commitRemotes writes back dirty staged records and releases exclusive
 // locks (REMOTE_WRITE_BACK in Figure 5) as ONE doorbell chain of WRITEs, polled
 // once: the remote write set of the region path; every locked record, this
-// node's included, of the fallback. Per record, in post order: the version
-// chain's tail pair and retired slot, the value, then the release. No poll
+// node's included, of the fallback. Per record, in post order: the value,
+// then the release. No poll
 // separates them: the connection executes same-destination work requests in
 // post order and flushes everything behind one that fails
 // (rdma.SendQueue.Poll), so no reader can lease a half-written record — a
 // release never lands past a value that did not.
 func (t *Tx) commitRemotes() {
 	t.cops, t.cwords = t.cops[:0], t.cwords[:0]
-	wi := 0
 	for _, r := range t.remotes {
 		if !r.write {
 			continue
 		}
-		// The pristine pre-commit value, from the same snapshot restoreWriteBufs
-		// rolls back to (the body mutates r.buf in place for dirty records).
-		oldVal := t.wsnap[wi : wi+len(r.buf)]
-		wi += len(r.buf)
 		if !r.dirty && !r.erase {
 			t.unlock(r) // clean write lock
 			continue
 		}
 		// A transactional insert flips the staged dead entry live, an erase the
-		// live row dead (incarnation+1; its physical removal waits until no
-		// snapshot can still need it); a plain write keeps the incarnation.
-		prev, inc, val := r.inc, r.inc+1, r.buf
-		switch {
-		case r.erase:
+		// live row dead (incarnation+1; its physical removal follows the
+		// commit); a plain write keeps the incarnation.
+		inc, val := r.inc+1, r.buf
+		if r.erase {
 			val = nil // the flip carries no value
-		case r.insert:
-			// The superseded version is the DEAD entry: retired as a 2-word slot
-			// with no value, so an older snapshot resolves the key to not-found.
-			oldVal = nil
-		default:
-			prev = t.readIncarnation(r)
-			inc = prev
+		} else if !r.insert {
+			inc = t.readIncarnation(r)
 		}
 		incver := kvs.PackIncVer(inc, r.version+1)
-		t.chainOps(r, incver, kvs.PackIncVer(prev, r.version), oldVal)
 		// The version word, the state word (reset to INIT = unlock) and the value
 		// are contiguous in the entry: one WRITE commits a record that fits a
 		// cache line; else the value goes first and `incver ‖ INIT` behind it.
@@ -748,28 +650,6 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 	lo := len(t.cwords)
 	t.cwords = append(append(t.cwords, w0, w1), rest...)
 	return t.cwords[lo:len(t.cwords):len(t.cwords)]
-}
-
-// chainOps queues the version-chain write-back of one chained write record
-// ahead of its value and release: the tail pair FIRST (the dirty marker), then
-// the retired slot with the superseded triple. The head word flips only with
-// the release, behind both in post order, so a concurrent one-READ snapshot
-// sees either the old quiescent image or a head/tail mismatch (layout.go
-// ordering protocol). A prevTail of zero means the entry was never stamped:
-// the tail starts the chain, no slot to retire.
-func (t *Tx) chainOps(r *remoteRec, newIncVer, prevHead uint64, oldVal []uint64) {
-	vw := len(r.buf)
-	depth := t.e.chainDepth(&r.recHandle)
-	if depth <= 0 {
-		return
-	}
-	t.queue(r, kvs.TailOffset(r.off, vw, depth), t.payload(t.commitStamp, newIncVer, nil))
-	if r.prevTail == 0 {
-		return
-	}
-	slot := kvs.ChainSlotIndex(kvs.Version(prevHead), depth)
-	t.queue(r, kvs.ChainSlotOffset(r.off, vw, slot), t.payload(r.prevTail, prevHead, oldVal))
-	t.e.w.Obs.Inc(obs.EvChainRetire)
 }
 
 // postWave is the release side's one post: it rings t.cops — a commit's chain,

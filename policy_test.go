@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"drtm/internal/obs"
 )
@@ -25,7 +24,6 @@ func TestOptionsPolicyValidation(t *testing.T) {
 		{"default is adaptive", Options{}, PolicyAdaptive, ""},
 		{"explicit lease", Options{ReadPolicy: PolicyLease}, PolicyLease, ""},
 		{"explicit exclusive", Options{ReadPolicy: PolicyExclusive}, PolicyExclusive, ""},
-		{"explicit mvcc", Options{ReadPolicy: PolicyMVCC}, PolicyMVCC, ""},
 		{"unknown policy", Options{ReadPolicy: ReadPolicy(99)}, 0, "unknown"},
 	}
 	for _, c := range cases {
@@ -60,7 +58,7 @@ func TestPolicyOverrideE2E(t *testing.T) {
 	}
 
 	// Forced spec arm: the remote read must cost no lease.
-	if err := db.ExecWith(0, 0, PolicySpeculative, func(tx *Tx) error {
+	if err := db.ExecWith(0, 0, PolicyAdaptive, func(tx *Tx) error {
 		if err := tx.R(tblAcct, 1); err != nil { // key 1 → node 1: remote
 			return err
 		}
@@ -80,7 +78,7 @@ func TestPolicyOverrideE2E(t *testing.T) {
 	}
 
 	// A read-only scan forcing spec: still no lease CAS.
-	if err := db.ExecROWith(0, 0, PolicySpeculative, func(ro *RO) error {
+	if err := db.ExecROWith(0, 0, PolicyAdaptive, func(ro *RO) error {
 		for k := uint64(1); k <= 7; k += 2 { // odd keys → node 1: remote
 			if _, err := ro.Read(tblAcct, k); err != nil {
 				return err
@@ -200,91 +198,5 @@ func TestAdaptiveStatsAndTrace(t *testing.T) {
 	}
 	if !traced {
 		t.Fatal("the reader's transaction is missing from the trace ring")
-	}
-}
-
-// TestMVCCPolicyE2E: PolicyMVCC through the public API — a PolicyMVCC
-// deployment builds the version chains, ExecROWith(PolicyMVCC) resolves a
-// consistent snapshot with no lease traffic, and the Stats MVCC counters move.
-// Any other policy builds no chains, and the same read-only transaction runs
-// on the confirm wave.
-func TestMVCCPolicyE2E(t *testing.T) {
-	part := func(table int, key uint64) int { return int(key) % 2 }
-	plain := MustOpen(Options{Nodes: 2, WorkersPerNode: 1}, part)
-	defer plain.Close()
-	plain.CreateHashTable(tblAcct, 1024, 1)
-	if err := plain.Load(tblAcct, 1, []uint64{100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.ExecROWith(0, 0, PolicyMVCC, func(ro *RO) error {
-		_, err := ro.Read(tblAcct, 1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if d := plain.C.MVCCDepth(); d != 0 {
-		t.Fatalf("PolicyAdaptive deployment has chain depth %d, want 0", d)
-	}
-	if s := plain.Stats(); s.Count("mvcc.read") != 0 || s.Count("spec.read") != 1 {
-		t.Fatalf("chainless PolicyMVCC read: mvcc.read %d, spec.read %d; want 0, 1",
-			s.Count("mvcc.read"), s.Count("spec.read"))
-	}
-
-	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicyMVCC}, part)
-	defer db.Close()
-	db.CreateHashTable(tblAcct, 1024, 1)
-	for k := uint64(1); k <= 4; k++ {
-		if err := db.Load(tblAcct, k, []uint64{100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Overwrite key 1 so a version gets retired into its chain.
-	if err := db.ExecWith(0, 0, PolicyLease, func(tx *Tx) error {
-		if err := tx.W(tblAcct, 1); err != nil {
-			return err
-		}
-		return tx.Execute(func(lc *Local) error {
-			return lc.Write(tblAcct, 1, []uint64{250})
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The snapshot stamp trails the soft clock by a tick; let it pass the
-	// write so the RO sees the new value.
-	time.Sleep(time.Millisecond)
-
-	before := db.Stats()
-	var got []uint64
-	if err := db.ExecROWith(0, 0, PolicyMVCC, func(ro *RO) error {
-		v, err := ro.Read(tblAcct, 1) // remote: node 1
-		if err != nil {
-			return err
-		}
-		got = append(got[:0], v...)
-		_, err = ro.Read(tblAcct, 2) // local
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 250 {
-		t.Fatalf("snapshot read = %v, want [250]", got)
-	}
-	d := db.Stats().Delta(before)
-	if d.Count("mvcc.read") < 2 {
-		t.Fatalf("mvcc.read = %d, want >= 2", d.Count("mvcc.read"))
-	}
-	if d.Count("lease.grant") != 0 || d.Count("spec.read") != 0 {
-		t.Fatalf("MVCC RO took a confirm-wave arm: leases=%d specs=%d",
-			d.Count("lease.grant"), d.Count("spec.read"))
-	}
-	s := db.Stats()
-	if s.Count("mvcc.retire") == 0 {
-		t.Fatal("overwrite retired no version into the chain")
-	}
-	if s.Latency("mvcc-ro").Count == 0 {
-		t.Fatal("no mvcc-ro phase latency recorded")
-	}
-	if !strings.Contains(s.String(), "mvcc:") {
-		t.Fatal("Stats.String missing the mvcc row")
 	}
 }
