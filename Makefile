@@ -57,11 +57,18 @@ race:
 # scan, the append / reserve / restart model fuzz's seeds), the progress
 # guarantee (the bank invariant's transfers and audits back to back, a transfer
 # against unthrottled writers of its rows committing by its first escalated
-# attempt), and two clients churning the same subscribers — repeated across
+# attempt), the commit point's one validation (one verdict and cause per
+# commit point, table, row, read kind and what happened between the Start
+# phase and the commit; a row mid-commit seen as one line; the speculative
+# arm's cost and its writer-bump abort, its upgrade and a read-only and
+# read-write stress of it; phantoms, the stubbed-validation control and a
+# read-only scan's confirmation; an escalated scan pinning its rows; read-only
+# and writer transactions leaving no lock), and two clients churning the same
+# subscribers — repeated across
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -83,7 +90,8 @@ stress:
 # exactly the new leaf; a TPC-C new-order allocates only the leaves its inserts
 # split, and a payment, order-status, stock-level and delivery nothing (all
 # excluded under -race); so does a warm RO range scan, local or remote (the
-# host answers into the executor's buffers). Memory that stays: every TATP
+# host answers into the executor's buffers), and so does the commit point's
+# validate, inside a region and outside one. Memory that stays: every TATP
 # shard, primary and replica, is exactly its partition's size and holds the
 # lifecycle mix; a SmallBank account is one cache line, with no version chain,
 # and the indirect buckets hold the benchmark's 200 000 accounts per node; and
@@ -93,7 +101,7 @@ alloc:
 	go test -count=1 -run TestNodeAllocations ./internal/btree/
 	go test -count=1 -run 'TestLogScanBufferGrowthAndReuse' ./internal/nvram/
 	go test -count=1 -run 'TestRetireLocalRowWidths' ./internal/kvs/
-	go test -count=1 -run 'TestExecAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/
+	go test -count=1 -run 'TestExecAllocSteadyState|TestValidateAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/
 	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
 	go test -count=1 -run TestShardsSizedForTheirPartition ./internal/tatp/
 	go test -count=1 -run TestSetupAtBenchmarkScale ./internal/smallbank/

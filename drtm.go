@@ -328,21 +328,6 @@ func (db *DB) CreateIndex(base int, spec IndexSpec) {
 // are single-goroutine objects: create one per worker goroutine.
 func (db *DB) Executor(node, worker int) *Executor { return db.RT.Executor(node, worker) }
 
-// ExecWith runs one read-write transaction on the given worker with the
-// read policy forced to p for every attempt, overriding Options.ReadPolicy
-// — e.g. forcing PolicyAdaptive on a PolicyLease deployment. Per-worker
-// convenience over Executor.ExecWith; long-lived workers should hold an
-// Executor and call its ExecWith instead.
-func (db *DB) ExecWith(node, worker int, p ReadPolicy, build func(t *Tx) error) error {
-	return db.RT.Executor(node, worker).ExecWith(p, build)
-}
-
-// ExecROWith runs one read-only transaction with the read policy forced to
-// p (see ExecWith) — e.g. PolicyLease for a read that must not be retried.
-func (db *DB) ExecROWith(node, worker int, p ReadPolicy, build func(ro *RO) error) error {
-	return db.RT.Executor(node, worker).ExecROWith(p, build)
-}
-
 // Load inserts a record directly on its home node (bulk population outside
 // transactions). Under replication, the record is seeded into every backup's
 // replica shard too, so a promoted backup starts from a complete copy.

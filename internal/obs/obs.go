@@ -66,7 +66,7 @@ const (
 	// Speculative (OCC) read-arm events: version-validated reads that skip
 	// the lease CAS entirely (PolicyAdaptive's route).
 	EvSpecRead         // record fetched with a single versioned READ, no lock
-	EvSpecValidateFail // commit-time validation found a version bump or live lock
+	EvSpecValidateFail // a read failed its commit-point validation (one per record): a version bump, a live lock, a recycled slot, a missing row now present
 
 	// Adaptive read-arm routing (PolicyAdaptive): the speculative routes, and
 	// the leases of a transaction that escalated instead.
@@ -258,9 +258,10 @@ const (
 	PhaseAcquireRemote
 	PhasePrefetchRemote
 
-	// PhaseValidate times the speculative read arm's commit-time validation
-	// wave: the batched version re-READs plus the in-region compares. It is
-	// a sub-phase of PhaseHTM (read-write) or of the read-only confirm.
+	// PhaseValidate times the commit point's re-reads (tx.readSet.validate):
+	// the header and scan re-READ wave plus the compares, once per commit
+	// point with anything to re-read. It is a sub-phase of PhaseHTM (the
+	// region), of the fallback or of the read-only confirm.
 	PhaseValidate
 
 	// PhaseBatchOps is not a latency: each observation is the number of work

@@ -440,22 +440,21 @@ func (e *Executor) readEntry(h *recHandle, vw int) ([]uint64, error) {
 
 // pollReads polls the wave of READs posted on sq and re-drives, under the
 // bounded retry policy, those that failed or were flushed behind one that did
-// (never attempted: no verdict about the record). It returns the work requests
-// in post order, and false when a host stayed unreachable.
-func (e *Executor) pollReads(sq *rdma.SendQueue) ([]*rdma.WR, bool) {
-	wrs := sq.Poll()
-	for _, wr := range wrs {
+// (never attempted: no verdict about the record). It returns false when a host
+// stayed unreachable.
+func (e *Executor) pollReads(sq *rdma.SendQueue) bool {
+	for _, wr := range sq.Poll() {
 		if wr.Err == nil {
 			continue
 		}
 		if err := e.verbRetry(func() error {
 			return e.w.QP.TryRead(wr.Node, wr.Region, wr.Off, wr.Dst)
 		}); err != nil {
-			return wrs, false
+			return false
 		}
 		wr.Err = nil
 	}
-	return wrs, true
+	return true
 }
 
 // imgVerdict is the outcome of checking a fetched entry image, ordered by how

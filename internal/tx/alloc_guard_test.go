@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"drtm/internal/cluster"
+	"drtm/internal/htm"
 	"drtm/internal/kvs"
 	"drtm/internal/nvram"
 	"drtm/internal/obs"
@@ -98,6 +99,66 @@ func TestExecAllocSteadyState(t *testing.T) {
 		if n := testing.AllocsPerRun(50, scan); n > 0 {
 			t.Errorf("%s RO scan allocates %.0f objects, want 0", tc.name, n)
 		}
+	}
+}
+
+// TestValidateAllocSteadyState: the commit point's validate allocates nothing
+// once the executor's wave buffer is warm — outside a region over every kind
+// of step (a local and a remote speculative record of each table kind, an
+// outwaited lease, a local and a remote scan), and inside one over the same set.
+func TestValidateAllocSteadyState(t *testing.T) {
+	rt, stop := newOrderedRig(t, 2, 1, nil)
+	defer stop()
+	rt.DefineUnordered(tblHashRows, 64, 64, 64, 2)
+	e := rt.Executor(0, 0)
+	ro := &RO{readSet: readSet{e: e, index: map[refKey]*remoteRec{}}, policy: PolicyAdaptive}
+	defer ro.release()
+	for _, entity := range []uint64{0, 1} {
+		for sub := uint64(1); sub <= 2; sub++ {
+			key := orderedKey(entity, sub)
+			if err := rt.C.Node(int(entity)).Unordered(tblHashRows).Insert(key, []uint64{sub, sub}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insertOrders(t, e, entity, []uint64{1, 2})
+		if _, err := ro.Read(tblOrders, orderedKey(entity, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ro.Read(tblHashRows, orderedKey(entity, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ro.Scan(tblOrders, orderedKey(entity, 0), orderedKey(entity, 0xFF), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro.policy = PolicyLease
+	ro.end = e.w.Node.Clock.Read() + rt.C.Config().ROLeaseMicros
+	if _, err := ro.Read(tblHashRows, orderedKey(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ro.recs[len(ro.recs)-1].leaseEnd = 0 // outwaited: re-validated by header
+	outside := func() {
+		if code, _ := ro.validate(nil, true); code != 0 {
+			t.Fatalf("outside a region: code %d", code)
+		}
+	}
+	inside := func() {
+		if err := e.w.Node.Engine.Run(func(htx *htm.Txn) error {
+			if code, _ := ro.validate(htx, false); code != 0 {
+				t.Errorf("inside a region: code %d", code)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outside()
+	inside()
+	if n := testing.AllocsPerRun(50, outside); n != 0 {
+		t.Errorf("validate outside a region allocates %.0f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, inside); n != 0 {
+		t.Errorf("validate inside a region allocates %.0f objects, want 0", n)
 	}
 }
 

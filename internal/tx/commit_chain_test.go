@@ -98,8 +98,8 @@ func transfer(e *Executor, from, to uint64, arm func()) error {
 
 // TestCommitChainUnderFaults fails the k-th work request of the commit chain
 // for every k — two two-line rows on one host: per row the value, then
-// `incver ‖ INIT` — while a lease reader and a speculative reader audit the
-// transfer invariant from a third node and a prober reads raw images. The one
+// `incver ‖ INIT` — while a reader audits the transfer invariant from a third
+// node, under leases and then speculating, and a prober reads raw images. The one
 // writer moves one unit per commit, so a row's value is a function of its
 // version, and the prober can tell a pre-commit value wherever it may not be:
 // in an image whose header is not write-locked. Every transaction that
@@ -127,17 +127,21 @@ func TestCommitChainUnderFaults(t *testing.T) {
 		return wideBalance + moved
 	}
 
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	var audits [2]atomic.Int64
-	for i, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
+	// One phase per read arm, the runtime's policy set between them: a lease
+	// reader, then a speculative one.
+	moved := uint64(0)
+	for _, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
+		rt.ReadPolicy = p
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		var audits atomic.Int64
 		wg.Add(1)
-		go func(i int, p ReadPolicy) {
+		go func() { // the reader
 			defer wg.Done()
-			ex := rt.Executor(2, i)
+			ex := rt.Executor(2, 0)
 			for !done.Load() {
 				var va, vb []uint64
-				err := ex.ExecROWith(p, func(ro *RO) error {
+				err := ex.ExecRO(func(ro *RO) error {
 					var err error
 					if va, err = ro.Read(tblWideHash, a); err != nil {
 						return err
@@ -161,81 +165,71 @@ func TestCommitChainUnderFaults(t *testing.T) {
 					t.Errorf("%v reader: %d + %d, want %d: half a commit", p, va[0], vb[0], 2*wideBalance)
 					return
 				}
-				audits[i].Add(1)
+				audits.Add(1)
 				runtime.Gosched()
 			}
-		}(i, p)
-	}
-	wg.Add(1)
-	go func() { // the prober
-		defer wg.Done()
-		img := make([]uint64, imgWords)
-		for !done.Load() {
-			for i, k := range []uint64{a, b} {
-				_, off := wideImage(t, rt, k, img)
-				head, val := img[kvs.EntryIncVerWord], img[kvs.EntryValueWord:kvs.EntryValueWord+wideWords]
-				want := valueAt(i, head)
-				if !clock.IsWriteLocked(img[kvs.EntryStateWord]) {
-					// The header's line, read as of one instant.
-					for j, w := range val {
-						if memory.LineOf(off+memory.Offset(kvs.EntryValueWord+j)) == memory.LineOf(off) && w != want {
-							t.Errorf("row %d unlocked at version %d with value word %d = %d, want %d", k, kvs.Version(head), j, w, want)
-							return
+		}()
+		wg.Add(1)
+		go func() { // the prober
+			defer wg.Done()
+			img := make([]uint64, imgWords)
+			for !done.Load() {
+				for i, k := range []uint64{a, b} {
+					_, off := wideImage(t, rt, k, img)
+					head, val := img[kvs.EntryIncVerWord], img[kvs.EntryValueWord:kvs.EntryValueWord+wideWords]
+					want := valueAt(i, head)
+					if !clock.IsWriteLocked(img[kvs.EntryStateWord]) {
+						// The header's line, read as of one instant.
+						for j, w := range val {
+							if memory.LineOf(off+memory.Offset(kvs.EntryValueWord+j)) == memory.LineOf(off) && w != want {
+								t.Errorf("row %d unlocked at version %d with value word %d = %d, want %d", k, kvs.Version(head), j, w, want)
+								return
+							}
+						}
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+
+		// At least six rounds of every position, and on until the reader has
+		// committed audits beside them.
+		deadline := time.Now().Add(20 * time.Second)
+		for round := 0; (round < 6 || audits.Load() < 8) && time.Now().Before(deadline) && !t.Failed(); round++ {
+			for k := 1; k <= chainWRs; k++ {
+				faults := rt.C.Obs.Total(obs.EvVerbFault)
+				err := transfer(writer, a, b, func() { scriptFault(rt, k) })
+				rt.C.Fabric.SetFaultPlan(nil)
+				if err != nil {
+					t.Fatalf("fault at %d: %v", k, err)
+				}
+				if n := rt.C.Obs.Total(obs.EvVerbFault) - faults; n != 1 {
+					t.Fatalf("fault at %d: %d faults drawn, want the scripted one", k, n)
+				}
+				moved++
+				if audits.Load() < 8 {
+					time.Sleep(200 * time.Microsecond) // let a lease in between two locks
+				}
+				for i, key := range []uint64{a, b} {
+					wideImage(t, rt, key, img)
+					head := img[kvs.EntryIncVerWord]
+					if uint64(kvs.Version(head)) != base[i]+moved || clock.IsWriteLocked(img[kvs.EntryStateWord]) {
+						t.Fatalf("fault at %d: row %d committed as head %#x state %#x, want version %d, unlocked",
+							k, key, head, img[kvs.EntryStateWord], base[i]+moved)
+					}
+					for j, w := range img[kvs.EntryValueWord : kvs.EntryValueWord+wideWords] {
+						if w != valueAt(i, head) {
+							t.Fatalf("fault at %d: row %d value word %d = %d after the commit returned, want %d", k, key, j, w, valueAt(i, head))
 						}
 					}
 				}
 			}
-			runtime.Gosched()
 		}
-	}()
-
-	// At least six rounds of every position, and on until each reader has
-	// committed audits beside them.
-	audited := func() bool {
-		for i := range audits {
-			if audits[i].Load() < 8 {
-				return false
-			}
+		done.Store(true)
+		wg.Wait()
+		if audits.Load() < 8 && !t.Failed() {
+			t.Errorf("%v reader committed %d audits beside %d faulted commits, want 8", p, audits.Load(), moved)
 		}
-		return true
-	}
-	moved := uint64(0)
-	deadline := time.Now().Add(20 * time.Second)
-	for round := 0; (round < 6 || !audited()) && time.Now().Before(deadline) && !t.Failed(); round++ {
-		for k := 1; k <= chainWRs; k++ {
-			faults := rt.C.Obs.Total(obs.EvVerbFault)
-			err := transfer(writer, a, b, func() { scriptFault(rt, k) })
-			rt.C.Fabric.SetFaultPlan(nil)
-			if err != nil {
-				t.Fatalf("fault at %d: %v", k, err)
-			}
-			if n := rt.C.Obs.Total(obs.EvVerbFault) - faults; n != 1 {
-				t.Fatalf("fault at %d: %d faults drawn, want the scripted one", k, n)
-			}
-			moved++
-			if audits[0].Load() < 8 {
-				time.Sleep(200 * time.Microsecond) // let a lease in between two locks
-			}
-			for i, key := range []uint64{a, b} {
-				wideImage(t, rt, key, img)
-				head := img[kvs.EntryIncVerWord]
-				if uint64(kvs.Version(head)) != base[i]+moved || clock.IsWriteLocked(img[kvs.EntryStateWord]) {
-					t.Fatalf("fault at %d: row %d committed as head %#x state %#x, want version %d, unlocked",
-						k, key, head, img[kvs.EntryStateWord], base[i]+moved)
-				}
-				for j, w := range img[kvs.EntryValueWord : kvs.EntryValueWord+wideWords] {
-					if w != valueAt(i, head) {
-						t.Fatalf("fault at %d: row %d value word %d = %d after the commit returned, want %d", k, key, j, w, valueAt(i, head))
-					}
-				}
-			}
-		}
-	}
-	done.Store(true)
-	wg.Wait()
-	if !audited() && !t.Failed() {
-		t.Errorf("readers committed %d and %d audits beside %d faulted commits, want 8 each",
-			audits[0].Load(), audits[1].Load(), moved)
 	}
 
 	// The abort path: three locks on node 1, released in one wave with a fault

@@ -245,15 +245,15 @@ func TestUpgradeReadToWrite(t *testing.T) {
 	if s := host.Arena().LoadWord(off + 2); !clock.IsWriteLocked(s) {
 		t.Fatalf("upgrade did not install the exclusive lock: %x", s)
 	}
-	r := tx.rIndex[refKey{tblAccounts, 1}]
+	r := tx.index[refKey{tblAccounts, 1}]
 	if r == nil || !r.write {
 		t.Fatal("staged record not marked exclusive after upgrade")
 	}
 	if got := rt.C.Obs.Total(obs.EvLockUpgrade); got != 1 {
 		t.Fatalf("lock.upgrade = %d, want 1", got)
 	}
-	if len(tx.remotes) != 1 {
-		t.Fatalf("remotes = %d, want 1 (no duplicate staging)", len(tx.remotes))
+	if len(tx.recs) != 1 {
+		t.Fatalf("remotes = %d, want 1 (no duplicate staging)", len(tx.recs))
 	}
 	tx.releaseLocks()
 	if s := host.Arena().LoadWord(off + 2); s != clock.Init {
@@ -789,9 +789,11 @@ func TestEscalatedAbsentReadRechecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := rt.C.Obs
-	if attempts != escalateAfter+2 || reg.Total(obs.EvFallback) != 2 || reg.Total(obs.EvLeaseConfirmFail) != 1 {
-		t.Fatalf("committed on attempt %d with %d fallbacks and %d failed read checks, want %d, 2, 1",
-			attempts, reg.Total(obs.EvFallback), reg.Total(obs.EvLeaseConfirmFail), escalateAfter+2)
+	// The row that appeared is a failed read, not a failed lease.
+	if attempts != escalateAfter+2 || reg.Total(obs.EvFallback) != 2 || reg.Total(obs.EvSpecValidateFail) != 1 ||
+		reg.Total(obs.EvLeaseConfirmFail) != 0 {
+		t.Fatalf("committed on attempt %d with %d fallbacks, %d failed read checks and %d failed leases, want %d, 2, 1, 0",
+			attempts, reg.Total(obs.EvFallback), reg.Total(obs.EvSpecValidateFail), reg.Total(obs.EvLeaseConfirmFail), escalateAfter+2)
 	}
 	if len(seen) != 2 || seen[0] != 100 || seen[1] != 1 {
 		t.Fatalf("the committed attempt read %v, want the inserted row [100 1]", seen)

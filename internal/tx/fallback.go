@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"drtm/internal/clock"
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
@@ -19,15 +18,14 @@ import (
 // declared records are restaged into the transaction's own staged set
 // (restage, take), the body runs against their buffers — a declared row found
 // missing reads as missing, as in the region — and the commit is the region
-// path's, called with the held lock set where the region was: the same lease,
-// view and scan checks, write-ahead log, replication and publish.
+// path's, called with the held lock set where the region was: the same
+// validate, write-ahead log, replication and publish.
 // Because local records are locked through the same state words, in-flight
 // local HTM transactions abort on their state checks, preserving strict
 // serializability.
 func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	e := t.e
-	sh := e.w.Obs
-	sh.Inc(obs.EvFallback)
+	e.w.Obs.Inc(obs.EvFallback)
 	t.usedFallback = true
 
 	// What the aborted attempt left behind goes first: its writes to the
@@ -41,7 +39,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	// phase, so it accrues to the lock-remote histogram.
 	astart := int64(e.w.VClock.Now())
 	recs := t.restage()
-	t.remotes = recs[:0]
+	t.recs = recs[:0]
 	var err error
 	for i := 0; i < len(recs) && err == nil; i++ {
 		err = t.take(recs[i])
@@ -50,7 +48,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	if err != nil {
 		// The staged set holds exactly what was acquired, in place at the
 		// front of recs; the rest was never locked.
-		e.putRecs(recs[len(t.remotes):])
+		e.putRecs(recs[len(t.recs):])
 		t.releaseLocks()
 		return err
 	}
@@ -71,20 +69,12 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 		return err
 	}
 
-	// The region's pre-XEND checks, before any in-place update (which no HTM
-	// could roll back): the reads (readsHold), then the touched partitions' views — nothing
-	// may publish under a stale ownership view — then the collected scans,
-	// the fallback's phantom check.
-	switch {
-	case !t.readsHold():
-		sh.Inc(obs.EvLeaseConfirmFail)
-		t.lastAbort = obs.CauseLease
-		return t.fail()
-	case e.viewsMoved(t.views):
-		t.lastAbort = obs.CauseRemote
-		return t.fail()
-	case !t.scansValid(nil):
-		t.lastAbort = obs.CauseScan
+	// The region's pre-XEND validation, before any in-place update (which no
+	// HTM could roll back). The attempt may have waited for a record further
+	// on, so a lease that ran out meanwhile is re-validated by its header; a
+	// host validate cannot reach fails the attempt, which retries.
+	if code, _ := t.validate(nil, true); code != 0 {
+		t.lastAbort = causeOf(code)
 		return t.fail()
 	}
 	if durable {
@@ -104,7 +94,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 // cannot be rolled back, so a stale read could not be retried away.
 func (t *Tx) restage() []*remoteRec {
 	e := t.e
-	recs := t.remotes
+	recs := t.recs
 	t.cops = t.cops[:0]
 	for _, r := range recs {
 		if r.locked() {
@@ -113,7 +103,7 @@ func (t *Tx) restage() []*remoteRec {
 		r.spec = false // take sets the rest of what the Start phase left in it
 	}
 	t.postWave(obs.StageRelease)
-	clear(t.rIndex)
+	clear(t.index)
 	local := func(table, region, part int, key uint64, ordered, write bool) *remoteRec {
 		r := e.getRec()
 		r.recHandle = recHandle{table: table, node: e.w.Node.ID, region: region, part: part,
@@ -184,8 +174,8 @@ func (t *Tx) take(r *remoteRec) error {
 		if !r.insert && !r.erase {
 			// Nothing to lock: the body learns the row is missing.
 			r.absent, r.write, r.spec = true, false, true
-			t.remotes = append(t.remotes, r)
-			t.rIndex[refKey{r.table, r.key}] = r
+			t.recs = append(t.recs, r)
+			t.index[refKey{r.table, r.key}] = r
 			return nil
 		}
 		if !r.insert {
@@ -222,8 +212,8 @@ func (t *Tx) take(r *remoteRec) error {
 		return ErrRetry
 	}
 	r.leaseEnd = end
-	t.remotes = append(t.remotes, r)
-	t.rIndex[refKey{r.table, r.key}] = r
+	t.recs = append(t.recs, r)
+	t.index[refKey{r.table, r.key}] = r
 
 	vw := e.rt.Meta(r.table).ValueWords
 	words, err := e.readEntry(h, vw)
@@ -249,38 +239,4 @@ func (t *Tx) take(r *remoteRec) error {
 	}
 	r.dirty = r.insert
 	return nil
-}
-
-// readsHold is the fallback's confirmation of its leases, leasesValid's
-// without a region. A lease that ran out while the attempt waited further on
-// is re-validated by header instead: the record was read under it, so an
-// unchanged version and incarnation and no lock vouch for the value now, as
-// for a speculative read's at a read-only confirmation. A row take found
-// missing holds no lock or lease, and the records after it in the global order
-// were taken later: a transaction could insert it, then write one of those
-// and commit before this one took it, which would see that write but not the
-// insert. So the key is resolved again, and found now it fails the attempt.
-// Here every write is locked and every other read confirmed, so the absence
-// holds at this one instant, where the transaction serializes.
-func (t *Tx) readsHold() bool {
-	e := t.e
-	now, delta := e.w.Node.Clock.Read(), e.rt.C.Delta()
-	for _, r := range t.remotes {
-		switch {
-		case r.absent:
-			h := r.recHandle
-			if found, err := e.resolve(&h); found || err != nil {
-				return false
-			}
-		case r.write:
-		case clock.Valid(r.leaseEnd, now, delta):
-			e.w.Obs.Inc(obs.EvLeaseConfirm)
-		default:
-			words, err := e.readEntry(&r.recHandle, len(r.buf))
-			if err != nil || r.moved(words[kvs.EntryKeyWord], words[kvs.EntryIncVerWord], words[kvs.EntryStateWord]) {
-				return false
-			}
-		}
-	}
-	return true
 }

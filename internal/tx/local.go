@@ -74,7 +74,7 @@ func (lc *Local) resolve(l *localRec) (*memory.Arena, memory.Offset, bool) {
 // the body — and is invalid once the body returns: copy what must outlive it.
 func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	k := refKey{table, key}
-	if r, ok := lc.t.rIndex[k]; ok {
+	if r, ok := lc.t.index[k]; ok {
 		if r.erase || r.absent {
 			return nil, ErrNotFound
 		}
@@ -126,7 +126,7 @@ func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 // write.
 func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	k := refKey{table, key}
-	if r, ok := lc.t.rIndex[k]; ok {
+	if r, ok := lc.t.index[k]; ok {
 		if r.absent {
 			return ErrNotFound
 		}

@@ -88,7 +88,7 @@ func (t *Tx) logAheadOfRegion() {
 // (at offsets a re-resolve may have moved).
 func (t *Tx) logLockAhead() {
 	b := append(t.logBuf[:0], t.txid, 0)
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if r.locked() {
 			b = append(b, uint64(r.node), uint64(r.region), uint64(r.off))
 			b[1]++
@@ -120,7 +120,7 @@ func (t *Tx) walBody() []uint64 {
 		u := &t.walLocal[i]
 		b = putWAL(b, u.node, u.table, u.off, u.inc, u.version, u.val)
 	}
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if inc, val, ok := r.update(); ok {
 			b = putWAL(b, r.node, r.region, r.off, inc, r.version+1, val)
 		}

@@ -53,7 +53,7 @@ func (r cacheRig) erase(t *testing.T, key uint64, unlink bool) {
 // read runs one attempt of a one-record speculative read-only transaction and
 // returns what the body saw.
 func (r cacheRig) read(key uint64) (val []uint64, inc uint32, err error) {
-	ro := &RO{e: r.e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
+	ro := &RO{readSet: readSet{e: r.e, index: map[refKey]*remoteRec{}}, policy: PolicyAdaptive}
 	defer ro.release()
 	v, err := ro.Read(tblOrders, key)
 	if err != nil {

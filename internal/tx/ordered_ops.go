@@ -303,7 +303,7 @@ func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 	if err := t.Stage(Access{Table: table, Key: key, Erase: true}); err != nil {
 		return nil, err
 	}
-	if r, ok := t.rIndex[refKey{table, key}]; ok {
+	if r, ok := t.index[refKey{table, key}]; ok {
 		return r.buf, nil
 	}
 	return findStructOp(t.localErase, table, key).val, nil
@@ -400,7 +400,7 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 // applyLocalStructural commits the local structural halves inside the HTM
 // region: each staged insert/erase re-verifies its exact declare-time
 // observation (key, incarnation|version, unlocked state — all enrolled in
-// the read set) and flips the incarnation. Runs after scansValid (the
+// the read set) and flips the incarnation. Runs after validate (the
 // flips change incver words scans recorded) and before the WAL write.
 func (t *Tx) applyLocalStructural(htx *htm.Txn) {
 	if len(t.localIns) == 0 && len(t.localErase) == 0 {

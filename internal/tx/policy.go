@@ -65,35 +65,12 @@ func (p ReadPolicy) Valid() bool {
 }
 
 // resolvePolicy computes the effective read policy for a new transaction:
-// the per-transaction override if set (ExecWith), else the runtime-wide
-// policy.
+// the runtime-wide policy, PolicyLease when unset.
 func (e *Executor) resolvePolicy() ReadPolicy {
-	if p := e.override; p != PolicyDefault {
-		return p
-	}
 	if p := e.rt.ReadPolicy; p != PolicyDefault {
 		return p
 	}
 	return PolicyLease
-}
-
-// ExecWith is Exec with the read policy forced to p for every attempt of
-// this one transaction, overriding the runtime-wide policy — e.g. a
-// read-mostly transaction forcing PolicyAdaptive.
-func (e *Executor) ExecWith(p ReadPolicy, build func(t *Tx) error) error {
-	prev := e.override
-	e.override = p
-	defer func() { e.override = prev }()
-	return e.Exec(build)
-}
-
-// ExecROWith is ExecRO with the read policy forced to p (PolicyExclusive
-// behaves as PolicyLease: read-only transactions never take write locks).
-func (e *Executor) ExecROWith(p ReadPolicy, build func(ro *RO) error) error {
-	prev := e.override
-	e.override = p
-	defer func() { e.override = prev }()
-	return e.ExecRO(build)
 }
 
 // escalateAfter is how many attempts one transaction may lose, to any cause (a

@@ -14,17 +14,16 @@ func TestResolvePolicy(t *testing.T) {
 	defer stop()
 	e := rt.Executor(0, 0)
 	cases := []struct {
-		name     string
-		runtime  ReadPolicy
-		override ReadPolicy
-		want     ReadPolicy
+		name    string
+		runtime ReadPolicy
+		want    ReadPolicy
 	}{
-		{"zero-value runtime is lease", PolicyDefault, PolicyDefault, PolicyLease},
-		{"runtime-wide policy", PolicyAdaptive, PolicyDefault, PolicyAdaptive},
-		{"override beats runtime policy", PolicyAdaptive, PolicyLease, PolicyLease},
+		{"zero-value runtime is lease", PolicyDefault, PolicyLease},
+		{"runtime-wide policy", PolicyAdaptive, PolicyAdaptive},
+		{"set between transactions", PolicyLease, PolicyLease},
 	}
 	for _, c := range cases {
-		rt.ReadPolicy, e.override = c.runtime, c.override
+		rt.ReadPolicy = c.runtime
 		if got := e.resolvePolicy(); got != c.want {
 			t.Errorf("%s: resolved %v, want %v", c.name, got, c.want)
 		}
@@ -38,21 +37,22 @@ func TestResolvePolicy(t *testing.T) {
 // escalateAfter+1 on the reader escalates: its Start phase holds nothing, so
 // the write lands again, and its fallback leases both reads after it — an
 // adaptive transaction counts them (EvAdaptLease) — and commits on the value
-// the writer left. ExecWith(PolicyAdaptive) on a lease runtime follows the
-// same rule. Leases never expire here, so nothing depends on real time.
+// the writer left. A lease runtime switched to PolicyAdaptive between
+// transactions follows the same rule. Leases never expire here, so nothing
+// depends on real time.
 func TestAdaptiveEscalation(t *testing.T) {
 	const hot, cold = 1, 3 // both homed on node 1: every read is remote
 	errGaveUp := errors.New("the writer lost its one try")
 	for _, tc := range []struct {
 		name          string
-		runtime, with ReadPolicy // the runtime's policy, and ExecWith's (PolicyDefault: Exec)
+		runtime, with ReadPolicy // the runtime's policy at the start, and the one set before the reader's transaction (PolicyDefault: unchanged)
 		losses        int        // attempts the writer rewrites the hot record under
 		commitAt      int
 	}{
 		{"adaptive, one loss short", PolicyAdaptive, PolicyDefault, escalateAfter - 1, escalateAfter},
 		{"adaptive, escalated", PolicyAdaptive, PolicyDefault, escalateAfter + 1, escalateAfter + 1},
-		{"ExecWith adaptive, one loss short", PolicyLease, PolicyAdaptive, escalateAfter - 1, escalateAfter},
-		{"ExecWith adaptive, escalated", PolicyLease, PolicyAdaptive, escalateAfter + 1, escalateAfter + 1},
+		{"lease runtime set adaptive, one loss short", PolicyLease, PolicyAdaptive, escalateAfter - 1, escalateAfter},
+		{"lease runtime set adaptive, escalated", PolicyLease, PolicyAdaptive, escalateAfter + 1, escalateAfter + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, stop := newRig(t, 2, 1, 4, func(c *cluster.Config) { c.LeaseMicros = 1 << 40 })
@@ -83,14 +83,13 @@ func TestAdaptiveEscalation(t *testing.T) {
 				}
 				return err == nil
 			}
-			exec := reader.Exec
 			if tc.with != PolicyDefault {
-				exec = func(build func(*Tx) error) error { return reader.ExecWith(tc.with, build) }
+				rt.ReadPolicy = tc.with
 			}
 
 			attempts, landed := 0, 0
 			var read uint64
-			if err := exec(func(tx *Tx) error {
+			if err := reader.Exec(func(tx *Tx) error {
 				attempts++
 				l0 := leases()
 				if err := tx.Stage(Access{Table: tblAccounts, Key: hot}, Access{Table: tblAccounts, Key: cold}); err != nil {
@@ -141,62 +140,16 @@ func TestAdaptiveEscalation(t *testing.T) {
 	}
 }
 
-// TestExecWithOverride: a per-transaction policy override forces the arm
-// for that transaction only, leaving the runtime-wide policy untouched.
-func TestExecWithOverride(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 4, nil)
-	defer stop()
-	rt.ReadPolicy = PolicyLease
-	e := rt.Executor(0, 0)
-	reg := rt.C.Obs
-
-	body := func(tx *Tx) error {
-		if err := tx.R(tblAccounts, 1); err != nil { // remote
-			return err
-		}
-		return tx.Execute(func(lc *Local) error {
-			_, err := lc.Read(tblAccounts, 1)
-			return err
-		})
-	}
-	if err := e.ExecWith(PolicyAdaptive, body); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Total(obs.EvSpecRead); n != 1 {
-		t.Fatalf("override: EvSpecRead = %d, want 1", n)
-	}
-	// The override must not leak into the next transaction.
-	if err := e.Exec(body); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Total(obs.EvSpecRead); n != 1 {
-		t.Fatalf("override leaked: EvSpecRead = %d, want 1", n)
-	}
-	if n := reg.Total(obs.EvLeaseGrant) + reg.Total(obs.EvLeaseShare); n == 0 {
-		t.Fatal("runtime-wide lease arm not restored after override")
-	}
-
-	// Read-only override: spec arm, no lease CAS.
-	if err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error {
-		_, err := ro.Read(tblAccounts, 1)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Total(obs.EvSpecRead); n != 2 {
-		t.Fatalf("RO override: EvSpecRead = %d, want 2", n)
-	}
-}
-
-// TestExecWithExclusive: the PolicyExclusive override stages reads as
-// exclusive locks (the per-transaction form of the Figure 17 ablation).
+// TestExecWithExclusive: PolicyExclusive, set between transactions, stages
+// reads as exclusive locks (the Figure 17 ablation).
 func TestExecWithExclusive(t *testing.T) {
 	rt, stop := newRig(t, 2, 1, 4, nil)
 	defer stop()
 	e := rt.Executor(0, 0)
 	host := rt.C.Node(1).Unordered(tblAccounts)
 	off, _ := host.LookupLocal(1)
-	err := e.ExecWith(PolicyExclusive, func(tx *Tx) error {
+	rt.ReadPolicy = PolicyExclusive
+	err := e.Exec(func(tx *Tx) error {
 		if err := tx.R(tblAccounts, 1); err != nil {
 			return err
 		}

@@ -3,11 +3,9 @@ package tx
 import (
 	"errors"
 
-	"drtm/internal/clock"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
-	"drtm/internal/rdma"
 )
 
 // RO is a read-only transaction (Section 4.5 / Figure 8). Read-only
@@ -29,31 +27,20 @@ import (
 // Local.Read's is, and the executor's next transaction reuses it. A body that
 // keeps a value copies it.
 type RO struct {
-	e     *Executor
-	end   uint64 // the transaction's common lease end time
-	recs  []*remoteRec
-	index map[refKey]*remoteRec
+	// readSet's scans are validated leaselessly, like the speculative arm —
+	// sound because a read-only transaction writes nothing, so unchanged words
+	// at confirm make that instant the serialization point.
+	readSet
+	end uint64 // the transaction's common lease end time
 
-	// cause is why the attempt must retry, when a lock or a lease is the
-	// reason: it tells the backoff that waiting can help.
+	// cause is why the attempt must retry: it tells the backoff whether
+	// waiting can help.
 	cause obs.AbortCause
-
-	// views records the packed view word per touched partition (replication
-	// only); confirm re-checks them so a failover mid-transaction fails the
-	// confirmation instead of mixing views.
-	views map[int]uint64
 
 	// policy is the effective read policy (see policy.go). PolicyExclusive
 	// behaves as PolicyLease here: read-only transactions never take write
 	// locks.
 	policy ReadPolicy
-
-	// scans holds collected range scans; confirm re-validates their segment
-	// stamps and row headers (leaseless, like the speculative arm — sound
-	// because a read-only transaction writes nothing, so unchanged words at
-	// confirm make that instant the serialization point).
-	scans    []scanRec
-	scanVals []uint64
 
 	waits bool // an escalated attempt (escalateAfter or later): reads leased, waiting out writers' locks; scanned entries pinned (pinScan)
 }
@@ -65,7 +52,7 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 	ro := e.freeRO
 	e.freeRO = nil // a nested ExecRO builds a shell of its own
 	if ro == nil {
-		ro = &RO{e: e, index: make(map[refKey]*remoteRec)}
+		ro = &RO{readSet: readSet{e: e, index: make(map[refKey]*remoteRec)}}
 	}
 	defer func() {
 		ro.release()
@@ -95,14 +82,9 @@ func (e *Executor) ExecRO(build func(ro *RO) error) error {
 	}
 }
 
-// release empties the shell after an attempt: the staged records go back to
-// the executor's pool with the value buffers the body was reading.
+// release empties the shell after an attempt (readSet.release).
 func (ro *RO) release() {
-	ro.e.putRecs(ro.recs)
-	ro.recs = ro.recs[:0]
-	clear(ro.index)
-	clear(ro.views)
-	ro.scans, ro.scanVals = ro.scans[:0], ro.scanVals[:0]
+	ro.readSet.release()
 	ro.cause = obs.CauseNone
 	ro.waits = false
 }
@@ -114,64 +96,26 @@ func (ro *RO) lockConflict() error {
 	return ErrRetry
 }
 
-// moved reports whether a speculative record's entry header — the key word
-// its slot holds now, its incarnation|version word and its state word — no
-// longer vouches for the image fetched: another key took the slot, a write
-// committed, or one is mid-commit.
-func (r *remoteRec) moved(key, incver, state uint64) bool {
-	return key != r.key || kvs.Version(incver) != r.version ||
-		kvs.Incarnation(incver) != r.inc || clock.IsWriteLocked(state)
-}
-
-// confirm validates every lease against a fresh softtime read (the COMMIT
-// step of Figure 8) and re-validates every speculative record's header: a
-// local record's by loading it, the remote ones' in one doorbell-batched READ
-// wave. All checks pass ⇒ all reads were valid at this instant, the
-// transaction's serialization point.
+// confirm is the COMMIT step of Figure 8: validate at this instant — every
+// lease against a fresh softtime read, every speculative record's header and
+// every scan — which all passing makes the transaction's serialization point;
+// or nothing at all, for a single record (single).
 func (ro *RO) confirm() bool {
-	e := ro.e
-	now := e.w.Node.Clock.Read()
-	delta := e.rt.C.Delta()
-	sh := e.w.Obs
-	if e.viewsMoved(ro.views) {
-		return false
+	var code uint8
+	switch {
+	case !ro.single():
+		code, _ = ro.validate(nil, ro.waits)
+	case ro.viewsMoved():
+		code = abortCodeView
+	default:
+		ro.e.w.Obs.Inc(obs.EvROSingle)
 	}
-	nlocal, nremote := 0, 0
-	for _, r := range ro.recs {
-		if !r.spec {
-			if clock.Valid(r.leaseEnd, now, delta) {
-				sh.Inc(obs.EvLeaseConfirm)
-				continue
-			}
-			if !ro.waits {
-				// A shared lease about to run out: the retry shares it again
-				// until it has expired, or escalates and waits.
-				sh.Inc(obs.EvLeaseConfirmFail)
-				ro.cause = obs.CauseLease
-				return false
-			}
-			// Outwaited while the attempt waited for a writer further on: the
-			// record was read under its lease, so an unchanged header vouches
-			// for it as it does for a speculative read's.
-			r.spec = true
-		}
-		if r.node == e.w.Node.ID {
-			nlocal++
-		} else {
-			nremote++
-		}
+	if code != 0 {
+		// A host that stayed unreachable blames no record: the attempt
+		// retries, and its fetch pass surfaces ErrNodeDown if the host is gone.
+		ro.cause = causeOf(code)
 	}
-	if ro.single() {
-		sh.Inc(obs.EvROSingle)
-		return true
-	}
-	ok := true
-	if nlocal+nremote > 0 {
-		vstart := int64(e.w.VClock.Now())
-		ok = (nlocal == 0 || ro.confirmLocal()) && (nremote == 0 || ro.confirmRemote())
-		sh.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
-	}
-	return ok && ro.confirmScans()
+	return code == 0
 }
 
 // single reports an attempt with nothing to confirm: exactly one record, read
@@ -185,115 +129,6 @@ func (ro *RO) single() bool {
 	}
 	r := ro.recs[0]
 	return memory.LineOf(r.off) == memory.LineOf(r.off+memory.Offset(kvs.EntryValueWord+len(r.buf)-1))
-}
-
-// specFailed counts one failed header re-validation.
-func (ro *RO) specFailed() {
-	ro.e.w.Obs.Inc(obs.EvSpecValidateFail)
-	ro.cause = obs.CauseSpec
-}
-
-// confirmLocal re-validates the speculative records of this node with plain
-// loads of their header words: no verb and no CAS, and nothing is left in the
-// state word for the next local HTM writer to abort on.
-func (ro *RO) confirmLocal() bool {
-	e := ro.e
-	var hdr [3]uint64
-	var arena *memory.Arena
-	region := -1
-	for _, r := range ro.recs {
-		if !r.spec || r.node != e.w.Node.ID {
-			continue
-		}
-		if r.region != region { // runs of one table's rows resolve it once
-			arena, region = e.rt.arenaOf(r.node, r.region), r.region
-		}
-		// Key, incver and state share the entry's first line, so the seqlocked
-		// read sees them as of one instant.
-		arena.Read(hdr[:], r.off+kvs.EntryKeyWord)
-		e.charge(int64(len(hdr)) * e.model().HTMPerReadNS)
-		if r.moved(hdr[0], hdr[1], hdr[2]) {
-			ro.specFailed()
-			return false
-		}
-	}
-	return true
-}
-
-// rereadHeaders re-READs, in one doorbell wave, the entry header of every
-// speculative record of recs homed on another node — a read-only confirmation
-// and a commit-time validation alike: `key ‖ incver ‖ state` for an ordered row
-// (its slot can be recycled), `incver ‖ state` for a hash row. It returns the
-// completions in record order (headerMoved reads Dst) and false when a host
-// stayed unreachable.
-func (e *Executor) rereadHeaders(recs []*remoteRec) ([]*rdma.WR, bool) {
-	const hw = kvs.EntryStateWord + 1
-	if cap(e.hdrBuf) < len(recs)*hw {
-		e.hdrBuf = make([]uint64, len(recs)*hw)
-	}
-	sq := e.sendq(obs.StageValidate)
-	for _, r := range recs {
-		if !r.spec || r.node == e.w.Node.ID {
-			continue
-		}
-		dst := e.hdrBuf[sq.Pending()*hw:][:hw]
-		if r.ordered {
-			sq.PostRead(r.node, r.region, r.off+kvs.EntryKeyWord, dst)
-		} else {
-			sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off), dst[:kvs.EntryHeaderWords])
-		}
-	}
-	return e.pollReads(sq)
-}
-
-// headerMoved is moved over a header rereadHeaders fetched.
-func (r *remoteRec) headerMoved(hdr []uint64) bool {
-	if r.ordered {
-		return r.moved(hdr[0], hdr[1], hdr[2])
-	}
-	return r.moved(r.key, hdr[0], hdr[1])
-}
-
-// confirmRemote re-READs the headers of the speculative records homed on
-// other nodes in one doorbell-batched wave.
-func (ro *RO) confirmRemote() bool {
-	e := ro.e
-	wrs, ok := e.rereadHeaders(ro.recs)
-	if !ok {
-		// Confirms nothing and blames no record: the attempt retries, and its
-		// fetch pass surfaces ErrNodeDown if the host is genuinely gone.
-		return false
-	}
-	i := 0
-	for _, r := range ro.recs {
-		if !r.spec || r.node == e.w.Node.ID {
-			continue
-		}
-		if r.headerMoved(wrs[i].Dst) {
-			ro.specFailed()
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// confirmScans re-validates every collected range scan at the confirmation
-// point: remote words are re-READ in one doorbell-batched wave, then stamps
-// and row headers are compared (a read-only transaction holds no locks of its
-// own).
-func (ro *RO) confirmScans() bool {
-	if len(ro.scans) == 0 || skipScanValidation {
-		return true
-	}
-	if !ro.e.rereadScans(ro.scans) {
-		return false
-	}
-	fails := ro.e.compareScans(ro.scans, (*memory.Arena).LoadWord, nil)
-	if fails > 0 {
-		ro.e.w.Obs.Inc(obs.EvScanValidateFail)
-	}
-	return fails == 0
 }
 
 // Scan performs a range read of ordered table rows with keys in [lo, hi]
@@ -329,7 +164,7 @@ func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 }
 
 // pinScan leases every entry an escalated attempt's scan collected, dead ones
-// included. The scan stays optimistic — confirmScans decides — and the leases
+// included. The scan stays optimistic — confirm decides — and the leases
 // only make the range's writers wait (an update, an erase, an insert reviving
 // a dead entry each need the entry's lock) until this attempt or the next,
 // which shares them, confirms. An insert of a key the range never held gets by.
@@ -360,8 +195,6 @@ func (ro *RO) lease(h *recHandle) (end uint64, err error) {
 	}
 	return end, err
 }
-
-func (ro *RO) stampView(part int) { ro.views = ro.e.stampView(ro.views, part) }
 
 // Read fetches a record by key under the arm its route picks — a shared lease,
 // or nothing. The value is the attempt's scratch (see RO).

@@ -48,7 +48,7 @@ func (t *Tx) replicate() error {
 			})
 		}
 	}
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		inc, val, ok := r.update()
 		if !ok {
 			continue

@@ -156,7 +156,7 @@ func TestROSpecLocalValidation(t *testing.T) {
 		}
 	}
 	begin := func() *RO {
-		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyAdaptive}
+		ro := &RO{readSet: readSet{e: e, index: map[refKey]*remoteRec{}}, policy: PolicyAdaptive}
 		for _, s := range []uint64{1, 2} {
 			if _, err := ro.Read(tblOrders, orderedKey(0, s)); err != nil {
 				t.Fatal(err)
@@ -355,6 +355,7 @@ func TestROEscalationPinsScannedRows(t *testing.T) {
 	t.Run("spec", func(t *testing.T) {
 		rt, stop := newOrderedRig(t, 2, 2, nil)
 		defer stop()
+		rt.ReadPolicy = PolicyAdaptive
 		const entity = 3 // homed on node 1
 		insertOrders(t, rt.Executor(1, 1), entity, []uint64{1, 2, 3, 4})
 		var done atomic.Bool
@@ -385,7 +386,7 @@ func TestROEscalationPinsScannedRows(t *testing.T) {
 		deadline := time.Now().Add(200 * time.Millisecond)
 		for scans := 0; scans < 20 || time.Now().Before(deadline); scans++ {
 			var sum uint64
-			err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error {
+			err := e.ExecRO(func(ro *RO) error {
 				rows, err := ro.Scan(tblOrders, orderedKey(entity, 0), orderedKey(entity, 0xFF), 0)
 				sum = 0
 				for _, r := range rows {

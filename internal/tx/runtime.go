@@ -90,7 +90,8 @@ type Runtime struct {
 	// transaction to leases (adaptive), or exclusive locks — the Figure 17
 	// "no read lease" ablation (see policy.go). The software fallback path
 	// always uses locks — its in-place updates cannot be rolled back, so
-	// optimistic reads are unsound there.
+	// optimistic reads are unsound there. A transaction reads it when it
+	// starts, so a change between two transactions applies to the second.
 	ReadPolicy ReadPolicy
 
 	// BatchWindow bounds outstanding work requests per worker send queue in
@@ -281,10 +282,6 @@ type Executor struct {
 
 	txSeq uint64 // local transaction sequence, for log record IDs
 
-	// override forces a read policy for transactions started while it is
-	// set (ExecWith / ExecROWith); PolicyDefault defers to the runtime.
-	override ReadPolicy
-
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases
 
 	// fingers holds one B+ tree leaf finger per ordered region of this node
@@ -348,22 +345,17 @@ func (e *Executor) recycle(t *Tx) {
 	if !t.finished {
 		return
 	}
-	e.putRecs(t.remotes)
-	t.remotes = t.remotes[:0]
-	clear(t.rIndex)
+	t.release()
 	t.locals = t.locals[:0]
 	clear(t.lIndex)
 	t.walLocal = t.walLocal[:0]
 	t.deferred = t.deferred[:0]
-	t.scans = t.scans[:0]
-	t.scanVals = t.scanVals[:0]
 	t.localIns = t.localIns[:0]
 	t.localErase = t.localErase[:0]
 	t.removals = t.removals[:0]
 	t.owed = t.owed[:0]
 	t.swords = t.swords[:0]
 	t.chopped = false
-	clear(t.views)
 	t.finished = false
 	t.specDown = false
 	t.usedFallback = false

@@ -19,12 +19,9 @@ package tx
 //     insert flips an existing dead entry live WITHOUT a structural change,
 //     which no stamp records.
 //
-// Commit-time validation (scansValid) mirrors the speculative read arm:
-// a doorbell-batched wave of one-sided re-READs models the wire cost and
-// exposes the verbs to fault injection, then authoritative htx reads of the
-// same words enroll every stamp and row header in the HTM read set, closing
-// the poll→XEND window through emulated strong atomicity. Any mismatch
-// aborts with abortCodeScan, a whole-transaction retry.
+// Commit-time validation is the commit point's one validate (validate.go),
+// which re-checks every stamp and row header beside the speculative reads'
+// headers. Any mismatch fails with abortCodeScan, a whole-transaction retry.
 //
 // Scans therefore always ride the optimistic confirm-wave arm regardless of
 // the transaction's ReadPolicy — per-row leases over a range would cost one
@@ -35,7 +32,6 @@ import (
 	"fmt"
 
 	"drtm/internal/clock"
-	"drtm/internal/htm"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
@@ -263,112 +259,8 @@ func (e *Executor) callRangeScan(rec *scanRec, lo, hi uint64, limit int, vals *[
 	return busy, nil
 }
 
-// skipScanValidation stubs commit-time range validation — the deliberately
-// broken control arm of the phantom regression test (scan_test.go), which is
-// the only thing that sets it: scans lose phantom protection entirely.
+// skipScanValidation stubs commit-time range validation (validate) — the
+// deliberately broken control arm of the phantom regression test
+// (scan_test.go), which is the only thing that sets it: scans lose phantom
+// protection entirely.
 var skipScanValidation bool
-
-// rereadScans posts one doorbell wave re-READing every remote scan's segment
-// stamps and row headers — validation's wire cost, exposed to fault
-// injection; the authoritative comparison is compareScans. It reports false
-// when a host stays unreachable through the bounded retries.
-func (e *Executor) rereadScans(scans []scanRec) bool {
-	nwords := 0
-	for i := range scans {
-		if scans[i].node != e.w.Node.ID {
-			nwords += len(scans[i].segs) + len(scans[i].rows)
-		}
-	}
-	if nwords == 0 {
-		return true
-	}
-	if cap(e.hdrBuf) < nwords {
-		e.hdrBuf = make([]uint64, nwords)
-	}
-	hdr := e.hdrBuf[:nwords]
-	sq := e.sendq(obs.StageValidate)
-	n := 0
-	for i := range scans {
-		sc := &scans[i]
-		if sc.node == e.w.Node.ID {
-			continue
-		}
-		for _, s := range sc.segs {
-			sq.PostRead(sc.node, sc.region, kvs.SegStampOffset(s), hdr[n:n+1])
-			n++
-		}
-		for _, r := range sc.rows {
-			sq.PostRead(sc.node, sc.region, kvs.IncVerOffset(r.off), hdr[n:n+1])
-			n++
-		}
-	}
-	_, ok := e.pollReads(sq)
-	return ok
-}
-
-// compareScans is the authoritative scan validation: every segment stamp
-// unchanged (no membership change in the scanned ranges) and every collected
-// row's incarnation|version word unchanged with no live exclusive lock. load
-// reads one word — htx.Read inside the HTM region, which also enrolls every
-// stamp and row header in the region's read set, or a plain arena load under
-// the fallback's locks and at a read-only confirm. own (nil for read-only
-// transactions, which lock nothing) reports rows write-locked by the
-// validating transaction itself (a scanned row also staged for write/erase),
-// which skip the lock check: their version cannot move while we hold the
-// lock. Returns the failed comparisons.
-func (e *Executor) compareScans(scans []scanRec, load func(*memory.Arena, memory.Offset) uint64,
-	own func(table int, r *scanRowRec) bool) (fails int64) {
-	for i := range scans {
-		sc := &scans[i]
-		arena := e.rt.arenaOf(sc.node, sc.region)
-		for k, s := range sc.segs {
-			if load(arena, kvs.SegStampOffset(s)) != sc.stamps[k] {
-				fails++
-			}
-		}
-		for k := range sc.rows {
-			r := &sc.rows[k]
-			if load(arena, kvs.IncVerOffset(r.off)) != r.incver ||
-				((own == nil || !own(sc.table, r)) && clock.IsWriteLocked(load(arena, kvs.StateOffset(r.off)))) {
-				fails++
-			}
-		}
-	}
-	return fails
-}
-
-// scansValid re-validates every collected scan at the commit point, after the
-// body and before the structural flips (which change incver words the scans
-// recorded). Inside the HTM region: the re-READ wave, then the comparison
-// through htx reads; a host that stays unreachable fails it with specDown set.
-// Under the fallback's locks (htx == nil): the same stamp + row checks with
-// plain loads and no wave, after the leases and views were confirmed and
-// before anything is published — sound without HTM enrollment because every
-// scanned shard's mutation paths bump either the stamp or the row's version
-// before the fallback's own in-place updates become visible, and the fallback
-// holds every declared record locked while checking. A row this transaction
-// itself holds write-locked (a scanned row also staged for write / erase)
-// skips the lock check.
-func (t *Tx) scansValid(htx *htm.Txn) bool {
-	if len(t.scans) == 0 || skipScanValidation {
-		return true
-	}
-	e := t.e
-	load := (*memory.Arena).LoadWord
-	if htx != nil {
-		vstart := int64(e.w.VClock.Now())
-		reachable := e.rereadScans(t.scans)
-		e.w.Obs.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
-		if !reachable {
-			t.specDown = true
-			return false
-		}
-		load = htx.Read
-	}
-	fails := e.compareScans(t.scans, load, func(table int, r *scanRowRec) bool {
-		rr, ok := t.rIndex[refKey{table, r.key}]
-		return ok && rr.write && rr.off == r.off
-	})
-	e.w.Obs.Add(obs.EvScanValidateFail, fails)
-	return fails == 0
-}

@@ -141,7 +141,9 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	reg := rt.C.Obs
 	ro := func(p ReadPolicy, keys ...uint64) {
 		t.Helper()
-		if err := e.ExecROWith(p, func(ro *RO) error {
+		rt.ReadPolicy = p
+		defer func() { rt.ReadPolicy = PolicyAdaptive }()
+		if err := e.ExecRO(func(ro *RO) error {
 			for _, k := range keys {
 				if v, err := ro.Read(tblOrders, k); err != nil {
 					return err
@@ -157,7 +159,7 @@ func TestShippedImageServesOnlySpeculation(t *testing.T) {
 	// escalated runs one attempt as ExecRO's ninth would: leased, scans pinned.
 	escalated := func(build func(ro *RO) error) {
 		t.Helper()
-		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: PolicyLease, waits: true,
+		ro := &RO{readSet: readSet{e: e, index: map[refKey]*remoteRec{}}, policy: PolicyLease, waits: true,
 			end: e.w.Node.Clock.Read() + rt.C.Config().ROLeaseMicros}
 		defer ro.release()
 		if err := build(ro); err != nil {
@@ -277,7 +279,8 @@ func TestROSingleRecordRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := rt.C.Obs
-	if err := e.ExecROWith(PolicyAdaptive, func(ro *RO) error { // fills both rows' frames
+	rt.ReadPolicy = PolicyAdaptive
+	if err := e.ExecRO(func(ro *RO) error { // fills both rows' frames
 		_, err := ro.Read(tblOrders, key)
 		if err == nil {
 			_, err = ro.Read(tblOrders, other)
@@ -331,7 +334,7 @@ func TestROSingleRecordRule(t *testing.T) {
 			}
 		}, false, 0, 0},
 	} {
-		ro := &RO{e: e, index: map[refKey]*remoteRec{}, policy: tc.policy,
+		ro := &RO{readSet: readSet{e: e, index: map[refKey]*remoteRec{}}, policy: tc.policy,
 			end: e.w.Node.Clock.Read() + rt.C.Config().ROLeaseMicros}
 		hits0, _, _ := rt.OrderedCacheStats()
 		if err := tc.build(ro); err != nil {

@@ -44,7 +44,7 @@ import (
 //   - Read-set records routed to the speculative arm (PolicyAdaptive) skip
 //     the CAS stage entirely: one entry READ fetches
 //     `version ‖ state ‖ value` — an ordered record's shipped lookup already
-//     did — and the version is re-validated at commit (spec.go). A record
+//     did — and the version is re-validated at commit (validate.go). A record
 //     observed write-locked at fetch is a conflict.
 //
 //   - An escalated attempt declares every remote record, writes and
@@ -176,7 +176,7 @@ func (t *Tx) gather(a Access, node, region, part int) {
 	}
 	if s == nil {
 		if s = t.gatherRemote(a.Table, a.Key, node, region, part, write); s == nil {
-			if r := t.rIndex[refKey{a.Table, a.Key}]; structural && !(a.Erase && r.erase) && !(a.Insert != nil && r.insert) {
+			if r := t.index[refKey{a.Table, a.Key}]; structural && !(a.Erase && r.erase) && !(a.Insert != nil && r.insert) {
 				panic(fmt.Sprintf("tx: WInsert / Erase of table %d key %d, already write-staged by this transaction", a.Table, a.Key))
 			}
 			return
@@ -221,7 +221,7 @@ func (t *Tx) indexRowMissing(table int, base refKey) error {
 		t.e.w.Node.Ordered(op.region).Arena().LoadWord(kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver) {
 		return t.fail()
 	}
-	if r := t.rIndex[base]; r != nil && r.spec &&
+	if r := t.index[base]; r != nil && r.spec &&
 		t.e.rt.arenaOf(r.node, r.region).LoadWord(kvs.IncVerOffset(r.off)) != kvs.PackIncVer(r.inc, r.version) {
 		return t.fail()
 	}
@@ -325,7 +325,7 @@ func (t *Tx) newReq(h recHandle, write bool) *stageReq {
 // its pipeline request; a nil request means the access is already satisfied.
 func (t *Tx) gatherRemote(table int, key uint64, node, region, part int, write bool) *stageReq {
 	e := t.e
-	if r, ok := t.rIndex[refKey{table, key}]; ok {
+	if r, ok := t.index[refKey{table, key}]; ok {
 		if !write || r.write || t.escalated {
 			r.write = r.write || write // an escalated attempt holds nothing to upgrade
 			return nil
@@ -545,8 +545,7 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 				s.entryWR = sq.PostRead(h.node, h.region, h.off, s.entryBuf())
 			}
 		}
-		_, reachable := e.pollReads(sq)
-		down, worst, again = !reachable, imgOK, false
+		down, worst, again = !e.pollReads(sq), imgOK, false
 		for _, s := range reqs {
 			if wr := s.entryWR; wr != nil && !down {
 				s.consume(t, wr.Dst)
@@ -609,8 +608,8 @@ func (s *stageReq) acquired(t *Tx, leaseEnd uint64) {
 func (s *stageReq) register(t *Tx) {
 	s.r = t.e.getRec()
 	s.r.recHandle = s.h
-	t.rIndex[refKey{s.h.table, s.h.key}] = s.r
-	t.remotes = append(t.remotes, s.r)
+	t.index[refKey{s.h.table, s.h.key}] = s.r
+	t.recs = append(t.recs, s.r)
 	s.needFetch = true
 }
 
@@ -659,8 +658,8 @@ func (t *Tx) unstage(reqs []*stageReq) {
 			t.unlock(r)
 		}
 		s.r = nil
-		delete(t.rIndex, refKey{r.table, r.key})
-		t.remotes = slices.DeleteFunc(t.remotes, func(x *remoteRec) bool { return x == r })
+		delete(t.index, refKey{r.table, r.key})
+		t.recs = slices.DeleteFunc(t.recs, func(x *remoteRec) bool { return x == r })
 		t.e.recFree = append(t.e.recFree, r)
 	}
 	t.postWave(obs.StageRelease)

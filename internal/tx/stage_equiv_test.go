@@ -268,7 +268,7 @@ func TestStagePartialFailure(t *testing.T) {
 				if tx.finished {
 					t.Fatalf("%s: the transaction was closed by a per-record answer", tc.name)
 				}
-				if _, staged := tx.rIndex[refKey{tc.bad.Table, tc.bad.Key}]; staged {
+				if _, staged := tx.index[refKey{tc.bad.Table, tc.bad.Key}]; staged {
 					t.Fatalf("%s: the offending record is staged", tc.name)
 				}
 				for _, op := range append(tx.localIns, tx.localErase...) {

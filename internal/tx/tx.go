@@ -125,14 +125,14 @@ type deferredOp struct {
 // by Executor.Exec's build callback, stages its remote read/write sets
 // (Start phase), then runs Execute once. It must not be reused.
 type Tx struct {
-	e *Executor
+	readSet
 
 	startSoft uint64 // softtime read non-transactionally at Begin (strategy c)
 	leaseEnd  uint64 // common desired lease end for this transaction
 	txid      uint64
 
 	// policy is the effective read policy for this attempt, resolved at
-	// newTx from the executor's override / the runtime (see policy.go).
+	// newTx from the runtime (see policy.go).
 	policy ReadPolicy
 
 	// escalated marks an attempt Exec runs after escalateAfter lost ones: its
@@ -141,17 +141,13 @@ type Tx struct {
 	// the software fallback, whose acquisitions wait (DESIGN.md, "Progress").
 	escalated bool
 
-	remotes  []*remoteRec
-	rIndex   map[refKey]*remoteRec
 	locals   []localRec
 	lIndex   map[refKey]int
 	deferred []deferredOp
 
-	// Ordered-store transactional state: range scans collected by the body
-	// (reset per HTM attempt), local structural ops declared before Execute
-	// (inserts flip a staged dead entry live at commit; erases flip a live
-	// entry dead), and post-commit physical removals of dead entries.
-	scans      []scanRec
+	// Ordered-store transactional state: local structural ops declared before
+	// Execute (inserts flip a staged dead entry live at commit; erases flip a
+	// live entry dead), and post-commit physical removals of dead entries.
 	localIns   []structOp
 	localErase []structOp
 	removals   []removalOp
@@ -162,10 +158,6 @@ type Tx struct {
 	// values Local.Read hands out, Local.Insert's copies, the write-ahead
 	// captures. beginAttempt empties it.
 	awords []uint64
-
-	// Scan scratch, reused across attempts: the values of the rows scans
-	// return.
-	scanVals []uint64
 
 	// walLocal accumulates local updates for the write-ahead log.
 	walLocal []walRec
@@ -189,16 +181,9 @@ type Tx struct {
 	chopped  bool
 	chopInfo [2]uint64
 
-	// specDown records a persistent verb failure during speculative
-	// validation, turning the resulting region abort into ErrNodeDown.
+	// specDown records a host validate could not reach, turning the
+	// resulting region abort into ErrNodeDown.
 	specDown bool
-
-	// views records, per touched partition, the packed view word observed
-	// when the partition was first declared (nil until replication stamps
-	// one). viewsMoved re-reads each at the commit point: a mismatch means a
-	// failover moved ownership mid-transaction, and the attempt aborts and
-	// restages under the new view.
-	views map[int]uint64
 
 	// Replication scratch, reused across transactions on this shell: the
 	// redo update set, the encoded record, the destination backup list (from
@@ -236,9 +221,8 @@ func (e *Executor) newTx() *Tx {
 	t := e.freeTx
 	if t == nil {
 		t = &Tx{
-			e:      e,
-			rIndex: make(map[refKey]*remoteRec),
-			lIndex: make(map[refKey]int),
+			readSet: readSet{e: e, index: make(map[refKey]*remoteRec)},
+			lIndex:  make(map[refKey]int),
 		}
 	} else {
 		e.freeTx = nil // recycle left the shell empty; see Executor.recycle
@@ -258,24 +242,6 @@ func (t *Tx) ID() uint64 { return t.txid }
 func (t *Tx) SetChoppingInfo(parent, piece uint64) {
 	t.chopped, t.chopInfo = true, [2]uint64{parent, piece}
 }
-
-// stampView records, in a transaction's views, the packed view word of a
-// touched partition the first time a record of it is declared; viewsMoved
-// re-checks every stamp at the commit point. No-op when replication is off.
-func (e *Executor) stampView(views map[int]uint64, part int) map[int]uint64 {
-	if part < 0 || e.rt.C.ReplicationFactor() == 0 {
-		return views
-	}
-	if views == nil {
-		views = make(map[int]uint64)
-	}
-	if _, ok := views[part]; !ok {
-		views[part] = e.rt.C.View(part)
-	}
-	return views
-}
-
-func (t *Tx) stampView(part int) { t.views = t.e.stampView(t.views, part) }
 
 // R declares a read of a record: remote records are leased, read
 // speculatively, or exclusively locked per the transaction's ReadPolicy and
@@ -343,15 +309,13 @@ func (t *Tx) releaseLocks() {
 		return
 	}
 	t.cops = t.cops[:0]
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if r.locked() {
 			t.unlock(r)
 		}
 	}
 	t.postWave(obs.StageRelease)
-	t.e.putRecs(t.remotes)
-	t.remotes = t.remotes[:0]
-	clear(t.rIndex)
+	t.release()
 	t.finished = true
 }
 
@@ -399,17 +363,11 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 			if err := fn(lc); err != nil {
 				return err
 			}
-			if !t.leasesValid(htx) {
-				htx.Abort(abortCodeLease)
-			}
-			if t.e.viewsMoved(t.views) {
-				htx.Abort(abortCodeView)
-			}
-			t.validateSpeculative(htx)
-			// Scan validation precedes the structural flips: the flips change
-			// incver words of entries the scans recorded.
-			if !t.scansValid(htx) {
-				htx.Abort(abortCodeScan)
+			// Validation precedes the structural flips: the flips change incver
+			// words of entries the scans recorded.
+			if code, down := t.validate(htx, false); code != 0 {
+				t.specDown = down
+				htx.Abort(code)
 			}
 			t.applyLocalStructural(htx)
 			if cfg.Durability {
@@ -440,27 +398,16 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 		t.e.charge(model.HTMAbortNS)
 		t.vHTM += int64(t.e.w.VClock.Now()) - hstart
 		switch {
-		case ae.Code == htm.AbortExplicit && ae.User == abortCodeLease:
-			// A lease expired: retrying the region cannot help; retry the
-			// whole transaction to re-acquire leases.
-			sh.Inc(obs.EvHTMLeaseAbort)
-			t.lastAbort = obs.CauseLease
-			return t.fail()
-		case ae.Code == htm.AbortExplicit && ae.User == abortCodeSpec:
-			// Speculative validation failed — a writer bumped a version or
-			// holds an exclusive lock (or the validation verbs hit a dead
-			// node). The staged buffers are stale, so retrying the region
-			// cannot help; retry the whole transaction from the Start phase.
-			t.lastAbort = obs.CauseSpec
-			if t.specDown {
-				return t.nodeDown()
+		case ae.Code == htm.AbortExplicit && causeOf(ae.User) != obs.CauseNone:
+			// Validation failed — a view or a lease moved, a writer bumped a
+			// version or holds an exclusive lock, a scanned range changed (or
+			// the validation verbs hit a dead node). What the Start phase
+			// staged is stale, so retrying the region cannot help; retry the
+			// whole transaction from the Start phase.
+			if ae.User == abortCodeLease {
+				sh.Inc(obs.EvHTMLeaseAbort)
 			}
-			return t.fail()
-		case ae.Code == htm.AbortExplicit && ae.User == abortCodeScan:
-			// Range-scan validation failed: a writer structurally changed a
-			// scanned range (phantom) or rewrote a collected row. The
-			// collected rows are stale; retry from the Start phase.
-			t.lastAbort = obs.CauseScan
+			t.lastAbort = causeOf(ae.User)
 			if t.specDown {
 				return t.nodeDown()
 			}
@@ -468,12 +415,6 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 		case ae.Code == htm.AbortExplicit && ae.User == abortCodeStale:
 			// A staged ordered insert/erase slot was recycled between staging
 			// and the region (slot reuse race); restage from scratch.
-			t.lastAbort = obs.CauseRemote
-			return t.fail()
-		case ae.Code == htm.AbortExplicit && ae.User == abortCodeView:
-			// A touched partition's ownership moved (hot failover) between
-			// staging and commit: the staged locations are stale. Retry the
-			// whole transaction so it restages under the new view.
 			t.lastAbort = obs.CauseRemote
 			return t.fail()
 		case ae.Code == htm.AbortExplicit && ae.User == abortCodeLocked:
@@ -547,48 +488,6 @@ func (t *Tx) publish() error {
 	return nil
 }
 
-// leasesValid re-validates every shared lease just before XEND (the COMMIT
-// step of Figure 3), counting the ones that hold. Softtime is read
-// transactionally, and only if there is a lease to check — under the
-// reuse+confirm strategy this is the only transactional softtime read, which
-// narrows the window for false aborts from the timer thread (Figure 11(c)).
-// The fallback confirms its reads with readsHold.
-func (t *Tx) leasesValid(htx *htm.Txn) bool {
-	var now uint64
-	read := false
-	for _, r := range t.remotes {
-		if r.write || r.spec {
-			continue
-		}
-		if !read {
-			read = true
-			now = t.e.w.Node.Clock.ReadTx(htx)
-		}
-		if !clock.Valid(r.leaseEnd, now, t.e.rt.C.Delta()) {
-			return false
-		}
-		t.e.w.Obs.Inc(obs.EvLeaseConfirm)
-	}
-	return true
-}
-
-// viewsMoved reports, and counts, a touched partition whose view changed since
-// it was stamped at declare time. Checked at the commit point — inside the
-// HTM region, under the fallback's locks, at a read-only confirm — it closes
-// the stage→commit window against hot failover: a transaction that staged
-// against the old primary must not publish effects under the new view — it
-// aborts and restages. (The complementary append-time check is the backup's
-// epoch fence, which rejects a zombie's late redo appends.)
-func (e *Executor) viewsMoved(views map[int]uint64) bool {
-	for part, w := range views {
-		if e.rt.C.View(part) != w {
-			e.w.Obs.Inc(obs.EvViewAbort)
-			return true
-		}
-	}
-	return false
-}
-
 // commitRemotes writes back dirty staged records and releases exclusive
 // locks (REMOTE_WRITE_BACK in Figure 5) as ONE doorbell chain of WRITEs, polled
 // once: the remote write set of the region path; every locked record, this
@@ -600,7 +499,7 @@ func (e *Executor) viewsMoved(views map[int]uint64) bool {
 // release never lands past a value that did not.
 func (t *Tx) commitRemotes() {
 	t.cops, t.cwords = t.cops[:0], t.cwords[:0]
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if !r.write {
 			continue
 		}
@@ -704,7 +603,7 @@ func (t *Tx) applyDeferred() {
 // alongside the HTM write set (see Tx.wsnap).
 func (t *Tx) snapshotWriteBufs() {
 	t.wsnap = t.wsnap[:0]
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if r.write {
 			t.wsnap = append(t.wsnap, r.buf...)
 		}
@@ -719,7 +618,7 @@ func (t *Tx) snapshotWriteBufs() {
 // the retry will redo.
 func (t *Tx) restoreWriteBufs() {
 	i := 0
-	for _, r := range t.remotes {
+	for _, r := range t.recs {
 		if r.write {
 			i += copy(r.buf, t.wsnap[i:])
 			r.dirty = r.insert

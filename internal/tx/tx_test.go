@@ -328,8 +328,8 @@ func TestLeaseSharingAcrossNodes(t *testing.T) {
 		t.Fatalf("second reader could not share the lease: %v", err)
 	}
 	// Both observed a lease; the second shares the first's end time.
-	r1 := t1.remotes[0]
-	r2 := t2.remotes[0]
+	r1 := t1.recs[0]
+	r2 := t2.recs[0]
 	if r2.leaseEnd != r1.leaseEnd {
 		t.Fatalf("leases not shared: %d vs %d", r1.leaseEnd, r2.leaseEnd)
 	}
@@ -431,7 +431,7 @@ func TestReadOnlyLeaseVisibleToWriters(t *testing.T) {
 	rt.ReadPolicy = PolicyLease
 	e := rt.Executor(0, 0)
 	// Acquire a RO lease on remote key 1 and local key 2 by hand.
-	ro := &RO{e: e, end: e.w.Node.Clock.Read() + 30_000, index: map[refKey]*remoteRec{},
+	ro := &RO{readSet: readSet{e: e, index: map[refKey]*remoteRec{}}, end: e.w.Node.Clock.Read() + 30_000,
 		policy: PolicyLease}
 	if _, err := ro.Read(tblAccounts, 1); err != nil {
 		t.Fatal(err)

@@ -44,79 +44,6 @@ func TestOptionsPolicyValidation(t *testing.T) {
 	}
 }
 
-// TestPolicyOverrideE2E: a per-transaction ExecWith/ExecROWith override
-// forces the spec arm on a lease-policy deployment, end to end.
-func TestPolicyOverrideE2E(t *testing.T) {
-	db := MustOpen(Options{Nodes: 2, WorkersPerNode: 1, ReadPolicy: PolicyLease},
-		func(table int, key uint64) int { return int(key) % 2 })
-	defer db.Close()
-	db.CreateHashTable(tblAcct, 1024, 1)
-	for k := uint64(1); k <= 8; k++ {
-		if err := db.Load(tblAcct, k, []uint64{100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Forced spec arm: the remote read must cost no lease.
-	if err := db.ExecWith(0, 0, PolicyAdaptive, func(tx *Tx) error {
-		if err := tx.R(tblAcct, 1); err != nil { // key 1 → node 1: remote
-			return err
-		}
-		return tx.Execute(func(lc *Local) error {
-			_, err := lc.Read(tblAcct, 1)
-			return err
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s := db.Stats()
-	if s.Count("spec.read") != 1 {
-		t.Fatalf("spec.read = %d, want 1", s.Count("spec.read"))
-	}
-	if s.Count("lease.grant")+s.Count("lease.share") != 0 {
-		t.Fatalf("override transaction took %d leases, want 0", s.Count("lease.grant")+s.Count("lease.share"))
-	}
-
-	// A read-only scan forcing spec: still no lease CAS.
-	if err := db.ExecROWith(0, 0, PolicyAdaptive, func(ro *RO) error {
-		for k := uint64(1); k <= 7; k += 2 { // odd keys → node 1: remote
-			if _, err := ro.Read(tblAcct, k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s = db.Stats()
-	if s.Count("spec.read") != 5 {
-		t.Fatalf("spec.read after RO scan = %d, want 5", s.Count("spec.read"))
-	}
-	if s.Count("lease.grant")+s.Count("lease.share") != 0 {
-		t.Fatalf("RO override took %d leases, want 0", s.Count("lease.grant")+s.Count("lease.share"))
-	}
-
-	// The deployment's lease policy is untouched: a plain Exec leases.
-	if err := db.Executor(0, 0).Exec(func(tx *Tx) error {
-		if err := tx.R(tblAcct, 3); err != nil {
-			return err
-		}
-		return tx.Execute(func(lc *Local) error {
-			_, err := lc.Read(tblAcct, 3)
-			return err
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s = db.Stats()
-	if s.Count("lease.grant")+s.Count("lease.share") == 0 {
-		t.Fatal("runtime-wide lease policy lost after overrides")
-	}
-	if s.Count("spec.read") != 5 {
-		t.Fatalf("plain Exec speculated: spec.read = %d, want 5", s.Count("spec.read"))
-	}
-}
-
 // TestAdaptiveStatsAndTrace: a reader whose transaction loses its validation
 // to a writer eight times in a row (tx's escalateAfter) escalates on its ninth
 // attempt, whose fallback leases the read; Stats reports both routes on the
