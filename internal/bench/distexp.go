@@ -57,7 +57,7 @@ func runDistWaves(o Options) *Result {
 	}
 	res.Note("2 machines x 1 worker, %d accounts per machine, 100 hot at 50%%, adaptive read policy; every transaction is cross-node", accounts)
 	res.Note("lookup waves are location-cache misses; abort-release is what conflicting attempts paid before the commit that counts")
-	res.Note("smallbank_repl adds the write-ahead log and one redo append to the backup, polled ahead of every release")
+	res.Note("smallbank_repl adds one redo append to the backup, polled ahead of every release: the commit record, with no write-ahead log beside it")
 	return res
 }
 

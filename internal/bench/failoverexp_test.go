@@ -32,8 +32,8 @@ func TestFailoverAcceptance(t *testing.T) {
 		// that its machine was dead; nothing is parked before the crash.
 		maxWALScanned = 2 * 2 // per worker x the victim's workers
 		// Ten rings are drained (six hosted on the new owner, the victim's four
-		// elsewhere), each checkpointed at cluster.CheckpointWords = 1024 words
-		// of records no shorter than 11.
+		// elsewhere), each drained by the append that would take it past
+		// cluster.CheckpointWords = 1024 words, of records no shorter than 11.
 		maxRedoTail = 10 * (1024/11 + 1)
 	)
 	// Three crash scenarios at the 1x window and one at 4x: the correctness
@@ -90,7 +90,7 @@ func TestFailoverAcceptance(t *testing.T) {
 			t.Errorf("f=1 arm lost money across failover: %s", h.conservation())
 		}
 		if h.st.Count("repl.redo_tail") > maxRedoTail {
-			t.Errorf("f=1 arm, %dx warm window: promotion replayed %d redo records, want <= %d: a ring outran its checkpoints",
+			t.Errorf("f=1 arm, %dx warm window: promotion replayed %d redo records, want <= %d: a ring outran its drains",
 				warmX, h.st.Count("repl.redo_tail"), maxRedoTail)
 		}
 		t.Logf("%dx warm, seed %d: f=0 %d commits, %d WAL records scanned, Recover %v; f=1 %d commits, %d redo records replayed, promotion %v",

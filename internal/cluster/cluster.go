@@ -103,6 +103,9 @@ type Cluster struct {
 	// Both are nil when ReplicationFactor == 0.
 	views     []atomic.Uint64
 	redoSinks [][][]*RedoSink
+	// redoApply applies one drained redo record to a host's replica shards
+	// (HandleRedoDrain); nil until the transaction runtime installs it.
+	redoApply func(host int, rec []uint64)
 
 	deathMu sync.Mutex
 	onDeath func(coordinator, crashed int)

@@ -107,6 +107,7 @@ const (
 	EvFailover     // completed hot-failover promotions
 	EvPromoteNanos // wall-clock nanoseconds spent inside Failover
 	EvRedoTailLen  // redo records replayed during promotions
+	EvRingDrain    // redo records a backup applied to its replicas and truncated as it appended a sender's next record
 
 	// Range scans and secondary indexes.
 	EvScan             // one transactional range scan collected (Tx.Scan / RO.Scan)
@@ -214,6 +215,7 @@ var eventNames = [NumEvents]string{
 	EvFailover:           "repl.failover",
 	EvPromoteNanos:       "repl.promote_ns",
 	EvRedoTailLen:        "repl.redo_tail",
+	EvRingDrain:          "repl.ring_drain",
 	EvScan:               "scan.collect",
 	EvScanRow:            "scan.row",
 	EvScanValidateFail:   "scan.validate_fail",

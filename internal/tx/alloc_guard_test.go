@@ -268,10 +268,11 @@ func TestLocalOrderedAllocSteadyState(t *testing.T) {
 
 // TestReplicatedCommitAllocSteadyState pins the backup half of a replicated
 // commit at zero objects: a two-row transaction — one local, one remote write
-// — on a durable f = 1 rig, through the write-ahead append, the redo encode,
-// the log-append wave into both backups' sinks (RemoteAppend's fence reads the
-// record in place) and the checkpoints its ring triggers on the way; then a
-// Drain of a 64-record ring through applyRedo.
+// — on a durable f = 1 rig, through the region's hold of its local row, the
+// redo encode, the log-append wave into both backups' sinks (RemoteAppend's
+// fence reads the record in place), the drains of the rings it fills past
+// CheckpointWords and the local row's release; then a ring of 100 records
+// drained by the append of the 101st, through applyRedo.
 func TestReplicatedCommitAllocSteadyState(t *testing.T) {
 	cfg := cluster.DefaultConfig(2, 1)
 	cfg.LeaseMicros = 5_000
@@ -322,43 +323,46 @@ func TestReplicatedCommitAllocSteadyState(t *testing.T) {
 			})
 		}))
 	}
-	ckpts := rt.C.Obs.Snapshot().Counter(obs.EvShippedOp)
+	drains := rt.C.Obs.Total(obs.EvRingDrain)
 	for i := 0; i < 64; i++ { // warm the pools, the sinks' scan buffers included
 		commit()
 	}
 	if n := testing.AllocsPerRun(200, commit); n != 0 {
 		t.Errorf("replicated two-row commit allocates %.0f objects, want 0", n)
 	}
-	if rt.C.Obs.Snapshot().Counter(obs.EvShippedOp) == ckpts {
-		t.Error("no checkpoint ran: the guard did not cover the drain a full ring triggers")
+	if rt.C.Obs.Total(obs.EvRingDrain) == drains {
+		t.Error("no ring drained: the guard did not cover the drain a full ring's next append runs")
 	}
 
-	// A 64-record ring of successive versions of key 4 (partition 0, backed up
-	// on node 1), drained into node 1's replica shard.
+	// A 100-record ring of successive versions of key 4 (partition 0, backed up
+	// on node 1), its records not vouched for, drained into node 1's replica
+	// shard by a 101st that is: the last record stays in the ring.
 	sink := c.RedoSinkAt(1, 0, 0)
 	replica := c.Node(1).Unordered(cluster.ReplicaRegion(0, tblAccounts))
 	ups := []nvram.RedoUpdate{{Part: 0, Epoch: c.ViewEpochOf(0), Table: tblAccounts, Key: 4, Val: val}}
 	version := uint32(100)
 	var rec []uint64
 	drain := func() {
-		for i := 0; i < 64; i++ {
+		for i := 0; i <= 100; i++ {
 			version++
 			ups[0].Version, val[0] = version, uint64(version)
 			rec = nvram.EncodeRedo(rec, uint64(version), ups)
+			if i == 100 {
+				nvram.MarkRedoHome(rec)
+			}
 			must(sink.RemoteAppend(0, rec))
 		}
-		rt.drainCheckpoint(c.Node(1), 0, 0)
 	}
 	drain()
 	if n := testing.AllocsPerRun(20, drain); n != 0 {
-		t.Errorf("drain of a 64-record ring allocates %.0f objects, want 0", n)
+		t.Errorf("drain of a 100-record ring allocates %.0f objects, want 0", n)
 	}
 	off, _ := replica.LookupLocal(4)
-	if v, ok := replica.Get(4); !ok || v[0] != uint64(version) ||
-		kvs.Version(replica.Arena().LoadWord(kvs.IncVerOffset(off))) != version {
-		t.Errorf("replica row = %v, %v after the drains; want value and version %d", v, ok, version)
+	if v, ok := replica.Get(4); !ok || v[0] != uint64(version-1) ||
+		kvs.Version(replica.Arena().LoadWord(kvs.IncVerOffset(off))) != version-1 {
+		t.Errorf("replica row = %v, %v after the drains; want value and version %d", v, ok, version-1)
 	}
-	if sink.BytesUsed() != 0 {
-		t.Errorf("ring holds %d bytes after the drain", sink.BytesUsed())
+	if want := (1 + len(rec)) * 8; sink.BytesUsed() != want {
+		t.Errorf("ring holds %d bytes after the drain, want the last record's %d", sink.BytesUsed(), want)
 	}
 }

@@ -334,7 +334,10 @@ func TestCleanReleaseNeverClobbers(t *testing.T) {
 // TestCommitIsOneDoorbell: everything a distributed read-write transaction
 // posts after its serialization point is one polled wave — two with
 // replication, whose redo append keeps its own wave ahead of every release —
-// and so is an abort's release of three remote locks.
+// and so is an abort's release of three remote locks. With replication the
+// backup's ring is first filled to where the first measured commit's append
+// takes it past CheckpointWords: the backup applies and truncates the ring as
+// that append lands, and the commit still posts two waves and no message.
 func TestCommitIsOneDoorbell(t *testing.T) {
 	for _, repl := range []int{0, 1} {
 		t.Run(fmt.Sprintf("f=%d", repl), func(t *testing.T) {
@@ -342,17 +345,31 @@ func TestCommitIsOneDoorbell(t *testing.T) {
 			defer stop()
 			e := rt.Executor(0, 0)
 			batches := func() int64 { return rt.C.Obs.Total(obs.EvRDMABatch) }
-			// Rows 1 and 4 live on node 1: per row the value and the release.
-			for i := 0; i < 2; i++ {
-				var before int64
-				if err := transfer(e, 1, 4, func() { before = batches() }); err != nil {
-					t.Fatal(err)
-				}
-				if n := batches() - before; n != int64(1+repl) {
-					t.Fatalf("commit %d: %d polled waves past the serialization point, want %d", i, n, 1+repl)
+			msgs := func() int64 { return rt.C.Obs.Total(obs.EvVerbsMsg) }
+			drains := func() int64 { return rt.C.Obs.Total(obs.EvRingDrain) }
+			if repl > 0 {
+				// Node 2 backs node 1's partition up.
+				for rt.C.RedoSinkAt(2, 0, 0).BytesUsed()+transferRedoBytes < cluster.CheckpointWords*8 {
+					if err := transfer(e, 1, 4, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			stages := rt.C.Obs.Snapshot().Stages
+			base := rt.C.Obs.Snapshot()
+			// Rows 1 and 4 live on node 1: per row the value and the release.
+			for i := 0; i < 2; i++ {
+				var before, msgsBefore, drainsBefore int64
+				if err := transfer(e, 1, 4, func() { before, msgsBefore, drainsBefore = batches(), msgs(), drains() }); err != nil {
+					t.Fatal(err)
+				}
+				if n, m := batches()-before, msgs()-msgsBefore; n != int64(1+repl) || m != 0 {
+					t.Fatalf("commit %d: %d polled waves and %d messages past the serialization point, want %d and 0", i, n, m, 1+repl)
+				}
+				if d := drains() - drainsBefore; (i == 0 && repl > 0) != (d > 0) {
+					t.Fatalf("commit %d: its append drained %d records", i, d)
+				}
+			}
+			stages := rt.C.Obs.Snapshot().Delta(base).Stages
 			if w := stages[obs.StagePublish]; w.Waves != 2 || w.WRs != 2*4 || w.CASes != 0 {
 				t.Fatalf("publish stage = %+v, want 2 waves of 4 WRITEs", w)
 			}

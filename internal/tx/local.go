@@ -206,7 +206,7 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 		lc.t.walLocal = append(lc.t.walLocal, walRec{
 			node: lc.t.e.w.Node.ID, table: l.region, off: off,
 			version: newVer, inc: inc, val: own,
-			ltable: table, part: l.part, key: key,
+			ltable: table, part: l.part, key: key, arena: arena,
 		})
 	}
 	return nil

@@ -26,24 +26,31 @@ import (
 // The write-ahead log is appended transactionally inside the HTM region
 // (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
 // transaction's XEND executed — the property recovery relies on to decide
-// redo vs. unlock.
+// redo vs. unlock. Under replication there is none: a crashed machine is
+// repaired by Failover, never by Recover, and the redo record on the backups
+// is the commit record (repl.go).
 //
 // Lifetime. Recovery consults a crashed machine's logs for the transactions
 // that were in flight (Figure 7): a lock-ahead record matters while its locks
 // are held, a write-ahead record until every write it names is home. A worker
 // therefore restarts its three logs (reclaimLogs) where it starts a
-// transaction attempt — holding no lock, owing no write — unless some commit's
-// release side is parked for an unreachable node (fault.go), whose write-ahead
-// record is exactly what a crash of this coordinator would still need.
+// transaction attempt — holding no lock, owing no write — unless, without
+// replication, some commit's release side is parked for an unreachable node
+// (fault.go), whose write-ahead record is exactly what a crash of this
+// coordinator would still need.
 
 // reclaimLogs applies the lifetime rule at the start of a transaction attempt:
 // the worker's logs, if they hold anything, are restarted — all three, the
 // write-ahead log last, so no chopping or lock-ahead record ever outlives the
 // write-ahead record that proved its transaction committed (Recover would hand
-// the piece back as pending, or take the transaction for uncommitted). They are
-// kept while release-side work is parked anywhere in the runtime — the parked
-// write's record must survive this coordinator — and by a zombie, whose dropped
-// write-backs recovery redoes from these records (mustWrite). A zombie that
+// the piece back as pending, or take the transaction for uncommitted). Without
+// replication they are kept while release-side work is parked anywhere in the
+// runtime — the parked write's record must survive this coordinator. Under
+// replication no record a repair reads depends on a parked step: Failover
+// reads the redo rings, and the lock-ahead log only for locks this worker
+// holds, and none is held here. A zombie keeps its logs either way: its
+// releases fail at the source, and the repair frees its locks from these
+// records and redoes its dropped write-backs (mustWrite, mustUnlock). A zombie that
 // passes the check as its machine is declared dead restarts logs recovery may be
 // scanning: the window the fault model already assumes away for a zombie's
 // commit, and Log.Scan hands out no torn record in it. A restart appends
@@ -58,7 +65,7 @@ func (e *Executor) reclaimLogs() {
 		return
 	}
 	w.Obs.Max(obs.GaugeLogWords, int64(live/8))
-	if e.zombie() || e.rt.parked() {
+	if e.zombie() || (e.rt.C.ReplicationFactor() == 0 && e.rt.parked()) {
 		return
 	}
 	w.ChoppingLog.Truncate()
@@ -69,16 +76,19 @@ func (e *Executor) reclaimLogs() {
 
 // logAheadOfRegion writes, before the HTM region (Figure 7, left), the
 // chopping log — when the transaction is a piece of a chopped parent — and
-// the lock-ahead log, and reserves the write-ahead log's room for the largest
-// record the region can append (the region's write-set bound: AppendTx cannot
-// grow an arena). A restarted log has that room from the start.
+// the lock-ahead log, and, without replication, reserves the write-ahead log's
+// room for the largest record the region can append (the region's write-set
+// bound: AppendTx cannot grow an arena). A restarted log has that room from
+// the start.
 func (t *Tx) logAheadOfRegion() {
 	if t.chopped {
 		t.logBuf = append(t.logBuf[:0], t.txid, t.chopInfo[0], t.chopInfo[1])
 		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), len(t.logBuf))
 	}
 	t.logLockAhead()
-	t.e.w.WriteAheadLog.Reserve(t.e.w.Node.Engine.Config().WriteLines * memory.WordsPerLine)
+	if t.e.rt.C.ReplicationFactor() == 0 {
+		t.e.w.WriteAheadLog.Reserve(t.e.w.Node.Engine.Config().WriteLines * memory.WordsPerLine)
+	}
 }
 
 // logLockAhead names every record this transaction holds exclusively locked,
@@ -143,8 +153,13 @@ func putWAL(b []uint64, node, region int, off memory.Offset, inc, version uint32
 // region the append is transactional: durable iff the region commits. Under
 // the fallback's locks (htx == nil) it is immediate, ahead of the in-place
 // updates ("DrTM will perform logs ahead of updates for them as in normal
-// systems", Section 6.2).
+// systems", Section 6.2). Under replication it appends nothing: the redo
+// record the backups hold decides the commit (appendRedo's one-log rule), and
+// Failover, the only repair of a replicated cluster, never reads this log.
 func (t *Tx) logWAL(htx *htm.Txn) {
+	if t.e.rt.C.ReplicationFactor() > 0 {
+		return
+	}
 	body := t.walBody()
 	if body == nil {
 		return

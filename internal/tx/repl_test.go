@@ -51,7 +51,7 @@ func TestMirroredRemovalLeavesNoReplicaEntry(t *testing.T) {
 			// The replica catches up in the middle of one life only: it is live
 			// at the erase's removal there, and a never-flipped dead slot in the
 			// other two.
-			rt.drainCheckpoint(c.Node(backup), part, 0)
+			c.RedoSinkAt(backup, part, 0).Drain(func(rec []uint64) { rt.applyBackedUp(backup, rec) })
 		}
 		if err := home.Exec(func(tx *Tx) error {
 			if _, err := tx.Erase(tblOrders, key); err != nil {

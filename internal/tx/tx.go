@@ -106,10 +106,13 @@ type walRec struct {
 	val []uint64
 
 	// In-memory only (not serialized to the WAL): the logical table, home
-	// partition and key, used to build redo records for the backups.
+	// partition and key, used to build redo records for the backups, and the
+	// arena the region wrote, whose row it holds locked under replication
+	// (holdLocalWrites).
 	ltable int
 	part   int
 	key    uint64
+	arena  *memory.Arena
 }
 
 // deferredOp is an insert/delete applied after commit (index structures are
@@ -186,9 +189,8 @@ type Tx struct {
 	specDown bool
 
 	// Replication scratch, reused across transactions on this shell: the
-	// redo update set, the encoded record, the destination backup list (from
-	// the append to the write-back, those of them owed a checkpoint) and the
-	// per-partition Backups scratch it is deduplicated from.
+	// redo update set, the encoded record, the destination backup list and
+	// the per-partition Backups scratch it is deduplicated from.
 	redoUps []nvram.RedoUpdate
 	redoBuf []uint64
 	redoDst []int
@@ -370,6 +372,7 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 				htx.Abort(code)
 			}
 			t.applyLocalStructural(htx)
+			t.holdLocalWrites(htx)
 			if cfg.Durability {
 				t.logWAL(htx)
 			}
@@ -470,22 +473,57 @@ func (t *Tx) attemptWords(n int) []uint64 {
 // publish is the commit past its serialization point — XEND on the region
 // path, the last check under every lock on the fallback's: the write-set goes
 // to the backups (FaRM's commit-backup: it must be on every one of them before
-// a lock releases or an effect becomes observable remotely), then the staged
-// records are written back and unlocked — only then may a backup be asked to
-// truncate the ring the append filled (checkpointRedo) — then the deferred
-// store ops and the physical removals run.
+// a lock releases or an effect becomes observable remotely), then the region's
+// local rows are released and the staged records written back and unlocked,
+// then the deferred store ops and the physical removals run.
 func (t *Tx) publish() error {
 	cstart := int64(t.e.w.VClock.Now())
 	if err := t.replicate(); err != nil {
 		return err
 	}
+	t.releaseLocalWrites()
 	t.commitRemotes()
-	t.checkpointRedo()
 	t.vCommit += int64(t.e.w.VClock.Now()) - cstart
 	t.applyDeferred()
 	t.e.removeDead(t.removals)
 	t.finished = true
 	return nil
+}
+
+// holdLocalWrites closes the window between XEND and the redo append under
+// replication: as the region's last writes it write-locks, for this machine,
+// every local row the region wrote or flipped — the state word shares the line
+// of the incarnation|version word the write already put in the write set. A
+// row's new value is visible at XEND, but until the backups hold the commit
+// record nobody may lock it, read it or build on it: were this machine to die
+// first, Failover would drop the commit whole (FaRM's lock, commit-backup,
+// commit-primary). releaseLocalWrites frees them once the append wave is
+// polled; a dead coordinator's locks die with its memory, as replicas carry
+// none. Without replication XEND is the commit point and nothing is held.
+func (t *Tx) holdLocalWrites(htx *htm.Txn) {
+	if t.e.rt.C.ReplicationFactor() == 0 {
+		return
+	}
+	held := clock.WLocked(uint8(t.e.w.Node.ID))
+	for i := range t.walLocal {
+		u := &t.walLocal[i]
+		htx.Write(u.arena, kvs.StateOffset(u.off), held)
+	}
+}
+
+// releaseLocalWrites frees what holdLocalWrites held, with plain stores to
+// this machine's memory — no verb, no doorbell — each charged as one
+// buffered write. The fallback holds its local rows as staged records, which
+// commitRemotes releases.
+func (t *Tx) releaseLocalWrites() {
+	if t.e.rt.C.ReplicationFactor() == 0 {
+		return
+	}
+	for i := range t.walLocal {
+		u := &t.walLocal[i]
+		u.arena.StoreWord(kvs.StateOffset(u.off), clock.Init)
+	}
+	t.e.charge(t.e.model().HTMPerWriteNS * int64(len(t.walLocal)))
 }
 
 // commitRemotes writes back dirty staged records and releases exclusive

@@ -286,7 +286,7 @@ func TestZombieAppendFenced(t *testing.T) {
 // redo stream and shipped deletes. Deletes are applied immediately to the
 // primary and every replica shard and never appear in the redo stream, so a
 // backup's ring can still hold an older write record for a deleted key when
-// it is drained (checkpoint or failover). The drain must recognize such
+// it is drained (by an append or by failover). The drain must recognize such
 // records as stale — both when the key is still gone (never re-insert it)
 // and when it was re-inserted since (never clobber the fresh value, whose
 // version restarted at 0).
