@@ -47,7 +47,14 @@ type RecoveryReport struct {
 // owner-guarded, so survivors' in-flight transactions are never clobbered,
 // and no lock is released before every log has been replayed, so no survivor
 // gets at a record ahead of an update recovery still owes it.
+//
+// A replicated cluster writes no write-ahead record, so Recover would take
+// its committed transactions for uncommitted ones and free their locks
+// without their write-backs: it panics there. Failover repairs it.
 func (rt *Runtime) Recover(crashed int) RecoveryReport {
+	if rt.C.ReplicationFactor() > 0 {
+		panic("tx: Recover on a replicated cluster, which keeps no write-ahead log; repair it with Failover")
+	}
 	rt.recMu.Lock()
 	defer rt.recMu.Unlock()
 	start := time.Now()

@@ -123,15 +123,16 @@ func (t *Tx) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
 
 // scanRoute returns the node, region and partition of a scan of [lo, hi] in
 // an ordered table, panicking on an unordered table or a range that spans
-// nodes.
+// partitions. The ends are compared by partition, not by owner: the owner is
+// read once, as a failover may move it between two reads.
 func (e *Executor) scanRoute(table int, lo, hi uint64) (node, region, part int) {
 	if e.rt.Meta(table).Kind != Ordered {
 		panic(fmt.Sprintf("tx: Scan of unordered table %d", table))
 	}
 	node, region, part = e.route(table, lo)
-	if nodeHi, _, _ := e.route(table, hi); nodeHi != node {
-		panic(fmt.Sprintf("tx: Scan range [%d, %d] of table %d spans nodes %d and %d; "+
-			"partition scans by the routing attribute", lo, hi, table, node, nodeHi))
+	if partHi := e.rt.Part(table, hi); partHi != part {
+		panic(fmt.Sprintf("tx: Scan range [%d, %d] of table %d spans partitions %d and %d; "+
+			"partition scans by the routing attribute", lo, hi, table, part, partHi))
 	}
 	return node, region, part
 }
