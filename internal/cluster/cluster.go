@@ -35,9 +35,8 @@ type Config struct {
 	LeaseMicros   uint64
 	ROLeaseMicros uint64
 
-	// Softtime deployment (Section 6.1).
+	// Softtime deployment (Section 6.1); the nodes' skew is skewBound.
 	SofttimeInterval time.Duration
-	SkewBound        time.Duration
 	Strategy         clock.Strategy
 
 	// Durability (Section 4.6): when true, transactions write chopping,
@@ -62,6 +61,10 @@ type Config struct {
 	ReplicationFactor int
 }
 
+// skewBound bounds a node's softtime skew: New spreads the nodes' skews
+// across [-skewBound, +skewBound], and Delta allows for it.
+const skewBound = 50 * time.Microsecond
+
 // DefaultConfig mirrors the paper's settings on a cluster of n nodes with
 // w workers each.
 func DefaultConfig(n, w int) Config {
@@ -74,7 +77,6 @@ func DefaultConfig(n, w int) Config {
 		LeaseMicros:      400,
 		ROLeaseMicros:    1000,
 		SofttimeInterval: 200 * time.Microsecond,
-		SkewBound:        50 * time.Microsecond,
 		Strategy:         clock.StrategyReuseConfirm,
 		LogWords:         1 << 20,
 	}
@@ -149,14 +151,14 @@ type Worker struct {
 
 // Delta returns the cluster's lease clock-uncertainty bound in microseconds.
 func (c *Cluster) Delta() uint64 {
-	return clock.Delta(c.cfg.SofttimeInterval, c.cfg.SkewBound)
+	return clock.Delta(c.cfg.SofttimeInterval, skewBound)
 }
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
 // New builds a cluster. Per-node softtime skew is spread deterministically
-// across [-SkewBound, +SkewBound].
+// across [-skewBound, +skewBound].
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 || cfg.WorkersPerNode <= 0 {
 		panic("cluster: need at least one node and one worker")
@@ -186,7 +188,7 @@ func New(cfg Config) *Cluster {
 		skew := time.Duration(0)
 		if cfg.Nodes > 1 {
 			frac := float64(i)/float64(cfg.Nodes-1)*2 - 1 // -1 .. +1
-			skew = time.Duration(frac * float64(cfg.SkewBound))
+			skew = time.Duration(frac * float64(skewBound))
 		}
 		n := &Node{
 			ID:        i,

@@ -195,7 +195,7 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 func TestSofttimeSkewOrdering(t *testing.T) {
 	c := New(DefaultConfig(5, 1))
 	defer c.Stop()
-	// Node 0 has -SkewBound, node 4 has +SkewBound.
+	// Node 0 has -skewBound, node 4 has +skewBound.
 	lo := c.Node(0).Clock.Read()
 	hi := c.Node(4).Clock.Read()
 	if hi <= lo {

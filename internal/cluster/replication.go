@@ -65,15 +65,6 @@ func ReplicaRegion(p, table int) int {
 	return replicaRegionBase + p*replicaRegionStride + table
 }
 
-// ReplicaRegionInfo inverts ReplicaRegion; ok is false for plain table IDs.
-func ReplicaRegionInfo(region int) (p, table int, ok bool) {
-	if region < replicaRegionBase || region >= redoLogRegionBase {
-		return 0, 0, false
-	}
-	r := region - replicaRegionBase
-	return r / replicaRegionStride, r % replicaRegionStride, true
-}
-
 // Redo log regions: RedoLogRegion(s, w) on host b is the redo log that
 // sender worker (s, w) appends to on b.
 const (

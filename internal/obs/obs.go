@@ -61,7 +61,7 @@ const (
 	EvLeaseConfirmFail   // lease confirmation failed outside the HTM region
 	EvLeaseExpire        // expired lease observed and taken over / cleared
 	EvRemoteLockConflict // lock/lease acquisition blocked by a conflicting holder
-	EvLockUpgrade        // shared lease upgraded in place to an exclusive lock
+	EvLockUpgrade        // a staged read locked for a later write (an expired lease, or a speculative read)
 
 	// Speculative (OCC) read-arm events: version-validated reads that skip
 	// the lease CAS entirely (PolicyAdaptive's route).

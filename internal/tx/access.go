@@ -10,7 +10,9 @@ package tx
 //	recHandle        where the record's entry is, resolved once by either index
 //	lookupOrdered    the one local B+ tree lookup, through the executor's leaf
 //	                 cache, priced by what the index did (chargeIndexOp)
-//	acquirer         the I/O-free Figure 5 state machine over the state word
+//	acquirer         the I/O-free Figure 5 state machine over the state word,
+//	                 with the paper's two arms: a lease, and a lock — which
+//	                 is also what a staged read later written takes
 //	Executor.acquire its synchronous driver (stageBatch drives it in waves)
 //	Executor.waitOut the one step an escalated attempt takes between two polls
 //	                 of a record somebody else holds
@@ -245,22 +247,21 @@ func (e *Executor) invalidate(h *recHandle) {
 	}
 }
 
-// acqMode is what an acquisition wants from the state word.
+// acqMode is what an acquisition wants from the state word: the paper's two
+// arms (Figure 5). A staged read that is later declared for write takes the
+// lock arm like any writer, so it waits out a running lease — its own too.
 type acqMode uint8
 
 const (
-	acqLease        acqMode = iota // shared lease until leaseEnd
-	acqLock                        // exclusive lock
-	acqUpgradeLease                // exclusive lock over the caller's own shared lease
-	acqUpgradeSpec                 // exclusive lock after a speculative read (nothing held)
+	acqLease acqMode = iota // shared lease until leaseEnd
+	acqLock                 // exclusive lock
 )
 
 // acqVerdict is the outcome of one CAS round.
 type acqVerdict uint8
 
 const (
-	acqWon      acqVerdict = iota // the CAS installed the wanted word
-	acqShared                     // an unexpired foreign lease covers the read
+	acqWon      acqVerdict = iota // the wanted word is installed, or a running lease covers the read
 	acqAgain                      // CAS (old → want) again
 	acqWait                       // held by a conflicting owner: wait, then CAS again (waits arms)
 	acqConflict                   // held by a live conflicting owner
@@ -279,15 +280,12 @@ type acquirer struct {
 	waits bool
 }
 
-// arm prepares the first round. leaseEnd is the wanted lease end (acqLease)
-// or the end of the lease the caller already holds (acqUpgradeLease).
+// arm prepares the first round, which expects the free word: leaseEnd is the
+// wanted lease end (acqLease).
 func (a *acquirer) arm(mode acqMode, owner uint8, leaseEnd uint64) {
 	*a = acquirer{mode: mode, old: clock.Init, want: clock.WLocked(owner)}
-	switch mode {
-	case acqLease:
+	if mode == acqLease {
 		a.want = clock.Shared(leaseEnd)
-	case acqUpgradeLease:
-		a.old = clock.Shared(leaseEnd)
 	}
 }
 
@@ -296,25 +294,22 @@ func (a *acquirer) arm(mode acqMode, owner uint8, leaseEnd uint64) {
 // the verdict and, for reads, the end of the lease that now covers the record
 // (the caller's own, or the shared one), and counts the lease events.
 func (a *acquirer) step(sh *obs.Shard, cur uint64, swapped bool, now, delta uint64) (acqVerdict, uint64) {
-	write := a.mode != acqLease
+	write := a.mode == acqLock
 	if swapped {
 		if a.takeover {
 			sh.Inc(obs.EvLeaseExpire)
 		}
-		switch {
-		case a.mode >= acqUpgradeLease:
-			sh.Inc(obs.EvLockUpgrade)
-		case !write:
-			sh.Inc(obs.EvLeaseGrant)
-			return acqWon, clock.LeaseEnd(a.want)
+		if write {
+			return acqWon, 0
 		}
-		return acqWon, 0
+		sh.Inc(obs.EvLeaseGrant)
+		return acqWon, clock.LeaseEnd(a.want)
 	}
 	end := clock.LeaseEnd(cur)
 	live := !clock.Expired(end, now, delta)
 	if clock.IsWriteLocked(cur) || live && write {
-		// Held against the arm. Writers (and upgrades) wait out an unexpired
-		// lease too: through a whole-transaction retry, or here.
+		// Held against the arm. Writers wait out an unexpired lease too:
+		// through a whole-transaction retry, or here.
 		if a.waits {
 			return acqWait, 0
 		}
@@ -322,7 +317,7 @@ func (a *acquirer) step(sh *obs.Shard, cur uint64, swapped bool, now, delta uint
 	}
 	if live {
 		sh.Inc(obs.EvLeaseShare)
-		return acqShared, end
+		return acqWon, end
 	}
 	if a.takeover {
 		// Lost the takeover race to a racer that moved the word on — a fresh

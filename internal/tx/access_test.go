@@ -18,7 +18,6 @@ func TestAcquirerStep(t *testing.T) {
 		now      = 10_000
 		delta    = 300
 		wantEnd  = 20_000 // the lease end a read asks for
-		heldEnd  = 15_000 // the caller's own lease (upgrade from lease)
 		liveEnd  = 12_000 // a foreign lease still running at now
 		deadEnd  = 9_000  // a foreign lease expired at now (9000+300 < 10000)
 		edgeEnd  = 9_700  // now == end+delta: inside the uncertainty window, NOT expired
@@ -45,10 +44,10 @@ func TestAcquirerStep(t *testing.T) {
 			[]round{{clock.Init, true, acqWon, wantEnd, 0, 0}},
 			map[obs.Event]int64{obs.EvLeaseGrant: 1}},
 		{"lease: shares a running lease", acqLease, wantEnd, false,
-			[]round{{clock.Shared(liveEnd), false, acqShared, liveEnd, 0, 0}},
+			[]round{{clock.Shared(liveEnd), false, acqWon, liveEnd, 0, 0}},
 			map[obs.Event]int64{obs.EvLeaseShare: 1}},
 		{"lease: uncertainty window still shares", acqLease, wantEnd, false,
-			[]round{{clock.Shared(edgeEnd), false, acqShared, edgeEnd, 0, 0}},
+			[]round{{clock.Shared(edgeEnd), false, acqWon, edgeEnd, 0, 0}},
 			map[obs.Event]int64{obs.EvLeaseShare: 1}},
 		{"lease: write-locked", acqLease, wantEnd, false,
 			[]round{{clock.WLocked(foreignW), false, acqConflict, 0, 0, 0}}, nil},
@@ -61,7 +60,7 @@ func TestAcquirerStep(t *testing.T) {
 		{"lease: takeover lost to a reader, shares its lease", acqLease, wantEnd, false,
 			[]round{
 				{clock.Shared(deadEnd), false, acqAgain, 0, clock.Shared(deadEnd), 0},
-				{clock.Shared(liveEnd), false, acqShared, liveEnd, 0, 0},
+				{clock.Shared(liveEnd), false, acqWon, liveEnd, 0, 0},
 			},
 			map[obs.Event]int64{obs.EvLeaseShare: 1}},
 		{"lease: takeover lost to a writer", acqLease, wantEnd, false,
@@ -88,29 +87,6 @@ func TestAcquirerStep(t *testing.T) {
 				{clock.Shared(deadEnd), true, acqWon, 0, 0, 0},
 			},
 			map[obs.Event]int64{obs.EvLeaseExpire: 1}},
-		{"upgrade from lease: own lease swapped for the lock", acqUpgradeLease, heldEnd, false,
-			[]round{{clock.Shared(heldEnd), true, acqWon, 0, 0, 0}},
-			map[obs.Event]int64{obs.EvLockUpgrade: 1}},
-		{"upgrade from lease: a later foreign lease is waited out", acqUpgradeLease, heldEnd, false,
-			[]round{{clock.Shared(heldEnd + 500), false, acqConflict, 0, 0, 0}}, nil},
-		{"upgrade from lease: own lease expired and replaced, foreign expired lease taken over", acqUpgradeLease, deadEnd - 100, false,
-			[]round{
-				{clock.Shared(deadEnd), false, acqAgain, 0, clock.Shared(deadEnd), 0},
-				{clock.Shared(deadEnd), true, acqWon, 0, 0, 0},
-			},
-			map[obs.Event]int64{obs.EvLeaseExpire: 1, obs.EvLockUpgrade: 1}},
-		{"upgrade from lease: word cleared by a local writer", acqUpgradeLease, deadEnd, false,
-			[]round{
-				{clock.Init, false, acqAgain, 0, clock.Init, 0},
-				{clock.Init, true, acqWon, 0, 0, 0},
-			},
-			map[obs.Event]int64{obs.EvLeaseExpire: 1, obs.EvLockUpgrade: 1}},
-		{"upgrade from spec: free word", acqUpgradeSpec, 0, false,
-			[]round{{clock.Init, true, acqWon, 0, 0, 0}},
-			map[obs.Event]int64{obs.EvLockUpgrade: 1}},
-		{"upgrade from spec: running lease", acqUpgradeSpec, 0, false,
-			[]round{{clock.Shared(liveEnd), false, acqConflict, 0, 0, 0}}, nil},
-
 		// An escalated arm waits for a held word where any other gives up.
 		{"waits, lock: held, then released", acqLock, 0, true,
 			[]round{
@@ -142,16 +118,12 @@ func TestAcquirerStep(t *testing.T) {
 		var a acquirer
 		a.arm(c.mode, me, c.leaseEnd)
 		a.waits = c.waits
-		wantOld := clock.Init
-		if c.mode == acqUpgradeLease {
-			wantOld = clock.Shared(c.leaseEnd)
-		}
 		wantNew := locked
 		if c.mode == acqLease {
 			wantNew = clock.Shared(c.leaseEnd)
 		}
-		if a.old != wantOld || a.want != wantNew {
-			t.Errorf("%s: armed (%#x → %#x), want (%#x → %#x)", c.name, a.old, a.want, wantOld, wantNew)
+		if a.old != clock.Init || a.want != wantNew {
+			t.Errorf("%s: armed (%#x → %#x), want (%#x → %#x)", c.name, a.old, a.want, clock.Init, wantNew)
 		}
 		for i, r := range c.rounds {
 			at := uint64(now)
@@ -166,7 +138,7 @@ func TestAcquirerStep(t *testing.T) {
 				t.Errorf("%s: round %d re-armed (%#x → %#x), want (%#x → %#x)", c.name, i, a.old, a.want, r.old, wantNew)
 			}
 		}
-		for _, ev := range []obs.Event{obs.EvLeaseGrant, obs.EvLeaseShare, obs.EvLeaseExpire, obs.EvLockUpgrade} {
+		for _, ev := range []obs.Event{obs.EvLeaseGrant, obs.EvLeaseShare, obs.EvLeaseExpire} {
 			if got := sh.Count(ev); got != c.events[ev] {
 				t.Errorf("%s: event %v counted %d, want %d", c.name, ev, got, c.events[ev])
 			}

@@ -224,40 +224,60 @@ func TestGlobalAtomicsUsesLocalCAS(t *testing.T) {
 	}
 }
 
-// TestUpgradeReadToWrite: staging a write after a read of the same remote
-// record upgrades the shared lease to an exclusive lock in place with a
-// single CAS, instead of aborting the transaction.
+// TestUpgradeReadToWrite: a write declared after a read of the same remote
+// record takes the lock arm like any other write. After a leased read it loses
+// to that lease — its own, still running — and leaves the word shared, no
+// lock installed; after a speculative read, which held nothing, it is one
+// lock CAS, counted as an upgrade.
 func TestUpgradeReadToWrite(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 4, nil)
-	defer stop()
-	tx := rt.Executor(0, 0).newTx()
-	if err := tx.stageRemote(tblAccounts, 1, 1, tblAccounts, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	host := rt.C.Node(1).Unordered(tblAccounts)
-	off, _ := host.LookupLocal(1)
-	if s := host.Arena().LoadWord(off + 2); clock.IsWriteLocked(s) {
-		t.Fatalf("read staged an exclusive lock: %x", s)
-	}
-	if err := tx.stageRemote(tblAccounts, 1, 1, tblAccounts, 1, true); err != nil {
-		t.Fatalf("upgrade = %v, want success", err)
-	}
-	if s := host.Arena().LoadWord(off + 2); !clock.IsWriteLocked(s) {
-		t.Fatalf("upgrade did not install the exclusive lock: %x", s)
-	}
-	r := tx.index[refKey{tblAccounts, 1}]
-	if r == nil || !r.write {
-		t.Fatal("staged record not marked exclusive after upgrade")
-	}
-	if got := rt.C.Obs.Total(obs.EvLockUpgrade); got != 1 {
-		t.Fatalf("lock.upgrade = %d, want 1", got)
-	}
-	if len(tx.recs) != 1 {
-		t.Fatalf("remotes = %d, want 1 (no duplicate staging)", len(tx.recs))
-	}
-	tx.releaseLocks()
-	if s := host.Arena().LoadWord(off + 2); s != clock.Init {
-		t.Fatalf("release after upgrade leaked the lock: %x", s)
+	for _, p := range []ReadPolicy{PolicyLease, PolicyAdaptive} {
+		t.Run(p.String(), func(t *testing.T) {
+			rt, stop := newRig(t, 2, 1, 4, func(c *cluster.Config) { c.LeaseMicros = 1 << 30 })
+			defer stop()
+			rt.ReadPolicy = p
+			tx := rt.Executor(0, 0).newTx()
+			if err := tx.stageRemote(tblAccounts, 1, 1, tblAccounts, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			host := rt.C.Node(1).Unordered(tblAccounts)
+			off, _ := host.LookupLocal(1)
+			state := func() uint64 { return host.Arena().LoadWord(kvs.StateOffset(off)) }
+			read := state()
+			if clock.IsWriteLocked(read) {
+				t.Fatalf("read staged an exclusive lock: %#x", read)
+			}
+			cas0 := rt.C.Obs.Total(obs.EvRDMACAS)
+			err := tx.stageRemote(tblAccounts, 1, 1, tblAccounts, 1, true)
+			if cas := rt.C.Obs.Total(obs.EvRDMACAS) - cas0; cas != 1 {
+				t.Fatalf("the write's CASes = %d, want 1", cas)
+			}
+			upgrades := rt.C.Obs.Total(obs.EvLockUpgrade)
+			if p == PolicyLease {
+				if !errors.Is(err, ErrRetry) {
+					t.Fatalf("write over the read's running lease = %v, want %v", err, ErrRetry)
+				}
+				if s := state(); s != read || upgrades != 0 {
+					t.Fatalf("lost write left state %#x (want the lease %#x), lock.upgrade = %d (want 0)", s, read, upgrades)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("upgrade = %v, want success", err)
+			}
+			if s := state(); s != clock.WLocked(0) {
+				t.Fatalf("upgrade did not install the exclusive lock: %#x", s)
+			}
+			if r := tx.index[refKey{tblAccounts, 1}]; r == nil || !r.write || len(tx.recs) != 1 {
+				t.Fatalf("record not staged once, exclusive, after the upgrade (remotes = %d)", len(tx.recs))
+			}
+			if upgrades != 1 {
+				t.Fatalf("lock.upgrade = %d, want 1", upgrades)
+			}
+			tx.releaseLocks()
+			if s := state(); s != clock.Init {
+				t.Fatalf("release after upgrade leaked the lock: %#x", s)
+			}
+		})
 	}
 }
 

@@ -158,24 +158,7 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	if lc.t.e.rt.C.Config().Strategy != clock.StrategyReuseConfirm {
-		_ = lc.now() // per-op softtime read (Figure 11(a)/(b) strategies)
-	}
-	// LOCAL_WRITE (Figure 6): abort when exclusively locked or covered by
-	// an unexpired lease; actively clear an expired lease (the
-	// optimization that saves remote lockers an extra RDMA CAS — with the
-	// side effect of adding the state to the HTM write set).
-	s := lc.htx.Read(arena, kvs.StateOffset(off))
-	if clock.IsWriteLocked(s) {
-		lc.htx.Abort(abortCodeLocked)
-	}
-	if s != clock.Init {
-		if !clock.Expired(clock.LeaseEnd(s), lc.now(), lc.t.e.rt.C.Delta()) {
-			lc.htx.Abort(abortCodeLocked)
-		}
-		lc.t.e.w.Obs.Inc(obs.EvLeaseExpire)
-		lc.htx.Write(arena, kvs.StateOffset(off), clock.Init)
-	}
+	lc.t.claimLocal(lc.htx, arena, off, lc.now())
 	incver := lc.htx.Read(arena, kvs.IncVerOffset(off))
 	ordered := lc.t.e.rt.Meta(table).Kind == Ordered
 	if ordered {
@@ -210,6 +193,25 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 		})
 	}
 	return nil
+}
+
+// claimLocal is LOCAL_WRITE's rule for a local row's state word (Figure 6),
+// which the region's writes and structural flips share: abort when the row is
+// write-locked or covered by a lease unexpired at soft-time now; clear an
+// expired lease — which saves a remote locker an RDMA CAS, and puts the state
+// word in the HTM write set.
+func (t *Tx) claimLocal(htx *htm.Txn, arena *memory.Arena, off memory.Offset, now uint64) {
+	s := htx.Read(arena, kvs.StateOffset(off))
+	if clock.IsWriteLocked(s) {
+		htx.Abort(abortCodeLocked)
+	}
+	if s != clock.Init {
+		if !clock.Expired(clock.LeaseEnd(s), now, t.e.rt.C.Delta()) {
+			htx.Abort(abortCodeLocked)
+		}
+		t.e.w.Obs.Inc(obs.EvLeaseExpire)
+		htx.Write(arena, kvs.StateOffset(off), clock.Init)
+	}
 }
 
 // findStructOp locates this transaction's staged structural op for a key.

@@ -83,7 +83,7 @@ func (e *Executor) reclaimLogs() {
 func (t *Tx) logAheadOfRegion() {
 	if t.chopped {
 		t.logBuf = append(t.logBuf[:0], t.txid, t.chopInfo[0], t.chopInfo[1])
-		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), len(t.logBuf))
+		t.logged(t.e.w.ChoppingLog.Append(t.logBuf), "chopping", len(t.logBuf))
 	}
 	t.logLockAhead()
 	if t.e.rt.C.ReplicationFactor() == 0 {
@@ -106,16 +106,17 @@ func (t *Tx) logLockAhead() {
 	}
 	t.logBuf = b
 	if b[1] > 0 {
-		t.logged(t.e.w.LockAheadLog.Append(b), len(b))
+		t.logged(t.e.w.LockAheadLog.Append(b), "lock-ahead", len(b))
 	}
 }
 
-// logged accounts for one appended log record. A log full at its cap means
-// LogWords of records could not be reclaimed: release-side work parked for a
-// node nobody recovers.
-func (t *Tx) logged(ok bool, words int) {
+// logged accounts for one record appended to the named log. A log full at its
+// cap means LogWords of records could not be reclaimed (reclaimLogs): a zombie
+// keeps its logs, and without replication so does a worker while release-side
+// work is parked for a node nobody recovers.
+func (t *Tx) logged(ok bool, log string, words int) {
 	if !ok {
-		panic("tx: write-ahead log full: LogWords of records await a parked release")
+		panic("tx: " + log + " log full: LogWords of records not reclaimed")
 	}
 	t.e.w.Obs.Inc(obs.EvLogRecord)
 	t.e.charge(int64(t.e.model().NVRAMAppend(words * 8)))
@@ -165,9 +166,9 @@ func (t *Tx) logWAL(htx *htm.Txn) {
 		return
 	}
 	if log := t.e.w.WriteAheadLog; htx != nil {
-		t.logged(log.AppendTx(htx, body), len(body))
+		t.logged(log.AppendTx(htx, body), "write-ahead", len(body))
 	} else {
-		t.logged(log.Append(body), len(body))
+		t.logged(log.Append(body), "write-ahead", len(body))
 	}
 }
 

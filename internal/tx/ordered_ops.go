@@ -428,18 +428,9 @@ func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert b
 	if htx.Read(arena, kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver) {
 		htx.Abort(abortCodeStale)
 	}
-	s := htx.Read(arena, kvs.StateOffset(op.off))
-	if clock.IsWriteLocked(s) {
-		htx.Abort(abortCodeLocked)
-	}
-	if s != clock.Init {
-		// A lease landed on the entry since declare; clear it if expired,
-		// else wait it out via whole-transaction retry (Figure 6 logic).
-		if !clock.Expired(clock.LeaseEnd(s), t.startSoft, t.e.rt.C.Delta()) {
-			htx.Abort(abortCodeLocked)
-		}
-		htx.Write(arena, kvs.StateOffset(op.off), clock.Init)
-	}
+	// A lease that landed on the entry since declare is waited out through a
+	// whole-transaction retry, or cleared once expired.
+	t.claimLocal(htx, arena, op.off, t.startSoft)
 	htx.Write(arena, kvs.IncVerOffset(op.off), kvs.PackIncVer(op.inc+1, op.ver+1))
 	if insert {
 		htx.WriteN(arena, kvs.ValueOffset(op.off), op.val)

@@ -250,9 +250,9 @@ type stageReq struct {
 	// r is the staged record: taken from the pool once the record is acquired
 	// (register), or for an upgrade the record already staged with a shared
 	// lease or a speculative read that now needs an exclusive lock — the
-	// pipeline CASes the lease word to the lock word in place (release is
-	// implicit: an unupgraded lease just expires; a speculative read held
-	// nothing).
+	// pipeline locks it like any write, so it loses the attempt to a running
+	// lease, the transaction's own included (a lease is never released: it
+	// just expires; a speculative read held nothing).
 	r       *remoteRec
 	upgrade bool
 	write   bool
@@ -461,10 +461,6 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 				s.consume(t, s.entryBuf()) // a read's entry buffer is the narrow window the reply filled
 			}
 			continue
-		case s.upgrade && s.r.spec:
-			s.acq.arm(acqUpgradeSpec, me, 0)
-		case s.upgrade:
-			s.acq.arm(acqUpgradeLease, me, s.r.leaseEnd)
 		case s.write:
 			s.acq.arm(acqLock, me, 0)
 		default:
@@ -586,15 +582,16 @@ func (t *Tx) stageBatch(reqs []*stageReq) error {
 	return nil
 }
 
-// acquired registers a won or shared acquisition — exclusive lock, fresh or
-// shared lease ending at leaseEnd, or in-place upgrade — and queues the
-// record for fetch (the fused prefetch posted alongside the CAS usually
-// satisfies it in-wave).
+// acquired registers a won acquisition — exclusive lock, fresh or shared
+// lease ending at leaseEnd, or the lock of an upgrade — and queues the record
+// for fetch (the fused prefetch posted alongside the CAS usually satisfies it
+// in-wave).
 func (s *stageReq) acquired(t *Tx, leaseEnd uint64) {
 	if s.upgrade {
-		// The shared lease (or unprotected speculative read) is now an
-		// exclusive lock; re-fetch — the buffered value may predate a writer
-		// that committed since it was read.
+		// The read's lease, expired or cleared, or its unprotected
+		// speculative read is now an exclusive lock; re-fetch — the buffered
+		// value may predate a writer that committed since it was read.
+		t.e.w.Obs.Inc(obs.EvLockUpgrade)
 		s.r.write, s.r.spec, s.r.leaseEnd = true, false, 0
 		s.needFetch = true
 		return

@@ -11,6 +11,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/htm"
+	"drtm/internal/kvs"
 	"drtm/internal/obs"
 )
 
@@ -333,8 +334,88 @@ func TestLeaseSharingAcrossNodes(t *testing.T) {
 	if r2.leaseEnd != r1.leaseEnd {
 		t.Fatalf("leases not shared: %d vs %d", r1.leaseEnd, r2.leaseEnd)
 	}
+	// A shared lease is node 1's as much as node 2's: node 2's write waits it
+	// out like any writer's, and node 1's lease stands.
+	if err := t2.stageRemote(tblAccounts, 3, 0, tblAccounts, 0, true); !errors.Is(err, ErrRetry) {
+		t.Fatalf("write over a shared running lease = %v, want %v", err, ErrRetry)
+	}
+	host := rt.C.Node(0).Unordered(tblAccounts)
+	off, _ := host.LookupLocal(3)
+	if s := host.Arena().LoadWord(kvs.StateOffset(off)); s != clock.Shared(r1.leaseEnd) {
+		t.Fatalf("state word after the lost write = %#x, want the shared lease %#x", s, clock.Shared(r1.leaseEnd))
+	}
 	t1.releaseLocks()
-	t2.releaseLocks()
+}
+
+// TestLeasedReadOutlastsSharingWriter: a read-only transaction leases row 3;
+// a writer on another node shares that lease, then declares writes of rows 3
+// and 6 to move a unit between them. The writer must not commit while the
+// lease runs, so the reader's later read of row 6 sees the row as it was, and
+// its two rows still add up.
+func TestLeasedReadOutlastsSharingWriter(t *testing.T) {
+	rt, stop := newRig(t, 3, 1, 6, func(c *cluster.Config) {
+		c.LeaseMicros, c.ROLeaseMicros = 1<<30, 1<<30
+	})
+	defer stop()
+	rt.ReadPolicy = PolicyLease
+	errLost := errors.New("writer lost its attempt")
+	var (
+		writer error
+		wrote  bool
+	)
+	write := func() error {
+		return rt.Executor(2, 0).Exec(func(tx *Tx) error {
+			if err := tx.R(tblAccounts, 3); err != nil { // shares the reader's lease
+				return err
+			}
+			if err := tx.Stage(Access{Table: tblAccounts, Key: 3, Write: true},
+				Access{Table: tblAccounts, Key: 6, Write: true}); err != nil {
+				if errors.Is(err, ErrRetry) {
+					return errLost // one attempt: a retry would wait the lease out
+				}
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				x, err := lc.Read(tblAccounts, 3)
+				if err != nil {
+					return err
+				}
+				w, err := lc.Read(tblAccounts, 6)
+				if err != nil {
+					return err
+				}
+				if err := lc.Write(tblAccounts, 3, []uint64{x[0] - 1, x[1]}); err != nil {
+					return err
+				}
+				return lc.Write(tblAccounts, 6, []uint64{w[0] + 1, w[1]})
+			})
+		})
+	}
+	var x, w uint64
+	err := rt.Executor(1, 0).ExecRO(func(ro *RO) error {
+		v, err := ro.Read(tblAccounts, 3)
+		if err != nil {
+			return err
+		}
+		x = v[0]
+		if !wrote {
+			writer, wrote = write(), true
+		}
+		if v, err = ro.Read(tblAccounts, 6); err != nil {
+			return err
+		}
+		w = v[0]
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x+w != 2000 {
+		t.Fatalf("reader committed x=%d, w=%d: a writer committed inside its lease (writer: %v)", x, w, writer)
+	}
+	if !errors.Is(writer, errLost) {
+		t.Fatalf("writer = %v, want it to lose to the running lease", writer)
+	}
 }
 
 // TestRemoteWriterBlockedByLease: a remote writer cannot lock a leased
