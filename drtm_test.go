@@ -753,7 +753,7 @@ func TestStatsCoversRegistry(t *testing.T) {
 		})
 	}
 	s := db.Stats() // the erased entries were unlinked by the commits that erased them
-	for _, name := range []string{"scan.collect", "scan.row", "index.maint", "index.remove_dead", "rdma.read_bytes", "nvram.log_high_water"} {
+	for _, name := range []string{"scan.collect", "scan.row", "index.maint", "index.remove_dead", "rdma.read_bytes", "nvram.log_high_water", "lock.born"} {
 		if s.Count(name) == 0 {
 			t.Errorf("%s = 0 after the workload", name)
 		}

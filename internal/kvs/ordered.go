@@ -310,36 +310,39 @@ func (o *Ordered) DeleteAt(f *Finger, key uint64) (deleted bool, via IndexPath) 
 }
 
 // EnsureDead makes key structurally present as a DEAD entry and returns its
-// offset — the first half of a transactional insert. The tx layer then
-// CAS-locks the entry's state word, re-verifies key+deadness (the slot could
-// have been recycled in between), and flips the incarnation live at commit.
-// An existing live entry is ErrExists; an existing dead entry is reused
-// as-is (its version is kept, so the flip's version bump stays monotonic).
-// A fresh slot gets incarnation inc+2 — still even (dead), but distinct from
-// anything the slot's previous occupant published, so stale validation
-// headers can never match a recycled slot.
+// offset — the first half of a transactional insert — and whether it created
+// the entry. The tx layer then locks the entry's state word, re-verifies
+// key+deadness (the slot could have been recycled in between), and flips the
+// incarnation live at commit. An existing live entry is ErrExists; an existing
+// dead entry is reused as-is, state word and all (its version is kept, so the
+// flip's version bump stays monotonic). A fresh slot gets incarnation inc+2 —
+// still even (dead), but distinct from anything the slot's previous occupant
+// published, so stale validation headers can never match a recycled slot —
+// and state as its state word: the free word, or the lock of the inserter
+// that would take it next, stored like the free word before the tree
+// publishes the slot, so the slot is born held and no CAS follows.
 //
 // Aborted inserts simply leave the dead entry in place: scans skip dead
 // entries, and a later insert of the same key reuses it.
-func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
+func (o *Ordered) EnsureDead(key, state uint64) (off memory.Offset, created bool, err error) {
 	var f Finger // the miss remembers the leaf the insert goes to
 	for {
 		if v, ok, _ := o.tree.GetAt(&f, key); ok {
 			off := memory.Offset(v)
 			if Live(Incarnation(o.arena.LoadWord(off + EntryIncVerWord))) {
-				return 0, ErrExists
+				return 0, false, ErrExists
 			}
-			return off, nil
+			return off, false, nil
 		}
 		off, ok := o.allocSlot()
 		if !ok {
-			return 0, ErrFull
+			return 0, false, ErrFull
 		}
 
 		inc := Incarnation(o.arena.LoadWord(off + EntryIncVerWord))
 		o.arena.Write(off+EntryKeyWord, []uint64{key})
 		o.arena.Write(off+EntryIncVerWord, []uint64{PackIncVer(inc+2, 0)})
-		o.arena.Write(off+EntryStateWord, []uint64{0})
+		o.arena.Write(off+EntryStateWord, []uint64{state})
 		o.arena.Write(off+EntryValueWord, o.zeroVal)
 		ResetChain(o.arena, off, o.cfg.ValueWords, o.cfg.ChainDepth)
 		o.stampTail(off, o.StampNow(), PackIncVer(inc+2, 0))
@@ -349,7 +352,7 @@ func (o *Ordered) EnsureDead(key uint64) (memory.Offset, error) {
 		inserted, _ := o.tree.InsertIfAbsentAt(&f, key, uint64(off))
 		o.smu.Unlock()
 		if inserted {
-			return off, nil
+			return off, true, nil
 		}
 		// Lost an insert race: recycle the prepared slot and re-resolve.
 		o.freeSlot(off)

@@ -59,6 +59,37 @@ func TestOrderedDeleteRecycle(t *testing.T) {
 	}
 }
 
+// TestEnsureDeadBornState: a slot EnsureDead creates starts with the state
+// word it was given; a dead entry it finds keeps its own, and a live one is
+// ErrExists.
+func TestEnsureDeadBornState(t *testing.T) {
+	o := newOrdered(t, 4)
+	const held, other = 0xA5, 0x5A
+	off, created, err := o.EnsureDead(5, held)
+	if err != nil || !created {
+		t.Fatalf("EnsureDead of a new key = %d, %v, %v; want a created slot", off, created, err)
+	}
+	if s := o.Arena().LoadWord(StateOffset(off)); s != held {
+		t.Fatalf("created slot's state = %#x, want %#x", s, held)
+	}
+	if Live(Incarnation(o.Arena().LoadWord(IncVerOffset(off)))) {
+		t.Fatal("created slot is live")
+	}
+	again, created, err := o.EnsureDead(5, other)
+	if err != nil || created || again != off {
+		t.Fatalf("EnsureDead of a dead key = %d, %v, %v; want slot %d found", again, created, err, off)
+	}
+	if s := o.Arena().LoadWord(StateOffset(off)); s != held {
+		t.Fatalf("found slot's state = %#x, want it untouched (%#x)", s, held)
+	}
+	if err := o.Insert(6, val(6, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, created, err := o.EnsureDead(6, held); err != ErrExists || created {
+		t.Fatalf("EnsureDead of a live key = %v, %v; want ErrExists", created, err)
+	}
+}
+
 func TestOrderedScanRange(t *testing.T) {
 	o := newOrdered(t, 64)
 	for k := uint64(10); k <= 50; k += 10 {
@@ -172,8 +203,8 @@ func checkOrderedFingerChurn(t *testing.T, steps []byte) (hits int) {
 				count(via)
 			case 3:
 				// A dead entry, then (every other key) its unlinking.
-				poff, perr := plain.EnsureDead(k)
-				foff, ferr := fingered.EnsureDead(k)
+				poff, _, perr := plain.EnsureDead(k, 0)
+				foff, _, ferr := fingered.EnsureDead(k, 0)
 				if poff != foff || perr != ferr {
 					t.Fatalf("step %d: EnsureDead(%d) = %d, %v, beside the finger %d, %v",
 						step, k, poff, perr, foff, ferr)

@@ -76,7 +76,7 @@ func TestSlotLimits(t *testing.T) {
 	if err := o.Insert(7, val(7, 7)); err != ErrFull {
 		t.Fatalf("ordered insert past Capacity: %v, want ErrFull", err)
 	}
-	if _, err := o.EnsureDead(7); err != ErrFull {
+	if _, _, err := o.EnsureDead(7, 0); err != ErrFull {
 		t.Fatalf("EnsureDead past Capacity: %v, want ErrFull", err)
 	}
 

@@ -62,6 +62,7 @@ const (
 	EvLeaseExpire        // expired lease observed and taken over / cleared
 	EvRemoteLockConflict // lock/lease acquisition blocked by a conflicting holder
 	EvLockUpgrade        // a staged read locked for a later write (an expired lease, or a speculative read)
+	EvLockBorn           // an insert's fresh slot created write-locked for its inserter: no CAS takes it
 
 	// Speculative (OCC) read-arm events: version-validated reads that skip
 	// the lease CAS entirely (PolicyAdaptive's route).
@@ -186,6 +187,7 @@ var eventNames = [NumEvents]string{
 	EvLeaseExpire:        "lease.expire",
 	EvRemoteLockConflict: "lock.remote_conflict",
 	EvLockUpgrade:        "lock.upgrade",
+	EvLockBorn:           "lock.born",
 	EvSpecRead:           "spec.read",
 	EvSpecValidateFail:   "spec.validate_fail",
 	EvAdaptSpec:          "adapt.route_spec",

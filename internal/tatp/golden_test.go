@@ -77,7 +77,13 @@ const orderedGoldenTxns = 100
 // remote and from insert_subscriber local to delete_subscriber remote. The
 // 256-key get_new_destination scan has no snapshot arm to take and confirms:
 // one READ of its segment stamp, 1 701 ns per remote transaction. The lock,
-// lookup and region costs did not move: a local ring retire was never charged.)
+// lookup and region costs did not move: a local ring retire was never charged.
+// Then by one rule, in the three remote rows that insert: a remote insert's
+// fresh slot is born write-locked for its inserter, so it takes no lock CAS and
+// no fused READ — toggle_facility's 48 inserts −48 CAS and −48 READs (the base
+// row's wave stays, so −189 ns per transaction), insert_call_fwd's 48 the same
+// (−7 150 ns), insert_subscriber's 409 rows all of theirs (−16 121 ns); each
+// such EnsureDead's reply carries the slot's three header words.)
 func TestOrderedPathGolden(t *testing.T) {
 	got := runOrderedGolden(t)
 	bad := len(got) != len(orderedGolden)
@@ -176,13 +182,13 @@ var orderedGolden = []orderedGoldenRow{
 	{"update_location local", 0, 0, 0, 0, 35620},
 	{"update_location remote", 100, 100, 200, 100, 2499200},
 	{"toggle_facility local", 0, 0, 0, 0, 110452},
-	{"toggle_facility remote", 204, 200, 200, 200, 3076724},
+	{"toggle_facility remote", 204, 152, 152, 200, 3057824},
 	{"insert_call_fwd local", 0, 0, 0, 0, 37854},
-	{"insert_call_fwd remote", 148, 48, 144, 48, 1793912},
+	{"insert_call_fwd remote", 148, 0, 96, 48, 1078904},
 	{"delete_call_fwd local", 0, 0, 0, 0, 65806},
 	{"delete_call_fwd remote", 148, 48, 48, 48, 1739020},
 	{"delete_subscriber local", 0, 0, 0, 0, 345154},
 	{"delete_subscriber remote", 300, 410, 410, 410, 5418079},
 	{"insert_subscriber local", 0, 0, 0, 0, 186462},
-	{"insert_subscriber remote", 100, 409, 409, 409, 2598194},
+	{"insert_subscriber remote", 100, 0, 0, 409, 986099},
 }

@@ -412,3 +412,53 @@ func TestSameSubscriberChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInsertExistingSubscriberReleasesBornSlots: an InsertSubscriber of a
+// remote subscriber that exists, with facility rows it does not have, ends as
+// a benign abort. The batch's host answered ErrExists for the subscriber row
+// and created the fresh facility rows' slots born write-locked for the
+// inserter; the abort releases every one of them, and nothing is left parked.
+func TestInsertExistingSubscriberReleasesBornSlots(t *testing.T) {
+	db, w := openTATP(t, 2, 1, drtm.Options{})
+	defer db.Close()
+	const sid = 3 // odd: homed on node 1, remote to the client's node 0
+	sub, ok := db.Get(tatp.TableSubscriber, sid)
+	if !ok {
+		t.Fatalf("subscriber %d missing", sid)
+	}
+	fresh := ^sub[1] & 0x1E
+	if fresh == 0 {
+		t.Fatalf("subscriber %d has every facility row", sid)
+	}
+	born := db.Stats().Count("lock.born")
+	if err := w.NewClient(db.Executor(0, 0), 1).InsertSubscriber(sid, fresh); err != nil {
+		t.Fatalf("InsertSubscriber of an existing subscriber = %v, want a benign abort", err)
+	}
+	sf := db.RT.C.Node(1).Ordered(tatp.TableSpecialFacility)
+	created := int64(0)
+	for ty := 1; ty <= tatp.NumSFTypes; ty++ {
+		if fresh&(1<<uint(ty)) == 0 {
+			continue
+		}
+		created++
+		off, ok := sf.Lookup(tatp.SFKey(sid, ty))
+		if !ok {
+			t.Fatalf("facility row %d/%d has no slot", sid, ty)
+		}
+		if kvs.Live(kvs.Incarnation(sf.Arena().LoadWord(kvs.IncVerOffset(off)))) {
+			t.Fatalf("facility row %d/%d is live after the abort", sid, ty)
+		}
+		if s := sf.Arena().LoadWord(kvs.StateOffset(off)); s != 0 {
+			t.Fatalf("facility row %d/%d state = %#x after the abort, want Init", sid, ty, s)
+		}
+	}
+	if got := db.Stats().Count("lock.born") - born; got != created {
+		t.Fatalf("%d slots born held, want the %d fresh facility rows", got, created)
+	}
+	if n := db.RT.PendingOps(1); n != 0 {
+		t.Fatalf("%d release steps parked for node 1, want none", n)
+	}
+	if err := w.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

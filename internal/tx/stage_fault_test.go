@@ -15,8 +15,9 @@ import (
 // -race): a multi-op message to an unreachable host fails the transaction
 // with ErrNodeDown and every lock the earlier batches took released, a
 // transient fault retries the whole message, a host that crashes between the
-// shipped message and the CAS wave leaves nothing behind, and an
-// undeliverable removal message parks each of its entries on its own.
+// shipped message and the CAS wave leaves only the slots born held for the
+// sender, their release parked for it, and an undeliverable removal message
+// parks each of its entries on its own.
 
 // faultRig is three nodes of ordered rows: entity e is homed on node e%3, and
 // the executor under test runs on node 0.
@@ -111,13 +112,18 @@ func TestCoalescedFaultTimeoutMidBatch(t *testing.T) {
 	}
 }
 
+// TestCoalescedFaultHostCrashBeforeWave: the host answers the shipped message
+// and dies before the CAS wave. Moved on purpose when a remote insert's fresh
+// slot came to be born write-locked for its inserter: the two inserts' slots
+// are held by node 0 from the reply on, so the abort's release of them parks
+// for the dead host, and Recover(1) completes it. The written row's CAS never
+// landed, and the node-2 lock is released at once.
 func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 	rt, e, stop := faultRig(t, nil)
 	defer stop()
 	insertOrders(t, e, 1, []uint64{9})
 	tx, lockedKey := held(t, rt, e)
 
-	// The host answers the shipped message, then dies before the CAS wave.
 	n1 := rt.C.Node(1)
 	n1.Handle(msgOrderedOps, func(from int, body any) any {
 		resp := rt.execOrderedOps(n1, body.(*orderedOpsMsg).Ops)
@@ -130,16 +136,28 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 	if s := stateOf(t, rt, 2, lockedKey); s != clock.Init {
 		t.Fatalf("node 2 row state = %#x after the abort, want released", s)
 	}
+	for _, a := range batchOnNode1() {
+		want := clock.Init // the written row: no CAS of the wave landed
+		if a.Insert != nil {
+			want = clock.WLocked(0) // born held; its release is parked
+		}
+		if s := stateOf(t, rt, 1, a.Key); s != want {
+			t.Fatalf("node 1 key %#x state = %#x after the crash, want %#x", a.Key, s, want)
+		}
+	}
+	if n := rt.PendingOps(1); n != 2 {
+		t.Fatalf("%d release steps parked for node 1, want the two born slots'", n)
+	}
 	rt.C.Fabric.SetNodeDown(1, false)
 	rt.installOrderedHandlers()
-	// No CAS of the wave landed: the EnsureDead'd slots and the row are free.
+	rt.Recover(1)
 	for _, a := range batchOnNode1() {
 		if s := stateOf(t, rt, 1, a.Key); s != clock.Init {
-			t.Fatalf("node 1 key %#x state = %#x after the crash, want Init", a.Key, s)
+			t.Fatalf("node 1 key %#x state = %#x after Recover, want Init", a.Key, s)
 		}
 	}
 	if n := rt.PendingOps(1); n != 0 {
-		t.Fatalf("%d release steps parked for node 1, want none (nothing was locked there)", n)
+		t.Fatalf("%d release steps still parked for node 1 after Recover", n)
 	}
 }
 
