@@ -73,15 +73,19 @@ race:
 # speculative read and a CAS all lose to it; a faulted message retried before
 # it applies; a host dying after its answer parking the slots' release; an
 # insert of an existing subscriber releasing the fresh facility rows' slots),
+# the release side left in flight (a commit with no log charged its chain's
+# doorbells, a later READ paying what is left, the new value and free word seen
+# at once; a logged or replicated commit awaited; a removal a one-way message
+# per host, retried past a transient fault),
 # and two clients churning the same subscribers — repeated across
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastFailoverParkedStep|TestRingDrainsPastParkedWriteBack|TestRingsDrainPastStrandedStep|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastFailoverParkedStep|TestRingDrainsPastParkedWriteBack|TestRingsDrainPastStrandedStep|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRemovalIsOneWayMessage
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
-	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch' ./internal/rdma/
+	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch|TestPollDetached|TestSendOneWay' ./internal/rdma/
 	go test -race -count=5 -cpu 1,2,4 -run 'Finger|FuzzIteratorBoundaries' ./internal/btree/ ./internal/kvs/
 	go test -race -count=5 -cpu 1,2,4 -run 'Redo|LogScan|Drain|LogGrow|Restart|AppendTxFull|FuzzLogModel' ./internal/nvram/ ./internal/cluster/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
@@ -185,7 +189,8 @@ failover:
 # detector-driven failover — each 30 runs at each of -cpu 1 and 2, without the
 # race detector, one process per run (a failure of these tests is often a panic,
 # which would end a -count loop at its first), with the failure modes counted per
-# test: what a red run said first, numbers blanked. Red on any run.
+# test: what a red run said first, numbers blanked. A run that hangs is killed by
+# its -test.timeout and counted red with its own mode line. Red on any run.
 FAILOVER_RUNS = 30
 FAILOVER_LANE = ./internal/tatp/:TestTATPConsistencyAcrossFailover \
 	./internal/socialgraph/:TestSymmetryAcrossFailover \
@@ -195,7 +200,7 @@ failover-lane:
 	for t in $(FAILOVER_LANE); do pkg=$${t%%:*}; name=$${t##*:}; bad=0; rm -f $$dir/modes; \
 		go test -c -o $$dir/lane.test $$pkg || exit 1; \
 		for cpu in 1 2; do for i in $$(seq $(FAILOVER_RUNS)); do \
-			$$dir/lane.test -test.run "$$name\$$" -test.cpu $$cpu >$$dir/out 2>&1 || { \
+			$$dir/lane.test -test.run "$$name\$$" -test.cpu $$cpu -test.timeout 120s >$$dir/out 2>&1 || { \
 				bad=$$((bad+1)); \
 				grep -m1 -E 'panic:|_test.go:[0-9]+:' $$dir/out | sed -E 's/^[[:space:]]+//; s/0x[0-9a-f]+|[0-9]+/N/g' >>$$dir/modes; }; \
 		done; done; \

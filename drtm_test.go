@@ -707,7 +707,8 @@ func TestStatsLogGauge(t *testing.T) {
 }
 
 // TestStatsCoversRegistry: Stats is the obs registry read by name. On a
-// workload that scans, erases and maintains an index, every event, the gauge
+// workload that scans, erases and maintains an index, and reads behind a
+// removal message it left in flight, every event, the gauge
 // and every phase with observations appears exactly once in the dump, with
 // the snapshot's value; Count of an event is its count plus its children's,
 // so every prefix sums what is under it; an unknown name panics.
@@ -752,8 +753,25 @@ func TestStatsCoversRegistry(t *testing.T) {
 			return err
 		})
 	}
+	// A remote row read at its cached offset right behind a removal message:
+	// the READ is shorter than the message and waits for what is left of it.
+	read := func() {
+		t.Helper()
+		if err := e.ExecRO(func(ro *RO) error {
+			_, err := ro.Read(base, key(1, 1))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	exec(func(tx *Tx) error {
+		_, err := tx.Erase(base, key(1, 3))
+		return err
+	})
+	read()
 	s := db.Stats() // the erased entries were unlinked by the commits that erased them
-	for _, name := range []string{"scan.collect", "scan.row", "index.maint", "index.remove_dead", "rdma.read_bytes", "nvram.log_high_water", "lock.born"} {
+	for _, name := range []string{"scan.collect", "scan.row", "index.maint", "index.remove_dead", "rdma.read_bytes", "nvram.log_high_water", "lock.born", "rdma.detached", "rdma.inflight_wait_ns"} {
 		if s.Count(name) == 0 {
 			t.Errorf("%s = 0 after the workload", name)
 		}

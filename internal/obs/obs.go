@@ -83,6 +83,11 @@ const (
 	EvVerbsMsg
 	EvRDMABatch // one polled doorbell batch (wave) of the async verb engine
 	EvShippedOp // one key / operation carried by a two-sided message (EvVerbsMsg counts the messages)
+	// EvDetached counts waves and messages the worker left in flight instead
+	// of waiting for (rdma.SendQueue.PollDetached, QP.Send); EvInflightWaitNS,
+	// the modeled nanoseconds later waits paid for what they left.
+	EvDetached
+	EvInflightWaitNS
 
 	// Durability (Section 4.6): one NVRAM log record appended.
 	EvLogRecord
@@ -200,6 +205,8 @@ var eventNames = [NumEvents]string{
 	EvVerbsMsg:           "rdma.msg",
 	EvRDMABatch:          "rdma.batch",
 	EvShippedOp:          "rdma.shipped_op",
+	EvDetached:           "rdma.detached",
+	EvInflightWaitNS:     "rdma.inflight_wait_ns",
 	EvLogRecord:          "nvram.log_record",
 	EvRecoveryRedo:       "recovery.redo",
 	EvRecoveryUnlock:     "recovery.unlock",
@@ -339,6 +346,10 @@ type WaveStats struct {
 	WRs   int64 // work requests in them
 	CASes int64 // of which atomics (CAS, FAA)
 	Nanos int64 // modeled nanoseconds their polls charged
+	// Inflight is the modeled nanoseconds of latency the stage's detached
+	// waves left in flight: not in Nanos, paid by later waits only where they
+	// overlap it (rdma.inflight_wait_ns).
+	Inflight int64
 }
 
 // Gauge enumerates the high-water marks a shard keeps. Unlike an Event a
@@ -438,7 +449,7 @@ type Shard struct {
 	hists    [NumPhases]hist
 
 	// The wave ledger: what the waves polled in each stage added up to.
-	waves [NumStages]struct{ waves, wrs, cases, nanos atomic.Int64 }
+	waves [NumStages]struct{ waves, wrs, cases, nanos, inflight atomic.Int64 }
 
 	// Pad past the end of the hot arrays so adjacent heap objects never
 	// share the last cache line of a shard.
@@ -503,6 +514,14 @@ func (s *Shard) Wave(st Stage, wrs, cases int, ns int64) {
 	w.nanos.Add(ns)
 }
 
+// Inflight books latency a detached wave of a stage left in flight.
+func (s *Shard) Inflight(st Stage, ns int64) {
+	if s == nil {
+		return
+	}
+	s.waves[st].inflight.Add(ns)
+}
+
 // TraceEnabled reports whether transaction tracing is currently on. The
 // check is one atomic load; callers use it to skip assembling TraceEvents.
 func (s *Shard) TraceEnabled() bool {
@@ -542,6 +561,7 @@ func (s *Shard) reset() {
 		w.wrs.Store(0)
 		w.cases.Store(0)
 		w.nanos.Store(0)
+		w.inflight.Store(0)
 	}
 }
 
@@ -612,6 +632,7 @@ func (r *Registry) Snapshot() Snapshot {
 			d.WRs += w.wrs.Load()
 			d.CASes += w.cases.Load()
 			d.Nanos += w.nanos.Load()
+			d.Inflight += w.inflight.Load()
 		}
 	}
 	return sn
@@ -729,6 +750,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		d.WRs -= pv.WRs
 		d.CASes -= pv.CASes
 		d.Nanos -= pv.Nanos
+		d.Inflight -= pv.Inflight
 	}
 	return out
 }

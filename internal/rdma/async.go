@@ -32,6 +32,11 @@ import (
 // The synchronous Try* verbs are thin wrappers: one WR, completed inline,
 // charged its own latency with the doorbell cost folded into the base verb
 // constants. Every pre-engine call site keeps compiling and keeps its cost.
+//
+// Work nothing waits on (PollDetached, QP.Send) completes at once but is
+// charged only its doorbells; its latency stays in flight on the QP, and as
+// the connection completes work in post order, the next waited charge pays
+// whatever of it is left (QP.charge).
 
 // OpCode identifies a work request's one-sided verb.
 type OpCode uint8
@@ -283,7 +288,18 @@ func (sq *SendQueue) PostLogAppend(node, region int, rec []uint64) *WR {
 // prefix lands (value WRITE before unlock WRITE: never the unlock without the
 // value), under any window, and the caller re-drives the rest in post order.
 // The next Poll starts from a working connection.
-func (sq *SendQueue) Poll() []*WR {
+func (sq *SendQueue) Poll() []*WR { return sq.poll(false) }
+
+// PollDetached is Poll for work nothing waits on the completion of: every WR
+// completes now, with Poll's effects, verdicts and flushes, but of the last
+// wave the worker pays only the doorbells and leaves its slowest completion in
+// flight on the connection (QP.detach), for the next waited charge to pay what
+// is left of it. The earlier waves are awaited, as the window is the NIC's
+// outstanding-request limit, and so is a last wave with a failed WR: its
+// timeout is what the caller's re-drive starts from.
+func (sq *SendQueue) PollDetached() []*WR { return sq.poll(true) }
+
+func (sq *SendQueue) poll(detach bool) []*WR {
 	wrs := sq.pending
 	sq.pending = sq.spare[:0]
 	sq.spare = wrs
@@ -297,7 +313,7 @@ func (sq *SendQueue) Poll() []*WR {
 		}
 		wave := wrs[start:end]
 		costs = costs[:0]
-		atomics := 0
+		atomics, failed := 0, false
 		for _, wr := range wave {
 			if slices.Contains(errNodes, wr.Node) {
 				wr.Err, wr.Prev, wr.Swapped, wr.CostNS = ErrFlushed, 0, false, 0
@@ -309,13 +325,23 @@ func (sq *SendQueue) Poll() []*WR {
 					atomics++
 				}
 			}
+			failed = failed || wr.Err != nil
 			costs = append(costs, wr.CostNS)
 		}
-		ns := sq.qp.fabric.model.BatchOverlapNS(costs)
+		model := &sq.qp.fabric.model
+		ns := model.BatchOverlapNS(costs)
 		sq.qp.Obs.Inc(obs.EvRDMABatch)
 		sq.qp.Obs.Observe(obs.PhaseBatchOps, int64(len(wave)))
-		sq.qp.Obs.Wave(sq.Stage, len(wave), atomics, ns)
-		sq.qp.charge(ns)
+		if detach && end == len(wrs) && !failed {
+			doorbells := int64(len(wave)) * model.DoorbellNS
+			sq.qp.Obs.Wave(sq.Stage, len(wave), atomics, doorbells)
+			sq.qp.Obs.Inflight(sq.Stage, ns-doorbells)
+			sq.qp.spend(doorbells)
+			sq.qp.detach(ns - doorbells)
+		} else {
+			sq.qp.Obs.Wave(sq.Stage, len(wave), atomics, ns)
+			sq.qp.charge(ns)
+		}
 		netYield()
 	}
 	for _, wr := range wrs {

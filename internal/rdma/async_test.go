@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,5 +274,132 @@ func TestBatchConcurrentSendQueues(t *testing.T) {
 	}
 	if want := uint64(4*50*8 - timeouts.Load() - flushed.Load()); got[0] != want {
 		t.Fatalf("FAA sum = %d, want %d (1600 posts - %d timeouts - %d flushed)", got[0], want, timeouts.Load(), flushed.Load())
+	}
+}
+
+// A detached poll completes every WR at once but charges only the doorbells of
+// its last wave, leaving that wave's slowest completion in flight; the earlier
+// waves are awaited. The connection completes work in post order, so the next
+// waited verb — a READ, a wave, a Call — ends no earlier than the detached
+// work, and pays what is left of it as rdma.inflight_wait_ns. CPU work, a
+// LocalCAS, waits for nothing.
+func TestPollDetached(t *testing.T) {
+	f := newTestFabric(2)
+	m := f.Model()
+	var clk vtime.Clock
+	qp := newCountedQP(f, 0, &clk)
+	sq := qp.NewSendQueue(4)
+	sq.Stage = obs.StagePublish
+	for i := 0; i < 6; i++ {
+		sq.PostWrite(1, 0, memory.Offset(8*i), []uint64{uint64(i + 1)})
+	}
+	sq.PollDetached()
+	for i := 0; i < 6; i++ {
+		if w := f.region(1, 0).LoadWord(memory.Offset(8 * i)); w != uint64(i+1) {
+			t.Fatalf("word %d = %d once the detached poll returned, want %d", i, w, i+1)
+		}
+	}
+	write := int64(m.RDMAWrite(8))
+	if got, want := int64(clk.Now()), write+4*m.DoorbellNS+2*m.DoorbellNS; got != want {
+		t.Fatalf("charged %d ns, want the first wave awaited and the last wave's doorbells: %d", got, want)
+	}
+	if n := qp.Obs.Count(obs.EvDetached); n != 1 {
+		t.Fatalf("%d detached, want the last wave", n)
+	}
+
+	// A LocalCAS is CPU work; a READ posted next completes after the WRITE.
+	t0 := clk.Now()
+	qp.LocalCAS(0, 0, 0, 0)
+	if got := int64(clk.Now() - t0); got != m.LocalCASNS {
+		t.Fatalf("LocalCAS behind a detached wave took %d ns, want %d", got, m.LocalCASNS)
+	}
+	t0 = clk.Now()
+	qp.Read(1, 0, 0, make([]uint64, 1))
+	left := write - m.LocalCASNS
+	if got, read := int64(clk.Now()-t0), int64(m.RDMARead(8)); got != max(read, left) || qp.Obs.Count(obs.EvInflightWaitNS) != 0 {
+		t.Fatalf("READ behind %d ns in flight took %d ns, want %d", left, got, max(read, left))
+	}
+
+	// A slow link makes the detached WRITE outlast the READ: the READ pays the
+	// difference, once.
+	plan := NewFaultPlan(1)
+	plan.LinkRule(0, 1, FaultRule{ExtraNS: 4_000})
+	f.SetFaultPlan(plan)
+	sq.PostWrite(1, 0, 0, []uint64{7})
+	sq.PollDetached()
+	f.SetFaultPlan(nil)
+	t0 = clk.Now()
+	qp.Read(0, 0, 0, make([]uint64, 1))
+	read := int64(m.RDMARead(8))
+	if got, waited := int64(clk.Now()-t0), qp.Obs.Count(obs.EvInflightWaitNS); got != write+4_000 || waited != write+4_000-read {
+		t.Fatalf("READ behind %d ns in flight took %d ns and waited %d", write+4_000, got, waited)
+	}
+	t0 = clk.Now()
+	qp.Read(0, 0, 0, make([]uint64, 1))
+	if got := int64(clk.Now() - t0); got != read {
+		t.Fatalf("a second READ took %d ns, want %d: nothing is in flight any more", got, read)
+	}
+
+	// A wave with a failed WR is charged as awaited, timeout and all.
+	plan = NewFaultPlan(1)
+	plan.ScriptFaults(0, 1, 1)
+	f.SetFaultPlan(plan)
+	t0 = clk.Now()
+	sq.PostWrite(1, 0, 0, []uint64{8})
+	if wrs := sq.PollDetached(); !errors.Is(wrs[0].Err, ErrTimeout) {
+		t.Fatalf("scripted WRITE completed with %v", wrs[0].Err)
+	}
+	f.SetFaultPlan(nil)
+	if got := int64(clk.Now() - t0); got != m.TimeoutNS+m.DoorbellNS || qp.Obs.Count(obs.EvDetached) != 2 {
+		t.Fatalf("failed wave charged %d ns, %d detached, want its timeout awaited", got, qp.Obs.Count(obs.EvDetached))
+	}
+
+	// A clock that went back (a harness resetting it) has nothing in flight.
+	sq.PostWrite(1, 0, 0, []uint64{9})
+	sq.PollDetached()
+	clk.Reset()
+	qp.Read(1, 0, 0, make([]uint64, 1))
+	if got := int64(clk.Now()); got != read {
+		t.Fatalf("READ after a clock reset took %d ns, want %d", got, read)
+	}
+}
+
+// Send is Call's one-way form: the handler runs before Send returns, the
+// worker pays one doorbell, and the request's flight is left in flight — a
+// Call posted next returns its reply no earlier than the request landed.
+func TestSendOneWay(t *testing.T) {
+	f := newTestFabric(2)
+	m := f.Model()
+	var got []int
+	f.Serve(1, func(from int, req any) any {
+		got = append(got, req.(int))
+		return nil
+	})
+	var clk vtime.Clock
+	qp := newCountedQP(f, 0, &clk)
+	if err := qp.Send(1, 5, 40_000); err != nil || len(got) != 1 {
+		t.Fatalf("Send = %v, handler saw %v", err, got)
+	}
+	if int64(clk.Now()) != m.DoorbellNS || qp.Obs.Count(obs.EvVerbsMsg) != 1 || qp.Obs.Count(obs.EvDetached) != 1 {
+		t.Fatalf("Send charged %v, %d messages, %d detached; want one doorbell, one of each", clk.Now(),
+			qp.Obs.Count(obs.EvVerbsMsg), qp.Obs.Count(obs.EvDetached))
+	}
+	t0 := clk.Now()
+	if _, err := qp.Call(1, 6, 8, 8); err != nil {
+		t.Fatal(err)
+	}
+	left, call := int64(m.VerbsMsg(40_000)), int64(2*m.VerbsMsg(8))
+	if d := int64(clk.Now() - t0); d != max(left, call) || qp.Obs.Count(obs.EvInflightWaitNS) != left-call {
+		t.Fatalf("Call behind a %d ns Send took %d ns and waited %d, want %d", left, d,
+			qp.Obs.Count(obs.EvInflightWaitNS), max(left, call))
+	}
+
+	f.SetNodeDown(1, true)
+	t0 = clk.Now()
+	if err := qp.Send(1, 7, 8); !errors.Is(err, ErrNodeUnreachable) || len(got) != 2 {
+		t.Fatalf("Send to a down node = %v, handler saw %v", err, got)
+	}
+	if d := int64(clk.Now() - t0); d != m.TimeoutNS {
+		t.Fatalf("failed Send charged %d ns, want the timeout %d", d, m.TimeoutNS)
 	}
 }

@@ -12,7 +12,8 @@
 //
 // Two-sided SEND/RECV verbs are modeled as a registered request handler per
 // endpoint invoked synchronously with both message directions charged to the
-// caller's virtual clock (user-space polling verbs: ~3 us one way). An IPoIB
+// caller's virtual clock (user-space polling verbs: ~3 us one way), or, for a
+// one-way Send, one doorbell with the request left in flight. An IPoIB
 // transport with socket-stack costs (~55 us one way) is provided for the
 // Calvin baseline, which predates RDMA-native design.
 //
@@ -245,6 +246,13 @@ type QP struct {
 	local  int
 	clock  *vtime.Clock
 	Obs    *obs.Shard
+
+	// inflight is the modeled time at which the last work this QP posted and
+	// did not wait for (PollDetached, Send) completes, 0 once a wait passed
+	// it; since is the clock reading when that work was left in flight. Both
+	// are atomics because some tests run two executors of one worker on two
+	// goroutines; the bookkeeping is then approximate, never a data race.
+	inflight, since atomic.Int64
 }
 
 // NewQP creates a queue pair for a worker on node local.
@@ -255,10 +263,53 @@ func (f *Fabric) NewQP(local int, clock *vtime.Clock) *QP {
 // Local returns the node this QP belongs to.
 func (q *QP) Local() int { return q.local }
 
+// charge charges d of work the worker waits for. The connection completes
+// work in post order, so the wait ends no earlier than the work left in flight
+// before it: lag adds what is still outstanding.
 func (q *QP) charge(d int64) {
+	if q.clock != nil {
+		q.clock.ChargeNS(d + q.lag(d))
+	}
+}
+
+// spend charges d of the worker's own CPU time — a doorbell, a local CAS —
+// which waits for nothing in flight.
+func (q *QP) spend(d int64) {
 	if q.clock != nil {
 		q.clock.ChargeNS(d)
 	}
+}
+
+// lag returns how far the work left in flight outlasts a wait of d starting
+// now, counts it as EvInflightWaitNS, and forgets the in-flight work: once the
+// wait is charged the clock is past it. A clock that went back (a harness
+// resetting it between phases) has nothing in flight.
+func (q *QP) lag(d int64) int64 {
+	if q.inflight.Load() == 0 {
+		return 0
+	}
+	end, now := q.inflight.Swap(0), int64(q.clock.Now())
+	lag := end - now - d
+	if lag <= 0 || now < q.since.Load() {
+		return 0
+	}
+	q.Obs.Add(obs.EvInflightWaitNS, lag)
+	return lag
+}
+
+// detach leaves work of latency d in flight from now on: it completes after
+// everything posted before it, and the next waited charge pays what is left.
+func (q *QP) detach(d int64) {
+	q.Obs.Inc(obs.EvDetached)
+	if q.clock == nil {
+		return
+	}
+	now, end := int64(q.clock.Now()), q.inflight.Load()
+	if now < q.since.Load() {
+		end = 0
+	}
+	q.inflight.Store(max(end, now+d))
+	q.since.Store(now)
 }
 
 // netYield marks a network round trip: yield so other workers' execution
@@ -435,7 +486,7 @@ func (q *QP) FAA(node, region int, off memory.Offset, delta uint64) uint64 {
 func (q *QP) LocalCAS(region int, off memory.Offset, old, new uint64) (uint64, bool) {
 	a := q.fabric.region(q.local, region)
 	prev, ok := a.CAS(off, old, new)
-	q.charge(q.fabric.model.LocalCASNS)
+	q.spend(q.fabric.model.LocalCASNS)
 	return prev, ok
 }
 
@@ -452,12 +503,34 @@ func (q *QP) Call(node int, req any, reqBytes, respBytes int) (any, error) {
 		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, node)
 	}
 	q.Obs.Inc(obs.EvVerbsMsg)
-	q.charge(int64(q.fabric.model.VerbsMsg(reqBytes)))
+	out, back := int64(q.fabric.model.VerbsMsg(reqBytes)), int64(q.fabric.model.VerbsMsg(respBytes))
+	q.charge(out + q.lag(out+back)) // the reply, not the request, is what must come after the work in flight
 	netYield()
 	resp := (*h)(q.local, req)
-	q.charge(int64(q.fabric.model.VerbsMsg(respBytes)))
+	q.charge(back)
 	netYield()
 	return resp, nil
+}
+
+// Send is Call's one-way form: the request goes out, the handler runs and its
+// reply is dropped, for a caller that nothing waits on the answer of. The
+// worker pays one doorbell and the message's flight is left in flight on the
+// connection (detach), for the next waited charge to pay what is left of it. A
+// fault, checked before the handler runs, is charged and reported as Call's.
+func (q *QP) Send(node int, req any, reqBytes int) error {
+	if err := q.fault(node, probeRegion, false); err != nil {
+		return err
+	}
+	h := q.fabric.eps[node].handler.Load()
+	if h == nil {
+		return fmt.Errorf("%w: node %d", ErrNoHandler, node)
+	}
+	q.Obs.Inc(obs.EvVerbsMsg)
+	q.spend(q.fabric.model.DoorbellNS)
+	q.detach(int64(q.fabric.model.VerbsMsg(reqBytes)))
+	netYield()
+	(*h)(q.local, req)
+	return nil
 }
 
 // CallIPoIB is Call over the emulated IPoIB socket transport (used by the

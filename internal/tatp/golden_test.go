@@ -83,7 +83,14 @@ const orderedGoldenTxns = 100
 // no fused READ — toggle_facility's 48 inserts −48 CAS and −48 READs (the base
 // row's wave stays, so −189 ns per transaction), insert_call_fwd's 48 the same
 // (−7 150 ns), insert_subscriber's 409 rows all of theirs (−16 121 ns); each
-// such EnsureDead's reply carries the slot's three header words.)
+// such EnsureDead's reply carries the slot's three header words. Then by one
+// rule, in the ns column of six remote rows alone: with no log, a commit's
+// release chain is left in flight, and a removal is a one-way message — each
+// row fell by exactly the latency nothing waits for, the chain's slowest WRITE
+// per committing write (1 202 to 1 206 ns: update_location and
+// insert_subscriber −1 206 per transaction, insert_call_fwd's 48 inserts
+// −1 204 each) plus, per removal message, its reply and its request less one
+// doorbell (5 808 ns for one entry: delete_call_fwd's 48 erases −7 010 each).)
 func TestOrderedPathGolden(t *testing.T) {
 	got := runOrderedGolden(t)
 	bad := len(got) != len(orderedGolden)
@@ -167,6 +174,11 @@ func runOrderedGolden(t *testing.T) []orderedGoldenRow {
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	// A detached wave's latency is never waited out inside the script: each
+	// scenario's next verb outlasts what the last one left in flight.
+	if n := sh.Count(obs.EvInflightWaitNS); n != 0 {
+		t.Errorf("the script waited %d ns for work left in flight", n)
+	}
 	return rows
 }
 
@@ -180,15 +192,15 @@ var orderedGolden = []orderedGoldenRow{
 	{"get_new_destination remote", 100, 0, 100, 0, 832100},
 	{"get_new_destination remote, warm", 100, 0, 100, 0, 832100},
 	{"update_location local", 0, 0, 0, 0, 35620},
-	{"update_location remote", 100, 100, 200, 100, 2499200},
+	{"update_location remote", 100, 100, 200, 100, 2378600},
 	{"toggle_facility local", 0, 0, 0, 0, 110452},
-	{"toggle_facility remote", 204, 152, 152, 200, 3057824},
+	{"toggle_facility remote", 204, 152, 152, 200, 2635208},
 	{"insert_call_fwd local", 0, 0, 0, 0, 37854},
-	{"insert_call_fwd remote", 148, 0, 96, 48, 1078904},
+	{"insert_call_fwd remote", 148, 0, 96, 48, 1021112},
 	{"delete_call_fwd local", 0, 0, 0, 0, 65806},
-	{"delete_call_fwd remote", 148, 48, 48, 48, 1739020},
+	{"delete_call_fwd remote", 148, 48, 48, 48, 1402540},
 	{"delete_subscriber local", 0, 0, 0, 0, 345154},
-	{"delete_subscriber remote", 300, 410, 410, 410, 5418079},
+	{"delete_subscriber remote", 300, 410, 410, 410, 4715219},
 	{"insert_subscriber local", 0, 0, 0, 0, 186462},
-	{"insert_subscriber remote", 100, 0, 0, 409, 986099},
+	{"insert_subscriber remote", 100, 0, 0, 409, 865499},
 }

@@ -103,8 +103,10 @@ func transfer(e *Executor, from, to uint64, arm func()) error {
 // writer moves one unit per commit, so a row's value is a function of its
 // version, and the prober can tell a pre-commit value wherever it may not be:
 // in an image whose header is not write-locked. Every transaction that
-// returned nil is fully installed: value, version, lock gone. Then the abort
-// path: a fault at each position of a three-lock release wave loses no unlock.
+// returned nil is fully installed: value, version, lock gone. A faulted chain
+// is charged as awaited — its wave's timeout, nothing left in flight — where a
+// clean one leaves its WRITEs' latency in flight. Then the abort path: a fault
+// at each position of a three-lock release wave loses no unlock.
 func TestCommitChainUnderFaults(t *testing.T) {
 	const a, b = 1, 4 // both homed on node 1
 	rt, stop := chainRig(t, 15, nil)
@@ -196,15 +198,29 @@ func TestCommitChainUnderFaults(t *testing.T) {
 		// committed audits beside them.
 		deadline := time.Now().Add(20 * time.Second)
 		for round := 0; (round < 6 || audits.Load() < 8) && time.Now().Before(deadline) && !t.Failed(); round++ {
-			for k := 1; k <= chainWRs; k++ {
-				faults := rt.C.Obs.Total(obs.EvVerbFault)
-				err := transfer(writer, a, b, func() { scriptFault(rt, k) })
+			for k := 0; k <= chainWRs; k++ {
+				faults, snap := rt.C.Obs.Total(obs.EvVerbFault), rt.C.Obs.Snapshot()
+				err := transfer(writer, a, b, func() {
+					if k > 0 {
+						scriptFault(rt, k)
+					}
+				})
 				rt.C.Fabric.SetFaultPlan(nil)
 				if err != nil {
 					t.Fatalf("fault at %d: %v", k, err)
 				}
-				if n := rt.C.Obs.Total(obs.EvVerbFault) - faults; n != 1 {
+				if n := rt.C.Obs.Total(obs.EvVerbFault) - faults; n != int64(min(k, 1)) {
 					t.Fatalf("fault at %d: %d faults drawn, want the scripted one", k, n)
+				}
+				// The reader's transactions are read-only: the publish stage and the
+				// commit phase are the writer's alone.
+				d := rt.C.Obs.Snapshot().Delta(snap)
+				pub, commit := d.Stages[obs.StagePublish], d.Phases[obs.PhaseCommit].Sum
+				if k > 0 && (pub.Inflight != 0 || commit < rt.C.Fabric.Model().TimeoutNS) {
+					t.Fatalf("fault at %d: commit charged %d ns, %d left in flight: want its timeout awaited", k, commit, pub.Inflight)
+				}
+				if k == 0 && (pub.Inflight == 0 || pub.Nanos != chainWRs*rt.C.Fabric.Model().DoorbellNS) {
+					t.Fatalf("clean chain: publish stage %+v, want its doorbells charged and its WRITEs in flight", pub)
 				}
 				moved++
 				if audits.Load() < 8 {
@@ -241,8 +257,12 @@ func TestCommitChainUnderFaults(t *testing.T) {
 			t.Fatalf("abort, fault at %d: %v", k, err)
 		}
 		scriptFault(rt, k)
+		snap := rt.C.Obs.Snapshot()
 		tx.releaseLocks()
 		rt.C.Fabric.SetFaultPlan(nil)
+		if rel := rt.C.Obs.Snapshot().Delta(snap).Stages[obs.StageRelease]; rel.Inflight != 0 || rel.Nanos < rt.C.Fabric.Model().TimeoutNS {
+			t.Fatalf("abort, fault at %d: release stage %+v, want its timeout awaited", k, rel)
+		}
 		for _, key := range []uint64{7, 10, 13} {
 			wideImage(t, rt, key, img)
 			if s := img[kvs.EntryStateWord]; clock.IsWriteLocked(s) {

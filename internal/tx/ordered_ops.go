@@ -481,17 +481,20 @@ func (e *Executor) removeDead(ops []removalOp) {
 	}
 }
 
-// shipRemoveDead sends the executor's removal message (e.remMsg) to node,
-// charged for its payload and one tree operation per entry. Release-side:
-// transient faults retry the whole message without bound, and a crashed
-// host's removals park for recovery, each on its own, like any post-commit
-// effect.
+// shipRemoveDead sends the executor's removal message (e.remMsg) to node as a
+// one-way message: nothing the worker does next depends on the host's answer,
+// so the worker pays one doorbell and leaves the message in flight
+// (rdma.QP.Send), plus one tree operation per entry. Release-side: transient
+// faults retry the whole message without bound, and a crashed host's removals
+// park for recovery, each on its own, like any post-commit effect.
 func (e *Executor) shipRemoveDead(node int) {
 	ops := e.remMsg.Ops
 	e.charge(e.model().BTreeOpNS * int64(len(ops)))
+	e.callMsg = cluster.Msg{Type: msgRemoveDead, Body: &e.remMsg}
 	for attempt := 0; ; attempt++ {
-		_, err := e.call(node, msgRemoveDead, &e.remMsg, len(ops), 8+40*len(ops), 8)
+		err := e.w.QP.Send(node, &e.callMsg, 8+40*len(ops))
 		if err == nil {
+			e.w.Obs.Add(obs.EvShippedOp, int64(len(ops)))
 			return
 		}
 		if errors.Is(err, rdma.ErrNodeUnreachable) {

@@ -161,6 +161,77 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 	}
 }
 
+// TestRemovalIsOneWayMessage: a commit's removals go out as one message per
+// host, and nothing waits for the host's answer — the worker pays one doorbell
+// and a tree operation per entry, the message's flight is left in flight — yet
+// every entry is unlinked when removeDead returns. A transient fault retries
+// the whole message until it gets through.
+func TestRemovalIsOneWayMessage(t *testing.T) {
+	rt, e, stop := faultRig(t, nil)
+	defer stop()
+	insertOrders(t, e, 1, []uint64{1, 2, 3})
+	insertOrders(t, e, 2, []uint64{1, 2})
+	// erased runs one transaction erasing the given entities' rows and
+	// returns its removals, withheld from the commit.
+	erased := func(keys ...uint64) []removalOp {
+		var ops []removalOp
+		err := e.Exec(func(tx *Tx) error {
+			accs := make([]Access, len(keys))
+			for i, k := range keys {
+				accs[i] = Access{Table: tblOrders, Key: k, Erase: true}
+			}
+			if err := tx.Stage(accs...); err != nil {
+				return err
+			}
+			ops = append(ops[:0], tx.removals...)
+			tx.removals = tx.removals[:0]
+			return tx.Execute(func(lc *Local) error { return nil })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	linked := func(entity uint64, subs ...uint64) bool {
+		for _, s := range subs {
+			if _, ok := rt.C.Node(int(entity)).Ordered(tblOrders).Lookup(orderedKey(entity, s)); ok {
+				return true
+			}
+		}
+		return false
+	}
+	m := e.model()
+	ops := erased(orderedKey(1, 1), orderedKey(2, 1), orderedKey(1, 2), orderedKey(2, 2))
+	msgs, detached, t0 := e.w.Obs.Count(obs.EvVerbsMsg), e.w.Obs.Count(obs.EvDetached), e.w.VClock.Now()
+	e.removeDead(ops)
+	if got := int64(e.w.VClock.Now() - t0); got != 2*m.DoorbellNS+4*m.BTreeOpNS {
+		t.Fatalf("removing 4 entries on 2 hosts charged %d ns, want two doorbells and four tree operations, %d",
+			got, 2*m.DoorbellNS+4*m.BTreeOpNS)
+	}
+	if n, d := e.w.Obs.Count(obs.EvVerbsMsg)-msgs, e.w.Obs.Count(obs.EvDetached)-detached; n != 2 || d != 2 {
+		t.Fatalf("%d messages, %d left in flight, want one per host, each left in flight", n, d)
+	}
+	if linked(1, 1, 2) || linked(2, 1, 2) {
+		t.Fatal("a dead entry is still linked when removeDead returned")
+	}
+
+	// Transient timeouts: the first try of the message fails and the second
+	// gets through.
+	ops = erased(orderedKey(1, 3))
+	plan := rdma.NewFaultPlan(5)
+	plan.ScriptFaults(0, 1, 1)
+	rt.C.Fabric.SetFaultPlan(plan)
+	defer rt.C.Fabric.SetFaultPlan(nil)
+	retries, msgs := e.w.Obs.Count(obs.EvLockRetry), e.w.Obs.Count(obs.EvVerbsMsg)
+	e.removeDead(ops)
+	if r, n := e.w.Obs.Count(obs.EvLockRetry)-retries, e.w.Obs.Count(obs.EvVerbsMsg)-msgs; r != 1 || n != 1 {
+		t.Fatalf("%d retries and %d messages delivered, want the faulted try retried once", r, n)
+	}
+	if linked(1, 3) {
+		t.Fatal("the retried removal left its entry linked")
+	}
+}
+
 func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	// Removals go out with the commit that erased the rows.
 	rt, e, stop := faultRig(t, nil)
@@ -188,12 +259,12 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	}
 	o := rt.C.Node(1).Ordered(tblOrders)
 	rt.C.Fabric.SetNodeDown(1, true)
-	msgs := e.w.Obs.Count(obs.EvVerbsMsg)
+	msgs, detached := e.w.Obs.Count(obs.EvVerbsMsg), e.w.Obs.Count(obs.EvDetached)
 	e.removeDead(ops)
 	if got := rt.PendingOps(1); got != 3 {
 		t.Fatalf("%d removals parked for the dead host, want 3 (one per entry)", got)
 	}
-	if e.w.Obs.Count(obs.EvVerbsMsg) != msgs {
+	if e.w.Obs.Count(obs.EvVerbsMsg) != msgs || e.w.Obs.Count(obs.EvDetached) != detached {
 		t.Fatal("a message reached the dead host")
 	}
 	for s := uint64(1); s <= 3; s++ {

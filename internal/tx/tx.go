@@ -9,6 +9,7 @@ import (
 	"drtm/internal/memory"
 	"drtm/internal/nvram"
 	"drtm/internal/obs"
+	"drtm/internal/rdma"
 )
 
 // Explicit HTM abort codes used by the protocol (XABORT imm8 values).
@@ -598,6 +599,12 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 // lost, so what failed, and what the connection flushed behind it, is re-driven
 // in post order through the must* helpers — where the owner guard is
 // (mustUnlock), exactly where a lock can have changed hands.
+//
+// A worker that keeps no log and appends no redo record leaves the wave in
+// flight (rdma.SendQueue.PollDetached): nothing it or its client does next
+// depends on when the WRITEs land — the records stay locked until they do, and
+// the connection runs its later verbs after them. With logs the wave is
+// awaited: the next log restart or redo append vouches that it has landed.
 func (t *Tx) postWave(stage obs.Stage) {
 	if len(t.cops) == 0 {
 		return
@@ -610,7 +617,13 @@ func (t *Tx) postWave(stage obs.Stage) {
 		}
 		sq.PostWrite(op.node, op.region, op.off, data)
 	}
-	for i, wr := range sq.Poll() {
+	var wrs []*rdma.WR
+	if t.e.rt.C.Config().Durability || t.e.rt.C.ReplicationFactor() > 0 {
+		wrs = sq.Poll()
+	} else {
+		wrs = sq.PollDetached()
+	}
+	for i, wr := range wrs {
 		switch op := &t.cops[i]; {
 		case wr.Err == nil:
 		case op.data != nil:
