@@ -125,7 +125,9 @@ type Options struct {
 
 	// Durability enables NVRAM logging and crash recovery (Section 4.6): the
 	// chopping and lock-ahead logs ahead of the HTM region and, without
-	// replication, the write-ahead log inside it, which Recover replays.
+	// replication, the write-ahead log inside it, which Recover replays. No
+	// repair reads the lock-ahead log: a crashed machine's locks are found
+	// by their state words' owner bits.
 	Durability bool
 
 	// ReplicationFactor enables FaRM-style primary–backup replication: every
@@ -137,9 +139,9 @@ type Options struct {
 	// only its redo tail (hot failover) instead of the full NVRAM replay; the
 	// crashed node is never revived. The redo record is the commit record:
 	// no write-ahead record is written, and a backup truncates its log as the
-	// sender's next record lands. Requires Durability (stuck exclusive locks
-	// are released via the lock-ahead log) and at least ReplicationFactor+1
-	// nodes. 0 disables replication.
+	// sender's next record lands. Needs at least ReplicationFactor+1 nodes;
+	// Durability is optional, as failover finds a crashed machine's locks by
+	// their state words. 0 disables replication.
 	ReplicationFactor int
 
 	// FailureDetection enables lease-based membership (Section 4.6): every
@@ -202,9 +204,6 @@ func (o Options) normalize() (Options, error) {
 	if o.ReplicationFactor >= o.Nodes {
 		return o, fmt.Errorf("drtm: Options.ReplicationFactor %d needs at least %d nodes, got %d",
 			o.ReplicationFactor, o.ReplicationFactor+1, o.Nodes)
-	}
-	if o.ReplicationFactor > 0 && !o.Durability {
-		return o, errors.New("drtm: Options.ReplicationFactor requires Options.Durability (failover releases a crashed primary's locks via its lock-ahead log)")
 	}
 	if o.FaultSeed == 0 {
 		o.FaultSeed = 1

@@ -3,8 +3,8 @@
 // Survivors notice the crashed node's membership lease has expired,
 // confirm the death by probing, elect a recovery coordinator with RDMA
 // CAS, replay the NVRAM logs (committed transactions are redone from the
-// write-ahead log, uncommitted locks released via the lock-ahead log), and
-// revive the node — while the other nodes keep committing. The balance
+// write-ahead log), free every lock the crashed machine holds (its state
+// words name it), and revive the node — while the other nodes keep committing. The balance
 // invariant survives it all.
 package main
 

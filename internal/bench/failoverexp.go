@@ -254,7 +254,7 @@ func runFailoverExp(o Options) *Result {
 
 	res.Note("gate (TestFailoverAcceptance): each repair's work in log records — wal-records-scanned for f=0, redo-tail-replayed for f=1 — stays under a constant at the 1x and at the 4x warm window; every arm repairs and conserves money")
 	res.Note("a worker restarts its NVRAM logs at every transaction boundary with nothing parked (log-restarts), so Recover reads the victim's transactions in flight, not its history; a redo ring is drained as an append takes it past cluster.CheckpointWords (ring-drains counts the records), so the promotion's tail is bounded too")
-	res.Note("what f=1 buys is availability without the victim: the partition serves from the promoted replica once the redo tails hosted on the new owner are replayed — before anything of the victim's NVRAM is read (its lock-ahead log frees its stuck locks afterwards) — and the machine stays dead; f=0 must read the victim's logs and revive it, and until then every transaction that touches its partition aborts (node-down-aborts)")
+	res.Note("what f=1 buys is availability without the victim: the partition serves from the promoted replica once the redo tails hosted on the new owner are replayed — before anything of the victim's NVRAM is read (a sweep of the state words frees its stuck locks afterwards) — and the machine stays dead; f=0 must read the victim's logs and revive it, and until then every transaction that touches its partition aborts (node-down-aborts)")
 	res.Note("detector: 1ms heartbeats, 12ms failure timeout, 2ms election stagger; node 1 crashed once under live traffic; seed %d", seed(o))
 	res.Note("unavailability is wall-clock of the repair call alone, tens of microseconds either way and noisy: the whole Recover call (f=0), view handover + adopted-partition redo replay (f=1); detection latency is identical across arms")
 	res.Note("log-high-water is the most live words one log of one worker held at a transaction boundary, against cluster.Config.LogWords, the cap whose overrun is fatal; with f=0 survivors keep their records while a release is parked for the dead victim, which is what raises it and what grows an arena (log-grows); with f=1 they restart them regardless, as no record a promotion reads depends on a parked step")

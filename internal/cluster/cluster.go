@@ -383,6 +383,17 @@ func (n *Node) HasOrdered(tableID int) bool {
 	return ok
 }
 
+// EachEntry calls fn with the arena and offset of every entry slot handed out
+// so far in every region the node hosts, primary and replica, hash and ordered.
+func (n *Node) EachEntry(fn func(a *memory.Arena, off memory.Offset)) {
+	for _, t := range n.unordered {
+		t.EachEntry(func(off memory.Offset) { fn(t.Arena(), off) })
+	}
+	for _, o := range n.ordered {
+		o.EachEntry(func(off memory.Offset) { fn(o.Arena(), off) })
+	}
+}
+
 // Handle registers a verbs message handler for a message type on this node.
 // Must be called before traffic starts.
 func (n *Node) Handle(msgType int, h rdma.Handler) { n.handlers[msgType] = h }

@@ -119,6 +119,10 @@ func (o *Ordered) freeSlot(off memory.Offset) {
 	o.mu.Unlock()
 }
 
+// EachEntry calls fn with the offset of every entry slot handed out so far,
+// live or free, as Table.EachEntry does.
+func (o *Ordered) EachEntry(fn func(off memory.Offset)) { o.entries.each(&o.mu, fn) }
+
 // stampTail seqlock-writes the entry's chain tail (no-op when chains are
 // disabled). Used on private entries during insert prep; committed
 // overwrites go through RetireTx/RetireLocal instead.

@@ -1,6 +1,10 @@
 package kvs
 
-import "drtm/internal/memory"
+import (
+	"sync"
+
+	"drtm/internal/memory"
+)
 
 // slots hands out the fixed-width slots of one arena range — a shard's
 // entries, or a table's indirect buckets. A slot given back is handed out
@@ -34,3 +38,14 @@ func (s *slots) alloc() (memory.Offset, bool) {
 
 // free gives a slot back.
 func (s *slots) free(off memory.Offset) { s.recycled = append(s.recycled, off) }
+
+// each calls fn with the offset of every slot handed out before it was called,
+// free ones included; mu guards only the read of used, so fn runs unlatched.
+func (s *slots) each(mu *sync.Mutex, fn func(off memory.Offset)) {
+	mu.Lock()
+	n := s.used
+	mu.Unlock()
+	for i := 0; i < n; i++ {
+		fn(s.base + memory.Offset(i*s.width))
+	}
+}

@@ -146,6 +146,10 @@ func (t *Table) freeEntry(off memory.Offset) {
 	t.mu.Unlock()
 }
 
+// EachEntry calls fn with the offset of every entry slot handed out so far,
+// live or free: a slot's state word outlives its entry.
+func (t *Table) EachEntry(fn func(off memory.Offset)) { t.entries.each(&t.mu, fn) }
+
 func (t *Table) allocBucket() (memory.Offset, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -2,9 +2,12 @@ package tx
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"drtm/internal/clock"
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
@@ -147,5 +150,47 @@ func TestBornSlotUnderMessageFaults(t *testing.T) {
 	}
 	if _, ok := rt.C.Node(2).Ordered(tblOrders).Lookup(orderedKey(2, 8)); ok {
 		t.Fatal("the unreachable host applied the failed message")
+	}
+}
+
+// TestBornSlotFreedByRepair: the inserter's machine dies as Stage returns with
+// the slot the host's answer created born held for it, before any log record
+// names the slot. Either repair — Recover at f = 0, Failover at f = 1 — frees
+// it: the state word names its holder.
+func TestBornSlotFreedByRepair(t *testing.T) {
+	for _, f := range []int{0, 1} {
+		t.Run(fmt.Sprintf("f=%d", f), func(t *testing.T) {
+			rt, e, stop := faultRig(t, func(c *cluster.Config) { c.Durability, c.ReplicationFactor = true, f })
+			defer stop()
+			key := orderedKey(1, 5)
+			born := e.w.Obs.Count(obs.EvLockBorn)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				e.Exec(func(tx *Tx) error {
+					if err := tx.WInsert(tblOrders, key, []uint64{5, 5}); err != nil {
+						return err
+					}
+					rt.C.Crash(0)
+					runtime.Goexit()
+					return nil
+				})
+			}()
+			<-done
+			if got := e.w.Obs.Count(obs.EvLockBorn) - born; got != 1 {
+				t.Fatalf("%d slots born held, want 1", got)
+			}
+			if s := stateOf(t, rt, 1, key); s != clock.WLocked(0) {
+				t.Fatalf("slot state = %#x before the repair, want born held for node 0", s)
+			}
+			if f == 0 {
+				rt.Recover(0)
+			} else if rep := rt.Failover(0); !rep.Promoted {
+				t.Fatalf("failover did not promote: %+v", rep)
+			}
+			if s := stateOf(t, rt, 1, key); s != clock.Init {
+				t.Fatalf("slot state = %#x after the repair, want free", s)
+			}
+		})
 	}
 }

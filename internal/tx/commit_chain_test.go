@@ -275,15 +275,14 @@ func TestCommitChainUnderFaults(t *testing.T) {
 // TestCleanReleaseNeverClobbers: a clean release is a blind WRITE of the free
 // word, so it must never be issued for a lock that can have changed hands. Node
 // 1 takes two clean write locks on node 0 and crashes before its commit;
-// recovery frees them from the lock-ahead log and a survivor on node 2 locks
+// recovery frees them and a survivor on node 2 locks
 // the rows again. The zombie's commit and its abort path then release "their"
 // locks: the WRITEs fail at the dead source, the re-drive is mustUnlock's
 // owner-guarded CAS — applied at once when the host is up, parked and drained
 // at its revival when it is down too — and the survivor's lock words stand.
 //
-// The zombie holds two transactions open at once on one executor, and recovery
-// must find both lock-ahead records: that works because the logs are restarted
-// by Exec, where a worker provably holds nothing, not by newTx.
+// The zombie holds two transactions open at once on one executor; recovery
+// frees both transactions' locks, found by their state words.
 func TestCleanReleaseNeverClobbers(t *testing.T) {
 	for _, hostDown := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hostDown=%v", hostDown), func(t *testing.T) {

@@ -19,8 +19,8 @@ type FailoverReport struct {
 	View uint64
 	// RedoRecords is the number of redo records replayed from log tails.
 	RedoRecords int
-	// Unlocked is the number of exclusive locks released on behalf of the
-	// crashed machine's in-flight transactions.
+	// Unlocked is the number of exclusive locks the crashed machine held
+	// that the promotion released.
 	Unlocked int
 }
 
@@ -44,14 +44,11 @@ type FailoverReport struct {
 //     host's durable rings included — are drained too: a transaction the
 //     crashed machine committed (XEND ran, append landed) but never wrote
 //     back must still commit everywhere;
-//  3. exclusive locks still held by the crashed machine are released via
-//     its lock-ahead log (owner-guarded, so survivors' fresh locks are
-//     never clobbered) — after the redo replay, so a survivor locking a
-//     freed record sees the replayed value. The log names remote locks
-//     only: the local rows a region holds until its append (holdLocalWrites)
-//     are in the crashed machine's memory, which nothing reads again, and
-//     the replicas carry no locks. The write-ahead log is never read: under
-//     replication nothing writes it;
+//  3. every exclusive lock the crashed machine still holds is released
+//     (freeLocksOf, owner-guarded, so survivors' fresh locks are never
+//     clobbered), committed transactions' included, since the redo replay
+//     does not touch state words — after the replay, so a survivor locking
+//     a freed record sees the replayed value. No log is read;
 //  4. release-side ops parked for the crashed node are discarded: the redo
 //     replay supersedes them and the machine stays down.
 //
@@ -124,29 +121,12 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 		}
 	}
 
-	var buf []uint64 // the lock-ahead scans' record buffer
+	rep.Unlocked = rt.freeLocksOf(crashed)
 	for w := 0; w < cfg.WorkersPerNode; w++ {
-		wk := c.Worker(crashed, w)
-		if wk.LockAheadLog == nil {
-			continue
+		if wk := c.Worker(crashed, w); wk.LockAheadLog != nil {
+			wk.LockAheadLog.Truncate()
+			wk.ChoppingLog.Truncate()
 		}
-		// Unlike Recover, committed transactions' locks are released here
-		// too: the redo replay above does not touch state words, so every
-		// lock the crashed machine still holds — committed or not — must go.
-		_, buf = wk.LockAheadLog.Scan(buf, func(rec []uint64) {
-			_, locks, ok := parseLockAhead(rec)
-			if !ok {
-				return
-			}
-			for _, l := range locks {
-				if rt.unlockIfOwned(crashed, l) {
-					rep.Unlocked++
-					wk.Obs.Inc(obs.EvRecoveryUnlock)
-				}
-			}
-		})
-		wk.LockAheadLog.Truncate()
-		wk.ChoppingLog.Truncate()
 	}
 
 	rt.discardPending(crashed)

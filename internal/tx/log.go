@@ -26,13 +26,17 @@ import (
 // The write-ahead log is appended transactionally inside the HTM region
 // (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
 // transaction's XEND executed — the property recovery relies on to decide
-// redo vs. unlock. Under replication there is none: a crashed machine is
+// redo. Under replication there is none: a crashed machine is
 // repaired by Failover, never by Recover, and the redo record on the backups
 // is the commit record (repl.go).
 //
+// The lock-ahead log is written and read by no repair: both free a crashed
+// machine's locks by the state words' owner bits (freeLocksOf). Its appends
+// stay for what they cost (Table 6).
+//
 // Lifetime. Recovery consults a crashed machine's logs for the transactions
-// that were in flight (Figure 7): a lock-ahead record matters while its locks
-// are held, a write-ahead record until every write it names is home. A worker
+// that were in flight (Figure 7): a chopping record until its piece commits, a
+// write-ahead record until every write it names is home. A worker
 // therefore restarts its three logs (reclaimLogs) where it starts a
 // transaction attempt — holding no lock, owing no write — unless, without
 // replication, some commit's release side is parked for an unreachable node
@@ -41,18 +45,15 @@ import (
 
 // reclaimLogs applies the lifetime rule at the start of a transaction attempt:
 // the worker's logs, if they hold anything, are restarted — all three, the
-// write-ahead log last, so no chopping or lock-ahead record ever outlives the
-// write-ahead record that proved its transaction committed (Recover would hand
-// the piece back as pending, or take the transaction for uncommitted). Without
-// replication they are kept while release-side work is parked anywhere in the
-// runtime — the parked write's record must survive this coordinator. Under
-// replication no record a repair reads depends on a parked step: Failover
-// reads the redo rings, and the lock-ahead log only for locks this worker
-// holds, and none is held here. A zombie keeps its logs either way: its
-// releases fail at the source, and the repair frees its locks from these
-// records and redoes its dropped write-backs (mustWrite, mustUnlock). A zombie that
-// passes the check as its machine is declared dead restarts logs recovery may be
-// scanning: the window the fault model already assumes away for a zombie's
+// write-ahead log last, so no chopping record ever outlives the write-ahead
+// record that proved its transaction committed (Recover would hand the piece
+// back as pending). Without replication they are kept while release-side work
+// is parked anywhere in the runtime — the parked write's record must survive
+// this coordinator. Under replication no record a repair reads depends on a
+// parked step: Failover reads the redo rings only. A zombie keeps its logs
+// either way: its releases fail at the source, and the repair redoes its
+// dropped write-backs (mustWrite, mustUnlock). A zombie that passes the check
+// as its machine is declared dead restarts logs recovery may be scanning: the window the fault model already assumes away for a zombie's
 // commit, and Log.Scan hands out no torn record in it. A restart appends
 // nothing and is charged nothing: the next append rewrites the head word anyway.
 func (e *Executor) reclaimLogs() {
@@ -91,11 +92,10 @@ func (t *Tx) logAheadOfRegion() {
 	}
 }
 
-// logLockAhead names every record this transaction holds exclusively locked,
-// so recovery can unlock them if we crash before commit: the remote write set
-// of the region path; every write record, this node's included, of the
-// fallback, which logs a record of its own once it has taken its locks again
-// (at offsets a re-resolve may have moved).
+// logLockAhead names every record this transaction holds exclusively locked:
+// the remote write set of the region path; every write record, this node's
+// included, of the fallback, which logs a record of its own once it has taken
+// its locks again (at offsets a re-resolve may have moved).
 func (t *Tx) logLockAhead() {
 	b := append(t.logBuf[:0], t.txid, 0)
 	for _, r := range t.recs {
@@ -199,29 +199,4 @@ func parseWAL(rec []uint64) (txid uint64, recs []walRec, ok bool) {
 		i += 5 + vw
 	}
 	return txid, recs, true
-}
-
-// parseLockAhead decodes one lock-ahead record.
-func parseLockAhead(rec []uint64) (txid uint64, locks []lockRef, ok bool) {
-	if len(rec) < 2 {
-		return 0, nil, false
-	}
-	txid = rec[0]
-	n := int(rec[1])
-	if len(rec) < 2+3*n {
-		return 0, nil, false
-	}
-	for i := 0; i < n; i++ {
-		locks = append(locks, lockRef{
-			node:  int(rec[2+i*3]),
-			table: int(rec[2+i*3+1]),
-			off:   memory.Offset(rec[2+i*3+2]),
-		})
-	}
-	return txid, locks, true
-}
-
-type lockRef struct {
-	node, table int
-	off         memory.Offset
 }

@@ -20,8 +20,8 @@ type RecoveryReport struct {
 	// SkippedRecords is the number of logged updates already present
 	// (version on the record >= logged version).
 	SkippedRecords int
-	// Unlocked is the number of exclusive locks released via the
-	// lock-ahead log for uncommitted transactions (Figure 7(a)).
+	// Unlocked is the number of exclusive locks the crashed machine held
+	// that recovery released, committed transactions' included.
 	Unlocked int
 	// PendingPieces returns the chopping-log records of transactions that
 	// never committed: the chopping layer resumes these pieces.
@@ -35,9 +35,10 @@ type RecoveryReport struct {
 //     XEND executed ⇒ the transaction must eventually commit everywhere),
 //     applying each record update only if its logged version is newer;
 //
-//   - releases exclusive locks still held by the crashed machine for
-//     transactions with no write-ahead record, using the lock-ahead log and
-//     the owner-ID bits of the state word.
+//   - then, while the node is down, releases every exclusive lock the
+//     crashed machine still holds (freeLocksOf): a state word's owner bits
+//     name its holder. Once the node is revived its locks are its live
+//     transactions', and a later Recover leaves them.
 //
 // Recover is driven by a surviving node (or the rebooted machine itself);
 // the flush-on-failure model guarantees the logs are intact. It is
@@ -48,9 +49,9 @@ type RecoveryReport struct {
 // and no lock is released before every log has been replayed, so no survivor
 // gets at a record ahead of an update recovery still owes it.
 //
-// A replicated cluster writes no write-ahead record, so Recover would take
-// its committed transactions for uncommitted ones and free their locks
-// without their write-backs: it panics there. Failover repairs it.
+// A replicated cluster writes no write-ahead record, so Recover would free
+// its committed transactions' locks without their write-backs: it panics
+// there. Failover repairs it.
 func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	if rt.C.ReplicationFactor() > 0 {
 		panic("tx: Recover on a replicated cluster, which keeps no write-ahead log; repair it with Failover")
@@ -78,8 +79,7 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	// before the replay reaches the entry that matters, which the version
 	// guard then skips, and an acked commit is lost.
 	committed := make(map[uint64]bool)
-	held := make(map[lockRef]struct{}) // the redone records' locations
-	var buf []uint64                   // every scan's record buffer
+	var buf []uint64 // every scan's record buffer
 	for _, wk := range wks {
 		sawEntries = sawEntries || wk.WriteAheadLog.BytesUsed() > 0 ||
 			wk.LockAheadLog.BytesUsed() > 0 || wk.ChoppingLog.BytesUsed() > 0
@@ -98,7 +98,6 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 				} else {
 					rep.SkippedRecords++
 				}
-				held[lockRef{node: u.node, table: u.table, off: u.off}] = struct{}{}
 			}
 			if rep.RedoneRecords > redone {
 				rep.RedoneTxns++
@@ -106,24 +105,12 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		})
 	}
 
-	// Now the locks: the redone records', then the uncommitted transactions'.
-	for l := range held {
-		rt.unlockIfOwned(crashed, l)
+	// Now the locks, while the machine is down: once revived, the locks it
+	// holds are its live transactions'.
+	if rt.C.Fabric.NodeDown(crashed) {
+		rep.Unlocked = rt.freeLocksOf(crashed)
 	}
 	for _, wk := range wks {
-		_, buf = wk.LockAheadLog.Scan(buf, func(rec []uint64) {
-			txid, locks, ok := parseLockAhead(rec)
-			if !ok || committed[txid] {
-				return
-			}
-			for _, l := range locks {
-				if rt.unlockIfOwned(crashed, l) {
-					rep.Unlocked++
-					wk.Obs.Inc(obs.EvRecoveryUnlock)
-				}
-			}
-		})
-
 		_, buf = wk.ChoppingLog.Scan(buf, func(rec []uint64) {
 			if len(rec) >= 1 && !committed[rec[0]] {
 				rep.PendingPieces = append(rep.PendingPieces, append([]uint64(nil), rec[1:]...)) // rec is the scan buffer
@@ -151,7 +138,7 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 
 // redo applies one logged update if it is newer than the record's current
 // version. Returns whether the value was written. The lock the crashed machine
-// may still hold on the record is Recover's to release, once every log is
+// may still hold on the record is freeLocksOf's to release, once every log is
 // replayed.
 //
 // Ordered rows (inc != 0 in the log) carry the committed incarnation: the
@@ -174,18 +161,25 @@ func (rt *Runtime) redo(u walRec) bool {
 	return true
 }
 
-// unlockIfOwned clears the record's exclusive lock when held by the crashed
-// machine (identified via the state word's owner bits, Figure 4).
-func (rt *Runtime) unlockIfOwned(crashed int, l lockRef) bool {
-	arena := rt.arenaOf(l.node, l.table)
-	stateOff := kvs.StateOffset(l.off)
-	s := arena.LoadWord(stateOff)
-	if clock.IsWriteLocked(s) && int(clock.Owner(s)) == crashed {
-		if _, ok := arena.CAS(stateOff, s, clock.Init); ok {
-			return true
-		}
+// freeLocksOf frees every exclusive lock the crashed machine holds, on every
+// node: a state word names its holder (Figure 4), so a walk over every entry
+// slot finds each lock whenever it was taken — in the Start phase, as a slot
+// born held, under the fallback — and the CAS from the word read leaves a
+// survivor's lock or a lock that changed hands alone. Returns the locks freed.
+func (rt *Runtime) freeLocksOf(crashed int) int {
+	n := 0
+	for node := 0; node < rt.C.Nodes(); node++ {
+		rt.C.Node(node).EachEntry(func(a *memory.Arena, off memory.Offset) {
+			so := kvs.StateOffset(off)
+			if s := a.LoadWord(so); clock.IsWriteLocked(s) && int(clock.Owner(s)) == crashed {
+				if _, ok := a.CAS(so, s, clock.Init); ok {
+					n++
+				}
+			}
+		})
 	}
-	return false
+	rt.C.Obs.Shard(0).Add(obs.EvRecoveryUnlock, int64(n))
+	return n
 }
 
 // arenaOf resolves a storage region's arena on node: an ordered shard

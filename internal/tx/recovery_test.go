@@ -9,6 +9,7 @@ import (
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/memory"
 	"drtm/internal/nvram"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
@@ -87,8 +88,9 @@ func TestAbortedTxnLeavesNoWAL(t *testing.T) {
 	}
 }
 
-// TestRecoveryUnlocksCrashedLocks is Figure 7(a): crash before XEND — the
-// lock-ahead log releases remote locks; no WAL means no redo.
+// TestRecoveryUnlocksCrashedLocks is Figure 7(a): crash before XEND —
+// recovery releases the remote lock its state word names; no WAL means no
+// redo.
 func TestRecoveryUnlocksCrashedLocks(t *testing.T) {
 	rt, stop := durableRig(t, 2, 1, 4)
 	defer stop()
@@ -128,9 +130,9 @@ func TestRecoveryUnlocksCrashedLocks(t *testing.T) {
 
 // TestRecoveryUnlocksFallbackLocks: the software fallback drops the Start
 // phase's locks and takes new ones — on its local records too, through the
-// same persistent state words — so it writes a lock-ahead record of its own.
-// Node 1 runs a transaction over local keys 1 and 3 and remote key 2 into the
-// fallback and dies inside the body; recovery must free all three.
+// same persistent state words. Node 1 runs a transaction over local keys 1 and
+// 3 and remote key 2 into the fallback and dies inside the body; recovery must
+// free all three.
 func TestRecoveryUnlocksFallbackLocks(t *testing.T) {
 	rt, stop := durableRig(t, 2, 1, 4)
 	defer stop()
@@ -320,6 +322,39 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterReviveFreesNothing: once its machine is revived, the locks a
+// node holds are its live transactions'. After Recover(0) and Revive(0), a
+// node-0 transfer pauses in its body holding rows 4 and 1 on node 1: a second
+// Recover(0) must leave them held and report nothing unlocked.
+func TestRecoverAfterReviveFreesNothing(t *testing.T) {
+	rt, stop := lifetimeRig(t, 0)
+	defer stop()
+	rt.C.Crash(0)
+	rt.Recover(0)
+	rt.C.Revive(0)
+
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 1)
+	go func() {
+		done <- pieceTransfer(rt.Executor(0, 0), 4, 1, 1, false, nil, nil, func() {
+			once.Do(func() { close(paused); <-resume })
+		}, nil)
+	}()
+	<-paused
+	rep := rt.Recover(0)
+	host := rt.C.Node(1).Unordered(tblWideHash)
+	off, _ := host.LookupLocal(1)
+	s := host.Arena().LoadWord(kvs.StateOffset(off))
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if rep.Unlocked != 0 || !clock.IsWriteLocked(s) || clock.Owner(s) != 0 {
+		t.Fatalf("Recover of a revived node: %+v, row 1 state %#x; want nothing unlocked and row 1 held by node 0", rep, s)
+	}
+}
+
 // TestRecoverRefusesReplicatedCluster: under f ≥ 1 nothing writes the
 // write-ahead log, so Recover would free committed transactions' locks without
 // their write-backs; it panics instead of repairing what only Failover can.
@@ -465,8 +500,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 // transactions, so the replicas hold them too.
 func lifetimeRig(t *testing.T, f int) (*Runtime, func()) {
 	t.Helper()
+	return lifetimeRigDurable(t, f, true)
+}
+
+// lifetimeRigDurable is lifetimeRig with its NVRAM logs on or off.
+func lifetimeRigDurable(t *testing.T, f int, durable bool) (*Runtime, func()) {
+	t.Helper()
 	rt, stop := newRig(t, 3, 1, 0, func(c *cluster.Config) {
-		c.Durability, c.ReplicationFactor, c.LogWords = true, f, 1<<16
+		c.Durability, c.ReplicationFactor, c.LogWords = durable, f, 1<<16
 	})
 	rt.DefineUnordered(tblWideHash, 64, 64, 32, wideWords)
 	for k := uint64(1); k <= 9; k++ {
@@ -486,11 +527,12 @@ func lifetimeRig(t *testing.T, f int) (*Runtime, func()) {
 // chopped parent 7. With fallback set the body aborts its region after its last
 // write and the transaction commits under the software fallback's locks
 // (FallbackThreshold = 1). atBuild runs first in the build callback — Exec has
-// restarted the logs by then; atBody first in the run of the body that will
-// commit — the lock-ahead record of that path is written; atEnd as that run's
-// last step — what follows is the commit point and the transaction's release
-// side.
-func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, atBody, atEnd func()) error {
+// restarted the logs by then; atStaged once Stage has locked the remote rows,
+// before any log record is written; atBody first in the run of the body that
+// will commit — the lock-ahead record of that path is written; atEnd as that
+// run's last step — what follows is the commit point and the transaction's
+// release side.
+func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, atStaged, atBody, atEnd func()) error {
 	return e.Exec(func(tx *Tx) error {
 		if atBuild != nil {
 			atBuild()
@@ -499,6 +541,9 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 		if err := tx.Stage(Access{Table: tblWideHash, Key: from, Write: true},
 			Access{Table: tblWideHash, Key: to, Write: true}); err != nil {
 			return err
+		}
+		if atStaged != nil {
+			atStaged()
 		}
 		return tx.Execute(func(lc *Local) error {
 			commits := (lc.htx == nil) == fallback
@@ -533,8 +578,9 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 // TestLogLifetimeCrashPoints: a worker restarts its logs where it starts a
 // transaction, so after any crash they hold the transaction in flight and
 // nothing else. Node 0 commits two transfers into node 1's row 1, then dies in
-// a third — after the log restart, after the lock-ahead append, at the commit
-// point (XEND, or the fallback's write-ahead append), as the redo append lands
+// a third — after the log restart, once Stage has locked the rows and before
+// any log record names them, after the lock-ahead append, at the commit point
+// (XEND, or the fallback's write-ahead append), as the redo append lands
 // (f = 1), and as each WRITE of the commit's chain to node 1 lands (after the
 // last nothing is owed) —
 // through the region and through the fallback, recovered by Recover (f = 0) or
@@ -542,12 +588,13 @@ func pieceTransfer(e *Executor, from, to, piece uint64, fallback bool, atBuild, 
 // dying commit's own append drains them as it lands (a backup's drain keeps the
 // partitions it backs up and drops the rest of a record: run between an append
 // and its write-back, a drain of that record left the transfer's other half
-// nowhere a promotion reads).
+// nowhere a promotion reads). At f = 1 every cell runs again without
+// Durability: no repair reads a lock-ahead log, so none is needed.
 // Whatever the point: the last transfer is whole or absent, and
-// whole if its client was acked; no row stays locked by the dead machine;
-// no piece that committed comes back as pending (a chopping record outliving
-// the write-ahead record that proved it committed); and a second repair finds
-// nothing to do.
+// whole if its client was acked; no state word anywhere is left write-locked
+// by the dead machine; no piece that committed comes back as pending (a
+// chopping record outliving the write-ahead record that proved it committed);
+// and a second repair finds nothing to do.
 //
 // The sweep runs two transfers. Unprefixed, both rows are node 1's (4 and 1):
 // the chain to node 1 is each row's value and release, four WRITEs, so a crash
@@ -561,24 +608,43 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 		if from == 3 {
 			publishWRs, prefix = 2, "depth=0/"
 		}
-		points := []string{"restart", "lock-ahead", "commit", "replicate"}
+		points := []string{"restart", "staged", "lock-ahead", "commit", "replicate"}
 		for k := 1; k <= publishWRs; k++ {
 			points = append(points, fmt.Sprintf("publish-%d", k))
 		}
 		for _, f := range []int{0, 1} {
-			for _, fallback := range []bool{false, true} {
-				for _, ringFull := range []bool{false, true}[:1+f] {
-					for _, point := range points {
-						if point == "replicate" && f == 0 {
-							continue
+			for _, durable := range []bool{true, false}[:1+f] {
+				arm := prefix
+				if !durable {
+					arm += "durability=off/"
+				}
+				for _, fallback := range []bool{false, true} {
+					for _, ringFull := range []bool{false, true}[:1+f] {
+						for _, point := range points {
+							if point == "replicate" && f == 0 {
+								continue
+							}
+							t.Run(fmt.Sprintf("%sf=%d/fallback=%v/ringFull=%v/%s", arm, f, fallback, ringFull, point), func(t *testing.T) {
+								lifetimeCrashPoint(t, f, durable, fallback, ringFull, point, from, to, publishWRs)
+							})
 						}
-						t.Run(fmt.Sprintf("%sf=%d/fallback=%v/ringFull=%v/%s", prefix, f, fallback, ringFull, point), func(t *testing.T) {
-							lifetimeCrashPoint(t, f, fallback, ringFull, point, from, to, publishWRs)
-						})
 					}
 				}
 			}
 		}
+	}
+}
+
+// assertNoLocksOf fails t for every state word, on any node, that machine dead
+// still holds write-locked.
+func assertNoLocksOf(t *testing.T, rt *Runtime, dead int) {
+	t.Helper()
+	for n := 0; n < rt.C.Nodes(); n++ {
+		rt.C.Node(n).EachEntry(func(a *memory.Arena, off memory.Offset) {
+			if s := a.LoadWord(kvs.StateOffset(off)); clock.IsWriteLocked(s) && int(clock.Owner(s)) == dead {
+				t.Errorf("row %d of region %d on node %d still write-locked by node %d", a.LoadWord(off+kvs.EntryKeyWord), a.ID, n, dead)
+			}
+		})
 	}
 }
 
@@ -587,8 +653,8 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 // words.
 const transferRedoBytes = (1 + 2 + 2*(7+wideWords)) * 8
 
-func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point string, from, to uint64, publishWRs int) {
-	rt, stop := lifetimeRig(t, f)
+func lifetimeCrashPoint(t *testing.T, f int, durable, fallback, ringFull bool, point string, from, to uint64, publishWRs int) {
+	rt, stop := lifetimeRigDurable(t, f, durable)
 	defer stop()
 	if fallback {
 		rt.FallbackThreshold = 1
@@ -596,7 +662,7 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 	e := rt.Executor(0, 0)
 	for piece := uint64(1); piece <= 2; piece++ {
 		before := rt.C.Obs.Snapshot().Stages[obs.StagePublish].WRs
-		if err := pieceTransfer(e, from, to, piece, fallback, nil, nil, nil); err != nil {
+		if err := pieceTransfer(e, from, to, piece, fallback, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		perRow := rt.C.Obs.Snapshot().Stages[obs.StagePublish].WRs - before
@@ -613,7 +679,7 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 		// CheckpointWords: the crashing commit's append is the one that has the
 		// backups apply and truncate the records ahead of it.
 		for rt.C.RedoSinkAt(2, 0, 0).BytesUsed()+transferRedoBytes < cluster.CheckpointWords*8 {
-			if err := pieceTransfer(e, from, to, 2, fallback, nil, nil, nil); err != nil {
+			if err := pieceTransfer(e, from, to, 2, fallback, nil, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -625,11 +691,13 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 	plan := rdma.NewFaultPlan(1)
 	rt.C.Fabric.SetFaultPlan(plan)
 	die := func() { rt.C.Crash(0) } // the goroutine runs on, a zombie: nothing it posts lands
-	var atBuild, atBody, atEnd func()
+	var atBuild, atStaged, atBody, atEnd func()
 	var k int
 	switch _, err := fmt.Sscanf(point, "publish-%d", &k); {
 	case point == "restart":
 		atBuild = runtime.Goexit
+	case point == "staged":
+		atStaged = runtime.Goexit
 	case point == "lock-ahead":
 		atBody = runtime.Goexit
 	case point == "commit":
@@ -651,10 +719,11 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		acked = pieceTransfer(e, from, to, 3, fallback, atBuild, atBody, atEnd) == nil
+		acked = pieceTransfer(e, from, to, 3, fallback, atBuild, atStaged, atBody, atEnd) == nil
 	}()
 	<-done
-	if point != "restart" && point != "lock-ahead" && rt.C.Node(0).Alive() {
+	killed := point == "restart" || point == "staged" || point == "lock-ahead"
+	if !killed && rt.C.Node(0).Alive() {
 		t.Fatalf("the crash point was never reached")
 	}
 	rt.C.Crash(0) // the points that kill the goroutine; a no-op after the others
@@ -682,25 +751,7 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 		}
 	}
 
-	// Every lock of the dead machine is gone — on the rows' primaries (node 0's
-	// memory is back only when it was revived) and on the copies now serving.
-	for _, key := range []uint64{from, to} {
-		part := int(key) % 3
-		owner, region := rt.C.OwnerOf(part), tblWideHash
-		if owner != part {
-			region = cluster.ReplicaRegion(part, tblWideHash)
-		}
-		for _, c := range []struct{ node, region int }{{part, tblWideHash}, {owner, region}} {
-			host := rt.C.Node(c.node).Unordered(c.region)
-			off, ok := host.LookupLocal(key)
-			if !ok {
-				t.Fatalf("row %d missing on node %d", key, c.node)
-			}
-			if s := host.Arena().LoadWord(kvs.StateOffset(off)); clock.IsWriteLocked(s) && rt.C.Node(c.node).Alive() {
-				t.Errorf("row %d on node %d still write-locked by node %d", key, c.node, clock.Owner(s))
-			}
-		}
-	}
+	assertNoLocksOf(t, rt, 0)
 	// All or nothing, through a survivor's eyes.
 	var a, b uint64
 	if err := rt.Executor(2, 0).ExecRO(func(ro *RO) error {
@@ -731,7 +782,7 @@ func lifetimeCrashPoint(t *testing.T, f int, fallback, ringFull bool, point stri
 	if acked && moved != 1 {
 		t.Errorf("the last transfer was acked and is gone (rows %d, %d)", a, b)
 	}
-	if (point == "restart" || point == "lock-ahead") && moved != 0 {
+	if killed && moved != 0 {
 		t.Errorf("the last transfer never reached its commit point and is there (rows %d, %d)", a, b)
 	}
 }
@@ -748,7 +799,7 @@ func TestParkedWriteKeepsLogs(t *testing.T) {
 	defer stop()
 	e, w := rt.Executor(0, 0), rt.C.Worker(0, 0)
 	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }
-	if err := pieceTransfer(e, 3, 1, 1, false, nil, nil, func() { rt.C.Crash(1) }); err != nil {
+	if err := pieceTransfer(e, 3, 1, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
 		t.Fatalf("the commit whose destination died at its release: %v", err)
 	}
 	if rt.PendingOps(1) == 0 {
@@ -756,7 +807,7 @@ func TestParkedWriteKeepsLogs(t *testing.T) {
 	}
 	before, used := restarts(), w.WriteAheadLog.BytesUsed()
 	for i := 0; i < 50; i++ {
-		if err := pieceTransfer(e, 3, 6, 2, false, nil, nil, nil); err != nil { // both rows local
+		if err := pieceTransfer(e, 3, 6, 2, false, nil, nil, nil, nil); err != nil { // both rows local
 			t.Fatal(err)
 		}
 		if now := w.WriteAheadLog.BytesUsed(); now <= used {
@@ -796,7 +847,7 @@ func TestParkedWriteKeepsLogs(t *testing.T) {
 	before = restarts()
 	e = rt.Executor(0, 0)
 	for i := 0; i < 2; i++ {
-		if err := pieceTransfer(e, 3, 1, 3, false, nil, nil, nil); err != nil {
+		if err := pieceTransfer(e, 3, 1, 3, false, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -201,7 +201,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	if dying && landed == 0 {
 		// This machine crashed mid-commit and no append made it out: drop
 		// the transaction whole. Its write-backs are dropped by the zombie
-		// guards, its locks freed by failover's lock-ahead pass, and its
+		// guards, its locks freed by failover's sweep (freeLocksOf), and its
 		// local effects die with the machine's volatile state.
 		return ErrNodeDown
 	}

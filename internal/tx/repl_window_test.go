@@ -84,7 +84,7 @@ func heldLocalRows(t *testing.T, mode string) {
 		plan.ScriptHook(0, 1, 1, inWindow)
 		plan.LinkRule(0, 1, rdma.FaultRule{FailProb: 1})
 	}
-	acked := pieceTransfer(rt.Executor(0, 0), from, to, 1, false, nil, nil, arm) == nil
+	acked := pieceTransfer(rt.Executor(0, 0), from, to, 1, false, nil, nil, nil, arm) == nil
 	plan.Clear()
 	if !fired || rt.C.Node(0).Alive() {
 		t.Fatalf("the window was never reached (hook ran: %v)", fired)
@@ -146,8 +146,8 @@ func heldLocalRows(t *testing.T, mode string) {
 }
 
 // TestLogsRestartPastFailoverParkedStep: under f = 1 no record a repair reads
-// depends on a parked release step — Failover reads the redo rings, and the
-// lock-ahead log only for the locks its worker holds — so a step parked for a
+// depends on a parked release step — Failover reads the redo rings only — so a
+// step parked for a
 // node after its promotion (never revived, nothing drains what is parked for it
 // from then on) does not freeze the logs: the workers keep restarting them and
 // the logs' high water stays where one transaction leaves it.
@@ -177,7 +177,7 @@ func TestLogsRestartPastFailoverParkedStep(t *testing.T) {
 	// transaction leaves behind.
 	transfer := func(piece uint64) {
 		t.Helper()
-		if err := pieceTransfer(e, 3, 2, piece, false, nil, nil, nil); err != nil {
+		if err := pieceTransfer(e, 3, 2, piece, false, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestRingDrainsPastParkedWriteBack(t *testing.T) {
 	e := rt.Executor(0, 0)
 	ring := rt.C.RedoSinkAt(0, 0, 0)
 	drains := func() int64 { return rt.C.Obs.Total(obs.EvRingDrain) }
-	if err := pieceTransfer(e, 1, 2, 1, false, nil, nil, func() { rt.C.Crash(1) }); err != nil {
+	if err := pieceTransfer(e, 1, 2, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
 		t.Fatalf("the commit whose write-back to node 1 parks: %v", err)
 	}
 	if rt.PendingOps(1) == 0 {
@@ -222,7 +222,7 @@ func TestRingDrainsPastParkedWriteBack(t *testing.T) {
 	}
 	moves := 0
 	for drains() == 0 {
-		if err := pieceTransfer(e, 2, 5, 2, false, nil, nil, nil); err != nil {
+		if err := pieceTransfer(e, 2, 5, 2, false, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if moves++; ring.BytesUsed() > cluster.CheckpointWords*8+transferRedoBytes {
@@ -282,7 +282,7 @@ func TestRingsDrainPastStrandedStep(t *testing.T) {
 	ring := rt.C.RedoSinkAt(0, 0, 0)
 	const ringBytes = (1 << 16) * 8
 	for passed := 0; passed < 2*ringBytes; passed += transferRedoBytes {
-		if err := pieceTransfer(e, 3, 2, 1, false, nil, nil, nil); err != nil {
+		if err := pieceTransfer(e, 3, 2, 1, false, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if ring.BytesUsed() > cluster.CheckpointWords*8+transferRedoBytes {

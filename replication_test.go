@@ -30,7 +30,7 @@ func TestReplicationOptionValidation(t *testing.T) {
 		{"f-exceeds-nodes", drtm.Options{Nodes: 2, ReplicationFactor: 5, Durability: true}, false},
 		{"single-node", drtm.Options{Nodes: 1, ReplicationFactor: 1, Durability: true}, false},
 		{"defaulted-single-node", drtm.Options{ReplicationFactor: 1, Durability: true}, false},
-		{"needs-durability", drtm.Options{Nodes: 3, ReplicationFactor: 1}, false},
+		{"without-durability", drtm.Options{Nodes: 3, ReplicationFactor: 1}, true},
 		{"valid", drtm.Options{Nodes: 3, ReplicationFactor: 1, Durability: true}, true},
 		{"valid-f2", drtm.Options{Nodes: 3, ReplicationFactor: 2, Durability: true}, true},
 		{"off", drtm.Options{Nodes: 2}, true},
