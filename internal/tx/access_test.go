@@ -198,6 +198,24 @@ func TestAcquirerWaitsForTheOwner(t *testing.T) {
 	}
 }
 
+// TestZombieWaitsForNoLock: a worker whose own machine is down waits for no
+// lock, not even one a live machine holds: the release it would wait for may
+// be parked until its own machine's repair. Node 0 is crashed, and its
+// worker's wait behind node 2's lock on a row of node 1 ends in ErrNodeDown.
+func TestZombieWaitsForNoLock(t *testing.T) {
+	rt, stop := newRig(t, 3, 1, 6, nil)
+	defer stop()
+	e := rt.Executor(0, 0)
+	h := e.handle(tblAccounts, 1)
+	if found, err := e.resolve(&h); !found || err != nil {
+		t.Fatalf("resolve: %v %v", found, err)
+	}
+	rt.C.Crash(0)
+	if moved, err := e.waitOut(&h, clock.WLocked(2)); err != ErrNodeDown {
+		t.Fatalf("zombie waitOut = moved=%v err=%v, want ErrNodeDown", moved, err)
+	}
+}
+
 // TestImageCheckVerdicts: one case per verdict of the entry-image check, for
 // hash and ordered handles.
 func TestImageCheckVerdicts(t *testing.T) {

@@ -14,15 +14,15 @@ import (
 // EVERY record — local ones too — is protected by its Figure 5 lock or lease,
 // taken in the global <table, key> order after everything the Start phase held
 // was released. The order makes it deadlock-free, so an escalated attempt's
-// take waits for a held record where any other attempt aborts on it. The
-// declared records are restaged into the transaction's own staged set
-// (restage, take), the body runs against their buffers — a declared row found
-// missing reads as missing, as in the region — and the commit is the region
-// path's, called with the held lock set where the region was: the same
-// validate, write-ahead log, replication and publish.
-// Because local records are locked through the same state words, in-flight
-// local HTM transactions abort on their state checks, preserving strict
-// serializability.
+// take waits for a held record where any other attempt aborts on it. Every
+// declared record, a local one included — the very record the region reads in
+// place — joins the transaction's own staged set (restage, take); the body runs
+// against their buffers, a declared row found missing reading as missing, as in
+// the region; and the commit is the region path's, called with the held lock
+// set where the region was: the same validate, write-ahead log, replication and
+// publish. Because local records are locked through the same state words,
+// in-flight local HTM transactions abort on their state checks, preserving
+// strict serializability.
 func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	e := t.e
 	e.w.Obs.Inc(obs.EvFallback)
@@ -84,19 +84,17 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 }
 
 // restage releases the Start phase's exclusive locks (to avoid deadlock,
-// Section 6.2) and turns every declared record — the staged remote ones,
-// their structs reused; the declared local ones; the local structural ops —
-// into a staged record, sorted and merged by <table, key>. An insert carries
-// the value it publishes in its buffer; a structural record carries, as its
-// image, the incarnation|version it was declared against until take replaces
-// it with what it fetched. Speculative records come back as plain reads and
-// are leased: the fallback never reads optimistically — its in-place updates
-// cannot be rolled back, so a stale read could not be retried away.
+// Section 6.2) and returns every declared record — the staged remote ones and
+// the local ones, which stop being the region's — sorted by <table, key>. Each
+// key has one record since its first declaration: an insert carries the value
+// it publishes in its buffer, an erase, as its image, the incarnation|version
+// it was declared against until take replaces it with what it fetched.
+// Speculative records come back as plain reads and are leased: the fallback
+// never reads optimistically — its in-place updates cannot be rolled back, so
+// a stale read could not be retried away.
 func (t *Tx) restage() []*remoteRec {
-	e := t.e
-	recs := t.recs
 	t.cops = t.cops[:0]
-	for _, r := range recs {
+	for _, r := range t.recs {
 		if r.locked() {
 			t.unlock(r)
 		}
@@ -104,51 +102,15 @@ func (t *Tx) restage() []*remoteRec {
 	}
 	t.postWave(obs.StageRelease)
 	clear(t.index)
-	local := func(table, region, part int, key uint64, ordered, write bool) *remoteRec {
-		r := e.getRec()
-		r.recHandle = recHandle{table: table, node: e.w.Node.ID, region: region, part: part,
-			key: key, ordered: ordered}
-		r.write = write
-		recs = append(recs, r)
-		return r
+	for _, r := range t.locals {
+		r.local = false
 	}
-	for _, l := range t.locals {
-		local(l.table, l.region, l.part, l.key, e.rt.Meta(l.table).Kind == Ordered, l.write)
-	}
-	// The structural halves' dead entries already exist (EnsureDead at
-	// declare), so the fallback locks and flips them like any other write.
-	for _, op := range t.localIns {
-		r := local(op.table, op.region, op.part, op.key, true, true)
-		r.insert, r.buf = true, append(r.buf, op.val...)
-	}
-	for _, op := range t.localErase {
-		r := local(op.table, op.region, op.part, op.key, true, true)
-		r.erase, r.inc, r.version = true, op.inc, op.ver
-	}
-	t.localIns, t.localErase = t.localIns[:0], t.localErase[:0]
-
+	recs := append(t.recs, t.locals...)
+	t.locals = t.locals[:0]
 	slices.SortFunc(recs, func(a, b *remoteRec) int {
 		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.key, b.key))
 	})
-	merged := recs[:0]
-	for _, r := range recs {
-		n := len(merged)
-		if n == 0 || merged[n-1].table != r.table || merged[n-1].key != r.key {
-			merged = append(merged, r)
-			continue
-		}
-		// Declared twice (a read, then an erase of the row): one record.
-		m := merged[n-1]
-		m.write = m.write || r.write
-		if r.insert {
-			m.insert, m.buf, r.buf = true, r.buf, m.buf
-		}
-		if r.erase {
-			m.erase, m.inc, m.version = true, r.inc, r.version
-		}
-		e.recFree = append(e.recFree, r)
-	}
-	return merged
+	return recs
 }
 
 // take acquires one restaged record and fetches it under that protection.

@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -148,7 +149,9 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [
 // (the body aborts its region, explicitly, after its last write, with a
 // fallback threshold of one) leave identical tables and indexes, identical
 // incarnation|version words, and log identical commit records: write-ahead
-// records at f = 0, redo records at f = 1. Each case is named
+// records at f = 0, redo records at f = 1. Some rows are declared twice — a
+// read before the row's erase, a write after its insert — so one record
+// carries both accesses on either path. Each case is named
 // depth0/seed<n>/f=<f>: entries carry no version chain.
 func TestFallbackCommitEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
@@ -208,10 +211,10 @@ func fallbackCommitEquivalence(t *testing.T, seed int64, f int) {
 	nwal, nredo := 0, 0
 	for n := 0; n < fbEquivTxns; n++ {
 		var accs []Access
-		used := map[refKey]bool{}
+		used, gone := map[refKey]bool{}, map[refKey]bool{}
 		for len(accs) < 1+rng.Intn(6) {
 			ent := uint64(rng.Intn(4))
-			var a Access
+			var a, then Access // then: a second access of the same row, if any
 			switch c := rng.Intn(14); {
 			case c < 2:
 				a = Access{Table: tblAccounts, Key: uint64(1 + rng.Intn(16))}
@@ -226,6 +229,12 @@ func fallbackCommitEquivalence(t *testing.T, seed int64, f int) {
 				switch {
 				case !live[key]:
 					a = Access{Table: tblOrders, Key: key, Insert: []uint64{uint64(n), key & 0xFF}}
+					if c == 13 {
+						then = Access{Table: tblOrders, Key: key, Write: true}
+					}
+				case c == 9:
+					a, then = Access{Table: tblOrders, Key: key}, Access{Table: tblOrders, Key: key, Erase: true}
+					gone[refKey{tblOrders, key}] = true
 				case c < 12:
 					a = Access{Table: tblOrders, Key: key, Erase: true}
 				default:
@@ -235,6 +244,9 @@ func fallbackCommitEquivalence(t *testing.T, seed int64, f int) {
 			if k := (refKey{a.Table, a.Key}); !used[k] {
 				used[k] = true
 				accs = append(accs, a)
+				if then.Table != 0 {
+					accs = append(accs, then)
+				}
 			}
 		}
 		for i := range rigs {
@@ -249,6 +261,9 @@ func fallbackCommitEquivalence(t *testing.T, seed int64, f int) {
 							continue
 						}
 						v, err := lc.Read(a.Table, a.Key)
+						if errors.Is(err, ErrNotFound) && gone[refKey{a.Table, a.Key}] {
+							continue // read, then erased by this transaction
+						}
 						if err != nil {
 							return err
 						}

@@ -39,12 +39,12 @@ func (lc *Local) now() uint64 {
 // resolve returns the declared local record's entry location in this node's
 // shard — from the record's memo when this attempt has found it before (no
 // lookup, no charge), else through the store's index at the store's lookup
-// cost. l.region is the storage region the record was declared under: the
+// cost. r.region is the storage region the record was declared under: the
 // table itself, or a replica region when this node was promoted to own the
 // partition (hot failover).
-func (lc *Local) resolve(l *localRec) (*memory.Arena, memory.Offset, bool) {
-	if l.arena != nil {
-		return l.arena, l.off, true
+func (lc *Local) resolve(r *remoteRec) (*memory.Arena, memory.Offset, bool) {
+	if r.arena != nil {
+		return r.arena, r.off, true
 	}
 	e := lc.t.e
 	var (
@@ -52,46 +52,39 @@ func (lc *Local) resolve(l *localRec) (*memory.Arena, memory.Offset, bool) {
 		off   memory.Offset
 		ok    bool
 	)
-	if e.rt.Meta(l.table).Kind == Ordered {
+	if r.ordered {
 		var o *kvs.Ordered
-		o, off, ok = e.lookupOrdered(l.region, l.key)
+		o, off, ok = e.lookupOrdered(r.region, r.key)
 		arena = o.Arena()
 	} else {
 		e.charge(e.model().HashProbeNS)
-		tbl := e.w.Node.Unordered(l.region)
-		off, ok = tbl.LookupTx(lc.htx, l.key)
+		tbl := e.w.Node.Unordered(r.region)
+		off, ok = tbl.LookupTx(lc.htx, r.key)
 		arena = tbl.Arena()
 	}
 	if ok {
-		l.arena, l.off = arena, off
+		r.arena, r.off = arena, off
 	}
 	return arena, off, ok
 }
 
-// Read returns the record's value. Remote records must have been staged
-// with Tx.R or Tx.W; local records must have been declared. The slice belongs
-// to the transaction — a staged record's buffer, or scratch of this run of
-// the body — and is invalid once the body returns: copy what must outlive it.
+// Read returns the record's value, which must have been declared: a row
+// erased by this transaction, or found missing by the fallback, is not there;
+// a staged record's value, or a staged insert's, is its buffer; a local row is
+// read inside the HTM region. The slice belongs to the transaction — a buffer,
+// or scratch of this run of the body — and is invalid once the body returns:
+// copy what must outlive it.
 func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
-	k := refKey{table, key}
-	if r, ok := lc.t.index[k]; ok {
-		if r.erase || r.absent {
-			return nil, ErrNotFound
-		}
+	r, ok := lc.t.index[refKey{table, key}]
+	switch {
+	case !ok:
+		panic(fmt.Sprintf("tx: undeclared access to table %d key %d", table, key))
+	case r.erase || r.absent:
+		return nil, ErrNotFound
+	case !r.local || r.insert:
 		return r.buf, nil
 	}
-	// Rows this transaction structurally staged read their own effects.
-	if op := findStructOp(lc.t.localErase, table, key); op != nil {
-		return nil, ErrNotFound
-	}
-	if op := findStructOp(lc.t.localIns, table, key); op != nil {
-		return op.val, nil
-	}
-	li, ok := lc.t.lIndex[k]
-	if !ok {
-		panic(fmt.Sprintf("tx: undeclared access to table %d key %d", table, key))
-	}
-	arena, off, ok := lc.resolve(&lc.t.locals[li])
+	arena, off, ok := lc.resolve(r)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -107,8 +100,7 @@ func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	// Ordered entries can be structurally present but dead (the staged half
 	// of an insert, or a committed erase awaiting removal); the incarnation
 	// word joins the read set, so a concurrent flip aborts this region.
-	if lc.t.e.rt.Meta(table).Kind == Ordered &&
-		!kvs.Live(kvs.Incarnation(lc.htx.Read(arena, kvs.IncVerOffset(off)))) {
+	if r.ordered && !kvs.Live(kvs.Incarnation(lc.htx.Read(arena, kvs.IncVerOffset(off)))) {
 		return nil, ErrNotFound
 	}
 	// Leases are ignored by local reads: HTM protects read-read sharing.
@@ -119,49 +111,36 @@ func (lc *Local) Read(table int, key uint64) ([]uint64, error) {
 	return val, nil
 }
 
-// Write replaces the record's value. Staged remote writes update the
-// private buffer (written back after commit); local writes go through the
-// HTM region with the Figure 6 checks. val is copied on every path and not
+// Write replaces the record's value, which must have been declared for write.
+// A staged record's or a staged insert's buffer takes it (a staged remote
+// record is written back after commit); a local row is written through the HTM
+// region with the Figure 6 checks. val is copied on every path and not
 // retained: the caller may reuse it — a scratch array it owns — for its next
 // write.
 func (lc *Local) Write(table int, key uint64, val []uint64) error {
-	k := refKey{table, key}
-	if r, ok := lc.t.index[k]; ok {
-		if r.absent {
-			return ErrNotFound
-		}
-		if !r.write {
-			panic(fmt.Sprintf("tx: write to read-staged record table %d key %d", table, key))
-		}
-		if r.erase {
-			panic(fmt.Sprintf("tx: write to erased record table %d key %d", table, key))
-		}
+	r, ok := lc.t.index[refKey{table, key}]
+	switch {
+	case !ok || r.local && !r.write:
+		panic(fmt.Sprintf("tx: undeclared write to table %d key %d", table, key))
+	case r.absent:
+		return ErrNotFound
+	case !r.write:
+		panic(fmt.Sprintf("tx: write to read-staged record table %d key %d", table, key))
+	case r.erase:
+		panic(fmt.Sprintf("tx: write to erased record table %d key %d", table, key))
+	case !r.local || r.insert:
 		lc.t.checkIndexKeys(table, key, r.buf, val)
 		copy(r.buf, val)
 		r.dirty = true
 		return nil
 	}
-	if op := findStructOp(lc.t.localIns, table, key); op != nil {
-		lc.t.checkIndexKeys(table, key, op.val, val)
-		copy(op.val, val)
-		return nil
-	}
-	if findStructOp(lc.t.localErase, table, key) != nil {
-		panic(fmt.Sprintf("tx: write to erased record table %d key %d", table, key))
-	}
-	li, ok := lc.t.lIndex[k]
-	if !ok || !lc.t.locals[li].write {
-		panic(fmt.Sprintf("tx: undeclared write to table %d key %d", table, key))
-	}
-	l := &lc.t.locals[li]
-	arena, off, ok := lc.resolve(l)
+	arena, off, ok := lc.resolve(r)
 	if !ok {
 		return ErrNotFound
 	}
 	lc.t.claimLocal(lc.htx, arena, off, lc.now())
 	incver := lc.htx.Read(arena, kvs.IncVerOffset(off))
-	ordered := lc.t.e.rt.Meta(table).Kind == Ordered
-	if ordered {
+	if r.ordered {
 		if !kvs.Live(kvs.Incarnation(incver)) {
 			return ErrNotFound
 		}
@@ -179,17 +158,17 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 	// Captured for the write-ahead log (durability) and for the redo records
 	// shipped to the partition's backups (replication); the storage region —
 	// not the logical table — addresses the copy this write landed in.
-	if lc.t.e.rt.C.Config().Durability || (l.part >= 0 && lc.t.e.rt.C.ReplicationFactor() > 0) {
+	if lc.t.e.rt.C.Config().Durability || (r.part >= 0 && lc.t.e.rt.C.ReplicationFactor() > 0) {
 		var inc uint32
-		if ordered {
+		if r.ordered {
 			inc = kvs.Incarnation(incver)
 		}
 		own := lc.t.attemptWords(len(val))
 		copy(own, val)
 		lc.t.walLocal = append(lc.t.walLocal, walRec{
-			node: lc.t.e.w.Node.ID, table: l.region, off: off,
+			node: lc.t.e.w.Node.ID, table: r.region, off: off,
 			version: newVer, inc: inc, val: own,
-			ltable: table, part: l.part, key: key, arena: arena,
+			ltable: table, part: r.part, key: key, arena: arena,
 		})
 	}
 	return nil
@@ -212,16 +191,6 @@ func (t *Tx) claimLocal(htx *htm.Txn, arena *memory.Arena, off memory.Offset, no
 		t.e.w.Obs.Inc(obs.EvLeaseExpire)
 		htx.Write(arena, kvs.StateOffset(off), clock.Init)
 	}
-}
-
-// findStructOp locates this transaction's staged structural op for a key.
-func findStructOp(ops []structOp, table int, key uint64) *structOp {
-	for i := range ops {
-		if ops[i].table == table && ops[i].key == key {
-			return &ops[i]
-		}
-	}
-	return nil
 }
 
 // checkIndexKeys enforces the index-maintenance contract: a plain Write may

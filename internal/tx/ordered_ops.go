@@ -8,12 +8,14 @@ package tx
 // present in the tree as a DEAD entry) happens at declare time through the
 // host's latched store — kvs.Ordered.EnsureDead — and the visible half (the
 // incarnation flip to live, plus the value) commits atomically with the
-// transaction: inside the HTM region for local entries
-// (applyLocalStructural), or as the lock-protected write-back of a staged
-// remote record (commitRemotes), whose fresh slot the host creates already
-// write-locked for the inserter (shipResolve). An erase mirrors this: the flip
-// to dead commits with the transaction and the physical tree removal is
-// deferred to removeDead, after every lock has dropped.
+// transaction: inside the HTM region for a local entry, as the flip of the
+// local record its declaration made (applyLocalStructural), or as the
+// lock-protected write-back of a staged remote record (commitRemotes), whose
+// fresh slot the host creates already write-locked for the inserter
+// (shipResolve); the software fallback takes either kind like any other
+// record. An erase mirrors this: the flip to dead commits with the transaction
+// and the physical tree removal is deferred to removeDead, after every lock has
+// dropped.
 //
 // Secondary indexes are maintained inside the same commit: WInsert/Erase
 // stage the base row AND every declared index row, so the flips land in one
@@ -83,23 +85,6 @@ type orderedOpsMsg struct{ Ops []shipOp }
 
 // removeDeadMsg carries every dead entry one transaction unlinks on one host.
 type removeDeadMsg struct{ Ops []removalOp }
-
-// structOp is a local structural half staged by WInsert/Erase: the entry at
-// off was observed with exactly (inc, version); the commit flips it live
-// (insert) or dead (erase) inside the HTM region after re-verifying that
-// observation.
-type structOp struct {
-	table  int
-	region int
-	part   int
-	key    uint64
-	off    memory.Offset
-	inc    uint32
-	ver    uint32
-	// val is the value to publish for inserts; for erases, the value
-	// observed at declare (logged to the WAL/redo stream with the flip).
-	val []uint64
-}
 
 // removalOp schedules the post-commit physical removal of an erased entry.
 // deadIncVer is the exact incarnation|version the erase's flip published:
@@ -311,14 +296,11 @@ func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 	if err := t.Stage(Access{Table: table, Key: key, Erase: true}); err != nil {
 		return nil, err
 	}
-	if r, ok := t.index[refKey{table, key}]; ok {
-		return r.buf, nil
-	}
-	return findStructOp(t.localErase, table, key).val, nil
+	return t.index[refKey{table, key}].buf, nil
 }
 
 // carve returns n zeroed words of the transaction's structural scratch (index
-// rows' values, local structural ops' values). Growing the scratch leaves
+// rows' values, the values local erases observe). Growing the scratch leaves
 // earlier carvings in the array they were made in.
 func (t *Tx) carve(n int) []uint64 {
 	lo := len(t.swords)
@@ -327,11 +309,13 @@ func (t *Tx) carve(n int) []uint64 {
 }
 
 // declareLocalInsert runs the structural half on this node's shard and
-// records the flip for applyLocalStructural. The slot is NOT locked between
-// declare and commit, so one it creates is born free: the in-region
-// re-verification of (key, inc, version) plus HTM enrollment of those words
-// makes the flip atomic anyway, and a lost race surfaces as abortCodeStale →
-// whole-transaction retry, whose re-staging then reports ErrExists.
+// declares the row's local record for the flip applyLocalStructural commits:
+// the dead entry, as it was found, and the value to publish in its buffer. The
+// slot is NOT locked between declare and commit, so one it creates is born
+// free: the in-region re-verification of (key, inc, version) plus HTM
+// enrollment of those words makes the flip atomic anyway, and a lost race
+// surfaces as abortCodeStale → whole-transaction retry, whose re-staging then
+// reports ErrExists.
 func (t *Tx) declareLocalInsert(table, region, part int, key uint64, val []uint64) error {
 	e := t.e
 	e.charge(e.model().BTreeOpNS)
@@ -347,17 +331,19 @@ func (t *Tx) declareLocalInsert(table, region, part int, key uint64, val []uint6
 		// commit flips, and it must be the dead slot.
 		return kvs.ErrExists
 	}
-	own := t.carve(len(val))
-	copy(own, val)
-	t.localIns = append(t.localIns, structOp{table: table, region: region, part: part,
-		key: key, off: off, inc: kvs.Incarnation(incver), ver: kvs.Version(incver), val: own})
+	r := t.declareLocal(table, region, part, key)
+	r.write, r.insert, r.off = true, true, off
+	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
+	r.buf = append(r.buf[:0], val...)
 	return nil
 }
 
 // declareLocalErase resolves a live local row, snapshots its value, and
-// records the flip-to-dead plus the deferred physical removal, then declares
-// the row's index rows, which the value names. A row a commit holds mid-flight
-// is a conflict, which an escalated attempt waits out (Executor.waitOut).
+// declares the row's local record for the flip to dead — the live entry, as it
+// was found, and its value in the buffer — plus the deferred physical removal,
+// then declares the row's index rows, which the value names. A row a commit
+// holds mid-flight is a conflict, which an escalated attempt waits out
+// (Executor.waitOut).
 func (t *Tx) declareLocalErase(a Access, region, part int) error {
 	table, key := a.Table, a.Key
 	e := t.e
@@ -389,9 +375,10 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 	default:
 		return ErrNotFound
 	}
-	t.localErase = append(t.localErase, structOp{table: table, region: region, part: part,
-		key: key, off: off, inc: kvs.Incarnation(incver), ver: kvs.Version(incver),
-		val: vals})
+	r := t.declareLocal(table, region, part, key)
+	r.write, r.erase, r.off = true, true, off
+	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
+	r.buf = append(r.buf[:0], vals...)
 	t.removals = append(t.removals, removalOp{node: e.w.Node.ID, region: region,
 		table: table, part: part, key: key,
 		deadIncVer: kvs.PackIncVer(kvs.Incarnation(incver)+1, kvs.Version(incver)+1)})
@@ -406,49 +393,48 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 }
 
 // applyLocalStructural commits the local structural halves inside the HTM
-// region: each staged insert/erase re-verifies its exact declare-time
-// observation (key, incarnation|version, unlocked state — all enrolled in
-// the read set) and flips the incarnation. Runs after validate (the
+// region — every insert, then every erase: each re-verifies its exact
+// declare-time observation (key, incarnation|version, unlocked state — all
+// enrolled in the read set) and flips the incarnation. Runs after validate (the
 // flips change incver words scans recorded) and before the WAL write.
 func (t *Tx) applyLocalStructural(htx *htm.Txn) {
-	if len(t.localIns) == 0 && len(t.localErase) == 0 {
-		return
-	}
-	n := t.e.w.Node
 	model := t.e.model()
-	for i := range t.localIns {
-		op := &t.localIns[i]
-		t.flipStructural(htx, n.Ordered(op.region), op, true)
-		t.e.charge(model.HTMPerWriteNS * int64(len(op.val)+1))
+	for _, r := range t.locals {
+		if r.insert {
+			t.flipStructural(htx, r)
+			t.e.charge(model.HTMPerWriteNS * int64(len(r.buf)+1))
+		}
 	}
-	for i := range t.localErase {
-		op := &t.localErase[i]
-		t.flipStructural(htx, n.Ordered(op.region), op, false)
-		t.e.charge(model.HTMPerWriteNS)
+	for _, r := range t.locals {
+		if r.erase {
+			t.flipStructural(htx, r)
+			t.e.charge(model.HTMPerWriteNS)
+		}
 	}
 }
 
-func (t *Tx) flipStructural(htx *htm.Txn, o *kvs.Ordered, op *structOp, insert bool) {
-	arena := o.Arena()
-	if htx.Read(arena, op.off+kvs.EntryKeyWord) != op.key {
+func (t *Tx) flipStructural(htx *htm.Txn, r *remoteRec) {
+	arena := t.e.w.Node.Ordered(r.region).Arena()
+	if htx.Read(arena, r.off+kvs.EntryKeyWord) != r.key {
 		htx.Abort(abortCodeStale)
 	}
-	if htx.Read(arena, kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver) {
+	if htx.Read(arena, kvs.IncVerOffset(r.off)) != kvs.PackIncVer(r.inc, r.version) {
 		htx.Abort(abortCodeStale)
 	}
 	// A lease that landed on the entry since declare is waited out through a
 	// whole-transaction retry, or cleared once expired.
-	t.claimLocal(htx, arena, op.off, t.startSoft)
-	htx.Write(arena, kvs.IncVerOffset(op.off), kvs.PackIncVer(op.inc+1, op.ver+1))
-	if insert {
-		htx.WriteN(arena, kvs.ValueOffset(op.off), op.val)
+	t.claimLocal(htx, arena, r.off, t.startSoft)
+	htx.Write(arena, kvs.IncVerOffset(r.off), kvs.PackIncVer(r.inc+1, r.version+1))
+	if r.insert {
+		htx.WriteN(arena, kvs.ValueOffset(r.off), r.buf)
 	}
-	if t.e.rt.C.Config().Durability || (op.part >= 0 && t.e.rt.C.ReplicationFactor() > 0) {
+	if t.e.rt.C.Config().Durability || (r.part >= 0 && t.e.rt.C.ReplicationFactor() > 0) {
+		// The value is the transaction's own copy — an insert's to publish, an
+		// erase's as observed; the body, which may write an insert's, has run.
 		t.walLocal = append(t.walLocal, walRec{
-			node: t.e.w.Node.ID, table: op.region, off: op.off,
-			version: op.ver + 1, inc: op.inc + 1,
-			val:    op.val, // the transaction's own copy; the body, which may write it, has run
-			ltable: op.table, part: op.part, key: op.key, arena: arena,
+			node: t.e.w.Node.ID, table: r.region, off: r.off,
+			version: r.version + 1, inc: r.inc + 1, val: r.buf,
+			ltable: r.table, part: r.part, key: r.key, arena: arena,
 		})
 	}
 }

@@ -37,8 +37,9 @@ type RecoveryReport struct {
 //
 //   - then, while the node is down, releases every exclusive lock the
 //     crashed machine still holds (freeLocksOf): a state word's owner bits
-//     name its holder. Once the node is revived its locks are its live
-//     transactions', and a later Recover leaves them.
+//     name its holder; hands back its uncommitted chopped pieces; and
+//     truncates its logs. Once the node is revived its locks and its logs
+//     are its live transactions', and a later Recover leaves them.
 //
 // Recover is driven by a surviving node (or the rebooted machine itself);
 // the flush-on-failure model guarantees the logs are intact. It is
@@ -105,21 +106,21 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		})
 	}
 
-	// Now the locks, while the machine is down: once revived, the locks it
-	// holds are its live transactions'.
+	// Now the locks and the logs, while the machine is down: once revived, the
+	// locks it holds and its logs are its live transactions'.
 	if rt.C.Fabric.NodeDown(crashed) {
 		rep.Unlocked = rt.freeLocksOf(crashed)
-	}
-	for _, wk := range wks {
-		_, buf = wk.ChoppingLog.Scan(buf, func(rec []uint64) {
-			if len(rec) >= 1 && !committed[rec[0]] {
-				rep.PendingPieces = append(rep.PendingPieces, append([]uint64(nil), rec[1:]...)) // rec is the scan buffer
-			}
-		})
+		for _, wk := range wks {
+			_, buf = wk.ChoppingLog.Scan(buf, func(rec []uint64) {
+				if len(rec) >= 1 && !committed[rec[0]] {
+					rep.PendingPieces = append(rep.PendingPieces, append([]uint64(nil), rec[1:]...)) // rec is the scan buffer
+				}
+			})
 
-		wk.WriteAheadLog.Truncate()
-		wk.LockAheadLog.Truncate()
-		wk.ChoppingLog.Truncate()
+			wk.WriteAheadLog.Truncate()
+			wk.LockAheadLog.Truncate()
+			wk.ChoppingLog.Truncate()
+		}
 	}
 
 	// Complete what survivors could not: release-side writes and store ops

@@ -323,9 +323,10 @@ func TestRecoveryIdempotent(t *testing.T) {
 }
 
 // TestRecoverAfterReviveFreesNothing: once its machine is revived, the locks a
-// node holds are its live transactions'. After Recover(0) and Revive(0), a
-// node-0 transfer pauses in its body holding rows 4 and 1 on node 1: a second
-// Recover(0) must leave them held and report nothing unlocked.
+// node holds and its logs are its live transactions'. After Recover(0) and
+// Revive(0), a node-0 transfer pauses in its body holding rows 4 and 1 on node
+// 1: a second Recover(0) must leave them held, report nothing unlocked and no
+// pending piece, and leave the paused worker's logs as they were.
 func TestRecoverAfterReviveFreesNothing(t *testing.T) {
 	rt, stop := lifetimeRig(t, 0)
 	defer stop()
@@ -342,7 +343,13 @@ func TestRecoverAfterReviveFreesNothing(t *testing.T) {
 		}, nil)
 	}()
 	<-paused
+	wk := rt.C.Worker(0, 0)
+	logs := func() [3]int {
+		return [3]int{wk.ChoppingLog.BytesUsed(), wk.LockAheadLog.BytesUsed(), wk.WriteAheadLog.BytesUsed()}
+	}
+	before := logs()
 	rep := rt.Recover(0)
+	after := logs()
 	host := rt.C.Node(1).Unordered(tblWideHash)
 	off, _ := host.LookupLocal(1)
 	s := host.Arena().LoadWord(kvs.StateOffset(off))
@@ -350,8 +357,11 @@ func TestRecoverAfterReviveFreesNothing(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if rep.Unlocked != 0 || !clock.IsWriteLocked(s) || clock.Owner(s) != 0 {
-		t.Fatalf("Recover of a revived node: %+v, row 1 state %#x; want nothing unlocked and row 1 held by node 0", rep, s)
+	if rep.Unlocked != 0 || len(rep.PendingPieces) != 0 || !clock.IsWriteLocked(s) || clock.Owner(s) != 0 {
+		t.Fatalf("Recover of a revived node: %+v, row 1 state %#x; want nothing unlocked, no pending piece and row 1 held by node 0", rep, s)
+	}
+	if before == ([3]int{}) || after != before {
+		t.Fatalf("paused worker's logs (chopping, lock-ahead, write-ahead) went from %v to %v bytes; want them kept", before, after)
 	}
 }
 

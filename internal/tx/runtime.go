@@ -345,12 +345,8 @@ func (e *Executor) recycle(t *Tx) {
 		return
 	}
 	t.release()
-	t.locals = t.locals[:0]
-	clear(t.lIndex)
 	t.walLocal = t.walLocal[:0]
 	t.deferred = t.deferred[:0]
-	t.localIns = t.localIns[:0]
-	t.localErase = t.localErase[:0]
 	t.removals = t.removals[:0]
 	t.owed = t.owed[:0]
 	t.swords = t.swords[:0]

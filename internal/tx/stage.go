@@ -137,6 +137,12 @@ func (t *Tx) declare(a Access) error {
 	}
 	node, region, part := e.route(a.Table, a.Key)
 	t.stampView(part)
+	if r := t.index[refKey{a.Table, a.Key}]; r != nil && r.node != node {
+		// A failover moved the key's route since its first declaration, whose
+		// record stays where it was: fail the attempt now rather than at
+		// validate's view check.
+		return t.fail()
+	}
 	var err error
 	switch {
 	case node != e.w.Node.ID:
@@ -146,7 +152,8 @@ func (t *Tx) declare(a Access) error {
 	case a.Erase:
 		err = t.declareLocalErase(a, region, part)
 	default:
-		t.declareLocal(a.Table, region, part, a.Key, a.Write)
+		r := t.declareLocal(a.Table, region, part, a.Key)
+		r.write = r.write || a.Write
 	}
 	if err != nil || a.Insert == nil {
 		return err
@@ -220,11 +227,7 @@ func (t *Tx) oweIndexRows(reqs []*stageReq) {
 // our lock and cannot move — the index diverged from the base table. Surface
 // loudly; the divergence audit pins this.
 func (t *Tx) indexRowMissing(table int, base refKey) error {
-	if op := findStructOp(t.localErase, base.table, base.key); op != nil &&
-		t.e.w.Node.Ordered(op.region).Arena().LoadWord(kvs.IncVerOffset(op.off)) != kvs.PackIncVer(op.inc, op.ver) {
-		return t.fail()
-	}
-	if r := t.index[base]; r != nil && r.spec &&
+	if r := t.index[base]; r != nil && (r.local || r.spec) &&
 		t.e.rt.arenaOf(r.node, r.region).LoadWord(kvs.IncVerOffset(r.off)) != kvs.PackIncVer(r.inc, r.version) {
 		return t.fail()
 	}

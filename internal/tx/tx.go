@@ -22,20 +22,37 @@ const (
 	abortCodeStale  uint8 = 6 // a staged insert/erase entry was recycled under us
 )
 
-// remoteRec is a staged record: a remote record of a Tx (Start phase), or any
-// record — local ones too — of a read-only transaction.
+// remoteRec is a declared record: a remote record of a Tx (Start phase), a
+// local one (local), every record of the software fallback, and any record —
+// local ones too — of a read-only transaction.
 type remoteRec struct {
 	recHandle
 	recImage
 	leaseEnd uint64 // granted lease end (reads)
-	write    bool   // exclusive lock held (writes); with spec, declared by an escalated attempt
+	write    bool   // exclusive lock held (writes); with spec, declared by an escalated attempt; with local, declared for write
 	spec     bool   // speculative read: no lock held, validated at commit
 	dirty    bool   // buffer modified; needs write-back
+
+	// local marks a record of this node the HTM region reads and writes in
+	// place: it holds no lock, and lives in Tx.locals, not in recs, until the
+	// fallback takes it (restage). arena memoizes where the current attempt's
+	// first access found it, at off (arena is nil until then), so a Read
+	// followed by a Write costs one index lookup. The memo lives exactly as
+	// long as the attempt (beginAttempt forgets it): that first access put the
+	// entry's state and incver words — and, for a hash table, the bucket words
+	// LookupTx walked — into this attempt's read set, so an erase, a recycled
+	// slot or a bucket-chain move between the two accesses dooms the region
+	// instead of leaving the memo pointing at somebody else's entry. A new
+	// attempt has an empty read set and resolves again.
+	local bool
+	arena *memory.Arena
 
 	// insert marks a transactional insert staged against a dead ordered entry
 	// (flipped live at commit; the buffer holds the value to publish, dirty
 	// from declare); erase marks a transactional delete (flipped dead at
-	// commit, physical removal deferred to removeDead).
+	// commit, physical removal deferred to removeDead; the buffer holds the
+	// value observed at declare). Either way inc and version are what the
+	// entry carried when it was declared.
 	insert bool
 	erase  bool
 
@@ -66,30 +83,8 @@ func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
 
 // locked reports whether the transaction holds r's exclusive lock: a write
 // record that was not merely declared (an escalated attempt's Start phase
-// holds nothing).
-func (r *remoteRec) locked() bool { return r.write && !r.spec }
-
-// localRec is a declared local record (needed for the fallback handler,
-// which must lock local records too).
-type localRec struct {
-	table  int
-	region int // storage region on this node (replica region after promotion)
-	part   int // home partition (-1 for replicated tables)
-	key    uint64
-	write  bool
-
-	// arena and off memoize where the current HTM attempt's first access found
-	// the record (arena is nil until then), so a Read followed by a Write costs
-	// one index lookup. The memo lives exactly as long as the attempt
-	// (beginAttempt forgets it): that first access put the entry's state and
-	// incver words — and, for a hash table, the bucket words LookupTx walked —
-	// into this attempt's read set, so an erase, a recycled slot or a
-	// bucket-chain move between the two accesses dooms the region instead of
-	// leaving the memo pointing at somebody else's entry. A new attempt has an
-	// empty read set and resolves again.
-	arena *memory.Arena
-	off   memory.Offset
-}
+// holds nothing; a record of the region holds no lock).
+func (r *remoteRec) locked() bool { return r.write && !r.spec && !r.local }
 
 // walRec captures one update for the write-ahead log and recovery. node and
 // table address the record's storage (table is the fabric/storage region, a
@@ -127,7 +122,9 @@ type deferredOp struct {
 
 // Tx is a single distributed transaction attempt context. A Tx is created
 // by Executor.Exec's build callback, stages its remote read/write sets
-// (Start phase), then runs Execute once. It must not be reused.
+// (Start phase), then runs Execute once. It must not be reused. Every declared
+// record is one remoteRec in readSet.index: the staged remote ones in recs,
+// the local ones in locals until the fallback takes them (restage).
 type Tx struct {
 	readSet
 
@@ -145,18 +142,14 @@ type Tx struct {
 	// the software fallback, whose acquisitions wait (DESIGN.md, "Progress").
 	escalated bool
 
-	locals   []localRec
-	lIndex   map[refKey]int
+	locals   []*remoteRec // the declared local records (remoteRec.local)
 	deferred []deferredOp
 
-	// Ordered-store transactional state: local structural ops declared before
-	// Execute (inserts flip a staged dead entry live at commit; erases flip a
-	// live entry dead), and post-commit physical removals of dead entries.
-	localIns   []structOp
-	localErase []structOp
-	removals   []removalOp
-	owed       []Access // index rows staged erases still owe (oweIndexRows)
-	swords     []uint64 // structural value scratch (carve)
+	// Post-commit physical removals of erased entries, the index rows staged
+	// erases still owe (oweIndexRows), and the structural value scratch (carve).
+	removals []removalOp
+	owed     []Access
+	swords   []uint64
 
 	// awords is the value scratch of one run of the body (attemptWords): the
 	// values Local.Read hands out, Local.Insert's copies, the write-ahead
@@ -225,7 +218,6 @@ func (e *Executor) newTx() *Tx {
 	if t == nil {
 		t = &Tx{
 			readSet: readSet{e: e, index: make(map[refKey]*remoteRec)},
-			lIndex:  make(map[refKey]int),
 		}
 	} else {
 		e.freeTx = nil // recycle left the shell empty; see Executor.recycle
@@ -261,17 +253,29 @@ func (t *Tx) W(table int, key uint64) error {
 	return t.Stage(Access{Table: table, Key: key, Write: true})
 }
 
-func (t *Tx) declareLocal(table, region, part int, key uint64, write bool) {
+// declareLocal returns the record of a row of this node's shard, declaring it
+// for the HTM region on first sight.
+func (t *Tx) declareLocal(table, region, part int, key uint64) *remoteRec {
 	k := refKey{table, key}
-	if i, ok := t.lIndex[k]; ok {
-		if write {
-			t.locals[i].write = true
-		}
-		return
+	if r, ok := t.index[k]; ok {
+		return r
 	}
-	t.lIndex[k] = len(t.locals)
-	t.locals = append(t.locals, localRec{table: table, region: region, part: part,
-		key: key, write: write})
+	e := t.e
+	r := e.getRec()
+	r.recHandle = recHandle{table: table, node: e.w.Node.ID, region: region, part: part,
+		key: key, ordered: e.rt.Meta(table).Kind == Ordered}
+	r.local = true
+	t.index[k] = r
+	t.locals = append(t.locals, r)
+	return r
+}
+
+// release empties the staged set and returns the local records to the pool
+// beside it.
+func (t *Tx) release() {
+	t.readSet.release()
+	t.e.putRecs(t.locals)
+	t.locals = t.locals[:0]
 }
 
 // nodeDown aborts the transaction because a node it touched is crashed or
@@ -456,8 +460,8 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 func (t *Tx) beginAttempt() {
 	t.walLocal, t.deferred = t.walLocal[:0], t.deferred[:0]
 	t.awords = t.awords[:0]
-	for i := range t.locals {
-		t.locals[i].arena = nil
+	for _, r := range t.locals {
+		r.arena = nil
 	}
 }
 
@@ -594,11 +598,14 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 // or the clean releases of an abort, a restage or a withdrawn record — as one
 // doorbell wave of WRITEs and polls it once. A clean release stores the free
 // word where the commit's stores `incver ‖ INIT`: a WRITE that completes was
-// issued by a machine the fabric counts alive, whose locks nobody has freed
-// behind its back; a zombie's fails at the source. None of these verbs may be
-// lost, so what failed, and what the connection flushed behind it, is re-driven
-// in post order through the must* helpers — where the owner guard is
-// (mustUnlock), exactly where a lock can have changed hands.
+// issued by a machine the fabric counts alive, and a zombie's fails at the
+// source. That no lock was freed behind its back assumes no zombie transaction
+// outlives a repair: the owner sweep frees a machine's locks while it is down,
+// and one still running after Recover and Revive would post over rows the
+// sweep freed. None of these verbs may be lost, so what failed, and what the
+// connection flushed behind it, is re-driven in post order through the must*
+// helpers — where the owner guard is (mustUnlock), exactly where a lock can
+// have changed hands.
 //
 // A worker that keeps no log and appends no redo record leaves the wave in
 // flight (rdma.SendQueue.PollDetached): nothing it or its client does next
@@ -659,8 +666,10 @@ func (t *Tx) snapshotWriteBufs() {
 			t.wsnap = append(t.wsnap, r.buf...)
 		}
 	}
-	for i := range t.localIns {
-		t.wsnap = append(t.wsnap, t.localIns[i].val...)
+	for _, r := range t.locals {
+		if r.insert {
+			t.wsnap = append(t.wsnap, r.buf...)
+		}
 	}
 }
 
@@ -675,7 +684,9 @@ func (t *Tx) restoreWriteBufs() {
 			r.dirty = r.insert
 		}
 	}
-	for k := range t.localIns {
-		i += copy(t.localIns[k].val, t.wsnap[i:])
+	for _, r := range t.locals {
+		if r.insert {
+			i += copy(r.buf, t.wsnap[i:])
+		}
 	}
 }
