@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"drtm/internal/cluster"
 	"drtm/internal/obs"
 	"drtm/internal/tx"
 	"drtm/internal/vtime"
@@ -101,7 +102,12 @@ func runBatch(o Options) *Result {
 // PhaseLockRemote ns per transaction plus polled batches per transaction.
 func measureBatch(o Options, txns, n, window int) (meanNS, batchesPerTx float64) {
 	const perNode = 8192
-	rt, stop := buildMicro(2, 1, perNode, nil, func(rt *tx.Runtime) {
+	rt, stop := buildMicro(2, 1, perNode, func(c *cluster.Config) {
+		// The reads are leased on the host clock, and a lease a host pause
+		// outlasts (simLeaseMicros) fails the region's confirmation: the
+		// retry's second Start phase would land in the modeled mean.
+		c.LeaseMicros = 1 << 40
+	}, func(rt *tx.Runtime) {
 		rt.BatchWindow = window
 		// Location-cache hits would drop lookups off the fabric after the
 		// first pass; every key below is touched once, but keep the

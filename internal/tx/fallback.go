@@ -29,7 +29,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	t.usedFallback = true
 
 	// What the aborted attempt left behind goes first: its writes to the
-	// buffers of the transaction's own inserts, its captured local updates,
+	// buffers of the transaction's own inserts, its local records' writes,
 	// and its deferred inserts / deletes, which were
 	// discarded with its region (the body re-declares them below).
 	t.restoreWriteBufs()

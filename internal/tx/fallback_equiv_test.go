@@ -82,10 +82,9 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 // commitTrail returns what the executor's last commit logged — call it right
 // after the commit: the next transaction restarts the write-ahead log, and this
 // drains the rings — the write-ahead records and the redo records on the
-// backups, decoded and put in one order (a region logs its local writes first,
-// the fallback everything in lock order). Transaction ids are dropped, and so
-// is the value of an erase: a region logs the erased value of a
-// local row, every other path logs none, and no reader of either log uses it.
+// backups, decoded and put in one order (a region logs its local records
+// first, the fallback everything in lock order). Transaction ids are dropped,
+// and an empty value is nil whichever decoder produced it.
 func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
 	t.Helper()
 	for _, rec := range logRecords(e.w.WriteAheadLog) {
@@ -94,9 +93,6 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [
 			t.Fatalf("malformed WAL record %v", rec)
 		}
 		for i := range recs {
-			if recs[i].inc != 0 && !kvs.Live(recs[i].inc) {
-				recs[i].val = nil
-			}
 			if len(recs[i].val) == 0 {
 				recs[i].val = nil
 			}
@@ -125,9 +121,6 @@ func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [
 			var ups []nvram.RedoUpdate
 			for u, more := it.Next(); more; u, more = it.Next() {
 				u.Val = append([]uint64(nil), u.Val...) // rec is the sink's scan buffer
-				if u.Inc != 0 && !kvs.Live(u.Inc) {
-					u.Val = nil
-				}
 				ups = append(ups, u)
 			}
 			sort.Slice(ups, func(i, j int) bool {

@@ -150,27 +150,14 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 			lc.t.checkIndexKeys(table, key, old, val)
 		}
 	}
-	newVer := kvs.Version(incver) + 1
-	lc.htx.Write(arena, kvs.IncVerOffset(off), kvs.PackIncVer(kvs.Incarnation(incver), newVer))
+	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
+	lc.htx.Write(arena, kvs.IncVerOffset(off), kvs.PackIncVer(r.inc, r.version+1))
 	lc.htx.WriteN(arena, kvs.ValueOffset(off), val)
 	lc.t.e.charge(lc.t.e.model().HTMPerWriteNS * int64(len(val)+2))
-
-	// Captured for the write-ahead log (durability) and for the redo records
-	// shipped to the partition's backups (replication); the storage region —
-	// not the logical table — addresses the copy this write landed in.
-	if lc.t.e.rt.C.Config().Durability || (r.part >= 0 && lc.t.e.rt.C.ReplicationFactor() > 0) {
-		var inc uint32
-		if r.ordered {
-			inc = kvs.Incarnation(incver)
-		}
-		own := lc.t.attemptWords(len(val))
-		copy(own, val)
-		lc.t.walLocal = append(lc.t.walLocal, walRec{
-			node: lc.t.e.w.Node.ID, table: r.region, off: off,
-			version: newVer, inc: inc, val: own,
-			ltable: table, part: r.part, key: key, arena: arena,
-		})
-	}
+	// The record keeps what the write found and installed, as a staged one
+	// does: its update() is what the log, the redo record and the hold read.
+	r.buf = append(r.buf[:0], val...)
+	r.dirty = true
 	return nil
 }
 

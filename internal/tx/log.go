@@ -122,18 +122,16 @@ func (t *Tx) logged(ok bool, log string, words int) {
 	t.e.charge(int64(t.e.model().NVRAMAppend(words * 8)))
 }
 
-// walBody serializes the transaction's full update set — the region's
-// captured local writes, then every staged record the commit writes, inserts
-// or erases — into the log scratch; nil when there is none.
+// walBody serializes the transaction's full update set — every record, local
+// then staged, the commit writes, inserts or erases (remoteRec.update) — into
+// the log scratch; nil when there is none.
 func (t *Tx) walBody() []uint64 {
 	b := append(t.logBuf[:0], t.txid, 0)
-	for i := range t.walLocal {
-		u := &t.walLocal[i]
-		b = putWAL(b, u.node, u.table, u.off, u.inc, u.version, u.val)
-	}
-	for _, r := range t.recs {
-		if inc, val, ok := r.update(); ok {
-			b = putWAL(b, r.node, r.region, r.off, inc, r.version+1, val)
+	for _, recs := range [2][]*remoteRec{t.locals, t.recs} {
+		for _, r := range recs {
+			if inc, val, ok := r.update(); ok {
+				b = putWAL(b, r.node, r.region, r.off, inc, r.version+1, val)
+			}
 		}
 	}
 	t.logBuf = b

@@ -332,7 +332,7 @@ func (t *Tx) declareLocalInsert(table, region, part int, key uint64, val []uint6
 		return kvs.ErrExists
 	}
 	r := t.declareLocal(table, region, part, key)
-	r.write, r.insert, r.off = true, true, off
+	r.write, r.insert, r.dirty, r.off = true, true, true, off
 	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
 	r.buf = append(r.buf[:0], val...)
 	return nil
@@ -428,15 +428,7 @@ func (t *Tx) flipStructural(htx *htm.Txn, r *remoteRec) {
 	if r.insert {
 		htx.WriteN(arena, kvs.ValueOffset(r.off), r.buf)
 	}
-	if t.e.rt.C.Config().Durability || (r.part >= 0 && t.e.rt.C.ReplicationFactor() > 0) {
-		// The value is the transaction's own copy — an insert's to publish, an
-		// erase's as observed; the body, which may write an insert's, has run.
-		t.walLocal = append(t.walLocal, walRec{
-			node: t.e.w.Node.ID, table: r.region, off: r.off,
-			version: r.version + 1, inc: r.inc + 1, val: r.buf,
-			ltable: r.table, part: r.part, key: r.key, arena: arena,
-		})
-	}
+	r.arena = arena // where holdLocalWrites finds the row
 }
 
 // removeDead physically unlinks committed erases' dead entries, after every

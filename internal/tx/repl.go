@@ -31,36 +31,29 @@ import (
 // home) are not re-replicated — a promoted partition is single-copy until
 // the crashed home returns (documented limitation, DESIGN.md).
 
-// replicate ships the write-set (the region's local WAL captures + every
-// staged record the commit writes) to the backups. Called between the
-// serialization point and commitRemotes; an error means the transaction must
-// not publish (only possible when this machine itself died mid-commit) and
-// has released its locks.
+// replicate ships the write-set — every record, local then staged, the commit
+// writes, inserts or erases (remoteRec.update) — to the backups. Called
+// between the serialization point and commitRemotes; an error means the
+// transaction must not publish (only possible when this machine itself died
+// mid-commit) and has released its locks.
 func (t *Tx) replicate() error {
 	rt := t.e.rt
 	if rt.C.ReplicationFactor() == 0 {
 		return nil
 	}
 	ups := t.redoUps[:0]
-	for i := range t.walLocal {
-		u := &t.walLocal[i]
-		if w, ok := t.replView(u.part); ok {
-			ups = append(ups, nvram.RedoUpdate{
-				Part: u.part, Epoch: cluster.ViewEpoch(w), Table: u.ltable,
-				Key: u.key, Version: u.version, Inc: u.inc, Val: u.val,
-			})
-		}
-	}
-	for _, r := range t.recs {
-		inc, val, ok := r.update()
-		if !ok {
-			continue
-		}
-		if w, ok := t.replView(r.part); ok {
-			ups = append(ups, nvram.RedoUpdate{
-				Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
-				Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
-			})
+	for _, recs := range [2][]*remoteRec{t.locals, t.recs} {
+		for _, r := range recs {
+			inc, val, ok := r.update()
+			if !ok {
+				continue
+			}
+			if w, ok := t.replView(r.part); ok {
+				ups = append(ups, nvram.RedoUpdate{
+					Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
+					Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
+				})
+			}
 		}
 	}
 	t.redoUps = ups

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"drtm/internal/cluster"
@@ -24,10 +25,115 @@ var errGaveUp = errors.New("survivor gave up")
 // never committed (spec). Under f ≥ 1 the region holds the rows it wrote
 // locked until its append lands, so the survivor loses its attempt while node
 // 0 is alive and commits against the promoted copy afterwards. No host-clock
-// wait: the script runs the survivor inside node 0's append.
+// wait: the script runs the survivor inside node 0's append. The structural
+// arms hold the rows a region flips: see heldStructuralRows.
 func TestReplicatedCommitHoldsLocalRows(t *testing.T) {
 	for _, mode := range []string{"lock", "spec"} {
 		t.Run(mode, func(t *testing.T) { heldLocalRows(t, mode) })
+		t.Run("structural/"+mode, func(t *testing.T) { heldStructuralRows(t, mode) })
+	}
+}
+
+// heldStructuralRows is the structural arm of the window: node 0's region
+// inserts one row of its own ordered table (born) and erases another (gone),
+// and its append to node 1 is again the verb the script stops. There a
+// survivor on node 2 locks each row and writes it ("lock"), or reads each
+// speculatively ("spec"); each must lose while node 0 is alive, as the region
+// holds both flipped rows until its append lands. Seeing the insert, or the
+// erase as a missing row, would build on a commit Failover drops: afterwards
+// born is dead and gone is live with its value.
+func heldStructuralRows(t *testing.T, mode string) {
+	const gone, born = 3, 6 // node 0's rows of tblOrders
+	rt, stop := lifetimeRig(t, 1)
+	defer stop()
+	rt.ReadPolicy = PolicyAdaptive // the survivor's reads are speculative
+	rt.DefineOrderedSeg(tblOrders, 64, 2, 8)
+	home := rt.Executor(0, 0)
+	if err := home.Exec(func(tx *Tx) error {
+		if err := tx.WInsert(tblOrders, gone, []uint64{gone, gone}); err != nil {
+			return err
+		}
+		return tx.Execute(func(*Local) error { return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	survivor := rt.Executor(2, 0)
+	survive := func(key uint64) error {
+		n := 0
+		return survivor.Exec(func(tx *Tx) error {
+			if n++; n > 1 {
+				return errGaveUp
+			}
+			if err := tx.Stage(Access{Table: tblOrders, Key: key, Write: mode == "lock"}); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				v, err := lc.Read(tblOrders, key)
+				if err != nil || mode != "lock" {
+					return err
+				}
+				return lc.Write(tblOrders, key, []uint64{v[0] + 1, v[1]})
+			})
+		})
+	}
+
+	plan := rdma.NewFaultPlan(1)
+	rt.C.Fabric.SetFaultPlan(plan)
+	rows := []uint64{born, gone}
+	survived := make([]error, len(rows))
+	fired := false
+	inWindow := func() {
+		fired = true
+		for i, key := range rows {
+			survived[i] = survive(key)
+		}
+		rt.C.Crash(0)
+	}
+	err := home.Exec(func(tx *Tx) error {
+		if err := tx.WInsert(tblOrders, born, []uint64{born, born}); err != nil {
+			return err
+		}
+		if _, err := tx.Erase(tblOrders, gone); err != nil {
+			return err
+		}
+		// Staged: node 0's only verb from here on is the append to node 1.
+		plan.ScriptHook(0, 1, 1, inWindow)
+		plan.LinkRule(0, 1, rdma.FaultRule{FailProb: 1})
+		return tx.Execute(func(*Local) error { return nil })
+	})
+	plan.Clear()
+	if !fired || rt.C.Node(0).Alive() {
+		t.Fatalf("the window was never reached (hook ran: %v)", fired)
+	}
+	if err == nil {
+		t.Fatal("the commit was acked, but its append never landed")
+	}
+	for i, err := range survived {
+		if !errors.Is(err, errGaveUp) {
+			t.Errorf("survivor on row %d in the window: %v, want it shut out", rows[i], err)
+		}
+	}
+
+	if rep := rt.Failover(0); !rep.Promoted {
+		t.Fatalf("failover did not promote: %+v", rep)
+	}
+	if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
+		t.Errorf("second Failover found work: %+v", again)
+	}
+	if n := rt.PendingOps(0); n != 0 {
+		t.Errorf("%d release steps parked for the dead coordinator", n)
+	}
+	if err := survivor.ExecRO(func(ro *RO) error {
+		if _, err := ro.Read(tblOrders, born); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("inserted row %d: %v, want it dead", born, err)
+		}
+		if v, err := ro.Read(tblOrders, gone); err != nil || v[0] != gone {
+			return fmt.Errorf("erased row %d: %v, %v, want it live at %d", gone, v, err, gone)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("the dropped commit is not dropped whole: %v", err)
 	}
 }
 

@@ -319,7 +319,9 @@ type Executor struct {
 	scanRows []ScanRow // Tx.Scan's and RO.Scan's result, valid until the next scan
 }
 
-// getRec pops a pooled staged-record struct (value buffer capacity kept).
+// getRec pops a pooled staged-record struct (value buffer capacity kept). A
+// new one's buffer is sized for the widest table, so a warm pool grows no
+// buffer, whichever rows its records are reused for.
 func (e *Executor) getRec() *remoteRec {
 	if n := len(e.recFree); n > 0 {
 		r := e.recFree[n-1]
@@ -327,7 +329,11 @@ func (e *Executor) getRec() *remoteRec {
 		*r = remoteRec{recImage: recImage{buf: r.buf[:0]}}
 		return r
 	}
-	return &remoteRec{}
+	vw := 0
+	for _, m := range e.rt.tables {
+		vw = max(vw, m.ValueWords)
+	}
+	return &remoteRec{recImage: recImage{buf: make([]uint64, 0, vw)}}
 }
 
 // putRecs returns staged-record structs to the pool. Callers must drop every
@@ -345,7 +351,6 @@ func (e *Executor) recycle(t *Tx) {
 		return
 	}
 	t.release()
-	t.walLocal = t.walLocal[:0]
 	t.deferred = t.deferred[:0]
 	t.removals = t.removals[:0]
 	t.owed = t.owed[:0]

@@ -31,15 +31,17 @@ type remoteRec struct {
 	leaseEnd uint64 // granted lease end (reads)
 	write    bool   // exclusive lock held (writes); with spec, declared by an escalated attempt; with local, declared for write
 	spec     bool   // speculative read: no lock held, validated at commit
-	dirty    bool   // buffer modified; needs write-back
+	dirty    bool   // buffer modified; needs write-back (local: the region wrote the row)
 
 	// local marks a record of this node the HTM region reads and writes in
 	// place: it holds no lock, and lives in Tx.locals, not in recs, until the
-	// fallback takes it (restage). arena memoizes where the current attempt's
-	// first access found it, at off (arena is nil until then), so a Read
-	// followed by a Write costs one index lookup. The memo lives exactly as
-	// long as the attempt (beginAttempt forgets it): that first access put the
-	// entry's state and incver words — and, for a hash table, the bucket words
+	// fallback takes it (restage). A write leaves on it what it found (inc,
+	// version) and installed (buf), so update() answers for it as for a
+	// staged record. arena memoizes where the current attempt's first access
+	// found it, at off (arena is nil until then), so a Read followed by a
+	// Write costs one index lookup. The memo lives exactly as long as the
+	// attempt (beginAttempt forgets it): that first access put the entry's
+	// state and incver words — and, for a hash table, the bucket words
 	// LookupTx walked — into this attempt's read set, so an erase, a recycled
 	// slot or a bucket-chain move between the two accesses dooms the region
 	// instead of leaving the memo pointing at somebody else's entry. A new
@@ -86,10 +88,9 @@ func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
 // holds nothing; a record of the region holds no lock).
 func (r *remoteRec) locked() bool { return r.write && !r.spec && !r.local }
 
-// walRec captures one update for the write-ahead log and recovery. node and
-// table address the record's storage (table is the fabric/storage region, a
-// replica region after failover); the remaining fields carry the logical
-// coordinates replication needs to rebuild the update on another copy.
+// walRec is one update of a write-ahead record as parseWAL decodes it and
+// recovery redoes it. node and table address the record's storage (table is
+// the fabric/storage region, a replica region after failover).
 type walRec struct {
 	node, table int
 	off         memory.Offset
@@ -100,15 +101,6 @@ type walRec struct {
 	// alone. Packed with version into one WAL word.
 	inc uint32
 	val []uint64
-
-	// In-memory only (not serialized to the WAL): the logical table, home
-	// partition and key, used to build redo records for the backups, and the
-	// arena the region wrote, whose row it holds locked under replication
-	// (holdLocalWrites).
-	ltable int
-	part   int
-	key    uint64
-	arena  *memory.Arena
 }
 
 // deferredOp is an insert/delete applied after commit (index structures are
@@ -152,12 +144,9 @@ type Tx struct {
 	swords   []uint64
 
 	// awords is the value scratch of one run of the body (attemptWords): the
-	// values Local.Read hands out, Local.Insert's copies, the write-ahead
-	// captures. beginAttempt empties it.
+	// values Local.Read hands out, Local.Insert's copies. beginAttempt empties
+	// it.
 	awords []uint64
-
-	// walLocal accumulates local updates for the write-ahead log.
-	walLocal []walRec
 
 	// wsnap holds the pristine values of the buffers the body writes in place
 	// — write-staged records' values, then local inserts' values — captured
@@ -453,15 +442,16 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 }
 
 // beginAttempt drops what the previous run of the body — an aborted HTM
-// attempt — left behind: its captured local updates, its
-// deferred inserts / deletes (the body declares them again), the value scratch
-// they and its reads were carved from, and every declared local record's
-// location memo, which was only as good as that attempt's read set.
+// attempt — left behind: its deferred inserts / deletes (the body declares
+// them again), the value scratch they and its reads were carved from, and on
+// every declared local record its writes (dirty; an insert stays dirty, as
+// its write-back is the insert itself) and its location memo, which was only
+// as good as that attempt's read set.
 func (t *Tx) beginAttempt() {
-	t.walLocal, t.deferred = t.walLocal[:0], t.deferred[:0]
+	t.deferred = t.deferred[:0]
 	t.awords = t.awords[:0]
 	for _, r := range t.locals {
-		r.arena = nil
+		r.dirty, r.arena = r.insert, nil
 	}
 }
 
@@ -497,11 +487,12 @@ func (t *Tx) publish() error {
 
 // holdLocalWrites closes the window between XEND and the redo append under
 // replication: as the region's last writes it write-locks, for this machine,
-// every local row the region wrote or flipped — the state word shares the line
-// of the incarnation|version word the write already put in the write set. A
-// row's new value is visible at XEND, but until the backups hold the commit
-// record nobody may lock it, read it or build on it: were this machine to die
-// first, Failover would drop the commit whole (FaRM's lock, commit-backup,
+// every local row the region wrote or flipped — each local record with an
+// update(), at its arena — where the state word shares the line of the
+// incarnation|version word the write already put in the write set. A row's
+// new value is visible at XEND, but until the backups hold the commit record
+// nobody may lock it, read it or build on it: were this machine to die first,
+// Failover would drop the commit whole (FaRM's lock, commit-backup,
 // commit-primary). releaseLocalWrites frees them once the append wave is
 // polled; a dead coordinator's locks die with its memory, as replicas carry
 // none. Without replication XEND is the commit point and nothing is held.
@@ -510,9 +501,10 @@ func (t *Tx) holdLocalWrites(htx *htm.Txn) {
 		return
 	}
 	held := clock.WLocked(uint8(t.e.w.Node.ID))
-	for i := range t.walLocal {
-		u := &t.walLocal[i]
-		htx.Write(u.arena, kvs.StateOffset(u.off), held)
+	for _, r := range t.locals {
+		if _, _, ok := r.update(); ok {
+			htx.Write(r.arena, kvs.StateOffset(r.off), held)
+		}
 	}
 }
 
@@ -524,11 +516,14 @@ func (t *Tx) releaseLocalWrites() {
 	if t.e.rt.C.ReplicationFactor() == 0 {
 		return
 	}
-	for i := range t.walLocal {
-		u := &t.walLocal[i]
-		u.arena.StoreWord(kvs.StateOffset(u.off), clock.Init)
+	n := 0
+	for _, r := range t.locals {
+		if _, _, ok := r.update(); ok {
+			r.arena.StoreWord(kvs.StateOffset(r.off), clock.Init)
+			n++
+		}
 	}
-	t.e.charge(t.e.model().HTMPerWriteNS * int64(len(t.walLocal)))
+	t.e.charge(t.e.model().HTMPerWriteNS * int64(n))
 }
 
 // commitRemotes writes back dirty staged records and releases exclusive
