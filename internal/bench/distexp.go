@@ -59,8 +59,8 @@ func runDistWaves(o Options) *Result {
 	}
 	res.Note("2 machines x 1 worker, %d accounts per machine, 100 hot at 50%%, adaptive read policy; every transaction is cross-node", accounts)
 	res.Note("lookup waves are location-cache misses; abort-release is what conflicting attempts paid before the commit that counts")
-	res.Note("smallbank_repl adds one redo append to the backup, polled ahead of every release: the commit record, with no write-ahead log beside it")
-	res.Note("in flight: latency a detached wave left for later waits to overlap, not in its stage's modeled charge; with no log the release waves are detached, with logs awaited")
+	res.Note("smallbank_repl adds one redo append to the backup, polled ahead of every release: the commit record, with no write-ahead log beside it; it carries the home bit only once the worker's last release chain has landed")
+	res.Note("in flight: latency a detached wave left for later waits to overlap, not in its stage's modeled charge; the release waves are detached on both arms, awaited only under logs without backups (f = 0 + durability)")
 	return res
 }
 

@@ -383,14 +383,15 @@ func (n *Node) HasOrdered(tableID int) bool {
 	return ok
 }
 
-// EachEntry calls fn with the arena and offset of every entry slot handed out
-// so far in every region the node hosts, primary and replica, hash and ordered.
-func (n *Node) EachEntry(fn func(a *memory.Arena, off memory.Offset)) {
-	for _, t := range n.unordered {
-		t.EachEntry(func(off memory.Offset) { fn(t.Arena(), off) })
+// EachEntry calls fn with the region, arena and offset of every entry slot
+// handed out so far in every region the node hosts, primary and replica, hash
+// and ordered.
+func (n *Node) EachEntry(fn func(region int, a *memory.Arena, off memory.Offset)) {
+	for region, t := range n.unordered {
+		t.EachEntry(func(off memory.Offset) { fn(region, t.Arena(), off) })
 	}
-	for _, o := range n.ordered {
-		o.EachEntry(func(off memory.Offset) { fn(o.Arena(), off) })
+	for region, o := range n.ordered {
+		o.EachEntry(func(off memory.Offset) { fn(region, o.Arena(), off) })
 	}
 }
 

@@ -113,9 +113,12 @@ type RedoSink struct {
 // the next append instead of a message of its own. A host drops the updates
 // of partitions it does not back up; the home bit is what makes that safe, as
 // every one of them is on its primary by then, or parked for a dead primary
-// and held by that partition's own backups. A ring is therefore bounded by
-// CheckpointWords plus one record while its sender is alive. The lock
-// order is this sink's lock, then the partitions' redo locks the apply takes.
+// and held by that partition's own backups. A sender sets the bit only once
+// its release chains have landed, and waits for them before the words it
+// appended here since its last home record would pass CheckpointWords
+// (tx.appendRedo), so while it is alive a ring is bounded by CheckpointWords
+// plus those words — under 2 × CheckpointWords. The lock order is this sink's
+// lock, then the partitions' redo locks the apply takes.
 func (s *RedoSink) RemoteAppend(from int, rec []uint64) error {
 	it, ok := nvram.IterRedo(rec)
 	if !ok {

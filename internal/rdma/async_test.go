@@ -364,6 +364,53 @@ func TestPollDetached(t *testing.T) {
 	}
 }
 
+// TestPollDetachedIdleSettle: a QP is idle while nothing it left in flight is
+// outstanding at the clock's reading, and Settle waits out what is, paying
+// exactly what is left of it.
+func TestPollDetachedIdleSettle(t *testing.T) {
+	f := newTestFabric(2)
+	write := int64(f.Model().RDMAWrite(8))
+	var clk vtime.Clock
+	qp := newCountedQP(f, 0, &clk)
+	sq := qp.NewSendQueue(4)
+	detach := func() {
+		sq.PostWrite(1, 0, 0, []uint64{1})
+		sq.PollDetached()
+	}
+	t0 := clk.Now()
+	if qp.Settle(); !qp.Idle() || clk.Now() != t0 {
+		t.Fatalf("a fresh QP: idle %v, Settle charged %v", qp.Idle(), clk.Now()-t0)
+	}
+	detach()
+	clk.ChargeNS(write - 1)
+	if qp.Idle() {
+		t.Fatal("idle 1 ns before the detached WRITE lands")
+	}
+	clk.ChargeNS(1)
+	if !qp.Idle() {
+		t.Fatal("not idle once the detached WRITE landed")
+	}
+
+	detach()
+	clk.ChargeNS(100)
+	t0 = clk.Now()
+	qp.Settle()
+	if got, waited := int64(clk.Now()-t0), qp.Obs.Count(obs.EvInflightWaitNS); got != write-100 || waited != got || !qp.Idle() {
+		t.Fatalf("Settle 100 ns after a detached WRITE took %d ns and waited %d, want %d; idle %v", got, waited, write-100, qp.Idle())
+	}
+	t0 = clk.Now()
+	if qp.Settle(); clk.Now() != t0 {
+		t.Fatalf("a second Settle charged %v, want nothing", clk.Now()-t0)
+	}
+
+	// A clock that went back (a harness resetting it) has nothing in flight.
+	detach()
+	clk.Reset()
+	if !qp.Idle() {
+		t.Fatal("not idle after a clock reset")
+	}
+}
+
 // Send is Call's one-way form: the handler runs before Send returns, the
 // worker pays one doorbell, and the request's flight is left in flight — a
 // Call posted next returns its reply no earlier than the request landed.

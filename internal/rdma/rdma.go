@@ -297,6 +297,22 @@ func (q *QP) lag(d int64) int64 {
 	return lag
 }
 
+// Idle reports whether everything this QP left in flight has completed at the
+// clock's reading: nothing is, or its end is past. A clock that went back has
+// nothing in flight, as for lag.
+func (q *QP) Idle() bool {
+	end := q.inflight.Load()
+	if end == 0 || q.clock == nil {
+		return true
+	}
+	now := int64(q.clock.Now())
+	return end <= now || now < q.since.Load()
+}
+
+// Settle waits out what this QP left in flight: a waited charge of nothing,
+// which pays the lag alone.
+func (q *QP) Settle() { q.charge(0) }
+
 // detach leaves work of latency d in flight from now on: it completes after
 // everything posted before it, and the next waited charge pays what is left.
 func (q *QP) detach(d int64) {

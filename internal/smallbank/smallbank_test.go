@@ -176,10 +176,25 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 }
 
 // TestMixConservation runs the full mix concurrently and checks that the
-// total balance moved only by the tracked net deposits.
+// total balance moved only by the tracked net deposits, and that the workers
+// left no lock held and no release-side step parked (Runtime.AuditQuiescent):
+// without logs, and with them and one backup per partition, where every
+// commit appends a redo record and leaves its release chain in flight.
 func TestMixConservation(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		mut  func(*cluster.Config)
+	}{
+		{"plain", nil},
+		{"durable-replicated", func(c *cluster.Config) { c.Durability, c.ReplicationFactor = true, 1 }},
+	} {
+		t.Run(arm.name, func(t *testing.T) { mixConservation(t, arm.mut) })
+	}
+}
+
+func mixConservation(t *testing.T, mut func(*cluster.Config)) {
 	const nodes, workers = 2, 2
-	w, rt, stop := newWorkload(t, nodes, workers, nil)
+	w, rt, stop := newWorkload(t, nodes, workers, mut)
 	defer stop()
 	initial := w.TotalBalance()
 
@@ -221,5 +236,8 @@ func TestMixConservation(t *testing.T) {
 	want := int64(initial) + net
 	if got != want {
 		t.Fatalf("total = %d, want %d (drift %d over %d txns)", got, want, got-want, txns)
+	}
+	if err := rt.AuditQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -182,7 +182,9 @@ func (c *Client) Befriend(a, b uint64) error {
 }
 
 // Unfriend erases both directed edges in one transaction. A missing edge
-// means the friendship doesn't exist (or a racing Unfriend won): no-op.
+// means the friendship doesn't exist (or a racing Unfriend won): no-op. The
+// Start phase reports it, and so does a software-fallback attempt that takes
+// its rows again after a racer's erase committed (Exec's ErrNotFound).
 func (c *Client) Unfriend(a, b uint64) error {
 	err := c.e.Exec(func(t *tx.Tx) error {
 		es := ordered(a, b)
@@ -197,7 +199,7 @@ func (c *Client) Unfriend(a, b uint64) error {
 		}
 		return t.Execute(func(lc *tx.Local) error { return nil })
 	})
-	if err == tx.ErrUserAbort {
+	if err == tx.ErrUserAbort || err == tx.ErrNotFound {
 		return nil
 	}
 	return err

@@ -1,19 +1,22 @@
 package tx
 
 import (
+	"slices"
 	"testing"
 
 	"drtm/internal/clock"
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
+	"drtm/internal/nvram"
 	"drtm/internal/obs"
 	"drtm/internal/rdma"
 )
 
-// A worker that keeps no log and appends no redo record leaves its release
-// chain in flight (Tx.postWave, rdma.SendQueue.PollDetached): these tests pin
-// what the commit is charged, what a later wait pays for it, that its effects
-// are visible at once, and that a worker with logs still waits.
+// A commit leaves its release chain in flight (Tx.postWave,
+// rdma.SendQueue.PollDetached): these tests pin what the commit is charged,
+// what a later wait pays for it, that its effects are visible at once, that a
+// durable worker without backups still waits, and that under replication the
+// next redo record says the chain is home only once it has landed.
 
 // rmw is one read-modify-write of key: its value's first word goes up by one.
 func rmw(e *Executor, key uint64) error {
@@ -120,41 +123,146 @@ func TestDetachedCommit(t *testing.T) {
 	}
 }
 
-// TestLoggedCommitWaits: under Durability, and under one backup per partition,
-// the release chain is awaited: the commit of TestDetachedCommit's remote write
-// pays the WRITE's latency and its doorbell — after the redo append's own wave
-// under replication — and nothing is left in flight.
+// TestLoggedCommitWaits: under Durability without backups the release chain
+// is awaited — the next log restart would drop the write-ahead record that
+// names its writes — so the commit of TestDetachedCommit's remote write pays
+// the WRITE's latency and its doorbell, and nothing is left in flight. Under
+// one backup per partition the chain is left in flight as with no log: the
+// publish stage is charged its doorbell, and the commit phase — after the redo
+// append's own wave — is shorter than the awaited chain's by exactly the
+// WRITE's latency.
 func TestLoggedCommitWaits(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		mut    func(*cluster.Config)
-		commit int64 // modeled ns of the commit phase, as when every chain was awaited
+		name     string
+		mut      func(*cluster.Config)
+		awaited  int64 // modeled ns of the commit phase when every chain was awaited
+		detached bool
 	}{
-		{"durable", func(c *cluster.Config) { c.Durability = true }, 1404},
-		{"replicated", func(c *cluster.Config) { c.ReplicationFactor = 1 }, 3017},
+		{"durable", func(c *cluster.Config) { c.Durability = true }, 1404, false},
+		{"replicated", func(c *cluster.Config) { c.ReplicationFactor = 1 }, 3017, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := cluster.DefaultConfig(2, 1)
-			cfg.LeaseMicros, cfg.ROLeaseMicros = 1<<40, 1<<40
-			c.mut(&cfg)
-			rt := NewRuntime(cluster.New(cfg), func(table int, key uint64) int { return int(key) % 2 })
-			rt.DefineUnordered(tblAccounts, 256, 256, 256, 2)
-			if err := rt.C.Node(1).Unordered(tblAccounts).Insert(3, []uint64{1000, 3}); err != nil {
-				t.Fatal(err)
-			}
+			rt, e := replRig(t, c.mut)
 			m := rt.C.Fabric.Model()
 			before := rt.C.Obs.Snapshot()
-			if err := rmw(rt.Executor(0, 0), 3); err != nil {
+			if err := rmw(e, 3); err != nil {
 				t.Fatal(err)
 			}
 			d := rt.C.Obs.Snapshot().Delta(before)
-			want := obs.WaveStats{Waves: 1, WRs: 1, Nanos: int64(m.RDMAWrite(32)) + m.DoorbellNS}
+			write := int64(m.RDMAWrite(32))
+			want, commit, detached := obs.WaveStats{Waves: 1, WRs: 1, Nanos: write + m.DoorbellNS}, c.awaited, int64(0)
+			if c.detached {
+				want.Nanos, want.Inflight = m.DoorbellNS, write
+				commit, detached = c.awaited-write, 1
+			}
 			if pub := d.Stages[obs.StagePublish]; pub != want {
 				t.Fatalf("publish stage = %+v, want %+v", pub, want)
 			}
-			if got := d.Phases[obs.PhaseCommit].Sum; got != c.commit || d.Counter(obs.EvDetached) != 0 {
-				t.Fatalf("commit %d ns with %d waves left in flight, want %d ns and none", got, d.Counter(obs.EvDetached), c.commit)
+			if got := d.Phases[obs.PhaseCommit].Sum; got != commit || d.Counter(obs.EvDetached) != detached {
+				t.Fatalf("commit %d ns with %d waves left in flight, want %d ns and %d", got, d.Counter(obs.EvDetached), commit, detached)
 			}
 		})
+	}
+}
+
+// replRig is a two-node cluster of one worker each, configured by mut, with
+// key 3 on node 1 and key 2 on node 0 and leases that outlast the test; it
+// returns node 0's executor.
+func replRig(t *testing.T, mut func(*cluster.Config)) (*Runtime, *Executor) {
+	t.Helper()
+	cfg := cluster.DefaultConfig(2, 1)
+	cfg.LeaseMicros, cfg.ROLeaseMicros = 1<<40, 1<<40
+	mut(&cfg)
+	rt := NewRuntime(cluster.New(cfg), func(table int, key uint64) int { return int(key) % 2 })
+	rt.DefineUnordered(tblAccounts, 256, 256, 256, 2)
+	for _, k := range []uint64{2, 3} {
+		if err := rt.C.Node(int(k)%2).Unordered(tblAccounts).Insert(k, []uint64{1000, k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rt, rt.Executor(0, 0)
+}
+
+// ringHomes drains the ring node sender's worker 0 appends to on host and
+// returns each record's home bit, in append order.
+func ringHomes(rt *Runtime, host, sender int) []bool {
+	var homes []bool
+	rt.C.RedoSinkAt(host, sender, 0).Drain(func(rec []uint64) { homes = append(homes, nvram.RedoHome(rec)) })
+	return homes
+}
+
+// TestRedoHomeWaitsForChain: a redo record appended while the worker's last
+// release chain is still in flight does not carry the home bit, so its backup
+// keeps the earlier records; the append's wave is awaited, and pays what was
+// left in flight, so the next record carries the bit. Node 0 writes key 3 on
+// node 1 over a link slowed so its chain outlasts the next transaction's
+// region, then writes key 2, whose partition node 1 backs up, twice.
+func TestRedoHomeWaitsForChain(t *testing.T) {
+	rt, e := replRig(t, func(c *cluster.Config) { c.ReplicationFactor = 1 })
+	plan := rdma.NewFaultPlan(1)
+	plan.LinkRule(0, 1, rdma.FaultRule{ExtraNS: 5_000})
+	rt.C.Fabric.SetFaultPlan(plan)
+	err := rmw(e, 3)
+	rt.C.Fabric.SetFaultPlan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.w.QP.Idle() {
+		t.Fatal("the chain to node 1 landed before the next transaction began")
+	}
+	waits := e.w.Obs.Count(obs.EvInflightWaitNS)
+	for i := 0; i < 2; i++ {
+		if err := rmw(e, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.w.Obs.Count(obs.EvInflightWaitNS) == waits {
+		t.Fatal("no append paid for the chain left in flight")
+	}
+	if got := ringHomes(rt, 0, 0); !slices.Equal(got, []bool{true}) {
+		t.Fatalf("node 0's ring: home bits %v, want the first transaction's record home", got)
+	}
+	if got := ringHomes(rt, 1, 0); !slices.Equal(got, []bool{false, true}) {
+		t.Fatalf("node 1's ring: home bits %v, want the record behind the chain without, the next with", got)
+	}
+}
+
+// TestRedoRingBoundedBehindSends: transactions that each leave a one-way
+// message in flight before the next redo append keep the home bit off, and
+// their records pile up in the backup's ring — until the words appended since
+// the last home record would pass cluster.CheckpointWords: that append waits
+// out what is in flight (rdma.QP.Settle) and carries the bit, and the backup
+// drains its ring. The ring never holds more than CheckpointWords and two
+// records, and never overflows.
+func TestRedoRingBoundedBehindSends(t *testing.T) {
+	rt, e := replRig(t, func(c *cluster.Config) { c.ReplicationFactor = 1 })
+	sink := rt.C.RedoSinkAt(1, 0, 0)
+	var rec, most int // one record's footprint in the ring, the ring's most
+	for i := 0; i < 300; i++ {
+		if err := rmw(e, 2); err != nil {
+			t.Fatal(err)
+		}
+		used := sink.BytesUsed() / 8
+		if i == 0 {
+			rec = used
+		}
+		most = max(most, used)
+		e.remMsg.Ops = e.remMsg.Ops[:0] // a removal message with no entry
+		e.shipRemoveDead(1)
+		if e.w.QP.Idle() {
+			t.Fatalf("step %d: the message landed before the next transaction began", i)
+		}
+	}
+	if bound := cluster.CheckpointWords + 2*rec; most > bound {
+		t.Fatalf("the ring held %d words, want at most CheckpointWords and two records, %d", most, bound)
+	}
+	if n := rt.C.Obs.Total(obs.EvRingDrain); n == 0 {
+		t.Fatal("the ring was never drained")
+	}
+	// What is left: the record that last drained the ring, and behind it only
+	// records appended with a message in flight.
+	homes := ringHomes(rt, 1, 0)
+	if len(homes) < 2 || slices.Contains(homes[1:], true) {
+		t.Fatalf("ring left with home bits %v, want records without one behind the last drain", homes)
 	}
 }

@@ -1,6 +1,8 @@
 package tx
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"drtm/internal/clock"
@@ -170,7 +172,7 @@ func (rt *Runtime) redo(u walRec) bool {
 func (rt *Runtime) freeLocksOf(crashed int) int {
 	n := 0
 	for node := 0; node < rt.C.Nodes(); node++ {
-		rt.C.Node(node).EachEntry(func(a *memory.Arena, off memory.Offset) {
+		rt.C.Node(node).EachEntry(func(_ int, a *memory.Arena, off memory.Offset) {
 			so := kvs.StateOffset(off)
 			if s := a.LoadWord(so); clock.IsWriteLocked(s) && int(clock.Owner(s)) == crashed {
 				if _, ok := a.CAS(so, s, clock.Init); ok {
@@ -181,6 +183,37 @@ func (rt *Runtime) freeLocksOf(crashed int) int {
 	}
 	rt.C.Obs.Shard(0).Add(obs.EvRecoveryUnlock, int64(n))
 	return n
+}
+
+// AuditQuiescent checks what a runtime owes nobody once its workers have
+// stopped: on every live machine no state word is write-locked — a lock
+// leaked by a commit, an abort or a repair — and no release-side step is
+// parked for it (PendingOps). The error names each leaked lock by node,
+// region, offset and word, the first few of them and the count.
+func (rt *Runtime) AuditQuiescent() error {
+	const shown = 8
+	var errs []error
+	locked := 0
+	for node := 0; node < rt.C.Nodes(); node++ {
+		if !rt.C.Node(node).Alive() {
+			continue
+		}
+		rt.C.Node(node).EachEntry(func(region int, a *memory.Arena, off memory.Offset) {
+			so := kvs.StateOffset(off)
+			if s := a.LoadWord(so); clock.IsWriteLocked(s) {
+				if locked++; locked <= shown {
+					errs = append(errs, fmt.Errorf("node %d region %d offset %d: state word %#x write-locked", node, region, so, s))
+				}
+			}
+		})
+		if n := rt.PendingOps(node); n > 0 {
+			errs = append(errs, fmt.Errorf("node %d: %d release-side steps parked", node, n))
+		}
+	}
+	if locked > shown {
+		errs = append(errs, fmt.Errorf("%d write-locked state words in all", locked))
+	}
+	return errors.Join(errs...)
 }
 
 // arenaOf resolves a storage region's arena on node: an ordered shard

@@ -650,7 +650,7 @@ func TestLogLifetimeCrashPoints(t *testing.T) {
 func assertNoLocksOf(t *testing.T, rt *Runtime, dead int) {
 	t.Helper()
 	for n := 0; n < rt.C.Nodes(); n++ {
-		rt.C.Node(n).EachEntry(func(a *memory.Arena, off memory.Offset) {
+		rt.C.Node(n).EachEntry(func(_ int, a *memory.Arena, off memory.Offset) {
 			if s := a.LoadWord(kvs.StateOffset(off)); clock.IsWriteLocked(s) && int(clock.Owner(s)) == dead {
 				t.Errorf("row %d of region %d on node %d still write-locked by node %d", a.LoadWord(off+kvs.EntryKeyWord), a.ID, n, dead)
 			}

@@ -110,13 +110,21 @@ func (t *Tx) replView(part int) (uint64, bool) {
 // by failover, which re-commits it everywhere).
 //
 // The record carries the home bit — this worker's earlier records are home,
-// so a backup may apply and truncate them as this one lands — unless the
-// worker is a zombie, which dropped its write-backs. A live worker wrote back
-// every earlier commit before it returned, or parked the write-back for a dead
-// primary; a parked update needs no ring kept whole, as it went to every
-// backup of its partition, whose drain applies it to that replica and whose
-// promotion replays the rest (TestRingDrainsPastParkedWriteBack). A backup's
-// drain drops only the updates of partitions it does not back up.
+// so a backup may apply and truncate them as this one lands — when the worker
+// is no zombie (a zombie dropped its write-backs) and its QP is idle: a live
+// worker posted the write-back of every earlier commit, or parked it for a
+// dead primary, before it returned, and the connection completes in post
+// order, so once nothing is in flight every one has landed. Without the bit
+// the backup keeps the earlier records one more append; this append's wave is
+// awaited and pays what is in flight, so the next record normally carries it.
+// A one-way Send can leave work in flight past that wait, so once the words
+// appended to a backup since its last home record there would pass
+// cluster.CheckpointWords, the append first waits out what is in flight
+// (rdma.QP.Settle) and sets the bit: a ring stays under twice that. A parked
+// update needs no ring kept whole, as it went to every backup of its
+// partition, whose drain applies it to that replica and whose promotion
+// replays the rest (TestRingDrainsPastParkedWriteBack). A backup's drain drops
+// only the updates of partitions it does not back up.
 func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	e := t.e
 	rt := e.rt
@@ -146,7 +154,21 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 
 	rec := nvram.EncodeRedo(t.redoBuf, t.txid, ups)
 	t.redoBuf = rec
-	if !e.zombie() {
+	words := 1 + len(rec) // the ring's footprint of the record
+	if e.redoSince == nil {
+		e.redoSince = make([]int, c.Nodes())
+	}
+	home := !e.zombie()
+	if home && !e.w.QP.Idle() {
+		since := 0
+		for _, b := range dsts {
+			since = max(since, e.redoSince[b])
+		}
+		if home = since+words > cluster.CheckpointWords; home {
+			e.w.QP.Settle()
+		}
+	}
+	if home {
 		nvram.MarkRedoHome(rec)
 	}
 	region := cluster.RedoLogRegion(self, e.w.ID)
@@ -170,6 +192,11 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 		switch {
 		case err == nil:
 			landed++
+			if home {
+				e.redoSince[b] = 0
+			} else {
+				e.redoSince[b] += words
+			}
 		case errors.Is(err, rdma.ErrFenced):
 			// A promotion raced into the XEND→append window: the record
 			// carries a now-stale epoch. The transaction is already past its

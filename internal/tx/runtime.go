@@ -284,6 +284,11 @@ type Executor struct {
 
 	sq *rdma.SendQueue // lazily created post/poll queue for batched phases
 
+	// redoSince counts, per backup node, the words this executor's redo
+	// records added to its ring there since the last one that carried the
+	// home bit (appendRedo's ring bound).
+	redoSince []int
+
 	// fingers holds one B+ tree leaf finger per ordered region of this node
 	// (finger); locCaches, the node's location caches it has used (cacheFor).
 	fingers   map[int]*kvs.Finger

@@ -602,11 +602,14 @@ func (t *Tx) payload(w0, w1 uint64, rest []uint64) []uint64 {
 // helpers — where the owner guard is (mustUnlock), exactly where a lock can
 // have changed hands.
 //
-// A worker that keeps no log and appends no redo record leaves the wave in
-// flight (rdma.SendQueue.PollDetached): nothing it or its client does next
-// depends on when the WRITEs land — the records stay locked until they do, and
-// the connection runs its later verbs after them. With logs the wave is
-// awaited: the next log restart or redo append vouches that it has landed.
+// The wave is left in flight (rdma.SendQueue.PollDetached): nothing the
+// worker or its client does next depends on when the WRITEs land — the
+// records stay locked until they do, and the connection runs its later verbs
+// after them. Under replication the next redo record tells the backups once
+// they have landed (appendRedo's home bit). Only a durable worker without
+// backups awaits the wave: its next log restart (reclaimLogs) would drop the
+// write-ahead record — the commit record there — while a write-back it names
+// is still in flight.
 func (t *Tx) postWave(stage obs.Stage) {
 	if len(t.cops) == 0 {
 		return
@@ -620,7 +623,7 @@ func (t *Tx) postWave(stage obs.Stage) {
 		sq.PostWrite(op.node, op.region, op.off, data)
 	}
 	var wrs []*rdma.WR
-	if t.e.rt.C.Config().Durability || t.e.rt.C.ReplicationFactor() > 0 {
+	if t.e.rt.C.Config().Durability && t.e.rt.C.ReplicationFactor() == 0 {
 		wrs = sq.Poll()
 	} else {
 		wrs = sq.PollDetached()

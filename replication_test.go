@@ -202,6 +202,9 @@ func TestFailoverPromoteServesCommittedWrites(t *testing.T) {
 	if !found {
 		t.Error("no TraceFailover event in the trace ring")
 	}
+	if err := db.RT.AuditQuiescent(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestFailoverIdempotence pins the promote protocol's recovery-idempotence:
@@ -480,5 +483,8 @@ func TestFailoverSmallBankConservation(t *testing.T) {
 	}
 	if st.Count("repl.promote_ns") == 0 {
 		t.Error("promotion time not accounted")
+	}
+	if err := db.RT.AuditQuiescent(); err != nil {
+		t.Error(err)
 	}
 }
