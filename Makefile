@@ -54,11 +54,13 @@ race:
 # never used across a promotion; nobody but the speculative read-only fetch
 # asking the cache), the mirrored removal of a lagging replica's entry, the
 # f = 1 commit order (a survivor locking or reading a row between its writer's
-# XEND and redo append, the writer dying before the append lands; a ring never
-# truncated past a record whose write-back is parked), the NVRAM logs' lifetime
-# rule (a coordinator killed at every step of a transfer behind a committed one,
-# region and fallback, f = 0 and 1; a parked release keeping the logs at f = 0
-# and not at f = 1; records surviving an arena's grows, a restart never tearing
+# XEND and redo append, the writer dying before the append lands; a ring
+# truncated past a record whose write-back went to a dead primary), nothing
+# parked under f = 1 (a release after a failover; a deferred insert or delete
+# surviving one), the NVRAM logs' lifetime rule (a coordinator killed at every
+# step of a transfer behind a committed one, region and fallback, f = 0 and 1; a
+# parked release keeping the logs at f = 0, and at f = 1 a release after a
+# failover not; records surviving an arena's grows, a restart never tearing
 # a concurrent scan, the append / reserve / restart model fuzz's seeds), the progress
 # guarantee (the bank invariant's transfers and audits back to back, a transfer
 # against unthrottled writers of its rows committing by its first escalated
@@ -78,13 +80,13 @@ race:
 # at once; a durable commit without backups awaited, a replicated one not; a
 # redo record without the home bit while a chain is in flight, and a ring
 # bounded behind one-way messages; a removal a one-way message per host,
-# retried past a transient fault), the quiescence audit (a leaked lock and a
-# parked step named),
+# retried past a transient fault), the quiescence audit (a leaked lock named by
+# table and key, a replica's by its partition too, and a parked step at f = 0),
 # and two clients churning the same subscribers — repeated across
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoverAfterReviveFreesNothing|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastFailoverParkedStep|TestRingDrainsPastParkedWriteBack|TestRingsDrainPastStrandedStep|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoverAfterReviveFreesNothing|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -157,7 +159,7 @@ examples:
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastFailoverParkedStep' ./internal/tx/
+	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
 # serial window=1 control arm, for one-sided records, for shipped ordered /

@@ -417,7 +417,9 @@ func (db *DB) ReplicationFactor() int { return db.C.ReplicationFactor() }
 func (db *DB) PartitionOwner(p int) int { return db.C.OwnerOf(p) }
 
 // Revive marks a recovered node alive and drains any release-side writes
-// that committed transactions parked while the node was unreachable.
+// that committed transactions parked while the node was unreachable (only
+// without replication does anything park; a replicated cluster's crashed node
+// is failed over, never revived).
 func (db *DB) Revive(node int) {
 	db.C.Revive(node)
 	db.RT.FlushPending(node)

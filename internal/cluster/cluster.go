@@ -47,7 +47,8 @@ type Config struct {
 	// log may hold before its owner reclaims them, not an allocation. A log
 	// starts at nvram.InitialWords and is restarted at transaction boundaries
 	// (package tx), so only a worker kept from reclaiming — release-side work
-	// parked for a dead node — comes near the cap; overrunning it is fatal.
+	// parked for a dead node, which happens only without replication — comes
+	// near the cap; overrunning it is fatal.
 	LogWords int
 
 	// FailureDetection enables lease-based membership: heartbeat renewal,

@@ -65,6 +65,16 @@ func ReplicaRegion(p, table int) int {
 	return replicaRegionBase + p*replicaRegionStride + table
 }
 
+// RegionTable decodes a table's storage region: the table, and the partition
+// whose replica the region is (-1 for a primary region, whose ID is the table).
+func RegionTable(region int) (part, table int) {
+	if region < replicaRegionBase {
+		return -1, region
+	}
+	r := region - replicaRegionBase
+	return r / replicaRegionStride, r % replicaRegionStride
+}
+
 // Redo log regions: RedoLogRegion(s, w) on host b is the redo log that
 // sender worker (s, w) appends to on b.
 const (

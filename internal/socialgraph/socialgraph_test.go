@@ -208,4 +208,9 @@ func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	for n := 0; n < db.C.Nodes(); n++ {
+		if p := db.RT.PendingOps(n); p != 0 {
+			t.Errorf("%d release-side steps parked for node %d after the failover", p, n)
+		}
+	}
 }

@@ -218,6 +218,11 @@ func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
+	for n := 0; n < db.C.Nodes(); n++ {
+		if p := db.RT.PendingOps(n); p != 0 {
+			t.Errorf("%d release-side steps parked for node %d after the failover", p, n)
+		}
+	}
 	// The lane covers the ordered location cache: subscriber reads were served
 	// at cached offsets, of the primary's region before the crash and on after
 	// the failover.

@@ -187,6 +187,8 @@ func TestBornSlotFreedByRepair(t *testing.T) {
 				rt.Recover(0)
 			} else if rep := rt.Failover(0); !rep.Promoted {
 				t.Fatalf("failover did not promote: %+v", rep)
+			} else {
+				nothingParked(t, rt)
 			}
 			if s := stateOf(t, rt, 1, key); s != clock.Init {
 				t.Fatalf("slot state = %#x after the repair, want free", s)

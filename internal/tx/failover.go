@@ -48,9 +48,8 @@ type FailoverReport struct {
 //     (freeLocksOf, owner-guarded, so survivors' fresh locks are never
 //     clobbered), committed transactions' included, since the redo replay
 //     does not touch state words — after the replay, so a survivor locking
-//     a freed record sees the replayed value. No log is read;
-//  4. release-side ops parked for the crashed node are discarded: the redo
-//     replay supersedes them and the machine stays down.
+//     a freed record sees the replayed value. No log is read, and none is
+//     truncated; nothing is parked for the node (defer_) to discard.
 //
 // The crashed node is NOT revived; its clients fail over at the workload
 // level and in-flight transactions that staged against the old view abort
@@ -122,14 +121,6 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 	}
 
 	rep.Unlocked = rt.freeLocksOf(crashed)
-	for w := 0; w < cfg.WorkersPerNode; w++ {
-		if wk := c.Worker(crashed, w); wk.LockAheadLog != nil {
-			wk.LockAheadLog.Truncate()
-			wk.ChoppingLog.Truncate()
-		}
-	}
-
-	rt.discardPending(crashed)
 
 	ns := time.Since(start).Nanoseconds()
 	sh := c.Obs.Shard(0)
@@ -145,15 +136,4 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 		})
 	}
 	return rep
-}
-
-// discardPending drops the release-side ops parked for node without applying
-// them: after a promotion the redo replay supersedes parked write-backs, the
-// partition's live copy moved elsewhere, and the machine stays down.
-func (rt *Runtime) discardPending(node int) int {
-	rt.pendMu.Lock()
-	defer rt.pendMu.Unlock()
-	n := len(rt.pending[node])
-	delete(rt.pending, node)
-	return n
 }

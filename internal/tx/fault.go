@@ -23,12 +23,12 @@ import (
 //
 //   - Release-side verbs (unlock, commit write-back, deferred store ops)
 //     run AFTER the transaction's serialization point, so they must never
-//     fail: timeouts retry without bound, and writes to an unreachable
-//     node are parked in the runtime's pending queue. Recovery (or the
-//     node's revival) drains the queue, so a committed transaction's
-//     effects are never lost — the invariant the chaos experiment checks.
-//     They go out as one doorbell chain of WRITEs (Tx.postWave); the must*
-//     helpers are its re-drive.
+//     fail: timeouts retry without bound, and a step for an unreachable
+//     node goes to defer_ — parked for recovery (or the node's revival)
+//     without replication, run at once under it — so a committed
+//     transaction's effects are never lost, the invariant the chaos
+//     experiment checks. They go out as one doorbell chain of WRITEs
+//     (Tx.postWave); the must* helpers are its re-drive.
 
 // verbRetries bounds acquisition-side retries of transient verb faults.
 const verbRetries = 6
@@ -59,7 +59,7 @@ func (e *Executor) verbRetry(op func() error) error {
 }
 
 // mustWrite is the release-side WRITE: it retries timeouts without bound
-// and parks the write in the pending queue when the target is unreachable.
+// and hands the write to defer_ when the target is unreachable.
 //
 // When the ISSUING node is the one that crashed (the verb fails because a
 // dead machine cannot send), the write is dropped instead: the transaction's
@@ -94,7 +94,7 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 // The WRITE fails when a machine on the path is down — this one included —
 // and from then on recovery may free the lock and a survivor re-lock the
 // record: a late unlock from this (possibly zombie) transaction must not
-// clobber the new owner, now or when the parked step drains. A failed compare
+// clobber the new owner, now or when defer_ applies it. A failed compare
 // means the lock is already gone — done either way.
 func (e *Executor) mustUnlock(node, table int, off memory.Offset) {
 	locked := clock.WLocked(uint8(e.w.Node.ID))
@@ -120,10 +120,20 @@ func (e *Executor) zombie() bool {
 	return e.rt.C.Fabric.NodeDown(e.w.Node.ID)
 }
 
-// defer_ parks an apply step until node is recovered or revived. If the
-// node already came back between the failed verb and the enqueue, the
-// queue drains immediately so the step is not stranded.
+// defer_ takes a release-side step for node, which is unreachable. Under
+// replication it runs at once, serialized with Failover: the backups' rings
+// hold every committed value, so a write-back, unlock or removal lands in
+// memory nothing serves once the partition is promoted, and a store op (the
+// one step no ring carries) runs at the partition's owner (shipStoreOp).
+// Without replication the step parks until node is recovered or revived; if
+// the node came back before the enqueue, the queue drains at once.
 func (rt *Runtime) defer_(node int, apply func(*Runtime)) {
+	if rt.C.ReplicationFactor() > 0 {
+		rt.recMu.Lock()
+		defer rt.recMu.Unlock()
+		apply(rt)
+		return
+	}
 	rt.pendMu.Lock()
 	if rt.pending == nil {
 		rt.pending = make(map[int][]func(*Runtime))

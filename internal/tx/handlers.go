@@ -160,7 +160,7 @@ func (e *Executor) applyStoreOp(op deferredOp) {
 
 // shipStoreOp sends a deferred insert/delete to the record's host. It takes
 // the message by value: here it is boxed for the envelope and captured by the
-// parked closure, while a local op's (applyStoreOp) stays on the stack.
+// closure defer_ takes, while a local op's (applyStoreOp) stays on the stack.
 func (e *Executor) shipStoreOp(node int, m storeOpMsg) {
 	sz := (3 + len(m.Val)) * 8
 	for attempt := 0; ; attempt++ {
@@ -173,12 +173,14 @@ func (e *Executor) shipStoreOp(node int, m storeOpMsg) {
 			return
 		}
 		if errors.Is(err, rdma.ErrNodeUnreachable) {
-			// Post-commit effect on a crashed host: park it for recovery,
-			// like a deferred write-back (fault.go) — with a value of its own:
-			// the deferred op's is attempt scratch.
+			// Post-commit effect on a crashed host (defer_), with a value of
+			// its own: the deferred op's is attempt scratch. It runs at the
+			// partition's owner then: the crashed host, which mirrors it to
+			// the backups, or after a promotion the promoted replica.
 			m.Val = append([]uint64(nil), m.Val...)
 			e.rt.defer_(node, func(rt *Runtime) {
-				if _, aerr := rt.execStoreOp(rt.C.Node(node), m, nil); aerr != nil {
+				owner := rt.C.OwnerOf(rt.Part(m.Table, m.Key))
+				if _, aerr := rt.execStoreOp(rt.C.Node(owner), m, nil); aerr != nil {
 					panic(fmt.Sprintf("tx: recovered store op failed: %v", aerr))
 				}
 			})

@@ -38,22 +38,22 @@ import (
 // that were in flight (Figure 7): a chopping record until its piece commits, a
 // write-ahead record until every write it names is home. A worker
 // therefore restarts its three logs (reclaimLogs) where it starts a
-// transaction attempt — holding no lock, owing no write — unless, without
-// replication, some commit's release side is parked for an unreachable node
-// (fault.go), whose write-ahead record is exactly what a crash of this
-// coordinator would still need.
+// transaction attempt — holding no lock, owing no write — unless some commit's
+// release side is parked for an unreachable node (fault.go; only without
+// replication does anything park), whose write-ahead record is exactly what a
+// crash of this coordinator would still need.
 
 // reclaimLogs applies the lifetime rule at the start of a transaction attempt:
 // the worker's logs, if they hold anything, are restarted — all three, the
 // write-ahead log last, so no chopping record ever outlives the write-ahead
 // record that proved its transaction committed (Recover would hand the piece
-// back as pending). Without replication they are kept while release-side work
-// is parked anywhere in the runtime — the parked write's record must survive
-// this coordinator. Under replication no record a repair reads depends on a
-// parked step: Failover reads the redo rings only. A zombie keeps its logs
-// either way: its releases fail at the source, and the repair redoes its
-// dropped write-backs (mustWrite, mustUnlock). A zombie that passes the check
-// as its machine is declared dead restarts logs recovery may be scanning: the window the fault model already assumes away for a zombie's
+// back as pending). They are kept while release-side work is parked anywhere
+// in the runtime — the parked write's record must survive this coordinator;
+// under replication nothing parks (defer_ runs the step at once). A zombie
+// keeps its logs either way: its releases fail at the source, and the repair
+// redoes its dropped write-backs (mustWrite, mustUnlock). A zombie that passes
+// the check as its machine is declared dead restarts logs recovery may be
+// scanning: the window the fault model already assumes away for a zombie's
 // commit, and Log.Scan hands out no torn record in it. A restart appends
 // nothing and is charged nothing: the next append rewrites the head word anyway.
 func (e *Executor) reclaimLogs() {
@@ -66,7 +66,7 @@ func (e *Executor) reclaimLogs() {
 		return
 	}
 	w.Obs.Max(obs.GaugeLogWords, int64(live/8))
-	if e.zombie() || (e.rt.C.ReplicationFactor() == 0 && e.rt.parked()) {
+	if e.zombie() || e.rt.parked() {
 		return
 	}
 	w.ChoppingLog.Truncate()
@@ -112,8 +112,8 @@ func (t *Tx) logLockAhead() {
 
 // logged accounts for one record appended to the named log. A log full at its
 // cap means LogWords of records could not be reclaimed (reclaimLogs): a zombie
-// keeps its logs, and without replication so does a worker while release-side
-// work is parked for a node nobody recovers.
+// keeps its logs, and so does a worker while release-side work is parked for a
+// node nobody recovers (only without replication does anything park).
 func (t *Tx) logged(ok bool, log string, words int) {
 	if !ok {
 		panic("tx: " + log + " log full: LogWords of records not reclaimed")

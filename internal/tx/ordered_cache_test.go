@@ -295,6 +295,7 @@ func TestOrderedCacheAcrossFailover(t *testing.T) {
 	if rep := rt.Failover(part); !rep.Promoted {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
+	nothingParked(t, rt)
 	region := cluster.ReplicaRegion(part, tblOrders)
 	replica, _ := c.Node(backup).OrderedRegion(region)
 	if off, _ := replica.Lookup(key); off == primaryOff {

@@ -464,7 +464,7 @@ func (e *Executor) removeDead(ops []removalOp) {
 // so the worker pays one doorbell and leaves the message in flight
 // (rdma.QP.Send), plus one tree operation per entry. Release-side: transient
 // faults retry the whole message without bound, and a crashed host's removals
-// park for recovery, each on its own, like any post-commit effect.
+// go to defer_, each on its own, like any post-commit effect.
 func (e *Executor) shipRemoveDead(node int) {
 	ops := e.remMsg.Ops
 	e.charge(e.model().BTreeOpNS * int64(len(ops)))

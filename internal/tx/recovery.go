@@ -189,7 +189,7 @@ func (rt *Runtime) freeLocksOf(crashed int) int {
 // stopped: on every live machine no state word is write-locked — a lock
 // leaked by a commit, an abort or a repair — and no release-side step is
 // parked for it (PendingOps). The error names each leaked lock by node,
-// region, offset and word, the first few of them and the count.
+// region (table, key, a replica's partition), offset and word, the first few.
 func (rt *Runtime) AuditQuiescent() error {
 	const shown = 8
 	var errs []error
@@ -202,7 +202,12 @@ func (rt *Runtime) AuditQuiescent() error {
 			so := kvs.StateOffset(off)
 			if s := a.LoadWord(so); clock.IsWriteLocked(s) {
 				if locked++; locked <= shown {
-					errs = append(errs, fmt.Errorf("node %d region %d offset %d: state word %#x write-locked", node, region, so, s))
+					part, table := cluster.RegionTable(region)
+					row := fmt.Sprintf("table %d key %d", table, a.LoadWord(off+kvs.EntryKeyWord))
+					if part >= 0 {
+						row = fmt.Sprintf("partition %d's replica of %s", part, row)
+					}
+					errs = append(errs, fmt.Errorf("node %d region %d (%s) offset %d: state word %#x write-locked", node, region, row, so, s))
 				}
 			}
 		})

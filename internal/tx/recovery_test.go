@@ -759,6 +759,7 @@ func lifetimeCrashPoint(t *testing.T, f int, durable, fallback, ringFull bool, p
 		if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 			t.Errorf("second Failover found work: %+v", again)
 		}
+		nothingParked(t, rt)
 	}
 
 	assertNoLocksOf(t, rt, 0)

@@ -112,19 +112,20 @@ func (t *Tx) replView(part int) (uint64, bool) {
 // The record carries the home bit — this worker's earlier records are home,
 // so a backup may apply and truncate them as this one lands — when the worker
 // is no zombie (a zombie dropped its write-backs) and its QP is idle: a live
-// worker posted the write-back of every earlier commit, or parked it for a
-// dead primary, before it returned, and the connection completes in post
-// order, so once nothing is in flight every one has landed. Without the bit
-// the backup keeps the earlier records one more append; this append's wave is
-// awaited and pays what is in flight, so the next record normally carries it.
+// worker posted the write-back of every earlier commit, or applied it to a dead
+// primary's memory itself (defer_), before it returned, and the connection
+// completes in post order, so once nothing is in flight every one has landed.
+// Without the bit the backup keeps the earlier records one more append; this
+// append's wave is awaited and pays what is in flight, so the next record
+// normally carries it.
 // A one-way Send can leave work in flight past that wait, so once the words
 // appended to a backup since its last home record there would pass
 // cluster.CheckpointWords, the append first waits out what is in flight
-// (rdma.QP.Settle) and sets the bit: a ring stays under twice that. A parked
-// update needs no ring kept whole, as it went to every backup of its
-// partition, whose drain applies it to that replica and whose promotion
-// replays the rest (TestRingDrainsPastParkedWriteBack). A backup's drain drops
-// only the updates of partitions it does not back up.
+// (rdma.QP.Settle) and sets the bit: a ring stays under twice that. An update
+// written back into a dead primary needs no ring kept whole, as it went to
+// every backup of its partition, whose drain applies it to that replica and
+// whose promotion replays the rest (TestRingDrainsPastDeadWriteBack). A
+// backup's drain drops only the updates of partitions it does not back up.
 func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	e := t.e
 	rt := e.rt

@@ -121,9 +121,7 @@ func heldStructuralRows(t *testing.T, mode string) {
 	if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 		t.Errorf("second Failover found work: %+v", again)
 	}
-	if n := rt.PendingOps(0); n != 0 {
-		t.Errorf("%d release steps parked for the dead coordinator", n)
-	}
+	nothingParked(t, rt)
 	if err := survivor.ExecRO(func(ro *RO) error {
 		if _, err := ro.Read(tblOrders, born); !errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("inserted row %d: %v, want it dead", born, err)
@@ -208,9 +206,7 @@ func heldLocalRows(t *testing.T, mode string) {
 	if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 		t.Errorf("second Failover found work: %+v", again)
 	}
-	if n := rt.PendingOps(0); n != 0 {
-		t.Errorf("%d release steps parked for the dead coordinator", n)
-	}
+	nothingParked(t, rt)
 	if errors.Is(survived, errGaveUp) {
 		// Shut out of the window: it commits against the promoted copy.
 		if err := survive(1 << 20); err != nil {
@@ -251,18 +247,73 @@ func heldLocalRows(t *testing.T, mode string) {
 	}
 }
 
-// TestLogsRestartPastFailoverParkedStep: under f = 1 no record a repair reads
-// depends on a parked release step — Failover reads the redo rings only — so a
-// step parked for a
-// node after its promotion (never revived, nothing drains what is parked for it
-// from then on) does not freeze the logs: the workers keep restarting them and
-// the logs' high water stays where one transaction leaves it.
-func TestLogsRestartPastFailoverParkedStep(t *testing.T) {
+// nothingParked fails t unless no release-side step is parked for any node:
+// under replication defer_ runs every step at once.
+func nothingParked(t *testing.T, rt *Runtime) {
+	t.Helper()
+	for n := 0; n < rt.C.Nodes(); n++ {
+		if p := rt.PendingOps(n); p != 0 {
+			t.Errorf("%d release-side steps parked for node %d", p, n)
+		}
+	}
+}
+
+// TestDeferredStoreOpsSurviveFailover: a committed transaction's deferred
+// insert or delete of a row homed on a machine that dies before the op is
+// shipped survives the machine's failover. No ring carries a store op, so
+// it runs at once at the partition's owner — here the dead primary, which
+// mirrors it to the backup that Failover then promotes. Node 0's body inserts
+// row 10 (or deletes row 4), both homed on node 1, and crashes node 1.
+func TestDeferredStoreOpsSurviveFailover(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		key  uint64
+		op   func(lc *Local, key uint64)
+		want error
+	}{
+		{"insert", 10, func(lc *Local, key uint64) { lc.Insert(tblWideHash, key, wideVal(wideBalance)) }, nil},
+		{"delete", 4, func(lc *Local, key uint64) { lc.Delete(tblWideHash, key) }, ErrNotFound},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			rt, stop := lifetimeRig(t, 1)
+			defer stop()
+			e := rt.Executor(0, 0)
+			if err := e.Exec(func(tx *Tx) error {
+				return tx.Execute(func(lc *Local) error {
+					arm.op(lc, arm.key)
+					rt.C.Crash(1)
+					return nil
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if rep := rt.Failover(1); !rep.Promoted {
+				t.Fatalf("failover did not promote: %+v", rep)
+			}
+			nothingParked(t, rt)
+			err := e.ExecRO(func(ro *RO) error {
+				v, err := ro.Read(tblWideHash, arm.key)
+				if err == nil && v[0] != wideBalance {
+					t.Errorf("row %d = %d, want %d", arm.key, v[0], wideBalance)
+				}
+				return err
+			})
+			if !errors.Is(err, arm.want) {
+				t.Fatalf("read of row %d after the failover: %v, want %v", arm.key, err, arm.want)
+			}
+		})
+	}
+}
+
+// TestLogsRestartPastReleaseAfterFailover: under f = 1 a release step for a
+// node after its promotion runs at once, so it parks nothing and does not
+// freeze the logs: the workers keep restarting them and the logs' high water
+// stays where one transaction leaves it.
+func TestLogsRestartPastReleaseAfterFailover(t *testing.T) {
 	rt, stop := lifetimeRig(t, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
-	// A lock on node 1 staged before its crash and released after its failover:
-	// the release parks for the dead node, behind Failover's discard.
+	// A lock on node 1 staged before its crash and released after its failover.
 	held := e.newTx()
 	if err := held.Stage(Access{Table: tblWideHash, Key: 1, Write: true}); err != nil {
 		t.Fatal(err)
@@ -272,9 +323,7 @@ func TestLogsRestartPastFailoverParkedStep(t *testing.T) {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
 	held.releaseLocks()
-	if n := rt.PendingOps(1); n != 1 {
-		t.Fatalf("%d steps parked for the failed-over node, want the release", n)
-	}
+	nothingParked(t, rt)
 
 	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }
 	highWater := func() int64 { return rt.C.Obs.Snapshot().Count("nvram.log_high_water") }
@@ -294,45 +343,41 @@ func TestLogsRestartPastFailoverParkedStep(t *testing.T) {
 		transfer(piece)
 	}
 	if got := restarts() - r0; got != 40 {
-		t.Errorf("%d log restarts over 40 transactions behind the parked step, want one each", got)
+		t.Errorf("%d log restarts over 40 transactions after the failover, want one each", got)
 	}
 	if now := highWater(); now != hw {
 		t.Errorf("nvram.log_high_water %d -> %d words over 40 transactions: the logs kept history", hw, now)
 	}
-	if rt.PendingOps(1) != 1 {
-		t.Errorf("the parked step went away: %d left", rt.PendingOps(1))
-	}
+	nothingParked(t, rt)
 }
 
-// TestRingDrainsPastParkedWriteBack: a live sender vouches for its earlier
-// records even while a write-back of one of them is parked, as every backup of
-// the parked update's partition holds it. At f = 2, node 0 commits a transfer
-// from node 1's row 1 into node 2's row 2 as node 1 dies: the write-back to row
-// 1 parks, and the record lands on nodes 0 and 2, both backups of node 1's
-// partition. Transfers between rows 2 and 5 fill node 0's ring past
-// CheckpointWords, so node 0 applies the record to its replicas and truncates
-// it. Node 2 then dies too, and node 0 is promoted for both: the drained
-// replica of row 1 is the only copy of the parked update left, and every unit
-// must be where the commits put it.
-func TestRingDrainsPastParkedWriteBack(t *testing.T) {
+// TestRingDrainsPastDeadWriteBack: a live sender vouches for its earlier
+// records even when a write-back of one of them went to a dead primary's
+// memory, as every backup of the update's partition holds it. At f = 2, node
+// 0 commits a transfer from node 1's row 1 into node 2's row 2 as node 1 dies:
+// the write-back to row 1 lands in the dead memory at once, and the record
+// lands on nodes 0 and 2, both backups of node 1's partition. Transfers
+// between rows 2 and 5 fill node 0's ring past CheckpointWords, so node 0
+// applies the record to its replicas and truncates it. Node 2 then dies too,
+// and node 0 is promoted for both: the drained replica of row 1 is the only
+// live copy of the update, and every unit must be where the commits put it.
+func TestRingDrainsPastDeadWriteBack(t *testing.T) {
 	rt, stop := lifetimeRig(t, 2)
 	defer stop()
 	e := rt.Executor(0, 0)
 	ring := rt.C.RedoSinkAt(0, 0, 0)
 	drains := func() int64 { return rt.C.Obs.Total(obs.EvRingDrain) }
 	if err := pieceTransfer(e, 1, 2, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
-		t.Fatalf("the commit whose write-back to node 1 parks: %v", err)
+		t.Fatalf("the commit whose write-back to node 1 finds it dead: %v", err)
 	}
-	if rt.PendingOps(1) == 0 {
-		t.Fatal("nothing parked for the dead node")
-	}
+	nothingParked(t, rt)
 	moves := 0
 	for drains() == 0 {
 		if err := pieceTransfer(e, 2, 5, 2, false, nil, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if moves++; ring.BytesUsed() > cluster.CheckpointWords*8+transferRedoBytes {
-			t.Fatalf("ring at %d bytes after %d transfers, past CheckpointWords and one record: never drained behind the parked write-back",
+			t.Fatalf("ring at %d bytes after %d transfers, past CheckpointWords and one record: never drained behind the dead write-back",
 				ring.BytesUsed(), moves)
 		}
 	}
@@ -362,13 +407,11 @@ func TestRingDrainsPastParkedWriteBack(t *testing.T) {
 	}
 }
 
-// TestRingsDrainPastStrandedStep: a release step parked for a node after its
-// failover is never drained (nothing revives the node), and it must not stop
-// its worker's rings from draining either. Node 0 keeps committing behind such
-// a step until twice a ring's capacity (1 << 16 words, cluster.redoLogWords)
-// has passed through its ring on node 0; the ring never holds more than
-// CheckpointWords and one record, and it does not overflow.
-func TestRingsDrainPastStrandedStep(t *testing.T) {
+// TestReleaseAfterFailoverParksNothing: a lock node 0 staged on node 1 before
+// node 1 died, released after node 1's failover, is released at once into the
+// dead memory: nothing is parked for the node, which nothing revives, and no
+// live machine is left owing anything.
+func TestReleaseAfterFailoverParksNothing(t *testing.T) {
 	rt, stop := lifetimeRig(t, 1)
 	defer stop()
 	e := rt.Executor(0, 0)
@@ -381,22 +424,8 @@ func TestRingsDrainPastStrandedStep(t *testing.T) {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
 	held.releaseLocks()
-	if n := rt.PendingOps(1); n != 1 {
-		t.Fatalf("%d steps parked for the failed-over node, want the release", n)
-	}
-
-	ring := rt.C.RedoSinkAt(0, 0, 0)
-	const ringBytes = (1 << 16) * 8
-	for passed := 0; passed < 2*ringBytes; passed += transferRedoBytes {
-		if err := pieceTransfer(e, 3, 2, 1, false, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if ring.BytesUsed() > cluster.CheckpointWords*8+transferRedoBytes {
-			t.Fatalf("ring at %d bytes after %d bytes of records: it stopped draining behind the stranded step",
-				ring.BytesUsed(), passed+transferRedoBytes)
-		}
-	}
-	if rt.PendingOps(1) != 1 {
-		t.Errorf("the stranded step went away: %d left", rt.PendingOps(1))
+	nothingParked(t, rt)
+	if err := rt.AuditQuiescent(); err != nil {
+		t.Error(err)
 	}
 }

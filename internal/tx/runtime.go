@@ -104,9 +104,9 @@ type Runtime struct {
 	// Written only during setup (DefineIndex); read lock-free afterwards.
 	indexes map[int][]IndexSpec
 
-	// pending parks release-side steps (unlocks, commit write-backs,
-	// deferred store ops) whose target node crashed mid-transaction; see
-	// fault.go. recMu serializes Recover against itself and the drain.
+	// pending parks, without replication, release-side steps whose target
+	// node crashed mid-transaction (fault.go). recMu serializes the repairs
+	// (Recover, Failover) and, under replication, defer_'s steps with them.
 	pendMu  sync.Mutex
 	pending map[int][]func(*Runtime)
 	recMu   sync.Mutex

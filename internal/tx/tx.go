@@ -268,8 +268,8 @@ func (t *Tx) release() {
 }
 
 // nodeDown aborts the transaction because a node it touched is crashed or
-// persistently unreachable: every held lock is released (or parked for the
-// dead node) and the caller sees ErrNodeDown, which Exec does not retry.
+// persistently unreachable: every held lock is released (a dead node's through
+// defer_) and the caller sees ErrNodeDown, which Exec does not retry.
 func (t *Tx) nodeDown() error {
 	t.releaseLocks()
 	return ErrNodeDown

@@ -341,20 +341,21 @@ func TestValidateSeesARowAsOneLine(t *testing.T) {
 // TestFallbackMovedHeaderTracesSpec: a fallback attempt that loses on a moved
 // header is a failed read — traced CauseSpec and counted in
 // spec.validate_fail — not a failed lease: the lease ran out honestly while
-// the attempt waited, and the header decided.
+// the attempt waited, and the header decided. The second attempt's region
+// reads the softtime word for its lease, so the rig starts no timers (replRig):
+// a tick there would abort that region into a second fallback too.
 func TestFallbackMovedHeaderTracesSpec(t *testing.T) {
-	rt, stop := newRig(t, 2, 1, 4, leasesNeverExpire)
-	defer stop()
+	rt, e := replRig(t, func(*cluster.Config) {})
 	rt.ReadPolicy = PolicyLease
 	rt.FallbackThreshold = 1
 	reg := rt.C.Obs
 	reg.EnableTrace(4)
 	host := rt.C.Node(1).Unordered(tblAccounts)
-	off, _ := host.LookupLocal(1)
+	off, _ := host.LookupLocal(3)
 	attempts := 0
-	if err := rt.Executor(0, 0).Exec(func(tx *Tx) error {
+	if err := e.Exec(func(tx *Tx) error {
 		attempts++
-		if err := tx.R(tblAccounts, 1); err != nil { // remote
+		if err := tx.R(tblAccounts, 3); err != nil { // remote
 			return err
 		}
 		return tx.Execute(func(lc *Local) error {
@@ -364,7 +365,7 @@ func TestFallbackMovedHeaderTracesSpec(t *testing.T) {
 			if lc.htx != nil {
 				lc.htx.Abort(99) // on to the fallback
 			}
-			tx.index[refKey{tblAccounts, 1}].leaseEnd = 0
+			tx.index[refKey{tblAccounts, 3}].leaseEnd = 0
 			a := host.Arena()
 			a.StoreWord(kvs.IncVerOffset(off), a.LoadWord(kvs.IncVerOffset(off))+1)
 			return nil

@@ -80,6 +80,18 @@ func openReplicated(t *testing.T, n int, extra func(*drtm.Options)) *drtm.DB {
 // commit transactions that update records homed on node 1 (appending their
 // write-sets to node 2's redo logs), crash node 1, promote, and verify the
 // promoted copy serves every committed update — including cross-partition
+
+// nothingParked fails t unless no release-side step is parked for any node:
+// under replication a step for a down node runs at once.
+func nothingParked(t *testing.T, db *drtm.DB) {
+	t.Helper()
+	for n := 0; n < db.Nodes(); n++ {
+		if p := db.RT.PendingOps(n); p != 0 {
+			t.Errorf("%d release-side ops still parked for node %d", p, n)
+		}
+	}
+}
+
 // transactions' writes — through the view-routed read paths.
 func TestFailoverPromoteServesCommittedWrites(t *testing.T) {
 	const accounts = 1
@@ -205,6 +217,7 @@ func TestFailoverPromoteServesCommittedWrites(t *testing.T) {
 	if err := db.RT.AuditQuiescent(); err != nil {
 		t.Error(err)
 	}
+	nothingParked(t, db)
 }
 
 // TestFailoverIdempotence pins the promote protocol's recovery-idempotence:
@@ -232,6 +245,7 @@ func TestFailoverIdempotence(t *testing.T) {
 	if st := db.Stats(); st.Count("repl.failover") != 1 {
 		t.Errorf("repl.failover = %d after repeated calls, want 1", st.Count("repl.failover"))
 	}
+	nothingParked(t, db)
 }
 
 // TestZombieAppendFenced pins the view-epoch fence: after a promotion, a
@@ -283,6 +297,7 @@ func TestZombieAppendFenced(t *testing.T) {
 			t.Fatalf("current-epoch append rejected: %v", err)
 		}
 	}
+	nothingParked(t, db)
 }
 
 // TestRedoDrainDoesNotResurrectDeletedKeys pins the ordering between the
@@ -354,6 +369,7 @@ func TestRedoDrainDoesNotResurrectDeletedKeys(t *testing.T) {
 	if got, ok := db.Get(accounts, 1); !ok || got[0] != 100 {
 		t.Errorf("Get(1) after failover = %v %v, want [100]", got, ok)
 	}
+	nothingParked(t, db)
 }
 
 // TestFailoverSmallBankConservation is the replication chaos test: a
@@ -451,10 +467,6 @@ func TestFailoverSmallBankConservation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if p := db.RT.PendingOps(victim); p != 0 {
-		t.Errorf("%d release-side ops still parked for the dead primary", p)
-	}
-
 	var net int64
 	for _, cl := range clients {
 		net += cl.NetDeposits
@@ -487,4 +499,5 @@ func TestFailoverSmallBankConservation(t *testing.T) {
 	if err := db.RT.AuditQuiescent(); err != nil {
 		t.Error(err)
 	}
+	nothingParked(t, db)
 }
