@@ -346,11 +346,9 @@ func (db *DB) Load(table int, key uint64, val []uint64) error {
 		}
 		return nil
 	}
-	if err := db.loadOn(part, table, table, key, val); err != nil {
-		return err
-	}
-	for _, b := range db.C.Backups(nil, part) {
-		if err := db.loadOn(b, table, cluster.ReplicaRegion(part, table), key, val); err != nil {
+	var buf [4]int // the home and up to three backups without a heap slice
+	for _, node := range db.C.Copies(buf[:0], part) {
+		if err := db.loadOn(node, table, cluster.CopyRegion(part, table, node), key, val); err != nil {
 			return err
 		}
 	}
@@ -372,10 +370,7 @@ func (db *DB) Get(table int, key uint64) ([]uint64, bool) {
 	if part < 0 {
 		part = 0
 	}
-	node, region := part, table
-	if owner := db.C.OwnerOf(part); owner != part {
-		node, region = owner, cluster.ReplicaRegion(part, table)
-	}
+	node, region := db.C.Serving(part, table)
 	if db.RT.Meta(table).Kind == tx.Ordered {
 		o, ok := db.C.Node(node).OrderedRegion(region)
 		if !ok {

@@ -103,13 +103,6 @@ func (h *Hopscotch) Arena() *memory.Arena { return h.arena }
 // Len returns the number of stored keys.
 func (h *Hopscotch) Len() int { h.mu.Lock(); defer h.mu.Unlock(); return h.size }
 
-// OverflowLen reports how many keys spilled to the host-side overflow path.
-func (h *Hopscotch) OverflowLen() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.overflow)
-}
-
 func (h *Hopscotch) home(key uint64) uint64 { return mix(key, 0x48505343) % h.buckets }
 
 func (h *Hopscotch) slotOff(i uint64) memory.Offset {

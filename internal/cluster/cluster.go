@@ -281,73 +281,49 @@ func (c *Cluster) Workers() []*Worker {
 // Worker returns worker w of node n.
 func (c *Cluster) Worker(n, w int) *Worker { return c.nodes[n].workers[w] }
 
-// RegisterUnordered creates one shard of an unordered (hash) table on every
-// node and registers the arenas on the fabric under region ID = table ID.
-// With replication on, each node additionally hosts a replica shard for
-// every partition it backs up, registered under ReplicaRegion(p, tableID):
-// the promote path flips ownership to the replica without moving any data.
+// RegisterUnordered creates a shard of an unordered (hash) table on every copy
+// of every partition (Copies) and registers its arena on the fabric under the
+// copy's region: the table ID on the home, the partition's replica region on
+// each backup, so the promote path flips ownership to the replica without
+// moving any data. At f = 0 that is one shard per node.
 func (c *Cluster) RegisterUnordered(tableID, mainBuckets, indirectBuckets, capacity, valueWords int) {
-	for _, n := range c.nodes {
-		t := kvs.New(kvs.Config{
-			Node: n.ID, RegionID: tableID,
-			MainBuckets: mainBuckets, IndirectBuckets: indirectBuckets,
-			Capacity: capacity, ValueWords: valueWords,
-		}, n.Engine)
-		n.unordered[tableID] = t
-		c.Fabric.Register(n.ID, tableID, t.Arena())
-	}
-	if c.cfg.ReplicationFactor > 0 {
-		var backups []int
-		for p := 0; p < c.cfg.Nodes; p++ {
-			backups = c.Backups(backups[:0], p)
-			for _, b := range backups {
-				n := c.nodes[b]
-				region := ReplicaRegion(p, tableID)
-				t := kvs.New(kvs.Config{
-					Node: n.ID, RegionID: region,
-					MainBuckets: mainBuckets, IndirectBuckets: indirectBuckets,
-					Capacity: capacity, ValueWords: valueWords,
-				}, n.Engine)
-				n.unordered[region] = t
-				c.Fabric.Register(n.ID, region, t.Arena())
-			}
+	var copies []int
+	for p := range c.nodes {
+		copies = c.Copies(copies[:0], p)
+		for _, node := range copies {
+			n, region := c.nodes[node], CopyRegion(p, tableID, node)
+			t := kvs.New(kvs.Config{
+				Node: node, RegionID: region,
+				MainBuckets: mainBuckets, IndirectBuckets: indirectBuckets,
+				Capacity: capacity, ValueWords: valueWords,
+			}, n.Engine)
+			n.unordered[region] = t
+			c.Fabric.Register(node, region, t.Arena())
 		}
 	}
 }
 
-// RegisterOrdered creates one shard of an ordered (B+ tree) table on every
-// node. Record entries are fabric-registered like hash-table entries: point
-// accesses resolve the entry offset through the host's index (a shipped
-// lookup when remote), then lock/fetch/write-back the entry one-sided
-// exactly like unordered records; only structural index changes are
-// two-sided. With replication on, each node hosts a replica shard for every
-// partition it backs up, registered under ReplicaRegion(p, tableID) —
-// value updates ride the redo stream, structural changes are mirrored
+// RegisterOrdered creates a shard of an ordered (B+ tree) table on every copy
+// of every partition, as RegisterUnordered does. Record entries are
+// fabric-registered like hash-table entries: point accesses resolve the entry
+// offset through the host's index (a shipped lookup when remote), then
+// lock/fetch/write-back the entry one-sided exactly like unordered records;
+// only structural index changes are two-sided. On a replica shard value
+// updates ride the redo stream and structural changes are mirrored
 // synchronously (tx layer), so a promotion serves the tree without moving
 // data.
 func (c *Cluster) RegisterOrdered(tableID, capacity, valueWords int, segShift uint) {
-	for _, n := range c.nodes {
-		o := kvs.NewOrdered(kvs.OrderedConfig{
-			Node: n.ID, RegionID: tableID,
-			Capacity: capacity, ValueWords: valueWords, SegShift: segShift,
-		}, n.Engine)
-		n.ordered[tableID] = o
-		c.Fabric.Register(n.ID, tableID, o.Arena())
-	}
-	if c.cfg.ReplicationFactor > 0 {
-		var backups []int
-		for p := 0; p < c.cfg.Nodes; p++ {
-			backups = c.Backups(backups[:0], p)
-			for _, b := range backups {
-				n := c.nodes[b]
-				region := ReplicaRegion(p, tableID)
-				o := kvs.NewOrdered(kvs.OrderedConfig{
-					Node: n.ID, RegionID: region,
-					Capacity: capacity, ValueWords: valueWords, SegShift: segShift,
-				}, n.Engine)
-				n.ordered[region] = o
-				c.Fabric.Register(n.ID, region, o.Arena())
-			}
+	var copies []int
+	for p := range c.nodes {
+		copies = c.Copies(copies[:0], p)
+		for _, node := range copies {
+			n, region := c.nodes[node], CopyRegion(p, tableID, node)
+			o := kvs.NewOrdered(kvs.OrderedConfig{
+				Node: node, RegionID: region,
+				Capacity: capacity, ValueWords: valueWords, SegShift: segShift,
+			}, n.Engine)
+			n.ordered[region] = o
+			c.Fabric.Register(node, region, o.Arena())
 		}
 	}
 }
@@ -370,9 +346,9 @@ func (n *Node) Ordered(tableID int) *kvs.Ordered {
 	return o
 }
 
-// OrderedRegion returns node n's ordered shard for a storage region —
-// either a primary shard (region == tableID) or a replica shard
-// (region == ReplicaRegion(p, tableID)).
+// OrderedRegion returns node n's ordered shard for a storage region — a
+// primary shard or a replica shard (CopyRegion) — and whether the node hosts
+// one under it.
 func (n *Node) OrderedRegion(region int) (*kvs.Ordered, bool) {
 	o, ok := n.ordered[region]
 	return o, ok

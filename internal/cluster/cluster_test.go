@@ -346,3 +346,77 @@ func TestRedoSinkDrainEquivalence(t *testing.T) {
 		}
 	})
 }
+
+// TestCopies: a partition's copies are its home, then its backups in rank
+// order, one shard of every registered table on each, under the copy's region
+// (the table on the home, a replica region on a backup that no other
+// partition's copy shares); Copies appends without allocating when dst has
+// room; Serving names the home's table until a promotion is published, and the
+// promoted backup's replica region after — TryPromote alone moves nothing.
+func TestCopies(t *testing.T) {
+	const nodes, table = 4, 3
+	for f := 0; f <= 2; f++ {
+		cfg := DefaultConfig(nodes, 1)
+		cfg.ReplicationFactor = f
+		c := New(cfg)
+		c.RegisterUnordered(table, 16, 16, 16, 1)
+		c.RegisterOrdered(table+1, 16, 1, 8)
+		regions := map[[2]int]int{} // (node, region) -> partition
+		buf := make([]int, 0, nodes)
+		for p := 0; p < nodes; p++ {
+			copies := c.Copies(buf, p)
+			want := []int{p}
+			for i := 1; i <= f; i++ {
+				want = append(want, (p+i)%nodes)
+			}
+			if !slices.Equal(copies, want) {
+				t.Fatalf("f=%d: Copies(%d) = %v, want %v", f, p, copies, want)
+			}
+			if &copies[0] != &buf[:1][0] {
+				t.Fatalf("f=%d: Copies(%d) did not append to dst", f, p)
+			}
+			for _, n := range copies {
+				region := CopyRegion(p, table, n)
+				if (n == p) != (region == table) {
+					t.Fatalf("f=%d: CopyRegion(%d, %d, %d) = %d", f, p, table, n, region)
+				}
+				if rp, rt := RegionTable(region); rt != table || (n != p && rp != p) {
+					t.Fatalf("f=%d: region %d decodes to partition %d table %d", f, region, rp, rt)
+				}
+				if q, dup := regions[[2]int{n, region}]; dup {
+					t.Fatalf("f=%d: partitions %d and %d share region %d on node %d", f, q, p, region, n)
+				}
+				regions[[2]int{n, region}] = p
+				c.Node(n).Unordered(region)
+				c.Node(n).Ordered(CopyRegion(p, table+1, n))
+			}
+			if node, region := c.Serving(p, table); node != p || region != table {
+				t.Fatalf("f=%d: Serving(%d) = (%d, %d) before any promotion", f, p, node, region)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = c.Copies(buf[:0], 1) }); allocs != 0 {
+			t.Fatalf("f=%d: Copies into a roomy dst allocates %.0f objects", f, allocs)
+		}
+		if f == 0 {
+			continue
+		}
+		const part, backup = 1, 2
+		nv, ok := c.TryPromote(part, backup)
+		if !ok {
+			t.Fatalf("f=%d: TryPromote failed", f)
+		}
+		if node, region := c.Serving(part, table); node != part || region != table {
+			t.Fatalf("f=%d: Serving = (%d, %d) before PublishView", f, node, region)
+		}
+		c.PublishView(part, nv)
+		if node, region := c.Serving(part, table); node != backup || region != CopyRegion(part, table, backup) {
+			t.Fatalf("f=%d: Serving = (%d, %d) after the promotion, want node %d's replica region", f, node, region, backup)
+		}
+		if node, region := c.Serving(0, table); node != 0 || region != table {
+			t.Fatalf("f=%d: Serving(0) = (%d, %d): another partition moved", f, node, region)
+		}
+		if copies := c.Copies(nil, part); !slices.Equal(copies, []int{part, 2, 3}[:f+1]) {
+			t.Fatalf("f=%d: Copies(%d) after the promotion = %v", f, part, copies)
+		}
+	}
+}

@@ -16,8 +16,11 @@ import (
 // in this codebase) is backed up by the f nodes that follow it in ring
 // order, Backups(p) = {p+1, ..., p+f} mod N. Each backup hosts a full
 // replica shard of every table of the partitions it backs up, registered on
-// the fabric under ReplicaRegion(p, table) so the existing one-sided verb
-// paths address replica entries exactly like primary entries.
+// the fabric under a replica region of its own so the existing one-sided verb
+// paths address replica entries exactly like primary entries. This file is
+// the one place that names a partition's copies: Copies lists the nodes that
+// hold one, CopyRegion the region a copy occupies on its node, and Serving
+// the copy that serves the partition under the routing view.
 //
 // Commit durability is one-sided: after a transaction's HTM region commits,
 // its write-set is appended as one redo record (nvram.EncodeRedo) to a redo
@@ -50,7 +53,7 @@ func ViewOwner(w uint64) int { return int(w & (1<<viewOwnerBits - 1)) }
 // ViewEpoch extracts the epoch from a packed view word.
 func ViewEpoch(w uint64) uint64 { return w >> viewOwnerBits }
 
-// Replica table regions: ReplicaRegion(p, t) addresses the replica shard of
+// Replica table regions: replicaRegion(p, t) addresses the replica shard of
 // partition p's table t on whichever backup hosts it. The base keeps these
 // IDs disjoint from plain table IDs (small ints) and the membership region
 // (1<<30).
@@ -59,10 +62,17 @@ const (
 	replicaRegionStride = 1 << 16 // max tables per partition
 )
 
-// ReplicaRegion returns the fabric/table region ID of partition p's replica
-// of table t.
-func ReplicaRegion(p, table int) int {
+func replicaRegion(p, table int) int {
 	return replicaRegionBase + p*replicaRegionStride + table
+}
+
+// CopyRegion returns the fabric/table region partition p's table occupies on
+// node: the table itself on p's home, the replica region on a backup.
+func CopyRegion(p, table, node int) int {
+	if node == p {
+		return table
+	}
+	return replicaRegion(p, table)
 }
 
 // RegionTable decodes a table's storage region: the table, and the partition
@@ -122,8 +132,9 @@ type RedoSink struct {
 // this host's replica shards and truncated — FaRM's lazy truncation, riding
 // the next append instead of a message of its own. A host drops the updates
 // of partitions it does not back up; the home bit is what makes that safe, as
-// every one of them is on its primary by then, or parked for a dead primary
-// and held by that partition's own backups. A sender sets the bit only once
+// every one of them is on its primary by then — a dead primary's memory
+// included, where it was written at once (tx.Runtime.defer_) — and held by
+// that partition's own backups. A sender sets the bit only once
 // its release chains have landed, and waits for them before the words it
 // appended here since its last home record would pass CheckpointWords
 // (tx.appendRedo), so while it is alive a ring is bounded by CheckpointWords
@@ -227,6 +238,21 @@ func (c *Cluster) Backups(dst []int, p int) []int {
 	return dst
 }
 
+// Copies appends the nodes holding partition p's copies to dst and returns
+// it: p's home first, then its backups in rank order. At f = 0 that is the
+// home alone.
+func (c *Cluster) Copies(dst []int, p int) []int {
+	return c.Backups(append(dst, p), p)
+}
+
+// Serving returns the copy that serves partition p's table under the routing
+// view: its owner, and the region the table occupies there — the home's table
+// until a promotion, the promoted backup's replica region after.
+func (c *Cluster) Serving(p, table int) (node, region int) {
+	node = c.OwnerOf(p)
+	return node, CopyRegion(p, table, node)
+}
+
 // IsBackup reports whether node b is one of partition p's backups (a ring
 // successor within the replication factor).
 func (c *Cluster) IsBackup(b, p int) bool {
@@ -260,9 +286,6 @@ func (c *Cluster) MembershipView(p int) uint64 {
 	}
 	return c.membership.LoadWord(c.viewOff(p))
 }
-
-// ViewEpochOf returns partition p's current view epoch.
-func (c *Cluster) ViewEpochOf(p int) uint64 { return ViewEpoch(c.View(p)) }
 
 // TryPromote CASes partition p's view from (epoch, p-owned) to (epoch+1,
 // newOwner) — the atomic ownership handover of hot failover. It fails (ok

@@ -39,35 +39,6 @@ func RetireTx(hx *htm.Txn, a *memory.Arena, off memory.Offset, vw, depth int, no
 	hx.Write(a, tailOff+TailIncVerWord, newIncVer)
 }
 
-// RetireSlotTx is the slot half of RetireTx: it moves the entry's current
-// (stamp, incver, value) triple into its ring slot inside the HTM region and
-// returns the previous tail stamp, but leaves the tail untouched. A
-// multi-entry transactional commit uses it so that ONE stamp can cover every
-// written entry: the caller collects the returned previous tail stamps,
-// raises its commit stamp above all of them, and publishes every entry's
-// tail pair (stamp, final head) in a fix-up pass before the HTM commit — a
-// commit whose entries carried different stamps could be observed half-done
-// by a snapshot reader between them. Returns 0 (and writes nothing) for an
-// unstamped entry or when depth <= 0.
-func RetireSlotTx(hx *htm.Txn, a *memory.Arena, off memory.Offset, vw, depth int) uint64 {
-	if depth <= 0 {
-		return 0
-	}
-	oldStamp := hx.Read(a, TailOffset(off, vw, depth)+TailStampWord)
-	if oldStamp == 0 {
-		return 0
-	}
-	oldHead := hx.Read(a, off+EntryIncVerWord)
-	so := ChainSlotOffset(off, vw, ChainSlotIndex(Version(oldHead), depth))
-	hx.Write(a, so+ChainStampWord, oldStamp)
-	hx.Write(a, so+ChainIncVerWord, oldHead)
-	for i := 0; i < vw; i++ {
-		hx.Write(a, so+memory.Offset(ChainValueWord+i),
-			hx.Read(a, off+memory.Offset(EntryValueWord+i)))
-	}
-	return oldStamp
-}
-
 // RetireLocal is RetireTx for plain seqlocked writes (redo drains, shipped
 // store ops): the caller must hold whatever serialization protects the entry
 // (the partition's redo lock, the entry's state lock). Writes follow the

@@ -139,11 +139,6 @@ func (o *Ordered) SegOf(key uint64) int {
 	return int((key >> o.cfg.SegShift) & (SegCount - 1))
 }
 
-// SegStamp reads segment s's current stamp.
-func (o *Ordered) SegStamp(s int) uint64 {
-	return o.arena.LoadWord(SegStampOffset(s))
-}
-
 // SegSpan appends to dst the segment indices covering keys in [lo, hi].
 // When the span wraps the whole stamp table, every segment is returned.
 func (o *Ordered) SegSpan(dst []int, lo, hi uint64) []int {

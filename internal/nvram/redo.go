@@ -18,7 +18,7 @@ package nvram
 //	   val[0..vw-1]) × k]
 //
 // The home bit is the sender's word on its earlier records: every update they
-// carry has been written to its primary, or parked for a dead one
+// carry has been written to its primary, a dead one's memory included
 // (MarkRedoHome). The backup's sink may
 // then apply those records to its replica shards and truncate them as it
 // appends this one.

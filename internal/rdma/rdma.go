@@ -157,9 +157,6 @@ func NewFabric(n int, model vtime.Model, atomicity AtomicityLevel) *Fabric {
 // SetFaultPlan installs (or, with nil, removes) the fabric's fault plan.
 func (f *Fabric) SetFaultPlan(p *FaultPlan) { f.plan.Store(p) }
 
-// Plan returns the installed fault plan, or nil.
-func (f *Fabric) Plan() *FaultPlan { return f.plan.Load() }
-
 // SetNodeDown marks a node's endpoint unreachable (fail-stop crash) or
 // reachable again. While down, every verb against the node fails with
 // ErrNodeUnreachable — except READs of regions registered durable, which

@@ -123,16 +123,14 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 	rt.DefineUnordered(TableSavings, buckets, indirect, per+16, 1)
 	rt.DefineUnordered(TableChecking, buckets, indirect, per+16, 1)
 	for n := 0; n < cfg.Nodes; n++ {
-		stores := []*kvsPair{{
-			rt.C.Node(n).Unordered(TableSavings),
-			rt.C.Node(n).Unordered(TableChecking),
-		}}
-		// Under replication, seed every backup's replica shard too so a
-		// promoted backup starts from a complete copy.
-		for _, b := range rt.C.Backups(nil, n) {
+		// Every copy of the partition: under replication each backup's
+		// replica shard is seeded too, so a promoted backup starts from a
+		// complete copy.
+		var stores []*kvsPair
+		for _, node := range rt.C.Copies(nil, n) {
 			stores = append(stores, &kvsPair{
-				rt.C.Node(b).Unordered(cluster.ReplicaRegion(n, TableSavings)),
-				rt.C.Node(b).Unordered(cluster.ReplicaRegion(n, TableChecking)),
+				rt.C.Node(node).Unordered(cluster.CopyRegion(n, TableSavings, node)),
+				rt.C.Node(node).Unordered(cluster.CopyRegion(n, TableChecking, node)),
 			})
 		}
 		base := uint64(n * per)
@@ -157,14 +155,9 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 func (w *Workload) TotalBalance() uint64 {
 	var total uint64
 	for n := 0; n < w.cfg.Nodes; n++ {
-		host, savRegion, chkRegion := n, TableSavings, TableChecking
-		if owner := w.rt.C.OwnerOf(n); owner != n {
-			host = owner
-			savRegion = cluster.ReplicaRegion(n, TableSavings)
-			chkRegion = cluster.ReplicaRegion(n, TableChecking)
-		}
+		host, savRegion := w.rt.C.Serving(n, TableSavings)
 		sav := w.rt.C.Node(host).Unordered(savRegion)
-		chk := w.rt.C.Node(host).Unordered(chkRegion)
+		chk := w.rt.C.Node(host).Unordered(cluster.CopyRegion(n, TableChecking, host))
 		base := uint64(n * w.cfg.AccountsPerNode)
 		for a := 1; a <= w.cfg.AccountsPerNode; a++ {
 			if v, ok := sav.Get(base + uint64(a)); ok {

@@ -82,15 +82,8 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 func (w *Workload) loadEdge(a, b, stamp uint64) error {
 	for _, e := range [2][3]uint64{{a, b, stamp}, {b, a, stamp}} {
 		part := int(e[0]) % w.Cfg.Nodes
-		shards := []*kvs.Ordered{w.rt.C.Node(part).Ordered(TableEdges)}
-		for _, bk := range w.rt.C.Backups(nil, part) {
-			rep, ok := w.rt.C.Node(bk).OrderedRegion(cluster.ReplicaRegion(part, TableEdges))
-			if !ok {
-				return fmt.Errorf("socialgraph: missing replica shard for partition %d on node %d", part, bk)
-			}
-			shards = append(shards, rep)
-		}
-		for _, sh := range shards {
+		for _, node := range w.rt.C.Copies(nil, part) {
+			sh := w.rt.C.Node(node).Ordered(cluster.CopyRegion(part, TableEdges, node))
 			if err := sh.Insert(EdgeKey(e[0], e[1]), []uint64{e[2], e[1]}); err != nil {
 				return fmt.Errorf("socialgraph: load edge %d->%d: %w", e[0], e[1], err)
 			}
@@ -247,10 +240,7 @@ func (c *Client) CheckSnapshotRO(a uint64) error {
 
 // shardFor resolves a partition's current edge shard under the view.
 func (w *Workload) shardFor(part int) (*kvs.Ordered, error) {
-	node, region := part, TableEdges
-	if owner := w.rt.C.OwnerOf(part); owner != part {
-		node, region = owner, cluster.ReplicaRegion(part, TableEdges)
-	}
+	node, region := w.rt.C.Serving(part, TableEdges)
 	o, ok := w.rt.C.Node(node).OrderedRegion(region)
 	if !ok {
 		return nil, fmt.Errorf("socialgraph: no edge shard for partition %d", part)

@@ -213,4 +213,7 @@ func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb
 			t.Errorf("%d release-side steps parked for node %d after the failover", p, n)
 		}
 	}
+	if err := db.RT.AuditQuiescent(); err != nil {
+		t.Error(err)
+	}
 }

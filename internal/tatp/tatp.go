@@ -160,37 +160,25 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 func initialMask(sid uint64) uint64 { return (sid*7%15 + 1) << 1 }
 
 // loadSubscriber bulk-inserts one subscriber and its facility and index
-// rows directly on the home shard (and every backup's replica shard).
+// rows directly on every copy of its partition: the home shard and every
+// backup's replica shard.
 func (w *Workload) loadSubscriber(sid, mask uint64) error {
 	part := w.Cfg.NodeOf(sid)
-	type shard struct{ sub, sf, idx *kvs.Ordered }
-	shards := []shard{{
-		w.rt.C.Node(part).Ordered(TableSubscriber),
-		w.rt.C.Node(part).Ordered(TableSpecialFacility),
-		w.rt.C.Node(part).Ordered(TableSubNbrIndex),
-	}}
-	for _, b := range w.rt.C.Backups(nil, part) {
-		n := w.rt.C.Node(b)
-		sub, ok1 := n.OrderedRegion(cluster.ReplicaRegion(part, TableSubscriber))
-		sf, ok2 := n.OrderedRegion(cluster.ReplicaRegion(part, TableSpecialFacility))
-		idx, ok3 := n.OrderedRegion(cluster.ReplicaRegion(part, TableSubNbrIndex))
-		if !ok1 || !ok2 || !ok3 {
-			return fmt.Errorf("tatp: missing replica shards for partition %d on node %d", part, b)
-		}
-		shards = append(shards, shard{sub, sf, idx})
-	}
-	for _, sh := range shards {
-		if err := sh.sub.Insert(sid, []uint64{SubNbr(sid), mask, 0}); err != nil {
+	for _, node := range w.rt.C.Copies(nil, part) {
+		n := w.rt.C.Node(node)
+		shard := func(table int) *kvs.Ordered { return n.Ordered(cluster.CopyRegion(part, table, node)) }
+		if err := shard(TableSubscriber).Insert(sid, []uint64{SubNbr(sid), mask, 0}); err != nil {
 			return fmt.Errorf("tatp: load subscriber %d: %w", sid, err)
 		}
-		if err := sh.idx.Insert(SubNbr(sid), []uint64{sid}); err != nil {
+		if err := shard(TableSubNbrIndex).Insert(SubNbr(sid), []uint64{sid}); err != nil {
 			return fmt.Errorf("tatp: load index %d: %w", sid, err)
 		}
+		sf := shard(TableSpecialFacility)
 		for t := 1; t <= NumSFTypes; t++ {
 			if mask&(1<<uint(t)) == 0 {
 				continue
 			}
-			if err := sh.sf.Insert(SFKey(sid, t), []uint64{1, sid}); err != nil {
+			if err := sf.Insert(SFKey(sid, t), []uint64{1, sid}); err != nil {
 				return fmt.Errorf("tatp: load sf %d/%d: %w", sid, t, err)
 			}
 		}
@@ -499,10 +487,7 @@ func (c *Client) CheckSubscriberRO(sid uint64) error {
 // shardsFor resolves a partition's current ordered shards under the view: a
 // failed-over partition is audited on the promoted backup's replica shards.
 func (w *Workload) shardFor(part, table int) (*kvs.Ordered, error) {
-	node, region := part, table
-	if owner := w.rt.C.OwnerOf(part); owner != part {
-		node, region = owner, cluster.ReplicaRegion(part, table)
-	}
+	node, region := w.rt.C.Serving(part, table)
 	o, ok := w.rt.C.Node(node).OrderedRegion(region)
 	if !ok {
 		return nil, fmt.Errorf("tatp: no shard for table %d partition %d", table, part)

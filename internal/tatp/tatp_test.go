@@ -223,6 +223,9 @@ func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 			t.Errorf("%d release-side steps parked for node %d after the failover", p, n)
 		}
 	}
+	if err := db.RT.AuditQuiescent(); err != nil {
+		t.Error(err)
+	}
 	// The lane covers the ordered location cache: subscriber reads were served
 	// at cached offsets, of the primary's region before the crash and on after
 	// the failover.
@@ -322,14 +325,9 @@ func TestShardsSizedForTheirPartition(t *testing.T) {
 				partSubs++
 			}
 		}
-		hosts := append([]int{part}, db.C.Backups(nil, part)...)
 		for table, cap := range capacity {
-			for _, host := range hosts {
-				region := table
-				if host != part {
-					region = cluster.ReplicaRegion(part, table)
-				}
-				o, ok := db.C.Node(host).OrderedRegion(region)
+			for _, host := range db.C.Copies(nil, part) {
+				o, ok := db.C.Node(host).OrderedRegion(cluster.CopyRegion(part, table, host))
 				if !ok {
 					t.Fatalf("no shard of table %d partition %d on node %d", table, part, host)
 				}

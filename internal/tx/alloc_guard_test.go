@@ -338,8 +338,8 @@ func TestReplicatedCommitAllocSteadyState(t *testing.T) {
 	// on node 1), its records not vouched for, drained into node 1's replica
 	// shard by a 101st that is: the last record stays in the ring.
 	sink := c.RedoSinkAt(1, 0, 0)
-	replica := c.Node(1).Unordered(cluster.ReplicaRegion(0, tblAccounts))
-	ups := []nvram.RedoUpdate{{Part: 0, Epoch: c.ViewEpochOf(0), Table: tblAccounts, Key: 4, Val: val}}
+	replica := c.Node(1).Unordered(cluster.CopyRegion(0, tblAccounts, 1))
+	ups := []nvram.RedoUpdate{{Part: 0, Epoch: cluster.ViewEpoch(c.View(0)), Table: tblAccounts, Key: 4, Val: val}}
 	version := uint32(100)
 	var rec []uint64
 	drain := func() {

@@ -17,7 +17,7 @@ import (
 // parked for a machine that is up by its count. A dead machine is not audited.
 func TestAuditQuiescent(t *testing.T) {
 	rt, e := replRig(t, func(c *cluster.Config) { c.ReplicationFactor = 1 })
-	replica := rt.C.Node(0).Unordered(cluster.ReplicaRegion(1, tblAccounts))
+	replica := rt.C.Node(0).Unordered(cluster.CopyRegion(1, tblAccounts, 0))
 	if err := replica.Insert(3, []uint64{1000, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAuditQuiescent(t *testing.T) {
 		fmt.Sprintf("node 1 region %d (table %d key 3) offset %d: state word %#x write-locked",
 			tblAccounts, tblAccounts, kvs.StateOffset(off), held),
 		fmt.Sprintf("node 0 region %d (partition 1's replica of table %d key 3) offset %d: state word %#x write-locked",
-			cluster.ReplicaRegion(1, tblAccounts), tblAccounts, kvs.StateOffset(roff), held),
+			cluster.CopyRegion(1, tblAccounts, 0), tblAccounts, kvs.StateOffset(roff), held),
 	} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("audit = %v, want it to name %q", err, want)

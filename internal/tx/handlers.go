@@ -38,96 +38,76 @@ func (rt *Runtime) installStoreHandlers() {
 	rt.C.HandleRedoDrain(rt.applyBackedUp)
 }
 
-// execStoreOp performs an insert/delete on the host node's store, resolving
-// the storage region under the current view (a promoted owner serves its
-// adopted partition from the replica region). When the host is the
-// partition's home primary, the op is mirrored to every backup's replica
-// shard so a later promotion sees the record. f is the caller's leaf cache
-// for an ordered region (nil on the host side of a shipped op, whose sender
-// priced it already); via reports what the index operation did with it.
-func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (via kvs.IndexPath, err error) {
-	meta := rt.Meta(m.Table)
-	region := m.Table
-	part := rt.Part(m.Table, m.Key)
-	if part >= 0 && rt.C.OwnerOf(part) != part {
-		region = cluster.ReplicaRegion(part, m.Table)
+// lockCopies is the copy rule of the host-side structural ops (execStoreOp,
+// execEnsureEntry, execRemoveDead) on a copy of partition part's table held in
+// region. When the table is replicated (part >= 0, f > 0) it takes the
+// partition's redo lock and returns its shard, which the caller unlocks: a
+// drain must never observe the copies mid-op or interleave with a delete, and a
+// delete's generation bump must be atomic with removing the entry so stale redo
+// records are recognized (applyRedo's guards). mirror lists the nodes whose
+// replica shards the op is mirrored to — the partition's backups when region is
+// the home copy and the home still owns the partition, so a later promotion
+// sees the record; none otherwise. It is the shard's scratch, valid while the
+// lock is held.
+func (rt *Runtime) lockCopies(region, table, part int) (sh *redoShard, mirror []int) {
+	if part < 0 || rt.C.ReplicationFactor() == 0 {
+		return nil, nil
 	}
-	var sh *redoShard // the partition's, held, when the record is replicated
-	if part >= 0 && rt.C.ReplicationFactor() > 0 {
-		// Serialized with redo application to the partition (repl.go): a
-		// drain must never observe the copies mid-op or interleave with a
-		// delete, and a delete's generation bump must be atomic with removing
-		// the entry so stale redo records are recognized (applyRedo's guards).
-		sh = &rt.redoShards[part]
-		sh.mu.Lock()
+	sh = &rt.redoShards[part]
+	sh.mu.Lock()
+	sh.bk = sh.bk[:0]
+	if region == table && rt.C.OwnerOf(part) == part {
+		sh.bk = rt.C.Backups(sh.bk, part)
+	}
+	return sh, sh.bk
+}
+
+// execStoreOp performs an insert/delete on the host node's copy of the record's
+// partition — the region that serves it under the current view (a promoted
+// owner serves its adopted partition from the replica region) — and mirrors it
+// by the copy rule (lockCopies). f is the caller's leaf cache for an ordered
+// region (nil on the host side of a shipped op, whose sender priced it
+// already); via reports what the index operation did with it.
+func (rt *Runtime) execStoreOp(n *cluster.Node, m storeOpMsg, f *kvs.Finger) (via kvs.IndexPath, err error) {
+	region, part := m.Table, rt.Part(m.Table, m.Key)
+	if part >= 0 {
+		_, region = rt.C.Serving(part, m.Table)
+	}
+	sh, mirror := rt.lockCopies(region, m.Table, part)
+	if sh != nil {
 		defer sh.mu.Unlock()
 	}
-	if meta.Kind == Ordered {
-		return rt.execOrderedStoreOp(n, m, region, part, sh, f)
+	ordered := rt.Meta(m.Table).Kind == Ordered
+	if via, err = storeOn(n, region, ordered, m, f); err != nil {
+		return via, err
+	}
+	if sh != nil && !m.Insert {
+		sh.delGen[delKey{m.Table, m.Key}]++
+	}
+	for _, b := range mirror {
+		if _, err = storeOn(rt.C.Node(b), cluster.CopyRegion(part, m.Table, b), ordered, m, nil); err != nil {
+			return via, err
+		}
+	}
+	return via, nil
+}
+
+// storeOn applies a store op to node n's shard of a storage region, an ordered
+// one through the leaf cache f.
+func storeOn(n *cluster.Node, region int, ordered bool, m storeOpMsg, f *kvs.Finger) (via kvs.IndexPath, err error) {
+	if ordered {
+		o := n.Ordered(region)
+		if m.Insert {
+			return o.InsertAt(f, m.Key, m.Val)
+		}
+		_, via = o.DeleteAt(f, m.Key)
+		return via, nil
 	}
 	t := n.Unordered(region)
 	if m.Insert {
-		err = t.Insert(m.Key, m.Val)
-	} else {
-		t.Delete(m.Key)
-		if sh != nil {
-			sh.delGen[delKey{m.Table, m.Key}]++
-		}
+		return via, t.Insert(m.Key, m.Val)
 	}
-	if err == nil && sh != nil && rt.C.OwnerOf(part) == part {
-		sh.bk = rt.C.Backups(sh.bk[:0], part)
-		for _, b := range sh.bk {
-			rep := rt.C.Node(b).Unordered(cluster.ReplicaRegion(part, m.Table))
-			if m.Insert {
-				err = rep.Insert(m.Key, m.Val)
-			} else {
-				rep.Delete(m.Key)
-			}
-			if err != nil {
-				return via, err
-			}
-		}
-	}
-	return via, err
-}
-
-// execOrderedStoreOp is execStoreOp for ordered tables: the host resolves
-// its ordered shard under the current view (a promoted owner serves the
-// adopted partition from its replica shard), applies the op, and — when it
-// is the home primary — mirrors it to every backup's ordered replica shard.
-// sh is the partition's redo shard, held, or nil (execStoreOp).
-func (rt *Runtime) execOrderedStoreOp(n *cluster.Node, m storeOpMsg,
-	region, part int, sh *redoShard, f *kvs.Finger) (via kvs.IndexPath, err error) {
-	o, ok := n.OrderedRegion(region)
-	if !ok {
-		return via, fmt.Errorf("tx: no ordered region %d on node %d", region, n.ID)
-	}
-	if m.Insert {
-		if via, err = o.InsertAt(f, m.Key, m.Val); err != nil {
-			return via, err
-		}
-	} else {
-		_, via = o.DeleteAt(f, m.Key)
-		if sh != nil {
-			sh.delGen[delKey{m.Table, m.Key}]++
-		}
-	}
-	if sh != nil && rt.C.OwnerOf(part) == part {
-		sh.bk = rt.C.Backups(sh.bk[:0], part)
-		for _, b := range sh.bk {
-			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(part, m.Table))
-			if !ok {
-				continue
-			}
-			if m.Insert {
-				if err := rep.Insert(m.Key, m.Val); err != nil {
-					return via, err
-				}
-			} else {
-				rep.Delete(m.Key)
-			}
-		}
-	}
+	t.Delete(m.Key)
 	return via, nil
 }
 

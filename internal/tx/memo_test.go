@@ -272,7 +272,7 @@ func TestMemoHoldsReplicaRegion(t *testing.T) {
 		t.Fatalf("Failover(1) = %+v; want node 2 promoted", rep)
 	}
 	nothingParked(t, rt)
-	replica := c.Node(2).Unordered(cluster.ReplicaRegion(1, tblAccounts))
+	replica := c.Node(2).Unordered(cluster.CopyRegion(1, tblAccounts, 2))
 	e := rt.Executor(2, 0)
 	err := e.Exec(func(tx *Tx) error {
 		if err := tx.W(tblAccounts, key); err != nil {

@@ -296,7 +296,7 @@ func TestOrderedCacheAcrossFailover(t *testing.T) {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
 	nothingParked(t, rt)
-	region := cluster.ReplicaRegion(part, tblOrders)
+	region := cluster.CopyRegion(part, tblOrders, backup)
 	replica, _ := c.Node(backup).OrderedRegion(region)
 	if off, _ := replica.Lookup(key); off == primaryOff {
 		t.Fatal("the row sits at the same offset in both regions: the test shows nothing")

@@ -147,36 +147,28 @@ func (rt *Runtime) execOrderedOps(n *cluster.Node, ops []shipOp) any {
 
 // execEnsureEntry performs the structural half of an insert on the host's
 // shard — a slot it creates starts with state word lock, and held reports one
-// created locked — and, when the host is the partition's home primary, mirrors
-// the structural presence to every backup's replica shard (so a promotion sees
-// the entry; the incarnation flip itself converges through the redo stream).
-// A replica's slot is born free: replicas carry no locks. A backup already
-// holding the key is fine — ErrExists there means present, which is all the
-// mirror needs — and a full backup degrades to an unmirrored entry rather than
-// failing the insert.
+// created locked — and mirrors the structural presence by the copy rule
+// (lockCopies), so a promotion sees the entry; the incarnation flip itself
+// converges through the redo stream. A replica's slot is born free: replicas
+// carry no locks. A backup already holding the key is fine — ErrExists there
+// means present, which is all the mirror needs — and a full backup degrades to
+// an unmirrored entry rather than failing the insert.
 func (rt *Runtime) execEnsureEntry(n *cluster.Node, region, table, part int, key, lock uint64) (off memory.Offset, held bool, err error) {
 	o, ok := n.OrderedRegion(region)
 	if !ok {
 		return 0, false, fmt.Errorf("tx: node %d has no ordered region %d", n.ID, region)
 	}
-	var sh *redoShard
-	if part >= 0 && rt.C.ReplicationFactor() > 0 && region == table &&
-		rt.C.OwnerOf(part) == part {
-		sh = &rt.redoShards[part]
-		sh.mu.Lock()
+	sh, mirror := rt.lockCopies(region, table, part)
+	if sh != nil {
 		defer sh.mu.Unlock()
 	}
 	off, created, err := o.EnsureDead(key, lock)
 	if err != nil {
 		return 0, false, err
 	}
-	if sh != nil {
-		sh.bk = rt.C.Backups(sh.bk[:0], part)
-		for _, b := range sh.bk {
-			if rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(part, table)); ok {
-				rep.EnsureDead(key, clock.Init) // its only errors: ErrExists, ErrFull
-			}
-		}
+	for _, b := range mirror {
+		// Its only errors: ErrExists, ErrFull.
+		rt.C.Node(b).Ordered(cluster.CopyRegion(part, table, b)).EnsureDead(key, clock.Init)
 	}
 	return off, created && lock != clock.Init, nil
 }
@@ -193,8 +185,8 @@ func (rt *Runtime) execRangeScan(n *cluster.Node, m *rangeScanMsg) any {
 }
 
 // execRemoveDead physically unlinks a dead entry on the host — the deferred
-// second half of a committed erase — and mirrors the removal to the backups'
-// replica shards. Best-effort by design: a busy state word (the slot is being
+// second half of a committed erase — and mirrors the removal by the copy rule
+// (lockCopies). Best-effort by design: a busy state word (the slot is being
 // resurrected or leased) or a re-inserted key leaves the dead entry for a later
 // pass; scans skip dead entries either way. The delete-generation bump happens
 // here, with the removal under the partition's redo lock, so a lagging redo
@@ -204,39 +196,28 @@ func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
 	if !ok {
 		return
 	}
-	var sh *redoShard
-	if op.part >= 0 && rt.C.ReplicationFactor() > 0 {
-		sh = &rt.redoShards[op.part]
-		sh.mu.Lock()
+	sh, mirror := rt.lockCopies(op.region, op.table, op.part)
+	if sh != nil {
 		defer sh.mu.Unlock()
 	}
-	if !removeDeadEntry(o, op.key, uint8(n.ID), op.deadIncVer) {
-		return
-	}
-	if sh == nil {
+	if !removeDeadEntry(o, op.key, uint8(n.ID), op.deadIncVer) || sh == nil {
 		return
 	}
 	sh.delGen[delKey{op.table, op.key}]++
-	if op.region == op.table && rt.C.OwnerOf(op.part) == op.part {
-		sh.bk = rt.C.Backups(sh.bk[:0], op.part)
-		for _, b := range sh.bk {
-			rep, ok := rt.C.Node(b).OrderedRegion(cluster.ReplicaRegion(op.part, op.table))
-			if !ok {
-				continue
-			}
-			// The replica lags the primary (it converges via redo) and never
-			// leads it: what it holds under the key is this death's entry as of
-			// some earlier moment. A still-live row is deleted outright, a dead
-			// one unlinked whatever its incarnation|version (the primary's
-			// deadIncVer cannot name a lagging copy's). A leftover would outlive
-			// the key: its version guard refuses the next life's redo (version 0,
-			// fresh slot), and a promotion serves that row dead.
-			if roff, found := rep.Lookup(op.key); found {
-				if kvs.Live(kvs.Incarnation(rep.Arena().LoadWord(kvs.IncVerOffset(roff)))) {
-					rep.Delete(op.key)
-				} else {
-					removeDeadEntry(rep, op.key, uint8(b), 0)
-				}
+	for _, b := range mirror {
+		rep := rt.C.Node(b).Ordered(cluster.CopyRegion(op.part, op.table, b))
+		// The replica lags the primary (it converges via redo) and never
+		// leads it: what it holds under the key is this death's entry as of
+		// some earlier moment. A still-live row is deleted outright, a dead
+		// one unlinked whatever its incarnation|version (the primary's
+		// deadIncVer cannot name a lagging copy's). A leftover would outlive
+		// the key: its version guard refuses the next life's redo (version 0,
+		// fresh slot), and a promotion serves that row dead.
+		if roff, found := rep.Lookup(op.key); found {
+			if kvs.Live(kvs.Incarnation(rep.Arena().LoadWord(kvs.IncVerOffset(roff)))) {
+				rep.Delete(op.key)
+			} else {
+				removeDeadEntry(rep, op.key, uint8(b), 0)
 			}
 		}
 	}

@@ -249,7 +249,7 @@ func (rt *Runtime) applyBackedUp(host int, rec []uint64) {
 		if !rt.C.IsBackup(host, u.Part) || rt.C.OwnerOf(u.Part) != u.Part {
 			continue
 		}
-		rt.applyRedo(n, cluster.ReplicaRegion(u.Part, u.Table), u)
+		rt.applyRedo(n, cluster.CopyRegion(u.Part, u.Table, host), u)
 	}
 }
 
@@ -264,11 +264,7 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 	if rt.C.Fabric.NodeDown(owner) {
 		return false
 	}
-	region := u.Table
-	if owner != u.Part {
-		region = cluster.ReplicaRegion(u.Part, u.Table)
-	}
-	return rt.applyRedo(rt.C.Node(owner), region, u)
+	return rt.applyRedo(rt.C.Node(owner), cluster.CopyRegion(u.Part, u.Table, owner), u)
 }
 
 // applyRedo applies one redo update to the copy of its table in a storage

@@ -30,7 +30,7 @@ func TestMirroredRemovalLeavesNoReplicaEntry(t *testing.T) {
 	home := rt.Executor(part, 0)
 	key := orderedKey(part, 7)
 	primary := c.Node(part).Ordered(tblOrders)
-	replica, ok := c.Node(backup).OrderedRegion(cluster.ReplicaRegion(part, tblOrders))
+	replica, ok := c.Node(backup).OrderedRegion(cluster.CopyRegion(part, tblOrders, backup))
 	if !ok {
 		t.Fatal("no replica region on the backup")
 	}

@@ -117,10 +117,10 @@ type Runtime struct {
 }
 
 // redoShard is one partition's redo-apply lock and delete fencing: mu is what
-// applyRedo's check-then-write and the shipped store ops on the partition's
-// copies run under. delGen counts, per record, the deletes applied so far (a
-// drain skips an update stamped with an older count); bk is the store ops'
-// Backups scratch. Both are valid only under mu.
+// applyRedo's check-then-write and the structural ops on the partition's
+// copies run under (lockCopies). delGen counts, per record, the deletes
+// applied so far (a drain skips an update stamped with an older count); bk is
+// the copy rule's mirror list. Both are valid only under mu.
 type redoShard struct {
 	mu     sync.Mutex
 	delGen map[delKey]uint64
@@ -413,11 +413,8 @@ func (e *Executor) route(table int, key uint64) (node, region, part int) {
 	if part < 0 {
 		return e.w.Node.ID, table, -1
 	}
-	owner := e.rt.C.OwnerOf(part)
-	if owner == part {
-		return part, table, part
-	}
-	return owner, cluster.ReplicaRegion(part, table), part
+	node, region = e.rt.C.Serving(part, table)
+	return node, region, part
 }
 
 // cacheFor returns this node's location cache for (remote node, region) — bucket
