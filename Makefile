@@ -1,7 +1,7 @@
 # Tier-1 gate: everything CI (and the ROADMAP) requires to stay green.
-.PHONY: check build fmt vet test race stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan examples tx-lines lines
+.PHONY: check build fmt vet test race lanes stress alloc bench bench-smoke bench-baseline batch chaos occ failover failover-lane scan examples tx-lines lines
 
-check: build fmt vet race stress alloc batch occ chaos failover scan bench-smoke examples
+check: build fmt vet lanes race stress alloc batch occ chaos failover scan bench-smoke examples
 
 build:
 	go build ./...
@@ -32,7 +32,8 @@ race:
 # keeps losing its validations to leases, the software fallback (its golden
 # table, the region-vs-fallback commit equivalence property, the insert
 # rollback and lock-ahead recovery regressions and the fallback tests that wait
-# on no lease), the per-attempt location memo of declared local records (one
+# on no lease), recovery's redo rule (a logged row re-inserted since is left
+# alone), the per-attempt location memo of declared local records (one
 # index lookup per record per attempt; an erase, a recycled slot or a bucket
 # move dooms the attempt or is re-resolved by the next), the B+ tree leaf
 # fingers (equivalence with and without one and intact leaf fences after every
@@ -88,7 +89,7 @@ race:
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoverAfterReviveFreesNothing|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoverAfterReviveFreesNothing|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -115,17 +116,36 @@ stress:
 # shard, primary and replica, is exactly its partition's size and holds the
 # lifecycle mix; a SmallBank account is one cache line, with no version chain,
 # and the indirect buckets hold the benchmark's 200 000 accounts per node; and
-# TPC-C's order tables hold a warm-up as long as the measured run.
+# TPC-C's order tables hold a warm-up as long as the measured run. One
+# package:-run pattern per entry.
+ALLOC_LANE = ./internal/htm/:TestRegionAllocatesNothing \
+	./internal/btree/:TestNodeAllocations \
+	./internal/nvram/:TestLogScanBufferGrowthAndReuse \
+	./internal/kvs/:TestRetireLocalRowWidths \
+	./internal/tx/:TestExecAllocSteadyState|TestValidateAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState \
+	./internal/smallbank/:TestAllocSteadyState \
+	./internal/tpcc/:TestAllocSteadyState \
+	./internal/tatp/:TestShardsSizedForTheirPartition \
+	./internal/smallbank/:TestSetupAtBenchmarkScale \
+	./internal/tpcc/:TestOrderReserveCoversWarmUp
 alloc:
-	go test -count=1 -run TestRegionAllocatesNothing ./internal/htm/
-	go test -count=1 -run TestNodeAllocations ./internal/btree/
-	go test -count=1 -run 'TestLogScanBufferGrowthAndReuse' ./internal/nvram/
-	go test -count=1 -run 'TestRetireLocalRowWidths' ./internal/kvs/
-	go test -count=1 -run 'TestExecAllocSteadyState|TestValidateAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState' ./internal/tx/
-	go test -count=1 -run TestAllocSteadyState ./internal/smallbank/ ./internal/tpcc/
-	go test -count=1 -run TestShardsSizedForTheirPartition ./internal/tatp/
-	go test -count=1 -run TestSetupAtBenchmarkScale ./internal/smallbank/
-	go test -count=1 -run TestOrderReserveCoversWarmUp ./internal/tpcc/
+	@for t in $$(echo '$(ALLOC_LANE)'); do \
+		echo "go test -count=1 -run '$${t#*:}' $${t%%:*}"; \
+		go test -count=1 -run "$${t#*:}" $${t%%:*} || exit 1; \
+	done
+
+# Lane-name guard: every alternative of STRESS_TX and STRESS_TATP, and of each
+# alloc pattern, must name at least one test, benchmark or fuzz target of its
+# package (go test -list), so a renamed test cannot drop out of a lane
+# silently.
+LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) $(ALLOC_LANE)
+lanes:
+	@bad=0; for t in $$(echo '$(LANES)'); do pkg=$${t%%:*}; \
+		names=$$(go test -list . $$pkg | grep -E '^(Test|Benchmark|Fuzz|Example)') || exit 1; \
+		for alt in $$(echo "$${t#*:}" | tr '|' ' '); do \
+			echo "$$names" | grep -Eq -- "$$alt" || { echo "$$pkg: lane name $$alt matches no test"; bad=1; }; \
+		done; \
+	done; [ $$bad -eq 0 ] && echo "lanes: every lane name matches a test"
 
 # The two sizes of non-test internal/tx the ROADMAP tracks: lines, and lines
 # that are neither blank nor comment.

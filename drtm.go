@@ -125,9 +125,11 @@ type Options struct {
 
 	// Durability enables NVRAM logging and crash recovery (Section 4.6): the
 	// chopping and lock-ahead logs ahead of the HTM region and, without
-	// replication, the write-ahead log inside it, which Recover replays. No
-	// repair reads the lock-ahead log: a crashed machine's locks are found
-	// by their state words' owner bits.
+	// replication, the write-ahead log inside it — each commit's redo record,
+	// the one the backups receive under replication — which Recover replays
+	// into the rows the crashed machine still holds. No repair reads the
+	// lock-ahead log: a crashed machine's locks are found by their state
+	// words' owner bits.
 	Durability bool
 
 	// ReplicationFactor enables FaRM-style primary–backup replication: every

@@ -2,6 +2,7 @@ package chopping
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"drtm/internal/cluster"
@@ -270,5 +271,56 @@ func TestRunnerUserAbortOnlyFirstPiece(t *testing.T) {
 	err := Run(e, 3, []PieceFunc{okPiece, abortPiece})
 	if err == nil {
 		t.Fatal("late user abort silently succeeded")
+	}
+}
+
+// TestResumeKeepsPieceNumbers: a resumed piece is the parent's piece of the
+// same number — its chopping record, read back from a durable rig's log, names
+// that number, and a user abort in it is an error past the first piece, as
+// Run would report it, never a clean abort of the parent.
+func TestResumeKeepsPieceNumbers(t *testing.T) {
+	cfg := cluster.DefaultConfig(1, 1)
+	cfg.Durability = true
+	c := cluster.New(cfg)
+	defer c.Stop()
+	rt := tx.NewRuntime(c, func(table int, key uint64) int { return 0 })
+	rt.DefineUnordered(1, 16, 16, 32, 1)
+	for k := uint64(1); k <= 3; k++ {
+		_ = c.Node(0).Unordered(1).Insert(k, []uint64{0})
+	}
+	e := rt.Executor(0, 0)
+
+	var logged [][2]uint64 // (parent, piece) of each piece's chopping record
+	piece := func(key uint64, body error) PieceFunc {
+		return func(_ *tx.Executor, t *tx.Tx) error {
+			if err := t.W(1, key); err != nil {
+				return err
+			}
+			err := t.Execute(func(lc *tx.Local) error {
+				if body != nil {
+					return body
+				}
+				return lc.Write(1, key, []uint64{key})
+			})
+			// The log holds this piece's record until the next Exec restarts it.
+			c.Worker(0, 0).ChoppingLog.Scan(nil, func(rec []uint64) {
+				logged = append(logged, [2]uint64{rec[1], rec[2]})
+			})
+			return err
+		}
+	}
+	if err := Resume(e, 99, []PieceFunc{piece(1, nil), piece(2, nil), piece(3, nil)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]uint64{{99, 1}, {99, 2}}; !reflect.DeepEqual(logged, want) {
+		t.Fatalf("resumed pieces logged %v, want %v", logged, want)
+	}
+
+	err := Resume(e, 7, []PieceFunc{piece(1, nil), piece(2, tx.ErrUserAbort)}, 1)
+	if err == nil || err == tx.ErrUserAbort {
+		t.Fatalf("user abort in resumed piece 1 returned %v, want an error past the first piece", err)
+	}
+	if err := Resume(e, 8, []PieceFunc{piece(1, tx.ErrUserAbort), piece(2, nil)}, 0); err != tx.ErrUserAbort {
+		t.Fatalf("user abort in piece 0 of a resume from 0 returned %v, want ErrUserAbort", err)
 	}
 }

@@ -14,10 +14,26 @@ type PieceFunc func(e *tx.Executor, t *tx.Tx) error
 // transaction (its own HTM region), with chopping information logged ahead
 // of every piece so recovery can resume from the right one (Section 4.6).
 // Per the restriction in Section 3, a user abort is honored only from the
-// first piece; later pieces retry until they commit.
+// first piece; in a later piece it is an error.
 func Run(e *tx.Executor, parentID uint64, pieces []PieceFunc) error {
-	for i, piece := range pieces {
-		i, piece := i, piece
+	return run(e, parentID, pieces, 0)
+}
+
+// Resume re-runs the pieces of a recovered parent starting at piece `from`
+// (obtained from the chopping log via tx.RecoveryReport.PendingPieces). The
+// pieces keep their numbers: piece from+k logs itself as from+k, and only
+// piece 0 may abort.
+func Resume(e *tx.Executor, parentID uint64, pieces []PieceFunc, from int) error {
+	if from < 0 || from > len(pieces) {
+		return fmt.Errorf("chopping: resume index %d out of range", from)
+	}
+	return run(e, parentID, pieces, from)
+}
+
+// run executes pieces[from:], each under its own number.
+func run(e *tx.Executor, parentID uint64, pieces []PieceFunc, from int) error {
+	for i := from; i < len(pieces); i++ {
+		piece := pieces[i]
 		err := e.Exec(func(t *tx.Tx) error {
 			t.SetChoppingInfo(parentID, uint64(i))
 			return piece(e, t)
@@ -35,13 +51,4 @@ func Run(e *tx.Executor, parentID uint64, pieces []PieceFunc) error {
 		return err
 	}
 	return nil
-}
-
-// Resume re-runs the pieces of a recovered parent starting at piece `from`
-// (obtained from the chopping log via tx.RecoveryReport.PendingPieces).
-func Resume(e *tx.Executor, parentID uint64, pieces []PieceFunc, from int) error {
-	if from < 0 || from > len(pieces) {
-		return fmt.Errorf("chopping: resume index %d out of range", from)
-	}
-	return Run(e, parentID, pieces[from:])
 }

@@ -116,10 +116,9 @@ type Cluster struct {
 
 // Node is one logical machine.
 type Node struct {
-	ID      int
-	Engine  *htm.Engine
-	Clock   *clock.SoftClock
-	cluster *Cluster
+	ID     int
+	Engine *htm.Engine
+	Clock  *clock.SoftClock
 
 	unordered map[int]*kvs.Table
 	ordered   map[int]*kvs.Ordered
@@ -195,7 +194,6 @@ func New(cfg Config) *Cluster {
 			ID:        i,
 			Engine:    htm.NewEngine(cfg.HTM),
 			Clock:     clock.NewSoftClock(1000+i, cfg.SofttimeInterval, skew),
-			cluster:   c,
 			unordered: make(map[int]*kvs.Table),
 			ordered:   make(map[int]*kvs.Ordered),
 			handlers:  make(map[int]rdma.Handler),
@@ -401,9 +399,6 @@ func (n *Node) dispatch(from int, req any) any {
 
 // Alive reports whether the node is up.
 func (n *Node) Alive() bool { return n.alive.Load() }
-
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
 
 // Crash fail-stops a node: its endpoint becomes unreachable on the fabric
 // (verbs fail with ErrNodeUnreachable), its heartbeats stop, its softtime

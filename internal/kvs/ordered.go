@@ -187,9 +187,6 @@ func (o *Ordered) ValueWords() int { return o.cfg.ValueWords }
 // Engine returns the owner's HTM engine.
 func (o *Ordered) Engine() *htm.Engine { return o.eng }
 
-// ChainDepth returns the version-chain ring depth (0 when disabled).
-func (o *Ordered) ChainDepth() int { return o.cfg.ChainDepth }
-
 // StampNow returns a commit stamp for chain tails.
 func (o *Ordered) StampNow() uint64 {
 	if o.cfg.Stamp != nil {

@@ -102,9 +102,6 @@ func (t *Table) ValueWords() int { return t.cfg.ValueWords }
 // EntryWords returns the line-aligned entry footprint.
 func (t *Table) EntryWords() int { return t.entryWords }
 
-// ChainDepth returns the version-chain ring depth (0 when disabled).
-func (t *Table) ChainDepth() int { return t.cfg.ChainDepth }
-
 // StampNow returns a commit stamp for chain tails.
 func (t *Table) StampNow() uint64 {
 	if t.cfg.Stamp != nil {
@@ -122,9 +119,6 @@ func (t *Table) Len() int {
 	defer t.mu.Unlock()
 	return t.liveCount
 }
-
-// MainBuckets returns the main header bucket count.
-func (t *Table) MainBuckets() int { return t.cfg.MainBuckets }
 
 // bucketOf returns the main bucket index for a key.
 func (t *Table) bucketOf(key uint64) uint64 { return mix64(key) & t.mask }

@@ -82,6 +82,13 @@ func FuzzRedoRoundTrip(f *testing.F) {
 	f.Add(uint64(0), trunc)
 	// An erase record: nil value, even incarnation.
 	f.Add(uint64(3), binary.LittleEndian.AppendUint64(nil, 2<<32|4))
+	// A write-ahead record's shape: epoch and gen 0, a write of a replicated
+	// table's row (part -1) and an erase with no value.
+	wal := make([]byte, 0, 17*8)
+	for _, w := range []uint64{9, 2, ^uint64(0), 0, 3, 5, 1<<32 | 4, 0, 1, 0xCC, 1, 0, 7, 9, 2<<32 | 3, 0, 0} {
+		wal = binary.LittleEndian.AppendUint64(wal, w)
+	}
+	f.Add(uint64(9), wal)
 
 	f.Fuzz(func(t *testing.T, txid uint64, data []byte) {
 		ws := wordsOf(data)
@@ -109,6 +116,26 @@ func FuzzRedoRoundTrip(f *testing.F) {
 		}
 		compare(t, ups, gups)
 	})
+}
+
+// TestRedoRoundTripWriteAheadShape: the record a worker writes ahead without
+// replication is a redo record with epoch and gen 0 whose updates may name
+// part -1 (a replicated table's row) and erase with no value; the iterator
+// hands each back as it was encoded.
+func TestRedoRoundTripWriteAheadShape(t *testing.T) {
+	ups := []RedoUpdate{
+		{Part: -1, Table: 3, Key: 5, Version: 4, Inc: 1, Val: []uint64{0xCC}},
+		{Part: 1, Table: 7, Key: 9, Version: 3, Inc: 2},
+	}
+	rec := EncodeRedo(nil, 9, ups)
+	txid, got, ok := iterate(rec)
+	if !ok || txid != 9 || len(rec) != RedoWords(ups) {
+		t.Fatalf("iterate = txid %d, ok %v over %d words (RedoWords %d)", txid, ok, len(rec), RedoWords(ups))
+	}
+	compare(t, ups, got)
+	if got[0].Part != -1 || len(got[1].Val) != 0 {
+		t.Fatalf("decoded part %d, erase value %v; want -1 and none", got[0].Part, got[1].Val)
+	}
 }
 
 func compare(t *testing.T, want, got []RedoUpdate) {
@@ -159,8 +186,12 @@ func TestIterRedoRejectsMalformedFrames(t *testing.T) {
 		"wrapped value length":            mutate(2+redoUpdateHeaderWords-1, 1<<63|1),
 		"second update's length overruns": mutate(2+redoUpdateHeaderWords+2+redoUpdateHeaderWords-1, 1),
 	} {
-		if _, ok := IterRedo(rec); ok {
+		it, ok := IterRedo(rec)
+		if ok {
 			t.Errorf("%s: accepted", name)
+		}
+		if u, more := it.Next(); more {
+			t.Errorf("%s: rejected, yet its iterator yields %+v", name, u)
 		}
 	}
 }

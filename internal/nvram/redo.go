@@ -1,10 +1,13 @@
 package nvram
 
-// Redo records are the replication payload of the FaRM-style commit-backup
+// A redo record is a transaction's commit record, in one format wherever it
+// is kept. Under replication it is the payload of the FaRM-style commit-backup
 // protocol: after a transaction's HTM region commits, its whole write-set is
 // serialized into one redo record and appended — with one-sided log-append
 // WRITEs — to a redo log hosted on every backup of every partition the
-// transaction touched. Shipping the FULL write-set to every destination
+// transaction touched. Without replication it is the write-ahead record the
+// region appends to its own NVRAM log, with epoch and gen 0 and part -1 for
+// a replicated table's row, which crash recovery redoes. Shipping the FULL write-set to every destination
 // (rather than each backup's slice of it) is what makes a partially
 // replicated crash recoverable: any single surviving log tail reconstructs
 // the whole transaction, so the promote path can re-apply the foreign
@@ -114,7 +117,7 @@ type RedoIter struct {
 
 // IterRedo checks rec's framing and returns an iterator over its updates;
 // ok is false on a malformed frame (corrupt count, truncated tail, a value
-// length the frame cannot hold).
+// length the frame cannot hold), whose iterator yields nothing.
 func IterRedo(rec []uint64) (it RedoIter, ok bool) {
 	if len(rec) < 2 {
 		return it, false

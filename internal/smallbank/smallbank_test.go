@@ -177,15 +177,17 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 
 // TestMixConservation runs the full mix concurrently and checks that the
 // total balance moved only by the tracked net deposits, and that the workers
-// left no lock held and no release-side step parked (Runtime.AuditQuiescent):
-// without logs, and with them and one backup per partition, where every
-// commit appends a redo record and leaves its release chain in flight.
+// left no lock held, no release-side step parked and no logged write owed
+// (Runtime.AuditQuiescent): without logs; with them, where every commit leaves
+// a write-ahead record; and with them and one backup per partition, where
+// every commit appends a redo record and leaves its release chain in flight.
 func TestMixConservation(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		mut  func(*cluster.Config)
 	}{
 		{"plain", nil},
+		{"durable", func(c *cluster.Config) { c.Durability = true }},
 		{"durable-replicated", func(c *cluster.Config) { c.Durability, c.ReplicationFactor = true, 1 }},
 	} {
 		t.Run(arm.name, func(t *testing.T) { mixConservation(t, arm.mut) })

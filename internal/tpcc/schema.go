@@ -377,9 +377,6 @@ func (w *Workload) LookupByLastName(e *tx.Executor, wID, d int, ln uint64) (int,
 	return ids[len(ids)/2], true
 }
 
-// Runtime returns the underlying transaction runtime.
-func (w *Workload) Runtime() *tx.Runtime { return w.rt }
-
 // Config returns the workload configuration.
 func (w *Workload) Config() Config { return w.cfg }
 

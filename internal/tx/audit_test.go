@@ -14,7 +14,9 @@ import (
 // the audit; a write-locked state word is named by node, region, table, key,
 // offset and word — a replica region's by the partition it copies too — and,
 // without replication (nothing parks under it), a release-side step still
-// parked for a machine that is up by its count. A dead machine is not audited.
+// parked for a machine that is up by its count, and a write-ahead record's
+// update its row has not reached by worker, table and key. A dead machine is
+// not audited.
 func TestAuditQuiescent(t *testing.T) {
 	rt, e := replRig(t, func(c *cluster.Config) { c.ReplicationFactor = 1 })
 	replica := rt.C.Node(0).Unordered(cluster.CopyRegion(1, tblAccounts, 0))
@@ -60,5 +62,23 @@ func TestAuditQuiescent(t *testing.T) {
 	rt.C.Crash(1)
 	if err := rt.AuditQuiescent(); err == nil || strings.Contains(err.Error(), "node 1") {
 		t.Fatalf("audit with node 1 down = %v, want node 0's parked step alone", err)
+	}
+
+	rt, stop := durableRig(t, 2, 1, 4)
+	defer stop()
+	if err := rmw(rt.Executor(1, 0), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.AuditQuiescent(); err != nil {
+		t.Fatalf("audit after a durable commit: %v", err)
+	}
+	rt.C.Worker(1, 0).WriteAheadLog.Append(walUpdate(42, 2, 9, 777, 9)) // key 2 is at version 1
+	want := "node 1 worker 0: write-ahead record owes table 1 key 2 version 9 (node 0 holds 1)"
+	if err := rt.AuditQuiescent(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit = %v, want it to name %q", err, want)
+	}
+	rt.C.Crash(0)
+	if err := rt.AuditQuiescent(); err != nil {
+		t.Fatalf("audit with the owed row's node down = %v, want nothing", err)
 	}
 }

@@ -83,10 +83,7 @@ func (rt *Runtime) Failover(crashed int) FailoverReport {
 	rep.Promoted = true
 
 	replay := func(rec []uint64) {
-		it, ok := nvram.IterRedo(rec)
-		if !ok {
-			return
-		}
+		it, _ := nvram.IterRedo(rec)
 		for u, more := it.Next(); more; u, more = it.Next() {
 			rt.applyRedoUpdate(u)
 		}

@@ -13,16 +13,13 @@ import (
 // the normal transaction with one thing swapped. Instead of an HTM region,
 // EVERY record — local ones too — is protected by its Figure 5 lock or lease,
 // taken in the global <table, key> order after everything the Start phase held
-// was released. The order makes it deadlock-free, so an escalated attempt's
-// take waits for a held record where any other attempt aborts on it. Every
-// declared record, a local one included — the very record the region reads in
-// place — joins the transaction's own staged set (restage, take); the body runs
-// against their buffers, a declared row found missing reading as missing, as in
-// the region; and the commit is the region path's, called with the held lock
-// set where the region was: the same validate, write-ahead log, replication and
-// publish. Because local records are locked through the same state words,
-// in-flight local HTM transactions abort on their state checks, preserving
-// strict serializability.
+// was released: deadlock-free, so an escalated attempt's take waits for a held
+// record where any other attempt aborts on it. Every declared record joins the
+// transaction's own staged set (restage, take); the body runs against their
+// buffers, a declared row found missing reading as missing, as in the region;
+// and the commit is the region path's, with the held lock set where the region
+// was: the same validate, commit record and publish. Local HTM transactions
+// abort on the same state words, preserving strict serializability.
 func (t *Tx) runFallback(fn func(lc *Local) error) error {
 	e := t.e
 	e.w.Obs.Inc(obs.EvFallback)
@@ -53,8 +50,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 		return err
 	}
 	t.snapshotWriteBufs() // the values the commit retires as superseded
-	durable := e.rt.C.Config().Durability
-	if durable {
+	if e.rt.C.Config().Durability {
 		t.logLockAhead()
 	}
 
@@ -77,9 +73,7 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 		t.lastAbort = causeOf(code)
 		return t.fail()
 	}
-	if durable {
-		t.logWAL(nil)
-	}
+	t.logWAL(nil)
 	return t.publish()
 }
 

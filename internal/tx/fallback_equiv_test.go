@@ -82,54 +82,38 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 // commitTrail returns what the executor's last commit logged — call it right
 // after the commit: the next transaction restarts the write-ahead log, and this
 // drains the rings — the write-ahead records and the redo records on the
-// backups, decoded and put in one order (a region logs its local records
-// first, the fallback everything in lock order). Transaction ids are dropped,
-// and an empty value is nil whichever decoder produced it.
-func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal [][]walRec, redo [][]nvram.RedoUpdate) {
+// backups, one format decoded by one iterator, each record's updates put in
+// one order (a region logs its local records first, the fallback everything in
+// lock order). Transaction ids are dropped, and an empty value is nil.
+func commitTrail(t *testing.T, rt *Runtime, e *Executor) (wal, redo [][]nvram.RedoUpdate) {
 	t.Helper()
-	for _, rec := range logRecords(e.w.WriteAheadLog) {
-		_, recs, ok := parseWAL(rec)
+	decode := func(rec []uint64) []nvram.RedoUpdate {
+		it, ok := nvram.IterRedo(rec)
 		if !ok {
-			t.Fatalf("malformed WAL record %v", rec)
+			t.Fatalf("malformed commit record %v", rec)
 		}
-		for i := range recs {
-			if len(recs[i].val) == 0 {
-				recs[i].val = nil
-			}
+		var ups []nvram.RedoUpdate
+		for u, more := it.Next(); more; u, more = it.Next() {
+			u.Val = append([]uint64(nil), u.Val...) // rec is a scan buffer
+			ups = append(ups, u)
 		}
-		sort.Slice(recs, func(i, j int) bool {
-			a, b := recs[i], recs[j]
-			if a.node != b.node {
-				return a.node < b.node
+		sort.Slice(ups, func(i, j int) bool {
+			if ups[i].Table != ups[j].Table {
+				return ups[i].Table < ups[j].Table
 			}
-			if a.table != b.table {
-				return a.table < b.table
-			}
-			return a.off < b.off
+			return ups[i].Key < ups[j].Key
 		})
-		wal = append(wal, recs)
+		return ups
+	}
+	for _, rec := range logRecords(e.w.WriteAheadLog) {
+		wal = append(wal, decode(rec))
 	}
 	if rt.C.ReplicationFactor() == 0 {
 		return wal, nil
 	}
 	for b := 0; b < rt.C.Nodes(); b++ {
 		rt.C.RedoSinkAt(b, e.w.Node.ID, e.w.ID).Drain(func(rec []uint64) {
-			it, ok := nvram.IterRedo(rec)
-			if !ok {
-				t.Fatalf("malformed redo record %v", rec)
-			}
-			var ups []nvram.RedoUpdate
-			for u, more := it.Next(); more; u, more = it.Next() {
-				u.Val = append([]uint64(nil), u.Val...) // rec is the sink's scan buffer
-				ups = append(ups, u)
-			}
-			sort.Slice(ups, func(i, j int) bool {
-				if ups[i].Table != ups[j].Table {
-					return ups[i].Table < ups[j].Table
-				}
-				return ups[i].Key < ups[j].Key
-			})
-			redo = append(redo, ups)
+			redo = append(redo, decode(rec))
 		})
 	}
 	return wal, redo

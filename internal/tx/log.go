@@ -1,8 +1,10 @@
 package tx
 
 import (
+	"drtm/internal/cluster"
 	"drtm/internal/htm"
 	"drtm/internal/memory"
+	"drtm/internal/nvram"
 	"drtm/internal/obs"
 )
 
@@ -10,21 +12,14 @@ import (
 //
 // Log record wire formats (words):
 //
-//	chopping log:   [txid, info...]
-//	lock-ahead log: [txid, n, (node, table, off) x n]
-//	write-ahead log:[txid, n, (node, table, off, inc<<32|version, vw, val...) x n]
+//	chopping log:    [txid, info...]
+//	lock-ahead log:  [txid, n, (node, table, off) x n]
+//	write-ahead log: a redo record (nvram/redo.go) with epoch and gen 0
 //
-// The inc half of the packed word is the committed incarnation for
-// ordered-table rows (live odd, erased even) and 0 for unordered rows, whose
-// entries have no liveness; recovery redo applies an ordered row iff the
-// packed word exceeds the entry's current incver word.
-//
-// The `table` slots carry the record's storage region — identical to the
-// logical table ID except for replica regions after a failover promotion —
-// so recovery resolves arenas without consulting the (possibly changed) view.
-//
-// The write-ahead log is appended transactionally inside the HTM region
-// (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
+// The write-ahead record is the commit record the backups receive under
+// replication, made by the same builder (updates) and addressed the same way,
+// by partition, table and key. It is appended transactionally inside the HTM
+// region (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
 // transaction's XEND executed — the property recovery relies on to decide
 // redo. Under replication there is none: a crashed machine is
 // repaired by Failover, never by Recover, and the redo record on the backups
@@ -33,19 +28,13 @@ import (
 // The lock-ahead log is written and read by no repair: both free a crashed
 // machine's locks by the state words' owner bits (freeLocksOf). Its appends
 // stay for what they cost (Table 6).
-//
-// Lifetime. Recovery consults a crashed machine's logs for the transactions
-// that were in flight (Figure 7): a chopping record until its piece commits, a
-// write-ahead record until every write it names is home. A worker
-// therefore restarts its three logs (reclaimLogs) where it starts a
-// transaction attempt — holding no lock, owing no write — unless some commit's
-// release side is parked for an unreachable node (fault.go; only without
-// replication does anything park), whose write-ahead record is exactly what a
-// crash of this coordinator would still need.
 
-// reclaimLogs applies the lifetime rule at the start of a transaction attempt:
-// the worker's logs, if they hold anything, are restarted — all three, the
-// write-ahead log last, so no chopping record ever outlives the write-ahead
+// reclaimLogs applies the logs' lifetime rule. Recovery consults a crashed
+// machine's logs for the transactions in flight (Figure 7): a chopping record
+// until its piece commits, a write-ahead record until every write it names is
+// home. So where a worker starts a transaction attempt — holding no lock,
+// owing no write — its logs, if they hold anything, are restarted: all three,
+// the write-ahead log last, so no chopping record ever outlives the write-ahead
 // record that proved its transaction committed (Recover would hand the piece
 // back as pending). They are kept while release-side work is parked anywhere
 // in the runtime — the parked write's record must survive this coordinator;
@@ -122,79 +111,58 @@ func (t *Tx) logged(ok bool, log string, words int) {
 	t.e.charge(int64(t.e.model().NVRAMAppend(words * 8)))
 }
 
-// walBody serializes the transaction's full update set — every record, local
-// then staged, the commit writes, inserts or erases (remoteRec.update) — into
-// the log scratch; nil when there is none.
-func (t *Tx) walBody() []uint64 {
-	b := append(t.logBuf[:0], t.txid, 0)
+// updates builds the commit record's update set — every record, local then
+// staged, the commit writes, inserts or erases (remoteRec.update). Without
+// replication it is every update, with epoch and generation 0: the write-ahead
+// record. Under replication it is those replView keeps, stamped with the view
+// epoch the transaction observed (replicate stamps their generations).
+func (t *Tx) updates() []nvram.RedoUpdate {
+	repl := t.e.rt.C.ReplicationFactor() > 0
+	ups := t.redoUps[:0]
 	for _, recs := range [2][]*remoteRec{t.locals, t.recs} {
 		for _, r := range recs {
-			if inc, val, ok := r.update(); ok {
-				b = putWAL(b, r.node, r.region, r.off, inc, r.version+1, val)
+			inc, val, ok := r.update()
+			if !ok {
+				continue
 			}
+			var epoch uint64
+			if repl {
+				w, ok := t.replView(r.part)
+				if !ok {
+					continue
+				}
+				epoch = cluster.ViewEpoch(w)
+			}
+			ups = append(ups, nvram.RedoUpdate{
+				Part: r.part, Epoch: epoch, Table: r.table,
+				Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
+			})
 		}
 	}
-	t.logBuf = b
-	if b[1] == 0 {
-		return nil
-	}
-	return b
+	t.redoUps = ups
+	return ups
 }
 
-// putWAL appends one update to a write-ahead record and counts it.
-func putWAL(b []uint64, node, region int, off memory.Offset, inc, version uint32, val []uint64) []uint64 {
-	b[1]++
-	b = append(b, uint64(node), uint64(region), uint64(off), uint64(inc)<<32|uint64(version), uint64(len(val)))
-	return append(b, val...)
-}
-
-// logWAL appends the write-ahead record at the commit point. Inside the HTM
-// region the append is transactional: durable iff the region commits. Under
-// the fallback's locks (htx == nil) it is immediate, ahead of the in-place
-// updates ("DrTM will perform logs ahead of updates for them as in normal
-// systems", Section 6.2). Under replication it appends nothing: the redo
-// record the backups hold decides the commit (appendRedo's one-log rule), and
-// Failover, the only repair of a replicated cluster, never reads this log.
+// logWAL appends the write-ahead record at the commit point of a durable
+// worker. Inside the HTM region the append is transactional: durable iff the
+// region commits. Under the fallback's locks (htx == nil) it is immediate,
+// ahead of the in-place updates ("DrTM will perform logs ahead of updates for
+// them as in normal systems", Section 6.2). Under replication it appends
+// nothing: the redo record the backups hold decides the commit, and Failover,
+// the only repair of a replicated cluster, never reads this log.
 func (t *Tx) logWAL(htx *htm.Txn) {
-	if t.e.rt.C.ReplicationFactor() > 0 {
+	if t.e.w.WriteAheadLog == nil || t.e.rt.C.ReplicationFactor() > 0 {
 		return
 	}
-	body := t.walBody()
-	if body == nil {
+	ups := t.updates()
+	if len(ups) == 0 {
 		return
 	}
+	rec := nvram.EncodeRedo(t.redoBuf, t.txid, ups)
+	t.redoBuf = rec
 	if log := t.e.w.WriteAheadLog; htx != nil {
-		t.logged(log.AppendTx(htx, body), "write-ahead", len(body))
+		t.logged(log.AppendTx(htx, rec), "write-ahead", len(rec))
 	} else {
-		t.logged(log.Append(body), "write-ahead", len(body))
+		t.logged(log.Append(rec), "write-ahead", len(rec))
 	}
-}
-
-// parseWAL decodes one write-ahead record; the updates' values alias rec.
-func parseWAL(rec []uint64) (txid uint64, recs []walRec, ok bool) {
-	if len(rec) < 2 {
-		return 0, nil, false
-	}
-	txid = rec[0]
-	n := int(rec[1])
-	i := 2
-	for r := 0; r < n; r++ {
-		if i+5 > len(rec) {
-			return 0, nil, false
-		}
-		vw := int(rec[i+4])
-		if i+5+vw > len(rec) {
-			return 0, nil, false
-		}
-		recs = append(recs, walRec{
-			node:    int(rec[i]),
-			table:   int(rec[i+1]),
-			off:     memory.Offset(rec[i+2]),
-			version: uint32(rec[i+3]),
-			inc:     uint32(rec[i+3] >> 32),
-			val:     rec[i+5 : i+5+vw],
-		})
-		i += 5 + vw
-	}
-	return txid, recs, true
 }

@@ -9,18 +9,20 @@ import (
 	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
+	"drtm/internal/nvram"
 	"drtm/internal/obs"
 )
 
 // RecoveryReport summarizes one node's recovery.
 type RecoveryReport struct {
-	// RedoneTxns is the number of committed transactions whose updates were
-	// (re)applied from the write-ahead log (Figure 7(b)).
+	// RedoneTxns is the number of committed transactions with at least one
+	// update installed from the write-ahead log (Figure 7(b)).
 	RedoneTxns int
-	// RedoneRecords is the number of record updates applied.
+	// RedoneRecords is the number of logged updates installed: the row was
+	// still write-locked by the crashed machine, at an older version.
 	RedoneRecords int
-	// SkippedRecords is the number of logged updates already present
-	// (version on the record >= logged version).
+	// SkippedRecords is the number of logged updates left alone: the row is
+	// missing, not held by the crashed machine, or not older than the update.
 	SkippedRecords int
 	// Unlocked is the number of exclusive locks the crashed machine held
 	// that recovery released, committed transactions' included.
@@ -35,7 +37,7 @@ type RecoveryReport struct {
 //
 //   - redoes updates of committed transactions (write-ahead log present ⇒
 //     XEND executed ⇒ the transaction must eventually commit everywhere),
-//     applying each record update only if its logged version is newer;
+//     installing each update the crashed machine still owes (redoHeld);
 //
 //   - then, while the node is down, releases every exclusive lock the
 //     crashed machine still holds (freeLocksOf): a state word's owner bits
@@ -71,16 +73,13 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		}
 	}
 
-	// Redo first, every worker's whole log, and unlock nothing meanwhile. A
-	// worker restarts its logs at transaction boundaries (reclaimLogs), so a
-	// log usually holds the one transaction in flight — but while release-side
-	// work is parked it keeps every commit since, and a record's location can
-	// appear in it many times, the in-doubt update last. While that update is
-	// pending the crashed machine's lock is what keeps survivors off the
-	// record: releasing it at an older entry for the same location — this
-	// worker's or another's — lets a survivor lock and rewrite the record
-	// before the replay reaches the entry that matters, which the version
-	// guard then skips, and an acked commit is lost.
+	// Redo first, every worker's whole log, and unlock nothing meanwhile. A log
+	// usually holds the one transaction in flight (reclaimLogs), but while
+	// release-side work is parked it keeps every commit since, and a row can
+	// appear in it many times, the in-doubt update last. Until that update is
+	// installed the crashed machine's lock keeps survivors off the row: freed
+	// earlier, a survivor could rewrite it first, the version guard would skip
+	// the update, and an acked commit would be lost.
 	committed := make(map[uint64]bool)
 	var buf []uint64 // every scan's record buffer
 	for _, wk := range wks {
@@ -88,14 +87,11 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 			wk.LockAheadLog.BytesUsed() > 0 || wk.ChoppingLog.BytesUsed() > 0
 		_, buf = wk.WriteAheadLog.Scan(buf, func(rec []uint64) {
 			wk.Obs.Inc(obs.EvRecoveryScan)
-			txid, recs, ok := parseWAL(rec)
-			if !ok {
-				return
-			}
-			committed[txid] = true
+			it, ok := nvram.IterRedo(rec)
+			committed[it.TxID] = ok
 			redone := rep.RedoneRecords
-			for _, u := range recs {
-				if rt.redo(u) {
+			for u, more := it.Next(); more; u, more = it.Next() {
+				if rt.redoHeld(crashed, u) {
 					rep.RedoneRecords++
 					wk.Obs.Inc(obs.EvRecoveryRedo)
 				} else {
@@ -139,29 +135,37 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	return rep
 }
 
-// redo applies one logged update if it is newer than the record's current
-// version. Returns whether the value was written. The lock the crashed machine
-// may still hold on the record is freeLocksOf's to release, once every log is
-// replayed.
-//
-// Ordered rows (inc != 0 in the log) carry the committed incarnation: the
-// update applies iff the packed inc<<32|version word exceeds the entry's
-// current incver word, and the whole word — liveness included — is restored.
-// An erase logs no value words, so redoing it flips the row dead without
-// touching the payload.
-func (rt *Runtime) redo(u walRec) bool {
-	arena := rt.arenaOf(u.node, u.table)
-	cur := arena.LoadWord(kvs.IncVerOffset(u.off))
-	head := kvs.PackIncVer(u.inc, u.version)
-	if u.inc == 0 {
-		head = kvs.PackIncVer(kvs.Incarnation(cur), u.version)
-	}
-	if cur >= head {
+// redoHeld installs one update of the crashed machine's write-ahead log at its
+// row's home copy (homeRow) if the crashed machine still holds that row
+// write-locked and the row is older than the logged version; it reports
+// whether it installed. A lost write-back can leave only such rows short: the
+// region path's local rows were published at XEND, and every other row the
+// commit wrote stayed locked by it until its write-back landed. The held check
+// is what the key cannot tell: a row of the last commit erased, unlinked and
+// re-inserted at a fresh slot since its XEND is another row, not held — and why
+// redo runs ahead of freeLocksOf. The lock kept a held row's incarnation where
+// the commit found it, so adopting the logged liveness parity (install) gives
+// the incarnation the commit gave.
+func (rt *Runtime) redoHeld(crashed int, u nvram.RedoUpdate) bool {
+	_, arena, off, ok := rt.homeRow(crashed, u)
+	if !ok {
 		return false
 	}
-	arena.Write(kvs.ValueOffset(u.off), u.val)
-	arena.StoreWord(kvs.IncVerOffset(u.off), head)
-	return true
+	if s := arena.LoadWord(kvs.StateOffset(off)); !clock.IsWriteLocked(s) || int(clock.Owner(s)) != crashed {
+		return false
+	}
+	return rt.install(arena, off, u)
+}
+
+// homeRow finds the row an update of node's write-ahead log names, at its home
+// copy: on the partition's node, or for a replicated table (part < 0) on node
+// itself, in the table's own region — nothing is promoted without replication.
+func (rt *Runtime) homeRow(node int, u nvram.RedoUpdate) (home int, arena *memory.Arena, off memory.Offset, ok bool) {
+	if home = u.Part; home < 0 {
+		home = node
+	}
+	arena, off, ok = rt.row(rt.C.Node(home), u.Table, u.Table, u.Key)
+	return home, arena, off, ok
 }
 
 // freeLocksOf frees every exclusive lock the crashed machine holds, on every
@@ -187,15 +191,18 @@ func (rt *Runtime) freeLocksOf(crashed int) int {
 
 // AuditQuiescent checks what a runtime owes nobody once its workers have
 // stopped: on every live machine no state word is write-locked — a lock
-// leaked by a commit, an abort or a repair — and no release-side step is
-// parked for it (PendingOps). A freed ordered slot, which no index entry points
-// at, is skipped: removeDeadEntry leaves it write-locked on purpose. The error
+// leaked by a commit, an abort or a repair — no release-side step is parked
+// for it (PendingOps), and no write-ahead record names a write still owed: an
+// update whose row, on a live node, is found by its key at an older version
+// than the logged one. A freed ordered slot, which no index entry points at,
+// is skipped: removeDeadEntry leaves it write-locked on purpose. The error
 // names each leaked lock by node, region (table, key, a replica's partition),
-// offset and word, the first few.
+// offset and word, and each owed write by worker, table and key, the first few.
 func (rt *Runtime) AuditQuiescent() error {
 	const shown = 8
 	var errs []error
-	locked := 0
+	locked, owed := 0, 0
+	var buf []uint64 // every scan's record buffer
 	for node := 0; node < rt.C.Nodes(); node++ {
 		n := rt.C.Node(node)
 		if !n.Alive() {
@@ -225,9 +232,31 @@ func (rt *Runtime) AuditQuiescent() error {
 		if n := rt.PendingOps(node); n > 0 {
 			errs = append(errs, fmt.Errorf("node %d: %d release-side steps parked", node, n))
 		}
+		for w := 0; w < rt.C.Config().WorkersPerNode; w++ {
+			if wal := rt.C.Worker(node, w).WriteAheadLog; wal != nil {
+				_, buf = wal.Scan(buf, func(rec []uint64) {
+					it, _ := nvram.IterRedo(rec)
+					for u, more := it.Next(); more; u, more = it.Next() {
+						home, a, off, found := rt.homeRow(node, u)
+						if !found || !rt.C.Node(home).Alive() {
+							continue
+						}
+						if v := kvs.Version(a.LoadWord(kvs.IncVerOffset(off))); v < u.Version {
+							if owed++; owed <= shown {
+								errs = append(errs, fmt.Errorf("node %d worker %d: write-ahead record owes table %d key %d version %d (node %d holds %d)",
+									node, w, u.Table, u.Key, u.Version, home, v))
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 	if locked > shown {
 		errs = append(errs, fmt.Errorf("%d write-locked state words in all", locked))
+	}
+	if owed > shown {
+		errs = append(errs, fmt.Errorf("%d owed writes in all", owed))
 	}
 	return errors.Join(errs...)
 }

@@ -22,6 +22,13 @@ func logRecords(l *nvram.Log) [][]uint64 {
 	return out
 }
 
+// walUpdate encodes the write-ahead record a commit of txid leaves for one
+// write of tblAccounts' key (homed on node key % 2): value val at version.
+func walUpdate(txid, key uint64, version uint32, val ...uint64) []uint64 {
+	return nvram.EncodeRedo(nil, txid, []nvram.RedoUpdate{{
+		Part: int(key % 2), Table: tblAccounts, Key: key, Version: version, Val: val}})
+}
+
 func durableRig(t testing.TB, nodes, workers, keys int) (*Runtime, func()) {
 	t.Helper()
 	return newRig(t, nodes, workers, keys, func(c *cluster.Config) {
@@ -58,9 +65,16 @@ func TestDurableCommitWritesWAL(t *testing.T) {
 	if len(wal) != 1 {
 		t.Fatalf("WAL records = %d, want 1", len(wal))
 	}
-	txid, recs, ok := parseWAL(wal[0])
-	if !ok || txid == 0 || len(recs) != 2 {
-		t.Fatalf("WAL parse = %d recs, ok=%v", len(recs), ok)
+	it, ok := nvram.IterRedo(wal[0])
+	if !ok || it.TxID == 0 {
+		t.Fatalf("WAL record %v: ok=%v", wal[0], ok)
+	}
+	n := 0
+	for _, more := it.Next(); more; _, more = it.Next() {
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("WAL record holds %d updates, want 2", n)
 	}
 	if n := len(logRecords(w.LockAheadLog)); n != 1 {
 		t.Fatalf("lock-ahead records = %d, want 1", n)
@@ -199,8 +213,7 @@ func TestRecoveryRedoesCommitted(t *testing.T) {
 	// Hand-craft the WAL record the committed HTM region would have left:
 	// key 2 updated to {777, 9} at version 1.
 	w := rt.C.Worker(1, 0)
-	w.WriteAheadLog.Append([]uint64{tx.txid, 1,
-		0 /*node*/, tblAccounts, uint64(off), 1 /*version*/, 2 /*vw*/, 777, 9})
+	w.WriteAheadLog.Append(walUpdate(tx.txid, 2, 1, 777, 9))
 
 	rt.C.Crash(1)
 	rep := rt.Recover(1)
@@ -216,6 +229,48 @@ func TestRecoveryRedoesCommitted(t *testing.T) {
 	}
 	if kvs.Version(host.Arena().LoadWord(off+1)) != 1 {
 		t.Fatal("version not advanced by redo")
+	}
+}
+
+// TestRecoveryLeavesReinsertedRowAlone: the write-ahead record names a row by
+// its key, and a key can name another row by the time of the crash. Node 1
+// erases a local ordered row — published at XEND, unlinked at its commit —
+// node 0 inserts the key again, and node 1 dies with the erase as its logged
+// commit. The new row is at a lower version than the logged erase, but node 1
+// does not hold it: Recover must leave it live.
+func TestRecoveryLeavesReinsertedRowAlone(t *testing.T) {
+	rt, stop := newOrderedRig(t, 2, 1, func(c *cluster.Config) {
+		c.Durability, c.LogWords = true, 1<<16
+	})
+	defer stop()
+	key := orderedKey(1, 5) // homed on node 1
+	e1 := rt.Executor(1, 0)
+	insertOrders(t, e1, 1, []uint64{5})
+	if err := e1.Exec(func(tx *Tx) error {
+		if _, err := tx.Erase(tblOrders, key); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error { return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	o := rt.C.Node(1).Ordered(tblOrders)
+	if _, found := o.Lookup(key); found {
+		t.Fatal("the erased row is still linked")
+	}
+	insertOrders(t, rt.Executor(0, 0), 1, []uint64{5})
+	off, _ := o.Lookup(key)
+	if v := kvs.Version(o.Arena().LoadWord(kvs.IncVerOffset(off))); v >= 2 {
+		t.Fatalf("the new row is at version %d, not below the logged erase's 2", v)
+	}
+
+	rt.C.Crash(1)
+	rep := rt.Recover(1)
+	if rep.RedoneRecords != 0 || rep.SkippedRecords != 1 {
+		t.Errorf("redone %d, skipped %d, want the logged erase skipped", rep.RedoneRecords, rep.SkippedRecords)
+	}
+	if v, live := liveOrderedVal(rt, 1, tblOrders, key); !live || v[0] != 500 {
+		t.Fatalf("the new row after Recover: %v, live %v; want [500 5] live", v, live)
 	}
 }
 
@@ -244,9 +299,9 @@ func TestRecoveryRedoesBeforeItUnlocks(t *testing.T) {
 	// newer than anything), then the one the crash left in doubt.
 	w := rt.C.Worker(1, 0)
 	for i := 0; i < 4000; i++ {
-		w.WriteAheadLog.Append([]uint64{uint64(i + 1), 1, 0, tblAccounts, uint64(off), 0, 2, 1, 1})
+		w.WriteAheadLog.Append(walUpdate(uint64(i+1), 2, 0, 1, 1))
 	}
-	w.WriteAheadLog.Append([]uint64{tx.txid, 1, 0, tblAccounts, uint64(off), 1, 2, 777, 9})
+	w.WriteAheadLog.Append(walUpdate(tx.txid, 2, 1, 777, 9))
 
 	// The survivor: lock the record the moment it is free, look, update, unlock.
 	var saw []uint64
@@ -297,8 +352,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	host := rt.C.Node(0).Unordered(tblAccounts)
 	off, _ := host.LookupLocal(2)
 	w := rt.C.Worker(1, 0)
-	w.WriteAheadLog.Append([]uint64{tx.txid, 1,
-		0, tblAccounts, uint64(off), 1, 2, 777, 9})
+	w.WriteAheadLog.Append(walUpdate(tx.txid, 2, 1, 777, 9))
 
 	rt.C.Crash(1)
 	first := rt.Recover(1)
@@ -381,7 +435,8 @@ func TestRecoverRefusesReplicatedCluster(t *testing.T) {
 }
 
 // TestRecoverySkipsStaleVersions: a logged update older than the record's
-// current version is not applied (update ordering by version, Section 4.6).
+// current version is not applied (update ordering by version, Section 4.6),
+// though the crashed machine still holds the record.
 func TestRecoverySkipsStaleVersions(t *testing.T) {
 	rt, stop := durableRig(t, 2, 1, 4)
 	defer stop()
@@ -390,11 +445,13 @@ func TestRecoverySkipsStaleVersions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		host.Put(2, []uint64{uint64(2000 + i), 0})
 	}
-	off, _ := host.LookupLocal(2)
+	tx := rt.Executor(1, 0).newTx()
+	if err := tx.stageRemote(tblAccounts, 2, 0, tblAccounts, 0, true); err != nil {
+		t.Fatal(err)
+	}
 
 	w := rt.C.Worker(1, 0)
-	w.WriteAheadLog.Append([]uint64{42, 1,
-		0, tblAccounts, uint64(off), 3 /*stale version*/, 2, 111, 111})
+	w.WriteAheadLog.Append(walUpdate(42, 2, 3 /*stale version*/, 111, 111))
 	rt.C.Crash(1)
 	rep := rt.Recover(1)
 	if rep.SkippedRecords != 1 || rep.RedoneRecords != 0 {

@@ -12,55 +12,31 @@ import (
 )
 
 // FaRM-style commit-backup, transaction side. After the serialization point
-// (XEND on the HTM path; the post-lease-confirm point on the fallback path,
-// with every lock still held), the transaction's whole write-set is encoded
-// as one redo record and appended to a redo log on every backup of every
-// touched partition — one-sided log-append WRITEs pushed through the async
-// verb engine as a single doorbell wave per destination set, acked by
-// polling the wave, before any lock releases or any in-place update becomes
-// remotely observable. The region's local writes are held under this
-// machine's lock until then (Tx.holdLocalWrites). The record is the commit
-// record: under replication no write-ahead record is written (logWAL), and
-// the backups truncate a ring as the sender's next record arrives
-// (cluster.RedoSink.RemoteAppend), not on a message of their own.
-//
-// Every update carries the view epoch the transaction observed at declare
-// time. The backup's sink fences stale epochs (rdma.ErrFenced), so a zombie
-// ex-primary cannot smuggle a pre-failover write-set into a post-failover
-// log. Updates to partitions that are themselves running promoted (owner !=
-// home) are not re-replicated — a promoted partition is single-copy until
-// the crashed home returns (documented limitation, DESIGN.md).
+// (XEND on the HTM path; the last check under every lock on the fallback's),
+// the commit record (updates) is appended to a redo log on every backup of
+// every touched partition — one doorbell wave of one-sided log-append WRITEs,
+// polled before any lock releases or any in-place update becomes remotely
+// observable; the region's local writes are held under this machine's lock
+// until then (Tx.holdLocalWrites). The backups truncate a ring as the sender's
+// next record arrives (cluster.RedoSink.RemoteAppend). Every update carries the
+// view epoch the transaction observed at declare time, and the backup's sink
+// fences stale epochs (rdma.ErrFenced), so a zombie ex-primary cannot smuggle a
+// pre-failover write-set into a post-failover log. A promoted partition is
+// single-copy until the crashed home returns (DESIGN.md).
 
-// replicate ships the write-set — every record, local then staged, the commit
-// writes, inserts or erases (remoteRec.update) — to the backups. Called
-// between the serialization point and commitRemotes; an error means the
-// transaction must not publish (only possible when this machine itself died
-// mid-commit) and has released its locks.
+// replicate ships the write-set (updates) to the backups. Called between the
+// serialization point and commitRemotes; an error means the transaction must
+// not publish (only possible when this machine itself died mid-commit) and has
+// released its locks.
 func (t *Tx) replicate() error {
-	rt := t.e.rt
-	if rt.C.ReplicationFactor() == 0 {
+	if t.e.rt.C.ReplicationFactor() == 0 {
 		return nil
 	}
-	ups := t.redoUps[:0]
-	for _, recs := range [2][]*remoteRec{t.locals, t.recs} {
-		for _, r := range recs {
-			inc, val, ok := r.update()
-			if !ok {
-				continue
-			}
-			if w, ok := t.replView(r.part); ok {
-				ups = append(ups, nvram.RedoUpdate{
-					Part: r.part, Epoch: cluster.ViewEpoch(w), Table: r.table,
-					Key: r.key, Version: r.version + 1, Inc: inc, Val: val,
-				})
-			}
-		}
-	}
-	t.redoUps = ups
+	ups := t.updates()
 	if len(ups) == 0 {
 		return nil
 	}
-	rt.stampRedoGens(ups)
+	t.e.rt.stampRedoGens(ups)
 	if err := t.appendRedo(ups); err != nil {
 		return t.nodeDown()
 	}
@@ -114,18 +90,14 @@ func (t *Tx) replView(part int) (uint64, bool) {
 // is no zombie (a zombie dropped its write-backs) and its QP is idle: a live
 // worker posted the write-back of every earlier commit, or applied it to a dead
 // primary's memory itself (defer_), before it returned, and the connection
-// completes in post order, so once nothing is in flight every one has landed.
-// Without the bit the backup keeps the earlier records one more append; this
-// append's wave is awaited and pays what is in flight, so the next record
-// normally carries it.
-// A one-way Send can leave work in flight past that wait, so once the words
-// appended to a backup since its last home record there would pass
-// cluster.CheckpointWords, the append first waits out what is in flight
-// (rdma.QP.Settle) and sets the bit: a ring stays under twice that. An update
-// written back into a dead primary needs no ring kept whole, as it went to
-// every backup of its partition, whose drain applies it to that replica and
-// whose promotion replays the rest (TestRingDrainsPastDeadWriteBack). A
-// backup's drain drops only the updates of partitions it does not back up.
+// completes in post order. Without the bit the backup keeps the earlier records
+// one more append; this append's wave pays what is in flight, so the next
+// record normally carries it. A one-way Send can leave work in flight past that
+// wait, so once the words appended to a backup since its last home record
+// there would pass cluster.CheckpointWords, the append first waits out what is
+// in flight (rdma.QP.Settle) and sets the bit: a ring stays under twice that.
+// An update written back into a dead primary went to every backup of its
+// partition too, whose drain or promotion applies it there.
 func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 	e := t.e
 	rt := e.rt
@@ -240,10 +212,7 @@ func (t *Tx) appendRedo(ups []nvram.RedoUpdate) error {
 // for partitions host does not back up (full write-set records) and for
 // promoted partitions are skipped; their copies are maintained elsewhere.
 func (rt *Runtime) applyBackedUp(host int, rec []uint64) {
-	it, ok := nvram.IterRedo(rec)
-	if !ok {
-		return
-	}
+	it, _ := nvram.IterRedo(rec)
 	n := rt.C.Node(host)
 	for u, more := it.Next(); more; u, more = it.Next() {
 		if !rt.C.IsBackup(host, u.Part) || rt.C.OwnerOf(u.Part) != u.Part {
@@ -268,28 +237,19 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 }
 
 // applyRedo applies one redo update to the copy of its table in a storage
-// region of node n: value and version are written iff the logged version is
-// newer. The whole check-then-write runs under the partition's redo lock: rings
-// drain concurrently (two rings on one backup can hold successive versions of the
-// same key when different sender workers committed them, and Failover's
-// crashed-sender replay can race an append-time drain), so without the lock an
-// interleaved pair of drains could publish the older value under the newer
-// version word — a lost update that the version guard would then freeze in
-// place forever.
+// region of node n: the version-guarded install, behind the delete-generation
+// guard, all under the partition's redo lock. Rings drain concurrently (two
+// rings on one backup can hold successive versions of one key, and Failover's
+// replay can race an append-time drain): without the lock an interleaved pair
+// could publish the older value under the newer version word, for good.
 //
 // A missing key is never re-inserted. Replica shards mirror the primary's
 // membership — seeded at load, inserts and deletes shipped synchronously to
 // every copy (execStoreOp) — so a miss means the key was deleted after this
-// record was logged, and re-inserting would resurrect it. The
-// delete-generation guard catches the delete-then-reinsert variant of the
-// same staleness, where the key exists again but this record's value
-// predates the delete (the reinserted entry restarts at version 0, so the
-// version guard alone cannot tell).
-//
-// An ordered copy adopts the logged incarnation's PARITY, not its counter —
-// each copy's incarnation counter advances independently (a replica's dead
-// slot may have cycled a different number of times), so only liveness is
-// meaningful across copies — and an erase flip (even Inc) carries no value.
+// record was logged. The delete-generation guard catches the
+// delete-then-reinsert variant, where the key exists again but this record's
+// value predates the delete (the reinserted entry restarts at version 0, so
+// the version guard alone cannot tell).
 func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bool {
 	sh := &rt.redoShards[u.Part]
 	sh.mu.Lock()
@@ -297,33 +257,42 @@ func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bo
 	if u.Gen < sh.delGen[delKey{u.Table, u.Key}] {
 		return false // logged before a delete of the key: stale
 	}
-	var (
-		arena *memory.Arena
-		off   memory.Offset
-		found bool
-	)
-	ordered := rt.Meta(u.Table).Kind == Ordered
-	if ordered {
-		o, ok := n.OrderedRegion(region)
-		if !ok {
-			return false
+	arena, off, ok := rt.row(n, region, u.Table, u.Key)
+	return ok && rt.install(arena, off, u)
+}
+
+// row finds key's entry in node n's copy of table held in region; ok is false
+// when the copy has no entry for it (deleted since the update was logged; never
+// resurrected).
+func (rt *Runtime) row(n *cluster.Node, region, table int, key uint64) (arena *memory.Arena, off memory.Offset, ok bool) {
+	if rt.Meta(table).Kind == Ordered {
+		o, found := n.OrderedRegion(region)
+		if !found {
+			return nil, 0, false
 		}
-		off, found = o.Lookup(u.Key)
-		arena = o.Arena()
-	} else {
-		host := n.Unordered(region)
-		off, found = host.LookupLocal(u.Key)
-		arena = host.Arena()
+		off, ok = o.Lookup(key)
+		return o.Arena(), off, ok
 	}
-	if !found {
-		return false // deleted since the append; never resurrect
-	}
+	host := n.Unordered(region)
+	off, ok = host.LookupLocal(key)
+	return host.Arena(), off, ok
+}
+
+// install is the version-guarded install of every replay — a backup's drain,
+// Failover's and Recover's: value and version are written iff the logged
+// version is newer than the row's. Returns whether it wrote.
+//
+// An ordered row adopts the logged incarnation's PARITY, not its counter —
+// each copy's incarnation counter advances independently (a replica's dead
+// slot may have cycled a different number of times), so only liveness is
+// meaningful across copies — and an erase flip (even Inc) carries no value.
+func (rt *Runtime) install(arena *memory.Arena, off memory.Offset, u nvram.RedoUpdate) bool {
 	cur := arena.LoadWord(kvs.IncVerOffset(off))
 	if kvs.Version(cur) >= u.Version {
 		return false
 	}
 	inc := kvs.Incarnation(cur)
-	if ordered && kvs.Live(u.Inc) != kvs.Live(inc) {
+	if rt.Meta(u.Table).Kind == Ordered && kvs.Live(u.Inc) != kvs.Live(inc) {
 		inc++
 	}
 	if len(u.Val) > 0 {

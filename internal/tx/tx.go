@@ -88,21 +88,6 @@ func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
 // holds nothing; a record of the region holds no lock).
 func (r *remoteRec) locked() bool { return r.write && !r.spec && !r.local }
 
-// walRec is one update of a write-ahead record as parseWAL decodes it and
-// recovery redoes it. node and table address the record's storage (table is
-// the fabric/storage region, a replica region after failover).
-type walRec struct {
-	node, table int
-	off         memory.Offset
-	version     uint32
-	// inc is the post-commit incarnation for ordered records (never 0: a
-	// live record's incarnation is odd >= 1, an erased one's even >= 2); 0 is
-	// the unordered sentinel, where recovery and redo compare the version
-	// alone. Packed with version into one WAL word.
-	inc uint32
-	val []uint64
-}
-
 // deferredOp is an insert/delete applied after commit (index structures are
 // not HTM-protected in this reproduction; see DESIGN.md).
 type deferredOp struct {
@@ -158,7 +143,7 @@ type Tx struct {
 	// transactions.
 	wsnap []uint64
 
-	// logBuf is the scratch every NVRAM log record is encoded in (log.go).
+	// logBuf is the scratch the chopping and lock-ahead records are encoded in.
 	logBuf []uint64
 
 	finished bool
@@ -171,9 +156,9 @@ type Tx struct {
 	// resulting region abort into ErrNodeDown.
 	specDown bool
 
-	// Replication scratch, reused across transactions on this shell: the
-	// redo update set, the encoded record, the destination backup list and
-	// the per-partition Backups scratch it is deduplicated from.
+	// Commit-record scratch, reused across transactions on this shell: the
+	// update set (updates), its encoded record, and under replication the
+	// backup list and the per-partition Backups scratch it is deduplicated from.
 	redoUps []nvram.RedoUpdate
 	redoBuf []uint64
 	redoDst []int
@@ -367,9 +352,7 @@ func (t *Tx) Execute(fn func(lc *Local) error) error {
 			}
 			t.applyLocalStructural(htx)
 			t.holdLocalWrites(htx)
-			if cfg.Durability {
-				t.logWAL(htx)
-			}
+			t.logWAL(htx)
 			return nil
 		})
 		lc.htx = nil // the engine recycles the context once Run returns
