@@ -16,7 +16,7 @@ type PieceFunc func(e *tx.Executor, t *tx.Tx) error
 // Per the restriction in Section 3, a user abort is honored only from the
 // first piece; in a later piece it is an error.
 func Run(e *tx.Executor, parentID uint64, pieces []PieceFunc) error {
-	return run(e, parentID, pieces, 0)
+	return Resume(e, parentID, pieces, 0)
 }
 
 // Resume re-runs the pieces of a recovered parent starting at piece `from`
@@ -27,11 +27,6 @@ func Resume(e *tx.Executor, parentID uint64, pieces []PieceFunc, from int) error
 	if from < 0 || from > len(pieces) {
 		return fmt.Errorf("chopping: resume index %d out of range", from)
 	}
-	return run(e, parentID, pieces, from)
-}
-
-// run executes pieces[from:], each under its own number.
-func run(e *tx.Executor, parentID uint64, pieces []PieceFunc, from int) error {
 	for i := from; i < len(pieces); i++ {
 		piece := pieces[i]
 		err := e.Exec(func(t *tx.Tx) error {

@@ -61,13 +61,11 @@ func (e *Executor) verbRetry(op func() error) error {
 // mustWrite is the release-side WRITE: it retries timeouts without bound
 // and hands the write to defer_ when the target is unreachable.
 //
-// When the ISSUING node is the one that crashed (the verb fails because a
-// dead machine cannot send), the write is dropped instead: the transaction's
-// durable record is the source of truth — without replication its write-ahead
-// record, which logs dirty remote records too, from which Recover redoes the
-// write-back; under replication its redo record on the backups' rings, from
-// which Failover replays it. Applying it here would race the repair's unlock
-// and could clobber a survivor's freshly taken lock.
+// When the ISSUING node is the one that crashed (a dead machine cannot send),
+// the write is dropped instead: the transaction's commit record — the
+// write-ahead record Recover redoes, or the redo record Failover replays — is
+// the source of truth, and applying it here would race the repair's unlock and
+// could clobber a survivor's freshly taken lock.
 func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64) {
 	for attempt := 0; ; attempt++ {
 		err := e.w.QP.TryWrite(node, table, off, words)

@@ -8,43 +8,34 @@ import (
 	"drtm/internal/obs"
 )
 
-// Durability logging (Section 4.6, Figure 7).
-//
-// Log record wire formats (words):
+// Durability logging (Section 4.6, Figure 7). Record formats, in words:
 //
 //	chopping log:    [txid, info...]
 //	lock-ahead log:  [txid, n, (node, table, off) x n]
 //	write-ahead log: a redo record (nvram/redo.go) with epoch and gen 0
 //
 // The write-ahead record is the commit record the backups receive under
-// replication, made by the same builder (updates) and addressed the same way,
-// by partition, table and key. It is appended transactionally inside the HTM
-// region (nvram.Log.AppendTx), so it exists in NVRAM if and only if the
-// transaction's XEND executed — the property recovery relies on to decide
-// redo. Under replication there is none: a crashed machine is
-// repaired by Failover, never by Recover, and the redo record on the backups
-// is the commit record (repl.go).
-//
-// The lock-ahead log is written and read by no repair: both free a crashed
-// machine's locks by the state words' owner bits (freeLocksOf). Its appends
-// stay for what they cost (Table 6).
+// replication, made by the same builder (updates). It is appended inside the
+// HTM region (nvram.Log.AppendTx), so it exists in NVRAM iff the transaction's
+// XEND executed — what recovery relies on to decide redo. Under replication
+// there is none: Failover, never Recover, repairs a crashed machine from the
+// backups' redo records (repl.go). The lock-ahead log is read by no repair
+// (freeLocksOf reads the state words' owner bits); its appends stay for what
+// they cost (Table 6).
 
-// reclaimLogs applies the logs' lifetime rule. Recovery consults a crashed
-// machine's logs for the transactions in flight (Figure 7): a chopping record
-// until its piece commits, a write-ahead record until every write it names is
-// home. So where a worker starts a transaction attempt — holding no lock,
-// owing no write — its logs, if they hold anything, are restarted: all three,
-// the write-ahead log last, so no chopping record ever outlives the write-ahead
-// record that proved its transaction committed (Recover would hand the piece
-// back as pending). They are kept while release-side work is parked anywhere
-// in the runtime — the parked write's record must survive this coordinator;
-// under replication nothing parks (defer_ runs the step at once). A zombie
-// keeps its logs either way: its releases fail at the source, and the repair
-// redoes its dropped write-backs (mustWrite, mustUnlock). A zombie that passes
-// the check as its machine is declared dead restarts logs recovery may be
-// scanning: the window the fault model already assumes away for a zombie's
-// commit, and Log.Scan hands out no torn record in it. A restart appends
-// nothing and is charged nothing: the next append rewrites the head word anyway.
+// reclaimLogs applies the logs' lifetime rule. Recovery needs a crashed
+// machine's chopping record until its piece commits and its write-ahead record
+// until every write it names is home (Figure 7). So where a worker starts an
+// attempt — holding no lock, owing no write — it restarts its non-empty logs,
+// the write-ahead log last, so no chopping record outlives the write-ahead
+// record proving its transaction committed (Recover would hand the piece back
+// as pending). It keeps them while release-side work is parked anywhere (the
+// parked write's record must survive this coordinator; only f = 0 parks), and a
+// zombie keeps them: the repair redoes its dropped write-backs (mustWrite,
+// mustUnlock). A zombie passing the check as its machine is declared dead
+// restarts logs recovery may be scanning, the window the fault model assumes
+// away; Log.Scan hands out no torn record in it. A restart appends nothing and
+// is charged nothing.
 func (e *Executor) reclaimLogs() {
 	w := e.w
 	if w.WriteAheadLog == nil {

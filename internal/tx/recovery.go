@@ -21,8 +21,9 @@ type RecoveryReport struct {
 	// RedoneRecords is the number of logged updates installed: the row was
 	// still write-locked by the crashed machine, at an older version.
 	RedoneRecords int
-	// SkippedRecords is the number of logged updates left alone: the row is
-	// missing, not held by the crashed machine, or not older than the update.
+	// SkippedRecords is the number of logged updates left alone: a later
+	// update of the same key follows in the log, or the row is missing, not
+	// held by the crashed machine, or not older than the update.
 	SkippedRecords int
 	// Unlocked is the number of exclusive locks the crashed machine held
 	// that recovery released, committed transactions' included.
@@ -37,26 +38,22 @@ type RecoveryReport struct {
 //
 //   - redoes updates of committed transactions (write-ahead log present ⇒
 //     XEND executed ⇒ the transaction must eventually commit everywhere),
-//     installing each update the crashed machine still owes (redoHeld);
+//     installing each update the crashed machine still owes: the last of its
+//     key in its log (loggedWrites), into a row it holds (redoHeld);
 //
-//   - then, while the node is down, releases every exclusive lock the
-//     crashed machine still holds (freeLocksOf): a state word's owner bits
-//     name its holder; hands back its uncommitted chopped pieces; and
-//     truncates its logs. Once the node is revived its locks and its logs
-//     are its live transactions', and a later Recover leaves them.
+//   - then, while the node is down, frees every exclusive lock the crashed
+//     machine holds (freeLocksOf), hands back its uncommitted chopped pieces
+//     and truncates its logs; once revived, its locks and logs are its live
+//     transactions', and a later Recover leaves them.
 //
-// Recover is driven by a surviving node (or the rebooted machine itself);
-// the flush-on-failure model guarantees the logs are intact. It is
-// idempotent — logs are truncated after replay, so a second invocation
-// (e.g. two coordinators racing across incarnations) finds nothing to do —
-// and safe under live traffic: redo is version-guarded and unlock is
-// owner-guarded, so survivors' in-flight transactions are never clobbered,
-// and no lock is released before every log has been replayed, so no survivor
-// gets at a record ahead of an update recovery still owes it.
+// Recover is driven by a surviving node (or the rebooted machine itself); the
+// flush-on-failure model keeps the logs intact. It is idempotent (the logs are
+// truncated after replay) and safe under live traffic: redo is version-guarded,
+// unlock owner-guarded, and no lock is released before every log is replayed,
+// so no survivor gets at a record ahead of an update recovery still owes it.
 //
-// A replicated cluster writes no write-ahead record, so Recover would free
-// its committed transactions' locks without their write-backs: it panics
-// there. Failover repairs it.
+// A replicated cluster keeps no write-ahead record, and Recover would free its
+// committed locks without their write-backs: it panics there (use Failover).
 func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	if rt.C.ReplicationFactor() > 0 {
 		panic("tx: Recover on a replicated cluster, which keeps no write-ahead log; repair it with Failover")
@@ -73,43 +70,36 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		}
 	}
 
-	// Redo first, every worker's whole log, and unlock nothing meanwhile. A log
-	// usually holds the one transaction in flight (reclaimLogs), but while
-	// release-side work is parked it keeps every commit since, and a row can
-	// appear in it many times, the in-doubt update last. Until that update is
-	// installed the crashed machine's lock keeps survivors off the row: freed
-	// earlier, a survivor could rewrite it first, the version guard would skip
-	// the update, and an acked commit would be lost.
+	// Redo first, every worker's whole log, and unlock nothing meanwhile: the
+	// crashed machine's lock keeps survivors off an in-doubt row until its
+	// update is installed (freed earlier, a survivor could rewrite the row, the
+	// version guard would skip the update, and an acked commit would be lost).
 	committed := make(map[uint64]bool)
-	var buf []uint64 // every scan's record buffer
+	redone := make(map[uint64]bool)
 	for _, wk := range wks {
 		sawEntries = sawEntries || wk.WriteAheadLog.BytesUsed() > 0 ||
 			wk.LockAheadLog.BytesUsed() > 0 || wk.ChoppingLog.BytesUsed() > 0
-		_, buf = wk.WriteAheadLog.Scan(buf, func(rec []uint64) {
-			wk.Obs.Inc(obs.EvRecoveryScan)
-			it, ok := nvram.IterRedo(rec)
-			committed[it.TxID] = ok
-			redone := rep.RedoneRecords
-			for u, more := it.Next(); more; u, more = it.Next() {
-				if rt.redoHeld(crashed, u) {
-					rep.RedoneRecords++
-					wk.Obs.Inc(obs.EvRecoveryRedo)
-				} else {
-					rep.SkippedRecords++
-				}
+		ws, recs := loggedWrites(wk.WriteAheadLog)
+		wk.Obs.Add(obs.EvRecoveryScan, int64(recs))
+		for _, w := range ws {
+			committed[w.txid] = true
+			if w.last && rt.redoHeld(crashed, w.RedoUpdate) {
+				rep.RedoneRecords++
+				redone[w.txid] = true
+				wk.Obs.Inc(obs.EvRecoveryRedo)
+			} else {
+				rep.SkippedRecords++
 			}
-			if rep.RedoneRecords > redone {
-				rep.RedoneTxns++
-			}
-		})
+		}
 	}
+	rep.RedoneTxns = len(redone)
 
 	// Now the locks and the logs, while the machine is down: once revived, the
 	// locks it holds and its logs are its live transactions'.
 	if rt.C.Fabric.NodeDown(crashed) {
 		rep.Unlocked = rt.freeLocksOf(crashed)
 		for _, wk := range wks {
-			_, buf = wk.ChoppingLog.Scan(buf, func(rec []uint64) {
+			wk.ChoppingLog.Scan(nil, func(rec []uint64) {
 				if len(rec) >= 1 && !committed[rec[0]] {
 					rep.PendingPieces = append(rep.PendingPieces, append([]uint64(nil), rec[1:]...)) // rec is the scan buffer
 				}
@@ -135,17 +125,14 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 	return rep
 }
 
-// redoHeld installs one update of the crashed machine's write-ahead log at its
-// row's home copy (homeRow) if the crashed machine still holds that row
-// write-locked and the row is older than the logged version; it reports
-// whether it installed. A lost write-back can leave only such rows short: the
-// region path's local rows were published at XEND, and every other row the
-// commit wrote stayed locked by it until its write-back landed. The held check
-// is what the key cannot tell: a row of the last commit erased, unlinked and
-// re-inserted at a fresh slot since its XEND is another row, not held — and why
-// redo runs ahead of freeLocksOf. The lock kept a held row's incarnation where
-// the commit found it, so adopting the logged liveness parity (install) gives
-// the incarnation the commit gave.
+// redoHeld installs an update of the crashed machine's write-ahead log at its
+// row's home copy (homeRow) iff the crashed machine still holds that row
+// write-locked (so redo runs ahead of freeLocksOf) and the row is older. A lost
+// write-back leaves only such rows short: the region's local rows were published
+// at XEND, every other row stayed locked until its write-back landed. A key's
+// row erased, unlinked and re-inserted since is another row, not held. The lock
+// kept a held row's incarnation, so adopting the logged liveness parity
+// (install) gives the commit's.
 func (rt *Runtime) redoHeld(crashed int, u nvram.RedoUpdate) bool {
 	_, arena, off, ok := rt.homeRow(crashed, u)
 	if !ok {
@@ -155,6 +142,35 @@ func (rt *Runtime) redoHeld(crashed int, u nvram.RedoUpdate) bool {
 		return false
 	}
 	return rt.install(arena, off, u)
+}
+
+// loggedWrite is one update of a write-ahead log, with its transaction and
+// whether it is the last update of its key (partition, table, key) in the log.
+type loggedWrite struct {
+	txid uint64
+	nvram.RedoUpdate
+	last bool
+}
+
+// loggedWrites reads a write-ahead log's updates in order and counts its
+// records. Only a key's last update in the log can be a write still owed: while
+// a commit's write to a row is owed its machine holds the row's lock, so no
+// later commit in the log locked the row, and a later update of the key is to
+// the row after the write landed or to another row — the key erased, unlinked
+// and re-inserted since, at a version that restarted below the earlier one's.
+func loggedWrites(l *nvram.Log) (ws []loggedWrite, recs int) {
+	recs, _ = l.Scan(nil, func(rec []uint64) {
+		it, _ := nvram.IterRedo(append([]uint64(nil), rec...)) // the updates keep the values
+		for u, more := it.Next(); more; u, more = it.Next() {
+			ws = append(ws, loggedWrite{it.TxID, u, false})
+		}
+	})
+	seen := make(map[[3]uint64]bool) // partition, table, key
+	for i := len(ws) - 1; i >= 0; i-- {
+		k := [3]uint64{uint64(ws[i].Part), uint64(ws[i].Table), ws[i].Key}
+		ws[i].last, seen[k] = !seen[k], true
+	}
+	return ws, recs
 }
 
 // homeRow finds the row an update of node's write-ahead log names, at its home
@@ -190,19 +206,17 @@ func (rt *Runtime) freeLocksOf(crashed int) int {
 }
 
 // AuditQuiescent checks what a runtime owes nobody once its workers have
-// stopped: on every live machine no state word is write-locked — a lock
-// leaked by a commit, an abort or a repair — no release-side step is parked
-// for it (PendingOps), and no write-ahead record names a write still owed: an
-// update whose row, on a live node, is found by its key at an older version
-// than the logged one. A freed ordered slot, which no index entry points at,
-// is skipped: removeDeadEntry leaves it write-locked on purpose. The error
-// names each leaked lock by node, region (table, key, a replica's partition),
-// offset and word, and each owed write by worker, table and key, the first few.
+// stopped: on every live machine no state word is write-locked (a lock leaked
+// by a commit, an abort or a repair; a freed ordered slot, which removeDeadEntry
+// leaves locked on purpose, is skipped), no release-side step is parked for it,
+// and no key's last update in a write-ahead log (loggedWrites) finds its row, on
+// a live node, at an older version. The error names the first few leaked locks
+// by node, region (table, key, a replica's partition), offset and word, and
+// owed writes by worker, table and key.
 func (rt *Runtime) AuditQuiescent() error {
 	const shown = 8
 	var errs []error
 	locked, owed := 0, 0
-	var buf []uint64 // every scan's record buffer
 	for node := 0; node < rt.C.Nodes(); node++ {
 		n := rt.C.Node(node)
 		if !n.Alive() {
@@ -233,22 +247,25 @@ func (rt *Runtime) AuditQuiescent() error {
 			errs = append(errs, fmt.Errorf("node %d: %d release-side steps parked", node, n))
 		}
 		for w := 0; w < rt.C.Config().WorkersPerNode; w++ {
-			if wal := rt.C.Worker(node, w).WriteAheadLog; wal != nil {
-				_, buf = wal.Scan(buf, func(rec []uint64) {
-					it, _ := nvram.IterRedo(rec)
-					for u, more := it.Next(); more; u, more = it.Next() {
-						home, a, off, found := rt.homeRow(node, u)
-						if !found || !rt.C.Node(home).Alive() {
-							continue
-						}
-						if v := kvs.Version(a.LoadWord(kvs.IncVerOffset(off))); v < u.Version {
-							if owed++; owed <= shown {
-								errs = append(errs, fmt.Errorf("node %d worker %d: write-ahead record owes table %d key %d version %d (node %d holds %d)",
-									node, w, u.Table, u.Key, u.Version, home, v))
-							}
-						}
+			wal := rt.C.Worker(node, w).WriteAheadLog
+			if wal == nil {
+				continue
+			}
+			ws, _ := loggedWrites(wal)
+			for _, u := range ws {
+				if !u.last {
+					continue
+				}
+				home, a, off, found := rt.homeRow(node, u.RedoUpdate)
+				if !found || !rt.C.Node(home).Alive() {
+					continue
+				}
+				if v := kvs.Version(a.LoadWord(kvs.IncVerOffset(off))); v < u.Version {
+					if owed++; owed <= shown {
+						errs = append(errs, fmt.Errorf("node %d worker %d: write-ahead record owes table %d key %d version %d (node %d holds %d)",
+							node, w, u.Table, u.Key, u.Version, home, v))
 					}
-				})
+				}
 			}
 		}
 	}

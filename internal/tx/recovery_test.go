@@ -274,6 +274,84 @@ func TestRecoveryLeavesReinsertedRowAlone(t *testing.T) {
 	}
 }
 
+// TestRecoveryRedoesAKeysLastUpdate: while a release is parked a log keeps
+// every commit since, and one key can name two rows in it. Node 1's one worker
+// writes an ordered row of node 0's, erases it — the removal unlinks it —
+// inserts the key again at a fresh slot, whose version restarts below the
+// erase's, and dies as its write to the new row commits, before the write-back.
+// The new row is held by node 1 at a version below both the logged erase's and
+// the write's. Only the log's last update of the key can be owed: Recover must
+// install the write, and not the older erase over the new row.
+func TestRecoveryRedoesAKeysLastUpdate(t *testing.T) {
+	rt, stop := newOrderedRig(t, 3, 1, func(c *cluster.Config) {
+		c.Durability, c.LogWords = true, 1<<16
+	})
+	defer stop()
+	key := orderedKey(0, 5) // homed on node 0
+	e1 := rt.Executor(1, 0)
+	write := func(v uint64, atEnd func()) error {
+		return e1.Exec(func(tx *Tx) error {
+			if err := tx.W(tblOrders, key); err != nil {
+				return err
+			}
+			return tx.Execute(func(lc *Local) error {
+				if err := lc.Write(tblOrders, key, []uint64{v, 5}); err != nil {
+					return err
+				}
+				if atEnd != nil {
+					atEnd()
+				}
+				return nil
+			})
+		})
+	}
+	insertOrders(t, e1, 0, []uint64{5})
+	rt.C.Crash(2)
+	rt.defer_(2, func(*Runtime) {}) // a release parked for node 2: node 1 keeps its logs
+	for v := uint64(1); v <= 3; v++ {
+		if err := write(v, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.Exec(func(tx *Tx) error {
+		if _, err := tx.Erase(tblOrders, key); err != nil {
+			return err
+		}
+		return tx.Execute(func(lc *Local) error { return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	o := rt.C.Node(0).Ordered(tblOrders)
+	if _, found := o.Lookup(key); found {
+		t.Fatal("the erased row is still linked")
+	}
+	insertOrders(t, e1, 0, []uint64{5})
+
+	done := make(chan error)
+	go func() { done <- write(777, func() { rt.C.Crash(1) }) }() // the goroutine runs on, a zombie
+	if err := <-done; err != nil {
+		t.Fatalf("the last write: %v", err)
+	}
+	off, _ := o.Lookup(key)
+	if s := o.Arena().LoadWord(kvs.StateOffset(off)); !clock.IsWriteLocked(s) || clock.Owner(s) != 1 {
+		t.Fatalf("the new row's state word %#x: the last write's write-back is not owed", s)
+	}
+	if v := kvs.Version(o.Arena().LoadWord(kvs.IncVerOffset(off))); v+1 >= 5 {
+		t.Fatalf("the new row is at version %d, not below the logged erase's 5", v)
+	}
+	if n := len(logRecords(rt.C.Worker(1, 0).WriteAheadLog)); n != 7 {
+		t.Fatalf("node 1's write-ahead log holds %d records, want the insert, three writes, the erase, the insert and the write", n)
+	}
+
+	rep := rt.Recover(1)
+	if rep.RedoneRecords != 1 || rep.SkippedRecords != 6 {
+		t.Errorf("redone %d, skipped %d, want the last write alone redone", rep.RedoneRecords, rep.SkippedRecords)
+	}
+	if v, live := liveOrderedVal(rt, 0, tblOrders, key); !live || v[0] != 777 {
+		t.Fatalf("the new row after Recover: %v, live %v; want [777 5] live", v, live)
+	}
+}
+
 // TestRecoveryRedoesBeforeItUnlocks: a write-ahead log can hold a long history
 // — every commit of its worker since a release was parked for a dead node
 // (TestParkedWriteKeepsLogs), hand-appended here — so the location of an

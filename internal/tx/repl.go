@@ -237,19 +237,13 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 }
 
 // applyRedo applies one redo update to the copy of its table in a storage
-// region of node n: the version-guarded install, behind the delete-generation
-// guard, all under the partition's redo lock. Rings drain concurrently (two
-// rings on one backup can hold successive versions of one key, and Failover's
-// replay can race an append-time drain): without the lock an interleaved pair
-// could publish the older value under the newer version word, for good.
-//
-// A missing key is never re-inserted. Replica shards mirror the primary's
-// membership — seeded at load, inserts and deletes shipped synchronously to
-// every copy (execStoreOp) — so a miss means the key was deleted after this
-// record was logged. The delete-generation guard catches the
-// delete-then-reinsert variant, where the key exists again but this record's
-// value predates the delete (the reinserted entry restarts at version 0, so
-// the version guard alone cannot tell).
+// region of node n: install, behind the delete-generation guard, under the
+// partition's redo lock. Rings drain concurrently (two rings on one backup can
+// hold successive versions of one key, and Failover's replay can race a drain):
+// unlocked, an interleaved pair could publish the older value under the newer
+// version word. A missing key is never re-inserted: every copy mirrors the
+// primary's membership (execStoreOp), so it was deleted since. The generation
+// guard catches a delete and re-insert, whose entry restarts at version 0.
 func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bool {
 	sh := &rt.redoShards[u.Part]
 	sh.mu.Lock()
@@ -280,12 +274,9 @@ func (rt *Runtime) row(n *cluster.Node, region, table int, key uint64) (arena *m
 
 // install is the version-guarded install of every replay — a backup's drain,
 // Failover's and Recover's: value and version are written iff the logged
-// version is newer than the row's. Returns whether it wrote.
-//
-// An ordered row adopts the logged incarnation's PARITY, not its counter —
-// each copy's incarnation counter advances independently (a replica's dead
-// slot may have cycled a different number of times), so only liveness is
-// meaningful across copies — and an erase flip (even Inc) carries no value.
+// version is newer than the row's; it reports whether it wrote. An ordered row
+// adopts the logged incarnation's parity, not its counter (each copy's counter
+// advances on its own), and an erase (even Inc) carries no value.
 func (rt *Runtime) install(arena *memory.Arena, off memory.Offset, u nvram.RedoUpdate) bool {
 	cur := arena.LoadWord(kvs.IncVerOffset(off))
 	if kvs.Version(cur) >= u.Version {
