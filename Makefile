@@ -33,7 +33,9 @@ race:
 # table, the region-vs-fallback commit equivalence property, the insert
 # rollback and lock-ahead recovery regressions and the fallback tests that wait
 # on no lease), recovery's redo rule (a logged row re-inserted since is left
-# alone; only a key's last update in a log is redone), the per-attempt location memo of declared local records (one
+# alone; only a key's last update in a log is redone), the commit installing
+# what its record logs (each update's version and incarnation read back from
+# the write-ahead log and the backups' rings, region and fallback), the per-attempt location memo of declared local records (one
 # index lookup per record per attempt; an erase, a recycled slot or a bucket
 # move dooms the attempt or is re-resolved by the next), the B+ tree leaf
 # fingers (equivalence with and without one and intact leaf fences after every
@@ -69,8 +71,7 @@ race:
 # commit point, table, row, read kind and what happened between the Start
 # phase and the commit; a row mid-commit seen as one line; the speculative
 # arm's cost and its writer-bump abort, its upgrade and a read-only and
-# read-write stress of it; phantoms, the stubbed-validation control and a
-# read-only scan's confirmation; an escalated scan pinning its rows; read-only
+# read-write stress of it; phantoms and a read-only scan's confirmation; an escalated scan pinning its rows; read-only
 # and writer transactions leaving no lock), the born slot (a remote insert's
 # fresh slot held for its inserter from the host's answer on: a rival insert, a
 # speculative read and a CAS all lose to it; a faulted message retried before
@@ -89,7 +90,7 @@ race:
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/

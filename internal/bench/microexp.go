@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -357,9 +358,11 @@ func runTable2(o Options) *Result {
 		Headers: []string{"first access", "then L RD", "then L WR"},
 	}
 	// For each remote first-access kind, test whether a subsequent local
-	// read/write conflicts (C) or shares (S). The remote access is staged
-	// synchronously (lock/lease installed) before the local transaction
-	// runs, so the observation is deterministic.
+	// read/write conflicts (C) or shares (S). Node 1's transaction stages the
+	// remote access (lock/lease installed) and holds it in its Start phase
+	// until the local transaction has run, then gives up with errReleased, so
+	// its Exec frees what it took: the observation is deterministic.
+	errReleased := errors.New("table2: remote access released")
 	probe := func(remoteWrite bool, localWrite bool) string {
 		rt, stop := buildMicro(2, 1, 16, nil, nil)
 		defer stop()
@@ -367,9 +370,26 @@ func runTable2(o Options) *Result {
 		e0 := rt.Executor(0, 0)
 		e1 := rt.Executor(1, 0)
 
-		t1 := tx.NewProbe(e1)
-		if err := t1.Stage(benchTable, key, 0, remoteWrite); err != nil {
+		staged, release, held := make(chan error), make(chan struct{}), make(chan error, 1)
+		go func() {
+			held <- e1.Exec(func(t1 *tx.Tx) error {
+				err := t1.Stage(tx.Access{Table: benchTable, Key: key, Write: remoteWrite})
+				staged <- err
+				if err != nil {
+					return err
+				}
+				<-release
+				return errReleased
+			})
+		}()
+		if err := <-staged; err != nil {
 			panic(err)
+		}
+		unhold := func() {
+			close(release)
+			if err := <-held; !errors.Is(err, errReleased) {
+				panic(err)
+			}
 		}
 
 		before := htmAborts(rt) + totals(rt, obs.EvTxRetry)
@@ -404,13 +424,13 @@ func runTable2(o Options) *Result {
 				if err != nil {
 					panic(err)
 				}
-				t1.Release()
+				unhold()
 				return "S"
 			default:
 				runtime.Gosched()
 			}
 		}
-		t1.Release()
+		unhold()
 		if err := <-done; err != nil {
 			panic(err)
 		}

@@ -28,10 +28,8 @@ type OrderedConfig struct {
 	ValueWords int
 
 	// ChainDepth is the per-entry version-chain ring depth (0 disables
-	// chains; see layout.go). Stamp supplies commit soft-time for chain
-	// tails; nil falls back to a per-shard monotone counter.
+	// chains; see layout.go).
 	ChainDepth int
-	Stamp      func() uint64
 
 	// SegShift selects which key bits pick a record's segment stamp:
 	// segment = (key >> SegShift) & (SegCount-1). Workloads whose range
@@ -74,7 +72,7 @@ type Ordered struct {
 	entries slots
 	zeroVal []uint64
 
-	stampSeq atomic.Uint64 // fallback stamp source when cfg.Stamp is nil
+	stampSeq atomic.Uint64 // the commit stamps of chain tails (StampNow)
 
 	// smu is the structural latch: writers hold it exclusively across a
 	// stamp bump + tree mutation pair (making them atomic to observers of
@@ -187,13 +185,9 @@ func (o *Ordered) ValueWords() int { return o.cfg.ValueWords }
 // Engine returns the owner's HTM engine.
 func (o *Ordered) Engine() *htm.Engine { return o.eng }
 
-// StampNow returns a commit stamp for chain tails.
-func (o *Ordered) StampNow() uint64 {
-	if o.cfg.Stamp != nil {
-		return o.cfg.Stamp()
-	}
-	return o.stampSeq.Add(1)
-}
+// StampNow returns a commit stamp for chain tails: the shard's monotone
+// counter.
+func (o *Ordered) StampNow() uint64 { return o.stampSeq.Add(1) }
 
 // Len returns the number of live records.
 func (o *Ordered) Len() int { return o.tree.Len() }

@@ -23,9 +23,6 @@ type Config struct {
 	// ChainDepth is the per-entry version-chain ring depth (0 disables
 	// chains and restores the single-slot entry layout). See layout.go.
 	ChainDepth int
-	// Stamp supplies commit soft-time for chain tails; nil falls back to a
-	// per-table monotone counter (tests and direct kvs use).
-	Stamp func() uint64
 }
 
 // Table is one node's shard of a DrTM-KV table. Local mutating operations
@@ -45,7 +42,7 @@ type Table struct {
 	buckets   slots // indirect header buckets
 	liveCount int
 
-	stampSeq atomic.Uint64 // fallback stamp source when cfg.Stamp is nil
+	stampSeq atomic.Uint64 // the commit stamps of chain tails (StampNow)
 }
 
 // Common errors.
@@ -102,13 +99,9 @@ func (t *Table) ValueWords() int { return t.cfg.ValueWords }
 // EntryWords returns the line-aligned entry footprint.
 func (t *Table) EntryWords() int { return t.entryWords }
 
-// StampNow returns a commit stamp for chain tails.
-func (t *Table) StampNow() uint64 {
-	if t.cfg.Stamp != nil {
-		return t.cfg.Stamp()
-	}
-	return t.stampSeq.Add(1)
-}
+// StampNow returns a commit stamp for chain tails: the shard's monotone
+// counter.
+func (t *Table) StampNow() uint64 { return t.stampSeq.Add(1) }
 
 // Engine returns the owner's HTM engine.
 func (t *Table) Engine() *htm.Engine { return t.eng }

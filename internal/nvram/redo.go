@@ -50,12 +50,13 @@ type RedoUpdate struct {
 	Gen     uint64 // key's delete generation (apply iff current)
 	Val     []uint64
 
-	// Inc is the post-commit incarnation for ordered-table rows (0 for
-	// unordered rows, whose entries have no liveness). Packed into the high
-	// half of the version word on the wire. A drain adopts only its
-	// PARITY — replica incarnation counters diverge from the primary's, so
-	// the absolute number is meaningless across copies; odd means the row
-	// committed live, even means it committed erased.
+	// Inc is the post-commit incarnation, the one the commit installs in the
+	// row. Packed into the high half of the version word on the wire. A
+	// replay adopts only its PARITY, and only for an ordered-table row —
+	// replica incarnation counters diverge from the primary's, so the
+	// absolute number is meaningless across copies; odd means the row
+	// committed live, even means it committed erased. An unordered row has
+	// no liveness to adopt.
 	Inc uint32
 }
 

@@ -32,7 +32,14 @@ func newTPCC(t testing.TB, nodes, wPerNode, workers int) (*Workload, *tx.Runtime
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, rt, c.Stop
+	// Every test that uses the rig ends in the quiescence audit: no lock
+	// leaked, nothing parked.
+	return w, rt, func() {
+		if err := rt.AuditQuiescent(); err != nil {
+			t.Error(err)
+		}
+		c.Stop()
+	}
 }
 
 func TestKeyEncodings(t *testing.T) {

@@ -16,7 +16,9 @@ package tx
 //	Executor.acquire its synchronous driver (stageBatch drives it in waves)
 //	Executor.waitOut the one step an escalated attempt takes between two polls
 //	                 of a record somebody else holds
-//	recHandle.check  the entry-image check every fetch runs
+//	Executor.judge   the entry-image check every fetch runs (recHandle.check)
+//	                 and what follows it: a speculative read counted, a stale
+//	                 location dropped
 //
 // Nothing past the handle knows whether the row came from the hash table or
 // the B+ tree, except through handle.ordered.
@@ -509,4 +511,19 @@ func (h *recHandle) check(words []uint64, m *recImage, vw int, wantDead, spec bo
 		m.buf = append(m.buf[:0], words[kvs.EntryValueWord:kvs.EntryValueWord+vw]...)
 	}
 	return imgOK
+}
+
+// judge is every fetch's verdict on an entry image: check, then what follows
+// it whoever fetched — a speculative read that saw the row (or the row
+// mid-commit) counts as one, and a stale location is dropped from the location
+// cache so the retry re-resolves it.
+func (e *Executor) judge(h *recHandle, words []uint64, m *recImage, vw int, wantDead, spec bool) imgVerdict {
+	v := h.check(words, m, vw, wantDead, spec)
+	switch {
+	case v == imgStale:
+		e.invalidate(h)
+	case spec && (v == imgOK || v == imgBusy):
+		e.w.Obs.Inc(obs.EvSpecRead)
+	}
+	return v
 }

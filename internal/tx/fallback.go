@@ -49,7 +49,6 @@ func (t *Tx) runFallback(fn func(lc *Local) error) error {
 		t.releaseLocks()
 		return err
 	}
-	t.snapshotWriteBufs() // the values the commit retires as superseded
 	if e.rt.C.Config().Durability {
 		t.logLockAhead()
 	}
@@ -177,13 +176,10 @@ func (t *Tx) take(r *remoteRec) error {
 		return err
 	}
 	declared := kvs.PackIncVer(r.inc, r.version)
-	switch h.check(words, &r.recImage, vw, r.insert, false) {
+	switch e.judge(h, words, &r.recImage, vw, r.insert, false) {
 	case imgNotFound:
 		return ErrNotFound // the row was erased under a committed delete
-	case imgStale:
-		e.invalidate(h)
-		fallthrough
-	case imgExists:
+	case imgStale, imgExists:
 		t.lastAbort = obs.CauseRemote
 		return ErrRetry
 	}

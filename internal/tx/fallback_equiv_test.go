@@ -49,9 +49,14 @@ func fbEquivRig(t *testing.T, f int) (*Runtime, *Executor) {
 func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 	t.Helper()
 	out := map[string][]uint64{}
-	dump := func(name string, arena *memory.Arena, off memory.Offset, vw int) {
+	for k, row := range primaryRows(rt) {
+		name := fmt.Sprintf("ordered%d/%#x", k.table, k.key)
+		if k.table == tblAccounts {
+			name = fmt.Sprintf("hash/%d", k.key)
+		}
+		vw := rt.Meta(k.table).ValueWords
 		img := make([]uint64, kvs.EntryValueWord+vw)
-		arena.Read(img, off)
+		row.arena.Read(img, row.off)
 		if clock.IsWriteLocked(img[kvs.EntryStateWord]) {
 			t.Errorf("%s left write-locked", name)
 		}
@@ -61,17 +66,30 @@ func storeImage(t *testing.T, rt *Runtime) map[string][]uint64 {
 		}
 		out[name] = words
 	}
+	return out
+}
+
+// rowAt is where an entry lives.
+type rowAt struct {
+	arena *memory.Arena
+	off   memory.Offset
+}
+
+// primaryRows locates every entry of fbEquivRig's primary copies, dead ordered
+// entries included.
+func primaryRows(rt *Runtime) map[refKey]rowAt {
+	out := map[refKey]rowAt{}
 	for n := 0; n < rt.C.Nodes(); n++ {
 		h := rt.C.Node(n).Unordered(tblAccounts)
 		for k := uint64(1); k <= 64; k++ {
 			if off, ok := h.LookupLocal(k); ok {
-				dump(fmt.Sprintf("hash/%d", k), h.Arena(), off, h.ValueWords())
+				out[refKey{tblAccounts, k}] = rowAt{h.Arena(), off}
 			}
 		}
 		for _, table := range []int{tblOrders, tblOrderIdx} {
 			o := rt.C.Node(n).Ordered(table)
 			o.Scan(0, ^uint64(0), func(k uint64, off memory.Offset) bool {
-				dump(fmt.Sprintf("ordered%d/%#x", table, k), o.Arena(), off, o.ValueWords())
+				out[refKey{table, k}] = rowAt{o.Arena(), off}
 				return true
 			})
 		}

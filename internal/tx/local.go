@@ -150,14 +150,15 @@ func (lc *Local) Write(table int, key uint64, val []uint64) error {
 			lc.t.checkIndexKeys(table, key, old, val)
 		}
 	}
+	// The record keeps what the write found and installs, as a staged one
+	// does: its update() is what the install, the log, the redo record and
+	// the hold read.
 	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
-	lc.htx.Write(arena, kvs.IncVerOffset(off), kvs.PackIncVer(r.inc, r.version+1))
-	lc.htx.WriteN(arena, kvs.ValueOffset(off), val)
-	lc.t.e.charge(lc.t.e.model().HTMPerWriteNS * int64(len(val)+2))
-	// The record keeps what the write found and installed, as a staged one
-	// does: its update() is what the log, the redo record and the hold read.
 	r.buf = append(r.buf[:0], val...)
 	r.dirty = true
+	lc.htx.Write(arena, kvs.IncVerOffset(off), r.commitWord())
+	lc.htx.WriteN(arena, kvs.ValueOffset(off), val)
+	lc.t.e.charge(lc.t.e.model().HTMPerWriteNS * int64(len(val)+2))
 	return nil
 }
 

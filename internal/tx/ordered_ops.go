@@ -361,8 +361,7 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
 	r.buf = append(r.buf[:0], vals...)
 	t.removals = append(t.removals, removalOp{node: e.w.Node.ID, region: region,
-		table: table, part: part, key: key,
-		deadIncVer: kvs.PackIncVer(kvs.Incarnation(incver)+1, kvs.Version(incver)+1)})
+		table: table, part: part, key: key, deadIncVer: r.commitWord()})
 	for _, spec := range e.rt.indexesOf(table) {
 		if err := t.declare(Access{Table: spec.Table, Key: spec.Key(key, vals), Erase: true,
 			ixOf: true, base: refKey{table, key}}); err != nil {
@@ -405,7 +404,7 @@ func (t *Tx) flipStructural(htx *htm.Txn, r *remoteRec) {
 	// A lease that landed on the entry since declare is waited out through a
 	// whole-transaction retry, or cleared once expired.
 	t.claimLocal(htx, arena, r.off, t.startSoft)
-	htx.Write(arena, kvs.IncVerOffset(r.off), kvs.PackIncVer(r.inc+1, r.version+1))
+	htx.Write(arena, kvs.IncVerOffset(r.off), r.commitWord())
 	if r.insert {
 		htx.WriteN(arena, kvs.ValueOffset(r.off), r.buf)
 	}

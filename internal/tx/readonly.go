@@ -137,30 +137,16 @@ func (ro *RO) single() bool {
 // per-key leases). Same co-location contract, and the same lifetime of the
 // rows, as Tx.Scan.
 func (ro *RO) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
-	if hi < lo {
-		return nil, nil
-	}
-	node, region, part := ro.e.scanRoute(table, lo, hi)
-	ro.stampView(part)
-	sh := ro.e.w.Obs
-	sstart := int64(ro.e.w.VClock.Now())
-	var rec *scanRec
-	ro.scans, rec = nextScan(ro.scans, table, node, region)
-	out, busy, err := ro.e.scanRange(rec, lo, hi, limit, &ro.scanVals)
-	if err != nil || busy {
-		ro.scans = ro.scans[:len(ro.scans)-1]
-		if err != nil {
-			return nil, err
-		}
+	rows, rec, busy, err := ro.scan(table, lo, hi, limit)
+	switch {
+	case err != nil:
+		return nil, err
+	case busy:
 		return nil, ro.lockConflict()
+	case ro.waits && rec != nil:
+		return rows, ro.pinScan(rec)
 	}
-	sh.Observe(obs.PhaseScan, int64(ro.e.w.VClock.Now())-sstart)
-	sh.Inc(obs.EvScan)
-	sh.Add(obs.EvScanRow, int64(len(out)))
-	if ro.waits {
-		return out, ro.pinScan(rec)
-	}
-	return out, nil
+	return rows, nil
 }
 
 // pinScan leases every entry an escalated attempt's scan collected, dead ones
@@ -243,8 +229,9 @@ func (ro *RO) readHandle(h recHandle, byKey bool) (*remoteRec, error) {
 // plain copy of a local entry); or, speculatively, that READ alone, and for a
 // remote ordered record not even that: its shipped lookup's reply is the entry
 // as the host just read it. A lease's READ must postdate the lease and ignores
-// the reply. Every image takes the same check (the slot could have been recycled
-// since the resolution); confirm re-validates a speculative record's header.
+// the reply. Every image takes the same verdict, judge (the slot could have
+// been recycled since the resolution); confirm re-validates a speculative
+// record's header.
 //
 // A speculative read of a remote ordered record asks the location cache first,
 // the one consumer of an ordered region's frames: a stale hit costs it one READ,
@@ -264,10 +251,10 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 			if err != nil {
 				return err
 			}
-			if v := r.check(words, &r.recImage, vw, false, true); v != imgStale {
-				return ro.judged(r, v)
+			if v := e.judge(h, words, &r.recImage, vw, false, true); v != imgStale {
+				return ro.judged(v)
 			}
-			e.invalidate(h) // the frame; the host's tree says where the key is now
+			// judge dropped the frame: the host's tree says where the key is now.
 		}
 	}
 	if byKey {
@@ -291,21 +278,17 @@ func (ro *RO) fetch(r *remoteRec, byKey bool) (err error) {
 			return err
 		}
 	}
-	v := r.check(words, &r.recImage, vw, false, r.spec)
+	v := e.judge(h, words, &r.recImage, vw, false, r.spec)
 	if shipped && v == imgOK {
 		cache.SetLoc(h.key, h.off)
 	}
-	return ro.judged(r, v)
+	return ro.judged(v)
 }
 
 // judged turns the verdict on a fetched image into the fetch's result.
-func (ro *RO) judged(r *remoteRec, v imgVerdict) error {
-	if r.spec && (v == imgOK || v == imgBusy) {
-		ro.e.w.Obs.Inc(obs.EvSpecRead)
-	}
+func (ro *RO) judged(v imgVerdict) error {
 	switch v {
 	case imgStale:
-		ro.e.invalidate(&r.recHandle)
 		return ErrRetry
 	case imgBusy:
 		return ro.lockConflict()

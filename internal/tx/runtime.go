@@ -547,20 +547,3 @@ func (e *Executor) backoff(attempt int, cause obs.AbortCause) {
 	}
 	time.Sleep(min(time.Duration(1<<(uint(min(attempt, 10))-3))*32*time.Microsecond, time.Millisecond))
 }
-
-// Probe is a test/diagnostic handle exposing the Start-phase remote
-// locking primitives directly, used by the Table 2 conflict-matrix
-// experiment to install a remote lock or lease synchronously and release
-// it later. Not part of the transactional API.
-type Probe struct{ t *Tx }
-
-// NewProbe creates a probe transaction on the executor.
-func NewProbe(e *Executor) *Probe { return &Probe{t: e.newTx()} }
-
-// Stage locks (write=true) or leases (write=false) the remote record.
-func (p *Probe) Stage(table int, key uint64, node int, write bool) error {
-	return p.t.stageRemote(table, key, node, table, node, write)
-}
-
-// Release drops any exclusive locks the probe holds (leases expire).
-func (p *Probe) Release() { p.t.releaseLocks() }

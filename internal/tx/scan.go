@@ -94,31 +94,42 @@ const scanStableRetries = 3
 // any collected row's version changed since collection, else the
 // transaction retries.
 func (t *Tx) Scan(table int, lo, hi uint64, limit int) ([]ScanRow, error) {
-	if hi < lo {
-		return nil, nil
-	}
-	node, region, part := t.e.scanRoute(table, lo, hi)
-	t.stampView(part)
-	sstart := int64(t.e.w.VClock.Now())
-	var rec *scanRec
-	t.scans, rec = nextScan(t.scans, table, node, region)
-	rows, busy, err := t.e.scanRange(rec, lo, hi, limit, &t.scanVals)
+	rows, _, busy, err := t.scan(table, lo, hi, limit)
 	switch {
 	case err != nil:
-		t.scans = t.scans[:len(t.scans)-1]
-		err = t.nodeDown()
+		return nil, t.nodeDown()
 	case busy:
-		t.scans = t.scans[:len(t.scans)-1]
-		err = t.remoteConflict()
+		return nil, t.remoteConflict()
 	}
-	sh := t.e.w.Obs
-	sh.Observe(obs.PhaseScan, int64(t.e.w.VClock.Now())-sstart)
-	if err != nil {
-		return nil, err
+	return rows, nil
+}
+
+// scan is the one range-scan collector of Tx.Scan and RO.Scan: it routes
+// [lo, hi], stamps its partition's view and collects the range into the set's
+// next scan record (scanRange), which it drops again when the collection
+// fails — a row that stayed write-locked (busy) or a host that stayed
+// unreachable (err). Every collection is observed as PhaseScan; one that
+// succeeds counts a scan and its rows. An empty range (hi < lo) collects
+// nothing and returns no record.
+func (rs *readSet) scan(table int, lo, hi uint64, limit int) (rows []ScanRow, rec *scanRec, busy bool, err error) {
+	if hi < lo {
+		return nil, nil, false, nil
+	}
+	e := rs.e
+	node, region, part := e.scanRoute(table, lo, hi)
+	rs.stampView(part)
+	sstart := int64(e.w.VClock.Now())
+	rs.scans, rec = nextScan(rs.scans, table, node, region)
+	rows, busy, err = e.scanRange(rec, lo, hi, limit, &rs.scanVals)
+	sh := e.w.Obs
+	sh.Observe(obs.PhaseScan, int64(e.w.VClock.Now())-sstart)
+	if err != nil || busy {
+		rs.scans = rs.scans[:len(rs.scans)-1]
+		return nil, nil, busy, err
 	}
 	sh.Inc(obs.EvScan)
 	sh.Add(obs.EvScanRow, int64(len(rows)))
-	return rows, nil
+	return rows, rec, false, nil
 }
 
 // scanRoute returns the node, region and partition of a scan of [lo, hi] in
@@ -259,9 +270,3 @@ func (e *Executor) callRangeScan(rec *scanRec, lo, hi uint64, limit int, vals *[
 	}
 	return busy, nil
 }
-
-// skipScanValidation stubs commit-time range validation (validate) — the
-// deliberately broken control arm of the phantom regression test
-// (scan_test.go), which is the only thing that sets it: scans lose phantom
-// protection entirely.
-var skipScanValidation bool

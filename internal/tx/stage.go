@@ -57,7 +57,7 @@ import (
 //     not — where any other attempt aborts.
 //
 // The per-record lock/lease decisions are the acquirer state machine and the
-// image checks recHandle.check (access.go) — the same ones read-only
+// image verdicts Executor.judge (access.go) — the same ones read-only
 // transactions and the fallback drive serially. Conflicts and node failures
 // are detected per completion and resolve after the wave is fully processed,
 // so every lock that was actually acquired is registered and released on
@@ -233,20 +233,6 @@ func (t *Tx) indexRowMissing(table int, base refKey) error {
 	}
 	panic(fmt.Sprintf("tx: index table %d missing row for base table %d key %d",
 		table, base.table, base.key))
-}
-
-// stageRemote stages one record at an explicit host: the entry point of
-// Probe.Stage, which names the node itself. A batch of one runs the same
-// pipeline.
-func (t *Tx) stageRemote(table int, key uint64, node, region, part int, write bool) error {
-	s := t.gatherRemote(table, key, node, region, part, write)
-	if s == nil {
-		return nil
-	}
-	one := [1]*stageReq{s}
-	err := t.stageBatch(one[:])
-	t.e.putReqs(one[:])
-	return err
 }
 
 // stageReq is one remote record's slot in the staging pipeline.
@@ -654,26 +640,17 @@ func (s *stageReq) register(t *Tx) {
 func (s *stageReq) consume(t *Tx, words []uint64) {
 	r := s.r
 	s.needFetch = false
-	s.verdict = s.h.check(words, &r.recImage, s.vw, s.insert, s.spec)
-	if s.spec && (s.verdict == imgOK || s.verdict == imgBusy) {
-		t.e.w.Obs.Inc(obs.EvSpecRead)
+	if s.verdict = t.e.judge(&s.h, words, &r.recImage, s.vw, s.insert, s.spec); s.verdict != imgOK {
+		return
 	}
-	switch s.verdict {
-	case imgOK:
-		if s.insert {
-			r.buf = append(r.buf[:0], s.val...)
-			r.insert, r.dirty = true, true
-		}
-		if s.erase {
-			r.erase = true
-			t.removals = append(t.removals, removalOp{node: r.node, region: r.region,
-				table: r.table, part: r.part, key: r.key,
-				deadIncVer: kvs.PackIncVer(r.inc+1, r.version+1)})
-		}
-	case imgStale:
-		// Deleted or reused entry: drop the cached chain so the retry
-		// re-resolves the location.
-		t.e.invalidate(&s.h)
+	if s.insert {
+		r.buf = append(r.buf[:0], s.val...)
+		r.insert, r.dirty = true, true
+	}
+	if s.erase {
+		r.erase = true
+		t.removals = append(t.removals, removalOp{node: r.node, region: r.region,
+			table: r.table, part: r.part, key: r.key, deadIncVer: r.commitWord()})
 	}
 }
 

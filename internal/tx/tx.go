@@ -63,12 +63,12 @@ type remoteRec struct {
 	absent bool
 }
 
-// update returns what the commit installs in a staged record it wrote,
-// inserted or erased: the post-commit incarnation — the flip's for an insert
-// or an erase, the standing one for an ordered row, 0 for a hash row, which
-// has no liveness — and the value, none for an erase (the flip to dead
-// carries no value). ok is false for a lease, a speculative read and a clean
-// write lock, which install nothing.
+// update returns what the commit installs in a record it wrote, inserted or
+// erased, and what its commit record logs: the post-commit incarnation (the
+// flip's for an insert or an erase, the row's standing one for a plain write)
+// and the value, none for an erase (the flip to dead carries no value). ok is
+// false for a lease, a speculative read and a clean write lock, which install
+// nothing.
 func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
 	switch {
 	case !r.write || (!r.dirty && !r.erase):
@@ -77,10 +77,17 @@ func (r *remoteRec) update() (inc uint32, val []uint64, ok bool) {
 		return r.inc + 1, nil, true
 	case r.insert:
 		return r.inc + 1, r.buf, true
-	case r.ordered:
-		return r.inc, r.buf, true
 	}
-	return 0, r.buf, true
+	return r.inc, r.buf, true
+}
+
+// commitWord is the incarnation|version word the commit installs in a record
+// with an update: update's incarnation at the next version. Every install — a
+// staged record's write-back, a local row's write or flip, the dead word an
+// erase's removal expects — takes it from here.
+func (r *remoteRec) commitWord() uint64 {
+	inc, _, _ := r.update()
+	return kvs.PackIncVer(inc, r.version+1)
 }
 
 // locked reports whether the transaction holds r's exclusive lock: a write
@@ -512,8 +519,8 @@ func (t *Tx) releaseLocalWrites() {
 // commitRemotes writes back dirty staged records and releases exclusive
 // locks (REMOTE_WRITE_BACK in Figure 5) as ONE doorbell chain of WRITEs, polled
 // once: the remote write set of the region path; every locked record, this
-// node's included, of the fallback. Per record, in post order: the value,
-// then the release. No poll
+// node's included, of the fallback. Per record with an update, in post order:
+// the value, then `commitWord ‖ INIT`; a clean write lock is released. No poll
 // separates them: the connection executes same-destination work requests in
 // post order and flushes everything behind one that fails
 // (rdma.SendQueue.Poll), so no reader can lease a half-written record — a
@@ -521,23 +528,13 @@ func (t *Tx) releaseLocalWrites() {
 func (t *Tx) commitRemotes() {
 	t.cops, t.cwords = t.cops[:0], t.cwords[:0]
 	for _, r := range t.recs {
-		if !r.write {
+		_, val, ok := r.update()
+		if !ok {
+			if r.write {
+				t.unlock(r) // clean write lock
+			}
 			continue
 		}
-		if !r.dirty && !r.erase {
-			t.unlock(r) // clean write lock
-			continue
-		}
-		// A transactional insert flips the staged dead entry live, an erase the
-		// live row dead (incarnation+1; its physical removal follows the
-		// commit); a plain write keeps the incarnation.
-		inc, val := r.inc+1, r.buf
-		if r.erase {
-			val = nil // the flip carries no value
-		} else if !r.insert {
-			inc = t.readIncarnation(r)
-		}
-		incver := kvs.PackIncVer(inc, r.version+1)
 		// The version word, the state word (reset to INIT = unlock) and the value
 		// are contiguous in the entry: one WRITE commits a record that fits a
 		// cache line; else the value goes first and `incver ‖ INIT` behind it.
@@ -546,10 +543,10 @@ func (t *Tx) commitRemotes() {
 			t.queue(r, kvs.ValueOffset(r.off), val)
 			val = nil
 		}
-		t.queue(r, off, t.payload(incver, clock.Init, val))
+		t.queue(r, off, t.payload(r.commitWord(), clock.Init, val))
 	}
 	t.postWave(obs.StagePublish)
-	// t.remotes stays populated: Execute marks the transaction finished
+	// t.recs stays populated: Execute marks the transaction finished
 	// right after, and Exec's recycle harvests the records into the pool.
 }
 
@@ -620,12 +617,6 @@ func (t *Tx) postWave(stage obs.Stage) {
 			t.e.mustUnlock(op.node, op.region, op.off)
 		}
 	}
-}
-
-// readIncarnation returns the record's current incarnation; we hold its
-// exclusive lock, so a plain load is stable.
-func (t *Tx) readIncarnation(r *remoteRec) uint32 {
-	return kvs.Incarnation(t.e.rt.arenaOf(r.node, r.region).LoadWord(kvs.IncVerOffset(r.off)))
 }
 
 // applyDeferred applies inserts/deletes collected during the region.

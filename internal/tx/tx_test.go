@@ -42,6 +42,20 @@ func newRig(t testing.TB, nodes, workers, keys int, mut func(*cluster.Config)) (
 	return rt, c.Stop
 }
 
+// stageRemote stages one record at an explicit host, outside any Exec: a
+// batch of one through the Start phase's pipeline, which leaves the lock or
+// lease held until the test releases it (releaseLocks) or it expires.
+func (t *Tx) stageRemote(table int, key uint64, node, region, part int, write bool) error {
+	s := t.gatherRemote(table, key, node, region, part, write)
+	if s == nil {
+		return nil
+	}
+	one := [1]*stageReq{s}
+	err := t.stageBatch(one[:])
+	t.e.putReqs(one[:])
+	return err
+}
+
 // htmAborts totals the HTM region aborts rt's transactions booked, every cause.
 func htmAborts(rt *Runtime) (n int64) {
 	for _, ev := range []obs.Event{obs.EvHTMConflictAbort, obs.EvHTMCapacityAbort,

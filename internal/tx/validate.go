@@ -98,16 +98,12 @@ func (rs *readSet) validate(htx *htm.Txn, waited bool) (code uint8, down bool) {
 	if !rs.leasesHold(htx, waited) {
 		return abortCodeLease, false
 	}
-	scans := rs.scans
-	if skipScanValidation {
-		scans = nil
-	}
-	if len(scans) == 0 && !slices.ContainsFunc(rs.recs, func(r *remoteRec) bool { return r.spec }) {
+	if len(rs.scans) == 0 && !slices.ContainsFunc(rs.recs, func(r *remoteRec) bool { return r.spec }) {
 		return 0, false
 	}
 	e := rs.e
 	vstart := int64(e.w.VClock.Now())
-	code, down = rs.reread(htx, scans)
+	code, down = rs.reread(htx)
 	e.w.Obs.Observe(obs.PhaseValidate, int64(e.w.VClock.Now())-vstart)
 	return code, down
 }
@@ -166,8 +162,8 @@ func (rs *readSet) leasesHold(htx *htm.Txn, waited bool) bool {
 // An unchanged version vouches for a value because every committed write bumps
 // it under write protection, value lines first. A scanned row this transaction
 // holds write-locked skips the lock check: its version cannot move under it.
-func (rs *readSet) reread(htx *htm.Txn, scans []scanRec) (code uint8, down bool) {
-	e := rs.e
+func (rs *readSet) reread(htx *htm.Txn) (code uint8, down bool) {
+	e, scans := rs.e, rs.scans
 	sh := e.w.Obs
 	self := e.w.Node.ID
 	nremote, nwords := 0, 0
@@ -203,7 +199,7 @@ func (rs *readSet) reread(htx *htm.Txn, scans []scanRec) (code uint8, down bool)
 			nwords += len(sc.segs) + len(sc.rows)
 		}
 	}
-	if nwords > 0 && !rs.postRereads(scans, nwords) {
+	if nwords > 0 && !rs.postRereads(nwords) {
 		// Confirms nothing and blames no record.
 		if nremote > 0 {
 			return abortCodeSpec, true
@@ -258,7 +254,7 @@ func headerWords(ordered bool) int {
 
 // postRereads posts reread's one wave of nwords words and polls it, reporting
 // false when a host stayed unreachable through the bounded retries.
-func (rs *readSet) postRereads(scans []scanRec, nwords int) bool {
+func (rs *readSet) postRereads(nwords int) bool {
 	e := rs.e
 	if cap(e.hdrBuf) < nwords {
 		e.hdrBuf = make([]uint64, nwords)
@@ -279,8 +275,8 @@ func (rs *readSet) postRereads(scans []scanRec, nwords int) bool {
 			sq.PostRead(r.node, r.region, kvs.IncVerOffset(r.off), next(headerWords(false)))
 		}
 	}
-	for i := range scans {
-		sc := &scans[i]
+	for i := range rs.scans {
+		sc := &rs.scans[i]
 		if sc.node == self {
 			continue
 		}
