@@ -82,7 +82,10 @@ race:
 # at once; a durable commit without backups awaited, a replicated one not; a
 # redo record without the home bit while a chain is in flight, and a ring
 # bounded behind one-way messages; a removal a one-way message per host,
-# retried past a transient fault), the quiescence audit (a leaked lock named by
+# retried past a transient fault), the release stage's one host-op path (a
+# commit's deferred insert, deferred delete and unlink for one host as one
+# message, retried whole past a fault, parked at f = 0 for a host that died
+# before it and run at the promoted owner at f = 1), the quiescence audit (a leaked lock named by
 # table and key, a replica's by its partition too, a parked step at f = 0, a
 # freed ordered slot passed over), the copy rule of the host-side structural ops
 # (which copies hold a key after each op at f = 0, on the home primary and on a
@@ -90,7 +93,7 @@ race:
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestZombieWaitsForNoLock
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestPostCommitHostOps|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/

@@ -274,17 +274,11 @@ func (t *Tree) Insert(key, val uint64) bool {
 	return added
 }
 
-// InsertIfAbsent adds key only if it is not present, reporting success.
-// Existing payloads are never overwritten.
-func (t *Tree) InsertIfAbsent(key, val uint64) bool {
-	added, _ := t.InsertIfAbsentAt(nil, key, val)
-	return added
-}
-
-// InsertIfAbsentAt is InsertIfAbsent starting from a finger (nil for none);
-// via reports whether the key went into (or was found in) a remembered leaf
-// without a descent, and why not otherwise. A full leaf descends like a miss:
-// the ordinary insert splits on its way down.
+// InsertIfAbsentAt adds key only if it is not present, reporting success (an
+// existing payload is never overwritten), starting from a finger (nil for
+// none); via reports whether the key went into (or was found in) a remembered
+// leaf without a descent, and why not otherwise. A full leaf descends like a
+// miss: the ordinary insert splits on its way down.
 func (t *Tree) InsertIfAbsentAt(f *Finger, key, val uint64) (added bool, via Path) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

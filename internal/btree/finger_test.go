@@ -342,7 +342,7 @@ func TestFingersConcurrent(t *testing.T) {
 						_, had := model[key]
 						added, _ := tr.InsertIfAbsentAt(&f, key, key+uint64(r))
 						if added == had {
-							t.Errorf("worker %d: InsertIfAbsent(%d) = %v, model has it: %v", g, key, added, had)
+							t.Errorf("worker %d: InsertIfAbsentAt(%d) = %v, model has it: %v", g, key, added, had)
 							return
 						}
 						if added {

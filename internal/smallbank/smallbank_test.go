@@ -36,7 +36,14 @@ func newWorkload(t testing.TB, nodes, workers int, mut func(*cluster.Config)) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, rt, c.Stop
+	// Every test that uses the rig ends in the quiescence audit: no lock
+	// leaked, nothing parked.
+	return w, rt, func() {
+		if err := rt.AuditQuiescent(); err != nil {
+			t.Error(err)
+		}
+		c.Stop()
+	}
 }
 
 func TestSetupPopulates(t *testing.T) {

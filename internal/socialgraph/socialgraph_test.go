@@ -23,12 +23,19 @@ func openGraph(t *testing.T, nodes, workers int, opts drtm.Options) (*drtm.DB, *
 		db.Close()
 		t.Fatal(err)
 	}
+	// Every test that uses the rig ends in the quiescence audit — no lock
+	// leaked, nothing parked — and then closes the database.
+	t.Cleanup(func() {
+		if err := db.RT.AuditQuiescent(); err != nil {
+			t.Error(err)
+		}
+		db.Close()
+	})
 	return db, w
 }
 
 func TestSetupRingIsSymmetric(t *testing.T) {
 	db, w := openGraph(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,6 @@ func TestSetupRingIsSymmetric(t *testing.T) {
 
 func TestBefriendUnfriendKeepSymmetry(t *testing.T) {
 	db, w := openGraph(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	cl := w.NewClient(db.Executor(0, 0), 1)
 	for i := 0; i < 600; i++ {
 		if err := cl.RunOne(); err != nil {
@@ -62,7 +68,6 @@ func TestBefriendUnfriendKeepSymmetry(t *testing.T) {
 func TestScanSnapshotUnderConcurrentWriters(t *testing.T) {
 	const nodes, workers = 3, 2
 	db, w := openGraph(t, nodes, workers, drtm.Options{FaultSeed: 3})
-	defer db.Close()
 	db.InjectNodeFaults(1, drtm.FaultRule{FailProb: 0.01})
 
 	var (
@@ -142,7 +147,6 @@ func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb
 		ReplicationFactor: 1,
 		FaultSeed:         faultSeed,
 	})
-	defer db.Close()
 	if faultProb > 0 {
 		db.InjectNodeFaults(0, drtm.FaultRule{FailProb: faultProb})
 	}

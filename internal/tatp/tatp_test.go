@@ -27,12 +27,19 @@ func openTATP(t *testing.T, nodes, workers int, opts drtm.Options) (*drtm.DB, *t
 		db.Close()
 		t.Fatal(err)
 	}
+	// Every test that uses the rig ends in the quiescence audit — no lock
+	// leaked, nothing parked — and then closes the database.
+	t.Cleanup(func() {
+		if err := db.RT.AuditQuiescent(); err != nil {
+			t.Error(err)
+		}
+		db.Close()
+	})
 	return db, w
 }
 
 func TestSetupPassesAudit(t *testing.T) {
 	db, w := openTATP(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +51,6 @@ func TestSetupPassesAudit(t *testing.T) {
 
 func TestTransactionsMaintainInvariant(t *testing.T) {
 	db, w := openTATP(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	cl := w.NewClient(db.Executor(0, 0), 1)
 	for i := 0; i < 800; i++ {
 		if err := cl.RunOne(); err != nil {
@@ -67,7 +73,6 @@ func TestTransactionsMaintainInvariant(t *testing.T) {
 func TestTATPDivergenceAuditUnderFaults(t *testing.T) {
 	const nodes, workers = 2, 2
 	db, w := openTATP(t, nodes, workers, drtm.Options{FaultSeed: 7})
-	defer db.Close()
 	db.InjectNodeFaults(0, drtm.FaultRule{FailProb: 0.01})
 	db.InjectNodeFaults(1, drtm.FaultRule{FailProb: 0.01})
 
@@ -143,7 +148,6 @@ func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 		ReplicationFactor: 1,
 		FaultSeed:         faultSeed,
 	})
-	defer db.Close()
 	db.InjectNodeFaults(2, drtm.FaultRule{FailProb: 0.005})
 
 	var (
@@ -249,7 +253,6 @@ func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 func TestShardsSizedForTheirPartition(t *testing.T) {
 	const nodes, perClient = 2, 2500
 	db, w := openTATP(t, nodes, 1, drtm.Options{Durability: true, ReplicationFactor: 1})
-	defer db.Close()
 	subs := w.Cfg.Subscribers
 	p := (subs+nodes-1)/nodes + 64
 	capacity := map[int]int{
@@ -352,7 +355,6 @@ func TestShardsSizedForTheirPartition(t *testing.T) {
 // the tables stay consistent.
 func TestConcurrentSubscriberLifecycle(t *testing.T) {
 	db, w := openTATP(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	clients := []*tatp.Client{w.NewClient(db.Executor(0, 0), 1), w.NewClient(db.Executor(1, 0), 2)}
 	both := func(op func(cl *tatp.Client) error) {
 		t.Helper()
@@ -396,7 +398,6 @@ func TestConcurrentSubscriberLifecycle(t *testing.T) {
 // not-found pair, and the tables stay consistent.
 func TestSameSubscriberChurn(t *testing.T) {
 	db, w := openTATP(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	const perClient = 50_000
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -439,7 +440,6 @@ func TestSameSubscriberChurn(t *testing.T) {
 // inserter; the abort releases every one of them, and nothing is left parked.
 func TestInsertExistingSubscriberReleasesBornSlots(t *testing.T) {
 	db, w := openTATP(t, 2, 1, drtm.Options{})
-	defer db.Close()
 	const sid = 3 // odd: homed on node 1, remote to the client's node 0
 	sub, ok := db.Get(tatp.TableSubscriber, sid)
 	if !ok {

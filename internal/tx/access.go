@@ -129,7 +129,7 @@ func (e *Executor) finger(region int) *kvs.Finger {
 // root-to-leaf descent costs BTreeOpNS, whichever reason it was made for, a
 // hit on a remembered leaf the one node search it is (HashProbeNS). A shipped
 // operation is priced per key by its sender, before the host walks (ship,
-// shipRemoveDead).
+// shipHostOps).
 func (e *Executor) chargeIndexOp(via kvs.IndexPath) {
 	switch via {
 	case kvs.IndexHit:

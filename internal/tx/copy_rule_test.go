@@ -24,6 +24,10 @@ func TestCopyRule(t *testing.T) {
 	const part = 1
 	key := orderedKey(part, 7)
 	val := []uint64{70, 7}
+	// at is the key's handle on the copy the op runs on.
+	at := func(n *cluster.Node, region int) recHandle {
+		return recHandle{table: tblOrders, node: n.ID, region: region, part: part, key: key, ordered: true}
+	}
 	ops := []struct {
 		name   string
 		seed   func(o *kvs.Ordered) error // what every copy holds first
@@ -31,16 +35,12 @@ func TestCopyRule(t *testing.T) {
 		holds  bool // the copies the op reaches hold the key after it
 		delete bool // the op bumps the key's delete generation
 	}{
-		{"deferred insert", nil, func(t *testing.T, rt *Runtime, n *cluster.Node, _ int) {
-			if _, err := rt.execStoreOp(n, storeOpMsg{Insert: true, Table: tblOrders, Key: key, Val: val}, nil); err != nil {
-				t.Error(err)
-			}
+		{"deferred insert", nil, func(t *testing.T, rt *Runtime, n *cluster.Node, region int) {
+			rt.execHostOp(n, &hostOp{recHandle: at(n, region), insert: true, val: val}, nil)
 		}, true, false},
 		{"deferred delete", func(o *kvs.Ordered) error { return o.Insert(key, val) },
-			func(t *testing.T, rt *Runtime, n *cluster.Node, _ int) {
-				if _, err := rt.execStoreOp(n, storeOpMsg{Table: tblOrders, Key: key}, nil); err != nil {
-					t.Error(err)
-				}
+			func(t *testing.T, rt *Runtime, n *cluster.Node, region int) {
+				rt.execHostOp(n, &hostOp{recHandle: at(n, region)}, nil)
 			}, false, true},
 		{"EnsureDead", nil, func(t *testing.T, rt *Runtime, n *cluster.Node, region int) {
 			if _, _, err := rt.execEnsureEntry(n, region, tblOrders, part, key, clock.Init); err != nil {
@@ -51,8 +51,7 @@ func TestCopyRule(t *testing.T) {
 			func(t *testing.T, rt *Runtime, n *cluster.Node, region int) {
 				o := n.Ordered(region)
 				off, _ := o.Lookup(key)
-				rt.execRemoveDead(n, removalOp{node: n.ID, region: region, table: tblOrders, part: part,
-					key: key, deadIncVer: o.Arena().LoadWord(kvs.IncVerOffset(off))})
+				rt.execHostOp(n, &hostOp{recHandle: at(n, region), unlink: o.Arena().LoadWord(kvs.IncVerOffset(off))}, nil)
 			}, false, true},
 	}
 	places := []struct {

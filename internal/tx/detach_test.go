@@ -247,8 +247,8 @@ func TestRedoRingBoundedBehindSends(t *testing.T) {
 			rec = used
 		}
 		most = max(most, used)
-		e.remMsg.Ops = e.remMsg.Ops[:0] // a removal message with no entry
-		e.shipRemoveDead(1)
+		e.hostMsg.Ops = e.hostMsg.Ops[:0] // a host-op message with no op
+		e.shipHostOps(1)
 		if e.w.QP.Idle() {
 			t.Fatalf("step %d: the message landed before the next transaction began", i)
 		}

@@ -21,14 +21,15 @@ import (
 //     failed, or was flushed behind one that did (rdma.ErrFlushed: never
 //     attempted), is re-driven under the same policy.
 //
-//   - Release-side verbs (unlock, commit write-back, deferred store ops)
+//   - Release-side verbs (unlock, commit write-back, post-commit host ops)
 //     run AFTER the transaction's serialization point, so they must never
-//     fail: timeouts retry without bound, and a step for an unreachable
-//     node goes to defer_ — parked for recovery (or the node's revival)
-//     without replication, run at once under it — so a committed
+//     fail: redrive retries timeouts without bound, and a step for an
+//     unreachable node goes to defer_ — parked for recovery (or the node's
+//     revival) without replication, run at once under it — so a committed
 //     transaction's effects are never lost, the invariant the chaos
-//     experiment checks. They go out as one doorbell chain of WRITEs
-//     (Tx.postWave); the must* helpers are its re-drive.
+//     experiment checks. The write-backs and unlocks go out as one doorbell
+//     chain of WRITEs (Tx.postWave), the host ops as one message per host
+//     (Executor.applyHostOps).
 
 // verbRetries bounds acquisition-side retries of transient verb faults.
 const verbRetries = 6
@@ -58,33 +59,32 @@ func (e *Executor) verbRetry(op func() error) error {
 	}
 }
 
-// mustWrite is the release-side WRITE: it retries timeouts without bound
-// and hands the write to defer_ when the target is unreachable.
-//
-// When the ISSUING node is the one that crashed (a dead machine cannot send),
-// the write is dropped instead: the transaction's commit record — the
+// redrive runs a release-side verb, which must never fail: timeouts retry
+// without bound, and it reports whether the target node is unreachable, whose
+// step the caller hands to defer_ by its own rule (mustWrite, mustUnlock,
+// shipHostOps).
+func (e *Executor) redrive(verb func() error) (down bool) {
+	for attempt := 0; ; attempt++ {
+		err := verb()
+		if err == nil || errors.Is(err, rdma.ErrNodeUnreachable) {
+			return err != nil
+		}
+		e.faultBackoff(attempt)
+	}
+}
+
+// mustWrite is the release-side WRITE. When the ISSUING node is the one that
+// crashed (a dead machine cannot send), a write to an unreachable node is
+// dropped instead of deferred: the transaction's commit record — the
 // write-ahead record Recover redoes, or the redo record Failover replays — is
 // the source of truth, and applying it here would race the repair's unlock and
 // could clobber a survivor's freshly taken lock.
 func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64) {
-	for attempt := 0; ; attempt++ {
-		err := e.w.QP.TryWrite(node, table, off, words)
-		if err == nil {
-			return
-		}
-		if errors.Is(err, rdma.ErrNodeUnreachable) {
-			if e.zombie() {
-				return
-			}
-			// The caller reuses words (commit scratch, pooled record buffers).
-			words = append([]uint64(nil), words...)
-			e.rt.defer_(node, func(rt *Runtime) {
-				rt.arenaOf(node, table).Write(off, words)
-			})
-			return
-		}
-		e.faultBackoff(attempt)
+	if !e.redrive(func() error { return e.w.QP.TryWrite(node, table, off, words) }) || e.zombie() {
+		return
 	}
+	own := append([]uint64(nil), words...) // the caller reuses words (commit scratch, pooled record buffers)
+	e.rt.defer_(node, func(rt *Runtime) { rt.arenaOf(node, table).Write(off, own) })
 }
 
 // mustUnlock is the re-drive of a clean release whose WRITE did not complete:
@@ -96,18 +96,8 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 // means the lock is already gone — done either way.
 func (e *Executor) mustUnlock(node, table int, off memory.Offset) {
 	locked := clock.WLocked(uint8(e.w.Node.ID))
-	for attempt := 0; ; attempt++ {
-		_, _, err := e.w.QP.TryCAS(node, table, off, locked, clock.Init)
-		if err == nil {
-			return
-		}
-		if errors.Is(err, rdma.ErrNodeUnreachable) {
-			e.rt.defer_(node, func(rt *Runtime) {
-				rt.arenaOf(node, table).CAS(off, locked, clock.Init)
-			})
-			return
-		}
-		e.faultBackoff(attempt)
+	if e.redrive(func() error { _, _, err := e.w.QP.TryCAS(node, table, off, locked, clock.Init); return err }) {
+		e.rt.defer_(node, func(rt *Runtime) { rt.arenaOf(node, table).CAS(off, locked, clock.Init) })
 	}
 }
 
@@ -122,7 +112,7 @@ func (e *Executor) zombie() bool {
 // replication it runs at once, serialized with Failover: the backups' rings
 // hold every committed value, so a write-back, unlock or removal lands in
 // memory nothing serves once the partition is promoted, and a store op (the
-// one step no ring carries) runs at the partition's owner (shipStoreOp).
+// one step no ring carries) runs at the partition's owner (shipHostOps).
 // Without replication the step parks until node is recovered or revived; if
 // the node came back before the enqueue, the queue drains at once.
 func (rt *Runtime) defer_(node int, apply func(*Runtime)) {

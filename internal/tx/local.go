@@ -199,35 +199,30 @@ func (t *Tx) checkIndexKeys(table int, key uint64, old, val []uint64) {
 func (lc *Local) Insert(table int, key uint64, val []uint64) {
 	own := lc.t.attemptWords(len(val))
 	copy(own, val)
-	lc.t.deferred = append(lc.t.deferred, deferredOp{insert: true, table: table,
-		key: key, val: own})
+	lc.t.deferOp(table, key, own, true)
 }
 
 // Delete schedules a record deletion, applied right after commit.
-func (lc *Local) Delete(table int, key uint64) {
-	lc.t.deferred = append(lc.t.deferred, deferredOp{insert: false, table: table, key: key})
+func (lc *Local) Delete(table int, key uint64) { lc.t.deferOp(table, key, nil, false) }
+
+// deferOp keeps a store op of the body for the commit's host ops, routed where
+// the record lives now.
+func (t *Tx) deferOp(table int, key uint64, val []uint64, insert bool) {
+	node, region, part := t.e.route(table, key)
+	t.deferred = append(t.deferred, hostOp{recHandle: recHandle{table: table, node: node, region: region,
+		part: part, key: key, ordered: t.e.rt.Meta(table).Kind == Ordered}, insert: insert, val: val})
+}
+
+// oweUnlink schedules the post-commit unlink of r's entry, which the commit
+// flips dead at r.commitWord().
+func (t *Tx) oweUnlink(r *remoteRec) {
+	t.removals = append(t.removals, hostOp{recHandle: r.recHandle, unlink: r.commitWord()})
 }
 
 // KeyOff is a scan result: a key and its entry offset.
 type KeyOff struct {
 	Key uint64
 	Off memory.Offset
-}
-
-// ScanLocal returns up to limit index entries of a local ordered table in
-// [lo, hi] ascending (limit <= 0 means unbounded). The index itself is
-// latched, not HTM-tracked, and the result carries no phantom protection —
-// use Tx.Scan (declared before Execute) for validated transactional range
-// reads; ScanLocal remains for non-transactional walks over entry offsets.
-// The result is the executor's scratch, valid until its next ScanLocal (of
-// any transaction).
-func (lc *Local) ScanLocal(table int, lo, hi uint64, limit int) []KeyOff {
-	return lc.t.e.scanLocal(table, lo, hi, limit, false)
-}
-
-// ScanLocalDesc is ScanLocal in descending order.
-func (lc *Local) ScanLocalDesc(table int, lo, hi uint64, limit int) []KeyOff {
-	return lc.t.e.scanLocal(table, lo, hi, limit, true)
 }
 
 // scanLocal walks this node's shard of an ordered table over [lo, hi], in

@@ -14,8 +14,8 @@ package tx
 // fresh slot the host creates already write-locked for the inserter
 // (shipResolve); the software fallback takes either kind like any other
 // record. An erase mirrors this: the flip to dead commits with the transaction
-// and the physical tree removal is deferred to removeDead, after every lock has
-// dropped.
+// and the physical tree removal is a post-commit host op (hostOp), run after
+// every lock has dropped.
 //
 // Secondary indexes are maintained inside the same commit: WInsert/Erase
 // stage the base row AND every declared index row, so the flips land in one
@@ -29,7 +29,6 @@ package tx
 // one-sided verbs as unordered records, since the entry layout is identical.
 
 import (
-	"errors"
 	"fmt"
 
 	"drtm/internal/clock"
@@ -38,10 +37,9 @@ import (
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/obs"
-	"drtm/internal/rdma"
 )
 
-// Verbs message types for ordered-store operations (3..6; 1..2 are in
+// Verbs message types for ordered-store operations (3 and 5; 1 is in
 // handlers.go).
 const (
 	// msgOrderedOps resolves a batch of keys on the host's B+ trees: point
@@ -50,8 +48,6 @@ const (
 	msgOrderedOps = 3
 	// msgRangeScan runs a stamped range collection on the host.
 	msgRangeScan = 5
-	// msgRemoveDead physically unlinks committed erases' dead entries.
-	msgRemoveDead = 6
 )
 
 // shipOp is one key of a msgOrderedOps message — 32 bytes of request, a lookup
@@ -83,23 +79,6 @@ type shipOp struct {
 
 type orderedOpsMsg struct{ Ops []shipOp }
 
-// removeDeadMsg carries every dead entry one transaction unlinks on one host.
-type removeDeadMsg struct{ Ops []removalOp }
-
-// removalOp schedules the post-commit physical removal of an erased entry.
-// deadIncVer is the exact incarnation|version the erase's flip published:
-// the unlink verifies it so that a removal that arrives late — parked for a
-// dead host, say — can never unlink a LATER death of the same key. (A
-// re-insert in between bumps the incarnation, so a stale op simply no-ops.)
-type removalOp struct {
-	node       int
-	region     int
-	table      int
-	part       int
-	key        uint64
-	deadIncVer uint64
-}
-
 // installOrderedHandlers wires the ordered-store verbs handlers on every
 // node (called next to installStoreHandlers).
 func (rt *Runtime) installOrderedHandlers() {
@@ -110,12 +89,6 @@ func (rt *Runtime) installOrderedHandlers() {
 		})
 		n.Handle(msgRangeScan, func(from int, body any) any {
 			return rt.execRangeScan(n, body.(*rangeScanMsg))
-		})
-		n.Handle(msgRemoveDead, func(from int, body any) any {
-			for _, op := range body.(*removeDeadMsg).Ops {
-				rt.execRemoveDead(n, op)
-			}
-			return nil
 		})
 	}
 }
@@ -184,45 +157,6 @@ func (rt *Runtime) execRangeScan(n *cluster.Node, m *rangeScanMsg) any {
 	return nil
 }
 
-// execRemoveDead physically unlinks a dead entry on the host — the deferred
-// second half of a committed erase — and mirrors the removal by the copy rule
-// (lockCopies). Best-effort by design: a busy state word (the slot is being
-// resurrected or leased) or a re-inserted key leaves the dead entry for a later
-// pass; scans skip dead entries either way. The delete-generation bump happens
-// here, with the removal under the partition's redo lock, so a lagging redo
-// update can never land on a recycled slot (whose version restarts at 0).
-func (rt *Runtime) execRemoveDead(n *cluster.Node, op removalOp) {
-	o, ok := n.OrderedRegion(op.region)
-	if !ok {
-		return
-	}
-	sh, mirror := rt.lockCopies(op.region, op.table, op.part)
-	if sh != nil {
-		defer sh.mu.Unlock()
-	}
-	if !removeDeadEntry(o, op.key, uint8(n.ID), op.deadIncVer) || sh == nil {
-		return
-	}
-	sh.delGen[delKey{op.table, op.key}]++
-	for _, b := range mirror {
-		rep := rt.C.Node(b).Ordered(cluster.CopyRegion(op.part, op.table, b))
-		// The replica lags the primary (it converges via redo) and never
-		// leads it: what it holds under the key is this death's entry as of
-		// some earlier moment. A still-live row is deleted outright, a dead
-		// one unlinked whatever its incarnation|version (the primary's
-		// deadIncVer cannot name a lagging copy's). A leftover would outlive
-		// the key: its version guard refuses the next life's redo (version 0,
-		// fresh slot), and a promotion serves that row dead.
-		if roff, found := rep.Lookup(op.key); found {
-			if kvs.Live(kvs.Incarnation(rep.Arena().LoadWord(kvs.IncVerOffset(roff)))) {
-				rep.Delete(op.key)
-			} else {
-				removeDeadEntry(rep, op.key, uint8(b), 0)
-			}
-		}
-	}
-}
-
 // removeDeadEntry locks, re-verifies and unlinks one dead entry. A nonzero
 // want pins the unlink to one specific death: the entry must still carry
 // exactly that incarnation|version, so a stale (queued) removal op can
@@ -272,7 +206,7 @@ func (t *Tx) WInsert(table int, key uint64, val []uint64) error {
 // transaction rather than unhooking the wrong index key). Returns the base
 // row's value as observed. A remote row's index rows ride the transaction's
 // next wave (oweIndexRows). The physical tree removals run after commit
-// (removeDead).
+// (oweUnlink).
 func (t *Tx) Erase(table int, key uint64) ([]uint64, error) {
 	if err := t.Stage(Access{Table: table, Key: key, Erase: true}); err != nil {
 		return nil, err
@@ -360,8 +294,7 @@ func (t *Tx) declareLocalErase(a Access, region, part int) error {
 	r.write, r.erase, r.off = true, true, off
 	r.inc, r.version = kvs.Incarnation(incver), kvs.Version(incver)
 	r.buf = append(r.buf[:0], vals...)
-	t.removals = append(t.removals, removalOp{node: e.w.Node.ID, region: region,
-		table: table, part: part, key: key, deadIncVer: r.commitWord()})
+	t.oweUnlink(r)
 	for _, spec := range e.rt.indexesOf(table) {
 		if err := t.declare(Access{Table: spec.Table, Key: spec.Key(key, vals), Erase: true,
 			ixOf: true, base: refKey{table, key}}); err != nil {
@@ -409,60 +342,4 @@ func (t *Tx) flipStructural(htx *htm.Txn, r *remoteRec) {
 		htx.WriteN(arena, kvs.ValueOffset(r.off), r.buf)
 	}
 	r.arena = arena // where holdLocalWrites finds the row
-}
-
-// removeDead physically unlinks committed erases' dead entries, after every
-// lock has dropped: directly on this node's shards, with one
-// msgRemoveDead message per host — at most BatchWindow entries per message —
-// otherwise. It consumes ops (a sent entry's node is overwritten).
-func (e *Executor) removeDead(ops []removalOp) {
-	e.w.Obs.Add(obs.EvRemoveDead, int64(len(ops)))
-	window := e.window()
-	for i := range ops {
-		node := ops[i].node
-		switch {
-		case node < 0: // went out with an earlier entry's message
-		case node == e.w.Node.ID:
-			e.rt.execRemoveDead(e.w.Node, ops[i])
-			e.charge(e.model().BTreeOpNS)
-		default:
-			batch := e.remMsg.Ops[:0]
-			for j := i; j < len(ops) && len(batch) < window; j++ {
-				if ops[j].node == node {
-					batch = append(batch, ops[j])
-					ops[j].node = -1
-				}
-			}
-			e.remMsg.Ops = batch
-			e.shipRemoveDead(node)
-		}
-	}
-}
-
-// shipRemoveDead sends the executor's removal message (e.remMsg) to node as a
-// one-way message: nothing the worker does next depends on the host's answer,
-// so the worker pays one doorbell and leaves the message in flight
-// (rdma.QP.Send), plus one tree operation per entry. Release-side: transient
-// faults retry the whole message without bound, and a crashed host's removals
-// go to defer_, each on its own, like any post-commit effect.
-func (e *Executor) shipRemoveDead(node int) {
-	ops := e.remMsg.Ops
-	e.charge(e.model().BTreeOpNS * int64(len(ops)))
-	e.callMsg = cluster.Msg{Type: msgRemoveDead, Body: &e.remMsg}
-	for attempt := 0; ; attempt++ {
-		err := e.w.QP.Send(node, &e.callMsg, 8+40*len(ops))
-		if err == nil {
-			e.w.Obs.Add(obs.EvShippedOp, int64(len(ops)))
-			return
-		}
-		if errors.Is(err, rdma.ErrNodeUnreachable) {
-			for _, op := range ops {
-				e.rt.defer_(node, func(rt *Runtime) {
-					rt.execRemoveDead(rt.C.Node(node), op)
-				})
-			}
-			return
-		}
-		e.faultBackoff(attempt)
-	}
 }

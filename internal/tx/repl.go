@@ -242,7 +242,7 @@ func (rt *Runtime) applyRedoUpdate(u nvram.RedoUpdate) bool {
 // hold successive versions of one key, and Failover's replay can race a drain):
 // unlocked, an interleaved pair could publish the older value under the newer
 // version word. A missing key is never re-inserted: every copy mirrors the
-// primary's membership (execStoreOp), so it was deleted since. The generation
+// primary's membership (execHostOp), so it was deleted since. The generation
 // guard catches a delete and re-insert, whose entry restarts at version 0.
 func (rt *Runtime) applyRedo(n *cluster.Node, region int, u nvram.RedoUpdate) bool {
 	sh := &rt.redoShards[u.Part]

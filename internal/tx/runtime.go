@@ -312,12 +312,12 @@ type Executor struct {
 	bktBuf   [kvs.BucketWords]uint64 // resolve's bucket image (serial lookups)
 
 	// Shipped-message scratch: the envelope every two-sided call reuses, the
-	// multi-op tree message and the requests its ops answer, the removal
+	// multi-op tree message and the requests its ops answer, the host-op
 	// message and the range-scan message.
 	callMsg  cluster.Msg
 	shipMsg  orderedOpsMsg
 	shipReqs []*stageReq
-	remMsg   removeDeadMsg
+	hostMsg  hostOpsMsg
 	scanMsg  rangeScanMsg
 
 	scanOut  []KeyOff  // scanLocal's result, valid until the next scan
@@ -393,9 +393,6 @@ func (e *Executor) sendq(stage obs.Stage) *rdma.SendQueue {
 
 // Worker exposes the underlying worker context.
 func (e *Executor) Worker() *cluster.Worker { return e.w }
-
-// Runtime exposes the owning runtime.
-func (e *Executor) Runtime() *Runtime { return e.rt }
 
 func (e *Executor) model() *vtime.Model { return e.rt.C.Fabric.Model() }
 

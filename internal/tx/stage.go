@@ -649,8 +649,7 @@ func (s *stageReq) consume(t *Tx, words []uint64) {
 	}
 	if s.erase {
 		r.erase = true
-		t.removals = append(t.removals, removalOp{node: r.node, region: r.region,
-			table: r.table, part: r.part, key: r.key, deadIncVer: r.commitWord()})
+		t.oweUnlink(r)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 // TestRemovalIsOneWayMessage: a commit's removals go out as one message per
 // host, and nothing waits for the host's answer — the worker pays one doorbell
 // and a tree operation per entry, the message's flight is left in flight — yet
-// every entry is unlinked when removeDead returns. A transient fault retries
+// every entry is unlinked when applyHostOps returns. A transient fault retries
 // the whole message until it gets through.
 func TestRemovalIsOneWayMessage(t *testing.T) {
 	rt, e, stop := faultRig(t, nil)
@@ -173,8 +173,8 @@ func TestRemovalIsOneWayMessage(t *testing.T) {
 	insertOrders(t, e, 2, []uint64{1, 2})
 	// erased runs one transaction erasing the given entities' rows and
 	// returns its removals, withheld from the commit.
-	erased := func(keys ...uint64) []removalOp {
-		var ops []removalOp
+	erased := func(keys ...uint64) []hostOp {
+		var ops []hostOp
 		err := e.Exec(func(tx *Tx) error {
 			accs := make([]Access, len(keys))
 			for i, k := range keys {
@@ -203,7 +203,7 @@ func TestRemovalIsOneWayMessage(t *testing.T) {
 	m := e.model()
 	ops := erased(orderedKey(1, 1), orderedKey(2, 1), orderedKey(1, 2), orderedKey(2, 2))
 	msgs, detached, t0 := e.w.Obs.Count(obs.EvVerbsMsg), e.w.Obs.Count(obs.EvDetached), e.w.VClock.Now()
-	e.removeDead(ops)
+	e.applyHostOps(ops)
 	if got := int64(e.w.VClock.Now() - t0); got != 2*m.DoorbellNS+4*m.BTreeOpNS {
 		t.Fatalf("removing 4 entries on 2 hosts charged %d ns, want two doorbells and four tree operations, %d",
 			got, 2*m.DoorbellNS+4*m.BTreeOpNS)
@@ -212,7 +212,7 @@ func TestRemovalIsOneWayMessage(t *testing.T) {
 		t.Fatalf("%d messages, %d left in flight, want one per host, each left in flight", n, d)
 	}
 	if linked(1, 1, 2) || linked(2, 1, 2) {
-		t.Fatal("a dead entry is still linked when removeDead returned")
+		t.Fatal("a dead entry is still linked when applyHostOps returned")
 	}
 
 	// Transient timeouts: the first try of the message fails and the second
@@ -223,7 +223,7 @@ func TestRemovalIsOneWayMessage(t *testing.T) {
 	rt.C.Fabric.SetFaultPlan(plan)
 	defer rt.C.Fabric.SetFaultPlan(nil)
 	retries, msgs := e.w.Obs.Count(obs.EvLockRetry), e.w.Obs.Count(obs.EvVerbsMsg)
-	e.removeDead(ops)
+	e.applyHostOps(ops)
 	if r, n := e.w.Obs.Count(obs.EvLockRetry)-retries, e.w.Obs.Count(obs.EvVerbsMsg)-msgs; r != 1 || n != 1 {
 		t.Fatalf("%d retries and %d messages delivered, want the faulted try retried once", r, n)
 	}
@@ -240,7 +240,7 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	// The host dies after the commit's release wave and before the removal
 	// message: the commit runs with its removals withheld, and they are then
 	// delivered, by hand, to the dead host.
-	var ops []removalOp
+	var ops []hostOp
 	err := e.Exec(func(tx *Tx) error {
 		if err := tx.Stage(Access{Table: tblOrders, Key: orderedKey(1, 1), Erase: true},
 			Access{Table: tblOrders, Key: orderedKey(1, 2), Erase: true},
@@ -260,7 +260,7 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	o := rt.C.Node(1).Ordered(tblOrders)
 	rt.C.Fabric.SetNodeDown(1, true)
 	msgs, detached := e.w.Obs.Count(obs.EvVerbsMsg), e.w.Obs.Count(obs.EvDetached)
-	e.removeDead(ops)
+	e.applyHostOps(ops)
 	if got := rt.PendingOps(1); got != 3 {
 		t.Fatalf("%d removals parked for the dead host, want 3 (one per entry)", got)
 	}

@@ -52,7 +52,7 @@ type remoteRec struct {
 	// insert marks a transactional insert staged against a dead ordered entry
 	// (flipped live at commit; the buffer holds the value to publish, dirty
 	// from declare); erase marks a transactional delete (flipped dead at
-	// commit, physical removal deferred to removeDead; the buffer holds the
+	// commit, physical removal a post-commit host op; the buffer holds the
 	// value observed at declare). Either way inc and version are what the
 	// entry carried when it was declared.
 	insert bool
@@ -95,15 +95,6 @@ func (r *remoteRec) commitWord() uint64 {
 // holds nothing; a record of the region holds no lock).
 func (r *remoteRec) locked() bool { return r.write && !r.spec && !r.local }
 
-// deferredOp is an insert/delete applied after commit (index structures are
-// not HTM-protected in this reproduction; see DESIGN.md).
-type deferredOp struct {
-	insert bool
-	table  int
-	key    uint64
-	val    []uint64
-}
-
 // Tx is a single distributed transaction attempt context. A Tx is created
 // by Executor.Exec's build callback, stages its remote read/write sets
 // (Start phase), then runs Execute once. It must not be reused. Every declared
@@ -126,12 +117,14 @@ type Tx struct {
 	// the software fallback, whose acquisitions wait (DESIGN.md, "Progress").
 	escalated bool
 
-	locals   []*remoteRec // the declared local records (remoteRec.local)
-	deferred []deferredOp
+	locals []*remoteRec // the declared local records (remoteRec.local)
 
-	// Post-commit physical removals of erased entries, the index rows staged
-	// erases still owe (oweIndexRows), and the structural value scratch (carve).
-	removals []removalOp
+	// The post-commit host ops: the body's inserts and deletes (index
+	// structures are not HTM-protected in this reproduction; see DESIGN.md) and
+	// the unlinks of erased entries. Then the index rows staged erases still
+	// owe (oweIndexRows), and the structural value scratch (carve).
+	deferred []hostOp
+	removals []hostOp
 	owed     []Access
 	swords   []uint64
 
@@ -209,9 +202,6 @@ func (e *Executor) newTx() *Tx {
 	t.txid = uint64(e.w.Node.ID)<<48 | uint64(e.w.ID)<<40 | e.txSeq
 	return t
 }
-
-// ID returns the transaction's unique identifier.
-func (t *Tx) ID() uint64 { return t.txid }
 
 // SetChoppingInfo marks the transaction as piece piece of the chopped parent
 // parent: the pair is logged ahead of locking (Section 4.6).
@@ -460,7 +450,7 @@ func (t *Tx) attemptWords(n int) []uint64 {
 // to the backups (FaRM's commit-backup: it must be on every one of them before
 // a lock releases or an effect becomes observable remotely), then the region's
 // local rows are released and the staged records written back and unlocked,
-// then the deferred store ops and the physical removals run.
+// then the host ops run, the body's store ops first, then the unlinks.
 func (t *Tx) publish() error {
 	cstart := int64(t.e.w.VClock.Now())
 	if err := t.replicate(); err != nil {
@@ -469,8 +459,9 @@ func (t *Tx) publish() error {
 	t.releaseLocalWrites()
 	t.commitRemotes()
 	t.vCommit += int64(t.e.w.VClock.Now()) - cstart
-	t.applyDeferred()
-	t.e.removeDead(t.removals)
+	t.e.w.Obs.Add(obs.EvRemoveDead, int64(len(t.removals)))
+	t.deferred = append(t.deferred, t.removals...)
+	t.e.applyHostOps(t.deferred)
 	t.finished = true
 	return nil
 }
@@ -617,14 +608,6 @@ func (t *Tx) postWave(stage obs.Stage) {
 			t.e.mustUnlock(op.node, op.region, op.off)
 		}
 	}
-}
-
-// applyDeferred applies inserts/deletes collected during the region.
-func (t *Tx) applyDeferred() {
-	for _, op := range t.deferred {
-		t.e.applyStoreOp(op)
-	}
-	t.deferred = t.deferred[:0]
 }
 
 // snapshotWriteBufs saves the pristine value of every buffer the body writes
