@@ -58,13 +58,14 @@ race:
 # asking the cache), the mirrored removal of a lagging replica's entry, the
 # f = 1 commit order (a survivor locking or reading a row between its writer's
 # XEND and redo append, the writer dying before the append lands; a ring
-# truncated past a record whose write-back went to a dead primary), nothing
-# parked under f = 1 (a release after a failover; a deferred insert or delete
-# surviving one), the NVRAM logs' lifetime rule (a coordinator killed at every
-# step of a transfer behind a committed one, region and fallback, f = 0 and 1; a
-# parked release keeping the logs at f = 0, and at f = 1 a release after a
-# failover not; records surviving an arena's grows, a restart never tearing
-# a concurrent scan, the append / reserve / restart model fuzz's seeds), the progress
+# truncated past a record whose write-back went to a dead primary), a release
+# step for a dead node run at once (a deferred insert or delete surviving a
+# failover), the NVRAM logs' lifetime rule (a coordinator killed at every step
+# of a transfer behind a committed one, region and fallback, f = 0 and 1; a
+# release owed to a dead node keeping no log, at f = 0 and at f = 1; a zombie's
+# log keeping its history, of which Recover redoes a key's last update alone;
+# records surviving an arena's grows, a restart never tearing a concurrent
+# scan, the append / reserve / restart model fuzz's seeds), the progress
 # guarantee (the bank invariant's transfers and audits back to back, a transfer
 # against unthrottled writers of its rows committing by its first escalated
 # attempt), the commit point's one validation (one verdict and cause per
@@ -75,7 +76,7 @@ race:
 # and writer transactions leaving no lock), the born slot (a remote insert's
 # fresh slot held for its inserter from the host's answer on: a rival insert, a
 # speculative read and a CAS all lose to it; a faulted message retried before
-# it applies; a host dying after its answer parking the slots' release; an
+# it applies; a host dying after its answer, the slots released on its memory; an
 # insert of an existing subscriber releasing the fresh facility rows' slots),
 # the release side left in flight (a commit with no log charged its chain's
 # doorbells, a later READ paying what is left, the new value and free word seen
@@ -84,16 +85,17 @@ race:
 # bounded behind one-way messages; a removal a one-way message per host,
 # retried past a transient fault), the release stage's one host-op path (a
 # commit's deferred insert, deferred delete and unlink for one host as one
-# message, retried whole past a fault, parked at f = 0 for a host that died
-# before it and run at the promoted owner at f = 1), the quiescence audit (a leaked lock named by
-# table and key, a replica's by its partition too, a parked step at f = 0, a
-# freed ordered slot passed over), the copy rule of the host-side structural ops
+# message, retried whole past a fault, run at once for a host that died before
+# it: on its memory at f = 0, at the promoted owner at f = 1, where the unlink
+# reaches the promoted copy too), the quiescence audit (a leaked lock named by
+# table and key, a replica's by its partition too, a freed ordered slot passed
+# over, a dead machine not audited), the copy rule of the host-side structural ops
 # (which copies hold a key after each op at f = 0, on the home primary and on a
 # promoted owner; the redo lock held and released), and two clients churning the same subscribers — repeated across
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
-STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover|TestRingDrainsPastDeadWriteBack|TestReleaseAfterFailoverParksNothing|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestPostCommitHostOps|TestZombieWaitsForNoLock
+STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestLogsRestartPastReleaseToDeadNode|TestReplicatedCommitHoldsLocalRows|TestRingDrainsPastDeadWriteBack|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestPostCommitHostOps|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
@@ -138,11 +140,11 @@ alloc:
 		go test -count=1 -run "$${t#*:}" $${t%%:*} || exit 1; \
 	done
 
-# Lane-name guard: every alternative of STRESS_TX and STRESS_TATP, and of each
-# alloc pattern, must name at least one test, benchmark or fuzz target of its
-# package (go test -list), so a renamed test cannot drop out of a lane
-# silently.
-LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) $(ALLOC_LANE)
+# Lane-name guard: every alternative of STRESS_TX, STRESS_TATP and CHAOS_TX,
+# and of each alloc and failover-lane pattern, must name at least one test,
+# benchmark or fuzz target of its package (go test -list), so a renamed test
+# cannot drop out of a lane silently.
+LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) ./internal/tx/:$(CHAOS_TX) $(ALLOC_LANE) $(FAILOVER_LANE)
 lanes:
 	@bad=0; for t in $$(echo '$(LANES)'); do pkg=$${t%%:*}; \
 		names=$$(go test -list . $$pkg | grep -E '^(Test|Benchmark|Fuzz|Example)') || exit 1; \
@@ -181,11 +183,14 @@ examples:
 # phase is retried, not taken for a dead host (stage_fault_test.go), and a
 # coordinator killed at any step of a commit leaves it whole or absent with its
 # logs holding that transaction alone (recovery_test.go), also with a survivor
-# acting between its XEND and its redo append (repl_window_test.go).
+# acting between its XEND and its redo append, and a release step owed to a
+# dead node runs at once and keeps no log, at f = 0 as at f = 1
+# (repl_window_test.go). make lanes guards the CHAOS_TX names.
+CHAOS_TX = TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestLogsRestartPastReleaseToDeadNode|TestReplicatedCommitHoldsLocalRows
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
 	go test -race -run TestChaosSmallBankConservation .
-	go test -race -count=1 -run 'TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestParkedWriteKeepsLogs|TestReplicatedCommitHoldsLocalRows|TestLogsRestartPastReleaseAfterFailover' ./internal/tx/
+	go test -race -count=1 -run '$(CHAOS_TX)' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
 # serial window=1 control arm, for one-sided records, for shipped ordered /

@@ -413,14 +413,10 @@ func (db *DB) ReplicationFactor() int { return db.C.ReplicationFactor() }
 // (p itself until a failover promotes a backup).
 func (db *DB) PartitionOwner(p int) int { return db.C.OwnerOf(p) }
 
-// Revive marks a recovered node alive and drains any release-side writes
-// that committed transactions parked while the node was unreachable (only
-// without replication does anything park; a replicated cluster's crashed node
-// is failed over, never revived).
-func (db *DB) Revive(node int) {
-	db.C.Revive(node)
-	db.RT.FlushPending(node)
-}
+// Revive marks a recovered node alive. Nothing waits for it: a release-side
+// step for an unreachable node ran at once on its memory. A replicated
+// cluster's crashed node is failed over, never revived.
+func (db *DB) Revive(node int) { db.C.Revive(node) }
 
 // Latency summarizes one transaction phase's latency histogram. Durations
 // are modeled (virtual-clock) time — the same time base as throughput

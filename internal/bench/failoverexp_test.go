@@ -29,7 +29,7 @@ func TestFailoverAcceptance(t *testing.T) {
 	const (
 		// A victim's worker has the transaction it was in — or had just finished
 		// — in its log, and one more if, a zombie, it ran another before it saw
-		// that its machine was dead; nothing is parked before the crash.
+		// that its machine was dead.
 		maxWALScanned = 2 * 2 // per worker x the victim's workers
 		// Ten rings are drained (six hosted on the new owner, the victim's four
 		// elsewhere), each drained by the append that would take it past

@@ -46,9 +46,8 @@ type Config struct {
 	// LogWords caps each of a worker's NVRAM logs: the words of records one
 	// log may hold before its owner reclaims them, not an allocation. A log
 	// starts at nvram.InitialWords and is restarted at transaction boundaries
-	// (package tx), so only a worker kept from reclaiming — release-side work
-	// parked for a dead node, which happens only without replication — comes
-	// near the cap; overrunning it is fatal.
+	// (package tx), so only a worker kept from reclaiming — a zombie, whose
+	// own machine is down — comes near the cap; overrunning it is fatal.
 	LogWords int
 
 	// FailureDetection enables lease-based membership: heartbeat renewal,
@@ -350,12 +349,6 @@ func (n *Node) Ordered(tableID int) *kvs.Ordered {
 func (n *Node) OrderedRegion(region int) (*kvs.Ordered, bool) {
 	o, ok := n.ordered[region]
 	return o, ok
-}
-
-// HasOrdered reports whether the node hosts ordered table tableID.
-func (n *Node) HasOrdered(tableID int) bool {
-	_, ok := n.ordered[tableID]
-	return ok
 }
 
 // EachEntry calls fn with the region, arena and offset of every entry slot

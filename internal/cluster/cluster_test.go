@@ -53,8 +53,11 @@ func TestRegisterTables(t *testing.T) {
 	if v, ok := o1.Get(9); !ok || v[0] != 3 {
 		t.Fatal("ordered get failed")
 	}
-	if !c.Node(0).HasOrdered(2) || c.Node(0).HasOrdered(99) {
-		t.Fatal("HasOrdered wrong")
+	if _, ok := c.Node(0).OrderedRegion(2); !ok {
+		t.Fatal("node 0 does not host ordered table 2")
+	}
+	if _, ok := c.Node(0).OrderedRegion(99); ok {
+		t.Fatal("node 0 hosts an ordered table 99 never defined")
 	}
 }
 

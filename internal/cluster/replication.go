@@ -133,7 +133,7 @@ type RedoSink struct {
 // the next append instead of a message of its own. A host drops the updates
 // of partitions it does not back up; the home bit is what makes that safe, as
 // every one of them is on its primary by then — a dead primary's memory
-// included, where it was written at once (tx.Runtime.defer_) — and held by
+// included, where it was written at once (tx.Runtime.runOnDead) — and held by
 // that partition's own backups. A sender sets the bit only once
 // its release chains have landed, and waits for them before the words it
 // appended here since its last home record would pass CheckpointWords

@@ -415,12 +415,8 @@ func (o *Ordered) ScanAt(f *Finger, lo, hi uint64, fn func(key uint64, off memor
 	return o.tree.AscendAt(f, lo, hi, func(k, v uint64) bool { return fn(k, memory.Offset(v)) })
 }
 
-// ScanDesc visits entry offsets for keys in [lo, hi] descending.
-func (o *Ordered) ScanDesc(lo, hi uint64, fn func(key uint64, off memory.Offset) bool) {
-	o.ScanDescAt(nil, lo, hi, fn)
-}
-
-// ScanDescAt is ScanDesc starting from a finger, as ScanAt is Scan.
+// ScanDescAt visits entry offsets for keys in [lo, hi] descending, starting
+// from a finger (nil for none), as ScanAt does ascending.
 func (o *Ordered) ScanDescAt(f *Finger, lo, hi uint64, fn func(key uint64, off memory.Offset) bool) IndexPath {
 	o.smu.RLock()
 	defer o.smu.RUnlock()

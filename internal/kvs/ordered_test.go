@@ -104,7 +104,7 @@ func TestOrderedScanRange(t *testing.T) {
 		t.Fatalf("scan = %v", keys)
 	}
 	keys = keys[:0]
-	o.ScanDesc(0, 100, func(k uint64, off memory.Offset) bool {
+	o.ScanDescAt(nil, 0, 100, func(k uint64, off memory.Offset) bool {
 		keys = append(keys, k)
 		return len(keys) < 2
 	})

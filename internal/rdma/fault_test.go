@@ -165,9 +165,6 @@ func TestCallNilHandlerIsError(t *testing.T) {
 	if _, err := qp.Call(1, "x", 8, 8); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("Call = %v, want ErrNoHandler", err)
 	}
-	if _, err := qp.CallIPoIB(1, "x", 8, 8); !errors.Is(err, ErrNoHandler) {
-		t.Fatalf("CallIPoIB = %v, want ErrNoHandler", err)
-	}
 }
 
 func TestCallToDownNodeIsError(t *testing.T) {

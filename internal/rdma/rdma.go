@@ -13,9 +13,10 @@
 // Two-sided SEND/RECV verbs are modeled as a registered request handler per
 // endpoint invoked synchronously with both message directions charged to the
 // caller's virtual clock (user-space polling verbs: ~3 us one way), or, for a
-// one-way Send, one doorbell with the request left in flight. An IPoIB
-// transport with socket-stack costs (~55 us one way) is provided for the
-// Calvin baseline, which predates RDMA-native design.
+// one-way Send, one doorbell with the request left in flight. The Calvin
+// baseline, which predates RDMA-native design, does not use them: it charges
+// the model's IPoIB socket message (vtime.Model.IPoIBMsg, ~55 us one way)
+// for its transport itself.
 //
 // Atomicity levels (Section 4.2/6.3): the fabric models IBV_ATOMIC_HCA by
 // default — RDMA CAS is atomic against other RDMA CAS but costs 14.5 us;
@@ -544,23 +545,4 @@ func (q *QP) Send(node int, req any, reqBytes int) error {
 	netYield()
 	(*h)(q.local, req)
 	return nil
-}
-
-// CallIPoIB is Call over the emulated IPoIB socket transport (used by the
-// Calvin baseline, which does not speak RDMA).
-func (q *QP) CallIPoIB(node int, req any, reqBytes, respBytes int) (any, error) {
-	if err := q.fault(node, probeRegion, false); err != nil {
-		return nil, err
-	}
-	h := q.fabric.eps[node].handler.Load()
-	if h == nil {
-		return nil, fmt.Errorf("%w: node %d", ErrNoHandler, node)
-	}
-	q.Obs.Inc(obs.EvVerbsMsg)
-	q.charge(int64(q.fabric.model.IPoIBMsg(reqBytes)))
-	netYield()
-	resp := (*h)(q.local, req)
-	q.charge(int64(q.fabric.model.IPoIBMsg(respBytes)))
-	netYield()
-	return resp, nil
 }

@@ -37,7 +37,7 @@ func newWorkload(t testing.TB, nodes, workers int, mut func(*cluster.Config)) (*
 		t.Fatal(err)
 	}
 	// Every test that uses the rig ends in the quiescence audit: no lock
-	// leaked, nothing parked.
+	// leaked, no logged write owed.
 	return w, rt, func() {
 		if err := rt.AuditQuiescent(); err != nil {
 			t.Error(err)
@@ -184,7 +184,7 @@ func TestWithdrawBooksCommittedAttempt(t *testing.T) {
 
 // TestMixConservation runs the full mix concurrently and checks that the
 // total balance moved only by the tracked net deposits, and that the workers
-// left no lock held, no release-side step parked and no logged write owed
+// left no lock held and no logged write owed
 // (Runtime.AuditQuiescent): without logs; with them, where every commit leaves
 // a write-ahead record; and with them and one backup per partition, where
 // every commit appends a redo record and leaves its release chain in flight.

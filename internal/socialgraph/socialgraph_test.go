@@ -24,7 +24,7 @@ func openGraph(t *testing.T, nodes, workers int, opts drtm.Options) (*drtm.DB, *
 		t.Fatal(err)
 	}
 	// Every test that uses the rig ends in the quiescence audit — no lock
-	// leaked, nothing parked — and then closes the database.
+	// leaked, no logged write owed — and then closes the database.
 	t.Cleanup(func() {
 		if err := db.RT.AuditQuiescent(); err != nil {
 			t.Error(err)
@@ -211,11 +211,6 @@ func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb
 	db.ClearFaults()
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
-	}
-	for n := 0; n < db.C.Nodes(); n++ {
-		if p := db.RT.PendingOps(n); p != 0 {
-			t.Errorf("%d release-side steps parked for node %d after the failover", p, n)
-		}
 	}
 	if err := db.RT.AuditQuiescent(); err != nil {
 		t.Error(err)

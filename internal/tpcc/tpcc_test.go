@@ -33,7 +33,7 @@ func newTPCC(t testing.TB, nodes, wPerNode, workers int) (*Workload, *tx.Runtime
 		t.Fatal(err)
 	}
 	// Every test that uses the rig ends in the quiescence audit: no lock
-	// leaked, nothing parked.
+	// leaked, no logged write owed.
 	return w, rt, func() {
 		if err := rt.AuditQuiescent(); err != nil {
 			t.Error(err)

@@ -391,11 +391,11 @@ func (e *Executor) acquire(a *acquirer, h *recHandle, cpuCAS bool) (acqVerdict, 
 
 // waitOut is the one step an escalated attempt takes between two polls of a
 // record held against it — state is the word the last poll found. A worker of
-// a machine that is down (a zombie) returns ErrNodeDown at once: what it waits
-// for may be a release parked until its own machine's repair. Behind a lock it
-// yields the processor to the holder, or returns ErrNodeDown when the holder's
-// machine is down: its locks are recovery's to free, and the attempt ends with
-// that machine's verdict. Behind an unexpired lease it sleeps until the lease
+// a machine that is down (a zombie) returns ErrNodeDown at once: fail-stop
+// ends its attempt, and what the attempt left is the repair's to settle.
+// Behind a lock it yields the processor to the holder, or returns ErrNodeDown
+// when the holder's machine is down: its locks are recovery's to free, and the
+// attempt ends with that machine's verdict. Behind an unexpired lease it sleeps until the lease
 // has expired; otherwise it yields. Then it reports whether the record moved
 // meanwhile: an ordered record's slot can be unlinked under a waiter and keep
 // its remover's lock for good, so the index is asked whether the entry is still

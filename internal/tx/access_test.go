@@ -199,9 +199,9 @@ func TestAcquirerWaitsForTheOwner(t *testing.T) {
 }
 
 // TestZombieWaitsForNoLock: a worker whose own machine is down waits for no
-// lock, not even one a live machine holds: the release it would wait for may
-// be parked until its own machine's repair. Node 0 is crashed, and its
-// worker's wait behind node 2's lock on a row of node 1 ends in ErrNodeDown.
+// lock, not even one a live machine holds: fail-stop ends its attempt. Node 0
+// is crashed, and its worker's wait behind node 2's lock on a row of node 1
+// ends in ErrNodeDown.
 func TestZombieWaitsForNoLock(t *testing.T) {
 	rt, stop := newRig(t, 3, 1, 6, nil)
 	defer stop()

@@ -275,11 +275,11 @@ func TestCommitChainUnderFaults(t *testing.T) {
 // TestCleanReleaseNeverClobbers: a clean release is a blind WRITE of the free
 // word, so it must never be issued for a lock that can have changed hands. Node
 // 1 takes two clean write locks on node 0 and crashes before its commit;
-// recovery frees them and a survivor on node 2 locks
-// the rows again. The zombie's commit and its abort path then release "their"
-// locks: the WRITEs fail at the dead source, the re-drive is mustUnlock's
-// owner-guarded CAS — applied at once when the host is up, parked and drained
-// at its revival when it is down too — and the survivor's lock words stand.
+// recovery frees them and a survivor on node 2 locks the rows again. The
+// zombie's commit and its abort path then release "their" locks, late: the
+// WRITEs fail at the dead source, the re-drive is mustUnlock's owner-guarded
+// CAS — applied at once, on the host's memory when the host is down too — and
+// the survivor's lock words stand.
 //
 // The zombie holds two transactions open at once on one executor; recovery
 // frees both transactions' locks, found by their state words.
@@ -330,14 +330,7 @@ func TestCleanReleaseNeverClobbers(t *testing.T) {
 			txs[1].releaseLocks()  // the abort path's
 			check("after the zombie's releases")
 			if hostDown {
-				if n := rt.PendingOps(0); n != 2 {
-					t.Fatalf("%d release steps parked for the dead host, want 2", n)
-				}
 				rt.C.Revive(0)
-				if n := rt.FlushPending(0); n != 2 {
-					t.Fatalf("revival drained %d parked steps, want 2", n)
-				}
-				check("after the parked releases drained")
 			}
 			survivor.releaseLocks()
 			for _, key := range []uint64{viaCommit, viaAbort} {

@@ -49,7 +49,7 @@ type FailoverReport struct {
 //     clobbered), committed transactions' included, since the redo replay
 //     does not touch state words — after the replay, so a survivor locking
 //     a freed record sees the replayed value. No log is read, and none is
-//     truncated; nothing is parked for the node (defer_) to discard.
+//     truncated.
 //
 // The crashed node is NOT revived; its clients fail over at the workload
 // level and in-flight transactions that staged against the old view abort

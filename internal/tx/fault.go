@@ -24,12 +24,11 @@ import (
 //   - Release-side verbs (unlock, commit write-back, post-commit host ops)
 //     run AFTER the transaction's serialization point, so they must never
 //     fail: redrive retries timeouts without bound, and a step for an
-//     unreachable node goes to defer_ — parked for recovery (or the node's
-//     revival) without replication, run at once under it — so a committed
-//     transaction's effects are never lost, the invariant the chaos
-//     experiment checks. The write-backs and unlocks go out as one doorbell
-//     chain of WRITEs (Tx.postWave), the host ops as one message per host
-//     (Executor.applyHostOps).
+//     unreachable node goes to runOnDead, which runs it at once on the node's
+//     memory, so a committed transaction's effects are never lost, the
+//     invariant the chaos experiment checks. The write-backs and unlocks go
+//     out as one doorbell chain of WRITEs (Tx.postWave), the host ops as one
+//     message per host (Executor.applyHostOps).
 
 // verbRetries bounds acquisition-side retries of transient verb faults.
 const verbRetries = 6
@@ -61,7 +60,7 @@ func (e *Executor) verbRetry(op func() error) error {
 
 // redrive runs a release-side verb, which must never fail: timeouts retry
 // without bound, and it reports whether the target node is unreachable, whose
-// step the caller hands to defer_ by its own rule (mustWrite, mustUnlock,
+// step the caller hands to runOnDead by its own rule (mustWrite, mustUnlock,
 // shipHostOps).
 func (e *Executor) redrive(verb func() error) (down bool) {
 	for attempt := 0; ; attempt++ {
@@ -83,8 +82,7 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 	if !e.redrive(func() error { return e.w.QP.TryWrite(node, table, off, words) }) || e.zombie() {
 		return
 	}
-	own := append([]uint64(nil), words...) // the caller reuses words (commit scratch, pooled record buffers)
-	e.rt.defer_(node, func(rt *Runtime) { rt.arenaOf(node, table).Write(off, own) })
+	e.rt.runOnDead(func() { e.rt.arenaOf(node, table).Write(off, words) })
 }
 
 // mustUnlock is the re-drive of a clean release whose WRITE did not complete:
@@ -92,12 +90,12 @@ func (e *Executor) mustWrite(node, table int, off memory.Offset, words []uint64)
 // The WRITE fails when a machine on the path is down — this one included —
 // and from then on recovery may free the lock and a survivor re-lock the
 // record: a late unlock from this (possibly zombie) transaction must not
-// clobber the new owner, now or when defer_ applies it. A failed compare
-// means the lock is already gone — done either way.
+// clobber the new owner. A failed compare means the lock is already gone —
+// done either way.
 func (e *Executor) mustUnlock(node, table int, off memory.Offset) {
 	locked := clock.WLocked(uint8(e.w.Node.ID))
 	if e.redrive(func() error { _, _, err := e.w.QP.TryCAS(node, table, off, locked, clock.Init); return err }) {
-		e.rt.defer_(node, func(rt *Runtime) { rt.arenaOf(node, table).CAS(off, locked, clock.Init) })
+		e.rt.runOnDead(func() { e.rt.arenaOf(node, table).CAS(off, locked, clock.Init) })
 	}
 }
 
@@ -108,65 +106,29 @@ func (e *Executor) zombie() bool {
 	return e.rt.C.Fabric.NodeDown(e.w.Node.ID)
 }
 
-// defer_ takes a release-side step for node, which is unreachable. Under
-// replication it runs at once, serialized with Failover: the backups' rings
-// hold every committed value, so a write-back, unlock or removal lands in
-// memory nothing serves once the partition is promoted, and a store op (the
-// one step no ring carries) runs at the partition's owner (shipHostOps).
-// Without replication the step parks until node is recovered or revived; if
-// the node came back before the enqueue, the queue drains at once.
-func (rt *Runtime) defer_(node int, apply func(*Runtime)) {
-	if rt.C.ReplicationFactor() > 0 {
-		rt.recMu.Lock()
-		defer rt.recMu.Unlock()
-		apply(rt)
-		return
-	}
-	rt.pendMu.Lock()
-	if rt.pending == nil {
-		rt.pending = make(map[int][]func(*Runtime))
-	}
-	rt.pending[node] = append(rt.pending[node], apply)
-	rt.pendMu.Unlock()
-	if !rt.C.Fabric.NodeDown(node) {
-		rt.FlushPending(node)
-	}
-}
-
-// FlushPending applies the release-side steps parked while node was
-// unreachable. It runs against the node's (NVRAM-backed) memory directly,
-// the way recovery does; callers invoke it from Recover and after Revive.
-func (rt *Runtime) FlushPending(node int) int {
-	rt.pendMu.Lock()
-	ops := rt.pending[node]
-	delete(rt.pending, node)
-	rt.pendMu.Unlock()
-	for _, op := range ops {
-		op(rt)
-	}
-	return len(ops)
-}
-
-// parked reports whether any release-side step is parked, for any node.
-func (rt *Runtime) parked() bool {
-	rt.pendMu.Lock()
-	defer rt.pendMu.Unlock()
-	return len(rt.pending) > 0
-}
-
-// PendingOps reports how many release-side steps are parked for node.
-func (rt *Runtime) PendingOps(node int) int {
-	rt.pendMu.Lock()
-	defer rt.pendMu.Unlock()
-	return len(rt.pending[node])
+// runOnDead runs a release-side step for an unreachable node at once, on the
+// node's memory, serialized with the repairs (Recover, Failover) by recMu.
+// Without replication that memory is NVRAM the crash kept (Section 4.6), and
+// the step writes or unlocks a row a live coordinator holds, unlinks an entry
+// pinned to its incarnation|version, or runs a store op no log of the node
+// names: words Recover — which installs only into rows the crashed machine
+// holds and frees only its locks — leaves alone, so the step lands the same
+// before Recover as after it. Under replication the backups' rings hold every
+// committed value, so a write-back, unlock or removal lands in memory nothing
+// serves once the partition is promoted, and a store op (the one step no ring
+// carries) runs at the partition's owner (shipHostOps).
+func (rt *Runtime) runOnDead(step func()) {
+	rt.recMu.Lock()
+	defer rt.recMu.Unlock()
+	step()
 }
 
 // EnableAutoRecovery wires the cluster's failure detector to the
 // transaction layer. Without replication, the elected coordinator replays
-// the crashed node's NVRAM logs, drains deferred writes, and brings the node
-// back online (reboot-style recovery). With replication, the coordinator
-// instead promotes the partition's highest-ranked live backup and replays
-// only its redo tail — hot failover, the only repair of a replicated
+// the crashed node's NVRAM logs and brings the node back online
+// (reboot-style recovery). With replication, the coordinator instead
+// promotes the partition's highest-ranked live backup and replays only its
+// redo tail — hot failover, the only repair of a replicated
 // cluster, which writes no write-ahead record for Recover to read; the
 // crashed machine is never revived and its clients fail over at the workload
 // level.
@@ -178,6 +140,5 @@ func (rt *Runtime) EnableAutoRecovery() {
 		}
 		rt.Recover(crashed)
 		rt.C.Revive(crashed)
-		rt.FlushPending(crashed) // anything parked between Recover and Revive
 	})
 }

@@ -17,15 +17,26 @@ const msgHostOps = 1
 // Section 6.5): a deferred insert (insert, val) or delete the body scheduled
 // (Local.Insert / Delete), or the unlink of a committed erase's dead entry,
 // pinned to the incarnation|version the erase's flip published (unlink, never
-// 0 for one): an unlink that arrives late — parked for a dead host, say —
-// never removes a later death of the same key, and a re-insert in between
-// bumps the incarnation, so it no-ops. The handle is the record's route when
-// it was declared.
+// 0 for one): an unlink that arrives late never removes a later death of the
+// same key, and a re-insert in between bumps the incarnation, so it no-ops.
+// The handle is the record's route when it was declared.
 type hostOp struct {
 	recHandle
 	insert bool
 	unlink uint64
 	val    []uint64
+}
+
+// pin is what an unlink finds on node n's copy to remove it: the
+// incarnation|version its erase published on the copy the op was routed to
+// (op.node), and any death on another — a copy promoted since, whose
+// incarnation counter is its own. removeDeadEntry never removes a live row,
+// which may be a re-insert.
+func (op *hostOp) pin(n int) uint64 {
+	if n != op.node {
+		return 0
+	}
+	return op.unlink
 }
 
 type hostOpsMsg struct{ Ops []hostOp }
@@ -86,7 +97,7 @@ func (rt *Runtime) execHostOp(n *cluster.Node, op *hostOp, f *kvs.Finger) (via k
 	}
 	if op.unlink == 0 {
 		via = storeOn(n, op.region, op, f)
-	} else if o, ok := n.OrderedRegion(op.region); !ok || !removeDeadEntry(o, op.key, uint8(n.ID), op.unlink) {
+	} else if o, ok := n.OrderedRegion(op.region); !ok || !removeDeadEntry(o, op.key, uint8(n.ID), op.pin(n.ID)) {
 		return via
 	}
 	if sh != nil && !op.insert {
@@ -180,10 +191,10 @@ func (e *Executor) hostOpNS(op *hostOp) int64 {
 // one-way message: nothing the worker does next depends on the host's answer,
 // so the worker pays one doorbell and leaves the message in flight
 // (rdma.QP.Send), plus the host's work per op (hostOpNS). A crashed host's ops
-// go to defer_, each on its own: a store op runs at the partition's owner then
-// — the crashed host, which mirrors it to the backups, or after a promotion
-// the promoted replica — and an unlink stays pinned to the crashed host's
-// entry.
+// go to runOnDead: a store op runs at the partition's owner — the crashed host,
+// which mirrors it to the backups, or after a promotion the promoted replica —
+// and an unlink on the crashed host's entry, and after a promotion on the
+// promoted copy too, which no mirror reaches (hostOp.pin).
 func (e *Executor) shipHostOps(node int) {
 	ops, bytes := e.hostMsg.Ops, 8
 	for i := range ops {
@@ -195,13 +206,21 @@ func (e *Executor) shipHostOps(node int) {
 		e.w.Obs.Add(obs.EvShippedOp, int64(len(ops)))
 		return
 	}
-	for _, op := range ops {
-		op.val = append([]uint64(nil), op.val...) // the body's value is attempt scratch
-		e.rt.defer_(node, func(rt *Runtime) {
+	rt := e.rt
+	rt.runOnDead(func() {
+		for i := range ops {
+			op := &ops[i]
+			at, region := rt.C.Serving(op.part, op.table)
 			if op.unlink == 0 {
-				op.node, op.region = rt.C.Serving(op.part, op.table)
+				op.node = at
+			} else {
+				rt.execHostOp(rt.C.Node(op.node), op, nil)
+				if at == op.node {
+					continue
+				}
 			}
-			rt.execHostOp(rt.C.Node(op.node), &op, nil)
-		})
-	}
+			op.region = region
+			rt.execHostOp(rt.C.Node(at), op, nil)
+		}
+	})
 }

@@ -29,12 +29,10 @@ import (
 // attempt — holding no lock, owing no write — it restarts its non-empty logs,
 // the write-ahead log last, so no chopping record outlives the write-ahead
 // record proving its transaction committed (Recover would hand the piece back
-// as pending). It keeps them while release-side work is parked anywhere (the
-// parked write's record must survive this coordinator; only f = 0 parks), and a
-// zombie keeps them: the repair redoes its dropped write-backs (mustWrite,
-// mustUnlock). A zombie passing the check as its machine is declared dead
-// restarts logs recovery may be scanning, the window the fault model assumes
-// away; Log.Scan hands out no torn record in it. A restart appends nothing and
+// as pending). Only a zombie keeps them: the repair redoes its dropped
+// write-backs (mustWrite). A zombie passing the check as its machine is
+// declared dead restarts logs recovery may be scanning, the window the fault
+// model assumes away; Log.Scan hands out no torn record in it. A restart appends nothing and
 // is charged nothing.
 func (e *Executor) reclaimLogs() {
 	w := e.w
@@ -46,7 +44,7 @@ func (e *Executor) reclaimLogs() {
 		return
 	}
 	w.Obs.Max(obs.GaugeLogWords, int64(live/8))
-	if e.zombie() || e.rt.parked() {
+	if e.zombie() {
 		return
 	}
 	w.ChoppingLog.Truncate()
@@ -92,8 +90,7 @@ func (t *Tx) logLockAhead() {
 
 // logged accounts for one record appended to the named log. A log full at its
 // cap means LogWords of records could not be reclaimed (reclaimLogs): a zombie
-// keeps its logs, and so does a worker while release-side work is parked for a
-// node nobody recovers (only without replication does anything park).
+// keeps its logs.
 func (t *Tx) logged(ok bool, log string, words int) {
 	if !ok {
 		panic("tx: " + log + " log full: LogWords of records not reclaimed")

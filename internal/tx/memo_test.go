@@ -271,7 +271,6 @@ func TestMemoHoldsReplicaRegion(t *testing.T) {
 	if rep := rt.Failover(1); !rep.Promoted || rep.NewOwner != 2 {
 		t.Fatalf("Failover(1) = %+v; want node 2 promoted", rep)
 	}
-	nothingParked(t, rt)
 	replica := c.Node(2).Unordered(cluster.CopyRegion(1, tblAccounts, 2))
 	e := rt.Executor(2, 0)
 	err := e.Exec(func(tx *Tx) error {

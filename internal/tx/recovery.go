@@ -111,12 +111,6 @@ func (rt *Runtime) Recover(crashed int) RecoveryReport {
 		}
 	}
 
-	// Complete what survivors could not: release-side writes and store ops
-	// that were parked while the node was unreachable (fault.go).
-	if rt.FlushPending(crashed) > 0 {
-		sawEntries = true
-	}
-
 	sh := rt.C.Obs.Shard(0)
 	if sawEntries {
 		sh.Inc(obs.EvRecoveryRun)
@@ -208,11 +202,11 @@ func (rt *Runtime) freeLocksOf(crashed int) int {
 // AuditQuiescent checks what a runtime owes nobody once its workers have
 // stopped: on every live machine no state word is write-locked (a lock leaked
 // by a commit, an abort or a repair; a freed ordered slot, which removeDeadEntry
-// leaves locked on purpose, is skipped), no release-side step is parked for it,
-// and no key's last update in a write-ahead log (loggedWrites) finds its row, on
-// a live node, at an older version. The error names the first few leaked locks
-// by node, region (table, key, a replica's partition), offset and word, and
-// owed writes by worker, table and key.
+// leaves locked on purpose, is skipped), and no key's last update in a
+// write-ahead log (loggedWrites) finds its row, on a live node, at an older
+// version. The error names the first few leaked locks by node, region (table,
+// key, a replica's partition), offset and word, and owed writes by worker,
+// table and key.
 func (rt *Runtime) AuditQuiescent() error {
 	const shown = 8
 	var errs []error
@@ -243,9 +237,6 @@ func (rt *Runtime) AuditQuiescent() error {
 				errs = append(errs, fmt.Errorf("node %d region %d (%s) offset %d: state word %#x write-locked", node, region, row, so, s))
 			}
 		})
-		if n := rt.PendingOps(node); n > 0 {
-			errs = append(errs, fmt.Errorf("node %d: %d release-side steps parked", node, n))
-		}
 		for w := 0; w < rt.C.Config().WorkersPerNode; w++ {
 			wal := rt.C.Worker(node, w).WriteAheadLog
 			if wal == nil {

@@ -274,42 +274,38 @@ func TestRecoveryLeavesReinsertedRowAlone(t *testing.T) {
 	}
 }
 
-// TestRecoveryRedoesAKeysLastUpdate: while a release is parked a log keeps
-// every commit since, and one key can name two rows in it. Node 1's one worker
-// writes an ordered row of node 0's, erases it — the removal unlinks it —
-// inserts the key again at a fresh slot, whose version restarts below the
-// erase's, and dies as its write to the new row commits, before the write-back.
-// The new row is held by node 1 at a version below both the logged erase's and
-// the write's. Only the log's last update of the key can be owed: Recover must
-// install the write, and not the older erase over the new row.
+// TestRecoveryRedoesAKeysLastUpdate: a zombie's log keeps every commit since
+// its machine died, and one key can name two rows in it. Node 1 is crashed
+// first, and its one worker runs on, on a row of its own: it writes the row,
+// erases it — the removal unlinks it — inserts the key again at a fresh slot,
+// whose version restarts below the erase's, and writes the new row under the
+// software fallback, which under IBV_ATOMIC_GLOB locks it by CPU CAS and whose
+// write-back a dead machine cannot post (mustWrite drops it). The new row is
+// held by node 1 at a version below both the logged erase's and the write's.
+// Only the log's last update of the key can be owed: Recover must install the
+// write, and not the older erase over the new row.
 func TestRecoveryRedoesAKeysLastUpdate(t *testing.T) {
 	rt, stop := newOrderedRig(t, 3, 1, func(c *cluster.Config) {
-		c.Durability, c.LogWords = true, 1<<16
+		c.Durability, c.LogWords, c.Atomicity = true, 1<<16, rdma.AtomicGLOB
 	})
 	defer stop()
-	key := orderedKey(0, 5) // homed on node 0
+	key := orderedKey(1, 5) // homed on node 1
 	e1 := rt.Executor(1, 0)
-	write := func(v uint64, atEnd func()) error {
+	write := func(v uint64, fallback bool) error {
 		return e1.Exec(func(tx *Tx) error {
 			if err := tx.W(tblOrders, key); err != nil {
 				return err
 			}
+			tx.escalated = fallback // an escalated attempt runs the software fallback
 			return tx.Execute(func(lc *Local) error {
-				if err := lc.Write(tblOrders, key, []uint64{v, 5}); err != nil {
-					return err
-				}
-				if atEnd != nil {
-					atEnd()
-				}
-				return nil
+				return lc.Write(tblOrders, key, []uint64{v, 5})
 			})
 		})
 	}
-	insertOrders(t, e1, 0, []uint64{5})
-	rt.C.Crash(2)
-	rt.defer_(2, func(*Runtime) {}) // a release parked for node 2: node 1 keeps its logs
+	rt.C.Crash(1)
+	insertOrders(t, e1, 1, []uint64{5})
 	for v := uint64(1); v <= 3; v++ {
-		if err := write(v, nil); err != nil {
+		if err := write(v, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,15 +317,12 @@ func TestRecoveryRedoesAKeysLastUpdate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	o := rt.C.Node(0).Ordered(tblOrders)
+	o := rt.C.Node(1).Ordered(tblOrders)
 	if _, found := o.Lookup(key); found {
 		t.Fatal("the erased row is still linked")
 	}
-	insertOrders(t, e1, 0, []uint64{5})
-
-	done := make(chan error)
-	go func() { done <- write(777, func() { rt.C.Crash(1) }) }() // the goroutine runs on, a zombie
-	if err := <-done; err != nil {
+	insertOrders(t, e1, 1, []uint64{5})
+	if err := write(777, true); err != nil {
 		t.Fatalf("the last write: %v", err)
 	}
 	off, _ := o.Lookup(key)
@@ -347,14 +340,14 @@ func TestRecoveryRedoesAKeysLastUpdate(t *testing.T) {
 	if rep.RedoneRecords != 1 || rep.SkippedRecords != 6 {
 		t.Errorf("redone %d, skipped %d, want the last write alone redone", rep.RedoneRecords, rep.SkippedRecords)
 	}
-	if v, live := liveOrderedVal(rt, 0, tblOrders, key); !live || v[0] != 777 {
+	if v, live := liveOrderedVal(rt, 1, tblOrders, key); !live || v[0] != 777 {
 		t.Fatalf("the new row after Recover: %v, live %v; want [777 5] live", v, live)
 	}
 }
 
 // TestRecoveryRedoesBeforeItUnlocks: a write-ahead log can hold a long history
-// — every commit of its worker since a release was parked for a dead node
-// (TestParkedWriteKeepsLogs), hand-appended here — so the location of an
+// — a zombie's keeps every commit of its worker since its machine died
+// (TestRecoveryRedoesAKeysLastUpdate), hand-appended here — so the location of an
 // in-doubt update appears in it many times, the update itself last. The crashed
 // machine's lock must hold until that last entry is replayed: released at an
 // older entry, it lets a survivor lock and rewrite the record first, the version
@@ -645,14 +638,15 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 // transactions, so the replicas hold them too.
 func lifetimeRig(t *testing.T, f int) (*Runtime, func()) {
 	t.Helper()
-	return lifetimeRigDurable(t, f, true)
+	return lifetimeRigDurable(t, f, true, 1<<16)
 }
 
-// lifetimeRigDurable is lifetimeRig with its NVRAM logs on or off.
-func lifetimeRigDurable(t *testing.T, f int, durable bool) (*Runtime, func()) {
+// lifetimeRigDurable is lifetimeRig with its NVRAM logs on or off, each capped
+// at logWords.
+func lifetimeRigDurable(t *testing.T, f int, durable bool, logWords int) (*Runtime, func()) {
 	t.Helper()
 	rt, stop := newRig(t, 3, 1, 0, func(c *cluster.Config) {
-		c.Durability, c.ReplicationFactor, c.LogWords = durable, f, 1<<16
+		c.Durability, c.ReplicationFactor, c.LogWords = durable, f, logWords
 	})
 	rt.DefineUnordered(tblWideHash, 64, 64, 32, wideWords)
 	for k := uint64(1); k <= 9; k++ {
@@ -799,7 +793,7 @@ func assertNoLocksOf(t *testing.T, rt *Runtime, dead int) {
 const transferRedoBytes = (1 + 2 + 2*(7+wideWords)) * 8
 
 func lifetimeCrashPoint(t *testing.T, f int, durable, fallback, ringFull bool, point string, from, to uint64, publishWRs int) {
-	rt, stop := lifetimeRigDurable(t, f, durable)
+	rt, stop := lifetimeRigDurable(t, f, durable, 1<<16)
 	defer stop()
 	if fallback {
 		rt.FallbackThreshold = 1
@@ -894,7 +888,6 @@ func lifetimeCrashPoint(t *testing.T, f int, durable, fallback, ringFull bool, p
 		if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 			t.Errorf("second Failover found work: %+v", again)
 		}
-		nothingParked(t, rt)
 	}
 
 	assertNoLocksOf(t, rt, 0)
@@ -930,75 +923,5 @@ func lifetimeCrashPoint(t *testing.T, f int, durable, fallback, ringFull bool, p
 	}
 	if killed && moved != 0 {
 		t.Errorf("the last transfer never reached its commit point and is there (rows %d, %d)", a, b)
-	}
-}
-
-// TestParkedWriteKeepsLogs is the lifetime rule's exception: node 1 dies as
-// node 0's commit reaches its release side, so the write-back to node 1 is
-// parked and the commit's write-ahead record is the only durable copy of it.
-// Node 0's next transactions must not restart its logs; when node 0 then dies
-// too, Recover redoes the parked write from that record — before anyone
-// drains the parked step, which a real coordinator's volatile memory would
-// have lost. Once nothing is parked the logs restart again.
-func TestParkedWriteKeepsLogs(t *testing.T) {
-	rt, stop := lifetimeRig(t, 0)
-	defer stop()
-	e, w := rt.Executor(0, 0), rt.C.Worker(0, 0)
-	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }
-	if err := pieceTransfer(e, 3, 1, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
-		t.Fatalf("the commit whose destination died at its release: %v", err)
-	}
-	if rt.PendingOps(1) == 0 {
-		t.Fatal("nothing parked for the dead destination")
-	}
-	before, used := restarts(), w.WriteAheadLog.BytesUsed()
-	for i := 0; i < 50; i++ {
-		if err := pieceTransfer(e, 3, 6, 2, false, nil, nil, nil, nil); err != nil { // both rows local
-			t.Fatal(err)
-		}
-		if now := w.WriteAheadLog.BytesUsed(); now <= used {
-			t.Fatalf("transaction %d behind the parked write: write-ahead log at %d bytes, was %d — restarted", i, now, used)
-		} else {
-			used = now
-		}
-	}
-	if restarts() != before {
-		t.Fatalf("%d log restarts while a release was parked", restarts()-before)
-	}
-
-	rt.C.Crash(0)
-	rep := rt.Recover(0)
-	if rep.RedoneRecords == 0 || rt.PendingOps(1) == 0 {
-		t.Fatalf("Recover redid %d records with %d steps still parked: the parked write must come from the write-ahead log", rep.RedoneRecords, rt.PendingOps(1))
-	}
-	host := rt.C.Node(1).Unordered(tblWideHash)
-	if v, _ := host.Get(1); v[0] != wideBalance+1 || v[wideWords-1] != wideBalance+1 {
-		t.Fatalf("row 1 = %v after node 0's recovery, want the parked write redone", v)
-	}
-	off, _ := host.LookupLocal(1)
-	if s := host.Arena().LoadWord(kvs.StateOffset(off)); clock.IsWriteLocked(s) {
-		t.Fatalf("row 1 still locked by node %d", clock.Owner(s))
-	}
-	if again := rt.Recover(0); again.RedoneRecords+again.SkippedRecords+again.Unlocked != 0 {
-		t.Errorf("second Recover found work: %+v", again)
-	}
-	rt.C.Revive(0)
-	rt.Recover(1) // drains what is parked for node 1: the same words again
-	rt.C.Revive(1)
-	if v, _ := host.Get(1); v[0] != wideBalance+1 {
-		t.Fatalf("row 1 = %v after the parked step drained", v)
-	}
-
-	// Nothing parked any more: the next transaction starts on fresh logs.
-	before = restarts()
-	e = rt.Executor(0, 0)
-	for i := 0; i < 2; i++ {
-		if err := pieceTransfer(e, 3, 1, 3, false, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if restarts() != before+1 || len(logRecords(w.WriteAheadLog)) != 1 {
-		t.Fatalf("%d restarts over two transactions with nothing parked, %d write-ahead records; want 1 and 1",
-			restarts()-before, len(logRecords(w.WriteAheadLog)))
 	}
 }

@@ -89,7 +89,7 @@ func (t *Tx) replView(part int) (uint64, bool) {
 // so a backup may apply and truncate them as this one lands — when the worker
 // is no zombie (a zombie dropped its write-backs) and its QP is idle: a live
 // worker posted the write-back of every earlier commit, or applied it to a dead
-// primary's memory itself (defer_), before it returned, and the connection
+// primary's memory itself (runOnDead), before it returned, and the connection
 // completes in post order. Without the bit the backup keeps the earlier records
 // one more append; this append's wave pays what is in flight, so the next
 // record normally carries it. A one-way Send can leave work in flight past that

@@ -75,7 +75,6 @@ func TestMirroredRemovalLeavesNoReplicaEntry(t *testing.T) {
 	if rep := rt.Failover(part); !rep.Promoted {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
-	nothingParked(t, rt)
 	var got uint64
 	if err := rt.Executor(backup, 0).ExecRO(func(ro *RO) error {
 		v, err := ro.Read(tblOrders, key)

@@ -121,7 +121,6 @@ func heldStructuralRows(t *testing.T, mode string) {
 	if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 		t.Errorf("second Failover found work: %+v", again)
 	}
-	nothingParked(t, rt)
 	if err := survivor.ExecRO(func(ro *RO) error {
 		if _, err := ro.Read(tblOrders, born); !errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("inserted row %d: %v, want it dead", born, err)
@@ -206,7 +205,6 @@ func heldLocalRows(t *testing.T, mode string) {
 	if again := rt.Failover(0); again.Promoted || again.RedoRecords+again.Unlocked != 0 {
 		t.Errorf("second Failover found work: %+v", again)
 	}
-	nothingParked(t, rt)
 	if errors.Is(survived, errGaveUp) {
 		// Shut out of the window: it commits against the promoted copy.
 		if err := survive(1 << 20); err != nil {
@@ -247,17 +245,6 @@ func heldLocalRows(t *testing.T, mode string) {
 	}
 }
 
-// nothingParked fails t unless no release-side step is parked for any node:
-// under replication defer_ runs every step at once.
-func nothingParked(t *testing.T, rt *Runtime) {
-	t.Helper()
-	for n := 0; n < rt.C.Nodes(); n++ {
-		if p := rt.PendingOps(n); p != 0 {
-			t.Errorf("%d release-side steps parked for node %d", p, n)
-		}
-	}
-}
-
 // TestDeferredStoreOpsSurviveFailover: a committed transaction's deferred
 // insert or delete of a row homed on a machine that dies before the op is
 // shipped survives the machine's failover. No ring carries a store op, so
@@ -290,7 +277,6 @@ func TestDeferredStoreOpsSurviveFailover(t *testing.T) {
 			if rep := rt.Failover(1); !rep.Promoted {
 				t.Fatalf("failover did not promote: %+v", rep)
 			}
-			nothingParked(t, rt)
 			err := e.ExecRO(func(ro *RO) error {
 				v, err := ro.Read(tblWideHash, arm.key)
 				if err == nil && v[0] != wideBalance {
@@ -305,50 +291,73 @@ func TestDeferredStoreOpsSurviveFailover(t *testing.T) {
 	}
 }
 
-// TestLogsRestartPastReleaseAfterFailover: under f = 1 a release step for a
-// node after its promotion runs at once, so it parks nothing and does not
-// freeze the logs: the workers keep restarting them and the logs' high water
-// stays where one transaction leaves it.
-func TestLogsRestartPastReleaseAfterFailover(t *testing.T) {
-	rt, stop := lifetimeRig(t, 1)
-	defer stop()
-	e := rt.Executor(0, 0)
-	// A lock on node 1 staged before its crash and released after its failover.
-	held := e.newTx()
-	if err := held.Stage(Access{Table: tblWideHash, Key: 1, Write: true}); err != nil {
-		t.Fatal(err)
-	}
-	rt.C.Crash(1)
-	if rep := rt.Failover(1); !rep.Promoted {
-		t.Fatalf("failover did not promote: %+v", rep)
-	}
-	held.releaseLocks()
-	nothingParked(t, rt)
+// TestLogsRestartPastReleaseToDeadNode: a release step owed to a dead node
+// runs at once on its memory, at f = 0 as at f = 1, so it keeps no log. Node 0
+// owes node 1 a release — at f = 0 a commit's write-back, node 1 dying as it
+// is posted and nobody recovering it; at f = 1 the unlock of a lock staged
+// before node 1's crash and released after its failover — and then commits
+// LogWords/16 = 64 transfers, whose write-ahead records at f = 0 (33 words
+// each) overrun the small cap unless the log restarts: its worker restarts
+// its logs at every boundary, their high water stays where one transaction
+// leaves it, and no live machine is left owing anything.
+func TestLogsRestartPastReleaseToDeadNode(t *testing.T) {
+	for _, arm := range []struct {
+		f   int
+		owe func(t *testing.T, rt *Runtime, e *Executor)
+	}{
+		{0, func(t *testing.T, rt *Runtime, e *Executor) {
+			if err := pieceTransfer(e, 3, 1, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
+				t.Fatalf("the commit whose destination died at its release: %v", err)
+			}
+		}},
+		{1, func(t *testing.T, rt *Runtime, e *Executor) {
+			held := e.newTx()
+			if err := held.Stage(Access{Table: tblWideHash, Key: 1, Write: true}); err != nil {
+				t.Fatal(err)
+			}
+			rt.C.Crash(1)
+			if rep := rt.Failover(1); !rep.Promoted {
+				t.Fatalf("failover did not promote: %+v", rep)
+			}
+			held.releaseLocks()
+		}},
+	} {
+		t.Run(fmt.Sprintf("f=%d", arm.f), func(t *testing.T) {
+			rt, stop := lifetimeRigDurable(t, arm.f, true, 1<<10)
+			defer stop()
+			e := rt.Executor(0, 0)
+			arm.owe(t, rt, e)
 
-	restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }
-	highWater := func() int64 { return rt.C.Obs.Snapshot().Count("nvram.log_high_water") }
-	// Rows 3 and 2 live on nodes 0 and 2: a transfer locks row 2 and writes a
-	// chopping and a lock-ahead record. Two warm the high water to what one
-	// transaction leaves behind.
-	transfer := func(piece uint64) {
-		t.Helper()
-		if err := pieceTransfer(e, 3, 2, piece, false, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
+			restarts := func() int64 { return rt.C.Obs.Total(obs.EvLogRestart) }
+			highWater := func() int64 { return rt.C.Obs.Snapshot().Count("nvram.log_high_water") }
+			// Rows 3 and 2 live on nodes 0 and 2: a transfer locks row 2 and
+			// writes a chopping and a lock-ahead record, and at f = 0 a
+			// write-ahead record of two wideWords-word updates, over 16 words.
+			// Two warm the high water to what one transaction leaves behind.
+			transfer := func(piece uint64) {
+				t.Helper()
+				if err := pieceTransfer(e, 3, 2, piece, false, nil, nil, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			transfer(1)
+			transfer(2)
+			r0, hw := restarts(), highWater()
+			n := rt.C.Config().LogWords / 16
+			for i := 0; i < n; i++ {
+				transfer(uint64(3 + i))
+			}
+			if got := restarts() - r0; got != int64(n) {
+				t.Errorf("%d log restarts over %d transactions behind the owed release, want one each", got, n)
+			}
+			if now := highWater(); now != hw {
+				t.Errorf("nvram.log_high_water %d -> %d words over %d transactions: the logs kept history", hw, now, n)
+			}
+			if err := rt.AuditQuiescent(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	transfer(1)
-	transfer(2)
-	r0, hw := restarts(), highWater()
-	for piece := uint64(3); piece <= 42; piece++ {
-		transfer(piece)
-	}
-	if got := restarts() - r0; got != 40 {
-		t.Errorf("%d log restarts over 40 transactions after the failover, want one each", got)
-	}
-	if now := highWater(); now != hw {
-		t.Errorf("nvram.log_high_water %d -> %d words over 40 transactions: the logs kept history", hw, now)
-	}
-	nothingParked(t, rt)
 }
 
 // TestRingDrainsPastDeadWriteBack: a live sender vouches for its earlier
@@ -370,7 +379,6 @@ func TestRingDrainsPastDeadWriteBack(t *testing.T) {
 	if err := pieceTransfer(e, 1, 2, 1, false, nil, nil, nil, func() { rt.C.Crash(1) }); err != nil {
 		t.Fatalf("the commit whose write-back to node 1 finds it dead: %v", err)
 	}
-	nothingParked(t, rt)
 	moves := 0
 	for drains() == 0 {
 		if err := pieceTransfer(e, 2, 5, 2, false, nil, nil, nil, nil); err != nil {
@@ -404,28 +412,5 @@ func TestRingDrainsPastDeadWriteBack(t *testing.T) {
 	if rows[1] != wideBalance-1 || rows[1]+rows[2]+rows[5] != 3*wideBalance {
 		t.Fatalf("rows 1, 2, 5 = %d, %d, %d after %d transfers: want row 1 at %d and %d units in all",
 			rows[1], rows[2], rows[5], moves, wideBalance-1, 3*wideBalance)
-	}
-}
-
-// TestReleaseAfterFailoverParksNothing: a lock node 0 staged on node 1 before
-// node 1 died, released after node 1's failover, is released at once into the
-// dead memory: nothing is parked for the node, which nothing revives, and no
-// live machine is left owing anything.
-func TestReleaseAfterFailoverParksNothing(t *testing.T) {
-	rt, stop := lifetimeRig(t, 1)
-	defer stop()
-	e := rt.Executor(0, 0)
-	held := e.newTx()
-	if err := held.Stage(Access{Table: tblWideHash, Key: 1, Write: true}); err != nil {
-		t.Fatal(err)
-	}
-	rt.C.Crash(1)
-	if rep := rt.Failover(1); !rep.Promoted {
-		t.Fatalf("failover did not promote: %+v", rep)
-	}
-	held.releaseLocks()
-	nothingParked(t, rt)
-	if err := rt.AuditQuiescent(); err != nil {
-		t.Error(err)
 	}
 }

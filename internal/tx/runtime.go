@@ -104,12 +104,9 @@ type Runtime struct {
 	// Written only during setup (DefineIndex); read lock-free afterwards.
 	indexes map[int][]IndexSpec
 
-	// pending parks, without replication, release-side steps whose target
-	// node crashed mid-transaction (fault.go). recMu serializes the repairs
-	// (Recover, Failover) and, under replication, defer_'s steps with them.
-	pendMu  sync.Mutex
-	pending map[int][]func(*Runtime)
-	recMu   sync.Mutex
+	// recMu serializes the repairs (Recover, Failover) and the release-side
+	// steps runOnDead runs for an unreachable node with them (fault.go).
+	recMu sync.Mutex
 
 	// Replication's redo-apply serialization and delete fencing (repl.go),
 	// one shard per partition: every critical section names one partition.

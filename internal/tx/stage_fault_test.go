@@ -16,8 +16,8 @@ import (
 // with ErrNodeDown and every lock the earlier batches took released, a
 // transient fault retries the whole message, a host that crashes between the
 // shipped message and the CAS wave leaves only the slots born held for the
-// sender, their release parked for it, and an undeliverable removal message
-// parks each of its entries on its own.
+// sender, released on its memory at once, and an undeliverable removal
+// message's entries are unlinked there at once too.
 
 // faultRig is three nodes of ordered rows: entity e is homed on node e%3, and
 // the executor under test runs on node 0.
@@ -115,9 +115,9 @@ func TestCoalescedFaultTimeoutMidBatch(t *testing.T) {
 // TestCoalescedFaultHostCrashBeforeWave: the host answers the shipped message
 // and dies before the CAS wave. Moved on purpose when a remote insert's fresh
 // slot came to be born write-locked for its inserter: the two inserts' slots
-// are held by node 0 from the reply on, so the abort's release of them parks
-// for the dead host, and Recover(1) completes it. The written row's CAS never
-// landed, and the node-2 lock is released at once.
+// are held by node 0 from the reply on, so the abort releases them, on the dead
+// host's memory (runOnDead). The written row's CAS never landed, and the node-2
+// lock is released too. Every step lands at once: none waits for a repair.
 func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 	rt, e, stop := faultRig(t, nil)
 	defer stop()
@@ -137,27 +137,11 @@ func TestCoalescedFaultHostCrashBeforeWave(t *testing.T) {
 		t.Fatalf("node 2 row state = %#x after the abort, want released", s)
 	}
 	for _, a := range batchOnNode1() {
-		want := clock.Init // the written row: no CAS of the wave landed
-		if a.Insert != nil {
-			want = clock.WLocked(0) // born held; its release is parked
-		}
-		if s := stateOf(t, rt, 1, a.Key); s != want {
-			t.Fatalf("node 1 key %#x state = %#x after the crash, want %#x", a.Key, s, want)
-		}
-	}
-	if n := rt.PendingOps(1); n != 2 {
-		t.Fatalf("%d release steps parked for node 1, want the two born slots'", n)
-	}
-	rt.C.Fabric.SetNodeDown(1, false)
-	rt.installOrderedHandlers()
-	rt.Recover(1)
-	for _, a := range batchOnNode1() {
+		// The written row: no CAS of the wave landed. An insert's slot: born
+		// held, and released on the dead host.
 		if s := stateOf(t, rt, 1, a.Key); s != clock.Init {
-			t.Fatalf("node 1 key %#x state = %#x after Recover, want Init", a.Key, s)
+			t.Fatalf("node 1 key %#x state = %#x after the crash, want Init", a.Key, s)
 		}
-	}
-	if n := rt.PendingOps(1); n != 0 {
-		t.Fatalf("%d release steps still parked for node 1 after Recover", n)
 	}
 }
 
@@ -232,7 +216,10 @@ func TestRemovalIsOneWayMessage(t *testing.T) {
 	}
 }
 
-func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
+// TestCoalescedFaultRemovalLandsAtOnce: a removal message for a host that died
+// after the commit's release wave is never sent, and each of its entries is
+// unlinked on the dead host's memory before applyHostOps returns.
+func TestCoalescedFaultRemovalLandsAtOnce(t *testing.T) {
 	// Removals go out with the commit that erased the rows.
 	rt, e, stop := faultRig(t, nil)
 	defer stop()
@@ -261,22 +248,12 @@ func TestCoalescedFaultRemovalParksEachOp(t *testing.T) {
 	rt.C.Fabric.SetNodeDown(1, true)
 	msgs, detached := e.w.Obs.Count(obs.EvVerbsMsg), e.w.Obs.Count(obs.EvDetached)
 	e.applyHostOps(ops)
-	if got := rt.PendingOps(1); got != 3 {
-		t.Fatalf("%d removals parked for the dead host, want 3 (one per entry)", got)
-	}
 	if e.w.Obs.Count(obs.EvVerbsMsg) != msgs || e.w.Obs.Count(obs.EvDetached) != detached {
 		t.Fatal("a message reached the dead host")
 	}
 	for s := uint64(1); s <= 3; s++ {
-		if _, ok := o.Lookup(orderedKey(1, s)); !ok {
-			t.Fatalf("entry %d unlinked while its host was down", s)
-		}
-	}
-	rt.C.Fabric.SetNodeDown(1, false)
-	rt.FlushPending(1)
-	for s := uint64(1); s <= 3; s++ {
 		if _, ok := o.Lookup(orderedKey(1, s)); ok {
-			t.Fatalf("dead entry %d still linked after the parked removals drained", s)
+			t.Fatalf("dead entry %d still linked on the dead host when applyHostOps returned", s)
 		}
 	}
 }
