@@ -91,12 +91,15 @@ race:
 # table and key, a replica's by its partition too, a freed ordered slot passed
 # over, a dead machine not audited), the copy rule of the host-side structural ops
 # (which copies hold a key after each op at f = 0, on the home primary and on a
-# promoted owner; the redo lock held and released), and two clients churning the same subscribers — repeated across
+# promoted owner; the redo lock held and released), two clients churning the same subscribers,
+# a soft clock's Stop waiting out a tick under way, and the crash rig's phases,
+# error stop, crashed-machine idle and outage count (internal/crashrig) — repeated across
 # core counts, and once more on one core without the race detector, which
 # slows a writer enough to hide a starved reader. A red run here is a bug,
 # never a rerun.
 STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestLogsRestartPastReleaseToDeadNode|TestReplicatedCommitHoldsLocalRows|TestRingDrainsPastDeadWriteBack|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestPostCommitHostOps|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
+STRESS_CLOCK = TestSoftClockStopWaitsOutTimer
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch|TestPollDetached|TestSendOneWay' ./internal/rdma/
@@ -105,6 +108,8 @@ stress:
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TX)' ./internal/tx/
 	GOMAXPROCS=1 go test -count=20 -cpu 1 -run '$(STRESS_TX)' ./internal/tx/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
+	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_CLOCK)' ./internal/clock/
+	go test -race -count=5 -cpu 1,2,4 ./internal/crashrig/
 
 # Allocation gate: a warm HTM region allocates nothing, a committed
 # transaction — hash or ordered, structural rows and shipped messages included
@@ -140,11 +145,14 @@ alloc:
 		go test -count=1 -run "$${t#*:}" $${t%%:*} || exit 1; \
 	done
 
-# Lane-name guard: every alternative of STRESS_TX, STRESS_TATP and CHAOS_TX,
-# and of each alloc and failover-lane pattern, must name at least one test,
-# benchmark or fuzz target of its package (go test -list), so a renamed test
-# cannot drop out of a lane silently.
-LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) ./internal/tx/:$(CHAOS_TX) $(ALLOC_LANE) $(FAILOVER_LANE)
+# Lane-name guard: every alternative of each stress, alloc and failover-lane
+# pattern and of each gate's -run names (chaos, batch, occ, failover, scan)
+# must name at least one test, benchmark or fuzz target of its package (go test
+# -list), so a renamed test cannot drop out of a lane silently.
+LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) ./internal/clock/:$(STRESS_CLOCK) \
+	./internal/tx/:$(CHAOS_TX) .:$(CHAOS_ROOT) ./internal/bench/:$(BATCH_TESTS) ./internal/bench/:$(OCC_TESTS) \
+	./internal/bench/:$(FAILOVER_BENCH) .:$(FAILOVER_ROOT) ./internal/bench/:$(SCAN_TESTS) \
+	$(ALLOC_LANE) $(FAILOVER_LANE)
 lanes:
 	@bad=0; for t in $$(echo '$(LANES)'); do pkg=$${t%%:*}; \
 		names=$$(go test -list . $$pkg | grep -E '^(Test|Benchmark|Fuzz|Example)') || exit 1; \
@@ -185,11 +193,12 @@ examples:
 # logs holding that transaction alone (recovery_test.go), also with a survivor
 # acting between its XEND and its redo append, and a release step owed to a
 # dead node runs at once and keeps no log, at f = 0 as at f = 1
-# (repl_window_test.go). make lanes guards the CHAOS_TX names.
+# (repl_window_test.go). make lanes guards the CHAOS_TX and CHAOS_ROOT names.
 CHAOS_TX = TestCoalescedFault|TestStartPhaseFaultAtEveryVerb|TestShippedLookupFaultAtEveryVerb|TestOrderedCacheFault|TestLogLifetimeCrashPoints|TestLogsRestartPastReleaseToDeadNode|TestReplicatedCommitHoldsLocalRows
+CHAOS_ROOT = TestChaosSmallBankConservation
 chaos:
 	go run ./cmd/drtm-bench -exp chaos -quick
-	go test -race -run TestChaosSmallBankConservation .
+	go test -race -run '$(CHAOS_ROOT)' .
 	go test -race -count=1 -run '$(CHAOS_TX)' ./internal/tx/
 
 # Doorbell-batching gate: the async verb engine must keep its win over the
@@ -198,25 +207,29 @@ chaos:
 # batchexp.go, batchexp_test.go), and a distributed SmallBank transaction must
 # pay one lock wave, one publish wave and no CAS past its serialization point
 # (distexp.go, TestSmokeDistWaves).
+BATCH_TESTS = TestBatchAcceptance|TestSmokeDistWaves
 batch:
 	go run ./cmd/drtm-bench -exp batch -quick
 	go run ./cmd/drtm-bench -exp dist-waves -quick
-	go test -count=1 -run 'TestBatchAcceptance|TestSmokeDistWaves' ./internal/bench/
+	go test -count=1 -run '$(BATCH_TESTS)' ./internal/bench/
 
 # Speculative-read gate: the one-RTT OCC arm must keep its low-contention
 # win over lease CAS and show the write-ratio crossover (occexp_test.go).
+OCC_TESTS = TestOCCAcceptance
 occ:
 	go run ./cmd/drtm-bench -exp occ -quick
-	go test -run TestOCCAcceptance ./internal/bench/
+	go test -run '$(OCC_TESTS)' ./internal/bench/
 
 # Replication gate: neither repair — Recover of the victim's NVRAM logs, or
 # hot-standby promotion — may lose a committed transaction, and the work of
 # each in log records must stay under a constant whatever history precedes the
 # crash (failoverexp_test.go), with conservation re-checked under -race.
+FAILOVER_BENCH = TestFailoverAcceptance
+FAILOVER_ROOT = TestFailoverSmallBankConservation
 failover:
 	go run ./cmd/drtm-bench -exp failover -quick
-	go test -run TestFailoverAcceptance ./internal/bench/
-	go test -race -run TestFailoverSmallBankConservation .
+	go test -run '$(FAILOVER_BENCH)' ./internal/bench/
+	go test -race -run '$(FAILOVER_ROOT)' .
 	@$(MAKE) --no-print-directory failover-lane
 
 # The failover tests that -race slows enough to hide their reds: the TATP
@@ -249,9 +262,10 @@ failover-lane:
 # Range-scan gate: the RO-scheme scan must keep its >=2x amortization win
 # over per-key lease reads (scanexp_test.go), and the workload invariant
 # suites must hold under -race with faults and mid-run failover.
+SCAN_TESTS = TestScanAcceptance
 scan:
 	go run ./cmd/drtm-bench -exp scan -quick
-	go test -run TestScanAcceptance ./internal/bench/
+	go test -run '$(SCAN_TESTS)' ./internal/bench/
 	go test -race ./internal/tatp/ ./internal/socialgraph/
 
 # Full-scale experiment sweep (slow); see cmd/drtm-bench -h for single runs.

@@ -1,7 +1,12 @@
 package drtm
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -18,6 +23,13 @@ import (
 // one; so is one quoted as a string in backticked code
 // (`Count("index.descent")`). The benchmark is a main package; its names are
 // read from the file.
+//
+// So is every Go name quoted whole: a camelCase word (`unlockIfOwned`,
+// `TestSmokeChaos`) or a dotted chain with a `Type.Member` link
+// (`tx.Runtime.ReadPolicy`, `Tx.deferred`). Each camelCase segment, and each
+// member of a capitalized segment, must be declared in some .go file of the
+// module. All-caps names (`ATOMIC_GLOB`) and chains on a package from outside
+// the module (`sync.Mutex`) are not checked.
 func TestDocumentedNamesExist(t *testing.T) {
 	var known []string
 	for e := 0; e < obs.NumEvents; e++ {
@@ -75,6 +87,25 @@ func TestDocumentedNamesExist(t *testing.T) {
 		return false
 	}
 
+	declared, outside := goDeclarations(t)
+	goName := regexp.MustCompile("^`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)(?:\\(.*\\))?`$")
+	typeName := regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$`) // not all caps
+	camel := regexp.MustCompile(`^_*[A-Za-z][A-Za-z0-9]*(?:[a-z][A-Z]|[A-Z][a-z])[A-Za-z0-9_]*$`)
+	undeclared := func(chain string) []string {
+		segs := strings.Split(chain, ".")
+		if len(segs) > 1 && outside[segs[0]] {
+			return nil
+		}
+		var bad []string
+		for i, seg := range segs {
+			member := i > 0 && typeName.MatchString(segs[i-1])
+			if (member || camel.MatchString(seg)) && !declared[seg] {
+				bad = append(bad, seg)
+			}
+		}
+		return bad
+	}
+
 	// A backticked span quotes a name whole (`rdma.msgs_per_txn`) or as a
 	// string in code (`db.Stats().Count("lock.born")`).
 	span := regexp.MustCompile("`[^`\\n]+`")
@@ -87,6 +118,11 @@ func TestDocumentedNamesExist(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, sp := range span.FindAllString(line, -1) {
+				if m := goName.FindStringSubmatch(sp); m != nil {
+					if bad := undeclared(m[1]); bad != nil {
+						t.Errorf("%s:%d: %s names %q, declared in no .go file of the module", doc, i+1, sp, bad)
+					}
+				}
 				names := inCode.FindAllStringSubmatch(sp, -1)
 				if m := whole.FindStringSubmatch(sp); m != nil {
 					names = append(names, m)
@@ -100,4 +136,62 @@ func TestDocumentedNamesExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goDeclarations parses every .go file of the module and returns each name
+// declared in one — a package-level or local type, function, method, value,
+// field, parameter or := variable — and the names of the packages imported from
+// outside the module.
+func goDeclarations(t *testing.T) (declared, outside map[string]bool) {
+	declared, outside = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata"):
+			return filepath.SkipDir // as the go tool does
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, im := range f.Imports {
+			if p := strings.Trim(im.Path.Value, `"`); !strings.HasPrefix(p, "drtm/") {
+				outside[p[strings.LastIndexByte(p, '/')+1:]] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				names = n.Names
+			case *ast.Field:
+				names = n.Names
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					for _, e := range n.Lhs {
+						if id, ok := e.(*ast.Ident); ok {
+							names = append(names, id)
+						}
+					}
+				}
+			}
+			for _, id := range names {
+				declared[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared, outside
 }

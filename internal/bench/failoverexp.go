@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"drtm"
+	"drtm/internal/crashrig"
 	"drtm/internal/smallbank"
 )
 
@@ -40,15 +38,9 @@ func init() {
 // factor (f=0: detector-driven Recover + revival; f>0: detector-driven hot
 // promotion), after a warm window of warmX times the base length.
 type failoverArm struct {
-	f             int
-	st            drtm.Stats // the run's counters, from the loaded cluster to its close
-	logCap        int        // cluster.Config.LogWords, what log-high-water is held against
-	commits       int64
-	outageCommits int64
-	downAborts    int64
-	repaired      bool  // victim revived (f=0) / partition promoted (f>0)
-	initial, net  int64 // conservation audit inputs
-	final, want   int64
+	bankCrash
+	f        int
+	repaired bool // victim revived (f=0) / partition promoted (f>0)
 }
 
 // unavailNS is the wall-clock inside Recover (f=0) or until the promoted
@@ -60,143 +52,39 @@ func (a failoverArm) unavailNS() int64 {
 	return a.st.Count("repl.promote_ns")
 }
 
-func (a failoverArm) conserved() bool { return a.final == a.want }
-
-func (a failoverArm) conservation() string {
-	if a.conserved() {
-		return fmt.Sprintf("OK (%d = %d initial %+d net deposits)", a.final, a.initial, a.net)
-	}
-	return fmt.Sprintf("VIOLATED: final %d, want %d (initial %d %+d net)",
-		a.final, a.want, a.initial, a.net)
-}
-
 func measureFailoverArm(o Options, f, warmX int) failoverArm {
-	const (
-		nodes   = 3
-		workers = 2
-		victim  = 1
-	)
+	const victim = 1
 	warm, tail := 30*time.Millisecond, 15*time.Millisecond
 	if o.Quick {
 		warm, tail = 20*time.Millisecond, 10*time.Millisecond
 	}
-	warm *= time.Duration(warmX)
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
 	cfg := smallbank.Config{
-		Nodes:           nodes,
+		Nodes:           3,
 		AccountsPerNode: 100,
 		HotAccounts:     8,
 		HotProb:         0.25,
 		DistProb:        0.3, // distributed transactions strand mid-crash
 		InitialBalance:  1000,
 	}
-
-	db := drtm.MustOpen(drtm.Options{
-		Nodes: nodes, WorkersPerNode: workers,
-		Durability:        true,
-		ReplicationFactor: f,
-		FailureDetection:  true,
-		FaultSeed:         seed,
-	}, cfg.Partitioner())
-	defer db.Close()
-
-	w, err := smallbank.Setup(db.RT, cfg)
-	if err != nil {
-		panic(err)
-	}
-	initial := int64(w.TotalBalance())
-	base := db.Stats()
-
-	var (
-		stop          = make(chan struct{})
-		outage        atomic.Bool
-		commits       atomic.Int64
-		outageCommits atomic.Int64
-		downAborts    atomic.Int64
-		wg            sync.WaitGroup
-	)
-	clients := make([]*smallbank.Client, 0, nodes*workers)
-	for n := 0; n < nodes; n++ {
-		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), seed+int64(n*workers+wk))
-			clients = append(clients, cl)
-			wg.Add(1)
-			go func(n int, cl *smallbank.Client) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if !db.C.Node(n).Alive() {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					if _, err := cl.RunOne(); err == nil {
-						commits.Add(1)
-						if outage.Load() {
-							outageCommits.Add(1)
-						}
-					} else if errors.Is(err, drtm.ErrNodeDown) {
-						downAborts.Add(1)
-					}
-				}
-			}(n, cl)
+	a := failoverArm{f: f}
+	opts := drtm.Options{Nodes: cfg.Nodes, WorkersPerNode: 2, ReplicationFactor: f, FaultSeed: seed(o)}
+	a.bankCrash = runBankCrash(opts, cfg, nil, func(db *drtm.DB, run *crashrig.Run) {
+		// Build history before the crash (neither the victim's logs nor the
+		// redo tails may keep it), wait for this arm's repair (full recovery
+		// revives the victim; hot failover promotes a backup and leaves the
+		// victim dead), then run traffic against the repaired partition.
+		if run.Phase(time.Duration(warmX)*warm, 1000*int64(warmX)) != nil {
+			return
 		}
-	}
-
-	// Build history before the crash: neither the victim's logs nor the redo
-	// tails may keep it.
-	time.Sleep(warm)
-	outage.Store(true)
-	db.Crash(victim)
-
-	// Wait for the repair this arm is configured for: full recovery revives
-	// the victim; hot failover hands its partition to a backup and leaves
-	// the victim dead.
-	repaired := false
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if f == 0 {
-			repaired = db.C.Node(victim).Alive()
-		} else {
-			repaired = db.PartitionOwner(victim) != victim
-		}
-		if repaired {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	outage.Store(false)
-
-	time.Sleep(tail) // post-repair traffic against the repaired partition
-	close(stop)
-	wg.Wait()
-
-	final := int64(w.TotalBalance())
-	var net int64
-	for _, cl := range clients {
-		net += cl.NetDeposits
-	}
-
-	return failoverArm{
-		f:             f,
-		st:            db.Stats().Delta(base),
-		logCap:        db.C.Config().LogWords,
-		commits:       commits.Load(),
-		outageCommits: outageCommits.Load(),
-		downAborts:    downAborts.Load(),
-		repaired:      repaired,
-		initial:       initial,
-		net:           net,
-		final:         final,
-		want:          initial + net,
-	}
+		a.repaired = run.Crash(victim, func() bool {
+			if f == 0 {
+				return db.C.Node(victim).Alive()
+			}
+			return db.PartitionOwner(victim) != victim
+		})
+		run.Phase(tail, 500) // the run's error, if any, is bankCrash.err
+	})
+	return a
 }
 
 func runFailoverExp(o Options) *Result {
@@ -234,9 +122,10 @@ func runFailoverExp(o Options) *Result {
 		return "backup promoted"
 	})
 	row("unavailability", func(a failoverArm) string { return fmt.Sprintf("%v", time.Duration(a.unavailNS())) })
-	count("commits", func(a failoverArm) int64 { return a.commits })
-	count("commits-during-outage", func(a failoverArm) int64 { return a.outageCommits })
-	count("node-down-aborts", func(a failoverArm) int64 { return a.downAborts })
+	count("commits", func(a failoverArm) int64 { return a.Commits })
+	count("commits-during-outage", func(a failoverArm) int64 { return a.OutageCommits })
+	count("node-down-aborts", func(a failoverArm) int64 { return a.DownAborts })
+	row("client-error", failoverArm.clientError)
 	row("balance-conservation", failoverArm.conservation)
 	counter("detections", "fault.detect")
 	counter("recoveries", "recovery.run")
@@ -256,6 +145,7 @@ func runFailoverExp(o Options) *Result {
 	res.Note("a worker of a live machine restarts its NVRAM logs at every transaction boundary (log-restarts), so Recover reads the victim's transactions in flight, not its history; a redo ring is drained as an append takes it past cluster.CheckpointWords (ring-drains counts the records), so the promotion's tail is bounded too")
 	res.Note("what f=1 buys is availability without the victim: the partition serves from the promoted replica once the redo tails hosted on the new owner are replayed — before anything of the victim's NVRAM is read (a sweep of the state words frees its stuck locks afterwards) — and the machine stays dead; f=0 must read the victim's logs and revive it, and until then every transaction that touches its partition aborts (node-down-aborts)")
 	res.Note("detector: 1ms heartbeats, 12ms failure timeout, 2ms election stagger; node 1 crashed once under live traffic; seed %d", seed(o))
+	res.Note("the warm window lasts its host-clock length and 1000 commits per 1x, the post-repair tail its length and 500 commits, so a loaded host stretches them; client-error is a transaction error other than ErrNodeDown, which stops the run")
 	res.Note("unavailability is wall-clock of the repair call alone, tens of microseconds either way and noisy: the whole Recover call (f=0), view handover + adopted-partition redo replay (f=1); detection latency is identical across arms")
 	res.Note("log-high-water is the most live words one log of one worker held at a transaction boundary, against cluster.Config.LogWords, the cap whose overrun is fatal; a release-side step owed to the dead victim runs at once on its memory at either f, so only the victim's own zombie workers keep their records")
 	return res

@@ -47,6 +47,9 @@ func TestFailoverAcceptance(t *testing.T) {
 		o := Options{Seed: seed}
 
 		r := measureFailoverArm(o, 0, warmX)
+		if r.err != nil {
+			t.Fatalf("f=0 arm: %v", r.err)
+		}
 		if !r.repaired {
 			t.Fatal("f=0 arm: victim was never revived")
 		}
@@ -68,6 +71,9 @@ func TestFailoverAcceptance(t *testing.T) {
 		}
 
 		h := measureFailoverArm(o, 1, warmX)
+		if h.err != nil {
+			t.Fatalf("f=1 arm: %v", h.err)
+		}
 		if !h.repaired {
 			t.Fatal("f=1 arm: partition was never promoted")
 		}
@@ -94,7 +100,7 @@ func TestFailoverAcceptance(t *testing.T) {
 				warmX, h.st.Count("repl.redo_tail"), maxRedoTail)
 		}
 		t.Logf("%dx warm, seed %d: f=0 %d commits, %d WAL records scanned, Recover %v; f=1 %d commits, %d redo records replayed, promotion %v",
-			warmX, seed, r.commits, r.st.Count("recovery.wal_scanned"), time.Duration(r.unavailNS()),
-			h.commits, h.st.Count("repl.redo_tail"), time.Duration(h.unavailNS()))
+			warmX, seed, r.Commits, r.st.Count("recovery.wal_scanned"), time.Duration(r.unavailNS()),
+			h.Commits, h.st.Count("repl.redo_tail"), time.Duration(h.unavailNS()))
 	}
 }

@@ -256,6 +256,9 @@ func TestSmokeChaos(t *testing.T) {
 		return ""
 	}
 	// The headline: no committed transaction may be lost to a crash.
+	if v := cell("client-error"); v != "none" {
+		t.Errorf("client error: %s", v)
+	}
 	if v := cell("balance-conservation"); !strings.HasPrefix(v, "OK") {
 		t.Errorf("balance conservation: %s", v)
 	}

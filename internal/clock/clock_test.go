@@ -179,3 +179,22 @@ func TestStrategyString(t *testing.T) {
 		t.Fatal("strategy strings wrong")
 	}
 }
+
+// TestSoftClockStopWaitsOutTimer: once Stop returns, the timer goroutine
+// publishes nothing more — neither the softtime word nor Ticks moves — even
+// when a tick was under way as Stop was called; Restart runs it again.
+func TestSoftClockStopWaitsOutTimer(t *testing.T) {
+	c := NewSoftClock(0, 10*time.Microsecond, 0)
+	for i := 0; i < 200; i++ {
+		c.Restart()
+		for ticks := c.Ticks(); c.Ticks() == ticks; {
+			time.Sleep(5 * time.Microsecond)
+		}
+		c.Stop()
+		word, ticks := c.arena.LoadWord(softOff), c.Ticks()
+		time.Sleep(50 * time.Microsecond) // five intervals
+		if w, n := c.arena.LoadWord(softOff), c.Ticks(); w != word || n != ticks {
+			t.Fatalf("cycle %d: after Stop the softtime word went %d -> %d and Ticks %d -> %d", i, word, w, ticks, n)
+		}
+	}
+}

@@ -55,6 +55,7 @@ type SoftClock struct {
 
 	mu      sync.Mutex
 	stopCh  chan struct{}
+	done    chan struct{} // closed when the last timer goroutine started has exited
 	stopped bool
 	ticks   int64
 }
@@ -93,8 +94,9 @@ func (c *SoftClock) Start() {
 	if c.stopCh != nil || c.stopped {
 		return
 	}
-	c.stopCh = make(chan struct{})
-	go func(stop chan struct{}) {
+	c.stopCh, c.done = make(chan struct{}), make(chan struct{})
+	go func(stop, done chan struct{}) {
+		defer close(done)
 		t := time.NewTicker(c.interval)
 		defer t.Stop()
 		for {
@@ -108,7 +110,7 @@ func (c *SoftClock) Start() {
 				c.mu.Unlock()
 			}
 		}
-	}(c.stopCh)
+	}(c.stopCh, c.done)
 }
 
 // Restart relaunches the timer goroutine after a Stop — a crashed node's
@@ -121,15 +123,20 @@ func (c *SoftClock) Restart() {
 	c.Start()
 }
 
-// Stop terminates the timer goroutine.
+// Stop terminates the timer goroutine and returns once it has exited, so no
+// tick under way publishes after it; it waits outside mu, which a tick takes.
 func (c *SoftClock) Stop() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	done := c.done
 	if c.stopCh != nil {
 		close(c.stopCh)
 		c.stopCh = nil
 	}
 	c.stopped = true
+	c.mu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // Ticks reports how many timer updates have fired (for tests).

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"drtm"
+	"drtm/internal/crashrig"
 	"drtm/internal/socialgraph"
 )
 
@@ -138,9 +139,10 @@ func TestSymmetryAcrossFailover(t *testing.T) {
 
 func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb float64) {
 	const (
-		nodes   = 3
-		workers = 2
-		victim  = 2
+		nodes     = 3
+		workers   = 2
+		victim    = 2
+		phaseTxns = 500 // a fraction of what the six clients commit in 25 ms on an idle 2-core box
 	)
 	db, w := openGraph(t, nodes, workers, drtm.Options{
 		Durability:        true,
@@ -151,59 +153,35 @@ func symmetryAcrossFailover(t *testing.T, faultSeed, clientSeed int64, faultProb
 		db.InjectNodeFaults(0, drtm.FaultRule{FailProb: faultProb})
 	}
 
-	var (
-		wg         sync.WaitGroup
-		stop       = make(chan struct{})
-		violations atomic.Value
-		checks     atomic.Int64
-	)
-	for n := 0; n < nodes; n++ {
-		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), clientSeed+int64(n*workers+wk))
-			checker := wk == workers-1
-			wg.Add(1)
-			go func(n int, cl *socialgraph.Client, checker bool) {
-				defer wg.Done()
-				person := uint64(n)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if !db.C.Node(n).Alive() {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					var err error
-					if checker {
-						person = (person + 1) % uint64(w.Cfg.People)
-						err = cl.CheckSnapshotRO(person)
-						checks.Add(1)
-					} else {
-						err = cl.RunOne()
-					}
-					if err != nil && !errors.Is(err, drtm.ErrNodeDown) {
-						violations.Store(err)
-						return
-					}
-				}
-			}(n, cl, checker)
+	var checks atomic.Int64
+	run := crashrig.Start(db, func(n, wk int) func() error {
+		cl := w.NewClient(db.Executor(n, wk), clientSeed+int64(n*workers+wk))
+		if wk < workers-1 {
+			return cl.RunOne
 		}
-	}
+		// The last worker of each node checks one person's edges read-only
+		// per step.
+		person := uint64(n)
+		return func() error {
+			person = (person + 1) % uint64(w.Cfg.People)
+			checks.Add(1)
+			return cl.CheckSnapshotRO(person)
+		}
+	})
+	defer run.Stop()
 
-	time.Sleep(25 * time.Millisecond)
-	db.Crash(victim)
-	rep := db.Failover(victim)
-	if !rep.Promoted {
+	if err := run.Phase(25*time.Millisecond, phaseTxns); err != nil {
+		t.Fatal(err)
+	}
+	var rep drtm.FailoverReport
+	if !run.Crash(victim, func() bool { rep = db.Failover(victim); return rep.Promoted }) {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
-	time.Sleep(25 * time.Millisecond)
-
-	close(stop)
-	wg.Wait()
-	if v := violations.Load(); v != nil {
-		t.Fatal(v.(error))
+	if err := run.Phase(25*time.Millisecond, phaseTxns); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Stop(); err != nil {
+		t.Fatal(err)
 	}
 	if checks.Load() == 0 {
 		t.Fatal("checker lanes never ran")

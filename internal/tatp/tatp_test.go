@@ -11,6 +11,7 @@ import (
 
 	"drtm"
 	"drtm/internal/cluster"
+	"drtm/internal/crashrig"
 	"drtm/internal/kvs"
 	"drtm/internal/memory"
 	"drtm/internal/tatp"
@@ -150,70 +151,37 @@ func tatpAcrossFailover(t *testing.T, faultSeed, clientSeed int64) {
 	})
 	db.InjectNodeFaults(2, drtm.FaultRule{FailProb: 0.005})
 
-	var (
-		wg         sync.WaitGroup
-		stop       = make(chan struct{})
-		violations atomic.Value
-		committed  atomic.Int64
-	)
-	for n := 0; n < nodes; n++ {
-		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), clientSeed+int64(n*workers+wk))
-			wg.Add(1)
-			go func(n, wk int, cl *tatp.Client) {
-				defer wg.Done()
-				sid := uint64(n)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if !db.C.Node(n).Alive() {
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					var err error
-					if wk == workers-1 && i%4 == 0 {
-						sid = sid%uint64(w.Cfg.Subscribers) + 1
-						err = cl.CheckSubscriberRO(sid)
-					} else {
-						err = cl.RunOne()
-					}
-					switch {
-					case err == nil:
-						committed.Add(1)
-					case !errors.Is(err, drtm.ErrNodeDown):
-						violations.Store(err)
-						return
-					}
-				}
-			}(n, wk, cl)
+	run := crashrig.Start(db, func(n, wk int) func() error {
+		cl := w.NewClient(db.Executor(n, wk), clientSeed+int64(n*workers+wk))
+		if wk < workers-1 {
+			return cl.RunOne
 		}
-	}
+		// The last worker of each node checks a subscriber read-only every
+		// fourth step.
+		sid, i := uint64(n), 0
+		return func() error {
+			if i++; i%4 == 1 {
+				sid = sid%uint64(w.Cfg.Subscribers) + 1
+				return cl.CheckSubscriberRO(sid)
+			}
+			return cl.RunOne()
+		}
+	})
+	defer run.Stop()
 
-	// A phase lasts its host-clock minimum and until the clients have committed
-	// phaseTxns more transactions, so a loaded box stretches it rather than
-	// cutting it short.
-	phase := func(minimum time.Duration) {
-		time.Sleep(minimum)
-		for target := committed.Load() + phaseTxns; committed.Load() < target && violations.Load() == nil; {
-			time.Sleep(time.Millisecond)
-		}
+	if err := run.Phase(25*time.Millisecond, phaseTxns); err != nil { // build replicated state
+		t.Fatal(err)
 	}
-	phase(25 * time.Millisecond) // build replicated state
 	before, _, _ := db.RT.OrderedCacheStats()
-	db.Crash(victim)
-	rep := db.Failover(victim)
-	if !rep.Promoted {
+	var rep drtm.FailoverReport
+	if !run.Crash(victim, func() bool { rep = db.Failover(victim); return rep.Promoted }) {
 		t.Fatalf("failover did not promote: %+v", rep)
 	}
-	phase(25 * time.Millisecond) // traffic against the promoted partition
-
-	close(stop)
-	wg.Wait()
-	if v := violations.Load(); v != nil {
-		t.Fatal(v.(error))
+	if err := run.Phase(25*time.Millisecond, phaseTxns); err != nil { // traffic against the promoted partition
+		t.Fatal(err)
+	}
+	if _, err := run.Stop(); err != nil {
+		t.Fatal(err)
 	}
 	db.ClearFaults()
 	if db.PartitionOwner(victim) == victim {

@@ -85,10 +85,10 @@ type Runtime struct {
 	CacheBudgetBytes int
 
 	// ReadPolicy selects the concurrency-control arm for remote read-set
-	// records: lease-based shared locks (the zero-value default),
-	// speculative one-RTT OCC reads, speculation that escalates a losing
-	// transaction to leases (adaptive), or exclusive locks — the Figure 17
-	// "no read lease" ablation (see policy.go). The software fallback path
+	// records: lease-based shared locks (the zero-value default), one-RTT
+	// OCC reads that escalate a losing transaction to leases (adaptive), or
+	// exclusive locks — the Figure 17 "no read lease" ablation (see
+	// policy.go). The software fallback path
 	// always uses locks — its in-place updates cannot be rolled back, so
 	// optimistic reads are unsound there. A transaction reads it when it
 	// starts, so a change between two transactions applies to the second.

@@ -3,16 +3,14 @@ package drtm_test
 import (
 	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"drtm"
 	"drtm/internal/cluster"
+	"drtm/internal/crashrig"
 	"drtm/internal/nvram"
 	"drtm/internal/rdma"
-	"drtm/internal/smallbank"
 )
 
 // TestReplicationOptionValidation pins Open's ReplicationFactor checks:
@@ -365,123 +363,32 @@ func TestRedoDrainDoesNotResurrectDeletedKeys(t *testing.T) {
 // — audited through the view-routed read path — must equal the initial
 // total plus committed net deposits: zero committed transactions lost.
 func TestFailoverSmallBankConservation(t *testing.T) {
-	const (
-		nodes   = 3
-		workers = 2
-		victim  = 1
-	)
-	cfg := smallbank.Config{
-		Nodes:           nodes,
-		AccountsPerNode: 80,
-		HotAccounts:     8,
-		HotProb:         0.25,
-		DistProb:        0.4,
-		InitialBalance:  1000,
-	}
-	db := drtm.MustOpen(drtm.Options{
-		Nodes: nodes, WorkersPerNode: workers,
-		Durability:        true,
-		ReplicationFactor: 1,
-		FailureDetection:  true,
-		FaultSeed:         42,
-	}, cfg.Partitioner())
-	defer db.Close()
-
-	w, err := smallbank.Setup(db.RT, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := w.TotalBalance()
-	base := db.Stats()
-
-	var (
-		stop          = make(chan struct{})
-		outage        atomic.Bool
-		outageCommits atomic.Int64
-		wg            sync.WaitGroup
-	)
-	clients := make([]*smallbank.Client, 0, nodes*workers)
-	for n := 0; n < nodes; n++ {
-		for wk := 0; wk < workers; wk++ {
-			cl := w.NewClient(db.Executor(n, wk), int64(100+n*workers+wk))
-			clients = append(clients, cl)
-			wg.Add(1)
-			go func(n int, cl *smallbank.Client) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if !db.C.Node(n).Alive() {
-						// The crashed machine stays dead under hot failover;
-						// its clients fail over at the workload level (here:
-						// they idle out).
-						time.Sleep(200 * time.Microsecond)
-						continue
-					}
-					if _, err := cl.RunOne(); err == nil {
-						if outage.Load() {
-							outageCommits.Add(1)
-						}
-					} else if !errors.Is(err, drtm.ErrNodeDown) {
-						t.Errorf("unexpected transaction error: %v", err)
-						return
-					}
-				}
-			}(n, cl)
+	const victim = 1
+	st := bankUnderCrashes(t, 1, nil, func(db *drtm.DB, run *crashrig.Run) {
+		// The crashed machine stays dead under hot failover; its clients fail
+		// over at the workload level (here: they idle out).
+		if run.Phase(20*time.Millisecond, 500) != nil { // warm traffic, build redo tails
+			return
 		}
-	}
-
-	time.Sleep(20 * time.Millisecond) // warm traffic, build redo tails
-	outage.Store(true)
-	db.Crash(victim)
-	deadline := time.Now().Add(10 * time.Second)
-	for db.PartitionOwner(victim) == victim && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if db.PartitionOwner(victim) == victim {
-		t.Fatal("crash was never detected and promoted")
-	}
-	outage.Store(false)
-	if db.C.Node(victim).Alive() {
-		t.Error("victim revived: hot failover must keep the primary dead")
-	}
-	time.Sleep(20 * time.Millisecond) // traffic against the promoted view
-	close(stop)
-	wg.Wait()
-
-	var net int64
-	for _, cl := range clients {
-		net += cl.NetDeposits
-	}
-	final := w.TotalBalance()
-	if int64(final) != int64(initial)+net {
-		t.Errorf("money not conserved across failover: final %d, want %d (initial %d %+d net deposits)",
-			final, int64(initial)+net, initial, net)
-	}
-	if outageCommits.Load() == 0 {
-		t.Error("survivors made no commits around the failover window")
-	}
-
-	st := db.Stats().Delta(base)
-	if st.Count("fault.detect") == 0 {
-		t.Error("no crash was detected via lease expiry")
-	}
-	if st.Count("repl.failover") == 0 {
-		t.Error("no hot-failover promotion ran")
+		if !run.Crash(victim, func() bool { return db.PartitionOwner(victim) != victim }) {
+			t.Fatal("crash was never detected and promoted")
+		}
+		if db.C.Node(victim).Alive() {
+			t.Error("victim revived: hot failover must keep the primary dead")
+		}
+		run.Phase(20*time.Millisecond, 500) // traffic against the promoted view
+	})
+	for _, c := range []struct{ name, missing string }{
+		{"fault.detect", "no crash was detected via lease expiry"},
+		{"repl.failover", "no hot-failover promotion ran"},
+		{"repl.log_append", "no log-append WRs recorded"},
+		{"repl.promote_ns", "promotion time not accounted"},
+	} {
+		if st.Count(c.name) == 0 {
+			t.Error(c.missing)
+		}
 	}
 	if st.Count("recovery.run") != 0 {
 		t.Error("full NVRAM recovery ran despite replication (hot failover should replace it)")
-	}
-	if st.Count("repl.log_append") == 0 {
-		t.Error("no log-append WRs recorded")
-	}
-	if st.Count("repl.promote_ns") == 0 {
-		t.Error("promotion time not accounted")
-	}
-	if err := db.RT.AuditQuiescent(); err != nil {
-		t.Error(err)
 	}
 }
