@@ -100,6 +100,12 @@ race:
 STRESS_TX = TestAcquirer|TestImageCheck|TestHashPathGolden|TestLeaseSharingAcrossNodes|TestLeasedReadOutlastsSharingWriter|TestUpgradeReadToWrite|TestRegionRetry|StaleLocation|TestEraseLosesRaceOnIndexedRow|TestFallbackDropsAbortedAttemptsDeferredOps|TestFallbackErasesTheVersionItDeclared|TestStageEquivalence|TestStagePartialFailure|TestReadOnlyAdaptiveLeavesNoLease|TestROSpecLocal|TestAdaptiveEscalation|TestFallbackGolden|TestFallbackCommitEquivalence|TestAbortedAttemptRestoresOwnInserts|TestRecoveryUnlocksFallbackLocks|TestRecoveryRedoesBeforeItUnlocks|TestRecoveryLeavesReinsertedRowAlone|TestRecoveryRedoesAKeysLastUpdate|TestRecoverAfterReviveFreesNothing|TestCommitInstallsItsRecord|TestFallbackWithRemoteRecords|TestFallbackUserAbort|TestGlobalAtomicsUsesLocalCAS|TestMemo|TestLocalLookupOncePerAttempt|TestCommitChainUnderFaults|TestCleanReleaseNeverClobbers|TestCommitIsOneDoorbell|TestShipped|TestROSingle|TestOrderedCache|TestMirroredRemovalLeavesNoReplicaEntry|TestLogLifetimeCrashPoints|TestLogsRestartPastReleaseToDeadNode|TestReplicatedCommitHoldsLocalRows|TestRingDrainsPastDeadWriteBack|TestDeferredStoreOpsSurviveFailover|TestRecoverRefusesReplicatedCluster|TestBankInvariantConcurrent|TestWriterStarvationBound|TestEscalated|TestValidate|TestFallbackMovedHeaderTracesSpec|TestSpec|TestScanPhantom|TestROScanConfirm|TestROEscalationPinsScannedRows|TestConcurrentROAndWriters|TestBornSlot|TestCoalescedFaultHostCrashBeforeWave|TestDetachedCommit|TestLoggedCommitWaits|TestRedoHomeWaitsForChain|TestRedoRingBoundedBehindSends|TestAuditQuiescent|TestCopyRule|TestRemovalIsOneWayMessage|TestPostCommitHostOps|TestZombieWaitsForNoLock
 STRESS_TATP = TestConcurrentSubscriberLifecycle|TestSameSubscriberChurn|TestOrderedPathGolden|TestInsertExistingSubscriberReleasesBornSlots
 STRESS_CLOCK = TestSoftClockStopWaitsOutTimer
+# Set-up's parallel loader: every copy of every partition loaded at once must
+# build the shards a one-goroutine load builds, word for word (SmallBank at
+# f = 0 and 1, TATP and the social graph at f = 1), and a hash insert's one
+# walk of its chain picks the slot it always did.
+STRESS_LOAD = TestLoadBuildsSameShards
+STRESS_KVS = TestInsertOneProbe
 stress:
 	go test -race -count=5 -cpu 1,2,4 ./internal/htm/
 	go test -race -count=5 -cpu 1,2,4 -run 'Flush|TestBatch|TestPollDetached|TestSendOneWay' ./internal/rdma/
@@ -110,12 +116,15 @@ stress:
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_TATP)' ./internal/tatp/
 	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_CLOCK)' ./internal/clock/
 	go test -race -count=5 -cpu 1,2,4 ./internal/crashrig/
+	go test -race -count=3 -cpu 1,2,4 -run '$(STRESS_LOAD)' .
+	go test -race -count=5 -cpu 1,2,4 -run '$(STRESS_KVS)' ./internal/kvs/
 
 # Allocation gate: a warm HTM region allocates nothing, a committed
 # transaction — hash or ordered, structural rows and shipped messages included
 # — stays inside its object budget, a 20-record read-only transaction and a
 # local read-modify-write of ten adjacent ordered rows allocate nothing, and
-# neither does a SmallBank deposit or cross-node payment, nor a replicated
+# neither does a SmallBank deposit or cross-node payment, nor any TATP
+# transaction type, local or remote (leaf splits aside), nor a replicated
 # two-row commit through its backups' sinks, nor a redo ring of 100 records
 # drained by the next append, nor the retiring of a chain slot of any width; a B+ tree node is one
 # object, so an insert into a leaf with room allocates nothing and a leaf split
@@ -136,6 +145,7 @@ ALLOC_LANE = ./internal/htm/:TestRegionAllocatesNothing \
 	./internal/tx/:TestExecAllocSteadyState|TestValidateAllocSteadyState|TestOrderedAllocSteadyState|TestLocalOrderedAllocSteadyState|TestReplicatedCommitAllocSteadyState \
 	./internal/smallbank/:TestAllocSteadyState \
 	./internal/tpcc/:TestAllocSteadyState \
+	./internal/tatp/:TestAllocSteadyState \
 	./internal/tatp/:TestShardsSizedForTheirPartition \
 	./internal/smallbank/:TestSetupAtBenchmarkScale \
 	./internal/tpcc/:TestOrderReserveCoversWarmUp
@@ -150,6 +160,7 @@ alloc:
 # must name at least one test, benchmark or fuzz target of its package (go test
 # -list), so a renamed test cannot drop out of a lane silently.
 LANES = ./internal/tx/:$(STRESS_TX) ./internal/tatp/:$(STRESS_TATP) ./internal/clock/:$(STRESS_CLOCK) \
+	.:$(STRESS_LOAD) ./internal/kvs/:$(STRESS_KVS) \
 	./internal/tx/:$(CHAOS_TX) .:$(CHAOS_ROOT) ./internal/bench/:$(BATCH_TESTS) ./internal/bench/:$(OCC_TESTS) \
 	./internal/bench/:$(FAILOVER_BENCH) .:$(FAILOVER_ROOT) ./internal/bench/:$(SCAN_TESTS) \
 	$(ALLOC_LANE) $(FAILOVER_LANE)

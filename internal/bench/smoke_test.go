@@ -273,6 +273,13 @@ func TestSmokeChaos(t *testing.T) {
 	if v := cell("recoveries"); v == "0" {
 		t.Errorf("no recoveries ran")
 	}
+	// Every crash must have been repaired — the victim revived — inside the
+	// rig's outage bound: "N (recovered: N)".
+	var crashes, recovered int
+	v := cell("crash-cycles")
+	if _, err := fmt.Sscanf(v, "%d (recovered: %d)", &crashes, &recovered); err != nil || crashes == 0 || recovered != crashes {
+		t.Errorf("crash cycles: %q, want every crash recovered", v)
+	}
 	if v := cell("verb-faults"); v == "0" {
 		t.Errorf("no verb faults recorded")
 	}

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -420,6 +423,67 @@ func TestCopies(t *testing.T) {
 		}
 		if copies := c.Copies(nil, part); !slices.Equal(copies, []int{part, 2, 3}[:f+1]) {
 			t.Fatalf("f=%d: Copies(%d) after the promotion = %v", f, part, copies)
+		}
+	}
+}
+
+// TestLoad: Load runs its fill exactly once for each copy of each partition,
+// never more than GOMAXPROCS at a time, and returns the error of the first
+// failing copy in partition-then-rank order, whatever failed after it.
+func TestLoad(t *testing.T) {
+	const nodes = 4
+	for f := 0; f <= 2; f++ {
+		cfg := DefaultConfig(nodes, 1)
+		cfg.ReplicationFactor = f
+		c := New(cfg)
+		var (
+			mu            sync.Mutex
+			ran           = map[[2]int]int{}
+			running, peak int
+		)
+		fill := func(fail map[[2]int]bool) func(p, node int) error {
+			return func(p, node int) error {
+				mu.Lock()
+				ran[[2]int{p, node}]++
+				running++
+				peak = max(peak, running)
+				mu.Unlock()
+				time.Sleep(time.Millisecond)
+				mu.Lock()
+				running--
+				mu.Unlock()
+				if fail[[2]int{p, node}] {
+					return fmt.Errorf("copy %d/%d", p, node)
+				}
+				return nil
+			}
+		}
+		if err := c.Load(fill(nil)); err != nil {
+			t.Fatalf("f=%d: %v", f, err)
+		}
+		for p := 0; p < nodes; p++ {
+			for _, node := range c.Copies(nil, p) {
+				if n := ran[[2]int{p, node}]; n != 1 {
+					t.Fatalf("f=%d: copy of partition %d on node %d filled %d times", f, p, node, n)
+				}
+			}
+		}
+		if len(ran) != nodes*(f+1) || peak > runtime.GOMAXPROCS(0) {
+			t.Fatalf("f=%d: %d copies filled, %d at once", f, len(ran), peak)
+		}
+
+		clear(ran)
+		failing := map[[2]int]bool{{2, (2 + f) % nodes}: true, {1, 1}: true}
+		if err := c.Load(fill(failing)); err == nil || err.Error() != "copy 1/1" {
+			t.Fatalf("f=%d: Load returned %v, want the error of copy 1/1", f, err)
+		}
+		if ran[[2]int{1, 1}] != 1 || ran[[2]int{0, 0}] != 1 {
+			t.Fatalf("f=%d: copies before the failure not filled: %v", f, ran)
+		}
+		// On one goroutine the failing copy is the last to start: it is
+		// partition 1's first, behind partition 0's f+1.
+		if started := len(ran); runtime.GOMAXPROCS(0) == 1 && started != f+2 {
+			t.Fatalf("f=%d: %d copies started, want %d", f, started, f+2)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"drtm/internal/memory"
 	"drtm/internal/nvram"
@@ -19,8 +21,9 @@ import (
 // the fabric under a replica region of its own so the existing one-sided verb
 // paths address replica entries exactly like primary entries. This file is
 // the one place that names a partition's copies: Copies lists the nodes that
-// hold one, CopyRegion the region a copy occupies on its node, and Serving
-// the copy that serves the partition under the routing view.
+// hold one, CopyRegion the region a copy occupies on its node, Serving the
+// copy that serves the partition under the routing view, and Load runs a
+// loader over every copy at once.
 //
 // Commit durability is one-sided: after a transaction's HTM region commits,
 // its write-set is appended as one redo record (nvram.EncodeRedo) to a redo
@@ -243,6 +246,50 @@ func (c *Cluster) Backups(dst []int, p int) []int {
 // home alone.
 func (c *Cluster) Copies(dst []int, p int) []int {
 	return c.Backups(append(dst, p), p)
+}
+
+// Load runs fill once for each copy of each partition — the home shard and
+// every backup's replica — at most runtime.GOMAXPROCS(0) copies at a time, and
+// returns the error of the first copy, in partition-then-rank order, whose fill
+// failed; no copy starts after a failure. Each copy is its own shard, so fills
+// share nothing but their node's HTM engine, which takes concurrent regions:
+// a fill that writes one copy's rows in a fixed order builds the same shard,
+// word for word, whatever runs beside it.
+func (c *Cluster) Load(fill func(p, node int) error) error {
+	var copies [][2]int
+	for p := range c.nodes {
+		for _, node := range c.Copies(nil, p) {
+			copies = append(copies, [2]int{p, node})
+		}
+	}
+	errs := make([]error, len(copies))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(copies)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(copies) {
+					return
+				}
+				if errs[i] = fill(copies[i][0], copies[i][1]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Serving returns the copy that serves partition p's table under the routing

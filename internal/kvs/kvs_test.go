@@ -179,6 +179,78 @@ func TestBucketOverflowChains(t *testing.T) {
 	}
 }
 
+// TestInsertOneProbe pins the slot Insert's one walk of a chain picks: the
+// first free slot in chain order, else the chain's last slot turned into the
+// header of a fresh indirect bucket whose slot 0 takes the displaced resident
+// and slot 1 the new key; and ErrExists for a key met anywhere on the chain,
+// an indirect bucket included, with nothing allocated left behind.
+func TestInsertOneProbe(t *testing.T) {
+	tb := New(Config{MainBuckets: 1, IndirectBuckets: 4, Capacity: 64, ValueWords: 1},
+		htm.NewEngine(htm.Config{}))
+	slot := func(bucket memory.Offset, s int) (typ uint64, off memory.Offset, key uint64) {
+		so := bucket + memory.Offset(s*SlotWords)
+		w0 := tb.arena.LoadWord(so)
+		return SlotType(w0), SlotOffset(w0), tb.arena.LoadWord(so + 1)
+	}
+	holds := func(bucket memory.Offset, s int, key uint64) {
+		t.Helper()
+		if typ, _, k := slot(bucket, s); typ != TypeEntry || k != key {
+			t.Fatalf("bucket %d slot %d: type %d key %d, want entry %d", bucket, s, typ, k, key)
+		}
+	}
+	linksTo := func(bucket memory.Offset, next memory.Offset) {
+		t.Helper()
+		if typ, off, _ := slot(bucket, SlotsPerBucket-1); typ != TypeHeader || off != next {
+			t.Fatalf("bucket %d last slot: type %d offset %d, want a header to %d", bucket, typ, off, next)
+		}
+	}
+	insert := func(key uint64, want error) {
+		t.Helper()
+		if err := tb.Insert(key, []uint64{key}); err != want {
+			t.Fatalf("insert %d: %v, want %v", key, err, want)
+		}
+	}
+	main, nb1, nb2 := memory.Offset(0), tb.indirBase, tb.indirBase+BucketWords
+
+	for k := uint64(1); k <= SlotsPerBucket; k++ {
+		insert(k, nil)
+		holds(main, int(k-1), k)
+	}
+	insert(9, nil) // the chain is full: the last slot becomes the header
+	linksTo(main, nb1)
+	holds(nb1, 0, 8)
+	holds(nb1, 1, 9)
+
+	for _, dup := range []uint64{1, 8, 9} { // main bucket, displaced, new
+		insert(dup, ErrExists)
+	}
+	if tb.Len() != 9 || tb.buckets.used != 1 || len(tb.buckets.recycled) != 0 {
+		t.Fatalf("after the duplicates: %d rows, %d buckets used, %d given back",
+			tb.Len(), tb.buckets.used, len(tb.buckets.recycled))
+	}
+
+	if !tb.Delete(3) {
+		t.Fatal("delete 3")
+	}
+	insert(10, nil) // the freed main slot comes first in chain order
+	holds(main, 2, 10)
+
+	for k := uint64(11); k <= 16; k++ {
+		insert(k, nil)
+		holds(nb1, int(k-9), k)
+	}
+	insert(17, nil) // the indirect bucket is full: its last slot links on
+	linksTo(nb1, nb2)
+	holds(nb2, 0, 16)
+	holds(nb2, 1, 17)
+	insert(16, ErrExists)
+	for k := uint64(1); k <= 17; k++ {
+		if v, ok := tb.Get(k); ok != (k != 3) || ok && v[0] != k {
+			t.Fatalf("get %d = %v, %v", k, v, ok)
+		}
+	}
+}
+
 // TestQuickAgainstMapModel drives the table with random operations and
 // compares against a plain map.
 func TestQuickAgainstMapModel(t *testing.T) {

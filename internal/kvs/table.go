@@ -261,10 +261,7 @@ func (t *Table) Insert(key uint64, val []uint64) error {
 			t.freeBucket(pending)
 			pending = 0
 		}
-		if _, exists := t.LookupTx(tx, key); exists {
-			return ErrExists
-		}
-		slotOff, nb, err := t.findInsertSlot(tx, key)
+		slotOff, nb, err := t.insertSlot(tx, key)
 		pending = nb
 		if err != nil {
 			return err
@@ -287,16 +284,17 @@ func (t *Table) Insert(key uint64, val []uint64) error {
 	return nil
 }
 
-// findInsertSlot locates a free slot in key's bucket chain, converting the
-// last slot of a full bucket into an indirect-header link when necessary
-// (Section 5.2). Must run inside the caller's HTM transaction; the indirect
-// bucket it allocates, if it does, is returned as nb for abort cleanup.
-func (t *Table) findInsertSlot(tx *htm.Txn, key uint64) (slot, nb memory.Offset, err error) {
+// insertSlot walks key's bucket chain once, inside the caller's HTM region:
+// ErrExists if it meets key, else the first free slot in chain order. A chain
+// with none converts its last slot into an indirect-header link (Section 5.2)
+// and hands out slot 1 of the new bucket; that bucket is returned as nb for
+// abort cleanup. The region reads what a lookup would, and no more.
+func (t *Table) insertSlot(tx *htm.Txn, key uint64) (slot, nb memory.Offset, err error) {
 	off := t.MainBucketOffset(t.bucketOf(key))
+	var free memory.Offset
+	haveFree := false
 	for {
 		var next memory.Offset
-		free := memory.Offset(0)
-		haveFree := false
 		for s := 0; s < SlotsPerBucket; s++ {
 			so := off + memory.Offset(s*SlotWords)
 			w0 := tx.Read(t.arena, so)
@@ -305,37 +303,40 @@ func (t *Table) findInsertSlot(tx *htm.Txn, key uint64) (slot, nb memory.Offset,
 				if !haveFree {
 					free, haveFree = so, true
 				}
+			case TypeEntry:
+				if tx.Read(t.arena, so+1) == key {
+					return 0, 0, ErrExists
+				}
 			case TypeHeader:
 				next = SlotOffset(w0)
 			}
 		}
-		if haveFree {
-			return free, 0, nil
+		if next == 0 {
+			break
 		}
-		if next != 0 {
-			off = next
-			continue
-		}
-		// Chain exhausted: convert the last slot into an indirect header.
-		nb, ok := t.allocBucket()
-		if !ok {
-			return 0, 0, ErrNoSlot
-		}
-		last := off + memory.Offset((SlotsPerBucket-1)*SlotWords)
-		w0 := tx.Read(t.arena, last)
-		w1 := tx.Read(t.arena, last+1)
-		// Move the displaced resident into the new bucket's slot 0; the new
-		// key-value pair will land in slot 1 (returned as the free slot).
-		tx.Write(t.arena, nb, w0)
-		tx.Write(t.arena, nb+1, w1)
-		for s := 2; s < SlotsPerBucket; s++ {
-			tx.Write(t.arena, nb+memory.Offset(s*SlotWords), 0)
-			tx.Write(t.arena, nb+memory.Offset(s*SlotWords)+1, 0)
-		}
-		tx.Write(t.arena, last, PackSlot(TypeHeader, 0, nb))
-		tx.Write(t.arena, last+1, 0)
-		return nb + SlotWords, nb, nil
+		off = next
 	}
+	if haveFree {
+		return free, 0, nil
+	}
+	nb, ok := t.allocBucket()
+	if !ok {
+		return 0, 0, ErrNoSlot
+	}
+	last := off + memory.Offset((SlotsPerBucket-1)*SlotWords)
+	w0 := tx.Read(t.arena, last)
+	w1 := tx.Read(t.arena, last+1)
+	// Move the displaced resident into the new bucket's slot 0; the new
+	// key-value pair will land in slot 1 (returned as the free slot).
+	tx.Write(t.arena, nb, w0)
+	tx.Write(t.arena, nb+1, w1)
+	for s := 2; s < SlotsPerBucket; s++ {
+		tx.Write(t.arena, nb+memory.Offset(s*SlotWords), 0)
+		tx.Write(t.arena, nb+memory.Offset(s*SlotWords)+1, 0)
+	}
+	tx.Write(t.arena, last, PackSlot(TypeHeader, 0, nb))
+	tx.Write(t.arena, last+1, 0)
+	return nb + SlotWords, nb, nil
 }
 
 // Delete removes key on the owner node. The deletion is logical: the

@@ -15,8 +15,9 @@ import (
 // state and the balance, padded to 8 words), with no version chain; and the
 // indirect-bucket pool holds the overflow of 200 000 accounts per node, the
 // benchmark's population — a bucket short is a kvs.ErrNoSlot out of Setup.
-// (Excluded under -race, where its 800 000 inserts take some 17 s and race
-// nobody.)
+// (Excluded under -race, where its 800 000 inserts take some 18 s on two
+// CPUs, 30 s loaded one copy at a time; root TestLoadBuildsSameShards runs
+// the parallel loader under the race detector at a smaller scale.)
 func TestSetupAtBenchmarkScale(t *testing.T) {
 	c := cluster.New(cluster.DefaultConfig(2, 1))
 	cfg := DefaultConfig(2)

@@ -15,14 +15,8 @@ import (
 	"math/rand"
 
 	"drtm/internal/cluster"
-	"drtm/internal/kvs"
 	"drtm/internal/tx"
 )
-
-// kvsPair is one (savings, checking) shard pair populated by Setup.
-type kvsPair struct {
-	sav, chk *kvs.Table
-}
 
 // Table IDs.
 const (
@@ -122,28 +116,29 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 	indirect := max(16, buckets/32)
 	rt.DefineUnordered(TableSavings, buckets, indirect, per+16, 1)
 	rt.DefineUnordered(TableChecking, buckets, indirect, per+16, 1)
-	for n := 0; n < cfg.Nodes; n++ {
-		// Every copy of the partition: under replication each backup's
-		// replica shard is seeded too, so a promoted backup starts from a
-		// complete copy.
-		var stores []*kvsPair
-		for _, node := range rt.C.Copies(nil, n) {
-			stores = append(stores, &kvsPair{
-				rt.C.Node(node).Unordered(cluster.CopyRegion(n, TableSavings, node)),
-				rt.C.Node(node).Unordered(cluster.CopyRegion(n, TableChecking, node)),
-			})
+	// Every copy of every partition: under replication each backup's replica
+	// shard is seeded too, so a promoted backup starts from a complete copy.
+	bal := []uint64{cfg.InitialBalance}
+	err := rt.C.Load(func(p, node int) error {
+		if p >= cfg.Nodes {
+			return nil // a node past the workload's holds no accounts
 		}
-		base := uint64(n * per)
+		n := rt.C.Node(node)
+		sav := n.Unordered(cluster.CopyRegion(p, TableSavings, node))
+		chk := n.Unordered(cluster.CopyRegion(p, TableChecking, node))
+		base := uint64(p * per)
 		for a := 1; a <= per; a++ {
-			for _, s := range stores {
-				if err := s.sav.Insert(base+uint64(a), []uint64{cfg.InitialBalance}); err != nil {
-					return nil, fmt.Errorf("smallbank: populate savings: %w", err)
-				}
-				if err := s.chk.Insert(base+uint64(a), []uint64{cfg.InitialBalance}); err != nil {
-					return nil, fmt.Errorf("smallbank: populate checking: %w", err)
-				}
+			if err := sav.Insert(base+uint64(a), bal); err != nil {
+				return fmt.Errorf("smallbank: populate savings: %w", err)
+			}
+			if err := chk.Insert(base+uint64(a), bal); err != nil {
+				return fmt.Errorf("smallbank: populate checking: %w", err)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Workload{cfg: cfg, rt: rt}, nil
 }

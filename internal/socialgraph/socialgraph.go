@@ -68,23 +68,24 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 	}
 	rt.DefineOrderedSeg(TableEdges, 64*cfg.People, 2, 32)
 	w := &Workload{Cfg: cfg, rt: rt}
-	for i := 0; i < cfg.People; i++ {
-		a, b := uint64(i), uint64((i+1)%cfg.People)
-		if err := w.loadEdge(a, b, uint64(1000+i)); err != nil {
-			return nil, err
-		}
+	if err := rt.C.Load(w.loadPartition); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
-// loadEdge bulk-inserts both directed edges of one friendship on their home
-// shards and every backup's replica shard.
-func (w *Workload) loadEdge(a, b, stamp uint64) error {
-	for _, e := range [2][3]uint64{{a, b, stamp}, {b, a, stamp}} {
-		part := int(e[0]) % w.Cfg.Nodes
-		for _, node := range w.rt.C.Copies(nil, part) {
-			sh := w.rt.C.Node(node).Ordered(cluster.CopyRegion(part, TableEdges, node))
-			if err := sh.Insert(EdgeKey(e[0], e[1]), []uint64{e[2], e[1]}); err != nil {
+// loadPartition bulk-inserts the ring's directed edges whose source is in
+// partition part, in ring order, on one copy of the partition: the home shard
+// or a backup's replica shard (cluster.Load runs every copy).
+func (w *Workload) loadPartition(part, node int) error {
+	sh := w.rt.C.Node(node).Ordered(cluster.CopyRegion(part, TableEdges, node))
+	for i := 0; i < w.Cfg.People; i++ {
+		a, b, stamp := uint64(i), uint64((i+1)%w.Cfg.People), uint64(1000+i)
+		for _, e := range [2][2]uint64{{a, b}, {b, a}} {
+			if int(e[0])%w.Cfg.Nodes != part {
+				continue
+			}
+			if err := sh.Insert(EdgeKey(e[0], e[1]), []uint64{stamp, e[1]}); err != nil {
 				return fmt.Errorf("socialgraph: load edge %d->%d: %w", e[0], e[1], err)
 			}
 		}

@@ -146,11 +146,8 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 		Key:   func(baseKey uint64, val []uint64) uint64 { return val[0] },
 	})
 	w := &Workload{Cfg: cfg, rt: rt}
-	for s := uint64(1); s <= uint64(cfg.Subscribers); s++ {
-		mask := initialMask(s)
-		if err := w.loadSubscriber(s, mask); err != nil {
-			return nil, err
-		}
+	if err := rt.C.Load(w.loadPartition); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
@@ -159,21 +156,24 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 // (bits 1..4 of sf_mask).
 func initialMask(sid uint64) uint64 { return (sid*7%15 + 1) << 1 }
 
-// loadSubscriber bulk-inserts one subscriber and its facility and index
-// rows directly on every copy of its partition: the home shard and every
-// backup's replica shard.
-func (w *Workload) loadSubscriber(sid, mask uint64) error {
-	part := w.Cfg.NodeOf(sid)
-	for _, node := range w.rt.C.Copies(nil, part) {
-		n := w.rt.C.Node(node)
-		shard := func(table int) *kvs.Ordered { return n.Ordered(cluster.CopyRegion(part, table, node)) }
-		if err := shard(TableSubscriber).Insert(sid, []uint64{SubNbr(sid), mask, 0}); err != nil {
+// loadPartition bulk-inserts partition part's subscribers, in ascending
+// order, each with its facility and index rows, on one copy of the partition:
+// the home shard or a backup's replica shard (cluster.Load runs every copy).
+func (w *Workload) loadPartition(part, node int) error {
+	n := w.rt.C.Node(node)
+	shard := func(table int) *kvs.Ordered { return n.Ordered(cluster.CopyRegion(part, table, node)) }
+	sub, idx, sf := shard(TableSubscriber), shard(TableSubNbrIndex), shard(TableSpecialFacility)
+	for sid := uint64(1); sid <= uint64(w.Cfg.Subscribers); sid++ {
+		if w.Cfg.NodeOf(sid) != part {
+			continue
+		}
+		mask := initialMask(sid)
+		if err := sub.Insert(sid, []uint64{SubNbr(sid), mask, 0}); err != nil {
 			return fmt.Errorf("tatp: load subscriber %d: %w", sid, err)
 		}
-		if err := shard(TableSubNbrIndex).Insert(SubNbr(sid), []uint64{sid}); err != nil {
+		if err := idx.Insert(SubNbr(sid), []uint64{sid}); err != nil {
 			return fmt.Errorf("tatp: load index %d: %w", sid, err)
 		}
-		sf := shard(TableSpecialFacility)
 		for t := 1; t <= NumSFTypes; t++ {
 			if mask&(1<<uint(t)) == 0 {
 				continue
@@ -195,11 +195,12 @@ type Client struct {
 	Counts map[string]int64
 	// row is the SUBSCRIBER row the update bodies hand to Local.Write and
 	// InsertSubscriber to Stage, sf the SPECIAL_FACILITY row the two inserting
-	// types stage: one array each per client instead of one slice per
-	// transaction. Both callees copy, and a transaction's rows outlive it in no
-	// other way.
+	// types stage, cf the CALL_FORWARDING row InsertCallForwarding stages: one
+	// array each per client instead of one slice per transaction. Both callees
+	// copy, and a transaction's rows outlive it in no other way.
 	row [3]uint64
 	sf  [2]uint64
+	cf  [2]uint64
 }
 
 // NewClient binds a client to an executor.
@@ -354,8 +355,8 @@ func (c *Client) InsertCallForwarding(sid uint64, sfType, start int) error {
 		if len(rows) == 0 {
 			return nil // facility not active: benign no-op
 		}
-		if err := t.WInsert(TableCallForwarding,
-			CFKey(sid, sfType, start), []uint64{uint64(start) + 8, SubNbr(sid)}); err != nil {
+		c.cf = [2]uint64{uint64(start) + 8, SubNbr(sid)}
+		if err := t.WInsert(TableCallForwarding, CFKey(sid, sfType, start), c.cf[:]); err != nil {
 			if err == kvs.ErrExists {
 				return tx.ErrUserAbort // already forwarded: abort cleanly
 			}

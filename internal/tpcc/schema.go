@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"drtm/internal/cluster"
 	"drtm/internal/kvs"
 	"drtm/internal/tx"
 )
@@ -260,16 +261,35 @@ func Setup(rt *tx.Runtime, cfg Config) (*Workload, error) {
 	return w, nil
 }
 
+// load writes one row to every copy of partition n's table (cluster.Copies):
+// the home shard and, under replication, each backup's replica, so a
+// promoted backup serves the partition whole. Each row is drawn once, from
+// Setup's one rng, and every copy gets it.
+func (w *Workload) load(n, table int, key uint64, val []uint64) error {
+	var buf [8]int
+	for _, host := range w.rt.C.Copies(buf[:0], n) {
+		node, region := w.rt.C.Node(host), cluster.CopyRegion(n, table, host)
+		var err error
+		if o, ok := node.OrderedRegion(region); ok {
+			err = o.Insert(key, val)
+		} else {
+			err = node.Unordered(region).Insert(key, val)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (w *Workload) populateNode(n int, rng *rand.Rand) error {
 	cfg := w.cfg
-	node := w.rt.C.Node(n)
 
 	// Items are replicated: full copy per node.
-	items := node.Unordered(TableItem)
 	for i := 1; i <= cfg.Items; i++ {
 		val := make([]uint64, IValueWords)
 		val[IPrice] = uint64(rng.Intn(9900) + 100) // cents
-		if err := items.Insert(IKey(i), val); err != nil {
+		if err := w.load(n, TableItem, IKey(i), val); err != nil {
 			return err
 		}
 	}
@@ -278,13 +298,13 @@ func (w *Workload) populateNode(n int, rng *rand.Rand) error {
 		wID := n*cfg.WarehousesPerNode + wi + 1
 		wVal := make([]uint64, WValueWords)
 		wVal[WTax] = uint64(rng.Intn(2000)) // basis points
-		if err := node.Unordered(TableWarehouse).Insert(WKey(wID), wVal); err != nil {
+		if err := w.load(n, TableWarehouse, WKey(wID), wVal); err != nil {
 			return err
 		}
 		for i := 1; i <= cfg.Items; i++ {
 			sVal := make([]uint64, SValueWords)
 			sVal[SQuantity] = uint64(rng.Intn(91) + 10)
-			if err := node.Unordered(TableStock).Insert(SKey(wID, i), sVal); err != nil {
+			if err := w.load(n, TableStock, SKey(wID, i), sVal); err != nil {
 				return err
 			}
 		}
@@ -299,7 +319,6 @@ func (w *Workload) populateNode(n int, rng *rand.Rand) error {
 
 func (w *Workload) populateDistrict(n, wID, d int, rng *rand.Rand) error {
 	cfg := w.cfg
-	node := w.rt.C.Node(n)
 
 	for c := 1; c <= cfg.CustomersPerDist; c++ {
 		cVal := make([]uint64, CValueWords)
@@ -307,7 +326,7 @@ func (w *Workload) populateDistrict(n, wID, d int, rng *rand.Rand) error {
 		if rng.Intn(10) == 0 {
 			cVal[CCredit] = 1 // BC credit
 		}
-		if err := node.Unordered(TableCustomer).Insert(CKey(wID, d, c), cVal); err != nil {
+		if err := w.load(n, TableCustomer, CKey(wID, d, c), cVal); err != nil {
 			return err
 		}
 		ln := lnIdx(wID, d, lastNameOf(c))
@@ -326,10 +345,10 @@ func (w *Workload) populateDistrict(n, wID, d int, rng *rand.Rand) error {
 		if o < undeliveredFrom {
 			oVal[OCarrier] = uint64(rng.Intn(10) + 1)
 		}
-		if err := node.Ordered(TableOrder).Insert(OKey(wID, d, o), oVal); err != nil {
+		if err := w.load(n, TableOrder, OKey(wID, d, o), oVal); err != nil {
 			return err
 		}
-		if err := node.Ordered(TableOrderCust).Insert(OCKey(wID, d, cID, o),
+		if err := w.load(n, TableOrderCust, OCKey(wID, d, cID, o),
 			[]uint64{uint64(o)}); err != nil {
 			return err
 		}
@@ -342,12 +361,12 @@ func (w *Workload) populateDistrict(n, wID, d int, rng *rand.Rand) error {
 			if o < undeliveredFrom {
 				olVal[OLDeliveryD] = 1
 			}
-			if err := node.Ordered(TableOrderLine).Insert(OLKey(wID, d, o, ol), olVal); err != nil {
+			if err := w.load(n, TableOrderLine, OLKey(wID, d, o, ol), olVal); err != nil {
 				return err
 			}
 		}
 		if o >= undeliveredFrom {
-			if err := node.Ordered(TableNewOrder).Insert(OKey(wID, d, o), []uint64{1}); err != nil {
+			if err := w.load(n, TableNewOrder, OKey(wID, d, o), []uint64{1}); err != nil {
 				return err
 			}
 		}
@@ -357,7 +376,7 @@ func (w *Workload) populateDistrict(n, wID, d int, rng *rand.Rand) error {
 	dVal[DNextOID] = uint64(cfg.InitialOrders + 1)
 	dVal[DNextDeliv] = uint64(undeliveredFrom)
 	dVal[DTax] = uint64(rng.Intn(2000))
-	return node.Unordered(TableDistrict).Insert(DKey(wID, d), dVal)
+	return w.load(n, TableDistrict, DKey(wID, d), dVal)
 }
 
 // LookupByLastName resolves a (w, d, lastname-bucket) to the spec's

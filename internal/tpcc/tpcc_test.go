@@ -394,3 +394,37 @@ func TestHistoryHoldsItsCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupSeedsEveryCopy: at f = 1 each backup's replica shard of a
+// partition holds what the home shard holds, table by table, so a promoted
+// backup would serve the partition whole.
+func TestSetupSeedsEveryCopy(t *testing.T) {
+	const nodes = 3
+	ccfg := cluster.DefaultConfig(nodes, 1)
+	ccfg.ReplicationFactor = 1
+	c := cluster.New(ccfg)
+	cfg := testCfg(nodes, 1)
+	if _, err := Setup(tx.NewRuntime(c, cfg.Partitioner()), cfg); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(node, region int) int {
+		if o, ok := c.Node(node).OrderedRegion(region); ok {
+			return o.Len()
+		}
+		return c.Node(node).Unordered(region).Len()
+	}
+	for p := 0; p < nodes; p++ {
+		for table := TableWarehouse; table <= TableOrderCust; table++ {
+			home := rows(p, table)
+			if home == 0 && table != TableHistory {
+				t.Errorf("partition %d table %d: home shard empty", p, table)
+			}
+			for _, b := range c.Backups(nil, p) {
+				if got := rows(b, cluster.CopyRegion(p, table, b)); got != home {
+					t.Errorf("partition %d table %d: replica on node %d holds %d rows, home %d",
+						p, table, b, got, home)
+				}
+			}
+		}
+	}
+}
